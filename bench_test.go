@@ -1,5 +1,4 @@
-// Benchmarks regenerating the paper's quantitative artefacts (see
-// EXPERIMENTS.md). Run with:
+// Benchmarks regenerating the paper's quantitative artefacts. Run with:
 //
 //	go test -bench=. -benchmem
 //

@@ -1,7 +1,7 @@
-// Command ptrider-bench regenerates every experiment in EXPERIMENTS.md
-// (the demo paper's quantitative artefacts, E2–E8). Each experiment
-// prints one table; absolute numbers depend on the host, but the
-// orderings and shapes are the reproduction targets.
+// Command ptrider-bench regenerates the demo paper's quantitative
+// artefacts (experiments E2–E8). Each experiment prints one table;
+// absolute numbers depend on the host, but the orderings and shapes
+// are the reproduction targets.
 //
 // Usage:
 //

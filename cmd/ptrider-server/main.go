@@ -58,9 +58,6 @@
 //	POST /v1/ticks {"seconds":5} · GET /v1/stats · GET /v1/events (SSE)
 //	GET/POST /v1/params · GET /v1/map
 //	GET  /v1/healthz · GET /v1/readyz · GET /metrics
-//	(legacy aliases: /api/request, /api/choose, /api/decline, /api/stats,
-//	 /api/taxi, /api/params, /api/tick, /api/vehicles, /api/map,
-//	 /api/cities, /api/relay)
 package main
 
 import (
@@ -262,12 +259,12 @@ func buildService(bc buildConfig) (core.Service, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		total := 0
-		for _, c := range router.Cities() {
+		cities, total := router.Cities(), 0
+		for _, c := range cities {
 			total += c.Vehicles
 		}
 		return router, fmt.Sprintf("%d cities (%d taxis total, relay=%v)",
-			router.NumCities(), total, router.RelayEnabled()), nil
+			len(cities), total, bc.relayOn), nil
 	}
 	g, err := gen.GenerateNetwork(gen.CityConfig{Width: bc.width, Height: bc.height, Seed: bc.seed})
 	if err != nil {

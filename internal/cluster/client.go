@@ -1,7 +1,11 @@
 // client.go is the gateway's half of the shard RPC surface: a pooled
 // HTTP client around one remote city shard. A ShardClient implements
-// relay.LegEngine, so the relay scheduler's probe/commit/compensate
-// protocol runs over real sockets unchanged.
+// multicity.CityBackend — the same method set *core.Engine offers the
+// coordinator, relay.LegEngine included — so routing, aggregation and
+// the relay scheduler's probe/commit/compensate protocol run over real
+// sockets unchanged. Methods whose engine signature has no error
+// result degrade instead: see Clock, ServiceStats, NumVehicles and
+// MetricFamilies.
 //
 // Failure discipline:
 //
@@ -43,8 +47,8 @@ import (
 
 	"ptrider/internal/core"
 	"ptrider/internal/fleet"
-	"ptrider/internal/kinetic"
-	"ptrider/internal/relay"
+	"ptrider/internal/geo"
+	"ptrider/internal/multicity"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/telemetry"
 )
@@ -98,18 +102,22 @@ type cached[T any] struct {
 }
 
 // ShardClient speaks the shard RPC surface for one remote city. It
-// implements relay.LegEngine; all methods are safe for concurrent use.
+// implements multicity.CityBackend; all methods are safe for concurrent
+// use. The city arguments its Service-shaped methods take exist to
+// match *core.Engine's signatures and are ignored: a shard serves one
+// city.
 type ShardClient struct {
 	addr string // normalised base URL
 	hc   *http.Client
 	cfg  ClientConfig
 
-	// Dial-time immutable city description.
+	// Dial-time city description, immutable but for meta.Vehicles
+	// (guarded by mu; see NumVehicles).
 	meta  metaWire
 	graph *roadnet.Graph
 
 	mu          sync.Mutex
-	metaCache   cached[metaWire]
+	vehiclesExp time.Time // when meta.Vehicles goes stale
 	paramsCache cached[core.ServiceParams]
 
 	rpcLat     *telemetry.LatencyHist
@@ -117,8 +125,7 @@ type ShardClient struct {
 	rpcRetries *telemetry.Counter
 }
 
-// ShardClient drives relay legs over the wire.
-var _ relay.LegEngine = (*ShardClient)(nil)
+var _ multicity.CityBackend = (*ShardClient)(nil)
 
 // Dial connects to a shard at addr ("host:port" or a full URL), waits
 // for its readiness probe, and caches the immutable city description
@@ -175,7 +182,10 @@ func Dial(addr string, cfg ClientConfig) (*ShardClient, error) {
 func (c *ShardClient) Addr() string { return c.addr }
 
 // Close releases the client's pooled connections.
-func (c *ShardClient) Close() { c.hc.CloseIdleConnections() }
+func (c *ShardClient) Close() error {
+	c.hc.CloseIdleConnections()
+	return nil
+}
 
 // unavailable wraps a transport-level failure as core.ErrUnavailable.
 func unavailable(format string, args ...any) error {
@@ -213,7 +223,7 @@ func (c *ShardClient) once(method, path string, body []byte, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		var env wireEnvelope
 		if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
-			return decodeWireError(env.Error)
+			return env.Error.Err()
 		}
 		return unavailable("%s %s: status %d", method, path, resp.StatusCode)
 	}
@@ -345,12 +355,6 @@ func (c *ShardClient) LegLimits() (maxWait, maxPickup float64) {
 	return c.meta.MaxWaitSeconds, c.meta.MaxPickupSeconds
 }
 
-// SubmitWithConstraints quotes one request, minting an idempotency key
-// so transport retries cannot double-submit.
-func (c *ShardClient) SubmitWithConstraints(s, d roadnet.VertexID, riders int, cons core.Constraints) (*core.RequestRecord, error) {
-	return c.SubmitIdem(s, d, riders, cons, "")
-}
-
 // SubmitIdem quotes one request under the given idempotency key (""
 // mints one). The key makes the retried POST safe: a replay answers
 // with the original record.
@@ -441,81 +445,171 @@ func (c *ShardClient) CancelAssigned(id core.RequestID) error {
 	return err
 }
 
-// --- gateway support verbs ---
+// --- the rest of multicity.CityBackend ---
 
-// SubmitBatchQuote runs one shard-side batch. Items carry no choice
-// callbacks (those cannot cross the wire); the gateway commits or
-// declines quoted items with follow-up calls. Not retried: without
-// per-item idempotency keys a replayed batch would double-quote.
-func (c *ShardClient) SubmitBatchQuote(items []submitWire) ([]*core.RequestRecord, error) {
-	var out batchReply
-	if err := c.call(http.MethodPost, "/rpc/submit-batch", batchWire{Items: items}, &out, false); err != nil {
+// serviceRecord lifts a shard record into the Service view, like
+// core.Engine's own.
+func (c *ShardClient) serviceRecord(rec *core.RequestRecord) *core.ServiceRecord {
+	return &core.ServiceRecord{RequestRecord: *rec, City: core.DefaultCityName, Speed: c.meta.Speed}
+}
+
+// SubmitRequest quotes one vertex-addressed request. The span stays
+// gateway-side: stage timings do not cross the wire.
+func (c *ShardClient) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error) {
+	rec, err := c.SubmitIdem(spec.S, spec.D, spec.Riders, spec.Constraints, spec.IdemKey)
+	if err != nil {
 		return nil, err
 	}
-	var err error
-	if out.Err != nil {
-		err = decodeWireError(*out.Err)
-	}
-	return out.Records, err
+	return c.serviceRecord(rec), nil
 }
 
-// Advance ticks the shard by dt seconds. Never retried: a duplicated
+// SubmitRequestBatch runs a batch of vertex-addressed requests with the
+// engine's greedy semantics. A closure cannot cross the wire, so the
+// batch is cut at every item carrying a Choose callback: each maximal
+// run of callback-free items is one shard-side batch call (quoted
+// together, then declined, as the engine does with them), and each
+// callback item is quoted on its own and committed or declined by
+// index before anything after it is quoted — the order the engine's
+// waves guarantee.
+func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error) {
+	out := make([]*core.ServiceRecord, len(specs))
+	var firstErr error
+	fail := func(i int, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("cluster: batch item %d: %w", i, err)
+		}
+	}
+	for start := 0; start < len(specs); {
+		if specs[start].Choose != nil {
+			rec, err := c.submitChosen(&specs[start])
+			if err != nil {
+				fail(start, err)
+			}
+			out[start] = rec
+			start++
+			continue
+		}
+		end := start
+		for end < len(specs) && specs[end].Choose == nil {
+			end++
+		}
+		items := make([]submitWire, end-start)
+		for k, spec := range specs[start:end] {
+			items[k] = submitWire{S: spec.S, D: spec.D, Riders: spec.Riders, Constraints: spec.Constraints}
+		}
+		// Not retried: without per-item idempotency keys a replayed
+		// batch would double-quote.
+		var reply batchReply
+		err := c.call(http.MethodPost, "/rpc/submit-batch", batchWire{Items: items}, &reply, false)
+		if err == nil && reply.Err != nil {
+			err = reply.Err.Err()
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		for k, rec := range reply.Records {
+			if rec != nil && start+k < end {
+				out[start+k] = c.serviceRecord(rec)
+			}
+		}
+		start = end
+	}
+	return out, firstErr
+}
+
+// submitChosen serves one batch item that carries a Choose callback:
+// quote, let the callback pick, commit or decline by index, and return
+// the refreshed record. A failed choice ends the item's lifecycle
+// declined rather than abandoning the quote, as in the engine.
+func (c *ShardClient) submitChosen(spec *core.SubmitSpec) (*core.ServiceRecord, error) {
+	rec, err := c.SubmitIdem(spec.S, spec.D, spec.Riders, spec.Constraints, "")
+	if err != nil {
+		return nil, err
+	}
+	if pick := spec.Choose(rec.Options); pick >= 0 && pick < len(rec.Options) {
+		if cerr := c.Choose(rec.ID, pick); cerr != nil {
+			err = fmt.Errorf("choose: %w", cerr)
+			_ = c.Decline(rec.ID) // best effort, like the engine's own batch path
+		}
+	} else {
+		_ = c.Decline(rec.ID) // a just-quoted record; the refresh below shows what held
+	}
+	if fresh, rerr := c.Request(rec.ID); rerr == nil {
+		rec = fresh
+	}
+	return c.serviceRecord(rec), err
+}
+
+// Tick advances the shard by dt seconds. Never retried: a duplicated
 // tick would advance this city's clock out of lockstep.
-func (c *ShardClient) Advance(dt float64) (clock float64, events []fleet.Event, err error) {
+func (c *ShardClient) Tick(dt float64) ([]fleet.Event, error) {
 	var out advanceReply
 	if err := c.call(http.MethodPost, "/rpc/advance", advanceWire{Seconds: dt}, &out, false); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return out.Clock, out.Events, nil
+	return out.Events, nil
 }
 
-// Clock reads the shard's simulated clock.
-func (c *ShardClient) Clock() (float64, error) {
+// Clock reads the shard's simulated clock; an unreachable shard reads
+// 0, which the coordinator's maximum ignores.
+func (c *ShardClient) Clock() float64 {
 	var out clockReply
 	if err := c.call(http.MethodGet, "/rpc/clock", nil, &out, true); err != nil {
-		return 0, err
+		return 0
 	}
-	return out.Clock, nil
+	return out.Clock
 }
 
-// Stats snapshots the shard's engine panel.
-func (c *ShardClient) Stats() (core.EngineStats, error) {
-	var out core.EngineStats
-	err := c.call(http.MethodGet, "/rpc/stats", nil, &out, true)
-	return out, err
+// ServiceStats snapshots the shard's engine panel as its one city; an
+// unreachable shard reports no city.
+func (c *ShardClient) ServiceStats() core.ServiceStats {
+	var st core.EngineStats
+	if err := c.call(http.MethodGet, "/rpc/stats", nil, &st, true); err != nil {
+		return core.ServiceStats{}
+	}
+	return core.ServiceStats{Total: st, Cities: map[string]core.EngineStats{core.DefaultCityName: st}}
 }
 
 // Requests lists the shard's ledger, id ascending.
-func (c *ShardClient) Requests(filter core.RequestFilter, limit int) ([]*core.RequestRecord, error) {
+func (c *ShardClient) Requests(_ string, filter core.RequestFilter, limit int) ([]*core.ServiceRecord, error) {
 	path := fmt.Sprintf("/rpc/requests?limit=%d", limit)
 	if filter.HasStatus {
 		path += "&status=" + filter.Status.String()
 	}
-	var out []*core.RequestRecord
-	if err := c.call(http.MethodGet, path, nil, &out, true); err != nil {
+	var recs []*core.RequestRecord
+	if err := c.call(http.MethodGet, path, nil, &recs, true); err != nil {
 		return nil, err
+	}
+	out := make([]*core.ServiceRecord, len(recs))
+	for i, rec := range recs {
+		out[i] = c.serviceRecord(rec)
 	}
 	return out, nil
 }
 
-// Meta returns the city description, refreshed through the TTL cache
-// (the fleet size moves; the rest is immutable).
-func (c *ShardClient) Meta() metaWire {
+// NumVehicles returns the fleet size through the TTL cache — the one
+// field of the city description that moves — serving the last known
+// value while the shard is away.
+func (c *ShardClient) NumVehicles() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if time.Now().Before(c.metaCache.exp) {
-		return c.metaCache.val
+	if time.Now().After(c.vehiclesExp) {
+		var m metaWire
+		if err := c.call(http.MethodGet, "/rpc/meta", nil, &m, true); err == nil {
+			c.meta.Vehicles = m.Vehicles
+			c.vehiclesExp = time.Now().Add(c.cfg.CacheTTL)
+		}
 	}
-	var m metaWire
-	if err := c.call(http.MethodGet, "/rpc/meta", nil, &m, true); err != nil {
-		return c.meta // serve the dial-time copy while the shard is away
-	}
-	c.metaCache = cached[metaWire]{val: m, exp: time.Now().Add(c.cfg.CacheTTL)}
-	return m
+	return c.meta.Vehicles
 }
 
+// NearestVertex snaps a coordinate onto the cached road graph by linear
+// scan (the client keeps no grid index; the graph is fetched once at
+// dial time).
+func (c *ShardClient) NearestVertex(p geo.Point) roadnet.VertexID { return c.graph.NearestVertex(p) }
+
 // Params returns the shard's live settings through the TTL cache.
-func (c *ShardClient) Params() (core.ServiceParams, error) {
+func (c *ShardClient) Params(string) (core.ServiceParams, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if time.Now().Before(c.paramsCache.exp) {
@@ -530,7 +624,7 @@ func (c *ShardClient) Params() (core.ServiceParams, error) {
 }
 
 // Surge reads the shard's per-cell surge state.
-func (c *ShardClient) Surge() (*core.SurgeView, error) {
+func (c *ShardClient) Surge(string) (*core.SurgeView, error) {
 	var v core.SurgeView
 	if err := c.call(http.MethodGet, "/rpc/surge", nil, &v, true); err != nil {
 		return nil, err
@@ -538,9 +632,9 @@ func (c *ShardClient) Surge() (*core.SurgeView, error) {
 	return &v, nil
 }
 
-// SetAlgorithm switches the shard's matching algorithm (idempotent —
-// setting the same algorithm twice is harmless — so retried).
-func (c *ShardClient) SetAlgorithm(algo core.Algorithm) error {
+// SetCityAlgorithm switches the shard's matching algorithm (idempotent
+// — setting the same algorithm twice is harmless — so retried).
+func (c *ShardClient) SetCityAlgorithm(_ string, algo core.Algorithm) error {
 	err := c.call(http.MethodPost, "/rpc/algorithm", algoWire{Algorithm: algo.String()}, nil, true)
 	if err == nil {
 		c.mu.Lock()
@@ -551,7 +645,7 @@ func (c *ShardClient) SetAlgorithm(algo core.Algorithm) error {
 }
 
 // Vehicles lists the shard's vehicle summaries.
-func (c *ShardClient) Vehicles(limit int) ([]core.VehicleView, error) {
+func (c *ShardClient) Vehicles(_ string, limit int) ([]core.VehicleView, error) {
 	var out []core.VehicleView
 	if err := c.call(http.MethodGet, fmt.Sprintf("/rpc/vehicles?limit=%d", limit), nil, &out, true); err != nil {
 		return nil, err
@@ -559,20 +653,23 @@ func (c *ShardClient) Vehicles(limit int) ([]core.VehicleView, error) {
 	return out, nil
 }
 
-// VehicleSchedules reads one vehicle's location and schedule branches.
-func (c *ShardClient) VehicleSchedules(id fleet.VehicleID) (roadnet.VertexID, [][]kinetic.Point, error) {
+// VehicleItinerary reads one vehicle's location and schedule branches.
+func (c *ShardClient) VehicleItinerary(_ string, id fleet.VehicleID) (*core.VehicleItinerary, error) {
 	var out itineraryWire
 	if err := c.call(http.MethodGet, fmt.Sprintf("/rpc/vehicles/%d", id), nil, &out, true); err != nil {
-		return 0, nil, err
-	}
-	return out.Location, out.Branches, nil
-}
-
-// Telemetry fetches the shard's gathered metric families.
-func (c *ShardClient) Telemetry() ([]telemetry.Family, error) {
-	var out []telemetry.Family
-	if err := c.call(http.MethodGet, "/rpc/telemetry", nil, &out, true); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &core.VehicleItinerary{
+		City: core.DefaultCityName, Vehicle: id, Location: out.Location, Branches: out.Branches,
+	}, nil
+}
+
+// MetricFamilies fetches the shard's gathered metric families; an
+// unreachable shard contributes none.
+func (c *ShardClient) MetricFamilies() []telemetry.Family {
+	var out []telemetry.Family
+	if err := c.call(http.MethodGet, "/rpc/telemetry", nil, &out, true); err != nil {
+		return nil
+	}
+	return out
 }

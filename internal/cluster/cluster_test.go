@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -131,45 +130,6 @@ func pickVertex(rng *rand.Rand, n int) roadnet.VertexID {
 	return roadnet.VertexID(rng.Intn(n))
 }
 
-func TestWireErrorRoundTrip(t *testing.T) {
-	cases := []struct {
-		err        error
-		wantStatus int
-		wantCode   string
-		is         error
-	}{
-		{&core.CrossCityError{Origin: "a", Dest: "b"}, http.StatusUnprocessableEntity, "cross_city", core.ErrCrossCity},
-		{fmt.Errorf("x: %w", core.ErrAlreadyChosen), http.StatusConflict, "already_chosen", core.ErrAlreadyChosen},
-		{fmt.Errorf("x: %w", core.ErrUnknownCity), http.StatusNotFound, "unknown_city", core.ErrUnknownCity},
-		{fmt.Errorf("x: %w", core.ErrNotFound), http.StatusNotFound, "not_found", core.ErrNotFound},
-		{fmt.Errorf("x: %w", core.ErrNoCity), http.StatusUnprocessableEntity, "no_city", core.ErrNoCity},
-		{fmt.Errorf("x: %w", core.ErrInvalidArgument), http.StatusBadRequest, "invalid_argument", core.ErrInvalidArgument},
-		{fmt.Errorf("x: %w", core.ErrUnavailable), http.StatusServiceUnavailable, "unavailable", core.ErrUnavailable},
-	}
-	for _, c := range cases {
-		status, p := wireErrorOf(c.err)
-		if status != c.wantStatus || p.Code != c.wantCode {
-			t.Errorf("wireErrorOf(%v) = (%d, %q), want (%d, %q)", c.err, status, p.Code, c.wantStatus, c.wantCode)
-		}
-		back := decodeWireError(p)
-		if !errors.Is(back, c.is) {
-			t.Errorf("decodeWireError(%+v) = %v, does not match %v", p, back, c.is)
-		}
-	}
-
-	// The cross-city envelope must reconstruct the typed city pair.
-	_, p := wireErrorOf(&core.CrossCityError{Origin: "east", Dest: "west"})
-	var cce *core.CrossCityError
-	if back := decodeWireError(p); !errors.As(back, &cce) || cce.Origin != "east" || cce.Dest != "west" {
-		t.Errorf("cross-city pair lost in round trip: %v", decodeWireError(p))
-	}
-
-	// Unrecognised codes stay opaque errors, not typed ones.
-	if err := decodeWireError(wireError{Code: "unprocessable", Message: "m"}); errors.Is(err, core.ErrNotFound) || err == nil {
-		t.Errorf("generic code decoded to a typed error: %v", err)
-	}
-}
-
 func TestSanitizeRecordStripsCandidates(t *testing.T) {
 	rec := &core.RequestRecord{
 		ID: 7,
@@ -237,50 +197,44 @@ func TestShardClientBasics(t *testing.T) {
 	}
 
 	// Tick, clock, stats, listings.
-	clock, _, err := c.Advance(5)
-	if err != nil {
-		t.Fatalf("advance: %v", err)
+	if _, err := c.Tick(5); err != nil {
+		t.Fatalf("tick: %v", err)
 	}
-	if clock != 5 {
-		t.Fatalf("clock after advance %v, want 5", clock)
+	if rc := c.Clock(); rc != 5 {
+		t.Fatalf("clock after tick %v, want 5", rc)
 	}
-	if rc, err := c.Clock(); err != nil || rc != 5 {
-		t.Fatalf("clock read %v, %v", rc, err)
+	if st := c.ServiceStats(); st.Total.Requests == 0 || len(st.Cities) != 1 {
+		t.Fatalf("stats %+v", st)
 	}
-	st, err := c.Stats()
-	if err != nil || st.Requests == 0 {
-		t.Fatalf("stats %+v, %v", st, err)
-	}
-	recs, err := c.Requests(core.RequestFilter{}, 0)
+	recs, err := c.Requests("", core.RequestFilter{}, 0)
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("requests listing: %d, %v", len(recs), err)
 	}
-	assigned, err := c.Requests(core.RequestFilter{HasStatus: true, Status: core.StatusAssigned}, 0)
+	assigned, err := c.Requests("", core.RequestFilter{HasStatus: true, Status: core.StatusAssigned}, 0)
 	if err != nil || len(assigned) != 1 {
 		t.Fatalf("assigned listing: %d, %v", len(assigned), err)
 	}
 
-	views, err := c.Vehicles(0)
-	if err != nil || len(views) != eng.NumVehicles() {
-		t.Fatalf("vehicles: %d, %v", len(views), err)
+	views, err := c.Vehicles("", 0)
+	if err != nil || len(views) != eng.NumVehicles() || c.NumVehicles() != eng.NumVehicles() {
+		t.Fatalf("vehicles: %d (meta %d), %v", len(views), c.NumVehicles(), err)
 	}
-	if _, _, err := c.VehicleSchedules(views[0].ID); err != nil {
-		t.Fatalf("vehicle schedules: %v", err)
+	if _, err := c.VehicleItinerary("", views[0].ID); err != nil {
+		t.Fatalf("vehicle itinerary: %v", err)
 	}
 
 	// Params/surge/algorithm and the fetched telemetry families.
-	if _, err := c.Params(); err != nil {
+	if _, err := c.Params(""); err != nil {
 		t.Fatalf("params: %v", err)
 	}
-	if _, err := c.Surge(); err != nil {
+	if _, err := c.Surge(""); err != nil {
 		t.Fatalf("surge: %v", err)
 	}
-	if err := c.SetAlgorithm(core.AlgoSingleSide); err != nil {
+	if err := c.SetCityAlgorithm("", core.AlgoSingleSide); err != nil {
 		t.Fatalf("set algorithm: %v", err)
 	}
-	fams, err := c.Telemetry()
-	if err != nil || len(fams) == 0 {
-		t.Fatalf("telemetry: %d families, %v", len(fams), err)
+	if fams := c.MetricFamilies(); len(fams) == 0 {
+		t.Fatal("telemetry: no families")
 	}
 }
 
@@ -371,7 +325,7 @@ func TestSubmitIdempotentAcrossLostResponse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit through lost response: %v", err)
 	}
-	recs, err := c.Requests(core.RequestFilter{}, 0)
+	recs, err := c.Requests("", core.RequestFilter{}, 0)
 	if err != nil {
 		t.Fatalf("requests: %v", err)
 	}
@@ -501,7 +455,7 @@ func TestGatewayRoutingAndAggregation(t *testing.T) {
 
 	// Aggregated statistics fold both panels.
 	st := gw.ServiceStats()
-	if !st.Multi || !st.RelayEnabled || len(st.Cities) != 2 {
+	if !st.RelayEnabled || len(st.Cities) != 2 {
 		t.Fatalf("stats shape: %+v", st)
 	}
 	if want := st.Cities["alpha"].Requests + st.Cities["beta"].Requests; st.Total.Requests != want {

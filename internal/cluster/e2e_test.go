@@ -94,7 +94,7 @@ func (p *shardProc) waitExit(t *testing.T, within time.Duration) int {
 // surface.
 func fleetLoad(t *testing.T, c *ShardClient) int {
 	t.Helper()
-	views, err := c.Vehicles(0)
+	views, err := c.Vehicles("", 0)
 	if err != nil {
 		t.Fatalf("vehicles %s: %v", c.Addr(), err)
 	}
@@ -146,7 +146,7 @@ func TestE2EShardCrashInCommitWindow(t *testing.T) {
 		t.Fatalf("beta client: %v", err)
 	}
 	defer betaClient.Close()
-	betaRecs, err := betaClient.Requests(core.RequestFilter{}, 0)
+	betaRecs, err := betaClient.Requests("", core.RequestFilter{}, 0)
 	if err != nil || len(betaRecs) == 0 {
 		t.Fatalf("beta ledger before crash: %d, %v", len(betaRecs), err)
 	}
@@ -196,12 +196,12 @@ func TestE2EShardCrashInCommitWindow(t *testing.T) {
 	}
 	defer alphaClient.Close()
 	for _, c := range []*ShardClient{alphaClient, betaClient} {
-		st, err := c.Stats()
-		if err != nil {
-			t.Fatalf("stats %s: %v", c.Addr(), err)
+		st := c.ServiceStats()
+		if len(st.Cities) != 1 {
+			t.Fatalf("stats %s: shard unreachable", c.Addr())
 		}
-		if st.Assigned != 0 {
-			t.Fatalf("shard %s holds %d assigned legs after compensation", c.Addr(), st.Assigned)
+		if st.Total.Assigned != 0 {
+			t.Fatalf("shard %s holds %d assigned legs after compensation", c.Addr(), st.Total.Assigned)
 		}
 		if load := fleetLoad(t, c); load != 0 {
 			t.Fatalf("shard %s fleet still loaded: %d", c.Addr(), load)
@@ -211,20 +211,11 @@ func TestE2EShardCrashInCommitWindow(t *testing.T) {
 	// Id continuity: the recovered shard's next quote continues the
 	// journaled sequence instead of reusing ids.
 	fresh := quotedSpec(t, gw, "beta", "beta", rng)
-	_, local, err := splitGlobal(2, fresh.ID)
-	if err != nil {
-		t.Fatalf("split %d: %v", fresh.ID, err)
-	}
-	if local <= maxBetaID {
+	// Two shards: global id = local·2 + city index.
+	if local := fresh.ID / 2; local <= maxBetaID {
 		t.Fatalf("recovered shard reused ids: new local %d, pre-crash max %d", local, maxBetaID)
 	}
 	if err := gw.Decline(fresh.ID); err != nil {
 		t.Fatalf("decline: %v", err)
 	}
-}
-
-// splitGlobal mirrors the gateway's id striding for assertions.
-func splitGlobal(n int, id core.RequestID) (int, core.RequestID, error) {
-	g := &Gateway{shards: make([]shardRef, n)}
-	return g.splitID(id)
 }

@@ -1,28 +1,22 @@
-// gateway.go is the cluster front door: a core.Service implementation
-// — the third, next to *core.Engine and *multicity.Router — that
-// routes every verb to remote city shards by city, reusing the
-// multicity package's global-id striding and statistics fold so the
-// remote backend presents exactly the namespace and aggregates the
-// in-process router does. Cross-city trips run the relay scheduler
-// gateway-side, its probe/commit/compensate legs travelling over the
-// shard RPC surface; a shard that dies inside the commit window
-// surfaces core.ErrUnavailable, which the scheduler answers with
-// deferred compensation retried every Advance until the shard's
-// WAL-driven restart acknowledges the release.
+// gateway.go is the cluster front door: the multicity.Coordinator — the
+// one multi-city core.Service implementation — built over remote city
+// shards, so the cluster presents exactly the namespace, aggregates and
+// errors the in-process router does. Cross-city trips run the
+// coordinator's relay scheduler gateway-side, its probe/commit/
+// compensate legs travelling over the shard RPC surface; a shard that
+// dies inside the commit window surfaces core.ErrUnavailable, which the
+// scheduler answers with deferred compensation retried every Advance
+// until the shard's WAL-driven restart acknowledges the release.
 package cluster
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"strings"
 	"sync"
 
 	"ptrider/internal/core"
-	"ptrider/internal/fleet"
-	"ptrider/internal/geo"
 	"ptrider/internal/multicity"
 	"ptrider/internal/relay"
-	"ptrider/internal/roadnet"
 	"ptrider/internal/telemetry"
 )
 
@@ -41,23 +35,11 @@ type GatewayConfig struct {
 	Registry *telemetry.Registry
 }
 
-// shardRef is one connected city shard.
-type shardRef struct {
-	name   string
-	client *ShardClient
-	region geo.Rect
-}
-
-// Gateway implements core.Service over remote city shards. All methods
-// are safe for concurrent use.
+// Gateway is the Coordinator whose every city backend is a ShardClient.
+// All methods are safe for concurrent use.
 type Gateway struct {
-	shards []shardRef
-	byName map[string]int
-	relay  *relay.Scheduler
-	reg    *telemetry.Registry
+	*multicity.Coordinator
 }
-
-var _ core.Service = (*Gateway)(nil)
 
 // NewGateway connects to one shard per address and assembles the
 // cluster service. Addresses are "host:port" or full URLs, optionally
@@ -70,699 +52,51 @@ func NewGateway(addrs []string, cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Client.Registry == nil {
 		cfg.Client.Registry = cfg.Registry
 	}
-	g := &Gateway{
-		shards: make([]shardRef, len(addrs)),
-		byName: make(map[string]int, len(addrs)),
-		reg:    cfg.Registry,
-	}
-	names := make([]string, len(addrs))
-	bare := make([]string, len(addrs))
-	for i, a := range addrs {
-		names[i] = fmt.Sprintf("city%d", i)
-		bare[i] = a
-		if eq := indexByte(a, '='); eq > 0 {
-			names[i], bare[i] = a[:eq], a[eq+1:]
-		}
-	}
 
 	// Dial concurrently: every shard health-checks and ships its meta
 	// and graph before the gateway serves anything.
+	cities := make([]multicity.City, len(addrs))
+	clients := make([]*ShardClient, len(addrs))
 	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
-	for i := range addrs {
+	for i, a := range addrs {
+		name, bare, named := strings.Cut(a, "=")
+		if !named {
+			name, bare = fmt.Sprintf("city%d", i), a
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(bare[i], cfg.Client)
-			if err != nil {
-				errs[i] = err
-				return
+			if clients[i], errs[i] = Dial(bare, cfg.Client); errs[i] == nil {
+				cities[i] = multicity.City{Name: name, Region: clients[i].meta.Region, Backend: clients[i]}
 			}
-			g.shards[i] = shardRef{name: names[i], client: c, region: c.meta.Region}
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			g.Close()
-			return nil, fmt.Errorf("cluster: shard %s: %w", addrs[i], err)
+	closeAll := func() {
+		for _, c := range clients {
+			if c != nil {
+				c.Close()
+			}
 		}
 	}
-	for i, name := range names {
-		if _, dup := g.byName[name]; dup {
-			g.Close()
-			return nil, fmt.Errorf("cluster: duplicate city name %q: %w", name, core.ErrInvalidArgument)
+	for i, err := range errs {
+		if err != nil {
+			closeAll()
+			return nil, fmt.Errorf("cluster: shard %s: %w", addrs[i], err)
 		}
-		g.byName[name] = i
 	}
 
 	// The relay scheduler needs a city pair; a one-shard cluster serves
 	// cross-city rejections instead (there is no second city anyway).
-	if len(g.shards) >= 2 {
-		refs := make([]relay.CityRef, len(g.shards))
-		for i, sh := range g.shards {
-			refs[i] = relay.CityRef{Name: sh.name, Engine: sh.client, Region: sh.region}
-		}
-		sched, err := relay.New(refs, cfg.Relay)
-		if err != nil {
-			g.Close()
-			return nil, fmt.Errorf("cluster: relay: %w", err)
-		}
-		g.relay = sched
+	var relayCfg *relay.Config
+	if len(addrs) >= 2 {
+		relayCfg = &cfg.Relay
 	}
-	return g, nil
-}
-
-// indexByte avoids importing strings for one call site.
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-// Close releases every shard client's connections.
-func (g *Gateway) Close() error {
-	for i := range g.shards {
-		if g.shards[i].client != nil {
-			g.shards[i].client.Close()
-		}
-	}
-	return nil
-}
-
-// RelayScheduler exposes the gateway-side relay scheduler — a seam for
-// crash-window tests, like multicity.Router.RelayScheduler. Not part
-// of the supported surface.
-func (g *Gateway) RelayScheduler() *relay.Scheduler { return g.relay }
-
-// CityNames lists the gateway's city names in shard order.
-func (g *Gateway) CityNames() []string {
-	out := make([]string, len(g.shards))
-	for i := range g.shards {
-		out[i] = g.shards[i].name
-	}
-	return out
-}
-
-func (g *Gateway) globalID(ci int, local core.RequestID) core.RequestID {
-	return multicity.GlobalID(len(g.shards), ci, local)
-}
-
-func (g *Gateway) splitID(id core.RequestID) (int, core.RequestID, error) {
-	return multicity.SplitGlobalID(len(g.shards), id)
-}
-
-// locate assigns a coordinate to the first region containing it.
-func (g *Gateway) locate(p geo.Point) (int, error) {
-	for i := range g.shards {
-		if g.shards[i].region.Contains(p) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: no city serves (%.0f, %.0f): %w", p.X, p.Y, core.ErrNoCity)
-}
-
-// nearestVertex snaps a coordinate onto a shard's cached road graph by
-// linear scan (the gateway keeps no grid index; graphs are fetched
-// once at dial time).
-func (g *Gateway) nearestVertex(ci int, p geo.Point) roadnet.VertexID {
-	gr := g.shards[ci].client.Graph()
-	best, bestD := roadnet.VertexID(0), math.Inf(1)
-	for v := 0; v < gr.NumVertices(); v++ {
-		if d := gr.Point(roadnet.VertexID(v)).DistSq(p); d < bestD {
-			best, bestD = roadnet.VertexID(v), d
-		}
-	}
-	return best
-}
-
-// cityIndexArg resolves a Service city argument (no "only city" in a
-// cluster, so an empty name is a caller error).
-func (g *Gateway) cityIndexArg(city string) (int, error) {
-	if city == "" {
-		return 0, fmt.Errorf("cluster: missing city parameter: %w", core.ErrInvalidArgument)
-	}
-	ci, ok := g.byName[city]
-	if !ok {
-		return 0, fmt.Errorf("cluster: %w: %q", core.ErrUnknownCity, city)
-	}
-	return ci, nil
-}
-
-// serviceRecord lifts a shard record into the Service view.
-func (g *Gateway) serviceRecord(ci int, rec *core.RequestRecord) *core.ServiceRecord {
-	out := &core.ServiceRecord{RequestRecord: *rec, City: g.shards[ci].name, Speed: g.shards[ci].client.Speed()}
-	out.ID = g.globalID(ci, rec.ID)
-	return out
-}
-
-// relayRecord presents a relay trip in the Service view through the
-// shared multicity synthesis.
-func (g *Gateway) relayRecord(tv *relay.TripView) *core.ServiceRecord {
-	out := &core.ServiceRecord{RequestRecord: multicity.RelayRequestRecord(tv), City: tv.Origin}
-	if ci, ok := g.byName[tv.Origin]; ok {
-		out.Speed = g.shards[ci].client.Speed()
-	}
-	out.Relay = tv.ServiceView(out.ID)
-	return out
-}
-
-// resolveSpec maps a SubmitSpec onto (origin city, dest city, origin
-// vertex, dest vertex). Same-city specs have oc == dc.
-func (g *Gateway) resolveSpec(spec *core.SubmitSpec) (oc, dc int, s, d roadnet.VertexID, err error) {
-	if spec.ByCoords {
-		if oc, err = g.locate(spec.Origin); err != nil {
-			return
-		}
-		if dc, err = g.locate(spec.Dest); err != nil {
-			return
-		}
-		s = g.nearestVertex(oc, spec.Origin)
-		d = g.nearestVertex(dc, spec.Dest)
-		return
-	}
-	if spec.City == "" {
-		err = fmt.Errorf("cluster: vertex-addressed requests need a city: %w", core.ErrInvalidArgument)
-		return
-	}
-	var ci int
-	if ci, err = g.cityIndexArg(spec.City); err != nil {
-		return
-	}
-	n := roadnet.VertexID(g.shards[ci].client.Graph().NumVertices())
-	if spec.S < 0 || spec.S >= n || spec.D < 0 || spec.D >= n {
-		err = fmt.Errorf("cluster: %s: request endpoints out of range: %w", spec.City, core.ErrInvalidArgument)
-		return
-	}
-	return ci, ci, spec.S, spec.D, nil
-}
-
-// SubmitRequest implements core.Service: same-city specs go to the
-// owning shard (carrying an idempotency key so transport retries are
-// safe), cross-city specs run the gateway-side relay scheduler.
-func (g *Gateway) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error) {
-	oc, dc, s, d, err := g.resolveSpec(&spec)
+	coord, err := multicity.NewCoordinator(cities, relayCfg, cfg.Registry)
 	if err != nil {
-		return nil, err
+		closeAll()
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if oc != dc {
-		if g.relay == nil {
-			return nil, &core.CrossCityError{Origin: g.shards[oc].name, Dest: g.shards[dc].name}
-		}
-		tv, err := g.relay.Quote(oc, dc, s, d, spec.Riders, spec.Constraints)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		return g.relayRecord(tv), nil
-	}
-	rec, err := g.shards[oc].client.SubmitIdem(s, d, spec.Riders, spec.Constraints, spec.IdemKey)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", g.shards[oc].name, err)
-	}
-	return g.serviceRecord(oc, rec), nil
-}
-
-// SubmitRequestBatch implements core.Service with a concurrent
-// per-city fan-out. When no spec carries a choice callback — the HTTP
-// batch shape — each city's run is one shard-side batch call with the
-// engine's native greedy semantics. Specs with callbacks (programmatic
-// drivers) fall back to quote-then-commit: the shard batch is
-// quote-only and the gateway commits or declines each item by index,
-// since a closure cannot cross the wire. Cross-city items relay.
-func (g *Gateway) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error) {
-	out := make([]*core.ServiceRecord, len(specs))
-	var firstErr error
-	type slot struct {
-		specIdx int
-		item    submitWire
-	}
-	type relaySlot struct {
-		specIdx int
-		oc, dc  int
-		s, d    roadnet.VertexID
-	}
-	perCity := make([][]slot, len(g.shards))
-	var relays []relaySlot
-	interactive := false
-	for i := range specs {
-		spec := &specs[i]
-		oc, dc, s, d, err := g.resolveSpec(spec)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: batch item %d: %w", i, err)
-			}
-			continue
-		}
-		if spec.Choose != nil {
-			interactive = true
-		}
-		if oc != dc {
-			relays = append(relays, relaySlot{specIdx: i, oc: oc, dc: dc, s: s, d: d})
-			continue
-		}
-		perCity[oc] = append(perCity[oc], slot{specIdx: i, item: submitWire{
-			S: s, D: d, Riders: spec.Riders, Constraints: spec.Constraints,
-		}})
-	}
-
-	var mu sync.Mutex
-	noteErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for ci := range perCity {
-		if len(perCity[ci]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ci int, slots []slot) {
-			defer wg.Done()
-			items := make([]submitWire, len(slots))
-			for k, sl := range slots {
-				items[k] = sl.item
-			}
-			recs, err := g.shards[ci].client.SubmitBatchQuote(items)
-			if err != nil {
-				noteErr(fmt.Errorf("cluster: %s: %w", g.shards[ci].name, err))
-			}
-			for k, rec := range recs {
-				if k >= len(slots) || rec == nil {
-					continue
-				}
-				spec := &specs[slots[k].specIdx]
-				if interactive {
-					rec = g.commitBatchItem(ci, rec, spec, noteErr)
-				}
-				out[slots[k].specIdx] = g.serviceRecord(ci, rec)
-			}
-		}(ci, perCity[ci])
-	}
-	wg.Wait()
-
-	// Relay items run sequentially, like the router's batch path: each
-	// two-phase commit sees the fleet state its predecessors left.
-	for _, rs := range relays {
-		rec, err := g.submitRelayItem(&specs[rs.specIdx], rs.oc, rs.dc, rs.s, rs.d)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: batch item %d: %w", rs.specIdx, err)
-		}
-		out[rs.specIdx] = rec
-	}
-	return out, firstErr
-}
-
-// commitBatchItem applies one spec's choice callback to a quoted batch
-// record: commit by index, or decline (mirroring the engine's batch
-// semantics, where a nil callback declines the quote).
-func (g *Gateway) commitBatchItem(ci int, rec *core.RequestRecord, spec *core.SubmitSpec, noteErr func(error)) *core.RequestRecord {
-	if rec.Status != core.StatusQuoted {
-		return rec
-	}
-	idx := -1
-	if spec.Choose != nil {
-		idx = spec.Choose(rec.Options)
-	}
-	client := g.shards[ci].client
-	var err error
-	if idx >= 0 && idx < len(rec.Options) {
-		err = client.Choose(rec.ID, idx)
-	} else {
-		err = client.Decline(rec.ID)
-	}
-	if err != nil {
-		noteErr(fmt.Errorf("cluster: %s: %w", g.shards[ci].name, err))
-		return rec
-	}
-	if refreshed, rerr := client.Request(rec.ID); rerr == nil {
-		return refreshed
-	}
-	return rec
-}
-
-// submitRelayItem quotes (and, with a callback, commits) one
-// cross-city batch item.
-func (g *Gateway) submitRelayItem(spec *core.SubmitSpec, oc, dc int, s, d roadnet.VertexID) (*core.ServiceRecord, error) {
-	tv, err := g.relay.Quote(oc, dc, s, d, spec.Riders, spec.Constraints)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Choose != nil {
-		idx := spec.Choose(tv.CoreOptions)
-		if idx >= 0 && idx < len(tv.CoreOptions) {
-			err = g.relay.Choose(tv.ID, idx)
-		} else {
-			err = g.relay.Decline(tv.ID)
-		}
-		if refreshed, terr := g.relay.Trip(tv.ID); terr == nil {
-			tv = refreshed
-		}
-		if err != nil {
-			return g.relayRecord(tv), fmt.Errorf("choose: %w", err)
-		}
-	}
-	return g.relayRecord(tv), nil
-}
-
-// Choose implements core.Service: relay trips (negative ids) commit
-// through the two-phase scheduler, city requests on their shard.
-func (g *Gateway) Choose(id core.RequestID, optionIndex int) error {
-	if id < 0 {
-		if g.relay == nil {
-			return fmt.Errorf("cluster: unknown request %d: %w", id, core.ErrNotFound)
-		}
-		return g.relay.Choose(relay.TripID(-id), optionIndex)
-	}
-	ci, local, err := g.splitID(id)
-	if err != nil {
-		return err
-	}
-	return g.shards[ci].client.Choose(local, optionIndex)
-}
-
-// Decline implements core.Service.
-func (g *Gateway) Decline(id core.RequestID) error {
-	if id < 0 {
-		if g.relay == nil {
-			return fmt.Errorf("cluster: unknown request %d: %w", id, core.ErrNotFound)
-		}
-		return g.relay.Decline(relay.TripID(-id))
-	}
-	ci, local, err := g.splitID(id)
-	if err != nil {
-		return err
-	}
-	return g.shards[ci].client.Decline(local)
-}
-
-// GetRequest implements core.Service.
-func (g *Gateway) GetRequest(id core.RequestID) (*core.ServiceRecord, error) {
-	if id < 0 {
-		if g.relay == nil {
-			return nil, fmt.Errorf("cluster: unknown request %d: %w", id, core.ErrNotFound)
-		}
-		tv, err := g.relay.Trip(relay.TripID(-id))
-		if err != nil {
-			return nil, err
-		}
-		return g.relayRecord(tv), nil
-	}
-	ci, local, err := g.splitID(id)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := g.shards[ci].client.Request(local)
-	if err != nil {
-		return nil, err
-	}
-	return g.serviceRecord(ci, rec), nil
-}
-
-// Requests implements core.Service: per-shard listings fetched
-// concurrently, ids lifted into the global namespace, merged and
-// re-sorted so pagination pages are stable across cities.
-func (g *Gateway) Requests(city string, filter core.RequestFilter, limit int) ([]*core.ServiceRecord, error) {
-	cities := make([]int, 0, len(g.shards))
-	if city != "" {
-		ci, err := g.cityIndexArg(city)
-		if err != nil {
-			return nil, err
-		}
-		cities = append(cities, ci)
-	} else {
-		for ci := range g.shards {
-			cities = append(cities, ci)
-		}
-	}
-	lists := make([][]*core.ServiceRecord, len(cities))
-	errs := make([]error, len(cities))
-	var wg sync.WaitGroup
-	for k, ci := range cities {
-		wg.Add(1)
-		go func(k, ci int) {
-			defer wg.Done()
-			recs, err := g.shards[ci].client.Requests(filter, 0)
-			if err != nil {
-				errs[k] = fmt.Errorf("cluster: %s: %w", g.shards[ci].name, err)
-				return
-			}
-			lifted := make([]*core.ServiceRecord, len(recs))
-			for i, rec := range recs {
-				lifted[i] = g.serviceRecord(ci, rec)
-			}
-			lists[k] = lifted
-		}(k, ci)
-	}
-	wg.Wait()
-	var out []*core.ServiceRecord
-	for k := range lists {
-		if errs[k] != nil {
-			return nil, errs[k]
-		}
-		out = append(out, lists[k]...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
-}
-
-// RelayItinerary implements core.Service.
-func (g *Gateway) RelayItinerary(id core.RequestID) (*core.RelayView, error) {
-	if id >= 0 || g.relay == nil {
-		return nil, fmt.Errorf("cluster: request %d is not a relay trip: %w", id, core.ErrNotFound)
-	}
-	tv, err := g.relay.Trip(relay.TripID(-id))
-	if err != nil {
-		return nil, err
-	}
-	return tv.ServiceView(id), nil
-}
-
-// Advance implements core.Service: every shard ticks concurrently,
-// then the relay scheduler observes the post-movement leg states (and
-// drains any pending compensations against shards that have come
-// back). Ticks are never retried — see ShardClient.Advance.
-func (g *Gateway) Advance(dt float64) ([]core.ServiceEvent, error) {
-	if dt < 0 {
-		return nil, fmt.Errorf("cluster: negative tick %v: %w", dt, core.ErrInvalidArgument)
-	}
-	perCity := make([][]fleet.Event, len(g.shards))
-	errs := make([]error, len(g.shards))
-	var wg sync.WaitGroup
-	for ci := range g.shards {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			_, evs, err := g.shards[ci].client.Advance(dt)
-			perCity[ci], errs[ci] = evs, err
-		}(ci)
-	}
-	wg.Wait()
-	if g.relay != nil {
-		g.relay.Advance()
-	}
-	var out []core.ServiceEvent
-	for ci, evs := range perCity {
-		for _, ev := range evs {
-			ev.Request = g.globalID(ci, ev.Request)
-			out = append(out, core.ServiceEvent{City: g.shards[ci].name, Event: ev})
-		}
-	}
-	for ci, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("cluster: %s: %w", g.shards[ci].name, err)
-		}
-	}
-	return out, nil
-}
-
-// Clock implements core.Service: the maximum shard clock, best-effort
-// over whatever shards answer.
-func (g *Gateway) Clock() float64 {
-	var clock float64
-	for i := range g.shards {
-		if c, err := g.shards[i].client.Clock(); err == nil && c > clock {
-			clock = c
-		}
-	}
-	return clock
-}
-
-// ServiceStats implements core.Service: per-shard panels fetched
-// concurrently and folded with the shared multicity aggregation.
-// Unreachable shards are omitted from the snapshot (statistics are
-// best-effort; readiness is ReadyCities' job).
-func (g *Gateway) ServiceStats() core.ServiceStats {
-	panels := make([]*core.EngineStats, len(g.shards))
-	var wg sync.WaitGroup
-	for ci := range g.shards {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			if st, err := g.shards[ci].client.Stats(); err == nil {
-				panels[ci] = &st
-			}
-		}(ci)
-	}
-	wg.Wait()
-	out := core.ServiceStats{
-		Cities: make(map[string]core.EngineStats, len(g.shards)),
-		Multi:  true,
-	}
-	if g.relay != nil {
-		out.RelayEnabled = true
-		out.Relay = g.relay.Stats()
-	}
-	var agg multicity.StatsAggregator
-	for ci, st := range panels {
-		if st == nil {
-			continue
-		}
-		out.Cities[g.shards[ci].name] = *st
-		agg.Add(*st)
-	}
-	out.Total = agg.Total()
-	return out
-}
-
-// Cities implements core.Service, serving each shard's TTL-cached meta
-// under its gateway-assigned name.
-func (g *Gateway) Cities() []core.CityInfo {
-	out := make([]core.CityInfo, len(g.shards))
-	for i := range g.shards {
-		m := g.shards[i].client.Meta()
-		out[i] = core.CityInfo{
-			Name: g.shards[i].name, Vertices: m.Vertices,
-			Vehicles: m.Vehicles, Region: m.Region,
-		}
-	}
-	return out
-}
-
-// Vehicles implements core.Service.
-func (g *Gateway) Vehicles(city string, limit int) ([]core.VehicleView, error) {
-	ci, err := g.cityIndexArg(city)
-	if err != nil {
-		return nil, err
-	}
-	return g.shards[ci].client.Vehicles(limit)
-}
-
-// VehicleItinerary implements core.Service.
-func (g *Gateway) VehicleItinerary(city string, id fleet.VehicleID) (*core.VehicleItinerary, error) {
-	ci, err := g.cityIndexArg(city)
-	if err != nil {
-		return nil, err
-	}
-	loc, branches, err := g.shards[ci].client.VehicleSchedules(id)
-	if err != nil {
-		return nil, err
-	}
-	return &core.VehicleItinerary{
-		City: g.shards[ci].name, Vehicle: id, Location: loc, Branches: branches,
-	}, nil
-}
-
-// Params implements core.Service.
-func (g *Gateway) Params(city string) (core.ServiceParams, error) {
-	ci, err := g.cityIndexArg(city)
-	if err != nil {
-		return core.ServiceParams{}, err
-	}
-	p, err := g.shards[ci].client.Params()
-	if err != nil {
-		return core.ServiceParams{}, err
-	}
-	p.City = g.shards[ci].name
-	return p, nil
-}
-
-// Surge implements core.Service.
-func (g *Gateway) Surge(city string) (*core.SurgeView, error) {
-	ci, err := g.cityIndexArg(city)
-	if err != nil {
-		return nil, err
-	}
-	v, err := g.shards[ci].client.Surge()
-	if err != nil {
-		return nil, err
-	}
-	v.City = g.shards[ci].name
-	return v, nil
-}
-
-// SetCityAlgorithm implements core.Service.
-func (g *Gateway) SetCityAlgorithm(city string, algo core.Algorithm) error {
-	ci, err := g.cityIndexArg(city)
-	if err != nil {
-		return err
-	}
-	return g.shards[ci].client.SetAlgorithm(algo)
-}
-
-// CityGraph implements core.Service from the dial-time graph cache.
-func (g *Gateway) CityGraph(city string) (*roadnet.Graph, error) {
-	ci, err := g.cityIndexArg(city)
-	if err != nil {
-		return nil, err
-	}
-	return g.shards[ci].client.Graph(), nil
-}
-
-// ReadyCities reports per-city readiness by probing every shard's
-// /v1/readyz concurrently — the /v1/readyz detail body of the gateway
-// itself. An unreachable shard reads unready with its transport error.
-func (g *Gateway) ReadyCities() []core.CityReadiness {
-	out := make([]core.CityReadiness, len(g.shards))
-	var wg sync.WaitGroup
-	for i := range g.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = core.CityReadiness{City: g.shards[i].name, Ready: true}
-			if err := g.shards[i].client.Ready(); err != nil {
-				out[i].Ready, out[i].Err = false, err.Error()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
-// Ready reports whether every shard can serve traffic.
-func (g *Gateway) Ready() error {
-	for _, cr := range g.ReadyCities() {
-		if !cr.Ready {
-			return fmt.Errorf("cluster: %s: %s: %w", cr.City, cr.Err, core.ErrUnavailable)
-		}
-	}
-	return nil
-}
-
-// MetricFamilies gathers the gateway's telemetry: its own registry
-// (shard RPC latency/error/retry families, relay instruments) merged
-// with every reachable shard's fetched families labeled city=<name> —
-// the same shape the in-process router scrapes.
-func (g *Gateway) MetricFamilies() []telemetry.Family {
-	if g.reg == nil {
-		return nil
-	}
-	groups := make([][]telemetry.Family, 0, len(g.shards)+1)
-	groups = append(groups, g.reg.Gather())
-	for i := range g.shards {
-		fams, err := g.shards[i].client.Telemetry()
-		if err != nil {
-			continue
-		}
-		groups = append(groups, telemetry.WithLabel(fams, "city", g.shards[i].name))
-	}
-	return telemetry.Merge(groups...)
+	return &Gateway{coord}, nil
 }

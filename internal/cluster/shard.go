@@ -83,7 +83,7 @@ func NewShardHandler(eng *core.Engine, opts ShardOptions) http.Handler {
 	mux.HandleFunc("GET /rpc/vehicles", h.handleVehicles)
 	mux.HandleFunc("GET /rpc/vehicles/{id}", h.handleVehicleByID)
 	mux.HandleFunc("GET /rpc/telemetry", h.handleTelemetry)
-	// Everything else — /v1, /api, /healthz, /metrics — is the standard
+	// Everything else — /v1, /healthz, /metrics — is the standard
 	// single-city server surface.
 	mux.Handle("/", server.NewServiceWithOptions(eng, opts.Server).Handler())
 	return mux
@@ -100,7 +100,7 @@ func rpcJSON(w http.ResponseWriter, v any) {
 
 // rpcErr writes the error envelope with the /v1 classification.
 func rpcErr(w http.ResponseWriter, err error) {
-	status, p := wireErrorOf(err)
+	status, p := core.ClassifyError(err, http.StatusUnprocessableEntity)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(wireEnvelope{Error: p})
@@ -146,7 +146,7 @@ func (h *shardHandler) handleSubmitBatch(w http.ResponseWriter, r *http.Request)
 		}
 	}
 	if err != nil {
-		_, p := wireErrorOf(err)
+		_, p := core.ClassifyError(err, http.StatusUnprocessableEntity)
 		out.Err = &p
 	}
 	rpcJSON(w, out)

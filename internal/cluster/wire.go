@@ -1,18 +1,17 @@
 // Package cluster runs the multi-city service over processes: each
 // city lives in its own shard process (cmd/ptrider-shard) wrapping one
-// WAL-backed core.Engine, and a Gateway — a third core.Service
-// implementation next to *core.Engine and *multicity.Router — routes
-// requests to shards by city, fans batches, ticks and statistics out
-// concurrently, and runs the cross-city relay scheduler over real
-// sockets.
+// WAL-backed core.Engine, and a Gateway — the multicity.Coordinator
+// over ShardClients — routes requests to shards by city, fans batches,
+// ticks and statistics out concurrently, and runs the cross-city relay
+// scheduler over real sockets.
 //
 // wire.go is the shared vocabulary of the shard RPC surface: the
 // request/reply payload structs and the error envelope. The envelope
-// reuses the /v1 convention ({"error":{"code","message",...}}), and
-// the code set is exactly the /v1 classification (see
-// internal/server.classify), so the client can decode a shard error
-// back into the typed core error the caller would have seen from an
-// in-process engine. Anything that fails below HTTP — dial errors,
+// is the /v1 one ({"error":{"code","message",...}}), produced by the
+// same core.ClassifyError table, so the client decodes a shard error
+// (core.ErrorPayload.Err) back into the typed core error the caller
+// would have seen from an in-process engine. Anything that fails below
+// HTTP — dial errors,
 // timeouts, a shard dying mid-response — decodes to
 // core.ErrUnavailable, the signal the relay scheduler answers with
 // deferred compensation rather than an abort.
@@ -24,10 +23,6 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
-	"net/http"
-
 	"ptrider/internal/core"
 	"ptrider/internal/fleet"
 	"ptrider/internal/geo"
@@ -35,81 +30,10 @@ import (
 	"ptrider/internal/roadnet"
 )
 
-// wireError is the error payload of the shard RPC envelope — the same
-// shape the /v1 surface emits.
-type wireError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// Origin and Dest carry the city pair of a cross_city rejection.
-	Origin string `json:"origin,omitempty"`
-	Dest   string `json:"dest,omitempty"`
-}
-
-// wireEnvelope wraps a wireError for transport.
+// wireEnvelope is the shard RPC error envelope — the same shape, and
+// the same core.ClassifyError payload, the /v1 surface emits.
 type wireEnvelope struct {
-	Error wireError `json:"error"`
-}
-
-// wireErrorOf classifies err into (HTTP status, envelope payload),
-// mirroring the /v1 classification exactly so decodeWireError is its
-// inverse.
-func wireErrorOf(err error) (int, wireError) {
-	p := wireError{Message: err.Error()}
-	var cce *core.CrossCityError
-	switch {
-	case errors.As(err, &cce):
-		p.Code, p.Origin, p.Dest = "cross_city", cce.Origin, cce.Dest
-		return http.StatusUnprocessableEntity, p
-	case errors.Is(err, core.ErrCrossCity):
-		p.Code = "cross_city"
-		return http.StatusUnprocessableEntity, p
-	case errors.Is(err, core.ErrAlreadyChosen):
-		p.Code = "already_chosen"
-		return http.StatusConflict, p
-	case errors.Is(err, core.ErrUnknownCity):
-		p.Code = "unknown_city"
-		return http.StatusNotFound, p
-	case errors.Is(err, core.ErrNotFound):
-		p.Code = "not_found"
-		return http.StatusNotFound, p
-	case errors.Is(err, core.ErrNoCity):
-		p.Code = "no_city"
-		return http.StatusUnprocessableEntity, p
-	case errors.Is(err, core.ErrInvalidArgument):
-		p.Code = "invalid_argument"
-		return http.StatusBadRequest, p
-	case errors.Is(err, core.ErrUnavailable):
-		p.Code = "unavailable"
-		return http.StatusServiceUnavailable, p
-	}
-	p.Code = "unprocessable"
-	return http.StatusUnprocessableEntity, p
-}
-
-// decodeWireError maps an envelope back onto the typed core errors, so
-// errors.Is works identically against a remote shard and an in-process
-// engine.
-func decodeWireError(p wireError) error {
-	switch p.Code {
-	case "cross_city":
-		if p.Origin != "" || p.Dest != "" {
-			return &core.CrossCityError{Origin: p.Origin, Dest: p.Dest}
-		}
-		return fmt.Errorf("%s: %w", p.Message, core.ErrCrossCity)
-	case "already_chosen":
-		return fmt.Errorf("%s: %w", p.Message, core.ErrAlreadyChosen)
-	case "unknown_city":
-		return fmt.Errorf("%s: %w", p.Message, core.ErrUnknownCity)
-	case "not_found":
-		return fmt.Errorf("%s: %w", p.Message, core.ErrNotFound)
-	case "no_city":
-		return fmt.Errorf("%s: %w", p.Message, core.ErrNoCity)
-	case "invalid_argument":
-		return fmt.Errorf("%s: %w", p.Message, core.ErrInvalidArgument)
-	case "unavailable":
-		return fmt.Errorf("%s: %w", p.Message, core.ErrUnavailable)
-	}
-	return errors.New(p.Message)
+	Error core.ErrorPayload `json:"error"`
 }
 
 // submitWire is the POST /rpc/submit payload. IdemKey makes retries
@@ -124,9 +48,9 @@ type submitWire struct {
 	IdemKey     string           `json:"idem_key,omitempty"`
 }
 
-// batchWire is the POST /rpc/submit-batch payload: quote-only — rider
-// choice callbacks cannot cross a socket, so the gateway commits or
-// declines each quoted item with follow-up choose/decline calls.
+// batchWire is the POST /rpc/submit-batch payload: callback-free items
+// only — rider choice callbacks cannot cross a socket, so the client
+// serves those items one by one (see ShardClient.SubmitRequestBatch).
 type batchWire struct {
 	Items []submitWire `json:"items"`
 }
@@ -135,7 +59,7 @@ type batchWire struct {
 // null entries for failed items and the first error enveloped.
 type batchReply struct {
 	Records []*core.RequestRecord `json:"records"`
-	Err     *wireError            `json:"error,omitempty"`
+	Err     *core.ErrorPayload    `json:"error,omitempty"`
 }
 
 // chooseWire is the POST /rpc/choose payload.
@@ -167,7 +91,7 @@ type clockReply struct {
 }
 
 // metaWire is the GET /rpc/meta body: the immutable city description a
-// client caches at dial time (plus the fleet size, which the gateway
+// client caches at dial time (plus the fleet size, which the client
 // refreshes through its TTL cache for /v1/cities).
 type metaWire struct {
 	City             string   `json:"city"`

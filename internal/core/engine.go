@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -211,12 +210,6 @@ func (c *Config) withDefaults() Config {
 	}
 	return out
 }
-
-// ErrInvalidArgument marks errors caused by invalid caller input —
-// a negative tick, for example — as opposed to internal engine
-// failures. Transport layers classify with errors.Is: caller errors map
-// to 4xx, everything else to 5xx.
-var ErrInvalidArgument = errors.New("invalid argument")
 
 // RequestID identifies a request across the engine (it doubles as the
 // kinetic request id).
@@ -684,39 +677,27 @@ func DefaultConstraints() Constraints {
 // Choose or Decline. Submissions run fully in parallel: no engine-wide
 // lock is held while matching.
 func (e *Engine) Submit(s, d roadnet.VertexID, riders int) (*RequestRecord, error) {
-	return e.SubmitWithConstraints(s, d, riders, DefaultConstraints())
+	return e.submit(s, d, riders, DefaultConstraints(), "", nil)
 }
 
-// SubmitWithConstraints is Submit with per-rider waiting-time and
-// service-constraint overrides.
-func (e *Engine) SubmitWithConstraints(s, d roadnet.VertexID, riders int, c Constraints) (*RequestRecord, error) {
-	return e.SubmitIdem(s, d, riders, c, "")
-}
-
-// SubmitIdem is SubmitWithConstraints with an idempotency key: a
-// non-empty key that matches an earlier submission returns that
-// submission's current record instead of quoting again, which is what
-// makes a client (or recovery-driven) retry of a submit safe — the
-// original may have been journaled before the crash, and re-quoting it
-// would fork the id sequence.
+// SubmitIdem is Submit with per-rider constraint overrides and an
+// idempotency key: a non-empty key that matches an earlier submission
+// returns that submission's current record instead of quoting again,
+// which is what makes a client (or recovery-driven) retry of a submit
+// safe — the original may have been journaled before the crash, and
+// re-quoting it would fork the id sequence.
 func (e *Engine) SubmitIdem(s, d roadnet.VertexID, riders int, c Constraints, idemKey string) (*RequestRecord, error) {
-	return e.submitIdemSpan(s, d, riders, c, idemKey, nil)
+	return e.submit(s, d, riders, c, idemKey, nil)
 }
 
-// SubmitSpanned is SubmitIdem with a request span (see
-// SubmitSpec.Span) — the multi-city router threads the HTTP
-// middleware's span down to the owning city's engine through it.
-func (e *Engine) SubmitSpanned(s, d roadnet.VertexID, riders int, c Constraints, idemKey string, sp *telemetry.Span) (*RequestRecord, error) {
-	return e.submitIdemSpan(s, d, riders, c, idemKey, sp)
-}
-
-// submitIdemSpan is SubmitIdem with an optional request span: the
+// submit is the one submit path: Submit, SubmitIdem and SubmitRequest
+// all end here. sp is the optional request span (SubmitSpec.Span): the
 // server's middleware opens one per HTTP request and the stage timings
 // recorded here become the slow-request breakdown. A nil span costs
 // nothing (nil-safe no-ops), and the histograms are nil when telemetry
 // is off, so the instrumentation reuses the clock reads observeMatch
 // already pays for.
-func (e *Engine) submitIdemSpan(s, d roadnet.VertexID, riders int, c Constraints, idemKey string, sp *telemetry.Span) (*RequestRecord, error) {
+func (e *Engine) submit(s, d roadnet.VertexID, riders int, c Constraints, idemKey string, sp *telemetry.Span) (*RequestRecord, error) {
 	if err := e.alive(); err != nil {
 		return nil, err
 	}

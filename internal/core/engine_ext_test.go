@@ -14,7 +14,7 @@ func TestPerRequestConstraints(t *testing.T) {
 	e.AddVehicleAt(0)
 
 	// A strict rider: zero detour allowed.
-	strict, err := e.SubmitWithConstraints(9, 54, 1, core.Constraints{Sigma: 0})
+	strict, err := e.SubmitIdem(9, 54, 1, core.Constraints{Sigma: 0}, "")
 	if err != nil {
 		t.Fatalf("submit strict: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestPerRequestConstraints(t *testing.T) {
 	// shared schedule may detour them, so options can only be
 	// sequential (after the first dropoff) or absent; any returned
 	// schedule must keep the first rider's in-vehicle distance direct.
-	second, err := e.SubmitWithConstraints(18, 63, 1, core.Constraints{Sigma: core.DefaultSigma})
+	second, err := e.SubmitIdem(18, 63, 1, core.Constraints{Sigma: core.DefaultSigma}, "")
 	if err != nil {
 		t.Fatalf("submit second: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestPerRequestConstraints(t *testing.T) {
 func TestPerRequestWaitOverride(t *testing.T) {
 	e := latticeEngine(t, 21, 8, 8, core.Config{Capacity: 4, Sigma: 0.8, MaxWaitSeconds: 600})
 	e.AddVehicleAt(0)
-	first, err := e.SubmitWithConstraints(9, 54, 1, core.Constraints{WaitSeconds: 1})
+	first, err := e.SubmitIdem(9, 54, 1, core.Constraints{WaitSeconds: 1}, "")
 	if err != nil || len(first.Options) == 0 {
 		t.Fatalf("submit: %v (%d options)", err, len(first.Options))
 	}

@@ -1,10 +1,12 @@
 // service.go defines the Service interface — the one engine contract
 // every transport (the public ptrider package, the HTTP server, the
-// workload simulator) programs against. Two backends implement it:
+// workload simulator) programs against. Two implementations exist:
 //
 //   - *Engine: a single city (itself a degenerate "default" city).
-//   - *multicity.Router: N cities behind coordinate routing, optionally
-//     with cross-city relay scheduling.
+//   - *multicity.Coordinator: N cities behind coordinate routing,
+//     optionally with cross-city relay scheduling — in process as a
+//     multicity.Router over engines, across processes as a
+//     cluster.Gateway over city shards.
 //
 // The interface is deliberately expressed in core types only, so the
 // transports need no knowledge of which backend serves them: requests
@@ -15,16 +17,11 @@
 // the per-city dimension (a single engine reports one city).
 //
 // Errors crossing the Service boundary are typed for transport-level
-// classification: ErrInvalidArgument (caller input), ErrNotFound
-// (unknown request/vehicle/trip), ErrUnknownCity, ErrNoCity (coordinate
-// outside every service region), ErrCrossCity (cross-city trip with no
-// relay; carries the city pair via *CrossCityError), and
-// ErrAlreadyChosen (double-commit of a request). HTTP maps these to
-// 400/404/404/422/422/409 respectively; see internal/server.
+// classification; the sentinels and the table that maps them to HTTP
+// statuses and envelope codes live in errors.go.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -35,45 +32,6 @@ import (
 	"ptrider/internal/roadnet"
 	"ptrider/internal/telemetry"
 )
-
-// Typed service errors, matchable with errors.Is across every backend.
-var (
-	// ErrNotFound marks lookups of requests, vehicles or relay trips
-	// that do not exist.
-	ErrNotFound = errors.New("not found")
-	// ErrAlreadyChosen marks a Choose of a request that is already
-	// committed (assigned, onboard or completed) — the double-submit a
-	// client retry produces. HTTP answers 409.
-	ErrAlreadyChosen = errors.New("already chosen")
-	// ErrCrossCity matches the rejection of a trip whose origin and
-	// destination fall in different cities (relay disabled).
-	ErrCrossCity = errors.New("cross-city trip not supported")
-	// ErrNoCity matches the rejection of a coordinate outside every
-	// city's service region.
-	ErrNoCity = errors.New("no city serves this location")
-	// ErrUnknownCity matches lookups of a city name the backend does
-	// not own.
-	ErrUnknownCity = errors.New("unknown city")
-	// ErrUnavailable marks a backend (a remote city shard, typically)
-	// that could not be reached or did not answer in time. The request
-	// may or may not have taken effect — callers that mutated state
-	// must reconcile by re-reading it once the backend returns. HTTP
-	// answers 503.
-	ErrUnavailable = errors.New("backend unavailable")
-)
-
-// CrossCityError reports a rejected cross-city trip with the two cities
-// involved. errors.Is(err, ErrCrossCity) matches it.
-type CrossCityError struct {
-	Origin, Dest string
-}
-
-func (e *CrossCityError) Error() string {
-	return fmt.Sprintf("cross-city trip %s → %s not supported", e.Origin, e.Dest)
-}
-
-// Is makes errors.Is(err, ErrCrossCity) match.
-func (e *CrossCityError) Is(target error) bool { return target == ErrCrossCity }
 
 // DefaultCityName is the city name a bare *Engine serves under: a
 // single-city backend is a one-city Service, so every city-scoped view
@@ -214,12 +172,8 @@ type RelayStats struct {
 // engine snapshots plus the cross-city total (for a single engine the
 // total and the one city coincide), and the relay panel when enabled.
 type ServiceStats struct {
-	Total  EngineStats
-	Cities map[string]EngineStats
-	// Multi reports whether the backend routes more than one city's
-	// namespace (legacy transports use it to keep the flat single-city
-	// stats shape).
-	Multi        bool
+	Total        EngineStats
+	Cities       map[string]EngineStats
 	RelayEnabled bool
 	Relay        RelayStats
 }
@@ -321,8 +275,8 @@ type VehicleItinerary struct {
 
 // Service is the shared engine contract: everything a transport needs
 // to submit, commit, observe and advance ridesharing requests, over one
-// city or many. *Engine and *multicity.Router implement it; all methods
-// are safe for concurrent use.
+// city or many. *Engine and *multicity.Coordinator implement it; all
+// methods are safe for concurrent use.
 type Service interface {
 	// SubmitRequest answers one ridesharing request with its skyline of
 	// options (spec.Choose is ignored).
@@ -395,18 +349,13 @@ func (e *Engine) checkCity(city string) error {
 func (e *Engine) NearestVertex(p geo.Point) roadnet.VertexID {
 	grid, g := e.sub.grid, e.sub.g
 	verts := grid.Cell(grid.CellAt(p)).Vertices
+	if len(verts) == 0 {
+		return g.NearestVertex(p)
+	}
 	best, bestD := roadnet.VertexID(0), math.Inf(1)
 	for _, v := range verts {
 		if d := g.Point(v).DistSq(p); d < bestD {
 			best, bestD = v, d
-		}
-	}
-	if len(verts) > 0 {
-		return best
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Point(roadnet.VertexID(v)).DistSq(p); d < bestD {
-			best, bestD = roadnet.VertexID(v), d
 		}
 	}
 	return best
@@ -434,7 +383,7 @@ func (e *Engine) SubmitRequest(spec SubmitSpec) (*ServiceRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := e.submitIdemSpan(s, d, spec.Riders, spec.Constraints, spec.IdemKey, spec.Span)
+	rec, err := e.submit(s, d, spec.Riders, spec.Constraints, spec.IdemKey, spec.Span)
 	if err != nil {
 		return nil, err
 	}

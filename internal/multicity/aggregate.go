@@ -1,9 +1,7 @@
-// aggregate.go holds the cross-city reductions the router and the
-// cluster gateway share: the global request-id striding that merges N
-// city-local id spaces into one, and the statistics fold that turns
-// per-city engine panels into one total. Both backends route by city
-// and aggregate by the same rules, so the remote transport
-// (internal/cluster) reuses these instead of re-deriving them.
+// aggregate.go holds the coordinator's cross-city reductions: the
+// global request-id striding that merges N city-local id spaces into
+// one, the single-city rendering of a relay trip, and the statistics
+// fold that turns per-city engine panels into one total.
 package multicity
 
 import (
@@ -13,17 +11,17 @@ import (
 	"ptrider/internal/relay"
 )
 
-// GlobalID strides a city-local request id into the n-city global id
+// globalID strides a city-local request id into the n-city global id
 // space: global = local·n + ci. City-local ids start at 1, so every
 // global id is ≥ n and the city index is recoverable by modulo.
-func GlobalID(n, ci int, local core.RequestID) core.RequestID {
+func globalID(n, ci int, local core.RequestID) core.RequestID {
 	return local*core.RequestID(n) + core.RequestID(ci)
 }
 
-// SplitGlobalID decodes a global request id into (city index, local
+// splitGlobalID decodes a global request id into (city index, local
 // id). Ids below n (including the negative relay namespace) fail with
 // core.ErrNotFound.
-func SplitGlobalID(n int, id core.RequestID) (int, core.RequestID, error) {
+func splitGlobalID(n int, id core.RequestID) (int, core.RequestID, error) {
 	nn := core.RequestID(n)
 	if id < nn {
 		return 0, 0, fmt.Errorf("multicity: unknown request %d: %w", id, core.ErrNotFound)
@@ -31,10 +29,10 @@ func SplitGlobalID(n int, id core.RequestID) (int, core.RequestID, error) {
 	return int(id % nn), id / nn, nil
 }
 
-// RelayStatus maps the relay trip lifecycle onto the single-city
+// relayStatus maps the relay trip lifecycle onto the single-city
 // request states every view already speaks: any committed-and-moving
 // stage reads as assigned, the terminal failures as declined.
-func RelayStatus(s relay.State) core.RequestStatus {
+func relayStatus(s relay.State) core.RequestStatus {
 	switch s {
 	case relay.StateQuoted:
 		return core.StatusQuoted
@@ -46,16 +44,15 @@ func RelayStatus(s relay.State) core.RequestStatus {
 	return core.StatusAssigned
 }
 
-// RelayRequestRecord synthesises the single-city record shape of a
+// relayRequestRecord synthesises the single-city record shape of a
 // relay trip: a negative id (the trip id negated), the joint skyline
 // rendered as core options (price = composed fare, pick-up distance =
 // composed ETA as a distance equivalent), the whole-trip lifecycle
-// mapped through RelayStatus. The router and the cluster gateway both
-// present relay trips through this one synthesis.
-func RelayRequestRecord(tv *relay.TripView) core.RequestRecord {
+// mapped through relayStatus.
+func relayRequestRecord(tv *relay.TripView) core.RequestRecord {
 	rec := core.RequestRecord{
 		ID: -core.RequestID(tv.ID), S: tv.OriginVertex, D: tv.DestVertex,
-		Riders: tv.Riders, Status: RelayStatus(tv.State),
+		Riders: tv.Riders, Status: relayStatus(tv.State),
 		Options: tv.CoreOptions, Chosen: tv.Chosen,
 	}
 	if tv.Chosen >= 0 && tv.Chosen < len(tv.CoreOptions) {
@@ -65,20 +62,20 @@ func RelayRequestRecord(tv *relay.TripView) core.RequestRecord {
 	return rec
 }
 
-// StatsAggregator folds per-city engine panels into the cross-city
+// statsAggregator folds per-city engine panels into the cross-city
 // total. Counters sum; clock, P95 response, tick wall times and shard
 // skew are maxima (lockstep cities make the slowest the critical
 // path); per-request means are request-weighted, per-trip means
 // completed-trip-weighted; the surge panel sums cells and quotes,
 // maxes the epoch and worst multiplier, and re-weights the mean
 // multiplier by cell count. Zero value is ready to use.
-type StatsAggregator struct {
+type statsAggregator struct {
 	total                core.EngineStats
 	requestW, completedW float64
 }
 
-// Add folds one city's panel into the total.
-func (a *StatsAggregator) Add(st core.EngineStats) {
+// add folds one city's panel into the total.
+func (a *statsAggregator) add(st core.EngineStats) {
 	t := &a.total
 	t.Requests += st.Requests
 	t.Assigned += st.Assigned
@@ -144,8 +141,8 @@ func (a *StatsAggregator) Add(st core.EngineStats) {
 	a.completedW += done
 }
 
-// Total finalises the weighted means and returns the aggregate.
-func (a *StatsAggregator) Total() core.EngineStats {
+// result finalises the weighted means and returns the aggregate.
+func (a *statsAggregator) result() core.EngineStats {
 	t := a.total
 	if a.requestW > 0 {
 		t.AvgResponseMs /= a.requestW

@@ -118,7 +118,7 @@ func BenchmarkRouterSubmit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := routerBenchProbes[i%len(routerBenchProbes)]
-			rec, err := router.SubmitIn("solo", p[0], p[1], 1, core.DefaultConstraints())
+			rec, err := submitIn(router, "solo", p[0], p[1], 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func BenchmarkRouterSubmit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := routerBenchPoints[i%len(routerBenchPoints)]
-			rec, err := router.Submit(p[0], p[1], 1)
+			rec, err := submit(router, p[0], p[1], 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func BenchmarkRelaySubmit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := routerBenchProbes[i%len(routerBenchProbes)]
-			rec, err := router.SubmitIn("solo", p[0], p[1], 1, core.DefaultConstraints())
+			rec, err := submitIn(router, "solo", p[0], p[1], 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func BenchmarkRelaySubmit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := relayBenchCross[i%len(relayBenchCross)]
-			rec, err := router.Submit(p[0], p[1], 1)
+			rec, err := submit(router, p[0], p[1], 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func BenchmarkRouterTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Tick(1); err != nil {
+		if _, err := r.Advance(1); err != nil {
 			b.Fatal(err)
 		}
 	}

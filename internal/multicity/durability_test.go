@@ -46,7 +46,7 @@ func durableTwinRouter(t testing.TB, dir string, inj *wal.Injector) (*multicity.
 // fleetLoad sums assigned work across a city's vehicles.
 func fleetLoad(t *testing.T, r *multicity.Router, city string) (pending, onboard int) {
 	t.Helper()
-	views, err := r.VehicleViews(city, 0)
+	views, err := r.Vehicles(city, 0)
 	if err != nil {
 		t.Fatalf("vehicles %s: %v", city, err)
 	}
@@ -61,7 +61,7 @@ func fleetLoad(t *testing.T, r *multicity.Router, city string) (pending, onboard
 // window and kills the process there: leg 1 commits for real (and is
 // journaled by the origin engine), then the leg-2 commit brings every
 // shard down. Returns the quoted record.
-func crashRelayCommitWindow(t *testing.T, r *multicity.Router) *multicity.Record {
+func crashRelayCommitWindow(t *testing.T, r *multicity.Router) *core.ServiceRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	rec := quoteRelay(t, r, "alpha", "beta", rng)
@@ -130,14 +130,14 @@ func TestRelayCrashWindowCompensatedOnRestart(t *testing.T) {
 	if p, o := fleetLoad(t, r2, "alpha"); p != 0 || o != 0 {
 		t.Fatalf("alpha fleet leaked work: pending %d, onboard %d", p, o)
 	}
-	got, err := r2.Request(rec.ID)
+	got, err := r2.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatalf("trip lookup after restart: %v", err)
 	}
-	if got.Relay == nil || got.Relay.State != relay.StateAborted {
+	if got.Relay == nil || got.Relay.State != relay.StateAborted.String() {
 		t.Fatalf("trip not aborted after compensation: %+v", got.Relay)
 	}
-	if st := r2.Stats(); st.Relay.Aborted == 0 {
+	if st := r2.ServiceStats(); st.Relay.Aborted == 0 {
 		t.Fatalf("relay panel shows no aborts: %+v", st.Relay)
 	}
 	if err := r2.CheckInvariants(); err != nil {
@@ -207,7 +207,7 @@ func TestRouterDurableRestart(t *testing.T) {
 		if s == d {
 			continue
 		}
-		rec, err := r.SubmitIn("alpha", s, d, 1, core.DefaultConstraints())
+		rec, err := submitIn(r, "alpha", s, d, 1)
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
@@ -221,10 +221,10 @@ func TestRouterDurableRestart(t *testing.T) {
 	if chosen == 0 {
 		t.Fatal("no quoted submission in 50 attempts")
 	}
-	if _, err := r.Tick(5); err != nil {
+	if _, err := r.Advance(5); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
-	before := r.Stats()
+	before := r.ServiceStats()
 	if err := r.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestRouterDurableRestart(t *testing.T) {
 			t.Fatalf("%s fleet re-seeded: %d vehicles", name, n)
 		}
 	}
-	after := r2.Stats()
+	after := r2.ServiceStats()
 	if after.Total.Requests != before.Total.Requests ||
 		after.Total.Assigned != before.Total.Assigned ||
 		after.Total.Declined != before.Total.Declined ||
@@ -252,7 +252,7 @@ func TestRouterDurableRestart(t *testing.T) {
 	if after.Total.Clock != before.Total.Clock {
 		t.Fatalf("clock %v != %v across restart", after.Total.Clock, before.Total.Clock)
 	}
-	rec, err := r2.Request(chosen)
+	rec, err := r2.GetRequest(chosen)
 	if err != nil {
 		t.Fatalf("request after restart: %v", err)
 	}

@@ -36,12 +36,12 @@ func twinRelayRouter(t testing.TB, cfg core.Config, taxisA, taxisB int, rcfg rel
 
 // quoteRelay submits cross-city pairs until a quote with options comes
 // back (a sparse fleet can legitimately produce an empty skyline).
-func quoteRelay(t *testing.T, r *multicity.Router, from, to string, rng *rand.Rand) *multicity.Record {
+func quoteRelay(t *testing.T, r *multicity.Router, from, to string, rng *rand.Rand) *core.ServiceRecord {
 	t.Helper()
 	for attempt := 0; attempt < 50; attempt++ {
 		o, _ := cityPoints(t, r, from, rng)
 		_, d := cityPoints(t, r, to, rng)
-		rec, err := r.Submit(o, d, 1)
+		rec, err := submit(r, o, d, 1)
 		if err != nil {
 			t.Fatalf("relay submit: %v", err)
 		}
@@ -56,7 +56,7 @@ func quoteRelay(t *testing.T, r *multicity.Router, from, to string, rng *rand.Ra
 
 func TestRouterRelaysCrossCityTrips(t *testing.T) {
 	r := twinRelayRouter(t, core.Config{Capacity: 4}, 10, 10, relay.Config{TransferBufferSeconds: 120})
-	if !r.RelayEnabled() {
+	if r.RelayScheduler() == nil {
 		t.Fatal("relay not enabled")
 	}
 	rng := rand.New(rand.NewSource(21))
@@ -84,11 +84,11 @@ func TestRouterRelaysCrossCityTrips(t *testing.T) {
 	}
 
 	// The record round-trips through the router's id space.
-	got, err := r.Request(rec.ID)
+	got, err := r.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
-	if got.Relay == nil || got.Relay.ID != rec.Relay.ID || got.Status != core.StatusQuoted {
+	if got.Relay == nil || got.Relay.RequestID != rec.Relay.RequestID || got.Status != core.StatusQuoted {
 		t.Fatalf("round-tripped record = %+v", got.RequestRecord)
 	}
 
@@ -96,11 +96,11 @@ func TestRouterRelaysCrossCityTrips(t *testing.T) {
 	if err := r.Choose(rec.ID, 0); err != nil {
 		t.Fatalf("choose: %v", err)
 	}
-	got, err = r.Request(rec.ID)
+	got, err = r.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Status != core.StatusAssigned || got.Relay.State != relay.StateLeg1Committed {
+	if got.Status != core.StatusAssigned || got.Relay.State != relay.StateLeg1Committed.String() {
 		t.Fatalf("post-choose record: status %v, relay state %v", got.Status, got.Relay.State)
 	}
 	engA, _ := r.Engine("alpha")
@@ -116,7 +116,7 @@ func TestRouterRelaysCrossCityTrips(t *testing.T) {
 	if leg1.Status != core.StatusAssigned || leg2.Status != core.StatusAssigned {
 		t.Fatalf("leg statuses %v / %v after commit", leg1.Status, leg2.Status)
 	}
-	st := r.Stats()
+	st := r.ServiceStats()
 	if !st.RelayEnabled || st.Relay.Committed != 1 {
 		t.Fatalf("router relay stats: %+v", st.Relay)
 	}
@@ -133,23 +133,23 @@ func TestRouterRelayTickAdvancesToCompletion(t *testing.T) {
 		t.Fatalf("choose: %v", err)
 	}
 	for tick := 0; tick < 5000; tick++ {
-		if _, err := r.Tick(2); err != nil {
+		if _, err := r.Advance(2); err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Request(rec.ID)
+		got, err := r.GetRequest(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch got.Relay.State {
-		case relay.StateCompleted:
+		case relay.StateCompleted.String():
 			if got.Status != core.StatusCompleted {
 				t.Fatalf("completed relay trip maps to %v", got.Status)
 			}
-			if st := r.Stats(); st.Relay.Completed != 1 || st.Relay.Active != 0 {
+			if st := r.ServiceStats(); st.Relay.Completed != 1 || st.Relay.Active != 0 {
 				t.Fatalf("relay stats after completion: %+v", st.Relay)
 			}
 			return
-		case relay.StateAborted, relay.StateFailed:
+		case relay.StateAborted.String(), relay.StateFailed.String():
 			t.Fatalf("relay trip ended %v", got.Relay.State)
 		}
 	}
@@ -168,9 +168,9 @@ func TestRouterRelayBatchServesCrossItems(t *testing.T) {
 		}
 		return 0
 	}
-	recs, err := r.SubmitBatch([]multicity.BatchItem{
-		{O: o1, D: d1, Riders: 1, Constraints: core.DefaultConstraints(), Choose: chooseFirst},
-		{O: o2, D: d2, Riders: 1, Constraints: core.DefaultConstraints(), Choose: chooseFirst},
+	recs, err := r.SubmitRequestBatch([]core.SubmitSpec{
+		coordSpec(o1, d1, 1, chooseFirst),
+		coordSpec(o2, d2, 1, chooseFirst),
 	})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
@@ -214,7 +214,7 @@ func TestRouterRelayRaceStress(t *testing.T) {
 					// Cross-city relay trip; choose or decline.
 					o, _ := cityPoints(t, r, name, rng)
 					_, d := cityPoints(t, r, other, rng)
-					rec, err := r.Submit(o, d, 1)
+					rec, err := submit(r, o, d, 1)
 					if err != nil {
 						errs <- err
 						return
@@ -230,7 +230,7 @@ func TestRouterRelayRaceStress(t *testing.T) {
 					}
 				case 3, 4:
 					o, d := cityPoints(t, r, name, rng)
-					rec, err := r.Submit(o, d, 1)
+					rec, err := submit(r, o, d, 1)
 					if err != nil {
 						errs <- err
 						return
@@ -241,7 +241,7 @@ func TestRouterRelayRaceStress(t *testing.T) {
 						_ = r.Decline(rec.ID)
 					}
 				case 5, 6:
-					if _, err := r.Tick(0.5 + rng.Float64()); err != nil {
+					if _, err := r.Advance(0.5 + rng.Float64()); err != nil {
 						errs <- err
 						return
 					}
@@ -249,15 +249,14 @@ func TestRouterRelayRaceStress(t *testing.T) {
 					o1, _ := cityPoints(t, r, name, rng)
 					_, d1 := cityPoints(t, r, other, rng)
 					o2, d2 := cityPoints(t, r, other, rng)
-					_, _ = r.SubmitBatch([]multicity.BatchItem{
-						{O: o1, D: d1, Riders: 1, Constraints: core.DefaultConstraints(),
-							Choose: func(opts []core.Option) int {
-								if len(opts) == 0 {
-									return -1
-								}
-								return 0
-							}},
-						{O: o2, D: d2, Riders: 1, Constraints: core.DefaultConstraints()},
+					_, _ = r.SubmitRequestBatch([]core.SubmitSpec{
+						coordSpec(o1, d1, 1, func(opts []core.Option) int {
+							if len(opts) == 0 {
+								return -1
+							}
+							return 0
+						}),
+						coordSpec(o2, d2, 1, nil),
 					})
 				}
 				if i%10 == 0 {
@@ -277,7 +276,7 @@ func TestRouterRelayRaceStress(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatalf("post-storm invariants: %v", err)
 	}
-	st := r.Stats()
+	st := r.ServiceStats()
 	rs := st.Relay
 	if rs.Quoted == 0 {
 		t.Fatal("storm quoted no relay trips")
@@ -297,10 +296,10 @@ func TestRouterRelayRaceStress(t *testing.T) {
 
 	// Drain; committed relay legs must complete like any other trip.
 	for i := 0; i < 4000 && st.Total.Completed < st.Total.Assigned; i++ {
-		if _, err := r.Tick(1); err != nil {
+		if _, err := r.Advance(1); err != nil {
 			t.Fatalf("drain tick: %v", err)
 		}
-		st = r.Stats()
+		st = r.ServiceStats()
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatalf("post-drain invariants: %v", err)
@@ -337,7 +336,7 @@ func TestRouterRelayShardedTickStress(t *testing.T) {
 					// stale-leg commit aborts are expected behaviour.
 					o, _ := cityPoints(t, r, name, rng)
 					_, d := cityPoints(t, r, other, rng)
-					rec, err := r.Submit(o, d, 1)
+					rec, err := submit(r, o, d, 1)
 					if err != nil {
 						errs <- err
 						return
@@ -349,7 +348,7 @@ func TestRouterRelayShardedTickStress(t *testing.T) {
 					}
 				case 3:
 					o, d := cityPoints(t, r, name, rng)
-					rec, err := r.Submit(o, d, 1)
+					rec, err := submit(r, o, d, 1)
 					if err != nil {
 						errs <- err
 						return
@@ -362,7 +361,7 @@ func TestRouterRelayShardedTickStress(t *testing.T) {
 				case 4, 5, 6:
 					// The hot path under test: every city ticks its shards
 					// in parallel, then the relay ledger advances.
-					if _, err := r.Tick(0.5 + rng.Float64()); err != nil {
+					if _, err := r.Advance(0.5 + rng.Float64()); err != nil {
 						errs <- err
 						return
 					}
@@ -393,7 +392,7 @@ func TestRouterRelayShardedTickStress(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatalf("post-storm invariants: %v", err)
 	}
-	st := r.Stats()
+	st := r.ServiceStats()
 	if st.Total.Tick.Workers != 8 {
 		t.Fatalf("aggregate Tick.Workers = %d, want 8 (4 per city)", st.Total.Tick.Workers)
 	}

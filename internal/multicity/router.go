@@ -1,69 +1,42 @@
-// Package multicity serves many cities behind one front door: a Router
-// owns N fully independent core.Engine instances — one immutable
-// routing substrate, fleet, grid index and pricing configuration per
-// city — and assigns every request to the city whose service region
-// contains its origin coordinate.
+// Package multicity serves many cities behind one front door: a
+// Coordinator (coordinator.go) implements core.Service over N fully
+// independent city backends and assigns every request to the city whose
+// service region contains its origin coordinate. This file builds the
+// in-process flavour, the Router: one core.Engine per city — its own
+// immutable routing substrate, fleet, grid index and pricing
+// configuration — behind the coordinator. internal/cluster builds the
+// other flavour, the same coordinator over shard processes.
 //
 // Isolation is the design point. Cities share no mutable state: a
 // hot-cell storm in one city cannot stall another's matchers, per-city
 // pricing and constraint settings stay independently tunable, and each
-// city's Tick runs on its own goroutine (per-city movement is naturally
-// parallel work). The router layer adds only coordinate→city
+// city's tick runs on its own goroutine (per-city movement is naturally
+// parallel work). The coordinator adds only coordinate→city
 // assignment, a global request-id namespace, concurrent fan-out of
 // batches and ticks, and cross-city aggregation of the statistics
 // panel.
 //
 // Cross-city trips (origin in one city, destination in another) are
-// rejected with a typed error (*CrossCityError, matchable as
-// ErrCrossCity) by default. With RouterConfig.EnableRelay they are
+// rejected with a typed error (*core.CrossCityError, matchable as
+// core.ErrCrossCity) by default. With RouterConfig.EnableRelay they are
 // served instead: the relay scheduler (internal/relay) quotes the trip
 // as two coordinated legs over precomputed hand-off gateways, composes
 // the per-leg skylines into a joint one, and commits both legs with a
 // two-phase protocol — see the relay package for the full design. The
 // typed rejection stays the default so callers relying on it keep it.
-//
-// Request ids are made globally unique by striding: a request answered
-// by city c out of n receives id local*n + c, so Choose/Decline/Request
-// route by plain arithmetic with no shared map — the router holds no
-// lock on the request path at all. With a single city the encoding is
-// the identity, so routing adds no id translation overhead there.
-// Relay trips live in the negative half of the id space (trip t is
-// global id −t), so same-city routing pays nothing for them either.
 package multicity
 
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 
 	"ptrider/internal/core"
-	"ptrider/internal/fleet"
 	"ptrider/internal/geo"
-	"ptrider/internal/kinetic"
 	"ptrider/internal/relay"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/telemetry"
 	"ptrider/internal/wal"
 )
-
-// The routing rejections are core-level Service errors (every backend
-// shares one taxonomy); the historical multicity names remain as
-// aliases so existing errors.Is/errors.As call sites keep working.
-var (
-	// ErrCrossCity matches (with errors.Is) the rejection of a trip
-	// whose origin and destination fall in different cities.
-	ErrCrossCity = core.ErrCrossCity
-	// ErrNoCity matches the rejection of a coordinate outside every
-	// city's service region.
-	ErrNoCity = core.ErrNoCity
-	// ErrUnknownCity matches lookups of a city name the router does not
-	// own.
-	ErrUnknownCity = core.ErrUnknownCity
-)
-
-// CrossCityError reports a rejected cross-city trip with the two cities
-// involved. errors.Is(err, ErrCrossCity) matches it.
-type CrossCityError = core.CrossCityError
 
 // CitySpec declares one city of a Router.
 type CitySpec struct {
@@ -83,22 +56,11 @@ type CitySpec struct {
 	Vehicles int
 }
 
-// city is one registered city.
-type city struct {
-	name   string
-	region geo.Rect
-	eng    *core.Engine
-	// reg is the city engine's telemetry registry (nil when telemetry
-	// is off). Cities share nothing, registries included; the router
-	// labels each city's families with city=<name> at gather time.
-	reg *telemetry.Registry
-}
-
 // RouterConfig carries the router-level settings (per-city settings
 // live in each CitySpec).
 type RouterConfig struct {
 	// EnableRelay serves cross-city O/D pairs as two-leg relay trips
-	// instead of rejecting them with *CrossCityError. Needs at least
+	// instead of rejecting them with *core.CrossCityError. Needs at least
 	// two cities.
 	EnableRelay bool
 	// Relay tunes the relay scheduler (gateway count, transfer buffer;
@@ -138,15 +100,12 @@ type RouterConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-// Router fans requests out to per-city engines. All methods are safe
-// for concurrent use; the router itself is immutable after New — every
-// mutable bit of state lives inside the per-city engines (and, with
-// relay enabled, the relay scheduler's ledger).
+// Router is the in-process Coordinator: every city backend is a
+// *core.Engine in this process. It adds only what needs the concrete
+// engines — inspection, simulated crashes and invariant checks.
 type Router struct {
-	cities []city
-	byName map[string]int
-	relay  *relay.Scheduler    // nil unless RouterConfig.EnableRelay
-	reg    *telemetry.Registry // router-level registry; nil when telemetry off
+	*Coordinator
+	engines []*core.Engine // engines[i] is city i's backend
 }
 
 // New builds a Router over the given cities with default router
@@ -158,33 +117,24 @@ func New(specs []CitySpec) (*Router, error) {
 
 // NewWithConfig is New with router-level settings.
 func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("multicity: no cities")
-	}
-	r := &Router{
-		cities: make([]city, 0, len(specs)),
-		byName: make(map[string]int, len(specs)),
-		reg:    rc.Telemetry,
-	}
+	// Names and regions are checked before any engine is built: an
+	// engine opens (and may recover) its journal directory, which a
+	// rejected configuration must not touch.
+	cities := make([]City, len(specs))
 	for i, spec := range specs {
-		if spec.Name == "" {
-			return nil, fmt.Errorf("multicity: city %d has no name", i)
-		}
-		if _, dup := r.byName[spec.Name]; dup {
-			return nil, fmt.Errorf("multicity: duplicate city %q", spec.Name)
-		}
 		if spec.Graph == nil {
-			return nil, fmt.Errorf("multicity: city %q has no graph", spec.Name)
+			return nil, fmt.Errorf("multicity: city %d (%q) has no graph", i, spec.Name)
 		}
-		region := spec.Region
-		if region == (geo.Rect{}) {
-			region = spec.Graph.Bounds()
+		cities[i] = City{Name: spec.Name, Region: spec.Region}
+		if spec.Region == (geo.Rect{}) {
+			cities[i].Region = spec.Graph.Bounds()
 		}
-		for j := range r.cities {
-			if r.cities[j].region.Intersects(region) {
-				return nil, fmt.Errorf("multicity: regions of %q and %q overlap", r.cities[j].name, spec.Name)
-			}
-		}
+	}
+	if err := checkCities(cities); err != nil {
+		return nil, err
+	}
+	r := &Router{engines: make([]*core.Engine, len(specs))}
+	for i, spec := range specs {
 		cfg := spec.Config
 		if rc.TickWorkers > 0 {
 			// Divide the router-level tick-worker budget across the
@@ -204,12 +154,10 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 			cfg.SnapshotEvery = rc.SnapshotEvery
 			cfg.FaultInjector = rc.FaultInjector
 		}
-		var cityReg *telemetry.Registry
 		if rc.Telemetry != nil {
 			// One child registry per city: engines stay share-nothing and
-			// the gather path labels each city's families below.
-			cityReg = telemetry.NewRegistry()
-			cfg.Telemetry = cityReg
+			// the coordinator labels each city's families at gather time.
+			cfg.Telemetry = telemetry.NewRegistry()
 		}
 		eng, err := core.NewEngine(spec.Graph, cfg)
 		if err != nil {
@@ -220,19 +168,11 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 			// re-seeding would double the population.
 			eng.AddVehiclesUniform(spec.Vehicles)
 		}
-		r.byName[spec.Name] = len(r.cities)
-		r.cities = append(r.cities, city{name: spec.Name, region: region, eng: eng, reg: cityReg})
+		r.engines[i], cities[i].Backend = eng, eng
 	}
+	var relayCfg *relay.Config
 	if rc.EnableRelay {
-		refs := make([]relay.CityRef, len(r.cities))
-		for i := range r.cities {
-			refs[i] = relay.CityRef{
-				Name:   r.cities[i].name,
-				Engine: r.cities[i].eng,
-				Region: r.cities[i].region,
-			}
-		}
-		relayCfg := rc.Relay
+		relayCfg = &rc.Relay
 		if rc.Durability != wal.ModeOff {
 			relayCfg.Durability = rc.Durability
 			relayCfg.WALDir = filepath.Join(rc.WALDir, "relay")
@@ -242,11 +182,10 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 		relayCfg.LegQuoteHist = rc.Telemetry.LatencyHist(
 			"ptrider_relay_leg_quote_duration_seconds",
 			"Per-leg quote wall time of cross-city relay trips.")
-		sched, err := relay.New(refs, relayCfg)
-		if err != nil {
-			return nil, fmt.Errorf("multicity: %w", err)
-		}
-		r.relay = sched
+	}
+	var err error
+	if r.Coordinator, err = NewCoordinator(cities, relayCfg, rc.Telemetry); err != nil {
+		return nil, err
 	}
 	if rc.FaultInjector != nil {
 		// A simulated crash anywhere crashes the whole process: every
@@ -262,97 +201,12 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 // group commits. In-memory state is considered lost; recover by
 // rebuilding the router over the same WALDir.
 func (r *Router) Kill() {
-	for i := range r.cities {
-		r.cities[i].eng.Kill()
+	for _, eng := range r.engines {
+		eng.Kill()
 	}
 	if r.relay != nil {
 		r.relay.Kill()
 	}
-}
-
-// Close gracefully shuts every shard down: the relay trip ledger and
-// each city engine flush their journals and write final snapshots.
-func (r *Router) Close() error {
-	var first error
-	if r.relay != nil {
-		first = r.relay.Close()
-	}
-	for i := range r.cities {
-		if err := r.cities[i].eng.Close(); err != nil && first == nil {
-			first = fmt.Errorf("multicity: %s: %w", r.cities[i].name, err)
-		}
-	}
-	return first
-}
-
-// MetricFamilies gathers the router's telemetry: the router-level
-// registry (relay instruments) plus every city's registry with its
-// series labeled city=<name>, merged so each family appears once. Nil
-// when telemetry is off.
-func (r *Router) MetricFamilies() []telemetry.Family {
-	if r.reg == nil {
-		return nil
-	}
-	groups := make([][]telemetry.Family, 0, len(r.cities)+1)
-	groups = append(groups, r.reg.Gather())
-	for i := range r.cities {
-		groups = append(groups, telemetry.WithLabel(r.cities[i].reg.Gather(), "city", r.cities[i].name))
-	}
-	return telemetry.Merge(groups...)
-}
-
-// Ready reports whether every city shard can serve traffic (no city's
-// journal has died). The /v1/readyz probe is the caller.
-func (r *Router) Ready() error {
-	for i := range r.cities {
-		if err := r.cities[i].eng.Ready(); err != nil {
-			return fmt.Errorf("multicity: %s: %w", r.cities[i].name, err)
-		}
-	}
-	return nil
-}
-
-// ReadyCities reports per-city readiness detail (see /v1/readyz).
-func (r *Router) ReadyCities() []core.CityReadiness {
-	out := make([]core.CityReadiness, len(r.cities))
-	for i := range r.cities {
-		out[i] = core.CityReadiness{City: r.cities[i].name, Ready: true}
-		if err := r.cities[i].eng.Ready(); err != nil {
-			out[i].Ready, out[i].Err = false, err.Error()
-		}
-	}
-	return out
-}
-
-// RelayEnabled reports whether cross-city trips are served by relay
-// scheduling rather than rejected.
-func (r *Router) RelayEnabled() bool { return r.relay != nil }
-
-// RelayScheduler exposes the relay scheduler (nil when relay is off) —
-// a seam for the atomicity/durability test harnesses, which inject
-// leg-commit failures through relay.Scheduler.SetCommitOverride. Not
-// part of the supported surface.
-func (r *Router) RelayScheduler() *relay.Scheduler { return r.relay }
-
-// NumCities returns the number of cities behind the router.
-func (r *Router) NumCities() int { return len(r.cities) }
-
-// CityNames returns the city names in registration order.
-func (r *Router) CityNames() []string {
-	out := make([]string, len(r.cities))
-	for i := range r.cities {
-		out[i] = r.cities[i].name
-	}
-	return out
-}
-
-// Region returns the service region of a city.
-func (r *Router) Region(name string) (geo.Rect, error) {
-	ci, err := r.cityIndex(name)
-	if err != nil {
-		return geo.Rect{}, err
-	}
-	return r.cities[ci].region, nil
 }
 
 // Engine exposes a city's engine for inspection (views, invariants,
@@ -363,479 +217,14 @@ func (r *Router) Engine(name string) (*core.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.cities[ci].eng, nil
-}
-
-func (r *Router) cityIndex(name string) (int, error) {
-	ci, ok := r.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownCity, name)
-	}
-	return ci, nil
-}
-
-// Locate returns the name of the city whose region contains p.
-func (r *Router) Locate(p geo.Point) (string, error) {
-	ci, err := r.locate(p)
-	if err != nil {
-		return "", err
-	}
-	return r.cities[ci].name, nil
-}
-
-func (r *Router) locate(p geo.Point) (int, error) {
-	for i := range r.cities {
-		if r.cities[i].region.Contains(p) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: (%.0f, %.0f)", ErrNoCity, p.X, p.Y)
-}
-
-// NearestVertex snaps a coordinate inside a city to a road-network
-// vertex: the closest vertex of the grid cell containing p, falling
-// back to a whole-graph scan when that cell is unpopulated (rare —
-// only cells without any vertex).
-func (r *Router) NearestVertex(name string, p geo.Point) (roadnet.VertexID, error) {
-	ci, err := r.cityIndex(name)
-	if err != nil {
-		return 0, err
-	}
-	return r.nearestVertex(ci, p), nil
-}
-
-func (r *Router) nearestVertex(ci int, p geo.Point) roadnet.VertexID {
-	return r.cities[ci].eng.NearestVertex(p)
-}
-
-// globalID strides a city-local request id into the router's id space
-// (see GlobalID).
-func (r *Router) globalID(ci int, local core.RequestID) core.RequestID {
-	return GlobalID(len(r.cities), ci, local)
-}
-
-// splitID decodes a global request id into (city index, local id).
-func (r *Router) splitID(id core.RequestID) (int, core.RequestID, error) {
-	return SplitGlobalID(len(r.cities), id)
-}
-
-// Record is the router's view of a request record: the engine snapshot
-// with the id lifted into the global namespace, plus the owning city.
-// For a relay trip the embedded record is synthesised — a negative
-// global id, the origin city, the joint skyline rendered as core
-// options (price = composed fare, pick-up distance = composed ETA as a
-// distance equivalent), the whole-trip lifecycle mapped onto the
-// single-city states — and Relay carries the two-leg detail.
-type Record struct {
-	core.RequestRecord
-	City string
-	// Relay is the relay trip view when this record is a cross-city
-	// relay trip; nil for ordinary same-city requests.
-	Relay *relay.TripView
-}
-
-func (r *Router) wrap(ci int, rec *core.RequestRecord) *Record {
-	out := &Record{RequestRecord: *rec, City: r.cities[ci].name}
-	out.ID = r.globalID(ci, rec.ID)
-	return out
-}
-
-// wrapRelay synthesises the router record of a relay trip (see
-// RelayRequestRecord for the shared synthesis).
-func (r *Router) wrapRelay(tv *relay.TripView) *Record {
-	return &Record{RequestRecord: RelayRequestRecord(tv), City: tv.Origin, Relay: tv}
-}
-
-// Submit answers a ridesharing request given by planar coordinates: the
-// origin's city is located, both endpoints are snapped to their cities'
-// road networks, and the city's engine matches the request. A
-// destination in a different city is served as a two-leg relay trip
-// when relay is enabled (see RouterConfig.EnableRelay) and rejected
-// with *CrossCityError otherwise; a coordinate outside every region
-// fails with ErrNoCity.
-func (r *Router) Submit(o, d geo.Point, riders int) (*Record, error) {
-	return r.SubmitWithConstraints(o, d, riders, core.DefaultConstraints())
-}
-
-// SubmitWithConstraints is Submit with per-rider constraint overrides.
-func (r *Router) SubmitWithConstraints(o, d geo.Point, riders int, c core.Constraints) (*Record, error) {
-	return r.submitCoords(o, d, riders, c, "", nil)
-}
-
-// submitCoords serves one coordinate-addressed request; a non-empty
-// idemKey makes a same-city submission idempotent (the key is scoped to
-// the owning city's engine — regions are disjoint, so a retry always
-// lands on the same city). Relay quotes are not deduplicated, and the
-// optional span (stage-timing correlation) applies to same-city
-// submissions only.
-func (r *Router) submitCoords(o, d geo.Point, riders int, c core.Constraints, idemKey string, sp *telemetry.Span) (*Record, error) {
-	oc, err := r.locate(o)
-	if err != nil {
-		return nil, err
-	}
-	dc, err := r.locate(d)
-	if err != nil {
-		return nil, err
-	}
-	if oc != dc {
-		if r.relay == nil {
-			return nil, &CrossCityError{Origin: r.cities[oc].name, Dest: r.cities[dc].name}
-		}
-		tv, err := r.relay.Quote(oc, dc, r.nearestVertex(oc, o), r.nearestVertex(dc, d), riders, c)
-		if err != nil {
-			return nil, fmt.Errorf("multicity: %w", err)
-		}
-		return r.wrapRelay(tv), nil
-	}
-	rec, err := r.cities[oc].eng.SubmitSpanned(
-		r.nearestVertex(oc, o), r.nearestVertex(oc, d), riders, c, idemKey, sp)
-	if err != nil {
-		return nil, fmt.Errorf("multicity: %s: %w", r.cities[oc].name, err)
-	}
-	return r.wrap(oc, rec), nil
-}
-
-// SubmitIn answers a request addressed by city name and city-local
-// vertex ids — the zero-translation path used when the caller already
-// resolved the city (load replay, benchmarks).
-func (r *Router) SubmitIn(name string, s, d roadnet.VertexID, riders int, c core.Constraints) (*Record, error) {
-	return r.submitIn(name, s, d, riders, c, "", nil)
-}
-
-func (r *Router) submitIn(name string, s, d roadnet.VertexID, riders int, c core.Constraints, idemKey string, sp *telemetry.Span) (*Record, error) {
-	ci, err := r.cityIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := r.cities[ci].eng.SubmitSpanned(s, d, riders, c, idemKey, sp)
-	if err != nil {
-		return nil, fmt.Errorf("multicity: %s: %w", name, err)
-	}
-	return r.wrap(ci, rec), nil
-}
-
-// BatchItem is one request of a simultaneous multi-city batch,
-// addressed by coordinates like Submit.
-type BatchItem struct {
-	O, D        geo.Point
-	Riders      int
-	Constraints core.Constraints
-	// Choose picks an option index from the quoted skyline (or -1 to
-	// decline). Nil declines everything. Called on the owning city's
-	// batch goroutine.
-	Choose func(options []core.Option) int
-}
-
-// SubmitBatch processes simultaneously issued requests across cities:
-// items are partitioned by origin city and each city's sub-batch runs
-// through that engine's coalesced SubmitBatch concurrently — the waves
-// of different cities proceed fully in parallel because the engines
-// share no state. Within one city the paper's greedy order over that
-// city's items is preserved exactly. Cross-city items are served
-// through the relay scheduler when enabled (quoted and, via the item's
-// Choose callback over the synthesised joint options, committed or
-// declined), concurrently with the per-city sub-batches; with relay
-// disabled they fail with *CrossCityError as before.
-//
-// One record is returned per item, in order; items that fail city
-// assignment or fail inside the engine get a nil entry, with the first
-// error returned.
-func (r *Router) SubmitBatch(items []BatchItem) ([]*Record, error) {
-	out := make([]*Record, len(items))
-	var firstErr error
-	fail := func(i int, err error) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("multicity: batch item %d: %w", i, err)
-		}
-	}
-
-	// Partition by origin city, preserving each city's item order.
-	perCity := make([][]core.BatchItem, len(r.cities))
-	perCityIdx := make([][]int, len(r.cities))
-	type relayItem struct {
-		idx    int
-		oc, dc int
-	}
-	var relayItems []relayItem
-	for i, it := range items {
-		oc, err := r.locate(it.O)
-		if err != nil {
-			fail(i, err)
-			continue
-		}
-		dc, err := r.locate(it.D)
-		if err != nil {
-			fail(i, err)
-			continue
-		}
-		if oc != dc {
-			if r.relay == nil {
-				fail(i, &CrossCityError{Origin: r.cities[oc].name, Dest: r.cities[dc].name})
-				continue
-			}
-			relayItems = append(relayItems, relayItem{idx: i, oc: oc, dc: dc})
-			continue
-		}
-		perCity[oc] = append(perCity[oc], core.BatchItem{
-			S: r.nearestVertex(oc, it.O), D: r.nearestVertex(oc, it.D),
-			Riders: it.Riders, Constraints: it.Constraints, Choose: it.Choose,
-		})
-		perCityIdx[oc] = append(perCityIdx[oc], i)
-	}
-
-	// Fan the per-city sub-batches out; engines are independent. Relay
-	// items ride their own goroutine — each quote already fans its legs
-	// out to two engines, which interleaves with the city batches the
-	// way any concurrent traffic does.
-	recs := make([][]*core.RequestRecord, len(r.cities))
-	errs := make([]error, len(r.cities))
-	relayErrs := make([]error, len(relayItems))
-	var wg sync.WaitGroup
-	for ci := range r.cities {
-		if len(perCity[ci]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			recs[ci], errs[ci] = r.cities[ci].eng.SubmitBatch(perCity[ci])
-		}(ci)
-	}
-	if len(relayItems) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k, ri := range relayItems {
-				out[ri.idx], relayErrs[k] = r.submitRelayItem(&items[ri.idx], ri.oc, ri.dc)
-			}
-		}()
-	}
-	wg.Wait()
-
-	for ci := range r.cities {
-		if errs[ci] != nil && firstErr == nil {
-			firstErr = fmt.Errorf("multicity: %s: %w", r.cities[ci].name, errs[ci])
-		}
-		for k, rec := range recs[ci] {
-			if rec != nil {
-				out[perCityIdx[ci][k]] = r.wrap(ci, rec)
-			}
-		}
-	}
-	for k, ri := range relayItems {
-		if relayErrs[k] != nil {
-			fail(ri.idx, relayErrs[k])
-		}
-	}
-	return out, firstErr
-}
-
-// submitRelayItem serves one cross-city batch item end to end: quote,
-// let the item's chooser pick from the synthesised joint options,
-// commit or decline, and return the refreshed record.
-func (r *Router) submitRelayItem(it *BatchItem, oc, dc int) (*Record, error) {
-	tv, err := r.relay.Quote(oc, dc, r.nearestVertex(oc, it.O), r.nearestVertex(dc, it.D), it.Riders, it.Constraints)
-	if err != nil {
-		return nil, err
-	}
-	pick := -1
-	if it.Choose != nil {
-		pick = it.Choose(tv.CoreOptions)
-	}
-	if pick >= 0 && pick < len(tv.Options) {
-		if err := r.relay.Choose(tv.ID, pick); err != nil {
-			// Mirror the engine batch path: a failed choice ends the
-			// item's lifecycle here rather than abandoning the quote.
-			refreshed, _ := r.relay.Trip(tv.ID)
-			if refreshed != nil {
-				return r.wrapRelay(refreshed), fmt.Errorf("choose: %w", err)
-			}
-			return r.wrapRelay(tv), fmt.Errorf("choose: %w", err)
-		}
-	} else {
-		_ = r.relay.Decline(tv.ID)
-	}
-	refreshed, err := r.relay.Trip(tv.ID)
-	if err != nil {
-		return r.wrapRelay(tv), nil
-	}
-	return r.wrapRelay(refreshed), nil
-}
-
-// Choose commits the rider's selected option of a request previously
-// answered by the router. For a relay trip (negative id) this is the
-// two-phase commit of both legs: both book, or neither stays booked.
-func (r *Router) Choose(id core.RequestID, optionIndex int) error {
-	if id < 0 {
-		if r.relay == nil {
-			return fmt.Errorf("multicity: unknown request %d", id)
-		}
-		return r.relay.Choose(relay.TripID(-id), optionIndex)
-	}
-	ci, local, err := r.splitID(id)
-	if err != nil {
-		return err
-	}
-	return r.cities[ci].eng.Choose(local, optionIndex)
-}
-
-// Decline records that the rider took none of the options. Declining a
-// relay trip releases every leg quote it held.
-func (r *Router) Decline(id core.RequestID) error {
-	if id < 0 {
-		if r.relay == nil {
-			return fmt.Errorf("multicity: unknown request %d", id)
-		}
-		return r.relay.Decline(relay.TripID(-id))
-	}
-	ci, local, err := r.splitID(id)
-	if err != nil {
-		return err
-	}
-	return r.cities[ci].eng.Decline(local)
-}
-
-// Request returns a snapshot of the record of a router-answered
-// request (including relay trips, whose two-leg detail rides in
-// Record.Relay).
-func (r *Router) Request(id core.RequestID) (*Record, error) {
-	if id < 0 {
-		tv, err := r.RelayTrip(id)
-		if err != nil {
-			return nil, err
-		}
-		return r.wrapRelay(tv), nil
-	}
-	ci, local, err := r.splitID(id)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := r.cities[ci].eng.Request(local)
-	if err != nil {
-		return nil, err
-	}
-	return r.wrap(ci, rec), nil
-}
-
-// RelayTrip returns the two-leg view of a relay trip addressed by its
-// router record id (the negative global id).
-func (r *Router) RelayTrip(id core.RequestID) (*relay.TripView, error) {
-	if r.relay == nil {
-		return nil, fmt.Errorf("multicity: relay is not enabled: %w", core.ErrNotFound)
-	}
-	if id >= 0 {
-		return nil, fmt.Errorf("multicity: request %d is not a relay trip: %w", id, core.ErrNotFound)
-	}
-	return r.relay.Trip(relay.TripID(-id))
-}
-
-// CityEvents is one city's slice of a tick's movement events.
-type CityEvents struct {
-	City   string
-	Events []fleet.Event
-}
-
-// Tick advances simulated time by dt seconds in every city, each city's
-// movement phase on its own goroutine — per-city ticks are naturally
-// parallel because fleets share nothing. The per-city events are
-// returned in city registration order; the first city error (if any)
-// is returned after every city finished, so one failing city never
-// stalls or skips the others.
-func (r *Router) Tick(dt float64) ([]CityEvents, error) {
-	if dt < 0 {
-		// Reject before any engine moves so the city clocks stay in
-		// lockstep even on caller errors.
-		return nil, fmt.Errorf("multicity: negative tick %v: %w", dt, core.ErrInvalidArgument)
-	}
-	out := make([]CityEvents, len(r.cities))
-	errs := make([]error, len(r.cities))
-	var wg sync.WaitGroup
-	for ci := range r.cities {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			evs, err := r.cities[ci].eng.Tick(dt)
-			out[ci] = CityEvents{City: r.cities[ci].name, Events: evs}
-			errs[ci] = err
-		}(ci)
-	}
-	wg.Wait()
-	if r.relay != nil {
-		// Advance the relay ledger after every city moved: trips observe
-		// their legs' post-movement lifecycle states.
-		r.relay.Advance()
-	}
-	for ci, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("multicity: %s: %w", r.cities[ci].name, err)
-		}
-	}
-	return out, nil
-}
-
-// Stats is the aggregated statistics panel: per-city engine snapshots
-// plus a cross-city total. In the total, lifecycle counters, vehicle
-// counts and commit-protocol counters are sums; per-match averages are
-// request-weighted and quality averages completed-weighted means of
-// the city values; P95 response time and the clock are the maxima (a
-// true cross-city quantile is not derivable from per-city summaries).
-// In the Tick panel, Workers and AvgEvents are sums (cities tick
-// concurrently, so the shard fan-out and event volume add up) while
-// Ticks, wall times and shard skew are maxima (lockstep cities make
-// the slowest city the tick's critical path).
-// Relay carries the relay scheduler's own panel when relay is enabled
-// (its leg quotes are counted inside the owning cities' panels; Relay
-// counts whole cross-city trips).
-type Stats struct {
-	Total        core.EngineStats
-	Cities       map[string]core.EngineStats
-	RelayEnabled bool
-	Relay        relay.Stats
-}
-
-// Stats snapshots every city and aggregates the totals (see
-// StatsAggregator for the weighting rules).
-func (r *Router) Stats() Stats {
-	out := Stats{Cities: make(map[string]core.EngineStats, len(r.cities))}
-	var agg StatsAggregator
-	for i := range r.cities {
-		st := r.cities[i].eng.Stats()
-		out.Cities[r.cities[i].name] = st
-		agg.Add(st)
-	}
-	out.Total = agg.Total()
-	if r.relay != nil {
-		out.RelayEnabled = true
-		out.Relay = r.relay.Stats()
-	}
-	return out
-}
-
-// VehicleViews returns one city's vehicle summaries (see
-// core.Engine.VehicleViews).
-func (r *Router) VehicleViews(name string, limit int) ([]core.VehicleView, error) {
-	ci, err := r.cityIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.cities[ci].eng.VehicleViews(limit), nil
-}
-
-// VehicleSchedules returns one vehicle's valid trip schedules in the
-// given city.
-func (r *Router) VehicleSchedules(name string, id fleet.VehicleID) (roadnet.VertexID, [][]kinetic.Point, error) {
-	ci, err := r.cityIndex(name)
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.cities[ci].eng.VehicleSchedules(id)
+	return r.engines[ci], nil
 }
 
 // CheckInvariants verifies every city's engine invariants (tests).
 func (r *Router) CheckInvariants() error {
-	for i := range r.cities {
-		if err := r.cities[i].eng.CheckInvariants(); err != nil {
-			return fmt.Errorf("multicity: %s: %w", r.cities[i].name, err)
+	for i, eng := range r.engines {
+		if err := eng.CheckInvariants(); err != nil {
+			return fmt.Errorf("multicity: %s: %w", r.cities[i].Name, err)
 		}
 	}
 	return nil

@@ -37,6 +37,27 @@ func twinRouter(t *testing.T, cfg core.Config, taxisA, taxisB int) *multicity.Ro
 	return r
 }
 
+// submit quotes one coordinate-addressed request under the default
+// constraints.
+func submit(r *multicity.Router, o, d geo.Point, riders int) (*core.ServiceRecord, error) {
+	return r.SubmitRequest(coordSpec(o, d, riders, nil))
+}
+
+// submitIn quotes one request addressed by city name and city-local
+// vertex ids — the zero-translation path.
+func submitIn(r *multicity.Router, city string, s, d roadnet.VertexID, riders int) (*core.ServiceRecord, error) {
+	return r.SubmitRequest(core.SubmitSpec{City: city, S: s, D: d, Riders: riders, Constraints: core.DefaultConstraints()})
+}
+
+// coordSpec is one coordinate-addressed spec, with an optional batch
+// chooser.
+func coordSpec(o, d geo.Point, riders int, choose func([]core.Option) int) core.SubmitSpec {
+	return core.SubmitSpec{
+		ByCoords: true, Origin: o, Dest: d, Riders: riders,
+		Constraints: core.DefaultConstraints(), Choose: choose,
+	}
+}
+
 // cityPoints returns the coordinates of two distinct random vertices of
 // a city.
 func cityPoints(t *testing.T, r *multicity.Router, name string, rng *rand.Rand) (geo.Point, geo.Point) {
@@ -60,10 +81,7 @@ func TestRouterAssignsByOriginCoordinate(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 
 	o, d := cityPoints(t, r, "alpha", rng)
-	if city, err := r.Locate(o); err != nil || city != "alpha" {
-		t.Fatalf("Locate(alpha point) = %q, %v", city, err)
-	}
-	rec, err := r.Submit(o, d, 1)
+	rec, err := submit(r, o, d, 1)
 	if err != nil {
 		t.Fatalf("submit alpha: %v", err)
 	}
@@ -72,7 +90,7 @@ func TestRouterAssignsByOriginCoordinate(t *testing.T) {
 	}
 
 	o, d = cityPoints(t, r, "beta", rng)
-	rec, err = r.Submit(o, d, 1)
+	rec, err = submit(r, o, d, 1)
 	if err != nil {
 		t.Fatalf("submit beta: %v", err)
 	}
@@ -87,14 +105,14 @@ func TestRouterRejectsCrossCityTrips(t *testing.T) {
 	oa, _ := cityPoints(t, r, "alpha", rng)
 	ob, _ := cityPoints(t, r, "beta", rng)
 
-	_, err := r.Submit(oa, ob, 1)
+	_, err := submit(r, oa, ob, 1)
 	if err == nil {
 		t.Fatal("cross-city trip accepted")
 	}
-	if !errors.Is(err, multicity.ErrCrossCity) {
+	if !errors.Is(err, core.ErrCrossCity) {
 		t.Fatalf("cross-city error %v does not match ErrCrossCity", err)
 	}
-	var cce *multicity.CrossCityError
+	var cce *core.CrossCityError
 	if !errors.As(err, &cce) {
 		t.Fatalf("cross-city error %v is not a *CrossCityError", err)
 	}
@@ -104,21 +122,18 @@ func TestRouterRejectsCrossCityTrips(t *testing.T) {
 
 	// A coordinate in the sea between the cities belongs to no one.
 	sea := geo.Point{X: 12000, Y: 0}
-	if _, err := r.Submit(sea, ob, 1); !errors.Is(err, multicity.ErrNoCity) {
+	if _, err := submit(r, sea, ob, 1); !errors.Is(err, core.ErrNoCity) {
 		t.Fatalf("no-city origin error = %v, want ErrNoCity", err)
-	}
-	if _, err := r.Locate(sea); !errors.Is(err, multicity.ErrNoCity) {
-		t.Fatalf("Locate(sea) error = %v, want ErrNoCity", err)
 	}
 
 	// The typed rejection also surfaces per item in batches, without
 	// poisoning the other items.
 	ga, da := cityPoints(t, r, "alpha", rng)
-	recs, err := r.SubmitBatch([]multicity.BatchItem{
-		{O: ga, D: da, Riders: 1, Constraints: core.DefaultConstraints()},
-		{O: oa, D: ob, Riders: 1, Constraints: core.DefaultConstraints()},
+	recs, err := r.SubmitRequestBatch([]core.SubmitSpec{
+		coordSpec(ga, da, 1, nil),
+		coordSpec(oa, ob, 1, nil),
 	})
-	if !errors.Is(err, multicity.ErrCrossCity) {
+	if !errors.Is(err, core.ErrCrossCity) {
 		t.Fatalf("batch error = %v, want ErrCrossCity", err)
 	}
 	if recs[0] == nil || recs[0].City != "alpha" {
@@ -140,7 +155,7 @@ func TestRouterGlobalIDsRoundTrip(t *testing.T) {
 			name = "beta"
 		}
 		o, d := cityPoints(t, r, name, rng)
-		rec, err := r.Submit(o, d, 1)
+		rec, err := submit(r, o, d, 1)
 		if err != nil {
 			t.Fatalf("submit %s: %v", name, err)
 		}
@@ -149,7 +164,7 @@ func TestRouterGlobalIDsRoundTrip(t *testing.T) {
 		}
 		seen[rec.ID] = name
 
-		got, err := r.Request(rec.ID)
+		got, err := r.GetRequest(rec.ID)
 		if err != nil {
 			t.Fatalf("request %d: %v", rec.ID, err)
 		}
@@ -161,7 +176,7 @@ func TestRouterGlobalIDsRoundTrip(t *testing.T) {
 			if err := r.Choose(rec.ID, 0); err != nil {
 				t.Fatalf("choose %d: %v", rec.ID, err)
 			}
-			if got, _ := r.Request(rec.ID); got.Status != core.StatusAssigned {
+			if got, _ := r.GetRequest(rec.ID); got.Status != core.StatusAssigned {
 				t.Fatalf("after choose: status %v", got.Status)
 			}
 		} else {
@@ -170,7 +185,7 @@ func TestRouterGlobalIDsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := r.Request(core.RequestID(1)); err == nil {
+	if _, err := r.GetRequest(core.RequestID(1)); err == nil {
 		// id 1 < numCities is outside the striped namespace.
 		t.Fatal("sub-stride id accepted")
 	}
@@ -191,7 +206,7 @@ func TestRouterStatsIsolation(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perCity; i++ {
 				o, d := cityPoints(t, r, name, rng)
-				rec, err := r.Submit(o, d, 1)
+				rec, err := submit(r, o, d, 1)
 				if err != nil {
 					t.Errorf("submit %s: %v", name, err)
 					return
@@ -202,7 +217,7 @@ func TestRouterStatsIsolation(t *testing.T) {
 					_ = r.Decline(rec.ID)
 				}
 				if i%3 == 0 {
-					if _, err := r.Tick(1); err != nil {
+					if _, err := r.Advance(1); err != nil {
 						t.Errorf("tick: %v", err)
 						return
 					}
@@ -212,7 +227,7 @@ func TestRouterStatsIsolation(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := r.Stats()
+	st := r.ServiceStats()
 	a, b := st.Cities["alpha"], st.Cities["beta"]
 	if a.Requests != perCity || b.Requests != perCity {
 		t.Fatalf("per-city requests = %d / %d, want %d each", a.Requests, b.Requests, perCity)
@@ -261,7 +276,7 @@ func TestRouterConcurrentStress(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3:
 					o, d := cityPoints(t, r, name, rng)
-					rec, err := r.Submit(o, d, 1+rng.Intn(2))
+					rec, err := submit(r, o, d, 1+rng.Intn(2))
 					if err != nil {
 						errs <- err
 						return
@@ -277,41 +292,40 @@ func TestRouterConcurrentStress(t *testing.T) {
 					// Cross-city attempts must fail typed, never crash.
 					o, _ := cityPoints(t, r, name, rng)
 					_, d := cityPoints(t, r, other, rng)
-					if _, err := r.Submit(o, d, 1); !errors.Is(err, multicity.ErrCrossCity) {
+					if _, err := submit(r, o, d, 1); !errors.Is(err, core.ErrCrossCity) {
 						errs <- err
 						return
 					}
 				case 5, 6:
-					if _, err := r.Tick(0.5 + rng.Float64()); err != nil {
+					if _, err := r.Advance(0.5 + rng.Float64()); err != nil {
 						errs <- err
 						return
 					}
 				case 7:
-					st := r.Stats()
+					st := r.ServiceStats()
 					if st.Total.Assigned > st.Total.Requests {
 						errs <- errors.New("total assigned > requests")
 						return
 					}
-					if _, err := r.VehicleViews(name, 5); err != nil {
+					if _, err := r.Vehicles(name, 5); err != nil {
 						errs <- err
 						return
 					}
 				case 8:
 					o1, d1 := cityPoints(t, r, name, rng)
 					o2, d2 := cityPoints(t, r, other, rng)
-					_, _ = r.SubmitBatch([]multicity.BatchItem{
-						{O: o1, D: d1, Riders: 1, Constraints: core.DefaultConstraints(),
-							Choose: func(opts []core.Option) int {
-								if len(opts) == 0 {
-									return -1
-								}
-								return 0
-							}},
-						{O: o2, D: d2, Riders: 1, Constraints: core.DefaultConstraints()},
+					_, _ = r.SubmitRequestBatch([]core.SubmitSpec{
+						coordSpec(o1, d1, 1, func(opts []core.Option) int {
+							if len(opts) == 0 {
+								return -1
+							}
+							return 0
+						}),
+						coordSpec(o2, d2, 1, nil),
 					})
 				case 9:
 					o, d := cityPoints(t, r, other, rng)
-					rec, err := r.Submit(o, d, 1)
+					rec, err := submit(r, o, d, 1)
 					if err != nil {
 						errs <- err
 						return
@@ -335,17 +349,17 @@ func TestRouterConcurrentStress(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatalf("post-storm invariants: %v", err)
 	}
-	st := r.Stats()
+	st := r.ServiceStats()
 	if st.Cities["alpha"].Requests == 0 || st.Cities["beta"].Requests == 0 {
 		t.Fatalf("storm left a city idle: %+v", st.Total)
 	}
 
 	// Drain: both fleets must still finish every onboard rider.
 	for i := 0; i < 4000 && st.Total.Completed < st.Total.Assigned; i++ {
-		if _, err := r.Tick(1); err != nil {
+		if _, err := r.Advance(1); err != nil {
 			t.Fatalf("drain tick: %v", err)
 		}
-		st = r.Stats()
+		st = r.ServiceStats()
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatalf("post-drain invariants: %v", err)
@@ -382,27 +396,27 @@ func TestRouterConstructionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single city: %v", err)
 	}
-	if _, err := r.Engine("nope"); !errors.Is(err, multicity.ErrUnknownCity) {
+	if _, err := r.Engine("nope"); !errors.Is(err, core.ErrUnknownCity) {
 		t.Errorf("unknown city error = %v", err)
 	}
-	if _, err := r.VehicleViews("nope", 0); !errors.Is(err, multicity.ErrUnknownCity) {
+	if _, err := r.Vehicles("nope", 0); !errors.Is(err, core.ErrUnknownCity) {
 		t.Errorf("unknown city views error = %v", err)
 	}
 }
 
 func TestRouterTickClassifiesAndIsolatesFailures(t *testing.T) {
 	r := twinRouter(t, core.Config{Capacity: 2}, 2, 2)
-	if _, err := r.Tick(-1); !errors.Is(err, core.ErrInvalidArgument) {
+	if _, err := r.Advance(-1); !errors.Is(err, core.ErrInvalidArgument) {
 		t.Fatalf("negative tick error = %v, want ErrInvalidArgument", err)
 	}
-	st := r.Stats()
+	st := r.ServiceStats()
 	if st.Total.Clock != 0 {
 		t.Fatalf("negative tick moved a clock: %v", st.Total.Clock)
 	}
-	if _, err := r.Tick(2); err != nil {
+	if _, err := r.Advance(2); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
-	if st := r.Stats(); st.Cities["alpha"].Clock != 2 || st.Cities["beta"].Clock != 2 {
+	if st := r.ServiceStats(); st.Cities["alpha"].Clock != 2 || st.Cities["beta"].Clock != 2 {
 		t.Fatalf("clocks after tick: %+v", st)
 	}
 }
@@ -420,14 +434,70 @@ func TestBuildFromSpec(t *testing.T) {
 	if east.NumVehicles() != 4 || west.NumVehicles() != 3 {
 		t.Fatalf("vehicles = %d / %d", east.NumVehicles(), west.NumVehicles())
 	}
-	re, _ := r.Region("east")
-	rw, _ := r.Region("west")
-	if re.Intersects(rw) {
-		t.Fatalf("spec regions overlap: %+v %+v", re, rw)
+	if cities := r.Cities(); cities[0].Region.Intersects(cities[1].Region) {
+		t.Fatalf("spec regions overlap: %+v %+v", cities[0].Region, cities[1].Region)
 	}
 	for _, bad := range []string{"", "east", "east:6:4", "east:axb:4", "east:6x6:x"} {
 		if _, err := multicity.BuildFromSpec(bad, core.Config{}, 1); err == nil {
 			t.Errorf("bad spec %q accepted", bad)
 		}
+	}
+}
+
+// TestVertexAddressedSpecIgnoresRegion pins what a CitySpec.Region
+// narrower than the graph means: the region decides which coordinates
+// the city serves, nothing else. A vertex-addressed spec names its city,
+// so a destination vertex outside the region is quoted the same by
+// SubmitRequest and SubmitRequestBatch.
+func TestVertexAddressedSpecIgnoresRegion(t *testing.T) {
+	g, err := gen.GenerateNetwork(gen.CityConfig{Width: 10, Height: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	west := g.Bounds()
+	west.Max.X = west.Center().X
+	r, err := multicity.New([]multicity.CitySpec{
+		{Name: "solo", Graph: g, Region: west, Config: core.Config{Capacity: 4, Seed: 1}, Vehicles: 12},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, d := roadnet.VertexID(-1), roadnet.VertexID(-1)
+	for v := 0; v < g.NumVertices(); v++ {
+		if in := west.Contains(g.Point(roadnet.VertexID(v))); in && s < 0 {
+			s = roadnet.VertexID(v)
+		} else if !in {
+			d = roadnet.VertexID(v) // the last one: far from s
+		}
+	}
+	if s < 0 || d < 0 {
+		t.Fatalf("no vertex pair straddles the region: s=%d d=%d", s, d)
+	}
+
+	spec := core.SubmitSpec{City: "solo", S: s, D: d, Riders: 1, Constraints: core.DefaultConstraints()}
+	one, err := r.SubmitRequest(spec)
+	if err != nil {
+		t.Fatalf("SubmitRequest: %v", err)
+	}
+	batch, err := r.SubmitRequestBatch([]core.SubmitSpec{spec})
+	if err != nil || batch[0] == nil {
+		t.Fatalf("SubmitRequestBatch: %+v, %v", batch[0], err)
+	}
+	got := batch[0]
+	if got.City != one.City || got.S != one.S || got.D != one.D || got.Riders != one.Riders || len(got.Options) != len(one.Options) {
+		t.Fatalf("batch record %+v differs from single record %+v", got.RequestRecord, one.RequestRecord)
+	}
+	if len(one.Options) == 0 {
+		t.Fatal("the pair quoted no options; the comparison is vacuous")
+	}
+	for i, o := range one.Options {
+		if b := got.Options[i]; b.Vehicle != o.Vehicle || b.Price != o.Price || b.PickupDist != o.PickupDist {
+			t.Fatalf("option %d: batch %+v, single %+v", i, b, o)
+		}
+	}
+
+	// Coordinates outside the region are still nobody's.
+	if _, err := submit(r, g.Point(s), g.Point(d), 1); !errors.Is(err, core.ErrNoCity) {
+		t.Fatalf("coordinate outside the narrowed region: %v, want ErrNoCity", err)
 	}
 }

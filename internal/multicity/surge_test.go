@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"ptrider/internal/core"
-	"ptrider/internal/multicity"
 	"ptrider/internal/pricing"
 	"ptrider/internal/pricing/surge"
 	"ptrider/internal/relay"
@@ -36,11 +35,11 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 	hot := roadnet.VertexID(0)
 	far := roadnet.VertexID(engA.Graph().NumVertices() - 1)
 	for i := 0; i < 6; i++ {
-		if _, err := r.SubmitIn("alpha", hot, far, 1, core.DefaultConstraints()); err != nil {
+		if _, err := submitIn(r, "alpha", hot, far, 1); err != nil {
 			t.Fatalf("demand submit: %v", err)
 		}
 	}
-	if _, err := r.Tick(10); err != nil {
+	if _, err := r.Advance(10); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
 	if ep := engA.SurgeStats().Epoch; ep != 1 {
@@ -51,10 +50,10 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 	// leg-1 quote resolves the surged cell; destinations rotate until
 	// the sparse fleet yields a non-empty joint skyline.
 	rng := rand.New(rand.NewSource(31))
-	var rec *multicity.Record
+	var rec *core.ServiceRecord
 	for attempt := 0; attempt < 50 && rec == nil; attempt++ {
 		d := roadnet.VertexID(rng.Intn(engB.Graph().NumVertices()))
-		cand, err := r.Submit(engA.Graph().Point(hot), engB.Graph().Point(d), 1)
+		cand, err := submit(r, engA.Graph().Point(hot), engB.Graph().Point(d), 1)
 		if err != nil {
 			t.Fatalf("relay submit: %v", err)
 		}
@@ -80,7 +79,7 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 	if err := r.Choose(rec.ID, 0); err != nil {
 		t.Fatalf("choose: %v", err)
 	}
-	got, err := r.Request(rec.ID)
+	got, err := r.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -109,7 +108,7 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 
 	// Router-level aggregation: panel sums cells and surged quotes
 	// across cities, takes the max multiplier.
-	st := r.Stats()
+	st := r.ServiceStats()
 	if !st.Total.Surge.Enabled || st.Total.Surge.MaxMultiplier != 2 || st.Total.Surge.SurgedQuotes < 1 {
 		t.Fatalf("aggregated surge panel: %+v", st.Total.Surge)
 	}

@@ -22,9 +22,10 @@
 //
 // A ledger tracks each trip's state machine — quoted → leg1-committed
 // → in-transfer → leg2-active → completed — and Advance (called from
-// the router's Tick) moves trips forward by observing the two leg
-// records' lifecycle states. A leg orphaned by a vehicle failure moves
-// the trip to failed and compensates the surviving leg.
+// the multi-city coordinator's Advance) moves trips forward by
+// observing the two leg records' lifecycle states. A leg orphaned by a
+// vehicle failure moves the trip to failed and compensates the
+// surviving leg.
 //
 // Model honesty: the fleet serves a stop when its vehicle reaches it,
 // so the leg-2 vehicle may "pick up" at the gateway before the rider
@@ -110,8 +111,10 @@ type LegEngine interface {
 	// LegLimits returns the city-global waiting-time and planned
 	// pick-up budgets leg-2 quoting widens by the transfer buffer.
 	LegLimits() (maxWait, maxPickup float64)
-	// SubmitWithConstraints quotes one leg.
-	SubmitWithConstraints(s, d roadnet.VertexID, riders int, c core.Constraints) (*core.RequestRecord, error)
+	// SubmitIdem quotes one leg. The scheduler passes no idempotency
+	// key: a remote engine mints its own so its transport retries
+	// cannot double-quote.
+	SubmitIdem(s, d roadnet.VertexID, riders int, c core.Constraints, idemKey string) (*core.RequestRecord, error)
 	// Choose, Decline, Request and CancelAssigned drive the leg
 	// records through the two-phase commit and its compensation.
 	Choose(id core.RequestID, optionIndex int) error
@@ -397,13 +400,13 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 		go func(gi int) {
 			defer wg.Done()
 			t0 := time.Now()
-			leg1[gi], errs1[gi] = engO.SubmitWithConstraints(o, gws[gi].From, riders, cons)
+			leg1[gi], errs1[gi] = engO.SubmitIdem(o, gws[gi].From, riders, cons, "")
 			s.cfg.LegQuoteHist.ObserveSince(t0)
 		}(gi)
 		go func(gi int) {
 			defer wg.Done()
 			t0 := time.Now()
-			leg2[gi], errs2[gi] = engD.SubmitWithConstraints(gws[gi].To, d, riders, cons2)
+			leg2[gi], errs2[gi] = engD.SubmitIdem(gws[gi].To, d, riders, cons2, "")
 			s.cfg.LegQuoteHist.ObserveSince(t0)
 		}(gi)
 	}
@@ -830,7 +833,7 @@ func (s *Scheduler) viewLocked(tr *trip) *TripView {
 }
 
 // Advance moves every committed trip's state machine forward by
-// observing its leg records — called once per router tick, after the
+// observing its leg records — called once per coordinator tick, after the
 // per-city movement phases. Completed and failed trips leave the
 // active set; a trip one leg's vehicle failure orphaned compensates
 // the surviving leg's reservation so nothing stays half-booked.

@@ -101,6 +101,19 @@ func (g *Graph) EuclidLB(u, v VertexID) float64 {
 // the zero Rect for non-embedded graphs.
 func (g *Graph) Bounds() geo.Rect { return geo.BoundingRect(g.points) }
 
+// NearestVertex returns the vertex closest (Euclidean) to p by scanning
+// every vertex — the index-free snap; callers with a grid index narrow
+// the scan to a cell first.
+func (g *Graph) NearestVertex(p geo.Point) VertexID {
+	best, bestD := VertexID(0), math.Inf(1)
+	for v, q := range g.points {
+		if d := q.DistSq(p); d < bestD {
+			best, bestD = VertexID(v), d
+		}
+	}
+	return best
+}
+
 // Builder accumulates vertices and edges and produces an immutable
 // Graph. The zero value is ready for use.
 type Builder struct {

@@ -1,7 +1,9 @@
 // conformance_test.go pins the /v1 surface — routes, methods, status
 // codes and error envelope codes — with one backend-agnostic table
-// executed twice: over a single-city core.Engine and over a 2-city
-// relay-enabled multicity.Router. The Service interface is the whole
+// executed over four backends: a single-city core.Engine, the
+// multi-city coordinator as a 2-city multicity.Router with relay on and
+// with relay off, and the same coordinator as a cluster.Gateway over
+// two shards behind real listeners. The Service interface is the whole
 // point of PR 5: the same handler set must behave identically wherever
 // the backend allows, and the table is the proof.
 package server_test
@@ -53,17 +55,23 @@ func singleBackend(t *testing.T) v1Backend {
 	return v1Backend{name: "single-city", ts: ts, city: core.DefaultCityName, numCities: 1}
 }
 
-func multiBackend(t *testing.T) v1Backend {
+// multiBackend is the in-process two-city router, with relay scheduling
+// on or off.
+func multiBackend(t *testing.T, relayOn bool) v1Backend {
 	t.Helper()
 	router, err := multicity.BuildFromSpecWithConfig("east:10x10:10,west:8x8:8",
 		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide}, 5,
-		multicity.RouterConfig{EnableRelay: true, Telemetry: telemetry.NewRegistry()})
+		multicity.RouterConfig{EnableRelay: relayOn, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
-	ts := httptest.NewServer(server.NewMulti(router).Handler())
+	ts := httptest.NewServer(server.NewService(router).Handler())
 	t.Cleanup(ts.Close)
-	return v1Backend{name: "two-city-relay", ts: ts, city: "east", numCities: 2, relay: true}
+	name := "two-city-plain"
+	if relayOn {
+		name = "two-city-relay"
+	}
+	return v1Backend{name: name, ts: ts, city: "east", numCities: 2, relay: relayOn}
 }
 
 // remoteBackend assembles the cluster transport: two single-city
@@ -109,7 +117,7 @@ func remoteBackend(t *testing.T) v1Backend {
 }
 
 func conformanceBackends(t *testing.T) []v1Backend {
-	return []v1Backend{singleBackend(t), multiBackend(t), remoteBackend(t)}
+	return []v1Backend{singleBackend(t), multiBackend(t, true), multiBackend(t, false), remoteBackend(t)}
 }
 
 // errCode extracts the envelope's error code from a decoded body.
@@ -172,7 +180,7 @@ func submitQuoted(t *testing.T, b v1Backend) int64 {
 }
 
 // TestV1Conformance runs the route/method/status/error-code table over
-// both backends.
+// every backend.
 func TestV1Conformance(t *testing.T) {
 	for _, b := range conformanceBackends(t) {
 		b := b
@@ -222,6 +230,11 @@ func TestV1Conformance(t *testing.T) {
 				{"unknown city params", http.MethodGet, "/v1/params?city=atlantis", nil, 404, "unknown_city", ""},
 				{"unknown city listing", http.MethodGet, "/v1/requests?city=atlantis", nil, 404, "unknown_city", ""},
 				{"unknown relay trip", http.MethodGet, "/v1/relay/999999", nil, 404, "not_found", ""},
+				{"choice of unknown id", http.MethodPost, "/v1/requests/999999/choice", map[string]any{"option": 0}, 404, "not_found", ""},
+				// Negative ids are the relay namespace; with relay off (or no
+				// such trip) they are unknown requests like any other.
+				{"choice of unknown negative id", http.MethodPost, "/v1/requests/-1/choice", map[string]any{"option": 0}, 404, "not_found", ""},
+				{"decline of unknown negative id", http.MethodPost, "/v1/requests/-1/decline", nil, 404, "not_found", ""},
 
 				// Business rules: 422.
 				{"degenerate endpoints", http.MethodPost, "/v1/requests",

@@ -1,9 +1,8 @@
 package server_test
 
 // HTTP-level contract of the Idempotency-Key request header on
-// POST /v1/requests (and the legacy /api/request alias): a retried
-// submission with the same key answers with the original record
-// instead of quoting a second request.
+// POST /v1/requests: a retried submission with the same key answers
+// with the original record instead of quoting a second request.
 
 import (
 	"bytes"
@@ -74,13 +73,6 @@ func TestIdempotencyKeyHeader(t *testing.T) {
 	b := postWithKey(t, ts.URL+"/v1/requests", "", body)
 	if idOf(t, a) == idOf(t, b) {
 		t.Fatalf("keyless submissions deduplicated onto id %d", idOf(t, a))
-	}
-
-	// The legacy alias honours the header too.
-	l1 := postWithKey(t, ts.URL+"/api/request", "legacy-1", body)
-	l2 := postWithKey(t, ts.URL+"/api/request", "legacy-1", body)
-	if idOf(t, l1) != idOf(t, l2) {
-		t.Fatalf("legacy alias forked: id %d then %d", idOf(t, l1), idOf(t, l2))
 	}
 }
 

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,7 +26,7 @@ func getText(t *testing.T, url string) (int, string) {
 
 func TestMapEndpoint(t *testing.T) {
 	ts, eng := newTestServer(t)
-	code, body := getText(t, ts.URL+"/api/map?width=40&height=20")
+	code, body := getText(t, ts.URL+"/v1/map?width=40&height=20")
 	if code != http.StatusOK {
 		t.Fatalf("map status %d", code)
 	}
@@ -43,13 +42,11 @@ func TestMapEndpoint(t *testing.T) {
 	}
 
 	// Assign a request, then overlay that taxi's schedule.
-	_, out := postJSON(t, ts.URL+"/api/request", map[string]any{"s": 3, "d": 40, "riders": 1})
-	var id int64
-	json.Unmarshal(out["id"], &id)
-	postJSON(t, ts.URL+"/api/choose", map[string]any{"id": id, "option": 0})
+	_, _, id := submitV1(t, ts, map[string]any{"s": 3, "d": 40, "riders": 1})
+	chooseV1(t, ts, id, 0)
 	rec, _ := eng.Request(core.RequestID(id))
 
-	code, body = getText(t, fmt.Sprintf("%s/api/map?taxi=%d", ts.URL, rec.Vehicle))
+	code, body = getText(t, fmt.Sprintf("%s/v1/map?taxi=%d", ts.URL, rec.Vehicle))
 	if code != http.StatusOK {
 		t.Fatalf("taxi map status %d", code)
 	}
@@ -59,13 +56,13 @@ func TestMapEndpoint(t *testing.T) {
 		}
 	}
 
-	if code, _ := getText(t, ts.URL+"/api/map?taxi=999"); code != http.StatusNotFound {
+	if code, _ := getText(t, ts.URL+"/v1/map?taxi=999"); code != http.StatusNotFound {
 		t.Fatalf("unknown taxi map status %d", code)
 	}
-	if code, _ := getText(t, ts.URL+"/api/map?taxi=abc"); code != http.StatusBadRequest {
+	if code, _ := getText(t, ts.URL+"/v1/map?taxi=abc"); code != http.StatusBadRequest {
 		t.Fatalf("bad taxi id status %d", code)
 	}
-	if code, _ := getText(t, ts.URL+"/api/map?width=1"); code != http.StatusBadRequest {
+	if code, _ := getText(t, ts.URL+"/v1/map?width=1"); code != http.StatusBadRequest {
 		t.Fatalf("bad width status %d", code)
 	}
 }

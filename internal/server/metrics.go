@@ -3,8 +3,9 @@
 // SSE stream health) merged with the backend's families when the
 // backend carries a telemetry registry — submit-stage timings, tick
 // shard wall times, WAL append/fsync latencies, surge gauges. Both
-// core.Engine and multicity.Router implement MetricFamilies, so one
-// scrape covers single- and multi-city deployments alike.
+// core.Engine and multicity.Coordinator implement MetricFamilies, so
+// one scrape covers single-city, multi-city and cluster deployments
+// alike.
 package server
 
 import (
@@ -16,7 +17,7 @@ import (
 )
 
 // metricFamilySource is implemented by backends that expose gathered
-// telemetry families (core.Engine, multicity.Router). Backends built
+// telemetry families (core.Engine, multicity.Coordinator). Backends built
 // without a registry return nil and contribute nothing.
 type metricFamilySource interface {
 	MetricFamilies() []telemetry.Family

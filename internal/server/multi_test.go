@@ -22,7 +22,7 @@ func newMultiServer(t *testing.T) (*httptest.Server, *multicity.Router) {
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
-	ts := httptest.NewServer(server.NewMulti(router).Handler())
+	ts := httptest.NewServer(server.NewService(router).Handler())
 	t.Cleanup(ts.Close)
 	return ts, router
 }
@@ -30,7 +30,7 @@ func newMultiServer(t *testing.T) (*httptest.Server, *multicity.Router) {
 func TestMultiCitiesEndpoint(t *testing.T) {
 	ts, _ := newMultiServer(t)
 	var cities []map[string]any
-	resp := getJSON(t, ts.URL+"/api/cities", &cities)
+	resp := getJSON(t, ts.URL+"/v1/cities", &cities)
 	if resp.StatusCode != http.StatusOK || len(cities) != 2 {
 		t.Fatalf("cities = %d: %v", resp.StatusCode, cities)
 	}
@@ -44,7 +44,7 @@ func TestMultiCitiesEndpoint(t *testing.T) {
 
 func TestMultiRequestByCityAndVertex(t *testing.T) {
 	ts, router := newMultiServer(t)
-	resp, out := postJSON(t, ts.URL+"/api/request", map[string]any{
+	resp, out, id := submitV1(t, ts, map[string]any{
 		"city": "west", "s": 3, "d": 30, "riders": 1,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -55,31 +55,27 @@ func TestMultiRequestByCityAndVertex(t *testing.T) {
 	if city != "west" {
 		t.Fatalf("record city = %q", city)
 	}
-	var id int64
-	json.Unmarshal(out["id"], &id)
 	if id == 0 {
 		t.Fatal("no id in response")
 	}
 
 	// The id is global: the router resolves it back to west's record.
-	rec, err := router.Request(core.RequestID(id))
+	rec, err := router.GetRequest(core.RequestID(id))
 	if err != nil || rec.City != "west" {
 		t.Fatalf("router record: %+v, %v", rec, err)
 	}
 
 	// GET the record back over HTTP, choose or decline.
 	var got map[string]json.RawMessage
-	getJSON(t, fmt.Sprintf("%s/api/request?id=%d", ts.URL, id), &got)
+	getJSON(t, fmt.Sprintf("%s/v1/requests/%d", ts.URL, id), &got)
 	var options []map[string]any
 	json.Unmarshal(got["options"], &options)
 	if len(options) > 0 {
-		resp, _ := postJSON(t, ts.URL+"/api/choose", map[string]any{"id": id, "option": 0})
-		if resp.StatusCode != http.StatusOK {
+		if resp, _ := chooseV1(t, ts, id, 0); resp.StatusCode != http.StatusOK {
 			t.Fatalf("choose status %d", resp.StatusCode)
 		}
 	} else {
-		resp, _ := postJSON(t, ts.URL+"/api/decline", map[string]any{"id": id})
-		if resp.StatusCode != http.StatusOK {
+		if resp, _ := do(t, http.MethodPost, fmt.Sprintf("%s/v1/requests/%d/decline", ts.URL, id), nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("decline status %d", resp.StatusCode)
 		}
 	}
@@ -93,7 +89,7 @@ func TestMultiRequestByCoordinatesAndCrossCity(t *testing.T) {
 	ed := east.Graph().Point(50)
 	wo := west.Graph().Point(1)
 
-	resp, out := postJSON(t, ts.URL+"/api/request", map[string]any{
+	resp, out := postJSON(t, ts.URL+"/v1/requests", map[string]any{
 		"ox": eo.X, "oy": eo.Y, "dx": ed.X, "dy": ed.Y, "riders": 1,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -107,7 +103,7 @@ func TestMultiRequestByCoordinatesAndCrossCity(t *testing.T) {
 
 	// Cross-city pair: typed rejection surfaces as 422 with the city
 	// pair in the structured error envelope.
-	resp, out = postJSON(t, ts.URL+"/api/request", map[string]any{
+	resp, out = postJSON(t, ts.URL+"/v1/requests", map[string]any{
 		"ox": eo.X, "oy": eo.Y, "dx": wo.X, "dy": wo.Y, "riders": 1,
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -128,7 +124,7 @@ func TestMultiRequestByCoordinatesAndCrossCity(t *testing.T) {
 	}
 
 	// Underspecified body: neither addressing mode.
-	resp, _ = postJSON(t, ts.URL+"/api/request", map[string]any{"riders": 1})
+	resp, _ = postJSON(t, ts.URL+"/v1/requests", map[string]any{"riders": 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("underspecified request status = %d, want 400", resp.StatusCode)
 	}
@@ -137,12 +133,12 @@ func TestMultiRequestByCoordinatesAndCrossCity(t *testing.T) {
 func TestMultiStatsHasCityDimension(t *testing.T) {
 	ts, router := newMultiServer(t)
 	// Traffic in east only: the west panel must stay clean.
-	if _, err := router.SubmitIn("east", 1, 40, 1, core.DefaultConstraints()); err != nil {
+	if _, err := router.SubmitRequest(core.SubmitSpec{City: "east", S: 1, D: 40, Riders: 1, Constraints: core.DefaultConstraints()}); err != nil {
 		t.Fatalf("submit east: %v", err)
 	}
 
 	var out map[string]json.RawMessage
-	getJSON(t, ts.URL+"/api/stats", &out)
+	getJSON(t, ts.URL+"/v1/stats", &out)
 	var total core.EngineStats
 	var cities map[string]core.EngineStats
 	json.Unmarshal(out["total"], &total)
@@ -160,7 +156,7 @@ func TestMultiStatsHasCityDimension(t *testing.T) {
 
 func TestMultiTickAdvancesAllCities(t *testing.T) {
 	ts, router := newMultiServer(t)
-	resp, out := postJSON(t, ts.URL+"/api/tick", map[string]any{"seconds": 4})
+	resp, out := postJSON(t, ts.URL+"/v1/ticks", map[string]any{"seconds": 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tick status %d: %v", resp.StatusCode, out)
 	}
@@ -169,17 +165,17 @@ func TestMultiTickAdvancesAllCities(t *testing.T) {
 	if clock != 4 {
 		t.Fatalf("clock = %v", clock)
 	}
-	st := router.Stats()
+	st := router.ServiceStats()
 	if st.Cities["east"].Clock != 4 || st.Cities["west"].Clock != 4 {
 		t.Fatalf("city clocks = %v / %v", st.Cities["east"].Clock, st.Cities["west"].Clock)
 	}
 
 	// Caller error classification carries over: negative seconds is 400.
-	resp, _ = postJSON(t, ts.URL+"/api/tick", map[string]any{"seconds": -2})
+	resp, _ = postJSON(t, ts.URL+"/v1/ticks", map[string]any{"seconds": -2})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative tick status = %d, want 400", resp.StatusCode)
 	}
-	if st := router.Stats(); st.Total.Clock != 4 {
+	if st := router.ServiceStats(); st.Total.Clock != 4 {
 		t.Fatalf("negative tick moved clock to %v", st.Total.Clock)
 	}
 }
@@ -188,7 +184,7 @@ func TestMultiCityScopedViews(t *testing.T) {
 	ts, _ := newMultiServer(t)
 
 	// vehicles needs a city.
-	r, err := http.Get(ts.URL + "/api/vehicles")
+	r, err := http.Get(ts.URL + "/v1/vehicles")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +194,7 @@ func TestMultiCityScopedViews(t *testing.T) {
 	}
 
 	var out map[string]json.RawMessage
-	resp := getJSON(t, ts.URL+"/api/vehicles?city=east", &out)
+	resp := getJSON(t, ts.URL+"/v1/vehicles?city=east", &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("vehicles status %d", resp.StatusCode)
 	}
@@ -209,7 +205,7 @@ func TestMultiCityScopedViews(t *testing.T) {
 	}
 
 	// Unknown city is 404.
-	r, err = http.Get(ts.URL + "/api/vehicles?city=atlantis")
+	r, err = http.Get(ts.URL + "/v1/vehicles?city=atlantis")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,29 +216,29 @@ func TestMultiCityScopedViews(t *testing.T) {
 
 	// taxi and params are city-scoped too.
 	var taxi map[string]any
-	resp = getJSON(t, ts.URL+"/api/taxi?city=west&id=0", &taxi)
+	resp = getJSON(t, ts.URL+"/v1/vehicles/0?city=west", &taxi)
 	if resp.StatusCode != http.StatusOK || taxi["city"] != "west" {
 		t.Fatalf("taxi view = %d %v", resp.StatusCode, taxi)
 	}
 	var params map[string]any
-	resp = getJSON(t, ts.URL+"/api/params?city=west", &params)
+	resp = getJSON(t, ts.URL+"/v1/params?city=west", &params)
 	if resp.StatusCode != http.StatusOK || params["city"] != "west" {
 		t.Fatalf("params view = %d %v", resp.StatusCode, params)
 	}
 
 	// Per-city algorithm switch touches only that city.
-	resp, _ = postJSON(t, ts.URL+"/api/params", map[string]any{"city": "west", "algorithm": "naive"})
+	resp, _ = postJSON(t, ts.URL+"/v1/params", map[string]any{"city": "west", "algorithm": "naive"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("params post status %d", resp.StatusCode)
 	}
 	var eastParams map[string]any
-	getJSON(t, ts.URL+"/api/params?city=east", &eastParams)
+	getJSON(t, ts.URL+"/v1/params?city=east", &eastParams)
 	if eastParams["algorithm"] != "dual-side" {
 		t.Fatalf("east algorithm changed to %v", eastParams["algorithm"])
 	}
 
 	// The map renders per city.
-	r, err = http.Get(ts.URL + "/api/map?city=east&width=40&height=20")
+	r, err = http.Get(ts.URL + "/v1/map?city=east&width=40&height=20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +261,7 @@ func newRelayMultiServer(t *testing.T) (*httptest.Server, *multicity.Router) {
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
-	ts := httptest.NewServer(server.NewMulti(router).Handler())
+	ts := httptest.NewServer(server.NewService(router).Handler())
 	t.Cleanup(ts.Close)
 	return ts, router
 }
@@ -280,7 +276,7 @@ func relayRequestHTTP(t *testing.T, ts *httptest.Server, router *multicity.Route
 	for attempt := 0; attempt < 50; attempt++ {
 		o := ge.Point(engE.RandomVertex())
 		d := gw.Point(engW.RandomVertex())
-		resp, out := postJSON(t, ts.URL+"/api/request", map[string]any{
+		resp, out := postJSON(t, ts.URL+"/v1/requests", map[string]any{
 			"ox": o.X, "oy": o.Y, "dx": d.X, "dy": d.Y, "riders": 1,
 		})
 		if resp.StatusCode != http.StatusOK {
@@ -293,7 +289,7 @@ func relayRequestHTTP(t *testing.T, ts *httptest.Server, router *multicity.Route
 		}
 		var id int64
 		json.Unmarshal(out["id"], &id)
-		postJSON(t, ts.URL+"/api/decline", map[string]any{"id": id})
+		do(t, http.MethodPost, fmt.Sprintf("%s/v1/requests/%d/decline", ts.URL, id), nil)
 	}
 	t.Fatal("no relay quote produced options in 50 attempts")
 	return nil
@@ -331,7 +327,7 @@ func TestMultiRelayRequestChooseAndStatus(t *testing.T) {
 	}
 
 	// Choose commits both legs through the ordinary choose endpoint.
-	resp, body := postJSON(t, ts.URL+"/api/choose", map[string]any{"id": id, "option": 0})
+	resp, body := chooseV1(t, ts, id, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("choose status %d: %v", resp.StatusCode, body)
 	}
@@ -342,7 +338,7 @@ func TestMultiRelayRequestChooseAndStatus(t *testing.T) {
 		Leg1  int64  `json:"leg1"`
 		Leg2  int64  `json:"leg2"`
 	}
-	resp = getJSON(t, fmt.Sprintf("%s/api/relay?id=%d", ts.URL, id), &st)
+	resp = getJSON(t, fmt.Sprintf("%s/v1/relay/%d", ts.URL, id), &st)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("relay status %d", resp.StatusCode)
 	}
@@ -352,7 +348,7 @@ func TestMultiRelayRequestChooseAndStatus(t *testing.T) {
 
 	// The stats panel carries the relay section.
 	var stats map[string]json.RawMessage
-	getJSON(t, ts.URL+"/api/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	var rstats struct {
 		Quoted    int64 `json:"Quoted"`
 		Committed int64 `json:"Committed"`
@@ -365,7 +361,7 @@ func TestMultiRelayRequestChooseAndStatus(t *testing.T) {
 	}
 
 	// Ticking advances the trip's ledger alongside the fleets.
-	resp, body = postJSON(t, ts.URL+"/api/tick", map[string]any{"seconds": 5})
+	resp, body = postJSON(t, ts.URL+"/v1/ticks", map[string]any{"seconds": 5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tick status %d: %v", resp.StatusCode, body)
 	}
@@ -373,7 +369,7 @@ func TestMultiRelayRequestChooseAndStatus(t *testing.T) {
 
 func TestMultiRelayDisabled(t *testing.T) {
 	ts, _ := newMultiServer(t)
-	r, err := http.Get(ts.URL + "/api/relay?id=-1")
+	r, err := http.Get(ts.URL + "/v1/relay/-1")
 	if err != nil {
 		t.Fatal(err)
 	}

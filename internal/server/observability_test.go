@@ -61,7 +61,7 @@ func obsMulti(t *testing.T) v1Backend {
 		t.Fatalf("router: %v", err)
 	}
 	t.Cleanup(func() { router.Close() })
-	ts := httptest.NewServer(server.NewMulti(router).Handler())
+	ts := httptest.NewServer(server.NewService(router).Handler())
 	t.Cleanup(ts.Close)
 	return v1Backend{name: "two-city-relay", ts: ts, city: "east", numCities: 2, relay: true}
 }

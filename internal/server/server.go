@@ -1,9 +1,10 @@
 // Package server exposes a PTRider backend over HTTP as one
 // resource-oriented, versioned JSON API. A single handler set serves
 // every backend that implements core.Service — a single-city
-// core.Engine or a multi-city (optionally relay-enabled)
-// multicity.Router — so single-city, multi-city and cross-city relay
-// traffic all speak the same surface.
+// core.Engine, or the multi-city coordinator as an in-process
+// multicity.Router or a cluster.Gateway over shard processes — so
+// single-city, multi-city and cross-city relay traffic all speak the
+// same surface.
 //
 // Versioned API (v1):
 //
@@ -42,17 +43,11 @@
 //
 //	{"error":{"code":"cross_city","message":"...","origin":"east","dest":"west"}}
 //
-// with typed codes mapped from the core error taxonomy:
+// with typed codes mapped by the core error table (core.ClassifyError):
 // invalid_argument → 400, not_found/unknown_city → 404,
 // method_not_allowed → 405, already_chosen → 409 (double-Choose),
-// cross_city/no_city/unprocessable → 422, internal → 500.
-//
-// The demo-era routes (/api/request, /api/choose, /api/decline,
-// /api/stats, /api/taxi, /api/params, /api/tick, /api/vehicles,
-// /api/map, /api/cities, /api/relay) remain as thin aliases over the
-// same handlers, preserving their historical response shapes (bare
-// vehicle arrays, flat single-city stats, 422 for choose/decline of
-// unknown ids) so existing clients keep working.
+// cross_city/no_city/unprocessable → 422, internal → 500,
+// unavailable → 503.
 //
 // Handlers run on net/http's per-connection goroutines and call the
 // backend directly: core.Service implementations are internally
@@ -65,7 +60,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -76,7 +70,6 @@ import (
 
 	"ptrider/internal/core"
 	"ptrider/internal/fleet"
-	"ptrider/internal/multicity"
 	"ptrider/internal/render"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/telemetry"
@@ -139,19 +132,6 @@ func NewServiceWithOptions(svc core.Service, opts Options) *Server {
 	s.mux.HandleFunc("/v1/map", s.handleMap)
 	s.mux.HandleFunc("/v1/events", s.handleEvents)
 
-	// Legacy demo aliases over the same handlers.
-	s.mux.HandleFunc("/api/request", s.handleLegacyRequest)
-	s.mux.HandleFunc("/api/choose", s.handleLegacyChoose)
-	s.mux.HandleFunc("/api/decline", s.handleLegacyDecline)
-	s.mux.HandleFunc("/api/stats", s.handleLegacyStats)
-	s.mux.HandleFunc("/api/taxi", s.handleLegacyTaxi)
-	s.mux.HandleFunc("/api/params", s.handleParams)
-	s.mux.HandleFunc("/api/tick", s.handleTicks)
-	s.mux.HandleFunc("/api/vehicles", s.handleLegacyVehicles)
-	s.mux.HandleFunc("/api/map", s.handleMap)
-	s.mux.HandleFunc("/api/cities", s.handleCities)
-	s.mux.HandleFunc("/api/relay", s.handleRelayQuery)
-
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -163,9 +143,6 @@ func NewServiceWithOptions(svc core.Service, opts Options) *Server {
 
 // New returns a Server over a single-city engine.
 func New(eng *core.Engine) *Server { return NewService(eng) }
-
-// NewMulti returns a Server over a multi-city router.
-func NewMulti(router *multicity.Router) *Server { return NewService(router) }
 
 // Handler returns the HTTP handler: the route mux behind the
 // observability middleware (request correlation, route metrics,
@@ -181,16 +158,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readier is implemented by backends that can report readiness
-// (core.Engine answers for its durability layer; multicity.Router
-// fans the check across cities).
+// readier is implemented by backends that can report readiness as a
+// whole but not per city (core.Engine answers for its durability layer
+// both ways).
 type readier interface {
 	Ready() error
 }
 
 // cityReadier is implemented by backends that can break readiness down
-// per city — the gateway reports which shards are unreachable or
-// unready, the router and engine their cities' durability layers.
+// per city — the coordinator asks every backend, so a gateway reports
+// which shards are unreachable or unready, a router and an engine
+// their cities' durability layers.
 type cityReadier interface {
 	ReadyCities() []core.CityReadiness
 }
@@ -302,68 +280,19 @@ func writeJSONCached(w http.ResponseWriter, r *http.Request, v any) {
 	writeCached(w, r, "application/json", append(body, '\n'))
 }
 
-// errorPayload is the structured error envelope's inner object.
-type errorPayload struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// Origin and Dest carry the city pair of a cross_city rejection.
-	Origin string `json:"origin,omitempty"`
-	Dest   string `json:"dest,omitempty"`
-}
-
-func writeEnvelope(w http.ResponseWriter, status int, p errorPayload) {
-	writeJSON(w, status, map[string]errorPayload{"error": p})
+func writeEnvelope(w http.ResponseWriter, status int, p core.ErrorPayload) {
+	writeJSON(w, status, map[string]core.ErrorPayload{"error": p})
 }
 
 // writeCode emits an envelope with an explicit status and code.
 func writeCode(w http.ResponseWriter, status int, code, message string) {
-	writeEnvelope(w, status, errorPayload{Code: code, Message: message})
+	writeEnvelope(w, status, core.ErrorPayload{Code: code, Message: message})
 }
 
-// classify maps a backend error onto (status, payload) via the core
-// error taxonomy. Unmatched errors land on the fallback status with
-// code "unprocessable" (422) or "internal" (500).
-func classify(err error, fallback int) (int, errorPayload) {
-	p := errorPayload{Message: err.Error()}
-	var cce *core.CrossCityError
-	switch {
-	case errors.As(err, &cce):
-		p.Code, p.Origin, p.Dest = "cross_city", cce.Origin, cce.Dest
-		return http.StatusUnprocessableEntity, p
-	case errors.Is(err, core.ErrCrossCity):
-		p.Code = "cross_city"
-		return http.StatusUnprocessableEntity, p
-	case errors.Is(err, core.ErrAlreadyChosen):
-		p.Code = "already_chosen"
-		return http.StatusConflict, p
-	case errors.Is(err, core.ErrUnknownCity):
-		p.Code = "unknown_city"
-		return http.StatusNotFound, p
-	case errors.Is(err, core.ErrNotFound):
-		p.Code = "not_found"
-		return http.StatusNotFound, p
-	case errors.Is(err, core.ErrNoCity):
-		p.Code = "no_city"
-		return http.StatusUnprocessableEntity, p
-	case errors.Is(err, core.ErrInvalidArgument):
-		p.Code = "invalid_argument"
-		return http.StatusBadRequest, p
-	case errors.Is(err, core.ErrUnavailable):
-		p.Code = "unavailable"
-		return http.StatusServiceUnavailable, p
-	}
-	if fallback == http.StatusInternalServerError {
-		p.Code = "internal"
-	} else {
-		p.Code = "unprocessable"
-	}
-	return fallback, p
-}
-
-// writeErr classifies err with a 422 fallback — the business-rule
-// default of the request surface.
+// writeErr classifies err through the core error table with a 422
+// fallback — the business-rule default of the request surface.
 func writeErr(w http.ResponseWriter, err error) {
-	status, p := classify(err, http.StatusUnprocessableEntity)
+	status, p := core.ClassifyError(err, http.StatusUnprocessableEntity)
 	writeEnvelope(w, status, p)
 }
 
@@ -658,10 +587,9 @@ func eventViewsOf(events []core.ServiceEvent) []eventView {
 // ---------------------------------------------------------------------------
 // Request submission
 
-// requestBody is the wire form of one request submission, shared by
-// /v1/requests and the legacy /api/request: either [city +] s/d
-// vertices or ox/oy → dx/dy coordinates, plus the optional per-rider
-// constraint overrides.
+// requestBody is the wire form of one request submission (single or
+// batch item): either [city +] s/d vertices or ox/oy → dx/dy
+// coordinates, plus the optional per-rider constraint overrides.
 type requestBody struct {
 	City string `json:"city,omitempty"`
 	S    *int32 `json:"s,omitempty"`
@@ -831,8 +759,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, bodies []requestBody) {
 	}
 	out := map[string]any{"requests": views}
 	if err != nil {
-		_, p := classify(err, http.StatusUnprocessableEntity)
-		out["error"] = p
+		_, out["error"] = core.ClassifyError(err, http.StatusUnprocessableEntity)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -993,7 +920,7 @@ func (s *Server) handleVehicleByID(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, taxiViewOf(it))
 }
 
-// handleCities serves GET /v1/cities and /api/cities.
+// handleCities serves GET /v1/cities.
 func (s *Server) handleCities(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
@@ -1040,7 +967,7 @@ func (s *Server) handleRelayByID(w http.ResponseWriter, r *http.Request) {
 	s.relayResponse(w, id)
 }
 
-// handleRelayQuery serves GET /v1/relay?id= and /api/relay?id=.
+// handleRelayQuery serves GET /v1/relay?id=.
 func (s *Server) handleRelayQuery(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
@@ -1053,7 +980,7 @@ func (s *Server) handleRelayQuery(w http.ResponseWriter, r *http.Request) {
 	s.relayResponse(w, core.RequestID(id))
 }
 
-// handleTicks serves POST /v1/ticks and /api/tick: simulated time
+// handleTicks serves POST /v1/ticks: simulated time
 // advances, movement events return (and feed the /v1/events stream).
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodPost) {
@@ -1070,7 +997,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Invalid caller input (a negative duration, say) is the
 		// caller's fault; anything else is an internal movement failure.
-		status, p := classify(err, http.StatusInternalServerError)
+		status, p := core.ClassifyError(err, http.StatusInternalServerError)
 		writeEnvelope(w, status, p)
 		return
 	}
@@ -1100,7 +1027,7 @@ func statsPayload(st core.ServiceStats) map[string]any {
 	return out
 }
 
-// handleParams serves GET/POST /v1/params and /api/params.
+// handleParams serves GET/POST /v1/params.
 func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet, http.MethodPost) {
 		return
@@ -1214,143 +1141,4 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(&buf, m.String())
 	fmt.Fprintln(&buf, render.Legend())
 	writeCached(w, r, "text/plain; charset=utf-8", buf.Bytes())
-}
-
-// ---------------------------------------------------------------------------
-// Legacy aliases (historical shapes preserved)
-
-// handleLegacyRequest serves the demo's POST/GET /api/request.
-func (s *Server) handleLegacyRequest(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	if r.Method == http.MethodPost {
-		var body requestBody
-		if err := decode(r, &body); err != nil {
-			writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
-			return
-		}
-		s.submitOne(w, r, &body)
-		return
-	}
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
-	if err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", "bad id")
-		return
-	}
-	rec, err := s.svc.GetRequest(core.RequestID(id))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, recordView(rec))
-}
-
-// legacyLifecycleErr preserves the demo contract: /api/choose and
-// /api/decline answered 422 for unknown request ids (the id arrives in
-// the body, not the path, so "no such resource" was a business error
-// there). Typed conflicts still surface as 409.
-func legacyLifecycleErr(w http.ResponseWriter, err error) {
-	status, p := classify(err, http.StatusUnprocessableEntity)
-	if status == http.StatusNotFound {
-		status, p.Code = http.StatusUnprocessableEntity, "unprocessable"
-	}
-	writeEnvelope(w, status, p)
-}
-
-func (s *Server) handleLegacyChoose(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
-	var body struct {
-		ID     int64 `json:"id"`
-		Option int   `json:"option"`
-	}
-	if err := decode(r, &body); err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
-	}
-	if err := s.svc.Choose(core.RequestID(body.ID), body.Option); err != nil {
-		legacyLifecycleErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "assigned"})
-}
-
-func (s *Server) handleLegacyDecline(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
-	var body struct {
-		ID int64 `json:"id"`
-	}
-	if err := decode(r, &body); err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
-	}
-	if err := s.svc.Decline(core.RequestID(body.ID)); err != nil {
-		legacyLifecycleErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "declined"})
-}
-
-// handleLegacyStats serves GET /api/stats: the flat single-city panel
-// for one-city backends (the demo's original shape), the per-city
-// composite for multi-city ones.
-func (s *Server) handleLegacyStats(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
-	st := s.svc.ServiceStats()
-	if !st.Multi {
-		writeJSON(w, http.StatusOK, st.Total)
-		return
-	}
-	writeJSON(w, http.StatusOK, statsPayload(st))
-}
-
-// handleLegacyTaxi serves GET /api/taxi?id=3 (&city=east on multi-city
-// backends).
-func (s *Server) handleLegacyTaxi(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 32)
-	if err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", "bad id")
-		return
-	}
-	it, err := s.svc.VehicleItinerary(r.URL.Query().Get("city"), fleet.VehicleID(id))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, taxiViewOf(it))
-}
-
-// handleLegacyVehicles serves GET /api/vehicles: a bare vehicle array
-// when no city is named (the single-city demo shape — multi-city
-// backends reject the missing parameter), the city-wrapped object
-// otherwise.
-func (s *Server) handleLegacyVehicles(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
-	limit, err := limitQuery(r)
-	if err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
-	}
-	city := r.URL.Query().Get("city")
-	views, err := s.svc.Vehicles(city, limit)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if city == "" {
-		writeJSON(w, http.StatusOK, views)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"city": city, "vehicles": views})
 }

@@ -1,41 +1,28 @@
 package server_test
 
-import (
-	"encoding/json"
-	"net/http"
-	"testing"
-)
+import "testing"
 
 func TestVehiclesEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var vehicles []struct {
-		ID       int32   `json:"id"`
-		Location int32   `json:"location"`
-		X        float64 `json:"x"`
-		Y        float64 `json:"y"`
-		Onboard  int     `json:"onboard"`
-		Pending  int     `json:"pending_requests"`
+	var page struct {
+		City     string `json:"city"`
+		Vehicles []struct {
+			ID       int32   `json:"id"`
+			Location int32   `json:"location"`
+			X        float64 `json:"x"`
+			Y        float64 `json:"y"`
+			Onboard  int     `json:"onboard"`
+			Pending  int     `json:"pending_requests"`
+		} `json:"vehicles"`
 	}
-	getJSON(t, ts.URL+"/api/vehicles", &vehicles)
-	if len(vehicles) != 10 {
-		t.Fatalf("vehicles = %d, want 10", len(vehicles))
+	getJSON(t, ts.URL+"/v1/vehicles", &page)
+	if page.City != "default" || len(page.Vehicles) != 10 {
+		t.Fatalf("vehicles = %d in %q, want 10 in the default city", len(page.Vehicles), page.City)
 	}
-	for _, v := range vehicles {
+	for _, v := range page.Vehicles {
 		if v.Onboard != 0 || v.Pending != 0 {
 			t.Fatalf("fresh vehicle with load: %+v", v)
 		}
-	}
-	getJSON(t, ts.URL+"/api/vehicles?limit=3", &vehicles)
-	if len(vehicles) != 3 {
-		t.Fatalf("limited vehicles = %d, want 3", len(vehicles))
-	}
-	r, err := http.Get(ts.URL + "/api/vehicles?limit=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative limit status %d", r.StatusCode)
 	}
 }
 
@@ -43,11 +30,9 @@ func TestRequestWithConstraintOverrides(t *testing.T) {
 	ts, eng := newTestServer(t)
 	// σ = 0: no detour allowed for this rider.
 	zero := 0.0
-	_, out := postJSON(t, ts.URL+"/api/request", map[string]any{
+	_, out, id := submitV1(t, ts, map[string]any{
 		"s": 3, "d": 40, "riders": 1, "wait_seconds": 60, "sigma": zero,
 	})
-	var id int64
-	json.Unmarshal(out["id"], &id)
 	if id == 0 {
 		t.Fatalf("no id in %v", out)
 	}
@@ -60,10 +45,7 @@ func TestRequestWithConstraintOverrides(t *testing.T) {
 	}
 
 	// Omitted sigma keeps the global.
-	_, out = postJSON(t, ts.URL+"/api/request", map[string]any{
-		"s": 5, "d": 44, "riders": 1,
-	})
-	json.Unmarshal(out["id"], &id)
+	submitV1(t, ts, map[string]any{"s": 5, "d": 44, "riders": 1})
 	rec, err = eng.Request(2)
 	if err != nil {
 		t.Fatalf("engine record 2: %v", err)

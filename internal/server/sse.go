@@ -1,7 +1,7 @@
 // sse.go implements GET /v1/events: a Server-Sent Events stream of the
 // movement events (pickups and dropoffs) produced by simulated time
-// advancing — POST /v1/ticks, the legacy /api/tick alias, and realtime
-// drivers calling Server.Tick all feed it.
+// advancing — POST /v1/ticks and realtime drivers calling Server.Tick
+// both feed it.
 //
 // Each movement event is one SSE message whose event name is the kind:
 //

@@ -190,7 +190,7 @@ func TestV1SurgeEndpoint(t *testing.T) {
 // backend, commits a ride in one city, and checks the event reaches
 // only that city's stream.
 func TestV1EventsCityFilter(t *testing.T) {
-	b := multiBackend(t)
+	b := multiBackend(t, true)
 	id := submitQuoted(t, b) // quoted in b.city ("east")
 	if resp, out := do(t, http.MethodPost, fmt.Sprintf("%s/v1/requests/%d/choice", b.ts.URL, id),
 		map[string]any{"option": 0}); resp.StatusCode != http.StatusOK {

@@ -163,16 +163,18 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	ts := httptest.NewServer(sys.HTTPHandler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/api/stats")
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatalf("GET stats: %v", err)
 	}
 	defer resp.Body.Close()
-	var st map[string]any
+	var st struct {
+		Total map[string]any `json:"total"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if _, ok := st["ActiveVehicles"]; !ok {
+	if _, ok := st.Total["ActiveVehicles"]; !ok {
 		t.Fatalf("stats = %v", st)
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"ptrider/internal/sim"
 )
 
-// buildBatchWorld builds one loaded dual-side city for the coalescing
-// efficiency test. Both engines are built identically so option sets
-// are comparable item by item.
-func buildBatchWorld(t *testing.T) *core.Engine {
+// buildBatchWorld builds one loaded dual-side city for the batch
+// efficiency test; maxPickupSeconds 0 keeps the engine default (a
+// pick-up radius wider than the city). Engines built with the same
+// argument are identical, so option sets are comparable item by item.
+func buildBatchWorld(t *testing.T, maxPickupSeconds float64) *core.Engine {
 	t.Helper()
 	g, err := gen.GenerateNetwork(gen.CityConfig{Width: 24, Height: 24, RemoveFrac: 0.15, Seed: 31})
 	if err != nil {
@@ -23,7 +24,8 @@ func buildBatchWorld(t *testing.T) *core.Engine {
 	eng, err := core.NewEngine(g, core.Config{
 		GridCols: 12, GridRows: 12, Capacity: 4,
 		MaxWaitSeconds: 300, Sigma: 0.4, Seed: 31,
-		Algorithm: core.AlgoDualSide,
+		MaxPickupSeconds: maxPickupSeconds,
+		Algorithm:        core.AlgoDualSide,
 		// Serial probes keep the exact-search counts deterministic:
 		// concurrent probes racing on a cold memo pair may both compute
 		// it, which DistCalls counts twice (documented), so a
@@ -48,18 +50,30 @@ func buildBatchWorld(t *testing.T) *core.Engine {
 	return eng
 }
 
-// TestBatchCoalescingDistCalls pins ISSUE 2's acceptance criterion in
-// CI: a hot-cell batch (many simultaneous requests sharing an origin
-// grid cell) answered by the coalesced SubmitBatch pipeline must
-// perform at least 2x fewer exact shortest-path searches than issuing
-// the same requests through per-request Submit, while returning the
-// same option sets. The coalesced path's searches are the two
-// whole-graph fills per request plus the shared residue; the
-// per-request path pays one pass per empty-scan cell and two per probe
-// flush.
+// TestBatchCoalescingDistCalls is the guard any batch-side distance
+// coalescing has to pass: a hot-cell batch (16 simultaneous requests
+// sharing an origin grid cell) answered by SubmitBatch performs no more
+// than 1.02x the exact shortest-path searches of the same riders
+// submitted one by one, with the same option sets — at the default
+// whole-city pick-up radius and at a bounded one, where the grouped
+// matcher this test used to defend lost (see ARCHITECTURE.md,
+// "Simultaneous requests"). The slack covers memo-order effects only:
+// a batch resolves every dist(s, d) before its first match.
 func TestBatchCoalescingDistCalls(t *testing.T) {
-	engA := buildBatchWorld(t) // answers the batch
-	engB := buildBatchWorld(t) // answers per-request
+	for _, tc := range []struct {
+		name      string
+		maxPickup float64
+	}{
+		{"whole-city radius", 0},
+		{"300s radius", 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testBatchDistCalls(t, tc.maxPickup) })
+	}
+}
+
+func testBatchDistCalls(t *testing.T, maxPickupSeconds float64) {
+	engA := buildBatchWorld(t, maxPickupSeconds) // answers the batch
+	engB := buildBatchWorld(t, maxPickupSeconds) // answers per-request
 
 	grid := engA.Grid()
 	best := gridindex.CellID(0)
@@ -104,18 +118,18 @@ func TestBatchCoalescingDistCalls(t *testing.T) {
 	}
 	perReqCalls := engB.DistCalls() - beforeB
 
-	t.Logf("dist calls: coalesced %d, per-request %d (%.2fx)",
-		batchCalls, perReqCalls, float64(perReqCalls)/float64(batchCalls))
-	if perReqCalls < 2*batchCalls {
-		t.Fatalf("coalescing saved too little: batch %d vs per-request %d exact searches (need ≥2x)",
+	t.Logf("dist calls: batch %d, per-request %d (%.3fx)",
+		batchCalls, perReqCalls, float64(batchCalls)/float64(perReqCalls))
+	if float64(batchCalls) > 1.02*float64(perReqCalls) {
+		t.Fatalf("batch costs more than its riders one by one: %d vs %d exact searches (limit 1.02x)",
 			batchCalls, perReqCalls)
 	}
 
-	// The savings must not change what riders are offered.
+	// The batch must not change what riders are offered.
 	for i := range items {
 		a, b := recs[i].Options, perReq[i]
 		if len(a) != len(b) {
-			t.Fatalf("item %d: %d options coalesced vs %d per-request", i, len(a), len(b))
+			t.Fatalf("item %d: %d options batched vs %d per-request", i, len(a), len(b))
 		}
 		for j := range a {
 			if a[j].Vehicle != b[j].Vehicle || len(a[j].Candidate.Seq) != len(b[j].Candidate.Seq) {

@@ -174,7 +174,7 @@ func BenchmarkSubmitParallel(b *testing.B) {
 	}
 }
 
-// batchBenchWorld is the coalesced-batch benchmark world: the loaded
+// batchBenchWorld is the batch benchmark world: the loaded
 // city re-used from loadedWorld plus a precomputed hot cell (the most
 // populated grid cell) and item sets for the batch workloads.
 type batchBenchWorld struct {
@@ -226,16 +226,16 @@ func batchWorld(b *testing.B) *batchBenchWorld {
 	return batchState
 }
 
-// BenchmarkSubmitBatch measures the coalesced batch pipeline on the
-// loaded city (dual-side is the engine default here via SetAlgorithm).
-// Each op processes one 16-item quote-only batch against a cold
-// distance memo, so the exact-search counts are comparable across
-// sub-benchmarks; dist_calls/op reports them. "hotcell" shares one
-// origin cell across all items (one ring frontier, multi-target
-// passes); "cold" scatters the origins (several groups per wave);
-// "hotcell-perrequest" issues the same items through per-request Submit
-// — the baseline the coalescing win is measured against (ISSUE 2
-// acceptance: ≥2x fewer DistCalls, ≥50% fewer allocs/op).
+// BenchmarkSubmitBatch measures SubmitBatch on the loaded city
+// (dual-side is the engine default here via SetAlgorithm). Each op
+// processes one 16-item quote-only batch against a cold distance memo,
+// so the exact-search counts are comparable across sub-benchmarks;
+// dist_calls/op reports them. "hotcell" puts every origin in one grid
+// cell; "cold" scatters the origins over the city;
+// "hotcell-perrequest" issues the hot-cell items through per-request
+// Submit — a batch quotes its waves in parallel through the same
+// matcher, so "hotcell" must cost no more than this, in time and in
+// dist_calls/op.
 func BenchmarkSubmitBatch(b *testing.B) {
 	w := batchWorld(b)
 	if err := w.eng.SetAlgorithm(core.AlgoDualSide); err != nil {

@@ -6,15 +6,12 @@
 // vehicles, prices and pick-up distances), every tick event and the
 // totals of the statistics panel.
 //
-// The script is vertex-addressed. Coordinate snapping stays a backend
-// method — the grid cell's nearest vertex on the engine, a scan of the
-// cached graph on the client — and the two may pick different vertices
-// for a point between roads. The one relay step has to be
-// coordinate-addressed (a vertex-addressed spec names a single city),
-// so it submits the exact coordinates of two vertices, which both
-// snappers map back to those vertices. The relay scheduler runs with
-// one hand-off gateway so each city quotes a single leg per trip and
-// leg ids do not depend on goroutine scheduling.
+// The script mixes vertex-addressed and coordinate-addressed submits.
+// The coordinates are random points between roads: the engine snaps
+// them through its grid index, the client by a scan of the cached
+// graph, and both must pick the same vertex. The relay scheduler runs
+// with one hand-off gateway so each city quotes a single leg per trip
+// and leg ids do not depend on goroutine scheduling.
 package cluster
 
 import (
@@ -25,6 +22,7 @@ import (
 
 	"ptrider/internal/core"
 	"ptrider/internal/gen"
+	"ptrider/internal/geo"
 	"ptrider/internal/multicity"
 	"ptrider/internal/relay"
 	"ptrider/internal/roadnet"
@@ -133,6 +131,16 @@ func runDiffScript(t *testing.T, svc core.Service) []string {
 			Constraints: core.DefaultConstraints(), Choose: choose,
 		}
 	}
+	point := func(ci int) geo.Point {
+		b := graphs[ci].Bounds()
+		return geo.Point{X: b.Min.X + rng.Float64()*b.Width(), Y: b.Min.Y + rng.Float64()*b.Height()}
+	}
+	coordSpec := func(oc, dc int, choose func([]core.Option) int) core.SubmitSpec {
+		return core.SubmitSpec{
+			ByCoords: true, Origin: point(oc), Dest: point(dc), Riders: 1 + rng.Intn(2),
+			Constraints: core.DefaultConstraints(), Choose: choose,
+		}
+	}
 	last := func(opts []core.Option) int { return len(opts) - 1 } // -1 declines an empty skyline
 	settle := func(rec *core.ServiceRecord, commit bool) {
 		var err error
@@ -153,26 +161,25 @@ func runDiffScript(t *testing.T, svc core.Service) []string {
 	}
 
 	for step := 0; step < 24; step++ {
-		rec, err := svc.SubmitRequest(vertexSpec(step%2, nil))
+		spec := vertexSpec(step%2, nil)
+		if step%4 == 1 {
+			spec = coordSpec(step%2, step%2, nil)
+		}
+		rec, err := svc.SubmitRequest(spec)
 		say("submit err=%v %s", err != nil, recordLine(rec))
 		if err == nil && step%3 != 2 { // every third quote stays open
 			settle(rec, step%3 == 0)
 		}
 		switch step {
 		case 9:
-			so, _ := pair(0)
-			_, sd := pair(1)
-			rec, err := svc.SubmitRequest(core.SubmitSpec{
-				ByCoords: true, Origin: graphs[0].Point(so), Dest: graphs[1].Point(sd),
-				Riders: 1, Constraints: core.DefaultConstraints(),
-			})
+			rec, err := svc.SubmitRequest(coordSpec(0, 1, nil))
 			say("relay submit err=%v %s", err != nil, recordLine(rec))
 			if err == nil {
 				settle(rec, true)
 			}
 		case 15:
 			recs, err := svc.SubmitRequestBatch([]core.SubmitSpec{
-				vertexSpec(0, last), vertexSpec(0, nil), vertexSpec(1, last), vertexSpec(0, last),
+				vertexSpec(0, last), coordSpec(0, 0, nil), vertexSpec(1, last), coordSpec(1, 1, last),
 			})
 			say("batch err=%v", err != nil)
 			for _, rec := range recs {

@@ -199,10 +199,10 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestBatchHotcellRaceStress hammers the coalesced batch pipeline
-// specifically: several goroutines issue hot-cell batches (many items
-// sharing one origin cell, so the shared ring frontier, the probe-state
-// snapshots and the multi-target memo fills are all exercised) while
+// TestBatchHotcellRaceStress hammers the batch path specifically:
+// several goroutines issue hot-cell batches (many items sharing one
+// origin cell, so a wave's parallel quotes walk the same cells, probe
+// the same vehicles and fill the same memo stripes at once) while
 // tickers move the fleet and a saboteur removes and replaces vehicles
 // mid-batch. Under -race this pins the batch path's locking; the
 // invariant checks pin that stale probe snapshots can never commit an

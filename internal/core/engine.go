@@ -457,8 +457,8 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 	e.mctx = newMatchContext(sub, fl, lists, metric, cfg.MatchWorkers, cfg.DisableEmptyLemma)
 	e.matchers = map[Algorithm]Matcher{
 		AlgoNaive:      newNaiveMatcher(e.mctx),
-		AlgoSingleSide: newSingleSideMatcher(e.mctx),
-		AlgoDualSide:   newDualSideMatcher(e.mctx),
+		AlgoSingleSide: newRingMatcher(e.mctx, false),
+		AlgoDualSide:   newRingMatcher(e.mctx, true),
 	}
 	if cfg.Telemetry != nil {
 		e.initTelemetry(cfg.Telemetry)
@@ -1087,15 +1087,11 @@ type batchPrep struct {
 // SubmitBatch processes simultaneously issued requests with the paper's
 // greedy strategy (§2.5): commitments are applied one at a time in
 // batch order, each subsequent quote seeing the fleet state left by the
-// previous commitments. Between commitments, quoting is coalesced:
-// maximal runs of consecutive items ("waves") are matched together, and
-// items sharing an origin grid cell share one ring frontier, one
-// vehicle-list fetch and probe-state read per ring cell, and
-// multi-target distance passes (see matchGroup) — the hot-cell path
-// that makes N co-located simultaneous requests cost far less than N
-// independent submits. A successful commitment ends the wave; the
-// remaining items are re-quoted in a fresh wave so greedy semantics are
-// preserved exactly.
+// previous commitments. Between commitments, maximal runs of
+// consecutive items ("waves") are quoted in parallel through the
+// configured matcher — quoting never mutates fleet state. A successful
+// commitment ends the wave; the remaining items are re-quoted in a
+// fresh wave so greedy semantics are preserved exactly.
 //
 // It returns one record snapshot per item, in order; individual
 // failures are recorded as nil entries with the first error returned.
@@ -1125,12 +1121,12 @@ func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
 
 	for start := 0; start < len(preps); {
 		// A wave is a maximal run of items that cannot commit (nil
-		// Choose) — their coalesced quotes are never discarded — plus a
-		// bounded tail once choosers appear. The tail bounds the
-		// speculation: a commit discards at most batchWaveTail quotes
-		// (so commit-heavy batches cost O(k·tail), not O(k²)), while
-		// decline-heavy chooser batches still coalesce about
-		// batchWaveTail+1 items per wave.
+		// Choose) — their quotes are never discarded — plus a bounded
+		// tail once choosers appear. The tail bounds the speculation: a
+		// commit discards at most batchWaveTail quotes (so commit-heavy
+		// batches cost O(k·tail), not O(k²)), while decline-heavy
+		// chooser batches still quote about batchWaveTail+1 items per
+		// wave in parallel.
 		end := start
 		for end < len(preps) && items[preps[end].idx].Choose == nil {
 			end++
@@ -1143,23 +1139,22 @@ func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
 	return out, firstErr
 }
 
-// runWave quotes a maximal commit-free run of batch items in one
-// coalesced pass, then walks the wave in batch order applying choices.
+// runWave quotes a maximal commit-free run of batch items (see
+// matchWave), then walks the wave in batch order applying choices.
 // The first successful commitment truncates the wave — its tail is
 // discarded and re-quoted by the caller against the post-commit fleet,
 // which is exactly the paper's greedy order. It returns the number of
 // items consumed.
 func (e *Engine) runWave(wave []batchPrep, items []BatchItem, out []*RequestRecord, fail func(int, error)) int {
-	start := time.Now()
-	optsList, statsList := e.matchWave(wave)
-	perNs := float64(time.Since(start).Nanoseconds()) / float64(len(wave))
+	quotes := e.matchWave(wave)
 
 	consumed := 0
 	for wi := range wave {
 		p := &wave[wi]
 		id := p.spec.Kin.ID
-		e.observeMatch(&statsList[wi], len(optsList[wi]), perNs)
-		snap, err := e.registerRecord(&p.spec, p.wait, p.sigma, optsList[wi], "", nil)
+		q := &quotes[wi]
+		e.observeMatch(&q.stats, len(q.options), q.elapsedNs)
+		snap, err := e.registerRecord(&p.spec, p.wait, p.sigma, q.options, "", nil)
 		if err != nil {
 			fail(p.idx, err)
 			consumed = wi + 1
@@ -1198,98 +1193,34 @@ func (e *Engine) runWave(wave []batchPrep, items []BatchItem, out []*RequestReco
 	return consumed
 }
 
-// matchWave quotes one wave: items are grouped by origin grid cell and
-// each group of two or more rides one shared ring frontier
-// (matchGroup); singleton groups — and the naive algorithm, which scans
-// no rings — run the ordinary per-request matcher. Groups are mutually
-// independent (each owns its requests' skylines and counters, and
-// quoting never mutates fleet state), so they fan out over the engine's
-// worker budget like candidate probes do; the per-group results are
-// deterministic, so the wave's option sets match a serial pass exactly.
-// Per-request DistCalls deltas are read from the shared counter, so
-// concurrently-running groups bleed into each other's counts — the same
-// documented imprecision concurrent Submits always had (see
-// MatchStats); the engine-level DistCalls() total stays exact.
-func (e *Engine) matchWave(wave []batchPrep) ([][]Option, []MatchStats) {
-	k := len(wave)
-	optsList := make([][]Option, k)
-	statsList := make([]MatchStats, k)
-	algo := e.Algorithm()
-	m := e.matchers[algo]
-	dual := algo == AlgoDualSide
-	coalesce := (algo == AlgoSingleSide || dual) && !e.sub.cfg.DisableEmptyLemma
-	if !coalesce || k == 1 {
-		// No grouping: every item is its own independent match.
-		width := e.mctx.workers
-		if width > k {
-			width = k
-		}
-		parallelFor(width, k, func(i int) {
-			optsList[i] = m.Match(&wave[i].spec, &statsList[i])
-		})
-		return optsList, statsList
-	}
+// waveQuote is one wave item's answer: its options, counters and its
+// own Match wall time (not the wave's mean — response-time quantiles
+// are taken over these).
+type waveQuote struct {
+	options   []Option
+	stats     MatchStats
+	elapsedNs float64
+}
 
-	// Group the wave's items by origin cell. idxs holds the members of
-	// every group back to back; groups[g] is the offset of group g+1,
-	// so group g spans idxs[groups[g-1]:groups[g]].
-	grouped := make([]bool, k)
-	idxs := make([]int, 0, k)
-	groups := make([]int, 0, 4)
-	for i := 0; i < k; i++ {
-		if grouped[i] {
-			continue
-		}
-		cell := e.sub.grid.CellOf(wave[i].spec.Kin.S)
-		for j := i; j < k; j++ {
-			if !grouped[j] && e.sub.grid.CellOf(wave[j].spec.Kin.S) == cell {
-				grouped[j] = true
-				idxs = append(idxs, j)
-			}
-		}
-		groups = append(groups, len(idxs))
-	}
-
-	specs := make([]*ReqSpec, k)
-	stats := make([]*MatchStats, k)
-	for pos, j := range idxs {
-		specs[pos] = &wave[j].spec
-		stats[pos] = &statsList[j]
-	}
-
-	// Split the worker budget between the two axes: up to `width`
-	// groups run concurrently, and each grouped match caps its probe
-	// fan-out at workers/width, so the wave's total concurrency stays
-	// within MatchWorkers instead of multiplying. (Singleton groups run
-	// the plain per-request matcher, whose fan-out is not cappable from
-	// here — exactly like independent concurrent Submits.)
-	width := e.mctx.workers
-	if width > len(groups) {
-		width = len(groups)
-	}
-	innerCap := 0
-	if width > 1 {
-		innerCap = e.mctx.workers / width
-		if innerCap < 1 {
-			innerCap = 1
-		}
-	}
-	parallelFor(width, len(groups), func(g int) {
-		lo := 0
-		if g > 0 {
-			lo = groups[g-1]
-		}
-		hi := groups[g]
-		if hi-lo == 1 {
-			optsList[idxs[lo]] = m.Match(specs[lo], stats[lo])
-			return
-		}
-		groupOuts := e.mctx.matchGroup(specs[lo:hi], dual, stats[lo:hi], innerCap)
-		for gi, j := range idxs[lo:hi] {
-			optsList[j] = groupOuts[gi]
-		}
+// matchWave quotes one wave: every item runs the configured matcher,
+// fanned out over the engine's worker budget like candidate probes are.
+// Items are mutually independent (each owns its skyline and counters,
+// and quoting never mutates fleet state), so the wave's option sets
+// match a serial pass exactly. Per-request DistCalls deltas are read
+// from the shared counter, so concurrently-running items bleed into
+// each other's counts — the same documented imprecision concurrent
+// Submits always had (see MatchStats); the engine-level DistCalls()
+// total stays exact.
+func (e *Engine) matchWave(wave []batchPrep) []waveQuote {
+	quotes := make([]waveQuote, len(wave))
+	m := e.matchers[e.Algorithm()]
+	parallelFor(e.mctx.workers, len(wave), func(i int) {
+		q := &quotes[i]
+		start := time.Now()
+		q.options = m.Match(&wave[i].spec, &q.stats)
+		q.elapsedNs = float64(time.Since(start).Nanoseconds())
 	})
-	return optsList, statsList
+	return quotes
 }
 
 // Decline records that the rider took none of the options.

@@ -1,9 +1,13 @@
 package core_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"ptrider/internal/core"
+	"ptrider/internal/geo"
+	"ptrider/internal/gridindex"
+	"ptrider/internal/roadnet"
 )
 
 // TestPerRequestConstraints verifies the extension the demo paper notes
@@ -193,5 +197,48 @@ func TestSubmitBatchQuoteOnly(t *testing.T) {
 	}
 	if recs[0] != nil || recs[1] == nil {
 		t.Fatalf("records = %+v", recs)
+	}
+}
+
+// TestNearestVertexMatchesLinearScan pins the engine's coordinate snap
+// to the whole-graph linear scan — what a remote ShardClient runs — so
+// the same coordinates resolve to the same vertex on every backend:
+// random points inside and outside the bounding box, points exactly on
+// cell borders, vertices themselves and midpoints between vertices
+// (distance ties), over a coarse grid and one fine enough that most
+// cells hold no vertex.
+func TestNearestVertexMatchesLinearScan(t *testing.T) {
+	for _, dims := range [][2]int{{7, 5}, {40, 40}} {
+		e := latticeEngine(t, 41, 14, 11, core.Config{GridCols: dims[0], GridRows: dims[1], Capacity: 4})
+		g, grid := e.Graph(), e.Grid()
+		b := g.Bounds()
+		rng := rand.New(rand.NewSource(42))
+		randIn := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
+		check := func(kind string, p geo.Point) {
+			t.Helper()
+			if got, want := e.NearestVertex(p), g.NearestVertex(p); got != want {
+				t.Fatalf("grid %dx%d, %s point %v: engine snaps to %d (%.3f m), linear scan to %d (%.3f m)",
+					dims[0], dims[1], kind, p, got, g.Point(got).Dist(p), want, g.Point(want).Dist(p))
+			}
+		}
+		for i := 0; i < 3000; i++ {
+			// A third of these land outside the bounding box.
+			check("random", geo.Point{
+				X: randIn(b.Min.X-0.25*b.Width(), b.Max.X+0.25*b.Width()),
+				Y: randIn(b.Min.Y-0.25*b.Height(), b.Max.Y+0.25*b.Height()),
+			})
+		}
+		for i := 0; i < 1000; i++ {
+			r := grid.Cell(gridindex.CellID(rng.Intn(grid.NumCells()))).Rect
+			check("border", geo.Point{X: r.Min.X, Y: randIn(r.Min.Y, r.Max.Y)})
+			check("border", geo.Point{X: randIn(r.Min.X, r.Max.X), Y: r.Max.Y})
+			check("corner", r.Min)
+		}
+		n := g.NumVertices()
+		for v := 0; v < n; v++ {
+			p := g.Point(roadnet.VertexID(v))
+			check("vertex", p)
+			check("midpoint", p.Lerp(g.Point(roadnet.VertexID(rng.Intn(n))), 0.5))
+		}
 	}
 }

@@ -196,7 +196,7 @@ func batchPair(t *testing.T, algo core.Algorithm, workers int) (a, b *core.Engin
 }
 
 // hotcellItems builds k quote-only batch items whose origins all fall
-// in one (well-populated) grid cell — the coalesced path's target
+// in one (well-populated) grid cell — the §2.5 simultaneous-request
 // workload.
 func hotcellItems(e *core.Engine, seed int64, k int) []core.BatchItem {
 	grid := e.Grid()
@@ -224,10 +224,10 @@ func hotcellItems(e *core.Engine, seed int64, k int) []core.BatchItem {
 	return items
 }
 
-// TestGoldenBatchVsPerRequest pins the coalesced pipeline's
+// TestGoldenBatchVsPerRequest pins the batch path's
 // no-behavioural-drift guarantee: a quote-only SubmitBatch whose items
-// share an origin cell (one shared ring frontier, multi-target distance
-// passes) returns, per item, the option set per-request Submit computes
+// share an origin cell (one wave, quoted in parallel) returns, per
+// item, the option set per-request Submit computes
 // over the same world — same vehicles, same planned schedules, same
 // option count and order, coordinates equal up to the ulp-level
 // tolerance coordEq documents. Covered for every algorithm and for
@@ -256,8 +256,7 @@ func TestGoldenBatchVsPerRequest(t *testing.T) {
 					}
 				}
 
-				// Scattered origins exercise the per-wave grouping (several
-				// groups, some singleton).
+				// Scattered origins: the wave's items walk different rings.
 				rng := rand.New(rand.NewSource(43))
 				n := a.Graph().NumVertices()
 				var mixed []core.BatchItem

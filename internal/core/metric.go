@@ -1,9 +1,12 @@
 // Package core implements PTRider's matching engine (paper §3):
 // answering each ridesharing request with all qualified, non-dominated
 // ⟨vehicle, pick-up time, price⟩ options, via three interchangeable
-// matching algorithms — the naive kinetic-tree scan, the single-side
-// search, and the dual-side search — on top of the grid index, the
-// vehicle lists and the kinetic trees.
+// matching algorithms on top of the grid index, the vehicle lists and
+// the kinetic trees: the naive kinetic-tree scan (NaiveMatcher) and
+// the single-side and dual-side searches, which are one ring walk
+// (RingMatcher) — dual-side is single-side plus a destination ring
+// advanced in lockstep, a detour lower bound for vehicles that ring
+// has not reached, and a final flush of the vehicles it deferred.
 package core
 
 import (
@@ -49,9 +52,6 @@ type memoMetric struct {
 	// distCalls counts cache-missing exact computations, the "number of
 	// shortest path distance computations" metric of paper §3.3.
 	distCalls atomic.Int64
-	// fillFallbacks counts beyond-bound targets of radius-bounded fills
-	// resolved by per-pair fallback searches (see DistBatchPrefilled).
-	fillFallbacks atomic.Int64
 	// noLB disables lower bounds (ablation E8): LB returns 0, which is
 	// always sound but prunes nothing.
 	noLB bool
@@ -141,9 +141,8 @@ func (m *memoMetric) LB(u, v roadnet.VertexID) float64 {
 	return lb
 }
 
-// memoBatchScratch is the caller-owned workspace of the batch-fill
-// APIs, reused across calls so batch fills allocate nothing in steady
-// state.
+// memoBatchScratch is the caller-owned workspace of DistBatch, reused
+// across calls so batch fills allocate nothing in steady state.
 type memoBatchScratch struct {
 	keys    []memoKey
 	shardOf []uint8
@@ -169,10 +168,10 @@ func (sc *memoBatchScratch) reset(k int) {
 	sc.counts = [memoShards]int32{}
 }
 
-// batchLookup is the shared read phase of the batch-fill APIs: it
-// resolves every cached (from, target) pair with one read lock per
-// touched stripe — not one lock round-trip per pair — and collects the
-// misses in sc. It reports whether any miss remains.
+// batchLookup is DistBatch's read phase: it resolves every cached
+// (from, target) pair with one read lock per touched stripe — not one
+// lock round-trip per pair — and collects the misses in sc. It reports
+// whether any miss remains.
 func (m *memoMetric) batchLookup(from roadnet.VertexID, targets []roadnet.VertexID, out []float64, sc *memoBatchScratch) bool {
 	k := len(targets)
 	if len(out) != k {
@@ -219,11 +218,11 @@ func (m *memoMetric) batchLookup(from roadnet.VertexID, targets []roadnet.Vertex
 	return len(sc.missLoc) > 0
 }
 
-// batchStore is the shared write phase: the resolved misses (sc.missOut)
-// are scattered into out and stored with one write lock per touched
-// stripe. Values beyond maxDist are truncation artefacts, not proven
-// distances, and are not cached; with maxDist = +Inf a +Inf value is a
-// proven disconnection and is cached like any other.
+// batchStore is DistBatch's write phase: the resolved misses
+// (sc.missOut) are scattered into out and stored with one write lock
+// per touched stripe. Values beyond maxDist are truncation artefacts,
+// not proven distances, and are not cached; with maxDist = +Inf a +Inf
+// value is a proven disconnection and is cached like any other.
 func (m *memoMetric) batchStore(maxDist float64, out []float64, sc *memoBatchScratch) {
 	storeInf := math.IsInf(maxDist, 1)
 	for j, i := range sc.missIdx {
@@ -284,63 +283,6 @@ func (m *memoMetric) DistBatch(from roadnet.VertexID, targets []roadnet.VertexID
 	m.searchers.Put(s)
 	m.batchStore(maxDist, out, sc)
 }
-
-// DistBatchPrefilled is DistBatch with the misses answered from a
-// radius-bounded fill (see FillDistsUncached) instead of a fresh pass:
-// the memo read, the truncation semantics and the grouped store are
-// identical — so the memo evolves exactly as if DistBatch had run —
-// and no additional search runs for targets the fill settled.
-// fillBound is the radius the fill was truncated at: a +Inf fill entry
-// within it is a proven disconnection, while one beyond it only means
-// "farther than the bound", so when the query's maxDist reaches past
-// the bound the pair falls back to one exact point search (counted in
-// DistCalls like any other). The bound is sized so that fallbacks are
-// rare — see fillRadius.
-func (m *memoMetric) DistBatchPrefilled(from roadnet.VertexID, targets []roadnet.VertexID, maxDist float64, out []float64, fill []float64, fillBound float64, sc *memoBatchScratch) {
-	if len(targets) == 0 {
-		return
-	}
-	if !m.batchLookup(from, targets, out, sc) {
-		return
-	}
-	if cap(sc.missOut) < len(sc.missLoc) {
-		sc.missOut = make([]float64, len(sc.missLoc))
-	}
-	sc.missOut = sc.missOut[:len(sc.missLoc)]
-	for j, t := range sc.missLoc {
-		d := fill[t]
-		if math.IsInf(d, 1) && maxDist > fillBound {
-			// Beyond-bound target: the truncated fill cannot tell "far"
-			// from "unreachable" and the query needs the real value.
-			m.fillFallbacks.Add(1)
-			d = m.Dist(from, t)
-		}
-		if d > maxDist {
-			d = math.Inf(1) // mirror the bounded pass's truncation
-		}
-		sc.missOut[j] = d
-	}
-	m.batchStore(maxDist, out, sc)
-}
-
-// FillDistsUncached runs one radius-bounded pass from one origin,
-// filling out[v] for every vertex within maxDist and +Inf beyond it,
-// without touching the memo. One fill per request side is what the
-// coalesced batch pipeline amortises all of its distance queries
-// against; the bound keeps a continent-scale graph from paying a
-// whole-graph settle for a city-scale frontier. Counts one DistCall:
-// one search.
-func (m *memoMetric) FillDistsUncached(from roadnet.VertexID, maxDist float64, out []float64) {
-	m.distCalls.Add(1)
-	s := m.searchers.Get().(*roadnet.Searcher)
-	s.FillDists(from, maxDist, out)
-	m.searchers.Put(s)
-}
-
-// FillFallbacks returns the cumulative number of beyond-bound targets
-// DistBatchPrefilled resolved by per-pair fallback searches — the
-// "rare" in the radius-bound design, pinned by regression tests.
-func (m *memoMetric) FillFallbacks() int64 { return m.fillFallbacks.Load() }
 
 // DistCalls returns the cumulative number of exact shortest-path
 // computations (cache misses) since construction.

@@ -61,8 +61,8 @@ type MatchStats struct {
 	// CellsScanned counts ring cells visited across both sides.
 	CellsScanned int
 	// DistCalls counts exact shortest-path computations attributable to
-	// this match. A multi-target batch pass counts once: it is one
-	// search, however many targets it settles.
+	// this match. A multi-target pass (memoMetric.DistBatch) counts
+	// once: it is one search, however many targets it settles.
 	DistCalls int64
 	// Options is the size of the returned skyline.
 	Options int
@@ -100,7 +100,6 @@ type matchContext struct {
 	disableEmptyLemma bool
 
 	scratch sync.Pool // *matchScratch
-	groups  sync.Pool // *groupScratch
 }
 
 func newMatchContext(sub *Substrate, fl *fleet.Fleet, lists *gridindex.VehicleLists, metric *memoMetric, workers int, disableEmptyLemma bool) *matchContext {
@@ -113,7 +112,6 @@ func newMatchContext(sub *Substrate, fl *fleet.Fleet, lists *gridindex.VehicleLi
 		disableEmptyLemma: disableEmptyLemma,
 	}
 	ctx.scratch.New = func() any { return &matchScratch{} }
-	ctx.groups.New = func() any { return &groupScratch{} }
 	return ctx
 }
 

@@ -110,12 +110,6 @@ type matchScratch struct {
 	pbufs   [][]kinetic.PackedCandidate // per-slot candidate storage
 	ptsBufs [][]kinetic.Point           // per-slot point-set storage
 
-	// widthCap, when non-zero, caps the probe fan-out below the
-	// configured worker budget. Group matches running inside a parallel
-	// wave set it so the wave's total concurrency (groups × probes per
-	// group) stays within MatchWorkers instead of multiplying.
-	widthCap int
-
 	sky skyline.Skyline[Option] // per-match result skyline
 
 	// Empty-scan staging: the lower-bound survivors of one cell,
@@ -133,17 +127,6 @@ type matchScratch struct {
 	probeS      []float64
 	probeD      []float64
 	seeds       []kinetic.QuoteSeed
-
-	// Radius-bounded fills, valid only during a coalesced group match:
-	// when set, the seeded flush and the empty scan read these instead
-	// of issuing per-flush and per-cell passes — one s-side and one
-	// d-side search amortised across the request's whole frontier. The
-	// bounds record each fill's truncation radius; lookups past them
-	// fall back to per-pair searches (see DistBatchPrefilled).
-	groupFills             bool
-	sFill, dFill           []float64
-	sFillOK, dFillOK       bool
-	sFillBound, dFillBound float64
 }
 
 func (ctx *matchContext) getScratch() *matchScratch {
@@ -153,10 +136,6 @@ func (ctx *matchContext) getScratch() *matchScratch {
 func (ctx *matchContext) putScratch(sc *matchScratch) {
 	sc.batch = sc.batch[:0]
 	sc.pending = sc.pending[:0]
-	sc.groupFills = false
-	sc.sFillOK = false
-	sc.dFillOK = false
-	sc.widthCap = 0
 	ctx.scratch.Put(sc)
 }
 
@@ -184,9 +163,8 @@ func adaptiveWidth(workers, n int) int {
 // locations are snapshotted, every request-specific distance the
 // probes will read — dist(x, s) and dist(x, d) for every schedule
 // point x — is answered through the memo's batch-fill API (one shared
-// multi-target pass per side for the misses; the request's whole-graph
-// fills answer them during a coalesced group match), and the probes
-// consume the results straight from their enumeration matrices instead
+// multi-target pass per side for the misses), and the probes consume
+// the results straight from their enumeration matrices instead
 // of issuing per-pair point searches. The fan-out width adapts to the
 // batch size (see adaptiveWidth) and the widest fan-out used is
 // recorded in stats.ParallelWidth. The batch is reset.
@@ -208,22 +186,8 @@ func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skylin
 		sc.probeD = make([]float64, total)
 	}
 	probeS, probeD := sc.probeS[:total], sc.probeD[:total]
-	if sc.groupFills && n >= 2 {
-		// A coalesced group match amortises its probe passes against the
-		// request's radius-bounded fills, created on the first flush
-		// worth one (a single-vehicle flush is cheaper as a plain batch
-		// pass). The radius derives from this flush's own probe
-		// locations — the wave's farthest schedule point so far.
-		sc.ensureSFill(ctx, spec, sc.probeLocs)
-		sc.ensureDFill(ctx, spec, sc.probeLocs)
-	}
-	if sc.sFillOK && sc.dFillOK {
-		ctx.metric.DistBatchPrefilled(spec.Kin.S, sc.probeLocs, math.Inf(1), probeS, sc.sFill, sc.sFillBound, &sc.memoSc)
-		ctx.metric.DistBatchPrefilled(spec.Kin.D, sc.probeLocs, math.Inf(1), probeD, sc.dFill, sc.dFillBound, &sc.memoSc)
-	} else {
-		ctx.metric.DistBatch(spec.Kin.S, sc.probeLocs, math.Inf(1), probeS, &sc.memoSc)
-		ctx.metric.DistBatch(spec.Kin.D, sc.probeLocs, math.Inf(1), probeD, &sc.memoSc)
-	}
+	ctx.metric.DistBatch(spec.Kin.S, sc.probeLocs, math.Inf(1), probeS, &sc.memoSc)
+	ctx.metric.DistBatch(spec.Kin.D, sc.probeLocs, math.Inf(1), probeD, &sc.memoSc)
 	for len(sc.seeds) < n {
 		sc.seeds = append(sc.seeds, kinetic.QuoteSeed{})
 	}
@@ -232,11 +196,7 @@ func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skylin
 		sc.seeds[i] = kinetic.QuoteSeed{Locs: sc.probeLocs[a:b], SDist: probeS[a:b], DDist: probeD[a:b]}
 	}
 
-	budget := ctx.workers
-	if sc.widthCap > 0 && sc.widthCap < budget {
-		budget = sc.widthCap
-	}
-	width := adaptiveWidth(budget, n)
+	width := adaptiveWidth(ctx.workers, n)
 	if width > stats.ParallelWidth {
 		stats.ParallelWidth = width
 	}

@@ -3,15 +3,18 @@ package core
 import (
 	"math"
 
+	"ptrider/internal/fleet"
 	"ptrider/internal/gridindex"
 	"ptrider/internal/skyline"
 )
 
-// SingleSideMatcher implements the single-side search algorithm (paper
-// §3.3): starting from the grid cell of the request's start location s,
-// cells are visited in ascending order of their lower-bound distance to
-// s (each cell's precomputed sorted cell list). Empty and non-empty
-// vehicles are processed separately:
+// RingMatcher implements the paper's two index-based search algorithms
+// (§3.3) as one ring walk; it is registered twice, once per Algorithm.
+//
+// Single-side search: starting from the grid cell of the request's
+// start location s, cells are visited in ascending order of their
+// lower-bound distance to s (each cell's precomputed sorted cell list).
+// Empty and non-empty vehicles are processed separately:
 //
 //   - Empty vehicles: both coordinates of an empty vehicle's option grow
 //     with dist(l, s), so only the nearest empty vehicle can contribute
@@ -27,25 +30,67 @@ import (
 // ring radius could no longer contribute a non-dominated option, or
 // when the radius exceeds the engine's pick-up cutoff.
 //
+// Dual-side search adds three things to that walk. A second ring
+// expands from the destination d in lockstep with the first. A
+// non-empty vehicle discovered near s whose schedule has not yet been
+// discovered from the d side at radius L_d is certifiably far from d:
+// every schedule location x has dist(x, d) ≥ L_d, so inserting d into
+// any gap (x, y) costs at least 2·L_d − dist(x, y) extra distance, and
+// appending it costs at least L_d. That detour lower bound
+//
+//	ΔLB = max(0, min(L_d, 2·L_d − maxLeg))
+//
+// often dominates such vehicles out of consideration without a
+// kinetic-tree insertion probe — exactly the paper's scenario of a
+// schedule "near the start location but far from the destination".
+// Vehicles that survive the bound are deferred; when the s-side
+// expansion finishes, survivors are re-tested against the final skyline
+// and verified only if still potentially non-dominated (concurrently,
+// with MatchWorkers > 1).
+//
 // The matcher is stateless; per-match workspace comes from the shared
 // scratch pool, so concurrent Match calls are safe.
-type SingleSideMatcher struct {
-	ctx *matchContext
+type RingMatcher struct {
+	ctx  *matchContext
+	dual bool
 }
 
-func newSingleSideMatcher(ctx *matchContext) *SingleSideMatcher {
-	return &SingleSideMatcher{ctx: ctx}
+func newRingMatcher(ctx *matchContext, dual bool) *RingMatcher {
+	return &RingMatcher{ctx: ctx, dual: dual}
 }
 
 // Name implements Matcher.
-func (m *SingleSideMatcher) Name() string { return "single-side" }
+func (m *RingMatcher) Name() string {
+	if m.dual {
+		return "dual-side"
+	}
+	return "single-side"
+}
 
-// emptyScan tracks the nearest-empty-vehicle search shared by the
-// single- and dual-side matchers. Every improvement is folded into the
-// skyline eagerly: the improving option is achievable, so inserting it
-// immediately is sound, and it is what arms the detour-based pruning of
-// non-empty vehicles with a baseline to dominate against. A closer
-// empty vehicle found later dominates (and evicts) the earlier entry.
+// pendingVehicle is a vehicle deferred by the d-side bound, with the
+// probe state captured at deferral time.
+type pendingVehicle struct {
+	v        *fleet.Vehicle
+	pickupLB float64
+	maxLeg   float64
+}
+
+// detourLB returns the d-side detour lower bound for a vehicle none of
+// whose registered cells has been reached by the d-ring at radius ld.
+func detourLB(ld, maxLeg float64) float64 {
+	lb := math.Min(ld, 2*ld-maxLeg)
+	if lb < 0 {
+		return 0
+	}
+	return lb
+}
+
+// emptyScan tracks the ring walk's nearest-empty-vehicle search. Every
+// improvement is folded into the skyline eagerly: the improving option
+// is achievable, so inserting it immediately is sound, and it is what
+// arms the detour-based pruning of non-empty vehicles with a baseline
+// to dominate against. A closer empty vehicle found later dominates
+// (and evicts) the earlier entry.
 type emptyScan struct {
 	bestDist float64
 	// bestOpt is the winning option, snapshotted at scan time so a
@@ -112,12 +157,10 @@ func (es *emptyScan) scanCell(ctx *matchContext, sc *matchScratch, cell gridinde
 
 // foldPass resolves the staged lower-bound survivors
 // (sc.emptyVehs/emptyLocs) with one batch fill and folds them in list
-// order — shared by the per-request scan and the coalesced group scan,
-// whose whole-graph fill answers the pass when present. The filter ran
-// against the cell-entry best, so the fill may cover vehicles an
-// eagerly-updating scan would have pruned; their distances are at or
-// beyond the running best by the bounds' soundness, so the fold
-// rejects them and the outcome is identical.
+// order. The filter ran against the cell-entry best, so the fill may
+// cover vehicles an eagerly-updating scan would have pruned; their
+// distances are at or beyond the running best by the bounds' soundness,
+// so the fold rejects them and the outcome is identical.
 func (es *emptyScan) foldPass(ctx *matchContext, sc *matchScratch, spec *ReqSpec, sky *skyline.Skyline[Option]) {
 	if len(sc.emptyLocs) == 0 {
 		return
@@ -126,11 +169,7 @@ func (es *emptyScan) foldPass(ctx *matchContext, sc *matchScratch, spec *ReqSpec
 		sc.emptyDists = make([]float64, len(sc.emptyLocs))
 	}
 	dists := sc.emptyDists[:len(sc.emptyLocs)]
-	if sc.sFillOK {
-		ctx.metric.DistBatchPrefilled(spec.Kin.S, sc.emptyLocs, es.bestDist, dists, sc.sFill, sc.sFillBound, &sc.memoSc)
-	} else {
-		ctx.metric.DistBatch(spec.Kin.S, sc.emptyLocs, es.bestDist, dists, &sc.memoSc)
-	}
+	ctx.metric.DistBatch(spec.Kin.S, sc.emptyLocs, es.bestDist, dists, &sc.memoSc)
 	for j, v := range sc.emptyVehs {
 		if d := dists[j]; d < es.bestDist {
 			es.bestDist = d
@@ -170,7 +209,7 @@ func (es *emptyScan) finish(spec *ReqSpec, sky *skyline.Skyline[Option]) {
 }
 
 // Match implements Matcher.
-func (m *SingleSideMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
+func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 	ctx := m.ctx
 	before := ctx.metric.DistCalls()
 	defer func() { stats.DistCalls += ctx.metric.DistCalls() - before }()
@@ -178,20 +217,47 @@ func (m *SingleSideMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 	sc := ctx.getScratch()
 	defer ctx.putScratch(sc)
 
-	src := ctx.grid().CellOf(spec.Kin.S)
-	ring := ctx.grid().Cell(src).Ring
-	sc.visit.begin(ctx.fleet.NumVehicles())
+	grid := ctx.grid()
+	sRing := grid.Cell(grid.CellOf(spec.Kin.S)).Ring
+	n := ctx.fleet.NumVehicles()
+	sc.visit.begin(n)
+	// Single-side has no destination ring: the lockstep below never
+	// advances, nothing is deferred and the final flush finds no work.
+	var dRing []gridindex.RingEntry
+	if m.dual {
+		dRing = grid.Cell(grid.CellOf(spec.Kin.D)).Ring
+		sc.dseen.begin(n)
+	}
 
 	sky := &sc.sky
 	sky.Reset()
 	es := newEmptyScan()
 	nonEmptyDone := false
+	pending := sc.pending[:0]
 
-	for _, entry := range ring {
+	di := 0
+	ld := 0.0 // every vehicle not d-seen has all schedule locations ≥ ld from d
+
+	for _, entry := range sRing {
 		L := entry.LB
 		if L > spec.MaxPickupDist {
 			break
 		}
+		// Advance the d-ring in lockstep so ld grows with L.
+		for di < len(dRing) && dRing[di].LB <= L {
+			sc.ids = ctx.lists.AppendNonEmpty(dRing[di].Cell, sc.ids[:0])
+			for _, id := range sc.ids {
+				sc.dseen.mark(id)
+			}
+			stats.CellsScanned++
+			di++
+		}
+		if di < len(dRing) {
+			ld = dRing[di].LB
+		} else {
+			ld = math.Inf(1)
+		}
+
 		emptyDone := es.terminateAt(L, spec, sky)
 		if !nonEmptyDone && sky.IsDominated(L, spec.MinPrice) {
 			nonEmptyDone = true
@@ -214,7 +280,7 @@ func (m *SingleSideMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 				if err != nil {
 					continue
 				}
-				loc, active := v.ActiveLoc()
+				loc, maxLeg, active := v.ProbeState()
 				if !active {
 					continue
 				}
@@ -223,11 +289,40 @@ func (m *SingleSideMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 					stats.PrunedVehicles++
 					continue
 				}
-				sc.batch = append(sc.batch, v)
+				if !m.dual || sc.dseen.seen(id) {
+					sc.batch = append(sc.batch, v)
+					continue
+				}
+				// Certifiably far from d at radius ld: price floor rises.
+				dlb := detourLB(ld, maxLeg)
+				if sky.IsDominated(pickupLB, spec.Ratio*(spec.Kin.SD+dlb)) {
+					stats.PrunedVehicles++
+					continue
+				}
+				pending = append(pending, pendingVehicle{v: v, pickupLB: pickupLB, maxLeg: maxLeg})
 			}
 			ctx.flushBatch(sc, spec, sky, stats)
 		}
 	}
+
+	// Flush deferred vehicles against the final skyline and d-frontier.
+	for _, p := range pending {
+		if sky.IsDominated(p.pickupLB, spec.MinPrice) {
+			stats.PrunedVehicles++
+			continue
+		}
+		if !sc.dseen.seen(p.v.ID) {
+			dlb := detourLB(ld, p.maxLeg)
+			if sky.IsDominated(p.pickupLB, spec.Ratio*(spec.Kin.SD+dlb)) {
+				stats.PrunedVehicles++
+				continue
+			}
+		}
+		sc.batch = append(sc.batch, p.v)
+	}
+	ctx.flushBatch(sc, spec, sky, stats)
+	sc.pending = pending[:0]
+
 	es.finish(spec, sky)
 	return skylineOptions(sky, stats)
 }

@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ptrider/internal/fleet"
@@ -343,22 +342,11 @@ func (e *Engine) checkCity(city string) error {
 	return fmt.Errorf("core: %w: %q", ErrUnknownCity, city)
 }
 
-// NearestVertex snaps a planar coordinate to a road-network vertex: the
-// closest vertex of the grid cell containing p, falling back to a
-// whole-graph scan when that cell holds no vertex.
+// NearestVertex snaps a planar coordinate to the nearest road-network
+// vertex — the same vertex a linear scan of the graph finds, so a
+// coordinate resolves identically here and on a remote ShardClient.
 func (e *Engine) NearestVertex(p geo.Point) roadnet.VertexID {
-	grid, g := e.sub.grid, e.sub.g
-	verts := grid.Cell(grid.CellAt(p)).Vertices
-	if len(verts) == 0 {
-		return g.NearestVertex(p)
-	}
-	best, bestD := roadnet.VertexID(0), math.Inf(1)
-	for _, v := range verts {
-		if d := g.Point(v).DistSq(p); d < bestD {
-			best, bestD = v, d
-		}
-	}
-	return best
+	return e.sub.grid.NearestVertex(p)
 }
 
 // resolveSpec maps a SubmitSpec onto the engine's vertex space.
@@ -390,8 +378,8 @@ func (e *Engine) SubmitRequest(spec SubmitSpec) (*ServiceRecord, error) {
 	return e.serviceRecord(rec), nil
 }
 
-// SubmitRequestBatch implements Service over the engine's coalesced
-// SubmitBatch pipeline.
+// SubmitRequestBatch implements Service over SubmitBatch: greedy in
+// batch order, each wave's quotes run in parallel.
 func (e *Engine) SubmitRequestBatch(specs []SubmitSpec) ([]*ServiceRecord, error) {
 	out := make([]*ServiceRecord, len(specs))
 	var firstErr error

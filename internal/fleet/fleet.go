@@ -62,9 +62,10 @@
 // merged into the canonical deterministic order — vehicle id
 // ascending, odometer ascending within a vehicle — and per-vehicle
 // errors are aggregated with errors.Join instead of aborting the
-// remaining fleet. With Workers > 1 the metric must be safe for
-// concurrent use (serving a stop re-enumerates the kinetic tree, which
-// reads distances).
+// remaining fleet. Moved vehicles enter the grid's vehicle lists after
+// the shards finish, in id order, so list order is deterministic too.
+// With Workers > 1 the metric must be safe for concurrent use (serving
+// a stop re-enumerates the kinetic tree, which reads distances).
 package fleet
 
 import (
@@ -134,6 +135,20 @@ type Vehicle struct {
 	// so a restored vehicle resumes the identical walk (see restore.go).
 	rng *rand.Rand
 	src *CountedSource
+
+	// pending is the registration the vehicle's last step computed,
+	// which Step places once every shard has finished unless one made in
+	// between (a commit) superseded it. Guarded by mu.
+	pending *registration
+}
+
+// registration is a vehicle's entry in the grid's vehicle lists: the
+// cell an empty vehicle stands in, or the cells a non-empty vehicle's
+// schedules touch.
+type registration struct {
+	empty bool
+	cell  gridindex.CellID
+	cells []gridindex.CellID
 }
 
 // Loc returns the vertex the vehicle is at or driving toward — the
@@ -201,8 +216,8 @@ func (v *Vehicle) Quote(req kinetic.Request) []kinetic.Candidate {
 
 // AppendProbeLocs appends the vehicle's root location followed by its
 // pending points' locations, in order, under the vehicle's lock —
-// the snapshot a coalesced matcher feeds to its shared multi-target
-// distance pass (see kinetic.QuoteSeed). Removed vehicles append
+// the snapshot a matcher's probe flush feeds to its multi-target
+// distance passes (see kinetic.QuoteSeed). Removed vehicles append
 // nothing.
 func (v *Vehicle) AppendProbeLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 	v.mu.Lock()
@@ -604,9 +619,15 @@ func (f *Fleet) registerLocked(v *Vehicle) {
 	if v.removed {
 		return
 	}
+	v.pending = nil
+	f.place(v.ID, f.registrationLocked(v))
+}
+
+// registrationLocked computes the vehicle's list entry from its tree.
+// The caller holds v.mu.
+func (f *Fleet) registrationLocked(v *Vehicle) registration {
 	if v.Tree.Empty() {
-		f.lists.PlaceEmpty(v.ID, f.grid.CellOf(v.Tree.Root()))
-		return
+		return registration{empty: true, cell: f.grid.CellOf(v.Tree.Root())}
 	}
 	cells := make([]gridindex.CellID, 0, 8)
 	for _, loc := range v.Tree.Locations() {
@@ -619,7 +640,32 @@ func (f *Fleet) registerLocked(v *Vehicle) {
 		cells = append(cells, f.cellsAlong(prev, p.Loc)...)
 		prev = p.Loc
 	}
-	f.lists.PlaceNonEmpty(v.ID, cells)
+	return registration{cells: cells}
+}
+
+func (f *Fleet) place(id VehicleID, r registration) {
+	if r.empty {
+		f.lists.PlaceEmpty(id, r.cell)
+		return
+	}
+	f.lists.PlaceNonEmpty(id, r.cells)
+}
+
+// stageLocked computes the vehicle's registration for its step's
+// caller to place. The caller holds v.mu.
+func (f *Fleet) stageLocked(v *Vehicle) {
+	r := f.registrationLocked(v)
+	v.pending = &r
+}
+
+// placePending enters the registration v's last step left behind.
+func (f *Fleet) placePending(v *Vehicle) {
+	v.mu.Lock()
+	if v.pending != nil && !v.removed {
+		f.place(v.ID, *v.pending)
+	}
+	v.pending = nil
+	v.mu.Unlock()
 }
 
 // cellsAlong returns the grid cells touched by the shortest path
@@ -659,6 +705,13 @@ type StepStats struct {
 // draws come from per-vehicle RNG streams, so no vehicle's trajectory
 // depends on stepping order.
 //
+// A vehicle whose cells changed has its registration computed in its
+// shard and placed after the shards finish, in vehicle id order: a
+// cell's list order decides exact ties between co-located vehicles in
+// the matchers, so it must not depend on goroutine scheduling. Until
+// then a racing matcher finds the vehicle under its previous cells and
+// still reads its live position from the vehicle itself.
+//
 // A failing vehicle no longer aborts the remaining fleet mid-step:
 // every other vehicle still moves, and the per-vehicle errors are
 // aggregated with errors.Join in id order (deterministic message,
@@ -681,6 +734,7 @@ func (f *Fleet) Step(budget float64) ([]Event, error) {
 	start := time.Now()
 	perVehicle := make([][]Event, len(snap))
 	perErr := make([]error, len(snap))
+	moved := make([]bool, len(snap))
 	shardNs := make([]int64, workers)
 	stepOne := func(i int) {
 		v := snap[i]
@@ -690,7 +744,7 @@ func (f *Fleet) Step(budget float64) ([]Event, error) {
 				return
 			}
 		}
-		perVehicle[i], perErr[i] = f.stepVehicle(v, budget)
+		perVehicle[i], moved[i], perErr[i] = f.stepVehicle(v, budget)
 	}
 	if workers == 1 {
 		for i := range snap {
@@ -713,6 +767,11 @@ func (f *Fleet) Step(budget float64) ([]Event, error) {
 			}(w)
 		}
 		wg.Wait()
+	}
+	for i, v := range snap {
+		if moved[i] {
+			f.placePending(v)
+		}
 	}
 
 	// Canonical merge: the snapshot is id-ordered and each vehicle's
@@ -789,15 +848,27 @@ func (f *Fleet) StepVehicle(id VehicleID, budget float64) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.stepVehicle(v, budget)
+	events, moved, err := f.stepVehicle(v, budget)
+	if moved {
+		f.placePending(v)
+	}
+	return events, err
 }
 
 // stepVehicle holds the vehicle's lock for the whole step so the
 // serve/drive loop sees a consistent tree; commits on this vehicle wait
-// until the step completes.
-func (f *Fleet) stepVehicle(v *Vehicle, budget float64) ([]Event, error) {
+// until the step completes. A step that changed the vehicle's cells
+// leaves its new registration in v.pending and reports moved, for the
+// caller to place.
+func (f *Fleet) stepVehicle(v *Vehicle, budget float64) (events []Event, moved bool, err error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	events, err = f.driveLocked(v, budget)
+	return events, v.pending != nil, err
+}
+
+// driveLocked is stepVehicle's serve/drive loop. The caller holds v.mu.
+func (f *Fleet) driveLocked(v *Vehicle, budget float64) ([]Event, error) {
 	if v.removed {
 		return nil, nil
 	}
@@ -871,7 +942,7 @@ func (f *Fleet) serveHereLocked(v *Vehicle) (bool, []Event, error) {
 		served = true
 	}
 	if served {
-		f.registerLocked(v)
+		f.stageLocked(v)
 	}
 	return served, events, nil
 }
@@ -926,7 +997,7 @@ func (f *Fleet) enterEdgeLocked(v *Vehicle, head roadnet.VertexID, weight float6
 	}
 	v.remainToRoot = weight
 	if f.grid.CellOf(head) != fromCell {
-		f.registerLocked(v) // crossed a cell boundary: refresh lists
+		f.stageLocked(v) // crossed a cell boundary: refresh lists
 	}
 }
 

@@ -2,12 +2,14 @@ package fleet_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptrider/internal/fleet"
 	"ptrider/internal/gridindex"
 	"ptrider/internal/kinetic"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/testnet"
 )
 
 // TestZeroWeightEdgeSafety: a zero-weight edge must not stall movement
@@ -146,5 +148,69 @@ func TestRegistrationConsistencyUnderChurn(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStepListOrderAcrossWorkers: the grid's vehicle lists — order
+// included, because list order breaks exact ties between co-located
+// vehicles in the matchers — are the same after a sharded step as
+// after the serial one. Several vehicles start on one vertex so cells
+// hold more than one entry, and a third of the fleet carries a request
+// so the non-empty lists churn too.
+func TestStepListOrderAcrossWorkers(t *testing.T) {
+	type sized struct {
+		*world
+		workers int
+	}
+	build := func(workers int) sized {
+		g := testnet.Lattice(rand.New(rand.NewSource(5)), 10, 10, 100)
+		grid, err := gridindex.Build(g, gridindex.Config{Cols: 4, Rows: 4})
+		if err != nil {
+			t.Fatalf("grid: %v", err)
+		}
+		lists := gridindex.NewVehicleLists(grid.NumCells())
+		m := &lockedMetric{s: roadnet.NewSearcher(g), grid: grid}
+		fl, err := fleet.New(grid, lists, m, fleet.Config{Capacity: 3, Seed: 5, Workers: workers})
+		if err != nil {
+			t.Fatalf("fleet: %v", err)
+		}
+		w := &world{g: g, grid: grid, lists: lists, fl: fl, s: roadnet.NewSearcher(g)}
+		rng := rand.New(rand.NewSource(5))
+		n := g.NumVertices()
+		for i := 0; i < 60; i++ {
+			v := fl.AddVehicle(roadnet.VertexID(rng.Intn(n / 4)))
+			s, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))
+			if i%3 != 0 || s == d {
+				continue
+			}
+			req := w.request(t, kinetic.RequestID(i+1), s, d, 1, 1, 1e9)
+			if cands := v.Tree.Quote(req); len(cands) > 0 {
+				if _, err := fl.Commit(v.ID, req, cands[0], 0); err != nil {
+					t.Fatalf("commit: %v", err)
+				}
+			}
+		}
+		return sized{w, workers}
+	}
+	serial := build(1)
+	sharded := []sized{build(2), build(4), build(8)}
+	for step := 0; step < 150; step++ {
+		if _, err := serial.fl.Step(70); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for _, w := range sharded {
+			if _, err := w.fl.Step(70); err != nil {
+				t.Fatalf("step %d workers %d: %v", step, w.workers, err)
+			}
+			for c := 0; c < w.grid.NumCells(); c++ {
+				cell := gridindex.CellID(c)
+				if a, b := serial.lists.Empty(cell), w.lists.Empty(cell); !slices.Equal(a, b) {
+					t.Fatalf("step %d workers %d cell %d: empty list %v, serial %v", step, w.workers, c, b, a)
+				}
+				if a, b := serial.lists.NonEmpty(cell), w.lists.NonEmpty(cell); !slices.Equal(a, b) {
+					t.Fatalf("step %d workers %d cell %d: non-empty list %v, serial %v", step, w.workers, c, b, a)
+				}
+			}
+		}
 	}
 }

@@ -306,6 +306,60 @@ func (gr *Grid) CellAt(p geo.Point) CellID { return gr.cellAt(p) }
 // storage and must not be modified.
 func (gr *Grid) Cell(id CellID) *Cell { return &gr.cells[id] }
 
+// NearestVertex returns the vertex closest (Euclidean) to p: the answer
+// of Graph.NearestVertex's linear scan, ties to the lowest vertex id
+// included, found by searching p's cell and then the square rings of
+// cells around it until every cell of a ring lies farther from p than
+// the best vertex so far (a ring is never nearer than the one inside
+// it). Points outside the bounding box start from the clamped cell.
+//
+// Skipping a cell by its Rect assumes its vertices lie inside it.
+// cellAt divides where Rect multiplies, so a boundary vertex can sit
+// one ulp outside; the answer can then differ from the linear scan's
+// only between two vertices equidistant from p to within that ulp.
+func (gr *Grid) NearestVertex(p geo.Point) roadnet.VertexID {
+	c := int(gr.cellAt(p))
+	cx, cy := c%gr.cols, c/gr.cols
+	best, bestD := roadnet.VertexID(0), math.Inf(1)
+	for r := 0; r < max(gr.cols, gr.rows); r++ {
+		ringMin := math.Inf(1)
+		for y := max(cy-r, 0); y <= min(cy+r, gr.rows-1); y++ {
+			step := 1
+			if r > 0 && y != cy-r && y != cy+r {
+				step = 2 * r // interior row: only the ring's two side columns
+			}
+			for x := cx - r; x <= cx+r; x += step {
+				if x < 0 || x >= gr.cols {
+					continue
+				}
+				cell := &gr.cells[y*gr.cols+x]
+				cd := rectDistSq(cell.Rect, p)
+				ringMin = min(ringMin, cd)
+				if cd > bestD {
+					continue
+				}
+				for _, v := range cell.Vertices {
+					if d := gr.g.Point(v).DistSq(p); d < bestD || (d == bestD && v < best) {
+						best, bestD = v, d
+					}
+				}
+			}
+		}
+		if ringMin > bestD {
+			break
+		}
+	}
+	return best
+}
+
+// rectDistSq is the squared distance from p to the closest point of r,
+// in Point.DistSq's arithmetic so the two compare exactly.
+func rectDistSq(r geo.Rect, p geo.Point) float64 {
+	dx := max(0, r.Min.X-p.X, p.X-r.Max.X)
+	dy := max(0, r.Min.Y-p.Y, p.Y-r.Max.Y)
+	return dx*dx + dy*dy
+}
+
 // VMin returns v.min: the distance from v to the nearest border vertex
 // of its own cell (+Inf when the cell has no borders).
 func (gr *Grid) VMin(v roadnet.VertexID) float64 { return gr.vmin[v] }

@@ -202,7 +202,7 @@ func (t *Tree) buildChildren(sc *dfsScratch, parent *Node, used int, cur int, cu
 	return best, count
 }
 
-// quoteScratch is the tree-owned workspace of QuoteAppend, reused
+// quoteScratch is the tree-owned workspace of quotePacked, reused
 // across quotes. Quotes run under the vehicle's lock, so one workspace
 // per tree suffices; only the candidate schedules that survive the
 // per-vehicle skyline escape to the heap.
@@ -272,19 +272,21 @@ func (t *Tree) AppendPointLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 // returns the vehicle's non-dominated candidates over (pick-up distance,
 // detour delta). It returns nil when the vehicle cannot serve the
 // request at all (capacity, budgets, or the pending-point cap). The
-// tree itself is not modified.
-func (t *Tree) Quote(req Request) []Candidate {
-	return t.QuoteAppend(req, nil)
-}
-
-// QuoteAppend is Quote appending into dst, the allocation-lean probe of
-// the matching hot path: the enumeration runs entirely in the tree's
+// tree itself is not modified: the enumeration runs in the tree's
 // reused workspace, and only the returned candidates' schedules are
 // freshly allocated (they outlive the call by design — skylines and
-// request records retain them). dst is returned unchanged when the
-// vehicle cannot serve the request.
-func (t *Tree) QuoteAppend(req Request, dst []Candidate) []Candidate {
-	return t.QuoteAppendSeeded(req, dst, nil)
+// request records retain them).
+func (t *Tree) Quote(req Request) []Candidate {
+	var out []Candidate
+	for _, e := range t.quotePacked(req, nil) {
+		out = append(out, Candidate{
+			Seq:        UnpackSeq(e.Payload, t.quote.pts),
+			PickupDist: e.Time,
+			TotalDist:  e.Price + t.quote.baseline,
+			Delta:      e.Price,
+		})
+	}
+	return out
 }
 
 // PackedCandidate is a feasible schedule whose stop sequence is still
@@ -310,32 +312,16 @@ func UnpackSeq(perm uint64, pts []Point) []Point {
 	return seq
 }
 
-// QuoteAppendSeeded is QuoteAppend with the request-specific rows of
-// the enumeration's distance matrix pre-filled from seed (when it still
-// matches the tree state): every dist(x, s) and dist(x, d) the
-// enumeration would compute lazily — one point search each through the
-// metric — is answered from the caller's shared multi-target pass
-// instead. The batched matchers use this to replace per-pair point
-// queries with two passes per probe batch.
-func (t *Tree) QuoteAppendSeeded(req Request, dst []Candidate, seed *QuoteSeed) []Candidate {
-	entries := t.quotePacked(req, seed)
-	for _, e := range entries {
-		dst = append(dst, Candidate{
-			Seq:        UnpackSeq(e.Payload, t.quote.pts),
-			PickupDist: e.Time,
-			TotalDist:  e.Price + t.quote.baseline,
-			Delta:      e.Price,
-		})
-	}
-	return dst
-}
-
 // QuotePacked is the allocation-free probe: candidates come back
 // permutation-encoded (appended to dst) together with the quoted point
 // set (appended to ptsBuf, which the permutations index). Both buffers
 // are caller-owned; nothing else escapes. The point set is only valid
 // for this quote — materialise surviving schedules with UnpackSeq
-// before the next probe reuses the buffers.
+// before the next probe reuses the buffers. A seed that still matches
+// the tree state pre-fills the request-specific rows of the
+// enumeration's distance matrix: every dist(x, s) and dist(x, d) the
+// enumeration would compute lazily — one point search each through the
+// metric — is answered from the caller's multi-target pass instead.
 func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, seed *QuoteSeed) ([]PackedCandidate, []Point) {
 	entries := t.quotePacked(req, seed)
 	if len(entries) == 0 {

@@ -212,12 +212,12 @@ func (s *Searcher) DistsTo(u VertexID, targets []VertexID, maxDist float64, out 
 // shortest-path distance into out (len must equal the vertex count);
 // vertices beyond maxDist — or unreachable — get +Inf. It is the
 // allocation-free whole-graph variant of DistsTo: one pass answers
-// every subsequent "distance from u" lookup by array index, which is
-// what lets a coalesced matcher replace its per-cell and per-probe
-// passes with a single fill per request side. Values are identical to
-// DistsTo's for any target set (the settled distance of a vertex does
-// not depend on which targets terminate the search), so mixing the two
-// is bit-safe.
+// every subsequent "distance from u" lookup by array index. The
+// matchers do not use it (their passes go through DistsTo and the
+// distance memo); the benchmark ladder times it as the cost of one
+// radius-bounded search. Values are identical to DistsTo's for any
+// target set (the settled distance of a vertex does not depend on
+// which targets terminate the search), so mixing the two is bit-safe.
 func (s *Searcher) FillDists(u VertexID, maxDist float64, out []float64) {
 	if len(out) != s.g.NumVertices() {
 		panic("roadnet: FillDists out length mismatch")

@@ -102,8 +102,8 @@ func (g *Graph) EuclidLB(u, v VertexID) float64 {
 func (g *Graph) Bounds() geo.Rect { return geo.BoundingRect(g.points) }
 
 // NearestVertex returns the vertex closest (Euclidean) to p by scanning
-// every vertex — the index-free snap; callers with a grid index narrow
-// the scan to a cell first.
+// every vertex, ties to the lowest id — the index-free snap, and the
+// reference gridindex.Grid.NearestVertex is pinned to.
 func (g *Graph) NearestVertex(p geo.Point) VertexID {
 	best, bestD := VertexID(0), math.Inf(1)
 	for v, q := range g.points {

@@ -123,13 +123,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	ch := s.hub.subscribe()
+	defer s.hub.unsubscribe(ch)
 	// An immediate comment line lets clients confirm the subscription
 	// is live before the first tick fires.
 	fmt.Fprint(w, ": stream open\n\n")
 	fl.Flush()
 
-	ch := s.hub.subscribe()
-	defer s.hub.unsubscribe(ch)
 	ctx := r.Context()
 	for {
 		select {

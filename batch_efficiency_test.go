@@ -50,16 +50,16 @@ func buildBatchWorld(t *testing.T, maxPickupSeconds float64) *core.Engine {
 	return eng
 }
 
-// TestBatchCoalescingDistCalls is the guard any batch-side distance
-// coalescing has to pass: a hot-cell batch (16 simultaneous requests
-// sharing an origin grid cell) answered by SubmitBatch performs no more
-// than 1.02x the exact shortest-path searches of the same riders
-// submitted one by one, with the same option sets — at the default
-// whole-city pick-up radius and at a bounded one, where the grouped
-// matcher this test used to defend lost (see ARCHITECTURE.md,
-// "Simultaneous requests"). The slack covers memo-order effects only:
-// a batch resolves every dist(s, d) before its first match.
-func TestBatchCoalescingDistCalls(t *testing.T) {
+// TestBatchCostsNoMoreThanItsRiders pins that SubmitBatch is its
+// riders' matches run side by side and nothing else: a hot-cell batch
+// (16 simultaneous requests sharing an origin grid cell) performs no
+// more than 1.02x the exact shortest-path computations of the same
+// riders submitted one by one, with the same option sets — at the
+// default whole-city pick-up radius and at a bounded one (see
+// ARCHITECTURE.md, "Simultaneous requests"). The slack covers
+// memo-order effects only: a batch resolves every dist(s, d) before
+// its first match.
+func TestBatchCostsNoMoreThanItsRiders(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		maxPickup float64

@@ -92,12 +92,19 @@ func BenchmarkMatch(b *testing.B) {
 	for _, algo := range []core.Algorithm{core.AlgoNaive, core.AlgoSingleSide, core.AlgoDualSide} {
 		b.Run(algo.String(), func(b *testing.B) {
 			b.ReportAllocs()
+			var calls int64
+			var settled int
 			for i := 0; i < b.N; i++ {
 				p := w.probes[i%len(w.probes)]
-				if _, _, err := w.eng.MatchOnce(algo, p[0], p[1], 1); err != nil {
+				_, ms, err := w.eng.MatchOnce(algo, p[0], p[1], 1)
+				if err != nil {
 					b.Fatal(err)
 				}
+				calls += ms.DistCalls
+				settled += ms.Settled
 			}
+			b.ReportMetric(float64(calls)/float64(b.N), "dist_calls/op")
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 		})
 	}
 }
@@ -230,8 +237,8 @@ func batchWorld(b *testing.B) *batchBenchWorld {
 // (dual-side is the engine default here via SetAlgorithm). Each op
 // processes one 16-item quote-only batch against a cold distance memo,
 // so the exact-search counts are comparable across sub-benchmarks;
-// dist_calls/op reports them. "hotcell" puts every origin in one grid
-// cell; "cold" scatters the origins over the city;
+// dist_calls/op and settled/op report them. "hotcell" puts every
+// origin in one grid cell; "cold" scatters the origins over the city;
 // "hotcell-perrequest" issues the hot-cell items through per-request
 // Submit — a batch quotes its waves in parallel through the same
 // matcher, so "hotcell" must cost no more than this, in time and in
@@ -241,48 +248,52 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	if err := w.eng.SetAlgorithm(core.AlgoDualSide); err != nil {
 		b.Fatal(err)
 	}
-	runBatch := func(b *testing.B, items []core.BatchItem) {
+	// coldOp times op against a distance memo wiped before every
+	// iteration (harness set-up, not op cost) and reports what the op
+	// made the engine compute: dist_calls/op, the paper's exact-search
+	// count, and settled/op, the vertices its batch-fill searches
+	// settled — neither depends on the host.
+	coldOp := func(b *testing.B, op func() error) {
 		b.Helper()
 		b.ReportAllocs()
-		var calls int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer() // the cache reset is harness setup, not batch cost
-			w.eng.ResetDistCache()
-			before := w.eng.DistCalls()
-			b.StartTimer()
-			if _, err := w.eng.SubmitBatch(items); err != nil {
-				b.Fatal(err)
-			}
-			calls += w.eng.DistCalls() - before
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(calls)/float64(b.N), "dist_calls/op")
-	}
-	b.Run("cold", func(b *testing.B) { runBatch(b, w.scattered) })
-	b.Run("hotcell", func(b *testing.B) { runBatch(b, w.hotcell) })
-	b.Run("hotcell-perrequest", func(b *testing.B) {
-		b.ReportAllocs()
-		var calls int64
+		var calls, settled int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			w.eng.ResetDistCache()
-			before := w.eng.DistCalls()
+			calls0, settled0 := w.eng.DistCalls(), w.eng.Settled()
 			b.StartTimer()
-			for _, it := range w.hotcell {
-				rec, err := w.eng.Submit(it.S, it.D, it.Riders)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := w.eng.Decline(rec.ID); err != nil {
-					b.Fatal(err)
-				}
+			if err := op(); err != nil {
+				b.Fatal(err)
 			}
-			calls += w.eng.DistCalls() - before
+			calls += w.eng.DistCalls() - calls0
+			settled += w.eng.Settled() - settled0
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(calls)/float64(b.N), "dist_calls/op")
+		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+	}
+	batch := func(items []core.BatchItem) func() error {
+		return func() error {
+			_, err := w.eng.SubmitBatch(items)
+			return err
+		}
+	}
+	b.Run("cold", func(b *testing.B) { coldOp(b, batch(w.scattered)) })
+	b.Run("hotcell", func(b *testing.B) { coldOp(b, batch(w.hotcell)) })
+	b.Run("hotcell-perrequest", func(b *testing.B) {
+		coldOp(b, func() error {
+			for _, it := range w.hotcell {
+				rec, err := w.eng.Submit(it.S, it.D, it.Riders)
+				if err != nil {
+					return err
+				}
+				if err := w.eng.Decline(rec.ID); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 }
 

@@ -1781,11 +1781,16 @@ func (e *Engine) ResetDistCache() {
 	e.metric.Reset()
 }
 
-// DistCalls returns the cumulative number of exact shortest-path
-// searches the engine has performed (a multi-target batch pass counts
-// once) — the paper's §3.3 efficiency metric, exposed for the
-// benchmark harness.
+// DistCalls returns the cumulative number of times the engine went
+// past its distance memo for an exact computation (a batch fill with
+// misses counts once) — the paper's §3.3 efficiency metric, exposed
+// for the benchmark harness.
 func (e *Engine) DistCalls() int64 { return e.metric.DistCalls() }
+
+// Settled returns the cumulative number of vertices settled by the
+// matches' batch-fill searches (see MatchStats.Settled): the
+// host-independent measure of the work behind DistCalls' fills.
+func (e *Engine) Settled() int64 { return e.metric.Settled() }
 
 // RandomVertex returns a uniformly random vertex (generator helper).
 func (e *Engine) RandomVertex() roadnet.VertexID {

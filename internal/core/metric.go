@@ -52,6 +52,9 @@ type memoMetric struct {
 	// distCalls counts cache-missing exact computations, the "number of
 	// shortest path distance computations" metric of paper §3.3.
 	distCalls atomic.Int64
+	// settled totals the vertices settled by released anchors: the work
+	// behind the batch fills among distCalls.
+	settled atomic.Int64
 	// noLB disables lower bounds (ablation E8): LB returns 0, which is
 	// always sound but prunes nothing.
 	noLB bool
@@ -257,16 +260,40 @@ func (m *memoMetric) batchStore(maxDist float64, out []float64, sc *memoBatchScr
 	}
 }
 
+// anchor is the resumable search one match keeps from one of its two
+// fixed sources, the request's s or d. It is empty until the first
+// memo-missing fill from that source draws a Searcher from the pool;
+// every later fill of the match resumes that search, so over all ring
+// cells of one request no vertex is settled twice per source.
+type anchor struct{ s *roadnet.Searcher }
+
+// release returns the anchor's Searcher, if it drew one, to the pool
+// and reports how many vertices its search settled.
+func (m *memoMetric) release(a *anchor) int {
+	if a.s == nil {
+		return 0
+	}
+	settled := a.s.Settled()
+	m.settled.Add(int64(settled))
+	m.searchers.Put(a.s)
+	a.s = nil
+	return settled
+}
+
 // DistBatch fills out[i] = Dist(from, targets[i]) for every target
 // within maxDist: cached pairs are read with one shard visit per
-// touched stripe, the misses are resolved by a single multi-target
-// Dijkstra pass, and the freshly computed distances warm the memo with
-// one write lock per touched stripe.
+// touched stripe, the misses are resolved by extending the match's
+// anchored search from `from` (a must be the same anchor for the same
+// source throughout one match), and the freshly computed distances warm
+// the memo with one write lock per touched stripe. Misses beyond
+// maxDist come back +Inf whether or not the anchor has already settled
+// them, so what gets cached never depends on the match's earlier fills.
 //
-// One multi-target pass counts as one DistCall: the metric counts
-// shortest-path searches performed, and the pass is a single search —
-// that is exactly the batching win over per-pair point queries.
-func (m *memoMetric) DistBatch(from roadnet.VertexID, targets []roadnet.VertexID, maxDist float64, out []float64, sc *memoBatchScratch) {
+// One memo-missing fill counts as one DistCall however many targets it
+// resolves and however little of the search was left to run: the
+// counter is the number of times a match had to go past the memo (the
+// paper's §3.3 unit); MatchStats.Settled is the work behind them.
+func (m *memoMetric) DistBatch(a *anchor, from roadnet.VertexID, targets []roadnet.VertexID, maxDist float64, out []float64, sc *memoBatchScratch) {
 	if len(targets) == 0 {
 		return
 	}
@@ -274,19 +301,25 @@ func (m *memoMetric) DistBatch(from roadnet.VertexID, targets []roadnet.VertexID
 		return
 	}
 	m.distCalls.Add(1)
-	s := m.searchers.Get().(*roadnet.Searcher)
+	if a.s == nil {
+		a.s = m.searchers.Get().(*roadnet.Searcher)
+		a.s.Begin(from)
+	}
 	if cap(sc.missOut) < len(sc.missLoc) {
 		sc.missOut = make([]float64, len(sc.missLoc))
 	}
 	sc.missOut = sc.missOut[:len(sc.missLoc)]
-	s.DistsTo(from, sc.missLoc, maxDist, sc.missOut)
-	m.searchers.Put(s)
+	a.s.Extend(sc.missLoc, maxDist, sc.missOut)
 	m.batchStore(maxDist, out, sc)
 }
 
 // DistCalls returns the cumulative number of exact shortest-path
 // computations (cache misses) since construction.
 func (m *memoMetric) DistCalls() int64 { return m.distCalls.Load() }
+
+// Settled returns the cumulative number of vertices settled by the
+// matches' anchored batch-fill searches since construction.
+func (m *memoMetric) Settled() int64 { return m.settled.Load() }
 
 // Reset drops the memo so subsequent DistCalls deltas measure a cold
 // cache — used by the benchmark harness to compare algorithms fairly.

@@ -24,7 +24,7 @@ func (m *NaiveMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 	defer func() { stats.DistCalls += ctx.metric.DistCalls() - before }()
 
 	sc := ctx.getScratch()
-	defer ctx.putScratch(sc)
+	defer ctx.putScratch(sc, stats)
 	sky := &sc.sky
 	sky.Reset()
 	for _, v := range ctx.fleet.Snapshot() {

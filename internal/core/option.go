@@ -60,10 +60,18 @@ type MatchStats struct {
 	PrunedVehicles int
 	// CellsScanned counts ring cells visited across both sides.
 	CellsScanned int
-	// DistCalls counts exact shortest-path computations attributable to
-	// this match. A multi-target pass (memoMetric.DistBatch) counts
-	// once: it is one search, however many targets it settles.
+	// DistCalls counts the times this match went past the distance memo
+	// for an exact computation: a point query (memoMetric.Dist) or a
+	// batch fill with at least one miss (memoMetric.DistBatch), which
+	// counts once however many targets it resolves. Fills are not
+	// searches of their own — they resume the match's two anchored
+	// searches — so the work behind them is Settled, not DistCalls.
 	DistCalls int64
+	// Settled counts the vertices settled by this match's batch-fill
+	// searches (its two anchors, from s and from d): at most twice the
+	// graph's vertex count, since neither settles a vertex twice.
+	// Unlike DistCalls it is this match's own, exact under concurrency.
+	Settled int
 	// Options is the size of the returned skyline.
 	Options int
 	// ParallelWidth is the widest candidate-evaluation fan-out the

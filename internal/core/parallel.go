@@ -112,6 +112,10 @@ type matchScratch struct {
 
 	sky skyline.Skyline[Option] // per-match result skyline
 
+	// The match's two resumable searches, from the request's s and d;
+	// every batch fill below extends one of them (see anchor).
+	sAnchor, dAnchor anchor
+
 	// Empty-scan staging: the lower-bound survivors of one cell,
 	// resolved by one batch fill.
 	memoSc     memoBatchScratch
@@ -133,7 +137,11 @@ func (ctx *matchContext) getScratch() *matchScratch {
 	return ctx.scratch.Get().(*matchScratch)
 }
 
-func (ctx *matchContext) putScratch(sc *matchScratch) {
+// putScratch ends the match: its anchored searches go back to the
+// memo's pool, their work is booked to stats, and the scratch returns
+// to the context's pool.
+func (ctx *matchContext) putScratch(sc *matchScratch, stats *MatchStats) {
+	stats.Settled += ctx.metric.release(&sc.sAnchor) + ctx.metric.release(&sc.dAnchor)
 	sc.batch = sc.batch[:0]
 	sc.pending = sc.pending[:0]
 	ctx.scratch.Put(sc)
@@ -162,12 +170,12 @@ func adaptiveWidth(workers, n int) int {
 // the skyline in batch order. Probes run seeded: the vehicles' schedule
 // locations are snapshotted, every request-specific distance the
 // probes will read — dist(x, s) and dist(x, d) for every schedule
-// point x — is answered through the memo's batch-fill API (one shared
-// multi-target pass per side for the misses), and the probes consume
-// the results straight from their enumeration matrices instead
-// of issuing per-pair point searches. The fan-out width adapts to the
-// batch size (see adaptiveWidth) and the widest fan-out used is
-// recorded in stats.ParallelWidth. The batch is reset.
+// point x — is answered through the memo's batch-fill API (the misses
+// of each side by extending the match's anchored search from s or d),
+// and the probes consume the results straight from their enumeration
+// matrices instead of issuing per-pair point searches. The fan-out
+// width adapts to the batch size (see adaptiveWidth) and the widest
+// fan-out used is recorded in stats.ParallelWidth. The batch is reset.
 func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skyline.Skyline[Option], stats *MatchStats) {
 	n := len(sc.batch)
 	if n == 0 {
@@ -186,8 +194,8 @@ func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skylin
 		sc.probeD = make([]float64, total)
 	}
 	probeS, probeD := sc.probeS[:total], sc.probeD[:total]
-	ctx.metric.DistBatch(spec.Kin.S, sc.probeLocs, math.Inf(1), probeS, &sc.memoSc)
-	ctx.metric.DistBatch(spec.Kin.D, sc.probeLocs, math.Inf(1), probeD, &sc.memoSc)
+	ctx.metric.DistBatch(&sc.sAnchor, spec.Kin.S, sc.probeLocs, math.Inf(1), probeS, &sc.memoSc)
+	ctx.metric.DistBatch(&sc.dAnchor, spec.Kin.D, sc.probeLocs, math.Inf(1), probeD, &sc.memoSc)
 	for len(sc.seeds) < n {
 		sc.seeds = append(sc.seeds, kinetic.QuoteSeed{})
 	}

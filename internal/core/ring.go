@@ -103,10 +103,10 @@ type emptyScan struct {
 func newEmptyScan() emptyScan { return emptyScan{bestDist: math.Inf(1)} }
 
 // scanCell folds one cell's empty-vehicle list into the running best:
-// lower-bound filtering first, then one batch fill — a single
-// multi-target pass bounded by the current best, since anything at or
-// beyond it cannot change the scan's outcome — resolves the survivors'
-// exact distances, folded in list order.
+// lower-bound filtering first, then one batch fill — bounded by the
+// current best, since anything at or beyond it cannot change the scan's
+// outcome — resolves the survivors' exact distances, folded in list
+// order.
 func (es *emptyScan) scanCell(ctx *matchContext, sc *matchScratch, cell gridindex.CellID, spec *ReqSpec, sky *skyline.Skyline[Option], stats *MatchStats) {
 	if spec.Kin.Riders > ctx.fleet.Capacity() {
 		// No vehicle can hold the group; the synthetic empty-vehicle
@@ -169,7 +169,7 @@ func (es *emptyScan) foldPass(ctx *matchContext, sc *matchScratch, spec *ReqSpec
 		sc.emptyDists = make([]float64, len(sc.emptyLocs))
 	}
 	dists := sc.emptyDists[:len(sc.emptyLocs)]
-	ctx.metric.DistBatch(spec.Kin.S, sc.emptyLocs, es.bestDist, dists, &sc.memoSc)
+	ctx.metric.DistBatch(&sc.sAnchor, spec.Kin.S, sc.emptyLocs, es.bestDist, dists, &sc.memoSc)
 	for j, v := range sc.emptyVehs {
 		if d := dists[j]; d < es.bestDist {
 			es.bestDist = d
@@ -215,7 +215,7 @@ func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 	defer func() { stats.DistCalls += ctx.metric.DistCalls() - before }()
 
 	sc := ctx.getScratch()
-	defer ctx.putScratch(sc)
+	defer ctx.putScratch(sc, stats)
 
 	grid := ctx.grid()
 	sRing := grid.Cell(grid.CellOf(spec.Kin.S)).Ring

@@ -21,6 +21,12 @@ type Searcher struct {
 	epoch  uint32
 	heap   *heapx.DistHeap
 
+	// Resumable search (Begin/Extend): frontier is the distance of the
+	// last vertex settled, so a seen vertex at or below it carries its
+	// final distance; settled counts the vertices settled since Begin.
+	frontier float64
+	settled  int
+
 	// Scratch for target-set queries.
 	targetStamp []uint32
 	targetEpoch uint32
@@ -147,15 +153,35 @@ func (s *Searcher) astar(u, v VertexID, maxDist float64) float64 {
 	return Inf
 }
 
-// DistsTo computes shortest-path distances from u to every target,
-// filling out (which must have len(targets)); unreachable targets get
-// Inf. One Dijkstra runs until all targets are settled or maxDist is
-// exceeded — this is the one-to-many primitive used by kinetic-tree
-// insertion, which needs distances from one schedule point to a handful
-// of candidate positions.
-func (s *Searcher) DistsTo(u VertexID, targets []VertexID, maxDist float64, out []float64) {
+// Begin starts a resumable Dijkstra from u. Extend then answers target
+// sets from it, each call resuming where the previous one stopped:
+// heap, stamps and the settled frontier survive between calls, so over
+// any number of Extend calls no vertex is settled twice. Any other
+// query on the Searcher ends the search.
+func (s *Searcher) Begin(u VertexID) {
+	s.begin()
+	s.relax(u, 0, NoVertex)
+	s.heap.Push(u, 0)
+	s.frontier = 0
+	s.settled = 0
+}
+
+// final reports whether v carries its final distance: nothing left in
+// the heap is below the frontier, so no seen vertex at or below it can
+// still improve.
+func (s *Searcher) final(v VertexID) bool { return s.seen(v) && s.dist[v] <= s.frontier }
+
+// Extend fills out (which must have len(targets)) with the distance
+// from Begin's source to every target, resuming the search until all
+// targets are settled or the nearest unsettled vertex lies beyond
+// maxDist. Targets beyond maxDist — or unreachable — get Inf, even
+// when an earlier, wider call settled them: a result never depends on
+// what was asked before. Nothing is pruned when pushed, because a later
+// call may ask for more than this one's maxDist; the loop merely stops
+// there.
+func (s *Searcher) Extend(targets []VertexID, maxDist float64, out []float64) {
 	if len(out) != len(targets) {
-		panic("roadnet: DistsTo out length mismatch")
+		panic("roadnet: Extend out length mismatch")
 	}
 	s.targetEpoch++
 	if s.targetEpoch == 0 {
@@ -165,59 +191,62 @@ func (s *Searcher) DistsTo(u VertexID, targets []VertexID, maxDist float64, out 
 		s.targetEpoch = 1
 	}
 	remaining := 0
-	for i, t := range targets {
-		out[i] = Inf
-		if t == u {
-			out[i] = 0
-			continue
-		}
-		if s.targetStamp[t] != s.targetEpoch {
+	for _, t := range targets {
+		if !s.final(t) && s.targetStamp[t] != s.targetEpoch {
 			s.targetStamp[t] = s.targetEpoch
 			remaining++
 		}
 	}
-	if remaining == 0 {
-		return
-	}
-
-	s.begin()
-	s.relax(u, 0, NoVertex)
-	s.heap.Push(u, 0)
-	for s.heap.Len() > 0 && remaining > 0 {
+	for remaining > 0 && s.heap.Len() > 0 && s.heap.Peek().Dist <= maxDist {
 		it := s.heap.Pop()
 		if it.Dist > s.dist[it.Node] {
 			continue
 		}
-		if it.Dist > maxDist {
-			break
-		}
+		s.frontier = it.Dist
+		s.settled++
 		if s.targetStamp[it.Node] == s.targetEpoch {
 			s.targetStamp[it.Node] = s.targetEpoch - 1 // settle once
 			remaining--
 		}
 		for _, e := range s.g.Out(it.Node) {
-			if nd := it.Dist + e.Weight; nd <= maxDist && s.relax(e.To, nd, it.Node) {
+			if nd := it.Dist + e.Weight; s.relax(e.To, nd, it.Node) {
 				s.heap.Push(e.To, nd)
 			}
 		}
 	}
 	for i, t := range targets {
-		if out[i] != 0 && s.seen(t) {
+		if s.final(t) && s.dist[t] <= maxDist {
 			out[i] = s.dist[t]
+		} else {
+			out[i] = Inf
 		}
 	}
 }
 
+// Settled returns the number of vertices the search has settled since
+// Begin — its work, in the unit the graph size is counted in.
+func (s *Searcher) Settled() int { return s.settled }
+
+// DistsTo computes shortest-path distances from u to every target,
+// filling out (which must have len(targets)); targets beyond maxDist or
+// unreachable get Inf. It is Begin(u) followed by one Extend: the
+// one-to-many query for a caller with a single target set (the grid
+// index's border-to-cell distances); the matchers keep the search open
+// across their target sets instead.
+func (s *Searcher) DistsTo(u VertexID, targets []VertexID, maxDist float64, out []float64) {
+	s.Begin(u)
+	s.Extend(targets, maxDist, out)
+}
+
 // FillDists runs one Dijkstra from u and writes every vertex's
 // shortest-path distance into out (len must equal the vertex count);
-// vertices beyond maxDist — or unreachable — get +Inf. It is the
-// allocation-free whole-graph variant of DistsTo: one pass answers
-// every subsequent "distance from u" lookup by array index. The
-// matchers do not use it (their passes go through DistsTo and the
-// distance memo); the benchmark ladder times it as the cost of one
-// radius-bounded search. Values are identical to DistsTo's for any
-// target set (the settled distance of a vertex does not depend on
-// which targets terminate the search), so mixing the two is bit-safe.
+// vertices beyond maxDist — or unreachable — get +Inf. No product code
+// calls it: it stays because bench/ladder.go times it (roadnet.fill_us,
+// the cost of one radius-bounded search) and because, pruning at push
+// time with no state to resume, it is the independent reference
+// FuzzSearcherExtend holds Extend to. Values equal Extend's bit for bit
+// for any target set (a vertex's settled distance does not depend on
+// which targets end the search).
 func (s *Searcher) FillDists(u VertexID, maxDist float64, out []float64) {
 	if len(out) != s.g.NumVertices() {
 		panic("roadnet: FillDists out length mismatch")

@@ -140,6 +140,8 @@ type Vehicle struct {
 	// which Step places once every shard has finished unless one made in
 	// between (a commit) superseded it. Guarded by mu.
 	pending *registration
+	// locs is registrationLocked's reused location buffer. Guarded by mu.
+	locs []roadnet.VertexID
 }
 
 // registration is a vehicle's entry in the grid's vehicle lists: the
@@ -296,8 +298,9 @@ type Fleet struct {
 	// registration and drive planning; pathCells is internally striped.
 	// Neither serialises concurrent commits (the old single pathMu
 	// did), so commits on distinct vehicles proceed fully in parallel.
-	searchers sync.Pool // *roadnet.Searcher
-	pathCells *pathCellCache
+	searchers   sync.Pool // *roadnet.Searcher
+	stepScratch sync.Pool // *stepScratch
+	pathCells   *pathCellCache
 
 	// Commit-protocol effectiveness counters (see CommitStats): how
 	// often the validate-then-commit found the quoted candidate stale,
@@ -369,6 +372,7 @@ func New(grid *gridindex.Grid, lists *gridindex.VehicleLists, metric kinetic.Met
 		pathCells: newPathCellCache(1 << 16),
 	}
 	f.searchers.New = func() any { return roadnet.NewSearcher(grid.Graph()) }
+	f.stepScratch.New = func() any { return new(stepScratch) }
 	return f, nil
 }
 
@@ -469,7 +473,7 @@ func (f *Fleet) Vehicles(fn func(*Vehicle)) {
 // CheckInvariants verifies, under each vehicle's lock, that every
 // in-service vehicle's schedule state is valid: onboard riders within
 // capacity and at least one valid schedule whenever requests are
-// pending (the kinetic tree stores only schedules meeting the
+// pending (the kinetic tree counts only schedules meeting the
 // capacity, order, waiting-time and service constraints, so a
 // non-empty branch set certifies them all). Intended for tests after
 // concurrent commit storms.
@@ -630,13 +634,18 @@ func (f *Fleet) registrationLocked(v *Vehicle) registration {
 		return registration{empty: true, cell: f.grid.CellOf(v.Tree.Root())}
 	}
 	cells := make([]gridindex.CellID, 0, 8)
-	for _, loc := range v.Tree.Locations() {
+	v.locs = v.Tree.AppendLocations(v.locs[:0])
+	for _, loc := range v.locs {
 		cells = append(cells, f.grid.CellOf(loc))
 	}
 	// Cells along the driven branch's legs, so ring search discovers the
 	// vehicle as early as the paper's all-edge registration would.
 	prev := v.Tree.Root()
-	for _, p := range v.Tree.BestBranch() {
+	for j := 0; ; j++ {
+		p, ok := v.Tree.BestStop(j)
+		if !ok {
+			break
+		}
 		cells = append(cells, f.cellsAlong(prev, p.Loc)...)
 		prev = p.Loc
 	}
@@ -718,8 +727,10 @@ type StepStats struct {
 // errors.Is still reaches each cause). Concurrent Step calls are not
 // serialised here; the engine's tick loop owns that.
 func (f *Fleet) Step(budget float64) ([]Event, error) {
+	// vehicles only ever grows by append and its elements are never
+	// overwritten, so the slice header is a snapshot; no copy needed.
 	f.mu.RLock()
-	snap := append([]*Vehicle(nil), f.vehicles...)
+	snap := f.vehicles
 	fault := f.stepFault
 	f.mu.RUnlock()
 
@@ -732,9 +743,9 @@ func (f *Fleet) Step(budget float64) ([]Event, error) {
 	}
 
 	start := time.Now()
-	perVehicle := make([][]Event, len(snap))
-	perErr := make([]error, len(snap))
-	moved := make([]bool, len(snap))
+	sc := f.stepScratch.Get().(*stepScratch)
+	defer f.stepScratch.Put(sc)
+	perVehicle, perErr, moved := sc.size(len(snap))
 	shardNs := make([]int64, workers)
 	stepOne := func(i int) {
 		v := snap[i]
@@ -815,6 +826,29 @@ func (f *Fleet) Step(budget float64) ([]Event, error) {
 	}
 	f.stepStatsMu.Unlock()
 	return events, errors.Join(perErr...)
+}
+
+// stepScratch holds one Step call's per-vehicle result slots. Pooled,
+// so a tick allocates none of them and concurrent Step calls still each
+// get their own.
+type stepScratch struct {
+	perVehicle [][]Event
+	perErr     []error
+	moved      []bool
+}
+
+// size returns the three slot slices at length n, zeroed.
+func (sc *stepScratch) size(n int) ([][]Event, []error, []bool) {
+	if cap(sc.moved) < n {
+		sc.perVehicle = make([][]Event, n)
+		sc.perErr = make([]error, n)
+		sc.moved = make([]bool, n)
+	}
+	sc.perVehicle, sc.perErr, sc.moved = sc.perVehicle[:n], sc.perErr[:n], sc.moved[:n]
+	clear(sc.perVehicle)
+	clear(sc.perErr)
+	clear(sc.moved)
+	return sc.perVehicle, sc.perErr, sc.moved
 }
 
 // StepStats returns the most recent Step's execution profile. A fleet
@@ -900,11 +934,11 @@ func (f *Fleet) driveLocked(v *Vehicle, budget float64) ([]Event, error) {
 			}
 			continue
 		}
-		bb := v.Tree.BestBranch()
-		if len(bb) == 0 {
+		next, ok := v.Tree.BestStop(0)
+		if !ok {
 			return events, fmt.Errorf("fleet: vehicle %d has pending requests but no valid schedule", v.ID)
 		}
-		if err := f.driveTowardLocked(v, bb[0].Loc); err != nil {
+		if err := f.driveTowardLocked(v, next.Loc); err != nil {
 			return events, err
 		}
 	}
@@ -918,11 +952,10 @@ func (f *Fleet) serveHereLocked(v *Vehicle) (bool, []Event, error) {
 	var events []Event
 	served := false
 	for !v.Tree.Empty() {
-		bb := v.Tree.BestBranch()
-		if len(bb) == 0 {
+		next, ok := v.Tree.BestStop(0)
+		if !ok {
 			return served, events, fmt.Errorf("fleet: vehicle %d has pending requests but no valid schedule", v.ID)
 		}
-		next := bb[0]
 		if next.Loc != v.Tree.Root() {
 			break
 		}

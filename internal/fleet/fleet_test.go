@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"ptrider/internal/fleet"
@@ -404,4 +405,36 @@ func TestStepAggregatesVehicleErrors(t *testing.T) {
 	if _, err := w.fl.Step(300); err != nil {
 		t.Fatalf("Step after clearing fault: %v", err)
 	}
+}
+
+// TestConcurrentStepsKeepTheirOwnErrors: Step does not serialise
+// concurrent callers, so each call's per-vehicle result slots must be
+// its own — every one of several overlapping steps reports exactly the
+// two faulted vehicles, in id order.
+func TestConcurrentStepsKeepTheirOwnErrors(t *testing.T) {
+	w := newWorld(t, 7, 2)
+	for i := 0; i < 40; i++ {
+		w.fl.AddVehicle(roadnet.VertexID(i))
+	}
+	w.fl.SetStepFault(func(id fleet.VehicleID) error {
+		if id == 3 || id == 17 {
+			return errors.New("fault")
+		}
+		return nil
+	})
+	const want = "fleet: vehicle 3: fault\nfleet: vehicle 17: fault"
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := w.fl.Step(30); err == nil || err.Error() != want {
+					t.Errorf("Step error %q, want %q", err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -13,21 +13,51 @@ import (
 // any physical significance.
 const budgetEps = 1e-6
 
-// dfsScratch holds the per-enumeration workspace, reused across
-// rebuilds to keep the hot path allocation-light.
+// maxEnumPoints is the most points one enumeration can order: schedules
+// are carried as permutation words of 4-bit point indices.
+const maxEnumPoints = 16
+
+// dfsScratch is the tree-owned workspace of the enumeration, reused by
+// every rebuild and quote (both run under the vehicle's lock, and a
+// quote refreshes the tree before it loads its own point set, so one
+// workspace per tree suffices).
 type dfsScratch struct {
-	locs     []roadnet.VertexID // 0 is the root location, then one per point
-	exact    []float64          // (k+1)×(k+1) lazy distance matrix; NaN = unknown
-	n        int                // k+1
-	pickDist []float64          // per request: dist_tr at its in-sequence pickup
-	picked   []bool             // per request: pickup placed in current prefix
+	// The point and request sets being ordered: the committed ones,
+	// plus the quoted request's pair during a quote.
+	pts    []Point
+	reqIdx []int // parallel to pts: index into reqs
+	reqs   []*reqState
+
+	locs  []roadnet.VertexID // 0 is the root location, then one per point
+	exact []float64          // (k+1)×(k+1) lazy distance matrix; NaN = unknown
+	n     int                // k+1
+
+	// State of the current partial schedule.
+	pickDist []float64                  // per request: dist_tr at its in-sequence pickup
+	picked   []bool                     // per request: pickup placed in current prefix
+	distTr   [maxEnumPoints + 1]float64 // dist_tr after each placed stop; [0] is the root's 0
 }
 
-func (sc *dfsScratch) init(root roadnet.VertexID, pts []Point, nReqs int) {
-	k := len(pts)
-	sc.n = k + 1
-	sc.locs = append(sc.locs[:0], root)
-	for _, p := range pts {
+// load fills the workspace with the tree's committed points and
+// requests — followed by quoted and its pickup/dropoff pair when
+// non-nil — and clears the distance matrix.
+func (sc *dfsScratch) load(t *Tree, quoted *reqState) {
+	sc.pts = append(sc.pts[:0], t.pts...)
+	sc.reqIdx = append(sc.reqIdx[:0], t.reqIdx...)
+	sc.reqs = append(sc.reqs[:0], t.reqs...)
+	if quoted != nil {
+		ri := len(sc.reqs)
+		sc.reqs = append(sc.reqs, quoted)
+		sc.pts = append(sc.pts,
+			Point{Loc: quoted.S, Kind: Pickup, Req: quoted.ID},
+			Point{Loc: quoted.D, Kind: Dropoff, Req: quoted.ID},
+		)
+		sc.reqIdx = append(sc.reqIdx, ri, ri)
+	}
+
+	sc.n = len(sc.pts) + 1
+	sc.locs = append(sc.locs[:0], t.rootLoc)
+	for _, p := range sc.pts {
 		sc.locs = append(sc.locs, p.Loc)
 	}
 	need := sc.n * sc.n
@@ -38,6 +68,7 @@ func (sc *dfsScratch) init(root roadnet.VertexID, pts []Point, nReqs int) {
 	for i := range sc.exact {
 		sc.exact[i] = math.NaN()
 	}
+	nReqs := len(sc.reqs)
 	if cap(sc.pickDist) < nReqs {
 		sc.pickDist = make([]float64, nReqs)
 		sc.picked = make([]bool, nReqs)
@@ -49,7 +80,8 @@ func (sc *dfsScratch) init(root roadnet.VertexID, pts []Point, nReqs int) {
 	}
 }
 
-func (t *Tree) exactDist(sc *dfsScratch, i, j int) float64 {
+func (t *Tree) exactDist(i, j int) float64 {
+	sc := &t.sc
 	d := sc.exact[i*sc.n+j]
 	if !math.IsNaN(d) {
 		return d
@@ -59,7 +91,8 @@ func (t *Tree) exactDist(sc *dfsScratch, i, j int) float64 {
 	return d
 }
 
-func (t *Tree) lbDist(sc *dfsScratch, i, j int) float64 {
+func (t *Tree) lbDist(i, j int) float64 {
+	sc := &t.sc
 	// A previously computed exact value is its own best lower bound.
 	if d := sc.exact[i*sc.n+j]; !math.IsNaN(d) {
 		return d
@@ -67,83 +100,44 @@ func (t *Tree) lbDist(sc *dfsScratch, i, j int) float64 {
 	return t.metric.LB(sc.locs[i], sc.locs[j])
 }
 
-// stepBudget returns the remaining distance budget for placing point pi
-// (index into pts) when the vehicle has already driven curDist along the
-// candidate schedule. +Inf means unconstrained. reqs and picked/pickDist
-// come from the enumeration state.
-func (t *Tree) stepBudget(sc *dfsScratch, pts []Point, reqIdx []int, reqs []*reqState, pi int) (budget float64, ok bool) {
-	p := pts[pi]
-	r := reqs[reqIdx[pi]]
-	if p.Kind == Pickup {
+// stepBudget returns the odometer-relative distance budget for placing
+// point pi of the workspace next in the current partial schedule, or
+// ok=false when it cannot be placed at all.
+func (t *Tree) stepBudget(pi int) (budget float64, ok bool) {
+	sc := &t.sc
+	ri := sc.reqIdx[pi]
+	r := sc.reqs[ri]
+	if sc.pts[pi].Kind == Pickup {
 		return r.pickupDeadline - t.odo, true
 	}
 	if r.onboard {
 		return r.dropoffDeadline - t.odo, true
 	}
-	if !sc.picked[reqIdx[pi]] {
+	if !sc.picked[ri] {
 		return 0, false // dropoff cannot precede its pickup
 	}
-	return sc.pickDist[reqIdx[pi]] + r.ServiceLimit, true
+	return sc.pickDist[ri] + r.ServiceLimit, true
 }
 
-// rebuild re-enumerates every valid ordering of the pending points from
-// the current root, materialising the trie and refreshing bestDist and
-// the branch count.
-func (t *Tree) rebuild() {
-	t.dirty = false
-	t.odoAtBuild = t.odo
-	sc := &t.scratch
-	sc.init(t.rootLoc, t.pts, len(t.reqs))
-
-	t.root = &Node{
-		Point:     Point{Loc: t.rootLoc},
-		Occupancy: t.startOccupancy(),
-	}
-	t.maxLeg = 0
-	if len(t.pts) == 0 {
-		t.bestDist = 0
-		t.branches = 1
-		return
-	}
-	full := (1 << len(t.pts)) - 1
-	best, count := t.buildChildren(sc, t.root, 0, 0, 0.0, t.root.Occupancy, full)
-	t.root.subtreeBest = best
-	if count == 0 {
-		t.bestDist = math.Inf(1)
-		t.branches = 0
-		t.root.Children = nil
-		return
-	}
-	t.bestDist = best
-	t.branches = count
-}
-
-func (t *Tree) startOccupancy() int {
-	occ := 0
-	for _, r := range t.reqs {
-		if r.onboard {
-			occ += r.Riders
-		}
-	}
-	return occ
-}
-
-// buildChildren extends the trie node at location index cur (0 = root)
-// with every feasible next point from the unused set, recursing until
-// complete schedules are formed. It returns the best total distance in
-// the subtree and the number of complete branches. Subtrees with no
-// completion are discarded.
-func (t *Tree) buildChildren(sc *dfsScratch, parent *Node, used int, cur int, curDist float64, occ int, full int) (best float64, count int) {
-	best = math.Inf(1)
-	for pi := range t.pts {
+// walk is the enumeration: it extends the current partial schedule —
+// depth points placed, the used set, the last one at location index cur
+// (0 = root), occ riders aboard, carried as the permutation word perm
+// and the dist_tr stack — with every feasible unused point, in point
+// order, and hands each complete valid schedule to leaf with its total
+// distance. It allocates nothing. While leaf runs, the workspace's
+// distTr[1..] and pickDist describe the completed schedule.
+func (t *Tree) walk(used, cur, occ int, perm uint64, depth uint, leaf func(perm uint64, total float64)) {
+	sc := &t.sc
+	curDist := sc.distTr[depth]
+	full := 1<<len(sc.pts) - 1
+	for pi, p := range sc.pts {
 		bit := 1 << pi
 		if used&bit != 0 {
 			continue
 		}
-		p := t.pts[pi]
-		ri := t.reqIdx[pi]
-		r := t.reqs[ri]
-		budget, ok := t.stepBudget(sc, t.pts, t.reqIdx, t.reqs, pi)
+		ri := sc.reqIdx[pi]
+		r := sc.reqs[ri]
+		budget, ok := t.stepBudget(pi)
 		if !ok {
 			continue
 		}
@@ -151,79 +145,68 @@ func (t *Tree) buildChildren(sc *dfsScratch, parent *Node, used int, cur int, cu
 			continue
 		}
 		// Lower-bound prune before the exact distance (paper §3.3).
-		if curDist+t.lbDist(sc, cur, pi+1) > budget+budgetEps {
+		if curDist+t.lbDist(cur, pi+1) > budget+budgetEps {
 			continue
 		}
-		nd := curDist + t.exactDist(sc, cur, pi+1)
+		nd := curDist + t.exactDist(cur, pi+1)
 		if nd > budget+budgetEps {
 			continue
 		}
 
-		child := &Node{Point: p, DistTr: nd, Occupancy: occ}
-		var undoPick bool
+		nocc := occ
 		if p.Kind == Pickup {
-			child.Occupancy += r.Riders
+			nocc += r.Riders
 			sc.picked[ri] = true
 			sc.pickDist[ri] = nd
-			undoPick = true
 		} else {
-			child.Occupancy -= r.Riders
+			nocc -= r.Riders
 		}
-
-		nused := used | bit
-		if nused == full {
-			parent.Children = append(parent.Children, child)
-			child.subtreeBest = nd
-			if nd < best {
-				best = nd
-			}
-			if leg := nd - curDist; leg > t.maxLeg {
-				t.maxLeg = leg
-			}
-			count++
+		sc.distTr[depth+1] = nd
+		nperm := perm | uint64(pi)<<(4*depth)
+		if used|bit == full {
+			leaf(nperm, nd)
 		} else {
-			subBest, subCount := t.buildChildren(sc, child, nused, pi+1, nd, child.Occupancy, full)
-			if subCount > 0 {
-				child.subtreeBest = subBest
-				parent.Children = append(parent.Children, child)
-				count += subCount
-				if subBest < best {
-					best = subBest
-				}
-				if leg := nd - curDist; leg > t.maxLeg {
-					t.maxLeg = leg
-				}
-			}
+			t.walk(used|bit, pi+1, nocc, nperm, depth+1, leaf)
 		}
-		if undoPick {
+		if p.Kind == Pickup {
 			sc.picked[ri] = false
 		}
 	}
-	return best, count
 }
 
-// quoteScratch is the tree-owned workspace of quotePacked, reused
-// across quotes. Quotes run under the vehicle's lock, so one workspace
-// per tree suffices; only the candidate schedules that survive the
-// per-vehicle skyline escape to the heap.
-type quoteScratch struct {
-	sc     dfsScratch
-	reqs   []*reqState
-	pts    []Point
-	reqIdx []int
-	newReq reqState
-
-	// sky holds candidate schedules as permutation words — 4-bit point
-	// indices packed little-endian by schedule position — so inserting
-	// (and evicting) a candidate never allocates; the []Point sequences
-	// are materialised only for the survivors.
-	sky skyline.Skyline[uint64]
-
-	// Per-walk constants, hoisted into the scratch so the recursive
-	// enumeration is a method rather than an allocating closure.
-	pickupPos int
-	full      int
-	baseline  float64
+// rebuild re-enumerates every valid ordering of the pending points from
+// the current root, refreshing bestDist, the best schedule, the branch
+// count and maxLeg. The best schedule is the first strictly shortest
+// one in enumeration order. Each schedule is also handed to visit when
+// non-nil (the Branches and TrieRoot views); the workspace's distTr
+// then holds its dist_tr per stop.
+func (t *Tree) rebuild(visit func(perm uint64)) {
+	t.dirty = false
+	t.odoAtBuild = t.odo
+	t.maxLeg = 0
+	if len(t.pts) == 0 {
+		t.bestDist = 0
+		t.branches = 1
+		return
+	}
+	t.sc.load(t, nil)
+	t.bestDist = math.Inf(1)
+	t.branches = 0
+	t.walk(0, 0, t.Onboard(), 0, 0, func(perm uint64, total float64) {
+		if t.branches == 0 || total < t.bestDist {
+			t.bestDist, t.bestPerm = total, perm
+		}
+		t.branches++
+		// Only legs of schedules that complete count toward maxLeg.
+		for j := range t.pts {
+			if leg := t.sc.distTr[j+1] - t.sc.distTr[j]; leg > t.maxLeg {
+				t.maxLeg = leg
+			}
+		}
+		if visit != nil {
+			visit(perm)
+		}
+	})
 }
 
 // QuoteSeed carries exact distances precomputed by a caller's
@@ -280,9 +263,9 @@ func (t *Tree) Quote(req Request) []Candidate {
 	var out []Candidate
 	for _, e := range t.quotePacked(req, nil) {
 		out = append(out, Candidate{
-			Seq:        UnpackSeq(e.Payload, t.quote.pts),
+			Seq:        UnpackSeq(e.Payload, t.sc.pts),
 			PickupDist: e.Time,
-			TotalDist:  e.Price + t.quote.baseline,
+			TotalDist:  e.Price + t.bestDist,
 			Delta:      e.Price,
 		})
 	}
@@ -331,18 +314,18 @@ func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, s
 		dst = append(dst, PackedCandidate{
 			Perm:       e.Payload,
 			PickupDist: e.Time,
-			TotalDist:  e.Price + t.quote.baseline,
+			TotalDist:  e.Price + t.bestDist,
 			Delta:      e.Price,
 		})
 	}
-	return dst, append(ptsBuf, t.quote.pts...)
+	return dst, append(ptsBuf, t.sc.pts...)
 }
 
 // quotePacked runs the seeded enumeration and returns the non-dominated
 // candidates as sorted skyline entries over (pick-up distance, detour
-// delta), permutation-encoded. The entries alias the tree's quote
-// workspace and are valid until the next quote on this tree (callers
-// hold the vehicle lock for the duration).
+// delta), permutation-encoded over the workspace's point set. The
+// entries alias the tree's skyline and are valid until the next quote
+// on this tree (callers hold the vehicle lock for the duration).
 func (t *Tree) quotePacked(req Request, seed *QuoteSeed) []skyline.Entry[uint64] {
 	if req.Riders > t.capacity || len(t.pts)+2 > t.maxPoints {
 		return nil
@@ -358,115 +341,33 @@ func (t *Tree) quotePacked(req Request, seed *QuoteSeed) []skyline.Entry[uint64]
 		return nil
 	}
 
-	// Temporary point and request sets including the quoted request.
-	qs := &t.quote
-	qs.newReq = reqState{Request: req, pickupDeadline: math.Inf(1)}
-	qs.reqs = append(qs.reqs[:0], t.reqs...)
-	qs.reqs = append(qs.reqs, &qs.newReq)
-	newReqIdx := len(qs.reqs) - 1
-	qs.pts = append(qs.pts[:0], t.pts...)
-	qs.pts = append(qs.pts,
-		Point{Loc: req.S, Kind: Pickup, Req: req.ID},
-		Point{Loc: req.D, Kind: Dropoff, Req: req.ID},
-	)
-	qs.reqIdx = append(qs.reqIdx[:0], t.reqIdx...)
-	qs.reqIdx = append(qs.reqIdx, newReqIdx, newReqIdx)
-	qs.pickupPos = len(qs.pts) - 2
-	qs.full = (1 << len(qs.pts)) - 1
-	qs.baseline = baseline
-
-	qs.sc.init(t.rootLoc, qs.pts, len(qs.reqs))
+	// The quoted request rides along uncommitted: its pickup deadline is
+	// anchored only by Commit.
+	sc := &t.sc
+	t.quoted = reqState{Request: req, pickupDeadline: math.Inf(1)}
+	sc.load(t, &t.quoted)
 	if seed != nil && seed.matches(t) {
 		m := len(t.pts)
-		n := qs.sc.n
+		n := sc.n
 		sIdx, dIdx := m+1, m+2
 		for i := 0; i <= m; i++ {
-			qs.sc.exact[i*n+sIdx] = seed.SDist[i]
-			qs.sc.exact[sIdx*n+i] = seed.SDist[i]
-			qs.sc.exact[i*n+dIdx] = seed.DDist[i]
-			qs.sc.exact[dIdx*n+i] = seed.DDist[i]
+			sc.exact[i*n+sIdx] = seed.SDist[i]
+			sc.exact[sIdx*n+i] = seed.SDist[i]
+			sc.exact[i*n+dIdx] = seed.DDist[i]
+			sc.exact[dIdx*n+i] = seed.DDist[i]
 		}
-		qs.sc.exact[sIdx*n+dIdx] = req.SD
-		qs.sc.exact[dIdx*n+sIdx] = req.SD
+		sc.exact[sIdx*n+dIdx] = req.SD
+		sc.exact[dIdx*n+sIdx] = req.SD
 	}
-	qs.sky.Reset()
-	t.quoteWalk(qs, 0, 0, 0, t.startOccupancy(), math.NaN(), 0, 0)
-	return qs.sky.Sorted()
-}
-
-// quoteWalk extends the current partial schedule with every feasible
-// unused point, recursing to complete schedules and folding them into
-// the per-vehicle skyline. The partial schedule is carried as a
-// permutation word (perm, with depth points placed), so the recursion
-// allocates nothing.
-func (t *Tree) quoteWalk(qs *quoteScratch, used, cur int, curDist float64, occ int, newPickDist float64, perm uint64, depth uint) {
-	for pi := range qs.pts {
-		bit := 1 << pi
-		if used&bit != 0 {
-			continue
+	quotedIdx := len(sc.reqs) - 1
+	t.sky.Reset()
+	t.walk(0, 0, t.Onboard(), 0, 0, func(perm uint64, total float64) {
+		pickup, delta := sc.pickDist[quotedIdx], total-baseline
+		if !t.sky.IsDominated(pickup, delta) && !t.sky.ContainsPoint(pickup, delta) {
+			t.sky.Add(pickup, delta, perm)
 		}
-		p := qs.pts[pi]
-		ri := qs.reqIdx[pi]
-		r := qs.reqs[ri]
-		budget, ok := t.stepBudgetFor(&qs.sc, qs.pts, qs.reqIdx, qs.reqs, pi)
-		if !ok {
-			continue
-		}
-		if p.Kind == Pickup && occ+r.Riders > t.capacity {
-			continue
-		}
-		if curDist+t.lbDist(&qs.sc, cur, pi+1) > budget+budgetEps {
-			continue
-		}
-		nd := curDist + t.exactDist(&qs.sc, cur, pi+1)
-		if nd > budget+budgetEps {
-			continue
-		}
-
-		nocc := occ
-		npd := newPickDist
-		var undoPick bool
-		if p.Kind == Pickup {
-			nocc += r.Riders
-			qs.sc.picked[ri] = true
-			qs.sc.pickDist[ri] = nd
-			undoPick = true
-			if pi == qs.pickupPos {
-				npd = nd
-			}
-		} else {
-			nocc -= r.Riders
-		}
-
-		nperm := perm | uint64(pi)<<(4*depth)
-		if used|bit == qs.full {
-			if !qs.sky.IsDominated(npd, nd-qs.baseline) && !qs.sky.ContainsPoint(npd, nd-qs.baseline) {
-				qs.sky.Add(npd, nd-qs.baseline, nperm)
-			}
-		} else {
-			t.quoteWalk(qs, used|bit, pi+1, nd, nocc, npd, nperm, depth+1)
-		}
-		if undoPick {
-			qs.sc.picked[ri] = false
-		}
-	}
-}
-
-// stepBudgetFor is stepBudget over caller-supplied point/request sets
-// (used by Quote, whose sets include the uncommitted request).
-func (t *Tree) stepBudgetFor(sc *dfsScratch, pts []Point, reqIdx []int, reqs []*reqState, pi int) (float64, bool) {
-	p := pts[pi]
-	r := reqs[reqIdx[pi]]
-	if p.Kind == Pickup {
-		return r.pickupDeadline - t.odo, true
-	}
-	if r.onboard {
-		return r.dropoffDeadline - t.odo, true
-	}
-	if !sc.picked[reqIdx[pi]] {
-		return 0, false
-	}
-	return sc.pickDist[reqIdx[pi]] + r.ServiceLimit, true
+	})
+	return t.sky.Sorted()
 }
 
 // Commit adds req to the vehicle with the planned schedule of cand (a
@@ -474,34 +375,40 @@ func (t *Tree) stepBudgetFor(sc *dfsScratch, pts []Point, reqIdx []int, reqs []*
 // movement). The waiting-time constraint is anchored here: the pickup's
 // odometer deadline becomes odo + cand.PickupDist + req.WaitBudget.
 func (t *Tree) Commit(req Request, cand Candidate) error {
-	for _, r := range t.reqs {
-		if r.ID == req.ID {
-			return fmt.Errorf("kinetic: request %d already assigned", req.ID)
-		}
+	if err := t.add(&reqState{
+		Request:          req,
+		pickupDeadline:   t.odo + cand.PickupDist + req.WaitBudget,
+		plannedPickupOdo: t.odo + cand.PickupDist,
+	}); err != nil {
+		return err
+	}
+	t.ensureFresh()
+	if t.branches == 0 {
+		// Roll back: the candidate was stale (root moved since Quote).
+		t.removeRequestAt(len(t.reqs) - 1)
+		t.dirty = true
+		return fmt.Errorf("kinetic: committing request %d leaves no valid schedule (stale candidate)", req.ID)
+	}
+	return nil
+}
+
+// add appends a not yet picked-up request and its two points, leaving
+// the tree dirty.
+func (t *Tree) add(st *reqState) error {
+	if t.findReq(st.ID) >= 0 {
+		return fmt.Errorf("kinetic: request %d already assigned", st.ID)
 	}
 	if len(t.pts)+2 > t.maxPoints {
 		return fmt.Errorf("kinetic: vehicle is at its pending-point cap")
 	}
-	st := &reqState{
-		Request:          req,
-		pickupDeadline:   t.odo + cand.PickupDist + req.WaitBudget,
-		plannedPickupOdo: t.odo + cand.PickupDist,
-	}
+	ri := len(t.reqs)
 	t.reqs = append(t.reqs, st)
-	ri := len(t.reqs) - 1
 	t.pts = append(t.pts,
-		Point{Loc: req.S, Kind: Pickup, Req: req.ID},
-		Point{Loc: req.D, Kind: Dropoff, Req: req.ID},
+		Point{Loc: st.S, Kind: Pickup, Req: st.ID},
+		Point{Loc: st.D, Kind: Dropoff, Req: st.ID},
 	)
 	t.reqIdx = append(t.reqIdx, ri, ri)
 	t.dirty = true
-	t.ensureFresh()
-	if t.branches == 0 {
-		// Roll back: the candidate was stale (root moved since Quote).
-		t.removeRequestAt(ri)
-		t.dirty = true
-		return fmt.Errorf("kinetic: committing request %d leaves no valid schedule (stale candidate)", req.ID)
-	}
 	return nil
 }
 

@@ -2,10 +2,15 @@
 // schedules (paper §3.2.2, after Huang et al.'s Noah [7]): for one
 // vehicle, the set c.Str of all trip schedules that satisfy the four
 // validity conditions of Definition 2 — capacity, point order, waiting
-// time, and service constraint — stored as a trie whose branches share
-// common prefixes. Each node is augmented with the occupancy after
-// serving it and dist_tr, the travel distance from the vehicle's
-// current location, as the paper prescribes.
+// time, and service constraint. The tree stores the committed points
+// and requests, not the schedules: the valid schedules are enumerated
+// on demand by one pruned depth-first walk (enumerate.go), which keeps
+// what product code reads — the shortest schedule as a permutation word
+// over the points, its distance, the schedule count and the longest
+// leg. The paper's trie, whose branches share common prefixes and whose
+// nodes carry the occupancy after serving them and dist_tr, the travel
+// distance from the vehicle's current location, is a view built from
+// that walk (TrieRoot).
 //
 // Distances are metres; time is distance via the system's constant
 // speed, so waiting-time budgets arrive here already converted to
@@ -15,17 +20,20 @@
 // planned pickup distance + w·speed", which stays meaningful as the
 // vehicle moves and re-plans.
 //
-// The tree is rebuilt lazily by enumerating, with budget- and
-// bound-based pruning, every valid ordering of the pending points. The
-// enumeration consults the exact distance only after a cheap lower
-// bound fails to prune the extension — the paper's improvement (ii)
-// over Noah, which computes all distances up front.
+// The stored results are refreshed lazily by enumerating, with budget-
+// and bound-based pruning, every valid ordering of the pending points;
+// a quote is the same walk over the pending points plus the quoted
+// pair. The enumeration consults the exact distance only after a cheap
+// lower bound fails to prune the extension — the paper's improvement
+// (ii) over Noah, which computes all distances up front.
 package kinetic
 
 import (
 	"fmt"
+	"slices"
 
 	"ptrider/internal/roadnet"
+	"ptrider/internal/skyline"
 )
 
 // RequestID identifies a ridesharing request across the system.
@@ -91,19 +99,16 @@ type reqState struct {
 	onboard          bool
 }
 
-// Node is a trie node of the kinetic tree. Children are the feasible
-// next stops. DistTr and Occupancy are the paper's per-node
-// augmentations (the third, minimal allowed detour, is derivable from
-// the deadlines and is checked during enumeration instead of stored).
+// Node is a trie node of the kinetic tree as TrieRoot renders it.
+// Children are the feasible next stops. DistTr and Occupancy are the
+// paper's per-node augmentations (the third, minimal allowed detour, is
+// derivable from the deadlines and is checked during enumeration
+// instead of stored).
 type Node struct {
 	Point     Point
 	DistTr    float64
 	Occupancy int
 	Children  []*Node
-
-	// subtreeBest is the smallest complete-schedule distance below this
-	// node, maintained so BestBranch can descend greedily.
-	subtreeBest float64
 }
 
 // Candidate is one feasible way to serve a quoted request: the complete
@@ -135,18 +140,24 @@ type Tree struct {
 	pts    []Point // pending points; index into reqs via reqIdx
 	reqIdx []int   // parallel to pts
 
-	root       *Node // synthetic root at rootLoc; nil children == no pending points
+	// What the last rebuild found over pts: the shortest valid schedule
+	// (its distance, and its order as 4-bit indices into pts packed
+	// little-endian by schedule position), how many there are and their
+	// longest leg.
 	bestDist   float64
+	bestPerm   uint64
 	branches   int
 	maxLeg     float64
 	odoAtBuild float64
 	dirty      bool
 
-	// enumeration scratch: rebuild's workspace plus the quote
-	// workspace (separate, since Quote must not disturb a rebuild
-	// triggered by ensureFresh inside the same call).
-	scratch dfsScratch
-	quote   quoteScratch
+	sc dfsScratch // the enumeration's workspace
+
+	// Quote state. The per-vehicle skyline holds candidate schedules as
+	// permutation words, so inserting (and evicting) one never
+	// allocates; []Point sequences are materialised for survivors only.
+	quoted reqState
+	sky    skyline.Skyline[uint64]
 }
 
 // New returns an empty kinetic tree for a vehicle with the given
@@ -156,12 +167,10 @@ func New(m Metric, capacity, maxPoints int, loc roadnet.VertexID, odo float64) *
 	if maxPoints <= 0 {
 		maxPoints = 8
 	}
-	if maxPoints > 16 {
-		// Quote encodes candidate schedules as permutation words of
-		// 4-bit point indices, which caps enumerable points at 16 — far
-		// beyond what factorial enumeration can visit anyway (16! ≈
+	if maxPoints > maxEnumPoints {
+		// Far beyond what factorial enumeration can visit anyway (16! ≈
 		// 2·10¹³ orderings), so the clamp costs nothing real.
-		maxPoints = 16
+		maxPoints = maxEnumPoints
 	}
 	return &Tree{
 		metric:    m,
@@ -221,8 +230,8 @@ func (t *Tree) IsOnboard(id RequestID) (onboard, pending bool) {
 }
 
 // SetRoot advances the vehicle to a new location and odometer reading.
-// The odometer must be non-decreasing. The trie is rebuilt lazily on the
-// next read.
+// The odometer must be non-decreasing. The schedules are re-enumerated
+// lazily on the next read.
 func (t *Tree) SetRoot(loc roadnet.VertexID, odo float64) {
 	if odo < t.odo {
 		panic(fmt.Sprintf("kinetic: odometer moved backwards (%v < %v)", odo, t.odo))
@@ -235,10 +244,10 @@ func (t *Tree) SetRoot(loc roadnet.VertexID, odo float64) {
 	t.dirty = true
 }
 
-// ensureFresh rebuilds the trie if the root moved since the last build.
+// ensureFresh re-enumerates if the root moved since the last build.
 func (t *Tree) ensureFresh() {
-	if t.dirty || (t.root == nil && len(t.pts) > 0) {
-		t.rebuild()
+	if t.dirty {
+		t.rebuild(nil)
 	}
 }
 
@@ -279,72 +288,82 @@ func (t *Tree) MaxLegUpper() float64 {
 	return t.maxLeg + (t.odo - t.odoAtBuild)
 }
 
+// BestStop returns stop j (from 0) of the shortest valid schedule — the
+// branch the vehicle drives — and false past its end, for an empty tree
+// and when no valid schedule exists.
+func (t *Tree) BestStop(j int) (Point, bool) {
+	t.ensureFresh()
+	if j >= len(t.pts) || t.branches == 0 {
+		return Point{}, false
+	}
+	return t.pts[(t.bestPerm>>(4*uint(j)))&0xF], true
+}
+
 // BestBranch returns the stop sequence of the shortest valid schedule,
 // or nil when the tree is empty.
 func (t *Tree) BestBranch() []Point {
-	t.ensureFresh()
-	if t.root == nil || len(t.root.Children) == 0 {
+	if _, ok := t.BestStop(0); !ok {
 		return nil
 	}
-	var seq []Point
-	n := t.root
-	for len(n.Children) > 0 {
-		best := n.Children[0]
-		for _, c := range n.Children[1:] {
-			if c.subtreeBest < best.subtreeBest {
-				best = c
-			}
-		}
-		seq = append(seq, best.Point)
-		n = best
-	}
-	return seq
+	return UnpackSeq(t.bestPerm, t.pts)
 }
 
-// Branches returns every valid schedule as a stop sequence. Intended
-// for the demo's website view and for tests; matching never materialises
-// this.
+// Branches returns every valid schedule as a stop sequence, in
+// enumeration order. Intended for the demo's website view and for
+// tests; matching never materialises this.
 func (t *Tree) Branches() [][]Point {
-	t.ensureFresh()
-	if t.root == nil {
-		return nil
-	}
 	var out [][]Point
-	var walk func(n *Node, prefix []Point)
-	walk = func(n *Node, prefix []Point) {
-		if len(n.Children) == 0 {
-			out = append(out, append([]Point(nil), prefix...))
-			return
-		}
-		for _, c := range n.Children {
-			walk(c, append(prefix, c.Point))
-		}
-	}
-	if len(t.root.Children) == 0 {
-		return nil
-	}
-	walk(t.root, nil)
+	t.rebuild(func(perm uint64) {
+		out = append(out, UnpackSeq(perm, t.sc.pts))
+	})
 	return out
 }
 
-// TrieRoot returns the trie root for read-only traversal (the demo
-// server renders tree edges from it). It is nil for an empty tree.
+// TrieRoot returns the valid schedules as the paper's trie (§3.2.2):
+// a synthetic root at the vehicle's location whose branches share
+// common prefixes. It is built per call for read-only traversal and is
+// nil for an empty tree.
 func (t *Tree) TrieRoot() *Node {
-	t.ensureFresh()
-	return t.root
+	if len(t.pts) == 0 {
+		return nil
+	}
+	sc := &t.sc
+	root := &Node{Point: Point{Loc: t.rootLoc}, Occupancy: t.Onboard()}
+	t.rebuild(func(perm uint64) {
+		n := root
+		for j := range sc.pts {
+			pi := (perm >> (4 * uint(j))) & 0xF
+			// Schedules arrive in depth-first order, so a shared prefix
+			// can only be the path to the newest child.
+			if k := len(n.Children); k > 0 && n.Children[k-1].Point == sc.pts[pi] {
+				n = n.Children[k-1]
+				continue
+			}
+			riders := sc.reqs[sc.reqIdx[pi]].Riders
+			if sc.pts[pi].Kind == Dropoff {
+				riders = -riders
+			}
+			child := &Node{Point: sc.pts[pi], DistTr: sc.distTr[j+1], Occupancy: n.Occupancy + riders}
+			n.Children = append(n.Children, child)
+			n = child
+		}
+	})
+	return root
 }
 
-// Locations returns the root location plus every pending point
+// AppendLocations appends the root location plus every pending point
 // location, deduplicated — the location set whose pairwise paths define
 // the cells a non-empty vehicle registers in.
-func (t *Tree) Locations() []roadnet.VertexID {
-	seen := map[roadnet.VertexID]bool{t.rootLoc: true}
-	out := []roadnet.VertexID{t.rootLoc}
+func (t *Tree) AppendLocations(dst []roadnet.VertexID) []roadnet.VertexID {
+	start := len(dst)
+	dst = append(dst, t.rootLoc)
 	for _, p := range t.pts {
-		if !seen[p.Loc] {
-			seen[p.Loc] = true
-			out = append(out, p.Loc)
+		if !slices.Contains(dst[start:], p.Loc) {
+			dst = append(dst, p.Loc)
 		}
 	}
-	return out
+	return dst
 }
+
+// Locations is AppendLocations into a fresh slice.
+func (t *Tree) Locations() []roadnet.VertexID { return t.AppendLocations(nil) }

@@ -1,16 +1,12 @@
 package kinetic
 
-import (
-	"fmt"
-
-	"ptrider/internal/roadnet"
-)
+import "ptrider/internal/roadnet"
 
 // This file is the durability surface of the kinetic tree: exporting a
 // tree's commitment state for snapshots and rebuilding an identical
-// tree on recovery. The trie itself is never serialised — it is a pure
-// function of (root, odometer, pending requests) and is re-enumerated
-// lazily after restore.
+// tree on recovery. The schedules are never serialised — they are a
+// pure function of (root, odometer, pending requests) and are
+// re-enumerated lazily after restore.
 
 // ReqSnapshot is the serialisable state of one pending request inside a
 // tree: the public Request plus the commitment fields that Commit and
@@ -77,26 +73,9 @@ func Restore(m Metric, capacity, maxPoints int, loc roadnet.VertexID, odo float6
 // No stale-candidate rollback: the journal only holds commits that
 // succeeded.
 func (t *Tree) RestoreCommit(req Request, plannedPickupOdo float64) error {
-	for _, r := range t.reqs {
-		if r.ID == req.ID {
-			return fmt.Errorf("kinetic: request %d already assigned", req.ID)
-		}
-	}
-	if len(t.pts)+2 > t.maxPoints {
-		return fmt.Errorf("kinetic: vehicle is at its pending-point cap")
-	}
-	st := &reqState{
+	return t.add(&reqState{
 		Request:          req,
 		pickupDeadline:   plannedPickupOdo + req.WaitBudget,
 		plannedPickupOdo: plannedPickupOdo,
-	}
-	t.reqs = append(t.reqs, st)
-	ri := len(t.reqs) - 1
-	t.pts = append(t.pts,
-		Point{Loc: req.S, Kind: Pickup, Req: req.ID},
-		Point{Loc: req.D, Kind: Dropoff, Req: req.ID},
-	)
-	t.reqIdx = append(t.reqIdx, ri, ri)
-	t.dirty = true
-	return nil
+	})
 }

@@ -1,0 +1,250 @@
+package kinetic_test
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ptrider/internal/kinetic"
+	"ptrider/internal/roadnet"
+	"ptrider/internal/testnet"
+)
+
+// warmTree returns a tree on a 6×6 lattice holding three committed
+// requests with budgets loose enough that any root keeps it valid, and
+// a fourth request to quote against it.
+func warmTree(t *testing.T) (*kinetic.Tree, kinetic.Request) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	g := testnet.Lattice(rng, 6, 6, 100)
+	oracle := roadnet.NewOracle(g)
+	tr := kinetic.New(oracleMetric{o: oracle, lbFrac: 0.9}, 4, 8, 0, 0)
+	mk := func(id int, s, d roadnet.VertexID) kinetic.Request {
+		sd := oracle.Dist(s, d)
+		return kinetic.Request{ID: kinetic.RequestID(id), S: s, D: d, Riders: 1, SD: sd, ServiceLimit: 1e9, WaitBudget: 1e9}
+	}
+	for i, sd := range [][2]roadnet.VertexID{{3, 20}, {8, 31}, {14, 35}} {
+		req := mk(i+1, sd[0], sd[1])
+		if err := tr.Commit(req, tr.Quote(req)[0]); err != nil {
+			t.Fatalf("commit %d: %v", i+1, err)
+		}
+	}
+	return tr, mk(4, 10, 27)
+}
+
+// TestRebuildAllocatesNothing: re-enumerating a warm tree after the
+// root moved touches only the tree's own workspace.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	tr, _ := warmTree(t)
+	odo := 0.0
+	move := func() {
+		odo += 100
+		tr.SetRoot(roadnet.VertexID(int(odo/100)%36), odo)
+		if tr.BestDist() <= 0 {
+			t.Fatal("rebuild found no schedule")
+		}
+	}
+	move()
+	if n := testing.AllocsPerRun(50, move); n != 0 {
+		t.Fatalf("SetRoot + BestDist allocates %v per run, want 0", n)
+	}
+}
+
+// TestQuotePackedAllocatesNothing: a probe into caller buffers on a
+// warm tree allocates nothing, candidates included.
+func TestQuotePackedAllocatesNothing(t *testing.T) {
+	tr, req := warmTree(t)
+	var cands []kinetic.PackedCandidate
+	var pts []kinetic.Point
+	quote := func() {
+		cands, pts = tr.QuotePacked(req, cands[:0], pts[:0], nil)
+		if len(cands) == 0 {
+			t.Fatal("no candidates")
+		}
+	}
+	quote()
+	if n := testing.AllocsPerRun(50, quote); n != 0 {
+		t.Fatalf("QuotePacked allocates %v per run, want 0", n)
+	}
+}
+
+// randomTrees calls fn on seeded trees of 1–4 requests on a lattice:
+// tight and loose budgets, stops that repeat earlier stops' locations
+// (which makes orderings tie exactly), checked after every commit and
+// again after each of the few stops the vehicle then serves, while
+// requests remain.
+func randomTrees(t *testing.T, n int, fn func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, rng *rand.Rand)) {
+	for seed := int64(0); seed < int64(n); seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		g := testnet.Lattice(rng, 5, 5, 100)
+		oracle := roadnet.NewOracle(g)
+		vertex := func() roadnet.VertexID { return roadnet.VertexID(rng.Intn(g.NumVertices())) }
+		tr := kinetic.New(oracleMetric{o: oracle, lbFrac: 0.9}, 4, 8, vertex(), 0)
+
+		var used []roadnet.VertexID
+		pick := func() roadnet.VertexID {
+			if len(used) > 0 && rng.Intn(2) == 0 {
+				return used[rng.Intn(len(used))]
+			}
+			return vertex()
+		}
+		want := 1 + rng.Intn(4)
+		for id := 1; id <= want; id++ {
+			s, d := pick(), pick()
+			if s == d {
+				continue
+			}
+			sd := oracle.Dist(s, d)
+			req := kinetic.Request{ID: kinetic.RequestID(id), S: s, D: d, Riders: 1 + rng.Intn(2), SD: sd}
+			if rng.Intn(2) == 0 {
+				req.ServiceLimit, req.WaitBudget = 1.05*sd, rng.Float64()*50
+			} else {
+				req.ServiceLimit, req.WaitBudget = 3*sd, 1e6
+			}
+			cands := tr.Quote(req)
+			if len(cands) == 0 {
+				continue
+			}
+			if err := tr.Commit(req, cands[rng.Intn(len(cands))]); err != nil {
+				t.Fatalf("seed %d: commit %d: %v", seed, id, err)
+			}
+			used = append(used, s, d)
+			fn(t, tr, oracle, rng)
+		}
+		for served := rng.Intn(3); served > 0 && !tr.Empty(); served-- {
+			next := tr.BestBranch()[0]
+			tr.SetRoot(next.Loc, tr.Odometer()+oracle.Dist(tr.Root(), next.Loc))
+			var err error
+			if next.Kind == kinetic.Pickup {
+				err = tr.Pickup(next.Req)
+			} else {
+				err = tr.Dropoff(next.Req)
+			}
+			if err != nil {
+				t.Fatalf("seed %d: serve %+v: %v", seed, next, err)
+			}
+			if !tr.Empty() {
+				fn(t, tr, oracle, rng)
+			}
+		}
+	}
+}
+
+// TestStoredResultsMatchBranches pins what the tree keeps from its
+// enumeration against the full schedule set: the best schedule is the
+// first strictly shortest one in enumeration order (the tie-break every
+// loaded vehicle drives by), the branch count and longest leg are those
+// of the set, and the trie view spells the same schedules.
+func TestStoredResultsMatchBranches(t *testing.T) {
+	ties := 0
+	randomTrees(t, 240, func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, _ *rand.Rand) {
+		branches := tr.Branches()
+		if tr.NumBranches() != len(branches) || len(branches) == 0 {
+			t.Fatalf("NumBranches %d, Branches %d", tr.NumBranches(), len(branches))
+		}
+		// Totals and legs are recomputed with the walk's own arithmetic
+		// (running sum, leg as a difference of sums), so they compare
+		// exactly.
+		var best []kinetic.Point
+		bestTotal, maxLeg, minimal := 0.0, 0.0, 0
+		for _, seq := range branches {
+			total, cur := 0.0, tr.Root()
+			for _, p := range seq {
+				nd := total + oracle.Dist(cur, p.Loc)
+				if leg := nd - total; leg > maxLeg {
+					maxLeg = leg
+				}
+				total, cur = nd, p.Loc
+			}
+			switch {
+			case best == nil || total < bestTotal:
+				best, bestTotal, minimal = seq, total, 1
+			case total == bestTotal:
+				minimal++
+			}
+		}
+		if minimal > 1 {
+			ties++
+		}
+		if got := tr.BestBranch(); !reflect.DeepEqual(got, best) {
+			t.Fatalf("BestBranch %v, first minimal of Branches %v", got, best)
+		}
+		if tr.BestDist() != bestTotal {
+			t.Fatalf("BestDist %v, want %v", tr.BestDist(), bestTotal)
+		}
+		if tr.MaxLeg() != maxLeg {
+			t.Fatalf("MaxLeg %v, recomputed %v", tr.MaxLeg(), maxLeg)
+		}
+
+		var leaves [][]kinetic.Point
+		var walk func(n *kinetic.Node, prefix []kinetic.Point)
+		walk = func(n *kinetic.Node, prefix []kinetic.Point) {
+			if n.Occupancy < 0 || n.Occupancy > tr.Capacity() {
+				t.Fatalf("trie node %+v occupancy %d", n.Point, n.Occupancy)
+			}
+			if len(n.Children) == 0 {
+				leaves = append(leaves, append([]kinetic.Point(nil), prefix...))
+			}
+			for _, c := range n.Children {
+				if c.DistTr < n.DistTr {
+					t.Fatalf("DistTr not monotone: %v after %v", c.DistTr, n.DistTr)
+				}
+				walk(c, append(prefix, c.Point))
+			}
+		}
+		walk(tr.TrieRoot(), nil)
+		if !reflect.DeepEqual(leaves, branches) {
+			t.Fatalf("trie leaves %v, Branches %v", leaves, branches)
+		}
+	})
+	if ties < 20 {
+		t.Fatalf("only %d tree states had an exact tie for the shortest schedule; the generator no longer forces them", ties)
+	}
+}
+
+// TestQuoteCommitAgreement: every quoted candidate commits to a tree
+// whose schedules include the candidate's; the committed tree's best
+// distance never beats the cheapest quote, never exceeds the committed
+// one, and is the cheapest quote itself when that is what was committed
+// (committing a dearer candidate anchors an earlier pickup deadline,
+// which a tight waiting budget lets rule the cheapest schedule out).
+func TestQuoteCommitAgreement(t *testing.T) {
+	randomTrees(t, 60, func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, rng *rand.Rand) {
+		if tr.NumRequests() == 4 {
+			return
+		}
+		s, d := roadnet.VertexID(rng.Intn(25)), roadnet.VertexID(rng.Intn(25))
+		if s == d {
+			return
+		}
+		sd := oracle.Dist(s, d)
+		req := kinetic.Request{ID: 99, S: s, D: d, Riders: 1, SD: sd, ServiceLimit: 2 * sd, WaitBudget: rng.Float64() * 200}
+		cands := tr.Quote(req)
+		if len(cands) == 0 {
+			return
+		}
+		cheapest := cands[0].TotalDist
+		for _, c := range cands {
+			cheapest = min(cheapest, c.TotalDist)
+		}
+		for _, c := range cands {
+			cp := kinetic.Restore(oracleMetric{o: oracle, lbFrac: 0.9}, tr.Capacity(), 8, tr.Root(), tr.Odometer(), tr.SnapshotReqs())
+			if err := cp.Commit(req, c); err != nil {
+				t.Fatalf("commit of quoted candidate %+v: %v", c, err)
+			}
+			found := false
+			for _, seq := range cp.Branches() {
+				found = found || reflect.DeepEqual(seq, c.Seq)
+			}
+			if !found {
+				t.Fatalf("committed tree lacks the quoted schedule %v", c.Seq)
+			}
+			// A quoted total is (total − baseline) + baseline, so it can
+			// differ from the enumerated total in the last bits.
+			if bd := cp.BestDist(); bd < cheapest-eps || bd > c.TotalDist+eps || (c.TotalDist == cheapest && math.Abs(bd-cheapest) > eps) {
+				t.Fatalf("BestDist %v after committing total %v; cheapest quote %v", bd, c.TotalDist, cheapest)
+			}
+		}
+	})
+}

@@ -131,7 +131,7 @@ func BenchmarkEndToEndRequest(b *testing.B) {
 // BenchmarkSubmitSerial is the single-client request-answering
 // baseline: one goroutine submits and declines against the loaded
 // city. Pair it with BenchmarkSubmitParallel to measure multi-core
-// scaling of the sharded engine (BENCH_seed.json records the ratio).
+// scaling of the sharded engine on a host that has the cores.
 func BenchmarkSubmitSerial(b *testing.B) {
 	w := loadedWorld(b)
 	b.ReportAllocs()
@@ -297,52 +297,6 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblate — E8: dual-side matching with optimisations disabled.
-func BenchmarkAblate(b *testing.B) {
-	g, err := gen.GenerateNetwork(gen.CityConfig{Width: 24, Height: 24, Seed: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	variants := []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"full", nil},
-		{"no-lower-bounds", func(c *core.Config) { c.DisableLB = true }},
-		{"no-empty-lemma", func(c *core.Config) { c.DisableEmptyLemma = true }},
-	}
-	for _, v := range variants {
-		cfg := core.Config{GridCols: 12, GridRows: 12, Capacity: 4, MaxWaitSeconds: 300, Sigma: 0.4, Seed: 4}
-		if v.mut != nil {
-			v.mut(&cfg)
-		}
-		eng, err := core.NewEngine(g, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.AddVehiclesUniform(150)
-		trips, _ := gen.GenerateTrips(g, gen.TripConfig{NumTrips: 150, DaySeconds: 600, Seed: 5})
-		s, _ := sim.New(eng, trips, sim.Config{TickSeconds: 2, Seed: 5, EndSeconds: 600})
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(6))
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sv := roadnet.VertexID(rng.Intn(g.NumVertices()))
-				dv := roadnet.VertexID(rng.Intn(g.NumVertices()))
-				if sv == dv {
-					continue
-				}
-				if _, _, err := eng.MatchOnce(core.AlgoDualSide, sv, dv, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGridBuild — E6: index construction across resolutions.
 func BenchmarkGridBuild(b *testing.B) {
 	g, err := gen.GenerateNetwork(gen.CityConfig{Width: 32, Height: 32, Seed: 7})
@@ -472,19 +426,12 @@ func BenchmarkShortestPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := roadnet.NewSearcher(g)
-	bi := roadnet.NewBiSearcher(g)
 	rng := rand.New(rand.NewSource(14))
 	n := g.NumVertices()
 	b.Run("astar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.Dist(roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)))
-		}
-	})
-	b.Run("bidirectional", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bi.Dist(roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)))
 		}
 	})
 }

@@ -2,7 +2,8 @@
 // through the gateway (JSON encode, HTTP round trip over a loopback
 // socket, envelope decode, id lift) against the same cycle on an
 // in-process engine. The delta is the wire cost a deployment pays for
-// horizontal scale-out; see BENCH_pr10.json for reference numbers.
+// horizontal scale-out; the ladder carries the same pair as
+// cluster.gateway_submit_us vs multicity.submit_us.
 package cluster
 
 import (

@@ -371,7 +371,7 @@ func (e *Engine) openDurability(cfg Config) error {
 		}
 	}
 	j, err := wal.Open(cfg.WALDir, rec.NextSeg, wal.Options{
-		Mode: cfg.Durability, Injector: cfg.FaultInjector, NoFsync: cfg.WALNoFsync,
+		Mode: cfg.Durability, Injector: cfg.FaultInjector,
 		// Nil registry hands out nil histograms — telemetry off.
 		AppendHist: cfg.Telemetry.LatencyHist("ptrider_wal_append_duration_seconds",
 			"WAL group-commit batch write wall time."),

@@ -20,13 +20,13 @@ import (
 // benchEngine builds a loaded city for the submit benchmark — fleet
 // sized so the matching work per Submit is representative of a real
 // shard, not dwarfed by fixed per-record costs.
-func benchEngine(b *testing.B, mode wal.Mode, dir string, noFsync bool) *core.Engine {
+func benchEngine(b *testing.B, mode wal.Mode, dir string) *core.Engine {
 	b.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(11)), 16, 16, 100)
 	e, err := core.NewEngine(g, core.Config{
 		GridCols: 8, GridRows: 8, Capacity: 4, Seed: 11,
 		MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
-		Durability: mode, WALDir: dir, WALNoFsync: noFsync,
+		Durability: mode, WALDir: dir,
 	})
 	if err != nil {
 		b.Fatalf("NewEngine: %v", err)
@@ -37,29 +37,15 @@ func benchEngine(b *testing.B, mode wal.Mode, dir string, noFsync bool) *core.En
 
 // BenchmarkSubmitDurable measures the durable Submit path against the
 // journal-free baseline. Parallel submitters share group commits, so
-// the sync-mode delta is the amortised fsync cost per request. The
-// sync-nofsync variant runs the full group-commit machinery (encode,
-// append, batch wait) with the device sync elided — the journaling
-// software overhead, independent of disk latency.
+// the sync-mode delta is the amortised fsync cost per request.
 func BenchmarkSubmitDurable(b *testing.B) {
-	variants := []struct {
-		name    string
-		mode    wal.Mode
-		noFsync bool
-	}{
-		{"off", wal.ModeOff, false},
-		{"async", wal.ModeAsync, false},
-		{"sync", wal.ModeSync, false},
-		{"sync-nofsync", wal.ModeSync, true},
-	}
-	for _, v := range variants {
-		mode := v.mode
-		b.Run(v.name, func(b *testing.B) {
+	for _, mode := range []wal.Mode{wal.ModeOff, wal.ModeAsync, wal.ModeSync} {
+		b.Run(mode.String(), func(b *testing.B) {
 			dir := ""
 			if mode != wal.ModeOff {
 				dir = b.TempDir()
 			}
-			e := benchEngine(b, mode, dir, v.noFsync)
+			e := benchEngine(b, mode, dir)
 			nv := e.Graph().NumVertices()
 			// Warm the path (code, distance memo, page cache) outside
 			// the timer so the first variant isn't charged cold-start

@@ -63,9 +63,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 type Config struct {
 	// GridCols/GridRows give the road-network grid index resolution.
 	GridCols, GridRows int
-	// MaxBoundRadius optionally truncates the index's bound matrix; see
-	// gridindex.Config.
-	MaxBoundRadius float64
 
 	// Capacity is the per-vehicle rider capacity.
 	Capacity int
@@ -109,17 +106,10 @@ type Config struct {
 	// Seed drives vehicle placement and roaming.
 	Seed int64
 
-	// NumLandmarks additionally builds ALT landmark tables whose
-	// triangle-inequality bounds are combined with the grid bounds
-	// (max of both). Zero disables; 8 is a good default on large
-	// networks.
-	NumLandmarks int
-
-	// MatchWorkers bounds the per-match candidate-evaluation fan-out:
-	// vehicles surviving bound-based pruning are probed by up to this
-	// many goroutines. 0 means GOMAXPROCS; 1 forces fully serial
-	// evaluation (the reference algorithm, bit for bit). Independent of
-	// this setting, whole Submit calls always run concurrently.
+	// MatchWorkers bounds the goroutines one SubmitBatch wave quotes
+	// on; a single request spawns none. 0 means GOMAXPROCS; 1 quotes a
+	// wave's items one after another. Independent of this setting,
+	// whole Submit calls always run concurrently.
 	MatchWorkers int
 
 	// TickWorkers bounds Tick's per-vehicle shard fan-out: the fleet is
@@ -138,11 +128,6 @@ type Config struct {
 	// did.
 	CommitSlack float64
 
-	// DisableEmptyLemma and DisableLB switch off individual
-	// optimisations for the E8 ablation benchmarks.
-	DisableEmptyLemma bool
-	DisableLB         bool
-
 	// Durability selects the write-ahead journaling mode (off, async,
 	// sync; see package wal). When not off, WALDir must name the
 	// journal directory; NewEngine recovers any state found there
@@ -154,10 +139,6 @@ type Config struct {
 	// records, checked at tick boundaries (0 = 4096; negative disables
 	// automatic snapshots — explicit Snapshot/Close still work).
 	SnapshotEvery int
-	// WALNoFsync skips the journal's fsync calls (crash-unsafe; exists
-	// so benchmarks can separate group-commit machinery overhead from
-	// device sync latency).
-	WALNoFsync bool
 	// FaultInjector arms simulated crash points and torn writes in the
 	// durability path (tests only; nil in production).
 	FaultInjector *wal.Injector
@@ -290,7 +271,7 @@ type RequestRecord struct {
 // Safe for concurrent use — and, unlike the first generation of this
 // engine, internally parallel. State is layered by mutability:
 //
-//   - Substrate: graph, grid index, landmarks, pricing — immutable,
+//   - Substrate: graph, grid index, pricing — immutable,
 //     shared lock-free (see Substrate).
 //   - Distance memo: internally sharded (see memoMetric).
 //   - Fleet: per-vehicle locks; probes and commits on distinct
@@ -384,7 +365,6 @@ type Engine struct {
 	pruned     stats.Online
 	cells      stats.Online
 	distCalls  stats.Online
-	parWidth   stats.Online // widest probe fan-out per match
 	waitDist   stats.Online // actual − planned pickup distance
 	detourFrac stats.Online // in-vehicle distance / direct distance
 
@@ -416,7 +396,7 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	metric := newMemoMetric(sub.grid, sub.lm, cfg.DisableLB)
+	metric := newMemoMetric(sub.grid)
 	lists := gridindex.NewVehicleLists(sub.grid.NumCells())
 	fl, err := fleet.New(sub.grid, lists, metric, fleet.Config{
 		Capacity:          cfg.Capacity,
@@ -454,7 +434,7 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 	} else {
 		e.fares = pricing.NewPipeline(pricing.Base(sub.model))
 	}
-	e.mctx = newMatchContext(sub, fl, lists, metric, cfg.MatchWorkers, cfg.DisableEmptyLemma)
+	e.mctx = newMatchContext(sub, fl, lists, metric)
 	e.matchers = map[Algorithm]Matcher{
 		AlgoNaive:      newNaiveMatcher(e.mctx),
 		AlgoSingleSide: newRingMatcher(e.mctx, false),
@@ -807,7 +787,6 @@ func (e *Engine) observeMatch(ms *MatchStats, numOptions int, elapsedNs float64)
 	e.pruned.Observe(float64(ms.PrunedVehicles))
 	e.cells.Observe(float64(ms.CellsScanned))
 	e.distCalls.Observe(float64(ms.DistCalls))
-	e.parWidth.Observe(float64(ms.ParallelWidth))
 	e.statsMu.Unlock()
 	e.requests.Add(1)
 }
@@ -1203,7 +1182,7 @@ type waveQuote struct {
 }
 
 // matchWave quotes one wave: every item runs the configured matcher,
-// fanned out over the engine's worker budget like candidate probes are.
+// fanned out over Config.MatchWorkers goroutines.
 // Items are mutually independent (each owns its skyline and counters,
 // and quoting never mutates fleet state), so the wave's option sets
 // match a serial pass exactly. Per-request DistCalls deltas are read
@@ -1214,7 +1193,7 @@ type waveQuote struct {
 func (e *Engine) matchWave(wave []batchPrep) []waveQuote {
 	quotes := make([]waveQuote, len(wave))
 	m := e.matchers[e.Algorithm()]
-	parallelFor(e.mctx.workers, len(wave), func(i int) {
+	parallelFor(e.sub.cfg.MatchWorkers, len(wave), func(i int) {
 		q := &quotes[i]
 		start := time.Now()
 		q.options = m.Match(&wave[i].spec, &q.stats)
@@ -1578,7 +1557,6 @@ type EngineStats struct {
 	AvgPruned       float64
 	AvgCellsScanned float64
 	AvgDistCalls    float64
-	AvgMatchWidth   float64 // widest candidate-probe fan-out per match
 	AvgWaitSeconds  float64 // actual−planned pickup wait
 	AvgDetourFactor float64 // in-vehicle distance / direct
 	ActiveVehicles  int
@@ -1670,7 +1648,6 @@ func (e *Engine) Stats() EngineStats {
 	s.AvgPruned = e.pruned.Mean()
 	s.AvgCellsScanned = e.cells.Mean()
 	s.AvgDistCalls = e.distCalls.Mean()
-	s.AvgMatchWidth = e.parWidth.Mean()
 	s.AvgWaitSeconds = e.waitDist.Mean() / e.sub.speed
 	s.AvgDetourFactor = e.detourFrac.Mean()
 	s.Tick.Ticks = e.tickWallMs.Count()

@@ -137,41 +137,6 @@ func TestSubmitBatchGreedy(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMatchWidth checks the adaptive candidate-evaluation
-// fan-out and its observability: a naive match over a fleet much larger
-// than the worker budget must use the full budget and report it in
-// MatchStats; a serial engine must report width 1; and the engine-level
-// average must surface through Stats.
-func TestAdaptiveMatchWidth(t *testing.T) {
-	mk := func(workers int) *core.Engine {
-		e := latticeEngine(t, 24, 8, 8, core.Config{Capacity: 4, MatchWorkers: workers})
-		e.AddVehiclesUniform(24)
-		return e
-	}
-	wide := mk(4)
-	_, ms, err := wide.MatchOnce(core.AlgoNaive, 1, 40, 1)
-	if err != nil {
-		t.Fatalf("match: %v", err)
-	}
-	if ms.ParallelWidth != 4 {
-		t.Fatalf("24-vehicle naive flush used width %d, want the full budget 4", ms.ParallelWidth)
-	}
-	serial := mk(1)
-	_, ms, err = serial.MatchOnce(core.AlgoNaive, 1, 40, 1)
-	if err != nil {
-		t.Fatalf("match: %v", err)
-	}
-	if ms.ParallelWidth != 1 {
-		t.Fatalf("serial engine reported width %d, want 1", ms.ParallelWidth)
-	}
-	if _, err := wide.Submit(1, 40, 1); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if st := wide.Stats(); st.AvgMatchWidth <= 0 {
-		t.Fatalf("AvgMatchWidth not surfaced: %+v", st)
-	}
-}
-
 func TestSubmitBatchQuoteOnly(t *testing.T) {
 	e := latticeEngine(t, 23, 6, 6, core.Config{Capacity: 4})
 	e.AddVehiclesUniform(3)

@@ -12,29 +12,6 @@ import (
 	"ptrider/internal/testnet"
 )
 
-// goldenPair builds two engines over the same network, seed and
-// configuration, differing only in MatchWorkers: serial (1) vs
-// parallel (4).
-func goldenPair(t *testing.T, algo core.Algorithm) (serial, parallel *core.Engine) {
-	t.Helper()
-	mk := func(workers int) *core.Engine {
-		g := testnet.Lattice(rand.New(rand.NewSource(77)), 12, 12, 100)
-		e, err := core.NewEngine(g, core.Config{
-			GridCols: 6, GridRows: 6,
-			Capacity: 4, Sigma: 0.4, MaxWaitSeconds: 300,
-			Algorithm:    algo,
-			Seed:         77,
-			MatchWorkers: workers,
-		})
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		e.AddVehiclesUniform(30)
-		return e
-	}
-	return mk(1), mk(4)
-}
-
 // coordEq compares one option coordinate across two engines. Exact
 // computations are deterministic per engine, but two engines may
 // legitimately resolve the same vertex pair through different flows
@@ -76,66 +53,6 @@ func sameOptions(t *testing.T, step int, a, b []core.Option) {
 					step, i, j, a[i].Candidate.Seq[j], b[i].Candidate.Seq[j])
 			}
 		}
-	}
-}
-
-// TestGoldenSerialVsParallel pins the refactor's no-behavioural-drift
-// guarantee: for a fixed seed and workload, the skyline option sets of
-// the serial matcher (MatchWorkers=1, the reference algorithm) and the
-// parallel matcher (MatchWorkers=4, batched probes folded in discovery
-// order) are identical at every step — same vehicles, bit-identical
-// pick-up distances and prices, same planned schedules. Both engines
-// evolve through identical choices and ticks, so any divergence
-// compounds and is caught.
-func TestGoldenSerialVsParallel(t *testing.T) {
-	for _, algo := range []core.Algorithm{core.AlgoNaive, core.AlgoSingleSide, core.AlgoDualSide} {
-		t.Run(algo.String(), func(t *testing.T) {
-			es, ep := goldenPair(t, algo)
-			n := es.Graph().NumVertices()
-			rng := rand.New(rand.NewSource(99))
-			for step := 0; step < 120; step++ {
-				s := roadnet.VertexID(rng.Intn(n))
-				d := roadnet.VertexID(rng.Intn(n))
-				riders := 1 + rng.Intn(3)
-				if s == d {
-					continue
-				}
-				rs, errS := es.Submit(s, d, riders)
-				rp, errP := ep.Submit(s, d, riders)
-				if (errS == nil) != (errP == nil) {
-					t.Fatalf("step %d: serial err %v, parallel err %v", step, errS, errP)
-				}
-				if errS != nil {
-					continue
-				}
-				sameOptions(t, step, rs.Options, rp.Options)
-
-				// Evolve both fleets identically.
-				if len(rs.Options) > 0 && rng.Intn(2) == 0 {
-					pick := rng.Intn(len(rs.Options))
-					cs := es.Choose(rs.ID, pick)
-					cp := ep.Choose(rp.ID, pick)
-					if (cs == nil) != (cp == nil) {
-						t.Fatalf("step %d: serial choose %v, parallel choose %v", step, cs, cp)
-					}
-				} else {
-					_ = es.Decline(rs.ID)
-					_ = ep.Decline(rp.ID)
-				}
-				if rng.Intn(4) == 0 {
-					if _, err := es.Tick(5); err != nil {
-						t.Fatalf("serial tick: %v", err)
-					}
-					if _, err := ep.Tick(5); err != nil {
-						t.Fatalf("parallel tick: %v", err)
-					}
-				}
-			}
-			ss, sp := es.Stats(), ep.Stats()
-			if ss.Requests != sp.Requests || ss.Assigned != sp.Assigned || ss.Completed != sp.Completed {
-				t.Fatalf("lifecycles diverged: serial %+v parallel %+v", ss, sp)
-			}
-		})
 	}
 }
 
@@ -336,49 +253,5 @@ func TestGoldenBatchGreedyCommits(t *testing.T) {
 				t.Fatalf("lifecycles diverged: batch %+v sequential %+v", sa, sb)
 			}
 		})
-	}
-}
-
-// TestGoldenMatchOnceAcrossWorkers cross-checks MatchOnce (the
-// benchmark entry point) between worker counts on a loaded fleet.
-func TestGoldenMatchOnceAcrossWorkers(t *testing.T) {
-	es, ep := goldenPair(t, core.AlgoDualSide)
-	n := es.Graph().NumVertices()
-	// Load both fleets identically.
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 40; i++ {
-		s := roadnet.VertexID(rng.Intn(n))
-		d := roadnet.VertexID(rng.Intn(n))
-		if s == d {
-			continue
-		}
-		rs, errS := es.Submit(s, d, 1)
-		rp, errP := ep.Submit(s, d, 1)
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("load %d: %v vs %v", i, errS, errP)
-		}
-		if errS != nil || len(rs.Options) == 0 {
-			continue
-		}
-		if es.Choose(rs.ID, 0) == nil {
-			if err := ep.Choose(rp.ID, 0); err != nil {
-				t.Fatalf("load %d: parallel choose failed: %v", i, err)
-			}
-		}
-	}
-	for probe := 0; probe < 60; probe++ {
-		s := roadnet.VertexID(rng.Intn(n))
-		d := roadnet.VertexID(rng.Intn(n))
-		if s == d {
-			continue
-		}
-		for _, algo := range []core.Algorithm{core.AlgoNaive, core.AlgoSingleSide, core.AlgoDualSide} {
-			os, _, errS := es.MatchOnce(algo, s, d, 1)
-			op, _, errP := ep.MatchOnce(algo, s, d, 1)
-			if (errS == nil) != (errP == nil) {
-				t.Fatalf("probe %d %v: %v vs %v", probe, algo, errS, errP)
-			}
-			sameOptions(t, probe, os, op)
-		}
 	}
 }

@@ -27,8 +27,7 @@ const memoShards = 64
 // memoMetric is the kinetic.Metric shared by every kinetic tree and
 // matcher in one engine: exact distances from epoch-stamped Searchers
 // with memoisation (the same vertex pairs recur heavily during
-// insertion enumeration), lower bounds from the grid index and optional
-// ALT landmarks.
+// insertion enumeration), lower bounds from the grid index.
 //
 // Safe for concurrent use: the memo is striped across RWMutex-guarded
 // shards keyed by the (order-normalised, since road distances here are
@@ -39,9 +38,6 @@ const memoShards = 64
 // matches its meaning of "exact computations performed".
 type memoMetric struct {
 	grid *gridindex.Grid
-	// lm optionally supplies ALT landmark bounds, combined with the
-	// grid bounds by max (both are sound lower bounds).
-	lm *roadnet.Landmarks
 
 	searchers sync.Pool // *roadnet.Searcher
 	shards    [memoShards]memoShard
@@ -55,9 +51,6 @@ type memoMetric struct {
 	// settled totals the vertices settled by released anchors: the work
 	// behind the batch fills among distCalls.
 	settled atomic.Int64
-	// noLB disables lower bounds (ablation E8): LB returns 0, which is
-	// always sound but prunes nothing.
-	noLB bool
 }
 
 type memoShard struct {
@@ -81,12 +74,10 @@ func (k memoKey) shard() int {
 	return int(h % memoShards)
 }
 
-func newMemoMetric(grid *gridindex.Grid, lm *roadnet.Landmarks, noLB bool) *memoMetric {
+func newMemoMetric(grid *gridindex.Grid) *memoMetric {
 	m := &memoMetric{
 		grid:        grid,
-		lm:          lm,
 		maxPerShard: (1 << 20) / memoShards,
-		noLB:        noLB,
 	}
 	g := grid.Graph()
 	m.searchers.New = func() any { return roadnet.NewSearcher(g) }
@@ -124,9 +115,6 @@ func (m *memoMetric) Dist(u, v roadnet.VertexID) float64 {
 
 // LB returns a cheap lower bound on Dist(u, v).
 func (m *memoMetric) LB(u, v roadnet.VertexID) float64 {
-	if m.noLB {
-		return 0
-	}
 	k := normKey(u, v)
 	sh := &m.shards[k.shard()]
 	sh.mu.RLock()
@@ -135,13 +123,7 @@ func (m *memoMetric) LB(u, v roadnet.VertexID) float64 {
 	if ok {
 		return d
 	}
-	lb := m.grid.LB(u, v)
-	if m.lm != nil {
-		if alt := m.lm.LB(u, v); alt > lb {
-			lb = alt
-		}
-	}
-	return lb
+	return m.grid.LB(u, v)
 }
 
 // memoBatchScratch is the caller-owned workspace of DistBatch, reused

@@ -5,9 +5,8 @@ package core
 // kinetic tree with the request; the global skyline filters the
 // results. No index pruning is used, so matching cost grows linearly in
 // the fleet size — the behaviour the single- and dual-side searches are
-// measured against. With MatchWorkers > 1 the probes run concurrently
-// and fold in vehicle-id order, so the result is identical to the
-// serial scan.
+// measured against. The probes run as one seeded batch and fold in
+// vehicle-id order.
 type NaiveMatcher struct {
 	ctx *matchContext
 }

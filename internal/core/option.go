@@ -47,10 +47,7 @@ type ReqSpec struct {
 
 // MatchStats instruments one matching run (paper §3.3's efficiency
 // discussion: vehicles verified vs pruned, exact distance computations,
-// grid cells scanned). With parallel candidate evaluation the pruning
-// counters can differ from a serial run of the same match — batched
-// vehicles skip the intra-cell skyline pruning — while the returned
-// option set stays identical. DistCalls deltas are attributed from a
+// grid cells scanned). DistCalls deltas are attributed from a
 // shared counter, so concurrent matches bleed into each other's counts;
 // treat them as aggregate instrumentation, not per-request truth.
 type MatchStats struct {
@@ -74,9 +71,9 @@ type MatchStats struct {
 	Settled int
 	// Options is the size of the returned skyline.
 	Options int
-	// ParallelWidth is the widest candidate-evaluation fan-out the
-	// match used (see Config.MatchWorkers); 1 means every probe ran
-	// serially. Zero when no probe batch was flushed at all.
+	// ParallelWidth is 1 when the match flushed a probe batch and 0
+	// when it probed nothing. Probes of one match always run serially;
+	// the field survives only because the benchmark ladder reads it.
 	ParallelWidth int
 }
 
@@ -99,26 +96,12 @@ type matchContext struct {
 	fleet  *fleet.Fleet
 	lists  *gridindex.VehicleLists
 	metric *memoMetric
-	// workers bounds the candidate-evaluation fan-out of one match;
-	// 1 means fully serial evaluation (the seed algorithm, bit for bit).
-	workers int
-	// disableEmptyLemma turns off the nearest-empty-vehicle
-	// optimisation (ablation E8): empty vehicles are then verified like
-	// non-empty ones.
-	disableEmptyLemma bool
 
 	scratch sync.Pool // *matchScratch
 }
 
-func newMatchContext(sub *Substrate, fl *fleet.Fleet, lists *gridindex.VehicleLists, metric *memoMetric, workers int, disableEmptyLemma bool) *matchContext {
-	ctx := &matchContext{
-		sub:               sub,
-		fleet:             fl,
-		lists:             lists,
-		metric:            metric,
-		workers:           workers,
-		disableEmptyLemma: disableEmptyLemma,
-	}
+func newMatchContext(sub *Substrate, fl *fleet.Fleet, lists *gridindex.VehicleLists, metric *memoMetric) *matchContext {
+	ctx := &matchContext{sub: sub, fleet: fl, lists: lists, metric: metric}
 	ctx.scratch.New = func() any { return &matchScratch{} }
 	return ctx
 }
@@ -130,8 +113,8 @@ func (ctx *matchContext) grid() *gridindex.Grid { return ctx.sub.grid }
 // materialised only for entries the skyline accepts — rejected
 // candidates (the vast majority on a loaded fleet) cost no allocation.
 // Coordinates already present are skipped so ties do not multiply
-// across vehicles; fold order therefore decides tie winners, which is
-// why parallel evaluation folds in discovery order.
+// across vehicles; fold order (discovery order) therefore decides tie
+// winners.
 func foldPacked(v *fleet.Vehicle, cands []kinetic.PackedCandidate, pts []kinetic.Point, spec *ReqSpec, sky *skyline.Skyline[Option], stats *MatchStats) {
 	for _, cand := range cands {
 		if cand.PickupDist > spec.MaxPickupDist {

@@ -12,25 +12,23 @@ import (
 	"ptrider/internal/skyline"
 )
 
-// This file holds the engine's parallel candidate-evaluation machinery.
+// This file holds the per-match workspace, the seeded probe flush and
+// the engine's one fan-out primitive.
 //
 // The matchers' hot cost is the kinetic-tree insertion probe
 // (Vehicle.Quote); ring scanning and bound checks are cheap by
-// comparison. With MatchWorkers > 1 the matchers therefore collect the
-// vehicles that survive bound-based pruning per ring cell into a batch,
-// probe the batch concurrently (each probe under its own vehicle's
-// lock, side-effect-free), and fold the returned candidates into the
-// skyline sequentially in discovery order.
+// comparison. The matchers therefore collect the vehicles that survive
+// bound-based pruning per ring cell into a batch, answer every distance
+// the batch's probes will read with two batch fills, and probe the
+// batch serially — each probe under its own vehicle's lock,
+// side-effect-free — folding the returned candidates into the skyline
+// in discovery order. Fold order decides which vehicle wins an exact
+// coordinate tie, so the skyline is a deterministic function of the
+// fleet state.
 //
-// Folding in discovery order is what keeps the parallel matcher's
-// option sets identical to the serial matcher's: the skyline is a
-// deterministic function of the folded options and their order (order
-// decides which vehicle wins an exact coordinate tie), and vehicles the
-// serial matcher would have pruned mid-cell only ever contribute
-// strictly dominated candidates (the bounds are sound), which the fold
-// rejects. The parallel mode may therefore probe more vehicles —
-// Verified/PrunedVehicles in MatchStats shift — but the returned
-// skyline does not.
+// A match spawns no goroutines. The engine's parallelism is across
+// requests (concurrent Submit calls) and across the items of one
+// SubmitBatch wave (parallelFor, below).
 
 // visitSet is an epoch-stamped membership set over dense vehicle ids,
 // reused across matches to avoid clearing. Ids beyond the current size
@@ -98,17 +96,13 @@ type matchScratch struct {
 	dseen visitSet // d-side discovery (dual-side only)
 
 	ids     []gridindex.VehicleID // cell-list read buffer
-	batch   []*fleet.Vehicle      // vehicles awaiting a parallel probe
+	batch   []*fleet.Vehicle      // vehicles awaiting a probe
 	pending []pendingVehicle      // dual-side deferred vehicles
 
 	// Packed-probe buffers: candidates stay permutation-encoded until
 	// the fold accepts them, so probing allocates nothing.
-	pcands  []kinetic.PackedCandidate   // serial-probe candidates
-	ptsBuf  []kinetic.Point             // serial-probe point set
-	pquotes [][]kinetic.PackedCandidate // per-slot probe result views
-	ppts    [][]kinetic.Point           // per-slot point-set views
-	pbufs   [][]kinetic.PackedCandidate // per-slot candidate storage
-	ptsBufs [][]kinetic.Point           // per-slot point-set storage
+	pcands []kinetic.PackedCandidate
+	ptsBuf []kinetic.Point
 
 	sky skyline.Skyline[Option] // per-match result skyline
 
@@ -124,13 +118,13 @@ type matchScratch struct {
 	emptyDists []float64
 
 	// Seeded-flush staging: the batched vehicles' schedule locations
-	// (concatenated, with per-slot offsets) and the request-specific
-	// distance rows fanned out to them.
+	// (concatenated, with per-slot offsets), the request-specific
+	// distance rows, and the view of both handed to the probe in flight.
 	probeLocs   []roadnet.VertexID
 	probeStarts []int32
 	probeS      []float64
 	probeD      []float64
-	seeds       []kinetic.QuoteSeed
+	seed        kinetic.QuoteSeed
 }
 
 func (ctx *matchContext) getScratch() *matchScratch {
@@ -147,25 +141,6 @@ func (ctx *matchContext) putScratch(sc *matchScratch, stats *MatchStats) {
 	ctx.scratch.Put(sc)
 }
 
-// parallelGrain is the smallest probe count worth one extra goroutine:
-// batches below 2×grain run serially, so sparsely populated cells do
-// not pay goroutine handoff for a couple of kinetic-tree probes.
-const parallelGrain = 2
-
-// adaptiveWidth sizes the candidate-evaluation fan-out from the
-// surviving candidate count: one worker per parallelGrain probes,
-// capped by the configured MatchWorkers budget.
-func adaptiveWidth(workers, n int) int {
-	if workers <= 1 || n < 2*parallelGrain {
-		return 1
-	}
-	w := n / parallelGrain
-	if w > workers {
-		w = workers
-	}
-	return w
-}
-
 // flushBatch probes every batched vehicle and folds the candidates into
 // the skyline in batch order. Probes run seeded: the vehicles' schedule
 // locations are snapshotted, every request-specific distance the
@@ -173,12 +148,10 @@ func adaptiveWidth(workers, n int) int {
 // point x — is answered through the memo's batch-fill API (the misses
 // of each side by extending the match's anchored search from s or d),
 // and the probes consume the results straight from their enumeration
-// matrices instead of issuing per-pair point searches. The fan-out
-// width adapts to the batch size (see adaptiveWidth) and the widest
-// fan-out used is recorded in stats.ParallelWidth. The batch is reset.
+// matrices instead of issuing per-pair point searches. The batch is
+// reset.
 func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skyline.Skyline[Option], stats *MatchStats) {
-	n := len(sc.batch)
-	if n == 0 {
+	if len(sc.batch) == 0 {
 		return
 	}
 	sc.probeLocs = sc.probeLocs[:0]
@@ -196,51 +169,14 @@ func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skylin
 	probeS, probeD := sc.probeS[:total], sc.probeD[:total]
 	ctx.metric.DistBatch(&sc.sAnchor, spec.Kin.S, sc.probeLocs, math.Inf(1), probeS, &sc.memoSc)
 	ctx.metric.DistBatch(&sc.dAnchor, spec.Kin.D, sc.probeLocs, math.Inf(1), probeD, &sc.memoSc)
-	for len(sc.seeds) < n {
-		sc.seeds = append(sc.seeds, kinetic.QuoteSeed{})
-	}
-	for i := 0; i < n; i++ {
+	stats.ParallelWidth = 1
+	for i, v := range sc.batch {
 		a, b := sc.probeStarts[i], sc.probeStarts[i+1]
-		sc.seeds[i] = kinetic.QuoteSeed{Locs: sc.probeLocs[a:b], SDist: probeS[a:b], DDist: probeD[a:b]}
-	}
-
-	width := adaptiveWidth(ctx.workers, n)
-	if width > stats.ParallelWidth {
-		stats.ParallelWidth = width
-	}
-	if width <= 1 {
-		for i, v := range sc.batch {
-			stats.Verified++
-			pcands, pts := v.QuotePacked(spec.Kin, sc.pcands[:0], sc.ptsBuf[:0], &sc.seeds[i])
-			foldPacked(v, pcands, pts, spec, sky, stats)
-			sc.pcands, sc.ptsBuf = pcands[:0], pts[:0] // retain grown buffers
-		}
-	} else {
-		if cap(sc.pquotes) < n {
-			sc.pquotes = make([][]kinetic.PackedCandidate, n)
-			sc.ppts = make([][]kinetic.Point, n)
-		}
-		for len(sc.pbufs) < n {
-			sc.pbufs = append(sc.pbufs, nil)
-			sc.ptsBufs = append(sc.ptsBufs, nil)
-		}
-		pquotes, ppts := sc.pquotes[:n], sc.ppts[:n]
-		pbufs, ptsBufs := sc.pbufs, sc.ptsBufs
-		seeds := sc.seeds
-		parallelFor(width, n, func(i int) {
-			pquotes[i], ppts[i] = sc.batch[i].QuotePacked(spec.Kin, pbufs[i][:0], ptsBufs[i][:0], &seeds[i])
-		})
-		for i, v := range sc.batch {
-			stats.Verified++
-			foldPacked(v, pquotes[i], ppts[i], spec, sky, stats)
-			if pquotes[i] != nil {
-				pbufs[i] = pquotes[i][:0] // retain grown buffers
-			}
-			if ppts[i] != nil {
-				ptsBufs[i] = ppts[i][:0]
-			}
-			pquotes[i], ppts[i] = nil, nil
-		}
+		sc.seed = kinetic.QuoteSeed{Locs: sc.probeLocs[a:b], SDist: probeS[a:b], DDist: probeD[a:b]}
+		stats.Verified++
+		pcands, pts := v.QuotePacked(spec.Kin, sc.pcands[:0], sc.ptsBuf[:0], &sc.seed)
+		foldPacked(v, pcands, pts, spec, sky, stats)
+		sc.pcands, sc.ptsBuf = pcands[:0], pts[:0] // retain grown buffers
 	}
 	sc.batch = sc.batch[:0]
 }

@@ -22,9 +22,9 @@ import (
 //     without quoting the rest.
 //   - Non-empty vehicles: a vehicle is verified (kinetic-tree insertion
 //     probe) only if its optimistic option (LB(l, s), f_n·dist(s,d)) is
-//     not already dominated by the running skyline. With MatchWorkers
-//     > 1 the survivors of a cell are probed concurrently and folded in
-//     discovery order (see parallel.go).
+//     not already dominated by the running skyline. The survivors of
+//     a cell are probed as one seeded batch and folded in discovery
+//     order (see flushBatch).
 //
 // Ring expansion terminates when a hypothetical vehicle at the current
 // ring radius could no longer contribute a non-dominated option, or
@@ -45,8 +45,7 @@ import (
 // schedule "near the start location but far from the destination".
 // Vehicles that survive the bound are deferred; when the s-side
 // expansion finishes, survivors are re-tested against the final skyline
-// and verified only if still potentially non-dominated (concurrently,
-// with MatchWorkers > 1).
+// and verified only if still potentially non-dominated.
 //
 // The matcher is stateless; per-match workspace comes from the shared
 // scratch pool, so concurrent Match calls are safe.
@@ -127,17 +126,6 @@ func (es *emptyScan) scanCell(ctx *matchContext, sc *matchScratch, cell gridinde
 		if !active {
 			continue
 		}
-		if ctx.disableEmptyLemma {
-			// Ablation: treat like a non-empty vehicle — verify unless
-			// the optimistic option is dominated.
-			lb := ctx.metric.LB(loc, spec.Kin.S)
-			if lb > spec.MaxPickupDist || sky.IsDominated(lb, spec.Ratio*(lb+2*spec.Kin.SD)) {
-				stats.PrunedVehicles++
-				continue
-			}
-			sc.batch = append(sc.batch, v)
-			continue
-		}
 		lb := ctx.metric.LB(loc, spec.Kin.S)
 		if lb >= es.bestDist || lb > spec.MaxPickupDist {
 			stats.PrunedVehicles++
@@ -145,12 +133,6 @@ func (es *emptyScan) scanCell(ctx *matchContext, sc *matchScratch, cell gridinde
 		}
 		sc.emptyVehs = append(sc.emptyVehs, v)
 		sc.emptyLocs = append(sc.emptyLocs, loc)
-	}
-	if ctx.disableEmptyLemma {
-		// Flush the ablation probes before the cell's non-empty scan,
-		// preserving the per-cell phase order.
-		ctx.flushBatch(sc, spec, sky, stats)
-		return
 	}
 	es.foldPass(ctx, sc, spec, sky)
 }

@@ -10,15 +10,14 @@ import (
 
 // Substrate is the read-only routing substrate of one engine: the road
 // network, the grid index's static layer (cell bounds and sorted cell
-// lists), the optional ALT landmark tables, the pricing model, and the
-// derived constants. Everything here is immutable after construction,
-// so matchers, kinetic trees and HTTP handlers share it lock-free
-// across any number of goroutines; all mutable state lives behind the
-// fleet's per-vehicle locks and the engine's coordination core.
+// lists), the pricing model, and the derived constants. Everything
+// here is immutable after construction, so matchers, kinetic trees and
+// HTTP handlers share it lock-free across any number of goroutines; all
+// mutable state lives behind the fleet's per-vehicle locks and the
+// engine's coordination core.
 type Substrate struct {
 	g     *roadnet.Graph
 	grid  *gridindex.Grid
-	lm    *roadnet.Landmarks
 	model pricing.Model
 	cfg   Config  // effective (defaulted) configuration
 	speed float64 // m/s
@@ -33,9 +32,12 @@ func newSubstrate(g *roadnet.Graph, cfg Config) (*Substrate, error) {
 	if cfg.Sigma < 0 {
 		return nil, fmt.Errorf("core: sigma must be non-negative")
 	}
-	grid, err := gridindex.Build(g, gridindex.Config{
-		Cols: cfg.GridCols, Rows: cfg.GridRows, MaxBoundRadius: cfg.MaxBoundRadius,
-	})
+	// The memo keys a vertex pair in either order and the batch fills
+	// answer dist(x, s) by searching from s; both need d(u,v) = d(v,u).
+	if !g.IsSymmetric() {
+		return nil, fmt.Errorf("core: road network must be symmetric")
+	}
+	grid, err := gridindex.Build(g, gridindex.Config{Cols: cfg.GridCols, Rows: cfg.GridRows})
 	if err != nil {
 		return nil, err
 	}
@@ -43,17 +45,9 @@ func newSubstrate(g *roadnet.Graph, cfg Config) (*Substrate, error) {
 	if err := model.Validate(cfg.Capacity); err != nil {
 		return nil, err
 	}
-	var lm *roadnet.Landmarks
-	if cfg.NumLandmarks > 0 {
-		lm, err = roadnet.SelectLandmarks(g, cfg.NumLandmarks)
-		if err != nil {
-			return nil, err
-		}
-	}
 	return &Substrate{
 		g:     g,
 		grid:  grid,
-		lm:    lm,
 		model: model,
 		cfg:   cfg,
 		speed: cfg.SpeedKmh / 3.6,
@@ -65,9 +59,6 @@ func (s *Substrate) Graph() *roadnet.Graph { return s.g }
 
 // Grid returns the static grid index.
 func (s *Substrate) Grid() *gridindex.Grid { return s.grid }
-
-// Landmarks returns the ALT landmark tables, or nil when disabled.
-func (s *Substrate) Landmarks() *roadnet.Landmarks { return s.lm }
 
 // Model returns the pricing model.
 func (s *Substrate) Model() pricing.Model { return s.model }

@@ -80,12 +80,6 @@ type Grid struct {
 type Config struct {
 	// Cols and Rows give the grid resolution. Both must be ≥ 1.
 	Cols, Rows int
-	// MaxBoundRadius truncates the border-to-border searches that fill
-	// the lower-bound matrix: cell pairs farther apart than this get a
-	// (still valid) lower bound equal to MaxBoundRadius and no upper
-	// bound. Zero means unbounded. Truncation trades index build time
-	// for looser bounds on far pairs, which matching rarely consults.
-	MaxBoundRadius float64
 }
 
 // Build constructs the index for g, which must be embedded.
@@ -98,10 +92,6 @@ func Build(g *roadnet.Graph, cfg Config) (*Grid, error) {
 	}
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("gridindex: empty graph")
-	}
-	maxRadius := cfg.MaxBoundRadius
-	if maxRadius <= 0 {
-		maxRadius = math.Inf(1)
 	}
 
 	gr := &Grid{
@@ -121,7 +111,7 @@ func Build(g *roadnet.Graph, cfg Config) (*Grid, error) {
 
 	gr.assignVertices()
 	gr.findBorders()
-	gr.computeBounds(maxRadius)
+	gr.computeBounds()
 	gr.computeBorderDists()
 	gr.buildRings()
 	return gr, nil
@@ -188,7 +178,7 @@ func (gr *Grid) findBorders() {
 
 // computeBounds fills vmin and the cell-pair matrix with one labelled
 // multi-source Dijkstra per cell, seeded at the cell's border vertices.
-func (gr *Grid) computeBounds(maxRadius float64) {
+func (gr *Grid) computeBounds() {
 	n := gr.g.NumVertices()
 	numCells := len(gr.cells)
 	gr.vmin = make([]float64, n)
@@ -197,7 +187,7 @@ func (gr *Grid) computeBounds(maxRadius float64) {
 	}
 	gr.pairs = make([]pairBound, numCells*numCells)
 	for i := range gr.pairs {
-		gr.pairs[i] = pairBound{lb: maxRadius, wi: -1, wj: -1}
+		gr.pairs[i] = pairBound{lb: math.Inf(1), wi: -1, wj: -1}
 	}
 
 	s := roadnet.NewSearcher(gr.g)
@@ -206,11 +196,10 @@ func (gr *Grid) computeBounds(maxRadius float64) {
 		gr.pairs[ci*numCells+ci] = pairBound{lb: 0, wi: -1, wj: -1}
 		if len(cell.Borders) == 0 {
 			// A borderless cell's vertices cannot reach other cells;
-			// vmin stays +Inf and pair bounds stay at the clamp value
-			// (valid: the true distance is +Inf).
+			// vmin and its pair bounds stay +Inf, the true distance.
 			continue
 		}
-		dist, label := s.MultiSourceLabeled(cell.Borders, maxRadius)
+		dist, label := s.MultiSourceLabeled(cell.Borders, math.Inf(1))
 		for _, v := range cell.Vertices {
 			gr.vmin[v] = dist[v]
 		}
@@ -393,8 +382,8 @@ func (gr *Grid) LB(u, v roadnet.VertexID) float64 {
 // UB returns an upper bound on dist(u, v) routed through border
 // vertices: dist(u,x*) + dist(x*,y*) + dist(y*,v) for the witness pair
 // (x*, y*) of the two cells, or the best border detour within one cell.
-// It returns +Inf when no witness is available (borderless cells or
-// truncated matrix rows); callers fall back to an exact search. UB is
+// It returns +Inf when no witness is available (borderless or mutually
+// unreachable cells); callers fall back to an exact search. UB is
 // only valid on symmetric (undirected) graphs, which is what PTRider's
 // road networks are.
 func (gr *Grid) UB(u, v roadnet.VertexID) float64 {

@@ -250,27 +250,6 @@ func TestSingleCellGridHasTrivialBounds(t *testing.T) {
 	}
 }
 
-func TestMaxBoundRadiusTruncationStillLowerBounds(t *testing.T) {
-	g := testnet.Lattice(rand.New(rand.NewSource(13)), 10, 10, 100)
-	gr, err := gridindex.Build(g, gridindex.Config{Cols: 5, Rows: 5, MaxBoundRadius: 250})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	s := roadnet.NewSearcher(g)
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 300; trial++ {
-		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		v := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		d := s.Dist(u, v)
-		if lb := gr.LB(u, v); lb > d+1e-9 {
-			t.Fatalf("truncated LB(%d,%d) = %v > dist %v", u, v, lb, d)
-		}
-		if ub := gr.UB(u, v); ub < d-1e-9 {
-			t.Fatalf("truncated UB(%d,%d) = %v < dist %v", u, v, ub, d)
-		}
-	}
-}
-
 func TestCellAtClampsOutOfBoundsPoints(t *testing.T) {
 	g, gr := buildLatticeGrid(t, 15, 5, 5, 2, 2)
 	b := g.Bounds()

@@ -132,7 +132,6 @@ func (a *statsAggregator) add(st core.EngineStats) {
 	t.AvgPruned += reqs * st.AvgPruned
 	t.AvgCellsScanned += reqs * st.AvgCellsScanned
 	t.AvgDistCalls += reqs * st.AvgDistCalls
-	t.AvgMatchWidth += reqs * st.AvgMatchWidth
 	a.requestW += reqs
 
 	done := float64(st.Completed)
@@ -151,7 +150,6 @@ func (a *statsAggregator) result() core.EngineStats {
 		t.AvgPruned /= a.requestW
 		t.AvgCellsScanned /= a.requestW
 		t.AvgDistCalls /= a.requestW
-		t.AvgMatchWidth /= a.requestW
 	}
 	if a.completedW > 0 {
 		t.AvgWaitSeconds /= a.completedW

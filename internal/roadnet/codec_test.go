@@ -10,76 +10,6 @@ import (
 	"ptrider/internal/testnet"
 )
 
-func TestLandmarkLBNeverExceedsDistance(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := testnet.RandomConnected(rng, 60, 2)
-		lm, err := roadnet.SelectLandmarks(g, 4)
-		if err != nil {
-			t.Fatalf("SelectLandmarks: %v", err)
-		}
-		oracle := roadnet.NewOracle(g)
-		for trial := 0; trial < 400; trial++ {
-			u := roadnet.VertexID(rng.Intn(g.NumVertices()))
-			v := roadnet.VertexID(rng.Intn(g.NumVertices()))
-			if lb, d := lm.LB(u, v), oracle.Dist(u, v); lb > d+1e-9 {
-				t.Fatalf("seed %d: landmark LB(%d,%d) = %v > dist %v", seed, u, v, lb, d)
-			}
-		}
-	}
-}
-
-func TestLandmarkLBIsUsefullyTight(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := testnet.Lattice(rng, 10, 10, 100)
-	lm, err := roadnet.SelectLandmarks(g, 6)
-	if err != nil {
-		t.Fatalf("SelectLandmarks: %v", err)
-	}
-	oracle := roadnet.NewOracle(g)
-	ratioSum, n := 0.0, 0
-	for trial := 0; trial < 500; trial++ {
-		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		v := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		d := oracle.Dist(u, v)
-		if d == 0 {
-			continue
-		}
-		ratioSum += lm.LB(u, v) / d
-		n++
-	}
-	if avg := ratioSum / float64(n); avg < 0.3 {
-		t.Fatalf("landmark bounds too loose on a lattice: avg LB/dist = %v", avg)
-	}
-}
-
-func TestLandmarkSelection(t *testing.T) {
-	g := testnet.Line(10, 5)
-	lm, err := roadnet.SelectLandmarks(g, 2)
-	if err != nil {
-		t.Fatalf("SelectLandmarks: %v", err)
-	}
-	if lm.K() != 2 {
-		t.Fatalf("K = %d", lm.K())
-	}
-	// On a line with landmarks at the ends, ALT bounds are exact.
-	for u := roadnet.VertexID(0); u < 10; u++ {
-		for v := roadnet.VertexID(0); v < 10; v++ {
-			want := math.Abs(float64(u-v)) * 5
-			if got := lm.LB(u, v); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("LB(%d,%d) = %v, want exact %v", u, v, got, want)
-			}
-		}
-	}
-	if _, err := roadnet.SelectLandmarks(g, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	// Asking for more landmarks than vertices clamps.
-	if lm, err := roadnet.SelectLandmarks(g, 50); err != nil || lm.K() > 10 {
-		t.Fatalf("over-asked selection: k=%d err=%v", lm.K(), err)
-	}
-}
-
 func TestGraphCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := testnet.Lattice(rng, 6, 6, 100)

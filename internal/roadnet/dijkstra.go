@@ -277,65 +277,6 @@ func (s *Searcher) FillDists(u VertexID, maxDist float64, out []float64) {
 	}
 }
 
-// Tree is a shortest-path tree rooted at Source: Dist[v] is the distance
-// from Source to v (Inf when unreachable) and Parent[v] the predecessor
-// of v on one shortest path (NoVertex for the source and unreachable
-// vertices).
-type Tree struct {
-	Source VertexID
-	Dist   []float64
-	Parent []VertexID
-}
-
-// SPT computes the full shortest-path tree from u, visiting only
-// vertices within maxDist (use Inf for the whole graph). The result is
-// freshly allocated and safe to retain.
-func (s *Searcher) SPT(u VertexID, maxDist float64) *Tree {
-	s.begin()
-	s.relax(u, 0, NoVertex)
-	s.heap.Push(u, 0)
-	for s.heap.Len() > 0 {
-		it := s.heap.Pop()
-		if it.Dist > s.dist[it.Node] {
-			continue
-		}
-		for _, e := range s.g.Out(it.Node) {
-			if nd := it.Dist + e.Weight; nd <= maxDist && s.relax(e.To, nd, it.Node) {
-				s.heap.Push(e.To, nd)
-			}
-		}
-	}
-	n := s.g.NumVertices()
-	t := &Tree{Source: u, Dist: make([]float64, n), Parent: make([]VertexID, n)}
-	for v := 0; v < n; v++ {
-		if s.stamp[v] == s.epoch {
-			t.Dist[v] = s.dist[v]
-			t.Parent[v] = s.parent[v]
-		} else {
-			t.Dist[v] = Inf
-			t.Parent[v] = NoVertex
-		}
-	}
-	return t
-}
-
-// PathTo reconstructs the shortest path from the tree's source to v as a
-// vertex sequence (source first, v last). It returns nil when v is
-// unreachable.
-func (t *Tree) PathTo(v VertexID) []VertexID {
-	if math.IsInf(t.Dist[v], 1) {
-		return nil
-	}
-	var rev []VertexID
-	for x := v; x != NoVertex; x = t.Parent[x] {
-		rev = append(rev, x)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // Path returns one shortest path from u to v (u first, v last) and its
 // length. It returns (nil, Inf) when v is unreachable. The path is
 // reconstructed from the parent pointers of a fresh goal-directed

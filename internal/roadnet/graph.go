@@ -3,8 +3,8 @@
 // intersections embedded in the plane and whose edge weights are travel
 // costs in metres, together with the shortest-path machinery every other
 // module builds on — Dijkstra in several flavours (full, bounded,
-// one-to-many, multi-source, target-set), bidirectional Dijkstra, A*
-// over the planar embedding, path extraction, and a Floyd–Warshall
+// one-to-many, multi-source, target-set, resumable), A* over the
+// planar embedding, path extraction, and a Floyd–Warshall
 // oracle used to cross-check the searches in tests.
 //
 // Graphs are immutable once built (construct them with a Builder), which
@@ -231,4 +231,28 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
+}
+
+// IsSymmetric reports whether for every directed edge (u, v, w) the
+// graph also contains (v, u, w). The engine's distance memo and batch
+// fills treat dist(u, v) and dist(v, u) as one number, so core.NewEngine
+// rejects a network that is not.
+func (g *Graph) IsSymmetric() bool {
+	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
+		for _, e := range g.Out(u) {
+			if !g.hasEdge(e.To, u, e.Weight) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (g *Graph) hasEdge(u, v VertexID, w float64) bool {
+	for _, e := range g.Out(u) {
+		if e.To == v && e.Weight == w {
+			return true
+		}
+	}
+	return false
 }

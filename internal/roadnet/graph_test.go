@@ -151,16 +151,12 @@ func TestDistAgainstOracleRandomGraphs(t *testing.T) {
 		g := testnet.RandomConnected(rng, 40, 2)
 		oracle := roadnet.NewOracle(g)
 		s := roadnet.NewSearcher(g)
-		bi := roadnet.NewBiSearcher(g)
 		for trial := 0; trial < 50; trial++ {
 			u := roadnet.VertexID(rng.Intn(g.NumVertices()))
 			v := roadnet.VertexID(rng.Intn(g.NumVertices()))
 			want := oracle.Dist(u, v)
 			if got := s.Dist(u, v); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("seed %d: Dist(%d,%d) = %v, oracle %v", seed, u, v, got, want)
-			}
-			if got := bi.Dist(u, v); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("seed %d: BiSearcher.Dist(%d,%d) = %v, oracle %v", seed, u, v, got, want)
 			}
 		}
 	}
@@ -248,56 +244,6 @@ func TestDistsToBounded(t *testing.T) {
 	}
 	if !math.IsInf(out[2], 1) {
 		t.Errorf("out-of-bound target: got %v, want +Inf", out[2])
-	}
-}
-
-func TestSPTAndPathTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := testnet.RandomConnected(rng, 50, 2)
-	oracle := roadnet.NewOracle(g)
-	s := roadnet.NewSearcher(g)
-	src := roadnet.VertexID(17)
-	tree := s.SPT(src, roadnet.Inf)
-	for v := 0; v < g.NumVertices(); v++ {
-		if math.Abs(tree.Dist[v]-oracle.Dist(src, roadnet.VertexID(v))) > 1e-9 {
-			t.Fatalf("SPT dist to %d = %v, oracle %v", v, tree.Dist[v], oracle.Dist(src, roadnet.VertexID(v)))
-		}
-		path := tree.PathTo(roadnet.VertexID(v))
-		if path == nil {
-			t.Fatalf("PathTo(%d) = nil on connected graph", v)
-		}
-		if path[0] != src || path[len(path)-1] != roadnet.VertexID(v) {
-			t.Fatalf("PathTo(%d) endpoints = %v", v, path)
-		}
-		var sum float64
-		for i := 1; i < len(path); i++ {
-			w, ok := g.EdgeWeight(path[i-1], path[i])
-			if !ok {
-				t.Fatalf("PathTo(%d) uses non-edge %d→%d", v, path[i-1], path[i])
-			}
-			sum += w
-		}
-		if math.Abs(sum-tree.Dist[v]) > 1e-9 {
-			t.Fatalf("PathTo(%d) length %v, want %v", v, sum, tree.Dist[v])
-		}
-	}
-}
-
-func TestSPTBounded(t *testing.T) {
-	g := testnet.Line(10, 5)
-	s := roadnet.NewSearcher(g)
-	tree := s.SPT(0, 12)
-	for v := 0; v < 10; v++ {
-		want := float64(v) * 5
-		if want > 12 {
-			want = math.Inf(1)
-		}
-		if tree.Dist[v] != want {
-			t.Errorf("bounded SPT dist[%d] = %v, want %v", v, tree.Dist[v], want)
-		}
-	}
-	if tree.PathTo(9) != nil {
-		t.Error("PathTo beyond bound should be nil")
 	}
 }
 

@@ -35,20 +35,18 @@ func TestQuickMetricProperties(t *testing.T) {
 	}
 }
 
-// TestQuickSearchersAgree: Dijkstra/A* (Searcher) and bidirectional
-// search agree with the oracle on arbitrary pairs.
+// TestQuickSearchersAgree: Dijkstra/A* (Searcher) agrees with the
+// oracle on arbitrary pairs.
 func TestQuickSearchersAgree(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(61)), 7, 7, 100)
 	oracle := roadnet.NewOracle(g)
 	s := roadnet.NewSearcher(g)
-	bi := roadnet.NewBiSearcher(g)
 	n := g.NumVertices()
 	f := func(a, b uint16) bool {
 		u := roadnet.VertexID(int(a) % n)
 		v := roadnet.VertexID(int(b) % n)
 		want := oracle.Dist(u, v)
-		return math.Abs(s.Dist(u, v)-want) <= 1e-9 &&
-			math.Abs(bi.Dist(u, v)-want) <= 1e-9
+		return math.Abs(s.Dist(u, v)-want) <= 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
 		t.Error(err)

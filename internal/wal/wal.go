@@ -138,8 +138,6 @@ type Options struct {
 	Mode Mode
 	// Injector, when non-nil, arms simulated crashes (tests).
 	Injector *Injector
-	// NoFsync skips fsync calls (benchmark baseline; crash-unsafe).
-	NoFsync bool
 	// AppendHist / FsyncHist, when non-nil, observe batch-write and
 	// fsync wall times (seconds). Nil histograms are no-ops, so the
 	// flusher records unconditionally.
@@ -380,7 +378,7 @@ func (j *Journal) flushOnce() {
 	w0 := time.Now()
 	_, err := f.Write(b.buf)
 	j.opts.AppendHist.ObserveSince(w0)
-	if err == nil && !j.opts.NoFsync &&
+	if err == nil &&
 		(j.opts.Mode == ModeSync || time.Since(j.lastSync) >= asyncSyncInterval) {
 		t0 := time.Now()
 		err = f.Sync()
@@ -430,7 +428,7 @@ func (j *Journal) Sync() error {
 	// Async pacing may have skipped the last batches' device sync, but
 	// Sync promises a real fsync in every mode (rotation and snapshot
 	// boundaries depend on it).
-	if j.opts.Mode == ModeAsync && !j.opts.NoFsync {
+	if j.opts.Mode == ModeAsync {
 		j.mu.Lock()
 		if j.dead {
 			j.mu.Unlock()
@@ -527,9 +525,7 @@ func (j *Journal) Close() error {
 	close(j.stop)
 	<-j.exit
 	if f != nil {
-		if !j.opts.NoFsync {
-			_ = f.Sync()
-		}
+		_ = f.Sync()
 		if err := f.Close(); err != nil && serr == nil {
 			serr = err
 		}

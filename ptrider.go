@@ -14,12 +14,11 @@
 // single-/dual-side ring-search matching with bound-based pruning.
 //
 // The engine is built for multi-core serving (see ARCHITECTURE.md): an
-// immutable routing substrate (graph, grid bounds, landmarks, pricing)
-// is shared lock-free across goroutines, per-vehicle state sits behind
-// per-vehicle locks, and candidate evaluation — the kinetic-tree
-// insertion probes that dominate matching cost — fans out over a
-// bounded worker pool. Requests, choices, ticks and stats reads may
-// all be issued concurrently; matching holds no engine-wide lock.
+// immutable routing substrate (graph, grid bounds, pricing) is shared
+// lock-free across goroutines and per-vehicle state sits behind
+// per-vehicle locks. Requests, choices, ticks and stats reads may all
+// be issued concurrently; matching holds no engine-wide lock, and one
+// match runs on the goroutine that submitted it.
 //
 // A System is backed by the core Service interface, so one set of
 // verbs — Request, Choose, Decline, Tick, Stats — serves every backend:
@@ -254,12 +253,8 @@ type Config struct {
 	PriceRatio func(n int) float64
 	// GridCols and GridRows set the index resolution (0 = 16×16).
 	GridCols, GridRows int
-	// NumLandmarks adds ALT landmark lower bounds to the grid bounds
-	// (0 = disabled).
-	NumLandmarks int
-	// MatchWorkers bounds the per-request parallel candidate
-	// evaluation (0 = one worker per CPU; 1 = fully serial matching,
-	// the paper's reference algorithm bit for bit).
+	// MatchWorkers bounds the goroutines one SubmitBatch wave quotes
+	// on; a single request spawns none (0 = one worker per CPU).
 	MatchWorkers int
 	// TickWorkers bounds Tick's parallel per-vehicle shard fan-out
 	// (0 = one worker per CPU; 1 = the fully serial reference step).
@@ -304,7 +299,6 @@ func coreConfig(cfg Config) (core.Config, error) {
 		MaxPickupSeconds:  cfg.MaxPickupSeconds,
 		PriceRatio:        cfg.PriceRatio,
 		Algorithm:         algo,
-		NumLandmarks:      cfg.NumLandmarks,
 		MatchWorkers:      cfg.MatchWorkers,
 		TickWorkers:       cfg.TickWorkers,
 		CommitSlack:       cfg.CommitSlack,

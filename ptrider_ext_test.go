@@ -2,6 +2,7 @@ package ptrider_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ptrider"
@@ -57,6 +58,29 @@ func TestReadNetworkRejectsDisconnected(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOneWayNetwork: the engine's distance memo and batch
+// fills treat d(u,v) and d(v,u) as one number, so a network file with a
+// one-way road must be refused, not silently misquoted.
+func TestNewRejectsOneWayNetwork(t *testing.T) {
+	const valid = "ptrider-network 1\nv 0 0\nv 100 0\nv 0 100\n" +
+		"e 0 1 100\ne 1 0 100\ne 1 2 150\ne 2 1 150\ne 2 0 100\ne 0 2 100\n"
+	build := func(input string) error {
+		net, err := ptrider.ReadNetwork(strings.NewReader(input))
+		if err != nil {
+			t.Fatalf("ReadNetwork: %v", err)
+		}
+		_, err = ptrider.New(net, ptrider.Config{NumTaxis: 1, GridCols: 2, GridRows: 2})
+		return err
+	}
+	if err := build(valid); err != nil {
+		t.Fatalf("two-way network refused: %v", err)
+	}
+	oneWay := strings.Replace(valid, "e 0 2 100\n", "", 1)
+	if err := build(oneWay); err == nil || !strings.Contains(err.Error(), "core: road network must be symmetric") {
+		t.Fatalf("network missing the reverse of 2→0: err = %v, want the symmetric-network error", err)
+	}
+}
+
 func TestRequestWithConstraints(t *testing.T) {
 	sys, err := ptrider.New(testCity(t), ptrider.Config{NumTaxis: 8, Sigma: 0.5, Seed: 10})
 	if err != nil {
@@ -81,16 +105,5 @@ func TestRequestWithConstraints(t *testing.T) {
 	}
 	if f := sys.Stats().AvgDetourFactor; f > 1+1e-9 {
 		t.Fatalf("zero-detour rider detoured: factor %v", f)
-	}
-}
-
-func TestLandmarksConfig(t *testing.T) {
-	sys, err := ptrider.New(testCity(t), ptrider.Config{NumTaxis: 8, NumLandmarks: 4, Seed: 11})
-	if err != nil {
-		t.Fatalf("New with landmarks: %v", err)
-	}
-	req, err := sys.Request(4, 90, 1)
-	if err != nil || len(req.Options) == 0 {
-		t.Fatalf("landmark-enabled request: %v (%d options)", err, len(req.Options))
 	}
 }

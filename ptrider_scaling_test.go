@@ -80,8 +80,7 @@ func submitThroughput(t *testing.T, sys *ptrider.System, clients int, d time.Dur
 // it is measurable: on a host with ≥4 cores, concurrent submissions
 // against the sharded engine must deliver >1.5× the single-client
 // throughput. On smaller hosts the test skips (a single core cannot
-// exhibit parallel speedup); BENCH_seed.json records the single-core
-// baseline instead.
+// exhibit parallel speedup).
 func TestParallelSubmitScaling(t *testing.T) {
 	cores := runtime.NumCPU()
 	if cores < 4 {

@@ -40,11 +40,7 @@ func buildBatchWorld(t *testing.T, maxPickupSeconds float64) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(eng, trips, sim.Config{TickSeconds: 2, Seed: 32, EndSeconds: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
+	if _, err := sim.Run(eng, sim.TraceTrips(trips), sim.Config{TickSeconds: 2, Seed: 32, EndSeconds: 600}); err != nil {
 		t.Fatal(err)
 	}
 	return eng

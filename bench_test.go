@@ -55,11 +55,7 @@ func loadedWorld(b *testing.B) *benchWorld {
 		if err != nil {
 			panic(err)
 		}
-		s, err := sim.New(eng, trips, sim.Config{TickSeconds: 2, Seed: 2, EndSeconds: 900})
-		if err != nil {
-			panic(err)
-		}
-		if _, err := s.Run(); err != nil {
+		if _, err := sim.Run(eng, sim.TraceTrips(trips), sim.Config{TickSeconds: 2, Seed: 2, EndSeconds: 900}); err != nil {
 			panic(err)
 		}
 		rng := rand.New(rand.NewSource(3))
@@ -457,10 +453,11 @@ func BenchmarkDayThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	trips, err := gen.GenerateTrips(g, gen.TripConfig{NumTrips: 300, DaySeconds: 900, Seed: 16})
+	trace, err := gen.GenerateTrips(g, gen.TripConfig{NumTrips: 300, DaySeconds: 900, Seed: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
+	trips := sim.TraceTrips(trace)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -469,11 +466,7 @@ func BenchmarkDayThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng.AddVehiclesUniform(80)
-		s, err := sim.New(eng, trips, sim.Config{TickSeconds: 2, Seed: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
+		if _, err := sim.Run(eng, trips, sim.Config{TickSeconds: 2, Seed: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

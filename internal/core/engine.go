@@ -1748,10 +1748,6 @@ func (e *Engine) MatchOnce(algo Algorithm, s, d roadnet.VertexID, riders int) ([
 	return opts, ms, nil
 }
 
-// PickupSeconds converts an option's pick-up distance to seconds under
-// the engine speed.
-func (e *Engine) PickupSeconds(o Option) float64 { return o.PickupDist / e.sub.speed }
-
 // ResetDistCache clears the shared distance memo, so the next matching
 // runs against a cold cache. Benchmark-harness use only.
 func (e *Engine) ResetDistCache() {

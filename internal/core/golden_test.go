@@ -147,8 +147,8 @@ func hotcellItems(e *core.Engine, seed int64, k int) []core.BatchItem {
 // item, the option set per-request Submit computes
 // over the same world — same vehicles, same planned schedules, same
 // option count and order, coordinates equal up to the ulp-level
-// tolerance coordEq documents. Covered for every algorithm and for
-// both the serial and the parallel probe paths.
+// tolerance coordEq documents. Covered for every algorithm at wave
+// widths 1 and 4 (MatchWorkers; a match itself has one probe path).
 func TestGoldenBatchVsPerRequest(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.AlgoNaive, core.AlgoSingleSide, core.AlgoDualSide} {
 		for _, workers := range []int{1, 4} {

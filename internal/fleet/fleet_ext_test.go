@@ -141,7 +141,7 @@ func TestRegistrationConsistencyUnderChurn(t *testing.T) {
 			for _, c := range cells {
 				reg[c] = true
 			}
-			for _, loc := range v.Tree.Locations() {
+			for _, loc := range v.Tree.AppendLocations(nil) {
 				if !reg[w.grid.CellOf(loc)] {
 					t.Fatalf("step %d: vehicle %d stop cell %d unregistered (%v)",
 						step, v.ID, w.grid.CellOf(loc), cells)

@@ -199,7 +199,7 @@ func (gr *Grid) computeBounds() {
 			// vmin and its pair bounds stay +Inf, the true distance.
 			continue
 		}
-		dist, label := s.MultiSourceLabeled(cell.Borders, math.Inf(1))
+		dist, label := s.MultiSourceLabeled(cell.Borders)
 		for _, v := range cell.Vertices {
 			gr.vmin[v] = dist[v]
 		}

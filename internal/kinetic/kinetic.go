@@ -364,6 +364,3 @@ func (t *Tree) AppendLocations(dst []roadnet.VertexID) []roadnet.VertexID {
 	}
 	return dst
 }
-
-// Locations is AppendLocations into a fresh slice.
-func (t *Tree) Locations() []roadnet.VertexID { return t.AppendLocations(nil) }

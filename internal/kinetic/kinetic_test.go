@@ -453,7 +453,7 @@ func TestLocations(t *testing.T) {
 	tr := kinetic.New(m, 4, 8, v(1), 0)
 	r1 := kinetic.Request{ID: 1, S: v(2), D: v(16), Riders: 2, SD: 12, ServiceLimit: 14.4, WaitBudget: 5}
 	tr.Commit(r1, tr.Quote(r1)[0])
-	locs := tr.Locations()
+	locs := tr.AppendLocations(nil)
 	want := map[roadnet.VertexID]bool{v(1): true, v(2): true, v(16): true}
 	if len(locs) != len(want) {
 		t.Fatalf("Locations = %v", locs)

@@ -178,15 +178,6 @@ func (c *Coordinator) Close() error {
 // Not part of the supported surface.
 func (c *Coordinator) RelayScheduler() *relay.Scheduler { return c.relay }
 
-// CityNames returns the city names in registration order.
-func (c *Coordinator) CityNames() []string {
-	out := make([]string, len(c.cities))
-	for i, city := range c.cities {
-		out[i] = city.Name
-	}
-	return out
-}
-
 // ReadyCities reports per-city readiness, probed concurrently (see
 // /v1/readyz). An unreachable shard reads unready with its transport
 // error.

@@ -426,7 +426,7 @@ func TestBuildFromSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildFromSpec: %v", err)
 	}
-	if got := r.CityNames(); len(got) != 2 || got[0] != "east" || got[1] != "west" {
+	if got := r.Cities(); len(got) != 2 || got[0].Name != "east" || got[1].Name != "west" {
 		t.Fatalf("cities = %v", got)
 	}
 	east, _ := r.Engine("east")

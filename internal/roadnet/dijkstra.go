@@ -311,7 +311,7 @@ func (s *Searcher) Path(u, v VertexID) ([]VertexID, float64) {
 // source; unreachable vertices get (Inf, -1). The grid index uses this
 // to compute, per cell, the distance from every vertex to the cell's
 // nearest border vertex and the lower-bound matrix rows.
-func (s *Searcher) MultiSourceLabeled(sources []VertexID, maxDist float64) ([]float64, []int32) {
+func (s *Searcher) MultiSourceLabeled(sources []VertexID) ([]float64, []int32) {
 	n := s.g.NumVertices()
 	label := make([]int32, n)
 	s.begin()
@@ -327,7 +327,7 @@ func (s *Searcher) MultiSourceLabeled(sources []VertexID, maxDist float64) ([]fl
 			continue
 		}
 		for _, e := range s.g.Out(it.Node) {
-			if nd := it.Dist + e.Weight; nd <= maxDist && s.relax(e.To, nd, it.Node) {
+			if nd := it.Dist + e.Weight; s.relax(e.To, nd, it.Node) {
 				label[e.To] = label[it.Node]
 				s.heap.Push(e.To, nd)
 			}

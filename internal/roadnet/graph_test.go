@@ -282,7 +282,7 @@ func TestMultiSourceLabeled(t *testing.T) {
 	oracle := roadnet.NewOracle(g)
 	s := roadnet.NewSearcher(g)
 	sources := []roadnet.VertexID{3, 19, 42}
-	dist, label := s.MultiSourceLabeled(sources, roadnet.Inf)
+	dist, label := s.MultiSourceLabeled(sources)
 	for v := 0; v < g.NumVertices(); v++ {
 		want := math.Inf(1)
 		for _, src := range sources {

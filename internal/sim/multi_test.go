@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptrider/internal/core"
+	"ptrider/internal/gen"
 	"ptrider/internal/geo"
 	"ptrider/internal/multicity"
 	"ptrider/internal/sim"
@@ -31,13 +32,7 @@ func locate(svc core.Service, p geo.Point) (string, error) {
 
 func TestGenerateMultiWorkloadSkewAndCross(t *testing.T) {
 	r := twinRouter(t)
-	trips, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{
-		NumTrips:   200,
-		DaySeconds: 3600,
-		Weights:    map[string]float64{"east": 3, "west": 1},
-		CrossFrac:  0.2,
-		Seed:       17,
-	})
+	trips, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 200, DaySeconds: 3600, Seed: 17}, map[string]float64{"east": 3, "west": 1}, 0.2)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -79,33 +74,25 @@ func TestGenerateMultiWorkloadSkewAndCross(t *testing.T) {
 	}
 
 	// Validation paths.
-	if _, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{NumTrips: 0}); err == nil {
+	if _, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 0}, nil, 0); err == nil {
 		t.Error("zero trips accepted")
 	}
-	if _, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{NumTrips: 10, CrossFrac: 1}); err == nil {
+	if _, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 10}, nil, 1); err == nil {
 		t.Error("CrossFrac 1 accepted")
 	}
-	if _, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{
-		NumTrips: 10, Weights: map[string]float64{"east": 0, "west": 0},
-	}); err == nil {
+	if _, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 10}, map[string]float64{"east": 0, "west": 0}, 0); err == nil {
 		t.Error("all-zero weights accepted")
 	}
-	if _, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{
-		NumTrips: 10, Weights: map[string]float64{"esat": 3},
-	}); err == nil {
+	if _, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 10}, map[string]float64{"esat": 3}, 0); err == nil {
 		t.Error("weight for unknown city accepted")
 	}
-	if _, err := sim.RunMulti(r, nil, sim.Config{FailuresPerHour: 2}); err == nil {
+	if _, err := sim.Run(r, nil, sim.Config{FailuresPerHour: 2}); err == nil {
 		t.Error("unsupported failure injection accepted")
 	}
 
 	// A zero-weight city must receive no trips, including the rounding
 	// remainder.
-	zeroed, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{
-		NumTrips: 101, DaySeconds: 600,
-		Weights: map[string]float64{"east": 1, "west": 0},
-		Seed:    19,
-	})
+	zeroed, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 101, DaySeconds: 600, Seed: 19}, map[string]float64{"east": 1, "west": 0}, 0)
 	if err != nil {
 		t.Fatalf("zero-weight generate: %v", err)
 	}
@@ -121,17 +108,11 @@ func TestGenerateMultiWorkloadSkewAndCross(t *testing.T) {
 
 func TestRunMultiServesTwoCitiesWithIsolatedStats(t *testing.T) {
 	r := twinRouter(t)
-	trips, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{
-		NumTrips:   120,
-		DaySeconds: 900,
-		Weights:    map[string]float64{"east": 2, "west": 1},
-		CrossFrac:  0.15,
-		Seed:       18,
-	})
+	trips, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 120, DaySeconds: 900, Seed: 18}, map[string]float64{"east": 2, "west": 1}, 0.15)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	res, err := sim.RunMulti(r, trips, sim.Config{TickSeconds: 2, Seed: 18})
+	res, err := sim.Run(r, sim.CoordTrips(trips), sim.Config{TickSeconds: 2, Seed: 18})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -182,12 +163,7 @@ func TestRunMultiServesCrossViaRelay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
-	trips, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{
-		NumTrips:   150,
-		DaySeconds: 900,
-		CrossFrac:  0.25,
-		Seed:       18,
-	})
+	trips, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 150, DaySeconds: 900, Seed: 18}, nil, 0.25)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -201,7 +177,7 @@ func TestRunMultiServesCrossViaRelay(t *testing.T) {
 		t.Fatal("workload has no cross trips")
 	}
 
-	res, err := sim.RunMulti(r, trips, sim.Config{TickSeconds: 2, Seed: 18, DrainSeconds: 600})
+	res, err := sim.Run(r, sim.CoordTrips(trips), sim.Config{TickSeconds: 2, Seed: 18, DrainSeconds: 600})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -241,9 +217,7 @@ func TestRunMultiServesCrossViaRelay(t *testing.T) {
 // workload against a plain router keeps the typed rejection counts.
 func TestRunMultiStillRejectsWithoutRelay(t *testing.T) {
 	r := twinRouter(t)
-	trips, err := sim.GenerateMultiWorkload(r, sim.MultiWorkloadConfig{
-		NumTrips: 60, DaySeconds: 300, CrossFrac: 0.3, Seed: 19,
-	})
+	trips, err := sim.GenerateMultiWorkload(r, gen.TripConfig{NumTrips: 60, DaySeconds: 300, Seed: 19}, nil, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +227,7 @@ func TestRunMultiStillRejectsWithoutRelay(t *testing.T) {
 			cross++
 		}
 	}
-	res, err := sim.RunMulti(r, trips, sim.Config{TickSeconds: 2, Seed: 19, DrainSeconds: 300})
+	res, err := sim.Run(r, sim.CoordTrips(trips), sim.Config{TickSeconds: 2, Seed: 19, DrainSeconds: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"ptrider/internal/core"
+	"ptrider/internal/fleet"
 	"ptrider/internal/pricing"
 	"ptrider/internal/stats"
 	"ptrider/internal/trace"
@@ -20,16 +22,12 @@ import (
 // ChoiceModel selects one option from a skyline, or -1 to decline.
 // Implementations must be deterministic given the rng.
 type ChoiceModel interface {
-	Name() string
 	Choose(opts []core.Option, rng *rand.Rand) int
 }
 
 // EarliestPickup always takes the earliest pick-up option (index 0 of
 // the time-sorted skyline).
 type EarliestPickup struct{}
-
-// Name implements ChoiceModel.
-func (EarliestPickup) Name() string { return "earliest" }
 
 // Choose implements ChoiceModel.
 func (EarliestPickup) Choose(opts []core.Option, _ *rand.Rand) int {
@@ -41,9 +39,6 @@ func (EarliestPickup) Choose(opts []core.Option, _ *rand.Rand) int {
 
 // Cheapest always takes the lowest-price option.
 type Cheapest struct{}
-
-// Name implements ChoiceModel.
-func (Cheapest) Name() string { return "cheapest" }
 
 // Choose implements ChoiceModel.
 func (Cheapest) Choose(opts []core.Option, _ *rand.Rand) int {
@@ -60,9 +55,6 @@ func (Cheapest) Choose(opts []core.Option, _ *rand.Rand) int {
 // assumption that riders have heterogeneous preferences across the
 // skyline.
 type UniformChoice struct{}
-
-// Name implements ChoiceModel.
-func (UniformChoice) Name() string { return "uniform" }
 
 // Choose implements ChoiceModel.
 func (UniformChoice) Choose(opts []core.Option, rng *rand.Rand) int {
@@ -81,9 +73,6 @@ type UtilityChoice struct {
 	// (0 = 60: one price unit ≈ one minute).
 	PriceScale float64
 }
-
-// Name implements ChoiceModel.
-func (UtilityChoice) Name() string { return "utility" }
 
 // Choose implements ChoiceModel.
 func (u UtilityChoice) Choose(opts []core.Option, rng *rand.Rand) int {
@@ -129,9 +118,6 @@ type PriceAware struct {
 	// Steepness scales the logistic slope (0 = 4).
 	Steepness float64
 }
-
-// Name implements ChoiceModel.
-func (PriceAware) Name() string { return "priceaware" }
 
 // Choose implements ChoiceModel: with no request context there is no
 // floor to compare against, so fall back to cheapest-option behaviour.
@@ -192,7 +178,7 @@ func ParseChoiceModel(name string) (ChoiceModel, error) {
 	return nil, fmt.Errorf("sim: unknown choice model %q", name)
 }
 
-// Config parameterises a simulation run.
+// Config parameterises a replay.
 type Config struct {
 	// TickSeconds is the movement step (0 = 1s).
 	TickSeconds float64
@@ -202,7 +188,8 @@ type Config struct {
 	Seed int64
 	// FailuresPerHour removes that many random vehicles per simulated
 	// hour (failure injection; 0 = none). Orphaned requests are
-	// resubmitted once.
+	// resubmitted once. Run refuses it on a backend that cannot remove
+	// vehicles (see vehicleFailer).
 	FailuresPerHour float64
 	// EndSeconds stops the run at this clock even if trips remain
 	// (0 = run to last trip + drain).
@@ -212,8 +199,31 @@ type Config struct {
 	DrainSeconds float64
 }
 
+// Trip is one workload entry: the request to offer the service at Time
+// seconds into the day, in the Service's own addressing (city-local
+// vertices or planar coordinates).
+type Trip struct {
+	Time float64
+	Spec core.SubmitSpec
+}
+
+// TraceTrips converts a single-city vertex trace. The specs name no
+// city, so they address a backend's only city; a multi-city backend
+// refuses them with ErrInvalidArgument.
+func TraceTrips(trips []trace.Trip) []Trip {
+	out := make([]Trip, len(trips))
+	for i, t := range trips {
+		out[i] = Trip{Time: t.Time, Spec: core.SubmitSpec{
+			S: t.S, D: t.D, Riders: t.Riders, Constraints: core.DefaultConstraints(),
+		}}
+	}
+	return out
+}
+
 // HourBucket aggregates one hour of the day (the website panel's
-// statistics-over-time view).
+// statistics-over-time view) as it happened: every answered offer lands
+// in the bucket of its submission clock, a failure run's re-offers
+// included, and a later orphaning does not reach back into it.
 type HourBucket struct {
 	Hour      int
 	Submitted int
@@ -224,59 +234,101 @@ type HourBucket struct {
 	optionsSum float64
 }
 
-// Result aggregates a run.
-type Result struct {
-	Engine core.EngineStats
-	// Submitted counts trips offered to the system.
+// CityResult is one city's slice of a replay. Relay trips count toward
+// their origin city (which also answers their leg-1 quotes).
+type CityResult struct {
 	Submitted int
-	// NoOption counts trips whose skyline was empty.
-	NoOption int
-	// Declined counts trips whose rider rejected all options.
-	Declined int
-	// Accepted counts trips that chose an option.
-	Accepted int
-	// FailuresInjected counts removed vehicles.
-	FailuresInjected int
-	// Resubmitted counts orphaned requests re-offered.
-	Resubmitted int
-	// OptionsPerRequest summarises skyline sizes.
-	OptionsPerRequest stats.Online
-	// PickupSeconds and Prices summarise chosen options.
-	PickupSeconds stats.Online
-	Prices        stats.Online
-	// Hourly buckets requests by submission hour (clock/3600, capped at
-	// 23). Only hours with traffic appear.
-	Hourly []HourBucket
+	Accepted  int
+	Declined  int
+	NoOption  int
+	// Relayed counts the city's submitted trips that were cross-city
+	// and served through relay scheduling.
+	Relayed int
 }
 
+// Result aggregates a replay. Every offer ends in exactly one tally:
+//
+//	Submitted + Resubmitted ==
+//	    Accepted + Declined + NoOption + Orphaned + CrossRejected + NoCity
+type Result struct {
+	// Stats is the backend's final panel: the total, the per-city
+	// panels and — when relay is enabled — the scheduler's counters.
+	Stats core.ServiceStats
+	// Submitted counts workload trips offered to the service.
+	Submitted int
+	// CrossRejected counts trips rejected as cross-city — zero when the
+	// backend serves them by relay instead. NoCity counts trips whose
+	// origin no city serves (0 with generated workloads).
+	CrossRejected int
+	NoCity        int
+	// NoOption counts offers whose skyline was empty, Declined those
+	// whose rider took none of the options (or whose choice went stale),
+	// Accepted those whose chosen option still stands. A committed relay
+	// counts accepted, an empty joint skyline no-option.
+	NoOption int
+	Declined int
+	Accepted int
+	// Relayed counts cross-city trips quoted through relay scheduling
+	// (each also lands in exactly one of Accepted/Declined/NoOption).
+	Relayed int
+	// FailuresInjected counts removed vehicles; Orphaned the accepted
+	// requests they carried, each taken back out of Accepted; and
+	// Resubmitted the re-offers made on the orphans' behalf.
+	FailuresInjected int
+	Orphaned         int
+	Resubmitted      int
+	// OptionsPerRequest summarises skyline sizes.
+	OptionsPerRequest stats.Online
+	// PickupSeconds and Prices summarise chosen options (a relay
+	// option's time is its composed door-to-destination ETA).
+	PickupSeconds stats.Online
+	Prices        stats.Online
+	// Hourly buckets offers by submission hour (clock/3600, capped at
+	// 23), chronologically. Only hours with traffic appear.
+	Hourly []HourBucket
+	// PerCity breaks the answered offers down by owning city.
+	PerCity map[string]CityResult
+}
+
+// hourBucket returns the bucket of the replay's current clock, which
+// never runs backwards: it is the last one or a new one.
 func (r *Result) hourBucket(clock float64) *HourBucket {
-	h := int(clock / 3600)
-	if h < 0 {
-		h = 0
+	h := min(int(clock/3600), 23)
+	if n := len(r.Hourly); n == 0 || r.Hourly[n-1].Hour != h {
+		r.Hourly = append(r.Hourly, HourBucket{Hour: h})
 	}
-	if h > 23 {
-		h = 23
-	}
-	for i := range r.Hourly {
-		if r.Hourly[i].Hour == h {
-			return &r.Hourly[i]
-		}
-	}
-	r.Hourly = append(r.Hourly, HourBucket{Hour: h})
 	return &r.Hourly[len(r.Hourly)-1]
 }
 
-// Simulation replays a workload against an engine.
-type Simulation struct {
-	eng    *core.Engine
-	trips  []trace.Trip
-	cfg    Config
-	rng    *rand.Rand
-	choice ChoiceModel
+// vehicleFailer is what failure injection needs beyond the Service
+// contract: the live vehicle list to draw a victim from, and the
+// removal. A bare *core.Engine has both; the coordinators do not, and
+// Run refuses FailuresPerHour on them.
+type vehicleFailer interface {
+	VehicleViews(limit int) []core.VehicleView
+	RemoveVehicle(id fleet.VehicleID) ([]core.RequestID, error)
 }
 
-// New prepares a simulation. Trips must be sorted by Time.
-func New(eng *core.Engine, trips []trace.Trip, cfg Config) (*Simulation, error) {
+// replay is the state of one Run.
+type replay struct {
+	svc    core.Service
+	choice ChoiceModel
+	rng    *rand.Rand
+	res    *Result
+	// owed is the dropoffs the standing acceptances still have to
+	// produce before the run has drained: one per ordinary trip, two per
+	// committed relay trip (each leg completes in its own city).
+	owed int
+}
+
+// Run replays a workload against any core.Service backend — a bare
+// engine, an in-process router, a gateway over shards: trips (sorted by
+// Time) are submitted at their due tick, a rider model chooses (relay
+// trips through their synthesised joint options), and Advance moves
+// every city's fleet. Cross-city trips are served when the backend
+// relays and tallied as typed rejections when it does not; neither is
+// fatal.
+func Run(svc core.Service, trips []Trip, cfg Config) (*Result, error) {
 	for i := 1; i < len(trips); i++ {
 		if trips[i].Time < trips[i-1].Time {
 			return nil, fmt.Errorf("sim: trips not sorted by time at index %d", i)
@@ -288,138 +340,173 @@ func New(eng *core.Engine, trips []trace.Trip, cfg Config) (*Simulation, error) 
 	if cfg.TickSeconds < 0 {
 		return nil, fmt.Errorf("sim: negative tick")
 	}
+	var failer vehicleFailer
+	if cfg.FailuresPerHour > 0 {
+		var ok bool
+		if failer, ok = svc.(vehicleFailer); !ok {
+			// Rejecting beats silently running a zero-failure day.
+			return nil, fmt.Errorf("sim: FailuresPerHour needs a backend that can remove vehicles; %T cannot", svc)
+		}
+	}
 	if cfg.DrainSeconds == 0 {
 		cfg.DrainSeconds = 3600
 	}
-	choice := cfg.Choice
-	if choice == nil {
-		choice = UtilityChoice{}
-	}
-	return &Simulation{
-		eng:    eng,
-		trips:  trips,
-		cfg:    cfg,
+	r := &replay{
+		svc:    svc,
+		choice: cfg.Choice,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		choice: choice,
-	}, nil
-}
-
-// Run replays the whole workload and returns the aggregate result.
-func (s *Simulation) Run() (*Result, error) {
-	res := &Result{}
-	end := s.cfg.EndSeconds
+		res:    &Result{PerCity: make(map[string]CityResult)},
+	}
+	if r.choice == nil {
+		r.choice = UtilityChoice{}
+	}
+	res := r.res
+	end := cfg.EndSeconds
 	if end == 0 {
-		if len(s.trips) > 0 {
-			end = s.trips[len(s.trips)-1].Time + s.cfg.DrainSeconds
-		} else {
-			end = s.cfg.DrainSeconds
+		end = cfg.DrainSeconds
+		if len(trips) > 0 {
+			end += trips[len(trips)-1].Time
 		}
 	}
 
+	// The backend ticks every city in lockstep and nothing else advances
+	// it during a replay, so the clock is read once and counted locally.
 	next := 0
-	clock := s.eng.Clock()
 	failBudget := 0.0
-	for clock < end {
-		// Submit every trip due in this tick.
-		for next < len(s.trips) && s.trips[next].Time <= clock {
-			if err := s.submit(s.trips[next], res); err != nil {
+	for clock := svc.Clock(); clock < end; {
+		for next < len(trips) && trips[next].Time <= clock {
+			res.Submitted++
+			if err := r.submit(trips[next], clock); err != nil {
 				return res, err
 			}
 			next++
 		}
-		if _, err := s.eng.Tick(s.cfg.TickSeconds); err != nil {
+		events, err := svc.Advance(cfg.TickSeconds)
+		if err != nil {
 			return res, err
 		}
-		clock = s.eng.Clock()
+		for _, ev := range events {
+			if ev.Kind == fleet.EventDropoff {
+				r.owed--
+			}
+		}
+		clock += cfg.TickSeconds
 
-		if s.cfg.FailuresPerHour > 0 {
-			failBudget += s.cfg.FailuresPerHour * s.cfg.TickSeconds / 3600
-			for failBudget >= 1 {
-				failBudget--
-				if err := s.injectFailure(res); err != nil {
+		if failer != nil {
+			failBudget += cfg.FailuresPerHour * cfg.TickSeconds / 3600
+			for ; failBudget >= 1; failBudget-- {
+				if err := r.injectFailure(failer, clock); err != nil {
 					return res, err
 				}
 			}
 		}
-		if next >= len(s.trips) && s.eng.Stats().Completed >= int64(res.Accepted) {
-			break // drained
+		if next >= len(trips) && r.owed <= 0 {
+			// Drained. A relay trip that fails after its commit leaves
+			// dropoffs owed forever; the end bound covers that tail.
+			break
 		}
 	}
-	res.Engine = s.eng.Stats()
+	res.Stats = svc.ServiceStats()
 	return res, nil
 }
 
-func (s *Simulation) submit(t trace.Trip, res *Result) error {
-	res.Submitted++
-	rec, err := s.eng.Submit(t.S, t.D, t.Riders)
-	if err != nil {
-		return fmt.Errorf("sim: trip %d: %w", t.ID, err)
+// submit offers one trip: skyline → rider model → Choose / Decline.
+func (r *replay) submit(t Trip, clock float64) error {
+	res := r.res
+	rec, err := r.svc.SubmitRequest(t.Spec)
+	switch {
+	case errors.Is(err, core.ErrCrossCity):
+		res.CrossRejected++
+		return nil
+	case errors.Is(err, core.ErrNoCity):
+		res.NoCity++
+		return nil
+	case err != nil:
+		return fmt.Errorf("sim: trip at %.0fs: %w", t.Time, err)
 	}
-	// Bucket by the clock the engine stamped at submission — one
-	// atomic snapshot — rather than re-reading the clock, which could
-	// have advanced under a concurrent ticker.
-	bucket := res.hourBucket(rec.SubmitClock)
+	city := res.PerCity[rec.City]
+	defer func() { res.PerCity[rec.City] = city }()
+	bucket := res.hourBucket(clock)
+	city.Submitted++
 	bucket.Submitted++
+	if rec.Relay != nil {
+		res.Relayed++
+		city.Relayed++
+	}
 	res.OptionsPerRequest.Observe(float64(len(rec.Options)))
 	bucket.optionsSum += float64(len(rec.Options))
 	bucket.AvgOptions = bucket.optionsSum / float64(bucket.Submitted)
+
 	if len(rec.Options) == 0 {
 		res.NoOption++
+		city.NoOption++
 		bucket.NoOption++
+		if rec.Relay != nil {
+			// Release the relay trip's leg quotes eagerly; a single-city
+			// quote holds no resources, but a relay quote owns one leg
+			// record per gateway in two cities.
+			return r.svc.Decline(rec.ID)
+		}
 		return nil
 	}
-	pick := choose(s.choice, rec, s.rng)
-	if pick < 0 {
+	pick := choose(r.choice, &rec.RequestRecord, r.rng)
+	if pick < 0 || r.svc.Choose(rec.ID, pick) != nil {
+		// A candidate gone stale between quote and choice ends the trip
+		// declined, like a rider's refusal, rather than failing the run.
 		res.Declined++
-		return s.eng.Decline(rec.ID)
+		city.Declined++
+		if pick >= 0 && rec.Relay != nil {
+			// A failed two-phase commit already aborted the relay trip
+			// and released every leg; there is nothing left to decline.
+			return nil
+		}
+		return r.svc.Decline(rec.ID)
 	}
-	if err := s.eng.Choose(rec.ID, pick); err != nil {
-		return fmt.Errorf("sim: trip %d choose: %w", t.ID, err)
+	res.Accepted++
+	city.Accepted++
+	bucket.Accepted++
+	r.owed++
+	if rec.Relay != nil {
+		r.owed++
 	}
 	opt := rec.Options[pick]
-	res.Accepted++
-	bucket.Accepted++
-	res.PickupSeconds.Observe(s.eng.PickupSeconds(opt))
+	res.PickupSeconds.Observe(rec.PickupSecondsOf(opt))
 	res.Prices.Observe(opt.Price)
 	return nil
 }
 
-func (s *Simulation) injectFailure(res *Result) error {
-	n := s.eng.NumVehicles()
-	if n <= 1 {
+// injectFailure removes one random in-service vehicle (never the last)
+// and re-offers the requests it orphans through the one submit.
+func (r *replay) injectFailure(f vehicleFailer, clock float64) error {
+	live := f.VehicleViews(0)
+	if len(live) <= 1 {
 		return nil
 	}
-	// Pick random ids until an active one is hit; ids are dense.
-	for attempt := 0; attempt < 32; attempt++ {
-		id := int32(s.rng.Intn(n))
-		orphans, err := s.eng.RemoveVehicle(id)
+	orphans, err := f.RemoveVehicle(live[r.rng.Intn(len(live))].ID)
+	if err != nil {
+		return fmt.Errorf("sim: failure injection: %w", err)
+	}
+	res := r.res
+	res.FailuresInjected++
+	for _, id := range orphans {
+		rec, err := r.svc.GetRequest(id)
 		if err != nil {
-			continue // already removed
+			return fmt.Errorf("sim: orphaned request %d: %w", id, err)
 		}
-		res.FailuresInjected++
-		for _, rid := range orphans {
-			rec, err := s.eng.Request(rid)
-			if err != nil {
-				continue
-			}
-			res.Resubmitted++
-			nrec, err := s.eng.Submit(rec.S, rec.D, rec.Riders)
-			if err != nil {
-				continue
-			}
-			res.OptionsPerRequest.Observe(float64(len(nrec.Options)))
-			if pick := choose(s.choice, nrec, s.rng); pick >= 0 {
-				if err := s.eng.Choose(nrec.ID, pick); err == nil {
-					res.Accepted++
-				}
-			} else if len(nrec.Options) == 0 {
-				res.NoOption++
-			} else {
-				res.Declined++
-				s.eng.Decline(nrec.ID)
-			}
+		city := res.PerCity[rec.City]
+		city.Accepted--
+		res.PerCity[rec.City] = city
+		res.Accepted--
+		r.owed--
+		res.Orphaned++
+		res.Resubmitted++
+		reoffer := Trip{Time: clock, Spec: core.SubmitSpec{
+			City: rec.City, S: rec.S, D: rec.D, Riders: rec.Riders,
+			Constraints: core.DefaultConstraints(),
+		}}
+		if err := r.submit(reoffer, clock); err != nil {
+			return err
 		}
-		return nil
 	}
 	return nil
 }

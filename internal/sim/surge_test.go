@@ -56,7 +56,7 @@ func TestPriceAwareChoice(t *testing.T) {
 	if model.Choose(atFloor, rng) != 1 {
 		t.Fatal("context-free fallback is not cheapest")
 	}
-	if m, err := sim.ParseChoiceModel("priceaware"); err != nil || m.Name() != "priceaware" {
+	if m, err := sim.ParseChoiceModel("priceaware"); err != nil || m != (sim.PriceAware{}) {
 		t.Fatalf("ParseChoiceModel(priceaware) = %v, %v", m, err)
 	}
 	if _, ok := sim.ChoiceModel(model).(sim.ContextChoice); !ok {
@@ -113,16 +113,13 @@ func TestPeakSurgeSimulation(t *testing.T) {
 		// Pivot 4: a shared ride's detour already prices well above the
 		// solo floor, so the decline band has to sit above the baseline
 		// premium for the surge delta to be the thing riders react to.
-		s, err := sim.New(e, trips, sim.Config{
+		res, err := sim.Run(e, sim.TraceTrips(trips), sim.Config{
 			TickSeconds: 5, Seed: 8, Choice: sim.PriceAware{Pivot: 4}, DrainSeconds: 3600,
 		})
 		if err != nil {
-			t.Fatalf("sim.New: %v", err)
-		}
-		res, err := s.Run()
-		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
+		assertAcceptedAssigned(t, res)
 		return res, e.SurgeStats()
 	}
 
@@ -152,7 +149,7 @@ func TestPeakSurgeSimulation(t *testing.T) {
 	if rOn, rOff := rate(on), rate(off); rOn < 0.75*rOff {
 		t.Fatalf("acceptance cratered under surge: %.2f vs %.2f baseline", rOn, rOff)
 	}
-	if on.Engine.Completed == 0 {
+	if on.Stats.Total.Completed == 0 {
 		t.Fatal("nothing completed under surge")
 	}
 }

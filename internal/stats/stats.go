@@ -179,59 +179,3 @@ func (q *P2Quantile) Value() float64 {
 
 // Count returns the number of observations.
 func (q *P2Quantile) Count() int64 { return q.n }
-
-// Histogram counts observations into fixed-width bins over [Min, Max),
-// with underflow and overflow buckets.
-type Histogram struct {
-	Min, Max float64
-	bins     []int64
-	under    int64
-	over     int64
-	n        int64
-}
-
-// NewHistogram returns a histogram with n bins over [min, max).
-func NewHistogram(min, max float64, n int) (*Histogram, error) {
-	if n < 1 || !(max > min) {
-		return nil, fmt.Errorf("stats: invalid histogram [%v,%v) with %d bins", min, max, n)
-	}
-	return &Histogram{Min: min, Max: max, bins: make([]int64, n)}, nil
-}
-
-// Observe adds x.
-func (h *Histogram) Observe(x float64) {
-	h.n++
-	switch {
-	case x < h.Min:
-		h.under++
-	case x >= h.Max:
-		h.over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.bins)))
-		if i >= len(h.bins) { // guard boundary rounding
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of interior bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Under and Over return the out-of-range counts.
-func (h *Histogram) Under() int64 { return h.under }
-
-// Over returns the count of observations at or above Max.
-func (h *Histogram) Over() int64 { return h.over }
-
-// Count returns the total observations including out-of-range ones.
-func (h *Histogram) Count() int64 { return h.n }
-
-// BinBounds returns the [lo, hi) range of bin i.
-func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	w := (h.Max - h.Min) / float64(len(h.bins))
-	return h.Min + float64(i)*w, h.Min + float64(i+1)*w
-}

@@ -106,41 +106,3 @@ func TestP2QuantileConvergesOnNormal(t *testing.T) {
 		t.Fatalf("P95 estimate %v, exact %v", q.Value(), exact)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	if _, err := stats.NewHistogram(0, 0, 4); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	if _, err := stats.NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	h, err := stats.NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Observe(x)
-	}
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Fatalf("Under/Over = %d/%d", h.Under(), h.Over())
-	}
-	if h.Bin(0) != 2 { // 0 and 1.9
-		t.Fatalf("Bin(0) = %d", h.Bin(0))
-	}
-	if h.Bin(1) != 1 { // 2
-		t.Fatalf("Bin(1) = %d", h.Bin(1))
-	}
-	if h.Bin(4) != 1 { // 9.99
-		t.Fatalf("Bin(4) = %d", h.Bin(4))
-	}
-	if h.Count() != 7 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	lo, hi := h.BinBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("BinBounds(1) = (%v,%v)", lo, hi)
-	}
-	if h.NumBins() != 5 {
-		t.Fatalf("NumBins = %d", h.NumBins())
-	}
-}

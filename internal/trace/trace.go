@@ -1,13 +1,10 @@
 // Package trace defines the trip-trace format PTRider's workloads are
 // stored in and streamed from — the stand-in for the demo's Shanghai
-// taxi trip extract — with CSV and JSON-lines codecs and summary
-// statistics.
+// taxi trip extract — with a CSV codec and summary statistics.
 package trace
 
 import (
-	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -127,34 +124,6 @@ func parseRow(row []string) (Trip, error) {
 		return t, fmt.Errorf("bad riders %q", row[4])
 	}
 	return Trip{ID: id, Time: tm, S: roadnet.VertexID(s), D: roadnet.VertexID(d), Riders: riders}, nil
-}
-
-// WriteJSONL writes one JSON object per line.
-func WriteJSONL(w io.Writer, trips []Trip) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, t := range trips {
-		if err := enc.Encode(t); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL reads trips written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Trip, error) {
-	dec := json.NewDecoder(r)
-	var trips []Trip
-	for {
-		var t Trip
-		if err := dec.Decode(&t); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: jsonl record %d: %w", len(trips)+1, err)
-		}
-		trips = append(trips, t)
-	}
-	return trips, nil
 }
 
 // Summary aggregates a workload for display and sanity checks.

@@ -32,21 +32,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := sampleTrips()
-	if err := trace.WriteJSONL(&buf, in); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	out, err := trace.ReadJSONL(&buf)
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\nin  %+v\nout %+v", in, out)
-	}
-}
-
 func TestReadCSVRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
 		"wrong header": "a,b,c,d,e\n1,2,3,4,5\n",

@@ -78,7 +78,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 
 	"ptrider/internal/core"
 	"ptrider/internal/gen"
@@ -441,41 +440,16 @@ type Stats struct {
 // out above base fare. On a multi-city system Cells, ActiveCells and
 // SurgedQuotes sum across cities; Epoch and MaxMultiplier are maxima
 // and AvgMultiplier is cell-weighted.
-type SurgeStats struct {
-	Enabled       bool
-	Epoch         uint64
-	EpochSeconds  float64
-	Cells         int
-	ActiveCells   int
-	MaxMultiplier float64
-	AvgMultiplier float64
-	SurgedQuotes  int64
-}
+type SurgeStats = core.SurgePanel
 
 // TickStats summarises Tick's sharded time advancement: shard width,
 // wall time per tick, merged events per tick and the worst
 // slowest−fastest shard gap seen. On a multi-city system Workers and
 // AvgEvents sum across cities; the timing fields are the maxima.
-type TickStats struct {
-	Workers        int
-	Ticks          int64
-	LastWallMs     float64
-	AvgWallMs      float64
-	AvgEvents      float64
-	MaxShardSkewMs float64
-}
+type TickStats = core.TickStats
 
 // RelayStats is the relay scheduler's counter panel.
-type RelayStats struct {
-	Quoted    int64
-	LegQuotes int64
-	Committed int64
-	Aborted   int64
-	Declined  int64
-	Completed int64
-	Failed    int64
-	Active    int64
-}
+type RelayStats = core.RelayStats
 
 // CityInfo describes one city of a system. The Min/Max coordinates
 // bound its service region — the addresses RequestAt assigns to it.
@@ -509,10 +483,9 @@ type Stop struct {
 // backend is served through the same core Service interface, so the
 // verbs below behave identically whichever constructor built it.
 type System struct {
-	svc    core.Service
-	eng    *core.Engine      // non-nil for single-city systems
-	router *multicity.Router // non-nil for multi-city systems
-	net    *Network          // the single city's network (nil for multi)
+	svc core.Service
+	eng *core.Engine // non-nil for single-city systems
+	net *Network     // the single city's network (nil for multi)
 }
 
 // New builds a single-city System over a network.
@@ -558,7 +531,7 @@ func NewMulti(cities string, cfg MultiConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{svc: router, router: router}, nil
+	return &System{svc: router}, nil
 }
 
 // Network returns the system's road network (nil for a multi-city
@@ -781,24 +754,8 @@ func statsOf(st core.EngineStats) Stats {
 		AvgWaitSeconds:  st.AvgWaitSeconds,
 		AvgDetourFactor: st.AvgDetourFactor,
 		ActiveVehicles:  st.ActiveVehicles,
-		Tick: TickStats{
-			Workers:        st.Tick.Workers,
-			Ticks:          st.Tick.Ticks,
-			LastWallMs:     st.Tick.LastWallMs,
-			AvgWallMs:      st.Tick.AvgWallMs,
-			AvgEvents:      st.Tick.AvgEvents,
-			MaxShardSkewMs: st.Tick.MaxShardSkewMs,
-		},
-		Surge: SurgeStats{
-			Enabled:       st.Surge.Enabled,
-			Epoch:         st.Surge.Epoch,
-			EpochSeconds:  st.Surge.EpochSeconds,
-			Cells:         st.Surge.Cells,
-			ActiveCells:   st.Surge.ActiveCells,
-			MaxMultiplier: st.Surge.MaxMultiplier,
-			AvgMultiplier: st.Surge.AvgMultiplier,
-			SurgedQuotes:  st.Surge.SurgedQuotes,
-		},
+		Tick:            st.Tick,
+		Surge:           st.Surge,
 	}
 }
 
@@ -808,35 +765,35 @@ func (s *System) Stats() Stats {
 	return statsOf(s.svc.ServiceStats().Total)
 }
 
-// CityStats snapshots every city's own panel.
-func (s *System) CityStats() map[string]Stats {
-	st := s.svc.ServiceStats()
-	out := make(map[string]Stats, len(st.Cities))
-	for name, cs := range st.Cities {
+// cityStatsOf maps every city's panel into the public shape.
+func cityStatsOf(cities map[string]core.EngineStats) map[string]Stats {
+	out := make(map[string]Stats, len(cities))
+	for name, cs := range cities {
 		out[name] = statsOf(cs)
 	}
 	return out
+}
+
+// CityStats snapshots every city's own panel.
+func (s *System) CityStats() map[string]Stats {
+	return cityStatsOf(s.svc.ServiceStats().Cities)
 }
 
 // RelayStats snapshots the relay scheduler's panel; ok is false when
 // the system does not relay cross-city trips.
 func (s *System) RelayStats() (rs RelayStats, ok bool) {
 	st := s.svc.ServiceStats()
-	if !st.RelayEnabled {
-		return RelayStats{}, false
-	}
-	return RelayStats(st.Relay), true
+	return st.Relay, st.RelayEnabled
 }
 
-// HTTPHandler exposes the system over the versioned /v1 JSON API (plus
-// the legacy /api aliases); see internal/server for the endpoint
-// reference. Single- and multi-city systems serve the identical
-// surface.
+// HTTPHandler exposes the system over the versioned /v1 JSON API; see
+// internal/server for the endpoint reference. Single- and multi-city
+// systems serve the identical surface.
 func (s *System) HTTPHandler() http.Handler {
 	return server.NewService(s.svc).Handler()
 }
 
-// SimOptions parameterises RunWorkload.
+// SimOptions parameterises RunWorkload and RunMultiWorkload.
 type SimOptions struct {
 	// TickSeconds is the movement step (0 = 1).
 	TickSeconds float64
@@ -845,7 +802,8 @@ type SimOptions struct {
 	// ("" = "utility").
 	Choice string
 	// FailuresPerHour removes random vehicles at this rate (failure
-	// injection; single-city replays only).
+	// injection; refused by systems that cannot remove vehicles, which
+	// today is every multi-city one).
 	FailuresPerHour float64
 	// Seed drives choices and failures.
 	Seed int64
@@ -853,49 +811,61 @@ type SimOptions struct {
 
 // HourStats is one hour of a replay (requests bucketed by submission
 // time).
-type HourStats struct {
-	Hour       int
-	Submitted  int
-	Accepted   int
-	NoOption   int
-	AvgOptions float64
-}
+type HourStats = sim.HourBucket
+
+// MultiTrip is one entry of a coordinate workload: endpoints are
+// planar coordinates — city assignment is the system's job, not the
+// trace's.
+type MultiTrip = sim.MultiTrip
+
+// CityTally is one city's slice of a replay.
+type CityTally = sim.CityResult
 
 // SimResult summarises a workload replay.
 type SimResult struct {
-	Stats      Stats
-	Submitted  int
-	Accepted   int
-	Declined   int
-	NoOption   int
+	// Stats is the cross-city aggregate panel; CityStats the per-city
+	// panels (a single-city system reports one); Relay the relay
+	// scheduler's counters (zero without relay).
+	Stats     Stats
+	CityStats map[string]Stats
+	Relay     RelayStats
+	// Submitted counts trips offered to the system; CrossRejected the
+	// cross-city trips rejected (zero with relay); NoCity trips whose
+	// origin no city serves.
+	Submitted     int
+	CrossRejected int
+	NoCity        int
+	// Accepted / Declined / NoOption classify the answered trips (an
+	// acceptance a vehicle failure orphaned is re-offered and counted
+	// by how the re-offer ended); Relayed counts cross-city trips
+	// served through relay scheduling.
+	Accepted int
+	Declined int
+	NoOption int
+	Relayed  int
+	// AvgOptions is the mean skyline size; AvgPrice and AvgPickupS
+	// average the chosen options.
 	AvgOptions float64
 	AvgPrice   float64
 	AvgPickupS float64
 	// Hourly is the statistics-over-the-day view, for hours with
 	// traffic, in chronological order.
 	Hourly []HourStats
+	// PerCity breaks the answered trips down by owning city.
+	PerCity map[string]CityTally
 }
 
-func choiceModel(name string) (sim.ChoiceModel, error) {
-	m, err := sim.ParseChoiceModel(name)
-	if err != nil {
-		return nil, fmt.Errorf("ptrider: unknown choice model %q", name)
-	}
-	return m, nil
-}
+// MultiSimResult is the result of RunMultiWorkload.
+type MultiSimResult = SimResult
 
-// RunWorkload replays a trip workload (from GenerateWorkload or a
-// trace file) against a single-city system and returns aggregate
-// results. Multi-city systems replay with RunMultiWorkload.
-func (s *System) RunWorkload(trips []Trip, opts SimOptions) (SimResult, error) {
-	if s.eng == nil {
-		return SimResult{}, fmt.Errorf("ptrider: RunWorkload needs a single-city system; use RunMultiWorkload")
-	}
-	choice, err := choiceModel(opts.Choice)
+// replay runs a workload through the one replay loop and renders its
+// result in the public shape.
+func (s *System) replay(trips []sim.Trip, opts SimOptions) (SimResult, error) {
+	choice, err := sim.ParseChoiceModel(opts.Choice)
 	if err != nil {
-		return SimResult{}, err
+		return SimResult{}, fmt.Errorf("ptrider: unknown choice model %q", opts.Choice)
 	}
-	simu, err := sim.New(s.eng, trips, sim.Config{
+	res, err := sim.Run(s.svc, trips, sim.Config{
 		TickSeconds:     opts.TickSeconds,
 		Choice:          choice,
 		Seed:            opts.Seed,
@@ -904,37 +874,33 @@ func (s *System) RunWorkload(trips []Trip, opts SimOptions) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
-	res, err := simu.Run()
-	if err != nil {
-		return SimResult{}, err
-	}
-	out := SimResult{
-		Stats:      s.Stats(),
-		Submitted:  res.Submitted,
-		Accepted:   res.Accepted,
-		Declined:   res.Declined,
-		NoOption:   res.NoOption,
-		AvgOptions: res.OptionsPerRequest.Mean(),
-		AvgPrice:   res.Prices.Mean(),
-		AvgPickupS: res.PickupSeconds.Mean(),
-	}
-	for _, h := range res.Hourly {
-		out.Hourly = append(out.Hourly, HourStats{
-			Hour: h.Hour, Submitted: h.Submitted, Accepted: h.Accepted,
-			NoOption: h.NoOption, AvgOptions: h.AvgOptions,
-		})
-	}
-	sort.Slice(out.Hourly, func(i, j int) bool { return out.Hourly[i].Hour < out.Hourly[j].Hour })
-	return out, nil
+	return SimResult{
+		Stats:         statsOf(res.Stats.Total),
+		CityStats:     cityStatsOf(res.Stats.Cities),
+		Relay:         res.Stats.Relay,
+		Submitted:     res.Submitted,
+		CrossRejected: res.CrossRejected,
+		NoCity:        res.NoCity,
+		Accepted:      res.Accepted,
+		Declined:      res.Declined,
+		NoOption:      res.NoOption,
+		Relayed:       res.Relayed,
+		AvgOptions:    res.OptionsPerRequest.Mean(),
+		AvgPrice:      res.Prices.Mean(),
+		AvgPickupS:    res.PickupSeconds.Mean(),
+		Hourly:        res.Hourly,
+		PerCity:       res.PerCity,
+	}, nil
 }
 
-// MultiTrip is one entry of a multi-city workload: endpoints are
-// planar coordinates — city assignment is the system's job, not the
-// trace's.
-type MultiTrip = sim.MultiTrip
-
-// CityTally is one city's slice of a multi-city replay.
-type CityTally = sim.CityResult
+// RunWorkload replays a vertex-addressed trip workload (from
+// GenerateWorkload or a trace file) and returns aggregate results. The
+// trips name no city, so a multi-city system refuses the first of them
+// with the Service's invalid-argument error; replay coordinate
+// workloads there with RunMultiWorkload.
+func (s *System) RunWorkload(trips []Trip, opts SimOptions) (SimResult, error) {
+	return s.replay(sim.TraceTrips(trips), opts)
+}
 
 // MultiWorkloadConfig parameterises GenerateMultiWorkload.
 type MultiWorkloadConfig struct {
@@ -952,85 +918,19 @@ type MultiWorkloadConfig struct {
 	Seed int64
 }
 
-// GenerateMultiWorkload synthesises a skewed multi-city day over a
-// multi-city system's cities.
+// GenerateMultiWorkload synthesises a skewed coordinate-addressed day
+// over the system's cities (a single-city system has one, so CrossFrac
+// must be 0 there).
 func (s *System) GenerateMultiWorkload(cfg MultiWorkloadConfig) ([]MultiTrip, error) {
-	if s.router == nil {
-		return nil, fmt.Errorf("ptrider: GenerateMultiWorkload needs a multi-city system")
-	}
-	return sim.GenerateMultiWorkload(s.router, sim.MultiWorkloadConfig{
-		NumTrips:   cfg.NumTrips,
-		DaySeconds: cfg.DaySeconds,
-		Weights:    cfg.Weights,
-		CrossFrac:  cfg.CrossFrac,
-		Seed:       cfg.Seed,
-	})
+	return sim.GenerateMultiWorkload(s.svc, gen.TripConfig{
+		NumTrips: cfg.NumTrips, DaySeconds: cfg.DaySeconds, Seed: cfg.Seed,
+	}, cfg.Weights, cfg.CrossFrac)
 }
 
-// MultiSimResult aggregates a multi-city replay.
-type MultiSimResult struct {
-	// Stats is the cross-city aggregate panel; CityStats the per-city
-	// panels; Relay the relay scheduler's counters (zero without
-	// relay).
-	Stats     Stats
-	CityStats map[string]Stats
-	Relay     RelayStats
-	// Submitted counts trips offered to the system; CrossRejected the
-	// cross-city trips rejected (zero with relay); NoCity trips whose
-	// origin no city serves.
-	Submitted     int
-	CrossRejected int
-	NoCity        int
-	// Accepted / Declined / NoOption mirror the single-city replay;
-	// Relayed counts cross-city trips served through relay scheduling.
-	Accepted int
-	Declined int
-	NoOption int
-	Relayed  int
-	// PerCity breaks the served trips down by owning city.
-	PerCity map[string]CityTally
-}
-
-// RunMultiWorkload replays a multi-city workload against the system:
+// RunMultiWorkload replays a coordinate workload against the system:
 // trips are submitted by coordinate at their due tick, the rider model
 // chooses (relay trips through their synthesised joint options), and
 // every city's fleet moves concurrently on each tick.
 func (s *System) RunMultiWorkload(trips []MultiTrip, opts SimOptions) (MultiSimResult, error) {
-	if s.router == nil {
-		return MultiSimResult{}, fmt.Errorf("ptrider: RunMultiWorkload needs a multi-city system")
-	}
-	choice, err := choiceModel(opts.Choice)
-	if err != nil {
-		return MultiSimResult{}, err
-	}
-	if opts.FailuresPerHour != 0 {
-		return MultiSimResult{}, fmt.Errorf("ptrider: failure injection is not supported by the multi-city replay")
-	}
-	res, err := sim.RunMulti(s.svc, trips, sim.Config{
-		TickSeconds: opts.TickSeconds,
-		Choice:      choice,
-		Seed:        opts.Seed,
-	})
-	if err != nil {
-		return MultiSimResult{}, err
-	}
-	out := MultiSimResult{
-		Stats:         statsOf(res.Stats.Total),
-		CityStats:     make(map[string]Stats, len(res.Stats.Cities)),
-		Submitted:     res.Submitted,
-		CrossRejected: res.CrossRejected,
-		NoCity:        res.NoCity,
-		Accepted:      res.Accepted,
-		Declined:      res.Declined,
-		NoOption:      res.NoOption,
-		Relayed:       res.Relayed,
-		PerCity:       res.PerCity,
-	}
-	for name, cs := range res.Stats.Cities {
-		out.CityStats[name] = statsOf(cs)
-	}
-	if res.Stats.RelayEnabled {
-		out.Relay = RelayStats(res.Stats.Relay)
-	}
-	return out, nil
+	return s.replay(sim.CoordTrips(trips), opts)
 }

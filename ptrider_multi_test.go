@@ -1,10 +1,12 @@
 package ptrider_test
 
 import (
+	"errors"
 	"net/http/httptest"
 	"testing"
 
 	"ptrider"
+	"ptrider/internal/core"
 )
 
 // newMultiSystem builds a relay-enabled two-city system over the public
@@ -158,11 +160,23 @@ func TestMultiHTTPHandlerServesV1(t *testing.T) {
 	}
 }
 
-// TestSingleCityGuards pins the multi-only/single-only seams.
+// TestSingleCityGuards pins the seams between the two kinds of system.
+// Both replay through the one loop, so what a system cannot serve is
+// refused by its Service with a typed error — not by the facade
+// checking which constructor built it — and what it can serve works:
+// a single-city system is a one-city Service, so coordinate workloads
+// generate and replay on it too.
 func TestSingleCityGuards(t *testing.T) {
 	sys := newMultiSystem(t)
-	if _, err := sys.RunWorkload(nil, ptrider.SimOptions{}); err == nil {
-		t.Fatal("RunWorkload on a multi-city system should fail")
+	// Vertex-addressed trips name no city; the multi-city Service
+	// refuses the first of them.
+	_, err := sys.RunWorkload([]ptrider.Trip{{ID: 1, S: 3, D: 40, Riders: 1}}, ptrider.SimOptions{})
+	if !errors.Is(err, core.ErrInvalidArgument) {
+		t.Fatalf("RunWorkload on a multi-city system: %v, want ErrInvalidArgument", err)
+	}
+	// No multi-city backend can remove vehicles.
+	if _, err := sys.RunMultiWorkload(nil, ptrider.SimOptions{FailuresPerHour: 1}); err == nil {
+		t.Fatal("failure injection on a multi-city system should fail")
 	}
 
 	net, err := ptrider.GenerateCity(ptrider.CityConfig{Width: 8, Height: 8, Seed: 1})
@@ -173,11 +187,20 @@ func TestSingleCityGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := single.GenerateMultiWorkload(ptrider.MultiWorkloadConfig{NumTrips: 10}); err == nil {
-		t.Fatal("GenerateMultiWorkload on a single-city system should fail")
+	// One city has no border to cross.
+	if _, err := single.GenerateMultiWorkload(ptrider.MultiWorkloadConfig{NumTrips: 10, CrossFrac: 0.5}); err == nil {
+		t.Fatal("cross-city trips on a single-city system should fail")
 	}
-	if _, err := single.RunMultiWorkload(nil, ptrider.SimOptions{}); err == nil {
-		t.Fatal("RunMultiWorkload on a single-city system should fail")
+	trips, err := single.GenerateMultiWorkload(ptrider.MultiWorkloadConfig{NumTrips: 10, DaySeconds: 300, Seed: 1})
+	if err != nil || len(trips) != 10 {
+		t.Fatalf("GenerateMultiWorkload on a single-city system: %d trips, %v", len(trips), err)
+	}
+	res, err := single.RunMultiWorkload(trips, ptrider.SimOptions{TickSeconds: 2, Seed: 1})
+	if err != nil {
+		t.Fatalf("RunMultiWorkload on a single-city system: %v", err)
+	}
+	if res.Submitted != 10 || res.Accepted+res.Declined+res.NoOption != 10 || res.PerCity["default"].Submitted != 10 {
+		t.Fatalf("coordinate replay on one city = %+v", res)
 	}
 	// A single-city system reports its one implicit city.
 	if cities := single.Cities(); len(cities) != 1 || cities[0].Vehicles != 3 {

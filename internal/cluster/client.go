@@ -381,68 +381,52 @@ func (c *ShardClient) Request(id core.RequestID) (*core.RequestRecord, error) {
 	return &rec, nil
 }
 
-// Choose commits option optionIndex of request id. A transport failure
-// is ambiguous — the shard may have journaled the commit before dying —
-// so the record is re-read: a visible commit of the same option counts
-// as success, an untouched quote earns one retry, anything else keeps
+// mutate posts one non-idempotent verb on request id. A transport
+// failure is ambiguous — the shard may have journaled the mutation
+// before dying — so the record is re-read: if the mutation landed that
+// is success, an untouched record earns one retry, anything else keeps
 // the ErrUnavailable for the caller's deferred reconciliation.
-func (c *ShardClient) Choose(id core.RequestID, optionIndex int) error {
-	err := c.call(http.MethodPost, "/rpc/choose", chooseWire{ID: id, Option: optionIndex}, nil, false)
+func (c *ShardClient) mutate(path string, body any, id core.RequestID, landed, untouched func(*core.RequestRecord) bool) error {
+	err := c.call(http.MethodPost, path, body, nil, false)
 	if err == nil || !errors.Is(err, core.ErrUnavailable) {
 		return err
 	}
 	rec, rerr := c.Request(id)
-	if rerr != nil {
-		return err
-	}
 	switch {
-	case rec.Chosen == optionIndex && rec.Status != core.StatusQuoted && rec.Status != core.StatusDeclined:
-		return nil // the commit landed before the transport died
-	case rec.Status == core.StatusQuoted:
-		return c.call(http.MethodPost, "/rpc/choose", chooseWire{ID: id, Option: optionIndex}, nil, false)
+	case rerr != nil:
+		return err
+	case landed(rec):
+		return nil
+	case untouched(rec):
+		return c.call(http.MethodPost, path, body, nil, false)
 	}
 	return err
 }
 
-// Decline releases a quoted request, resolving transport ambiguity by
-// re-reading the record (a visible decline counts as success).
+func hasStatus(st core.RequestStatus) func(*core.RequestRecord) bool {
+	return func(rec *core.RequestRecord) bool { return rec.Status == st }
+}
+
+// Choose commits option optionIndex of request id; a visible commit of
+// the same option is how it reads once landed.
+func (c *ShardClient) Choose(id core.RequestID, optionIndex int) error {
+	return c.mutate("/rpc/choose", chooseWire{ID: id, Option: optionIndex}, id,
+		func(rec *core.RequestRecord) bool {
+			return rec.Chosen == optionIndex && rec.Status != core.StatusQuoted && rec.Status != core.StatusDeclined
+		}, hasStatus(core.StatusQuoted))
+}
+
+// Decline releases a quoted request.
 func (c *ShardClient) Decline(id core.RequestID) error {
-	err := c.call(http.MethodPost, "/rpc/decline", idWire{ID: id}, nil, false)
-	if err == nil || !errors.Is(err, core.ErrUnavailable) {
-		return err
-	}
-	rec, rerr := c.Request(id)
-	if rerr != nil {
-		return err
-	}
-	switch rec.Status {
-	case core.StatusDeclined:
-		return nil
-	case core.StatusQuoted:
-		return c.call(http.MethodPost, "/rpc/decline", idWire{ID: id}, nil, false)
-	}
-	return err
+	return c.mutate("/rpc/decline", idWire{ID: id}, id,
+		hasStatus(core.StatusDeclined), hasStatus(core.StatusQuoted))
 }
 
 // CancelAssigned releases an assigned request's vehicle reservation
-// (the relay compensation verb), with the same read-back ambiguity
-// resolution: a cancelled record reads declined.
+// (the relay compensation verb); a cancelled record reads declined.
 func (c *ShardClient) CancelAssigned(id core.RequestID) error {
-	err := c.call(http.MethodPost, "/rpc/cancel", idWire{ID: id}, nil, false)
-	if err == nil || !errors.Is(err, core.ErrUnavailable) {
-		return err
-	}
-	rec, rerr := c.Request(id)
-	if rerr != nil {
-		return err
-	}
-	switch rec.Status {
-	case core.StatusDeclined:
-		return nil
-	case core.StatusAssigned:
-		return c.call(http.MethodPost, "/rpc/cancel", idWire{ID: id}, nil, false)
-	}
-	return err
+	return c.mutate("/rpc/cancel", idWire{ID: id}, id,
+		hasStatus(core.StatusDeclined), hasStatus(core.StatusAssigned))
 }
 
 // --- the rest of multicity.CityBackend ---

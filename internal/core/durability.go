@@ -16,11 +16,15 @@
 // step merges events canonically. The digest cross-checks determinism;
 // a mismatch increments DurabilityStats.ReplayDivergence.
 //
-// All appends happen under ledgerMu, so journal order IS the ledger's
-// linearisation order. The fsync wait (Sync mode) happens after
-// ledgerMu is released — group commit batches concurrent appenders
-// into one fsync, which is what keeps the hot Submit path's durable
-// overhead low.
+// All appends happen under the ledger's mutex, before the transition
+// they record, so journal order IS the ledger's linearisation order.
+// The fsync wait (Sync mode) happens after the mutex is released —
+// group commit batches concurrent appenders into one fsync, which is
+// what keeps the hot Submit path's durable overhead low.
+//
+// Recovery has no state logic of its own: replayRecord decodes a
+// record, makes the fleet-side restore call and runs the ledger
+// transition (ledger.go) the live path ran.
 //
 // # Known non-durable edges (documented trade-offs)
 //
@@ -37,15 +41,12 @@
 package core
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"ptrider/internal/fleet"
-	"ptrider/internal/kinetic"
 	"ptrider/internal/pricing/surge"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/wal"
@@ -59,9 +60,6 @@ var ErrCrashed = wal.ErrCrashed
 // engine after this many journaled records (checked at tick
 // boundaries).
 const defaultSnapshotEvery = 4096
-
-// idemCapacity bounds the idempotency-key LRU.
-const idemCapacity = 4096
 
 // Operation tags of the journal records.
 const (
@@ -87,7 +85,7 @@ type walRecord struct {
 	Surge   *surgeRec       `json:"srg,omitempty"`
 }
 
-// submitRec is a registered quote: everything registerRecord writes
+// submitRec is a registered quote: everything newQuotedRecord writes
 // into the ledger, including the skyline (a recovered quoted request
 // must still be choosable).
 type submitRec struct {
@@ -151,7 +149,7 @@ type addvRec struct {
 }
 
 // engSnap is the snapshot payload: the full ledger, fleet state and
-// stream positions. byVeh is reconstructed from record statuses.
+// stream positions (the ledger's indexes are rebuilt from the records).
 type engSnap struct {
 	Clock     float64
 	NextID    int64
@@ -234,10 +232,11 @@ func (e *Engine) noteWALErr(err error) error {
 	return err
 }
 
-// appendLocked journals one operation record. The caller holds
-// ledgerMu — that lock order is what makes the journal the ledger's
-// linearisation. The returned Commit must be waited on after ledgerMu
-// is released (Sync mode fsyncs are group-committed across appenders).
+// appendLocked journals one operation record (a no-op with durability
+// off). The caller holds led.mu — that lock order is what makes the
+// journal the ledger's linearisation. The returned Commit must be
+// waited on after led.mu is released (Sync mode fsyncs are
+// group-committed across appenders).
 // The two operation-level crash points fire here: pre-append (the
 // record must be absent after recovery) and post-append-pre-apply (the
 // record is in the batch; recovery must apply it exactly once if it
@@ -289,60 +288,6 @@ func eventsDigest(events []fleet.Event) uint64 {
 		mix(math.Float64bits(ev.Odo))
 	}
 	return h
-}
-
-// ---- idempotency ----
-
-// idemEntry is one idempotency mapping, serialised oldest→newest in
-// snapshots.
-type idemEntry struct {
-	Key string    `json:"k"`
-	ID  RequestID `json:"id"`
-}
-
-// idemLRU maps Idempotency-Key values to the request they registered,
-// bounded LRU. Guarded by ledgerMu.
-type idemLRU struct {
-	cap int
-	ll  *list.List // front = newest
-	m   map[string]*list.Element
-}
-
-func newIdemLRU(capacity int) *idemLRU {
-	return &idemLRU{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-func (l *idemLRU) get(key string) (RequestID, bool) {
-	el, ok := l.m[key]
-	if !ok {
-		return 0, false
-	}
-	l.ll.MoveToFront(el)
-	return el.Value.(idemEntry).ID, true
-}
-
-func (l *idemLRU) put(key string, id RequestID) {
-	if el, ok := l.m[key]; ok {
-		el.Value = idemEntry{Key: key, ID: id}
-		l.ll.MoveToFront(el)
-		return
-	}
-	l.m[key] = l.ll.PushFront(idemEntry{Key: key, ID: id})
-	for l.ll.Len() > l.cap {
-		old := l.ll.Back()
-		delete(l.m, old.Value.(idemEntry).Key)
-		l.ll.Remove(old)
-	}
-}
-
-// entries exports the mappings oldest→newest (replaying put in that
-// order rebuilds the identical LRU order).
-func (l *idemLRU) entries() []idemEntry {
-	out := make([]idemEntry, 0, l.ll.Len())
-	for el := l.ll.Back(); el != nil; el = el.Prev() {
-		out = append(out, el.Value.(idemEntry))
-	}
-	return out
 }
 
 // ---- snapshot / recover ----
@@ -420,29 +365,20 @@ func (e *Engine) Kill() {
 func (e *Engine) Recovered() bool { return e.recovered }
 
 // captureLocked builds the snapshot payload. The caller holds tickMu
-// and ledgerMu, so no vehicle moves and no ledger mutation lands while
-// the state is read; ledgerMu → Vehicle.mu (inside SnapshotState) and
-// ledgerMu → rngMu are both fresh lock edges with no reverse path.
+// and led.mu, so no vehicle moves and no ledger mutation lands while
+// the state is read; led.mu → Vehicle.mu (inside SnapshotState) and
+// led.mu → rngMu are both fresh lock edges with no reverse path.
 func (e *Engine) captureLocked() *engSnap {
 	s := &engSnap{
-		Clock:     e.Clock(),
-		NextID:    e.nextID.Load(),
-		Requests:  e.requests.Load(),
-		Completed: e.completed,
-		Shared:    e.shared,
-		Declined:  e.declined,
-		Assigned:  e.assigned,
-		Vehicles:  e.fleet.SnapshotState(),
-		Idem:      e.idem.entries(),
+		Clock:    e.Clock(),
+		NextID:   e.nextID.Load(),
+		Requests: e.requests.Load(),
+		Vehicles: e.fleet.SnapshotState(),
 	}
+	e.led.capture(s)
 	e.rngMu.Lock()
 	s.RngDraws = e.rngSrc.Draws()
 	e.rngMu.Unlock()
-	s.Reqs = make([]RequestRecord, 0, len(e.reqs))
-	for _, rec := range e.reqs {
-		s.Reqs = append(s.Reqs, *rec)
-	}
-	sort.Slice(s.Reqs, func(a, b int) bool { return s.Reqs[a].ID < s.Reqs[b].ID })
 	if e.tracker != nil {
 		st := e.tracker.State()
 		s.Surge = &surgeSnap{Next: e.surgeNext, Epoch: st.Epoch, EMA: st.EMA, Demand: st.Demand}
@@ -460,32 +396,11 @@ func (e *Engine) applySnapshot(payload []byte) error {
 	e.clockBits.Store(math.Float64bits(s.Clock))
 	e.nextID.Store(s.NextID)
 	e.requests.Store(s.Requests)
-	e.completed = s.Completed
-	e.shared = s.Shared
-	e.declined = s.Declined
-	e.assigned = s.Assigned
 	e.rngSrc.Burn(s.RngDraws)
 	if err := e.fleet.RestoreState(s.Vehicles); err != nil {
 		return err
 	}
-	for i := range s.Reqs {
-		rec := s.Reqs[i]
-		e.reqs[rec.ID] = &rec
-		if rec.Status == StatusAssigned || rec.Status == StatusOnboard {
-			if e.byVeh[rec.Vehicle] == nil {
-				e.byVeh[rec.Vehicle] = make(map[RequestID]bool)
-			}
-			e.byVeh[rec.Vehicle][rec.ID] = true
-		}
-		// Rebuild the surged-quote counter from the restored ledger
-		// (zero SurgeMult = pre-pipeline record, not a surge).
-		if rec.SurgeMult != 1 && rec.SurgeMult != 0 {
-			e.surgedQuotes.Add(1)
-		}
-	}
-	for _, en := range s.Idem {
-		e.idem.put(en.Key, en.ID)
-	}
+	e.led.restore(&s)
 	if s.Surge != nil && e.tracker != nil {
 		e.tracker.Restore(surge.State{Epoch: s.Surge.Epoch, EMA: s.Surge.EMA, Demand: s.Surge.Demand})
 		e.surgeNext = s.Surge.Next
@@ -493,9 +408,9 @@ func (e *Engine) applySnapshot(payload []byte) error {
 	return nil
 }
 
-// replayRecord re-applies one journaled operation. Runs single-threaded
-// during NewEngine; ledger locks are taken where shared helpers expect
-// them.
+// replayRecord re-applies one journaled operation (see the header).
+// Runs single-threaded during NewEngine, before the engine is shared,
+// so the ledger is used without its lock.
 func (e *Engine) replayRecord(payload []byte) error {
 	r, err := decodeWALRecord(payload)
 	if err != nil {
@@ -503,78 +418,34 @@ func (e *Engine) replayRecord(payload []byte) error {
 	}
 	switch r.Op {
 	case opSubmit:
-		s := r.Submit
-		rec := &RequestRecord{
-			ID: s.ID, S: s.S, D: s.D, Riders: s.Riders,
-			WaitSeconds: s.Wait, Sigma: s.Sigma,
-			Status: StatusQuoted, Options: s.Options, Chosen: -1,
-			SD: s.SD, SubmitClock: s.Clock,
-			FareRatio: s.FareRatio, SurgeMult: s.SurgeMult,
-			SurgeCell: s.SurgeCell, SurgeEpoch: s.SurgeEpoch,
-		}
-		e.reqs[rec.ID] = rec
-		if e.tracker != nil {
-			// Mirror registerRecord: the replayed tracker re-accumulates
-			// the same mid-epoch demand the live one held.
-			e.tracker.RecordDemand(rec.SurgeCell)
-			if rec.SurgeMult != 1 {
-				e.surgedQuotes.Add(1)
-			}
-		}
-		if s.IdemKey != "" {
-			e.idem.put(s.IdemKey, rec.ID)
-		}
-		if int64(s.ID) > e.nextID.Load() {
-			e.nextID.Store(int64(s.ID))
+		e.installLocked(newQuotedRecord(r.Submit), r.Submit.IdemKey)
+		if int64(r.Submit.ID) > e.nextID.Load() {
+			e.nextID.Store(int64(r.Submit.ID))
 		}
 		e.requests.Add(1)
 
 	case opChoose:
-		c := r.Choose
-		rec := e.reqs[c.ID]
-		if rec == nil {
-			return fmt.Errorf("choose of unknown request %d", c.ID)
-		}
-		spec := kinetic.Request{
-			ID: c.ID, S: rec.S, D: rec.D, Riders: rec.Riders,
-			SD:           rec.SD,
-			ServiceLimit: (1 + rec.Sigma) * rec.SD,
-			WaitBudget:   rec.WaitSeconds * e.sub.speed,
-		}
-		if err := e.fleet.RestoreCommit(c.Vehicle, spec, c.PlannedPickupOdo); err != nil {
+		rec, err := e.led.choosable(r.Choose.ID)
+		if err != nil {
 			return err
 		}
-		rec.Status = StatusAssigned
-		rec.Chosen = c.OptionIndex
-		rec.Vehicle = c.Vehicle
-		rec.Price = c.Price
-		rec.PlannedPickupOdo = c.PlannedPickupOdo
-		if e.byVeh[c.Vehicle] == nil {
-			e.byVeh[c.Vehicle] = make(map[RequestID]bool)
+		if err := e.fleet.RestoreCommit(r.Choose.Vehicle, e.kineticRequest(rec), r.Choose.PlannedPickupOdo); err != nil {
+			return err
 		}
-		e.byVeh[c.Vehicle][c.ID] = true
-		e.assigned++
+		return e.led.assign(r.Choose)
 
 	case opDecline:
-		rec := e.reqs[r.ReqID]
-		if rec == nil {
-			return fmt.Errorf("decline of unknown request %d", r.ReqID)
-		}
-		rec.Status = StatusDeclined
-		e.declined++
+		return e.led.decline(r.ReqID)
 
 	case opCancel:
-		rec := e.reqs[r.ReqID]
-		if rec == nil {
-			return fmt.Errorf("cancel of unknown request %d", r.ReqID)
+		rec, err := e.led.in(r.ReqID, StatusAssigned)
+		if err != nil {
+			return err
 		}
 		if err := e.fleet.Cancel(rec.Vehicle, r.ReqID); err != nil {
 			return err
 		}
-		rec.Status = StatusDeclined
-		delete(e.byVeh[rec.Vehicle], r.ReqID)
-		e.assigned--
-		e.declined++
+		return e.led.release(r.ReqID)
 
 	case opTick:
 		t := r.Tick
@@ -586,18 +457,13 @@ func (e *Engine) replayRecord(payload []byte) error {
 			e.divergence.Add(1)
 		}
 		e.clockBits.Store(math.Float64bits(e.Clock() + t.Dt))
-		e.ledgerMu.Lock()
 		for _, ev := range events {
 			e.applyEventLocked(ev)
 		}
-		e.ledgerMu.Unlock()
 
 	case opAddV:
-		a := r.AddV
-		e.rngMu.Lock()
-		e.rngSrc.Burn(a.Draws)
-		e.rngMu.Unlock()
-		for _, loc := range a.Locs {
+		e.rngSrc.Burn(r.AddV.Draws)
+		for _, loc := range r.AddV.Locs {
 			e.fleet.AddVehicle(loc)
 		}
 
@@ -607,9 +473,8 @@ func (e *Engine) replayRecord(payload []byte) error {
 		// already quoted are in the submit records; there is no tracker
 		// to restore.
 		if e.tracker != nil {
-			g := r.Surge
-			e.tracker.RestoreEpoch(g.Epoch, g.EMA)
-			e.surgeNext = g.Next
+			e.tracker.RestoreEpoch(r.Surge.Epoch, r.Surge.EMA)
+			e.surgeNext = r.Surge.Next
 		}
 
 	case opRemV:
@@ -617,14 +482,7 @@ func (e *Engine) replayRecord(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		e.ledgerMu.Lock()
-		for _, o := range orphans {
-			if rec := e.reqs[o.ID]; rec != nil {
-				rec.Status = StatusDeclined
-				delete(e.byVeh[r.Vehicle], o.ID)
-			}
-		}
-		e.ledgerMu.Unlock()
+		e.led.orphan(r.Vehicle, orphans)
 
 	default:
 		return fmt.Errorf("unknown journal op %q", r.Op)
@@ -650,19 +508,19 @@ func (e *Engine) Snapshot() error {
 
 // snapshotHoldingTick is Snapshot's body for callers that already hold
 // tickMu (Tick's cadence check would self-deadlock on the public
-// method). Rotation and capture happen under ledgerMu — no record can
+// method). Rotation and capture happen under led.mu — no record can
 // land between "state X" and "segment K starts after X" — but the
 // serialisation and file write run outside it.
 func (e *Engine) snapshotHoldingTick() error {
-	e.ledgerMu.Lock()
+	e.led.mu.Lock()
 	seg, err := e.journal.Rotate()
 	if err != nil {
-		e.ledgerMu.Unlock()
+		e.led.mu.Unlock()
 		return e.noteWALErr(err)
 	}
 	snap := e.captureLocked()
 	e.recSinceSnap = 0
-	e.ledgerMu.Unlock()
+	e.led.mu.Unlock()
 
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -681,7 +539,7 @@ func (e *Engine) snapshotHoldingTick() error {
 }
 
 // snapshotDueLocked reports whether the snapshot cadence has been
-// reached. Caller holds ledgerMu.
+// reached. Caller holds led.mu.
 func (e *Engine) snapshotDueLocked() bool {
 	return e.journal != nil && e.snapEvery > 0 && e.recSinceSnap >= e.snapEvery
 }

@@ -656,3 +656,114 @@ func TestDurabilityStatsPanel(t *testing.T) {
 		t.Fatalf("off panel: %+v", ds)
 	}
 }
+
+// TestRecoveryReplaysVehicleRemovalAndPlacement covers the two replay
+// arms the golden script never journals: a vehicle removal that orphans
+// an onboard and a pending rider, and a placement after start. The
+// recovered engine must match the killed one record for record, once
+// from the journal tail alone and once across a snapshot.
+func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		snapshot bool
+	}{{"tail", false}, {"snapshot", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			build := func() *core.Engine {
+				cfg := walEngineConfig(wal.ModeSync, dir, nil, -1)
+				cfg.MaxWaitSeconds, cfg.Sigma = 2000, 1.0
+				e, err := core.NewEngine(testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100), cfg)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				return e
+			}
+			live := build()
+			loaded := live.AddVehicleAt(0)
+			var ids []core.RequestID
+			ride := func(e *core.Engine, s, d roadnet.VertexID) core.RequestID {
+				rec, err := e.Submit(s, d, 1)
+				if err != nil || len(rec.Options) == 0 {
+					t.Fatalf("submit %d→%d: %v, %d options", s, d, err, len(rec.Options))
+				}
+				if err := e.Choose(rec.ID, 0); err != nil {
+					t.Fatalf("choose %d: %v", rec.ID, err)
+				}
+				ids = append(ids, rec.ID)
+				return rec.ID
+			}
+			first, second := ride(live, 9, 54), ride(live, 18, 63)
+			status := func(id core.RequestID) core.RequestStatus {
+				rec, err := live.Request(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rec.Status
+			}
+			for tick := 0; status(first) != core.StatusOnboard; tick++ {
+				if tick == 3000 {
+					t.Fatal("first rider never boarded")
+				}
+				if _, err := live.Tick(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := status(second); st != core.StatusAssigned {
+				t.Fatalf("second rider is %v, want still pending", st)
+			}
+			if tc.snapshot {
+				if err := live.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh := live.AddVehicleAt(27)
+			orphans, err := live.RemoveVehicle(loaded)
+			if err != nil || len(orphans) != 2 {
+				t.Fatalf("remove loaded vehicle: %v, orphans %v", err, orphans)
+			}
+			// A ride on the replacement pins its replayed id and position.
+			third := ride(live, 27, 60)
+			if rec, _ := live.Request(third); rec.Vehicle != fresh {
+				t.Fatalf("third rider on vehicle %d, want the fresh taxi %d", rec.Vehicle, fresh)
+			}
+			live.Kill()
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			got := build()
+			if ds := got.DurabilityStats(); !ds.Recovered || ds.ReplayDivergence != 0 ||
+				(ds.LastSnapshotSeg != 0) != tc.snapshot {
+				t.Fatalf("recovery panel: %+v", ds)
+			}
+			for _, id := range ids {
+				gr, gerr := got.Request(id)
+				wr, werr := live.Request(id)
+				if gerr != nil || werr != nil {
+					t.Fatalf("request %d: %v / %v", id, gerr, werr)
+				}
+				if gr.Status != wr.Status || gr.Vehicle != wr.Vehicle || gr.Shared != wr.Shared {
+					t.Fatalf("request %d diverged:\n got %+v\nwant %+v", id, gr, wr)
+				}
+			}
+			gs, ws := got.Stats(), live.Stats()
+			if gs.Clock != ws.Clock || gs.Requests != ws.Requests || gs.Assigned != ws.Assigned ||
+				gs.Declined != ws.Declined || gs.Completed != ws.Completed ||
+				gs.SharedCompleted != ws.SharedCompleted || gs.ActiveVehicles != ws.ActiveVehicles {
+				t.Fatalf("counters diverged:\n got %+v\nwant %+v", gs, ws)
+			}
+			gv, wv := got.VehicleViews(0), live.VehicleViews(0)
+			if len(gv) != len(wv) {
+				t.Fatalf("vehicle views %v != %v", gv, wv)
+			}
+			for i := range gv {
+				if gv[i] != wv[i] {
+					t.Fatalf("vehicle %d diverged: got %+v want %+v", wv[i].ID, gv[i], wv[i])
+				}
+			}
+			if err := got.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

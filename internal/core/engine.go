@@ -192,78 +192,6 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// RequestID identifies a request across the engine (it doubles as the
-// kinetic request id).
-type RequestID = kinetic.RequestID
-
-// RequestStatus is a request's lifecycle state.
-type RequestStatus int
-
-// Request lifecycle states.
-const (
-	StatusQuoted RequestStatus = iota
-	StatusAssigned
-	StatusOnboard
-	StatusCompleted
-	StatusDeclined
-)
-
-func (s RequestStatus) String() string {
-	switch s {
-	case StatusQuoted:
-		return "quoted"
-	case StatusAssigned:
-		return "assigned"
-	case StatusOnboard:
-		return "onboard"
-	case StatusCompleted:
-		return "completed"
-	case StatusDeclined:
-		return "declined"
-	}
-	return fmt.Sprintf("RequestStatus(%d)", int(s))
-}
-
-// RequestRecord is the engine's view of a request's lifecycle, exposed
-// for statistics and the website interface. Methods returning a record
-// return a snapshot copy; the ledger's live records stay behind the
-// engine's coordination lock.
-type RequestRecord struct {
-	ID     RequestID
-	S, D   roadnet.VertexID
-	Riders int
-	Status RequestStatus
-
-	// WaitSeconds and Sigma are the constraints this request was quoted
-	// under (the globals, unless the rider overrode them).
-	WaitSeconds float64
-	Sigma       float64
-
-	Options []Option // the quoted skyline
-	Chosen  int      // index into Options once assigned; -1 before
-
-	Vehicle          fleet.VehicleID
-	Price            float64
-	PlannedPickupOdo float64 // vehicle odometer promised for pickup
-	PickupOdo        float64
-	DropoffOdo       float64
-	SD               float64 // direct distance dist(s,d)
-	Shared           bool    // overlapped onboard with another request
-	SubmitClock      float64 // engine clock at submission (seconds)
-
-	// Quote-time fare context (see pricing.FareContext): the effective
-	// ratio every price of this request used, plus its surge
-	// provenance. FareRatio is authoritative for repricing — a
-	// CommitSlack re-probe at choice time must price under the quoted
-	// multiplier, not whatever the tracker says now. Zero FareRatio
-	// (a record recovered from a pre-pipeline snapshot) falls back to
-	// the static model.
-	FareRatio  float64 // effective ratio f_n × multiplier
-	SurgeMult  float64 // surge multiplier at quote time (1 = unsurged)
-	SurgeCell  int32   // origin cell the multiplier was read from (-1 = none)
-	SurgeEpoch uint64  // surge epoch the multiplier was read at
-}
-
 // Engine is the PTRider system core: it owns the index structures, the
 // fleet and the matchers, answers requests with skyline options,
 // commits rider choices, and advances simulated time.
@@ -276,16 +204,17 @@ type RequestRecord struct {
 //   - Distance memo: internally sharded (see memoMetric).
 //   - Fleet: per-vehicle locks; probes and commits on distinct
 //     vehicles never contend (see package fleet).
-//   - Coordination core: the request ledger and lifecycle counters
-//     behind ledgerMu, the response/quality accumulators behind
+//   - Coordination core: the request ledger (see ledger.go) behind
+//     its own mutex led.mu, the response/quality accumulators behind
 //     statsMu, the simulated clock in an atomic, the algorithm switch
 //     in an atomic, and the placement RNG behind rngMu. Ticks are
 //     serialised by tickMu but overlap freely with matching.
 //
-// Lock order: ledgerMu → statsMu, and ledgerMu → Vehicle.mu (Choose
+// Lock order: led.mu → statsMu, and led.mu → Vehicle.mu (a journaled
+// operation is one critical section of led.mu, see journaled: Choose
 // holds the ledger across its vehicle commit so assignment is atomic
 // against event application and vehicle removal); no code path
-// acquires ledgerMu while holding a vehicle lock. Submit holds no
+// acquires led.mu while holding a vehicle lock. Submit holds no
 // engine-wide lock while matching, so request answering scales with
 // cores.
 type Engine struct {
@@ -302,13 +231,12 @@ type Engine struct {
 	// FareContext here. fares is immutable after construction; tracker
 	// is nil when surge is disabled. surgeNext (the clock at which the
 	// next epoch advances) and surgeSupply (the Advance scratch) ride
-	// under ledgerMu with the epoch machinery that uses them;
-	// surgedQuotes counts quotes priced under a non-unit multiplier.
-	fares        *pricing.Pipeline
-	tracker      *surge.Tracker
-	surgeNext    float64 // guarded by ledgerMu
-	surgeSupply  []int   // guarded by ledgerMu
-	surgedQuotes atomic.Int64
+	// under led.mu: the epoch roll is journaled in the tick's critical
+	// section.
+	fares       *pricing.Pipeline
+	tracker     *surge.Tracker
+	surgeNext   float64 // guarded by led.mu
+	surgeSupply []int   // guarded by led.mu
 
 	clockBits atomic.Uint64 // simulated seconds, as math.Float64bits
 	nextID    atomic.Int64
@@ -323,40 +251,34 @@ type Engine struct {
 	rng    *rand.Rand
 	rngSrc *fleet.CountedSource // rng's source, counted for snapshots
 
-	// ledgerMu guards the request ledger and the lifecycle counters.
-	ledgerMu  sync.Mutex
-	reqs      map[RequestID]*RequestRecord
-	byVeh     map[fleet.VehicleID]map[RequestID]bool // assigned, not yet dropped
-	completed int64
-	shared    int64
-	declined  int64
-	assigned  int64
+	// led is the request ledger; led.mu is the engine's coordination
+	// lock.
+	led *ledger
 
 	// Durability (see durability.go). journal is nil when off; the
-	// idempotency LRU and the records-since-snapshot cadence counter
-	// ride under ledgerMu like the ledger they protect.
+	// records-since-snapshot cadence counter rides under led.mu like
+	// the appends it counts.
 	journal      *wal.Journal
 	inj          *wal.Injector
 	walDir       string
 	walDead      atomic.Bool
 	recovered    bool
 	snapEvery    int
-	recSinceSnap int    // guarded by ledgerMu
-	walScratch   []byte // record-encoding scratch, guarded by ledgerMu
+	recSinceSnap int    // guarded by led.mu
+	walScratch   []byte // record-encoding scratch, guarded by led.mu
 	// Reused record envelopes for the hot append paths (submit and
 	// choose run once per request); appendLocked only encodes them, so
-	// reuse under ledgerMu is safe and keeps the paths allocation-free.
+	// reuse under led.mu is safe and keeps the paths allocation-free.
 	walRecScratch walRecord
 	walSubScratch submitRec
 	walChoScratch chooseRec
-	idem          *idemLRU
 	lastSnapSeg   atomic.Uint64
 	snapCount     atomic.Int64
 	divergence    atomic.Int64
 	recInfo       recoveryInfo
 
 	// statsMu guards the online accumulators for the website panel
-	// (Fig. 4c). Taken after ledgerMu when both are needed.
+	// (Fig. 4c). Taken after led.mu when both are needed.
 	statsMu    sync.Mutex
 	respNs     stats.Online // per-match wall time
 	respP95    *stats.P2Quantile
@@ -419,11 +341,9 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 		fleet:     fl,
 		rng:       rand.New(rngSrc),
 		rngSrc:    rngSrc,
-		reqs:      make(map[RequestID]*RequestRecord),
-		byVeh:     make(map[fleet.VehicleID]map[RequestID]bool),
+		led:       newLedger(),
 		respP95:   stats.NewP2Quantile(0.95),
 		snapEvery: cfg.SnapshotEvery,
-		idem:      newIdemLRU(idemCapacity),
 	}
 	e.algo.Store(int32(cfg.Algorithm))
 	if cfg.SurgeEnabled {
@@ -471,19 +391,12 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 
 	reg.CounterFunc("ptrider_requests_total", "Quoted requests.",
 		func() float64 { return float64(e.requests.Load()) })
-	ledgerCount := func(f func() int64) func() float64 {
-		return func() float64 {
-			e.ledgerMu.Lock()
-			defer e.ledgerMu.Unlock()
-			return float64(f())
-		}
-	}
 	reg.CounterFunc("ptrider_assigned_total", "Requests committed to a vehicle.",
-		ledgerCount(func() int64 { return e.assigned }))
+		func() float64 { return float64(e.lifecycle().assigned) })
 	reg.CounterFunc("ptrider_declined_total", "Requests declined or cancelled.",
-		ledgerCount(func() int64 { return e.declined }))
+		func() float64 { return float64(e.lifecycle().declined) })
 	reg.CounterFunc("ptrider_completed_total", "Requests dropped off.",
-		ledgerCount(func() int64 { return e.completed }))
+		func() float64 { return float64(e.lifecycle().completed) })
 	reg.GaugeFunc("ptrider_clock_seconds", "Simulated engine clock.", e.Clock)
 	reg.GaugeFunc("ptrider_vehicles", "In-service vehicles.",
 		func() float64 { return float64(e.NumVehicles()) })
@@ -552,6 +465,23 @@ func (e *Engine) Algorithm() Algorithm {
 	return Algorithm(e.algo.Load())
 }
 
+// journaled runs one journaled operation as a single critical section
+// of led.mu — op validates against the ledger, acts on the fleet,
+// appends, then runs the ledger transition — and waits for the append's
+// group commit after the unlock.
+func (e *Engine) journaled(op func() (wal.Commit, error)) error {
+	if err := e.alive(); err != nil {
+		return err
+	}
+	e.led.mu.Lock()
+	commit, err := op()
+	e.led.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return e.noteWALErr(commit.Wait())
+}
+
 // AddVehicleAt places a vehicle at the given vertex.
 func (e *Engine) AddVehicleAt(loc roadnet.VertexID) fleet.VehicleID {
 	ids := e.addVehicles([]roadnet.VertexID{loc}, 0)
@@ -564,60 +494,43 @@ func (e *Engine) AddVehicleAt(loc roadnet.VertexID) fleet.VehicleID {
 // AddVehiclesUniform places n vehicles uniformly at random vertices
 // (the demo's initialisation) and returns their ids.
 func (e *Engine) AddVehiclesUniform(n int) []fleet.VehicleID {
-	if err := e.alive(); err != nil {
-		return nil
-	}
-	// Draw and add under ledgerMu: the journaled record carries both
-	// the drawn locations and the placement stream's raw step count, so
-	// the snapshot's stream position and the tail's burns always add up
-	// (ledgerMu → rngMu is a fresh lock edge with no reverse path).
-	e.ledgerMu.Lock()
-	e.rngMu.Lock()
-	before := e.rngSrc.Draws()
-	locs := make([]roadnet.VertexID, n)
-	for i := range locs {
-		locs[i] = roadnet.VertexID(e.rng.Intn(e.sub.g.NumVertices()))
-	}
-	draws := e.rngSrc.Draws() - before
-	e.rngMu.Unlock()
-	ids, commit := e.addVehiclesLocked(locs, draws)
-	e.ledgerMu.Unlock()
-	if e.noteWALErr(commit.Wait()) != nil {
-		return nil
-	}
-	return ids
+	return e.addVehicles(nil, n)
 }
 
-// addVehicles journals and applies a placement of explicit locations
-// (draws = placement-RNG steps consumed drawing them, if any).
-func (e *Engine) addVehicles(locs []roadnet.VertexID, draws uint64) []fleet.VehicleID {
-	if err := e.alive(); err != nil {
-		return nil
-	}
-	e.ledgerMu.Lock()
-	ids, commit := e.addVehiclesLocked(locs, draws)
-	e.ledgerMu.Unlock()
-	if e.noteWALErr(commit.Wait()) != nil {
-		return nil
-	}
-	return ids
-}
-
-func (e *Engine) addVehiclesLocked(locs []roadnet.VertexID, draws uint64) ([]fleet.VehicleID, wal.Commit) {
-	var commit wal.Commit
-	if e.journal != nil {
-		rec := &walRecord{Op: opAddV, AddV: &addvRec{Locs: locs, Draws: draws}}
-		var err error
-		commit, err = e.appendLocked(rec)
-		if err != nil {
-			return nil, wal.Commit{}
+// addVehicles journals and applies a placement at locs or, when locs
+// is nil, at n vertices drawn from the placement stream.
+func (e *Engine) addVehicles(locs []roadnet.VertexID, n int) (ids []fleet.VehicleID) {
+	err := e.journaled(func() (wal.Commit, error) {
+		var draws uint64
+		if locs == nil {
+			// Drawn under led.mu: the journaled record carries both the
+			// drawn locations and the placement stream's raw step count,
+			// so the snapshot's stream position and the tail's burns
+			// always add up (led.mu → rngMu is a fresh lock edge with no
+			// reverse path).
+			e.rngMu.Lock()
+			before := e.rngSrc.Draws()
+			locs = make([]roadnet.VertexID, n)
+			for i := range locs {
+				locs[i] = roadnet.VertexID(e.rng.Intn(e.sub.g.NumVertices()))
+			}
+			draws = e.rngSrc.Draws() - before
+			e.rngMu.Unlock()
 		}
+		commit, err := e.appendLocked(&walRecord{Op: opAddV, AddV: &addvRec{Locs: locs, Draws: draws}})
+		if err != nil {
+			return commit, err
+		}
+		ids = make([]fleet.VehicleID, len(locs))
+		for i, loc := range locs {
+			ids[i] = e.fleet.AddVehicle(loc).ID
+		}
+		return commit, nil
+	})
+	if err != nil {
+		return nil
 	}
-	ids := make([]fleet.VehicleID, len(locs))
-	for i, loc := range locs {
-		ids[i] = e.fleet.AddVehicle(loc).ID
-	}
-	return ids, commit
+	return ids
 }
 
 // NumVehicles returns the number of in-service vehicles.
@@ -682,13 +595,9 @@ func (e *Engine) submit(s, d roadnet.VertexID, riders int, c Constraints, idemKe
 		return nil, err
 	}
 	if idemKey != "" {
-		e.ledgerMu.Lock()
-		id, hit := e.idem.get(idemKey)
-		var cp RequestRecord
-		if hit {
-			cp = *e.reqs[id]
-		}
-		e.ledgerMu.Unlock()
+		e.led.mu.Lock()
+		cp, hit := e.led.keyed(idemKey)
+		e.led.mu.Unlock()
 		if hit {
 			return &cp, nil
 		}
@@ -793,7 +702,7 @@ func (e *Engine) observeMatch(ms *MatchStats, numOptions int, elapsedNs float64)
 
 // registerRecord creates the quoted ledger record for an answered
 // request, journals it, and returns a snapshot copy. A non-empty
-// idemKey is re-checked authoritatively under ledgerMu — two
+// idemKey is re-checked authoritatively under led.mu — two
 // concurrent submits with the same key race to here, and the loser
 // returns the winner's record (undoing its own request count so the
 // lifecycle counters match a single submission).
@@ -807,56 +716,32 @@ func (e *Engine) registerRecord(spec *ReqSpec, wait, sigma float64, options []Op
 	if timed {
 		regStart = time.Now()
 	}
-	rec := &RequestRecord{
+	sub := submitRec{
 		ID: spec.Kin.ID, S: spec.Kin.S, D: spec.Kin.D, Riders: spec.Kin.Riders,
-		WaitSeconds: wait, Sigma: sigma,
-		Status: StatusQuoted, Options: options, Chosen: -1,
-		SD: spec.Kin.SD, SubmitClock: e.Clock(),
+		Wait: wait, Sigma: sigma, SD: spec.Kin.SD, Clock: e.Clock(),
 		FareRatio: spec.Fare.Ratio, SurgeMult: spec.Fare.Multiplier,
 		SurgeCell: spec.Fare.Cell, SurgeEpoch: spec.Fare.Epoch,
+		IdemKey: idemKey, Options: options,
 	}
-	e.ledgerMu.Lock()
+	rec := newQuotedRecord(&sub)
+	e.led.mu.Lock()
 	if idemKey != "" {
-		if prior, hit := e.idem.get(idemKey); hit {
-			cp := *e.reqs[prior]
-			e.ledgerMu.Unlock()
+		if cp, hit := e.led.keyed(idemKey); hit {
+			e.led.mu.Unlock()
 			e.requests.Add(-1)
 			return cp, nil
 		}
 	}
-	var commit wal.Commit
-	if e.journal != nil {
-		e.walSubScratch = submitRec{
-			ID: rec.ID, S: rec.S, D: rec.D, Riders: rec.Riders,
-			Wait: wait, Sigma: sigma, SD: rec.SD, Clock: rec.SubmitClock,
-			FareRatio: rec.FareRatio, SurgeMult: rec.SurgeMult,
-			SurgeCell: rec.SurgeCell, SurgeEpoch: rec.SurgeEpoch,
-			IdemKey: idemKey, Options: options,
-		}
-		e.walRecScratch = walRecord{Op: opSubmit, Submit: &e.walSubScratch}
-		var err error
-		commit, err = e.appendLocked(&e.walRecScratch)
-		if err != nil {
-			e.ledgerMu.Unlock()
-			return RequestRecord{}, err
-		}
+	e.walSubScratch = sub
+	e.walRecScratch = walRecord{Op: opSubmit, Submit: &e.walSubScratch}
+	commit, err := e.appendLocked(&e.walRecScratch)
+	if err != nil {
+		e.led.mu.Unlock()
+		return RequestRecord{}, err
 	}
-	e.reqs[rec.ID] = rec
-	if e.tracker != nil {
-		// Demand lands here, under ledgerMu after the journal append, so
-		// the replayed tracker re-accumulates exactly the demand the
-		// live one counted: one per installed record, idempotent
-		// duplicates excluded.
-		e.tracker.RecordDemand(rec.SurgeCell)
-		if rec.SurgeMult != 1 {
-			e.surgedQuotes.Add(1)
-		}
-	}
-	if idemKey != "" {
-		e.idem.put(idemKey, rec.ID)
-	}
+	e.installLocked(rec, idemKey)
 	cp := *rec
-	e.ledgerMu.Unlock()
+	e.led.mu.Unlock()
 	var walStart time.Time
 	if timed {
 		secs := time.Since(regStart).Seconds()
@@ -864,7 +749,7 @@ func (e *Engine) registerRecord(spec *ReqSpec, wait, sigma float64, options []Op
 		sp.Observe("register", secs)
 		walStart = time.Now()
 	}
-	err := e.noteWALErr(commit.Wait())
+	err = e.noteWALErr(commit.Wait())
 	if timed && e.journal != nil {
 		secs := time.Since(walStart).Seconds()
 		e.walWaitHist.Observe(secs)
@@ -876,6 +761,18 @@ func (e *Engine) registerRecord(spec *ReqSpec, wait, sigma float64, options []Op
 	return cp, nil
 }
 
+// installLocked lands a journaled quote: the ledger record and, with
+// surge on, the demand it adds to its origin cell. Demand lands here,
+// under led.mu after the journal append, so a replayed tracker
+// re-accumulates exactly what the live one counted: one per installed
+// record, idempotent duplicates excluded.
+func (e *Engine) installLocked(rec *RequestRecord, idemKey string) {
+	e.led.install(rec, idemKey)
+	if e.tracker != nil {
+		e.tracker.RecordDemand(rec.SurgeCell)
+	}
+}
+
 // Choose commits the rider's selected option: a validate-then-commit
 // under the chosen vehicle's lock. The candidate quoted at Submit is
 // validated against the vehicle's current schedule state; if it has
@@ -885,50 +782,26 @@ func (e *Engine) registerRecord(spec *ReqSpec, wait, sigma float64, options []Op
 // The ledger lock is held across the vehicle commit. That is what
 // makes assignment atomic with respect to the rest of the lifecycle:
 // a pickup served by a concurrent Tick, or an orphaning
-// RemoveVehicle, must pass through ledgerMu to touch the record, so
+// RemoveVehicle, must pass through led.mu to touch the record, so
 // neither can observe — or be clobbered by — a half-finalised
-// assignment. The order ledgerMu → Vehicle.mu is safe because no
-// code path acquires ledgerMu while holding a vehicle lock (Tick
+// assignment. The order led.mu → Vehicle.mu is safe because no
+// code path acquires led.mu while holding a vehicle lock (Tick
 // releases every vehicle before its ledger phase), and matching —
-// the hot path — never touches ledgerMu at all.
+// the hot path — never touches led.mu at all.
 func (e *Engine) Choose(id RequestID, optionIndex int) error {
-	if err := e.alive(); err != nil {
-		return err
-	}
-	e.ledgerMu.Lock()
-	commit, err := e.chooseLocked(id, optionIndex)
-	e.ledgerMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return e.noteWALErr(commit.Wait())
+	return e.journaled(func() (wal.Commit, error) { return e.chooseLocked(id, optionIndex) })
 }
 
 func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error) {
 	var none wal.Commit
-	rec, ok := e.reqs[id]
-	if !ok {
-		return none, fmt.Errorf("core: unknown request %d: %w", id, ErrNotFound)
-	}
-	if rec.Status != StatusQuoted {
-		if rec.Status == StatusAssigned || rec.Status == StatusOnboard || rec.Status == StatusCompleted {
-			// A committed request cannot be committed again — the
-			// double-submit a client retry produces. Typed so transports
-			// can answer 409 rather than a generic failure.
-			return none, fmt.Errorf("core: request %d is %v, not quoted: %w", id, rec.Status, ErrAlreadyChosen)
-		}
-		return none, fmt.Errorf("core: request %d is %v, not quoted", id, rec.Status)
+	rec, err := e.led.choosable(id)
+	if err != nil {
+		return none, err
 	}
 	if optionIndex < 0 || optionIndex >= len(rec.Options) {
 		return none, fmt.Errorf("core: option index %d outside [0,%d)", optionIndex, len(rec.Options))
 	}
 	opt := rec.Options[optionIndex]
-	spec := kinetic.Request{
-		ID: id, S: rec.S, D: rec.D, Riders: rec.Riders,
-		SD:           rec.SD,
-		ServiceLimit: (1 + rec.Sigma) * rec.SD,
-		WaitBudget:   rec.WaitSeconds * e.sub.speed,
-	}
 	// Reprice under the quote-time fare context, never the current
 	// tracker state: the rider chose from prices fixed at submit, and a
 	// surge epoch rolling over between quote and choice must not move
@@ -943,7 +816,7 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 	if e.probeCommitHist != nil {
 		pc0 = time.Now()
 	}
-	res, err := e.fleet.Commit(opt.Vehicle, spec, opt.Candidate, e.sub.cfg.CommitSlack)
+	res, err := e.fleet.Commit(opt.Vehicle, e.kineticRequest(rec), opt.Candidate, e.sub.cfg.CommitSlack)
 	if e.probeCommitHist != nil {
 		// Failed commits are observed too: a stale-candidate rejection
 		// still spent the vehicle-lock time the histogram measures.
@@ -963,30 +836,28 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 	// process's fleet ahead of the journal — harmless, because the
 	// in-memory state is discarded and recovery rebuilds the fleet from
 	// what was journaled.
-	var commit wal.Commit
-	if e.journal != nil {
-		e.walChoScratch = chooseRec{
-			ID: id, OptionIndex: optionIndex, Vehicle: opt.Vehicle,
-			Price: price, PlannedPickupOdo: res.PlannedPickupOdo,
-			Reprobed: res.Reprobed,
-		}
-		e.walRecScratch = walRecord{Op: opChoose, Choose: &e.walChoScratch}
-		commit, err = e.appendLocked(&e.walRecScratch)
-		if err != nil {
-			return none, err
-		}
+	e.walChoScratch = chooseRec{
+		ID: id, OptionIndex: optionIndex, Vehicle: opt.Vehicle,
+		Price: price, PlannedPickupOdo: res.PlannedPickupOdo,
+		Reprobed: res.Reprobed,
 	}
-	rec.Status = StatusAssigned
-	rec.Chosen = optionIndex
-	rec.Vehicle = opt.Vehicle
-	rec.Price = price
-	rec.PlannedPickupOdo = res.PlannedPickupOdo
-	if e.byVeh[opt.Vehicle] == nil {
-		e.byVeh[opt.Vehicle] = make(map[RequestID]bool)
+	e.walRecScratch = walRecord{Op: opChoose, Choose: &e.walChoScratch}
+	commit, err := e.appendLocked(&e.walRecScratch)
+	if err != nil {
+		return none, err
 	}
-	e.byVeh[opt.Vehicle][id] = true
-	e.assigned++
-	return commit, nil
+	return commit, e.led.assign(&e.walChoScratch)
+}
+
+// kineticRequest rebuilds the matcher-level request of a ledger record
+// for a fleet commit — the live choice and its replay alike.
+func (e *Engine) kineticRequest(rec *RequestRecord) kinetic.Request {
+	return kinetic.Request{
+		ID: rec.ID, S: rec.S, D: rec.D, Riders: rec.Riders,
+		SD:           rec.SD,
+		ServiceLimit: (1 + rec.Sigma) * rec.SD,
+		WaitBudget:   rec.WaitSeconds * e.sub.speed,
+	}
 }
 
 // CancelAssigned releases an assigned request whose rider has not been
@@ -1003,43 +874,20 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 // lands normally), and one that has not cannot land afterwards because
 // the request has left the vehicle's tree.
 func (e *Engine) CancelAssigned(id RequestID) error {
-	if err := e.alive(); err != nil {
-		return err
-	}
-	e.ledgerMu.Lock()
-	commit, err := e.cancelAssignedLocked(id)
-	e.ledgerMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return e.noteWALErr(commit.Wait())
-}
-
-func (e *Engine) cancelAssignedLocked(id RequestID) (wal.Commit, error) {
-	var none wal.Commit
-	rec, ok := e.reqs[id]
-	if !ok {
-		return none, fmt.Errorf("core: unknown request %d: %w", id, ErrNotFound)
-	}
-	if rec.Status != StatusAssigned {
-		return none, fmt.Errorf("core: request %d is %v, not assigned", id, rec.Status)
-	}
-	if err := e.fleet.Cancel(rec.Vehicle, id); err != nil {
-		return none, err
-	}
-	var commit wal.Commit
-	if e.journal != nil {
-		var err error
-		commit, err = e.appendLocked(&walRecord{Op: opCancel, ReqID: id})
+	return e.journaled(func() (wal.Commit, error) {
+		rec, err := e.led.in(id, StatusAssigned)
 		if err != nil {
-			return none, err
+			return wal.Commit{}, err
 		}
-	}
-	rec.Status = StatusDeclined
-	delete(e.byVeh[rec.Vehicle], id)
-	e.assigned--
-	e.declined++
-	return commit, nil
+		if err := e.fleet.Cancel(rec.Vehicle, id); err != nil {
+			return wal.Commit{}, err
+		}
+		commit, err := e.appendLocked(&walRecord{Op: opCancel, ReqID: id})
+		if err != nil {
+			return commit, err
+		}
+		return commit, e.led.release(id)
+	})
 }
 
 // BatchItem is one request of a simultaneous batch.
@@ -1204,48 +1052,26 @@ func (e *Engine) matchWave(wave []batchPrep) []waveQuote {
 
 // Decline records that the rider took none of the options.
 func (e *Engine) Decline(id RequestID) error {
-	if err := e.alive(); err != nil {
-		return err
-	}
-	e.ledgerMu.Lock()
-	commit, err := e.declineLocked(id)
-	e.ledgerMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return e.noteWALErr(commit.Wait())
-}
-
-func (e *Engine) declineLocked(id RequestID) (wal.Commit, error) {
-	var none wal.Commit
-	rec, ok := e.reqs[id]
-	if !ok {
-		return none, fmt.Errorf("core: unknown request %d: %w", id, ErrNotFound)
-	}
-	if rec.Status != StatusQuoted {
-		return none, fmt.Errorf("core: request %d is %v, not quoted", id, rec.Status)
-	}
-	var commit wal.Commit
-	if e.journal != nil {
-		var err error
-		commit, err = e.appendLocked(&walRecord{Op: opDecline, ReqID: id})
-		if err != nil {
-			return none, err
+	return e.journaled(func() (wal.Commit, error) {
+		if _, err := e.led.in(id, StatusQuoted); err != nil {
+			return wal.Commit{}, err
 		}
-	}
-	rec.Status = StatusDeclined
-	e.declined++
-	return commit, nil
+		commit, err := e.appendLocked(&walRecord{Op: opDecline, ReqID: id})
+		if err != nil {
+			return commit, err
+		}
+		return commit, e.led.decline(id)
+	})
 }
 
 // Request returns a snapshot of the record of request id. Unknown ids
 // fail with ErrNotFound.
 func (e *Engine) Request(id RequestID) (*RequestRecord, error) {
-	e.ledgerMu.Lock()
-	defer e.ledgerMu.Unlock()
-	rec, ok := e.reqs[id]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown request %d: %w", id, ErrNotFound)
+	e.led.mu.Lock()
+	defer e.led.mu.Unlock()
+	rec, err := e.led.get(id)
+	if err != nil {
+		return nil, err
 	}
 	cp := *rec
 	return &cp, nil
@@ -1276,7 +1102,7 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 	if e.stepOverride == nil {
 		// Record tick observability only for real fleet steps: an
 		// override bypasses the fleet entirely, so its shard stats would
-		// be stale. statsMu taken alone is fine (ledgerMu → statsMu is an
+		// be stale. statsMu taken alone is fine (led.mu → statsMu is an
 		// order, not a requirement to hold both).
 		ss := e.fleet.StepStats()
 		skewMs := float64(ss.MaxShardNanos-ss.MinShardNanos) / float64(time.Millisecond)
@@ -1300,7 +1126,7 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 		// exactly-once, for the vehicles that did move.)
 		e.clockBits.Store(math.Float64bits(e.Clock() + dt))
 	}
-	e.ledgerMu.Lock()
+	e.led.mu.Lock()
 	var commit, surgeCommit wal.Commit
 	if e.journal != nil && err == nil {
 		// Journal the tick as (dt, event digest): replay re-runs the
@@ -1312,7 +1138,7 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 		var jerr error
 		commit, jerr = e.appendLocked(w)
 		if jerr != nil {
-			e.ledgerMu.Unlock()
+			e.led.mu.Unlock()
 			return nil, jerr
 		}
 	}
@@ -1325,7 +1151,7 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 			var jerr error
 			surgeCommit, jerr = e.advanceSurgeLocked(clk)
 			if jerr != nil {
-				e.ledgerMu.Unlock()
+				e.led.mu.Unlock()
 				return nil, jerr
 			}
 		}
@@ -1334,7 +1160,7 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 		e.applyEventLocked(ev)
 	}
 	needSnap := err == nil && e.snapshotDueLocked()
-	e.ledgerMu.Unlock()
+	e.led.mu.Unlock()
 	if werr := e.noteWALErr(commit.Wait()); werr != nil {
 		return nil, werr
 	}
@@ -1354,7 +1180,7 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 // the demand accumulated since the last epoch, and the new multiplier
 // vector journaled (tag "srg") so a recovered engine restores the
 // identical epoch state instead of re-deriving it. Caller holds
-// ledgerMu; the returned commit is waited after unlock like every
+// led.mu; the returned commit is waited after unlock like every
 // other append.
 func (e *Engine) advanceSurgeLocked(clock float64) (wal.Commit, error) {
 	e.lists.FillSupply(e.surgeSupply)
@@ -1391,60 +1217,22 @@ func (e *Engine) SetVehicleStepFault(fn func(fleet.VehicleID) error) {
 	e.fleet.SetStepFault(fn)
 }
 
-// applyEventLocked folds one movement event into the ledger. The caller
-// holds ledgerMu; the quality accumulators are taken under statsMu
-// inside (ledgerMu → statsMu is the documented order).
+// applyEventLocked folds one movement event into the ledger and its
+// outcome into the quality accumulators — the live tick and its replay
+// alike. The caller holds led.mu; statsMu is taken inside (led.mu →
+// statsMu is the documented order).
 func (e *Engine) applyEventLocked(ev fleet.Event) {
-	rec, ok := e.reqs[ev.Request]
+	observed, ok := e.led.fold(ev)
 	if !ok {
 		return
 	}
-	switch ev.Kind {
-	case fleet.EventPickup:
-		if rec.Status != StatusAssigned {
-			// The record left the assigned state between the fleet step
-			// and this ledger phase — e.g. RemoveVehicle orphaned it to
-			// declined. The movement already happened; the lifecycle
-			// must not be resurrected.
-			return
-		}
-		rec.Status = StatusOnboard
-		rec.PickupOdo = ev.Odo
-		wait := ev.Odo - rec.PlannedPickupOdo
-		if wait < 0 {
-			wait = 0
-		}
-		e.statsMu.Lock()
-		e.waitDist.Observe(wait)
-		e.statsMu.Unlock()
-		// Sharing: this rider overlaps with every other request
-		// currently assigned to the vehicle and onboard.
-		for other := range e.byVeh[ev.Vehicle] {
-			if other == ev.Request {
-				continue
-			}
-			if o := e.reqs[other]; o != nil && o.Status == StatusOnboard {
-				o.Shared = true
-				rec.Shared = true
-			}
-		}
-	case fleet.EventDropoff:
-		if rec.Status != StatusOnboard {
-			return
-		}
-		rec.Status = StatusCompleted
-		rec.DropoffOdo = ev.Odo
-		if rec.SD > 0 {
-			e.statsMu.Lock()
-			e.detourFrac.Observe((ev.Odo - rec.PickupOdo) / rec.SD)
-			e.statsMu.Unlock()
-		}
-		if rec.Shared {
-			e.shared++
-		}
-		e.completed++
-		delete(e.byVeh[ev.Vehicle], ev.Request)
+	e.statsMu.Lock()
+	if ev.Kind == fleet.EventPickup {
+		e.waitDist.Observe(observed)
+	} else {
+		e.detourFrac.Observe(observed)
 	}
+	e.statsMu.Unlock()
 }
 
 // VehicleView is a vehicle summary for the website's map.
@@ -1497,48 +1285,27 @@ func (e *Engine) VehicleSchedules(id fleet.VehicleID) (loc roadnet.VertexID, bra
 // requests are orphaned: their records are marked declined and their
 // ids returned so the caller can resubmit them.
 //
-// Unlike its first generation this runs under ledgerMu end to end so
+// Unlike its first generation this runs under led.mu end to end so
 // the removal record's journal position matches the ledger mutation
-// (ledgerMu → Vehicle.mu inside fleet.RemoveVehicle is the documented
+// (led.mu → Vehicle.mu inside fleet.RemoveVehicle is the documented
 // order; the reverse edge does not exist).
-func (e *Engine) RemoveVehicle(id fleet.VehicleID) ([]RequestID, error) {
-	if err := e.alive(); err != nil {
-		return nil, err
-	}
-	e.ledgerMu.Lock()
-	out, commit, err := e.removeVehicleLocked(id)
-	e.ledgerMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if werr := e.noteWALErr(commit.Wait()); werr != nil {
-		return nil, werr
-	}
-	return out, nil
-}
-
-func (e *Engine) removeVehicleLocked(id fleet.VehicleID) ([]RequestID, wal.Commit, error) {
-	var none wal.Commit
-	orphans, err := e.fleet.RemoveVehicle(id)
-	if err != nil {
-		return nil, none, err
-	}
-	var commit wal.Commit
-	if e.journal != nil {
-		commit, err = e.appendLocked(&walRecord{Op: opRemV, Vehicle: id})
+func (e *Engine) RemoveVehicle(id fleet.VehicleID) (orphaned []RequestID, err error) {
+	err = e.journaled(func() (wal.Commit, error) {
+		riders, err := e.fleet.RemoveVehicle(id)
 		if err != nil {
-			return nil, none, err
+			return wal.Commit{}, err
 		}
-	}
-	out := make([]RequestID, 0, len(orphans))
-	for _, r := range orphans {
-		out = append(out, r.ID)
-		if rec := e.reqs[r.ID]; rec != nil {
-			rec.Status = StatusDeclined
-			delete(e.byVeh[id], r.ID)
+		commit, err := e.appendLocked(&walRecord{Op: opRemV, Vehicle: id})
+		if err != nil {
+			return commit, err
 		}
+		orphaned = e.led.orphan(id, riders)
+		return commit, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, commit, nil
+	return orphaned, nil
 }
 
 // EngineStats is the statistics panel snapshot (Fig. 4c).
@@ -1631,12 +1398,8 @@ type TickStats struct {
 // Completed ≤ Assigned always hold in the result.
 func (e *Engine) Stats() EngineStats {
 	var s EngineStats
-	e.ledgerMu.Lock()
-	s.Assigned = e.assigned
-	s.Declined = e.declined
-	s.Completed = e.completed
-	s.SharedCompleted = e.shared
-	e.ledgerMu.Unlock()
+	n := e.lifecycle()
+	s.Assigned, s.Declined, s.Completed, s.SharedCompleted = n.assigned, n.declined, n.completed, n.shared
 
 	e.statsMu.Lock()
 	if e.respP95.Count() > 0 {
@@ -1673,6 +1436,13 @@ func (e *Engine) Stats() EngineStats {
 	return s
 }
 
+// lifecycle copies the ledger's counters in one brief lock.
+func (e *Engine) lifecycle() lifecycleCounts {
+	e.led.mu.Lock()
+	defer e.led.mu.Unlock()
+	return e.led.n
+}
+
 // SurgeStats snapshots the surge panel.
 func (e *Engine) SurgeStats() SurgePanel {
 	if e.tracker == nil {
@@ -1687,7 +1457,7 @@ func (e *Engine) SurgeStats() SurgePanel {
 		ActiveCells:   p.ActiveCells,
 		MaxMultiplier: p.MaxMultiplier,
 		AvgMultiplier: p.AvgMultiplier,
-		SurgedQuotes:  e.surgedQuotes.Load(),
+		SurgedQuotes:  e.led.surged.Load(),
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 	"ptrider/internal/skyline"
 )
 
-// This file holds the per-match workspace, the seeded probe flush and
-// the engine's one fan-out primitive.
+// scratch.go holds the per-match workspace (visitSet, matchScratch), the
+// seeded probe flush that works in it, and the engine's one fan-out
+// primitive.
 //
 // The matchers' hot cost is the kinetic-tree insertion probe
 // (Vehicle.Quote); ring scanning and bound checks are cheap by

@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ptrider/internal/fleet"
 	"ptrider/internal/geo"
@@ -421,29 +420,16 @@ func (e *Engine) GetRequest(id RequestID) (*ServiceRecord, error) {
 }
 
 // Requests implements Service: a snapshot listing of the single city's
-// ledger, id ascending.
+// ledger, id ascending, copying only the records it returns.
 func (e *Engine) Requests(city string, filter RequestFilter, limit int) ([]*ServiceRecord, error) {
 	if err := e.checkCity(city); err != nil {
 		return nil, err
 	}
-	e.ledgerMu.Lock()
-	recs := make([]*RequestRecord, 0, len(e.reqs))
-	for _, rec := range e.reqs {
-		if filter.HasStatus && rec.Status != filter.Status {
-			continue
-		}
-		cp := *rec
-		recs = append(recs, &cp)
-	}
-	e.ledgerMu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	if limit > 0 && len(recs) > limit {
-		recs = recs[:limit]
-	}
-	out := make([]*ServiceRecord, len(recs))
-	for i, rec := range recs {
-		out[i] = e.serviceRecord(rec)
-	}
+	// Non-nil when empty: the listing endpoints encode it as [].
+	out := []*ServiceRecord{}
+	e.led.mu.Lock()
+	e.led.list(filter, limit, func(rec *RequestRecord) { out = append(out, e.serviceRecord(rec)) })
+	e.led.mu.Unlock()
 	return out, nil
 }
 

@@ -1,7 +1,7 @@
 package core
 
 // Binary codec of the journal records. The journal sits on the Submit
-// hot path — every registered quote is encoded under ledgerMu before
+// hot path — every registered quote is encoded under led.mu before
 // the group-commit append — so records use a hand-rolled little-endian
 // layout written into a reusable scratch buffer instead of reflective
 // JSON: no allocation, no field-name bytes, ~10× faster to encode.

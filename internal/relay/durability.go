@@ -176,61 +176,40 @@ func (s *Scheduler) applySnapshot(snap *relaySnap) {
 	}
 }
 
+// replayRecord re-applies one journaled trip operation through the
+// mark function the live path ran; recovery has no state logic of its
+// own.
 func (s *Scheduler) replayRecord(payload []byte) error {
 	var r relayRecord
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return err
 	}
-	switch r.Op {
-	case opQuote:
+	if r.Op == opQuote {
 		tr := tripFromSnap(r.Quote)
-		s.trips[tr.id] = tr
+		s.markQuoted(tr)
 		if int64(tr.id) > s.nextID.Load() {
 			s.nextID.Store(int64(tr.id))
 		}
-		s.quoted.Add(1)
-		s.legQuotes.Add(int64(2 * len(tr.gateways)))
-
+		return nil
+	}
+	tr := s.trips[r.ID]
+	if tr == nil {
+		return fmt.Errorf("%s for unknown trip %d", r.Op, r.ID)
+	}
+	switch r.Op {
 	case opIntent:
-		tr := s.trips[r.ID]
-		if tr == nil {
-			return fmt.Errorf("intent for unknown trip %d", r.ID)
-		}
-		tr.intent = r.Opt
-
+		markIntent(tr, r.Opt)
 	case opDone:
-		tr := s.trips[r.ID]
-		if tr == nil {
-			return fmt.Errorf("done for unknown trip %d", r.ID)
-		}
 		// Restored at leg1-committed; the first Advance after recovery
 		// walks the state machine forward from the recovered leg
 		// records (transitions are monotonic, so an already-completed
 		// trip just completes again).
-		tr.state = StateLeg1Committed
-		tr.chosen = tr.intent
-		tr.intent = -1
-		s.committed.Add(1)
-		s.active[tr.id] = tr
-
+		s.markDone(tr)
 	case opDecline:
-		tr := s.trips[r.ID]
-		if tr == nil {
-			return fmt.Errorf("decline for unknown trip %d", r.ID)
-		}
-		tr.state = StateDeclined
-		s.declined.Add(1)
-
+		s.markDeclined(tr)
 	case opAbort:
-		tr := s.trips[r.ID]
-		if tr == nil {
-			return fmt.Errorf("abort for unknown trip %d", r.ID)
-		}
-		tr.state = StateAborted
-		tr.intent = -1
-		s.aborted.Add(1)
-		delete(s.active, tr.id)
-
+		s.markAborted(tr)
+		markIntent(tr, -1)
 	default:
 		return fmt.Errorf("unknown relay journal op %q", r.Op)
 	}

@@ -438,7 +438,6 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 			}
 			continue
 		}
-		s.legQuotes.Add(2)
 		tr.gateways = append(tr.gateways, gws[gi])
 		tr.leg1Recs = append(tr.leg1Recs, leg1[gi].ID)
 		tr.leg2Recs = append(tr.leg2Recs, leg2[gi].ID)
@@ -458,10 +457,7 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 		return nil, fmt.Errorf("relay: trip %d quote: %w", tr.id, err)
 	}
 
-	s.mu.Lock()
-	s.trips[tr.id] = tr
-	s.mu.Unlock()
-	s.quoted.Add(1)
+	s.markQuoted(tr)
 	return s.viewLocked(tr), nil
 }
 
@@ -573,9 +569,9 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 	// Open the two-phase window durably: recovery treats an intent
 	// without a matching done record as a crashed commit and releases
 	// whatever leg reservations reached the engines' journals.
-	tr.intent = optionIndex
+	markIntent(tr, optionIndex)
 	if err := s.append(&relayRecord{Op: opIntent, ID: tr.id, Opt: optionIndex}); err != nil {
-		tr.intent = -1
+		markIntent(tr, -1)
 		s.abortLocked(tr)
 		return fmt.Errorf("relay: trip %d intent: %w", id, err)
 	}
@@ -619,15 +615,9 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 		return fmt.Errorf("relay: trip %d leg 2: %w", id, err)
 	}
 
-	tr.state = StateLeg1Committed
-	tr.chosen = optionIndex
-	tr.intent = -1
+	s.markDone(tr)
 	// The unused gateways' quotes are dead weight now; decline them.
 	s.declineLegsLocked(tr, opt.Gateway)
-	s.committed.Add(1)
-	s.mu.Lock()
-	s.active[tr.id] = tr
-	s.mu.Unlock()
 	// Close the window. If this append fails the legs stay booked in
 	// this process but recovery will compensate them — the error must
 	// surface so the caller knows the commit is not durable.
@@ -641,7 +631,7 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 // a dead journal re-aborts the trip at recovery instead). Caller holds
 // tr.mu.
 func (s *Scheduler) abortJournaled(tr *trip) {
-	tr.intent = -1
+	markIntent(tr, -1)
 	s.abortLocked(tr)
 	_ = s.append(&relayRecord{Op: opAbort, ID: tr.id})
 }
@@ -654,8 +644,7 @@ func (s *Scheduler) abortJournaled(tr *trip) {
 // Caller holds tr.mu.
 func (s *Scheduler) deferCompensationLocked(tr *trip) {
 	s.declineLegsLocked(tr, tr.options[tr.intent].Gateway)
-	tr.state = StateAborted
-	s.aborted.Add(1)
+	s.markAborted(tr)
 	s.mu.Lock()
 	s.pending = append(s.pending, tr)
 	s.mu.Unlock()
@@ -700,7 +689,7 @@ func (s *Scheduler) compensateTripLocked(tr *trip) (done bool, err error) {
 			_ = leg.eng.Decline(leg.id)
 		}
 	}
-	tr.intent = -1
+	markIntent(tr, -1)
 	return true, err
 }
 
@@ -764,8 +753,7 @@ func (s *Scheduler) Decline(id TripID) error {
 		return fmt.Errorf("relay: trip %d decline: %w", id, err)
 	}
 	s.declineLegsLocked(tr, -1)
-	tr.state = StateDeclined
-	s.declined.Add(1)
+	s.markDeclined(tr)
 	return nil
 }
 
@@ -787,6 +775,49 @@ func (s *Scheduler) declineLegsLocked(tr *trip, keep int) {
 // Caller holds tr.mu.
 func (s *Scheduler) abortLocked(tr *trip) {
 	s.declineLegsLocked(tr, -1)
+	s.markAborted(tr)
+}
+
+// The mark functions are the trip ledger's transitions, one per journal
+// op and state-only: the live paths above run them next to their remote
+// side effects (leg commits, declineLegsLocked), and replayRecord runs
+// them alone. Together with advanceLocked's forward walk they are the
+// only writers of a trip's state, chosen and intent and of the
+// counters. Callers hold tr.mu (recovery runs single-threaded).
+
+// markQuoted registers a freshly quoted trip.
+func (s *Scheduler) markQuoted(tr *trip) {
+	s.mu.Lock()
+	s.trips[tr.id] = tr
+	s.mu.Unlock()
+	s.quoted.Add(1)
+	s.legQuotes.Add(int64(2 * len(tr.gateways)))
+}
+
+// markIntent opens the two-phase window on option opt, or closes it
+// with -1.
+func markIntent(tr *trip, opt int) { tr.intent = opt }
+
+// markDone books the intended option: both legs committed.
+func (s *Scheduler) markDone(tr *trip) {
+	tr.state = StateLeg1Committed
+	tr.chosen = tr.intent
+	tr.intent = -1
+	s.committed.Add(1)
+	s.mu.Lock()
+	s.active[tr.id] = tr
+	s.mu.Unlock()
+}
+
+func (s *Scheduler) markDeclined(tr *trip) {
+	tr.state = StateDeclined
+	s.declined.Add(1)
+}
+
+// markAborted surfaces the trip as aborted. The intent is left as it
+// is: a deferred compensation keeps the window open until the legs are
+// released.
+func (s *Scheduler) markAborted(tr *trip) {
 	tr.state = StateAborted
 	s.aborted.Add(1)
 }

@@ -152,7 +152,7 @@ func Dial(addr string, cfg ClientConfig) (*ShardClient, error) {
 	// Startup health check: the shard may still be replaying its WAL
 	// (or not listening yet); poll readiness until the dial deadline.
 	deadline := time.Now().Add(cfg.DialTimeout)
-	for {
+	for wait := 2 * time.Millisecond; ; wait = min(2*wait, 100*time.Millisecond) {
 		err := c.Ready()
 		if err == nil {
 			break
@@ -160,7 +160,7 @@ func Dial(addr string, cfg ClientConfig) (*ShardClient, error) {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("cluster: shard %s not ready: %w", addr, err)
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(wait)
 	}
 
 	if err := c.call(http.MethodGet, "/rpc/meta", nil, &c.meta, true); err != nil {

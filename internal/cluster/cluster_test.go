@@ -6,7 +6,9 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +23,7 @@ import (
 	"ptrider/internal/kinetic"
 	"ptrider/internal/relay"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/server"
 	"ptrider/internal/telemetry"
 )
 
@@ -667,5 +670,94 @@ func TestGatewayDialFailsClosed(t *testing.T) {
 	// Duplicate names are a configuration error.
 	if _, err := NewGateway([]string{"x=" + ts.URL, "x=" + ts.URL}, GatewayConfig{Client: cfg}); !errors.Is(err, core.ErrInvalidArgument) {
 		t.Fatalf("duplicate names: %v", err)
+	}
+}
+
+// TestRPCOversizedBodyIs413 pins the body limit on the /rpc surface: a
+// 2 MiB body is refused with 413 invalid_argument after at most the
+// limit has been read, by every decoding verb.
+func TestRPCOversizedBodyIs413(t *testing.T) {
+	eng := newCityEngine(t, 6, 6, 0, 1, 5)
+	h := NewShardHandler(eng, ShardOptions{})
+	for _, path := range []string{"/rpc/submit", "/rpc/submit-batch", "/rpc/choose", "/rpc/advance"} {
+		body := &spaces{n: 2 * server.MaxBodyBytes}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%s)", path, rec.Code, rec.Body)
+		}
+		var out wireEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error.Code != "invalid_argument" {
+			t.Fatalf("%s: envelope %s (%v), want code invalid_argument", path, rec.Body, err)
+		}
+		if body.read > server.MaxBodyBytes+64<<10 {
+			t.Fatalf("%s: handler read %d bytes of an oversized body, limit %d", path, body.read, server.MaxBodyBytes)
+		}
+	}
+	if st := eng.Stats(); st.Requests != 0 || eng.Clock() != 0 {
+		t.Fatalf("a refused body changed engine state: %d requests, clock %v", st.Requests, eng.Clock())
+	}
+}
+
+// spaces is a request body of n bytes of JSON whitespace that counts
+// what its consumer took.
+type spaces struct{ n, read int }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	if s.read >= s.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), s.n-s.read)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	s.read += k
+	return k, nil
+}
+
+// TestDialPollsReadinessWithBackoff pins the readiness poll: a shard
+// that turns ready 30 ms after the first probe is dialled in under the
+// 100 ms a fixed-interval poll would sleep, and a shard that never
+// turns ready still fails with the DialTimeout error.
+func TestDialPollsReadinessWithBackoff(t *testing.T) {
+	eng := newCityEngine(t, 6, 6, 0, 1, 5)
+	inner := NewShardHandler(eng, ShardOptions{})
+	var readyAt atomic.Int64 // unix nanos; 0 = never
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if at := readyAt.Load(); r.URL.Path == "/v1/readyz" && (at == 0 || time.Now().UnixNano() < at) {
+			http.Error(w, "warming up", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	// The bound is on wall time, so a loaded host gets three tries; a
+	// fixed 100 ms sleep can pass none of them.
+	best := time.Hour
+	for try := 0; try < 3 && best >= 100*time.Millisecond; try++ {
+		start := time.Now()
+		readyAt.Store(start.Add(30 * time.Millisecond).UnixNano())
+		c, err := Dial(ts.URL, fastClient())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c.Close()
+		best = min(best, time.Since(start))
+	}
+	if best >= 100*time.Millisecond {
+		t.Fatalf("dialling a shard ready after 30 ms took %v, want well under 100 ms", best)
+	}
+
+	readyAt.Store(0)
+	cfg := fastClient()
+	cfg.DialTimeout = 50 * time.Millisecond
+	start := time.Now()
+	_, err := Dial(ts.URL, cfg)
+	if err == nil || !errors.Is(err, core.ErrUnavailable) || !strings.Contains(err.Error(), "not ready") {
+		t.Fatalf("dial of a never-ready shard: %v, want an unavailable 'not ready' error", err)
+	}
+	if waited := time.Since(start); waited < cfg.DialTimeout {
+		t.Fatalf("dial gave up after %v, before its %v DialTimeout", waited, cfg.DialTimeout)
 	}
 }

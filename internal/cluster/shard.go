@@ -101,16 +101,25 @@ func rpcJSON(w http.ResponseWriter, v any) {
 // rpcErr writes the error envelope with the /v1 classification.
 func rpcErr(w http.ResponseWriter, err error) {
 	status, p := core.ClassifyError(err, http.StatusUnprocessableEntity)
+	rpcEnvelope(w, status, p)
+}
+
+func rpcEnvelope(w http.ResponseWriter, status int, p core.ErrorPayload) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(wireEnvelope{Error: p})
 }
 
-// rpcDecode parses a JSON request body, classifying malformed payloads
-// as invalid_argument.
+// rpcDecode parses a JSON request body of at most server.MaxBodyBytes,
+// classifying malformed payloads as invalid_argument (413 when the
+// body was cut off at the limit).
 func rpcDecode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		rpcErr(w, fmt.Errorf("cluster: bad request body: %v: %w", err, core.ErrInvalidArgument))
+	body := http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		rpcEnvelope(w, server.BodyErrorStatus(err), core.ErrorPayload{
+			Code:    "invalid_argument",
+			Message: fmt.Sprintf("cluster: bad request body: %v: %v", err, core.ErrInvalidArgument),
+		})
 		return false
 	}
 	return true

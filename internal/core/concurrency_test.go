@@ -76,7 +76,7 @@ func TestConcurrentClients(t *testing.T) {
 // VehicleSchedules, RemoveVehicle and SubmitBatch, with the engine
 // invariants checked both during and after the storm. Under -race this
 // exercises every lock in the layered engine: the lock-free substrate
-// reads, the sharded distance memo, the per-vehicle probe/commit locks,
+// reads, the shared distance memo, the per-vehicle probe/commit locks,
 // the grid-list lock, and the coordination core.
 func TestConcurrentStress(t *testing.T) {
 	e := latticeEngine(t, 31, 10, 10, core.Config{

@@ -201,7 +201,8 @@ func (c *Config) withDefaults() Config {
 //
 //   - Substrate: graph, grid index, pricing — immutable,
 //     shared lock-free (see Substrate).
-//   - Distance memo: internally sharded (see memoMetric).
+//   - Distance memo: one row per vertex, read without a lock, written
+//     under a per-row mutex (see memoMetric).
 //   - Fleet: per-vehicle locks; probes and commits on distinct
 //     vehicles never contend (see package fleet).
 //   - Coordination core: the request ledger (see ledger.go) behind
@@ -404,6 +405,19 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(e.SurgeStats().Epoch) })
 	reg.GaugeFunc("ptrider_surge_active_cells", "Cells with a non-unit surge multiplier.",
 		func() float64 { return float64(e.SurgeStats().ActiveCells) })
+
+	// The distance memo's occupancy (entries / slots is its load, slots
+	// / capacity how close replacement is) and its hit ratio over batch
+	// fills (1 - misses / lookups).
+	m := e.metric
+	count := func(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
+	reg.GaugeFunc("ptrider_memo_entries", "Vertex pairs the distance memo holds.", count(&m.entries))
+	reg.GaugeFunc("ptrider_memo_slots", "Slots allocated to the distance memo's tables.", count(&m.slots))
+	reg.GaugeFunc("ptrider_memo_capacity", "Slots past which the distance memo's rows stop growing and replace.",
+		func() float64 { return float64(m.maxSlots) })
+	reg.CounterFunc("ptrider_memo_batch_lookups_total", "Targets of distance batch fills looked up in the memo.", count(&m.batchLookups))
+	reg.CounterFunc("ptrider_memo_batch_misses_total", "Batch-fill targets the memo did not hold.", count(&m.batchMisses))
+	reg.CounterFunc("ptrider_memo_replacements_total", "Cached pairs overwritten by a newcomer at the cap.", count(&m.replacements))
 }
 
 // MetricFamilies gathers the engine's telemetry registry (nil when
@@ -1518,8 +1532,10 @@ func (e *Engine) MatchOnce(algo Algorithm, s, d roadnet.VertexID, riders int) ([
 	return opts, ms, nil
 }
 
-// ResetDistCache clears the shared distance memo, so the next matching
-// runs against a cold cache. Benchmark-harness use only.
+// ResetDistCache drops every pair the shared distance memo holds (each
+// row's table is released, and the occupancy gauges fall with it), so
+// the next matching runs against a cold cache. Benchmark-harness use
+// only.
 func (e *Engine) ResetDistCache() {
 	e.metric.Reset()
 }

@@ -18,32 +18,40 @@ import (
 	"ptrider/internal/roadnet"
 )
 
-// memoShards is the stripe count of the shared distance memo. Road
-// networks issue distance queries from many goroutines at once; 64
-// stripes keep lock contention negligible at match-worker counts far
-// above any realistic core count.
-const memoShards = 64
+// memoMinSlots is the size of a row's first table, which a row gets
+// whenever it first needs one; memoMaxSlots is the slot count of all
+// tables together (24 MB at 12 bytes a slot) past which none grows.
+const (
+	memoMinSlots = 8
+	memoMaxSlots = 2 << 20
+)
 
 // memoMetric is the kinetic.Metric shared by every kinetic tree and
 // matcher in one engine: exact distances from epoch-stamped Searchers
 // with memoisation (the same vertex pairs recur heavily during
 // insertion enumeration), lower bounds from the grid index.
 //
-// Safe for concurrent use: the memo is striped across RWMutex-guarded
-// shards keyed by the (order-normalised, since road distances here are
-// symmetric) vertex pair, and cache-missing exact computations draw a
-// private Searcher from a pool. Two goroutines racing on the same cold
-// pair may both compute it — both arrive at the same exact value, so
-// the second store is idempotent; DistCalls then counts both, which
-// matches its meaning of "exact computations performed".
+// The memo is one row per vertex: the pair {u, v}, u < v (road
+// distances here are symmetric), lives in row u, an open-addressed,
+// linearly probed table of 12-byte slots that grows by half at 7/8
+// load. Safe for concurrent use, and a read takes no lock: see
+// memoRow. Cache-missing exact computations draw a private Searcher
+// from a pool. Two goroutines racing on the same cold pair may both compute
+// it — both arrive at the same exact value, and the second store finds
+// the first; DistCalls then counts both, which matches its meaning of
+// "exact computations performed".
+//
+// The memo may forget a pair (replacement, Reset); it never answers
+// with another pair's value.
 type memoMetric struct {
 	grid *gridindex.Grid
 
 	searchers sync.Pool // *roadnet.Searcher
-	shards    [memoShards]memoShard
-	// maxPerShard bounds each shard's memo; wholesale per-shard reset
-	// once full, as in the serial engine.
-	maxPerShard int
+	rows      []memoRow
+	// maxSlots is memoMaxSlots outside tests. Once the tables hold that
+	// many slots no row grows: a newcomer to a full row replaces the
+	// entry at its home slot.
+	maxSlots int64
 
 	// distCalls counts cache-missing exact computations, the "number of
 	// shortest path distance computations" metric of paper §3.3.
@@ -51,39 +59,155 @@ type memoMetric struct {
 	// settled totals the vertices settled by released anchors: the work
 	// behind the batch fills among distCalls.
 	settled atomic.Int64
+
+	// Occupancy and traffic, for /metrics. Writers keep entries, slots
+	// and replacements; DistBatch adds its target and miss counts once
+	// per call.
+	entries, slots, replacements atomic.Int64
+	batchLookups, batchMisses    atomic.Int64
 }
 
-type memoShard struct {
-	mu   sync.RWMutex
-	memo map[memoKey]float64
+// memoRow holds the cached pairs {u, v}, v > u, of one vertex u.
+//
+// Readers load tab and probe it with atomic loads, nothing else.
+// Writers serialise on mu. A fresh pair is published value first, key
+// second, into an empty slot, and a grown table by swapping tab, so a
+// racing reader sees the pair or misses it. Only replacement changes
+// an occupied slot: it makes seq odd, stores value and key, and makes
+// seq even again, and a reader that found its key reads again unless
+// seq was even and the same on both sides of its loads. Slots are
+// never emptied, so every probe chain stays intact.
+type memoRow struct {
+	tab atomic.Pointer[memoTable]
+	seq atomic.Uint32
+	n   uint32 // occupied slots of tab; guarded by mu
+	mu  sync.Mutex
 }
 
-type memoKey struct{ u, v roadnet.VertexID }
+// memoTable is its slots as two parallel arrays: probes walk the
+// compact key array and touch vals only on a hit. A key is v+1, 0
+// marking an empty slot; a value is the float64's bits.
+type memoTable struct {
+	keys []atomic.Uint32
+	vals []atomic.Uint64
+}
 
-// normKey order-normalises a vertex pair: distances are symmetric, so
-// (u,v) and (v,u) share one memo entry (and one shard).
-func normKey(u, v roadnet.VertexID) memoKey {
+func newMemoTable(slots int) *memoTable {
+	return &memoTable{
+		keys: make([]atomic.Uint32, slots),
+		vals: make([]atomic.Uint64, slots),
+	}
+}
+
+// home is the slot a key's probe chain starts at: a Fibonacci hash, so
+// runs of neighbouring vertex ids spread out, scaled to the table's
+// size, which need not be a power of two.
+func (t *memoTable) home(key uint32) uint32 {
+	return uint32(uint64(key*0x9e3779b1) * uint64(len(t.keys)) >> 32)
+}
+
+// find walks key's probe chain to the slot that holds it, or else to
+// the chain's first empty slot. Every table keeps an empty slot.
+func (t *memoTable) find(key uint32) (i uint32, found bool) {
+	n := uint32(len(t.keys))
+	for i = t.home(key); ; {
+		switch t.keys[i].Load() {
+		case key:
+			return i, true
+		case 0:
+			return i, false
+		}
+		if i++; i == n {
+			i = 0
+		}
+	}
+}
+
+// put publishes a pair into the empty slot i.
+func (t *memoTable) put(i, key uint32, val uint64) {
+	t.vals[i].Store(val)
+	t.keys[i].Store(key)
+}
+
+// rowKey names the row and key of the pair {u, v}.
+func (m *memoMetric) rowKey(u, v roadnet.VertexID) (*memoRow, uint32) {
 	if u > v {
 		u, v = v, u
 	}
-	return memoKey{u, v}
+	return &m.rows[u], uint32(v) + 1
 }
 
-func (k memoKey) shard() int {
-	h := uint64(uint32(k.u))*0x9e3779b1 ^ uint64(uint32(k.v))*0x85ebca77
-	return int(h % memoShards)
+// lookup is the memo's read path.
+func (r *memoRow) lookup(key uint32) (float64, bool) {
+	for {
+		seq := r.seq.Load()
+		t := r.tab.Load()
+		if t == nil {
+			return 0, false
+		}
+		i, found := t.find(key)
+		if !found {
+			return 0, false
+		}
+		val := t.vals[i].Load()
+		if seq&1 == 0 && r.seq.Load() == seq {
+			return math.Float64frombits(val), true
+		}
+	}
+}
+
+// store caches d for the pair (r, key).
+func (m *memoMetric) store(r *memoRow, key uint32, d float64) {
+	val := math.Float64bits(d)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := r.tab.Load()
+	if t == nil {
+		t = newMemoTable(memoMinSlots)
+		m.slots.Add(memoMinSlots)
+		r.tab.Store(t)
+	}
+	i, found := t.find(key)
+	if found {
+		return // a racing goroutine computed the same pair first
+	}
+	if size := len(t.keys); int(r.n) >= size-size/8 {
+		if m.slots.Add(int64(size/2)) > m.maxSlots {
+			m.slots.Add(-int64(size / 2))
+			// An empty home slot is left empty: filling it would take
+			// the row past 7/8, and this pair is the one forgotten.
+			if home := t.home(key); i != home {
+				r.seq.Add(1)
+				t.put(home, key, val)
+				r.seq.Add(1)
+				m.replacements.Add(1)
+			}
+			return
+		}
+		grown := newMemoTable(size + size/2)
+		for j := range t.keys {
+			if k := t.keys[j].Load(); k != 0 {
+				to, _ := grown.find(k)
+				grown.put(to, k, t.vals[j].Load())
+			}
+		}
+		r.tab.Store(grown)
+		t = grown
+		i, _ = t.find(key)
+	}
+	t.put(i, key, val)
+	r.n++
+	m.entries.Add(1)
 }
 
 func newMemoMetric(grid *gridindex.Grid) *memoMetric {
-	m := &memoMetric{
-		grid:        grid,
-		maxPerShard: (1 << 20) / memoShards,
-	}
 	g := grid.Graph()
-	m.searchers.New = func() any { return roadnet.NewSearcher(g) }
-	for i := range m.shards {
-		m.shards[i].memo = make(map[memoKey]float64, 1<<6)
+	m := &memoMetric{
+		grid:     grid,
+		rows:     make([]memoRow, g.NumVertices()),
+		maxSlots: memoMaxSlots,
 	}
+	m.searchers.New = func() any { return roadnet.NewSearcher(g) }
 	return m
 }
 
@@ -92,153 +216,75 @@ func (m *memoMetric) Dist(u, v roadnet.VertexID) float64 {
 	if u == v {
 		return 0
 	}
-	k := normKey(u, v)
-	sh := &m.shards[k.shard()]
-	sh.mu.RLock()
-	d, ok := sh.memo[k]
-	sh.mu.RUnlock()
-	if ok {
+	r, key := m.rowKey(u, v)
+	if d, ok := r.lookup(key); ok {
 		return d
 	}
 	m.distCalls.Add(1)
 	s := m.searchers.Get().(*roadnet.Searcher)
-	d = s.Dist(u, v)
+	d := s.Dist(u, v)
 	m.searchers.Put(s)
-	sh.mu.Lock()
-	if len(sh.memo) >= m.maxPerShard {
-		sh.memo = make(map[memoKey]float64, 1<<6)
-	}
-	sh.memo[k] = d
-	sh.mu.Unlock()
+	m.store(r, key, d)
 	return d
 }
 
 // LB returns a cheap lower bound on Dist(u, v).
 func (m *memoMetric) LB(u, v roadnet.VertexID) float64 {
-	k := normKey(u, v)
-	sh := &m.shards[k.shard()]
-	sh.mu.RLock()
-	d, ok := sh.memo[k]
-	sh.mu.RUnlock()
-	if ok {
+	r, key := m.rowKey(u, v)
+	if d, ok := r.lookup(key); ok {
 		return d
 	}
 	return m.grid.LB(u, v)
 }
 
 // memoBatchScratch is the caller-owned workspace of DistBatch, reused
-// across calls so batch fills allocate nothing in steady state.
+// across calls so batch fills allocate nothing in steady state: the
+// missing targets, their resolved distances, and their positions in
+// the call's out.
 type memoBatchScratch struct {
-	keys    []memoKey
-	shardOf []uint8
-	miss    []bool
 	missLoc []roadnet.VertexID
 	missOut []float64
 	missIdx []int32
-	counts  [memoShards]int32
 }
 
-func (sc *memoBatchScratch) reset(k int) {
-	if cap(sc.keys) < k {
-		sc.keys = make([]memoKey, k)
-		sc.shardOf = make([]uint8, k)
-		sc.miss = make([]bool, k)
-	}
-	sc.keys = sc.keys[:k]
-	sc.shardOf = sc.shardOf[:k]
-	sc.miss = sc.miss[:k]
-	sc.missLoc = sc.missLoc[:0]
-	sc.missOut = sc.missOut[:0]
-	sc.missIdx = sc.missIdx[:0]
-	sc.counts = [memoShards]int32{}
-}
-
-// batchLookup is DistBatch's read phase: it resolves every cached
-// (from, target) pair with one read lock per touched stripe — not one
-// lock round-trip per pair — and collects the misses in sc. It reports
-// whether any miss remains.
-func (m *memoMetric) batchLookup(from roadnet.VertexID, targets []roadnet.VertexID, out []float64, sc *memoBatchScratch) bool {
-	k := len(targets)
-	if len(out) != k {
+// batchLookup is DistBatch's read phase: one pass over the targets
+// that resolves every cached (from, target) pair and collects the
+// misses in sc.
+func (m *memoMetric) batchLookup(from roadnet.VertexID, targets []roadnet.VertexID, out []float64, sc *memoBatchScratch) {
+	if len(out) != len(targets) {
 		panic("core: batch fill out length mismatch")
 	}
-	sc.reset(k)
+	sc.missLoc, sc.missIdx = sc.missLoc[:0], sc.missIdx[:0]
 	for i, t := range targets {
-		sc.miss[i] = false
 		if t == from {
 			out[i] = 0
-			sc.shardOf[i] = memoShards // no stripe visit needed
 			continue
 		}
-		key := normKey(from, t)
-		sh := key.shard()
-		sc.keys[i] = key
-		sc.shardOf[i] = uint8(sh)
-		sc.counts[sh]++
-	}
-	for sh := 0; sh < memoShards; sh++ {
-		if sc.counts[sh] == 0 {
-			continue
-		}
-		stripe := &m.shards[sh]
-		stripe.mu.RLock()
-		for i := range targets {
-			if int(sc.shardOf[i]) != sh {
-				continue
-			}
-			if d, ok := stripe.memo[sc.keys[i]]; ok {
-				out[i] = d
-			} else {
-				sc.miss[i] = true
-			}
-		}
-		stripe.mu.RUnlock()
-	}
-	for i := range targets {
-		if sc.miss[i] {
-			sc.missLoc = append(sc.missLoc, targets[i])
+		r, key := m.rowKey(from, t)
+		d, ok := r.lookup(key)
+		if !ok {
+			sc.missLoc = append(sc.missLoc, t)
 			sc.missIdx = append(sc.missIdx, int32(i))
+			continue
 		}
+		out[i] = d
 	}
-	return len(sc.missLoc) > 0
 }
 
 // batchStore is DistBatch's write phase: the resolved misses
-// (sc.missOut) are scattered into out and stored with one write lock
-// per touched stripe. Values beyond maxDist are truncation artefacts,
-// not proven distances, and are not cached; with maxDist = +Inf a +Inf
-// value is a proven disconnection and is cached like any other.
-func (m *memoMetric) batchStore(maxDist float64, out []float64, sc *memoBatchScratch) {
+// (sc.missOut) are scattered into out and stored, one store each.
+// Values beyond maxDist are truncation artefacts, not proven distances,
+// and are not cached; with maxDist = +Inf a +Inf value is a proven
+// disconnection and is cached like any other.
+func (m *memoMetric) batchStore(from roadnet.VertexID, maxDist float64, out []float64, sc *memoBatchScratch) {
 	storeInf := math.IsInf(maxDist, 1)
-	for j, i := range sc.missIdx {
-		out[i] = sc.missOut[j]
-	}
-	for sh := 0; sh < memoShards; sh++ {
-		if sc.counts[sh] == 0 {
+	for j, d := range sc.missOut {
+		out[sc.missIdx[j]] = d
+		if math.IsInf(d, 1) && !storeInf {
 			continue
 		}
-		stripe := &m.shards[sh]
-		locked := false
-		for j, i := range sc.missIdx {
-			if int(sc.shardOf[i]) != sh {
-				continue
-			}
-			d := sc.missOut[j]
-			if math.IsInf(d, 1) && !storeInf {
-				continue
-			}
-			if !locked {
-				stripe.mu.Lock()
-				locked = true
-			}
-			if len(stripe.memo) >= m.maxPerShard {
-				stripe.memo = make(map[memoKey]float64, 1<<6)
-			}
-			stripe.memo[sc.keys[i]] = d
-		}
-		if locked {
-			stripe.mu.Unlock()
-		}
+		r, key := m.rowKey(from, sc.missLoc[j])
+		m.store(r, key, d)
 	}
 }
 
@@ -263,13 +309,13 @@ func (m *memoMetric) release(a *anchor) int {
 }
 
 // DistBatch fills out[i] = Dist(from, targets[i]) for every target
-// within maxDist: cached pairs are read with one shard visit per
-// touched stripe, the misses are resolved by extending the match's
-// anchored search from `from` (a must be the same anchor for the same
-// source throughout one match), and the freshly computed distances warm
-// the memo with one write lock per touched stripe. Misses beyond
-// maxDist come back +Inf whether or not the anchor has already settled
-// them, so what gets cached never depends on the match's earlier fills.
+// within maxDist: cached pairs are read in one lock-free pass, the
+// misses are resolved by extending the match's anchored search from
+// `from` (a must be the same anchor for the same source throughout one
+// match), and the freshly computed distances warm the memo. Misses
+// beyond maxDist come back +Inf whether or not the anchor has already
+// settled them, so what gets cached never depends on the match's
+// earlier fills.
 //
 // One memo-missing fill counts as one DistCall however many targets it
 // resolves and however little of the search was left to run: the
@@ -279,9 +325,12 @@ func (m *memoMetric) DistBatch(a *anchor, from roadnet.VertexID, targets []roadn
 	if len(targets) == 0 {
 		return
 	}
-	if !m.batchLookup(from, targets, out, sc) {
+	m.batchLookup(from, targets, out, sc)
+	m.batchLookups.Add(int64(len(targets)))
+	if len(sc.missLoc) == 0 {
 		return
 	}
+	m.batchMisses.Add(int64(len(sc.missLoc)))
 	m.distCalls.Add(1)
 	if a.s == nil {
 		a.s = m.searchers.Get().(*roadnet.Searcher)
@@ -292,7 +341,7 @@ func (m *memoMetric) DistBatch(a *anchor, from roadnet.VertexID, targets []roadn
 	}
 	sc.missOut = sc.missOut[:len(sc.missLoc)]
 	a.s.Extend(sc.missLoc, maxDist, sc.missOut)
-	m.batchStore(maxDist, out, sc)
+	m.batchStore(from, maxDist, out, sc)
 }
 
 // DistCalls returns the cumulative number of exact shortest-path
@@ -303,13 +352,19 @@ func (m *memoMetric) DistCalls() int64 { return m.distCalls.Load() }
 // matches' anchored batch-fill searches since construction.
 func (m *memoMetric) Settled() int64 { return m.settled.Load() }
 
-// Reset drops the memo so subsequent DistCalls deltas measure a cold
-// cache — used by the benchmark harness to compare algorithms fairly.
+// Reset drops every cached pair so subsequent DistCalls deltas measure
+// a cold cache — used by the benchmark harness to compare algorithms
+// fairly. A racing reader probes the table it already loaded or misses.
 func (m *memoMetric) Reset() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sh.memo = make(map[memoKey]float64, 1<<6)
-		sh.mu.Unlock()
+	for i := range m.rows {
+		r := &m.rows[i]
+		r.mu.Lock()
+		if t := r.tab.Load(); t != nil {
+			m.entries.Add(-int64(r.n))
+			m.slots.Add(-int64(len(t.keys)))
+			r.tab.Store(nil)
+			r.n = 0
+		}
+		r.mu.Unlock()
 	}
 }

@@ -17,7 +17,7 @@ import (
 // lockedMetric guards a single Searcher behind a mutex so parallel
 // tick shards can share it: serving a stop re-enumerates the kinetic
 // tree, which reads distances, so with Workers > 1 the fleet calls the
-// metric concurrently. The engine uses its internally-sharded distance
+// metric concurrently. The engine uses its concurrent distance
 // memo for this; the fleet benches pay one mutex instead. Grid lower
 // bounds are immutable and need no lock.
 type lockedMetric struct {

@@ -1043,7 +1043,7 @@ const pathCellStripes = 16
 // pathCellCache memoises the grid cells touched by the shortest path
 // between two vertices, striped by vertex pair so concurrent schedule
 // registrations do not serialise. Each stripe is bounded: wholesale
-// per-stripe reset once full, as in the distance memo. Cache-missing
+// per-stripe reset once full. Cache-missing
 // path computations run outside any stripe lock on a pooled searcher;
 // two goroutines racing on the same cold pair both compute the same
 // cells, so the second store is idempotent.

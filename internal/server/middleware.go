@@ -100,6 +100,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		sp := telemetry.NewSpan(reqID)
 		r = r.WithContext(context.WithValue(r.Context(), spanKey, sp))
 		sr := &statusRecorder{ResponseWriter: w}
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 		start := time.Now()
 		next.ServeHTTP(sr, r)
 		elapsed := time.Since(start)

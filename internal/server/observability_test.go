@@ -131,6 +131,13 @@ func TestV1MetricsExposition(t *testing.T) {
 				"# TYPE ptrider_surge_active_cells gauge",
 				"ptrider_clock_seconds",
 				"ptrider_vehicles",
+				// Distance memo occupancy and batch-fill hit ratio.
+				"# TYPE ptrider_memo_entries gauge",
+				"# TYPE ptrider_memo_slots gauge",
+				"# TYPE ptrider_memo_capacity gauge",
+				"# TYPE ptrider_memo_batch_lookups_total counter",
+				"# TYPE ptrider_memo_batch_misses_total counter",
+				"# TYPE ptrider_memo_replacements_total counter",
 			} {
 				if !strings.Contains(body, want) {
 					t.Errorf("exposition misses %q", want)

@@ -60,6 +60,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -294,6 +295,25 @@ func writeCode(w http.ResponseWriter, status int, code, message string) {
 func writeErr(w http.ResponseWriter, err error) {
 	status, p := core.ClassifyError(err, http.StatusUnprocessableEntity)
 	writeEnvelope(w, status, p)
+}
+
+// MaxBodyBytes bounds every request body on the /v1 and /rpc surfaces.
+// The largest legitimate body is a submit batch, about 160 bytes a
+// rider: 1 MiB is some 400 sixteen-rider batches.
+const MaxBodyBytes = 1 << 20
+
+// BodyErrorStatus is the status of a body that could not be read or
+// parsed (code invalid_argument either way): 413 when it was cut off at
+// MaxBodyBytes, 400 otherwise.
+func BodyErrorStatus(err error) int {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+func writeBodyErr(w http.ResponseWriter, err error) {
+	writeCode(w, BodyErrorStatus(err), "invalid_argument", err.Error())
 }
 
 // allow enforces strict method checking: a mismatch answers 405 with
@@ -664,7 +684,7 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeBodyErr(w, err)
 		return
 	}
 	var probe struct {
@@ -796,7 +816,7 @@ func (s *Server) handleChoice(w http.ResponseWriter, r *http.Request) {
 		Option int `json:"option"`
 	}
 	if err := decode(r, &body); err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeBodyErr(w, err)
 		return
 	}
 	if err := s.svc.Choose(id, body.Option); err != nil {
@@ -990,7 +1010,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		Seconds float64 `json:"seconds"`
 	}
 	if err := decode(r, &body); err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeBodyErr(w, err)
 		return
 	}
 	clock, events, err := s.tick(body.Seconds)
@@ -1046,7 +1066,7 @@ func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 		Algorithm string `json:"algorithm"`
 	}
 	if err := decode(r, &body); err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeBodyErr(w, err)
 		return
 	}
 	algo, err := core.ParseAlgorithm(body.Algorithm)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -236,5 +237,54 @@ func TestTickInternalFailureIs500(t *testing.T) {
 	}
 	if eng.Clock() != 3 {
 		t.Fatalf("clock after recovery = %v, want 3", eng.Clock())
+	}
+}
+
+// spaces is a request body of n bytes of JSON whitespace that counts
+// what its consumer took.
+type spaces struct{ n, read int }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	if s.read >= s.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), s.n-s.read)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	s.read += k
+	return k, nil
+}
+
+// TestOversizedBodyIs413 pins the body limit on both /v1 read paths
+// (the buffered submit and the streaming decoders): a 2 MiB body is
+// refused with 413 invalid_argument, and the handler stops reading at
+// the limit instead of taking the whole body in.
+func TestOversizedBodyIs413(t *testing.T) {
+	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
+	eng, err := core.NewEngine(g, core.Config{GridCols: 3, GridRows: 3, Capacity: 4, Seed: 1})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	h := server.New(eng).Handler()
+	for _, path := range []string{"/v1/requests", "/v1/ticks", "/v1/requests/1/choice", "/v1/params"} {
+		body := &spaces{n: 2 * server.MaxBodyBytes}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%s)", path, rec.Code, rec.Body)
+		}
+		var out struct {
+			Error core.ErrorPayload `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error.Code != "invalid_argument" {
+			t.Fatalf("%s: envelope %s (%v), want code invalid_argument", path, rec.Body, err)
+		}
+		if body.read > server.MaxBodyBytes+64<<10 {
+			t.Fatalf("%s: handler read %d bytes of an oversized body, limit %d", path, body.read, server.MaxBodyBytes)
+		}
+	}
+	if recs, err := eng.Requests("", core.RequestFilter{}, 0); eng.Clock() != 0 || err != nil || len(recs) != 0 {
+		t.Fatalf("a refused body changed engine state: clock %v, %d records, %v", eng.Clock(), len(recs), err)
 	}
 }

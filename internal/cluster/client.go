@@ -639,13 +639,11 @@ func (c *ShardClient) Vehicles(_ string, limit int) ([]core.VehicleView, error) 
 
 // VehicleItinerary reads one vehicle's location and schedule branches.
 func (c *ShardClient) VehicleItinerary(_ string, id fleet.VehicleID) (*core.VehicleItinerary, error) {
-	var out itineraryWire
+	var out core.VehicleItinerary
 	if err := c.call(http.MethodGet, fmt.Sprintf("/rpc/vehicles/%d", id), nil, &out, true); err != nil {
 		return nil, err
 	}
-	return &core.VehicleItinerary{
-		City: core.DefaultCityName, Vehicle: id, Location: out.Location, Branches: out.Branches,
-	}, nil
+	return &out, nil
 }
 
 // MetricFamilies fetches the shard's gathered metric families; an

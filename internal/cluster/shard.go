@@ -4,10 +4,11 @@
 // debuggable — readyz, metrics, the map, the whole request surface)
 // and adds the compact /rpc/* verbs the gateway's ShardClient speaks.
 //
-// /rpc answers raw core types — engine records (candidate-stripped),
-// EngineStats, telemetry families — rather than the /v1 view shapes,
-// because its caller is the gateway reassembling a core.Service, not a
-// browser. Immutable per-city payloads (the road graph) are rendered
+// /rpc answers core types — engine records (candidate-stripped),
+// EngineStats, telemetry families, and the Service's own answers for
+// a vehicle's schedules, the params panel and the surge panel (the same
+// shapes /v1 encodes) — because its caller is the gateway reassembling
+// a core.Service. Immutable per-city payloads (the road graph) are rendered
 // once and served with an ETag so the client's cache can revalidate
 // for free.
 package cluster
@@ -373,12 +374,12 @@ func (h *shardHandler) handleVehicleByID(w http.ResponseWriter, r *http.Request)
 		rpcErr(w, fmt.Errorf("cluster: bad vehicle id: %w", core.ErrInvalidArgument))
 		return
 	}
-	loc, branches, err := h.eng.VehicleSchedules(fleet.VehicleID(id))
+	it, err := h.eng.VehicleItinerary("", fleet.VehicleID(id))
 	if err != nil {
-		rpcErr(w, fmt.Errorf("cluster: vehicle %d: %w", id, core.ErrNotFound))
+		rpcErr(w, err)
 		return
 	}
-	rpcJSON(w, itineraryWire{Vehicle: fleet.VehicleID(id), Location: loc, Branches: branches})
+	rpcJSON(w, it)
 }
 
 func (h *shardHandler) handleTelemetry(w http.ResponseWriter, r *http.Request) {

@@ -108,13 +108,6 @@ type algoWire struct {
 	Algorithm string `json:"algorithm"`
 }
 
-// itineraryWire is the GET /rpc/vehicles/{id} body.
-type itineraryWire struct {
-	Vehicle  fleet.VehicleID   `json:"vehicle"`
-	Location roadnet.VertexID  `json:"location"`
-	Branches [][]kinetic.Point `json:"branches"`
-}
-
 // sanitizeRecord strips the shard-local kinetic candidates from a
 // record's options before it crosses the wire (commits are by option
 // index, shard-side; the candidate snapshot is meaningless remotely

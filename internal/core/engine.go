@@ -57,6 +57,16 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("core: unknown algorithm %q", s)
 }
 
+// MarshalText encodes the algorithm by name, as the params panel shows
+// it.
+func (a Algorithm) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText accepts any name ParseAlgorithm does.
+func (a *Algorithm) UnmarshalText(b []byte) (err error) {
+	*a, err = ParseAlgorithm(string(b))
+	return err
+}
+
 // Config carries the demo's global settings (paper §4.2: taxi capacity,
 // number of taxis, maximal waiting time, service constraint, price
 // calculator function, and the matching algorithm).

@@ -26,7 +26,6 @@ import (
 
 	"ptrider/internal/fleet"
 	"ptrider/internal/geo"
-	"ptrider/internal/kinetic"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/telemetry"
 )
@@ -78,7 +77,7 @@ type SubmitSpec struct {
 // record with the id lifted into the backend's global namespace, the
 // owning city, the quoting city's speed (to render pick-up distances as
 // seconds), and — for a cross-city trip served by relay — the two-leg
-// itinerary.
+// itinerary. View renders it as the answer a rider sees.
 type ServiceRecord struct {
 	RequestRecord
 	// City is the owning city (a relay trip's origin city).
@@ -101,49 +100,120 @@ func (r *ServiceRecord) PickupSecondsOf(o Option) float64 {
 	return o.PickupDist / r.Speed
 }
 
-// RelayGatewayView is one hand-off vertex pair of a relay itinerary.
+// The Service's answers. Each is the one Go shape of its resource: its
+// JSON tags make the /v1 body, one function builds it, and the public
+// ptrider package aliases it. Ids are int64, as the facade's are.
+
+// OptionView is one row of the result display interface (paper
+// Fig. 4b): ⟨vehicle, pick-up time, price⟩, the pick-up also as a road
+// distance. A relay record's rows carry the composed fare as price and
+// the composed door-to-destination ETA as pick-up time; its Relay
+// section holds the per-leg truth.
+type OptionView struct {
+	// Index is the row's position in the skyline, passed to Choose.
+	Index         int             `json:"index"`
+	Vehicle       fleet.VehicleID `json:"vehicle"`
+	PickupSeconds float64         `json:"pickup_seconds"`
+	PickupMeters  float64         `json:"pickup_meters"`
+	Price         float64         `json:"price"`
+}
+
+// RequestView is the answer to a request: the skyline of options,
+// sorted by pick-up time ascending (price therefore descending), and
+// the request's lifecycle.
+type RequestView struct {
+	ID int64 `json:"id"`
+	// City is the serving city (a relay trip's origin city).
+	City string `json:"city"`
+	// Status is "quoted", "assigned", "onboard", "completed" or
+	// "declined".
+	Status  string           `json:"status"`
+	S       roadnet.VertexID `json:"s"`
+	D       roadnet.VertexID `json:"d"`
+	Riders  int              `json:"riders"`
+	Options []OptionView     `json:"options"`
+	// Vehicle and Price are the committed option's (zero while quoted
+	// or declined).
+	Vehicle fleet.VehicleID `json:"vehicle,omitempty"`
+	Price   float64         `json:"price,omitempty"`
+	Shared  bool            `json:"shared,omitempty"`
+	// Relay carries the two-leg itinerary when the request crossed
+	// cities and was served by relay scheduling; nil otherwise.
+	Relay *RelayView `json:"relay,omitempty"`
+}
+
+// View renders the record as the request answer.
+func (r *ServiceRecord) View() RequestView {
+	v := RequestView{
+		ID: int64(r.ID), City: r.City, Status: r.Status.String(),
+		S: r.S, D: r.D, Riders: r.Riders,
+		Options: make([]OptionView, len(r.Options)),
+		Shared:  r.Shared,
+		Relay:   r.Relay,
+	}
+	for i, o := range r.Options {
+		v.Options[i] = OptionView{
+			Index: i, Vehicle: o.Vehicle, PickupSeconds: r.PickupSecondsOf(o),
+			PickupMeters: o.PickupDist, Price: o.Price,
+		}
+	}
+	if r.Status != StatusQuoted && r.Status != StatusDeclined {
+		v.Vehicle, v.Price = r.Vehicle, r.Price
+	}
+	return v
+}
+
+// RelayGatewayView is one hand-off vertex pair of a relay itinerary:
+// From in the origin city's graph, To in the destination city's.
 type RelayGatewayView struct {
-	From, To  roadnet.VertexID
-	GapMeters float64
+	From      roadnet.VertexID `json:"from"`
+	To        roadnet.VertexID `json:"to"`
+	GapMeters float64          `json:"gap_meters"`
 }
 
-// RelayOptionView is one row of a relay trip's joint skyline with its
-// per-leg breakdown.
+// RelayOptionView is one row of a relay trip's joint skyline (Fig. 4b
+// lifted to two legs) with its per-leg breakdown.
 type RelayOptionView struct {
+	// Index aligns with the record's Options.
+	Index int `json:"index"`
 	// Gateway indexes RelayView.Gateways.
-	Gateway int
-	// Leg1 and Leg2 are the per-leg option snapshots.
-	Leg1, Leg2 Option
-	// Fare is the composed price (leg fares sum).
-	Fare float64
-	// PickupSeconds is leg 1's planned door pick-up ETA.
-	PickupSeconds float64
-	// ETASeconds is the composed door-to-destination worst-case ETA.
-	ETASeconds float64
+	Gateway int `json:"gateway"`
+	// Fare is Leg1Price + Leg2Price.
+	Fare        float64         `json:"fare"`
+	Leg1Price   float64         `json:"leg1_price"`
+	Leg2Price   float64         `json:"leg2_price"`
+	Leg1Vehicle fleet.VehicleID `json:"leg1_vehicle"`
+	Leg2Vehicle fleet.VehicleID `json:"leg2_vehicle"`
+	// PickupSeconds is leg 1's planned door pick-up ETA; ETASeconds the
+	// composed door-to-destination worst case.
+	PickupSeconds float64 `json:"pickup_seconds"`
+	ETASeconds    float64 `json:"eta_seconds"`
 }
 
-// RelayView is the Service-level snapshot of a cross-city relay trip:
+// RelayView is the two-leg itinerary of a cross-city relay trip:
 // lifecycle state, hand-off gateways, the joint skyline and — once
-// committed — the two leg record ids.
+// committed — the two leg record ids. The relay scheduler builds it.
 type RelayView struct {
-	// RequestID is the trip's global request id (negative on the
-	// multi-city router).
-	RequestID RequestID
+	// RequestID is the trip's request id (relay trips are the negative
+	// ids).
+	RequestID int64 `json:"request_id"`
 	// Origin and Dest are the two city names.
-	Origin, Dest string
-	// State is the trip lifecycle stage ("quoted", "leg1-committed",
-	// "in-transfer", "leg2-active", "completed", "declined", "aborted",
-	// "failed").
-	State string
+	Origin string `json:"origin"`
+	Dest   string `json:"dest"`
+	// State is the trip lifecycle stage: "quoted", "leg1-committed",
+	// "in-transfer", "leg2-active", "completed", "declined", "aborted"
+	// or "failed".
+	State string `json:"state"`
 	// TransferBufferSeconds is the scheduler's hand-off margin.
-	TransferBufferSeconds float64
-	Gateways              []RelayGatewayView
-	Options               []RelayOptionView
+	TransferBufferSeconds float64            `json:"transfer_buffer_seconds"`
+	Gateways              []RelayGatewayView `json:"gateways"`
+	Options               []RelayOptionView  `json:"options"`
 	// Chosen is the committed option index (-1 while quoted/declined).
-	Chosen int
+	Chosen int `json:"chosen"`
 	// Leg1 and Leg2 are the committed legs' request ids, city-local to
 	// the origin and destination engines (zero before commit).
-	Leg1, Leg2 RequestID
+	Leg1 int64 `json:"leg1,omitempty"`
+	Leg2 int64 `json:"leg2,omitempty"`
 }
 
 // RelayStats is the relay scheduler's counter panel (zero unless the
@@ -197,18 +267,48 @@ func ParseRequestStatus(s string) (RequestStatus, error) {
 	return 0, fmt.Errorf("core: unknown request status %q: %w", s, ErrInvalidArgument)
 }
 
-// ServiceEvent is one tick movement event tagged with its city.
+// ServiceEvent is one pickup or dropoff produced by a tick, tagged with
+// its city; Request is in the backend's global id namespace.
 type ServiceEvent struct {
-	City string
-	fleet.Event
+	City string `json:"city"`
+	// Kind is "pickup" or "dropoff".
+	Kind    string          `json:"kind"`
+	Vehicle fleet.VehicleID `json:"vehicle"`
+	Request int64           `json:"request"`
+	// Odo is the vehicle's odometer at the event.
+	Odo float64 `json:"odo"`
 }
 
-// CityInfo describes one city of a backend.
+// NewServiceEvent tags a city's movement event; ev.Request must
+// already be in the global namespace.
+func NewServiceEvent(city string, ev fleet.Event) ServiceEvent {
+	return ServiceEvent{City: city, Kind: ev.Kind.String(), Vehicle: ev.Vehicle, Request: int64(ev.Request), Odo: ev.Odo}
+}
+
+// CityInfo describes one city of a backend. The Min/Max coordinates
+// bound its service region — the addresses coordinate submission
+// assigns to it.
 type CityInfo struct {
-	Name     string
-	Vertices int
-	Vehicles int
-	Region   geo.Rect
+	Name     string  `json:"name"`
+	Vertices int     `json:"vertices"`
+	Vehicles int     `json:"vehicles"`
+	MinX     float64 `json:"min_x"`
+	MinY     float64 `json:"min_y"`
+	MaxX     float64 `json:"max_x"`
+	MaxY     float64 `json:"max_y"`
+}
+
+// NewCityInfo describes a city by name, size and service region.
+func NewCityInfo(name string, vertices, vehicles int, region geo.Rect) CityInfo {
+	return CityInfo{
+		Name: name, Vertices: vertices, Vehicles: vehicles,
+		MinX: region.Min.X, MinY: region.Min.Y, MaxX: region.Max.X, MaxY: region.Max.Y,
+	}
+}
+
+// Region returns the city's service region.
+func (c CityInfo) Region() geo.Rect {
+	return geo.Rect{Min: geo.Point{X: c.MinX, Y: c.MinY}, Max: geo.Point{X: c.MaxX, Y: c.MaxY}}
 }
 
 // CityReadiness is one city's readiness probe result — the per-city
@@ -220,55 +320,71 @@ type CityReadiness struct {
 	Err   string `json:"error,omitempty"`
 }
 
+// Readiness is the /v1/readyz body: "ready" or "unready", plus the
+// per-city detail when the backend can break readiness down.
+type Readiness struct {
+	Status string          `json:"status"`
+	Cities []CityReadiness `json:"cities,omitempty"`
+}
+
 // ServiceParams is one city's live settings panel.
 type ServiceParams struct {
-	City           string
-	Algorithm      Algorithm
-	Capacity       int
-	NumTaxis       int
-	MaxWaitSeconds float64
-	Sigma          float64
-	SpeedKmh       float64
-	MatchWorkers   int
-	TickWorkers    int
+	City           string    `json:"city"`
+	Algorithm      Algorithm `json:"algorithm"`
+	Capacity       int       `json:"capacity"`
+	NumTaxis       int       `json:"num_taxis"`
+	MaxWaitSeconds float64   `json:"max_wait_seconds"`
+	Sigma          float64   `json:"sigma"`
+	SpeedKmh       float64   `json:"speed_kmh"`
+	MatchWorkers   int       `json:"match_workers"`
+	TickWorkers    int       `json:"tick_workers"`
 
 	// Surge pricing state: whether the stage is in the pipeline, the
 	// epoch cadence, and the tracker's live epoch/multiplier summary.
-	SurgeEnabled       bool
-	SurgeEpochSeconds  float64
-	SurgeEpoch         uint64
-	SurgeActiveCells   int
-	SurgeMaxMultiplier float64
+	SurgeEnabled       bool    `json:"surge_enabled"`
+	SurgeEpochSeconds  float64 `json:"surge_epoch_seconds,omitempty"`
+	SurgeEpoch         uint64  `json:"surge_epoch,omitempty"`
+	SurgeActiveCells   int     `json:"surge_active_cells,omitempty"`
+	SurgeMaxMultiplier float64 `json:"surge_max_multiplier,omitempty"`
 }
 
 // SurgeCellView is one surged grid cell of a city's tracker.
 type SurgeCellView struct {
 	// Cell is the grid cell id (row-major over Cols×Rows).
-	Cell int
+	Cell int `json:"cell"`
 	// Multiplier is the cell's current fare multiplier.
-	Multiplier float64
+	Multiplier float64 `json:"multiplier"`
 	// Ratio is the EMA-smoothed demand/supply ratio behind it.
-	Ratio float64
+	Ratio float64 `json:"ratio"`
 }
 
 // SurgeView is one city's per-cell surge state — the payload of the
 // /v1/surge endpoint. Only surged cells (multiplier > 1) are listed.
 type SurgeView struct {
-	City         string
-	Enabled      bool
-	Epoch        uint64
-	EpochSeconds float64
-	Cols, Rows   int
-	Cells        []SurgeCellView
+	City         string          `json:"city"`
+	Enabled      bool            `json:"enabled"`
+	Epoch        uint64          `json:"epoch"`
+	EpochSeconds float64         `json:"epoch_seconds,omitempty"`
+	Cols         int             `json:"cols"`
+	Rows         int             `json:"rows"`
+	Cells        []SurgeCellView `json:"cells"`
+}
+
+// StopView is one stop of a vehicle's trip schedule.
+type StopView struct {
+	Vertex roadnet.VertexID `json:"vertex"`
+	// Kind is "pickup" or "dropoff".
+	Kind    string `json:"kind"`
+	Request int64  `json:"request"`
 }
 
 // VehicleItinerary is one vehicle's location and kinetic-tree schedule
-// branches.
+// branches (the website's red lines).
 type VehicleItinerary struct {
-	City     string
-	Vehicle  fleet.VehicleID
-	Location roadnet.VertexID
-	Branches [][]kinetic.Point
+	City     string           `json:"city"`
+	ID       fleet.VehicleID  `json:"id"`
+	Location roadnet.VertexID `json:"location"`
+	Branches [][]StopView     `json:"branches"`
 }
 
 // Service is the shared engine contract: everything a transport needs
@@ -444,7 +560,7 @@ func (e *Engine) Advance(dt float64) ([]ServiceEvent, error) {
 	events, err := e.Tick(dt)
 	out := make([]ServiceEvent, len(events))
 	for i, ev := range events {
-		out[i] = ServiceEvent{City: DefaultCityName, Event: ev}
+		out[i] = NewServiceEvent(DefaultCityName, ev)
 	}
 	return out, err
 }
@@ -461,12 +577,7 @@ func (e *Engine) ServiceStats() ServiceStats {
 
 // Cities implements Service.
 func (e *Engine) Cities() []CityInfo {
-	return []CityInfo{{
-		Name:     DefaultCityName,
-		Vertices: e.sub.g.NumVertices(),
-		Vehicles: e.NumVehicles(),
-		Region:   e.sub.g.Bounds(),
-	}}
+	return []CityInfo{NewCityInfo(DefaultCityName, e.sub.g.NumVertices(), e.NumVehicles(), e.sub.g.Bounds())}
 }
 
 // Vehicles implements Service.
@@ -486,9 +597,15 @@ func (e *Engine) VehicleItinerary(city string, id fleet.VehicleID) (*VehicleItin
 	if err != nil {
 		return nil, fmt.Errorf("core: vehicle %d: %w", id, ErrNotFound)
 	}
-	return &VehicleItinerary{
-		City: DefaultCityName, Vehicle: id, Location: loc, Branches: branches,
-	}, nil
+	it := &VehicleItinerary{City: DefaultCityName, ID: id, Location: loc}
+	for _, b := range branches {
+		row := make([]StopView, len(b))
+		for i, p := range b {
+			row[i] = StopView{Vertex: p.Loc, Kind: p.Kind.String(), Request: int64(p.Req)}
+		}
+		it.Branches = append(it.Branches, row)
+	}
+	return it, nil
 }
 
 // Params implements Service.
@@ -524,7 +641,8 @@ func (e *Engine) Surge(city string) (*SurgeView, error) {
 		return nil, err
 	}
 	cols, rows := e.sub.grid.Dims()
-	v := &SurgeView{City: DefaultCityName, Cols: cols, Rows: rows}
+	// Cells non-nil: an unsurged city encodes as [].
+	v := &SurgeView{City: DefaultCityName, Cols: cols, Rows: rows, Cells: []SurgeCellView{}}
 	if e.tracker == nil {
 		return v, nil
 	}

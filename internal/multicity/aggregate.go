@@ -1,14 +1,13 @@
 // aggregate.go holds the coordinator's cross-city reductions: the
 // global request-id striding that merges N city-local id spaces into
-// one, the single-city rendering of a relay trip, and the statistics
-// fold that turns per-city engine panels into one total.
+// one, and the statistics fold that turns per-city engine panels into
+// one total.
 package multicity
 
 import (
 	"fmt"
 
 	"ptrider/internal/core"
-	"ptrider/internal/relay"
 )
 
 // globalID strides a city-local request id into the n-city global id
@@ -27,39 +26,6 @@ func splitGlobalID(n int, id core.RequestID) (int, core.RequestID, error) {
 		return 0, 0, fmt.Errorf("multicity: unknown request %d: %w", id, core.ErrNotFound)
 	}
 	return int(id % nn), id / nn, nil
-}
-
-// relayStatus maps the relay trip lifecycle onto the single-city
-// request states every view already speaks: any committed-and-moving
-// stage reads as assigned, the terminal failures as declined.
-func relayStatus(s relay.State) core.RequestStatus {
-	switch s {
-	case relay.StateQuoted:
-		return core.StatusQuoted
-	case relay.StateCompleted:
-		return core.StatusCompleted
-	case relay.StateDeclined, relay.StateAborted, relay.StateFailed:
-		return core.StatusDeclined
-	}
-	return core.StatusAssigned
-}
-
-// relayRequestRecord synthesises the single-city record shape of a
-// relay trip: a negative id (the trip id negated), the joint skyline
-// rendered as core options (price = composed fare, pick-up distance =
-// composed ETA as a distance equivalent), the whole-trip lifecycle
-// mapped through relayStatus.
-func relayRequestRecord(tv *relay.TripView) core.RequestRecord {
-	rec := core.RequestRecord{
-		ID: -core.RequestID(tv.ID), S: tv.OriginVertex, D: tv.DestVertex,
-		Riders: tv.Riders, Status: relayStatus(tv.State),
-		Options: tv.CoreOptions, Chosen: tv.Chosen,
-	}
-	if tv.Chosen >= 0 && tv.Chosen < len(tv.CoreOptions) {
-		rec.Vehicle = tv.CoreOptions[tv.Chosen].Vehicle
-		rec.Price = tv.CoreOptions[tv.Chosen].Price
-	}
-	return rec
 }
 
 // statsAggregator folds per-city engine panels into the cross-city

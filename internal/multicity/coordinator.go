@@ -268,37 +268,29 @@ func (c *Coordinator) lift(ci int, rec *core.ServiceRecord) *core.ServiceRecord 
 	return rec
 }
 
-// relayRecord presents a relay trip as a Service record: the
-// synthesised single-city shape (see relayRequestRecord) under the
-// origin city, with the two-leg detail in Relay.
-func (c *Coordinator) relayRecord(tv *relay.TripView) *core.ServiceRecord {
-	out := &core.ServiceRecord{RequestRecord: relayRequestRecord(tv), City: tv.Origin}
-	out.Speed = c.cities[c.byName[tv.Origin]].Backend.Speed()
-	out.Relay = tv.ServiceView(out.ID)
-	return out
-}
-
 // tripID maps a request id onto the relay ledger: trips are the
 // negative ids of a relay-enabled coordinator, anything else is not
 // one.
 func (c *Coordinator) tripID(id core.RequestID) (relay.TripID, error) {
-	if id >= 0 || c.relay == nil {
+	trip, ok := relay.TripOf(id)
+	if !ok || c.relay == nil {
 		return 0, fmt.Errorf("multicity: request %d is not a relay trip: %w", id, core.ErrNotFound)
 	}
-	return relay.TripID(-id), nil
+	return trip, nil
 }
 
-// crossCity answers a resolved cross-city pair: a relay quote, or the
-// typed rejection when relay is off.
-func (c *Coordinator) crossCity(oc, dc int, s, d roadnet.VertexID, spec *core.SubmitSpec) (*relay.TripView, error) {
+// crossCity answers a resolved cross-city pair: a relay quote (the
+// scheduler renders the trip's record), or the typed rejection when
+// relay is off.
+func (c *Coordinator) crossCity(oc, dc int, s, d roadnet.VertexID, spec *core.SubmitSpec) (*core.ServiceRecord, error) {
 	if c.relay == nil {
 		return nil, &core.CrossCityError{Origin: c.cities[oc].Name, Dest: c.cities[dc].Name}
 	}
-	tv, err := c.relay.Quote(oc, dc, s, d, spec.Riders, spec.Constraints)
+	rec, err := c.relay.Quote(oc, dc, s, d, spec.Riders, spec.Constraints)
 	if err != nil {
 		return nil, fmt.Errorf("multicity: %w", err)
 	}
-	return tv, nil
+	return rec, nil
 }
 
 // SubmitRequest implements core.Service: a same-city spec goes to the
@@ -310,11 +302,7 @@ func (c *Coordinator) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, 
 		return nil, err
 	}
 	if oc != dc {
-		tv, err := c.crossCity(oc, dc, s, d, &spec)
-		if err != nil {
-			return nil, err
-		}
-		return c.relayRecord(tv), nil
+		return c.crossCity(oc, dc, s, d, &spec)
 	}
 	rec, err := c.cities[oc].Backend.SubmitRequest(backendSpec(spec, s, d))
 	if err != nil {
@@ -382,9 +370,9 @@ func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 	}
 
 	for _, it := range cross {
-		tv, err := c.crossCity(it.oc, it.dc, it.s, it.d, &specs[it.idx])
+		rec, err := c.crossCity(it.oc, it.dc, it.s, it.d, &specs[it.idx])
 		if err == nil {
-			out[it.idx], err = c.settleCrossItem(tv, specs[it.idx].Choose)
+			out[it.idx], err = c.settleCrossItem(rec, specs[it.idx].Choose)
 		}
 		if err != nil {
 			fail(it.idx, err)
@@ -399,23 +387,24 @@ func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 // declined, and the refreshed record returned. A failed choice has
 // already aborted the trip, so the item's lifecycle ends here either
 // way.
-func (c *Coordinator) settleCrossItem(tv *relay.TripView, choose func([]core.Option) int) (*core.ServiceRecord, error) {
+func (c *Coordinator) settleCrossItem(rec *core.ServiceRecord, choose func([]core.Option) int) (*core.ServiceRecord, error) {
+	trip, _ := relay.TripOf(rec.ID)
 	pick := -1
 	if choose != nil {
-		pick = choose(tv.CoreOptions)
+		pick = choose(rec.Options)
 	}
 	var err error
-	if pick >= 0 && pick < len(tv.Options) {
-		if cerr := c.relay.Choose(tv.ID, pick); cerr != nil {
+	if pick >= 0 && pick < len(rec.Options) {
+		if cerr := c.relay.Choose(trip, pick); cerr != nil {
 			err = fmt.Errorf("choose: %w", cerr)
 		}
 	} else {
-		_ = c.relay.Decline(tv.ID) // a just-quoted trip declines; nothing to report
+		_ = c.relay.Decline(trip) // a just-quoted trip declines; nothing to report
 	}
-	if refreshed, terr := c.relay.Trip(tv.ID); terr == nil {
-		tv = refreshed
+	if refreshed, terr := c.relay.Trip(trip); terr == nil {
+		rec = refreshed
 	}
-	return c.relayRecord(tv), err
+	return rec, err
 }
 
 // Choose implements core.Service. For a relay trip (negative id) this
@@ -461,11 +450,7 @@ func (c *Coordinator) GetRequest(id core.RequestID) (*core.ServiceRecord, error)
 		if err != nil {
 			return nil, err
 		}
-		tv, err := c.relay.Trip(trip)
-		if err != nil {
-			return nil, err
-		}
-		return c.relayRecord(tv), nil
+		return c.relay.Trip(trip)
 	}
 	ci, local, err := splitGlobalID(len(c.cities), id)
 	if err != nil {
@@ -520,11 +505,11 @@ func (c *Coordinator) RelayItinerary(id core.RequestID) (*core.RelayView, error)
 	if err != nil {
 		return nil, err
 	}
-	tv, err := c.relay.Trip(trip)
+	rec, err := c.relay.Trip(trip)
 	if err != nil {
 		return nil, err
 	}
-	return tv.ServiceView(id), nil
+	return rec.Relay, nil
 }
 
 // Advance implements core.Service: one concurrent tick of every city,
@@ -548,11 +533,11 @@ func (c *Coordinator) Advance(dt float64) ([]core.ServiceEvent, error) {
 	if c.relay != nil {
 		c.relay.Advance()
 	}
-	var out []core.ServiceEvent
+	out := []core.ServiceEvent{} // non-nil: an empty tick encodes as []
 	for ci, evs := range perCity {
 		for _, ev := range evs {
 			ev.Request = globalID(n, ci, ev.Request)
-			out = append(out, core.ServiceEvent{City: c.cities[ci].Name, Event: ev})
+			out = append(out, core.NewServiceEvent(c.cities[ci].Name, ev))
 		}
 	}
 	for ci, err := range errs {
@@ -608,12 +593,7 @@ func (c *Coordinator) ServiceStats() core.ServiceStats {
 func (c *Coordinator) Cities() []core.CityInfo {
 	out := make([]core.CityInfo, len(c.cities))
 	for i, city := range c.cities {
-		out[i] = core.CityInfo{
-			Name:     city.Name,
-			Vertices: city.Backend.Graph().NumVertices(),
-			Vehicles: city.Backend.NumVehicles(),
-			Region:   city.Region,
-		}
+		out[i] = core.NewCityInfo(city.Name, city.Backend.Graph().NumVertices(), city.Backend.NumVehicles(), city.Region)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ package multicity_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -261,6 +262,127 @@ func TestRouterDurableRestart(t *testing.T) {
 	}
 	if err := r2.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after restart: %v", err)
+	}
+	if err := r2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
+// parkRelayCommit drives a relay trip into a deferred compensation:
+// leg 1 commits, leg 2's engine answers unavailable (a shard
+// mid-restart), so the trip is aborted with its two-phase window still
+// open and queued for the Advance drain. Returns the quoted record.
+func parkRelayCommit(t *testing.T, r *multicity.Router) *core.ServiceRecord {
+	t.Helper()
+	rec := quoteRelay(t, r, "alpha", "beta", rand.New(rand.NewSource(21)))
+	sched := r.RelayScheduler()
+	sched.SetCommitOverride(func(leg int, eng relay.LegEngine, id core.RequestID, opt int) error {
+		if leg == 1 {
+			return eng.Choose(id, opt)
+		}
+		return fmt.Errorf("beta away: %w", core.ErrUnavailable)
+	})
+	if err := r.Choose(rec.ID, 0); !errors.Is(err, core.ErrUnavailable) {
+		t.Fatalf("choose with leg 2 unavailable: %v, want ErrUnavailable", err)
+	}
+	sched.SetCommitOverride(nil)
+	if got := sched.PendingCompensations(); got != 1 {
+		t.Fatalf("pending compensations = %d, want the parked trip", got)
+	}
+	engA, _ := r.Engine("alpha")
+	if got := engA.Stats().Assigned; got != 1 {
+		t.Fatalf("alpha holds %d assigned legs, want the parked leg 1", got)
+	}
+	return rec
+}
+
+// TestRelayCrashWindowParkedTripSurvivesRestart closes the router while
+// a trip is parked: the pending queue is not persisted, so recovery's
+// open-intent scan has to release leg 1 even though the trip already
+// reads aborted.
+func TestRelayCrashWindowParkedTripSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	r, err := durableTwinRouter(t, dir, nil)
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	rec := parkRelayCommit(t, r)
+	if err := r.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	r2, err := durableTwinRouter(t, dir, nil)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := r2.Advance(1); err != nil {
+			t.Fatalf("tick: %v", err)
+		}
+	}
+	engA, _ := r2.Engine("alpha")
+	if got := engA.Stats().Assigned; got != 0 {
+		t.Fatalf("parked leg-1 reservation survived the restart: %d assigned", got)
+	}
+	if p, o := fleetLoad(t, r2, "alpha"); p != 0 || o != 0 {
+		t.Fatalf("alpha fleet leaked work: pending %d, onboard %d", p, o)
+	}
+	if got := r2.RelayScheduler().PendingCompensations(); got != 0 {
+		t.Fatalf("pending compensations after restart = %d", got)
+	}
+	got, err := r2.GetRequest(rec.ID)
+	if err != nil || got.Relay.State != relay.StateAborted.String() {
+		t.Fatalf("trip after restart: %+v, %v", got, err)
+	}
+	if st := r2.ServiceStats().Relay; st.Aborted != 1 {
+		t.Fatalf("relay panel counts %d aborts, want 1", st.Aborted)
+	}
+	if err := r2.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	if err := r2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestRelayCrashWindowParkedAbortCountedOnce snapshots while a trip is
+// parked, lets the drain close its window (an abort record after the
+// snapshot), and crashes: replaying that record over the snapshot must
+// not count the abort a second time.
+func TestRelayCrashWindowParkedAbortCountedOnce(t *testing.T) {
+	dir := t.TempDir()
+	r, err := durableTwinRouter(t, dir, nil)
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	parkRelayCommit(t, r)
+	if err := r.RelayScheduler().Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	// A zero-length tick runs the drain without moving anyone, so leg 1
+	// is still assigned — and released — rather than picked up.
+	if _, err := r.Advance(0); err != nil {
+		t.Fatalf("tick: %v", err)
+	}
+	if got := r.RelayScheduler().PendingCompensations(); got != 0 {
+		t.Fatalf("drain left %d pending", got)
+	}
+	live := r.ServiceStats().Relay.Aborted
+	if live != 1 {
+		t.Fatalf("live panel counts %d aborts, want 1", live)
+	}
+	r.Kill()
+
+	r2, err := durableTwinRouter(t, dir, nil)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if got := r2.ServiceStats().Relay.Aborted; got != live {
+		t.Fatalf("recovered panel counts %d aborts, live counted %d", got, live)
+	}
+	engA, _ := r2.Engine("alpha")
+	if got := engA.Stats().Assigned; got != 0 {
+		t.Fatalf("leg-1 reservation survived the drain: %d assigned", got)
 	}
 	if err := r2.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -72,8 +72,8 @@ func TestRouterRelaysCrossCityTrips(t *testing.T) {
 		t.Fatalf("synthesised options (%d) not aligned with joint skyline (%d)", len(rec.Options), len(rec.Relay.Options))
 	}
 	for i, o := range rec.Relay.Options {
-		if o.Fare != o.Leg1.Price+o.Leg2.Price {
-			t.Fatalf("option %d fare %v != sum of leg fares %v", i, o.Fare, o.Leg1.Price+o.Leg2.Price)
+		if o.Fare != o.Leg1Price+o.Leg2Price {
+			t.Fatalf("option %d fare %v != sum of leg fares %v", i, o.Fare, o.Leg1Price+o.Leg2Price)
 		}
 		if rec.Options[i].Price != o.Fare {
 			t.Fatalf("option %d synthesised price %v != fare %v", i, rec.Options[i].Price, o.Fare)
@@ -105,11 +105,11 @@ func TestRouterRelaysCrossCityTrips(t *testing.T) {
 	}
 	engA, _ := r.Engine("alpha")
 	engB, _ := r.Engine("beta")
-	leg1, err := engA.Request(got.Relay.Leg1)
+	leg1, err := engA.Request(core.RequestID(got.Relay.Leg1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg2, err := engB.Request(got.Relay.Leg2)
+	leg2, err := engB.Request(core.RequestID(got.Relay.Leg2))
 	if err != nil {
 		t.Fatal(err)
 	}

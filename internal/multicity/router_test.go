@@ -434,8 +434,8 @@ func TestBuildFromSpec(t *testing.T) {
 	if east.NumVehicles() != 4 || west.NumVehicles() != 3 {
 		t.Fatalf("vehicles = %d / %d", east.NumVehicles(), west.NumVehicles())
 	}
-	if cities := r.Cities(); cities[0].Region.Intersects(cities[1].Region) {
-		t.Fatalf("spec regions overlap: %+v %+v", cities[0].Region, cities[1].Region)
+	if cities := r.Cities(); cities[0].Region().Intersects(cities[1].Region()) {
+		t.Fatalf("spec regions overlap: %+v %+v", cities[0].Region(), cities[1].Region())
 	}
 	for _, bad := range []string{"", "east", "east:6:4", "east:axb:4", "east:6x6:x"} {
 		if _, err := multicity.BuildFromSpec(bad, core.Config{}, 1); err == nil {

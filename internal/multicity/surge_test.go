@@ -70,8 +70,8 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 		t.Fatalf("expected a relay record, got city-local %+v", rec.RequestRecord)
 	}
 	for i, o := range rec.Relay.Options {
-		if o.Fare != o.Leg1.Price+o.Leg2.Price {
-			t.Fatalf("option %d: fare %v != surged leg sum %v", i, o.Fare, o.Leg1.Price+o.Leg2.Price)
+		if o.Fare != o.Leg1Price+o.Leg2Price {
+			t.Fatalf("option %d: fare %v != surged leg sum %v", i, o.Fare, o.Leg1Price+o.Leg2Price)
 		}
 	}
 
@@ -83,11 +83,11 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
-	leg1, err := engA.Request(got.Relay.Leg1)
+	leg1, err := engA.Request(core.RequestID(got.Relay.Leg1))
 	if err != nil {
 		t.Fatalf("leg1: %v", err)
 	}
-	leg2, err := engB.Request(got.Relay.Leg2)
+	leg2, err := engB.Request(core.RequestID(got.Relay.Leg2))
 	if err != nil {
 		t.Fatalf("leg2: %v", err)
 	}

@@ -217,15 +217,18 @@ func (s *Scheduler) replayRecord(payload []byte) error {
 }
 
 // compensateOpenIntents is the recovery half of the two-phase commit:
-// every trip with a journaled intent and no done crashed inside the
-// commit window. Whatever leg reservations reached the engines'
-// journals are released (status-checked, so a leg that never committed
-// is a no-op) and the trip is aborted. The CrashMidCompensate point
-// fires between trips; the whole scan is idempotent under re-recovery.
+// every trip with a journaled intent and no done or abort record is
+// inside the commit window — crashed there, or parked by a deferred
+// compensation (already aborted; the pending queue is not persisted,
+// so this scan is what resumes it). Whatever leg reservations reached
+// the engines' journals are released (status-checked, so a leg that
+// never committed is a no-op) and the trip is aborted. The
+// CrashMidCompensate point fires between trips; the whole scan is
+// idempotent under re-recovery.
 func (s *Scheduler) compensateOpenIntents() error {
 	var open []*trip
 	for _, tr := range s.trips {
-		if tr.intent >= 0 && !tr.state.terminal() {
+		if tr.intent >= 0 {
 			open = append(open, tr)
 		}
 	}

@@ -51,9 +51,16 @@ import (
 )
 
 // TripID identifies a relay trip within one Scheduler. IDs are dense
-// and start at 1; transport layers embed them into their own request
-// namespaces (the multi-city router negates them).
+// and start at 1; in the Service's request namespace a trip is its id
+// negated (see RequestID).
 type TripID int64
+
+// RequestID is the trip's id in the Service's request namespace, where
+// relay trips are the negative ids.
+func (id TripID) RequestID() core.RequestID { return -core.RequestID(id) }
+
+// TripOf is RequestID's inverse; ok is false for a non-relay id.
+func TripOf(id core.RequestID) (trip TripID, ok bool) { return TripID(-id), id < 0 }
 
 // Config parameterises a Scheduler. The zero value means defaults.
 type Config struct {
@@ -134,7 +141,7 @@ type CityRef struct {
 
 // Option is one entry of a relay trip's joint skyline.
 type Option struct {
-	// Gateway indexes TripView.Gateways: the hand-off this option uses.
+	// Gateway indexes the trip's gateways: the hand-off this option uses.
 	Gateway int
 	// Leg1Index/Leg2Index are the option indices inside the two leg
 	// records' skylines; Leg1/Leg2 are those options' snapshots.
@@ -195,6 +202,21 @@ func (s State) terminal() bool {
 	return s == StateCompleted || s == StateDeclined || s == StateAborted || s == StateFailed
 }
 
+// requestStatus maps the trip lifecycle onto the single-city request
+// states every view already speaks: any committed-and-moving stage
+// reads as assigned, the terminal failures as declined.
+func (s State) requestStatus() core.RequestStatus {
+	switch s {
+	case StateQuoted:
+		return core.StatusQuoted
+	case StateCompleted:
+		return core.StatusCompleted
+	case StateDeclined, StateAborted, StateFailed:
+		return core.StatusDeclined
+	}
+	return core.StatusAssigned
+}
+
 // trip is the ledger's live record of one relay trip.
 type trip struct {
 	mu sync.Mutex
@@ -215,33 +237,6 @@ type trip struct {
 	// -1 outside the window. Recovery compensates trips whose intent
 	// survived a crash (see durability.go).
 	intent int
-}
-
-// TripView is a consistent snapshot of a relay trip.
-type TripView struct {
-	ID           TripID
-	Origin, Dest string
-	// OriginVertex/DestVertex are the snapped endpoints, local to the
-	// origin and destination city graphs.
-	OriginVertex, DestVertex roadnet.VertexID
-	Riders                   int
-	State                    State
-	Gateways                 []Gateway
-	Options                  []Option
-	// Chosen is the committed option index (-1 while quoted/declined).
-	Chosen int
-	// Leg1/Leg2 are the committed legs' request ids, city-local to the
-	// origin and destination engines (zero before commit).
-	Leg1, Leg2 core.RequestID
-	// CoreOptions renders the joint skyline in the single-city option
-	// shape for surfaces that speak it (rider choice models, batch
-	// choosers): index-aligned with Options, PickupDist carries the
-	// composed door-to-destination ETA as a distance equivalent at the
-	// origin city's speed, Price the composed fare, Vehicle the leg-1
-	// vehicle.
-	CoreOptions []core.Option
-	// TransferBufferSeconds echoes the scheduler's hand-off margin.
-	TransferBufferSeconds float64
 }
 
 // Stats is a snapshot of the scheduler's counters — the core-level
@@ -364,7 +359,8 @@ func (s *Scheduler) gatewaysFor(oc, dc int) []Gateway {
 // route) are dropped — their sibling quotes declined — and the trip is
 // registered quoted even when the joint skyline comes back empty (the
 // rider then declines, exactly like an optionless single-city quote).
-func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons core.Constraints) (*TripView, error) {
+// The answer is the trip's Service record (see record).
+func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons core.Constraints) (*core.ServiceRecord, error) {
 	if oc == dc || oc < 0 || dc < 0 || oc >= len(s.cities) || dc >= len(s.cities) {
 		return nil, fmt.Errorf("relay: bad city pair (%d, %d)", oc, dc)
 	}
@@ -458,7 +454,7 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 	}
 
 	s.markQuoted(tr)
-	return s.viewLocked(tr), nil
+	return s.record(tr), nil
 }
 
 // composeGateway appends every (leg-1 option × leg-2 option) pair of
@@ -814,53 +810,80 @@ func (s *Scheduler) markDeclined(tr *trip) {
 	s.declined.Add(1)
 }
 
-// markAborted surfaces the trip as aborted. The intent is left as it
-// is: a deferred compensation keeps the window open until the legs are
-// released.
+// markAborted surfaces the trip as aborted, counting it once: a parked
+// trip is aborted when it parks and again when its window closes (the
+// drain's abort record, replayed over a snapshot taken while parked,
+// or recovery's compensation). The intent is left as it is: a deferred
+// compensation keeps the window open until the legs are released.
 func (s *Scheduler) markAborted(tr *trip) {
+	if tr.state == StateAborted {
+		return
+	}
 	tr.state = StateAborted
 	s.aborted.Add(1)
 }
 
-// Trip returns a snapshot of a relay trip.
-func (s *Scheduler) Trip(id TripID) (*TripView, error) {
+// Trip returns a snapshot of a relay trip as its Service record.
+func (s *Scheduler) Trip(id TripID) (*core.ServiceRecord, error) {
 	tr, err := s.trip(id)
 	if err != nil {
 		return nil, err
 	}
-	return s.viewLocked(tr), nil
+	return s.record(tr), nil
 }
 
-// viewLocked snapshots a trip. It takes tr.mu itself.
-func (s *Scheduler) viewLocked(tr *trip) *TripView {
+// record renders a trip, once, as the Service's answer: the two-leg
+// itinerary in Relay, beside the single-city record shape that rider
+// choice models and batch choosers read — the trip id negated, the
+// lifecycle mapped by requestStatus, and the joint skyline as core
+// options index-aligned with the itinerary's (Vehicle the leg-1
+// vehicle, Price the composed fare, PickupDist the composed
+// door-to-destination ETA as a distance at the origin city's speed).
+// It takes tr.mu itself.
+func (s *Scheduler) record(tr *trip) *core.ServiceRecord {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tv := &TripView{
-		ID:                    tr.id,
-		Origin:                s.cities[tr.oc].Name,
-		Dest:                  s.cities[tr.dc].Name,
-		OriginVertex:          tr.o,
-		DestVertex:            tr.d,
-		Riders:                tr.riders,
-		State:                 tr.state,
-		Gateways:              append([]Gateway(nil), tr.gateways...),
-		Options:               append([]Option(nil), tr.options...),
-		Chosen:                tr.chosen,
-		TransferBufferSeconds: s.cfg.TransferBufferSeconds,
+	origin := s.cities[tr.oc]
+	speed := origin.Engine.Speed()
+	id := tr.id.RequestID()
+	rec := &core.ServiceRecord{
+		RequestRecord: core.RequestRecord{
+			ID: id, S: tr.o, D: tr.d, Riders: tr.riders,
+			Status:  tr.state.requestStatus(),
+			Options: make([]core.Option, len(tr.options)),
+			Chosen:  tr.chosen,
+		},
+		City:  origin.Name,
+		Speed: speed,
+		Relay: &core.RelayView{
+			RequestID:             int64(id),
+			Origin:                origin.Name,
+			Dest:                  s.cities[tr.dc].Name,
+			State:                 tr.state.String(),
+			TransferBufferSeconds: s.cfg.TransferBufferSeconds,
+			Gateways:              make([]core.RelayGatewayView, len(tr.gateways)),
+			Options:               make([]core.RelayOptionView, len(tr.options)),
+			Chosen:                tr.chosen,
+		},
 	}
-	if tr.chosen >= 0 {
-		tv.Leg1, tv.Leg2 = tr.committedLegsLocked()
+	for i, g := range tr.gateways {
+		rec.Relay.Gateways[i] = core.RelayGatewayView{From: g.From, To: g.To, GapMeters: g.GapMeters}
 	}
-	speed1 := s.cities[tr.oc].Engine.Speed()
-	tv.CoreOptions = make([]core.Option, len(tr.options))
 	for i, o := range tr.options {
-		tv.CoreOptions[i] = core.Option{
-			Vehicle:    o.Leg1.Vehicle,
-			PickupDist: o.ETASeconds * speed1,
-			Price:      o.Fare,
+		rec.Options[i] = core.Option{Vehicle: o.Leg1.Vehicle, PickupDist: o.ETASeconds * speed, Price: o.Fare}
+		rec.Relay.Options[i] = core.RelayOptionView{
+			Index: i, Gateway: o.Gateway, Fare: o.Fare,
+			Leg1Price: o.Leg1.Price, Leg2Price: o.Leg2.Price,
+			Leg1Vehicle: o.Leg1.Vehicle, Leg2Vehicle: o.Leg2.Vehicle,
+			PickupSeconds: o.PickupSeconds, ETASeconds: o.ETASeconds,
 		}
 	}
-	return tv
+	if tr.chosen >= 0 {
+		leg1, leg2 := tr.committedLegsLocked()
+		rec.Relay.Leg1, rec.Relay.Leg2 = int64(leg1), int64(leg2)
+		rec.Vehicle, rec.Price = rec.Options[tr.chosen].Vehicle, rec.Options[tr.chosen].Price
+	}
+	return rec
 }
 
 // Advance moves every committed trip's state machine forward by
@@ -942,39 +965,6 @@ func (s *Scheduler) advanceLocked(tr *trip) {
 			s.completed.Add(1)
 		}
 	}
-}
-
-// ServiceView renders the trip snapshot as the core-level relay
-// itinerary the Service interface exposes; reqID is the trip's id in
-// the transport's global namespace (the multi-city router's negated
-// trip id).
-func (tv *TripView) ServiceView(reqID core.RequestID) *core.RelayView {
-	out := &core.RelayView{
-		RequestID:             reqID,
-		Origin:                tv.Origin,
-		Dest:                  tv.Dest,
-		State:                 tv.State.String(),
-		TransferBufferSeconds: tv.TransferBufferSeconds,
-		Gateways:              make([]core.RelayGatewayView, len(tv.Gateways)),
-		Options:               make([]core.RelayOptionView, len(tv.Options)),
-		Chosen:                tv.Chosen,
-		Leg1:                  tv.Leg1,
-		Leg2:                  tv.Leg2,
-	}
-	for i, g := range tv.Gateways {
-		out.Gateways[i] = core.RelayGatewayView{From: g.From, To: g.To, GapMeters: g.GapMeters}
-	}
-	for i, o := range tv.Options {
-		out.Options[i] = core.RelayOptionView{
-			Gateway:       o.Gateway,
-			Leg1:          o.Leg1,
-			Leg2:          o.Leg2,
-			Fare:          o.Fare,
-			PickupSeconds: o.PickupSeconds,
-			ETASeconds:    o.ETASeconds,
-		}
-	}
-	return out
 }
 
 // Stats snapshots the scheduler's counters.

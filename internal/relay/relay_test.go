@@ -52,14 +52,14 @@ func TestGatewaySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := quoteSomething(t, s, cities)
-	if len(tv.Gateways) == 0 {
+	rec := quoteSomething(t, s, cities)
+	if len(rec.Relay.Gateways) == 0 {
 		t.Fatal("no gateways quoted")
 	}
 	gw, ge := cities[0].Engine.Graph(), cities[1].Engine.Graph()
 	seenFrom := map[roadnet.VertexID]bool{}
 	seenTo := map[roadnet.VertexID]bool{}
-	for i, g := range tv.Gateways {
+	for i, g := range rec.Relay.Gateways {
 		if seenFrom[g.From] || seenTo[g.To] {
 			t.Fatalf("gateway %d reuses an endpoint: %+v", i, g)
 		}
@@ -81,23 +81,29 @@ func TestGatewaySelection(t *testing.T) {
 	}
 }
 
+// tripOf is the scheduler id of a relay trip's record.
+func tripOf(rec *core.ServiceRecord) relay.TripID {
+	trip, _ := relay.TripOf(rec.ID)
+	return trip
+}
+
 // quoteSomething quotes one west→east relay trip with a non-empty
 // joint skyline.
-func quoteSomething(t testing.TB, s *relay.Scheduler, cities []relay.CityRef) *relay.TripView {
+func quoteSomething(t testing.TB, s *relay.Scheduler, cities []relay.CityRef) *core.ServiceRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	gw, ge := cities[0].Engine.Graph(), cities[1].Engine.Graph()
 	for attempt := 0; attempt < 50; attempt++ {
 		o := roadnet.VertexID(rng.Intn(gw.NumVertices()))
 		d := roadnet.VertexID(rng.Intn(ge.NumVertices()))
-		tv, err := s.Quote(0, 1, o, d, 1, core.DefaultConstraints())
+		rec, err := s.Quote(0, 1, o, d, 1, core.DefaultConstraints())
 		if err != nil {
 			t.Fatalf("quote: %v", err)
 		}
-		if len(tv.Options) > 0 {
-			return tv
+		if len(rec.Options) > 0 {
+			return rec
 		}
-		_ = s.Decline(tv.ID)
+		_ = s.Decline(tripOf(rec))
 	}
 	t.Fatal("no relay quote produced options in 50 attempts")
 	return nil
@@ -110,18 +116,22 @@ func TestQuoteComposesJointSkyline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := quoteSomething(t, s, cities)
+	rec := quoteSomething(t, s, cities)
+	tv := rec.Relay
 
-	if tv.State != relay.StateQuoted || tv.Chosen != -1 {
-		t.Fatalf("fresh quote state = %v, chosen %d", tv.State, tv.Chosen)
+	if tv.State != relay.StateQuoted.String() || tv.Chosen != -1 || rec.Status != core.StatusQuoted {
+		t.Fatalf("fresh quote state = %v (%v), chosen %d", tv.State, rec.Status, tv.Chosen)
 	}
-	if len(tv.CoreOptions) != len(tv.Options) {
-		t.Fatalf("core options (%d) not aligned with joint options (%d)", len(tv.CoreOptions), len(tv.Options))
+	if rec.ID >= 0 || tv.RequestID != int64(rec.ID) {
+		t.Fatalf("relay record id %d / itinerary id %d, want one negative id", rec.ID, tv.RequestID)
+	}
+	if len(rec.Options) != len(tv.Options) {
+		t.Fatalf("core options (%d) not aligned with joint options (%d)", len(rec.Options), len(tv.Options))
 	}
 	speedW := cities[0].Engine.Speed()
 	for i, o := range tv.Options {
-		if o.Fare != o.Leg1.Price+o.Leg2.Price {
-			t.Fatalf("option %d fare %v != leg sum %v", i, o.Fare, o.Leg1.Price+o.Leg2.Price)
+		if o.Fare != o.Leg1Price+o.Leg2Price {
+			t.Fatalf("option %d fare %v != leg sum %v", i, o.Fare, o.Leg1Price+o.Leg2Price)
 		}
 		// The ETA chains the legs through the buffer: it can never beat
 		// leg-1 pickup + transfer buffer + the leg-2 ride, nor the
@@ -129,11 +139,18 @@ func TestQuoteComposesJointSkyline(t *testing.T) {
 		if o.ETASeconds < o.PickupSeconds+buffer {
 			t.Fatalf("option %d ETA %.0f ignores the %.0f s transfer buffer (pickup %.0f)", i, o.ETASeconds, buffer, o.PickupSeconds)
 		}
-		if o.PickupSeconds != o.Leg1.PickupDist/speedW {
-			t.Fatalf("option %d pickup %.1f s != leg-1 pickup dist / speed", i, o.PickupSeconds)
+		// The row's leg-1 half is one of the leg-1 quote's own options.
+		leg1 := legRecord(t, cities[0].Engine, rec.S, tv.Gateways[o.Gateway].From)
+		found := false
+		for _, lo := range leg1.Options {
+			found = found || (lo.Vehicle == o.Leg1Vehicle && lo.Price == o.Leg1Price && lo.PickupDist/speedW == o.PickupSeconds)
 		}
-		if tv.CoreOptions[i].Price != o.Fare {
-			t.Fatalf("core option %d price %v != fare %v", i, tv.CoreOptions[i].Price, o.Fare)
+		if !found {
+			t.Fatalf("option %d leg 1 (vehicle %d, price %v, pickup %.1f s) is not in the leg-1 quote %+v",
+				i, o.Leg1Vehicle, o.Leg1Price, o.PickupSeconds, leg1.Options)
+		}
+		if c := rec.Options[i]; c.Price != o.Fare || c.Vehicle != o.Leg1Vehicle || rec.PickupSecondsOf(c) != o.ETASeconds {
+			t.Fatalf("core option %d %+v does not render row %+v", i, c, o)
 		}
 		// Joint skyline: sorted by ETA, strictly improving fares.
 		if i > 0 {
@@ -155,22 +172,25 @@ func TestChooseCommitsBothLegsAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := quoteSomething(t, s, cities)
-	if err := s.Choose(tv.ID, 0); err != nil {
+	trip := tripOf(quoteSomething(t, s, cities))
+	if err := s.Choose(trip, 0); err != nil {
 		t.Fatalf("choose: %v", err)
 	}
-	after, err := s.Trip(tv.ID)
+	after, err := s.Trip(trip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.State != relay.StateLeg1Committed {
-		t.Fatalf("state after choose = %v", after.State)
+	if after.Relay.State != relay.StateLeg1Committed.String() || after.Status != core.StatusAssigned {
+		t.Fatalf("state after choose = %v (%v)", after.Relay.State, after.Status)
 	}
-	rec1, err := cities[0].Engine.Request(after.Leg1)
+	if after.Vehicle != after.Options[0].Vehicle || after.Price != after.Options[0].Price {
+		t.Fatalf("committed record vehicle/price %d/%v, want option 0's", after.Vehicle, after.Price)
+	}
+	rec1, err := cities[0].Engine.Request(core.RequestID(after.Relay.Leg1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, err := cities[1].Engine.Request(after.Leg2)
+	rec2, err := cities[1].Engine.Request(core.RequestID(after.Relay.Leg2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +206,7 @@ func TestChooseCommitsBothLegsAtomically(t *testing.T) {
 		}
 	}
 	// Double choose is refused.
-	if err := s.Choose(tv.ID, 0); err == nil {
+	if err := s.Choose(trip, 0); err == nil {
 		t.Fatal("second choose succeeded")
 	}
 	if err := asEngine(cities[0]).CheckInvariants(); err != nil {
@@ -210,9 +230,9 @@ func TestChooseLeg2FailureReleasesLeg1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := quoteSomething(t, s, cities)
-	opt := tv.Options[0]
-	leg1ID := legRecordID(t, s, cities, tv, 0)
+	rec := quoteSomething(t, s, cities)
+	opt := rec.Relay.Options[0]
+	leg1ID := legRecord(t, cities[0].Engine, rec.S, rec.Relay.Gateways[opt.Gateway].From).ID
 
 	s.SetCommitOverride(func(leg int, eng relay.LegEngine, id core.RequestID, idx int) error {
 		if leg == 2 {
@@ -220,7 +240,7 @@ func TestChooseLeg2FailureReleasesLeg1(t *testing.T) {
 		}
 		return eng.Choose(id, idx)
 	})
-	if err := s.Choose(tv.ID, 0); err == nil {
+	if err := s.Choose(tripOf(rec), 0); err == nil {
 		t.Fatal("choose succeeded despite leg-2 failure")
 	}
 	s.SetCommitOverride(nil)
@@ -234,22 +254,20 @@ func TestChooseLeg2FailureReleasesLeg1(t *testing.T) {
 	if rec1.Status != core.StatusDeclined {
 		t.Fatalf("leg-1 record after abort = %v, want declined", rec1.Status)
 	}
-	loc, _, err := asEngine(cities[0]).VehicleSchedules(opt.Leg1.Vehicle)
-	_ = loc
-	if err != nil {
+	if _, _, err := asEngine(cities[0]).VehicleSchedules(opt.Leg1Vehicle); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range asEngine(cities[0]).VehicleViews(0) {
-		if v.ID == opt.Leg1.Vehicle && v.Pending != 0 {
+		if v.ID == opt.Leg1Vehicle && v.Pending != 0 {
 			t.Fatalf("leg-1 vehicle %d still holds %d pending requests", v.ID, v.Pending)
 		}
 	}
-	after, err := s.Trip(tv.ID)
+	after, err := s.Trip(tripOf(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.State != relay.StateAborted {
-		t.Fatalf("trip state after abort = %v", after.State)
+	if after.Relay.State != relay.StateAborted.String() {
+		t.Fatalf("trip state after abort = %v", after.Relay.State)
 	}
 	if err := asEngine(cities[0]).CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -259,30 +277,25 @@ func TestChooseLeg2FailureReleasesLeg1(t *testing.T) {
 	}
 }
 
-// legRecordID digs the chosen option's leg-1 record id out of a trip
-// view via the scheduler (the view exposes committed legs only after
-// commit, so tests read it pre-commit through the option's gateway).
-func legRecordID(t *testing.T, s *relay.Scheduler, cities []relay.CityRef, tv *relay.TripView, optIdx int) core.RequestID {
+// legRecord finds the newest record an engine holds for s → d — the
+// leg quote a relay trip placed there (quote ids are dense per engine,
+// so the walk stops at the first unknown id).
+func legRecord(t *testing.T, eng relay.LegEngine, s, d roadnet.VertexID) *core.RequestRecord {
 	t.Helper()
-	// The leg-1 quote is the newest quoted record ending at the
-	// gateway: find it by scanning the engine's id space backwards is
-	// not exposed, so instead recover it after the abort via the trip
-	// view — Choose stores committed ids, but an aborted trip declines
-	// them. Simplest: quote ids are dense per engine, and the leg-1
-	// records were created by this trip's Quote; walk recent ids.
-	eng := cities[0].Engine
-	opt := tv.Options[optIdx]
+	var found *core.RequestRecord
 	for id := core.RequestID(1); ; id++ {
 		rec, err := eng.Request(id)
 		if err != nil {
 			break
 		}
-		if rec.D == tv.Gateways[opt.Gateway].From && rec.S == tv.OriginVertex && rec.Status == core.StatusQuoted {
-			return rec.ID
+		if rec.S == s && rec.D == d {
+			found = rec
 		}
 	}
-	t.Fatal("leg-1 record not found")
-	return 0
+	if found == nil {
+		t.Fatalf("no leg record %d → %d", s, d)
+	}
+	return found
 }
 
 func TestDeclineReleasesAllLegQuotes(t *testing.T) {
@@ -291,18 +304,18 @@ func TestDeclineReleasesAllLegQuotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := quoteSomething(t, s, cities)
-	if err := s.Decline(tv.ID); err != nil {
+	trip := tripOf(quoteSomething(t, s, cities))
+	if err := s.Decline(trip); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Trip(tv.ID)
+	after, err := s.Trip(trip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.State != relay.StateDeclined {
-		t.Fatalf("state after decline = %v", after.State)
+	if after.Relay.State != relay.StateDeclined.String() || after.Status != core.StatusDeclined {
+		t.Fatalf("state after decline = %v (%v)", after.Relay.State, after.Status)
 	}
-	if err := s.Choose(tv.ID, 0); err == nil {
+	if err := s.Choose(trip, 0); err == nil {
 		t.Fatal("choose after decline succeeded")
 	}
 	// No quoted leg record of this trip remains.
@@ -323,11 +336,11 @@ func TestRelayTripCompletesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := quoteSomething(t, s, cities)
-	if err := s.Choose(tv.ID, 0); err != nil {
+	trip := tripOf(quoteSomething(t, s, cities))
+	if err := s.Choose(trip, 0); err != nil {
 		t.Fatalf("choose: %v", err)
 	}
-	seen := map[relay.State]bool{}
+	seen := map[string]bool{}
 	for tick := 0; tick < 5000; tick++ {
 		if _, err := asEngine(cities[0]).Tick(2); err != nil {
 			t.Fatal(err)
@@ -336,19 +349,20 @@ func TestRelayTripCompletesEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Advance()
-		cur, err := s.Trip(tv.ID)
+		cur, err := s.Trip(trip)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[cur.State] = true
-		if cur.State == relay.StateCompleted {
+		state := cur.Relay.State
+		seen[state] = true
+		if state == relay.StateCompleted.String() {
 			if st := s.Stats(); st.Completed != 1 || st.Active != 0 {
 				t.Fatalf("stats after completion: %+v", st)
 			}
 			return
 		}
-		if cur.State == relay.StateFailed || cur.State == relay.StateAborted {
-			t.Fatalf("trip ended %v", cur.State)
+		if state == relay.StateFailed.String() || state == relay.StateAborted.String() {
+			t.Fatalf("trip ended %v", state)
 		}
 	}
 	t.Fatalf("trip did not complete; states seen: %v", seen)

@@ -174,6 +174,8 @@ func (g *goldenRun) script() {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
+	// Sized past every line the script's ticks can publish, so the
+	// reader never blocks before the script reads the first message.
 	lines := make(chan string, 1024)
 	go func() {
 		sc := bufio.NewScanner(stream.Body)

@@ -66,3 +66,22 @@ func TestMapEndpoint(t *testing.T) {
 		t.Fatalf("bad width status %d", code)
 	}
 }
+
+// TestMapRejectsOversizedOrMalformedSides pins the raster bound: one GET
+// cannot ask for a 10⁵ × 10⁵ map (~120 GB of cells), and a side that is
+// not a number is refused rather than silently defaulted.
+func TestMapRejectsOversizedOrMalformedSides(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, q := range []string{
+		"width=100000&height=100000", "width=513", "height=513",
+		"width=abc", "height=1.5", "width=-3", "width=0",
+	} {
+		code, body := getText(t, ts.URL+"/v1/map?"+q)
+		if code != http.StatusBadRequest || !strings.Contains(body, `"invalid_argument"`) {
+			t.Fatalf("?%s = %d %s, want 400 invalid_argument", q, code, body)
+		}
+	}
+	if code, _ := getText(t, ts.URL+"/v1/map?width=512&height=512"); code != http.StatusOK {
+		t.Fatalf("largest map status %d, want 200", code)
+	}
+}

@@ -27,11 +27,20 @@
 //	POST /v1/ticks                   {"seconds":5} advance simulated time
 //	GET  /v1/stats                   per-city panels + totals (+ relay panel)
 //	GET  /v1/params · POST /v1/params  settings (?city= / {"city":...,"algorithm":...})
-//	GET  /v1/map                     ASCII fleet map (?city=&width=&height=&taxi=)
+//	GET  /v1/map                     ASCII fleet map (?city=&width=&height=&taxi=,
+//	                                 each side at most 512)
 //	GET  /v1/events                  SSE stream of tick pickups/dropoffs
 //	GET  /v1/healthz                 liveness (also the legacy /healthz)
 //	GET  /v1/readyz                  readiness (503 when the backend cannot take traffic)
 //	GET  /metrics                    Prometheus text exposition (disable via Options)
+//
+// The bodies are the Service's own answer types, encoded as they are:
+// core.RequestView (built by ServiceRecord.View), core.RelayView,
+// core.VehicleItinerary, core.CityInfo, core.ServiceParams,
+// core.SurgeView, core.ServiceEvent and core.Readiness each carry the
+// JSON tags of their resource, so this package declares only the
+// request bodies it decodes. TestV1GoldenBodies pins every body byte
+// for byte.
 //
 // Every response carries an X-Request-ID header — echoed from the
 // request when the client sent one, minted otherwise — and requests
@@ -174,13 +183,6 @@ type cityReadier interface {
 	ReadyCities() []core.CityReadiness
 }
 
-// readyzBody is the JSON body of /v1/readyz: overall status plus the
-// per-city detail when the backend can provide it.
-type readyzBody struct {
-	Status string               `json:"status"`
-	Cities []core.CityReadiness `json:"cities,omitempty"`
-}
-
 // handleReadyz serves GET /v1/readyz: readiness — 503 with a JSON body
 // naming each unready city (an unreachable shard, a wedged WAL) when
 // the backend cannot take traffic.
@@ -189,7 +191,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cr, ok := s.svc.(cityReadier); ok {
-		body := readyzBody{Status: "ready", Cities: cr.ReadyCities()}
+		body := core.Readiness{Status: "ready", Cities: cr.ReadyCities()}
 		status := http.StatusOK
 		for _, c := range body.Cities {
 			if !c.Ready {
@@ -207,7 +209,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, readyzBody{Status: "ready"})
+	writeJSON(w, http.StatusOK, core.Readiness{Status: "ready"})
 }
 
 // Tick advances the backend's simulated time and feeds the movement
@@ -352,259 +354,6 @@ func pathID(r *http.Request) (core.RequestID, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Views
-
-// optionView is one row of the result display interface (Fig. 4b).
-type optionView struct {
-	Index         int     `json:"index"`
-	Vehicle       int32   `json:"vehicle"`
-	PickupSeconds float64 `json:"pickup_seconds"`
-	PickupMeters  float64 `json:"pickup_meters"`
-	Price         float64 `json:"price"`
-}
-
-func optionViews(rec *core.ServiceRecord) []optionView {
-	out := make([]optionView, len(rec.Options))
-	for i, o := range rec.Options {
-		out[i] = optionView{
-			Index:         i,
-			Vehicle:       o.Vehicle,
-			PickupSeconds: rec.PickupSecondsOf(o),
-			PickupMeters:  o.PickupDist,
-			Price:         o.Price,
-		}
-	}
-	return out
-}
-
-// requestView is the transport view of a request record. A relay
-// record's plain option rows carry the composed fare as price and the
-// composed door-to-destination ETA as pickup time — the relay section
-// holds the per-leg truth.
-type requestView struct {
-	ID      core.RequestID `json:"id"`
-	City    string         `json:"city"`
-	Status  string         `json:"status"`
-	S       int32          `json:"s"`
-	D       int32          `json:"d"`
-	Riders  int            `json:"riders"`
-	Options []optionView   `json:"options"`
-	Vehicle int32          `json:"vehicle,omitempty"`
-	Price   float64        `json:"price,omitempty"`
-	Shared  bool           `json:"shared,omitempty"`
-	Relay   *relayTripView `json:"relay,omitempty"`
-}
-
-func recordView(rec *core.ServiceRecord) requestView {
-	rv := requestView{
-		ID: rec.ID, City: rec.City, Status: rec.Status.String(),
-		S: rec.S, D: rec.D, Riders: rec.Riders,
-		Options: optionViews(rec),
-		Shared:  rec.Shared,
-	}
-	if rec.Status != core.StatusQuoted && rec.Status != core.StatusDeclined {
-		rv.Vehicle = rec.Vehicle
-		rv.Price = rec.Price
-	}
-	if rec.Relay != nil {
-		rv.Relay = relayTripViewOf(rec.Relay)
-	}
-	return rv
-}
-
-// relayGatewayView is one hand-off pair of a relay trip.
-type relayGatewayView struct {
-	From      int32   `json:"from"`
-	To        int32   `json:"to"`
-	GapMeters float64 `json:"gap_meters"`
-}
-
-// relayOptionView is one row of the joint skyline with its per-leg
-// breakdown (Fig. 4b lifted to two legs).
-type relayOptionView struct {
-	Index         int     `json:"index"`
-	Gateway       int     `json:"gateway"`
-	Fare          float64 `json:"fare"`
-	Leg1Price     float64 `json:"leg1_price"`
-	Leg2Price     float64 `json:"leg2_price"`
-	Leg1Vehicle   int32   `json:"leg1_vehicle"`
-	Leg2Vehicle   int32   `json:"leg2_vehicle"`
-	PickupSeconds float64 `json:"pickup_seconds"`
-	ETASeconds    float64 `json:"eta_seconds"`
-}
-
-// relayTripView is a relay trip's status: the state machine stage, the
-// gateways, the joint skyline and — once committed — the two leg
-// record ids (city-local to origin and destination).
-type relayTripView struct {
-	RequestID             int64              `json:"request_id"`
-	Origin                string             `json:"origin"`
-	Dest                  string             `json:"dest"`
-	State                 string             `json:"state"`
-	TransferBufferSeconds float64            `json:"transfer_buffer_seconds"`
-	Gateways              []relayGatewayView `json:"gateways"`
-	Options               []relayOptionView  `json:"options"`
-	Chosen                int                `json:"chosen"`
-	Leg1                  int64              `json:"leg1,omitempty"`
-	Leg2                  int64              `json:"leg2,omitempty"`
-}
-
-func relayTripViewOf(rv *core.RelayView) *relayTripView {
-	out := &relayTripView{
-		RequestID:             int64(rv.RequestID),
-		Origin:                rv.Origin,
-		Dest:                  rv.Dest,
-		State:                 rv.State,
-		TransferBufferSeconds: rv.TransferBufferSeconds,
-		Gateways:              make([]relayGatewayView, len(rv.Gateways)),
-		Options:               make([]relayOptionView, len(rv.Options)),
-		Chosen:                rv.Chosen,
-		Leg1:                  int64(rv.Leg1),
-		Leg2:                  int64(rv.Leg2),
-	}
-	for i, g := range rv.Gateways {
-		out.Gateways[i] = relayGatewayView{From: g.From, To: g.To, GapMeters: g.GapMeters}
-	}
-	for i, o := range rv.Options {
-		out.Options[i] = relayOptionView{
-			Index:         i,
-			Gateway:       o.Gateway,
-			Fare:          o.Fare,
-			Leg1Price:     o.Leg1.Price,
-			Leg2Price:     o.Leg2.Price,
-			Leg1Vehicle:   o.Leg1.Vehicle,
-			Leg2Vehicle:   o.Leg2.Vehicle,
-			PickupSeconds: o.PickupSeconds,
-			ETASeconds:    o.ETASeconds,
-		}
-	}
-	return out
-}
-
-type stopView struct {
-	Vertex  int32  `json:"vertex"`
-	Kind    string `json:"kind"`
-	Request int64  `json:"request"`
-}
-
-// taxiView is the schedule view of one vehicle (the website's red
-// lines).
-type taxiView struct {
-	City     string       `json:"city"`
-	ID       int32        `json:"id"`
-	Location int32        `json:"location"`
-	Branches [][]stopView `json:"branches"`
-}
-
-func taxiViewOf(it *core.VehicleItinerary) taxiView {
-	out := taxiView{City: it.City, ID: it.Vehicle, Location: it.Location}
-	for _, b := range it.Branches {
-		row := make([]stopView, len(b))
-		for i, p := range b {
-			row[i] = stopView{Vertex: p.Loc, Kind: p.Kind.String(), Request: int64(p.Req)}
-		}
-		out.Branches = append(out.Branches, row)
-	}
-	return out
-}
-
-type paramsView struct {
-	City           string  `json:"city"`
-	Algorithm      string  `json:"algorithm"`
-	Capacity       int     `json:"capacity"`
-	NumTaxis       int     `json:"num_taxis"`
-	MaxWaitSeconds float64 `json:"max_wait_seconds"`
-	Sigma          float64 `json:"sigma"`
-	SpeedKmh       float64 `json:"speed_kmh"`
-	MatchWorkers   int     `json:"match_workers"`
-	TickWorkers    int     `json:"tick_workers"`
-
-	SurgeEnabled       bool    `json:"surge_enabled"`
-	SurgeEpochSeconds  float64 `json:"surge_epoch_seconds,omitempty"`
-	SurgeEpoch         uint64  `json:"surge_epoch,omitempty"`
-	SurgeActiveCells   int     `json:"surge_active_cells,omitempty"`
-	SurgeMaxMultiplier float64 `json:"surge_max_multiplier,omitempty"`
-}
-
-func paramsViewOf(p core.ServiceParams) paramsView {
-	return paramsView{
-		City:           p.City,
-		Algorithm:      p.Algorithm.String(),
-		Capacity:       p.Capacity,
-		NumTaxis:       p.NumTaxis,
-		MaxWaitSeconds: p.MaxWaitSeconds,
-		Sigma:          p.Sigma,
-		SpeedKmh:       p.SpeedKmh,
-		MatchWorkers:   p.MatchWorkers,
-		TickWorkers:    p.TickWorkers,
-
-		SurgeEnabled:       p.SurgeEnabled,
-		SurgeEpochSeconds:  p.SurgeEpochSeconds,
-		SurgeEpoch:         p.SurgeEpoch,
-		SurgeActiveCells:   p.SurgeActiveCells,
-		SurgeMaxMultiplier: p.SurgeMaxMultiplier,
-	}
-}
-
-type surgeCellView struct {
-	Cell       int     `json:"cell"`
-	Multiplier float64 `json:"multiplier"`
-	Ratio      float64 `json:"ratio"`
-}
-
-type surgeView struct {
-	City         string          `json:"city"`
-	Enabled      bool            `json:"enabled"`
-	Epoch        uint64          `json:"epoch"`
-	EpochSeconds float64         `json:"epoch_seconds,omitempty"`
-	Cols         int             `json:"cols"`
-	Rows         int             `json:"rows"`
-	Cells        []surgeCellView `json:"cells"`
-}
-
-func surgeViewOf(v *core.SurgeView) surgeView {
-	out := surgeView{
-		City: v.City, Enabled: v.Enabled, Epoch: v.Epoch,
-		EpochSeconds: v.EpochSeconds, Cols: v.Cols, Rows: v.Rows,
-		Cells: make([]surgeCellView, 0, len(v.Cells)),
-	}
-	for _, c := range v.Cells {
-		out.Cells = append(out.Cells, surgeCellView{Cell: c.Cell, Multiplier: c.Multiplier, Ratio: c.Ratio})
-	}
-	return out
-}
-
-type cityView struct {
-	Name     string  `json:"name"`
-	Vertices int     `json:"vertices"`
-	Vehicles int     `json:"vehicles"`
-	MinX     float64 `json:"min_x"`
-	MinY     float64 `json:"min_y"`
-	MaxX     float64 `json:"max_x"`
-	MaxY     float64 `json:"max_y"`
-}
-
-// eventView tags a movement event with its city.
-type eventView struct {
-	City    string  `json:"city"`
-	Kind    string  `json:"kind"`
-	Vehicle int32   `json:"vehicle"`
-	Request int64   `json:"request"`
-	Odo     float64 `json:"odo"`
-}
-
-func eventViewsOf(events []core.ServiceEvent) []eventView {
-	out := make([]eventView, 0, len(events)) // non-nil: an empty tick serialises as []
-	for _, e := range events {
-		out = append(out, eventView{
-			City: e.City, Kind: e.Kind.String(),
-			Vehicle: e.Vehicle, Request: int64(e.Request), Odo: e.Odo,
-		})
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
 // Request submission
 
 // requestBody is the wire form of one request submission (single or
@@ -667,7 +416,7 @@ func (s *Server) submitOne(w http.ResponseWriter, r *http.Request, body *request
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, recordView(rec))
+	writeJSON(w, http.StatusOK, rec.View())
 }
 
 // handleRequests serves /v1/requests. POST submits one request, or a
@@ -749,9 +498,9 @@ func (s *Server) handleRequestList(w http.ResponseWriter, r *http.Request) {
 		offset = len(recs)
 	}
 	recs = recs[offset:]
-	views := make([]requestView, len(recs)) // non-nil: empty pages serialise as []
+	views := make([]core.RequestView, len(recs)) // non-nil: empty pages serialise as []
 	for i, rec := range recs {
-		views[i] = recordView(rec)
+		views[i] = rec.View()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"city": city, "offset": offset, "count": len(views), "requests": views,
@@ -770,10 +519,10 @@ func (s *Server) submitBatch(w http.ResponseWriter, bodies []requestBody) {
 		specs = append(specs, spec)
 	}
 	recs, err := s.svc.SubmitRequestBatch(specs)
-	views := make([]*requestView, len(recs))
+	views := make([]*core.RequestView, len(recs))
 	for i, rec := range recs {
 		if rec != nil {
-			rv := recordView(rec)
+			rv := rec.View()
 			views[i] = &rv
 		}
 	}
@@ -799,7 +548,7 @@ func (s *Server) handleRequestByID(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, recordView(rec))
+	writeJSON(w, http.StatusOK, rec.View())
 }
 
 // handleChoice serves POST /v1/requests/{id}/choice.
@@ -937,7 +686,7 @@ func (s *Server) handleVehicleByID(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, taxiViewOf(it))
+	writeJSON(w, http.StatusOK, it)
 }
 
 // handleCities serves GET /v1/cities.
@@ -945,18 +694,7 @@ func (s *Server) handleCities(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	cities := s.svc.Cities()
-	out := make([]cityView, len(cities))
-	for i, c := range cities {
-		out[i] = cityView{
-			Name:     c.Name,
-			Vertices: c.Vertices,
-			Vehicles: c.Vehicles,
-			MinX:     c.Region.Min.X, MinY: c.Region.Min.Y,
-			MaxX: c.Region.Max.X, MaxY: c.Region.Max.Y,
-		}
-	}
-	writeJSONCached(w, r, out)
+	writeJSONCached(w, r, s.svc.Cities())
 }
 
 // relayResponse answers a relay itinerary lookup; positive ids are
@@ -971,7 +709,7 @@ func (s *Server) relayResponse(w http.ResponseWriter, id core.RequestID) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, relayTripViewOf(rv))
+	writeJSON(w, http.StatusOK, rv)
 }
 
 // handleRelayByID serves GET /v1/relay/{id}.
@@ -1021,7 +759,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		writeEnvelope(w, status, p)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"clock": clock, "events": eventViewsOf(events)})
+	writeJSON(w, http.StatusOK, map[string]any{"clock": clock, "events": events})
 }
 
 // handleStatsV1 serves GET /v1/stats: per-city panels plus aggregate
@@ -1058,7 +796,7 @@ func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		writeJSONCached(w, r, paramsViewOf(params))
+		writeJSONCached(w, r, params)
 		return
 	}
 	var body struct {
@@ -1093,13 +831,32 @@ func (s *Server) handleSurgeV1(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, surgeViewOf(v))
+	writeJSON(w, http.StatusOK, v)
+}
+
+// maxMapSide bounds each side of a /v1/map raster, 7× the default
+// width: the renderer allocates ~12 B a cell, so the largest map is
+// ~3 MB rather than whatever a query string asks for.
+const maxMapSide = 512
+
+// mapSide parses one optional map dimension (def when absent); anything
+// but an integer in [1, maxMapSide] is a caller error.
+func mapSide(r *http.Request, key string, def int) (int, error) {
+	q := r.URL.Query().Get(key)
+	if q == "" {
+		return def, nil
+	}
+	v, err := strconv.Atoi(q)
+	if err != nil || v < 1 || v > maxMapSide {
+		return 0, fmt.Errorf("bad %s %q: want an integer in [1, %d]", key, q, maxMapSide)
+	}
+	return v, nil
 }
 
 // handleMap renders one city's fleet map as plain text (the website's
 // map view, ASCII edition). Optional query parameters: city, width and
-// height in characters (default 72×36) and taxi=<id> to overlay one
-// vehicle's schedule stops.
+// height in characters (default 72×36, at most maxMapSide each) and
+// taxi=<id> to overlay one vehicle's schedule stops.
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
@@ -1110,16 +867,15 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	width, height := 72, 36
-	if q := r.URL.Query().Get("width"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil {
-			width = v
-		}
+	width, err := mapSide(r, "width", 72)
+	if err != nil {
+		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		return
 	}
-	if q := r.URL.Query().Get("height"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil {
-			height = v
-		}
+	height, err := mapSide(r, "height", 36)
+	if err != nil {
+		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		return
 	}
 	m, err := render.NewMap(g, width, height)
 	if err != nil {
@@ -1148,10 +904,10 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		var pickups, dropoffs []roadnet.VertexID
 		for _, b := range it.Branches {
 			for _, p := range b {
-				if p.Kind.String() == "pickup" {
-					pickups = append(pickups, p.Loc)
+				if p.Kind == "pickup" {
+					pickups = append(pickups, p.Vertex)
 				} else {
-					dropoffs = append(dropoffs, p.Loc)
+					dropoffs = append(dropoffs, p.Vertex)
 				}
 			}
 		}

@@ -93,15 +93,11 @@ func (h *eventHub) publish(m sseMsg) {
 // publishEvents renders tick movement events onto the stream.
 func (s *Server) publishEvents(events []core.ServiceEvent) {
 	for _, e := range events {
-		view := eventView{
-			City: e.City, Kind: e.Kind.String(),
-			Vehicle: e.Vehicle, Request: int64(e.Request), Odo: e.Odo,
-		}
-		data, err := json.Marshal(view)
+		data, err := json.Marshal(e)
 		if err != nil {
 			continue
 		}
-		s.hub.publish(sseMsg{event: view.Kind, city: e.City, id: view.Request, data: data})
+		s.hub.publish(sseMsg{event: e.Kind, city: e.City, id: e.Request, data: data})
 	}
 }
 

@@ -23,7 +23,7 @@ func twinRouter(t *testing.T) *multicity.Router {
 // locate names the city whose service region contains p.
 func locate(svc core.Service, p geo.Point) (string, error) {
 	for _, c := range svc.Cities() {
-		if c.Region.Contains(p) {
+		if c.Region().Contains(p) {
 			return c.Name, nil
 		}
 	}

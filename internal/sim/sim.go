@@ -386,7 +386,7 @@ func Run(svc core.Service, trips []Trip, cfg Config) (*Result, error) {
 			return res, err
 		}
 		for _, ev := range events {
-			if ev.Kind == fleet.EventDropoff {
+			if ev.Kind == fleet.EventDropoff.String() {
 				r.owed--
 			}
 		}

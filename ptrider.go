@@ -72,6 +72,18 @@
 // The internal packages implement the substrates (road network,
 // shortest paths, grid index, kinetic trees, matchers, simulator); this
 // package is the supported surface.
+//
+// # Answer types
+//
+// Option, Request, RelayItinerary, RelayOption, Stop, Event and
+// CityInfo are aliases of the core Service's answer types — the very
+// shapes the /v1 API encodes — so a field added to an answer shows up
+// here, in JSON and in Go, at once; Request and Event gained the
+// record's lifecycle fields (Status, S, D, Riders, …; Odo) that way.
+// One change of shape came with the aliasing: a RelayOption's per-leg
+// breakdown is flat, Leg1Price / Leg2Price / Leg1Vehicle / Leg2Vehicle,
+// as in the JSON, where it used to be nested Leg1 / Leg2 structs (and
+// RelayLeg is gone).
 package ptrider
 
 import (
@@ -323,98 +335,31 @@ type MultiConfig struct {
 	MaxGateways int
 }
 
-// Option is one non-dominated result ⟨vehicle, pick-up time, price⟩.
-type Option struct {
-	// Index is the option's position in Request.Options, passed to
-	// Choose.
-	Index int
-	// Vehicle identifies the offering taxi (a relay option's leg-1
-	// taxi).
-	Vehicle VertexID
-	// PickupSeconds is the planned pick-up time from now. For a relay
-	// option it is the composed door-to-destination ETA — the joint
-	// skyline's time axis.
-	PickupSeconds float64
-	// PickupMeters is the same as a distance along the road network.
-	PickupMeters float64
-	// Price is the fare under the system's price model (a relay
-	// option's summed leg fares).
-	Price float64
-}
+// The answer types are the Service's own: the shapes the /v1 API
+// encodes, aliased here rather than copied.
 
-// RelayLeg is one leg of a relay option's per-leg breakdown.
-type RelayLeg struct {
-	Vehicle VertexID
-	Price   float64
-}
-
-// RelayOption is one row of a relay trip's joint skyline.
-type RelayOption struct {
-	// Index aligns with Request.Options.
-	Index int
-	// Gateway indexes the trip's hand-off gateways.
-	Gateway int
-	// Fare is Leg1.Price + Leg2.Price.
-	Fare float64
-	// PickupSeconds is leg 1's planned door pick-up ETA; ETASeconds the
-	// composed door-to-destination worst case.
-	PickupSeconds float64
-	ETASeconds    float64
-	Leg1, Leg2    RelayLeg
-}
-
-// RelayItinerary is the two-leg view of a cross-city relay trip.
-type RelayItinerary struct {
-	RequestID int64
-	// Origin and Dest are the two city names.
-	Origin, Dest string
-	// State is the trip lifecycle stage: "quoted", "leg1-committed",
-	// "in-transfer", "leg2-active", "completed", "declined", "aborted"
-	// or "failed".
-	State string
-	// TransferBufferSeconds is the scheduler's hand-off margin.
-	TransferBufferSeconds float64
-	Options               []RelayOption
-	// Chosen is the committed option index (-1 while quoted/declined).
-	Chosen int
-}
-
-func relayItinerary(rv *core.RelayView) *RelayItinerary {
-	out := &RelayItinerary{
-		RequestID:             int64(rv.RequestID),
-		Origin:                rv.Origin,
-		Dest:                  rv.Dest,
-		State:                 rv.State,
-		TransferBufferSeconds: rv.TransferBufferSeconds,
-		Options:               make([]RelayOption, len(rv.Options)),
-		Chosen:                rv.Chosen,
-	}
-	for i, o := range rv.Options {
-		out.Options[i] = RelayOption{
-			Index:         i,
-			Gateway:       o.Gateway,
-			Fare:          o.Fare,
-			PickupSeconds: o.PickupSeconds,
-			ETASeconds:    o.ETASeconds,
-			Leg1:          RelayLeg{Vehicle: o.Leg1.Vehicle, Price: o.Leg1.Price},
-			Leg2:          RelayLeg{Vehicle: o.Leg2.Vehicle, Price: o.Leg2.Price},
-		}
-	}
-	return out
-}
+// Option is one non-dominated result ⟨vehicle, pick-up time, price⟩:
+// Index is its position in Request.Options, passed to Choose. For a
+// relay option Vehicle is the leg-1 taxi, PickupSeconds the composed
+// door-to-destination ETA (the joint skyline's time axis) and Price
+// the summed leg fares.
+type Option = core.OptionView
 
 // Request is the answer to a submitted ridesharing request: the full
 // skyline of options, sorted by pick-up time ascending (price therefore
-// descending).
-type Request struct {
-	ID      int64
-	Options []Option
-	// City is the serving city (a relay trip's origin city).
-	City string
-	// Relay carries the two-leg itinerary when the request crossed
-	// cities and was served by relay scheduling; nil otherwise.
-	Relay *RelayItinerary
-}
+// descending), the serving city, the lifecycle status, and — when the
+// request crossed cities and was served by relay scheduling — the
+// two-leg itinerary in Relay.
+type Request = core.RequestView
+
+// RelayItinerary is the two-leg view of a cross-city relay trip: its
+// lifecycle State, hand-off gateways, joint skyline and, once
+// committed, the leg request ids.
+type RelayItinerary = core.RelayView
+
+// RelayOption is one row of a relay trip's joint skyline: Fare is
+// Leg1Price + Leg2Price, Leg1Vehicle / Leg2Vehicle the two taxis.
+type RelayOption = core.RelayOptionView
 
 // Stats is the statistics panel of the demo's website interface.
 type Stats struct {
@@ -453,31 +398,13 @@ type RelayStats = core.RelayStats
 
 // CityInfo describes one city of a system. The Min/Max coordinates
 // bound its service region — the addresses RequestAt assigns to it.
-type CityInfo struct {
-	Name     string
-	Vertices int
-	Vehicles int
-	MinX     float64
-	MinY     float64
-	MaxX     float64
-	MaxY     float64
-}
+type CityInfo = core.CityInfo
 
-// Event reports a pickup or dropoff produced by Tick.
-type Event struct {
-	Kind    string // "pickup" or "dropoff"
-	Vehicle VertexID
-	Request int64
-	// City is the city the event happened in.
-	City string
-}
+// Event reports a pickup or dropoff produced by Tick, in its City.
+type Event = core.ServiceEvent
 
 // Stop is one entry of a vehicle trip schedule.
-type Stop struct {
-	Vertex  VertexID
-	Kind    string // "pickup" or "dropoff"
-	Request int64
-}
+type Stop = core.StopView
 
 // System is a running PTRider instance over one city or many — every
 // backend is served through the same core Service interface, so the
@@ -574,43 +501,14 @@ func (s *System) RandomVertex() VertexID {
 }
 
 // Cities lists the system's cities — a single-city system reports one.
-func (s *System) Cities() []CityInfo {
-	cities := s.svc.Cities()
-	out := make([]CityInfo, len(cities))
-	for i, c := range cities {
-		out[i] = CityInfo{
-			Name: c.Name, Vertices: c.Vertices, Vehicles: c.Vehicles,
-			MinX: c.Region.Min.X, MinY: c.Region.Min.Y,
-			MaxX: c.Region.Max.X, MaxY: c.Region.Max.Y,
-		}
-	}
-	return out
-}
-
-// buildRequest renders a service record as the public answer.
-func buildRequest(rec *core.ServiceRecord) Request {
-	out := Request{ID: int64(rec.ID), City: rec.City, Options: make([]Option, len(rec.Options))}
-	for i, o := range rec.Options {
-		out.Options[i] = Option{
-			Index:         i,
-			Vehicle:       o.Vehicle,
-			PickupSeconds: rec.PickupSecondsOf(o),
-			PickupMeters:  o.PickupDist,
-			Price:         o.Price,
-		}
-	}
-	if rec.Relay != nil {
-		out.Relay = relayItinerary(rec.Relay)
-	}
-	return out
-}
+func (s *System) Cities() []CityInfo { return s.svc.Cities() }
 
 func (s *System) submit(spec core.SubmitSpec) (Request, error) {
 	rec, err := s.svc.SubmitRequest(spec)
 	if err != nil {
 		return Request{}, err
 	}
-	return buildRequest(rec), nil
+	return rec.View(), nil
 }
 
 // Request submits a ridesharing request for riders travelling from
@@ -672,14 +570,7 @@ func (s *System) Decline(requestID int64) error {
 // Tick advances simulated time by the given seconds: vehicles move,
 // pickups and dropoffs fire. Every city of a multi-city system ticks
 // concurrently.
-func (s *System) Tick(seconds float64) ([]Event, error) {
-	events, err := s.svc.Advance(seconds)
-	out := make([]Event, len(events))
-	for i, e := range events {
-		out[i] = Event{Kind: e.Kind.String(), Vehicle: e.Vehicle, Request: int64(e.Request), City: e.City}
-	}
-	return out, err
-}
+func (s *System) Tick(seconds float64) ([]Event, error) { return s.svc.Advance(seconds) }
 
 // RequestStatus returns the lifecycle state of a request: "quoted",
 // "assigned", "onboard", "completed" or "declined".
@@ -694,11 +585,7 @@ func (s *System) RequestStatus(requestID int64) (string, error) {
 // RelayItinerary returns the two-leg view of a relay trip previously
 // answered by RequestAt on a relay-enabled multi-city system.
 func (s *System) RelayItinerary(requestID int64) (*RelayItinerary, error) {
-	rv, err := s.svc.RelayItinerary(core.RequestID(requestID))
-	if err != nil {
-		return nil, err
-	}
-	return relayItinerary(rv), nil
+	return s.svc.RelayItinerary(core.RequestID(requestID))
 }
 
 // VehicleSchedules returns a vehicle's current location and every valid
@@ -714,15 +601,7 @@ func (s *System) VehicleSchedulesIn(city string, vehicle VertexID) (location Ver
 	if err != nil {
 		return 0, nil, err
 	}
-	out := make([][]Stop, len(it.Branches))
-	for i, b := range it.Branches {
-		row := make([]Stop, len(b))
-		for j, p := range b {
-			row[j] = Stop{Vertex: p.Loc, Kind: p.Kind.String(), Request: int64(p.Req)}
-		}
-		out[i] = row
-	}
-	return it.Location, out, nil
+	return it.Location, it.Branches, nil
 }
 
 // SetAlgorithm switches the matching algorithm at run time, in every

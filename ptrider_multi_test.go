@@ -113,7 +113,7 @@ func TestNewMultiRelayItinerary(t *testing.T) {
 		t.Fatalf("relay itinerary = %+v", req.Relay)
 	}
 	for i, o := range req.Relay.Options {
-		if o.Fare != o.Leg1.Price+o.Leg2.Price {
+		if o.Fare != o.Leg1Price+o.Leg2Price {
 			t.Fatalf("option %d fare %v != leg sum", i, o.Fare)
 		}
 		if req.Options[i].Price != o.Fare {

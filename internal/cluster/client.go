@@ -381,6 +381,15 @@ func (c *ShardClient) Request(id core.RequestID) (*core.RequestRecord, error) {
 	return &rec, nil
 }
 
+// GetRequest reads one record as the Service view.
+func (c *ShardClient) GetRequest(id core.RequestID) (*core.ServiceRecord, error) {
+	rec, err := c.Request(id)
+	if err != nil {
+		return nil, err
+	}
+	return c.serviceRecord(rec), nil
+}
+
 // mutate posts one non-idempotent verb on request id. A transport
 // failure is ambiguous — the shard may have journaled the mutation
 // before dying — so the record is re-read: if the mutation landed that

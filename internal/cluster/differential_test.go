@@ -10,8 +10,8 @@
 // The coordinates are random points between roads: the engine snaps
 // them through its grid index, the client by a scan of the cached
 // graph, and both must pick the same vertex. The relay scheduler runs
-// with one hand-off gateway so each city quotes a single leg per trip
-// and leg ids do not depend on goroutine scheduling.
+// at its default gateway count: each city quotes its legs in gateway
+// order, so leg ids do not depend on goroutine scheduling.
 package cluster
 
 import (
@@ -43,7 +43,7 @@ var diffCities = []diffCity{
 	{"beta", 8, 8, 20000, 2, 10},
 }
 
-var diffRelay = relay.Config{MaxGateways: 1, TransferBufferSeconds: 120}
+var diffRelay = relay.Config{TransferBufferSeconds: 120}
 
 func diffConfig(c diffCity) core.Config {
 	return core.Config{Capacity: 4, Algorithm: core.AlgoDualSide, Seed: c.seed}

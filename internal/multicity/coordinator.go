@@ -26,13 +26,10 @@ import (
 // it over the shard RPC surface, where a call that cannot fail in
 // process degrades as documented per method.
 type CityBackend interface {
-	// Graph, Speed, LegLimits, SubmitIdem, Choose, Decline, Request and
-	// CancelAssigned.
+	// Graph, Speed, LegLimits, SubmitRequest, Choose, Decline,
+	// GetRequest and CancelAssigned.
 	relay.LegEngine
 
-	// SubmitRequest quotes one vertex-addressed request, honouring the
-	// spec's idempotency key and span.
-	SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error)
 	// SubmitRequestBatch runs one city's share of a batch with the
 	// engine's greedy semantics, Choose callbacks included.
 	SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error)
@@ -456,12 +453,11 @@ func (c *Coordinator) GetRequest(id core.RequestID) (*core.ServiceRecord, error)
 	if err != nil {
 		return nil, err
 	}
-	b := c.cities[ci].Backend
-	rec, err := b.Request(local)
+	rec, err := c.cities[ci].Backend.GetRequest(local)
 	if err != nil {
 		return nil, err
 	}
-	return c.lift(ci, &core.ServiceRecord{RequestRecord: *rec, Speed: b.Speed()}), nil
+	return c.lift(ci, rec), nil
 }
 
 // Requests implements core.Service: one city's ledger listing with ids

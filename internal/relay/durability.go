@@ -17,11 +17,11 @@
 // is idempotent — a crash mid-compensate (the CrashMidCompensate
 // point) re-runs the same scan on the next recovery.
 //
-// Non-atomicity across journals, documented: a crash after the city
-// engines journaled a trip's leg quotes but before the relay quote
-// record landed leaves the legs as unclaimed quoted records in the
-// engines. They hold no vehicle and expire into declines harmlessly;
-// nothing leaks.
+// Non-atomicity across journals, documented: a quote whose own record
+// fails to append declines its legs before the error surfaces, but a
+// real crash between the engines journaling a trip's leg quotes and the
+// relay quote record landing leaves the legs quoted in the engines.
+// Nothing expires them; they hold no vehicle and leak nothing.
 package relay
 
 import (
@@ -53,14 +53,19 @@ type relayRecord struct {
 // tripSnap is the serialisable state of one trip — the quote record's
 // payload and the snapshot's per-trip entry.
 type tripSnap struct {
-	ID       TripID
-	OC, DC   int
-	O, D     roadnet.VertexID
-	Riders   int
-	State    State
-	Chosen   int
-	Intent   int // pending two-phase option index; -1 outside the window
+	ID     TripID
+	OC, DC int // city indices
+	O, D   roadnet.VertexID
+	Riders int
+	State  State
+	Chosen int // committed option index; -1 before
+	// Intent is the option index of an in-flight two-phase commit
+	// (journaled before the legs book, cleared by the done or abort
+	// record); -1 outside the window.
+	Intent   int
 	Gateways []Gateway
+	// Leg1Recs[gi]/Leg2Recs[gi] hold gateway gi's two leg record ids
+	// (city-local to OC and DC respectively).
 	Leg1Recs []core.RequestID
 	Leg2Recs []core.RequestID
 	Options  []Option
@@ -80,51 +85,58 @@ type relaySnap struct {
 	Failed    int64
 }
 
-func (tr *trip) snapLocked() tripSnap {
-	return tripSnap{
-		ID: tr.id, OC: tr.oc, DC: tr.dc, O: tr.o, D: tr.d,
-		Riders: tr.riders, State: tr.state, Chosen: tr.chosen,
-		Intent:   tr.intent,
-		Gateways: tr.gateways,
-		Leg1Recs: tr.leg1Recs, Leg2Recs: tr.leg2Recs,
-		Options: tr.options,
-	}
+// entry is one journal record in flight: encoded before the ledger
+// lock, appended inside it by its transition, waited for after it. A
+// nil entry (replay, durability off, an unjournaled transition)
+// appends nothing.
+type entry struct {
+	s       *Scheduler
+	payload []byte
+	commit  wal.Commit
 }
 
-func tripFromSnap(ts *tripSnap) *trip {
-	return &trip{
-		id: ts.ID, oc: ts.OC, dc: ts.DC, o: ts.O, d: ts.D,
-		riders: ts.Riders, state: ts.State, chosen: ts.Chosen,
-		intent:   ts.Intent,
-		gateways: ts.Gateways,
-		leg1Recs: ts.Leg1Recs, leg2Recs: ts.Leg2Recs,
-		options: ts.Options,
-	}
-}
-
-// append journals one trip record; sync-mode waits ride on the group
-// commit like the engine's. Callers must not hold s.mu.
-func (s *Scheduler) append(rec *relayRecord) error {
-	if s.journal == nil {
+func (e *entry) append() error {
+	if e == nil {
 		return nil
 	}
-	if s.inj.Fire(wal.CrashPreAppend) {
-		s.journal.Kill()
+	j, inj := e.s.journal, e.s.inj
+	if inj.Fire(wal.CrashPreAppend) {
+		j.Kill()
 		return wal.ErrCrashed
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("relay: journal encode: %w", err)
-	}
-	c, err := s.journal.Append(payload)
+	c, err := j.Append(e.payload)
 	if err != nil {
 		return err
 	}
-	if s.inj.Fire(wal.CrashPostAppend) {
-		s.journal.Kill()
+	if inj.Fire(wal.CrashPostAppend) {
+		j.Kill()
 		return wal.ErrCrashed
 	}
-	return c.Wait()
+	e.commit = c
+	return nil
+}
+
+// transition runs one ledger transition the way core.Engine.journaled
+// runs a request's: rec (nil: none) is encoded first, the transition
+// checks, appends and changes state in one critical section of the
+// ledger lock, and the group commit is waited for after the unlock.
+// Live callers hold tr.mu.
+func (s *Scheduler) transition(rec *relayRecord, t func(*entry) error) error {
+	var e *entry
+	if rec != nil && s.journal != nil {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("relay: journal encode: %w", err)
+		}
+		e = &entry{s: s, payload: payload}
+	}
+	s.led.mu.Lock()
+	err := t(e)
+	s.led.mu.Unlock()
+	if err != nil || e == nil {
+		return err
+	}
+	return e.commit.Wait()
 }
 
 // openDurability recovers the trip ledger from cfg.WALDir and opens
@@ -143,7 +155,7 @@ func (s *Scheduler) openDurability(cfg Config) error {
 		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
 			return fmt.Errorf("relay: snapshot %d: %w", rec.SnapshotSeg, err)
 		}
-		s.applySnapshot(&snap)
+		s.led.restore(&snap)
 	}
 	for i, payload := range rec.Records {
 		if err := s.replayRecord(payload); err != nil {
@@ -158,104 +170,58 @@ func (s *Scheduler) openDurability(cfg Config) error {
 	return s.compensateOpenIntents()
 }
 
-func (s *Scheduler) applySnapshot(snap *relaySnap) {
-	s.nextID.Store(snap.NextID)
-	s.quoted.Store(snap.Quoted)
-	s.legQuotes.Store(snap.LegQuotes)
-	s.committed.Store(snap.Committed)
-	s.aborted.Store(snap.Aborted)
-	s.declined.Store(snap.Declined)
-	s.completed.Store(snap.Completed)
-	s.failed.Store(snap.Failed)
-	for i := range snap.Trips {
-		tr := tripFromSnap(&snap.Trips[i])
-		s.trips[tr.id] = tr
-		if tr.chosen >= 0 && !tr.state.terminal() {
-			s.active[tr.id] = tr
-		}
-	}
-}
-
-// replayRecord re-applies one journaled trip operation through the
-// mark function the live path ran; recovery has no state logic of its
+// replayRecord decodes one journaled trip operation and runs the
+// transition the live path ran; recovery has no state logic of its
 // own.
 func (s *Scheduler) replayRecord(payload []byte) error {
 	var r relayRecord
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return err
 	}
+	l := s.led
 	if r.Op == opQuote {
-		tr := tripFromSnap(r.Quote)
-		s.markQuoted(tr)
-		if int64(tr.id) > s.nextID.Load() {
-			s.nextID.Store(int64(tr.id))
+		if r.Quote == nil {
+			return fmt.Errorf("quote record without a trip")
 		}
-		return nil
+		return l.quote(&trip{tripSnap: *r.Quote}, nil)
 	}
-	tr := s.trips[r.ID]
-	if tr == nil {
-		return fmt.Errorf("%s for unknown trip %d", r.Op, r.ID)
+	tr, err := l.get(r.ID)
+	if err != nil {
+		return err
 	}
 	switch r.Op {
 	case opIntent:
-		markIntent(tr, r.Opt)
+		return l.intent(tr, r.Opt, nil)
 	case opDone:
-		// Restored at leg1-committed; the first Advance after recovery
-		// walks the state machine forward from the recovered leg
-		// records (transitions are monotonic, so an already-completed
-		// trip just completes again).
-		s.markDone(tr)
+		return l.book(tr, nil)
 	case opDecline:
-		s.markDeclined(tr)
+		return l.decline(tr, nil)
 	case opAbort:
-		s.markAborted(tr)
-		markIntent(tr, -1)
-	default:
-		return fmt.Errorf("unknown relay journal op %q", r.Op)
+		return l.abort(tr, nil)
 	}
-	return nil
+	return fmt.Errorf("unknown relay journal op %q", r.Op)
 }
 
 // compensateOpenIntents is the recovery half of the two-phase commit:
-// every trip with a journaled intent and no done or abort record is
-// inside the commit window — crashed there, or parked by a deferred
-// compensation (already aborted; the pending queue is not persisted,
-// so this scan is what resumes it). Whatever leg reservations reached
-// the engines' journals are released (status-checked, so a leg that
-// never committed is a no-op) and the trip is aborted. The
-// CrashMidCompensate point fires between trips; the whole scan is
-// idempotent under re-recovery.
+// a trip with a journaled intent and no done or abort record crashed
+// inside the window (it is parked now, like a commit that met an
+// unavailable engine) or was parked before the crash. Each is released
+// as the Advance drain would, and one whose engine is still unreachable
+// stays parked for the drain. The CrashMidCompensate point fires
+// between trips; the scan is idempotent under re-recovery.
 func (s *Scheduler) compensateOpenIntents() error {
-	var open []*trip
-	for _, tr := range s.trips {
-		if tr.intent >= 0 {
-			open = append(open, tr)
+	for _, tr := range s.led.trips {
+		if tr.Intent < 0 {
+			continue
 		}
-	}
-	for _, tr := range open {
 		if s.inj.Fire(wal.CrashMidCompensate) {
 			s.journal.Kill()
 			return wal.ErrCrashed
 		}
-		tr.mu.Lock()
-		done, cerr := s.compensateTripLocked(tr)
-		if !done {
-			// An engine is unreachable (a sibling shard still
-			// restarting): keep the intent open and let the Advance
-			// drain finish the release once it answers. Recovery
-			// itself stays idempotent — a crash before the drain
-			// re-runs this same scan.
-			s.deferCompensationLocked(tr)
-			tr.mu.Unlock()
-			continue
+		if tr.State == StateQuoted {
+			s.parkLocked(tr)
 		}
-		if cerr != nil {
-			tr.mu.Unlock()
-			return cerr
-		}
-		s.abortLocked(tr)
-		tr.mu.Unlock()
-		if err := s.append(&relayRecord{Op: opAbort, ID: tr.id}); err != nil {
+		if err := s.releaseLocked(tr); err != nil {
 			return err
 		}
 	}
@@ -271,33 +237,20 @@ func (s *Scheduler) Kill() {
 }
 
 // Snapshot writes the trip ledger beside a rotated journal segment and
-// prunes what the snapshot covers.
+// prunes what the snapshot covers. It takes the ledger lock alone, so
+// it never waits for a commit in flight.
 func (s *Scheduler) Snapshot() error {
 	if s.journal == nil {
 		return nil
 	}
-	s.mu.Lock()
+	s.led.mu.Lock()
 	seg, err := s.journal.Rotate()
 	if err != nil {
-		s.mu.Unlock()
+		s.led.mu.Unlock()
 		return err
 	}
-	snap := relaySnap{
-		NextID:    s.nextID.Load(),
-		Quoted:    s.quoted.Load(),
-		LegQuotes: s.legQuotes.Load(),
-		Committed: s.committed.Load(),
-		Aborted:   s.aborted.Load(),
-		Declined:  s.declined.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
-	}
-	for _, tr := range s.trips {
-		tr.mu.Lock()
-		snap.Trips = append(snap.Trips, tr.snapLocked())
-		tr.mu.Unlock()
-	}
-	s.mu.Unlock()
+	snap := s.led.capture()
+	s.led.mu.Unlock()
 	payload, err := json.Marshal(&snap)
 	if err != nil {
 		return fmt.Errorf("relay: snapshot encode: %w", err)

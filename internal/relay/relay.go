@@ -5,13 +5,12 @@
 // as origin → gateway in A, hand-off, gateway → destination in B. The
 // candidate hand-off gateways — nearest vertex pairs across the two
 // cities' shared region boundary — are precomputed per city pair at
-// construction (see gateway.go). Quoting fans both legs of every
-// gateway out to the two city engines concurrently and composes the
-// per-leg price-and-time skylines into one joint skyline: a relay
-// option's fare is the sum of its leg fares, and its ETA chains the
-// legs — the rider boards leg 2 no earlier than leg 1's worst-case
-// arrival at the gateway plus a configurable transfer buffer, and no
-// earlier than the leg-2 vehicle's own planned pickup.
+// construction (see gateway.go). Each city quotes its leg of every
+// gateway, and the per-leg price-and-time skylines compose into one
+// joint skyline: a relay option's fare is the sum of its leg fares, and
+// its ETA chains the legs — the rider boards leg 2 no earlier than leg
+// 1's worst-case arrival at the gateway plus a configurable transfer
+// buffer, and no earlier than the leg-2 vehicle's own planned pickup.
 //
 // Committing is a two-phase probe/commit/compensate protocol: both leg
 // records are probed (still quoted, option index valid), leg 1 is
@@ -20,11 +19,11 @@
 // surfaces, so a half-booked relay can never leak a reservation. The
 // unused gateways' leg quotes are declined on commit.
 //
-// A ledger tracks each trip's state machine — quoted → leg1-committed
-// → in-transfer → leg2-active → completed — and Advance (called from
-// the multi-city coordinator's Advance) moves trips forward by
-// observing the two leg records' lifecycle states. A leg orphaned by a
-// vehicle failure moves the trip to failed and compensates the
+// The trip ledger (ledger.go) holds each trip's state machine — quoted
+// → leg1-committed → in-transfer → leg2-active → completed — and
+// Advance (called from the multi-city coordinator's Advance) moves
+// trips forward by observing the two leg records' lifecycle states. A
+// leg orphaned by a vehicle failure fails the trip and compensates the
 // surviving leg.
 //
 // Model honesty: the fleet serves a stop when its vehicle reaches it,
@@ -35,10 +34,12 @@
 package relay
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -103,10 +104,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// LegEngine is the per-city engine surface the scheduler needs to
-// quote, commit, observe and compensate one relay leg. *core.Engine
-// satisfies it natively; a remote city shard satisfies it through
-// cluster.ShardClient, whose transport failures surface as
+// LegEngine is the per-city surface the scheduler quotes, commits,
+// observes and compensates one relay leg through: the city-scoped
+// core.Service verbs plus the leg limits and the compensation verb.
+// *core.Engine satisfies it natively; a remote city shard satisfies it
+// through cluster.ShardClient, whose transport failures surface as
 // core.ErrUnavailable — the scheduler answers those with deferred,
 // idempotent compensation instead of an immediate abort, because an
 // unreachable shard may have journaled the mutation before dying.
@@ -118,15 +120,16 @@ type LegEngine interface {
 	// LegLimits returns the city-global waiting-time and planned
 	// pick-up budgets leg-2 quoting widens by the transfer buffer.
 	LegLimits() (maxWait, maxPickup float64)
-	// SubmitIdem quotes one leg. The scheduler passes no idempotency
-	// key: a remote engine mints its own so its transport retries
-	// cannot double-quote.
-	SubmitIdem(s, d roadnet.VertexID, riders int, c core.Constraints, idemKey string) (*core.RequestRecord, error)
-	// Choose, Decline, Request and CancelAssigned drive the leg
+	// SubmitRequest quotes one vertex-addressed request, honouring the
+	// spec's idempotency key and span. Leg specs carry no key: a remote
+	// engine mints one per call, so its transport retries cannot
+	// double-quote.
+	SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error)
+	// Choose, Decline, GetRequest and CancelAssigned drive the leg
 	// records through the two-phase commit and its compensation.
 	Choose(id core.RequestID, optionIndex int) error
 	Decline(id core.RequestID) error
-	Request(id core.RequestID) (*core.RequestRecord, error)
+	GetRequest(id core.RequestID) (*core.ServiceRecord, error)
 	CancelAssigned(id core.RequestID) error
 }
 
@@ -158,87 +161,6 @@ type Option struct {
 	ETASeconds float64
 }
 
-// State is a relay trip's lifecycle stage.
-type State int
-
-// Relay trip states. Quoted..Completed is the forward path; Declined,
-// Aborted and Failed are terminal exits (rider declined, two-phase
-// commit aborted, a committed leg orphaned by a vehicle failure).
-const (
-	StateQuoted State = iota
-	StateLeg1Committed
-	StateInTransfer
-	StateLeg2Active
-	StateCompleted
-	StateDeclined
-	StateAborted
-	StateFailed
-)
-
-func (s State) String() string {
-	switch s {
-	case StateQuoted:
-		return "quoted"
-	case StateLeg1Committed:
-		return "leg1-committed"
-	case StateInTransfer:
-		return "in-transfer"
-	case StateLeg2Active:
-		return "leg2-active"
-	case StateCompleted:
-		return "completed"
-	case StateDeclined:
-		return "declined"
-	case StateAborted:
-		return "aborted"
-	case StateFailed:
-		return "failed"
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
-
-// terminal reports whether the state ends the trip's lifecycle.
-func (s State) terminal() bool {
-	return s == StateCompleted || s == StateDeclined || s == StateAborted || s == StateFailed
-}
-
-// requestStatus maps the trip lifecycle onto the single-city request
-// states every view already speaks: any committed-and-moving stage
-// reads as assigned, the terminal failures as declined.
-func (s State) requestStatus() core.RequestStatus {
-	switch s {
-	case StateQuoted:
-		return core.StatusQuoted
-	case StateCompleted:
-		return core.StatusCompleted
-	case StateDeclined, StateAborted, StateFailed:
-		return core.StatusDeclined
-	}
-	return core.StatusAssigned
-}
-
-// trip is the ledger's live record of one relay trip.
-type trip struct {
-	mu sync.Mutex
-
-	id       TripID
-	oc, dc   int // city indices
-	o, d     roadnet.VertexID
-	riders   int
-	state    State
-	gateways []Gateway
-	// leg1Recs[gi]/leg2Recs[gi] hold gateway gi's two leg record ids
-	// (city-local to oc and dc respectively).
-	leg1Recs, leg2Recs []core.RequestID
-	options            []Option
-	chosen             int // committed option index; -1 before
-	// intent is the option index of an in-flight two-phase commit
-	// (journaled before the legs book, cleared by the done record);
-	// -1 outside the window. Recovery compensates trips whose intent
-	// survived a crash (see durability.go).
-	intent int
-}
-
 // Stats is a snapshot of the scheduler's counters — the core-level
 // relay panel (core.RelayStats), aliased so the Service interface and
 // the scheduler speak the same type. Each leg quote also inflates the
@@ -255,25 +177,10 @@ type Scheduler struct {
 	cities   []CityRef
 	cfg      Config
 	gateways map[[2]int][]Gateway // key: ordered city-index pair (i<j), oriented i→j
-
-	nextID atomic.Int64
-
-	mu     sync.Mutex
-	trips  map[TripID]*trip
-	active map[TripID]*trip // committed, non-terminal — Advance's worklist
-	// pending holds trips whose compensation hit an unavailable
-	// engine (a remote shard mid-restart): the two-phase window stays
-	// open in the journal — no abort record — and Advance retries the
-	// release every tick until the shard answers. A crash while a trip
-	// is pending re-runs the same compensation from the recovery scan.
-	pending []*trip
-
-	quoted, legQuotes, committed         atomic.Int64
-	aborted, declined, completed, failed atomic.Int64
+	led      *ledger
 
 	// commitOverride replaces the engine Choose of a leg commit when
-	// set (test seam, like core.Engine.SetStepOverride): relay
-	// atomicity tests inject leg-2 failures here because a real
+	// set (test seam, like core.Engine.SetStepOverride): a real
 	// mid-commit failure is not reachable deterministically through the
 	// public API.
 	commitOverride atomic.Pointer[CommitFunc]
@@ -292,13 +199,7 @@ func New(cities []CityRef, cfg Config) (*Scheduler, error) {
 		return nil, fmt.Errorf("relay: need at least two cities, got %d", len(cities))
 	}
 	cfg = cfg.withDefaults()
-	s := &Scheduler{
-		cities:   cities,
-		cfg:      cfg,
-		gateways: make(map[[2]int][]Gateway),
-		trips:    make(map[TripID]*trip),
-		active:   make(map[TripID]*trip),
-	}
+	s := &Scheduler{cities: cities, cfg: cfg, gateways: make(map[[2]int][]Gateway), led: newLedger()}
 	for i := range cities {
 		if cities[i].Engine == nil {
 			return nil, fmt.Errorf("relay: city %q has no engine", cities[i].Name)
@@ -353,13 +254,16 @@ func (s *Scheduler) gatewaysFor(oc, dc int) []Gateway {
 }
 
 // Quote answers a cross-city request: per candidate gateway, both legs
-// are quoted through the two city engines concurrently, and the
-// surviving per-leg option sets are composed into the trip's joint
-// skyline. Gateways whose leg quoting fails (degenerate endpoints, no
-// route) are dropped — their sibling quotes declined — and the trip is
-// registered quoted even when the joint skyline comes back empty (the
-// rider then declines, exactly like an optionless single-city quote).
-// The answer is the trip's Service record (see record).
+// are quoted and the surviving per-leg option sets composed into the
+// trip's joint skyline. Each city quotes its legs in gateway order, so
+// the ids they take do not depend on goroutine scheduling; the two
+// cities work concurrently. A gateway whose leg quoting fails
+// (degenerate endpoints, no route) is dropped — its sibling quote
+// declined — and the trip is registered quoted even when the joint
+// skyline comes back empty (the rider then declines, exactly like an
+// optionless single-city quote). If the quote record cannot be
+// journaled, every leg is declined before the error surfaces. The
+// answer is the trip's Service record (see record).
 func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons core.Constraints) (*core.ServiceRecord, error) {
 	if oc == dc || oc < 0 || dc < 0 || oc >= len(s.cities) || dc >= len(s.cities) {
 		return nil, fmt.Errorf("relay: bad city pair (%d, %d)", oc, dc)
@@ -368,53 +272,33 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 	engO, engD := s.cities[oc].Engine, s.cities[dc].Engine
 
 	// Leg 2 is a hand-off pickup: its waiting-time budget and pick-up
-	// window widen by the transfer buffer, since the rendezvous is
-	// planned one transfer later than a door pickup. This is what the
-	// engine's constraint-scoped submits exist for.
+	// window (the rider's, or else the city's) widen by the transfer
+	// buffer, since the rendezvous is planned one transfer later than a
+	// door pickup.
 	buffer := s.cfg.TransferBufferSeconds
 	waitD, pickupD := engD.LegLimits()
 	cons2 := cons
-	wait2 := cons.WaitSeconds
-	if wait2 <= 0 {
-		wait2 = waitD
-	}
-	cons2.WaitSeconds = wait2 + buffer
-	pickup2 := cons.MaxPickupSeconds
-	if pickup2 <= 0 {
-		pickup2 = pickupD
-	}
-	cons2.MaxPickupSeconds = pickup2 + buffer
+	cons2.WaitSeconds = cmp.Or(max(cons.WaitSeconds, 0), waitD) + buffer
+	cons2.MaxPickupSeconds = cmp.Or(max(cons.MaxPickupSeconds, 0), pickupD) + buffer
 
 	k := len(gws)
-	leg1 := make([]*core.RequestRecord, k)
-	leg2 := make([]*core.RequestRecord, k)
+	leg1 := make([]*core.ServiceRecord, k)
+	leg2 := make([]*core.ServiceRecord, k)
 	errs1 := make([]error, k)
 	errs2 := make([]error, k)
-	var wg sync.WaitGroup
-	for gi := range gws {
-		wg.Add(2)
-		go func(gi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			leg1[gi], errs1[gi] = engO.SubmitIdem(o, gws[gi].From, riders, cons, "")
-			s.cfg.LegQuoteHist.ObserveSince(t0)
-		}(gi)
-		go func(gi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			leg2[gi], errs2[gi] = engD.SubmitIdem(gws[gi].To, d, riders, cons2, "")
-			s.cfg.LegQuoteHist.ObserveSince(t0)
-		}(gi)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for gi, g := range gws {
+			leg2[gi], errs2[gi] = s.quoteLeg(engD, g.To, d, riders, cons2)
+		}
+	}()
+	for gi, g := range gws {
+		leg1[gi], errs1[gi] = s.quoteLeg(engO, o, g.From, riders, cons)
 	}
-	wg.Wait()
+	<-done
 
-	tr := &trip{
-		id: TripID(s.nextID.Add(1)),
-		oc: oc, dc: dc, o: o, d: d, riders: riders,
-		state:  StateQuoted,
-		chosen: -1,
-		intent: -1,
-	}
+	tr := newTrip(s.led.newID(), oc, dc, o, d, riders)
 	var firstErr error
 	for gi := range gws {
 		if errs1[gi] != nil || errs2[gi] != nil {
@@ -426,35 +310,38 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 			if errs2[gi] == nil {
 				_ = engD.Decline(leg2[gi].ID)
 			}
-			if firstErr == nil {
-				firstErr = errs1[gi]
-				if firstErr == nil {
-					firstErr = errs2[gi]
-				}
-			}
+			firstErr = cmp.Or(firstErr, errs1[gi], errs2[gi])
 			continue
 		}
-		tr.gateways = append(tr.gateways, gws[gi])
-		tr.leg1Recs = append(tr.leg1Recs, leg1[gi].ID)
-		tr.leg2Recs = append(tr.leg2Recs, leg2[gi].ID)
-		s.composeGateway(tr, len(tr.gateways)-1, leg1[gi], leg2[gi])
+		tr.Gateways = append(tr.Gateways, gws[gi])
+		tr.Leg1Recs = append(tr.Leg1Recs, leg1[gi].ID)
+		tr.Leg2Recs = append(tr.Leg2Recs, leg2[gi].ID)
+		s.composeGateway(tr, len(tr.Gateways)-1, leg1[gi], leg2[gi])
 	}
-	if len(tr.gateways) == 0 {
+	if len(tr.Gateways) == 0 {
 		return nil, fmt.Errorf("relay: no viable gateway %s → %s: %w",
 			s.cities[oc].Name, s.cities[dc].Name, firstErr)
 	}
-	tr.options = s.jointSkyline(tr.options)
+	tr.Options = s.jointSkyline(tr.Options)
 
-	// Journal the quote before it becomes visible; the replay rebuilds
-	// the trip from this record alone (the leg records themselves live
-	// in the city engines' own journals).
-	snap := tr.snapLocked()
-	if err := s.append(&relayRecord{Op: opQuote, Quote: &snap}); err != nil {
-		return nil, fmt.Errorf("relay: trip %d quote: %w", tr.id, err)
+	// The replay rebuilds the trip from its quote record alone (the leg
+	// records live in the city engines' own journals).
+	snap := tr.tripSnap
+	if err := s.transition(&relayRecord{Op: opQuote, Quote: &snap}, func(e *entry) error {
+		return s.led.quote(tr, e)
+	}); err != nil {
+		s.declineLegsLocked(tr, -1)
+		return nil, fmt.Errorf("relay: trip %d quote: %w", tr.ID, err)
 	}
-
-	s.markQuoted(tr)
 	return s.record(tr), nil
+}
+
+// quoteLeg quotes one leg on its city's engine.
+func (s *Scheduler) quoteLeg(eng LegEngine, from, to roadnet.VertexID, riders int, cons core.Constraints) (*core.ServiceRecord, error) {
+	t0 := time.Now()
+	rec, err := eng.SubmitRequest(core.SubmitSpec{S: from, D: to, Riders: riders, Constraints: cons})
+	s.cfg.LegQuoteHist.ObserveSince(t0)
+	return rec, err
 }
 
 // composeGateway appends every (leg-1 option × leg-2 option) pair of
@@ -462,8 +349,8 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 // the rider reaches the gateway after leg 1's pickup plus its
 // service-bounded ride, waits out the transfer buffer, and boards no
 // earlier than the leg-2 vehicle's own planned pickup.
-func (s *Scheduler) composeGateway(tr *trip, gi int, rec1, rec2 *core.RequestRecord) {
-	engO, engD := s.cities[tr.oc].Engine, s.cities[tr.dc].Engine
+func (s *Scheduler) composeGateway(tr *trip, gi int, rec1, rec2 *core.ServiceRecord) {
+	engO, engD := s.cities[tr.OC].Engine, s.cities[tr.DC].Engine
 	speed1, speed2 := engO.Speed(), engD.Speed()
 	ride1 := (1 + rec1.Sigma) * rec1.SD / speed1
 	ride2 := (1 + rec2.Sigma) * rec2.SD / speed2
@@ -472,12 +359,8 @@ func (s *Scheduler) composeGateway(tr *trip, gi int, rec1, rec2 *core.RequestRec
 		riderAtGateway := pickup1 + ride1 + s.cfg.TransferBufferSeconds
 		for i2, o2 := range rec2.Options {
 			boarding := math.Max(riderAtGateway, o2.PickupDist/speed2)
-			tr.options = append(tr.options, Option{
-				Gateway:       gi,
-				Leg1Index:     i1,
-				Leg2Index:     i2,
-				Leg1:          o1,
-				Leg2:          o2,
+			tr.Options = append(tr.Options, Option{
+				Gateway: gi, Leg1Index: i1, Leg2Index: i2, Leg1: o1, Leg2: o2,
 				Fare:          o1.Price + o2.Price,
 				PickupSeconds: pickup1,
 				ETASeconds:    boarding + ride2,
@@ -507,13 +390,9 @@ func (s *Scheduler) jointSkyline(raw []Option) []Option {
 
 // trip looks a live trip up.
 func (s *Scheduler) trip(id TripID) (*trip, error) {
-	s.mu.Lock()
-	tr, ok := s.trips[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("relay: unknown trip %d: %w", id, core.ErrNotFound)
-	}
-	return tr, nil
+	s.led.mu.Lock()
+	defer s.led.mu.Unlock()
+	return s.led.get(id)
 }
 
 // Choose commits option optionIndex of a quoted relay trip with the
@@ -528,20 +407,12 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if tr.state != StateQuoted {
-		if tr.chosen >= 0 {
-			// Both legs are already booked — the relay flavour of the
-			// engine's double-commit, typed the same way.
-			return fmt.Errorf("relay: trip %d is %v, not quoted: %w", id, tr.state, core.ErrAlreadyChosen)
-		}
-		return fmt.Errorf("relay: trip %d is %v, not quoted", id, tr.state)
+	if err := tr.choosable(optionIndex); err != nil {
+		return err
 	}
-	if optionIndex < 0 || optionIndex >= len(tr.options) {
-		return fmt.Errorf("relay: option index %d outside [0,%d)", optionIndex, len(tr.options))
-	}
-	opt := tr.options[optionIndex]
-	engO, engD := s.cities[tr.oc].Engine, s.cities[tr.dc].Engine
-	leg1ID, leg2ID := tr.leg1Recs[opt.Gateway], tr.leg2Recs[opt.Gateway]
+	opt := tr.Options[optionIndex]
+	engO, engD := s.cities[tr.OC].Engine, s.cities[tr.DC].Engine
+	leg1ID, leg2ID := tr.Leg1Recs[opt.Gateway], tr.Leg2Recs[opt.Gateway]
 
 	// Probe: both records must still be live quotes. The engines
 	// re-validate under their vehicle locks at commit; this pre-check
@@ -551,13 +422,13 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 		id  core.RequestID
 		idx int
 	}{{engO, leg1ID, opt.Leg1Index}, {engD, leg2ID, opt.Leg2Index}} {
-		rec, err := probe.eng.Request(probe.id)
+		rec, err := probe.eng.GetRequest(probe.id)
 		if err != nil {
-			s.abortJournaled(tr)
+			s.abortLocked(tr)
 			return fmt.Errorf("relay: trip %d probe: %w", id, err)
 		}
 		if rec.Status != core.StatusQuoted || probe.idx >= len(rec.Options) {
-			s.abortJournaled(tr)
+			s.abortLocked(tr)
 			return fmt.Errorf("relay: trip %d probe: leg record %d is %v", id, probe.id, rec.Status)
 		}
 	}
@@ -565,22 +436,22 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 	// Open the two-phase window durably: recovery treats an intent
 	// without a matching done record as a crashed commit and releases
 	// whatever leg reservations reached the engines' journals.
-	markIntent(tr, optionIndex)
-	if err := s.append(&relayRecord{Op: opIntent, ID: tr.id, Opt: optionIndex}); err != nil {
-		markIntent(tr, -1)
+	if err := s.transition(&relayRecord{Op: opIntent, ID: tr.ID, Opt: optionIndex}, func(e *entry) error {
+		return s.led.intent(tr, optionIndex, e)
+	}); err != nil {
 		s.abortLocked(tr)
 		return fmt.Errorf("relay: trip %d intent: %w", id, err)
 	}
 
 	// Phase 1: book leg 1. An unavailable engine is ambiguous — the
 	// commit may have journaled on a shard that died before answering
-	// — so the intent stays open and compensation is deferred until
-	// the shard is back (or recovery re-runs the scan).
+	// — so the trip parks with its window open until the shard is back
+	// (or recovery re-runs the scan).
 	if err := s.commitLeg(1, engO, leg1ID, opt.Leg1Index); err != nil {
 		if errors.Is(err, core.ErrUnavailable) {
-			s.deferCompensationLocked(tr)
+			s.parkLocked(tr)
 		} else {
-			s.abortJournaled(tr)
+			s.abortLocked(tr)
 		}
 		return fmt.Errorf("relay: trip %d leg 1: %w", id, err)
 	}
@@ -588,17 +459,15 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 	if err := s.commitLeg(2, engD, leg2ID, opt.Leg2Index); err != nil {
 		if errors.Is(err, core.ErrUnavailable) {
 			// Leg 2 may or may not have booked on the dead shard; leg 1
-			// definitely did. Defer: the drain releases both once the
-			// shard answers again.
-			s.deferCompensationLocked(tr)
+			// definitely did. The drain releases both.
+			s.parkLocked(tr)
 			return fmt.Errorf("relay: trip %d leg 2: %w", id, err)
 		}
 		if cerr := engO.CancelAssigned(leg1ID); cerr != nil {
 			if errors.Is(cerr, core.ErrUnavailable) {
 				// The origin engine vanished between commit and release;
-				// its journaled reservation is exactly what the deferred
-				// drain (or recovery's intent scan) compensates.
-				s.deferCompensationLocked(tr)
+				// the drain (or recovery's intent scan) compensates it.
+				s.parkLocked(tr)
 				return fmt.Errorf("relay: trip %d leg 2: %w (leg-1 release deferred: %v)", id, err, cerr)
 			}
 			// The rider was already picked up by a racing tick: leg 1
@@ -607,130 +476,95 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 			// worth surfacing with the abort.
 			err = fmt.Errorf("%w (leg-1 release: %v)", err, cerr)
 		}
-		s.abortJournaled(tr)
+		s.abortLocked(tr)
 		return fmt.Errorf("relay: trip %d leg 2: %w", id, err)
 	}
 
-	s.markDone(tr)
-	// The unused gateways' quotes are dead weight now; decline them.
+	// Close the window. If the done record fails the legs stay booked
+	// here but recovery compensates them — the caller must learn that
+	// the commit is not durable.
+	err = s.transition(&relayRecord{Op: opDone, ID: tr.ID}, func(e *entry) error { return s.led.book(tr, e) })
 	s.declineLegsLocked(tr, opt.Gateway)
-	// Close the window. If this append fails the legs stay booked in
-	// this process but recovery will compensate them — the error must
-	// surface so the caller knows the commit is not durable.
-	if err := s.append(&relayRecord{Op: opDone, ID: tr.id}); err != nil {
+	if err != nil {
 		return fmt.Errorf("relay: trip %d committed, journal failed: %w", id, err)
 	}
 	return nil
 }
 
-// abortJournaled aborts a trip and journals the abort (best effort —
-// a dead journal re-aborts the trip at recovery instead). Caller holds
-// tr.mu.
-func (s *Scheduler) abortJournaled(tr *trip) {
-	markIntent(tr, -1)
-	s.abortLocked(tr)
-	_ = s.append(&relayRecord{Op: opAbort, ID: tr.id})
+// abortLocked ends a trip whose two-phase commit failed: every
+// still-quoted leg record is declined and the trip aborted with its
+// window closed (journaled best effort — a dead journal re-aborts the
+// trip at recovery instead). Caller holds tr.mu.
+func (s *Scheduler) abortLocked(tr *trip) {
+	s.declineLegsLocked(tr, -1)
+	_ = s.transition(&relayRecord{Op: opAbort, ID: tr.ID}, func(e *entry) error { return s.led.abort(tr, e) })
 }
 
-// deferCompensationLocked parks a trip whose two-phase commit ran into
-// an unavailable engine: the journaled intent stays open (no abort
-// record — recovery must still see the window), the unused gateways'
-// quotes are dropped, the trip is surfaced as aborted, and the drain
-// retries the release of the intent gateway's legs every Advance.
-// Caller holds tr.mu.
-func (s *Scheduler) deferCompensationLocked(tr *trip) {
-	s.declineLegsLocked(tr, tr.options[tr.intent].Gateway)
-	s.markAborted(tr)
-	s.mu.Lock()
-	s.pending = append(s.pending, tr)
-	s.mu.Unlock()
+// parkLocked parks a trip whose two-phase commit ran into an
+// unavailable engine: the unused gateways' quotes are declined, the
+// trip reads aborted, and its journaled intent stays open (recovery
+// must still see the window) while the drain retries the release of
+// the intent gateway's legs every Advance. Caller holds tr.mu.
+func (s *Scheduler) parkLocked(tr *trip) {
+	s.declineLegsLocked(tr, tr.Options[tr.Intent].Gateway)
+	_ = s.transition(nil, func(*entry) error { return s.led.park(tr) })
 }
 
-// compensateTripLocked releases whatever the intent gateway's legs
-// still hold on their engines: an assigned leg is cancelled, a
-// still-quoted one declined, an unknown one ignored (its commit never
-// reached that engine's journal). Idempotent — re-running it against
-// the same state is a no-op. It reports false when an engine is
-// unavailable (retry later, intent stays open) and clears the intent
-// on success. Caller holds tr.mu; err carries a non-transport
-// cancellation failure (recovery surfaces it, the drain tolerates it
-// as "picked up by a racing tick"). Caller must not hold s.mu.
-func (s *Scheduler) compensateTripLocked(tr *trip) (done bool, err error) {
-	opt := tr.options[tr.intent]
+// releaseLocked compensates a parked trip — whatever the intent
+// gateway's legs still hold on their engines is released: an assigned
+// leg cancelled, a still-quoted one declined, an unknown one ignored
+// (its commit never reached that engine's journal) — and then closes
+// its window with the abort record. Idempotent; an unavailable engine
+// leaves the trip parked. The error is a non-transport cancellation
+// failure or the record's append failure: recovery surfaces it, the
+// drain tolerates it (a cancel refused because a racing tick picked
+// the rider up leaks nothing). Caller holds tr.mu.
+func (s *Scheduler) releaseLocked(tr *trip) (err error) {
+	if !tr.parked() {
+		return nil // a concurrent drain released it first
+	}
+	opt := tr.Options[tr.Intent]
 	for _, leg := range []struct {
 		eng LegEngine
 		id  core.RequestID
 	}{
-		{s.cities[tr.oc].Engine, tr.leg1Recs[opt.Gateway]},
-		{s.cities[tr.dc].Engine, tr.leg2Recs[opt.Gateway]},
+		{s.cities[tr.OC].Engine, tr.Leg1Recs[opt.Gateway]},
+		{s.cities[tr.DC].Engine, tr.Leg2Recs[opt.Gateway]},
 	} {
-		rec, rerr := leg.eng.Request(leg.id)
+		rec, rerr := leg.eng.GetRequest(leg.id)
 		if rerr != nil {
 			if errors.Is(rerr, core.ErrUnavailable) {
-				return false, err
+				return nil
 			}
 			continue // commit never reached that engine's journal
 		}
 		switch rec.Status {
 		case core.StatusAssigned:
-			if cerr := leg.eng.CancelAssigned(leg.id); cerr != nil {
-				if errors.Is(cerr, core.ErrUnavailable) {
-					return false, err
-				}
-				if err == nil {
-					err = fmt.Errorf("relay: compensate trip %d leg %d: %w", tr.id, leg.id, cerr)
-				}
+			cerr := leg.eng.CancelAssigned(leg.id)
+			if errors.Is(cerr, core.ErrUnavailable) {
+				return nil
+			}
+			if cerr != nil && err == nil {
+				err = fmt.Errorf("relay: compensate trip %d leg %d: %w", tr.ID, leg.id, cerr)
 			}
 		case core.StatusQuoted:
 			_ = leg.eng.Decline(leg.id)
 		}
 	}
-	markIntent(tr, -1)
-	return true, err
-}
-
-// drainPending retries the deferred compensations. Each resolved trip
-// closes its two-phase window with the abort record; unresolved ones
-// stay queued for the next tick.
-func (s *Scheduler) drainPending() {
-	s.mu.Lock()
-	pend := s.pending
-	s.pending = nil
-	s.mu.Unlock()
-	if len(pend) == 0 {
-		return
+	if jerr := s.transition(&relayRecord{Op: opAbort, ID: tr.ID}, func(e *entry) error {
+		return s.led.closeWindow(tr, e)
+	}); err == nil {
+		err = jerr
 	}
-	var still []*trip
-	for _, tr := range pend {
-		tr.mu.Lock()
-		done, _ := s.compensateTripLocked(tr)
-		tr.mu.Unlock()
-		if done {
-			_ = s.append(&relayRecord{Op: opAbort, ID: tr.id})
-		} else {
-			still = append(still, tr)
-		}
-	}
-	if len(still) > 0 {
-		s.mu.Lock()
-		s.pending = append(s.pending, still...)
-		s.mu.Unlock()
-	}
+	return err
 }
 
 // PendingCompensations reports how many trips still await a deferred
 // leg release (0 in steady state; tests and operators poll it).
 func (s *Scheduler) PendingCompensations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
-
-// committedLegsLocked returns the committed legs' record ids. Caller
-// holds tr.mu; tr.chosen must be ≥ 0.
-func (tr *trip) committedLegsLocked() (leg1, leg2 core.RequestID) {
-	gw := tr.options[tr.chosen].Gateway
-	return tr.leg1Recs[gw], tr.leg2Recs[gw]
+	s.led.mu.Lock()
+	defer s.led.mu.Unlock()
+	return len(s.led.pending)
 }
 
 // Decline records that the rider took none of the joint options; every
@@ -742,85 +576,28 @@ func (s *Scheduler) Decline(id TripID) error {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if tr.state != StateQuoted {
-		return fmt.Errorf("relay: trip %d is %v, not quoted", id, tr.state)
+	if err := tr.quoted(); err != nil {
+		return err
 	}
-	if err := s.append(&relayRecord{Op: opDecline, ID: tr.id}); err != nil {
+	if err := s.transition(&relayRecord{Op: opDecline, ID: tr.ID}, func(e *entry) error {
+		return s.led.decline(tr, e)
+	}); err != nil {
 		return fmt.Errorf("relay: trip %d decline: %w", id, err)
 	}
 	s.declineLegsLocked(tr, -1)
-	s.markDeclined(tr)
 	return nil
 }
 
 // declineLegsLocked declines every still-quoted leg record except the
 // keep gateway's (-1 keeps none). Caller holds tr.mu.
 func (s *Scheduler) declineLegsLocked(tr *trip, keep int) {
-	engO, engD := s.cities[tr.oc].Engine, s.cities[tr.dc].Engine
-	for gi := range tr.gateways {
-		if gi == keep {
-			continue
+	engO, engD := s.cities[tr.OC].Engine, s.cities[tr.DC].Engine
+	for gi := range tr.Gateways {
+		if gi != keep {
+			_ = engO.Decline(tr.Leg1Recs[gi])
+			_ = engD.Decline(tr.Leg2Recs[gi])
 		}
-		_ = engO.Decline(tr.leg1Recs[gi])
-		_ = engD.Decline(tr.leg2Recs[gi])
 	}
-}
-
-// abortLocked ends a trip whose two-phase commit failed: every
-// still-quoted leg record is declined and the trip marked aborted.
-// Caller holds tr.mu.
-func (s *Scheduler) abortLocked(tr *trip) {
-	s.declineLegsLocked(tr, -1)
-	s.markAborted(tr)
-}
-
-// The mark functions are the trip ledger's transitions, one per journal
-// op and state-only: the live paths above run them next to their remote
-// side effects (leg commits, declineLegsLocked), and replayRecord runs
-// them alone. Together with advanceLocked's forward walk they are the
-// only writers of a trip's state, chosen and intent and of the
-// counters. Callers hold tr.mu (recovery runs single-threaded).
-
-// markQuoted registers a freshly quoted trip.
-func (s *Scheduler) markQuoted(tr *trip) {
-	s.mu.Lock()
-	s.trips[tr.id] = tr
-	s.mu.Unlock()
-	s.quoted.Add(1)
-	s.legQuotes.Add(int64(2 * len(tr.gateways)))
-}
-
-// markIntent opens the two-phase window on option opt, or closes it
-// with -1.
-func markIntent(tr *trip, opt int) { tr.intent = opt }
-
-// markDone books the intended option: both legs committed.
-func (s *Scheduler) markDone(tr *trip) {
-	tr.state = StateLeg1Committed
-	tr.chosen = tr.intent
-	tr.intent = -1
-	s.committed.Add(1)
-	s.mu.Lock()
-	s.active[tr.id] = tr
-	s.mu.Unlock()
-}
-
-func (s *Scheduler) markDeclined(tr *trip) {
-	tr.state = StateDeclined
-	s.declined.Add(1)
-}
-
-// markAborted surfaces the trip as aborted, counting it once: a parked
-// trip is aborted when it parks and again when its window closes (the
-// drain's abort record, replayed over a snapshot taken while parked,
-// or recovery's compensation). The intent is left as it is: a deferred
-// compensation keeps the window open until the legs are released.
-func (s *Scheduler) markAborted(tr *trip) {
-	if tr.state == StateAborted {
-		return
-	}
-	tr.state = StateAborted
-	s.aborted.Add(1)
 }
 
 // Trip returns a snapshot of a relay trip as its Service record.
@@ -843,33 +620,33 @@ func (s *Scheduler) Trip(id TripID) (*core.ServiceRecord, error) {
 func (s *Scheduler) record(tr *trip) *core.ServiceRecord {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	origin := s.cities[tr.oc]
+	origin := s.cities[tr.OC]
 	speed := origin.Engine.Speed()
-	id := tr.id.RequestID()
+	id := tr.ID.RequestID()
 	rec := &core.ServiceRecord{
 		RequestRecord: core.RequestRecord{
-			ID: id, S: tr.o, D: tr.d, Riders: tr.riders,
-			Status:  tr.state.requestStatus(),
-			Options: make([]core.Option, len(tr.options)),
-			Chosen:  tr.chosen,
+			ID: id, S: tr.O, D: tr.D, Riders: tr.Riders,
+			Status:  tr.State.requestStatus(),
+			Options: make([]core.Option, len(tr.Options)),
+			Chosen:  tr.Chosen,
 		},
 		City:  origin.Name,
 		Speed: speed,
 		Relay: &core.RelayView{
 			RequestID:             int64(id),
 			Origin:                origin.Name,
-			Dest:                  s.cities[tr.dc].Name,
-			State:                 tr.state.String(),
+			Dest:                  s.cities[tr.DC].Name,
+			State:                 tr.State.String(),
 			TransferBufferSeconds: s.cfg.TransferBufferSeconds,
-			Gateways:              make([]core.RelayGatewayView, len(tr.gateways)),
-			Options:               make([]core.RelayOptionView, len(tr.options)),
-			Chosen:                tr.chosen,
+			Gateways:              make([]core.RelayGatewayView, len(tr.Gateways)),
+			Options:               make([]core.RelayOptionView, len(tr.Options)),
+			Chosen:                tr.Chosen,
 		},
 	}
-	for i, g := range tr.gateways {
+	for i, g := range tr.Gateways {
 		rec.Relay.Gateways[i] = core.RelayGatewayView{From: g.From, To: g.To, GapMeters: g.GapMeters}
 	}
-	for i, o := range tr.options {
+	for i, o := range tr.Options {
 		rec.Options[i] = core.Option{Vehicle: o.Leg1.Vehicle, PickupDist: o.ETASeconds * speed, Price: o.Fare}
 		rec.Relay.Options[i] = core.RelayOptionView{
 			Index: i, Gateway: o.Gateway, Fare: o.Fare,
@@ -878,60 +655,52 @@ func (s *Scheduler) record(tr *trip) *core.ServiceRecord {
 			PickupSeconds: o.PickupSeconds, ETASeconds: o.ETASeconds,
 		}
 	}
-	if tr.chosen >= 0 {
-		leg1, leg2 := tr.committedLegsLocked()
+	if tr.Chosen >= 0 {
+		leg1, leg2 := tr.committedLegs()
 		rec.Relay.Leg1, rec.Relay.Leg2 = int64(leg1), int64(leg2)
-		rec.Vehicle, rec.Price = rec.Options[tr.chosen].Vehicle, rec.Options[tr.chosen].Price
+		rec.Vehicle, rec.Price = rec.Options[tr.Chosen].Vehicle, rec.Options[tr.Chosen].Price
 	}
 	return rec
 }
 
 // Advance moves every committed trip's state machine forward by
-// observing its leg records — called once per coordinator tick, after the
-// per-city movement phases. Completed and failed trips leave the
-// active set; a trip one leg's vehicle failure orphaned compensates
-// the surviving leg's reservation so nothing stays half-booked.
+// observing its leg records — called once per coordinator tick, after
+// the per-city movement phases, once the parked trips' releases were
+// retried. A trip one leg's vehicle failure orphaned compensates the
+// surviving leg's reservation so nothing stays half-booked.
 func (s *Scheduler) Advance() {
-	s.drainPending()
-	s.mu.Lock()
-	worklist := make([]*trip, 0, len(s.active))
-	for _, tr := range s.active {
-		worklist = append(worklist, tr)
+	s.led.mu.Lock()
+	parked, worklist := slices.Clone(s.led.pending), slices.Collect(maps.Values(s.led.active))
+	s.led.mu.Unlock()
+	for _, tr := range parked {
+		tr.mu.Lock()
+		_ = s.releaseLocked(tr)
+		tr.mu.Unlock()
 	}
-	s.mu.Unlock()
-
 	for _, tr := range worklist {
 		tr.mu.Lock()
 		s.advanceLocked(tr)
-		done := tr.state.terminal()
-		id := tr.id
 		tr.mu.Unlock()
-		if done {
-			s.mu.Lock()
-			delete(s.active, id)
-			s.mu.Unlock()
-		}
 	}
 }
 
 // advanceLocked recomputes a committed trip's stage from its leg
 // records' lifecycle states. Caller holds tr.mu.
 func (s *Scheduler) advanceLocked(tr *trip) {
-	if tr.state.terminal() || tr.state == StateQuoted {
-		return
+	if tr.Chosen < 0 || tr.State.terminal() {
+		return // a concurrent Advance finished it
 	}
-	engO, engD := s.cities[tr.oc].Engine, s.cities[tr.dc].Engine
-	leg1ID, leg2ID := tr.committedLegsLocked()
-	rec1, err1 := engO.Request(leg1ID)
-	rec2, err2 := engD.Request(leg2ID)
+	engO, engD := s.cities[tr.OC].Engine, s.cities[tr.DC].Engine
+	leg1ID, leg2ID := tr.committedLegs()
+	rec1, err1 := engO.GetRequest(leg1ID)
+	rec2, err2 := engD.GetRequest(leg2ID)
 	if err1 != nil || err2 != nil {
 		return // engine restarted under us; leave the trip as is
 	}
 	if rec1.Status == core.StatusDeclined || rec2.Status == core.StatusDeclined {
 		// A committed leg was orphaned (vehicle failure). Compensate
-		// the surviving leg so the relay leaks nothing, then fail. An
-		// unavailable engine keeps the trip active — the next tick
-		// retries the release.
+		// the surviving leg, then fail; an unavailable engine keeps the
+		// trip active for the next tick's retry.
 		if rec1.Status == core.StatusAssigned {
 			if err := engO.CancelAssigned(rec1.ID); errors.Is(err, core.ErrUnavailable) {
 				return
@@ -942,11 +711,10 @@ func (s *Scheduler) advanceLocked(tr *trip) {
 				return
 			}
 		}
-		tr.state = StateFailed
-		s.failed.Add(1)
+		_ = s.transition(nil, func(*entry) error { return s.led.fail(tr) })
 		return
 	}
-	next := tr.state
+	next := tr.State
 	switch {
 	case rec1.Status == core.StatusCompleted && rec2.Status == core.StatusCompleted:
 		next = StateCompleted
@@ -959,27 +727,14 @@ func (s *Scheduler) advanceLocked(tr *trip) {
 	case rec1.Status == core.StatusCompleted:
 		next = StateInTransfer
 	}
-	if next > tr.state {
-		tr.state = next
-		if next == StateCompleted {
-			s.completed.Add(1)
-		}
+	if next > tr.State {
+		_ = s.transition(nil, func(*entry) error { return s.led.progress(tr, next) })
 	}
 }
 
 // Stats snapshots the scheduler's counters.
 func (s *Scheduler) Stats() Stats {
-	s.mu.Lock()
-	active := int64(len(s.active))
-	s.mu.Unlock()
-	return Stats{
-		Quoted:    s.quoted.Load(),
-		LegQuotes: s.legQuotes.Load(),
-		Committed: s.committed.Load(),
-		Aborted:   s.aborted.Load(),
-		Declined:  s.declined.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
-		Active:    active,
-	}
+	s.led.mu.Lock()
+	defer s.led.mu.Unlock()
+	return s.led.stats()
 }

@@ -186,11 +186,11 @@ func TestChooseCommitsBothLegsAtomically(t *testing.T) {
 	if after.Vehicle != after.Options[0].Vehicle || after.Price != after.Options[0].Price {
 		t.Fatalf("committed record vehicle/price %d/%v, want option 0's", after.Vehicle, after.Price)
 	}
-	rec1, err := cities[0].Engine.Request(core.RequestID(after.Relay.Leg1))
+	rec1, err := cities[0].Engine.GetRequest(core.RequestID(after.Relay.Leg1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, err := cities[1].Engine.Request(core.RequestID(after.Relay.Leg2))
+	rec2, err := cities[1].Engine.GetRequest(core.RequestID(after.Relay.Leg2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestChooseLeg2FailureReleasesLeg1(t *testing.T) {
 
 	// Leg 1's record ended declined, and the quoted vehicle carries no
 	// pending request for it — the reservation was released.
-	rec1, err := cities[0].Engine.Request(leg1ID)
+	rec1, err := cities[0].Engine.GetRequest(leg1ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +284,12 @@ func legRecord(t *testing.T, eng relay.LegEngine, s, d roadnet.VertexID) *core.R
 	t.Helper()
 	var found *core.RequestRecord
 	for id := core.RequestID(1); ; id++ {
-		rec, err := eng.Request(id)
+		rec, err := eng.GetRequest(id)
 		if err != nil {
 			break
 		}
 		if rec.S == s && rec.D == d {
-			found = rec
+			found = &rec.RequestRecord
 		}
 	}
 	if found == nil {

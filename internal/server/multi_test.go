@@ -345,6 +345,15 @@ func TestMultiRelayRequestChooseAndStatus(t *testing.T) {
 	if st.State != "leg1-committed" || st.Leg1 == 0 || st.Leg2 == 0 {
 		t.Fatalf("relay trip status = %+v", st)
 	}
+	// The itinerary has one address: the query form is not a route.
+	q, err := http.Get(fmt.Sprintf("%s/v1/relay?id=%d", ts.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Body.Close()
+	if q.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/relay?id=%d = %d, want 404", id, q.StatusCode)
+	}
 
 	// The stats panel carries the relay section.
 	var stats map[string]json.RawMessage

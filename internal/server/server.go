@@ -133,7 +133,6 @@ func NewServiceWithOptions(svc core.Service, opts Options) *Server {
 	s.mux.HandleFunc("/v1/vehicles", s.handleVehiclesV1)
 	s.mux.HandleFunc("/v1/vehicles/{id}", s.handleVehicleByID)
 	s.mux.HandleFunc("/v1/cities", s.handleCities)
-	s.mux.HandleFunc("/v1/relay", s.handleRelayQuery)
 	s.mux.HandleFunc("/v1/relay/{id}", s.handleRelayByID)
 	s.mux.HandleFunc("/v1/ticks", s.handleTicks)
 	s.mux.HandleFunc("/v1/stats", s.handleStatsV1)
@@ -697,22 +696,8 @@ func (s *Server) handleCities(w http.ResponseWriter, r *http.Request) {
 	writeJSONCached(w, r, s.svc.Cities())
 }
 
-// relayResponse answers a relay itinerary lookup; positive ids are
-// accepted as shorthand for their negation (the router's relay
-// namespace).
-func (s *Server) relayResponse(w http.ResponseWriter, id core.RequestID) {
-	if id > 0 {
-		id = -id
-	}
-	rv, err := s.svc.RelayItinerary(id)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rv)
-}
-
-// handleRelayByID serves GET /v1/relay/{id}.
+// handleRelayByID serves GET /v1/relay/{id}; positive ids are accepted
+// as shorthand for their negation (the router's relay namespace).
 func (s *Server) handleRelayByID(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
@@ -722,20 +707,15 @@ func (s *Server) handleRelayByID(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
 	}
-	s.relayResponse(w, id)
-}
-
-// handleRelayQuery serves GET /v1/relay?id=.
-func (s *Server) handleRelayQuery(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
+	if id > 0 {
+		id = -id
 	}
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
+	rv, err := s.svc.RelayItinerary(id)
 	if err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", "bad id")
+		writeErr(w, err)
 		return
 	}
-	s.relayResponse(w, core.RequestID(id))
+	writeJSON(w, http.StatusOK, rv)
 }
 
 // handleTicks serves POST /v1/ticks: simulated time

@@ -50,10 +50,9 @@ func goldenConfig(seed int64) core.Config {
 	}
 }
 
-// goldenRelay quotes one gateway per city pair: with more, concurrent
-// leg quotes in one city race for its request ids and the bodies stop
-// being reproducible.
-var goldenRelay = relay.Config{MaxGateways: 1, TransferBufferSeconds: 120}
+// goldenRelay runs at the default gateway count: each city quotes its
+// legs in gateway order, so leg ids — and the bodies — are reproducible.
+var goldenRelay = relay.Config{TransferBufferSeconds: 120}
 
 // goldenBackends are the conformance backends rebuilt under the golden
 // configuration.

@@ -11,9 +11,10 @@
 // a choose record carries the committed vehicle/price/pickup anchor (so
 // replay re-commits without re-running the probe), and a tick record
 // carries only (dt, event count, digest) — replay re-runs the fleet
-// step, which is deterministic because roaming draws come from counted
-// per-vehicle RNG streams (see fleet.CountedSource) and the sharded
-// step merges events canonically. The digest cross-checks determinism;
+// step, which is deterministic because roaming draws come from
+// per-vehicle counter-based streams whose position the fleet snapshot
+// records (see fleet/restore.go) and the sharded step merges events
+// canonically. The digest cross-checks determinism;
 // a mismatch increments DurabilityStats.ReplayDivergence.
 //
 // All appends happen under the ledger's mutex, before the transition
@@ -38,6 +39,13 @@
 //   - A Choose landing mid-Tick is linearised at its ledger append,
 //     which can differ from the instant the vehicle lock was taken;
 //     sequential drivers (and the crash harness) are exact.
+//   - The roaming stream changed once, from a math/rand source per
+//     vehicle to a counter-based draw; the journal and snapshot formats
+//     did not. A directory written by the old stream and closed
+//     gracefully ends in a snapshot and recovers exactly. A crashed
+//     one whose tail holds ticks re-runs them under the new stream, so
+//     empty vehicles roam differently and ReplayDivergence counts each
+//     tick whose digest no longer matches.
 package core
 
 import (
@@ -142,7 +150,7 @@ type surgeRec struct {
 // addvRec is a vehicle placement: the drawn locations plus the number
 // of raw placement-RNG state steps they consumed, so replay restores
 // the stream position without re-drawing (rejection sampling makes
-// call counts data-dependent; see fleet.CountedSource).
+// call counts data-dependent; see countedSource).
 type addvRec struct {
 	Locs  []roadnet.VertexID
 	Draws uint64

@@ -260,7 +260,7 @@ type Engine struct {
 
 	rngMu  sync.Mutex
 	rng    *rand.Rand
-	rngSrc *fleet.CountedSource // rng's source, counted for snapshots
+	rngSrc *countedSource // rng's source, counted for snapshots
 
 	// led is the request ledger; led.mu is the engine's coordination
 	// lock.
@@ -344,7 +344,7 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	rngSrc := fleet.NewCountedSource(cfg.Seed)
+	rngSrc := newCountedSource(cfg.Seed)
 	e := &Engine{
 		sub:       sub,
 		metric:    metric,

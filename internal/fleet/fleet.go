@@ -71,7 +71,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,15 +125,14 @@ type Vehicle struct {
 	// removed marks vehicles taken out of service.
 	removed bool
 
-	// rng drives this vehicle's empty roaming. It is seeded
+	// roam drives this vehicle's empty roaming. It is seeded
 	// deterministically from the fleet seed and the vehicle id, so the
 	// walk is a function of the vehicle's own step history alone —
 	// independent of the order (or shard) other vehicles step in.
-	// Guarded by mu like the rest of the movement state. src is the
-	// underlying counted source: snapshots record its stream position
-	// so a restored vehicle resumes the identical walk (see restore.go).
-	rng *rand.Rand
-	src *CountedSource
+	// Guarded by mu like the rest of the movement state; snapshots
+	// record its position so a restored vehicle resumes the identical
+	// walk (see restore.go).
+	roam roamStream
 
 	// pending is the registration the vehicle's last step computed,
 	// which Step places once every shard has finished unless one made in
@@ -202,20 +200,6 @@ func (v *Vehicle) ProbeState() (loc roadnet.VertexID, maxLegUpper float64, activ
 	return v.Tree.Root(), v.Tree.MaxLegUpper(), !v.removed
 }
 
-// Quote is the side-effect-free matching probe: it enumerates, under
-// the vehicle's lock, every valid schedule additionally serving req and
-// returns the non-dominated candidates. The schedule state is not
-// modified, so any number of vehicles can be probed concurrently.
-// Removed vehicles refuse all requests.
-func (v *Vehicle) Quote(req kinetic.Request) []kinetic.Candidate {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.removed {
-		return nil
-	}
-	return v.Tree.Quote(req)
-}
-
 // AppendProbeLocs appends the vehicle's root location followed by its
 // pending points' locations, in order, under the vehicle's lock —
 // the snapshot a matcher's probe flush feeds to its multi-target
@@ -241,15 +225,6 @@ func (v *Vehicle) QuotePacked(req kinetic.Request, dst []kinetic.PackedCandidate
 		return dst, ptsBuf
 	}
 	return v.Tree.QuotePacked(req, dst, ptsBuf, seed)
-}
-
-// MaxLegUpper returns an upper bound on the longest single leg across
-// the vehicle's valid schedules (see kinetic.Tree.MaxLegUpper), read
-// under the vehicle's lock.
-func (v *Vehicle) MaxLegUpper() float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.Tree.MaxLegUpper()
 }
 
 // View reports the vehicle's location and load in one consistent read
@@ -279,7 +254,7 @@ type Fleet struct {
 	maxPoints int
 	workers   int                    // Step's shard width (resolved, ≥ 1)
 	shardHist *telemetry.LatencyHist // per-shard Step wall times (nil = off)
-	seed      int64                  // base seed the per-vehicle roaming RNGs derive from
+	seed      int64                  // base seed the per-vehicle roaming streams derive from
 
 	mu       sync.RWMutex // guards vehicles, active and stepFault
 	vehicles []*Vehicle
@@ -320,7 +295,7 @@ type Config struct {
 	// point pair). Zero means 8.
 	MaxSchedulePoints int
 	// Seed drives the empty-vehicle random walk (each vehicle's roaming
-	// RNG is derived from Seed and the vehicle id).
+	// stream is derived from Seed and the vehicle id).
 	Seed int64
 	// Workers is Step's shard width: vehicles are partitioned into this
 	// many stable shards (vehicle id modulo width) whose movement steps
@@ -384,12 +359,10 @@ func (f *Fleet) AddVehicle(loc roadnet.VertexID) *Vehicle {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	id := VehicleID(len(f.vehicles))
-	src := NewCountedSource(vehicleSeed(f.seed, id))
 	v := &Vehicle{
 		ID:   id,
 		Tree: kinetic.New(f.metric, f.capacity, f.maxPoints, loc, 0),
-		rng:  rand.New(src),
-		src:  src,
+		roam: roamStream{seed: vehicleSeed(f.seed, id)},
 	}
 	f.lists.PlaceEmpty(v.ID, f.grid.CellOf(loc))
 	f.vehicles = append(f.vehicles, v)
@@ -1002,7 +975,7 @@ func (f *Fleet) driveTowardLocked(v *Vehicle, target roadnet.VertexID) error {
 
 // randomWalkStepLocked makes an empty vehicle enter a uniformly random
 // outgoing edge (the demo's roaming behaviour). It returns false at
-// dead-end vertices. The draw comes from the vehicle's own RNG stream,
+// dead-end vertices. The draw comes from the vehicle's own stream,
 // so the walk is identical whatever order (or shard) the fleet steps
 // vehicles in. The caller holds v.mu.
 func (f *Fleet) randomWalkStepLocked(v *Vehicle) bool {
@@ -1010,7 +983,7 @@ func (f *Fleet) randomWalkStepLocked(v *Vehicle) bool {
 	if len(out) == 0 {
 		return false
 	}
-	e := out[v.rng.Intn(len(out))]
+	e := out[v.roam.intn(len(out))]
 	f.enterEdgeLocked(v, e.To, e.Weight)
 	return true
 }

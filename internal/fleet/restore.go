@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
 
 	"ptrider/internal/kinetic"
 	"ptrider/internal/roadnet"
@@ -11,69 +11,50 @@ import (
 // This file is the durability surface of the fleet: exporting vehicle
 // state for snapshots and rebuilding an identical fleet on recovery.
 //
-// The subtle part is the roaming RNG. Go's rand.Rand derives bounded
-// draws (Intn) by rejection sampling, so the number of *calls* a walk
-// makes is not the number of *state steps* the underlying source takes
-// — replaying calls would desynchronise the stream. CountedSource
-// therefore counts at the rand.Source64 level, where every Int63 or
-// Uint64 is exactly one generator state step, and restore re-seeds the
-// source and burns that many raw steps. The wrapper is a pure
-// pass-through, so a wrapped source draws the identical sequence an
-// unwrapped one would — existing trajectories and goldens are
-// unaffected.
+// The subtle part is the roaming stream. A vehicle's draws come from a
+// counter-based generator whose whole state is (seed, n): draw n is a
+// pure function of the seed and n, so a snapshot records n (RandDraws,
+// the number of raw draws taken — rejected ones included) and restore
+// sets it back in O(1). Counting raw draws rather than intn calls
+// matters because intn rejects some draws, so call counts are not
+// stream positions.
 
-// CountedSource is a rand.Source64 that counts generator state steps,
-// so a snapshot can record the stream position and a restore can
-// fast-forward a freshly seeded source to it.
-type CountedSource struct {
-	src  rand.Source64
-	seed int64
-	n    uint64
+// roamStream is a vehicle's roaming generator: draw n is the SplitMix64
+// finaliser of seed + n·γ. Sixteen bytes per vehicle instead of a
+// math/rand source's 607-word table.
+type roamStream struct {
+	seed, n uint64
 }
 
-// NewCountedSource returns a counted source over the standard
-// generator seeded with seed.
-func NewCountedSource(seed int64) *CountedSource {
-	return &CountedSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
-}
+const golden = 0x9E3779B97F4A7C15 // γ, the 64-bit golden-ratio increment
 
-// Int63 implements rand.Source: one generator state step.
-func (s *CountedSource) Int63() int64 {
+// next returns the stream's next raw draw and advances it.
+func (s *roamStream) next() uint64 {
+	z := s.seed + s.n*golden
 	s.n++
-	return s.src.Int63()
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }
 
-// Uint64 implements rand.Source64: one generator state step.
-func (s *CountedSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-// Seed implements rand.Source, resetting the step count.
-func (s *CountedSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.seed = seed
-	s.n = 0
-}
-
-// Draws returns the number of state steps taken since seeding.
-func (s *CountedSource) Draws() uint64 { return s.n }
-
-// Burn advances the source by n raw state steps — the restore-side
-// inverse of Draws.
-func (s *CountedSource) Burn(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.src.Uint64()
+// intn returns a uniform draw in [0, k), k > 0, by Lemire's
+// multiply-shift with rejection; every raw draw advances n.
+func (s *roamStream) intn(k int) int {
+	hi, lo := bits.Mul64(s.next(), uint64(k))
+	if lo < uint64(k) {
+		for t := -uint64(k) % uint64(k); lo < t; {
+			hi, lo = bits.Mul64(s.next(), uint64(k))
+		}
 	}
-	s.n += n
+	return int(hi)
 }
 
 // vehicleSeed derives vehicle id's roaming seed from the fleet seed.
 // Golden-ratio mixing keeps neighbouring ids' streams apart; the
 // derivation is a pure function of (fleet seed, id) so a rebuilt fleet
 // roams identically.
-func vehicleSeed(fleetSeed int64, id VehicleID) int64 {
-	return int64(uint64(fleetSeed) ^ (uint64(id)+1)*0x9E3779B97F4A7C15)
+func vehicleSeed(fleetSeed int64, id VehicleID) uint64 {
+	return uint64(fleetSeed) ^ (uint64(id)+1)*golden
 }
 
 // VehicleState is the serialisable state of one vehicle: movement,
@@ -103,7 +84,7 @@ func (f *Fleet) SnapshotState() []VehicleState {
 			Odo:          v.Tree.Odometer(),
 			RemainToRoot: v.remainToRoot,
 			Removed:      v.removed,
-			RandDraws:    v.src.Draws(),
+			RandDraws:    v.roam.n,
 			Reqs:         v.Tree.SnapshotReqs(),
 		}
 		v.mu.Unlock()
@@ -115,8 +96,8 @@ func (f *Fleet) SnapshotState() []VehicleState {
 // fleet must be freshly constructed (no vehicles). States must be in
 // dense id order — the order SnapshotState produces — because vehicle
 // ids are slice indices. Roaming streams are re-seeded from the fleet
-// seed and fast-forwarded to their snapshot positions, so the restored
-// walk continues exactly where the crashed one left off.
+// seed and set to their snapshot positions, so the restored walk
+// continues exactly where the crashed one left off.
 func (f *Fleet) RestoreState(states []VehicleState) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -127,15 +108,12 @@ func (f *Fleet) RestoreState(states []VehicleState) error {
 		if st.ID != VehicleID(i) {
 			return fmt.Errorf("fleet: restore state %d has id %d (states must be dense and ordered)", i, st.ID)
 		}
-		src := NewCountedSource(vehicleSeed(f.seed, st.ID))
-		src.Burn(st.RandDraws)
 		v := &Vehicle{
 			ID:           st.ID,
 			Tree:         kinetic.Restore(f.metric, f.capacity, f.maxPoints, st.Loc, st.Odo, st.Reqs),
 			remainToRoot: st.RemainToRoot,
 			removed:      st.Removed,
-			src:          src,
-			rng:          rand.New(src),
+			roam:         roamStream{seed: vehicleSeed(f.seed, st.ID), n: st.RandDraws},
 		}
 		if !st.Removed {
 			f.active++

@@ -184,6 +184,16 @@ func (r *walReader) u64() uint64 {
 
 func (r *walReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// flag reads a bool byte; anything but 0 or 1 is malformed, since the
+// encoder writes only those two.
+func (r *walReader) flag() bool {
+	v := r.u8()
+	if v > 1 {
+		r.bad = true
+	}
+	return v == 1
+}
+
 func (r *walReader) str() string {
 	n := int(r.u32())
 	if r.bad || n < 0 || r.off+n > len(r.b) {
@@ -258,7 +268,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		c.Vehicle = fleet.VehicleID(r.u32())
 		c.Price = r.f64()
 		c.PlannedPickupOdo = r.f64()
-		c.Reprobed = r.u8() != 0
+		c.Reprobed = r.flag()
 
 	case tagDecline:
 		rec.Op, rec.ReqID = opDecline, RequestID(r.u64())

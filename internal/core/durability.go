@@ -44,7 +44,8 @@
 //     did not. A directory written by the old stream and closed
 //     gracefully ends in a snapshot and recovers exactly. A crashed
 //     one whose tail holds ticks re-runs them under the new stream, so
-//     empty vehicles roam differently and ReplayDivergence counts each
+//     empty vehicles roam differently, the recovered pickups and
+//     completions follow the new walk, and ReplayDivergence counts each
 //     tick whose digest no longer matches.
 package core
 

@@ -20,8 +20,8 @@ import (
 // stream positions.
 
 // roamStream is a vehicle's roaming generator: draw n is the SplitMix64
-// finaliser of seed + n·γ. Sixteen bytes per vehicle instead of a
-// math/rand source's 607-word table.
+// finaliser of seed + n·γ. It is sixteen bytes because every taxi
+// carries one; a math/rand source is a ~5 KB table.
 type roamStream struct {
 	seed, n uint64
 }

@@ -127,11 +127,18 @@ type RequestView struct {
 	City string `json:"city"`
 	// Status is "quoted", "assigned", "onboard", "completed" or
 	// "declined".
-	Status  string           `json:"status"`
-	S       roadnet.VertexID `json:"s"`
-	D       roadnet.VertexID `json:"d"`
-	Riders  int              `json:"riders"`
-	Options []OptionView     `json:"options"`
+	Status string           `json:"status"`
+	S      roadnet.VertexID `json:"s"`
+	D      roadnet.VertexID `json:"d"`
+	Riders int              `json:"riders"`
+	// DirectMeters is dist(s, d), the §2.4 distance term every price
+	// carries; Sigma is the service constraint σ the request was quoted
+	// under. A relay trip has neither (its legs do).
+	DirectMeters float64      `json:"direct_meters,omitempty"`
+	Sigma        float64      `json:"sigma,omitempty"`
+	Options      []OptionView `json:"options"`
+	// Chosen is the committed option's index, -1 before a commit.
+	Chosen int `json:"chosen"`
 	// Vehicle and Price are the committed option's (zero while quoted
 	// or declined).
 	Vehicle fleet.VehicleID `json:"vehicle,omitempty"`
@@ -147,7 +154,9 @@ func (r *ServiceRecord) View() RequestView {
 	v := RequestView{
 		ID: int64(r.ID), City: r.City, Status: r.Status.String(),
 		S: r.S, D: r.D, Riders: r.Riders,
+		DirectMeters: r.SD, Sigma: r.Sigma,
 		Options: make([]OptionView, len(r.Options)),
+		Chosen:  r.Chosen,
 		Shared:  r.Shared,
 		Relay:   r.Relay,
 	}

@@ -1,11 +1,15 @@
-// client.go is the gateway's half of the shard RPC surface: a pooled
-// HTTP client around one remote city shard. A ShardClient implements
-// multicity.CityBackend — the same method set *core.Engine offers the
-// coordinator, relay.LegEngine included — so routing, aggregation and
-// the relay scheduler's probe/commit/compensate protocol run over real
-// sockets unchanged. Methods whose engine signature has no error
-// result degrade instead: see Clock, ServiceStats, NumVehicles and
-// MetricFamilies.
+// client.go is the gateway's half of the shard surface: a pooled HTTP
+// client around one remote city shard. It speaks the shard's /v1 API —
+// the bodies, handlers and middleware every /v1 caller meets — for each
+// verb /v1 has, and /rpc only for the five a coordinator needs that /v1
+// lacks (see shard.go). A ShardClient implements multicity.CityBackend
+// — the same method set *core.Engine offers the coordinator,
+// relay.LegEngine included — so routing, aggregation and the relay
+// scheduler's probe/commit/compensate protocol run over real sockets
+// unchanged. Request answers arrive as core.RequestViews and become
+// records again through RequestView.Record. Methods whose engine
+// signature has no error result degrade instead: see Clock,
+// ServiceStats, NumVehicles and MetricFamilies.
 //
 // Failure discipline:
 //
@@ -13,7 +17,7 @@
 //     connection dying mid-response, 5xx bodies that are not the error
 //     envelope — surface as core.ErrUnavailable.
 //   - Idempotent calls (reads, and submits carrying a generated
-//     idempotency key) retry with bounded exponential backoff before
+//     Idempotency-Key) retry with bounded exponential backoff before
 //     giving up.
 //   - Commit-like calls (choose, decline, cancel) are not blindly
 //     retried: a transport failure leaves them ambiguous — the shard
@@ -40,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"strings"
 	"sync"
@@ -50,6 +55,7 @@ import (
 	"ptrider/internal/geo"
 	"ptrider/internal/multicity"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/server"
 	"ptrider/internal/telemetry"
 )
 
@@ -101,7 +107,7 @@ type cached[T any] struct {
 	exp time.Time
 }
 
-// ShardClient speaks the shard RPC surface for one remote city. It
+// ShardClient speaks the shard surface for one remote city. It
 // implements multicity.CityBackend; all methods are safe for concurrent
 // use. The city arguments its Service-shaped methods take exist to
 // match *core.Engine's signatures and are ignored: a shard serves one
@@ -163,11 +169,11 @@ func Dial(addr string, cfg ClientConfig) (*ShardClient, error) {
 		time.Sleep(wait)
 	}
 
-	if err := c.call(http.MethodGet, "/rpc/meta", nil, &c.meta, true); err != nil {
+	if err := c.call(http.MethodGet, "/rpc/meta", nil, nil, &c.meta, true); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s meta: %w", addr, err)
 	}
-	body, err := c.fetch("/rpc/graph")
-	if err != nil {
+	var body []byte
+	if err := c.call(http.MethodGet, "/rpc/graph", nil, nil, &body, true); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s graph: %w", addr, err)
 	}
 	g, err := roadnet.ReadGraph(bytes.NewReader(body))
@@ -192,10 +198,10 @@ func unavailable(format string, args ...any) error {
 	return fmt.Errorf("cluster: "+format+": %w", append(args, core.ErrUnavailable)...)
 }
 
-// once performs one HTTP round trip and decodes the reply. Failures
-// below the envelope are ErrUnavailable; enveloped errors decode to
-// their typed core error.
-func (c *ShardClient) once(method, path string, body []byte, out any) error {
+// once performs one HTTP round trip and decodes the reply into out — a
+// *[]byte takes the raw body. Failures below the envelope are
+// ErrUnavailable; enveloped errors decode to their typed core error.
+func (c *ShardClient) once(method, path string, hdr http.Header, body []byte, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
 	defer cancel()
 	var rd io.Reader
@@ -206,6 +212,7 @@ func (c *ShardClient) once(method, path string, body []byte, out any) error {
 	if err != nil {
 		return unavailable("%s %s: %v", method, path, err)
 	}
+	maps.Copy(req.Header, hdr)
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
@@ -227,7 +234,11 @@ func (c *ShardClient) once(method, path string, body []byte, out any) error {
 		}
 		return unavailable("%s %s: status %d", method, path, resp.StatusCode)
 	}
-	if out != nil {
+	switch out := out.(type) {
+	case nil:
+	case *[]byte:
+		*out = data
+	default:
 		if err := json.Unmarshal(data, out); err != nil {
 			return unavailable("%s %s: decode: %v", method, path, err)
 		}
@@ -237,7 +248,7 @@ func (c *ShardClient) once(method, path string, body []byte, out any) error {
 
 // call marshals in, performs the round trip, and — when idempotent —
 // retries transport failures with exponential backoff.
-func (c *ShardClient) call(method, path string, in, out any, idempotent bool) error {
+func (c *ShardClient) call(method, path string, hdr http.Header, in, out any, idempotent bool) error {
 	var body []byte
 	if in != nil {
 		var err error
@@ -257,7 +268,7 @@ func (c *ShardClient) call(method, path string, in, out any, idempotent bool) er
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		err := c.once(method, path, body, out)
+		err := c.once(method, path, hdr, body, out)
 		if err == nil {
 			return nil
 		}
@@ -268,47 +279,6 @@ func (c *ShardClient) call(method, path string, in, out any, idempotent bool) er
 	}
 	c.rpcErrs.Inc()
 	return lastErr
-}
-
-// fetch GETs a raw (non-JSON) body with idempotent retries.
-func (c *ShardClient) fetch(path string) ([]byte, error) {
-	var out []byte
-	attempts := 1 + c.cfg.Retries
-	backoff := c.cfg.RetryBackoff
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			c.rpcRetries.Inc()
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.addr+path, nil)
-		if err != nil {
-			cancel()
-			return nil, unavailable("GET %s: %v", path, err)
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = unavailable("GET %s: %v", path, err)
-			continue
-		}
-		out, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		cancel()
-		if err != nil {
-			lastErr = unavailable("GET %s: read: %v", path, err)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = unavailable("GET %s: status %d", path, resp.StatusCode)
-			continue
-		}
-		return out, nil
-	}
-	c.rpcErrs.Inc()
-	return nil, lastErr
 }
 
 // Ready probes the shard's /v1/readyz once (no retries — readiness
@@ -342,6 +312,16 @@ func newIdemKey() string {
 	return "gw-" + hex.EncodeToString(b[:])
 }
 
+// record rebuilds the shard's answer as the record it was rendered
+// from; a view the client cannot read back is a broken reply.
+func (c *ShardClient) record(v *core.RequestView) (*core.ServiceRecord, error) {
+	rec, err := v.Record(c.meta.Speed)
+	if err != nil {
+		return nil, unavailable("request %d: %v", v.ID, err)
+	}
+	return rec, nil
+}
+
 // --- relay.LegEngine ---
 
 // Graph returns the dial-time road network snapshot.
@@ -359,35 +339,40 @@ func (c *ShardClient) LegLimits() (maxWait, maxPickup float64) {
 // mints one). The key makes the retried POST safe: a replay answers
 // with the original record.
 func (c *ShardClient) SubmitIdem(s, d roadnet.VertexID, riders int, cons core.Constraints, idemKey string) (*core.RequestRecord, error) {
-	if idemKey == "" {
-		idemKey = newIdemKey()
-	}
-	var rec core.RequestRecord
-	err := c.call(http.MethodPost, "/rpc/submit", submitWire{
-		S: s, D: d, Riders: riders, Constraints: cons, IdemKey: idemKey,
-	}, &rec, idemKey != "")
+	rec, err := c.SubmitRequest(core.SubmitSpec{S: s, D: d, Riders: riders, Constraints: cons, IdemKey: idemKey})
 	if err != nil {
 		return nil, err
 	}
-	return &rec, nil
+	return &rec.RequestRecord, nil
 }
 
-// Request reads one record.
-func (c *ShardClient) Request(id core.RequestID) (*core.RequestRecord, error) {
-	var rec core.RequestRecord
-	if err := c.call(http.MethodGet, fmt.Sprintf("/rpc/requests/%d", id), nil, &rec, true); err != nil {
+// SubmitRequest quotes one request through POST /v1/requests. Its
+// Idempotency-Key (spec.IdemKey, or one minted here) makes the retried
+// POST safe, and a span's id travels as X-Request-ID, so the shard's
+// slow-request line carries the caller's id.
+func (c *ShardClient) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error) {
+	if spec.IdemKey == "" {
+		spec.IdemKey = newIdemKey()
+	}
+	hdr := http.Header{}
+	hdr.Set("Idempotency-Key", spec.IdemKey)
+	if spec.Span != nil {
+		hdr.Set("X-Request-ID", spec.Span.ID)
+	}
+	var v core.RequestView
+	if err := c.call(http.MethodPost, "/v1/requests", hdr, server.NewRequestBody(spec), &v, spec.IdemKey != ""); err != nil {
 		return nil, err
 	}
-	return &rec, nil
+	return c.record(&v)
 }
 
-// GetRequest reads one record as the Service view.
+// GetRequest reads one record.
 func (c *ShardClient) GetRequest(id core.RequestID) (*core.ServiceRecord, error) {
-	rec, err := c.Request(id)
-	if err != nil {
+	var v core.RequestView
+	if err := c.call(http.MethodGet, fmt.Sprintf("/v1/requests/%d", id), nil, nil, &v, true); err != nil {
 		return nil, err
 	}
-	return c.serviceRecord(rec), nil
+	return c.record(&v)
 }
 
 // mutate posts one non-idempotent verb on request id. A transport
@@ -395,39 +380,39 @@ func (c *ShardClient) GetRequest(id core.RequestID) (*core.ServiceRecord, error)
 // before dying — so the record is re-read: if the mutation landed that
 // is success, an untouched record earns one retry, anything else keeps
 // the ErrUnavailable for the caller's deferred reconciliation.
-func (c *ShardClient) mutate(path string, body any, id core.RequestID, landed, untouched func(*core.RequestRecord) bool) error {
-	err := c.call(http.MethodPost, path, body, nil, false)
+func (c *ShardClient) mutate(path string, body any, id core.RequestID, landed, untouched func(*core.ServiceRecord) bool) error {
+	err := c.call(http.MethodPost, path, nil, body, nil, false)
 	if err == nil || !errors.Is(err, core.ErrUnavailable) {
 		return err
 	}
-	rec, rerr := c.Request(id)
+	rec, rerr := c.GetRequest(id)
 	switch {
 	case rerr != nil:
 		return err
 	case landed(rec):
 		return nil
 	case untouched(rec):
-		return c.call(http.MethodPost, path, body, nil, false)
+		return c.call(http.MethodPost, path, nil, body, nil, false)
 	}
 	return err
 }
 
-func hasStatus(st core.RequestStatus) func(*core.RequestRecord) bool {
-	return func(rec *core.RequestRecord) bool { return rec.Status == st }
+func hasStatus(st core.RequestStatus) func(*core.ServiceRecord) bool {
+	return func(rec *core.ServiceRecord) bool { return rec.Status == st }
 }
 
 // Choose commits option optionIndex of request id; a visible commit of
 // the same option is how it reads once landed.
 func (c *ShardClient) Choose(id core.RequestID, optionIndex int) error {
-	return c.mutate("/rpc/choose", chooseWire{ID: id, Option: optionIndex}, id,
-		func(rec *core.RequestRecord) bool {
+	return c.mutate(fmt.Sprintf("/v1/requests/%d/choice", id), map[string]int{"option": optionIndex}, id,
+		func(rec *core.ServiceRecord) bool {
 			return rec.Chosen == optionIndex && rec.Status != core.StatusQuoted && rec.Status != core.StatusDeclined
 		}, hasStatus(core.StatusQuoted))
 }
 
 // Decline releases a quoted request.
 func (c *ShardClient) Decline(id core.RequestID) error {
-	return c.mutate("/rpc/decline", idWire{ID: id}, id,
+	return c.mutate(fmt.Sprintf("/v1/requests/%d/decline", id), nil, id,
 		hasStatus(core.StatusDeclined), hasStatus(core.StatusQuoted))
 }
 
@@ -440,22 +425,6 @@ func (c *ShardClient) CancelAssigned(id core.RequestID) error {
 
 // --- the rest of multicity.CityBackend ---
 
-// serviceRecord lifts a shard record into the Service view, like
-// core.Engine's own.
-func (c *ShardClient) serviceRecord(rec *core.RequestRecord) *core.ServiceRecord {
-	return &core.ServiceRecord{RequestRecord: *rec, City: core.DefaultCityName, Speed: c.meta.Speed}
-}
-
-// SubmitRequest quotes one vertex-addressed request. The span stays
-// gateway-side: stage timings do not cross the wire.
-func (c *ShardClient) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error) {
-	rec, err := c.SubmitIdem(spec.S, spec.D, spec.Riders, spec.Constraints, spec.IdemKey)
-	if err != nil {
-		return nil, err
-	}
-	return c.serviceRecord(rec), nil
-}
-
 // SubmitRequestBatch runs a batch of vertex-addressed requests with the
 // engine's greedy semantics. A closure cannot cross the wire, so the
 // batch is cut at every item carrying a Choose callback: each maximal
@@ -467,16 +436,16 @@ func (c *ShardClient) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, 
 func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error) {
 	out := make([]*core.ServiceRecord, len(specs))
 	var firstErr error
-	fail := func(i int, err error) {
+	fail := func(err error) {
 		if firstErr == nil {
-			firstErr = fmt.Errorf("cluster: batch item %d: %w", i, err)
+			firstErr = err
 		}
 	}
 	for start := 0; start < len(specs); {
 		if specs[start].Choose != nil {
-			rec, err := c.submitChosen(&specs[start])
+			rec, err := c.submitChosen(specs[start])
 			if err != nil {
-				fail(start, err)
+				fail(fmt.Errorf("cluster: batch item %d: %w", start, err))
 			}
 			out[start] = rec
 			start++
@@ -486,23 +455,28 @@ func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 		for end < len(specs) && specs[end].Choose == nil {
 			end++
 		}
-		items := make([]submitWire, end-start)
+		in := server.BatchBody{Requests: make([]server.RequestBody, end-start)}
 		for k, spec := range specs[start:end] {
-			items[k] = submitWire{S: spec.S, D: spec.D, Riders: spec.Riders, Constraints: spec.Constraints}
+			in.Requests[k] = server.NewRequestBody(spec)
 		}
 		// Not retried: without per-item idempotency keys a replayed
 		// batch would double-quote.
-		var reply batchReply
-		err := c.call(http.MethodPost, "/rpc/submit-batch", batchWire{Items: items}, &reply, false)
-		if err == nil && reply.Err != nil {
-			err = reply.Err.Err()
+		var reply struct {
+			Requests []*core.RequestView `json:"requests"`
+			Error    *core.ErrorPayload  `json:"error"`
 		}
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if err := c.call(http.MethodPost, "/v1/requests", nil, in, &reply, false); err != nil {
+			fail(err)
+		} else if reply.Error != nil {
+			fail(reply.Error.Err())
 		}
-		for k, rec := range reply.Records {
-			if rec != nil && start+k < end {
-				out[start+k] = c.serviceRecord(rec)
+		for k, v := range reply.Requests {
+			if v != nil && start+k < end {
+				rec, err := c.record(v)
+				if err != nil {
+					fail(err)
+				}
+				out[start+k] = rec
 			}
 		}
 		start = end
@@ -513,9 +487,11 @@ func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 // submitChosen serves one batch item that carries a Choose callback:
 // quote, let the callback pick, commit or decline by index, and return
 // the refreshed record. A failed choice ends the item's lifecycle
-// declined rather than abandoning the quote, as in the engine.
-func (c *ShardClient) submitChosen(spec *core.SubmitSpec) (*core.ServiceRecord, error) {
-	rec, err := c.SubmitIdem(spec.S, spec.D, spec.Riders, spec.Constraints, "")
+// declined rather than abandoning the quote, as in the engine. Batch
+// items carry no idempotency key and no span.
+func (c *ShardClient) submitChosen(spec core.SubmitSpec) (*core.ServiceRecord, error) {
+	spec.IdemKey, spec.Span = "", nil
+	rec, err := c.SubmitRequest(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -527,55 +503,72 @@ func (c *ShardClient) submitChosen(spec *core.SubmitSpec) (*core.ServiceRecord, 
 	} else {
 		_ = c.Decline(rec.ID) // a just-quoted record; the refresh below shows what held
 	}
-	if fresh, rerr := c.Request(rec.ID); rerr == nil {
+	if fresh, rerr := c.GetRequest(rec.ID); rerr == nil {
 		rec = fresh
 	}
-	return c.serviceRecord(rec), err
+	return rec, err
 }
 
-// Tick advances the shard by dt seconds. Never retried: a duplicated
-// tick would advance this city's clock out of lockstep.
+// Tick advances the shard by dt seconds through POST /v1/ticks. Never
+// retried: a duplicated tick would advance this city's clock out of
+// lockstep. The reply's city-local events become fleet events again.
 func (c *ShardClient) Tick(dt float64) ([]fleet.Event, error) {
-	var out advanceReply
-	if err := c.call(http.MethodPost, "/rpc/advance", advanceWire{Seconds: dt}, &out, false); err != nil {
+	var out struct {
+		Events []core.ServiceEvent `json:"events"`
+	}
+	if err := c.call(http.MethodPost, "/v1/ticks", nil, map[string]float64{"seconds": dt}, &out, false); err != nil {
 		return nil, err
 	}
-	return out.Events, nil
+	events := make([]fleet.Event, len(out.Events))
+	for i, ev := range out.Events {
+		kind := fleet.EventDropoff
+		if ev.Kind == fleet.EventPickup.String() {
+			kind = fleet.EventPickup
+		}
+		events[i] = fleet.Event{Kind: kind, Vehicle: ev.Vehicle, Request: core.RequestID(ev.Request), Odo: ev.Odo}
+	}
+	return events, nil
 }
 
 // Clock reads the shard's simulated clock; an unreachable shard reads
 // 0, which the coordinator's maximum ignores.
 func (c *ShardClient) Clock() float64 {
 	var out clockReply
-	if err := c.call(http.MethodGet, "/rpc/clock", nil, &out, true); err != nil {
+	if err := c.call(http.MethodGet, "/rpc/clock", nil, nil, &out, true); err != nil {
 		return 0
 	}
 	return out.Clock
 }
 
-// ServiceStats snapshots the shard's engine panel as its one city; an
-// unreachable shard reports no city.
+// ServiceStats reads the shard's /v1/stats panel (its total and its one
+// city); an unreachable shard reports no city.
 func (c *ShardClient) ServiceStats() core.ServiceStats {
-	var st core.EngineStats
-	if err := c.call(http.MethodGet, "/rpc/stats", nil, &st, true); err != nil {
+	var st core.ServiceStats
+	if err := c.call(http.MethodGet, "/v1/stats", nil, nil, &st, true); err != nil {
 		return core.ServiceStats{}
 	}
-	return core.ServiceStats{Total: st, Cities: map[string]core.EngineStats{core.DefaultCityName: st}}
+	return st
 }
 
 // Requests lists the shard's ledger, id ascending.
 func (c *ShardClient) Requests(_ string, filter core.RequestFilter, limit int) ([]*core.ServiceRecord, error) {
-	path := fmt.Sprintf("/rpc/requests?limit=%d", limit)
+	path := fmt.Sprintf("/v1/requests?limit=%d", max(limit, 0))
 	if filter.HasStatus {
 		path += "&status=" + filter.Status.String()
 	}
-	var recs []*core.RequestRecord
-	if err := c.call(http.MethodGet, path, nil, &recs, true); err != nil {
+	var page struct {
+		Requests []core.RequestView `json:"requests"`
+	}
+	if err := c.call(http.MethodGet, path, nil, nil, &page, true); err != nil {
 		return nil, err
 	}
-	out := make([]*core.ServiceRecord, len(recs))
-	for i, rec := range recs {
-		out[i] = c.serviceRecord(rec)
+	out := make([]*core.ServiceRecord, len(page.Requests))
+	for i := range page.Requests {
+		rec, err := c.record(&page.Requests[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = rec
 	}
 	return out, nil
 }
@@ -588,7 +581,7 @@ func (c *ShardClient) NumVehicles() int {
 	defer c.mu.Unlock()
 	if time.Now().After(c.vehiclesExp) {
 		var m metaWire
-		if err := c.call(http.MethodGet, "/rpc/meta", nil, &m, true); err == nil {
+		if err := c.call(http.MethodGet, "/rpc/meta", nil, nil, &m, true); err == nil {
 			c.meta.Vehicles = m.Vehicles
 			c.vehiclesExp = time.Now().Add(c.cfg.CacheTTL)
 		}
@@ -609,7 +602,7 @@ func (c *ShardClient) Params(string) (core.ServiceParams, error) {
 		return c.paramsCache.val, nil
 	}
 	var p core.ServiceParams
-	if err := c.call(http.MethodGet, "/rpc/params", nil, &p, true); err != nil {
+	if err := c.call(http.MethodGet, "/v1/params", nil, nil, &p, true); err != nil {
 		return core.ServiceParams{}, err
 	}
 	c.paramsCache = cached[core.ServiceParams]{val: p, exp: time.Now().Add(c.cfg.CacheTTL)}
@@ -619,7 +612,7 @@ func (c *ShardClient) Params(string) (core.ServiceParams, error) {
 // Surge reads the shard's per-cell surge state.
 func (c *ShardClient) Surge(string) (*core.SurgeView, error) {
 	var v core.SurgeView
-	if err := c.call(http.MethodGet, "/rpc/surge", nil, &v, true); err != nil {
+	if err := c.call(http.MethodGet, "/v1/surge", nil, nil, &v, true); err != nil {
 		return nil, err
 	}
 	return &v, nil
@@ -628,7 +621,7 @@ func (c *ShardClient) Surge(string) (*core.SurgeView, error) {
 // SetCityAlgorithm switches the shard's matching algorithm (idempotent
 // — setting the same algorithm twice is harmless — so retried).
 func (c *ShardClient) SetCityAlgorithm(_ string, algo core.Algorithm) error {
-	err := c.call(http.MethodPost, "/rpc/algorithm", algoWire{Algorithm: algo.String()}, nil, true)
+	err := c.call(http.MethodPost, "/v1/params", nil, map[string]string{"algorithm": algo.String()}, nil, true)
 	if err == nil {
 		c.mu.Lock()
 		c.paramsCache = cached[core.ServiceParams]{} // params echo the algorithm
@@ -639,17 +632,19 @@ func (c *ShardClient) SetCityAlgorithm(_ string, algo core.Algorithm) error {
 
 // Vehicles lists the shard's vehicle summaries.
 func (c *ShardClient) Vehicles(_ string, limit int) ([]core.VehicleView, error) {
-	var out []core.VehicleView
-	if err := c.call(http.MethodGet, fmt.Sprintf("/rpc/vehicles?limit=%d", limit), nil, &out, true); err != nil {
+	var page struct {
+		Vehicles []core.VehicleView `json:"vehicles"`
+	}
+	if err := c.call(http.MethodGet, fmt.Sprintf("/v1/vehicles?limit=%d", max(limit, 0)), nil, nil, &page, true); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return page.Vehicles, nil
 }
 
 // VehicleItinerary reads one vehicle's location and schedule branches.
 func (c *ShardClient) VehicleItinerary(_ string, id fleet.VehicleID) (*core.VehicleItinerary, error) {
 	var out core.VehicleItinerary
-	if err := c.call(http.MethodGet, fmt.Sprintf("/rpc/vehicles/%d", id), nil, &out, true); err != nil {
+	if err := c.call(http.MethodGet, fmt.Sprintf("/v1/vehicles/%d", id), nil, nil, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -659,7 +654,7 @@ func (c *ShardClient) VehicleItinerary(_ string, id fleet.VehicleID) (*core.Vehi
 // unreachable shard contributes none.
 func (c *ShardClient) MetricFamilies() []telemetry.Family {
 	var out []telemetry.Family
-	if err := c.call(http.MethodGet, "/rpc/telemetry", nil, &out, true); err != nil {
+	if err := c.call(http.MethodGet, "/rpc/telemetry", nil, nil, &out, true); err != nil {
 		return nil
 	}
 	return out

@@ -20,7 +20,6 @@ import (
 	"ptrider/internal/core"
 	"ptrider/internal/gen"
 	"ptrider/internal/geo"
-	"ptrider/internal/kinetic"
 	"ptrider/internal/relay"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/server"
@@ -133,25 +132,6 @@ func pickVertex(rng *rand.Rand, n int) roadnet.VertexID {
 	return roadnet.VertexID(rng.Intn(n))
 }
 
-func TestSanitizeRecordStripsCandidates(t *testing.T) {
-	rec := &core.RequestRecord{
-		ID: 7,
-		Options: []core.Option{
-			{Vehicle: 3, Price: 10, Candidate: kinetic.Candidate{PickupDist: 99, TotalDist: 120}},
-		},
-	}
-	out := sanitizeRecord(rec)
-	if c := out.Options[0].Candidate; c.PickupDist != 0 || c.TotalDist != 0 || c.Seq != nil {
-		t.Fatalf("candidate crossed the wire: %+v", c)
-	}
-	if out.Options[0].Vehicle != 3 || out.Options[0].Price != 10 {
-		t.Fatalf("sanitize mangled the option: %+v", out.Options[0])
-	}
-	if rec.Options[0].Candidate.PickupDist != 99 {
-		t.Fatal("sanitize mutated the engine-owned record")
-	}
-}
-
 func TestShardClientBasics(t *testing.T) {
 	eng := newCityEngine(t, 8, 8, 0, 1, 10)
 	ts, _ := startShard(t, eng, ShardOptions{})
@@ -186,17 +166,12 @@ func TestShardClientBasics(t *testing.T) {
 	if err := c.Choose(rec.ID, 0); err != nil {
 		t.Fatalf("choose: %v", err)
 	}
-	got, err := c.Request(rec.ID)
+	got, err := c.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
 	if got.Status != core.StatusAssigned || got.Chosen != 0 {
 		t.Fatalf("after choose: status %v chosen %d", got.Status, got.Chosen)
-	}
-	for _, o := range got.Options {
-		if o.Candidate.Seq != nil || o.Candidate.TotalDist != 0 {
-			t.Fatalf("candidate leaked over the wire: %+v", o.Candidate)
-		}
 	}
 
 	// Tick, clock, stats, listings.
@@ -274,7 +249,7 @@ func TestShardClientTypedErrors(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.Request(9999); !errors.Is(err, core.ErrNotFound) {
+	if _, err := c.GetRequest(9999); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("unknown request: %v, want ErrNotFound", err)
 	}
 	if err := c.Choose(9999, 0); !errors.Is(err, core.ErrNotFound) {
@@ -290,7 +265,7 @@ func TestShardClientTypedErrors(t *testing.T) {
 
 	// A dead listener is ErrUnavailable, not a decode error.
 	ts.Close()
-	if _, err := c.Request(rec.ID); !errors.Is(err, core.ErrUnavailable) {
+	if _, err := c.GetRequest(rec.ID); !errors.Is(err, core.ErrUnavailable) {
 		t.Fatalf("dead shard: %v, want ErrUnavailable", err)
 	}
 }
@@ -304,7 +279,7 @@ func TestSubmitIdempotentAcrossLostResponse(t *testing.T) {
 	inner := NewShardHandler(eng, ShardOptions{})
 	var eatReplies atomic.Int32
 	mux := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/rpc/submit" && eatReplies.Add(-1) >= 0 {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/requests" && eatReplies.Add(-1) >= 0 {
 			// Execute the submit for real, then die before replying —
 			// the shape of a shard crashing after the journal append.
 			inner.ServeHTTP(httptest.NewRecorder(), r)
@@ -360,7 +335,7 @@ func TestChooseAmbiguityResolvedByReadBack(t *testing.T) {
 	if err := c.Choose(rec.ID, 0); err != nil {
 		t.Fatalf("ambiguous choose not resolved: %v", err)
 	}
-	got, err := c.Request(rec.ID)
+	got, err := c.GetRequest(rec.ID)
 	if err != nil || got.Status != core.StatusAssigned {
 		t.Fatalf("after resolved choose: %+v, %v", got, err)
 	}
@@ -675,27 +650,23 @@ func TestGatewayDialFailsClosed(t *testing.T) {
 
 // TestRPCOversizedBodyIs413 pins the body limit on the /rpc surface: a
 // 2 MiB body is refused with 413 invalid_argument after at most the
-// limit has been read, by every decoding verb.
+// limit has been read by /rpc/cancel, the one /rpc verb with a body.
+// The /v1 verbs a shard serves are TestOversizedBodyIs413's.
 func TestRPCOversizedBodyIs413(t *testing.T) {
 	eng := newCityEngine(t, 6, 6, 0, 1, 5)
 	h := NewShardHandler(eng, ShardOptions{})
-	for _, path := range []string{"/rpc/submit", "/rpc/submit-batch", "/rpc/choose", "/rpc/advance"} {
-		body := &spaces{n: 2 * server.MaxBodyBytes}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: status %d, want 413 (%s)", path, rec.Code, rec.Body)
-		}
-		var out wireEnvelope
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error.Code != "invalid_argument" {
-			t.Fatalf("%s: envelope %s (%v), want code invalid_argument", path, rec.Body, err)
-		}
-		if body.read > server.MaxBodyBytes+64<<10 {
-			t.Fatalf("%s: handler read %d bytes of an oversized body, limit %d", path, body.read, server.MaxBodyBytes)
-		}
+	body := &spaces{n: 2 * server.MaxBodyBytes}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc/cancel", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (%s)", rec.Code, rec.Body)
 	}
-	if st := eng.Stats(); st.Requests != 0 || eng.Clock() != 0 {
-		t.Fatalf("a refused body changed engine state: %d requests, clock %v", st.Requests, eng.Clock())
+	var out wireEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error.Code != "invalid_argument" {
+		t.Fatalf("envelope %s (%v), want code invalid_argument", rec.Body, err)
+	}
+	if body.read > server.MaxBodyBytes+64<<10 {
+		t.Fatalf("handler read %d bytes of an oversized body, limit %d", body.read, server.MaxBodyBytes)
 	}
 }
 

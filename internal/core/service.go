@@ -172,6 +172,33 @@ func (r *ServiceRecord) View() RequestView {
 	return v
 }
 
+// Record is View's inverse: the record a view was rendered from, as far
+// as the view carries it, at the quoting city's speed (which the view
+// holds only folded into each row's pick-up seconds). The view does not
+// carry the option candidates, the committed vehicle and price of a
+// declined record, nor the record's wait, odometer, clock and fare
+// provenance fields; those stay zero. An unknown status fails with
+// ErrInvalidArgument.
+func (v *RequestView) Record(speed float64) (*ServiceRecord, error) {
+	st, err := ParseRequestStatus(v.Status)
+	if err != nil {
+		return nil, err
+	}
+	r := &ServiceRecord{
+		RequestRecord: RequestRecord{
+			ID: RequestID(v.ID), S: v.S, D: v.D, Riders: v.Riders, Status: st,
+			Sigma: v.Sigma, SD: v.DirectMeters,
+			Options: make([]Option, len(v.Options)), Chosen: v.Chosen,
+			Vehicle: v.Vehicle, Price: v.Price, Shared: v.Shared,
+		},
+		City: v.City, Speed: speed, Relay: v.Relay,
+	}
+	for i, o := range v.Options {
+		r.Options[i] = Option{Vehicle: o.Vehicle, PickupDist: o.PickupMeters, Price: o.Price}
+	}
+	return r, nil
+}
+
 // RelayGatewayView is one hand-off vertex pair of a relay itinerary:
 // From in the origin city's graph, To in the destination city's.
 type RelayGatewayView struct {

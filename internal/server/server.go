@@ -355,10 +355,11 @@ func pathID(r *http.Request) (core.RequestID, error) {
 // ---------------------------------------------------------------------------
 // Request submission
 
-// requestBody is the wire form of one request submission (single or
+// RequestBody is the wire form of one request submission (single or
 // batch item): either [city +] s/d vertices or ox/oy → dx/dy
-// coordinates, plus the optional per-rider constraint overrides.
-type requestBody struct {
+// coordinates, plus the optional per-rider constraint overrides. The
+// server decodes it, and a shard client encodes it with NewRequestBody.
+type RequestBody struct {
 	City string `json:"city,omitempty"`
 	S    *int32 `json:"s,omitempty"`
 	D    *int32 `json:"d,omitempty"`
@@ -374,8 +375,32 @@ type requestBody struct {
 	MaxPickupSeconds float64  `json:"max_pickup_seconds,omitempty"`
 }
 
+// BatchBody is the wire form of a batch submission.
+type BatchBody struct {
+	Requests []RequestBody `json:"requests"`
+}
+
+// NewRequestBody is spec's inverse: the body that decodes to spec's
+// addressing, riders and constraints (the callback, key and span do not
+// travel in a body). Sigma is always sent, because 0 is an override (no
+// detour) and the default is negative.
+func NewRequestBody(spec core.SubmitSpec) RequestBody {
+	b := RequestBody{
+		City: spec.City, Riders: spec.Riders,
+		WaitSeconds:      spec.Constraints.WaitSeconds,
+		Sigma:            &spec.Constraints.Sigma,
+		MaxPickupSeconds: spec.Constraints.MaxPickupSeconds,
+	}
+	if spec.ByCoords {
+		b.OX, b.OY, b.DX, b.DY = &spec.Origin.X, &spec.Origin.Y, &spec.Dest.X, &spec.Dest.Y
+	} else {
+		b.S, b.D = &spec.S, &spec.D
+	}
+	return b
+}
+
 // spec converts the wire form into the Service addressing.
-func (b *requestBody) spec() (core.SubmitSpec, error) {
+func (b *RequestBody) spec() (core.SubmitSpec, error) {
 	cons := core.DefaultConstraints()
 	cons.WaitSeconds = b.WaitSeconds
 	if b.Sigma != nil {
@@ -402,12 +427,7 @@ func (b *requestBody) spec() (core.SubmitSpec, error) {
 // original record instead of quoting a second request. The request's
 // telemetry span rides along so the backend's stage timings land on
 // the slow-request log.
-func (s *Server) submitOne(w http.ResponseWriter, r *http.Request, body *requestBody) {
-	spec, err := body.spec()
-	if err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
-	}
+func (s *Server) submitOne(w http.ResponseWriter, r *http.Request, spec core.SubmitSpec) {
 	spec.IdemKey = r.Header.Get("Idempotency-Key")
 	spec.Span = spanFrom(r.Context())
 	rec, err := s.svc.SubmitRequest(spec)
@@ -435,26 +455,46 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 		writeBodyErr(w, err)
 		return
 	}
+	specs, batch, err := decodeSubmission(raw)
+	switch {
+	case err != nil:
+		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
+	case batch:
+		s.submitBatch(w, specs)
+	default:
+		s.submitOne(w, r, specs[0])
+	}
+}
+
+// decodeSubmission parses a POST /v1/requests body: one RequestBody, or
+// a BatchBody when the body has a "requests" key. Unknown fields and
+// bodies that name no complete addressing are refused.
+func decodeSubmission(raw []byte) (specs []core.SubmitSpec, batch bool, err error) {
 	var probe struct {
 		Requests []json.RawMessage `json:"requests"`
 	}
 	if json.Unmarshal(raw, &probe) == nil && probe.Requests != nil {
-		var batch struct {
-			Requests []requestBody `json:"requests"`
+		var b BatchBody
+		if err := decodeBytes(raw, &b); err != nil {
+			return nil, true, err
 		}
-		if err := decodeBytes(raw, &batch); err != nil {
-			writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
-			return
+		specs = make([]core.SubmitSpec, len(b.Requests))
+		for i := range b.Requests {
+			if specs[i], err = b.Requests[i].spec(); err != nil {
+				return nil, true, fmt.Errorf("batch item %d: %v", i, err)
+			}
 		}
-		s.submitBatch(w, batch.Requests)
-		return
+		return specs, true, nil
 	}
-	var body requestBody
+	var body RequestBody
 	if err := decodeBytes(raw, &body); err != nil {
-		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, false, err
 	}
-	s.submitOne(w, r, &body)
+	spec, err := body.spec()
+	if err != nil {
+		return nil, false, err
+	}
+	return []core.SubmitSpec{spec}, false, nil
 }
 
 // handleRequestList serves GET /v1/requests: the request ledger, id
@@ -506,17 +546,7 @@ func (s *Server) handleRequestList(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) submitBatch(w http.ResponseWriter, bodies []requestBody) {
-	specs := make([]core.SubmitSpec, 0, len(bodies))
-	for i := range bodies {
-		spec, err := bodies[i].spec()
-		if err != nil {
-			writeCode(w, http.StatusBadRequest, "invalid_argument",
-				fmt.Sprintf("batch item %d: %v", i, err))
-			return
-		}
-		specs = append(specs, spec)
-	}
+func (s *Server) submitBatch(w http.ResponseWriter, specs []core.SubmitSpec) {
 	recs, err := s.svc.SubmitRequestBatch(specs)
 	views := make([]*core.RequestView, len(recs))
 	for i, rec := range recs {

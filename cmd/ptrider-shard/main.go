@@ -1,7 +1,9 @@
 // Command ptrider-shard runs one city of a PTRider cluster: a
-// single-city engine (typically WAL-backed) behind the shard RPC
-// surface plus the full /v1 API, for a gateway (ptrider-server
-// -shards, or cluster.NewGateway) to route to.
+// single-city engine (typically WAL-backed) behind the full /v1 API,
+// for a gateway (ptrider-server -shards, or cluster.NewGateway) to
+// route to. The gateway speaks /v1 to it for every verb /v1 has, and
+// five /rpc verbs for the rest: meta, graph, clock, cancel and
+// telemetry (see internal/cluster/shard.go).
 //
 // The city is generated synthetically, like ptrider-server's
 // single-city mode, with -origin-x/-origin-y translating the city in
@@ -56,9 +58,10 @@ func main() {
 		metricsOn = flag.Bool("metrics", true, "expose GET /metrics and record engine telemetry")
 
 		// crashAfterChoose arms the commit-window crash used by the
-		// cluster's e2e harness: the process exits after a Choose is
-		// journaled but before its HTTP response is written, so the
-		// gateway observes an ambiguous commit.
+		// cluster's e2e harness: the process exits after a choice on
+		// POST /v1/requests/{id}/choice is journaled but before its HTTP
+		// response is written, so the gateway observes an ambiguous
+		// commit.
 		crashAfterChoose = flag.Bool("test-crash-after-choose", false,
 			"TESTING ONLY: exit(137) after the next successful choose, before replying")
 	)

@@ -1,4 +1,4 @@
-// cluster_test.go exercises the shard RPC surface end-to-end over real
+// cluster_test.go exercises the shard surface end-to-end over real
 // HTTP listeners: the wire error taxonomy, the client's retry and
 // ambiguity-resolution discipline, gateway routing/aggregation over two
 // shards, the cross-city relay over sockets, and the dead-shard
@@ -6,13 +6,16 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -310,6 +313,73 @@ func TestSubmitIdempotentAcrossLostResponse(t *testing.T) {
 	if len(recs) != 1 || recs[0].ID != rec.ID {
 		t.Fatalf("replayed submit duplicated the request: %d records", len(recs))
 	}
+}
+
+// TestSubmitCarriesRequestIDToShard pins the first piece of cross-hop
+// correlation: a submit that reaches the gateway's /v1 surface under
+// X-Request-ID probe-1 reaches the shard under the same id, so the
+// shard's own slow-request line names probe-1 beside the engine's quote
+// and register stages.
+func TestSubmitCarriesRequestIDToShard(t *testing.T) {
+	eng := newCityEngine(t, 6, 6, 0, 1, 5)
+	var buf syncBuffer
+	ts, _ := startShard(t, eng, ShardOptions{Server: server.Options{
+		SlowRequest: time.Nanosecond, Logger: log.New(&buf, "", 0),
+	}})
+	gw, err := NewGateway([]string{"solo=" + ts.URL}, GatewayConfig{Client: fastClient()})
+	if err != nil {
+		t.Fatalf("gateway: %v", err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	front := httptest.NewServer(server.NewService(gw).Handler())
+	t.Cleanup(front.Close)
+
+	req, _ := http.NewRequest(http.MethodPost, front.URL+"/v1/requests",
+		strings.NewReader(`{"city":"solo","s":2,"d":20,"riders":1}`))
+	req.Header.Set("X-Request-ID", "probe-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gateway submit status %d", resp.StatusCode)
+	}
+
+	// The shard logs after its reply is written; poll briefly.
+	var line string
+	for deadline := time.Now().Add(2 * time.Second); line == "" && time.Now().Before(deadline); {
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(l, `"request_id":"probe-1"`) {
+				line = l
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, want := range []string{`"request_id":"probe-1"`, `"route":"/v1/requests"`, "quote=", "register="} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("shard slow log %q misses %q (log: %s)", line, want, buf.String())
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger writing on server
+// goroutines while the test reads.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 // TestChooseAmbiguityResolvedByReadBack pins the client's commit

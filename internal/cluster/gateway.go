@@ -3,7 +3,7 @@
 // shards, so the cluster presents exactly the namespace, aggregates and
 // errors the in-process router does. Cross-city trips run the
 // coordinator's relay scheduler gateway-side, its probe/commit/
-// compensate legs travelling over the shard RPC surface; a shard that
+// compensate legs travelling over the shards' /v1 API; a shard that
 // dies inside the commit window surfaces core.ErrUnavailable, which the
 // scheduler answers with deferred compensation retried every Advance
 // until the shard's WAL-driven restart acknowledges the release.

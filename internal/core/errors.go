@@ -1,6 +1,6 @@
 // errors.go holds the typed errors that cross the Service boundary and
 // the one table that classifies them for transport: the /v1 surface
-// and the shard RPC surface both emit ClassifyError's payload, and the
+// and the shard's /rpc verbs both emit ClassifyError's payload, and the
 // shard client turns a received payload back into the typed error with
 // ErrorPayload.Err — so errors.Is answers the same against a remote
 // shard and an in-process engine.

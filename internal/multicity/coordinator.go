@@ -23,7 +23,7 @@ import (
 // verbs, the city-scoped core.Service verbs (always called with city
 // "", the backend's only city) and the few engine-native calls routing
 // needs. *core.Engine satisfies it as is; cluster.ShardClient satisfies
-// it over the shard RPC surface, where a call that cannot fail in
+// it over a shard's /v1 API and /rpc verbs, where a call that cannot fail in
 // process degrades as documented per method.
 type CityBackend interface {
 	// Graph, Speed, LegLimits, SubmitRequest, Choose, Decline,

@@ -258,9 +258,8 @@ func ifNoneMatchHas(header, tag string) bool {
 }
 
 // writeCached emits a body with a content-derived ETag and answers
-// 304 Not Modified when the request's If-None-Match already names it —
-// the revalidation handshake the cluster shard client's TTL cache (and
-// any standard HTTP cache) runs against the hot per-city GETs.
+// 304 Not Modified when the request's If-None-Match already names it,
+// so an HTTP cache can revalidate the per-city GETs for free.
 func writeCached(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
 	tag := etagOf(body)
 	w.Header().Set("ETag", tag)

@@ -288,3 +288,59 @@ func TestOversizedBodyIs413(t *testing.T) {
 		t.Fatalf("a refused body changed engine state: clock %v, %d records, %v", eng.Clock(), len(recs), err)
 	}
 }
+
+// TestCitiesIfNoneMatch pins the server's one weak If-None-Match
+// comparison through GET /v1/cities: the exact tag, its W/ form, a list
+// naming it and * revalidate to a bodiless 304; a tag that does not
+// match is a 200 with the body. Every answer carries the tag.
+func TestCitiesIfNoneMatch(t *testing.T) {
+	ts, _ := newTestServer(t)
+	get := func(inm string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/cities", nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET /v1/cities (If-None-Match %q): %v", inm, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		return resp, body
+	}
+	first, want := get("")
+	tag := first.Header.Get("ETag")
+	if first.StatusCode != http.StatusOK || tag == "" || len(want) == 0 {
+		t.Fatalf("plain GET: status %d, ETag %q, %d body bytes", first.StatusCode, tag, len(want))
+	}
+	for _, tc := range []struct {
+		inm    string
+		status int
+	}{
+		{tag, http.StatusNotModified},
+		{"W/" + tag, http.StatusNotModified},
+		{`"other", ` + tag, http.StatusNotModified},
+		{`W/"other",W/` + tag, http.StatusNotModified},
+		{"*", http.StatusNotModified},
+		{`"other"`, http.StatusOK},
+		{`W/"other", "another"`, http.StatusOK},
+	} {
+		resp, body := get(tc.inm)
+		if resp.StatusCode != tc.status {
+			t.Errorf("If-None-Match %q: status %d, want %d", tc.inm, resp.StatusCode, tc.status)
+		}
+		if got := resp.Header.Get("ETag"); got != tag {
+			t.Errorf("If-None-Match %q: ETag %q, want %q", tc.inm, got, tag)
+		}
+		if tc.status == http.StatusOK && !bytes.Equal(body, want) {
+			t.Errorf("If-None-Match %q: body %q, want %q", tc.inm, body, want)
+		}
+		if tc.status == http.StatusNotModified && len(body) != 0 {
+			t.Errorf("If-None-Match %q: 304 carried a body %q", tc.inm, body)
+		}
+	}
+}

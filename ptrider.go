@@ -59,8 +59,8 @@
 // # Cluster quick start
 //
 // The same topology scales across processes: each city runs as its
-// own ptrider-shard process (one WAL-backed engine behind the shard
-// RPC surface) and ptrider-server in gateway mode serves the
+// own ptrider-shard process (one WAL-backed engine behind its own /v1
+// API) and ptrider-server in gateway mode serves the
 // unchanged /v1 API over the fleet, relaying cross-city trips over
 // real sockets with idempotent retries and deferred compensation (see
 // internal/cluster and ARCHITECTURE.md "Horizontal scale-out"):

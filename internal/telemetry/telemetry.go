@@ -88,17 +88,20 @@ func seriesKey(name string, labels []Label) string {
 	return b.String()
 }
 
-// register installs inst under (name, labels), returning the existing
-// instrument when the identical series was registered before — the
-// idempotence that lets callers re-request a labeled series (per-route
-// histograms) without tracking first-use themselves.
-func (r *Registry) register(name, help string, labels []Label, inst any) any {
+// register installs the instrument mk builds under (name, labels),
+// returning the existing instrument when the identical series was
+// registered before — the idempotence that lets callers re-request a
+// labeled series (per-route histograms, once per HTTP request) without
+// tracking first-use themselves. mk runs only for a new series: a
+// latency histogram is dozens of allocations.
+func (r *Registry) register(name, help string, labels []Label, mk func() any) any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := seriesKey(name, labels)
 	if prior, ok := r.keySeen[key]; ok {
 		return prior.inst
 	}
+	inst := mk()
 	if _, ok := r.series[name]; !ok {
 		r.order = append(r.order, name)
 	}
@@ -115,7 +118,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, help, labels, &Counter{}).(*Counter)
+	return r.register(name, help, labels, func() any { return &Counter{} }).(*Counter)
 }
 
 // CounterFunc registers a counter whose value is read from fn at
@@ -126,7 +129,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	if r == nil {
 		return
 	}
-	r.register(name, help, labels, counterFunc(fn))
+	r.register(name, help, labels, func() any { return counterFunc(fn) })
 }
 
 // Gauge returns the settable gauge registered under name+labels.
@@ -134,7 +137,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, help, labels, &Gauge{}).(*Gauge)
+	return r.register(name, help, labels, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeFunc registers a gauge read from fn at gather time.
@@ -142,7 +145,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return
 	}
-	r.register(name, help, labels, gaugeFunc(fn))
+	r.register(name, help, labels, func() any { return gaugeFunc(fn) })
 }
 
 // LatencyHist returns the sharded latency histogram registered under
@@ -151,7 +154,7 @@ func (r *Registry) LatencyHist(name, help string, labels ...Label) *LatencyHist 
 	if r == nil {
 		return nil
 	}
-	return r.register(name, help, labels, newLatencyHist()).(*LatencyHist)
+	return r.register(name, help, labels, func() any { return newLatencyHist() }).(*LatencyHist)
 }
 
 // ---------------------------------------------------------------------------

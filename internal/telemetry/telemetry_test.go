@@ -70,6 +70,24 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestReRequestBuildsNoInstrument pins the cost of re-requesting a
+// registered series, which the HTTP middleware does for its per-route
+// histogram on every request: the lookup may build the series key, but
+// not a fresh histogram to throw away.
+func TestReRequestBuildsNoInstrument(t *testing.T) {
+	r := NewRegistry()
+	route := Label{"route", "/v1/requests"}
+	h := r.LatencyHist("http_seconds", "", route)
+	allocs := testing.AllocsPerRun(100, func() {
+		if r.LatencyHist("http_seconds", "", route) != h {
+			t.Fatal("re-request returned a new histogram")
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("re-requesting a histogram allocates %.0f objects, want at most 3", allocs)
+	}
+}
+
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.LatencyHist("lat_seconds", "latency")

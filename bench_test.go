@@ -311,7 +311,7 @@ func BenchmarkGridBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGridBounds — E6: LB/UB point queries.
+// BenchmarkGridBounds — E6: LB point queries.
 func BenchmarkGridBounds(b *testing.B) {
 	g, err := gen.GenerateNetwork(gen.CityConfig{Width: 32, Height: 32, Seed: 8})
 	if err != nil {
@@ -327,12 +327,6 @@ func BenchmarkGridBounds(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			grid.LB(roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)))
-		}
-	})
-	b.Run("UB", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			grid.UB(roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)))
 		}
 	})
 }

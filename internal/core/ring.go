@@ -200,14 +200,14 @@ func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 	defer ctx.putScratch(sc, stats)
 
 	grid := ctx.grid()
-	sRing := grid.Cell(grid.CellOf(spec.Kin.S)).Ring
+	sCell, dCell := grid.CellOf(spec.Kin.S), grid.CellOf(spec.Kin.D)
 	n := ctx.fleet.NumVehicles()
 	sc.visit.begin(n)
 	// Single-side has no destination ring: the lockstep below never
 	// advances, nothing is deferred and the final flush finds no work.
-	var dRing []gridindex.RingEntry
+	var dRing []gridindex.CellID
 	if m.dual {
-		dRing = grid.Cell(grid.CellOf(spec.Kin.D)).Ring
+		dRing = grid.Cell(dCell).Ring
 		sc.dseen.begin(n)
 	}
 
@@ -220,14 +220,14 @@ func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 	di := 0
 	ld := 0.0 // every vehicle not d-seen has all schedule locations ≥ ld from d
 
-	for _, entry := range sRing {
-		L := entry.LB
+	for _, cell := range grid.Cell(sCell).Ring {
+		L := grid.CellLB(sCell, cell)
 		if L > spec.MaxPickupDist {
 			break
 		}
 		// Advance the d-ring in lockstep so ld grows with L.
-		for di < len(dRing) && dRing[di].LB <= L {
-			sc.ids = ctx.lists.AppendNonEmpty(dRing[di].Cell, sc.ids[:0])
+		for di < len(dRing) && grid.CellLB(dCell, dRing[di]) <= L {
+			sc.ids = ctx.lists.AppendNonEmpty(dRing[di], sc.ids[:0])
 			for _, id := range sc.ids {
 				sc.dseen.mark(id)
 			}
@@ -235,7 +235,7 @@ func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 			di++
 		}
 		if di < len(dRing) {
-			ld = dRing[di].LB
+			ld = grid.CellLB(dCell, dRing[di])
 		} else {
 			ld = math.Inf(1)
 		}
@@ -250,10 +250,10 @@ func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 		stats.CellsScanned++
 
 		if !emptyDone {
-			es.scanCell(ctx, sc, entry.Cell, spec, sky, stats)
+			es.scanCell(ctx, sc, cell, spec, sky, stats)
 		}
 		if !nonEmptyDone {
-			sc.ids = ctx.lists.AppendNonEmpty(entry.Cell, sc.ids[:0])
+			sc.ids = ctx.lists.AppendNonEmpty(cell, sc.ids[:0])
 			for _, id := range sc.ids {
 				if !sc.visit.first(id) {
 					continue

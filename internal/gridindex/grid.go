@@ -3,28 +3,31 @@
 // cell maintains
 //
 //	(i)   its border vertices (endpoints of edges that span two cells),
-//	(ii)  its vertex list, with each vertex's exact distances to the
-//	      cell's border vertices and the minimum of those (v.min),
-//	(iii) a list of the other cells sorted by lower-bound distance
+//	(ii)  its vertex list,
+//	(iii) a list of the occupied cells sorted by lower-bound distance
 //	      (the "ring" that drives single- and dual-side search),
 //	(iv)  an empty-vehicle list, and
 //	(v)   a non-empty-vehicle list
 //
-// plus the cell-pair lower-bound matrix. Each matrix entry stores the
-// exact shortest distance between the closest pair of border vertices of
-// the two cells together with that witness pair, which yields both a
-// lower bound LB(u,v) and an upper bound UB(u,v) for arbitrary vertex
-// pairs without running a shortest-path search.
+// plus the cell-pair lower-bound matrix. Each matrix entry is the exact
+// shortest distance between the closest pair of border vertices of the
+// two cells, a lower bound LB(u,v) for every vertex pair across them
+// that needs no shortest-path search. The paper's per-vertex border
+// distances (v.min) are not kept: no search here reads them.
 //
-// The static part of the index (Grid) is immutable after Build and safe
-// for concurrent reads. The dynamic vehicle lists (iv)–(v) live in
-// VehicleLists, whose callers synchronise externally.
+// The static part of the index (Grid) costs 8 B per cell pair (the
+// matrix) and 4 B per ring entry (every occupied cell in every occupied
+// cell's ring): 0.8 MB at 16×16 cells when all are occupied. It is
+// immutable after Build and safe for concurrent reads. The dynamic
+// vehicle lists (iv)–(v) live in VehicleLists, whose callers synchronise
+// externally.
 package gridindex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ptrider/internal/geo"
 	"ptrider/internal/roadnet"
@@ -37,25 +40,15 @@ type CellID = int32
 // NoCell is the sentinel "no cell" value.
 const NoCell CellID = -1
 
-// RingEntry is one element of a cell's sorted cell list: a target cell
-// and the lower bound on the network distance from the owning cell.
-type RingEntry struct {
-	Cell CellID
-	LB   float64
-}
-
 // Cell is the static per-cell data of the index.
 type Cell struct {
 	ID       CellID
 	Rect     geo.Rect
 	Vertices []roadnet.VertexID // vertices whose coordinates fall in Rect
 	Borders  []roadnet.VertexID // endpoints of cell-spanning edges
-	Ring     []RingEntry        // all non-empty cells, ascending by LB; Ring[0] is the cell itself
-}
-
-type pairBound struct {
-	lb     float64 // exact distance between the witness border pair; math.Inf(1) when disconnected
-	wi, wj int32   // witness indices into the two cells' Borders; -1 when unavailable
+	// Ring holds every non-empty cell, ascending by CellLB from this
+	// cell with ties to the lower id; Ring[0] is the cell itself.
+	Ring []CellID
 }
 
 // Grid is the static road-network index. Build once, read from any
@@ -70,10 +63,10 @@ type Grid struct {
 	cellOf []CellID // per vertex
 	cells  []Cell
 
-	vmin        []float64   // per vertex: distance to the nearest border of its own cell
-	borderDists [][]float64 // per vertex: distances to its own cell's Borders (aligned with Cell.Borders)
-
-	pairs []pairBound // row-major numCells×numCells
+	// pairs is the row-major numCells×numCells lower-bound matrix:
+	// the exact distance between the closest border pair of the two
+	// cells, +Inf when they are disconnected.
+	pairs []float64
 }
 
 // Config controls Build.
@@ -112,7 +105,6 @@ func Build(g *roadnet.Graph, cfg Config) (*Grid, error) {
 	gr.assignVertices()
 	gr.findBorders()
 	gr.computeBounds()
-	gr.computeBorderDists()
 	gr.buildRings()
 	return gr, nil
 }
@@ -176,75 +168,34 @@ func (gr *Grid) findBorders() {
 	}
 }
 
-// computeBounds fills vmin and the cell-pair matrix with one labelled
-// multi-source Dijkstra per cell, seeded at the cell's border vertices.
+// computeBounds fills the cell-pair matrix with one multi-source
+// Dijkstra per cell, seeded at the cell's border vertices, written into
+// one distance buffer reused across cells.
 func (gr *Grid) computeBounds() {
-	n := gr.g.NumVertices()
 	numCells := len(gr.cells)
-	gr.vmin = make([]float64, n)
-	for i := range gr.vmin {
-		gr.vmin[i] = math.Inf(1)
-	}
-	gr.pairs = make([]pairBound, numCells*numCells)
+	gr.pairs = make([]float64, numCells*numCells)
 	for i := range gr.pairs {
-		gr.pairs[i] = pairBound{lb: math.Inf(1), wi: -1, wj: -1}
+		gr.pairs[i] = math.Inf(1)
 	}
 
 	s := roadnet.NewSearcher(gr.g)
+	dist := make([]float64, gr.g.NumVertices())
 	for ci := range gr.cells {
-		cell := &gr.cells[ci]
-		gr.pairs[ci*numCells+ci] = pairBound{lb: 0, wi: -1, wj: -1}
-		if len(cell.Borders) == 0 {
+		row := gr.pairs[ci*numCells : (ci+1)*numCells]
+		row[ci] = 0
+		if len(gr.cells[ci].Borders) == 0 {
 			// A borderless cell's vertices cannot reach other cells;
-			// vmin and its pair bounds stay +Inf, the true distance.
+			// its pair bounds stay +Inf, the true distance.
 			continue
 		}
-		dist, label := s.MultiSourceLabeled(cell.Borders)
-		for _, v := range cell.Vertices {
-			gr.vmin[v] = dist[v]
-		}
+		s.MultiSourceDists(gr.cells[ci].Borders, dist)
 		for cj := range gr.cells {
 			if cj == ci {
 				continue
 			}
-			best := math.Inf(1)
-			bestI, bestJ := int32(-1), int32(-1)
-			for bj, y := range gr.cells[cj].Borders {
-				if dist[y] < best {
-					best = dist[y]
-					bestI, bestJ = label[y], int32(bj)
-				}
+			for _, y := range gr.cells[cj].Borders {
+				row[cj] = min(row[cj], dist[y])
 			}
-			if bestJ >= 0 {
-				gr.pairs[ci*numCells+cj] = pairBound{lb: best, wi: bestI, wj: bestJ}
-			}
-		}
-	}
-}
-
-// computeBorderDists fills, for every vertex, the exact distances to the
-// border vertices of its own cell (one target-set Dijkstra per border
-// vertex, settling only that cell's vertices).
-func (gr *Grid) computeBorderDists() {
-	n := gr.g.NumVertices()
-	gr.borderDists = make([][]float64, n)
-	s := roadnet.NewSearcher(gr.g)
-	for ci := range gr.cells {
-		cell := &gr.cells[ci]
-		nb := len(cell.Borders)
-		if nb == 0 || len(cell.Vertices) == 0 {
-			continue
-		}
-		flat := make([]float64, nb*len(cell.Vertices))
-		out := make([]float64, len(cell.Vertices))
-		for bi, b := range cell.Borders {
-			s.DistsTo(b, cell.Vertices, math.Inf(1), out)
-			for vi := range cell.Vertices {
-				flat[vi*nb+bi] = out[vi]
-			}
-		}
-		for vi, v := range cell.Vertices {
-			gr.borderDists[v] = flat[vi*nb : (vi+1)*nb : (vi+1)*nb]
 		}
 	}
 }
@@ -261,15 +212,13 @@ func (gr *Grid) buildRings() {
 		if len(gr.cells[ci].Vertices) == 0 {
 			continue
 		}
-		ring := make([]RingEntry, 0, len(occupied))
-		for _, cj := range occupied {
-			ring = append(ring, RingEntry{Cell: cj, LB: gr.pairs[ci*numCells+int(cj)].lb})
-		}
-		sort.Slice(ring, func(a, b int) bool {
-			if ring[a].LB != ring[b].LB {
-				return ring[a].LB < ring[b].LB
+		row := gr.pairs[ci*numCells : (ci+1)*numCells]
+		ring := slices.Clone(occupied)
+		slices.SortFunc(ring, func(a, b CellID) int {
+			if c := cmp.Compare(row[a], row[b]); c != 0 {
+				return c
 			}
-			return ring[a].Cell < ring[b].Cell
+			return cmp.Compare(a, b)
 		})
 		gr.cells[ci].Ring = ring
 	}
@@ -349,18 +298,10 @@ func rectDistSq(r geo.Rect, p geo.Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// VMin returns v.min: the distance from v to the nearest border vertex
-// of its own cell (+Inf when the cell has no borders).
-func (gr *Grid) VMin(v roadnet.VertexID) float64 { return gr.vmin[v] }
-
-// BorderDists returns v's distances to its own cell's Borders, aligned
-// with Cell.Borders. It is nil when the cell has no borders.
-func (gr *Grid) BorderDists(v roadnet.VertexID) []float64 { return gr.borderDists[v] }
-
 // CellLB returns the lower bound on the network distance between any
 // vertex of cell i and any vertex of cell j. It is zero when i == j.
 func (gr *Grid) CellLB(i, j CellID) float64 {
-	return gr.pairs[int(i)*len(gr.cells)+int(j)].lb
+	return gr.pairs[int(i)*len(gr.cells)+int(j)]
 }
 
 // LB returns a lower bound on dist(u, v), combining the cell-pair bound
@@ -372,41 +313,9 @@ func (gr *Grid) LB(u, v roadnet.VertexID) float64 {
 	}
 	lb := gr.g.EuclidLB(u, v)
 	if ci, cj := gr.cellOf[u], gr.cellOf[v]; ci != cj {
-		if pb := gr.pairs[int(ci)*len(gr.cells)+int(cj)].lb; pb > lb {
+		if pb := gr.CellLB(ci, cj); pb > lb {
 			lb = pb
 		}
 	}
 	return lb
-}
-
-// UB returns an upper bound on dist(u, v) routed through border
-// vertices: dist(u,x*) + dist(x*,y*) + dist(y*,v) for the witness pair
-// (x*, y*) of the two cells, or the best border detour within one cell.
-// It returns +Inf when no witness is available (borderless or mutually
-// unreachable cells); callers fall back to an exact search. UB is
-// only valid on symmetric (undirected) graphs, which is what PTRider's
-// road networks are.
-func (gr *Grid) UB(u, v roadnet.VertexID) float64 {
-	if u == v {
-		return 0
-	}
-	ci, cj := gr.cellOf[u], gr.cellOf[v]
-	bu, bv := gr.borderDists[u], gr.borderDists[v]
-	if ci == cj {
-		if bu == nil {
-			return math.Inf(1)
-		}
-		best := math.Inf(1)
-		for bi := range bu {
-			if d := bu[bi] + bv[bi]; d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	pb := gr.pairs[int(ci)*len(gr.cells)+int(cj)]
-	if pb.wi < 0 || bu == nil || bv == nil {
-		return math.Inf(1)
-	}
-	return bu[pb.wi] + pb.lb + bv[pb.wj]
 }

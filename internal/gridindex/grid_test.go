@@ -3,8 +3,10 @@ package gridindex_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"ptrider/internal/gen"
 	"ptrider/internal/geo"
 	"ptrider/internal/gridindex"
 	"ptrider/internal/roadnet"
@@ -101,42 +103,11 @@ func TestLBNeverExceedsTrueDistance(t *testing.T) {
 	}
 }
 
-func TestUBNeverBelowTrueDistance(t *testing.T) {
-	g, gr := buildLatticeGrid(t, 5, 8, 8, 3, 3)
-	s := roadnet.NewSearcher(g)
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 300; trial++ {
-		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		v := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		d := s.Dist(u, v)
-		ub := gr.UB(u, v)
-		if ub < d-1e-9 {
-			t.Fatalf("UB(%d,%d) = %v < dist %v", u, v, ub, d)
-		}
-	}
-}
-
-func TestBoundsAreOrderedLBThenUB(t *testing.T) {
-	_, gr := buildLatticeGrid(t, 6, 8, 8, 4, 4)
-	rng := rand.New(rand.NewSource(6))
-	n := gr.Graph().NumVertices()
-	for trial := 0; trial < 300; trial++ {
-		u := roadnet.VertexID(rng.Intn(n))
-		v := roadnet.VertexID(rng.Intn(n))
-		if lb, ub := gr.LB(u, v), gr.UB(u, v); lb > ub+1e-9 {
-			t.Fatalf("LB(%d,%d) = %v exceeds UB %v", u, v, lb, ub)
-		}
-	}
-}
-
 func TestSelfBoundsAreZero(t *testing.T) {
 	_, gr := buildLatticeGrid(t, 7, 6, 6, 3, 3)
 	for v := 0; v < gr.Graph().NumVertices(); v++ {
 		if lb := gr.LB(roadnet.VertexID(v), roadnet.VertexID(v)); lb != 0 {
 			t.Fatalf("LB(v,v) = %v", lb)
-		}
-		if ub := gr.UB(roadnet.VertexID(v), roadnet.VertexID(v)); ub != 0 {
-			t.Fatalf("UB(v,v) = %v", ub)
 		}
 	}
 }
@@ -149,46 +120,6 @@ func TestCellLBSymmetricOnUndirectedGraph(t *testing.T) {
 			b := gr.CellLB(gridindex.CellID(j), gridindex.CellID(i))
 			if math.Abs(a-b) > 1e-9 && !(math.IsInf(a, 1) && math.IsInf(b, 1)) {
 				t.Fatalf("CellLB(%d,%d)=%v != CellLB(%d,%d)=%v", i, j, a, j, i, b)
-			}
-		}
-	}
-}
-
-func TestVMinMatchesNearestBorder(t *testing.T) {
-	g, gr := buildLatticeGrid(t, 9, 8, 8, 3, 3)
-	s := roadnet.NewSearcher(g)
-	for v := 0; v < g.NumVertices(); v++ {
-		cell := gr.Cell(gr.CellOf(roadnet.VertexID(v)))
-		want := math.Inf(1)
-		for _, b := range cell.Borders {
-			if d := s.Dist(roadnet.VertexID(v), b); d < want {
-				want = d
-			}
-		}
-		if got := gr.VMin(roadnet.VertexID(v)); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("VMin(%d) = %v, want %v", v, got, want)
-		}
-	}
-}
-
-func TestBorderDistsExact(t *testing.T) {
-	g, gr := buildLatticeGrid(t, 10, 6, 6, 3, 3)
-	s := roadnet.NewSearcher(g)
-	for v := 0; v < g.NumVertices(); v++ {
-		cell := gr.Cell(gr.CellOf(roadnet.VertexID(v)))
-		bd := gr.BorderDists(roadnet.VertexID(v))
-		if len(cell.Borders) == 0 {
-			if bd != nil {
-				t.Fatalf("BorderDists(%d) non-nil for borderless cell", v)
-			}
-			continue
-		}
-		if len(bd) != len(cell.Borders) {
-			t.Fatalf("BorderDists(%d) len %d, want %d", v, len(bd), len(cell.Borders))
-		}
-		for bi, b := range cell.Borders {
-			if want := s.Dist(roadnet.VertexID(v), b); math.Abs(bd[bi]-want) > 1e-9 {
-				t.Fatalf("BorderDists(%d)[%d] = %v, want %v", v, bi, bd[bi], want)
 			}
 		}
 	}
@@ -213,17 +144,55 @@ func TestRingSortedAndComplete(t *testing.T) {
 		if len(cell.Ring) != occupied {
 			t.Fatalf("cell %d ring has %d entries, want %d", c, len(cell.Ring), occupied)
 		}
-		if cell.Ring[0].Cell != cell.ID || cell.Ring[0].LB != 0 {
-			t.Fatalf("cell %d ring does not start with itself: %+v", c, cell.Ring[0])
+		if cell.Ring[0] != cell.ID {
+			t.Fatalf("cell %d ring does not start with itself: %v", c, cell.Ring[0])
 		}
-		for i := 1; i < len(cell.Ring); i++ {
-			if cell.Ring[i].LB < cell.Ring[i-1].LB {
+		seen := map[gridindex.CellID]bool{}
+		for i, r := range cell.Ring {
+			if len(gr.Cell(r).Vertices) == 0 || seen[r] {
+				t.Fatalf("cell %d ring entry %d: cell %d empty or repeated", c, i, r)
+			}
+			seen[r] = true
+			if i == 0 {
+				continue
+			}
+			prev, cur := gr.CellLB(cell.ID, cell.Ring[i-1]), gr.CellLB(cell.ID, r)
+			if cur < prev || (cur == prev && r < cell.Ring[i-1]) {
 				t.Fatalf("cell %d ring unsorted at %d", c, i)
 			}
-			if cell.Ring[i].LB != gr.CellLB(cell.ID, cell.Ring[i].Cell) {
-				t.Fatalf("cell %d ring LB mismatch at %d", c, i)
-			}
 		}
+	}
+}
+
+// TestGridFootprint pins the cost of the static index on the 40×40
+// benchmark city at the default 16×16 cells: the heap Build leaves live
+// after a GC (8 B per cell pair plus 4 B per ring entry, ~0.8 MB) and
+// the bytes it allocates on the way (one distance buffer reused by
+// every cell's search). Both ceilings hold under -race too.
+func TestGridFootprint(t *testing.T) {
+	const retainCeiling, allocCeiling = 1 << 20, 1_500_000
+	g, err := gen.GenerateNetwork(gen.CityConfig{Width: 40, Height: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	gr, err := gridindex.Build(g, gridindex.Config{Cols: 16, Rows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(gr)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Build retains %d B, allocates %d B in %d mallocs", retained, allocated, after.Mallocs-before.Mallocs)
+	if retained > retainCeiling {
+		t.Errorf("Build retains %d B, ceiling %d", retained, retainCeiling)
+	}
+	if allocated > allocCeiling {
+		t.Errorf("Build allocates %d B, ceiling %d", allocated, allocCeiling)
 	}
 }
 
@@ -233,7 +202,7 @@ func TestSingleCellGridHasTrivialBounds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	// One cell: no borders, LB falls back to Euclidean, UB is +Inf.
+	// One cell: no borders, so LB falls back to Euclidean.
 	if len(gr.Cell(0).Borders) != 0 {
 		t.Error("single-cell grid should have no borders")
 	}
@@ -243,9 +212,6 @@ func TestSingleCellGridHasTrivialBounds(t *testing.T) {
 		v := roadnet.VertexID((trial * 7) % g.NumVertices())
 		if lb := gr.LB(u, v); lb > s.Dist(u, v)+1e-9 {
 			t.Fatalf("LB(%d,%d) = %v > dist", u, v, lb)
-		}
-		if u != v && !math.IsInf(gr.UB(u, v), 1) {
-			t.Fatalf("UB should be +Inf in a borderless cell")
 		}
 	}
 }

@@ -230,9 +230,8 @@ func (s *Searcher) Settled() int { return s.settled }
 // DistsTo computes shortest-path distances from u to every target,
 // filling out (which must have len(targets)); targets beyond maxDist or
 // unreachable get Inf. It is Begin(u) followed by one Extend: the
-// one-to-many query for a caller with a single target set (the grid
-// index's border-to-cell distances); the matchers keep the search open
-// across their target sets instead.
+// one-to-many query for a caller with a single target set; the matchers
+// keep the search open across their target sets instead.
 func (s *Searcher) DistsTo(u VertexID, targets []VertexID, maxDist float64, out []float64) {
 	s.Begin(u)
 	s.Extend(targets, maxDist, out)
@@ -248,12 +247,21 @@ func (s *Searcher) DistsTo(u VertexID, targets []VertexID, maxDist float64, out 
 // for any target set (a vertex's settled distance does not depend on
 // which targets end the search).
 func (s *Searcher) FillDists(u VertexID, maxDist float64, out []float64) {
+	s.fill([]VertexID{u}, maxDist, out)
+}
+
+// fill runs one Dijkstra seeded with every source at distance zero,
+// pruned at maxDist, and writes every vertex's distance into out.
+func (s *Searcher) fill(sources []VertexID, maxDist float64, out []float64) {
 	if len(out) != s.g.NumVertices() {
-		panic("roadnet: FillDists out length mismatch")
+		panic("roadnet: fill out length mismatch")
 	}
 	s.begin()
-	s.relax(u, 0, NoVertex)
-	s.heap.Push(u, 0)
+	for _, src := range sources {
+		if s.relax(src, 0, NoVertex) {
+			s.heap.Push(src, 0)
+		}
+	}
 	for s.heap.Len() > 0 {
 		it := s.heap.Pop()
 		if it.Dist > s.dist[it.Node] {
@@ -305,42 +313,12 @@ func (s *Searcher) Path(u, v VertexID) ([]VertexID, float64) {
 	return rev, d
 }
 
-// MultiSourceLabeled runs one Dijkstra seeded with every source at
-// distance zero and returns, freshly allocated, for each vertex the
-// distance to its nearest source and the index (into sources) of that
-// source; unreachable vertices get (Inf, -1). The grid index uses this
-// to compute, per cell, the distance from every vertex to the cell's
-// nearest border vertex and the lower-bound matrix rows.
-func (s *Searcher) MultiSourceLabeled(sources []VertexID) ([]float64, []int32) {
-	n := s.g.NumVertices()
-	label := make([]int32, n)
-	s.begin()
-	for i, src := range sources {
-		if s.relax(src, 0, NoVertex) {
-			label[src] = int32(i)
-			s.heap.Push(src, 0)
-		}
-	}
-	for s.heap.Len() > 0 {
-		it := s.heap.Pop()
-		if it.Dist > s.dist[it.Node] {
-			continue
-		}
-		for _, e := range s.g.Out(it.Node) {
-			if nd := it.Dist + e.Weight; s.relax(e.To, nd, it.Node) {
-				label[e.To] = label[it.Node]
-				s.heap.Push(e.To, nd)
-			}
-		}
-	}
-	dist := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if s.stamp[v] == s.epoch {
-			dist[v] = s.dist[v]
-		} else {
-			dist[v] = Inf
-			label[v] = -1
-		}
-	}
-	return dist, label
+// MultiSourceDists runs one Dijkstra seeded with every source at
+// distance zero and writes every vertex's distance to its nearest
+// source into out (len must equal the vertex count); unreachable
+// vertices get +Inf. The grid index fills one row of its cell-pair
+// bounds per call, seeded at a cell's border vertices, into one buffer
+// it reuses across cells.
+func (s *Searcher) MultiSourceDists(sources []VertexID, out []float64) {
+	s.fill(sources, Inf, out)
 }

@@ -2,10 +2,11 @@
 // (paper §2.1): a weighted graph G = (V, E, W) whose vertices are road
 // intersections embedded in the plane and whose edge weights are travel
 // costs in metres, together with the shortest-path machinery every other
-// module builds on — Dijkstra in several flavours (full, bounded,
-// one-to-many, multi-source, target-set, resumable), A* over the
-// planar embedding, path extraction, and a Floyd–Warshall
-// oracle used to cross-check the searches in tests.
+// module builds on — Dijkstra in several flavours (point-to-point and
+// bounded; whole-graph fills from one source or from many; a resumable
+// target-set search), A* over the planar embedding, path extraction,
+// and a Floyd–Warshall oracle used to cross-check the searches in
+// tests.
 //
 // Graphs are immutable once built (construct them with a Builder), which
 // makes concurrent reads safe without locking; PTRider answers matching

@@ -1,19 +1,13 @@
-// Package heapx provides the typed binary min-heaps that back every
-// graph search and ring expansion in PTRider.
+// Package heapx provides DistHeap, the typed binary min-heap behind
+// every graph search in PTRider.
 //
 // The standard library's container/heap forces an interface-based
 // element type and allocates on every Push via interface boxing. The
-// searches in internal/roadnet and internal/core sit on the hot path of
-// request matching, so this package provides two concrete heaps:
-//
-//   - DistHeap: a (node id, float64 priority) heap used by Dijkstra and
-//     A*, with lazy-deletion semantics (duplicates allowed, stale
-//     entries skipped by the caller).
-//   - Heap[T]: a small generic min-heap ordered by a float64 key, used
-//     where the payload is richer than a node id (e.g. cell rings).
-//
-// Both heaps are zero-value ready and intentionally unsynchronised;
-// callers own their synchronisation.
+// searches in internal/roadnet sit on the hot path of request matching,
+// so DistHeap is a concrete (node id, float64 priority) heap with
+// lazy-deletion semantics: duplicates are allowed, and the caller skips
+// stale entries. It is zero-value ready and intentionally
+// unsynchronised; callers own their synchronisation.
 package heapx
 
 // DistItem is an entry of a DistHeap: a node identifier with its
@@ -96,71 +90,3 @@ func (h *DistHeap) down(i int) {
 	}
 	h.items[i] = item
 }
-
-// Heap is a generic binary min-heap of values ordered by a float64 key.
-// The zero value is an empty heap ready for use.
-type Heap[T any] struct {
-	keys []float64
-	vals []T
-}
-
-// NewHeap returns a generic heap with storage preallocated for n items.
-func NewHeap[T any](n int) *Heap[T] {
-	return &Heap[T]{keys: make([]float64, 0, n), vals: make([]T, 0, n)}
-}
-
-// Len returns the number of items in the heap.
-func (h *Heap[T]) Len() int { return len(h.keys) }
-
-// Reset empties the heap while retaining its storage.
-func (h *Heap[T]) Reset() {
-	h.keys = h.keys[:0]
-	h.vals = h.vals[:0]
-}
-
-// Push adds v with the given key.
-func (h *Heap[T]) Push(key float64, v T) {
-	h.keys = append(h.keys, key)
-	h.vals = append(h.vals, v)
-	i := len(h.keys) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.keys[parent] <= h.keys[i] {
-			break
-		}
-		h.keys[parent], h.keys[i] = h.keys[i], h.keys[parent]
-		h.vals[parent], h.vals[i] = h.vals[i], h.vals[parent]
-		i = parent
-	}
-}
-
-// Pop removes and returns the value with the smallest key together with
-// the key. It must not be called on an empty heap.
-func (h *Heap[T]) Pop() (float64, T) {
-	key, val := h.keys[0], h.vals[0]
-	n := len(h.keys) - 1
-	h.keys[0], h.vals[0] = h.keys[n], h.vals[n]
-	h.keys, h.vals = h.keys[:n], h.vals[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && h.keys[right] < h.keys[left] {
-			child = right
-		}
-		if h.keys[i] <= h.keys[child] {
-			break
-		}
-		h.keys[i], h.keys[child] = h.keys[child], h.keys[i]
-		h.vals[i], h.vals[child] = h.vals[child], h.vals[i]
-		i = child
-	}
-	return key, val
-}
-
-// PeekKey returns the smallest key without removing its item. It must
-// not be called on an empty heap.
-func (h *Heap[T]) PeekKey() float64 { return h.keys[0] }

@@ -1,7 +1,6 @@
 package heapx_test
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -88,57 +87,5 @@ func TestDistHeapDuplicatesStay(t *testing.T) {
 	}
 	if d := h.Pop().Dist; d != 3 {
 		t.Errorf("first Pop = %v, want 3", d)
-	}
-}
-
-func TestGenericHeapOrdering(t *testing.T) {
-	h := heapx.NewHeap[string](0)
-	h.Push(2, "b")
-	h.Push(1, "a")
-	h.Push(3, "c")
-	if h.PeekKey() != 1 {
-		t.Errorf("PeekKey = %v", h.PeekKey())
-	}
-	var got []string
-	for h.Len() > 0 {
-		_, v := h.Pop()
-		got = append(got, v)
-	}
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("order = %v", got)
-	}
-}
-
-func TestGenericHeapRandomised(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	h := heapx.NewHeap[int](0)
-	const n = 2000
-	keys := make([]float64, n)
-	for i := range keys {
-		keys[i] = rng.Float64() * 1000
-		h.Push(keys[i], i)
-	}
-	sort.Float64s(keys)
-	for i := 0; i < n; i++ {
-		k, v := h.Pop()
-		if k != keys[i] {
-			t.Fatalf("pop %d: key %v, want %v", i, k, keys[i])
-		}
-		if k != keys[i] || v < 0 || v >= n {
-			t.Fatalf("pop %d: bad payload %d", i, v)
-		}
-	}
-}
-
-func TestGenericHeapReset(t *testing.T) {
-	h := heapx.NewHeap[int](4)
-	h.Push(1, 10)
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset should empty the heap")
-	}
-	h.Push(2, 20)
-	if k, v := h.Pop(); k != 2 || v != 20 {
-		t.Fatalf("heap unusable after Reset: (%v, %v)", k, v)
 	}
 }

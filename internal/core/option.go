@@ -128,12 +128,7 @@ func foldPacked(v *fleet.Vehicle, cands []kinetic.PackedCandidate, pts []kinetic
 			Vehicle:    v.ID,
 			PickupDist: cand.PickupDist,
 			Price:      price,
-			Candidate: kinetic.Candidate{
-				Seq:        kinetic.UnpackSeq(cand.Perm, pts),
-				PickupDist: cand.PickupDist,
-				TotalDist:  cand.TotalDist,
-				Delta:      cand.Delta,
-			},
+			Candidate:  cand.Unpack(pts),
 		})
 	}
 }

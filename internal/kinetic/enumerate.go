@@ -260,14 +260,10 @@ func (t *Tree) AppendPointLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 // freshly allocated (they outlive the call by design — skylines and
 // request records retain them).
 func (t *Tree) Quote(req Request) []Candidate {
+	packed, pts := t.QuotePacked(req, nil, nil, nil)
 	var out []Candidate
-	for _, e := range t.quotePacked(req, nil) {
-		out = append(out, Candidate{
-			Seq:        UnpackSeq(e.Payload, t.sc.pts),
-			PickupDist: e.Time,
-			TotalDist:  e.Price + t.bestDist,
-			Delta:      e.Price,
-		})
+	for _, c := range packed {
+		out = append(out, c.Unpack(pts))
 	}
 	return out
 }
@@ -275,13 +271,24 @@ func (t *Tree) Quote(req Request) []Candidate {
 // PackedCandidate is a feasible schedule whose stop sequence is still
 // permutation-encoded (4-bit point indices over the quoted point set):
 // the allocation-free probe result. Callers that filter candidates —
-// the matchers' skylines reject most — materialise []Point schedules
-// only for the survivors via UnpackSeq.
+// the matchers' skylines reject most — materialise the survivors only,
+// with Unpack.
 type PackedCandidate struct {
 	Perm       uint64
 	PickupDist float64
 	TotalDist  float64
 	Delta      float64
+}
+
+// Unpack materialises c over the point set QuotePacked returned with
+// it. The schedule is freshly allocated and safe to retain.
+func (c PackedCandidate) Unpack(pts []Point) Candidate {
+	return Candidate{
+		Seq:        UnpackSeq(c.Perm, pts),
+		PickupDist: c.PickupDist,
+		TotalDist:  c.TotalDist,
+		Delta:      c.Delta,
+	}
 }
 
 // UnpackSeq materialises the stop sequence of a packed candidate over
@@ -299,8 +306,8 @@ func UnpackSeq(perm uint64, pts []Point) []Point {
 // permutation-encoded (appended to dst) together with the quoted point
 // set (appended to ptsBuf, which the permutations index). Both buffers
 // are caller-owned; nothing else escapes. The point set is only valid
-// for this quote — materialise surviving schedules with UnpackSeq
-// before the next probe reuses the buffers. A seed that still matches
+// for this quote — materialise surviving candidates with Unpack before
+// the next probe reuses the buffers. A seed that still matches
 // the tree state pre-fills the request-specific rows of the
 // enumeration's distance matrix: every dist(x, s) and dist(x, d) the
 // enumeration would compute lazily — one point search each through the

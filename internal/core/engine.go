@@ -428,6 +428,22 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("ptrider_memo_batch_lookups_total", "Targets of distance batch fills looked up in the memo.", count(&m.batchLookups))
 	reg.CounterFunc("ptrider_memo_batch_misses_total", "Batch-fill targets the memo did not hold.", count(&m.batchMisses))
 	reg.CounterFunc("ptrider_memo_replacements_total", "Cached pairs overwritten by a newcomer at the cap.", count(&m.replacements))
+
+	// The ledger's two stores: live records (quoted, assigned, onboard)
+	// and the archive of finished ones.
+	records := func(archived bool) func() float64 {
+		return func() float64 {
+			e.led.mu.Lock()
+			defer e.led.mu.Unlock()
+			if archived {
+				return float64(e.led.arch.n)
+			}
+			return float64(len(e.led.reqs))
+		}
+	}
+	const recHelp = "Request records the ledger holds, live or archived."
+	reg.GaugeFunc("ptrider_ledger_records", recHelp, records(false), telemetry.Label{Name: "state", Value: "live"})
+	reg.GaugeFunc("ptrider_ledger_records", recHelp, records(true), telemetry.Label{Name: "state", Value: "archived"})
 }
 
 // MetricFamilies gathers the engine's telemetry registry (nil when
@@ -1031,6 +1047,9 @@ func (e *Engine) runWave(wave []batchPrep, items []BatchItem, out []*RequestReco
 			_ = e.Decline(id)
 		}
 		if fresh, err := e.Request(id); err == nil {
+			// A finished record is archived without its schedules; hand
+			// back the quoted options, as Submit does.
+			fresh.Options = snap.Options
 			out[p.idx] = fresh
 		} else {
 			cp := snap

@@ -1,6 +1,9 @@
 // ledger.go is the request ledger: every request's lifecycle record,
 // the index of riders each vehicle has yet to drop off, the lifecycle
 // counters of the statistics panel (Fig. 4c) and the idempotency keys.
+// A record stays in the hot map while its rider can still act on it and
+// moves to the compact archive (archive.go) when it is declined or
+// completed.
 //
 // Every transition is written once, here. A live path (engine.go) runs
 // validate → fleet action → journal append → transition in one critical
@@ -101,8 +104,11 @@ type lifecycleCounts struct {
 }
 
 type ledger struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// reqs holds the live records — quoted, assigned and onboard — and
+	// arch the finished ones (see retire). A record is in exactly one.
 	reqs  map[RequestID]*RequestRecord
+	arch  archive
 	byVeh map[fleet.VehicleID]map[RequestID]bool // assigned, not yet dropped
 	// top is the highest installed id. Ids come from one counter, so
 	// walking 1..top visits the records id ascending (a gap is a quote
@@ -152,18 +158,36 @@ func (l *ledger) install(rec *RequestRecord, idemKey string) {
 	}
 }
 
+// retire moves a finished record from reqs into the archive. It copies
+// out of rec.Options and never writes into them: Submit and Request
+// hand out copies that share that backing array.
+func (l *ledger) retire(rec *RequestRecord) {
+	l.arch.put(rec)
+	delete(l.reqs, rec.ID)
+}
+
 // keyed returns a copy of the record an idempotency key registered.
 func (l *ledger) keyed(idemKey string) (RequestRecord, bool) {
 	if id, hit := l.idem.get(idemKey); hit {
-		return *l.reqs[id], true
+		return *l.lookup(id), true
 	}
 	return RequestRecord{}, false
 }
 
-// get returns request id's live record; unknown ids fail ErrNotFound.
+// lookup returns request id's live record, a rebuilt copy of its
+// archived one, or nil.
+func (l *ledger) lookup(id RequestID) *RequestRecord {
+	if rec := l.reqs[id]; rec != nil {
+		return rec
+	}
+	return l.arch.get(id)
+}
+
+// get is lookup failing ErrNotFound on unknown ids. Only a live record
+// can pass a transition's state check, so no write lands on a copy.
 func (l *ledger) get(id RequestID) (*RequestRecord, error) {
-	rec, ok := l.reqs[id]
-	if !ok {
+	rec := l.lookup(id)
+	if rec == nil {
 		return nil, fmt.Errorf("core: unknown request %d: %w", id, ErrNotFound)
 	}
 	return rec, nil
@@ -225,6 +249,7 @@ func (l *ledger) decline(id RequestID) error {
 	}
 	rec.Status = StatusDeclined
 	l.n.declined++
+	l.retire(rec)
 	return nil
 }
 
@@ -239,6 +264,7 @@ func (l *ledger) release(id RequestID) error {
 	delete(l.byVeh[rec.Vehicle], id)
 	l.n.assigned--
 	l.n.declined++
+	l.retire(rec)
 	return nil
 }
 
@@ -251,6 +277,7 @@ func (l *ledger) orphan(veh fleet.VehicleID, riders []kinetic.Request) []Request
 		if rec := l.reqs[r.ID]; rec != nil {
 			rec.Status = StatusDeclined
 			delete(l.byVeh[veh], r.ID)
+			l.retire(rec)
 		}
 	}
 	return out
@@ -286,20 +313,29 @@ func (l *ledger) fold(ev fleet.Event) (observed float64, ok bool) {
 		}
 		l.n.completed++
 		delete(l.byVeh[ev.Vehicle], ev.Request)
+		l.retire(rec)
 		return (ev.Odo - rec.PickupOdo) / rec.SD, rec.SD > 0
 	}
 	return 0, false
 }
 
 // list visits up to limit records (limit ≤ 0: all) matching filter, id
-// ascending. The visitor sees the live record: copy, do not keep.
+// ascending. The visitor sees the live record or an archived one's
+// rebuilt copy: copy, do not keep. An archived record the filter skips
+// is not rebuilt.
 func (l *ledger) list(filter RequestFilter, limit int, visit func(*RequestRecord)) {
 	if limit <= 0 {
-		limit = len(l.reqs)
+		limit = len(l.reqs) + l.arch.n
 	}
 	for id := RequestID(1); id <= l.top && limit > 0; id++ {
 		rec := l.reqs[id]
-		if rec == nil || (filter.HasStatus && rec.Status != filter.Status) {
+		if rec == nil {
+			r := l.arch.slot(id)
+			if r == nil || (filter.HasStatus && RequestStatus(r.status) != filter.Status) {
+				continue
+			}
+			rec = l.arch.get(id)
+		} else if filter.HasStatus && rec.Status != filter.Status {
 			continue
 		}
 		visit(rec)
@@ -309,10 +345,11 @@ func (l *ledger) list(filter RequestFilter, limit int, visit func(*RequestRecord
 
 // capture fills the ledger half of a snapshot; restore rebuilds a fresh
 // ledger from one (byVeh, top and the surged count are derived from the
-// records).
+// records). Finished records go out with a zero Candidate per option
+// and come back archived, whichever shape the snapshot has.
 func (l *ledger) capture(s *engSnap) {
 	s.Assigned, s.Declined, s.Completed, s.Shared = l.n.assigned, l.n.declined, l.n.completed, l.n.shared
-	s.Reqs = make([]RequestRecord, 0, len(l.reqs))
+	s.Reqs = make([]RequestRecord, 0, len(l.reqs)+l.arch.n)
 	l.list(RequestFilter{}, 0, func(rec *RequestRecord) { s.Reqs = append(s.Reqs, *rec) })
 	s.Idem = l.idem.entries()
 }
@@ -322,8 +359,11 @@ func (l *ledger) restore(s *engSnap) {
 	for i := range s.Reqs {
 		rec := s.Reqs[i]
 		l.install(&rec, "")
-		if rec.Status == StatusAssigned || rec.Status == StatusOnboard {
+		switch rec.Status {
+		case StatusAssigned, StatusOnboard:
 			l.carry(&rec)
+		case StatusDeclined, StatusCompleted:
+			l.retire(&rec)
 		}
 	}
 	for _, en := range s.Idem {

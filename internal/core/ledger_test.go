@@ -137,8 +137,8 @@ func TestLedgerTransitions(t *testing.T) {
 			if !reflect.DeepEqual(got, []RequestID{idOnboard, idAssigned}) {
 				return fmt.Errorf("orphan returned %v, want the fleet's order", got)
 			}
-			if st := l.reqs[idOnboard].Status; st != StatusDeclined {
-				return fmt.Errorf("orphaned onboard rider is %v", st)
+			if rec, err := l.get(idOnboard); err != nil || rec.Status != StatusDeclined {
+				return fmt.Errorf("orphaned onboard rider: %+v, %v", rec, err)
 			}
 			return nil
 		}, id: idAssigned, to: StatusDeclined},

@@ -21,7 +21,8 @@ type Option struct {
 	// Price is the fare under the engine's price model.
 	Price float64
 	// Candidate is the planned schedule realising this option; Choose
-	// commits it.
+	// commits it. It is zero on a declined or completed record's
+	// options: the ledger archives finished records without schedules.
 	Candidate kinetic.Candidate
 }
 

@@ -508,9 +508,9 @@ func (f *Fleet) Commit(id VehicleID, req kinetic.Request, cand kinetic.Candidate
 		f.commitStale.Add(1)
 		if slack > 0 {
 			f.reprobes.Add(1)
-			if fresh := f.reprobe(v, req, cand, slack); fresh != nil {
-				if err2 := v.Tree.Commit(req, *fresh); err2 == nil {
-					res.Candidate = *fresh
+			if fresh, ok := f.reprobe(v, req, cand, slack); ok {
+				if err2 := v.Tree.Commit(req, fresh); err2 == nil {
+					res.Candidate = fresh
 					res.Reprobed = true
 					f.reprobeCommits.Add(1)
 					err = nil
@@ -529,24 +529,32 @@ func (f *Fleet) Commit(id VehicleID, req kinetic.Request, cand kinetic.Candidate
 }
 
 // reprobe re-quotes req against the vehicle's current tree state (lock
-// held) and returns the fresh candidate closest to the stale quote, or
-// nil when none stays within the allowed slack on both the pick-up
-// distance and the detour delta — the quoted terms must not silently
-// degrade.
-func (f *Fleet) reprobe(v *Vehicle, req kinetic.Request, cand kinetic.Candidate, slack float64) *kinetic.Candidate {
+// held) and returns the fresh candidate of least detour, then least
+// pick-up distance, among those within the allowed slack of the stale
+// quote on both terms — the quoted terms must not silently degrade. ok
+// is false when none is. The candidates stay packed in stack buffers;
+// only the winner's schedule is materialised.
+func (f *Fleet) reprobe(v *Vehicle, req kinetic.Request, cand kinetic.Candidate, slack float64) (fresh kinetic.Candidate, ok bool) {
 	allow := slack * req.SD
-	var best *kinetic.Candidate
-	for _, c := range v.Tree.Quote(req) {
+	// 16 is the kinetic tree's cap on a quote's points; a skyline of
+	// more candidates than that spills to the heap.
+	var candBuf [16]kinetic.PackedCandidate
+	var ptsBuf [16]kinetic.Point
+	cands, pts := v.Tree.QuotePacked(req, candBuf[:0], ptsBuf[:0], nil)
+	best := -1
+	for i, c := range cands {
 		if c.PickupDist > cand.PickupDist+allow || c.Delta > cand.Delta+allow {
 			continue
 		}
-		if best == nil || c.Delta < best.Delta ||
-			(c.Delta == best.Delta && c.PickupDist < best.PickupDist) {
-			cc := c
-			best = &cc
+		if best < 0 || c.Delta < cands[best].Delta ||
+			(c.Delta == cands[best].Delta && c.PickupDist < cands[best].PickupDist) {
+			best = i
 		}
 	}
-	return best
+	if best < 0 {
+		return kinetic.Candidate{}, false
+	}
+	return cands[best].Unpack(pts), true
 }
 
 // CommitStats reports the commit protocol's effectiveness counters:

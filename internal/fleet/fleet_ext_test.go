@@ -82,6 +82,59 @@ func TestCommitForeignCandidateFails(t *testing.T) {
 	}
 }
 
+// TestReprobeUnpacksOnlyTheWinner: among the fresh candidates within
+// the slack of a stale quote, the re-probe picks the least detour, then
+// the least pick-up distance, first in quote order on a tie — the rule
+// it applied when it materialised every candidate — and allocates only
+// the winner's schedule.
+func TestReprobeUnpacksOnlyTheWinner(t *testing.T) {
+	w := newWorld(t, 43, 4)
+	v := w.fl.AddVehicle(0)
+	first := w.request(t, 1, 27, 45, 1, 0.5, 1e6)
+	if _, err := w.fl.Commit(v.ID, first, v.Tree.Quote(first)[0], 0); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	// A second request whose skyline offers a choice.
+	var req kinetic.Request
+	var all []kinetic.Candidate
+	for s := roadnet.VertexID(1); len(all) < 2; s++ {
+		if s == 63 {
+			t.Fatal("no second request with two or more candidates")
+		}
+		req = w.request(t, 2, s, 63-s/2, 1, 0.5, 1e6)
+		all = v.Tree.Quote(req)
+	}
+
+	for _, stale := range all {
+		for _, slack := range []float64{0, 0.05, 0.3, 10} {
+			allow := slack * req.SD
+			want := -1
+			for i, c := range all {
+				if c.PickupDist > stale.PickupDist+allow || c.Delta > stale.Delta+allow {
+					continue
+				}
+				if want < 0 || c.Delta < all[want].Delta ||
+					(c.Delta == all[want].Delta && c.PickupDist < all[want].PickupDist) {
+					want = i
+				}
+			}
+			got, ok := w.fl.Reprobe(v, req, stale, slack)
+			if !ok || got.Delta != all[want].Delta || got.PickupDist != all[want].PickupDist ||
+				got.TotalDist != all[want].TotalDist || !slices.Equal(got.Seq, all[want].Seq) {
+				t.Fatalf("slack %v from %+v: got %+v (%v), want %+v", slack, stale, got, ok, all[want])
+			}
+		}
+	}
+
+	if n := testing.AllocsPerRun(100, func() { w.fl.Reprobe(v, req, all[0], 10) }); n != 1 {
+		t.Fatalf("a re-probe with a winner allocates %v times, want 1 (its schedule)", n)
+	}
+	beyond := kinetic.Candidate{PickupDist: -1e9, Delta: -1e9}
+	if n := testing.AllocsPerRun(100, func() { w.fl.Reprobe(v, req, beyond, 0) }); n != 0 {
+		t.Fatalf("a re-probe without a winner allocates %v times, want 0", n)
+	}
+}
+
 // TestRegistrationConsistencyUnderChurn: after arbitrary operations
 // every active vehicle is registered exactly once, in empty XOR
 // non-empty lists, consistent with its schedule state.

@@ -138,6 +138,10 @@ func TestV1MetricsExposition(t *testing.T) {
 				"# TYPE ptrider_memo_batch_lookups_total counter",
 				"# TYPE ptrider_memo_batch_misses_total counter",
 				"# TYPE ptrider_memo_replacements_total counter",
+				// The ledger's live and archived record counts.
+				"# TYPE ptrider_ledger_records gauge",
+				`state="live"`,
+				`state="archived"`,
 			} {
 				if !strings.Contains(body, want) {
 					t.Errorf("exposition misses %q", want)

@@ -2,14 +2,14 @@
 // client around one remote city shard. It speaks the shard's /v1 API —
 // the bodies, handlers and middleware every /v1 caller meets — for each
 // verb /v1 has, and /rpc only for the five a coordinator needs that /v1
-// lacks (see shard.go). A ShardClient implements multicity.CityBackend
-// — the same method set *core.Engine offers the coordinator,
-// relay.LegEngine included — so routing, aggregation and the relay
-// scheduler's probe/commit/compensate protocol run over real sockets
-// unchanged. Request answers arrive as core.RequestViews and become
-// records again through RequestView.Record. Methods whose engine
+// lacks (see shard.go). A ShardClient is a one-city core.Service and a
+// multicity.CityBackend — the same method set *core.Engine offers the
+// coordinator, relay.LegEngine included — so routing, aggregation and
+// the relay scheduler's probe/commit/compensate protocol run over real
+// sockets unchanged. Request answers arrive as core.RequestViews and
+// become records again through RequestView.Record. Methods whose engine
 // signature has no error result degrade instead: see Clock,
-// ServiceStats, NumVehicles and MetricFamilies.
+// ServiceStats, Cities and MetricFamilies.
 //
 // Failure discipline:
 //
@@ -53,7 +53,6 @@ import (
 	"ptrider/internal/core"
 	"ptrider/internal/fleet"
 	"ptrider/internal/geo"
-	"ptrider/internal/multicity"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/server"
 	"ptrider/internal/telemetry"
@@ -109,16 +108,15 @@ type cached[T any] struct {
 
 // ShardClient speaks the shard surface for one remote city. It
 // implements multicity.CityBackend; all methods are safe for concurrent
-// use. The city arguments its Service-shaped methods take exist to
-// match *core.Engine's signatures and are ignored: a shard serves one
-// city.
+// use. The city arguments of its Service methods are ignored: a shard
+// serves one city.
 type ShardClient struct {
 	addr string // normalised base URL
 	hc   *http.Client
 	cfg  ClientConfig
 
 	// Dial-time city description, immutable but for meta.Vehicles
-	// (guarded by mu; see NumVehicles).
+	// (guarded by mu; see Cities).
 	meta  metaWire
 	graph *roadnet.Graph
 
@@ -131,7 +129,7 @@ type ShardClient struct {
 	rpcRetries *telemetry.Counter
 }
 
-var _ multicity.CityBackend = (*ShardClient)(nil)
+var _ core.Service = (*ShardClient)(nil)
 
 // Dial connects to a shard at addr ("host:port" or a full URL), waits
 // for its readiness probe, and caches the immutable city description
@@ -183,9 +181,6 @@ func Dial(addr string, cfg ClientConfig) (*ShardClient, error) {
 	c.graph = g
 	return c, nil
 }
-
-// Addr returns the shard's base URL.
-func (c *ShardClient) Addr() string { return c.addr }
 
 // Close releases the client's pooled connections.
 func (c *ShardClient) Close() error {
@@ -324,8 +319,8 @@ func (c *ShardClient) record(v *core.RequestView) (*core.ServiceRecord, error) {
 
 // --- relay.LegEngine ---
 
-// Graph returns the dial-time road network snapshot.
-func (c *ShardClient) Graph() *roadnet.Graph { return c.graph }
+// CityGraph returns the dial-time road network snapshot.
+func (c *ShardClient) CityGraph(string) (*roadnet.Graph, error) { return c.graph, nil }
 
 // Speed returns the city's vehicle speed in metres per second.
 func (c *ShardClient) Speed() float64 { return c.meta.Speed }
@@ -423,7 +418,7 @@ func (c *ShardClient) CancelAssigned(id core.RequestID) error {
 		hasStatus(core.StatusDeclined), hasStatus(core.StatusAssigned))
 }
 
-// --- the rest of multicity.CityBackend ---
+// --- the rest of core.Service and multicity.CityBackend ---
 
 // SubmitRequestBatch runs a batch of vertex-addressed requests with the
 // engine's greedy semantics. A closure cannot cross the wire, so the
@@ -509,25 +504,20 @@ func (c *ShardClient) submitChosen(spec core.SubmitSpec) (*core.ServiceRecord, e
 	return rec, err
 }
 
-// Tick advances the shard by dt seconds through POST /v1/ticks. Never
-// retried: a duplicated tick would advance this city's clock out of
-// lockstep. The reply's city-local events become fleet events again.
-func (c *ShardClient) Tick(dt float64) ([]fleet.Event, error) {
+// Advance moves the shard dt seconds forward through POST /v1/ticks and
+// returns its city-local events. Never retried: a duplicated tick would
+// advance this city's clock out of lockstep.
+func (c *ShardClient) Advance(dt float64) ([]core.ServiceEvent, error) {
 	var out struct {
 		Events []core.ServiceEvent `json:"events"`
 	}
-	if err := c.call(http.MethodPost, "/v1/ticks", nil, map[string]float64{"seconds": dt}, &out, false); err != nil {
-		return nil, err
-	}
-	events := make([]fleet.Event, len(out.Events))
-	for i, ev := range out.Events {
-		kind := fleet.EventDropoff
-		if ev.Kind == fleet.EventPickup.String() {
-			kind = fleet.EventPickup
-		}
-		events[i] = fleet.Event{Kind: kind, Vehicle: ev.Vehicle, Request: core.RequestID(ev.Request), Odo: ev.Odo}
-	}
-	return events, nil
+	err := c.call(http.MethodPost, "/v1/ticks", nil, map[string]float64{"seconds": dt}, &out, false)
+	return out.Events, err
+}
+
+// RelayItinerary implements core.Service: a shard serves no relay trips.
+func (c *ShardClient) RelayItinerary(id core.RequestID) (*core.RelayView, error) {
+	return nil, fmt.Errorf("cluster: request %d is not a relay trip: %w", id, core.ErrNotFound)
 }
 
 // Clock reads the shard's simulated clock; an unreachable shard reads
@@ -573,10 +563,11 @@ func (c *ShardClient) Requests(_ string, filter core.RequestFilter, limit int) (
 	return out, nil
 }
 
-// NumVehicles returns the fleet size through the TTL cache — the one
-// field of the city description that moves — serving the last known
-// value while the shard is away.
-func (c *ShardClient) NumVehicles() int {
+// Cities describes the shard's one city. Its fleet size — the one field
+// of the description that moves — comes through the TTL cache, the last
+// known value while the shard is away, so a listing costs no round trip
+// per shard.
+func (c *ShardClient) Cities() []core.CityInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if time.Now().After(c.vehiclesExp) {
@@ -586,7 +577,7 @@ func (c *ShardClient) NumVehicles() int {
 			c.vehiclesExp = time.Now().Add(c.cfg.CacheTTL)
 		}
 	}
-	return c.meta.Vehicles
+	return []core.CityInfo{core.NewCityInfo(c.meta.City, c.meta.Vertices, c.meta.Vehicles, c.meta.Region)}
 }
 
 // NearestVertex snaps a coordinate onto the cached road graph by linear

@@ -145,8 +145,8 @@ func TestShardClientBasics(t *testing.T) {
 	defer c.Close()
 
 	// Dial-time immutable city description matches the engine.
-	if got, want := c.Graph().NumVertices(), eng.Graph().NumVertices(); got != want {
-		t.Fatalf("graph vertices %d, want %d", got, want)
+	if g, err := c.CityGraph(""); err != nil || g.NumVertices() != eng.Graph().NumVertices() {
+		t.Fatalf("graph: %v, want %d vertices", err, eng.Graph().NumVertices())
 	}
 	if c.Speed() != eng.Speed() {
 		t.Fatalf("speed %v, want %v", c.Speed(), eng.Speed())
@@ -178,8 +178,8 @@ func TestShardClientBasics(t *testing.T) {
 	}
 
 	// Tick, clock, stats, listings.
-	if _, err := c.Tick(5); err != nil {
-		t.Fatalf("tick: %v", err)
+	if _, err := c.Advance(5); err != nil {
+		t.Fatalf("advance: %v", err)
 	}
 	if rc := c.Clock(); rc != 5 {
 		t.Fatalf("clock after tick %v, want 5", rc)
@@ -197,8 +197,12 @@ func TestShardClientBasics(t *testing.T) {
 	}
 
 	views, err := c.Vehicles("", 0)
-	if err != nil || len(views) != eng.NumVehicles() || c.NumVehicles() != eng.NumVehicles() {
-		t.Fatalf("vehicles: %d (meta %d), %v", len(views), c.NumVehicles(), err)
+	cities := c.Cities()
+	if err != nil || len(views) != eng.NumVehicles() || len(cities) != 1 || cities[0].Vehicles != eng.NumVehicles() {
+		t.Fatalf("vehicles: %d (cities %+v), %v", len(views), cities, err)
+	}
+	if _, err := c.RelayItinerary(-1); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("relay itinerary on a shard: %v, want ErrNotFound", err)
 	}
 	if _, err := c.VehicleItinerary("", views[0].ID); err != nil {
 		t.Fatalf("vehicle itinerary: %v", err)
@@ -224,7 +228,7 @@ func TestShardClientBasics(t *testing.T) {
 func submitQuotedRemote(t *testing.T, c *ShardClient) *core.RequestRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	n := c.Graph().NumVertices()
+	n := c.graph.NumVertices()
 	for attempt := 0; attempt < 50; attempt++ {
 		s, d := pickVertex(rng, n), pickVertex(rng, n)
 		if s == d {

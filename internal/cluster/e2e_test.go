@@ -96,7 +96,7 @@ func fleetLoad(t *testing.T, c *ShardClient) int {
 	t.Helper()
 	views, err := c.Vehicles("", 0)
 	if err != nil {
-		t.Fatalf("vehicles %s: %v", c.Addr(), err)
+		t.Fatalf("vehicles %s: %v", c.addr, err)
 	}
 	load := 0
 	for _, v := range views {
@@ -195,16 +195,16 @@ func TestE2EShardCrashInCommitWindow(t *testing.T) {
 		t.Fatalf("alpha client: %v", err)
 	}
 	defer alphaClient.Close()
-	for _, c := range []*ShardClient{alphaClient, betaClient} {
+	for name, c := range map[string]*ShardClient{"alpha": alphaClient, "beta": betaClient} {
 		st := c.ServiceStats()
 		if len(st.Cities) != 1 {
-			t.Fatalf("stats %s: shard unreachable", c.Addr())
+			t.Fatalf("stats %s: shard unreachable", name)
 		}
 		if st.Total.Assigned != 0 {
-			t.Fatalf("shard %s holds %d assigned legs after compensation", c.Addr(), st.Total.Assigned)
+			t.Fatalf("shard %s holds %d assigned legs after compensation", name, st.Total.Assigned)
 		}
 		if load := fleetLoad(t, c); load != 0 {
-			t.Fatalf("shard %s fleet still loaded: %d", c.Addr(), load)
+			t.Fatalf("shard %s fleet still loaded: %d", name, load)
 		}
 	}
 

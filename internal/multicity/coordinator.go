@@ -19,35 +19,16 @@ import (
 	"ptrider/internal/telemetry"
 )
 
-// CityBackend is one city as the coordinator drives it: the relay leg
-// verbs, the city-scoped core.Service verbs (always called with city
-// "", the backend's only city) and the few engine-native calls routing
-// needs. *core.Engine satisfies it as is; cluster.ShardClient satisfies
-// it over a shard's /v1 API and /rpc verbs, where a call that cannot fail in
-// process degrades as documented per method.
+// CityBackend is one city as the coordinator drives it: a one-city
+// core.Service, always called with city "" (the backend's only city),
+// plus the relay leg verbs (relay.LegEngine) and the four calls routing
+// and operations need. *core.Engine satisfies it as is;
+// cluster.ShardClient satisfies it over a shard's /v1 API and /rpc
+// verbs, where a call that cannot fail in process degrades instead: a
+// backend that cannot be reached reads clock 0, no stats panel and no
+// metric families, and is never sent a tick twice.
 type CityBackend interface {
-	// Graph, Speed, LegLimits, SubmitRequest, Choose, Decline,
-	// GetRequest and CancelAssigned.
 	relay.LegEngine
-
-	// SubmitRequestBatch runs one city's share of a batch with the
-	// engine's greedy semantics, Choose callbacks included.
-	SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error)
-	Requests(city string, filter core.RequestFilter, limit int) ([]*core.ServiceRecord, error)
-	// Tick advances the city's clock and fleet. Never retried by a
-	// remote backend: a duplicated tick would break lockstep.
-	Tick(dt float64) ([]fleet.Event, error)
-	// Clock reads 0 from a backend that cannot be reached.
-	Clock() float64
-	// ServiceStats carries the city's one panel; a backend that cannot
-	// be reached reports none.
-	ServiceStats() core.ServiceStats
-	NumVehicles() int
-	Vehicles(city string, limit int) ([]core.VehicleView, error)
-	VehicleItinerary(city string, id fleet.VehicleID) (*core.VehicleItinerary, error)
-	Params(city string) (core.ServiceParams, error)
-	Surge(city string) (*core.SurgeView, error)
-	SetCityAlgorithm(city string, algo core.Algorithm) error
 	// NearestVertex snaps a coordinate inside the city's region onto its
 	// road network.
 	NearestVertex(p geo.Point) roadnet.VertexID
@@ -521,10 +502,10 @@ func (c *Coordinator) Advance(dt float64) ([]core.ServiceEvent, error) {
 		return nil, fmt.Errorf("multicity: negative tick %v: %w", dt, core.ErrInvalidArgument)
 	}
 	n := len(c.cities)
-	perCity := make([][]fleet.Event, n)
+	perCity := make([][]core.ServiceEvent, n)
 	errs := make([]error, n)
 	each(n, func(ci int) {
-		perCity[ci], errs[ci] = c.cities[ci].Backend.Tick(dt)
+		perCity[ci], errs[ci] = c.cities[ci].Backend.Advance(dt)
 	})
 	if c.relay != nil {
 		c.relay.Advance()
@@ -532,8 +513,9 @@ func (c *Coordinator) Advance(dt float64) ([]core.ServiceEvent, error) {
 	out := []core.ServiceEvent{} // non-nil: an empty tick encodes as []
 	for ci, evs := range perCity {
 		for _, ev := range evs {
-			ev.Request = globalID(n, ci, ev.Request)
-			out = append(out, core.NewServiceEvent(c.cities[ci].Name, ev))
+			ev.City = c.cities[ci].Name
+			ev.Request = int64(globalID(n, ci, core.RequestID(ev.Request)))
+			out = append(out, ev)
 		}
 	}
 	for ci, err := range errs {
@@ -585,11 +567,13 @@ func (c *Coordinator) ServiceStats() core.ServiceStats {
 	return out
 }
 
-// Cities implements core.Service.
+// Cities implements core.Service: each backend's one city under the
+// coordinator's name and region.
 func (c *Coordinator) Cities() []core.CityInfo {
 	out := make([]core.CityInfo, len(c.cities))
 	for i, city := range c.cities {
-		out[i] = core.NewCityInfo(city.Name, city.Backend.Graph().NumVertices(), city.Backend.NumVehicles(), city.Region)
+		info := city.Backend.Cities()[0]
+		out[i] = core.NewCityInfo(city.Name, info.Vertices, info.Vehicles, city.Region)
 	}
 	return out
 }
@@ -660,5 +644,5 @@ func (c *Coordinator) CityGraph(city string) (*roadnet.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.cities[ci].Backend.Graph(), nil
+	return c.cities[ci].Backend.CityGraph("")
 }

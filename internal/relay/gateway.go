@@ -57,8 +57,9 @@ func boundaryCandidates(g *roadnet.Graph, other geo.Rect, n int) []roadnet.Verte
 // oriented a→b (From in a, To in b); callers flip for the reverse
 // direction.
 func buildGateways(a, b CityRef, cfg Config) []Gateway {
-	ga, gb := a.Engine.Graph(), b.Engine.Graph()
-	if ga.NumVertices() == 0 || gb.NumVertices() == 0 {
+	ga, errA := a.Engine.CityGraph("")
+	gb, errB := b.Engine.CityGraph("")
+	if errA != nil || errB != nil || ga.NumVertices() == 0 || gb.NumVertices() == 0 {
 		return nil
 	}
 	candA := boundaryCandidates(ga, b.Region, cfg.BoundaryCandidates)

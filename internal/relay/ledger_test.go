@@ -338,7 +338,7 @@ func testCities(t testing.TB, taxisW, taxisE int) []CityRef {
 // quoteWithOptions quotes west → east trips until one has options.
 func quoteWithOptions(t *testing.T, s *Scheduler, rng *rand.Rand) TripID {
 	t.Helper()
-	nw, ne := s.cities[0].Engine.Graph().NumVertices(), s.cities[1].Engine.Graph().NumVertices()
+	nw, ne := s.cities[0].Engine.Cities()[0].Vertices, s.cities[1].Engine.Cities()[0].Vertices
 	for attempt := 0; attempt < 50; attempt++ {
 		rec, err := s.Quote(0, 1, roadnet.VertexID(rng.Intn(nw)), roadnet.VertexID(rng.Intn(ne)), 1, core.DefaultConstraints())
 		if err != nil {
@@ -454,7 +454,7 @@ func TestLedgerStressSnapshotRecover(t *testing.T) {
 			}
 		}
 	}()
-	nw, ne := cities[0].Engine.Graph().NumVertices(), cities[1].Engine.Graph().NumVertices()
+	nw, ne := cities[0].Engine.Cities()[0].Vertices, cities[1].Engine.Cities()[0].Vertices
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)

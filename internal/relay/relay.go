@@ -104,32 +104,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// LegEngine is the per-city surface the scheduler quotes, commits,
-// observes and compensates one relay leg through: the city-scoped
-// core.Service verbs plus the leg limits and the compensation verb.
+// LegEngine is one city as the scheduler quotes, commits, observes and
+// compensates a relay leg through it: a one-city core.Service, always
+// addressed with city "", plus the three verbs a Service lacks.
 // *core.Engine satisfies it natively; a remote city shard satisfies it
 // through cluster.ShardClient, whose transport failures surface as
 // core.ErrUnavailable — the scheduler answers those with deferred,
 // idempotent compensation instead of an immediate abort, because an
-// unreachable shard may have journaled the mutation before dying.
+// unreachable shard may have journaled the mutation before dying. Leg
+// specs carry no idempotency key: a remote engine mints one per call,
+// so its transport retries cannot double-quote.
 type LegEngine interface {
-	// Graph and Speed describe the city (gateway selection, ETA
-	// composition).
-	Graph() *roadnet.Graph
+	core.Service
+	// Speed is the city's vehicle speed (ETA composition).
 	Speed() float64
 	// LegLimits returns the city-global waiting-time and planned
 	// pick-up budgets leg-2 quoting widens by the transfer buffer.
 	LegLimits() (maxWait, maxPickup float64)
-	// SubmitRequest quotes one vertex-addressed request, honouring the
-	// spec's idempotency key and span. Leg specs carry no key: a remote
-	// engine mints one per call, so its transport retries cannot
-	// double-quote.
-	SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error)
-	// Choose, Decline, GetRequest and CancelAssigned drive the leg
-	// records through the two-phase commit and its compensation.
-	Choose(id core.RequestID, optionIndex int) error
-	Decline(id core.RequestID) error
-	GetRequest(id core.RequestID) (*core.ServiceRecord, error)
+	// CancelAssigned releases an assigned leg (compensation).
 	CancelAssigned(id core.RequestID) error
 }
 

@@ -56,7 +56,7 @@ func TestGatewaySelection(t *testing.T) {
 	if len(rec.Relay.Gateways) == 0 {
 		t.Fatal("no gateways quoted")
 	}
-	gw, ge := cities[0].Engine.Graph(), cities[1].Engine.Graph()
+	gw, ge := asEngine(cities[0]).Graph(), asEngine(cities[1]).Graph()
 	seenFrom := map[roadnet.VertexID]bool{}
 	seenTo := map[roadnet.VertexID]bool{}
 	for i, g := range rec.Relay.Gateways {
@@ -92,7 +92,7 @@ func tripOf(rec *core.ServiceRecord) relay.TripID {
 func quoteSomething(t testing.TB, s *relay.Scheduler, cities []relay.CityRef) *core.ServiceRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
-	gw, ge := cities[0].Engine.Graph(), cities[1].Engine.Graph()
+	gw, ge := asEngine(cities[0]).Graph(), asEngine(cities[1]).Graph()
 	for attempt := 0; attempt < 50; attempt++ {
 		o := roadnet.VertexID(rng.Intn(gw.NumVertices()))
 		d := roadnet.VertexID(rng.Intn(ge.NumVertices()))

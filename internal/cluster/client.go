@@ -167,11 +167,11 @@ func Dial(addr string, cfg ClientConfig) (*ShardClient, error) {
 		time.Sleep(wait)
 	}
 
-	if err := c.call(http.MethodGet, "/rpc/meta", nil, nil, &c.meta, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, "/rpc/meta", nil, nil, &c.meta, true); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s meta: %w", addr, err)
 	}
 	var body []byte
-	if err := c.call(http.MethodGet, "/rpc/graph", nil, nil, &body, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, "/rpc/graph", nil, nil, &body, true); err != nil {
 		return nil, fmt.Errorf("cluster: shard %s graph: %w", addr, err)
 	}
 	g, err := roadnet.ReadGraph(bytes.NewReader(body))
@@ -193,11 +193,12 @@ func unavailable(format string, args ...any) error {
 	return fmt.Errorf("cluster: "+format+": %w", append(args, core.ErrUnavailable)...)
 }
 
-// once performs one HTTP round trip and decodes the reply into out — a
-// *[]byte takes the raw body. Failures below the envelope are
-// ErrUnavailable; enveloped errors decode to their typed core error.
-func (c *ShardClient) once(method, path string, hdr http.Header, body []byte, out any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+// once performs one HTTP round trip under the caller's context, cut at
+// the per-call deadline, and decodes the reply into out — a *[]byte
+// takes the raw body. Failures below the envelope are ErrUnavailable;
+// enveloped errors decode to their typed core error.
+func (c *ShardClient) once(ctx context.Context, method, path string, hdr http.Header, body []byte, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -242,8 +243,9 @@ func (c *ShardClient) once(method, path string, hdr http.Header, body []byte, ou
 }
 
 // call marshals in, performs the round trip, and — when idempotent —
-// retries transport failures with exponential backoff.
-func (c *ShardClient) call(method, path string, hdr http.Header, in, out any, idempotent bool) error {
+// retries transport failures with exponential backoff while the
+// caller's context lasts: no retry is sent for a caller who has gone.
+func (c *ShardClient) call(ctx context.Context, method, path string, hdr http.Header, in, out any, idempotent bool) error {
 	var body []byte
 	if in != nil {
 		var err error
@@ -259,11 +261,16 @@ func (c *ShardClient) call(method, path string, hdr http.Header, in, out any, id
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
+			select {
+			case <-ctx.Done():
+				c.rpcErrs.Inc()
+				return lastErr
+			case <-time.After(backoff):
+			}
 			c.rpcRetries.Inc()
-			time.Sleep(backoff)
 			backoff *= 2
 		}
-		err := c.once(method, path, hdr, body, out)
+		err := c.once(ctx, method, path, hdr, body, out)
 		if err == nil {
 			return nil
 		}
@@ -279,22 +286,7 @@ func (c *ShardClient) call(method, path string, hdr http.Header, in, out any, id
 // Ready probes the shard's /v1/readyz once (no retries — readiness
 // polling is the caller's loop).
 func (c *ShardClient) Ready() error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.addr+"/v1/readyz", nil)
-	if err != nil {
-		return unavailable("readyz: %v", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return unavailable("readyz: %v", err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return unavailable("readyz: status %d", resp.StatusCode)
-	}
-	return nil
+	return c.once(context.TODO(), http.MethodGet, "/v1/readyz", nil, nil, nil)
 }
 
 // newIdemKey mints the idempotency key a submit reuses across its
@@ -341,21 +333,28 @@ func (c *ShardClient) SubmitIdem(s, d roadnet.VertexID, riders int, cons core.Co
 	return &rec.RequestRecord, nil
 }
 
-// SubmitRequest quotes one request through POST /v1/requests. Its
-// Idempotency-Key (spec.IdemKey, or one minted here) makes the retried
-// POST safe, and a span's id travels as X-Request-ID, so the shard's
-// slow-request line carries the caller's id.
+// requestHeader carries the span of a submit's context as X-Request-ID,
+// so the shard's slow-request line names the caller's request.
+func requestHeader(ctx context.Context) http.Header {
+	hdr := http.Header{}
+	if sp := telemetry.SpanFrom(ctx); sp != nil {
+		hdr.Set("X-Request-ID", sp.ID)
+	}
+	return hdr
+}
+
+// SubmitRequest quotes one request through POST /v1/requests under the
+// spec's context. Its Idempotency-Key (spec.IdemKey, or one minted
+// here) makes the retried POST safe.
 func (c *ShardClient) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error) {
 	if spec.IdemKey == "" {
 		spec.IdemKey = newIdemKey()
 	}
-	hdr := http.Header{}
+	ctx := spec.Context()
+	hdr := requestHeader(ctx)
 	hdr.Set("Idempotency-Key", spec.IdemKey)
-	if spec.Span != nil {
-		hdr.Set("X-Request-ID", spec.Span.ID)
-	}
 	var v core.RequestView
-	if err := c.call(http.MethodPost, "/v1/requests", hdr, server.NewRequestBody(spec), &v, spec.IdemKey != ""); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/requests", hdr, server.NewRequestBody(spec), &v, spec.IdemKey != ""); err != nil {
 		return nil, err
 	}
 	return c.record(&v)
@@ -364,7 +363,7 @@ func (c *ShardClient) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, 
 // GetRequest reads one record.
 func (c *ShardClient) GetRequest(id core.RequestID) (*core.ServiceRecord, error) {
 	var v core.RequestView
-	if err := c.call(http.MethodGet, fmt.Sprintf("/v1/requests/%d", id), nil, nil, &v, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, fmt.Sprintf("/v1/requests/%d", id), nil, nil, &v, true); err != nil {
 		return nil, err
 	}
 	return c.record(&v)
@@ -376,7 +375,7 @@ func (c *ShardClient) GetRequest(id core.RequestID) (*core.ServiceRecord, error)
 // is success, an untouched record earns one retry, anything else keeps
 // the ErrUnavailable for the caller's deferred reconciliation.
 func (c *ShardClient) mutate(path string, body any, id core.RequestID, landed, untouched func(*core.ServiceRecord) bool) error {
-	err := c.call(http.MethodPost, path, nil, body, nil, false)
+	err := c.call(context.TODO(), http.MethodPost, path, nil, body, nil, false)
 	if err == nil || !errors.Is(err, core.ErrUnavailable) {
 		return err
 	}
@@ -387,7 +386,7 @@ func (c *ShardClient) mutate(path string, body any, id core.RequestID, landed, u
 	case landed(rec):
 		return nil
 	case untouched(rec):
-		return c.call(http.MethodPost, path, nil, body, nil, false)
+		return c.call(context.TODO(), http.MethodPost, path, nil, body, nil, false)
 	}
 	return err
 }
@@ -427,7 +426,7 @@ func (c *ShardClient) CancelAssigned(id core.RequestID) error {
 // together, then declined, as the engine does with them), and each
 // callback item is quoted on its own and committed or declined by
 // index before anything after it is quoted — the order the engine's
-// waves guarantee.
+// waves guarantee. Each call runs under its first item's context.
 func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error) {
 	out := make([]*core.ServiceRecord, len(specs))
 	var firstErr error
@@ -460,7 +459,8 @@ func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 			Requests []*core.RequestView `json:"requests"`
 			Error    *core.ErrorPayload  `json:"error"`
 		}
-		if err := c.call(http.MethodPost, "/v1/requests", nil, in, &reply, false); err != nil {
+		ctx := specs[start].Context()
+		if err := c.call(ctx, http.MethodPost, "/v1/requests", requestHeader(ctx), in, &reply, false); err != nil {
 			fail(err)
 		} else if reply.Error != nil {
 			fail(reply.Error.Err())
@@ -483,9 +483,9 @@ func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 // quote, let the callback pick, commit or decline by index, and return
 // the refreshed record. A failed choice ends the item's lifecycle
 // declined rather than abandoning the quote, as in the engine. Batch
-// items carry no idempotency key and no span.
+// items carry no idempotency key.
 func (c *ShardClient) submitChosen(spec core.SubmitSpec) (*core.ServiceRecord, error) {
-	spec.IdemKey, spec.Span = "", nil
+	spec.IdemKey = ""
 	rec, err := c.SubmitRequest(spec)
 	if err != nil {
 		return nil, err
@@ -511,7 +511,7 @@ func (c *ShardClient) Advance(dt float64) ([]core.ServiceEvent, error) {
 	var out struct {
 		Events []core.ServiceEvent `json:"events"`
 	}
-	err := c.call(http.MethodPost, "/v1/ticks", nil, map[string]float64{"seconds": dt}, &out, false)
+	err := c.call(context.TODO(), http.MethodPost, "/v1/ticks", nil, map[string]float64{"seconds": dt}, &out, false)
 	return out.Events, err
 }
 
@@ -524,7 +524,7 @@ func (c *ShardClient) RelayItinerary(id core.RequestID) (*core.RelayView, error)
 // 0, which the coordinator's maximum ignores.
 func (c *ShardClient) Clock() float64 {
 	var out clockReply
-	if err := c.call(http.MethodGet, "/rpc/clock", nil, nil, &out, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, "/rpc/clock", nil, nil, &out, true); err != nil {
 		return 0
 	}
 	return out.Clock
@@ -534,7 +534,7 @@ func (c *ShardClient) Clock() float64 {
 // city); an unreachable shard reports no city.
 func (c *ShardClient) ServiceStats() core.ServiceStats {
 	var st core.ServiceStats
-	if err := c.call(http.MethodGet, "/v1/stats", nil, nil, &st, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, "/v1/stats", nil, nil, &st, true); err != nil {
 		return core.ServiceStats{}
 	}
 	return st
@@ -549,7 +549,7 @@ func (c *ShardClient) Requests(_ string, filter core.RequestFilter, limit int) (
 	var page struct {
 		Requests []core.RequestView `json:"requests"`
 	}
-	if err := c.call(http.MethodGet, path, nil, nil, &page, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, path, nil, nil, &page, true); err != nil {
 		return nil, err
 	}
 	out := make([]*core.ServiceRecord, len(page.Requests))
@@ -572,7 +572,7 @@ func (c *ShardClient) Cities() []core.CityInfo {
 	defer c.mu.Unlock()
 	if time.Now().After(c.vehiclesExp) {
 		var m metaWire
-		if err := c.call(http.MethodGet, "/rpc/meta", nil, nil, &m, true); err == nil {
+		if err := c.call(context.TODO(), http.MethodGet, "/rpc/meta", nil, nil, &m, true); err == nil {
 			c.meta.Vehicles = m.Vehicles
 			c.vehiclesExp = time.Now().Add(c.cfg.CacheTTL)
 		}
@@ -593,7 +593,7 @@ func (c *ShardClient) Params(string) (core.ServiceParams, error) {
 		return c.paramsCache.val, nil
 	}
 	var p core.ServiceParams
-	if err := c.call(http.MethodGet, "/v1/params", nil, nil, &p, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, "/v1/params", nil, nil, &p, true); err != nil {
 		return core.ServiceParams{}, err
 	}
 	c.paramsCache = cached[core.ServiceParams]{val: p, exp: time.Now().Add(c.cfg.CacheTTL)}
@@ -603,7 +603,7 @@ func (c *ShardClient) Params(string) (core.ServiceParams, error) {
 // Surge reads the shard's per-cell surge state.
 func (c *ShardClient) Surge(string) (*core.SurgeView, error) {
 	var v core.SurgeView
-	if err := c.call(http.MethodGet, "/v1/surge", nil, nil, &v, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, "/v1/surge", nil, nil, &v, true); err != nil {
 		return nil, err
 	}
 	return &v, nil
@@ -612,7 +612,7 @@ func (c *ShardClient) Surge(string) (*core.SurgeView, error) {
 // SetCityAlgorithm switches the shard's matching algorithm (idempotent
 // — setting the same algorithm twice is harmless — so retried).
 func (c *ShardClient) SetCityAlgorithm(_ string, algo core.Algorithm) error {
-	err := c.call(http.MethodPost, "/v1/params", nil, map[string]string{"algorithm": algo.String()}, nil, true)
+	err := c.call(context.TODO(), http.MethodPost, "/v1/params", nil, map[string]string{"algorithm": algo.String()}, nil, true)
 	if err == nil {
 		c.mu.Lock()
 		c.paramsCache = cached[core.ServiceParams]{} // params echo the algorithm
@@ -626,7 +626,7 @@ func (c *ShardClient) Vehicles(_ string, limit int) ([]core.VehicleView, error) 
 	var page struct {
 		Vehicles []core.VehicleView `json:"vehicles"`
 	}
-	if err := c.call(http.MethodGet, fmt.Sprintf("/v1/vehicles?limit=%d", max(limit, 0)), nil, nil, &page, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, fmt.Sprintf("/v1/vehicles?limit=%d", max(limit, 0)), nil, nil, &page, true); err != nil {
 		return nil, err
 	}
 	return page.Vehicles, nil
@@ -635,7 +635,7 @@ func (c *ShardClient) Vehicles(_ string, limit int) ([]core.VehicleView, error) 
 // VehicleItinerary reads one vehicle's location and schedule branches.
 func (c *ShardClient) VehicleItinerary(_ string, id fleet.VehicleID) (*core.VehicleItinerary, error) {
 	var out core.VehicleItinerary
-	if err := c.call(http.MethodGet, fmt.Sprintf("/v1/vehicles/%d", id), nil, nil, &out, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, fmt.Sprintf("/v1/vehicles/%d", id), nil, nil, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -645,7 +645,7 @@ func (c *ShardClient) VehicleItinerary(_ string, id fleet.VehicleID) (*core.Vehi
 // unreachable shard contributes none.
 func (c *ShardClient) MetricFamilies() []telemetry.Family {
 	var out []telemetry.Family
-	if err := c.call(http.MethodGet, "/rpc/telemetry", nil, nil, &out, true); err != nil {
+	if err := c.call(context.TODO(), http.MethodGet, "/rpc/telemetry", nil, nil, &out, true); err != nil {
 		return nil
 	}
 	return out

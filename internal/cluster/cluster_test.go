@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -319,11 +320,11 @@ func TestSubmitIdempotentAcrossLostResponse(t *testing.T) {
 	}
 }
 
-// TestSubmitCarriesRequestIDToShard pins the first piece of cross-hop
-// correlation: a submit that reaches the gateway's /v1 surface under
-// X-Request-ID probe-1 reaches the shard under the same id, so the
-// shard's own slow-request line names probe-1 beside the engine's quote
-// and register stages.
+// TestSubmitCarriesRequestIDToShard pins cross-hop correlation: a
+// submit that reaches the gateway's /v1 surface under X-Request-ID
+// probe-1 reaches the shard under the same id, so the shard's own
+// slow-request line names probe-1 beside the engine's quote and
+// register stages. A batch under probe-2 reaches it the same way.
 func TestSubmitCarriesRequestIDToShard(t *testing.T) {
 	eng := newCityEngine(t, 6, 6, 0, 1, 5)
 	var buf syncBuffer
@@ -338,32 +339,78 @@ func TestSubmitCarriesRequestIDToShard(t *testing.T) {
 	front := httptest.NewServer(server.NewService(gw).Handler())
 	t.Cleanup(front.Close)
 
-	req, _ := http.NewRequest(http.MethodPost, front.URL+"/v1/requests",
-		strings.NewReader(`{"city":"solo","s":2,"d":20,"riders":1}`))
-	req.Header.Set("X-Request-ID", "probe-1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("gateway submit status %d", resp.StatusCode)
-	}
+	for _, tc := range []struct {
+		id, body string
+		want     []string
+	}{
+		{"probe-1", `{"city":"solo","s":2,"d":20,"riders":1}`, []string{"quote=", "register="}},
+		{"probe-2", `{"requests":[{"city":"solo","s":2,"d":20,"riders":1},{"city":"solo","s":3,"d":21,"riders":1}]}`, nil},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, front.URL+"/v1/requests", strings.NewReader(tc.body))
+		req.Header.Set("X-Request-ID", tc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: gateway submit status %d", tc.id, resp.StatusCode)
+		}
 
-	// The shard logs after its reply is written; poll briefly.
-	var line string
-	for deadline := time.Now().Add(2 * time.Second); line == "" && time.Now().Before(deadline); {
-		for _, l := range strings.Split(buf.String(), "\n") {
-			if strings.Contains(l, `"request_id":"probe-1"`) {
-				line = l
+		// The shard logs after its reply is written; poll briefly.
+		tag := `"request_id":"` + tc.id + `"`
+		var line string
+		for deadline := time.Now().Add(2 * time.Second); line == "" && time.Now().Before(deadline); {
+			for _, l := range strings.Split(buf.String(), "\n") {
+				if strings.Contains(l, tag) {
+					line = l
+				}
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		for _, want := range append([]string{tag, `"route":"/v1/requests"`}, tc.want...) {
+			if !strings.Contains(line, want) {
+				t.Fatalf("shard slow log %q misses %q (log: %s)", line, want, buf.String())
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	for _, want := range []string{`"request_id":"probe-1"`, `"route":"/v1/requests"`, "quote=", "register="} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("shard slow log %q misses %q (log: %s)", line, want, buf.String())
+}
+
+// TestSubmitCancelledSendsNoRetry drops the shard's first submit
+// exchange and cancels the caller's context with it: the gateway
+// answers ErrUnavailable without a retry, so the shard sees exactly one
+// POST and the retry counter stays at zero.
+func TestSubmitCancelledSendsNoRetry(t *testing.T) {
+	eng := newCityEngine(t, 6, 6, 0, 1, 5)
+	inner := NewShardHandler(eng, ShardOptions{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var posts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/requests" && posts.Add(1) == 1 {
+			cancel()
+			panic(http.ErrAbortHandler)
 		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	reg := telemetry.NewRegistry()
+	gw, err := NewGateway([]string{"solo=" + ts.URL}, GatewayConfig{Client: fastClient(), Registry: reg})
+	if err != nil {
+		t.Fatalf("gateway: %v", err)
+	}
+	defer gw.Close()
+
+	_, err = gw.SubmitRequest(core.SubmitSpec{City: "solo", S: 2, D: 20, Riders: 1, Ctx: ctx})
+	if !errors.Is(err, core.ErrUnavailable) {
+		t.Fatalf("cancelled submit: %v, want ErrUnavailable", err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("shard saw %d submit POSTs, want 1", n)
+	}
+	retries := reg.Counter("cluster_rpc_retries_total", "", telemetry.Label{Name: "shard", Value: ts.URL})
+	if n := retries.Value(); n != 0 {
+		t.Fatalf("%d retries counted for a caller who had gone", n)
 	}
 }
 

@@ -137,11 +137,13 @@ func rpcEnvelope(w http.ResponseWriter, status int, p core.ErrorPayload) {
 }
 
 // rpcDecode parses a JSON request body of at most server.MaxBodyBytes,
-// classifying malformed payloads as invalid_argument (413 when the
-// body was cut off at the limit).
+// refusing unknown fields as the /v1 decoders do, and classifies
+// malformed payloads as invalid_argument (413 when the body was cut off
+// at the limit).
 func rpcDecode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		rpcEnvelope(w, server.BodyErrorStatus(err), core.ErrorPayload{
 			Code:    "invalid_argument",
 			Message: fmt.Sprintf("cluster: bad request body: %v: %v", err, core.ErrInvalidArgument),

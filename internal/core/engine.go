@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -610,7 +611,7 @@ func DefaultConstraints() Constraints {
 // Choose or Decline. Submissions run fully in parallel: no engine-wide
 // lock is held while matching.
 func (e *Engine) Submit(s, d roadnet.VertexID, riders int) (*RequestRecord, error) {
-	return e.submit(s, d, riders, DefaultConstraints(), "", nil)
+	return e.submit(context.TODO(), s, d, riders, DefaultConstraints(), "")
 }
 
 // SubmitIdem is Submit with per-rider constraint overrides and an
@@ -620,17 +621,20 @@ func (e *Engine) Submit(s, d roadnet.VertexID, riders int) (*RequestRecord, erro
 // safe — the original may have been journaled before the crash, and
 // re-quoting it would fork the id sequence.
 func (e *Engine) SubmitIdem(s, d roadnet.VertexID, riders int, c Constraints, idemKey string) (*RequestRecord, error) {
-	return e.submit(s, d, riders, c, idemKey, nil)
+	return e.submit(context.TODO(), s, d, riders, c, idemKey)
 }
 
 // submit is the one submit path: Submit, SubmitIdem and SubmitRequest
-// all end here. sp is the optional request span (SubmitSpec.Span): the
-// server's middleware opens one per HTTP request and the stage timings
-// recorded here become the slow-request breakdown. A nil span costs
+// all end here. ctx is the caller's (SubmitSpec.Ctx). The ring walk
+// polls it once per cell, and a quote whose caller has gone is
+// abandoned before it registers: no record, no journal append, no
+// request counted, and its id stays a gap. The span ctx may carry (the
+// server's middleware opens one per HTTP request) receives the stage
+// timings that become the slow-request breakdown. A nil span costs
 // nothing (nil-safe no-ops), and the histograms are nil when telemetry
 // is off, so the instrumentation reuses the clock reads observeMatch
 // already pays for.
-func (e *Engine) submit(s, d roadnet.VertexID, riders int, c Constraints, idemKey string, sp *telemetry.Span) (*RequestRecord, error) {
+func (e *Engine) submit(ctx context.Context, s, d roadnet.VertexID, riders int, c Constraints, idemKey string) (*RequestRecord, error) {
 	if err := e.alive(); err != nil {
 		return nil, err
 	}
@@ -649,9 +653,13 @@ func (e *Engine) submit(s, d roadnet.VertexID, riders int, c Constraints, idemKe
 
 	var ms MatchStats
 	start := time.Now()
-	options := e.matchers[e.Algorithm()].Match(&spec, &ms)
+	options := e.matchers[e.Algorithm()].Match(ctx, &spec, &ms)
 	elapsed := time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, abandoned(err)
+	}
 	e.observeMatch(&ms, len(options), float64(elapsed.Nanoseconds()))
+	sp := telemetry.SpanFrom(ctx)
 	if e.quoteHist != nil || sp != nil {
 		secs := elapsed.Seconds()
 		e.quoteHist.Observe(secs)
@@ -663,6 +671,11 @@ func (e *Engine) submit(s, d roadnet.VertexID, riders int, c Constraints, idemKe
 		return nil, err
 	}
 	return &cp, nil
+}
+
+// abandoned is the error of a quote whose caller's context is done.
+func abandoned(cause error) error {
+	return fmt.Errorf("core: quote abandoned: %w: %w", ErrUnavailable, cause)
 }
 
 // prepareRequest validates a request, resolves constraint defaults, and
@@ -938,6 +951,10 @@ type BatchItem struct {
 	// Choose picks an option index from the quoted skyline (or -1 to
 	// decline). Nil declines everything (quote-only batch).
 	Choose func(options []Option) int
+	// ctx and err are what SubmitRequestBatch resolved: the item's
+	// SubmitSpec.Ctx (nil is never done) and its addressing error.
+	ctx context.Context
+	err error
 }
 
 // batchWaveTail bounds how many items past the first potential
@@ -962,6 +979,8 @@ type batchPrep struct {
 //
 // It returns one record snapshot per item, in order; individual
 // failures are recorded as nil entries with the first error returned.
+// Before each wave, items whose context is done are abandoned (see
+// submit); a wave that has started runs to the end.
 // Unrelated traffic may interleave with a batch — the greedy order is a
 // property of the batch, not a global freeze.
 func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
@@ -978,6 +997,10 @@ func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
 
 	preps := make([]batchPrep, 0, len(items))
 	for i, it := range items {
+		if it.err != nil {
+			fail(i, it.err)
+			continue
+		}
 		spec, wait, sigma, err := e.prepareRequest(it.S, it.D, it.Riders, it.Constraints)
 		if err != nil {
 			fail(i, err)
@@ -986,7 +1009,18 @@ func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
 		preps = append(preps, batchPrep{idx: i, spec: spec, wait: wait, sigma: sigma})
 	}
 
-	for start := 0; start < len(preps); {
+	for {
+		live := preps[:0]
+		for _, p := range preps {
+			if ctx := items[p.idx].ctx; ctx != nil && ctx.Err() != nil {
+				fail(p.idx, abandoned(ctx.Err()))
+				continue
+			}
+			live = append(live, p)
+		}
+		if preps = live; len(preps) == 0 {
+			break
+		}
 		// A wave is a maximal run of items that cannot commit (nil
 		// Choose) — their quotes are never discarded — plus a bounded
 		// tail once choosers appear. The tail bounds the speculation: a
@@ -994,14 +1028,14 @@ func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
 		// batches cost O(k·tail), not O(k²)), while decline-heavy
 		// chooser batches still quote about batchWaveTail+1 items per
 		// wave in parallel.
-		end := start
+		end := 0
 		for end < len(preps) && items[preps[end].idx].Choose == nil {
 			end++
 		}
 		for tail := 0; end < len(preps) && tail <= batchWaveTail; tail++ {
 			end++
 		}
-		start += e.runWave(preps[start:end], items, out, fail)
+		preps = preps[e.runWave(preps[:end], items, out, fail):]
 	}
 	return out, firstErr
 }
@@ -1080,14 +1114,15 @@ type waveQuote struct {
 // from the shared counter, so concurrently-running items bleed into
 // each other's counts — the same documented imprecision concurrent
 // Submits always had (see MatchStats); the engine-level DistCalls()
-// total stays exact.
+// total stays exact. A started wave runs to the end — SubmitBatch
+// checks the items' contexts between waves — so its matches get none.
 func (e *Engine) matchWave(wave []batchPrep) []waveQuote {
 	quotes := make([]waveQuote, len(wave))
 	m := e.matchers[e.Algorithm()]
 	parallelFor(e.sub.cfg.MatchWorkers, len(wave), func(i int) {
 		q := &quotes[i]
 		start := time.Now()
-		q.options = m.Match(&wave[i].spec, &q.stats)
+		q.options = m.Match(context.Background(), &wave[i].spec, &q.stats)
 		q.elapsedNs = float64(time.Since(start).Nanoseconds())
 	})
 	return quotes
@@ -1557,7 +1592,7 @@ func (e *Engine) MatchOnce(algo Algorithm, s, d roadnet.VertexID, riders int) ([
 		MaxPickupDist: e.sub.cfg.MaxPickupSeconds * e.sub.speed,
 	}
 	var ms MatchStats
-	opts := m.Match(spec, &ms)
+	opts := m.Match(context.Background(), spec, &ms)
 	return opts, ms, nil
 }
 

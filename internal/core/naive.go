@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // NaiveMatcher is the baseline extended directly from the kinetic-tree
 // algorithm (paper §3.3): every vehicle is evaluated by probing its
 // kinetic tree with the request; the global skyline filters the
@@ -17,7 +19,7 @@ func newNaiveMatcher(ctx *matchContext) *NaiveMatcher { return &NaiveMatcher{ctx
 func (m *NaiveMatcher) Name() string { return "naive" }
 
 // Match implements Matcher.
-func (m *NaiveMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
+func (m *NaiveMatcher) Match(_ context.Context, spec *ReqSpec, stats *MatchStats) []Option {
 	ctx := m.ctx
 	before := ctx.metric.DistCalls()
 	defer func() { stats.DistCalls += ctx.metric.DistCalls() - before }()

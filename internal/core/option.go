@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 
 	"ptrider/internal/fleet"
@@ -85,8 +86,10 @@ type Matcher interface {
 	// "dual-side") as selectable in the demo's website interface.
 	Name() string
 	// Match returns the skyline options for spec, sorted by pick-up
-	// distance ascending.
-	Match(spec *ReqSpec, stats *MatchStats) []Option
+	// distance ascending. A matcher may stop early once ctx is done;
+	// its answer is then incomplete, and the caller, which reads
+	// ctx.Err() afterwards, discards it.
+	Match(ctx context.Context, spec *ReqSpec, stats *MatchStats) []Option
 }
 
 // matchContext bundles the shared state every matcher operates on: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"ptrider/internal/fleet"
@@ -190,8 +191,9 @@ func (es *emptyScan) finish(spec *ReqSpec, sky *skyline.Skyline[Option]) {
 	}
 }
 
-// Match implements Matcher.
-func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
+// Match implements Matcher. The walk polls reqCtx once per ring cell
+// and returns nothing once it is done.
+func (m *RingMatcher) Match(reqCtx context.Context, spec *ReqSpec, stats *MatchStats) []Option {
 	ctx := m.ctx
 	before := ctx.metric.DistCalls()
 	defer func() { stats.DistCalls += ctx.metric.DistCalls() - before }()
@@ -221,6 +223,13 @@ func (m *RingMatcher) Match(spec *ReqSpec, stats *MatchStats) []Option {
 	ld := 0.0 // every vehicle not d-seen has all schedule locations ≥ ld from d
 
 	for _, cell := range grid.Cell(sCell).Ring {
+		if done := reqCtx.Done(); done != nil {
+			select {
+			case <-done:
+				return nil
+			default:
+			}
+		}
 		L := grid.CellLB(sCell, cell)
 		if L > spec.MaxPickupDist {
 			break

@@ -1,12 +1,14 @@
 // service.go defines the Service interface — the one engine contract
 // every transport (the public ptrider package, the HTTP server, the
-// workload simulator) programs against. Two implementations exist:
+// workload simulator) programs against, and the one a city backend
+// offers its coordinator. Three implementations exist:
 //
 //   - *Engine: a single city (itself a degenerate "default" city).
 //   - *multicity.Coordinator: N cities behind coordinate routing,
 //     optionally with cross-city relay scheduling — in process as a
 //     multicity.Router over engines, across processes as a
 //     cluster.Gateway over city shards.
+//   - cluster.ShardClient: one remote city shard.
 //
 // The interface is deliberately expressed in core types only, so the
 // transports need no knowledge of which backend serves them: requests
@@ -22,12 +24,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ptrider/internal/fleet"
 	"ptrider/internal/geo"
 	"ptrider/internal/roadnet"
-	"ptrider/internal/telemetry"
 )
 
 // DefaultCityName is the city name a bare *Engine serves under: a
@@ -65,12 +67,19 @@ type SubmitSpec struct {
 	// submission (SubmitRequest); batch and relay submissions ignore
 	// it.
 	IdemKey string
-	// Span, when non-nil, receives the submit pipeline's per-stage
-	// timings (quote/register/wal_wait) for request correlation — the
-	// HTTP middleware opens one per request and logs its breakdown when
-	// the request is slow. Honoured by single-request submission; batch
-	// and relay submissions ignore it.
-	Span *telemetry.Span
+	// Ctx is the caller's context, as an http.Request carries its own
+	// (nil: context.Background()). A quote whose context is done before
+	// it registers is abandoned with ErrUnavailable; its span
+	// (telemetry.WithSpan) gets the stage timings and crosses the hop.
+	Ctx context.Context
+}
+
+// Context returns Ctx, or context.Background() when Ctx is nil.
+func (s *SubmitSpec) Context() context.Context {
+	if s.Ctx == nil {
+		return context.Background()
+	}
+	return s.Ctx
 }
 
 // ServiceRecord is the Service-level view of a request: the engine
@@ -315,12 +324,6 @@ type ServiceEvent struct {
 	Odo float64 `json:"odo"`
 }
 
-// NewServiceEvent tags a city's movement event; ev.Request must
-// already be in the global namespace.
-func NewServiceEvent(city string, ev fleet.Event) ServiceEvent {
-	return ServiceEvent{City: city, Kind: ev.Kind.String(), Vehicle: ev.Vehicle, Request: int64(ev.Request), Odo: ev.Odo}
-}
-
 // CityInfo describes one city of a backend. The Min/Max coordinates
 // bound its service region — the addresses coordinate submission
 // assigns to it.
@@ -425,8 +428,9 @@ type VehicleItinerary struct {
 
 // Service is the shared engine contract: everything a transport needs
 // to submit, commit, observe and advance ridesharing requests, over one
-// city or many. *Engine and *multicity.Coordinator implement it; all
-// methods are safe for concurrent use.
+// city or many. *Engine, *multicity.Coordinator and
+// cluster.ShardClient implement it; all methods are safe for concurrent
+// use.
 type Service interface {
 	// SubmitRequest answers one ridesharing request with its skyline of
 	// options (spec.Choose is ignored).
@@ -522,7 +526,7 @@ func (e *Engine) SubmitRequest(spec SubmitSpec) (*ServiceRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := e.submit(s, d, spec.Riders, spec.Constraints, spec.IdemKey, spec.Span)
+	rec, err := e.submit(spec.Context(), s, d, spec.Riders, spec.Constraints, spec.IdemKey)
 	if err != nil {
 		return nil, err
 	}
@@ -530,36 +534,26 @@ func (e *Engine) SubmitRequest(spec SubmitSpec) (*ServiceRecord, error) {
 }
 
 // SubmitRequestBatch implements Service over SubmitBatch: greedy in
-// batch order, each wave's quotes run in parallel.
+// batch order, each wave's quotes run in parallel, and an item whose
+// context is done before its wave starts is abandoned.
 func (e *Engine) SubmitRequestBatch(specs []SubmitSpec) ([]*ServiceRecord, error) {
-	out := make([]*ServiceRecord, len(specs))
-	var firstErr error
-	items := make([]BatchItem, 0, len(specs))
-	idxs := make([]int, 0, len(specs))
+	items := make([]BatchItem, len(specs))
 	for i := range specs {
 		s, d, err := e.resolveSpec(&specs[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: batch item %d: %w", i, err)
-			}
-			continue
-		}
-		items = append(items, BatchItem{
+		items[i] = BatchItem{
 			S: s, D: d, Riders: specs[i].Riders,
 			Constraints: specs[i].Constraints, Choose: specs[i].Choose,
-		})
-		idxs = append(idxs, i)
-	}
-	recs, err := e.SubmitBatch(items)
-	if err != nil && firstErr == nil {
-		firstErr = err
-	}
-	for k, rec := range recs {
-		if rec != nil {
-			out[idxs[k]] = e.serviceRecord(rec)
+			ctx: specs[i].Ctx, err: err,
 		}
 	}
-	return out, firstErr
+	recs, err := e.SubmitBatch(items)
+	out := make([]*ServiceRecord, len(specs))
+	for i, rec := range recs {
+		if rec != nil {
+			out[i] = e.serviceRecord(rec)
+		}
+	}
+	return out, err
 }
 
 // GetRequest implements Service.
@@ -596,7 +590,7 @@ func (e *Engine) Advance(dt float64) ([]ServiceEvent, error) {
 	events, err := e.Tick(dt)
 	out := make([]ServiceEvent, len(events))
 	for i, ev := range events {
-		out[i] = NewServiceEvent(DefaultCityName, ev)
+		out[i] = ServiceEvent{City: DefaultCityName, Kind: ev.Kind.String(), Vehicle: ev.Vehicle, Request: int64(ev.Request), Odo: ev.Odo}
 	}
 	return out, err
 }

@@ -73,7 +73,7 @@ var _ core.Service = (*Coordinator)(nil)
 // relayCfg serves cross-city trips through a relay scheduler over the
 // same backends (needs at least two cities); nil rejects them with
 // *core.CrossCityError. reg, when non-nil, is gathered first by
-// MetricFamilies.
+// MetricFamilies, and with relay on it gauges the trip ledger's size.
 func NewCoordinator(cities []City, relayCfg *relay.Config, reg *telemetry.Registry) (*Coordinator, error) {
 	if err := checkCities(cities); err != nil {
 		return nil, err
@@ -92,6 +92,8 @@ func NewCoordinator(cities []City, relayCfg *relay.Config, reg *telemetry.Regist
 			return nil, fmt.Errorf("multicity: %w", err)
 		}
 		c.relay = sched
+		reg.GaugeFunc("ptrider_relay_trips", "Relay trips the trip ledger holds.",
+			func() float64 { return float64(sched.Trips()) })
 	}
 	return c, nil
 }
@@ -233,7 +235,7 @@ func (c *Coordinator) resolve(spec *core.SubmitSpec) (oc, dc int, s, d roadnet.V
 
 // backendSpec is the vertex-addressed form of a resolved same-city spec
 // as handed to its backend; constraints, callback, idempotency key and
-// span ride along unchanged.
+// context ride along unchanged.
 func backendSpec(spec core.SubmitSpec, s, d roadnet.VertexID) core.SubmitSpec {
 	spec.City, spec.ByCoords, spec.S, spec.D = "", false, s, d
 	return spec
@@ -264,7 +266,7 @@ func (c *Coordinator) crossCity(oc, dc int, s, d roadnet.VertexID, spec *core.Su
 	if c.relay == nil {
 		return nil, &core.CrossCityError{Origin: c.cities[oc].Name, Dest: c.cities[dc].Name}
 	}
-	rec, err := c.relay.Quote(oc, dc, s, d, spec.Riders, spec.Constraints)
+	rec, err := c.relay.Quote(spec.Context(), oc, dc, s, d, spec.Riders, spec.Constraints)
 	if err != nil {
 		return nil, fmt.Errorf("multicity: %w", err)
 	}
@@ -273,7 +275,8 @@ func (c *Coordinator) crossCity(oc, dc int, s, d roadnet.VertexID, spec *core.Su
 
 // SubmitRequest implements core.Service: a same-city spec goes to the
 // owning backend, a cross-city one is quoted as a two-leg relay trip
-// (relay quotes are not deduplicated and carry no span).
+// whose legs carry the spec's context (relay quotes are not
+// deduplicated).
 func (c *Coordinator) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, error) {
 	oc, dc, s, d, err := c.resolve(&spec)
 	if err != nil {

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -340,7 +341,7 @@ func quoteWithOptions(t *testing.T, s *Scheduler, rng *rand.Rand) TripID {
 	t.Helper()
 	nw, ne := s.cities[0].Engine.Cities()[0].Vertices, s.cities[1].Engine.Cities()[0].Vertices
 	for attempt := 0; attempt < 50; attempt++ {
-		rec, err := s.Quote(0, 1, roadnet.VertexID(rng.Intn(nw)), roadnet.VertexID(rng.Intn(ne)), 1, core.DefaultConstraints())
+		rec, err := s.Quote(context.Background(), 0, 1, roadnet.VertexID(rng.Intn(nw)), roadnet.VertexID(rng.Intn(ne)), 1, core.DefaultConstraints())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +462,7 @@ func TestLedgerStressSnapshotRecover(t *testing.T) {
 		go func(rng *rand.Rand) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				rec, err := s.Quote(0, 1, roadnet.VertexID(rng.Intn(nw)), roadnet.VertexID(rng.Intn(ne)), 1, core.DefaultConstraints())
+				rec, err := s.Quote(context.Background(), 0, 1, roadnet.VertexID(rng.Intn(nw)), roadnet.VertexID(rng.Intn(ne)), 1, core.DefaultConstraints())
 				if err != nil {
 					continue // no viable gateway for this pair
 				}
@@ -515,7 +516,7 @@ func TestQuoteJournalFailureDeclinesLegs(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Arm(wal.CrashPreAppend, 0)
-	if _, err := s.Quote(0, 1, 0, 0, 1, core.DefaultConstraints()); !errors.Is(err, wal.ErrCrashed) {
+	if _, err := s.Quote(context.Background(), 0, 1, 0, 0, 1, core.DefaultConstraints()); !errors.Is(err, wal.ErrCrashed) {
 		t.Fatalf("quote with a crashed journal: %v", err)
 	}
 	legs := 0

@@ -35,6 +35,7 @@ package relay
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -104,16 +105,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// LegEngine is one city as the scheduler quotes, commits, observes and
-// compensates a relay leg through it: a one-city core.Service, always
-// addressed with city "", plus the three verbs a Service lacks.
-// *core.Engine satisfies it natively; a remote city shard satisfies it
-// through cluster.ShardClient, whose transport failures surface as
-// core.ErrUnavailable — the scheduler answers those with deferred,
-// idempotent compensation instead of an immediate abort, because an
-// unreachable shard may have journaled the mutation before dying. Leg
-// specs carry no idempotency key: a remote engine mints one per call,
-// so its transport retries cannot double-quote.
+// LegEngine is one city as the scheduler runs a relay leg through it: a
+// one-city core.Service, always addressed with city "", plus the three
+// verbs a Service lacks. *core.Engine satisfies it natively and
+// cluster.ShardClient over a socket, whose transport failures surface
+// as core.ErrUnavailable: the scheduler answers those with deferred,
+// idempotent compensation, since the shard may have journaled the
+// mutation before dying. Leg specs carry no idempotency key: a remote
+// engine mints one per call, so its retries cannot double-quote.
 type LegEngine interface {
 	core.Service
 	// Speed is the city's vehicle speed (ETA composition).
@@ -217,16 +216,10 @@ func New(cities []CityRef, cfg Config) (*Scheduler, error) {
 
 // SetCommitOverride installs (or, with nil, removes) the leg-commit
 // seam. Not part of the supported surface.
-func (s *Scheduler) SetCommitOverride(fn CommitFunc) {
-	if fn == nil {
-		s.commitOverride.Store(nil)
-		return
-	}
-	s.commitOverride.Store(&fn)
-}
+func (s *Scheduler) SetCommitOverride(fn CommitFunc) { s.commitOverride.Store(&fn) }
 
 func (s *Scheduler) commitLeg(leg int, eng LegEngine, id core.RequestID, optionIndex int) error {
-	if fn := s.commitOverride.Load(); fn != nil {
+	if fn := s.commitOverride.Load(); fn != nil && *fn != nil {
 		return (*fn)(leg, eng, id, optionIndex)
 	}
 	return eng.Choose(id, optionIndex)
@@ -254,9 +247,10 @@ func (s *Scheduler) gatewaysFor(oc, dc int) []Gateway {
 // declined — and the trip is registered quoted even when the joint
 // skyline comes back empty (the rider then declines, exactly like an
 // optionless single-city quote). If the quote record cannot be
-// journaled, every leg is declined before the error surfaces. The
-// answer is the trip's Service record (see record).
-func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons core.Constraints) (*core.ServiceRecord, error) {
+// journaled, or ctx (which every leg quote carries) is done by then,
+// every leg is declined and the trip fails (core.ErrUnavailable for a
+// done ctx). The answer is the trip's Service record (see record).
+func (s *Scheduler) Quote(ctx context.Context, oc, dc int, o, d roadnet.VertexID, riders int, cons core.Constraints) (*core.ServiceRecord, error) {
 	if oc == dc || oc < 0 || dc < 0 || oc >= len(s.cities) || dc >= len(s.cities) {
 		return nil, fmt.Errorf("relay: bad city pair (%d, %d)", oc, dc)
 	}
@@ -282,11 +276,11 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 	go func() {
 		defer close(done)
 		for gi, g := range gws {
-			leg2[gi], errs2[gi] = s.quoteLeg(engD, g.To, d, riders, cons2)
+			leg2[gi], errs2[gi] = s.quoteLeg(ctx, engD, g.To, d, riders, cons2)
 		}
 	}()
 	for gi, g := range gws {
-		leg1[gi], errs1[gi] = s.quoteLeg(engO, o, g.From, riders, cons)
+		leg1[gi], errs1[gi] = s.quoteLeg(ctx, engO, o, g.From, riders, cons)
 	}
 	<-done
 
@@ -310,6 +304,10 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 		tr.Leg2Recs = append(tr.Leg2Recs, leg2[gi].ID)
 		s.composeGateway(tr, len(tr.Gateways)-1, leg1[gi], leg2[gi])
 	}
+	if err := ctx.Err(); err != nil {
+		s.declineLegsLocked(tr, -1)
+		return nil, fmt.Errorf("relay: trip %d quote abandoned: %w: %w", tr.ID, core.ErrUnavailable, err)
+	}
 	if len(tr.Gateways) == 0 {
 		return nil, fmt.Errorf("relay: no viable gateway %s → %s: %w",
 			s.cities[oc].Name, s.cities[dc].Name, firstErr)
@@ -329,9 +327,9 @@ func (s *Scheduler) Quote(oc, dc int, o, d roadnet.VertexID, riders int, cons co
 }
 
 // quoteLeg quotes one leg on its city's engine.
-func (s *Scheduler) quoteLeg(eng LegEngine, from, to roadnet.VertexID, riders int, cons core.Constraints) (*core.ServiceRecord, error) {
+func (s *Scheduler) quoteLeg(ctx context.Context, eng LegEngine, from, to roadnet.VertexID, riders int, cons core.Constraints) (*core.ServiceRecord, error) {
 	t0 := time.Now()
-	rec, err := eng.SubmitRequest(core.SubmitSpec{S: from, D: to, Riders: riders, Constraints: cons})
+	rec, err := eng.SubmitRequest(core.SubmitSpec{S: from, D: to, Riders: riders, Constraints: cons, Ctx: ctx})
 	s.cfg.LegQuoteHist.ObserveSince(t0)
 	return rec, err
 }
@@ -722,6 +720,13 @@ func (s *Scheduler) advanceLocked(tr *trip) {
 	if next > tr.State {
 		_ = s.transition(nil, func(*entry) error { return s.led.progress(tr, next) })
 	}
+}
+
+// Trips counts the trips the ledger holds (the ptrider_relay_trips gauge).
+func (s *Scheduler) Trips() int {
+	s.led.mu.Lock()
+	defer s.led.mu.Unlock()
+	return len(s.led.trips)
 }
 
 // Stats snapshots the scheduler's counters.

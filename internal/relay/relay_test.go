@@ -1,8 +1,12 @@
 package relay_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"ptrider/internal/core"
@@ -96,7 +100,7 @@ func quoteSomething(t testing.TB, s *relay.Scheduler, cities []relay.CityRef) *c
 	for attempt := 0; attempt < 50; attempt++ {
 		o := roadnet.VertexID(rng.Intn(gw.NumVertices()))
 		d := roadnet.VertexID(rng.Intn(ge.NumVertices()))
-		rec, err := s.Quote(0, 1, o, d, 1, core.DefaultConstraints())
+		rec, err := s.Quote(context.Background(), 0, 1, o, d, 1, core.DefaultConstraints())
 		if err != nil {
 			t.Fatalf("quote: %v", err)
 		}
@@ -366,4 +370,55 @@ func TestRelayTripCompletesEndToEnd(t *testing.T) {
 		}
 	}
 	t.Fatalf("trip did not complete; states seen: %v", seen)
+}
+
+// lateCtx is never done to a leg's ring walk (Done is Background's)
+// and turns done on its Err poll after the first n.
+type lateCtx struct {
+	context.Context
+	n, polls atomic.Int32
+}
+
+func (c *lateCtx) Err() error {
+	if c.polls.Add(1) > c.n.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestQuoteAbandonedWhenContextDone quotes one trip twice: once under a
+// context that only counts the polls its leg quotes make, then under one
+// that turns done right after them. The second quote quotes every leg,
+// yet fails ErrUnavailable, registers no trip and leaves no leg quoted.
+func TestQuoteAbandonedWhenContextDone(t *testing.T) {
+	cities := twinCities(t, 6, 6, 0)
+	s, err := relay.New(cities, relay.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := quoteSomething(t, s, cities)
+	if err := s.Decline(tripOf(rec)); err != nil {
+		t.Fatal(err)
+	}
+	count := &lateCtx{Context: context.Background()}
+	count.n.Store(math.MaxInt32)
+	if _, err := s.Quote(count, 0, 1, rec.S, rec.D, 1, core.DefaultConstraints()); err != nil {
+		t.Fatal(err)
+	}
+	trips := s.Trips()
+	late := &lateCtx{Context: context.Background()}
+	late.n.Store(count.polls.Load() - 1) // the last poll is the trip's own
+	_, err = s.Quote(late, 0, 1, rec.S, rec.D, 1, core.DefaultConstraints())
+	if !errors.Is(err, core.ErrUnavailable) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("quote whose context is done after its legs: %v, want ErrUnavailable wrapping context.Canceled", err)
+	}
+	if n := s.Trips(); n != trips {
+		t.Fatalf("%d trips registered, want %d", n, trips)
+	}
+	for _, ref := range cities {
+		quoted, err := ref.Engine.Requests("", core.RequestFilter{HasStatus: true, Status: core.StatusQuoted}, 0)
+		if err != nil || len(quoted) != len(rec.Relay.Gateways) {
+			t.Fatalf("%s holds %d quoted legs (%v), want the counting trip's %d", ref.Name, len(quoted), err, len(rec.Relay.Gateways))
+		}
+	}
 }

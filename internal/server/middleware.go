@@ -9,7 +9,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"log"
 	"net/http"
@@ -32,18 +31,6 @@ type Options struct {
 	SlowRequest time.Duration
 	// Logger receives the slow-request lines (nil → log.Default()).
 	Logger *log.Logger
-}
-
-// ctxKey keys the server's context values.
-type ctxKey int
-
-const spanKey ctxKey = iota
-
-// spanFrom returns the request's telemetry span, nil outside the
-// instrumented handler chain (a nil span is a no-op everywhere).
-func spanFrom(ctx context.Context) *telemetry.Span {
-	sp, _ := ctx.Value(spanKey).(*telemetry.Span)
-	return sp
 }
 
 // nextRequestID mints a process-unique correlation id for requests
@@ -98,7 +85,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", reqID)
 		sp := telemetry.NewSpan(reqID)
-		r = r.WithContext(context.WithValue(r.Context(), spanKey, sp))
+		r = r.WithContext(telemetry.WithSpan(r.Context(), sp))
 		sr := &statusRecorder{ResponseWriter: w}
 		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 		start := time.Now()

@@ -149,7 +149,8 @@ func TestV1MetricsExposition(t *testing.T) {
 			}
 			if b.numCities > 1 {
 				for _, want := range []string{`city="east"`, `city="west"`,
-					"# TYPE ptrider_relay_leg_quote_duration_seconds histogram"} {
+					"# TYPE ptrider_relay_leg_quote_duration_seconds histogram",
+					"# TYPE ptrider_relay_trips gauge"} {
 					if !strings.Contains(body, want) {
 						t.Errorf("multi-city exposition misses %q", want)
 					}

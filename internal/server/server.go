@@ -380,8 +380,8 @@ type BatchBody struct {
 }
 
 // NewRequestBody is spec's inverse: the body that decodes to spec's
-// addressing, riders and constraints (the callback, key and span do not
-// travel in a body). Sigma is always sent, because 0 is an override (no
+// addressing, riders and constraints (the callback, key and context do
+// not travel in a body). Sigma is always sent, because 0 is an override (no
 // detour) and the default is negative.
 func NewRequestBody(spec core.SubmitSpec) RequestBody {
 	b := RequestBody{
@@ -424,11 +424,12 @@ func (b *RequestBody) spec() (core.SubmitSpec, error) {
 // header (may be empty) makes retries of the same submission safe:
 // the backend answers a repeat of an already-registered key with the
 // original record instead of quoting a second request. The request's
-// telemetry span rides along so the backend's stage timings land on
-// the slow-request log.
+// context rides along: a rider who hangs up abandons the quote, and the
+// context's telemetry span puts the backend's stage timings on the
+// slow-request log.
 func (s *Server) submitOne(w http.ResponseWriter, r *http.Request, spec core.SubmitSpec) {
 	spec.IdemKey = r.Header.Get("Idempotency-Key")
-	spec.Span = spanFrom(r.Context())
+	spec.Ctx = r.Context()
 	rec, err := s.svc.SubmitRequest(spec)
 	if err != nil {
 		writeErr(w, err)
@@ -459,7 +460,7 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeCode(w, http.StatusBadRequest, "invalid_argument", err.Error())
 	case batch:
-		s.submitBatch(w, specs)
+		s.submitBatch(w, r, specs)
 	default:
 		s.submitOne(w, r, specs[0])
 	}
@@ -545,7 +546,12 @@ func (s *Server) handleRequestList(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) submitBatch(w http.ResponseWriter, specs []core.SubmitSpec) {
+// submitBatch submits a batch under the request's context, as
+// submitOne does.
+func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request, specs []core.SubmitSpec) {
+	for i := range specs {
+		specs[i].Ctx = r.Context()
+	}
 	recs, err := s.svc.SubmitRequestBatch(specs)
 	views := make([]*core.RequestView, len(recs))
 	for i, rec := range recs {

@@ -29,6 +29,7 @@
 package telemetry
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -362,6 +363,22 @@ type Span struct {
 // NewSpan opens a span for one correlated request.
 func NewSpan(id string) *Span {
 	return &Span{ID: id, Start: time.Now()}
+}
+
+// spanKey keys the span in a request's context.
+type spanKey struct{}
+
+// WithSpan returns ctx carrying sp: the HTTP middleware attaches each
+// request's span, and the layers below read it back with SpanFrom.
+func WithSpan(ctx context.Context, sp *Span) context.Context {
+	return context.WithValue(ctx, spanKey{}, sp)
+}
+
+// SpanFrom returns the span ctx carries, nil when none (a nil span is a
+// no-op everywhere).
+func SpanFrom(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
 }
 
 // Observe appends one stage timing.

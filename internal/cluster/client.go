@@ -333,14 +333,12 @@ func (c *ShardClient) SubmitIdem(s, d roadnet.VertexID, riders int, cons core.Co
 	return &rec.RequestRecord, nil
 }
 
-// requestHeader carries the span of a submit's context as X-Request-ID,
+// setRequestID carries the span of a submit's context as X-Request-ID,
 // so the shard's slow-request line names the caller's request.
-func requestHeader(ctx context.Context) http.Header {
-	hdr := http.Header{}
+func setRequestID(ctx context.Context, hdr http.Header) {
 	if sp := telemetry.SpanFrom(ctx); sp != nil {
 		hdr.Set("X-Request-ID", sp.ID)
 	}
-	return hdr
 }
 
 // SubmitRequest quotes one request through POST /v1/requests under the
@@ -351,8 +349,9 @@ func (c *ShardClient) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, 
 		spec.IdemKey = newIdemKey()
 	}
 	ctx := spec.Context()
-	hdr := requestHeader(ctx)
+	hdr := http.Header{}
 	hdr.Set("Idempotency-Key", spec.IdemKey)
+	setRequestID(ctx, hdr)
 	var v core.RequestView
 	if err := c.call(ctx, http.MethodPost, "/v1/requests", hdr, server.NewRequestBody(spec), &v, spec.IdemKey != ""); err != nil {
 		return nil, err
@@ -459,8 +458,9 @@ func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 			Requests []*core.RequestView `json:"requests"`
 			Error    *core.ErrorPayload  `json:"error"`
 		}
-		ctx := specs[start].Context()
-		if err := c.call(ctx, http.MethodPost, "/v1/requests", requestHeader(ctx), in, &reply, false); err != nil {
+		ctx, hdr := specs[start].Context(), http.Header{}
+		setRequestID(ctx, hdr)
+		if err := c.call(ctx, http.MethodPost, "/v1/requests", hdr, in, &reply, false); err != nil {
 			fail(err)
 		} else if reply.Error != nil {
 			fail(reply.Error.Err())

@@ -9,6 +9,7 @@ import (
 	"ptrider/internal/gridindex"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/sim"
+	"ptrider/internal/testnet"
 )
 
 // buildBatchWorld builds one loaded dual-side city for the batch
@@ -21,16 +22,19 @@ func buildBatchWorld(t *testing.T, maxPickupSeconds float64) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 12, GridRows: 12, Capacity: 4,
-		MaxWaitSeconds: 300, Sigma: 0.4, Seed: 31,
-		MaxPickupSeconds: maxPickupSeconds,
-		Algorithm:        core.AlgoDualSide,
-		// Serial probes keep the exact-search counts deterministic:
-		// concurrent probes racing on a cold memo pair may both compute
-		// it, which DistCalls counts twice (documented), so a
-		// multi-core host would wobble the measured ratio.
-		MatchWorkers: 1,
+	// Serial probes keep the exact-search counts deterministic:
+	// concurrent probes racing on a cold memo pair may both compute it,
+	// which DistCalls counts twice (documented), so a multi-core host
+	// would wobble the measured ratio. An engine built at GOMAXPROCS 1
+	// quotes a batch wave on one goroutine.
+	var eng *core.Engine
+	testnet.AtProcs(1, func() {
+		eng, err = core.NewEngine(g, core.Config{
+			GridCols: 12, GridRows: 12, Capacity: 4,
+			MaxWaitSeconds: 300, Sigma: 0.4, Seed: 31,
+			MaxPickupSeconds: maxPickupSeconds,
+			Algorithm:        core.AlgoDualSide,
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Command ptrider-server runs the PTRider service: the versioned /v1
 // JSON API (requests, choices, vehicles, cities, relay itineraries,
-// ticks, stats, an SSE event stream) plus the demo-era /api aliases,
-// backed by a synthetic city with roaming taxis.
+// ticks, stats, an SSE event stream), backed by a synthetic city with
+// roaming taxis.
 //
 // With -cities, the server runs the multi-city router instead: one
 // independent engine per city, requests assigned to cities by origin
@@ -94,7 +94,6 @@ func main() {
 		cities     = flag.String("cities", "", `multi-city spec "name:WxH:taxis,..." (overrides -width/-height/-taxis)`)
 		shards     = flag.String("shards", "", `cluster gateway mode: comma-separated shard addresses "[name=]host:port,..." (overrides -cities)`)
 		relayOn    = flag.Bool("relay", false, "serve cross-city trips as two-leg relay trips (with -cities)")
-		tickW      = flag.Int("tick-workers", 0, "parallel tick shard width, divided across cities (0 = one per CPU, 1 = serial)")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory (empty = durability off; multi-city shards get per-city subdirectories)")
 		walMode    = flag.String("wal-mode", "sync", `journal mode with -wal-dir: "sync" (fsync before ack) or "async" (background group commit)`)
 		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshots (0 = engine default)")
@@ -123,7 +122,7 @@ func main() {
 	}
 	svc, banner, err := buildService(buildConfig{
 		cities: *cities, shards: *shards, width: *width, height: *height, taxis: *taxis,
-		algoName: *algo, seed: *seed, relayOn: *relayOn, tickWorkers: *tickW,
+		algoName: *algo, seed: *seed, relayOn: *relayOn,
 		durability: mode, walDir: *walDir, snapshotEvery: *snapEvery,
 		surge: *surgeOn, surgeEpoch: *surgeEpoch, telemetry: reg,
 	})
@@ -213,7 +212,6 @@ type buildConfig struct {
 	algoName      string
 	seed          int64
 	relayOn       bool
-	tickWorkers   int
 	durability    wal.Mode
 	walDir        string
 	snapshotEvery int
@@ -248,7 +246,7 @@ func buildService(bc buildConfig) (core.Service, string, error) {
 	if bc.cities != "" {
 		router, err := multicity.BuildFromSpecWithConfig(bc.cities,
 			core.Config{
-				Algorithm: algo, TickWorkers: bc.tickWorkers,
+				Algorithm:    algo,
 				SurgeEnabled: bc.surge, SurgeEpochSeconds: bc.surgeEpoch,
 			}, bc.seed,
 			multicity.RouterConfig{
@@ -271,7 +269,7 @@ func buildService(bc buildConfig) (core.Service, string, error) {
 		return nil, "", err
 	}
 	eng, err := core.NewEngine(g, core.Config{
-		Algorithm: algo, Seed: bc.seed, TickWorkers: bc.tickWorkers,
+		Algorithm: algo, Seed: bc.seed,
 		Durability: bc.durability, WALDir: bc.walDir, SnapshotEvery: bc.snapshotEvery,
 		SurgeEnabled: bc.surge, SurgeEpochSeconds: bc.surgeEpoch,
 		Telemetry: bc.telemetry,

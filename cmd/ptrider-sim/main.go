@@ -43,33 +43,32 @@ import (
 )
 
 var (
-	width       = flag.Int("width", 40, "city width (intersections)")
-	height      = flag.Int("height", 40, "city height (intersections)")
-	taxis       = flag.Int("taxis", 500, "number of taxis")
-	trips       = flag.Int("trips", 20000, "number of trips in the day")
-	day         = flag.Float64("day", 86400, "day length in seconds")
-	algo        = flag.String("algo", "dual-side", "matching algorithm: naive|single-side|dual-side")
-	choice      = flag.String("choice", "utility", "rider choice model: earliest|cheapest|uniform|priceaware|utility")
-	tick        = flag.Float64("tick", 1, "simulation tick in seconds")
-	seed        = flag.Int64("seed", 1, "random seed")
-	capacity    = flag.Int("capacity", 4, "taxi capacity")
-	wait        = flag.Float64("wait", 300, "maximal waiting time w in seconds")
-	sigma       = flag.Float64("sigma", 0.4, "service constraint sigma")
-	failures    = flag.Float64("failures", 0, "vehicle failures injected per hour (single-city)")
-	saveTrips   = flag.String("save-trips", "", "write the generated workload to this CSV file (single-city)")
-	saveNet     = flag.String("save-network", "", "write the generated network to this file (single-city)")
-	loadNet     = flag.String("load-network", "", "load the road network from this file instead of generating (single-city)")
-	loadTrips   = flag.String("load-trips", "", "load the workload from this CSV file instead of generating (single-city)")
-	cities      = flag.String("cities", "", `multi-city spec "name:WxH:taxis,..." (replays against the multi-city router)`)
-	skew        = flag.String("skew", "", `per-city load weights "name=w,..." (default uniform)`)
-	cross       = flag.Float64("cross", 0, "fraction of trips relocated across city borders")
-	relayOn     = flag.Bool("relay", false, "serve cross-city trips as two-leg relay trips instead of rejecting them")
-	transfer    = flag.Float64("transfer-buffer", 120, "relay hand-off margin in seconds (0 = none)")
-	tickWorkers = flag.Int("tick-workers", 0, "parallel tick shard width, divided across cities (0 = one per CPU, 1 = serial)")
-	surge       = flag.Bool("surge", false, "enable per-cell surge pricing")
-	surgeEpoch  = flag.Float64("surge-epoch", 0, "surge re-evaluation period in simulated seconds (0 = 60)")
-	peak        = flag.Bool("peak", false, "concentrate the generated workload into rush-hour peaks")
-	pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address during the replay (empty = off)")
+	width      = flag.Int("width", 40, "city width (intersections)")
+	height     = flag.Int("height", 40, "city height (intersections)")
+	taxis      = flag.Int("taxis", 500, "number of taxis")
+	trips      = flag.Int("trips", 20000, "number of trips in the day")
+	day        = flag.Float64("day", 86400, "day length in seconds")
+	algo       = flag.String("algo", "dual-side", "matching algorithm: naive|single-side|dual-side")
+	choice     = flag.String("choice", "utility", "rider choice model: earliest|cheapest|uniform|priceaware|utility")
+	tick       = flag.Float64("tick", 1, "simulation tick in seconds")
+	seed       = flag.Int64("seed", 1, "random seed")
+	capacity   = flag.Int("capacity", 4, "taxi capacity")
+	wait       = flag.Float64("wait", 300, "maximal waiting time w in seconds")
+	sigma      = flag.Float64("sigma", 0.4, "service constraint sigma")
+	failures   = flag.Float64("failures", 0, "vehicle failures injected per hour (single-city)")
+	saveTrips  = flag.String("save-trips", "", "write the generated workload to this CSV file (single-city)")
+	saveNet    = flag.String("save-network", "", "write the generated network to this file (single-city)")
+	loadNet    = flag.String("load-network", "", "load the road network from this file instead of generating (single-city)")
+	loadTrips  = flag.String("load-trips", "", "load the workload from this CSV file instead of generating (single-city)")
+	cities     = flag.String("cities", "", `multi-city spec "name:WxH:taxis,..." (replays against the multi-city router)`)
+	skew       = flag.String("skew", "", `per-city load weights "name=w,..." (default uniform)`)
+	cross      = flag.Float64("cross", 0, "fraction of trips relocated across city borders")
+	relayOn    = flag.Bool("relay", false, "serve cross-city trips as two-leg relay trips instead of rejecting them")
+	transfer   = flag.Float64("transfer-buffer", 120, "relay hand-off margin in seconds (0 = none)")
+	surge      = flag.Bool("surge", false, "enable per-cell surge pricing")
+	surgeEpoch = flag.Float64("surge-epoch", 0, "surge re-evaluation period in simulated seconds (0 = 60)")
+	peak       = flag.Bool("peak", false, "concentrate the generated workload into rush-hour peaks")
+	pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address during the replay (empty = off)")
 )
 
 func main() {
@@ -110,7 +109,6 @@ func run() error {
 		MaxWaitSeconds:    *wait,
 		Sigma:             *sigma,
 		Algorithm:         matcher,
-		TickWorkers:       *tickWorkers,
 		SurgeEnabled:      *surge,
 		SurgeEpochSeconds: *surgeEpoch,
 	}

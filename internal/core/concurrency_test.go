@@ -10,6 +10,7 @@ import (
 
 	"ptrider/internal/core"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/testnet"
 )
 
 // TestConcurrentClients hammers the engine from several goroutines
@@ -208,10 +209,9 @@ func TestConcurrentStress(t *testing.T) {
 // invariant checks pin that stale probe snapshots can never commit an
 // invalid schedule.
 func TestBatchHotcellRaceStress(t *testing.T) {
-	e := latticeEngine(t, 34, 10, 10, core.Config{
-		Capacity:     3,
-		CommitSlack:  0.2,
-		MatchWorkers: 4,
+	var e *core.Engine
+	testnet.AtProcs(4, func() {
+		e = latticeEngine(t, 34, 10, 10, core.Config{Capacity: 3, CommitSlack: 0.2})
 	})
 	e.AddVehiclesUniform(24)
 	removable := int32(24)
@@ -418,7 +418,10 @@ func TestConcurrentSubmitDeterministicLedger(t *testing.T) {
 // shard's stepVehicle can hit a vehicle that another goroutine just
 // removed.
 func TestConcurrentShardedTickStress(t *testing.T) {
-	e := latticeEngine(t, 51, 8, 8, core.Config{Capacity: 4, TickWorkers: 4})
+	var e *core.Engine
+	testnet.AtProcs(4, func() {
+		e = latticeEngine(t, 51, 8, 8, core.Config{Capacity: 4})
+	})
 	e.AddVehiclesUniform(40)
 	n := e.Graph().NumVertices()
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,19 +116,6 @@ type Config struct {
 	// Seed drives vehicle placement and roaming.
 	Seed int64
 
-	// MatchWorkers bounds the goroutines one SubmitBatch wave quotes
-	// on; a single request spawns none. 0 means GOMAXPROCS; 1 quotes a
-	// wave's items one after another. Independent of this setting,
-	// whole Submit calls always run concurrently.
-	MatchWorkers int
-
-	// TickWorkers bounds Tick's per-vehicle shard fan-out: the fleet is
-	// partitioned into this many stable shards (vehicle id modulo
-	// width) whose movement steps run concurrently. 0 means GOMAXPROCS;
-	// 1 forces the fully serial reference step. Serial and parallel
-	// ticks produce identical events at every width (see fleet.Step).
-	TickWorkers int
-
 	// CommitSlack loosens Choose's validate-then-commit: when the
 	// quoted candidate has gone stale (the vehicle moved or accepted
 	// other riders between quote and choice), the request is re-probed
@@ -187,12 +173,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxPickupSeconds == 0 {
 		out.MaxPickupSeconds = 1800
-	}
-	if out.MatchWorkers == 0 {
-		out.MatchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if out.TickWorkers == 0 {
-		out.TickWorkers = runtime.GOMAXPROCS(0)
 	}
 	if out.SnapshotEvery == 0 {
 		out.SnapshotEvery = defaultSnapshotEvery
@@ -336,7 +316,6 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 		Capacity:          cfg.Capacity,
 		MaxSchedulePoints: cfg.MaxSchedulePoints,
 		Seed:              cfg.Seed,
-		Workers:           cfg.TickWorkers,
 		// Nil registry hands out a nil histogram — telemetry off.
 		ShardHist: cfg.Telemetry.LatencyHist(
 			"ptrider_tick_shard_duration_seconds",
@@ -1107,7 +1086,7 @@ type waveQuote struct {
 }
 
 // matchWave quotes one wave: every item runs the configured matcher,
-// fanned out over Config.MatchWorkers goroutines.
+// fanned out over the fleet's width (GOMAXPROCS at construction).
 // Items are mutually independent (each owns its skyline and counters,
 // and quoting never mutates fleet state), so the wave's option sets
 // match a serial pass exactly. Per-request DistCalls deltas are read
@@ -1119,7 +1098,7 @@ type waveQuote struct {
 func (e *Engine) matchWave(wave []batchPrep) []waveQuote {
 	quotes := make([]waveQuote, len(wave))
 	m := e.matchers[e.Algorithm()]
-	parallelFor(e.sub.cfg.MatchWorkers, len(wave), func(i int) {
+	parallelFor(e.fleet.Workers(), len(wave), func(i int) {
 		q := &quotes[i]
 		start := time.Now()
 		q.options = m.Match(context.Background(), &wave[i].spec, &q.stats)
@@ -1454,8 +1433,8 @@ type SurgePanel struct {
 // steps (a test's SetStepOverride bypasses the fleet and records
 // nothing).
 type TickStats struct {
-	// Workers is the resolved shard width (Config.TickWorkers after
-	// defaulting; the fleet additionally clamps to the population size).
+	// Workers is the shard width the engine derived from GOMAXPROCS at
+	// construction (each step additionally clamps to the population).
 	Workers int
 	// Ticks counts recorded ticks.
 	Ticks int64

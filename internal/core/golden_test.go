@@ -63,12 +63,15 @@ func batchPair(t *testing.T, algo core.Algorithm, workers int) (a, b *core.Engin
 	t.Helper()
 	mk := func() *core.Engine {
 		g := testnet.Lattice(rand.New(rand.NewSource(77)), 12, 12, 100)
-		e, err := core.NewEngine(g, core.Config{
-			GridCols: 6, GridRows: 6,
-			Capacity: 4, Sigma: 0.4, MaxWaitSeconds: 300,
-			Algorithm:    algo,
-			Seed:         77,
-			MatchWorkers: workers,
+		var e *core.Engine
+		var err error
+		testnet.AtProcs(workers, func() {
+			e, err = core.NewEngine(g, core.Config{
+				GridCols: 6, GridRows: 6,
+				Capacity: 4, Sigma: 0.4, MaxWaitSeconds: 300,
+				Algorithm: algo,
+				Seed:      77,
+			})
 		})
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -148,7 +151,8 @@ func hotcellItems(e *core.Engine, seed int64, k int) []core.BatchItem {
 // over the same world — same vehicles, same planned schedules, same
 // option count and order, coordinates equal up to the ulp-level
 // tolerance coordEq documents. Covered for every algorithm at wave
-// widths 1 and 4 (MatchWorkers; a match itself has one probe path).
+// widths 1 and 4 (the GOMAXPROCS the engines were built at; a match
+// itself has one probe path).
 func TestGoldenBatchVsPerRequest(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.AlgoNaive, core.AlgoSingleSide, core.AlgoDualSide} {
 		for _, workers := range []int{1, 4} {

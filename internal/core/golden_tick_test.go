@@ -12,18 +12,20 @@ import (
 )
 
 // tickEngine builds one engine of the golden tick pair: same network,
-// seed and configuration at every shard width, differing only in
-// TickWorkers. MatchWorkers is pinned to 1 so the matcher is the
-// bit-exact serial reference and any divergence is the tick's fault.
-func tickEngine(t *testing.T, tickWorkers int) *core.Engine {
+// seed and configuration at every shard width, differing only in the
+// GOMAXPROCS it was built at. Single requests quote on the caller's
+// goroutine at every width, so any divergence is the tick's fault.
+func tickEngine(t *testing.T, workers int) *core.Engine {
 	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(77)), 12, 12, 100)
-	e, err := core.NewEngine(g, core.Config{
-		GridCols: 6, GridRows: 6,
-		Capacity: 4, Sigma: 0.4, MaxWaitSeconds: 300,
-		Seed:         77,
-		MatchWorkers: 1,
-		TickWorkers:  tickWorkers,
+	var e *core.Engine
+	var err error
+	testnet.AtProcs(workers, func() {
+		e, err = core.NewEngine(g, core.Config{
+			GridCols: 6, GridRows: 6,
+			Capacity: 4, Sigma: 0.4, MaxWaitSeconds: 300,
+			Seed: 77,
+		})
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -33,7 +35,7 @@ func tickEngine(t *testing.T, tickWorkers int) *core.Engine {
 }
 
 // TestGoldenSerialVsParallelTick is the tick twin of the matcher's
-// golden equivalence suite: a serial engine (TickWorkers 1) and a
+// golden equivalence suite: a serial engine (width 1) and a
 // sharded engine (widths 2, 4, 8) replay the identical workload in
 // lockstep, and every tick's merged event slice must be byte-identical
 // — same events, same canonical (vehicle id, odometer) order — while

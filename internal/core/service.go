@@ -375,8 +375,6 @@ type ServiceParams struct {
 	MaxWaitSeconds float64   `json:"max_wait_seconds"`
 	Sigma          float64   `json:"sigma"`
 	SpeedKmh       float64   `json:"speed_kmh"`
-	MatchWorkers   int       `json:"match_workers"`
-	TickWorkers    int       `json:"tick_workers"`
 
 	// Surge pricing state: whether the stage is in the pipeline, the
 	// epoch cadence, and the tracker's live epoch/multiplier summary.
@@ -652,8 +650,6 @@ func (e *Engine) Params(city string) (ServiceParams, error) {
 		MaxWaitSeconds: cfg.MaxWaitSeconds,
 		Sigma:          cfg.Sigma,
 		SpeedKmh:       cfg.SpeedKmh,
-		MatchWorkers:   cfg.MatchWorkers,
-		TickWorkers:    cfg.TickWorkers,
 	}
 	if sp := e.SurgeStats(); sp.Enabled {
 		p.SurgeEnabled = true

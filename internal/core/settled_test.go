@@ -7,12 +7,14 @@ import (
 	"ptrider/internal/core"
 	"ptrider/internal/gen"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/testnet"
 )
 
 // benchCity builds the benchmark's big-city deployment inside the test
 // binary: a 40×40 generated city, 500 taxis, 600 committed trips, a
-// 300 s pick-up cut-off. Probes run serially so the exact-search count
-// is deterministic (concurrent probes racing on a cold pair may both
+// 300 s pick-up cut-off. The engine is built at GOMAXPROCS 1, so a
+// batch's probes run serially and the exact-search count is
+// deterministic (concurrent probes racing on a cold pair may both
 // compute it).
 func benchCity(t *testing.T) *core.Engine {
 	t.Helper()
@@ -20,8 +22,11 @@ func benchCity(t *testing.T) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngine(g, core.Config{
-		Algorithm: core.AlgoDualSide, MaxPickupSeconds: 300, Seed: 1, MatchWorkers: 1,
+	var e *core.Engine
+	testnet.AtProcs(1, func() {
+		e, err = core.NewEngine(g, core.Config{
+			Algorithm: core.AlgoDualSide, MaxPickupSeconds: 300, Seed: 1,
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,14 @@ import (
 // walk at once) must not be averaged into identical observations.
 func TestBatchObservesEachItemsOwnMatchTime(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(5)), 16, 16, 100)
-	e, err := NewEngine(g, Config{
-		GridCols: 8, GridRows: 8, Capacity: 4, Sigma: 0.4,
-		Algorithm: AlgoDualSide, Seed: 5, MatchWorkers: 1,
+	// One goroutine quotes the wave, so each item's time is its own.
+	var e *Engine
+	var err error
+	testnet.AtProcs(1, func() {
+		e, err = NewEngine(g, Config{
+			GridCols: 8, GridRows: 8, Capacity: 4, Sigma: 0.4,
+			Algorithm: AlgoDualSide, Seed: 5,
+		})
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

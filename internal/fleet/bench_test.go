@@ -14,12 +14,12 @@ import (
 	"ptrider/internal/testnet"
 )
 
-// lockedMetric guards a single Searcher behind a mutex so parallel
-// tick shards can share it: serving a stop re-enumerates the kinetic
-// tree, which reads distances, so with Workers > 1 the fleet calls the
-// metric concurrently. The engine uses its concurrent distance
-// memo for this; the fleet benches pay one mutex instead. Grid lower
-// bounds are immutable and need no lock.
+// lockedMetric is the searcher+grid metric the engine uses, with the
+// single Searcher behind a mutex so parallel tick shards can share it:
+// serving a stop re-enumerates the kinetic tree, which reads distances,
+// so at a width above one the fleet calls the metric concurrently. The
+// engine uses its concurrent distance memo for this; the fleet tests pay
+// one mutex instead. Grid lower bounds are immutable and need no lock.
 type lockedMetric struct {
 	mu   sync.Mutex
 	s    *roadnet.Searcher
@@ -35,7 +35,7 @@ func (m *lockedMetric) Dist(u, v roadnet.VertexID) float64 {
 func (m *lockedMetric) LB(u, v roadnet.VertexID) float64 { return m.grid.LB(u, v) }
 
 // benchFleet builds a fleet of nv vehicles on a 48x48 lattice with the
-// given shard width and commits one request onto every 5th vehicle so
+// given shard width (the GOMAXPROCS it is built at) and commits one request onto every 5th vehicle so
 // the step mixes schedule-driven driving (with pickup/dropoff events)
 // into the roaming baseline.
 func benchFleet(b *testing.B, nv, workers int) *fleet.Fleet {
@@ -48,7 +48,10 @@ func benchFleet(b *testing.B, nv, workers int) *fleet.Fleet {
 	}
 	lists := gridindex.NewVehicleLists(grid.NumCells())
 	m := &lockedMetric{s: roadnet.NewSearcher(g), grid: grid}
-	fl, err := fleet.New(grid, lists, m, fleet.Config{Capacity: 4, Seed: 9, Workers: workers})
+	var fl *fleet.Fleet
+	testnet.AtProcs(workers, func() {
+		fl, err = fleet.New(grid, lists, m, fleet.Config{Capacity: 4, Seed: 9})
+	})
 	if err != nil {
 		b.Fatalf("fleet: %v", err)
 	}

@@ -57,20 +57,21 @@
 // # Sharded time advancement
 //
 // Step partitions the vehicle population into per-worker shards with a
-// stable assignment (vehicle id modulo the configured Workers width)
+// stable assignment (vehicle id modulo the width, GOMAXPROCS at New)
 // and steps the shards concurrently; per-vehicle event slices are then
 // merged into the canonical deterministic order — vehicle id
 // ascending, odometer ascending within a vehicle — and per-vehicle
 // errors are aggregated with errors.Join instead of aborting the
 // remaining fleet. Moved vehicles enter the grid's vehicle lists after
 // the shards finish, in id order, so list order is deterministic too.
-// With Workers > 1 the metric must be safe for concurrent use (serving
-// a stop re-enumerates the kinetic tree, which reads distances).
+// At widths above one the metric must be safe for concurrent use
+// (serving a stop re-enumerates the kinetic tree, which reads distances).
 package fleet
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,7 +253,7 @@ type Fleet struct {
 
 	capacity  int
 	maxPoints int
-	workers   int                    // Step's shard width (resolved, ≥ 1)
+	workers   int                    // Step's shard width (GOMAXPROCS at New)
 	shardHist *telemetry.LatencyHist // per-shard Step wall times (nil = off)
 	seed      int64                  // base seed the per-vehicle roaming streams derive from
 
@@ -297,13 +298,6 @@ type Config struct {
 	// Seed drives the empty-vehicle random walk (each vehicle's roaming
 	// stream is derived from Seed and the vehicle id).
 	Seed int64
-	// Workers is Step's shard width: vehicles are partitioned into this
-	// many stable shards (vehicle id modulo width) whose movement steps
-	// run concurrently. ≤ 1 (and 0, the default) is the fully serial
-	// reference step; the engine passes its resolved TickWorkers down.
-	// The merged events are identical at every width, but widths > 1
-	// require the metric to be safe for concurrent use.
-	Workers int
 	// ShardHist, when non-nil, observes each shard's per-Step wall time
 	// in seconds (nil = telemetry off, no cost).
 	ShardHist *telemetry.LatencyHist
@@ -311,7 +305,8 @@ type Config struct {
 
 // New returns an empty fleet over the given grid index. The metric is
 // shared with the matching engine so kinetic trees and matchers see
-// identical distances; it must be safe for concurrent use.
+// identical distances; it must be safe for concurrent use. Step's shard
+// width is GOMAXPROCS as read here (see Workers).
 func New(grid *gridindex.Grid, lists *gridindex.VehicleLists, metric kinetic.Metric, cfg Config) (*Fleet, error) {
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("fleet: capacity %d < 1", cfg.Capacity)
@@ -330,10 +325,6 @@ func New(grid *gridindex.Grid, lists *gridindex.VehicleLists, metric kinetic.Met
 		// narrow the configured capacity (kinetic.New would clamp).
 		return nil, fmt.Errorf("fleet: MaxSchedulePoints %d > 16 (kinetic enumeration limit)", mp)
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	f := &Fleet{
 		g:         grid.Graph(),
 		grid:      grid,
@@ -341,7 +332,7 @@ func New(grid *gridindex.Grid, lists *gridindex.VehicleLists, metric kinetic.Met
 		metric:    metric,
 		capacity:  cfg.Capacity,
 		maxPoints: mp,
-		workers:   workers,
+		workers:   runtime.GOMAXPROCS(0),
 		shardHist: cfg.ShardHist,
 		seed:      cfg.Seed,
 		pathCells: newPathCellCache(1 << 16),
@@ -667,8 +658,8 @@ func (f *Fleet) cellsAlong(u, v roadnet.VertexID) []gridindex.CellID {
 // StepStats describes the most recent Step's sharded execution — the
 // raw inputs of the engine's TickStats panel.
 type StepStats struct {
-	// Workers is the shard width the step actually ran with (the
-	// configured width, clamped to the vehicle count).
+	// Workers is the shard width the step actually ran with (Workers(),
+	// clamped to the vehicle count).
 	Workers int
 	// Vehicles is the snapshot size stepped (removed vehicles cost one
 	// lock acquisition and nothing else).
@@ -686,12 +677,12 @@ type StepStats struct {
 // Step advances every in-service vehicle by the given distance budget
 // (metres = speed × Δt), serving pickups and dropoffs en route. The
 // vehicle population is partitioned into per-worker shards with a
-// stable assignment — vehicle id modulo the configured Workers width —
+// stable assignment — vehicle id modulo Workers() —
 // and the shards step concurrently; each vehicle is mutated under its
 // own lock, so the probe/commit protocol is unchanged. The per-vehicle
 // event slices are merged into the canonical deterministic order,
 // vehicle id ascending then odometer ascending, which makes the serial
-// (Workers 1) and parallel steps return identical events: roaming
+// (width 1) and parallel steps return identical events: roaming
 // draws come from per-vehicle RNG streams, so no vehicle's trajectory
 // depends on stepping order.
 //
@@ -715,13 +706,7 @@ func (f *Fleet) Step(budget float64) ([]Event, error) {
 	fault := f.stepFault
 	f.mu.RUnlock()
 
-	workers := f.workers
-	if workers > len(snap) {
-		workers = len(snap)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(f.workers, len(snap)), 1)
 
 	start := time.Now()
 	sc := f.stepScratch.Get().(*stepScratch)
@@ -840,7 +825,9 @@ func (f *Fleet) StepStats() StepStats {
 	return f.lastStep
 }
 
-// Workers returns Step's resolved shard width.
+// Workers returns the fleet's parallel width: GOMAXPROCS when New ran.
+// Step shards vehicles over it, and the engine quotes a SubmitBatch wave
+// on as many goroutines. Every width gives the same results.
 func (f *Fleet) Workers() int { return f.workers }
 
 // SetStepFault installs a per-vehicle fault injector consulted at the

@@ -27,7 +27,7 @@ func TestZeroWeightEdgeSafety(t *testing.T) {
 		t.Fatalf("grid: %v", err)
 	}
 	lists := gridindex.NewVehicleLists(grid.NumCells())
-	m := &gridMetric{s: roadnet.NewSearcher(g), grid: grid}
+	m := &lockedMetric{s: roadnet.NewSearcher(g), grid: grid}
 	fl, err := fleet.New(grid, lists, m, fleet.Config{Capacity: 2, Seed: 1})
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
@@ -223,7 +223,10 @@ func TestStepListOrderAcrossWorkers(t *testing.T) {
 		}
 		lists := gridindex.NewVehicleLists(grid.NumCells())
 		m := &lockedMetric{s: roadnet.NewSearcher(g), grid: grid}
-		fl, err := fleet.New(grid, lists, m, fleet.Config{Capacity: 3, Seed: 5, Workers: workers})
+		var fl *fleet.Fleet
+		testnet.AtProcs(workers, func() {
+			fl, err = fleet.New(grid, lists, m, fleet.Config{Capacity: 3, Seed: 5})
+		})
 		if err != nil {
 			t.Fatalf("fleet: %v", err)
 		}

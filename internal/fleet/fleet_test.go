@@ -15,16 +15,6 @@ import (
 	"ptrider/internal/testnet"
 )
 
-// gridMetric is the searcher+grid metric the engine uses, reimplemented
-// minimally for fleet tests.
-type gridMetric struct {
-	s    *roadnet.Searcher
-	grid *gridindex.Grid
-}
-
-func (m *gridMetric) Dist(u, v roadnet.VertexID) float64 { return m.s.Dist(u, v) }
-func (m *gridMetric) LB(u, v roadnet.VertexID) float64   { return m.grid.LB(u, v) }
-
 type world struct {
 	g     *roadnet.Graph
 	grid  *gridindex.Grid
@@ -41,7 +31,7 @@ func newWorld(t *testing.T, seed int64, capacity int) *world {
 		t.Fatalf("grid: %v", err)
 	}
 	lists := gridindex.NewVehicleLists(grid.NumCells())
-	m := &gridMetric{s: roadnet.NewSearcher(g), grid: grid}
+	m := &lockedMetric{s: roadnet.NewSearcher(g), grid: grid}
 	fl, err := fleet.New(grid, lists, m, fleet.Config{Capacity: capacity, Seed: seed})
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
@@ -63,10 +53,10 @@ func (w *world) request(t *testing.T, id kinetic.RequestID, s, d roadnet.VertexI
 
 func TestConfigValidation(t *testing.T) {
 	w := newWorld(t, 1, 4)
-	if _, err := fleet.New(w.grid, w.lists, &gridMetric{s: w.s, grid: w.grid}, fleet.Config{Capacity: 0}); err == nil {
+	if _, err := fleet.New(w.grid, w.lists, &lockedMetric{s: w.s, grid: w.grid}, fleet.Config{Capacity: 0}); err == nil {
 		t.Error("capacity 0 accepted")
 	}
-	if _, err := fleet.New(w.grid, w.lists, &gridMetric{s: w.s, grid: w.grid}, fleet.Config{Capacity: 2, MaxSchedulePoints: 1}); err == nil {
+	if _, err := fleet.New(w.grid, w.lists, &lockedMetric{s: w.s, grid: w.grid}, fleet.Config{Capacity: 2, MaxSchedulePoints: 1}); err == nil {
 		t.Error("MaxSchedulePoints 1 accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"ptrider/internal/gen"
 	"ptrider/internal/multicity"
 	"ptrider/internal/relay"
+	"ptrider/internal/testnet"
 )
 
 // twinRelayRouter is twinRouter with relay scheduling enabled.
@@ -310,12 +311,15 @@ func TestRouterRelayRaceStress(t *testing.T) {
 }
 
 // TestRouterRelayShardedTickStress is TestRouterRelayRaceStress with
-// parallel tick shards enabled (TickWorkers 4 per city): the relay
+// parallel tick shards (both cities built at GOMAXPROCS 4): the relay
 // ledger's Advance runs after every sharded multi-city tick, so this
 // pins the trip-ledger advance against concurrent sharded movement,
 // cross-city two-phase commits and vehicle removals under -race.
 func TestRouterRelayShardedTickStress(t *testing.T) {
-	r := twinRelayRouter(t, core.Config{Capacity: 3, CommitSlack: 0.3, TickWorkers: 4}, 12, 12, relay.Config{})
+	var r *multicity.Router
+	testnet.AtProcs(4, func() {
+		r = twinRelayRouter(t, core.Config{Capacity: 3, CommitSlack: 0.3}, 12, 12, relay.Config{})
+	})
 
 	const workers = 8
 	var wg sync.WaitGroup

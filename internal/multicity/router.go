@@ -66,12 +66,6 @@ type RouterConfig struct {
 	// Relay tunes the relay scheduler (gateway count, transfer buffer;
 	// zero = defaults). Ignored unless EnableRelay.
 	Relay relay.Config
-	// TickWorkers is the total tick-shard worker budget across the
-	// fleet of cities: Tick already runs the cities concurrently, so
-	// per-city shard widths divide this budget (minimum one each)
-	// rather than multiplying it. 0 leaves each CitySpec's own
-	// Config.TickWorkers untouched.
-	TickWorkers int
 
 	// Durability turns on write-ahead journaling for every city shard
 	// (one journal per city engine under WALDir/city-<name>, plus
@@ -136,15 +130,6 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 	r := &Router{engines: make([]*core.Engine, len(specs))}
 	for i, spec := range specs {
 		cfg := spec.Config
-		if rc.TickWorkers > 0 {
-			// Divide the router-level tick-worker budget across the
-			// concurrently-ticking cities instead of letting each city
-			// default to a full GOMAXPROCS fan-out.
-			cfg.TickWorkers = rc.TickWorkers / len(specs)
-			if cfg.TickWorkers < 1 {
-				cfg.TickWorkers = 1
-			}
-		}
 		if rc.Durability != wal.ModeOff {
 			if rc.WALDir == "" {
 				return nil, fmt.Errorf("multicity: durability %v requires WALDir", rc.Durability)

@@ -2,7 +2,6 @@ package multicity
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -30,22 +29,9 @@ func BuildFromSpec(spec string, base core.Config, seed int64) (*Router, error) {
 }
 
 // BuildFromSpecWithConfig is BuildFromSpec with router-level settings
-// (relay scheduling, most notably). base.TickWorkers is treated as a
-// total budget across the concurrently-ticking cities: it defaults to
-// GOMAXPROCS when zero and is divided by the city count (minimum one
-// per city) unless the RouterConfig sets its own TickWorkers budget.
+// (relay scheduling, most notably).
 func BuildFromSpecWithConfig(spec string, base core.Config, seed int64, rc RouterConfig) (*Router, error) {
 	parts := strings.Split(spec, ",")
-	if rc.TickWorkers == 0 {
-		budget := base.TickWorkers
-		if budget == 0 {
-			budget = runtime.GOMAXPROCS(0)
-		}
-		base.TickWorkers = budget / len(parts)
-		if base.TickWorkers < 1 {
-			base.TickWorkers = 1
-		}
-	}
 	specs := make([]CitySpec, 0, len(parts))
 	originX := 0.0
 	for i, part := range parts {

@@ -37,14 +37,12 @@ import (
 var update = flag.Bool("update", false, "rewrite the /v1 golden bodies under testdata/v1golden")
 
 // goldenConfig is the engine configuration every golden backend runs:
-// explicit worker widths (the params panel echoes them, and the default
-// is the host's core count) and hair-trigger surge tiers — any demand
-// doubles a cell's fares after the next 10 s epoch — so the params and
-// surge bodies carry their optional fields and a surged cell.
+// hair-trigger surge tiers — any demand doubles a cell's fares after the
+// next 10 s epoch — so the params and surge bodies carry their optional
+// fields and a surged cell.
 func goldenConfig(seed int64) core.Config {
 	return core.Config{
 		Capacity: 4, Algorithm: core.AlgoDualSide, Seed: seed,
-		MatchWorkers: 2, TickWorkers: 2,
 		SurgeEnabled: true, SurgeEpochSeconds: 10, SurgeAlpha: 1,
 		SurgeTiers: []surge.Tier{{MinRatio: 0.0001, Multiplier: 2}},
 	}

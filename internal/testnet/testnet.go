@@ -6,6 +6,7 @@ package testnet
 
 import (
 	"math/rand"
+	"runtime"
 
 	"ptrider/internal/geo"
 	"ptrider/internal/roadnet"
@@ -37,6 +38,16 @@ func Lattice(rng *rand.Rand, w, h int, spacing float64) *roadnet.Graph {
 		}
 	}
 	return b.MustBuild()
+}
+
+// AtProcs runs build with GOMAXPROCS set to n and restores the previous
+// value before returning. An engine or fleet reads its parallel width
+// from GOMAXPROCS once, at construction, so whatever build constructs
+// keeps width n afterwards. Callers must not run in parallel with other
+// tests.
+func AtProcs(n int, build func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	build()
 }
 
 // latticeWeight returns a weight safely above the maximal possible

@@ -240,6 +240,9 @@ func GenerateWorkload(n *Network, cfg WorkloadConfig) ([]Trip, error) {
 // Config carries the system's global settings — the knobs on the demo's
 // website interface: taxi capacity, number of taxis, maximal waiting
 // time, service constraint, price function, and matching algorithm.
+// Parallelism is not a setting: each engine quotes a SubmitBatch wave
+// and shards Tick over GOMAXPROCS goroutines, read at construction, and
+// every width gives the same answers.
 type Config struct {
 	// NumTaxis places this many vehicles uniformly at random (0 = none;
 	// add more with AddVehicleAt/AddVehicles). In a multi-city system
@@ -264,15 +267,6 @@ type Config struct {
 	PriceRatio func(n int) float64
 	// GridCols and GridRows set the index resolution (0 = 16×16).
 	GridCols, GridRows int
-	// MatchWorkers bounds the goroutines one SubmitBatch wave quotes
-	// on; a single request spawns none (0 = one worker per CPU).
-	MatchWorkers int
-	// TickWorkers bounds Tick's parallel per-vehicle shard fan-out
-	// (0 = one worker per CPU; 1 = the fully serial reference step).
-	// Serial and parallel ticks produce identical events. On a
-	// multi-city system the value is a total budget divided across the
-	// concurrently-ticking cities.
-	TickWorkers int
 	// CommitSlack loosens Choose when the quoted schedule went stale
 	// between quote and choice (vehicle moved, other riders accepted):
 	// a fresh schedule within CommitSlack·dist(s,d) metres of the
@@ -310,8 +304,6 @@ func coreConfig(cfg Config) (core.Config, error) {
 		MaxPickupSeconds:  cfg.MaxPickupSeconds,
 		PriceRatio:        cfg.PriceRatio,
 		Algorithm:         algo,
-		MatchWorkers:      cfg.MatchWorkers,
-		TickWorkers:       cfg.TickWorkers,
 		CommitSlack:       cfg.CommitSlack,
 		SurgeEnabled:      cfg.SurgeEnabled,
 		SurgeEpochSeconds: cfg.SurgeEpochSeconds,

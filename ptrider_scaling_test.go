@@ -11,13 +11,13 @@ import (
 )
 
 // buildScalingSystem returns a loaded city for throughput measurement.
-func buildScalingSystem(t *testing.T, workers int) *ptrider.System {
+func buildScalingSystem(t *testing.T) *ptrider.System {
 	t.Helper()
 	net, err := ptrider.GenerateCity(ptrider.CityConfig{Width: 24, Height: 24, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := ptrider.New(net, ptrider.Config{NumTaxis: 150, Seed: 42, MatchWorkers: workers})
+	sys, err := ptrider.New(net, ptrider.Config{NumTaxis: 150, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestParallelSubmitScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	sys := buildScalingSystem(t, 0)
+	sys := buildScalingSystem(t)
 
 	// Warm the shared distance memo so both measurements run hot.
 	_ = submitThroughput(t, sys, 1, 300*time.Millisecond)

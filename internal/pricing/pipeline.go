@@ -1,7 +1,7 @@
 // pipeline.go composes the price model into quote-time stages. The
 // static paper model (pricing.go) stays the base of every fare; a
-// Pipeline runs it through an ordered stage list — base ratio, surge
-// multiplier, optional per-request adjustments — and resolves the
+// Pipeline runs it through an ordered stage list — base ratio, then
+// the surge multiplier when surge is on — and resolves the
 // result into an immutable FareContext that is snapshotted into the
 // request at submit time. Everything downstream of a quote (skyline
 // pruning floors, option prices, re-probe repricing, WAL replay)
@@ -50,12 +50,6 @@ type FareContext struct {
 	Epoch uint64
 }
 
-// StaticContext wraps a bare ratio in a FareContext, for callers that
-// price outside any pipeline (recovered pre-pipeline records, tests).
-func StaticContext(ratio float64) FareContext {
-	return FareContext{BaseRatio: ratio, Multiplier: 1, Ratio: ratio, Cell: -1}
-}
-
 // Price returns the fare f·(detourDelta + tripDist) under the context.
 func (fc FareContext) Price(detourDelta, tripDist float64) float64 {
 	return fc.Ratio * (detourDelta + tripDist)
@@ -67,14 +61,9 @@ func (fc FareContext) MinPrice(tripDist float64) float64 {
 	return fc.Ratio * tripDist
 }
 
-// Surged reports whether the context carries a non-unit multiplier.
-func (fc FareContext) Surged() bool { return fc.Multiplier != 1 }
-
 // Stage is one quote-time pricing step. Stages run in pipeline order
 // and mutate the Quote in place.
 type Stage interface {
-	// Name identifies the stage ("base", "surge", ...).
-	Name() string
 	// Apply folds the stage into the quote.
 	Apply(q *Quote)
 }
@@ -89,15 +78,6 @@ type Pipeline struct {
 // NewPipeline builds a pipeline running the given stages in order.
 func NewPipeline(stages ...Stage) *Pipeline {
 	return &Pipeline{stages: stages}
-}
-
-// StageNames lists the pipeline's stages in execution order.
-func (p *Pipeline) StageNames() []string {
-	out := make([]string, len(p.stages))
-	for i, s := range p.stages {
-		out[i] = s.Name()
-	}
-	return out
 }
 
 // Resolve runs the stages over one quote and freezes the result. cell
@@ -124,7 +104,6 @@ func (p *Pipeline) Resolve(riders int, tripDist float64, cell int32) FareContext
 // baseStage seeds the quote with the static model's ratio.
 type baseStage struct{ m Model }
 
-func (b baseStage) Name() string   { return "base" }
 func (b baseStage) Apply(q *Quote) { q.BaseRatio = b.m.Ratio(q.Riders) }
 
 // Base returns the stage computing the paper ratio f_n from the model.
@@ -141,8 +120,6 @@ type MultiplierSource interface {
 // surgeStage scales the quote by the origin cell's surge multiplier.
 type surgeStage struct{ src MultiplierSource }
 
-func (s surgeStage) Name() string { return "surge" }
-
 func (s surgeStage) Apply(q *Quote) {
 	if q.Cell < 0 {
 		return
@@ -157,19 +134,3 @@ func (s surgeStage) Apply(q *Quote) {
 // Surge returns the stage applying src's per-cell multiplier to the
 // quote. Cells the source does not surge leave the quote untouched.
 func Surge(src MultiplierSource) Stage { return surgeStage{src: src} }
-
-// adjustStage wraps an arbitrary per-request adjustment.
-type adjustStage struct {
-	name string
-	fn   func(*Quote)
-}
-
-func (a adjustStage) Name() string   { return a.name }
-func (a adjustStage) Apply(q *Quote) { a.fn(q) }
-
-// Adjust wraps fn as a named pipeline stage — the extension point for
-// per-request adjustments (promotions, personalised fares, driver
-// incentives) without changing the pipeline plumbing.
-func Adjust(name string, fn func(*Quote)) Stage {
-	return adjustStage{name: name, fn: fn}
-}

@@ -40,8 +40,8 @@ func TestBaseOnlyPipelineBitIdentical(t *testing.T) {
 					t.Fatalf("riders=%d sd=%v delta=%v: Price %v != %v", riders, sd, delta, got, want)
 				}
 			}
-			if fc.Surged() {
-				t.Fatalf("base-only context reports surged")
+			if fc.Multiplier != 1 {
+				t.Fatalf("base-only context has multiplier %v", fc.Multiplier)
 			}
 		}
 	}
@@ -55,7 +55,7 @@ func TestSurgeStageScalesRatio(t *testing.T) {
 	p := NewPipeline(Base(m), Surge(src))
 
 	hot := p.Resolve(2, 1000, 7)
-	if !hot.Surged() || hot.Multiplier != 1.5 || hot.Epoch != 3 {
+	if hot.Multiplier != 1.5 || hot.Epoch != 3 {
 		t.Fatalf("hot cell context = %+v", hot)
 	}
 	if want := m.Ratio(2) * 1.5; hot.Ratio != want {
@@ -63,7 +63,7 @@ func TestSurgeStageScalesRatio(t *testing.T) {
 	}
 
 	cold := p.Resolve(2, 1000, 8)
-	if cold.Surged() || cold.Ratio != m.Ratio(2) {
+	if cold.Multiplier != 1 || cold.Ratio != m.Ratio(2) {
 		t.Fatalf("cold cell context = %+v", cold)
 	}
 	if cold.Epoch != 3 {
@@ -72,7 +72,7 @@ func TestSurgeStageScalesRatio(t *testing.T) {
 
 	// Cell-less quotes skip the surge stage entirely.
 	none := p.Resolve(2, 1000, -1)
-	if none.Surged() || none.Epoch != 0 || none.Ratio != m.Ratio(2) {
+	if none.Multiplier != 1 || none.Epoch != 0 || none.Ratio != m.Ratio(2) {
 		t.Fatalf("cell-less context = %+v", none)
 	}
 }
@@ -94,27 +94,5 @@ func TestPriceMonotoneInDetour(t *testing.T) {
 		if fc.MinPrice(2000) != fc.Price(0, 2000) {
 			t.Fatalf("mult=%v: MinPrice != zero-detour price", mult)
 		}
-	}
-}
-
-// TestAdjustStage checks the extension stage composes with the rest.
-func TestAdjustStage(t *testing.T) {
-	m := NewModel(nil)
-	p := NewPipeline(Base(m), Adjust("promo", func(q *Quote) { q.Multiplier *= 0.9 }))
-	fc := p.Resolve(1, 1000, -1)
-	if want := m.Ratio(1) * 0.9; fc.Ratio != want {
-		t.Fatalf("promo ratio %v, want %v", fc.Ratio, want)
-	}
-	names := p.StageNames()
-	if len(names) != 2 || names[0] != "base" || names[1] != "promo" {
-		t.Fatalf("stage names = %v", names)
-	}
-}
-
-// TestStaticContext checks the pipeline-less constructor.
-func TestStaticContext(t *testing.T) {
-	fc := StaticContext(0.3)
-	if fc.Ratio != 0.3 || fc.Surged() || fc.Cell != -1 {
-		t.Fatalf("static context = %+v", fc)
 	}
 }

@@ -87,9 +87,6 @@ func New(numCells int, cfg Config) *Tracker {
 	return t
 }
 
-// NumCells returns the tracked cell count.
-func (t *Tracker) NumCells() int { return len(t.mult) }
-
 // RecordDemand counts one quoted request out of cell. Out-of-range
 // cells (including -1) are ignored.
 func (t *Tracker) RecordDemand(cell int32) {

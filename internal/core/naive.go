@@ -15,9 +15,6 @@ type NaiveMatcher struct {
 
 func newNaiveMatcher(ctx *matchContext) *NaiveMatcher { return &NaiveMatcher{ctx: ctx} }
 
-// Name implements Matcher.
-func (m *NaiveMatcher) Name() string { return "naive" }
-
 // Match implements Matcher.
 func (m *NaiveMatcher) Match(_ context.Context, spec *ReqSpec, stats *MatchStats) []Option {
 	ctx := m.ctx

@@ -82,9 +82,6 @@ type MatchStats struct {
 // Matcher answers a request with the global non-dominated option set.
 // Implementations are stateless and safe for concurrent Match calls.
 type Matcher interface {
-	// Name identifies the algorithm ("naive", "single-side",
-	// "dual-side") as selectable in the demo's website interface.
-	Name() string
 	// Match returns the skyline options for spec, sorted by pick-up
 	// distance ascending. A matcher may stop early once ctx is done;
 	// its answer is then incomplete, and the caller, which reads

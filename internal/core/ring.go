@@ -59,14 +59,6 @@ func newRingMatcher(ctx *matchContext, dual bool) *RingMatcher {
 	return &RingMatcher{ctx: ctx, dual: dual}
 }
 
-// Name implements Matcher.
-func (m *RingMatcher) Name() string {
-	if m.dual {
-		return "dual-side"
-	}
-	return "single-side"
-}
-
 // pendingVehicle is a vehicle deferred by the d-side bound, with the
 // probe state captured at deferral time.
 type pendingVehicle struct {

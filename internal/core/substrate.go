@@ -53,19 +53,3 @@ func newSubstrate(g *roadnet.Graph, cfg Config) (*Substrate, error) {
 		speed: cfg.SpeedKmh / 3.6,
 	}, nil
 }
-
-// Graph returns the road network.
-func (s *Substrate) Graph() *roadnet.Graph { return s.g }
-
-// Grid returns the static grid index.
-func (s *Substrate) Grid() *gridindex.Grid { return s.grid }
-
-// Model returns the pricing model.
-func (s *Substrate) Model() pricing.Model { return s.model }
-
-// Speed returns the system speed in metres per second.
-func (s *Substrate) Speed() float64 { return s.speed }
-
-// Config returns the effective configuration the substrate was built
-// from.
-func (s *Substrate) Config() Config { return s.cfg }

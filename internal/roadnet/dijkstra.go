@@ -45,9 +45,6 @@ func NewSearcher(g *Graph) *Searcher {
 	}
 }
 
-// Graph returns the graph this Searcher queries.
-func (s *Searcher) Graph() *Graph { return s.g }
-
 func (s *Searcher) begin() {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: clear stamps once per 2^32 queries

@@ -150,9 +150,6 @@ func (b *Builder) AddPlainVertex() VertexID {
 	return VertexID(len(b.points) - 1)
 }
 
-// NumVertices returns the number of vertices added so far.
-func (b *Builder) NumVertices() int { return len(b.points) }
-
 // AddEdge adds the directed edge (u, v) with weight w.
 func (b *Builder) AddEdge(u, v VertexID, w float64) {
 	b.tails = append(b.tails, u)

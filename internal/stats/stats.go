@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -51,9 +50,6 @@ func (o *Online) Var() float64 {
 	return o.m2 / float64(o.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
 // Min returns the smallest observation (+Inf when empty).
 func (o *Online) Min() float64 {
 	if o.n == 0 {
@@ -68,11 +64,6 @@ func (o *Online) Max() float64 {
 		return math.Inf(-1)
 	}
 	return o.max
-}
-
-// String summarises the accumulator.
-func (o *Online) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f", o.n, o.Mean(), o.Std(), o.Min(), o.Max())
 }
 
 // P2Quantile estimates a single quantile online with the P² algorithm

@@ -17,6 +17,57 @@ func testCity(t *testing.T) *ptrider.Network {
 	return net
 }
 
+// TestSystemRandomVertexAndDecline covers the two facade verbs the
+// examples lean on: RandomVertex draws ids inside a single city's
+// network (and answers 0 on a multi-city system, whose vertex ids are
+// per city), and Decline closes a quoted request for good.
+func TestSystemRandomVertexAndDecline(t *testing.T) {
+	net := testCity(t)
+	sys, err := ptrider.New(net, ptrider.Config{NumTaxis: 15, Seed: 3})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	seen := map[ptrider.VertexID]bool{}
+	for i := 0; i < 100; i++ {
+		v := sys.RandomVertex()
+		if v < 0 || int(v) >= net.NumVertices() {
+			t.Fatalf("RandomVertex = %d outside [0, %d)", v, net.NumVertices())
+		}
+		seen[v] = true
+	}
+	if len(seen) < 10 {
+		t.Fatalf("100 draws hit only %d vertices", len(seen))
+	}
+
+	req, err := sys.Request(5, 100, 1)
+	if err != nil || len(req.Options) == 0 {
+		t.Fatalf("Request: %v (%d options)", err, len(req.Options))
+	}
+	if err := sys.Decline(req.ID); err != nil {
+		t.Fatalf("Decline: %v", err)
+	}
+	if status, err := sys.RequestStatus(req.ID); err != nil || status != "declined" {
+		t.Fatalf("status = %q, %v", status, err)
+	}
+	if err := sys.Decline(req.ID); err == nil {
+		t.Fatal("second Decline accepted")
+	}
+	if err := sys.Choose(req.ID, 0); err == nil {
+		t.Fatal("Choose after Decline accepted")
+	}
+	if err := sys.Decline(req.ID + 1000); err == nil {
+		t.Fatal("Decline of an unknown request accepted")
+	}
+
+	multi, err := ptrider.NewMulti("a:6x6:2,b:6x6:2", ptrider.MultiConfig{})
+	if err != nil {
+		t.Fatalf("NewMulti: %v", err)
+	}
+	if v := multi.RandomVertex(); v != 0 {
+		t.Fatalf("multi-city RandomVertex = %d, want 0", v)
+	}
+}
+
 func TestNewNetworkValidation(t *testing.T) {
 	pts := []ptrider.Point{{0, 0}, {100, 0}, {200, 0}}
 	if _, err := ptrider.NewNetwork(pts, []ptrider.Edge{{U: 0, V: 1, Weight: 100}}); err == nil {

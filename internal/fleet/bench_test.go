@@ -35,9 +35,9 @@ func (m *lockedMetric) Dist(u, v roadnet.VertexID) float64 {
 func (m *lockedMetric) LB(u, v roadnet.VertexID) float64 { return m.grid.LB(u, v) }
 
 // benchFleet builds a fleet of nv vehicles on a 48x48 lattice with the
-// given shard width (the GOMAXPROCS it is built at) and commits one request onto every 5th vehicle so
-// the step mixes schedule-driven driving (with pickup/dropoff events)
-// into the roaming baseline.
+// given shard width (the GOMAXPROCS it is built at) and commits one
+// request onto every 5th vehicle so the step mixes schedule-driven
+// driving (with pickup/dropoff events) into the roaming baseline.
 func benchFleet(b *testing.B, nv, workers int) *fleet.Fleet {
 	b.Helper()
 	rng := rand.New(rand.NewSource(9))

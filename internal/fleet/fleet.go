@@ -677,9 +677,9 @@ type StepStats struct {
 // Step advances every in-service vehicle by the given distance budget
 // (metres = speed × Δt), serving pickups and dropoffs en route. The
 // vehicle population is partitioned into per-worker shards with a
-// stable assignment — vehicle id modulo Workers() —
-// and the shards step concurrently; each vehicle is mutated under its
-// own lock, so the probe/commit protocol is unchanged. The per-vehicle
+// stable assignment — vehicle id modulo Workers() — and the shards
+// step concurrently; each vehicle is mutated under its own lock, so the
+// probe/commit protocol is unchanged. The per-vehicle
 // event slices are merged into the canonical deterministic order,
 // vehicle id ascending then odometer ascending, which makes the serial
 // (width 1) and parallel steps return identical events: roaming

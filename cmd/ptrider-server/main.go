@@ -28,8 +28,7 @@
 // assignments, vehicle schedules, simulated clock — instead of
 // re-seeding a fresh fleet. -wal-mode picks sync (fsync before ack)
 // or async (group-committed in the background, a crash may lose the
-// tail); -snapshot-every bounds recovery time by compacting the
-// journal every N records. On SIGINT/SIGTERM the server drains
+// tail). On SIGINT/SIGTERM the server drains
 // in-flight HTTP requests, flushes the journal and writes a final
 // snapshot before exiting, so the next start recovers instantly.
 //
@@ -96,7 +95,6 @@ func main() {
 		relayOn    = flag.Bool("relay", false, "serve cross-city trips as two-leg relay trips (with -cities)")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory (empty = durability off; multi-city shards get per-city subdirectories)")
 		walMode    = flag.String("wal-mode", "sync", `journal mode with -wal-dir: "sync" (fsync before ack) or "async" (background group commit)`)
-		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshots (0 = engine default)")
 		surgeOn    = flag.Bool("surge", false, "enable per-cell surge pricing (see /v1/surge)")
 		surgeEpoch = flag.Float64("surge-epoch", 0, "surge multiplier re-evaluation period in simulated seconds (0 = 60)")
 		metricsOn  = flag.Bool("metrics", true, "expose GET /metrics and record engine/HTTP telemetry")
@@ -123,7 +121,7 @@ func main() {
 	svc, banner, err := buildService(buildConfig{
 		cities: *cities, shards: *shards, width: *width, height: *height, taxis: *taxis,
 		algoName: *algo, seed: *seed, relayOn: *relayOn,
-		durability: mode, walDir: *walDir, snapshotEvery: *snapEvery,
+		durability: mode, walDir: *walDir,
 		surge: *surgeOn, surgeEpoch: *surgeEpoch, telemetry: reg,
 	})
 	if err != nil {
@@ -214,7 +212,6 @@ type buildConfig struct {
 	relayOn       bool
 	durability    wal.Mode
 	walDir        string
-	snapshotEvery int
 	surge         bool
 	surgeEpoch    float64
 	telemetry     *telemetry.Registry
@@ -251,7 +248,7 @@ func buildService(bc buildConfig) (core.Service, string, error) {
 			}, bc.seed,
 			multicity.RouterConfig{
 				EnableRelay: bc.relayOn,
-				Durability:  bc.durability, WALDir: bc.walDir, SnapshotEvery: bc.snapshotEvery,
+				Durability:  bc.durability, WALDir: bc.walDir,
 				Telemetry: bc.telemetry,
 			})
 		if err != nil {
@@ -270,7 +267,7 @@ func buildService(bc buildConfig) (core.Service, string, error) {
 	}
 	eng, err := core.NewEngine(g, core.Config{
 		Algorithm: algo, Seed: bc.seed,
-		Durability: bc.durability, WALDir: bc.walDir, SnapshotEvery: bc.snapshotEvery,
+		Durability: bc.durability, WALDir: bc.walDir,
 		SurgeEnabled: bc.surge, SurgeEpochSeconds: bc.surgeEpoch,
 		Telemetry: bc.telemetry,
 	})

@@ -64,7 +64,7 @@ func TestCancelAssignedReleasesReservation(t *testing.T) {
 	if err := e.CancelAssigned(rec.ID); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	after, err := e.Request(rec.ID)
+	after, err := e.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCancelAssignedRefusesOnboardRider(t *testing.T) {
 		if _, err := e.Tick(1); err != nil {
 			t.Fatal(err)
 		}
-		cur, err := e.Request(rec.ID)
+		cur, err := e.GetRequest(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestCancelAssignedRefusesOnboardRider(t *testing.T) {
 			if err := e.CancelAssigned(rec.ID); err == nil {
 				t.Fatal("cancelled an onboard rider")
 			}
-			cur, err = e.Request(rec.ID)
+			cur, err = e.GetRequest(rec.ID)
 			if err != nil {
 				t.Fatal(err)
 			}

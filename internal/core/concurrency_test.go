@@ -403,7 +403,7 @@ func TestConcurrentSubmitDeterministicLedger(t *testing.T) {
 				t.Fatalf("duplicate request id %d", id)
 			}
 			seen[id] = true
-			if _, err := e.Request(id); err != nil {
+			if _, err := e.GetRequest(id); err != nil {
 				t.Fatalf("request %d not in ledger: %v", id, err)
 			}
 		}

@@ -276,13 +276,13 @@ func TestChooseLifecycle(t *testing.T) {
 		if _, err := e.Tick(1); err != nil {
 			t.Fatalf("tick: %v", err)
 		}
-		r, _ := e.Request(rec.ID)
+		r, _ := e.GetRequest(rec.ID)
 		completed = r.Status == core.StatusCompleted
 	}
 	if !completed {
 		t.Fatal("request never completed")
 	}
-	r, _ := e.Request(rec.ID)
+	r, _ := e.GetRequest(rec.ID)
 	if r.DropoffOdo <= r.PickupOdo {
 		t.Fatal("dropoff odometer not after pickup")
 	}
@@ -392,8 +392,8 @@ func TestSharingRateStatistics(t *testing.T) {
 	if st.Completed != 2 {
 		t.Fatalf("completed = %d, want 2", st.Completed)
 	}
-	a, _ := e.Request(r1.ID)
-	b, _ := e.Request(r2.ID)
+	a, _ := e.GetRequest(r1.ID)
+	b, _ := e.GetRequest(r2.ID)
 	if a.Shared != b.Shared {
 		t.Fatalf("sharing must be mutual: %v vs %v", a.Shared, b.Shared)
 	}
@@ -420,7 +420,7 @@ func TestVehicleFailureInjection(t *testing.T) {
 	if len(orphans) != 1 || orphans[0] != rec.ID {
 		t.Fatalf("orphans = %v", orphans)
 	}
-	r, _ := e.Request(rec.ID)
+	r, _ := e.GetRequest(rec.ID)
 	if r.Status != core.StatusDeclined {
 		t.Fatalf("orphaned request status = %v", r.Status)
 	}

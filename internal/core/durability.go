@@ -25,7 +25,9 @@
 //
 // Recovery has no state logic of its own: replayRecord decodes a
 // record, makes the fleet-side restore call and runs the ledger
-// transition (ledger.go) the live path ran.
+// transition (ledger.go) the live path ran. The lifecycle around it —
+// recover, restore, replay, open; the crash points; snapshot write and
+// prune; fail-stop — is the journal's (package wal).
 //
 // # Known non-durable edges (documented trade-offs)
 //
@@ -51,7 +53,6 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 
@@ -65,9 +66,8 @@ import (
 // simulated-crash failure without importing wal.
 var ErrCrashed = wal.ErrCrashed
 
-// defaultSnapshotEvery is Config.SnapshotEvery's default: snapshot the
-// engine after this many journaled records (checked at tick
-// boundaries).
+// defaultSnapshotEvery is the engine's snapshot cadence: snapshot after
+// this many journaled records (checked at tick boundaries).
 const defaultSnapshotEvery = 4096
 
 // Operation tags of the journal records.
@@ -213,50 +213,26 @@ type DurabilityStats struct {
 	ReplayDivergence int64
 }
 
-// alive fails with ErrCrashed once the engine's journal has been
-// killed by a simulated crash: the process is "dead" and every
-// state-mutating operation must refuse until a fresh engine recovers
-// from disk.
+// alive fails with ErrCrashed once the engine's journal is dead — a
+// simulated crash, or a failed write or fsync: the process is "dead"
+// and every state-mutating operation must refuse until a fresh engine
+// recovers from disk.
 func (e *Engine) alive() error {
-	if e.walDead.Load() {
+	if e.journal != nil && e.journal.Dead() {
 		return ErrCrashed
 	}
 	return nil
-}
-
-// killWAL marks the engine crashed and kills its journal.
-func (e *Engine) killWAL() {
-	e.walDead.Store(true)
-	if e.journal != nil {
-		e.journal.Kill()
-	}
-}
-
-// noteWALErr records a journal failure (ErrCrashed from a group-commit
-// wait, for example) so later operations fail fast.
-func (e *Engine) noteWALErr(err error) error {
-	if err != nil {
-		e.walDead.Store(true)
-	}
-	return err
 }
 
 // appendLocked journals one operation record (a no-op with durability
 // off). The caller holds led.mu — that lock order is what makes the
 // journal the ledger's linearisation. The returned Commit must be
 // waited on after led.mu is released (Sync mode fsyncs are
-// group-committed across appenders).
-// The two operation-level crash points fire here: pre-append (the
-// record must be absent after recovery) and post-append-pre-apply (the
-// record is in the batch; recovery must apply it exactly once if it
-// reached disk).
+// group-committed across appenders). The journal fires the pre- and
+// post-append crash points itself.
 func (e *Engine) appendLocked(rec *walRecord) (wal.Commit, error) {
 	if e.journal == nil {
 		return wal.Commit{}, nil
-	}
-	if e.inj.Fire(wal.CrashPreAppend) {
-		e.killWAL()
-		return wal.Commit{}, ErrCrashed
 	}
 	payload, err := encodeWALRecord(e.walScratch[:0], rec)
 	if err != nil {
@@ -265,13 +241,9 @@ func (e *Engine) appendLocked(rec *walRecord) (wal.Commit, error) {
 	c, err := e.journal.Append(payload)
 	e.walScratch = payload[:0] // Append copied it; keep the grown capacity
 	if err != nil {
-		return wal.Commit{}, e.noteWALErr(err)
+		return wal.Commit{}, err
 	}
 	e.recSinceSnap++
-	if e.inj.Fire(wal.CrashPostAppend) {
-		e.killWAL()
-		return wal.Commit{}, ErrCrashed
-	}
 	return c, nil
 }
 
@@ -308,52 +280,19 @@ func (e *Engine) openDurability(cfg Config) error {
 	if cfg.WALDir == "" {
 		return fmt.Errorf("core: durability %v requires WALDir", cfg.Durability)
 	}
-	e.walDir = cfg.WALDir
-	e.inj = cfg.FaultInjector
-	rec, err := wal.Recover(cfg.WALDir)
-	if err != nil {
-		return err
-	}
-	if rec.Snapshot != nil {
-		if err := e.applySnapshot(rec.Snapshot); err != nil {
-			return fmt.Errorf("core: snapshot %d: %w", rec.SnapshotSeg, err)
-		}
-	}
-	for i, payload := range rec.Records {
-		if err := e.replayRecord(payload); err != nil {
-			return fmt.Errorf("core: replay record %d/%d: %w", i+1, len(rec.Records), err)
-		}
-	}
-	j, err := wal.Open(cfg.WALDir, rec.NextSeg, wal.Options{
+	j, err := wal.Open(cfg.WALDir, wal.Options{
 		Mode: cfg.Durability, Injector: cfg.FaultInjector,
 		// Nil registry hands out nil histograms — telemetry off.
 		AppendHist: cfg.Telemetry.LatencyHist("ptrider_wal_append_duration_seconds",
 			"WAL group-commit batch write wall time."),
 		FsyncHist: cfg.Telemetry.LatencyHist("ptrider_wal_fsync_duration_seconds",
 			"WAL fsync wall time."),
-	})
+	}, e.applySnapshot, e.replayRecord)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: %w", err)
 	}
 	e.journal = j
-	e.recovered = rec.Snapshot != nil || len(rec.Records) > 0
-	e.lastSnapSeg.Store(rec.SnapshotSeg)
-	e.recInfo = recoveryInfo{
-		records:         len(rec.Records),
-		truncatedBytes:  rec.TruncatedBytes,
-		droppedSegments: rec.DroppedSegments,
-		corruptSnaps:    rec.CorruptSnapshots,
-	}
 	return nil
-}
-
-// recoveryInfo summarises the NewEngine-time recovery for the stats
-// panel.
-type recoveryInfo struct {
-	records         int
-	truncatedBytes  int64
-	droppedSegments int
-	corruptSnaps    int
 }
 
 // Kill simulates a process crash: the journal stops accepting appends,
@@ -362,16 +301,17 @@ type recoveryInfo struct {
 // lost; recover by building a fresh engine over the same WALDir.
 // No-op when durability is off.
 func (e *Engine) Kill() {
-	if e.journal == nil {
-		return
+	if e.journal != nil {
+		e.journal.Kill()
 	}
-	e.killWAL()
 }
 
 // Recovered reports whether NewEngine restored state from a journal
 // directory — callers (multicity, the server bootstrap) must then skip
 // their initial vehicle seeding.
-func (e *Engine) Recovered() bool { return e.recovered }
+func (e *Engine) Recovered() bool {
+	return e.journal != nil && e.journal.Stats().Recovery.Recovered
+}
 
 // captureLocked builds the snapshot payload. The caller holds tickMu
 // and led.mu, so no vehicle moves and no ledger mutation lands while
@@ -525,7 +465,7 @@ func (e *Engine) snapshotHoldingTick() error {
 	seg, err := e.journal.Rotate()
 	if err != nil {
 		e.led.mu.Unlock()
-		return e.noteWALErr(err)
+		return err
 	}
 	snap := e.captureLocked()
 	e.recSinceSnap = 0
@@ -535,16 +475,7 @@ func (e *Engine) snapshotHoldingTick() error {
 	if err != nil {
 		return fmt.Errorf("core: snapshot encode: %w", err)
 	}
-	if err := wal.WriteSnapshot(e.walDir, seg, payload, e.inj); err != nil {
-		if errors.Is(err, ErrCrashed) {
-			e.killWAL()
-		}
-		return err
-	}
-	e.lastSnapSeg.Store(seg)
-	e.snapCount.Add(1)
-	wal.PruneBefore(e.walDir, seg)
-	return nil
+	return e.journal.WriteSnapshot(seg, payload)
 }
 
 // snapshotDueLocked reports whether the snapshot cadence has been
@@ -561,10 +492,10 @@ func (e *Engine) Close() error {
 	if e.journal == nil {
 		return nil
 	}
-	if e.walDead.Load() {
-		return e.journal.Close()
+	var serr error
+	if !e.journal.Dead() {
+		serr = e.Snapshot()
 	}
-	serr := e.Snapshot()
 	if cerr := e.journal.Close(); cerr != nil && serr == nil {
 		serr = cerr
 	}
@@ -586,13 +517,13 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 	ds.MaxBatch = js.MaxBatch
 	ds.AvgFsyncMicros = js.AvgFsyncMicros
 	ds.Segment = js.Segment
-	ds.Snapshots = e.snapCount.Load()
-	ds.LastSnapshotSeg = e.lastSnapSeg.Load()
-	ds.Recovered = e.recovered
-	ds.RecoveredRecords = e.recInfo.records
-	ds.RecoveredTruncatedBytes = e.recInfo.truncatedBytes
-	ds.RecoveredDroppedSegments = e.recInfo.droppedSegments
-	ds.RecoveredCorruptSnaps = e.recInfo.corruptSnaps
+	ds.Snapshots = js.Snapshots
+	ds.LastSnapshotSeg = js.LastSnapshotSeg
+	ds.Recovered = js.Recovery.Recovered
+	ds.RecoveredRecords = js.Recovery.Records
+	ds.RecoveredTruncatedBytes = js.Recovery.TruncatedBytes
+	ds.RecoveredDroppedSegments = js.Recovery.DroppedSegments
+	ds.RecoveredCorruptSnaps = js.Recovery.CorruptSnapshots
 	ds.ReplayDivergence = e.divergence.Load()
 	return ds
 }

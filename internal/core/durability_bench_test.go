@@ -128,7 +128,7 @@ func BenchmarkRecover10kTail(b *testing.B) {
 				for d == s {
 					d = roadnet.VertexID(rng.Intn(nv))
 				}
-				rec, err := e.SubmitIdem(s, d, 1, core.DefaultConstraints(), fmt.Sprintf("b%d-%d", w, i))
+				rec, err := e.SubmitRequest(core.SubmitSpec{S: s, D: d, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: fmt.Sprintf("b%d-%d", w, i)})
 				if err != nil {
 					b.Errorf("submit: %v", err)
 					return

@@ -29,25 +29,28 @@ const eps = 1e-9
 
 // walEngineConfig is the shared scripted-workload configuration: small
 // city, modest fleet, generous constraints so most submissions quote.
-func walEngineConfig(mode wal.Mode, dir string, inj *wal.Injector, snapEvery int) core.Config {
+func walEngineConfig(mode wal.Mode, dir string, inj *wal.Injector) core.Config {
 	return core.Config{
 		GridCols: 4, GridRows: 4,
 		Capacity: 4, Seed: 5,
 		MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
-		Durability: mode, WALDir: dir, SnapshotEvery: snapEvery,
+		Durability: mode, WALDir: dir,
 		FaultInjector: inj,
 	}
 }
 
 // walEngine builds (or recovers) a scripted-workload engine. A fresh
 // directory seeds 10 vehicles; a recovered one keeps its journaled
-// fleet.
+// fleet. A non-zero snapEvery replaces the engine's snapshot cadence.
 func walEngine(t testing.TB, mode wal.Mode, dir string, inj *wal.Injector, snapEvery int) *core.Engine {
 	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100)
-	e, err := core.NewEngine(g, walEngineConfig(mode, dir, inj, snapEvery))
+	e, err := core.NewEngine(g, walEngineConfig(mode, dir, inj))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
+	}
+	if snapEvery != 0 {
+		e.SetSnapEvery(snapEvery)
 	}
 	if !e.Recovered() {
 		if ids := e.AddVehiclesUniform(10); len(ids) != 10 {
@@ -150,14 +153,14 @@ func (r *scriptRunner) run(steps []scriptStep) {
 		switch st.kind {
 		case "submit":
 			key := fmt.Sprintf("k%d", st.ref)
-			rec, err := r.e.SubmitIdem(st.s, st.d, 1, core.DefaultConstraints(), key)
+			rec, err := r.e.SubmitRequest(core.SubmitSpec{S: st.s, D: st.d, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: key})
 			if err != nil {
 				r.onCrash(err)
 				// Retried under the same key: if the original landed in
 				// the journal the recovered engine answers it verbatim,
 				// otherwise this re-registers under the same id (the id
 				// sequence is restored from the journal).
-				rec, err = r.e.SubmitIdem(st.s, st.d, 1, core.DefaultConstraints(), key)
+				rec, err = r.e.SubmitRequest(core.SubmitSpec{S: st.s, D: st.d, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: key})
 				if err != nil {
 					r.t.Fatalf("step %d: submit retry: %v", i, err)
 				}
@@ -188,7 +191,7 @@ func (r *scriptRunner) run(steps []scriptStep) {
 
 		case "cancel":
 			id := r.ids[st.ref]
-			rec, err := r.e.Request(id)
+			rec, err := r.e.GetRequest(id)
 			if err != nil {
 				r.t.Fatalf("step %d: request %d: %v", i, id, err)
 			}
@@ -197,7 +200,7 @@ func (r *scriptRunner) run(steps []scriptStep) {
 			}
 			if err := r.e.CancelAssigned(id); err != nil {
 				r.onCrash(err)
-				rec, gerr := r.e.Request(id)
+				rec, gerr := r.e.GetRequest(id)
 				if gerr != nil {
 					r.t.Fatalf("step %d: request after crash: %v", i, gerr)
 				}
@@ -235,7 +238,7 @@ func (r *scriptRunner) declineStep(i int, id core.RequestID) {
 		return
 	}
 	r.onCrash(err)
-	rec, gerr := r.e.Request(id)
+	rec, gerr := r.e.GetRequest(id)
 	if gerr != nil {
 		r.t.Fatalf("step %d: request after crash: %v", i, gerr)
 	}
@@ -276,8 +279,8 @@ func assertEquivalent(t *testing.T, got, want *core.Engine, ids map[int]core.Req
 		}
 	}
 	for ref, id := range ids {
-		gr, gerr := got.Request(id)
-		wr, werr := want.Request(id)
+		gr, gerr := got.GetRequest(id)
+		wr, werr := want.GetRequest(id)
 		if gerr != nil || werr != nil {
 			t.Fatalf("ref %d id %d: lookup errs %v / %v", ref, id, gerr, werr)
 		}
@@ -429,7 +432,7 @@ func submitN(t *testing.T, e *core.Engine, n int, seed int64) []core.RequestID {
 		for d == s {
 			d = roadnet.VertexID(rng.Intn(nv))
 		}
-		rec, err := e.SubmitIdem(s, d, 1, core.DefaultConstraints(), fmt.Sprintf("c%d", i))
+		rec, err := e.SubmitRequest(core.SubmitSpec{S: s, D: d, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: fmt.Sprintf("c%d", i)})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -458,15 +461,15 @@ func TestRecoveryTornTail(t *testing.T) {
 	if !ds.Recovered || ds.RecoveredTruncatedBytes == 0 {
 		t.Fatalf("truncation not detected: %+v", ds)
 	}
-	if _, err := got.Request(ids[2]); !errors.Is(err, core.ErrNotFound) {
+	if _, err := got.GetRequest(ids[2]); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("torn submit %d survived recovery (err %v)", ids[2], err)
 	}
-	if _, err := got.Request(ids[1]); err != nil {
+	if _, err := got.GetRequest(ids[1]); err != nil {
 		t.Fatalf("intact submit %d lost: %v", ids[1], err)
 	}
 	// The client retries the unacknowledged submission; the id sequence
 	// must continue where the journal ends — re-using the torn id.
-	rec, err := got.SubmitIdem(10, 20, 1, core.DefaultConstraints(), "c2-retry")
+	rec, err := got.SubmitRequest(core.SubmitSpec{S: 10, D: 20, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "c2-retry"})
 	if err != nil {
 		t.Fatalf("retry submit: %v", err)
 	}
@@ -497,10 +500,10 @@ func TestRecoveryFlippedByte(t *testing.T) {
 	if !ds.Recovered || ds.RecoveredTruncatedBytes == 0 {
 		t.Fatalf("corruption not detected: %+v", ds)
 	}
-	if _, err := got.Request(ids[2]); !errors.Is(err, core.ErrNotFound) {
+	if _, err := got.GetRequest(ids[2]); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("corrupt record %d survived recovery (err %v)", ids[2], err)
 	}
-	if _, err := got.Request(ids[1]); err != nil {
+	if _, err := got.GetRequest(ids[1]); err != nil {
 		t.Fatalf("intact record %d lost: %v", ids[1], err)
 	}
 	if err := got.CheckInvariants(); err != nil {
@@ -522,7 +525,7 @@ func TestAsyncCrashLosesOnlySuffix(t *testing.T) {
 	got := walEngine(t, wal.ModeAsync, dir, nil, 0)
 	survived := 0
 	for i, id := range ids {
-		_, err := got.Request(id)
+		_, err := got.GetRequest(id)
 		switch {
 		case err == nil:
 			if survived != i {
@@ -580,7 +583,7 @@ func TestCancelAssignedAfterRestart(t *testing.T) {
 
 	// And the cancellation itself is durable.
 	again := walEngine(t, wal.ModeSync, dir, nil, 0)
-	r2, err := again.Request(rec.ID)
+	r2, err := again.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,12 +601,12 @@ func TestCancelAssignedAfterRestart(t *testing.T) {
 func TestSubmitIdempotencyKey(t *testing.T) {
 	dir := t.TempDir()
 	e := walEngine(t, wal.ModeSync, dir, nil, 0)
-	rec, err := e.SubmitIdem(3, 40, 1, core.DefaultConstraints(), "once")
+	rec, err := e.SubmitRequest(core.SubmitSpec{S: 3, D: 40, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "once"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := e.Stats().Requests
-	dup, err := e.SubmitIdem(7, 12, 1, core.DefaultConstraints(), "once") // different endpoints, same key
+	dup, err := e.SubmitRequest(core.SubmitSpec{S: 7, D: 12, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "once"}) // different endpoints, same key
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +621,7 @@ func TestSubmitIdempotencyKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := walEngine(t, wal.ModeSync, dir, nil, 0)
-	dup2, err := got.SubmitIdem(9, 9, 1, core.DefaultConstraints(), "once")
+	dup2, err := got.SubmitRequest(core.SubmitSpec{S: 9, D: 9, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "once"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,12 +673,13 @@ func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			build := func() *core.Engine {
-				cfg := walEngineConfig(wal.ModeSync, dir, nil, -1)
+				cfg := walEngineConfig(wal.ModeSync, dir, nil)
 				cfg.MaxWaitSeconds, cfg.Sigma = 2000, 1.0
 				e, err := core.NewEngine(testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100), cfg)
 				if err != nil {
 					t.Fatalf("NewEngine: %v", err)
 				}
+				e.SetSnapEvery(-1)
 				return e
 			}
 			live := build()
@@ -694,7 +698,7 @@ func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
 			}
 			first, second := ride(live, 9, 54), ride(live, 18, 63)
 			status := func(id core.RequestID) core.RequestStatus {
-				rec, err := live.Request(id)
+				rec, err := live.GetRequest(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -723,7 +727,7 @@ func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
 			}
 			// A ride on the replacement pins its replayed id and position.
 			third := ride(live, 27, 60)
-			if rec, _ := live.Request(third); rec.Vehicle != fresh {
+			if rec, _ := live.GetRequest(third); rec.Vehicle != fresh {
 				t.Fatalf("third rider on vehicle %d, want the fresh taxi %d", rec.Vehicle, fresh)
 			}
 			live.Kill()
@@ -737,8 +741,8 @@ func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
 				t.Fatalf("recovery panel: %+v", ds)
 			}
 			for _, id := range ids {
-				gr, gerr := got.Request(id)
-				wr, werr := live.Request(id)
+				gr, gerr := got.GetRequest(id)
+				wr, werr := live.GetRequest(id)
 				if gerr != nil || werr != nil {
 					t.Fatalf("request %d: %v / %v", id, gerr, werr)
 				}

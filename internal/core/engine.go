@@ -131,11 +131,9 @@ type Config struct {
 	// before serving.
 	Durability wal.Mode
 	// WALDir is the journal + snapshot directory (created on demand).
+	// The engine snapshots every 4096 journaled records, checked at
+	// tick boundaries.
 	WALDir string
-	// SnapshotEvery snapshots the engine after this many journaled
-	// records, checked at tick boundaries (0 = 4096; negative disables
-	// automatic snapshots — explicit Snapshot/Close still work).
-	SnapshotEvery int
 	// FaultInjector arms simulated crash points and torn writes in the
 	// durability path (tests only; nil in production).
 	FaultInjector *wal.Injector
@@ -173,9 +171,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxPickupSeconds == 0 {
 		out.MaxPickupSeconds = 1800
-	}
-	if out.SnapshotEvery == 0 {
-		out.SnapshotEvery = defaultSnapshotEvery
 	}
 	if out.SurgeEpochSeconds == 0 {
 		out.SurgeEpochSeconds = 60
@@ -249,12 +244,9 @@ type Engine struct {
 
 	// Durability (see durability.go). journal is nil when off; the
 	// records-since-snapshot cadence counter rides under led.mu like
-	// the appends it counts.
+	// the appends it counts. snapEvery is defaultSnapshotEvery (tests
+	// change it before use; negative disables automatic snapshots).
 	journal      *wal.Journal
-	inj          *wal.Injector
-	walDir       string
-	walDead      atomic.Bool
-	recovered    bool
 	snapEvery    int
 	recSinceSnap int    // guarded by led.mu
 	walScratch   []byte // record-encoding scratch, guarded by led.mu
@@ -264,10 +256,7 @@ type Engine struct {
 	walRecScratch walRecord
 	walSubScratch submitRec
 	walChoScratch chooseRec
-	lastSnapSeg   atomic.Uint64
-	snapCount     atomic.Int64
 	divergence    atomic.Int64
-	recInfo       recoveryInfo
 
 	// statsMu guards the online accumulators for the website panel
 	// (Fig. 4c). Taken after led.mu when both are needed.
@@ -334,7 +323,7 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 		rngSrc:    rngSrc,
 		led:       newLedger(),
 		respP95:   stats.NewP2Quantile(0.95),
-		snapEvery: cfg.SnapshotEvery,
+		snapEvery: defaultSnapshotEvery,
 	}
 	e.algo.Store(int32(cfg.Algorithm))
 	if cfg.SurgeEnabled {
@@ -499,7 +488,7 @@ func (e *Engine) journaled(op func() (wal.Commit, error)) error {
 	if err != nil {
 		return err
 	}
-	return e.noteWALErr(commit.Wait())
+	return commit.Wait()
 }
 
 // AddVehicleAt places a vehicle at the given vertex.
@@ -593,18 +582,8 @@ func (e *Engine) Submit(s, d roadnet.VertexID, riders int) (*RequestRecord, erro
 	return e.submit(context.TODO(), s, d, riders, DefaultConstraints(), "")
 }
 
-// SubmitIdem is Submit with per-rider constraint overrides and an
-// idempotency key: a non-empty key that matches an earlier submission
-// returns that submission's current record instead of quoting again,
-// which is what makes a client (or recovery-driven) retry of a submit
-// safe — the original may have been journaled before the crash, and
-// re-quoting it would fork the id sequence.
-func (e *Engine) SubmitIdem(s, d roadnet.VertexID, riders int, c Constraints, idemKey string) (*RequestRecord, error) {
-	return e.submit(context.TODO(), s, d, riders, c, idemKey)
-}
-
-// submit is the one submit path: Submit, SubmitIdem and SubmitRequest
-// all end here. ctx is the caller's (SubmitSpec.Ctx). The ring walk
+// submit is the one submit path: Submit and SubmitRequest both end
+// here. ctx is the caller's (SubmitSpec.Ctx). The ring walk
 // polls it once per cell, and a quote whose caller has gone is
 // abandoned before it registers: no record, no journal append, no
 // request counted, and its id stays a gap. The span ctx may carry (the
@@ -781,7 +760,7 @@ func (e *Engine) registerRecord(spec *ReqSpec, wait, sigma float64, options []Op
 		sp.Observe("register", secs)
 		walStart = time.Now()
 	}
-	err = e.noteWALErr(commit.Wait())
+	err = commit.Wait()
 	if timed && e.journal != nil {
 		secs := time.Since(walStart).Seconds()
 		e.walWaitHist.Observe(secs)
@@ -1059,11 +1038,11 @@ func (e *Engine) runWave(wave []batchPrep, items []BatchItem, out []*RequestReco
 		} else {
 			_ = e.Decline(id)
 		}
-		if fresh, err := e.Request(id); err == nil {
+		if fresh, err := e.GetRequest(id); err == nil {
 			// A finished record is archived without its schedules; hand
 			// back the quoted options, as Submit does.
 			fresh.Options = snap.Options
-			out[p.idx] = fresh
+			out[p.idx] = &fresh.RequestRecord
 		} else {
 			cp := snap
 			out[p.idx] = &cp
@@ -1119,19 +1098,6 @@ func (e *Engine) Decline(id RequestID) error {
 		}
 		return commit, e.led.decline(id)
 	})
-}
-
-// Request returns a snapshot of the record of request id. Unknown ids
-// fail with ErrNotFound.
-func (e *Engine) Request(id RequestID) (*RequestRecord, error) {
-	e.led.mu.Lock()
-	defer e.led.mu.Unlock()
-	rec, err := e.led.get(id)
-	if err != nil {
-		return nil, err
-	}
-	cp := *rec
-	return &cp, nil
 }
 
 // Tick advances simulated time by dt seconds: vehicles move at the
@@ -1218,10 +1184,10 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 	}
 	needSnap := err == nil && e.snapshotDueLocked()
 	e.led.mu.Unlock()
-	if werr := e.noteWALErr(commit.Wait()); werr != nil {
+	if werr := commit.Wait(); werr != nil {
 		return nil, werr
 	}
-	if werr := e.noteWALErr(surgeCommit.Wait()); werr != nil {
+	if werr := surgeCommit.Wait(); werr != nil {
 		return nil, werr
 	}
 	if needSnap {

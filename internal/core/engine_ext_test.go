@@ -18,7 +18,7 @@ func TestPerRequestConstraints(t *testing.T) {
 	e.AddVehicleAt(0)
 
 	// A strict rider: zero detour allowed.
-	strict, err := e.SubmitIdem(9, 54, 1, core.Constraints{Sigma: 0}, "")
+	strict, err := e.SubmitRequest(core.SubmitSpec{S: 9, D: 54, Riders: 1, Constraints: core.Constraints{Sigma: 0}})
 	if err != nil {
 		t.Fatalf("submit strict: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestPerRequestConstraints(t *testing.T) {
 	// shared schedule may detour them, so options can only be
 	// sequential (after the first dropoff) or absent; any returned
 	// schedule must keep the first rider's in-vehicle distance direct.
-	second, err := e.SubmitIdem(18, 63, 1, core.Constraints{Sigma: core.DefaultSigma}, "")
+	second, err := e.SubmitRequest(core.SubmitSpec{S: 18, D: 63, Riders: 1, Constraints: core.Constraints{Sigma: core.DefaultSigma}})
 	if err != nil {
 		t.Fatalf("submit second: %v", err)
 	}
@@ -45,12 +45,12 @@ func TestPerRequestConstraints(t *testing.T) {
 	}
 
 	// Drive the strict rider to completion and assert zero detour.
-	var rec *core.RequestRecord
+	var rec *core.ServiceRecord
 	for i := 0; i < 3000; i++ {
 		if _, err := e.Tick(1); err != nil {
 			t.Fatalf("tick: %v", err)
 		}
-		rec, _ = e.Request(strict.ID)
+		rec, _ = e.GetRequest(strict.ID)
 		if rec.Status == core.StatusCompleted {
 			break
 		}
@@ -69,7 +69,7 @@ func TestPerRequestConstraints(t *testing.T) {
 func TestPerRequestWaitOverride(t *testing.T) {
 	e := latticeEngine(t, 21, 8, 8, core.Config{Capacity: 4, Sigma: 0.8, MaxWaitSeconds: 600})
 	e.AddVehicleAt(0)
-	first, err := e.SubmitIdem(9, 54, 1, core.Constraints{WaitSeconds: 1}, "")
+	first, err := e.SubmitRequest(core.SubmitSpec{S: 9, D: 54, Riders: 1, Constraints: core.Constraints{WaitSeconds: 1}})
 	if err != nil || len(first.Options) == 0 {
 		t.Fatalf("submit: %v (%d options)", err, len(first.Options))
 	}
@@ -82,12 +82,12 @@ func TestPerRequestWaitOverride(t *testing.T) {
 	planned := first.Options[0].PickupDist
 
 	// Complete the trip; actual pickup must be within 1 s of plan.
-	var rec *core.RequestRecord
+	var rec *core.ServiceRecord
 	for i := 0; i < 3000; i++ {
 		if _, err := e.Tick(1); err != nil {
 			t.Fatalf("tick: %v", err)
 		}
-		rec, _ = e.Request(first.ID)
+		rec, _ = e.GetRequest(first.ID)
 		if rec.Status == core.StatusCompleted {
 			break
 		}
@@ -95,7 +95,7 @@ func TestPerRequestWaitOverride(t *testing.T) {
 	if rec.Status != core.StatusCompleted {
 		t.Fatal("never completed")
 	}
-	v, _ := e.Request(first.ID)
+	v, _ := e.GetRequest(first.ID)
 	maxOdo := planned + 1*e.Speed() + 1e-6
 	if v.PickupOdo > maxOdo {
 		t.Fatalf("pickup odometer %v exceeds plan %v + 1s budget", v.PickupOdo, maxOdo)

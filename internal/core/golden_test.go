@@ -241,7 +241,7 @@ func TestGoldenBatchGreedyCommits(t *testing.T) {
 				} else {
 					_ = b.Decline(rb.ID)
 				}
-				fresh, _ := b.Request(rb.ID)
+				fresh, _ := b.GetRequest(rb.ID)
 				if recs[i].Status != fresh.Status {
 					t.Fatalf("item %d: batch status %v, sequential %v", i, recs[i].Status, fresh.Status)
 				}

@@ -556,7 +556,9 @@ func (e *Engine) SubmitRequestBatch(specs []SubmitSpec) ([]*ServiceRecord, error
 
 // GetRequest implements Service.
 func (e *Engine) GetRequest(id RequestID) (*ServiceRecord, error) {
-	rec, err := e.Request(id)
+	e.led.mu.Lock()
+	defer e.led.mu.Unlock()
+	rec, err := e.led.get(id)
 	if err != nil {
 		return nil, err
 	}

@@ -283,7 +283,7 @@ func TestSurgeQuoteKeepsItsMultiplier(t *testing.T) {
 	if err := e.Choose(rec.ID, 0); err != nil {
 		t.Fatalf("choose: %v", err)
 	}
-	got, err := e.Request(rec.ID)
+	got, err := e.GetRequest(rec.ID)
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -316,14 +316,14 @@ func TestSurgeWALRecovery(t *testing.T) {
 	hotV := roadnet.VertexID(0)
 	farV := roadnet.VertexID(g.NumVertices() - 1)
 	for i := 0; i < 6; i++ {
-		if _, err := e.SubmitIdem(hotV, farV, 1, core.DefaultConstraints(), fmt.Sprintf("d%d", i)); err != nil {
+		if _, err := e.SubmitRequest(core.SubmitSpec{S: hotV, D: farV, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: fmt.Sprintf("d%d", i)}); err != nil {
 			t.Fatalf("demand submit: %v", err)
 		}
 	}
 	if _, err := e.Tick(10); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
-	surgedRec, err := e.SubmitIdem(hotV, farV, 1, core.DefaultConstraints(), "hot")
+	surgedRec, err := e.SubmitRequest(core.SubmitSpec{S: hotV, D: farV, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "hot"})
 	if err != nil {
 		t.Fatalf("surged submit: %v", err)
 	}
@@ -331,7 +331,7 @@ func TestSurgeWALRecovery(t *testing.T) {
 		t.Fatalf("expected surged quote, got mult %v", surgedRec.SurgeMult)
 	}
 	// Pending mid-epoch demand that must survive recovery too.
-	if _, err := e.SubmitIdem(farV, hotV, 1, core.DefaultConstraints(), "pend"); err != nil {
+	if _, err := e.SubmitRequest(core.SubmitSpec{S: farV, D: hotV, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "pend"}); err != nil {
 		t.Fatalf("pending submit: %v", err)
 	}
 	want := e.SurgeStats()
@@ -345,7 +345,7 @@ func TestSurgeWALRecovery(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: surge panel %+v != %+v", path, got, want)
 		}
-		rec, err := r.Request(surgedRec.ID)
+		rec, err := r.GetRequest(surgedRec.ID)
 		if err != nil {
 			t.Fatalf("%s: surged request lost: %v", path, err)
 		}
@@ -354,7 +354,7 @@ func TestSurgeWALRecovery(t *testing.T) {
 		}
 		// A fresh quote out of the hot cell prices under the same
 		// multiplier as the original engine would.
-		fresh, err := r.SubmitIdem(hotV, farV, 1, core.DefaultConstraints(), "fresh-"+path)
+		fresh, err := r.SubmitRequest(core.SubmitSpec{S: hotV, D: farV, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "fresh-" + path})
 		if err != nil {
 			t.Fatalf("%s: fresh submit: %v", path, err)
 		}
@@ -412,14 +412,14 @@ func TestSurgeDisabledRecoverySkipsSurgeRecords(t *testing.T) {
 	hotV := roadnet.VertexID(0)
 	farV := roadnet.VertexID(g.NumVertices() - 1)
 	for i := 0; i < 6; i++ {
-		if _, err := e.SubmitIdem(hotV, farV, 1, core.DefaultConstraints(), fmt.Sprintf("d%d", i)); err != nil {
+		if _, err := e.SubmitRequest(core.SubmitSpec{S: hotV, D: farV, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: fmt.Sprintf("d%d", i)}); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
 	if _, err := e.Tick(10); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
-	hot, err := e.SubmitIdem(hotV, farV, 1, core.DefaultConstraints(), "hot")
+	hot, err := e.SubmitRequest(core.SubmitSpec{S: hotV, D: farV, Riders: 1, Constraints: core.DefaultConstraints(), IdemKey: "hot"})
 	if err != nil {
 		t.Fatalf("surged submit: %v", err)
 	}
@@ -431,7 +431,7 @@ func TestSurgeDisabledRecoverySkipsSurgeRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("surge-off recovery: %v", err)
 	}
-	rec, err := r.Request(hot.ID)
+	rec, err := r.GetRequest(hot.ID)
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}

@@ -40,11 +40,6 @@ func (s *idSet) remove(id VehicleID) bool {
 	return true
 }
 
-func (s *idSet) contains(id VehicleID) bool {
-	_, ok := s.pos[id]
-	return ok
-}
-
 // VehicleLists is the dynamic layer of the grid index: per cell, the
 // empty-vehicle list (vehicles with no assigned requests, listed in the
 // cell of their current location) and the non-empty-vehicle list

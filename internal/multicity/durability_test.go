@@ -388,3 +388,70 @@ func TestRelayCrashWindowParkedAbortCountedOnce(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 }
+
+// TestRouterInjectedCrashKillsEveryShard covers the router's kill-all
+// wiring: a pre-append crash fired by whichever journal reaches the
+// armed ordinal first (a city's or the relay's) runs the injector's
+// hook, Router.Kill, so every city engine and the relay refuse with
+// ErrCrashed; a restart over the same directory recovers a consistent
+// router.
+func TestRouterInjectedCrashKillsEveryShard(t *testing.T) {
+	for after := 0; after < 6; after++ {
+		t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {
+			dir := t.TempDir()
+			inj := &wal.Injector{}
+			r, err := durableTwinRouter(t, dir, inj)
+			if err != nil {
+				t.Fatalf("router: %v", err)
+			}
+			inj.Arm(wal.CrashPreAppend, after)
+			rng := rand.New(rand.NewSource(int64(after)))
+			for i := 0; i < 50 && !inj.Fired(); i++ {
+				o, _ := cityPoints(t, r, "alpha", rng)
+				_, d := cityPoints(t, r, "beta", rng)
+				rec, err := submit(r, o, d, 1)
+				if err != nil {
+					break
+				}
+				if len(rec.Options) > 0 {
+					_ = r.Choose(rec.ID, 0)
+				} else {
+					_ = r.Decline(rec.ID)
+				}
+			}
+			if !inj.Fired() {
+				t.Fatal("armed pre-append crash never fired")
+			}
+
+			for _, name := range []string{"alpha", "beta"} {
+				eng, _ := r.Engine(name)
+				if err := eng.Ready(); !errors.Is(err, core.ErrCrashed) {
+					t.Fatalf("%s engine ready = %v, want ErrCrashed", name, err)
+				}
+				if _, err := eng.Tick(1); !errors.Is(err, core.ErrCrashed) {
+					t.Fatalf("%s engine tick = %v, want ErrCrashed", name, err)
+				}
+			}
+			if err := r.RelayScheduler().Snapshot(); !errors.Is(err, wal.ErrCrashed) {
+				t.Fatalf("relay snapshot = %v, want ErrCrashed", err)
+			}
+			o, _ := cityPoints(t, r, "alpha", rng)
+			_, d := cityPoints(t, r, "beta", rng)
+			if _, err := submit(r, o, d, 1); !errors.Is(err, core.ErrCrashed) {
+				t.Fatalf("relay submit = %v, want ErrCrashed", err)
+			}
+			_ = r.Close()
+
+			r2, err := durableTwinRouter(t, dir, nil)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			if err := r2.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after restart: %v", err)
+			}
+			if err := r2.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		})
+	}
+}

@@ -106,11 +106,11 @@ func TestRouterRelaysCrossCityTrips(t *testing.T) {
 	}
 	engA, _ := r.Engine("alpha")
 	engB, _ := r.Engine("beta")
-	leg1, err := engA.Request(core.RequestID(got.Relay.Leg1))
+	leg1, err := engA.GetRequest(core.RequestID(got.Relay.Leg1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg2, err := engB.Request(core.RequestID(got.Relay.Leg2))
+	leg2, err := engB.GetRequest(core.RequestID(got.Relay.Leg2))
 	if err != nil {
 		t.Fatal(err)
 	}

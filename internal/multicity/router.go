@@ -76,9 +76,6 @@ type RouterConfig struct {
 	Durability wal.Mode
 	// WALDir is the root journal directory.
 	WALDir string
-	// SnapshotEvery is each city engine's snapshot cadence (see
-	// core.Config.SnapshotEvery).
-	SnapshotEvery int
 	// FaultInjector arms simulated crash points (tests only). A fault
 	// firing anywhere kills every city's and the relay's journal — one
 	// process hosts all shards, so a simulated crash takes them down
@@ -136,7 +133,6 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 			}
 			cfg.Durability = rc.Durability
 			cfg.WALDir = filepath.Join(rc.WALDir, "city-"+spec.Name)
-			cfg.SnapshotEvery = rc.SnapshotEvery
 			cfg.FaultInjector = rc.FaultInjector
 		}
 		if rc.Telemetry != nil {

@@ -83,11 +83,11 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
-	leg1, err := engA.Request(core.RequestID(got.Relay.Leg1))
+	leg1, err := engA.GetRequest(core.RequestID(got.Relay.Leg1))
 	if err != nil {
 		t.Fatalf("leg1: %v", err)
 	}
-	leg2, err := engB.Request(core.RequestID(got.Relay.Leg2))
+	leg2, err := engB.GetRequest(core.RequestID(got.Relay.Leg2))
 	if err != nil {
 		t.Fatalf("leg2: %v", err)
 	}

@@ -99,21 +99,9 @@ func (e *entry) append() error {
 	if e == nil {
 		return nil
 	}
-	j, inj := e.s.journal, e.s.inj
-	if inj.Fire(wal.CrashPreAppend) {
-		j.Kill()
-		return wal.ErrCrashed
-	}
-	c, err := j.Append(e.payload)
-	if err != nil {
-		return err
-	}
-	if inj.Fire(wal.CrashPostAppend) {
-		j.Kill()
-		return wal.ErrCrashed
-	}
+	c, err := e.s.journal.Append(e.payload)
 	e.commit = c
-	return nil
+	return err
 }
 
 // transition runs one ledger transition the way core.Engine.journaled
@@ -144,27 +132,18 @@ func (s *Scheduler) transition(rec *relayRecord, t func(*entry) error) error {
 // before the scheduler is returned; the city engines are already
 // recovered, which the compensation scan relies on.
 func (s *Scheduler) openDurability(cfg Config) error {
-	s.inj = cfg.FaultInjector
-	s.walDir = cfg.WALDir
-	rec, err := wal.Recover(cfg.WALDir)
-	if err != nil {
-		return err
-	}
-	if rec.Snapshot != nil {
+	restore := func(payload []byte) error {
 		var snap relaySnap
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return fmt.Errorf("relay: snapshot %d: %w", rec.SnapshotSeg, err)
+		if err := json.Unmarshal(payload, &snap); err != nil {
+			return err
 		}
 		s.led.restore(&snap)
+		return nil
 	}
-	for i, payload := range rec.Records {
-		if err := s.replayRecord(payload); err != nil {
-			return fmt.Errorf("relay: replay record %d/%d: %w", i+1, len(rec.Records), err)
-		}
-	}
-	j, err := wal.Open(cfg.WALDir, rec.NextSeg, wal.Options{Mode: cfg.Durability, Injector: cfg.FaultInjector})
+	j, err := wal.Open(cfg.WALDir, wal.Options{Mode: cfg.Durability, Injector: cfg.FaultInjector},
+		restore, s.replayRecord)
 	if err != nil {
-		return err
+		return fmt.Errorf("relay: %w", err)
 	}
 	s.journal = j
 	return s.compensateOpenIntents()
@@ -214,9 +193,8 @@ func (s *Scheduler) compensateOpenIntents() error {
 		if tr.Intent < 0 {
 			continue
 		}
-		if s.inj.Fire(wal.CrashMidCompensate) {
-			s.journal.Kill()
-			return wal.ErrCrashed
+		if err := s.journal.Crash(wal.CrashMidCompensate); err != nil {
+			return err
 		}
 		if tr.State == StateQuoted {
 			s.parkLocked(tr)
@@ -255,11 +233,7 @@ func (s *Scheduler) Snapshot() error {
 	if err != nil {
 		return fmt.Errorf("relay: snapshot encode: %w", err)
 	}
-	if err := wal.WriteSnapshot(s.walDir, seg, payload, s.inj); err != nil {
-		return err
-	}
-	wal.PruneBefore(s.walDir, seg)
-	return nil
+	return s.journal.WriteSnapshot(seg, payload)
 }
 
 // Close snapshots the trip ledger and closes the journal (no-op when

@@ -178,8 +178,6 @@ type Scheduler struct {
 
 	// Durability (see durability.go); journal is nil when off.
 	journal *wal.Journal
-	inj     *wal.Injector
-	walDir  string
 }
 
 // New builds a Scheduler over the given cities (index space shared

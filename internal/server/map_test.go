@@ -44,7 +44,7 @@ func TestMapEndpoint(t *testing.T) {
 	// Assign a request, then overlay that taxi's schedule.
 	_, _, id := submitV1(t, ts, map[string]any{"s": 3, "d": 40, "riders": 1})
 	chooseV1(t, ts, id, 0)
-	rec, _ := eng.Request(core.RequestID(id))
+	rec, _ := eng.GetRequest(core.RequestID(id))
 
 	code, body = getText(t, fmt.Sprintf("%s/v1/map?taxi=%d", ts.URL, rec.Vehicle))
 	if code != http.StatusOK {

@@ -36,7 +36,7 @@ func TestRequestWithConstraintOverrides(t *testing.T) {
 	if id == 0 {
 		t.Fatalf("no id in %v", out)
 	}
-	rec, err := eng.Request(1)
+	rec, err := eng.GetRequest(1)
 	if err != nil {
 		t.Fatalf("engine record: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestRequestWithConstraintOverrides(t *testing.T) {
 
 	// Omitted sigma keeps the global.
 	submitV1(t, ts, map[string]any{"s": 5, "d": 44, "riders": 1})
-	rec, err = eng.Request(2)
+	rec, err = eng.GetRequest(2)
 	if err != nil {
 		t.Fatalf("engine record 2: %v", err)
 	}

@@ -116,7 +116,7 @@ func TestRequestChooseFlow(t *testing.T) {
 	}
 
 	// Engine agrees.
-	r, err := eng.Request(core.RequestID(id))
+	r, err := eng.GetRequest(core.RequestID(id))
 	if err != nil || r.Status != core.StatusAssigned {
 		t.Fatalf("engine record: %+v, %v", r, err)
 	}
@@ -156,7 +156,7 @@ func TestTaxiSchedules(t *testing.T) {
 	// Assign a request so taxi 0..9 has schedules; find its vehicle.
 	_, _, id := submitV1(t, ts, map[string]any{"s": 3, "d": 40, "riders": 1})
 	chooseV1(t, ts, id, 0)
-	rec, _ := eng.Request(core.RequestID(id))
+	rec, _ := eng.GetRequest(core.RequestID(id))
 
 	var taxi struct {
 		Location int32 `json:"location"`

@@ -7,11 +7,10 @@ import (
 )
 
 // CrashPoint names a place in the durability pipeline where the
-// fault-injection harness can simulate process death. The engine (and
-// this package, for mid-snapshot) consults the armed Injector at each
-// point; a fired point kills the journal so every later operation
-// returns ErrCrashed, and the test then recovers the directory into a
-// fresh engine.
+// fault-injection harness can simulate process death. The journal
+// consults the armed Injector at each point (Journal.Crash); a fired
+// point kills the journal so every later operation returns ErrCrashed,
+// and the test then recovers the directory into a fresh engine.
 type CrashPoint string
 
 // The named crash points of the kill-restart-verify suite.
@@ -20,10 +19,10 @@ const (
 	// the journal: the op must be absent after recovery.
 	CrashPreAppend CrashPoint = "pre-append"
 	// CrashPostAppend fires after the record is in the journal's batch
-	// but before the in-memory ledger applies it: recovery must replay
-	// the record (if its batch reached disk) exactly once.
+	// but before the owner's in-memory ledger applies it: recovery must
+	// replay the record (if its batch reached disk) exactly once.
 	CrashPostAppend CrashPoint = "post-append-pre-apply"
-	// CrashMidSnapshot fires inside WriteSnapshot after a partial
+	// CrashMidSnapshot fires inside Journal.WriteSnapshot after a partial
 	// payload is written to the temp file: recovery must fall back to
 	// the previous snapshot and the longer tail.
 	CrashMidSnapshot CrashPoint = "mid-snapshot"
@@ -50,7 +49,7 @@ type Injector struct {
 	fired    bool
 
 	// onFire, when set, is invoked once when any fault fires — the
-	// engine hooks this to kill its journal(s).
+	// multi-city router hooks this to kill every journal it hosts.
 	onFire func()
 }
 

@@ -79,7 +79,7 @@ func Recover(dir string) (*Recovered, error) {
 
 	// Newest valid snapshot wins; invalid ones fall back older.
 	for i := len(snaps) - 1; i >= 0; i-- {
-		payload, err := ReadSnapshot(dir, snaps[i])
+		payload, err := readSnapshot(dir, snaps[i])
 		if err != nil {
 			rec.CorruptSnapshots++
 			continue
@@ -130,9 +130,11 @@ func scanSegment(path string) (records [][]byte, truncated int64, err error) {
 		return nil, 0, fmt.Errorf("wal: %w", err)
 	}
 	if len(raw) < len(segMagic) || string(raw[:len(segMagic)]) != segMagic {
-		// Unrecognisable segment: treat the whole file as torn.
-		if err := truncateTo(path, 0); err != nil {
-			return nil, 0, err
+		// Unrecognisable segment: the whole file is torn, and it is
+		// rewritten as an empty segment, so a second scan finds
+		// nothing left to repair.
+		if err := os.WriteFile(path, []byte(segMagic), 0o644); err != nil {
+			return nil, 0, fmt.Errorf("wal: %w", err)
 		}
 		return nil, int64(len(raw)), nil
 	}

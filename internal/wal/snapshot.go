@@ -14,14 +14,24 @@ import (
 // valid snapshot.
 
 // WriteSnapshot durably writes payload as the snapshot named seg —
-// the engine state with every record of segments < seg applied. The
-// injector's mid-snapshot crash point fires after roughly half the
-// payload reaches the temp file (no rename: the snapshot must not
-// become visible), returning ErrCrashed.
-func WriteSnapshot(dir string, seg uint64, payload []byte, inj *Injector) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("wal: %w", err)
+// the owner's state with every record of segments < seg applied, so
+// seg is the number Rotate returned — and then prunes the segments and
+// snapshots it covers. The mid-snapshot crash point fires after
+// roughly half the payload reaches the temp file (no rename: the
+// snapshot must not become visible); the journal then dies and
+// WriteSnapshot returns ErrCrashed.
+func (j *Journal) WriteSnapshot(seg uint64, payload []byte) error {
+	if err := j.writeSnapshot(seg, payload); err != nil {
+		return err
 	}
+	j.lastSnap.Store(seg)
+	j.snapshots.Add(1)
+	pruneBefore(j.dir, seg)
+	return nil
+}
+
+func (j *Journal) writeSnapshot(seg uint64, payload []byte) error {
+	dir := j.dir
 	final := filepath.Join(dir, snapName(seg))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -36,12 +46,12 @@ func WriteSnapshot(dir string, seg uint64, payload []byte, inj *Injector) error 
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
-	if inj.Fire(CrashMidSnapshot) {
+	if err := j.Crash(CrashMidSnapshot); err != nil {
 		// Simulated death mid-write: half the payload lands in the temp
 		// file and the process is gone — no fsync, no rename.
 		_, _ = f.Write(payload[:len(payload)/2])
 		_ = f.Close()
-		return ErrCrashed
+		return err
 	}
 	if _, err := f.Write(payload); err != nil {
 		f.Close()
@@ -61,12 +71,9 @@ func WriteSnapshot(dir string, seg uint64, payload []byte, inj *Injector) error 
 	return nil
 }
 
-// ReadSnapshot loads and validates the snapshot named seg.
-func ReadSnapshot(dir string, seg uint64) ([]byte, error) {
-	return readSnapshotFile(filepath.Join(dir, snapName(seg)))
-}
-
-func readSnapshotFile(path string) ([]byte, error) {
+// readSnapshot loads and validates the snapshot named seg.
+func readSnapshot(dir string, seg uint64) ([]byte, error) {
+	path := filepath.Join(dir, snapName(seg))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -86,11 +93,11 @@ func readSnapshotFile(path string) ([]byte, error) {
 	return payload, nil
 }
 
-// PruneBefore removes segments and snapshots older than seg — called
+// pruneBefore removes segments and snapshots older than seg — called
 // after a snapshot named seg lands, since everything it covers is
 // redundant. Best-effort: removal failures are ignored (recovery
 // tolerates stale files).
-func PruneBefore(dir string, seg uint64) {
+func pruneBefore(dir string, seg uint64) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return

@@ -36,18 +36,35 @@
 // Appends are not internally ordered against each other: the caller
 // must serialise Append calls that need a defined journal order (the
 // engine appends under its ledger lock, which is also what makes the
-// journal order the ledger linearisation). Rotate and Snapshot assume
-// no concurrent appends for the same reason.
+// journal order the ledger linearisation). Rotate assumes no
+// concurrent appends for the same reason.
+//
+// # Lifecycle
+//
+// A journal's owner (the city engine, the relay scheduler) keeps only
+// its record codec, its restore/replay/capture code and its locks; the
+// lifecycle is here. Open recovers the directory into the owner through
+// two callbacks and then opens it for appending; WriteSnapshot lands a
+// snapshot beside a rotated segment and prunes what it covers; Close
+// and Kill end it.
+//
+// The journal is fail-stop: a failed batch write or fsync kills it like
+// an injected crash does. The batch's waiters get the error, every
+// later Append returns ErrCrashed, and the disk keeps exactly the
+// records acknowledged before the failure — so recovery never truncates
+// at a tear that acknowledged records were appended after.
 //
 // # Crash simulation
 //
 // The package doubles as its own fault-injection harness: an Injector
-// arms named crash points (consulted by the engine around appends and
-// by this package inside snapshot writes) and torn-write faults
-// (consulted by the flusher). A fired fault kills the journal — every
-// later operation fails with ErrCrashed, simulating process death with
-// whatever bytes made it to disk — and tests then recover the directory
-// into a fresh engine and verify equivalence.
+// arms named crash points and torn-write faults. Append fires the
+// pre-append and post-append points around every record, WriteSnapshot
+// the mid-snapshot point, and the flusher consults the torn-write
+// fault; the relay scheduler fires the mid-compensate point through
+// Crash. A fired fault kills the journal — every later operation fails
+// with ErrCrashed, simulating process death with whatever bytes made it
+// to disk — and tests then recover the directory into a fresh engine
+// and verify equivalence.
 package wal
 
 import (
@@ -191,8 +208,11 @@ type Journal struct {
 	spare    []byte // recycled batch buffer (appends run at disk rate)
 	f        *os.File
 	seg      uint64
-	dead     bool
 	closed   bool
+	// dead is set under mu (so the accumulating batch and the flag
+	// change together) and read without it: Dead is on every submit's
+	// path.
+	dead atomic.Bool
 
 	kick chan struct{}
 	stop chan struct{}
@@ -208,22 +228,56 @@ type Journal struct {
 	fsyncs  atomic.Int64
 	fsyncNs atomic.Int64
 	maxN    atomic.Int64
+
+	// Snapshot bookkeeping (WriteSnapshot) and the summary of the
+	// recovery Open ran, for the owners' stats panels.
+	snapshots atomic.Int64
+	lastSnap  atomic.Uint64
+	recovery  Recovery
 }
 
-// Open opens (or creates) the journal directory for appending into
-// segment seg — pass Recovered.NextSeg after Recover, or 1 for a fresh
-// directory (0 is treated as 1).
-func Open(dir string, seg uint64, opts Options) (*Journal, error) {
+// Recovery summarises what Open recovered from the directory.
+type Recovery struct {
+	// Recovered is true when a snapshot or at least one record was
+	// found: the owner's state came from disk.
+	Recovered bool `json:"recovered"`
+	// Records counts the tail records replayed.
+	Records int `json:"records"`
+	// TruncatedBytes, DroppedSegments and CorruptSnapshots are the
+	// damage Recover repaired.
+	TruncatedBytes   int64 `json:"truncated_bytes"`
+	DroppedSegments  int   `json:"dropped_segments"`
+	CorruptSnapshots int   `json:"corrupt_snapshots"`
+}
+
+// Open recovers dir into the journal's owner and opens it for
+// appending: Recover scans it, restore receives the newest valid
+// snapshot (when there is one), replay receives every tail record in
+// append order, and the journal then appends to a fresh segment. A
+// callback's error aborts the open, wrapped with the snapshot's
+// segment or the record's ordinal.
+func Open(dir string, opts Options, restore, replay func(payload []byte) error) (*Journal, error) {
 	if opts.Mode != ModeAsync && opts.Mode != ModeSync {
 		return nil, fmt.Errorf("wal: open with mode %v", opts.Mode)
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Snapshot != nil {
+		if err := restore(rec.Snapshot); err != nil {
+			return nil, fmt.Errorf("wal: snapshot %d: %w", rec.SnapshotSeg, err)
+		}
+	}
+	for i, payload := range rec.Records {
+		if err := replay(payload); err != nil {
+			return nil, fmt.Errorf("wal: replay record %d/%d: %w", i+1, len(rec.Records), err)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if seg == 0 {
-		seg = 1
-	}
-	f, err := openSegment(dir, seg)
+	f, err := openSegment(dir, rec.NextSeg)
 	if err != nil {
 		return nil, err
 	}
@@ -232,12 +286,20 @@ func Open(dir string, seg uint64, opts Options) (*Journal, error) {
 		opts:     opts,
 		cur:      newBatch(),
 		f:        f,
-		seg:      seg,
+		seg:      rec.NextSeg,
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		exit:     make(chan struct{}),
 		lastSync: time.Now(),
+		recovery: Recovery{
+			Recovered:        rec.Snapshot != nil || len(rec.Records) > 0,
+			Records:          len(rec.Records),
+			TruncatedBytes:   rec.TruncatedBytes,
+			DroppedSegments:  rec.DroppedSegments,
+			CorruptSnapshots: rec.CorruptSnapshots,
+		},
 	}
+	j.lastSnap.Store(rec.SnapshotSeg)
 	go j.flusher()
 	return j, nil
 }
@@ -293,15 +355,33 @@ func (c Commit) Wait() error {
 	return c.b.err
 }
 
+// Crash consults the injector at point p. When the point fires the
+// journal dies (see Kill) and Crash returns ErrCrashed; otherwise nil.
+// It must not be called with j.mu held: a fired injector's hook may
+// kill this journal too.
+func (j *Journal) Crash(p CrashPoint) error {
+	if !j.opts.Injector.Fire(p) {
+		return nil
+	}
+	j.Kill()
+	return ErrCrashed
+}
+
 // Append encodes one record into the current group-commit batch and
 // signals the flusher. It never blocks on I/O; in Sync mode the caller
-// waits on the returned Commit after releasing its own locks.
+// waits on the returned Commit after releasing its own locks. The two
+// operation-level crash points fire here: pre-append (the record must
+// be absent after recovery) and post-append (the record is in the
+// batch; recovery applies it exactly once if it reached disk).
 func (j *Journal) Append(payload []byte) (Commit, error) {
+	if err := j.Crash(CrashPreAppend); err != nil {
+		return Commit{}, err
+	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	j.mu.Lock()
-	if j.dead {
+	if j.dead.Load() {
 		j.mu.Unlock()
 		return Commit{}, ErrCrashed
 	}
@@ -320,6 +400,9 @@ func (j *Journal) Append(payload []byte) (Commit, error) {
 	select {
 	case j.kick <- struct{}{}:
 	default:
+	}
+	if err := j.Crash(CrashPostAppend); err != nil {
+		return Commit{}, err
 	}
 	if j.opts.Mode == ModeSync {
 		return Commit{b: b}, nil
@@ -347,7 +430,7 @@ func (j *Journal) flusher() {
 func (j *Journal) flushOnce() {
 	j.mu.Lock()
 	b := j.cur
-	if len(b.buf) == 0 || j.dead {
+	if len(b.buf) == 0 || j.dead.Load() {
 		j.mu.Unlock()
 		return
 	}
@@ -360,18 +443,7 @@ func (j *Journal) flushOnce() {
 		// Simulated crash mid-write: a prefix of the batch lands, no
 		// fsync, and the journal dies with the partial record on disk.
 		_, _ = f.Write(b.buf[:keep])
-		j.mu.Lock()
-		j.dead = true
-		j.flushing = nil
-		dying := j.cur
-		j.cur = newBatch()
-		j.mu.Unlock()
-		b.err = ErrCrashed
-		close(b.done)
-		if dying.n > 0 {
-			dying.err = ErrCrashed
-			close(dying.done)
-		}
+		j.fail(b, ErrCrashed)
 		return
 	}
 
@@ -387,6 +459,10 @@ func (j *Journal) flushOnce() {
 		j.fsyncs.Add(1)
 		j.opts.FsyncHist.ObserveSince(t0)
 	}
+	if err != nil {
+		j.fail(b, fmt.Errorf("wal: flush: %w", err))
+		return
+	}
 	j.batches.Add(1)
 	if n := int64(b.n); n > j.maxN.Load() {
 		j.maxN.Store(n) // single flusher: load/store does not race
@@ -397,16 +473,40 @@ func (j *Journal) flushOnce() {
 		j.spare = b.buf[:0] // written out; recycle for the next batch
 	}
 	j.mu.Unlock()
+	close(b.done)
+}
+
+// fail kills the journal after the flush of b failed: b's waiters get
+// err, the batch accumulating behind it fails with ErrCrashed, and
+// every later Append is refused. dead is set before any waiter is
+// released, so a caller that sees the error also sees Dead. Nothing
+// after b reaches the segment, which therefore ends with the last
+// acknowledged batch (or the torn prefix an injected fault wrote).
+func (j *Journal) fail(b *batch, err error) {
+	j.mu.Lock()
+	j.dead.Store(true)
+	j.flushing = nil
+	dying := j.cur
+	j.cur = newBatch()
+	j.mu.Unlock()
 	b.err = err
 	close(b.done)
+	if dying.n > 0 {
+		dying.err = ErrCrashed
+		close(dying.done)
+	}
 }
 
 // Sync flushes every appended record and waits for its fsync.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	if j.dead {
+	if j.dead.Load() {
 		j.mu.Unlock()
 		return ErrCrashed
+	}
+	if j.closed {
+		j.mu.Unlock()
+		return ErrClosed
 	}
 	var b *batch
 	if len(j.cur.buf) > 0 {
@@ -430,16 +530,15 @@ func (j *Journal) Sync() error {
 	// boundaries depend on it).
 	if j.opts.Mode == ModeAsync {
 		j.mu.Lock()
-		if j.dead {
+		if j.dead.Load() {
 			j.mu.Unlock()
 			return ErrCrashed
 		}
 		f := j.f
 		j.mu.Unlock()
-		if f != nil {
-			if err := f.Sync(); err != nil {
-				return err
-			}
+		if err := f.Sync(); err != nil {
+			j.Kill() // fail-stop, as the flusher does
+			return fmt.Errorf("wal: fsync: %w", err)
 		}
 	}
 	return nil
@@ -462,7 +561,7 @@ func (j *Journal) Rotate() (uint64, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dead {
+	if j.dead.Load() {
 		return 0, ErrCrashed
 	}
 	if j.closed {
@@ -486,11 +585,11 @@ func (j *Journal) Rotate() (uint64, error) {
 // normally (a real crash can land just after an fsync too).
 func (j *Journal) Kill() {
 	j.mu.Lock()
-	if j.dead || j.closed {
+	if j.dead.Load() || j.closed {
 		j.mu.Unlock()
 		return
 	}
-	j.dead = true
+	j.dead.Store(true)
 	b := j.cur
 	j.cur = newBatch()
 	j.mu.Unlock()
@@ -500,12 +599,9 @@ func (j *Journal) Kill() {
 	}
 }
 
-// Dead reports whether the journal was killed.
-func (j *Journal) Dead() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dead
-}
+// Dead reports whether the journal was killed or a flush failed. It
+// takes no lock.
+func (j *Journal) Dead() bool { return j.dead.Load() }
 
 // Close flushes, fsyncs and closes the journal. A killed journal
 // closes its file without flushing.
@@ -548,6 +644,12 @@ type Stats struct {
 	AvgFsyncMicros float64 `json:"avg_fsync_micros"`
 	// Segment is the live tail segment number.
 	Segment uint64 `json:"segment"`
+	// Snapshots counts snapshots written since Open; LastSnapshotSeg
+	// names the newest one on disk (0 = none).
+	Snapshots       int64  `json:"snapshots"`
+	LastSnapshotSeg uint64 `json:"last_snapshot_seg"`
+	// Recovery is what Open recovered.
+	Recovery Recovery `json:"recovery"`
 }
 
 // Stats snapshots the journal counters.
@@ -559,6 +661,10 @@ func (j *Journal) Stats() Stats {
 		Fsyncs:   j.fsyncs.Load(),
 		MaxBatch: j.maxN.Load(),
 		Segment:  j.Segment(),
+
+		Snapshots:       j.snapshots.Load(),
+		LastSnapshotSeg: j.lastSnap.Load(),
+		Recovery:        j.recovery,
 	}
 	if s.Fsyncs > 0 {
 		s.AvgFsyncMicros = float64(j.fsyncNs.Load()) / float64(s.Fsyncs) / 1e3

@@ -1,16 +1,22 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
 
-func mustOpen(t *testing.T, dir string, seg uint64, opts Options) *Journal {
+// ignore is a restore/replay callback for tests that read the
+// recovered records with Recover instead.
+func ignore([]byte) error { return nil }
+
+func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 	t.Helper()
-	j, err := Open(dir, seg, opts)
+	j, err := Open(dir, opts, ignore, ignore)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -49,7 +55,7 @@ func recordStrings(rec *Recovered) []string {
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, 0, Options{Mode: ModeSync})
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "alpha", "beta", "gamma")
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -73,8 +79,22 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("clean recovery reported damage: %+v", rec)
 	}
 
-	// Reopen at NextSeg and keep appending.
-	j2 := mustOpen(t, dir, rec.NextSeg, Options{Mode: ModeSync})
+	// Reopen — Open recovers and appends to NextSeg — and keep
+	// appending.
+	var replayed []string
+	j2, err := Open(dir, Options{Mode: ModeSync}, ignore, func(p []byte) error {
+		replayed = append(replayed, string(p))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if strings.Join(replayed, ",") != "alpha,beta,gamma" {
+		t.Fatalf("replayed %v", replayed)
+	}
+	if st := j2.Stats(); st.Segment != rec.NextSeg || st.Recovery != (Recovery{Recovered: true, Records: 3}) {
+		t.Fatalf("reopened journal: segment %d (want %d), recovery %+v", st.Segment, rec.NextSeg, st.Recovery)
+	}
 	appendAll(t, j2, "delta")
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -87,7 +107,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, 0, Options{Mode: ModeSync})
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -133,7 +153,7 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 
 func TestRotateSnapshotPrune(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, 0, Options{Mode: ModeSync})
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "old-1", "old-2")
 	seg, err := j.Rotate()
 	if err != nil {
@@ -142,11 +162,13 @@ func TestRotateSnapshotPrune(t *testing.T) {
 	if seg != 2 {
 		t.Fatalf("Rotate → %d, want 2", seg)
 	}
-	if err := WriteSnapshot(dir, seg, []byte("STATE-AFTER-OLD"), nil); err != nil {
+	if err := j.WriteSnapshot(seg, []byte("STATE-AFTER-OLD")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
+	if st := j.Stats(); st.Snapshots != 1 || st.LastSnapshotSeg != seg {
+		t.Fatalf("snapshot stats: %d snapshots, newest %d", st.Snapshots, st.LastSnapshotSeg)
+	}
 	appendAll(t, j, "new-1")
-	PruneBefore(dir, seg)
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -169,7 +191,7 @@ func TestRotateSnapshotPrune(t *testing.T) {
 func TestTornWriteInjection(t *testing.T) {
 	dir := t.TempDir()
 	inj := &Injector{}
-	j := mustOpen(t, dir, 0, Options{Mode: ModeSync, Injector: inj})
+	j := mustOpen(t, dir, Options{Mode: ModeSync, Injector: inj})
 	appendAll(t, j, "solid-1", "solid-2")
 
 	// Tear the next batch: keep the full first record plus 3 bytes of
@@ -220,7 +242,7 @@ func TestTornWriteInjection(t *testing.T) {
 
 func TestTruncatedTailAndFlippedByte(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, 0, Options{Mode: ModeSync})
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "keep-1", "keep-2", "victim")
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -250,13 +272,16 @@ func TestTruncatedTailAndFlippedByte(t *testing.T) {
 
 func TestCorruptSnapshotFallsBackOlder(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, 0, Options{Mode: ModeSync})
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "epoch-1")
 	seg2, err := j.Rotate()
 	if err != nil {
 		t.Fatalf("Rotate: %v", err)
 	}
-	if err := WriteSnapshot(dir, seg2, []byte("SNAP-2"), nil); err != nil {
+	// writeSnapshot does not prune: the older snapshot and its tail
+	// stay, as a crash between a snapshot's rename and its prune
+	// leaves them.
+	if err := j.writeSnapshot(seg2, []byte("SNAP-2")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	appendAll(t, j, "epoch-2")
@@ -264,7 +289,7 @@ func TestCorruptSnapshotFallsBackOlder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rotate: %v", err)
 	}
-	if err := WriteSnapshot(dir, seg3, []byte("SNAP-3"), nil); err != nil {
+	if err := j.writeSnapshot(seg3, []byte("SNAP-3")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	appendAll(t, j, "epoch-3")
@@ -298,18 +323,30 @@ func TestCorruptSnapshotFallsBackOlder(t *testing.T) {
 
 func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteSnapshot(dir, 2, []byte("SNAP-OLD"), nil); err != nil {
+	inj := &Injector{}
+	j := mustOpen(t, dir, Options{Mode: ModeSync, Injector: inj})
+	rotate := func() uint64 {
+		seg, err := j.Rotate()
+		if err != nil {
+			t.Fatalf("Rotate: %v", err)
+		}
+		return seg
+	}
+	if err := j.WriteSnapshot(rotate(), []byte("SNAP-OLD")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	inj := &Injector{}
 	inj.Arm(CrashMidSnapshot, 0)
-	err := WriteSnapshot(dir, 3, []byte("SNAP-NEW-NEVER-LANDS"), inj)
+	err := j.WriteSnapshot(rotate(), []byte("SNAP-NEW-NEVER-LANDS"))
 	if err != ErrCrashed {
 		t.Fatalf("WriteSnapshot with armed crash = %v, want ErrCrashed", err)
 	}
-	if !inj.Fired() {
-		t.Fatal("injector did not fire")
+	if !inj.Fired() || !j.Dead() {
+		t.Fatalf("fired %v, dead %v: want the crash to kill the journal", inj.Fired(), j.Dead())
 	}
+	if st := j.Stats(); st.Snapshots != 1 || st.LastSnapshotSeg != 2 {
+		t.Fatalf("snapshot stats: %d snapshots, newest %d", st.Snapshots, st.LastSnapshotSeg)
+	}
+	_ = j.Close()
 	rec := recovered(t, dir)
 	if rec.SnapshotSeg != 2 || string(rec.Snapshot) != "SNAP-OLD" {
 		t.Fatalf("snapshot = seg %d %q, want seg 2 SNAP-OLD", rec.SnapshotSeg, rec.Snapshot)
@@ -317,6 +354,100 @@ func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 	// Recovery must have swept the temp file.
 	if _, err := os.Stat(filepath.Join(dir, snapName(3)+".tmp")); !os.IsNotExist(err) {
 		t.Fatalf("temp snapshot not cleaned: %v", err)
+	}
+}
+
+// TestFlushFailureKillsJournal pins the fail-stop: a batch write that
+// fails kills the journal before its waiter is released, refuses
+// every later append, and leaves on disk exactly the records
+// acknowledged before the failure.
+func TestFlushFailureKillsJournal(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
+	appendAll(t, j, "acked-1", "acked-2")
+
+	// Swap the segment for a read-only handle: the next write fails.
+	ro, err := os.Open(filepath.Join(dir, segName(j.Segment())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	rw := j.f
+	j.f = ro
+	j.mu.Unlock()
+	defer rw.Close()
+
+	c, err := j.Append([]byte("never-acked"))
+	if err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	werr := c.Wait()
+	dead := j.Dead()
+	var pe *os.PathError
+	if !errors.As(werr, &pe) {
+		t.Fatalf("failed batch Wait = %v, want the write error", werr)
+	}
+	if !dead {
+		t.Fatal("journal not dead when the failed batch's waiter returned")
+	}
+	if _, err := j.Append([]byte("after-failure")); err != ErrCrashed {
+		t.Fatalf("Append after a failed flush = %v, want ErrCrashed", err)
+	}
+	_ = j.Close()
+
+	rec := recovered(t, dir)
+	if got := strings.Join(recordStrings(rec), ","); got != "acked-1,acked-2" || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovered [%s] truncating %d bytes, want [acked-1,acked-2] and no tear", got, rec.TruncatedBytes)
+	}
+}
+
+// TestOpenReplaysIntoTheOwner: Open hands the snapshot and the tail to
+// the callbacks in order and names what a failing callback choked on.
+func TestOpenReplaysIntoTheOwner(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
+	appendAll(t, j, "r1")
+	seg, err := j.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteSnapshot(seg, []byte("S")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, "r2", "r3")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var seen []string
+	note := func(p []byte) error { seen = append(seen, string(p)); return nil }
+	j2, err := Open(dir, Options{Mode: ModeSync}, note, note)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(seen, ","); got != "S,r2,r3" {
+		t.Fatalf("callbacks saw %s, want S,r2,r3", got)
+	}
+	if st := j2.Stats(); st.LastSnapshotSeg != seg || st.Snapshots != 0 || st.Recovery.Records != 2 {
+		t.Fatalf("reopened stats: %+v", st)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bad := errors.New("bad record")
+	_, err = Open(dir, Options{Mode: ModeSync}, ignore, func(p []byte) error {
+		if string(p) == "r3" {
+			return bad
+		}
+		return nil
+	})
+	if !errors.Is(err, bad) || !strings.Contains(err.Error(), "replay record 2/2") {
+		t.Fatalf("Open with a failing replay = %v", err)
+	}
+	_, err = Open(dir, Options{Mode: ModeSync}, func([]byte) error { return bad }, ignore)
+	if !errors.Is(err, bad) || !strings.Contains(err.Error(), fmt.Sprintf("snapshot %d", seg)) {
+		t.Fatalf("Open with a failing restore = %v", err)
 	}
 }
 
@@ -343,7 +474,7 @@ func TestInjectorArmAfterN(t *testing.T) {
 
 func TestKillFailsPendingAndFutureAppends(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, 0, Options{Mode: ModeSync})
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "before")
 	j.Kill()
 	if _, err := j.Append([]byte("after")); err != ErrCrashed {
@@ -366,7 +497,7 @@ func TestKillFailsPendingAndFutureAppends(t *testing.T) {
 
 func TestAsyncModeLosesOnlyUnflushedSuffix(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, 0, Options{Mode: ModeAsync})
+	j := mustOpen(t, dir, Options{Mode: ModeAsync})
 	for i := 0; i < 10; i++ {
 		if _, err := j.Append([]byte(fmt.Sprintf("a-%d", i))); err != nil {
 			t.Fatalf("Append: %v", err)

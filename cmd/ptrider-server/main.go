@@ -28,7 +28,10 @@
 // assignments, vehicle schedules, simulated clock — instead of
 // re-seeding a fresh fleet. -wal-mode picks sync (fsync before ack)
 // or async (group-committed in the background, a crash may lose the
-// tail). On SIGINT/SIGTERM the server drains
+// tail). With -shards the shards journal the cities themselves, and
+// -wal-dir journals the gateway's relay trip ledger under relay/, so a
+// restarted gateway keeps its relay trips and their ids. On
+// SIGINT/SIGTERM the server drains
 // in-flight HTTP requests, flushes the journal and writes a final
 // snapshot before exiting, so the next start recovers instantly.
 //
@@ -68,6 +71,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -76,6 +80,7 @@ import (
 	"ptrider/internal/core"
 	"ptrider/internal/gen"
 	"ptrider/internal/multicity"
+	"ptrider/internal/relay"
 	"ptrider/internal/server"
 	"ptrider/internal/telemetry"
 	"ptrider/internal/wal"
@@ -93,7 +98,7 @@ func main() {
 		cities     = flag.String("cities", "", `multi-city spec "name:WxH:taxis,..." (overrides -width/-height/-taxis)`)
 		shards     = flag.String("shards", "", `cluster gateway mode: comma-separated shard addresses "[name=]host:port,..." (overrides -cities)`)
 		relayOn    = flag.Bool("relay", false, "serve cross-city trips as two-leg relay trips (with -cities)")
-		walDir     = flag.String("wal-dir", "", "write-ahead log directory (empty = durability off; multi-city shards get per-city subdirectories)")
+		walDir     = flag.String("wal-dir", "", "write-ahead log directory (empty = durability off; multi-city shards get per-city subdirectories, relay trips relay/)")
 		walMode    = flag.String("wal-mode", "sync", `journal mode with -wal-dir: "sync" (fsync before ack) or "async" (background group commit)`)
 		surgeOn    = flag.Bool("surge", false, "enable per-cell surge pricing (see /v1/surge)")
 		surgeEpoch = flag.Float64("surge-epoch", 0, "surge multiplier re-evaluation period in simulated seconds (0 = 60)")
@@ -232,7 +237,10 @@ func buildService(bc buildConfig) (core.Service, string, error) {
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
 		}
+		// The gateway journals its relay trip ledger where the
+		// in-process router would: <wal-dir>/relay.
 		gw, err := cluster.NewGateway(addrs, cluster.GatewayConfig{
+			Relay:    relay.Config{Durability: bc.durability, WALDir: filepath.Join(bc.walDir, "relay")},
 			Registry: bc.telemetry,
 		})
 		if err != nil {

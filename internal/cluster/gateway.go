@@ -25,9 +25,11 @@ type GatewayConfig struct {
 	// Client configures every shard client.
 	Client ClientConfig
 	// Relay configures the gateway-side relay scheduler (transfer
-	// buffer, gateway fan-out width). Relay durability is the shards'
-	// WALs plus deferred compensation; the gateway itself keeps no
-	// journal.
+	// buffer, gateway fan-out width, durability). The legs are in the
+	// shards' WALs; with Relay.Durability on, the gateway journals the
+	// trip ledger under Relay.WALDir too, so a restarted gateway keeps
+	// its trip ids and compensates the trips a crash left in the
+	// commit window. Off, a restart forgets every relay trip.
 	Relay relay.Config
 	// Registry, when non-nil, receives the gateway's own telemetry and
 	// is merged with the shards' fetched families (city-labeled) by

@@ -214,14 +214,15 @@ type DurabilityStats struct {
 }
 
 // alive fails with ErrCrashed once the engine's journal is dead — a
-// simulated crash, or a failed write or fsync: the process is "dead"
-// and every state-mutating operation must refuse until a fresh engine
-// recovers from disk.
+// simulated crash, or a failed write or fsync, whose error the
+// ErrCrashed then wraps: the process is "dead" and every
+// state-mutating operation must refuse until a fresh engine recovers
+// from disk.
 func (e *Engine) alive() error {
-	if e.journal != nil && e.journal.Dead() {
-		return ErrCrashed
+	if e.journal == nil {
+		return nil
 	}
-	return nil
+	return e.journal.Err()
 }
 
 // appendLocked journals one operation record (a no-op with durability
@@ -281,7 +282,7 @@ func (e *Engine) openDurability(cfg Config) error {
 		return fmt.Errorf("core: durability %v requires WALDir", cfg.Durability)
 	}
 	j, err := wal.Open(cfg.WALDir, wal.Options{
-		Mode: cfg.Durability, Injector: cfg.FaultInjector,
+		Mode: cfg.Durability,
 		// Nil registry hands out nil histograms — telemetry off.
 		AppendHist: cfg.Telemetry.LatencyHist("ptrider_wal_append_duration_seconds",
 			"WAL group-commit batch write wall time."),
@@ -293,17 +294,6 @@ func (e *Engine) openDurability(cfg Config) error {
 	}
 	e.journal = j
 	return nil
-}
-
-// Kill simulates a process crash: the journal stops accepting appends,
-// pending group commits fail with ErrCrashed, and every subsequent
-// state-mutating operation refuses. The in-memory state is considered
-// lost; recover by building a fresh engine over the same WALDir.
-// No-op when durability is off.
-func (e *Engine) Kill() {
-	if e.journal != nil {
-		e.journal.Kill()
-	}
 }
 
 // Recovered reports whether NewEngine restored state from a journal
@@ -493,7 +483,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	var serr error
-	if !e.journal.Dead() {
+	if e.journal.Err() == nil {
 		serr = e.Snapshot()
 	}
 	if cerr := e.journal.Close(); cerr != nil && serr == nil {

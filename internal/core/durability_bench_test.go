@@ -145,6 +145,8 @@ func BenchmarkRecover10kTail(b *testing.B) {
 		b.FailNow()
 	}
 	tail := e.DurabilityStats().Records
+	inj := &wal.Injector{}
+	b.Cleanup(wal.ArmDir(dir, inj))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		got, err := core.NewEngine(g, cfg)
@@ -157,7 +159,7 @@ func BenchmarkRecover10kTail(b *testing.B) {
 		b.StopTimer()
 		// Kill before Close: a graceful Close would snapshot and
 		// compact the tail away for the next iteration.
-		got.Kill()
+		inj.Kill()
 		if err := got.Close(); err != nil {
 			b.Fatal(err)
 		}

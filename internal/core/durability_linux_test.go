@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -50,6 +51,11 @@ func TestReadyFailsAfterFlushError(t *testing.T) {
 	}
 	if err := e.Ready(); !errors.Is(err, core.ErrCrashed) {
 		t.Fatalf("Ready = %v, want ErrCrashed", err)
+	}
+	// The cause reaches readiness: the write failed on the read-only
+	// descriptor.
+	if err := e.Ready(); !errors.Is(err, syscall.EBADF) || !strings.Contains(err.Error(), "journal-00000002.wal") {
+		t.Fatalf("Ready = %v, want it to name the failed write to journal-00000002.wal (EBADF)", err)
 	}
 	if _, err := e.Tick(1); !errors.Is(err, core.ErrCrashed) {
 		t.Fatalf("tick after the failure = %v, want ErrCrashed", err)

@@ -29,23 +29,26 @@ const eps = 1e-9
 
 // walEngineConfig is the shared scripted-workload configuration: small
 // city, modest fleet, generous constraints so most submissions quote.
-func walEngineConfig(mode wal.Mode, dir string, inj *wal.Injector) core.Config {
+func walEngineConfig(mode wal.Mode, dir string) core.Config {
 	return core.Config{
 		GridCols: 4, GridRows: 4,
 		Capacity: 4, Seed: 5,
 		MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 		Durability: mode, WALDir: dir,
-		FaultInjector: inj,
 	}
 }
 
 // walEngine builds (or recovers) a scripted-workload engine. A fresh
 // directory seeds 10 vehicles; a recovered one keeps its journaled
 // fleet. A non-zero snapEvery replaces the engine's snapshot cadence.
+// A non-nil inj is armed on dir while the engine is built, so its
+// journal belongs to inj.
 func walEngine(t testing.TB, mode wal.Mode, dir string, inj *wal.Injector, snapEvery int) *core.Engine {
 	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100)
-	e, err := core.NewEngine(g, walEngineConfig(mode, dir, inj))
+	disarm := wal.ArmDir(dir, inj)
+	e, err := core.NewEngine(g, walEngineConfig(mode, dir))
+	disarm()
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -446,9 +449,10 @@ func submitN(t *testing.T, e *core.Engine, n int, seed int64) []core.RequestID {
 // client retry of the lost submission must land on the same id.
 func TestRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
-	e := walEngine(t, wal.ModeSync, dir, nil, 0)
+	inj := &wal.Injector{}
+	e := walEngine(t, wal.ModeSync, dir, inj, 0)
 	ids := submitN(t, e, 3, 17)
-	e.Kill()
+	inj.Kill()
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -486,9 +490,10 @@ func TestRecoveryTornTail(t *testing.T) {
 // there, exactly like a torn write.
 func TestRecoveryFlippedByte(t *testing.T) {
 	dir := t.TempDir()
-	e := walEngine(t, wal.ModeSync, dir, nil, 0)
+	inj := &wal.Injector{}
+	e := walEngine(t, wal.ModeSync, dir, inj, 0)
 	ids := submitN(t, e, 3, 23)
-	e.Kill()
+	inj.Kill()
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -516,9 +521,10 @@ func TestRecoveryFlippedByte(t *testing.T) {
 // ledger is always a prefix of the submission order.
 func TestAsyncCrashLosesOnlySuffix(t *testing.T) {
 	dir := t.TempDir()
-	e := walEngine(t, wal.ModeAsync, dir, nil, 0)
+	inj := &wal.Injector{}
+	e := walEngine(t, wal.ModeAsync, dir, inj, 0)
 	ids := submitN(t, e, 20, 31)
-	e.Kill()
+	inj.Kill()
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -673,7 +679,7 @@ func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			build := func() *core.Engine {
-				cfg := walEngineConfig(wal.ModeSync, dir, nil)
+				cfg := walEngineConfig(wal.ModeSync, dir)
 				cfg.MaxWaitSeconds, cfg.Sigma = 2000, 1.0
 				e, err := core.NewEngine(testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100), cfg)
 				if err != nil {
@@ -682,7 +688,10 @@ func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
 				e.SetSnapEvery(-1)
 				return e
 			}
+			inj := &wal.Injector{}
+			disarm := wal.ArmDir(dir, inj)
 			live := build()
+			disarm()
 			loaded := live.AddVehicleAt(0)
 			var ids []core.RequestID
 			ride := func(e *core.Engine, s, d roadnet.VertexID) core.RequestID {
@@ -730,7 +739,7 @@ func TestRecoveryReplaysVehicleRemovalAndPlacement(t *testing.T) {
 			if rec, _ := live.GetRequest(third); rec.Vehicle != fresh {
 				t.Fatalf("third rider on vehicle %d, want the fresh taxi %d", rec.Vehicle, fresh)
 			}
-			live.Kill()
+			inj.Kill()
 			if err := live.Close(); err != nil {
 				t.Fatal(err)
 			}

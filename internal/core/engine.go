@@ -134,9 +134,6 @@ type Config struct {
 	// The engine snapshots every 4096 journaled records, checked at
 	// tick boundaries.
 	WALDir string
-	// FaultInjector arms simulated crash points and torn writes in the
-	// durability path (tests only; nil in production).
-	FaultInjector *wal.Injector
 
 	// Telemetry, when non-nil, receives the engine's hot-path metrics:
 	// submit-stage latency histograms (quote/register/wal_wait/

@@ -308,7 +308,10 @@ func TestSurgeWALRecovery(t *testing.T) {
 	cfg.Seed = 3
 	g := testnet.Lattice(rand.New(rand.NewSource(3)), 8, 8, 100)
 
+	inj := &wal.Injector{}
+	disarm := wal.ArmDir(dir, inj)
 	e, err := core.NewEngine(g, cfg)
+	disarm()
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -366,7 +369,7 @@ func TestSurgeWALRecovery(t *testing.T) {
 	// Path 1: journal replay — the first engine is abandoned without a
 	// final snapshot, so recovery replays every record including the
 	// opSurge epoch advance.
-	e.Kill()
+	inj.Kill()
 	r1, err := core.NewEngine(g, cfg)
 	if err != nil {
 		t.Fatalf("replay recovery: %v", err)
@@ -404,7 +407,10 @@ func TestSurgeDisabledRecoverySkipsSurgeRecords(t *testing.T) {
 	cfg.Seed = 3
 	g := testnet.Lattice(rand.New(rand.NewSource(3)), 8, 8, 100)
 
+	inj := &wal.Injector{}
+	disarm := wal.ArmDir(dir, inj)
 	e, err := core.NewEngine(g, cfg)
+	disarm()
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -423,7 +429,7 @@ func TestSurgeDisabledRecoverySkipsSurgeRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("surged submit: %v", err)
 	}
-	e.Kill()
+	inj.Kill()
 
 	off := cfg
 	off.SurgeEnabled = false

@@ -23,7 +23,9 @@ import (
 
 // durableTwinRouter builds (or recovers) the two-city relay router
 // over a shared WAL directory. Construction errors are returned, not
-// fatal — the mid-compensate test expects one.
+// fatal — the mid-compensate test expects one. A non-nil inj is armed
+// on dir while the router is built, so every shard's journal belongs
+// to it: the router is one simulated process.
 func durableTwinRouter(t testing.TB, dir string, inj *wal.Injector) (*multicity.Router, error) {
 	t.Helper()
 	ga, err := gen.GenerateNetwork(gen.CityConfig{Width: 10, Height: 10, Seed: 1})
@@ -34,13 +36,14 @@ func durableTwinRouter(t testing.TB, dir string, inj *wal.Injector) (*multicity.
 	if err != nil {
 		t.Fatalf("gen beta: %v", err)
 	}
+	defer wal.ArmDir(dir, inj)()
 	return multicity.NewWithConfig([]multicity.CitySpec{
 		{Name: "alpha", Graph: ga, Config: core.Config{Capacity: 4, Seed: 1}, Vehicles: 10},
 		{Name: "beta", Graph: gb, Config: core.Config{Capacity: 4, Seed: 2}, Vehicles: 10},
 	}, multicity.RouterConfig{
 		EnableRelay: true,
 		Relay:       relay.Config{TransferBufferSeconds: 120},
-		Durability:  wal.ModeSync, WALDir: dir, FaultInjector: inj,
+		Durability:  wal.ModeSync, WALDir: dir,
 	})
 }
 
@@ -61,8 +64,9 @@ func fleetLoad(t *testing.T, r *multicity.Router, city string) (pending, onboard
 // crashRelayCommitWindow drives a relay trip into the two-phase-commit
 // window and kills the process there: leg 1 commits for real (and is
 // journaled by the origin engine), then the leg-2 commit brings every
-// shard down. Returns the quoted record.
-func crashRelayCommitWindow(t *testing.T, r *multicity.Router) *core.ServiceRecord {
+// shard down through inj, the injector r was built under. Returns the
+// quoted record.
+func crashRelayCommitWindow(t *testing.T, r *multicity.Router, inj *wal.Injector) *core.ServiceRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	rec := quoteRelay(t, r, "alpha", "beta", rng)
@@ -70,7 +74,7 @@ func crashRelayCommitWindow(t *testing.T, r *multicity.Router) *core.ServiceReco
 		if leg == 1 {
 			return eng.Choose(id, opt)
 		}
-		r.Kill() // simulated process death between the leg commits
+		inj.Kill() // simulated process death between the leg commits
 		return core.ErrCrashed
 	})
 	if err := r.Choose(rec.ID, 0); err == nil {
@@ -94,11 +98,12 @@ func alphaConfig(dir string) core.Config {
 // origin fleet ends with zero assigned work and the trip aborted.
 func TestRelayCrashWindowCompensatedOnRestart(t *testing.T) {
 	dir := t.TempDir()
-	r, err := durableTwinRouter(t, dir, nil)
+	crash := &wal.Injector{}
+	r, err := durableTwinRouter(t, dir, crash)
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
-	rec := crashRelayCommitWindow(t, r)
+	rec := crashRelayCommitWindow(t, r, crash)
 
 	// Peek at the crash state through a raw engine recovery of the
 	// alpha shard: the journal must hold the committed leg-1 — the
@@ -155,11 +160,12 @@ func TestRelayCrashWindowCompensatedOnRestart(t *testing.T) {
 // double-cancelling anything.
 func TestRelayMidCompensateCrashThenRecover(t *testing.T) {
 	dir := t.TempDir()
-	r, err := durableTwinRouter(t, dir, nil)
+	crash := &wal.Injector{}
+	r, err := durableTwinRouter(t, dir, crash)
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
-	crashRelayCommitWindow(t, r)
+	crashRelayCommitWindow(t, r, crash)
 
 	inj := &wal.Injector{}
 	inj.Arm(wal.CrashMidCompensate, 0)
@@ -351,7 +357,8 @@ func TestRelayCrashWindowParkedTripSurvivesRestart(t *testing.T) {
 // not count the abort a second time.
 func TestRelayCrashWindowParkedAbortCountedOnce(t *testing.T) {
 	dir := t.TempDir()
-	r, err := durableTwinRouter(t, dir, nil)
+	crash := &wal.Injector{}
+	r, err := durableTwinRouter(t, dir, crash)
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
@@ -371,7 +378,7 @@ func TestRelayCrashWindowParkedAbortCountedOnce(t *testing.T) {
 	if live != 1 {
 		t.Fatalf("live panel counts %d aborts, want 1", live)
 	}
-	r.Kill()
+	crash.Kill()
 
 	r2, err := durableTwinRouter(t, dir, nil)
 	if err != nil {
@@ -389,12 +396,12 @@ func TestRelayCrashWindowParkedAbortCountedOnce(t *testing.T) {
 	}
 }
 
-// TestRouterInjectedCrashKillsEveryShard covers the router's kill-all
-// wiring: a pre-append crash fired by whichever journal reaches the
-// armed ordinal first (a city's or the relay's) runs the injector's
-// hook, Router.Kill, so every city engine and the relay refuse with
-// ErrCrashed; a restart over the same directory recovers a consistent
-// router.
+// TestRouterInjectedCrashKillsEveryShard: a pre-append crash fired by
+// whichever journal reaches the armed ordinal first (a city's or the
+// relay's) kills every journal armed under the router's directory —
+// the router itself has no crash wiring — so every city engine and the
+// relay refuse with ErrCrashed; a restart over the same directory
+// recovers a consistent router.
 func TestRouterInjectedCrashKillsEveryShard(t *testing.T) {
 	for after := 0; after < 6; after++ {
 		t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {

@@ -76,11 +76,6 @@ type RouterConfig struct {
 	Durability wal.Mode
 	// WALDir is the root journal directory.
 	WALDir string
-	// FaultInjector arms simulated crash points (tests only). A fault
-	// firing anywhere kills every city's and the relay's journal — one
-	// process hosts all shards, so a simulated crash takes them down
-	// together.
-	FaultInjector *wal.Injector
 
 	// Telemetry, when non-nil, turns on per-city engine telemetry: each
 	// city gets its own child registry (cities share nothing), the
@@ -93,7 +88,7 @@ type RouterConfig struct {
 
 // Router is the in-process Coordinator: every city backend is a
 // *core.Engine in this process. It adds only what needs the concrete
-// engines — inspection, simulated crashes and invariant checks.
+// engines — inspection and invariant checks.
 type Router struct {
 	*Coordinator
 	engines []*core.Engine // engines[i] is city i's backend
@@ -133,7 +128,6 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 			}
 			cfg.Durability = rc.Durability
 			cfg.WALDir = filepath.Join(rc.WALDir, "city-"+spec.Name)
-			cfg.FaultInjector = rc.FaultInjector
 		}
 		if rc.Telemetry != nil {
 			// One child registry per city: engines stay share-nothing and
@@ -157,7 +151,6 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 		if rc.Durability != wal.ModeOff {
 			relayCfg.Durability = rc.Durability
 			relayCfg.WALDir = filepath.Join(rc.WALDir, "relay")
-			relayCfg.FaultInjector = rc.FaultInjector
 		}
 		// Nil registry hands out a nil histogram — telemetry off.
 		relayCfg.LegQuoteHist = rc.Telemetry.LatencyHist(
@@ -168,26 +161,7 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 	if r.Coordinator, err = NewCoordinator(cities, relayCfg, rc.Telemetry); err != nil {
 		return nil, err
 	}
-	if rc.FaultInjector != nil {
-		// A simulated crash anywhere crashes the whole process: every
-		// shard's journal dies together, which is what the recovery
-		// tests must model.
-		rc.FaultInjector.OnFire(r.Kill)
-	}
 	return r, nil
-}
-
-// Kill simulates a process crash across every shard: all city journals
-// and the relay journal stop accepting appends and fail their pending
-// group commits. In-memory state is considered lost; recover by
-// rebuilding the router over the same WALDir.
-func (r *Router) Kill() {
-	for _, eng := range r.engines {
-		eng.Kill()
-	}
-	if r.relay != nil {
-		r.relay.Kill()
-	}
 }
 
 // Engine exposes a city's engine for inspection (views, invariants,

@@ -140,7 +140,7 @@ func (s *Scheduler) openDurability(cfg Config) error {
 		s.led.restore(&snap)
 		return nil
 	}
-	j, err := wal.Open(cfg.WALDir, wal.Options{Mode: cfg.Durability, Injector: cfg.FaultInjector},
+	j, err := wal.Open(cfg.WALDir, wal.Options{Mode: cfg.Durability},
 		restore, s.replayRecord)
 	if err != nil {
 		return fmt.Errorf("relay: %w", err)
@@ -206,14 +206,6 @@ func (s *Scheduler) compensateOpenIntents() error {
 	return nil
 }
 
-// Kill simulates a process crash of the relay shard (see
-// core.Engine.Kill). No-op when durability is off.
-func (s *Scheduler) Kill() {
-	if s.journal != nil {
-		s.journal.Kill()
-	}
-}
-
 // Snapshot writes the trip ledger beside a rotated journal segment and
 // prunes what the snapshot covers. It takes the ledger lock alone, so
 // it never waits for a commit in flight.
@@ -244,7 +236,7 @@ func (s *Scheduler) Close() error {
 		return nil
 	}
 	var serr error
-	if !s.journal.Dead() {
+	if s.journal.Err() == nil {
 		serr = s.Snapshot()
 	}
 	if cerr := s.journal.Close(); cerr != nil && serr == nil {

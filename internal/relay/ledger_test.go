@@ -365,7 +365,10 @@ func quoteWithOptions(t *testing.T, s *Scheduler, rng *rand.Rand) TripID {
 func TestSnapshotDuringChoose(t *testing.T) {
 	cities := testCities(t, 10, 8)
 	cfg := Config{Durability: wal.ModeSync, WALDir: t.TempDir()}
+	inj := &wal.Injector{}
+	disarm := wal.ArmDir(cfg.WALDir, inj)
 	s, err := New(cities, cfg)
+	disarm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +409,7 @@ func TestSnapshotDuringChoose(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveStats := s.Stats()
-	s.Kill()
+	inj.Kill()
 	r, err := New(cities, cfg)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -434,7 +437,10 @@ func TestSnapshotDuringChoose(t *testing.T) {
 func TestLedgerStressSnapshotRecover(t *testing.T) {
 	cities := testCities(t, 20, 16)
 	cfg := Config{Durability: wal.ModeSync, WALDir: t.TempDir()}
+	inj := &wal.Injector{}
+	disarm := wal.ArmDir(cfg.WALDir, inj)
 	s, err := New(cities, cfg)
+	disarm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +494,7 @@ func TestLedgerStressSnapshotRecover(t *testing.T) {
 	close(stop)
 	<-snapDone
 
-	s.Kill()
+	inj.Kill()
 	r, err := New(cities, cfg)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -511,7 +517,9 @@ func TestLedgerStressSnapshotRecover(t *testing.T) {
 func TestQuoteJournalFailureDeclinesLegs(t *testing.T) {
 	cities := testCities(t, 10, 8)
 	inj := &wal.Injector{}
-	s, err := New(cities, Config{Durability: wal.ModeSync, WALDir: t.TempDir(), FaultInjector: inj})
+	dir := t.TempDir()
+	t.Cleanup(wal.ArmDir(dir, inj))
+	s, err := New(cities, Config{Durability: wal.ModeSync, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,6 @@ type Config struct {
 	// (see durability.go); WALDir names the journal directory when on.
 	Durability wal.Mode
 	WALDir     string
-	// FaultInjector arms simulated crash points (tests only).
-	FaultInjector *wal.Injector
 
 	// LegQuoteHist, when non-nil, observes each relay leg's quote wall
 	// time in seconds (nil = telemetry off, no cost).

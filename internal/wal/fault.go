@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -32,25 +33,82 @@ const (
 	CrashMidCompensate CrashPoint = "mid-compensate"
 )
 
-// CrashPoints lists every named point, for harness loops.
-var CrashPoints = []CrashPoint{CrashPreAppend, CrashPostAppend, CrashMidSnapshot, CrashMidCompensate}
+// crashTornWrite is the flusher's point, armed by ArmTornWrite.
+const crashTornWrite CrashPoint = "torn-write"
 
 // Injector arms simulated crashes. The zero value (and a nil pointer)
 // is inert; production code paths pay one nil check per consultation.
-// An injector is shared across the engines/journals of one simulated
-// process, so one armed fault kills everything at once.
+// It reaches journals through ArmDir, never through a config: the
+// journals opened under its directory are one simulated process, and
+// one fired fault (or Kill) kills them all.
 type Injector struct {
 	mu       sync.Mutex
 	point    CrashPoint
 	after    int // fire on the (after+1)-th Fire of point
 	armed    bool
 	tornKeep int
-	tornArm  bool
 	fired    bool
+	journals []*Journal // opened under the injector's directory
+}
 
-	// onFire, when set, is invoked once when any fault fires — the
-	// multi-city router hooks this to kill every journal it hosts.
-	onFire func()
+// armedDirs maps a directory to the injector ArmDir armed on it.
+var armedDirs = struct {
+	sync.Mutex
+	m map[string]*Injector
+}{m: map[string]*Injector{}}
+
+// ArmDir arms inj on dir and everything beneath it: every journal
+// opened there until disarm is called belongs to inj, and keeps it for
+// life (a nil inj arms nothing; paths match after filepath.Clean). A
+// test hook: the crash harness arms a directory before it builds the
+// engines or routers journaling there.
+func ArmDir(dir string, inj *Injector) (disarm func()) {
+	if inj == nil {
+		return func() {}
+	}
+	key := filepath.Clean(dir)
+	armedDirs.Lock()
+	armedDirs.m[key] = inj
+	armedDirs.Unlock()
+	return func() {
+		armedDirs.Lock()
+		delete(armedDirs.m, key)
+		armedDirs.Unlock()
+	}
+}
+
+// arm hands a journal Open is creating the injector armed on its
+// directory or nearest armed parent, and records it there. With
+// nothing armed it costs one lock.
+func arm(j *Journal) {
+	armedDirs.Lock()
+	defer armedDirs.Unlock()
+	if len(armedDirs.m) == 0 {
+		return
+	}
+	for d := filepath.Clean(j.dir); ; d = filepath.Dir(d) {
+		if inj := armedDirs.m[d]; inj != nil {
+			inj.mu.Lock()
+			j.inj, inj.journals = inj, append(inj.journals, j)
+			inj.mu.Unlock()
+			return
+		}
+		if d == filepath.Dir(d) {
+			return
+		}
+	}
+}
+
+// Kill kills every journal opened under the injector — the simulated
+// death of the whole process, on demand. It must not be called with a
+// journal's lock held.
+func (i *Injector) Kill() {
+	i.mu.Lock()
+	js := i.journals
+	i.mu.Unlock()
+	for _, j := range js {
+		j.Kill()
+	}
 }
 
 // Arm schedules the injector to fire at the (after+1)-th consultation
@@ -59,79 +117,47 @@ func (i *Injector) Arm(point CrashPoint, after int) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.point, i.after, i.armed, i.fired = point, after, true, false
-	i.tornArm = false
 }
 
 // ArmTornWrite schedules the next journal flush to crash after writing
 // only keepBytes of the batch (clamped to the batch size), leaving a
-// torn record on disk.
+// torn record on disk. It replaces any armed point.
 func (i *Injector) ArmTornWrite(keepBytes int) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.tornKeep, i.tornArm, i.fired = keepBytes, true, false
-	i.armed = false
-}
-
-// OnFire registers a hook invoked (once, outside the injector lock)
-// when any fault fires.
-func (i *Injector) OnFire(f func()) {
-	if i == nil {
-		return
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.onFire = f
+	i.point, i.after, i.armed, i.fired, i.tornKeep = crashTornWrite, 0, true, false, keepBytes
 }
 
 // Fire consults the injector at a crash point, returning true when the
-// armed fault fires. Nil-safe.
+// armed fault fires — after killing every journal opened under the
+// injector. Nil-safe.
 func (i *Injector) Fire(point CrashPoint) bool {
 	if i == nil {
 		return false
 	}
 	i.mu.Lock()
-	if !i.armed || i.point != point {
-		i.mu.Unlock()
-		return false
+	hit := i.armed && i.point == point
+	if hit && i.after > 0 {
+		i.after, hit = i.after-1, false
+	} else if hit {
+		i.armed, i.fired = false, true
 	}
-	if i.after > 0 {
-		i.after--
-		i.mu.Unlock()
-		return false
-	}
-	i.armed = false
-	i.fired = true
-	hook := i.onFire
 	i.mu.Unlock()
-	if hook != nil {
-		hook()
+	if hit {
+		i.Kill()
 	}
-	return true
+	return hit
 }
 
 // tornWrite is the flusher's consultation: (keepBytes, true) when a
-// torn-write fault is armed. Nil-safe.
+// torn-write fault fired. Nil-safe.
 func (i *Injector) tornWrite(batchLen int) (int, bool) {
-	if i == nil {
+	if !i.Fire(crashTornWrite) {
 		return 0, false
 	}
 	i.mu.Lock()
-	if !i.tornArm {
-		i.mu.Unlock()
-		return 0, false
-	}
-	i.tornArm = false
-	i.fired = true
-	keep := i.tornKeep
-	if keep > batchLen {
-		keep = batchLen
-	}
-	hook := i.onFire
-	i.mu.Unlock()
-	if hook != nil {
-		hook()
-	}
-	return keep, true
+	defer i.mu.Unlock()
+	return min(i.tornKeep, batchLen), true
 }
 
 // Fired reports whether any armed fault has fired since the last Arm.

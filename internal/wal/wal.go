@@ -56,15 +56,15 @@
 //
 // # Crash simulation
 //
-// The package doubles as its own fault-injection harness: an Injector
-// arms named crash points and torn-write faults. Append fires the
-// pre-append and post-append points around every record, WriteSnapshot
-// the mid-snapshot point, and the flusher consults the torn-write
-// fault; the relay scheduler fires the mid-compensate point through
-// Crash. A fired fault kills the journal — every later operation fails
-// with ErrCrashed, simulating process death with whatever bytes made it
-// to disk — and tests then recover the directory into a fresh engine
-// and verify equivalence.
+// The package doubles as its own fault-injection harness: ArmDir arms
+// an Injector on a directory, whose journals then form one simulated
+// process. Append fires the pre-append and post-append crash points
+// around every record, WriteSnapshot the mid-snapshot point, the
+// flusher the torn-write fault, and relay recovery the mid-compensate
+// point through Crash. A fired fault (or Injector.Kill) kills every
+// journal of the process — later operations fail with ErrCrashed,
+// with whatever bytes made it to disk — and tests recover the
+// directory into a fresh engine and verify equivalence.
 package wal
 
 import (
@@ -129,10 +129,10 @@ func ParseMode(s string) (Mode, error) {
 
 // Errors of the journal lifecycle.
 var (
-	// ErrCrashed reports that the journal was killed by an injected
-	// fault (or Kill): the simulated process is dead and the caller
-	// should recover from disk into a fresh instance.
-	ErrCrashed = errors.New("wal: journal crashed (simulated process death)")
+	// ErrCrashed reports a dead journal — killed (an injected fault,
+	// Kill) or fail-stopped by a write or fsync error: the process is
+	// dead; recover the directory into a fresh instance.
+	ErrCrashed = errors.New("wal: journal crashed")
 	// ErrClosed reports an operation on a cleanly closed journal.
 	ErrClosed = errors.New("wal: journal closed")
 )
@@ -153,8 +153,6 @@ func snapName(seg uint64) string { return fmt.Sprintf("snapshot-%08d.snap", seg)
 type Options struct {
 	// Mode must be ModeAsync or ModeSync.
 	Mode Mode
-	// Injector, when non-nil, arms simulated crashes (tests).
-	Injector *Injector
 	// AppendHist / FsyncHist, when non-nil, observe batch-write and
 	// fsync wall times (seconds). Nil histograms are no-ops, so the
 	// flusher records unconditionally.
@@ -201,6 +199,7 @@ func (j *Journal) newBatchLocked() *batch {
 type Journal struct {
 	dir  string
 	opts Options
+	inj  *Injector // armed on dir when Open ran (ArmDir); nil in production
 
 	mu       sync.Mutex
 	cur      *batch // accumulating batch
@@ -209,10 +208,10 @@ type Journal struct {
 	f        *os.File
 	seg      uint64
 	closed   bool
-	// dead is set under mu (so the accumulating batch and the flag
-	// change together) and read without it: Dead is on every submit's
-	// path.
-	dead atomic.Bool
+	// dead holds the cause of death (see Err), nil while alive. It is
+	// set once, under mu (so the accumulating batch and the flag change
+	// together), and read without it: Err is on every submit's path.
+	dead atomic.Pointer[error]
 
 	kick chan struct{}
 	stop chan struct{}
@@ -300,6 +299,7 @@ func Open(dir string, opts Options, restore, replay func(payload []byte) error) 
 		},
 	}
 	j.lastSnap.Store(rec.SnapshotSeg)
+	arm(j)
 	go j.flusher()
 	return j, nil
 }
@@ -355,15 +355,14 @@ func (c Commit) Wait() error {
 	return c.b.err
 }
 
-// Crash consults the injector at point p. When the point fires the
-// journal dies (see Kill) and Crash returns ErrCrashed; otherwise nil.
-// It must not be called with j.mu held: a fired injector's hook may
-// kill this journal too.
+// Crash consults the injector armed on the journal's directory at
+// point p. When the point fires, every journal of the simulated process
+// dies (this one included) and Crash returns ErrCrashed; otherwise nil.
+// It must not be called with j.mu held.
 func (j *Journal) Crash(p CrashPoint) error {
-	if !j.opts.Injector.Fire(p) {
+	if !j.inj.Fire(p) {
 		return nil
 	}
-	j.Kill()
 	return ErrCrashed
 }
 
@@ -381,7 +380,7 @@ func (j *Journal) Append(payload []byte) (Commit, error) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	j.mu.Lock()
-	if j.dead.Load() {
+	if j.dead.Load() != nil {
 		j.mu.Unlock()
 		return Commit{}, ErrCrashed
 	}
@@ -430,7 +429,7 @@ func (j *Journal) flusher() {
 func (j *Journal) flushOnce() {
 	j.mu.Lock()
 	b := j.cur
-	if len(b.buf) == 0 || j.dead.Load() {
+	if len(b.buf) == 0 || j.dead.Load() != nil {
 		j.mu.Unlock()
 		return
 	}
@@ -439,7 +438,7 @@ func (j *Journal) flushOnce() {
 	f := j.f
 	j.mu.Unlock()
 
-	if keep, torn := j.opts.Injector.tornWrite(len(b.buf)); torn {
+	if keep, torn := j.inj.tornWrite(len(b.buf)); torn {
 		// Simulated crash mid-write: a prefix of the batch lands, no
 		// fsync, and the journal dies with the partial record on disk.
 		_, _ = f.Write(b.buf[:keep])
@@ -479,12 +478,12 @@ func (j *Journal) flushOnce() {
 // fail kills the journal after the flush of b failed: b's waiters get
 // err, the batch accumulating behind it fails with ErrCrashed, and
 // every later Append is refused. dead is set before any waiter is
-// released, so a caller that sees the error also sees Dead. Nothing
+// released, so a caller that sees the error also sees Err. Nothing
 // after b reaches the segment, which therefore ends with the last
 // acknowledged batch (or the torn prefix an injected fault wrote).
 func (j *Journal) fail(b *batch, err error) {
 	j.mu.Lock()
-	j.dead.Store(true)
+	j.dieLocked(err)
 	j.flushing = nil
 	dying := j.cur
 	j.cur = newBatch()
@@ -500,7 +499,7 @@ func (j *Journal) fail(b *batch, err error) {
 // Sync flushes every appended record and waits for its fsync.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	if j.dead.Load() {
+	if j.dead.Load() != nil {
 		j.mu.Unlock()
 		return ErrCrashed
 	}
@@ -530,15 +529,19 @@ func (j *Journal) Sync() error {
 	// boundaries depend on it).
 	if j.opts.Mode == ModeAsync {
 		j.mu.Lock()
-		if j.dead.Load() {
+		if j.dead.Load() != nil {
 			j.mu.Unlock()
 			return ErrCrashed
 		}
 		f := j.f
 		j.mu.Unlock()
 		if err := f.Sync(); err != nil {
-			j.Kill() // fail-stop, as the flusher does
-			return fmt.Errorf("wal: fsync: %w", err)
+			// Fail-stop as the flusher does (no append is in flight).
+			err = fmt.Errorf("wal: fsync: %w", err)
+			j.mu.Lock()
+			j.dieLocked(err)
+			j.mu.Unlock()
+			return err
 		}
 	}
 	return nil
@@ -561,7 +564,7 @@ func (j *Journal) Rotate() (uint64, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dead.Load() {
+	if j.dead.Load() != nil {
 		return 0, ErrCrashed
 	}
 	if j.closed {
@@ -585,11 +588,11 @@ func (j *Journal) Rotate() (uint64, error) {
 // normally (a real crash can land just after an fsync too).
 func (j *Journal) Kill() {
 	j.mu.Lock()
-	if j.dead.Load() || j.closed {
+	if j.dead.Load() != nil || j.closed {
 		j.mu.Unlock()
 		return
 	}
-	j.dead.Store(true)
+	j.dieLocked(ErrCrashed)
 	b := j.cur
 	j.cur = newBatch()
 	j.mu.Unlock()
@@ -599,9 +602,24 @@ func (j *Journal) Kill() {
 	}
 }
 
-// Dead reports whether the journal was killed or a flush failed. It
-// takes no lock.
-func (j *Journal) Dead() bool { return j.dead.Load() }
+// dieLocked marks the journal dead, recording why the first time.
+// Caller holds j.mu.
+func (j *Journal) dieLocked(cause error) {
+	if cause != ErrCrashed {
+		cause = fmt.Errorf("%w: %w", ErrCrashed, cause)
+	}
+	j.dead.CompareAndSwap(nil, &cause)
+}
+
+// Err is nil while the journal is alive. After a kill it is
+// ErrCrashed; after a fail-stop it is ErrCrashed wrapping the write or
+// fsync error that stopped it. It takes no lock and does not allocate.
+func (j *Journal) Err() error {
+	if p := j.dead.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // Close flushes, fsyncs and closes the journal. A killed journal
 // closes its file without flushing.

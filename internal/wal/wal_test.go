@@ -191,12 +191,14 @@ func TestRotateSnapshotPrune(t *testing.T) {
 func TestTornWriteInjection(t *testing.T) {
 	dir := t.TempDir()
 	inj := &Injector{}
-	j := mustOpen(t, dir, Options{Mode: ModeSync, Injector: inj})
+	t.Cleanup(ArmDir(dir, inj))
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "solid-1", "solid-2")
 
 	// Tear the next batch: keep the full first record plus 3 bytes of
 	// the second record's header.
 	inj.ArmTornWrite(8 + len("torn-a") + 3)
+	release := j.holdFlusher()
 	c1, err := j.Append([]byte("torn-a"))
 	if err != nil {
 		t.Fatalf("Append: %v", err)
@@ -205,13 +207,14 @@ func TestTornWriteInjection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
+	release()
 	if err := c1.Wait(); err != ErrCrashed {
 		t.Fatalf("torn batch Wait = %v, want ErrCrashed", err)
 	}
 	if err := c2.Wait(); err != ErrCrashed {
 		t.Fatalf("torn batch Wait = %v, want ErrCrashed", err)
 	}
-	if !j.Dead() {
+	if j.Err() == nil {
 		t.Fatal("journal should be dead after torn write")
 	}
 	if _, err := j.Append([]byte("after-death")); err != ErrCrashed {
@@ -324,7 +327,8 @@ func TestCorruptSnapshotFallsBackOlder(t *testing.T) {
 func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 	dir := t.TempDir()
 	inj := &Injector{}
-	j := mustOpen(t, dir, Options{Mode: ModeSync, Injector: inj})
+	t.Cleanup(ArmDir(dir, inj))
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	rotate := func() uint64 {
 		seg, err := j.Rotate()
 		if err != nil {
@@ -340,8 +344,8 @@ func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 	if err != ErrCrashed {
 		t.Fatalf("WriteSnapshot with armed crash = %v, want ErrCrashed", err)
 	}
-	if !inj.Fired() || !j.Dead() {
-		t.Fatalf("fired %v, dead %v: want the crash to kill the journal", inj.Fired(), j.Dead())
+	if !inj.Fired() || j.Err() == nil {
+		t.Fatalf("fired %v, dead %v: want the crash to kill the journal", inj.Fired(), j.Err() != nil)
 	}
 	if st := j.Stats(); st.Snapshots != 1 || st.LastSnapshotSeg != 2 {
 		t.Fatalf("snapshot stats: %d snapshots, newest %d", st.Snapshots, st.LastSnapshotSeg)
@@ -382,7 +386,7 @@ func TestFlushFailureKillsJournal(t *testing.T) {
 		t.Fatalf("Append: %v", err)
 	}
 	werr := c.Wait()
-	dead := j.Dead()
+	dead := j.Err() != nil
 	var pe *os.PathError
 	if !errors.As(werr, &pe) {
 		t.Fatalf("failed batch Wait = %v, want the write error", werr)
@@ -559,4 +563,81 @@ func TestRecoverEmptyDir(t *testing.T) {
 	if rec.SnapshotSeg != 0 || rec.Snapshot != nil || len(rec.Records) != 0 || rec.NextSeg != 1 {
 		t.Fatalf("zero recovery: %+v", rec)
 	}
+}
+
+// TestArmDirSeam pins the crash seam: an injector armed on a parent
+// directory reaches the journals opened in its subdirectories, one
+// fired fault or Kill kills every one of them, a sibling directory
+// outside the prefix is untouched, and disarm leaves later opens
+// unarmed.
+func TestArmDirSeam(t *testing.T) {
+	// process opens two journals under an armed root and one beside it.
+	process := func(t *testing.T) (inj *Injector, a, b, out *Journal, root string, disarm func()) {
+		base := t.TempDir()
+		root = filepath.Join(base, "process")
+		inj = &Injector{}
+		disarm = ArmDir(root, inj)
+		t.Cleanup(disarm)
+		a = mustOpen(t, filepath.Join(root, "city-a"), Options{Mode: ModeSync})
+		b = mustOpen(t, filepath.Join(root, "relay"), Options{Mode: ModeSync})
+		out = mustOpen(t, filepath.Join(base, "sibling"), Options{Mode: ModeSync})
+		for _, j := range []*Journal{a, b, out} {
+			t.Cleanup(func() { _ = j.Close() })
+		}
+		return inj, a, b, out, root, disarm
+	}
+	dead := func(t *testing.T, name string, j *Journal) {
+		t.Helper()
+		if err := j.Err(); err != ErrCrashed {
+			t.Fatalf("%s: Err = %v, want ErrCrashed", name, err)
+		}
+		if _, err := j.Append([]byte("after")); err != ErrCrashed {
+			t.Fatalf("%s: Append after the kill = %v, want ErrCrashed", name, err)
+		}
+	}
+	alive := func(t *testing.T, j *Journal) {
+		t.Helper()
+		if err := j.Err(); err != nil {
+			t.Fatalf("Err = %v, want a live journal", err)
+		}
+		appendAll(t, j, "still-alive")
+	}
+
+	for _, firing := range []string{"a", "b"} {
+		t.Run("fire in "+firing, func(t *testing.T) {
+			inj, a, b, out, _, _ := process(t)
+			j := map[string]*Journal{"a": a, "b": b}[firing]
+			appendAll(t, j, "before")
+			inj.Arm(CrashPreAppend, 0)
+			if _, err := j.Append([]byte("fatal")); err != ErrCrashed {
+				t.Fatalf("Append at the armed point = %v, want ErrCrashed", err)
+			}
+			dead(t, "a", a)
+			dead(t, "b", b)
+			alive(t, out)
+		})
+	}
+
+	t.Run("kill", func(t *testing.T) {
+		inj, a, b, out, _, _ := process(t)
+		inj.Kill()
+		dead(t, "a", a)
+		dead(t, "b", b)
+		alive(t, out)
+	})
+
+	t.Run("disarm", func(t *testing.T) {
+		inj, a, _, _, root, disarm := process(t)
+		disarm()
+		late := mustOpen(t, filepath.Join(root, "late"), Options{Mode: ModeSync})
+		defer late.Close()
+		inj.Arm(CrashPreAppend, 0)
+		appendAll(t, late, "unarmed")
+		if inj.Fired() {
+			t.Fatal("a journal opened after disarm consulted the injector")
+		}
+		inj.Kill()
+		dead(t, "a", a)
+		alive(t, late)
+	})
 }

@@ -31,9 +31,9 @@
 // tail). With -shards the shards journal the cities themselves, and
 // -wal-dir journals the gateway's relay trip ledger under relay/, so a
 // restarted gateway keeps its relay trips and their ids. On
-// SIGINT/SIGTERM the server drains
-// in-flight HTTP requests, flushes the journal and writes a final
-// snapshot before exiting, so the next start recovers instantly.
+// SIGINT/SIGTERM the server drains in-flight HTTP requests, flushes
+// the journal and writes a final snapshot before exiting, so the next
+// start recovers instantly.
 //
 // Observability: GET /metrics serves the Prometheus text exposition —
 // HTTP route latencies, submit-stage timings (quote, register, WAL

@@ -382,15 +382,16 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("ptrider_surge_active_cells", "Cells with a non-unit surge multiplier.",
 		func() float64 { return float64(e.SurgeStats().ActiveCells) })
 
-	// The distance memo's occupancy (entries / slots is its load, slots
-	// / capacity how close replacement is) and its hit ratio over batch
-	// fills (1 - misses / lookups).
+	// The distance memo's occupancy (bytes / capacity is how close
+	// replacement is, dense rows how many rows hold a word per pair) and
+	// its hit ratio over batch fills (1 - misses / lookups).
 	m := e.metric
 	count := func(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
 	reg.GaugeFunc("ptrider_memo_entries", "Vertex pairs the distance memo holds.", count(&m.entries))
-	reg.GaugeFunc("ptrider_memo_slots", "Slots allocated to the distance memo's tables.", count(&m.slots))
-	reg.GaugeFunc("ptrider_memo_capacity", "Slots past which the distance memo's rows stop growing and replace.",
-		func() float64 { return float64(m.maxSlots) })
+	reg.GaugeFunc("ptrider_memo_bytes", "Bytes of the distance memo's tables.", count(&m.bytes))
+	reg.GaugeFunc("ptrider_memo_capacity_bytes", "Table bytes past which the distance memo's rows stop growing and replace.",
+		func() float64 { return float64(m.maxBytes) })
+	reg.GaugeFunc("ptrider_memo_dense_rows", "Distance memo rows holding a word for every pair of their span.", count(&m.denseRows))
 	reg.CounterFunc("ptrider_memo_batch_lookups_total", "Targets of distance batch fills looked up in the memo.", count(&m.batchLookups))
 	reg.CounterFunc("ptrider_memo_batch_misses_total", "Batch-fill targets the memo did not hold.", count(&m.batchMisses))
 	reg.CounterFunc("ptrider_memo_replacements_total", "Cached pairs overwritten by a newcomer at the cap.", count(&m.replacements))

@@ -48,13 +48,14 @@ func exactTable(g *roadnet.Graph) [][]float64 {
 	return exact
 }
 
-// checkMemo verifies the structure at rest: per row, the occupied
-// count, the 7/8 load ceiling and that every key sits on its own probe
-// chain exactly once; over all rows, the entry and slot gauges and the
-// cap.
+// checkMemo verifies the structure at rest: per row, the pair count
+// and, hashed, the 7/8 load ceiling and that every key sits on its own
+// probe chain exactly once, or, dense, a word for every pair of the
+// row's span and none below it; over all rows, the entry, byte and
+// dense-row gauges and the cap.
 func checkMemo(t testing.TB, m *memoMetric) {
 	t.Helper()
-	var entries, slots int64
+	var entries, bytes, dense int64
 	for u := range m.rows {
 		r := &m.rows[u]
 		tab := r.tab.Load()
@@ -64,38 +65,54 @@ func checkMemo(t testing.TB, m *memoMetric) {
 			}
 			continue
 		}
-		size := len(tab.keys)
-		if size < memoMinSlots {
-			t.Fatalf("row %d: table of %d slots", u, size)
-		}
 		occupied := 0
-		for j := range tab.keys {
-			k := tab.keys[j].Load()
-			if k == 0 {
-				continue
+		if tab.keys == nil {
+			if span := len(m.rows) - 1 - u; len(tab.vals) != span || tab.base != uint32(u)+2 {
+				t.Fatalf("row %d: dense table of %d words from key %d, want %d from %d", u, len(tab.vals), tab.base, span, u+2)
 			}
-			occupied++
-			if at, found := tab.find(k); !found || int(at) != j {
-				t.Fatalf("row %d: key %d in slot %d, its probe chain ends at %d (found %v)", u, k, j, at, found)
+			for j := range tab.vals {
+				if tab.vals[j].Load() != 0 {
+					occupied++
+				}
 			}
-			if int(k-1) <= u {
-				t.Fatalf("row %d holds key for vertex %d, not above the row", u, k-1)
+			if occupied != int(r.n) {
+				t.Fatalf("row %d: %d dense words occupied, n = %d", u, occupied, r.n)
 			}
-		}
-		if occupied != int(r.n) || occupied > size-size/8 {
-			t.Fatalf("row %d: %d occupied of %d slots, n = %d", u, occupied, size, r.n)
+			dense++
+		} else {
+			size := len(tab.keys)
+			if size < memoMinSlots {
+				t.Fatalf("row %d: table of %d slots", u, size)
+			}
+			for j := range tab.keys {
+				k := tab.keys[j].Load()
+				if k == 0 {
+					continue
+				}
+				occupied++
+				if at, found := tab.find(k); !found || int(at) != j {
+					t.Fatalf("row %d: key %d in slot %d, its probe chain ends at %d (found %v)", u, k, j, at, found)
+				}
+				if int(k-1) <= u {
+					t.Fatalf("row %d holds key for vertex %d, not above the row", u, k-1)
+				}
+			}
+			if occupied != int(r.n) || occupied > size-size/8 {
+				t.Fatalf("row %d: %d occupied of %d slots, n = %d", u, occupied, size, r.n)
+			}
 		}
 		if r.seq.Load()&1 != 0 {
 			t.Fatalf("row %d: sequence left odd", u)
 		}
 		entries += int64(occupied)
-		slots += int64(size)
+		bytes += tab.bytes()
 	}
-	if entries != m.entries.Load() || slots != m.slots.Load() {
-		t.Fatalf("gauges: entries %d slots %d, tables hold %d in %d", m.entries.Load(), m.slots.Load(), entries, slots)
+	if entries != m.entries.Load() || bytes != m.bytes.Load() || dense != m.denseRows.Load() {
+		t.Fatalf("gauges: entries %d bytes %d dense rows %d, tables hold %d in %d B, %d dense",
+			m.entries.Load(), m.bytes.Load(), m.denseRows.Load(), entries, bytes, dense)
 	}
-	if limit := m.maxSlots + memoMinSlots*int64(len(m.rows)); slots > limit {
-		t.Fatalf("%d slots, cap %d plus one minimum table per row = %d", slots, m.maxSlots, limit)
+	if limit := m.maxBytes + memoSlotBytes*memoMinSlots*int64(len(m.rows)); bytes > limit {
+		t.Fatalf("%d B of tables, cap %d plus one minimum table per row = %d", bytes, m.maxBytes, limit)
 	}
 }
 
@@ -217,7 +234,7 @@ func TestMemoDifferential(t *testing.T) {
 // never a neighbour's. Run with -race.
 func TestMemoStress(t *testing.T) {
 	m := newCityMemo(t, 12, 12)
-	m.maxSlots = 2048
+	m.maxBytes = 2048 * memoSlotBytes
 	g := m.grid.Graph()
 	n := g.NumVertices()
 	exact := exactTable(g)
@@ -276,14 +293,15 @@ func TestMemoStress(t *testing.T) {
 	}
 }
 
-// TestMemoAtTheCap fills a memo far past a small cap: slots (so
-// entries) never exceed the cap plus one minimum table per row, full
-// rows replace instead of growing, and a working set that keeps coming
-// back between bursts of other pairs keeps hitting — replacement costs
-// the pairs it overwrites, not everything that shared a stripe.
+// TestMemoAtTheCap fills a memo far past a small cap: table bytes (so
+// entries, at 8 B or more each) never exceed the cap plus one minimum
+// table per row, full rows replace instead of growing, and a working
+// set that keeps coming back between bursts of other pairs keeps
+// hitting — replacement costs the pairs it overwrites, not everything
+// that shared a stripe.
 func TestMemoAtTheCap(t *testing.T) {
 	m := newCityMemo(t, 12, 12)
-	m.maxSlots = 4096
+	m.maxBytes = 4096 * memoSlotBytes
 	n := m.grid.Graph().NumVertices()
 	rng := rand.New(rand.NewSource(5))
 	vertex := func() roadnet.VertexID { return roadnet.VertexID(rng.Intn(n)) }
@@ -293,7 +311,7 @@ func TestMemoAtTheCap(t *testing.T) {
 	for i := range working {
 		working[i] = pair{vertex(), vertex()}
 	}
-	limit := m.maxSlots + memoMinSlots*int64(n)
+	limit := m.maxBytes + memoSlotBytes*memoMinSlots*int64(n)
 	for round := 0; round < 12; round++ {
 		before := m.DistCalls()
 		for _, p := range working {
@@ -305,8 +323,8 @@ func TestMemoAtTheCap(t *testing.T) {
 		}
 		for i := 0; i < 1500; i++ {
 			m.Dist(vertex(), vertex())
-			if e, s := m.entries.Load(), m.slots.Load(); e > s || s > limit {
-				t.Fatalf("round %d: %d entries in %d slots, limit %d", round, e, s, limit)
+			if e, b := m.entries.Load(), m.bytes.Load(); e*memoDenseBytes > b || b > limit {
+				t.Fatalf("round %d: %d entries in %d B, limit %d", round, e, b, limit)
 			}
 		}
 		checkMemo(t, m)
@@ -362,8 +380,8 @@ func TestMemoBytesPerEntry(t *testing.T) {
 	used := heap() - base
 	entries := m.entries.Load()
 	perEntry := float64(used) / float64(entries)
-	t.Logf("%d pairs in %d slots (load %.2f): %.1f MB, %.2f B per pair",
-		entries, m.slots.Load(), float64(entries)/float64(m.slots.Load()), float64(used)/(1<<20), perEntry)
+	t.Logf("%d pairs in %d B of tables, %d rows dense: %.1f MB, %.2f B per pair",
+		entries, m.bytes.Load(), m.denseRows.Load(), float64(used)/(1<<20), perEntry)
 	if entries < 490_000 || entries > 510_000 {
 		t.Fatalf("filled %d pairs, want about 500k", entries)
 	}
@@ -375,8 +393,67 @@ func TestMemoBytesPerEntry(t *testing.T) {
 	runtime.KeepAlive(out)
 }
 
+// TestMemoEveryPairDense caches every pair of the 40×40 city through
+// DistBatch: each row ends dense, and the memo costs at most 8.75 heap
+// bytes a pair — the 8-byte word plus rows, table headers and the
+// allocator's size classes, which alone take the bare row arrays to
+// 8.45 B a word (measured 8.59 in all; hashed rows would need ~1.8 M
+// slots, about 17 B a pair).
+func TestMemoEveryPairDense(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills 1.28 M pairs")
+	}
+	grid := cityGrid(t, 40, 40)
+	n := grid.Graph().NumVertices()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	sc := memoBatchScratch{
+		missLoc: make([]roadnet.VertexID, 0, n),
+		missIdx: make([]int32, 0, n),
+		missOut: make([]float64, n),
+	}
+	targets := make([]roadnet.VertexID, 0, n)
+	out := make([]float64, n)
+	base := heap()
+
+	m := newMemoMetric(grid)
+	for u := 0; u < n; u++ {
+		targets = targets[:0]
+		for v := u + 1; v < n; v++ {
+			targets = append(targets, roadnet.VertexID(v))
+		}
+		var a anchor
+		m.DistBatch(&a, roadnet.VertexID(u), targets, math.Inf(1), out[:len(targets)], &sc)
+		m.release(&a)
+	}
+	used := heap() - base
+	entries := m.entries.Load()
+	perEntry := float64(used) / float64(entries)
+	t.Logf("%d pairs in %d B of tables, %d rows dense: %.1f MB, %.2f B per pair",
+		entries, m.bytes.Load(), m.denseRows.Load(), float64(used)/(1<<20), perEntry)
+	if want := int64(n * (n - 1) / 2); entries != want {
+		t.Fatalf("cached %d pairs, want all %d", entries, want)
+	}
+	checkMemo(t, m)
+	// The last row has no pair above it and no table.
+	if d := m.denseRows.Load(); d != int64(n-1) {
+		t.Fatalf("%d rows dense, want %d", d, n-1)
+	}
+	if perEntry > 8.75 {
+		t.Fatalf("%.2f heap bytes per cached pair, want at most 8.75", perEntry)
+	}
+	runtime.KeepAlive(&sc)
+	runtime.KeepAlive(targets)
+	runtime.KeepAlive(out)
+}
+
 // fuzzMemoVertices is the vertex count of FuzzMemo's memo: row 0 can
-// hold 31 pairs, enough to grow four times where the cap allows.
+// hold 31 pairs, enough to grow twice and turn dense where the cap
+// allows; rows 19 and up start dense.
 const fuzzMemoVertices = 32
 
 // fuzzMemoDist is the value FuzzMemo stores for a pair: distinct per
@@ -389,15 +466,21 @@ func fuzzMemoDist(u, v roadnet.VertexID) float64 {
 }
 
 // FuzzMemo drives store / lookup / reset scripts through a memo capped
-// at 64 slots against a map that models "may forget, must never lie":
-// a hit is that pair's value and a pair that was stored since the last
-// reset; a store forgets at most the one pair it replaces, and nothing
-// at all while its row may still grow; the structure's invariants hold
-// after every step. Three bytes an op: kind, u, v.
+// at 64 hashed slots' bytes against a map that models "may forget,
+// must never lie": a hit is that pair's value and a pair that was
+// stored since the last reset; a store forgets at most the one pair it
+// replaces, and nothing at all while its row may still grow or turn
+// dense; a lookup of the diagonal, which LB makes, misses; the
+// structure's invariants hold after every step. Three bytes an op:
+// kind, u, v.
 func FuzzMemo(f *testing.F) {
+	grid := cityGrid(f, 4, fuzzMemoVertices/4)
+	if n := grid.Graph().NumVertices(); n != fuzzMemoVertices {
+		f.Fatalf("grid of %d vertices, want %d", n, fuzzMemoVertices)
+	}
 	f.Add([]byte{1, 0, 1, 2, 0, 1, 2, 1, 0, 2, 0, 2})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		m := &memoMetric{rows: make([]memoRow, fuzzMemoVertices), maxSlots: 64}
+		m := &memoMetric{grid: grid, rows: make([]memoRow, fuzzMemoVertices), maxBytes: 64 * memoSlotBytes}
 		type pair struct{ u, v roadnet.VertexID }
 		stored := map[pair]bool{}
 		found := func() (n int64) {
@@ -413,7 +496,14 @@ func FuzzMemo(f *testing.F) {
 			kind := script[0]
 			u, v := roadnet.VertexID(script[1]%fuzzMemoVertices), roadnet.VertexID(script[2]%fuzzMemoVertices)
 			if u == v {
-				continue // the memo's callers never cache the diagonal
+				// The memo's callers never cache the diagonal, but LB(u, u)
+				// looks it up: row u, key u+1.
+				if kind%16 != 0 && kind%2 == 0 {
+					if d := m.LB(u, u); d != grid.LB(u, u) {
+						t.Fatalf("LB(%d, %d) = %v, grid bound %v", u, u, d, grid.LB(u, u))
+					}
+				}
+				continue
 			}
 			if u > v {
 				u, v = v, u
@@ -424,13 +514,16 @@ func FuzzMemo(f *testing.F) {
 				m.Reset()
 				clear(stored)
 			case kind%2 == 1:
+				// A full hashed row's next table is the cheaper of half as
+				// many slots again and a word for each pair of its span.
 				mayRefuse := false
-				if tab := r.tab.Load(); tab != nil {
+				if tab := r.tab.Load(); tab != nil && tab.keys != nil {
 					size := len(tab.keys)
-					mayRefuse = int(r.n) >= size-size/8 && m.slots.Load()+int64(size/2) > m.maxSlots
+					next := min(memoSlotBytes*int64(size+size/2), memoDenseBytes*int64(fuzzMemoVertices-1-u))
+					mayRefuse = int(r.n) >= size-size/8 && m.bytes.Load()+next-tab.bytes() > m.maxBytes
 				}
 				before := found()
-				m.store(r, key, fuzzMemoDist(u, v))
+				m.store(u, v, fuzzMemoDist(u, v))
 				stored[pair{u, v}] = true
 				if after := found(); after < before {
 					t.Fatalf("store {%d, %d} forgot %d pairs", u, v, before-after)
@@ -452,64 +545,94 @@ func FuzzMemo(f *testing.F) {
 	})
 }
 
-// BenchmarkMemoLookup times the read path on the 40×40 city, serial
-// and from every core at once: hit probes cached pairs, miss probes
-// pairs of the same rows that are absent (a miss ends at the chain's
-// first empty slot). Readers share nothing they write, so the parallel
-// ns/op falls with the core count — given a time -benchtime: with a
-// fixed iteration count RunParallel hands out iterations a few at a
-// time and its shared counter is what gets measured.
+// BenchmarkMemoLookup times the read path on the 40×40 city, in each
+// row layout, serial and from every core at once. Every eighth row is
+// filled from its own vertex: with every eighth vertex above it, which
+// leaves it hashed, or with two of every three, which turns it dense.
+// hit probes cached pairs, miss the rows' other pairs, which are never
+// cached (a hashed miss ends at the chain's first empty slot, a dense
+// one reads an empty word). Readers share nothing they write, so the
+// parallel ns/op falls with the core count — given a time -benchtime:
+// with a fixed iteration count RunParallel hands out iterations a few
+// at a time and its shared counter is what gets measured.
 func BenchmarkMemoLookup(b *testing.B) {
-	m := newCityMemo(b, 40, 40)
-	n := m.grid.Graph().NumVertices()
-	// Even targets are cached from 200 sources; odd ones never are.
-	var sc memoBatchScratch
-	var even []roadnet.VertexID
-	for v := 0; v < n; v += 2 {
-		even = append(even, roadnet.VertexID(v))
-	}
-	out := make([]float64, len(even))
-	for u := 0; u < n; u += 8 {
-		var a anchor
-		m.DistBatch(&a, roadnet.VertexID(u), even, math.Inf(1), out, &sc)
-		m.release(&a)
-	}
-	probe := func(odd int32) func(i int) float64 {
-		lookup := func(i int) (u, v roadnet.VertexID, d float64, ok bool) {
-			u, v = roadnet.VertexID(i*8%n), roadnet.VertexID(i*14%n)|odd
-			r, key := m.rowKey(u, v)
-			d, ok = r.lookup(key)
-			return
-		}
-		for i := 0; i < n; i++ {
-			if u, v, _, ok := lookup(i); ok != (odd == 0) && u != v {
-				b.Fatalf("lookup {%d, %d}: hit %v", u, v, ok)
-			}
-		}
-		return func(i int) float64 {
-			_, _, d, _ := lookup(i)
-			return d
-		}
-	}
-	for _, bc := range []struct {
-		name string
-		fn   func(int) float64
-	}{{"hit", probe(0)}, {"miss", probe(1)}} {
-		b.Run(bc.name+"/serial", func(b *testing.B) {
-			var sum float64
-			for i := 0; i < b.N; i++ {
-				sum += bc.fn(i)
-			}
-			memoBenchSink = sum
-		})
-		b.Run(bc.name+"/parallel", func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for i := 0; pb.Next(); i++ {
-					bc.fn(i)
+	grid := cityGrid(b, 40, 40)
+	n := grid.Graph().NumVertices()
+	for _, layout := range []struct {
+		name  string
+		dense bool
+		keep  func(gap int) bool // whether {u, u+gap} is cached
+	}{
+		{"hashed", false, func(gap int) bool { return gap%8 == 0 }},
+		{"dense", true, func(gap int) bool { return gap%3 != 0 }},
+	} {
+		m := newMemoMetric(grid)
+		var sc memoBatchScratch
+		out := make([]float64, n)
+		var rows []roadnet.VertexID
+		for u := 0; u < n-64; u += 8 {
+			rows = append(rows, roadnet.VertexID(u))
+			var targets []roadnet.VertexID
+			for v := u + 1; v < n; v++ {
+				if layout.keep(v - u) {
+					targets = append(targets, roadnet.VertexID(v))
 				}
+			}
+			var a anchor
+			m.DistBatch(&a, roadnet.VertexID(u), targets, math.Inf(1), out[:len(targets)], &sc)
+			m.release(&a)
+			if tab := m.rows[u].tab.Load(); (tab.keys == nil) != layout.dense {
+				b.Fatalf("row %d dense %v, want %v", u, tab.keys == nil, layout.dense)
+			}
+		}
+		// 4096 probes per case, each a random row and a vertex above it.
+		rng := rand.New(rand.NewSource(3))
+		probes := func(hit bool) []memoProbe {
+			ps := make([]memoProbe, 4096)
+			for i := range ps {
+				u := rows[rng.Intn(len(rows))]
+				v := u + 1 + roadnet.VertexID(rng.Intn(n-1-int(u)))
+				for layout.keep(int(v-u)) != hit {
+					v = u + 1 + roadnet.VertexID(rng.Intn(n-1-int(u)))
+				}
+				r, key := m.rowKey(u, v)
+				if _, ok := r.lookup(key); ok != hit {
+					b.Fatalf("lookup {%d, %d}: hit %v", u, v, ok)
+				}
+				ps[i] = memoProbe{r, key}
+			}
+			return ps
+		}
+		for _, bc := range []struct {
+			name   string
+			probes []memoProbe
+		}{{"hit", probes(true)}, {"miss", probes(false)}} {
+			ps := bc.probes
+			b.Run(layout.name+"/"+bc.name+"/serial", func(b *testing.B) {
+				var sum float64
+				for i := 0; i < b.N; i++ {
+					p := ps[i&(len(ps)-1)]
+					d, _ := p.r.lookup(p.key)
+					sum += d
+				}
+				memoBenchSink = sum
 			})
-		})
+			b.Run(layout.name+"/"+bc.name+"/parallel", func(b *testing.B) {
+				b.RunParallel(func(pb *testing.PB) {
+					for i := 0; pb.Next(); i++ {
+						p := ps[i&(len(ps)-1)]
+						p.r.lookup(p.key)
+					}
+				})
+			})
+		}
 	}
+}
+
+// memoProbe is one pair BenchmarkMemoLookup reads.
+type memoProbe struct {
+	r   *memoRow
+	key uint32
 }
 
 var memoBenchSink float64

@@ -18,12 +18,19 @@ import (
 	"ptrider/internal/roadnet"
 )
 
-// memoMinSlots is the size of a row's first table, which a row gets
-// whenever it first needs one; memoMaxSlots is the slot count of all
-// tables together (24 MB at 12 bytes a slot) past which none grows.
+// memoMinSlots is the size of a row's first hashed table, which a row
+// gets whenever it first needs one; memoMaxBytes is what all tables
+// together may cost (2 Mi hashed slots) before none grows.
 const (
 	memoMinSlots = 8
-	memoMaxSlots = 2 << 20
+	memoMaxBytes = 24 << 20
+)
+
+// A hashed slot costs a uint32 key and a float64; a dense one only the
+// float64.
+const (
+	memoSlotBytes  = 12
+	memoDenseBytes = 8
 )
 
 // memoMetric is the kinetic.Metric shared by every kinetic tree and
@@ -32,14 +39,16 @@ const (
 // insertion enumeration), lower bounds from the grid index.
 //
 // The memo is one row per vertex: the pair {u, v}, u < v (road
-// distances here are symmetric), lives in row u, an open-addressed,
-// linearly probed table of 12-byte slots that grows by half at 7/8
-// load. Safe for concurrent use, and a read takes no lock: see
-// memoRow. Cache-missing exact computations draw a private Searcher
-// from a pool. Two goroutines racing on the same cold pair may both compute
-// it — both arrive at the same exact value, and the second store finds
-// the first; DistCalls then counts both, which matches its meaning of
-// "exact computations performed".
+// distances here are symmetric), lives in row u, in one of two layouts.
+// A row starts hashed, an open-addressed, linearly probed table of
+// 12-byte slots that grows by half at 7/8 load, and turns dense, one
+// 8-byte word per pair of its span, when the grown table would cost at
+// least as much: see layout. Safe for concurrent use, and a read takes
+// no lock: see memoRow. Cache-missing exact computations draw a private
+// Searcher from a pool. Two goroutines racing on the same cold pair may
+// both compute it — both arrive at the same exact value, and the second
+// store finds the first; DistCalls then counts both, which matches its
+// meaning of "exact computations performed".
 //
 // The memo may forget a pair (replacement, Reset); it never answers
 // with another pair's value.
@@ -48,10 +57,10 @@ type memoMetric struct {
 
 	searchers sync.Pool // *roadnet.Searcher
 	rows      []memoRow
-	// maxSlots is memoMaxSlots outside tests. Once the tables hold that
-	// many slots no row grows: a newcomer to a full row replaces the
-	// entry at its home slot.
-	maxSlots int64
+	// maxBytes is memoMaxBytes outside tests. Once the tables cost that
+	// much no row grows or turns dense: a newcomer to a full hashed row
+	// replaces the entry at its home slot.
+	maxBytes int64
 
 	// distCalls counts cache-missing exact computations, the "number of
 	// shortest path distance computations" metric of paper §3.3.
@@ -60,43 +69,72 @@ type memoMetric struct {
 	// behind the batch fills among distCalls.
 	settled atomic.Int64
 
-	// Occupancy and traffic, for /metrics. Writers keep entries, slots
-	// and replacements; DistBatch adds its target and miss counts once
-	// per call.
-	entries, slots, replacements atomic.Int64
-	batchLookups, batchMisses    atomic.Int64
+	// Occupancy and traffic, for /metrics. Writers keep entries, bytes,
+	// denseRows and replacements; DistBatch adds its target and miss
+	// counts once per call.
+	entries, bytes, denseRows, replacements atomic.Int64
+	batchLookups, batchMisses               atomic.Int64
 }
 
 // memoRow holds the cached pairs {u, v}, v > u, of one vertex u.
 //
-// Readers load tab and probe it with atomic loads, nothing else.
-// Writers serialise on mu. A fresh pair is published value first, key
-// second, into an empty slot, and a grown table by swapping tab, so a
-// racing reader sees the pair or misses it. Only replacement changes
+// Readers load tab and read it with atomic loads, nothing else.
+// Writers serialise on mu. A fresh pair is published into an empty
+// slot, hashed value first and key second, and a grown or dense table
+// by swapping tab, so a racing reader sees the pair or misses it. A
+// dense word changes only from empty to its pair's value, so a dense
+// read is one load. Only replacement, in a full hashed table, changes
 // an occupied slot: it makes seq odd, stores value and key, and makes
-// seq even again, and a reader that found its key reads again unless
-// seq was even and the same on both sides of its loads. Slots are
-// never emptied, so every probe chain stays intact.
+// seq even again, and a hashed reader that found its key reads again
+// unless seq was even and the same on both sides of its loads. Slots
+// are never emptied, so every probe chain stays intact.
 type memoRow struct {
 	tab atomic.Pointer[memoTable]
 	seq atomic.Uint32
-	n   uint32 // occupied slots of tab; guarded by mu
+	n   uint32 // pairs tab holds; guarded by mu
 	mu  sync.Mutex
 }
 
-// memoTable is its slots as two parallel arrays: probes walk the
-// compact key array and touch vals only on a hit. A key is v+1, 0
-// marking an empty slot; a value is the float64's bits.
+// memoTable is one row's table. Hashed, it is its slots as two
+// parallel arrays: probes walk the compact key array and touch vals
+// only on a hit. A key is v+1, 0 marking an empty slot; a value is the
+// float64's bits. Dense, keys is nil and vals has one word per pair of
+// the row: key k sits at vals[k-base] as the float64's bits inverted,
+// so 0 is empty (a distance is ≥ 0 or +Inf, its sign bit clear, so no
+// inverted distance is 0).
 type memoTable struct {
 	keys []atomic.Uint32
 	vals []atomic.Uint64
+	base uint32
 }
 
-func newMemoTable(slots int) *memoTable {
+// layout prices a table for row u, whose pairs {u, v} span v = u+1 …
+// u+span: hashed with the given slots, or dense when a word per pair
+// costs no more. The switch needs no setting: a row turns dense when
+// its next hashed table would cost at least its flat array.
+func layout(span, slots int) (bytes int64, dense bool) {
+	if memoDenseBytes*span <= memoSlotBytes*slots {
+		return memoDenseBytes * int64(span), true
+	}
+	return memoSlotBytes * int64(slots), false
+}
+
+func newMemoTable(u roadnet.VertexID, span, slots int) *memoTable {
+	if _, dense := layout(span, slots); dense {
+		return &memoTable{vals: make([]atomic.Uint64, span), base: uint32(u) + 2}
+	}
 	return &memoTable{
 		keys: make([]atomic.Uint32, slots),
 		vals: make([]atomic.Uint64, slots),
 	}
+}
+
+// bytes is what the table's slots cost.
+func (t *memoTable) bytes() int64 {
+	if t.keys == nil {
+		return memoDenseBytes * int64(len(t.vals))
+	}
+	return memoSlotBytes * int64(len(t.keys))
 }
 
 // home is the slot a key's probe chain starts at: a Fibonacci hash, so
@@ -106,8 +144,9 @@ func (t *memoTable) home(key uint32) uint32 {
 	return uint32(uint64(key*0x9e3779b1) * uint64(len(t.keys)) >> 32)
 }
 
-// find walks key's probe chain to the slot that holds it, or else to
-// the chain's first empty slot. Every table keeps an empty slot.
+// find walks key's probe chain in a hashed table to the slot that
+// holds it, or else to the chain's first empty slot. Every hashed table
+// keeps an empty slot.
 func (t *memoTable) find(key uint32) (i uint32, found bool) {
 	n := uint32(len(t.keys))
 	for i = t.home(key); ; {
@@ -123,10 +162,28 @@ func (t *memoTable) find(key uint32) (i uint32, found bool) {
 	}
 }
 
-// put publishes a pair into the empty slot i.
+// put publishes a pair into slot i of a hashed table.
 func (t *memoTable) put(i, key uint32, val uint64) {
 	t.vals[i].Store(val)
 	t.keys[i].Store(key)
+}
+
+// insert publishes a pair the table has room for, unless the table
+// holds its key already.
+func (t *memoTable) insert(key uint32, val uint64) bool {
+	if t.keys == nil {
+		w := &t.vals[key-t.base]
+		if w.Load() != 0 {
+			return false
+		}
+		w.Store(^val)
+		return true
+	}
+	i, found := t.find(key)
+	if !found {
+		t.put(i, key, val)
+	}
+	return !found
 }
 
 // rowKey names the row and key of the pair {u, v}.
@@ -140,11 +197,20 @@ func (m *memoMetric) rowKey(u, v roadnet.VertexID) (*memoRow, uint32) {
 // lookup is the memo's read path.
 func (r *memoRow) lookup(key uint32) (float64, bool) {
 	for {
-		seq := r.seq.Load()
 		t := r.tab.Load()
 		if t == nil {
 			return 0, false
 		}
+		if t.keys == nil {
+			// A key outside the row (LB(u, u) brings the diagonal's, u+1)
+			// wraps past the end: a miss.
+			if i := key - t.base; i < uint32(len(t.vals)) {
+				w := t.vals[i].Load()
+				return math.Float64frombits(^w), w != 0
+			}
+			return 0, false
+		}
+		seq := r.seq.Load()
 		i, found := t.find(key)
 		if !found {
 			return 0, false
@@ -156,24 +222,28 @@ func (r *memoRow) lookup(key uint32) (float64, bool) {
 	}
 }
 
-// store caches d for the pair (r, key).
-func (m *memoMetric) store(r *memoRow, key uint32, d float64) {
+// store caches d for the pair {u, v}.
+func (m *memoMetric) store(u, v roadnet.VertexID, d float64) {
+	if u > v {
+		u, v = v, u
+	}
+	r, key, span := &m.rows[u], uint32(v)+1, len(m.rows)-1-int(u)
 	val := math.Float64bits(d)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.tab.Load()
 	if t == nil {
-		t = newMemoTable(memoMinSlots)
-		m.slots.Add(memoMinSlots)
-		r.tab.Store(t)
-	}
-	i, found := t.find(key)
-	if found {
-		return // a racing goroutine computed the same pair first
-	}
-	if size := len(t.keys); int(r.n) >= size-size/8 {
-		if m.slots.Add(int64(size/2)) > m.maxSlots {
-			m.slots.Add(-int64(size / 2))
+		t = newMemoTable(u, span, memoMinSlots)
+		m.bytes.Add(t.bytes())
+		m.publish(r, t)
+	} else if size := len(t.keys); size > 0 && int(r.n) >= size-size/8 {
+		i, found := t.find(key)
+		if found {
+			return // a racing goroutine computed the same pair first
+		}
+		next, _ := layout(span, size+size/2)
+		if grow := next - t.bytes(); m.bytes.Add(grow) > m.maxBytes {
+			m.bytes.Add(-grow)
 			// An empty home slot is left empty: filling it would take
 			// the row past 7/8, and this pair is the one forgotten.
 			if home := t.home(key); i != home {
@@ -184,20 +254,28 @@ func (m *memoMetric) store(r *memoRow, key uint32, d float64) {
 			}
 			return
 		}
-		grown := newMemoTable(size + size/2)
+		grown := newMemoTable(u, span, size+size/2)
 		for j := range t.keys {
 			if k := t.keys[j].Load(); k != 0 {
-				to, _ := grown.find(k)
-				grown.put(to, k, t.vals[j].Load())
+				grown.insert(k, t.vals[j].Load())
 			}
 		}
-		r.tab.Store(grown)
+		m.publish(r, grown)
 		t = grown
-		i, _ = t.find(key)
 	}
-	t.put(i, key, val)
-	r.n++
-	m.entries.Add(1)
+	if t.insert(key, val) {
+		r.n++
+		m.entries.Add(1)
+	}
+}
+
+// publish swaps in row r's next table. A dense table never grows, so
+// one published is a row newly dense.
+func (m *memoMetric) publish(r *memoRow, t *memoTable) {
+	if t.keys == nil {
+		m.denseRows.Add(1)
+	}
+	r.tab.Store(t)
 }
 
 func newMemoMetric(grid *gridindex.Grid) *memoMetric {
@@ -205,7 +283,7 @@ func newMemoMetric(grid *gridindex.Grid) *memoMetric {
 	m := &memoMetric{
 		grid:     grid,
 		rows:     make([]memoRow, g.NumVertices()),
-		maxSlots: memoMaxSlots,
+		maxBytes: memoMaxBytes,
 	}
 	m.searchers.New = func() any { return roadnet.NewSearcher(g) }
 	return m
@@ -224,7 +302,7 @@ func (m *memoMetric) Dist(u, v roadnet.VertexID) float64 {
 	s := m.searchers.Get().(*roadnet.Searcher)
 	d := s.Dist(u, v)
 	m.searchers.Put(s)
-	m.store(r, key, d)
+	m.store(u, v, d)
 	return d
 }
 
@@ -283,8 +361,7 @@ func (m *memoMetric) batchStore(from roadnet.VertexID, maxDist float64, out []fl
 		if math.IsInf(d, 1) && !storeInf {
 			continue
 		}
-		r, key := m.rowKey(from, sc.missLoc[j])
-		m.store(r, key, d)
+		m.store(from, sc.missLoc[j], d)
 	}
 }
 
@@ -361,7 +438,10 @@ func (m *memoMetric) Reset() {
 		r.mu.Lock()
 		if t := r.tab.Load(); t != nil {
 			m.entries.Add(-int64(r.n))
-			m.slots.Add(-int64(len(t.keys)))
+			m.bytes.Add(-t.bytes())
+			if t.keys == nil {
+				m.denseRows.Add(-1)
+			}
 			r.tab.Store(nil)
 			r.n = 0
 		}

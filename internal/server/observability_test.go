@@ -111,6 +111,10 @@ func TestV1MetricsExposition(t *testing.T) {
 				`ptrider_http_requests_total{route="/v1/requests",method="POST",code="200"}`,
 				"ptrider_sse_dropped_total 0",
 				"ptrider_sse_subscribers 0",
+				// The process's Go runtime, once per process.
+				"# TYPE ptrider_go_heap_live_bytes gauge",
+				"# TYPE ptrider_go_goroutines gauge",
+				"# TYPE ptrider_go_gc_cycles_total counter",
 				// Submit-stage timings (quote recorded on every submit,
 				// probe/commit on the choice we just drove).
 				"# TYPE ptrider_submit_stage_duration_seconds histogram",
@@ -133,8 +137,9 @@ func TestV1MetricsExposition(t *testing.T) {
 				"ptrider_vehicles",
 				// Distance memo occupancy and batch-fill hit ratio.
 				"# TYPE ptrider_memo_entries gauge",
-				"# TYPE ptrider_memo_slots gauge",
-				"# TYPE ptrider_memo_capacity gauge",
+				"# TYPE ptrider_memo_bytes gauge",
+				"# TYPE ptrider_memo_capacity_bytes gauge",
+				"# TYPE ptrider_memo_dense_rows gauge",
 				"# TYPE ptrider_memo_batch_lookups_total counter",
 				"# TYPE ptrider_memo_batch_misses_total counter",
 				"# TYPE ptrider_memo_replacements_total counter",
@@ -145,6 +150,11 @@ func TestV1MetricsExposition(t *testing.T) {
 			} {
 				if !strings.Contains(body, want) {
 					t.Errorf("exposition misses %q", want)
+				}
+			}
+			for _, fam := range []string{"ptrider_go_heap_live_bytes", "ptrider_go_goroutines", "ptrider_go_gc_cycles_total"} {
+				if n := strings.Count(body, "\n"+fam+" "); n != 1 {
+					t.Errorf("%s: %d samples, want one per process", fam, n)
 				}
 			}
 			if b.numCities > 1 {

@@ -123,6 +123,7 @@ func NewServiceWithOptions(svc core.Service, opts Options) *Server {
 		s.reg.GaugeFunc("ptrider_sse_subscribers",
 			"Active /v1/events subscribers.",
 			func() float64 { return float64(s.hub.subscriberCount()) })
+		registerRuntime(s.reg)
 	}
 
 	// The /v1 resource surface.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ptrider/internal/gen"
@@ -228,10 +229,10 @@ func TestMemoDifferential(t *testing.T) {
 
 // TestMemoStress runs eight goroutines of reads and fills over a memo
 // with a test-sized cap, one of them resetting it now and then, so
-// first tables, growth, replacement and reset all overlap the
-// lock-free reads: whatever a reader is handed for {u, v} is that
-// pair's exact distance (in the direction it was first computed),
-// never a neighbour's. Run with -race.
+// first tables, growth, the swap to dense, replacement and reset all
+// overlap the lock-free reads: whatever a reader is handed for {u, v}
+// is that pair's exact distance (in the direction it was first
+// computed), never a neighbour's. Run with -race.
 func TestMemoStress(t *testing.T) {
 	m := newCityMemo(t, 12, 12)
 	m.maxBytes = 2048 * memoSlotBytes
@@ -245,6 +246,7 @@ func TestMemoStress(t *testing.T) {
 		ops = 4000
 	}
 	var wg sync.WaitGroup
+	var sawDense atomic.Bool
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -255,6 +257,9 @@ func TestMemoStress(t *testing.T) {
 			out := make([]float64, len(targets))
 			for i := 0; i < ops; i++ {
 				if seed == 0 && i%4000 == 3999 {
+					if m.denseRows.Load() > 0 {
+						sawDense.Store(true)
+					}
 					m.Reset()
 				}
 				u, v := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))
@@ -290,6 +295,9 @@ func TestMemoStress(t *testing.T) {
 	checkMemo(t, m)
 	if m.replacements.Load() == 0 {
 		t.Fatal("the cap was never reached: no replacement ran")
+	}
+	if m.denseRows.Load() == 0 && !sawDense.Load() {
+		t.Fatal("no row turned dense")
 	}
 }
 
@@ -470,8 +478,9 @@ func fuzzMemoDist(u, v roadnet.VertexID) float64 {
 // must never lie": a hit is that pair's value and a pair that was
 // stored since the last reset; a store forgets at most the one pair it
 // replaces, and nothing at all while its row may still grow or turn
-// dense; a lookup of the diagonal, which LB makes, misses; the
-// structure's invariants hold after every step. Three bytes an op:
+// dense; only a row's first table may take the tables past the cap; a
+// lookup of the diagonal, which LB makes, misses; the structure's
+// invariants hold after every step. Three bytes an op:
 // kind, u, v.
 func FuzzMemo(f *testing.F) {
 	grid := cityGrid(f, 4, fuzzMemoVertices/4)
@@ -522,11 +531,15 @@ func FuzzMemo(f *testing.F) {
 					next := min(memoSlotBytes*int64(size+size/2), memoDenseBytes*int64(fuzzMemoVertices-1-u))
 					mayRefuse = int(r.n) >= size-size/8 && m.bytes.Load()+next-tab.bytes() > m.maxBytes
 				}
-				before := found()
+				before, bytes, tabled := found(), m.bytes.Load(), r.tab.Load() != nil
 				m.store(u, v, fuzzMemoDist(u, v))
 				stored[pair{u, v}] = true
 				if after := found(); after < before {
 					t.Fatalf("store {%d, %d} forgot %d pairs", u, v, before-after)
+				}
+				// Only a row's first table may take the memo past its cap.
+				if b := m.bytes.Load(); tabled && b != bytes && b > m.maxBytes {
+					t.Fatalf("store {%d, %d} grew the tables %d → %d B, past the %d B cap", u, v, bytes, b, m.maxBytes)
 				}
 				if _, ok := r.lookup(key); !ok && !mayRefuse {
 					t.Fatalf("store {%d, %d} below the cap did not keep the pair", u, v)

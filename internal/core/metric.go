@@ -20,7 +20,8 @@ import (
 
 // memoMinSlots is the size of a row's first hashed table, which a row
 // gets whenever it first needs one; memoMaxBytes is what all tables
-// together may cost (2 Mi hashed slots) before none grows.
+// together may cost (2 Mi hashed slots) before no row grows or turns
+// dense.
 const (
 	memoMinSlots = 8
 	memoMaxBytes = 24 << 20
@@ -108,7 +109,7 @@ type memoTable struct {
 	base uint32
 }
 
-// layout prices a table for row u, whose pairs {u, v} span v = u+1 …
+// layout prices a table for a row whose pairs {u, v} span v = u+1 …
 // u+span: hashed with the given slots, or dense when a word per pair
 // costs no more. The switch needs no setting: a row turns dense when
 // its next hashed table would cost at least its flat array.

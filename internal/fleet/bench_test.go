@@ -38,7 +38,7 @@ func (m *lockedMetric) LB(u, v roadnet.VertexID) float64 { return m.grid.LB(u, v
 // given shard width (the GOMAXPROCS it is built at) and commits one
 // request onto every 5th vehicle so the step mixes schedule-driven
 // driving (with pickup/dropoff events) into the roaming baseline.
-func benchFleet(b *testing.B, nv, workers int) *fleet.Fleet {
+func benchFleet(b testing.TB, nv, workers int) *fleet.Fleet {
 	b.Helper()
 	rng := rand.New(rand.NewSource(9))
 	g := testnet.Lattice(rng, 48, 48, 100)
@@ -81,6 +81,31 @@ func benchFleet(b *testing.B, nv, workers int) *fleet.Fleet {
 		}
 	}
 	return fl
+}
+
+// TestStepAllocCeiling pins the allocations of one step of a loaded
+// 1,000-vehicle fleet at the serial width: routes are planned once per
+// leg and registrations reuse the vehicle's buffers, so most of what is
+// left is the lists' own bookkeeping per placement, a path search's
+// result per replanned leg and the step's events. Steps 6–55 read 175
+// allocs each (180 under -race, whose sync.Pool drops some puts); a
+// search per vertex and a fresh cells slice per registration read 1,042.
+func TestStepAllocCeiling(t *testing.T) {
+	const ceiling = 200
+	fl := benchFleet(t, 1000, 1)
+	step := func() {
+		if _, err := fl.Step(100); err != nil {
+			t.Fatalf("step: %v", err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		step() // the first steps size the pooled per-step buffers
+	}
+	n := testing.AllocsPerRun(50, step)
+	t.Logf("%.1f allocs per step", n)
+	if n > ceiling {
+		t.Fatalf("%.1f allocs per step, ceiling %d", n, ceiling)
+	}
 }
 
 // BenchmarkFleetTickParallel measures the sharded fleet step across

@@ -19,7 +19,8 @@
 //
 // Movement model: a vehicle is always driving toward (or standing at)
 // its tree root vertex, with RemainToRoot metres left on the current
-// edge. Once an edge is entered it is always completed; plans change
+// edge, along the route it planned to its next stop with one search per
+// leg. Once an edge is entered it is always completed; plans change
 // only at vertices. The odometer stored in the kinetic tree is the
 // reading at arrival at the root vertex, so every budget the tree
 // checks is consistent with the distance actually driven.
@@ -36,10 +37,10 @@
 //     and mutated fully in parallel.
 //   - The vehicles slice and the active count sit behind a fleet-level
 //     RWMutex taken only on AddVehicle/RemoveVehicle and snapshots.
-//   - Shortest-path searchers for grid registration and drive planning
-//     come from a pool (one per concurrent caller); the path-cell
-//     cache is internally striped (the distance-memo pattern), so
-//     concurrent commits no longer serialise on a single path lock.
+//   - Shortest-path searchers for route and leg planning come from a
+//     pool (one per concurrent caller); the planned route and leg cells
+//     are the vehicle's own state under its mutex, so concurrent commits
+//     on distinct vehicles share no path lock or cache.
 //   - Each vehicle owns its roaming RNG (guarded by the vehicle's own
 //     mutex), deterministically seeded from the fleet seed and the
 //     vehicle id — so a vehicle's roaming draws depend only on its own
@@ -48,11 +49,10 @@
 //     bit-identical to the serial one at every shard width.
 //   - The grid vehicle lists are internally synchronised.
 //
-// Lock order: Vehicle.mu → (pathCellCache stripes | lists). Fleet-level and
-// vehicle-level locks are never held together except the read lock
-// during snapshots. Exported Vehicle accessors acquire the vehicle
-// lock; fleet internals that already hold it use the unexported
-// *Locked variants.
+// Lock order: Vehicle.mu → lists. Fleet-level and vehicle-level locks
+// are never held together except the read lock during snapshots.
+// Exported Vehicle accessors acquire the vehicle lock; fleet internals
+// that already hold it use the unexported *Locked variants.
 //
 // # Sharded time advancement
 //
@@ -72,6 +72,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,16 +116,17 @@ type Event struct {
 type Vehicle struct {
 	ID VehicleID
 
-	// mu guards Tree, remainToRoot and removed. Exported methods
-	// acquire it; code that already holds it uses the tree directly.
+	// mu guards Tree and every field below. Exported methods acquire
+	// it; code that already holds it uses the tree directly.
 	mu   sync.Mutex
 	Tree *kinetic.Tree
 
 	// remainToRoot is the distance left on the current edge before the
 	// vehicle reaches its tree root vertex; zero when standing there.
 	remainToRoot float64
-	// removed marks vehicles taken out of service.
-	removed bool
+	// removed marks vehicles taken out of service; staged, that pending
+	// holds a registration to place.
+	removed, staged bool
 
 	// roam drives this vehicle's empty roaming. It is seeded
 	// deterministically from the fleet seed and the vehicle id, so the
@@ -137,19 +139,34 @@ type Vehicle struct {
 
 	// pending is the registration the vehicle's last step computed,
 	// which Step places once every shard has finished unless one made in
-	// between (a commit) superseded it. Guarded by mu.
-	pending *registration
-	// locs is registrationLocked's reused location buffer. Guarded by mu.
-	locs []roadnet.VertexID
+	// between (a commit) superseded it.
+	pending registration
+
+	// route is the path to the next stop, from the tree root to
+	// BestStop(0).Loc, and legs the cells of the later legs keyed by
+	// their stops: one search per leg, derived from the tree and never
+	// journaled, so a restored vehicle plans on first use. locs and
+	// cells are registrationLocked's buffers; cells holds a non-empty
+	// vehicle's registration.
+	route []roadnet.VertexID
+	legs  []leg
+	locs  []roadnet.VertexID
+	cells []gridindex.CellID
+}
+
+// leg holds the cells along the shortest path between two consecutive
+// stops of the driven branch.
+type leg struct {
+	from, to roadnet.VertexID
+	cells    []gridindex.CellID
 }
 
 // registration is a vehicle's entry in the grid's vehicle lists: the
-// cell an empty vehicle stands in, or the cells a non-empty vehicle's
-// schedules touch.
+// cell an empty vehicle stands in, or, for a non-empty one, the cells
+// its schedules touch, which are in Vehicle.cells.
 type registration struct {
 	empty bool
 	cell  gridindex.CellID
-	cells []gridindex.CellID
 }
 
 // Loc returns the vertex the vehicle is at or driving toward — the
@@ -270,13 +287,10 @@ type Fleet struct {
 	stepStatsMu sync.Mutex
 	lastStep    StepStats
 
-	// searchers pools private shortest-path searchers for schedule
-	// registration and drive planning; pathCells is internally striped.
-	// Neither serialises concurrent commits (the old single pathMu
-	// did), so commits on distinct vehicles proceed fully in parallel.
+	// searchers pools private shortest-path searchers for route and leg
+	// planning, so commits on distinct vehicles plan in parallel.
 	searchers   sync.Pool // *roadnet.Searcher
 	stepScratch sync.Pool // *stepScratch
-	pathCells   *pathCellCache
 
 	// Commit-protocol effectiveness counters (see CommitStats): how
 	// often the validate-then-commit found the quoted candidate stale,
@@ -335,7 +349,6 @@ func New(grid *gridindex.Grid, lists *gridindex.VehicleLists, metric kinetic.Met
 		workers:   runtime.GOMAXPROCS(0),
 		shardHist: cfg.ShardHist,
 		seed:      cfg.Seed,
-		pathCells: newPathCellCache(1 << 16),
 	}
 	f.searchers.New = func() any { return roadnet.NewSearcher(grid.Graph()) }
 	f.stepScratch.New = func() any { return new(stepScratch) }
@@ -595,64 +608,118 @@ func (f *Fleet) registerLocked(v *Vehicle) {
 	if v.removed {
 		return
 	}
-	v.pending = nil
-	f.place(v.ID, f.registrationLocked(v))
+	v.staged = false
+	f.place(v, f.registrationLocked(v))
 }
 
 // registrationLocked computes the vehicle's list entry from its tree.
 // The caller holds v.mu.
 func (f *Fleet) registrationLocked(v *Vehicle) registration {
 	if v.Tree.Empty() {
+		v.route = nil
 		return registration{empty: true, cell: f.grid.CellOf(v.Tree.Root())}
 	}
-	cells := make([]gridindex.CellID, 0, 8)
+	cells := v.cells[:0]
 	v.locs = v.Tree.AppendLocations(v.locs[:0])
 	for _, loc := range v.locs {
 		cells = append(cells, f.grid.CellOf(loc))
 	}
 	// Cells along the driven branch's legs, so ring search discovers the
-	// vehicle as early as the paper's all-edge registration would.
+	// vehicle as early as the paper's all-edge registration would: leg 0
+	// is the rest of the route, the later legs come from v.legs.
 	prev := v.Tree.Root()
 	for j := 0; ; j++ {
 		p, ok := v.Tree.BestStop(j)
 		if !ok {
+			v.legs = v.legs[:max(j-1, 0)]
 			break
 		}
-		cells = append(cells, f.cellsAlong(prev, p.Loc)...)
+		if j == 0 {
+			cells = f.appendPathCells(cells, f.routeLocked(v, p.Loc))
+		} else {
+			cells = append(cells, f.legCellsLocked(v, j-1, prev, p.Loc)...)
+		}
 		prev = p.Loc
 	}
-	return registration{cells: cells}
+	v.cells = cells
+	return registration{}
 }
 
-func (f *Fleet) place(id VehicleID, r registration) {
+// routeLocked returns the vehicle's route to target, nil if target is
+// unreachable, searching only when the kept one does not run from the
+// tree root to target: the rest of a shortest path is the shortest path
+// from where it has reached. The caller holds v.mu.
+func (f *Fleet) routeLocked(v *Vehicle, target roadnet.VertexID) []roadnet.VertexID {
+	if r := v.route; len(r) == 0 || r[0] != v.Tree.Root() || r[len(r)-1] != target {
+		v.route = f.path(v.Tree.Root(), target)
+	}
+	return v.route
+}
+
+// legCellsLocked returns the cells of later leg i, from → to, leaving
+// them in v.legs[i]. Slots from i on hold the legs this registration has
+// not claimed yet: the one keyed (from, to) is swapped into slot i, and
+// only a leg none holds is searched, into a spare slot's buffer. The
+// caller holds v.mu.
+func (f *Fleet) legCellsLocked(v *Vehicle, i int, from, to roadnet.VertexID) []gridindex.CellID {
+	k := i
+	for k < len(v.legs) && (v.legs[k].from != from || v.legs[k].to != to) {
+		k++
+	}
+	if k == len(v.legs) {
+		v.legs = slices.Grow(v.legs, 1)[:k+1] // a spare slot keeps its buffer
+		l := &v.legs[k]
+		l.from, l.to = from, to
+		l.cells = f.appendPathCells(l.cells[:0], f.path(from, to))
+	}
+	v.legs[i], v.legs[k] = v.legs[k], v.legs[i]
+	return v.legs[i].cells
+}
+
+// path returns the shortest path from u to v on a pooled searcher, nil
+// when v is unreachable.
+func (f *Fleet) path(u, v roadnet.VertexID) []roadnet.VertexID {
+	s := f.searchers.Get().(*roadnet.Searcher)
+	p, _ := s.Path(u, v)
+	f.searchers.Put(s)
+	return p
+}
+
+// appendPathCells appends the grid cells path passes through, one per
+// run of consecutive vertices in the same cell.
+func (f *Fleet) appendPathCells(dst []gridindex.CellID, path []roadnet.VertexID) []gridindex.CellID {
+	last := gridindex.NoCell
+	for _, x := range path {
+		if c := f.grid.CellOf(x); c != last {
+			dst = append(dst, c)
+			last = c
+		}
+	}
+	return dst
+}
+
+func (f *Fleet) place(v *Vehicle, r registration) {
 	if r.empty {
-		f.lists.PlaceEmpty(id, r.cell)
+		f.lists.PlaceEmpty(v.ID, r.cell)
 		return
 	}
-	f.lists.PlaceNonEmpty(id, r.cells)
+	f.lists.PlaceNonEmpty(v.ID, v.cells)
 }
 
 // stageLocked computes the vehicle's registration for its step's
 // caller to place. The caller holds v.mu.
 func (f *Fleet) stageLocked(v *Vehicle) {
-	r := f.registrationLocked(v)
-	v.pending = &r
+	v.pending, v.staged = f.registrationLocked(v), true
 }
 
 // placePending enters the registration v's last step left behind.
 func (f *Fleet) placePending(v *Vehicle) {
 	v.mu.Lock()
-	if v.pending != nil && !v.removed {
-		f.place(v.ID, *v.pending)
+	if v.staged && !v.removed {
+		f.place(v, v.pending)
 	}
-	v.pending = nil
+	v.staged = false
 	v.mu.Unlock()
-}
-
-// cellsAlong returns the grid cells touched by the shortest path
-// between two vertices, via the striped memoising cache.
-func (f *Fleet) cellsAlong(u, v roadnet.VertexID) []gridindex.CellID {
-	return f.pathCells.get(f, u, v)
 }
 
 // StepStats describes the most recent Step's sharded execution — the
@@ -866,7 +933,7 @@ func (f *Fleet) stepVehicle(v *Vehicle, budget float64) (events []Event, moved b
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	events, err = f.driveLocked(v, budget)
-	return events, v.pending != nil, err
+	return events, v.staged, err
 }
 
 // driveLocked is stepVehicle's serve/drive loop. The caller holds v.mu.
@@ -948,23 +1015,22 @@ func (f *Fleet) serveHereLocked(v *Vehicle) (bool, []Event, error) {
 	return served, events, nil
 }
 
-// driveTowardLocked enters the first edge of the shortest path from the
-// vehicle's vertex to target. The caller holds v.mu.
+// driveTowardLocked enters the first edge of the vehicle's route to
+// target and drops it from the route. The caller holds v.mu.
 func (f *Fleet) driveTowardLocked(v *Vehicle, target roadnet.VertexID) error {
 	if target == v.Tree.Root() {
 		return fmt.Errorf("fleet: vehicle %d asked to drive to its own location", v.ID)
 	}
-	s := f.searchers.Get().(*roadnet.Searcher)
-	path, _ := s.Path(v.Tree.Root(), target)
-	f.searchers.Put(s)
-	if path == nil {
+	route := f.routeLocked(v, target)
+	if route == nil {
 		return fmt.Errorf("fleet: no path from %d to %d", v.Tree.Root(), target)
 	}
-	w, ok := f.g.EdgeWeight(path[0], path[1])
+	w, ok := f.g.EdgeWeight(route[0], route[1])
 	if !ok {
-		return fmt.Errorf("fleet: path step %d→%d is not an edge", path[0], path[1])
+		return fmt.Errorf("fleet: path step %d→%d is not an edge", route[0], route[1])
 	}
-	f.enterEdgeLocked(v, path[1], w)
+	v.route = route[1:]
+	f.enterEdgeLocked(v, route[1], w)
 	return nil
 }
 
@@ -1000,72 +1066,4 @@ func (f *Fleet) enterEdgeLocked(v *Vehicle, head roadnet.VertexID, weight float6
 	if f.grid.CellOf(head) != fromCell {
 		f.stageLocked(v) // crossed a cell boundary: refresh lists
 	}
-}
-
-// pathCellStripes is the stripe count of the path-cell cache. Commits
-// from many vehicles register schedules at once; 16 RWMutex-guarded
-// stripes follow the distance memo's pattern and keep the cache off the
-// commit path's critical section.
-const pathCellStripes = 16
-
-// pathCellCache memoises the grid cells touched by the shortest path
-// between two vertices, striped by vertex pair so concurrent schedule
-// registrations do not serialise. Each stripe is bounded: wholesale
-// per-stripe reset once full. Cache-missing
-// path computations run outside any stripe lock on a pooled searcher;
-// two goroutines racing on the same cold pair both compute the same
-// cells, so the second store is idempotent.
-type pathCellCache struct {
-	maxPerStripe int
-	stripes      [pathCellStripes]pathCellStripe
-}
-
-type pathCellStripe struct {
-	mu    sync.RWMutex
-	cells map[[2]roadnet.VertexID][]gridindex.CellID
-}
-
-func newPathCellCache(max int) *pathCellCache {
-	c := &pathCellCache{maxPerStripe: max / pathCellStripes}
-	if c.maxPerStripe < 1 {
-		c.maxPerStripe = 1
-	}
-	for i := range c.stripes {
-		c.stripes[i].cells = make(map[[2]roadnet.VertexID][]gridindex.CellID, 1<<6)
-	}
-	return c
-}
-
-func (c *pathCellCache) stripe(u, v roadnet.VertexID) *pathCellStripe {
-	h := uint64(uint32(u))*0x9e3779b1 ^ uint64(uint32(v))*0x85ebca77
-	return &c.stripes[h%pathCellStripes]
-}
-
-func (c *pathCellCache) get(f *Fleet, u, v roadnet.VertexID) []gridindex.CellID {
-	key := [2]roadnet.VertexID{u, v}
-	st := c.stripe(u, v)
-	st.mu.RLock()
-	cs, ok := st.cells[key]
-	st.mu.RUnlock()
-	if ok {
-		return cs
-	}
-	s := f.searchers.Get().(*roadnet.Searcher)
-	path, _ := s.Path(u, v)
-	f.searchers.Put(s)
-	var out []gridindex.CellID
-	var last gridindex.CellID = gridindex.NoCell
-	for _, x := range path {
-		if cl := f.grid.CellOf(x); cl != last {
-			out = append(out, cl)
-			last = cl
-		}
-	}
-	st.mu.Lock()
-	if len(st.cells) >= c.maxPerStripe {
-		st.cells = make(map[[2]roadnet.VertexID][]gridindex.CellID, 1<<6)
-	}
-	st.cells[key] = out
-	st.mu.Unlock()
-	return out
 }

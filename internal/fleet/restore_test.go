@@ -78,6 +78,10 @@ func TestVehicleFootprint(t *testing.T) {
 	w := newWorld(t, 3, 4)
 	nvert := w.g.NumVertices()
 	var before, after runtime.MemStats
+	// Two collections: an earlier test's fleet stays reachable through
+	// its sync.Pools until the second, and would be freed inside the
+	// measurement.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < nv; i++ {

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -88,7 +89,9 @@ func benchFleet(b testing.TB, nv, workers int) *fleet.Fleet {
 // leg and registrations reuse the vehicle's buffers, so most of what is
 // left is the lists' own bookkeeping per placement, a path search's
 // result per replanned leg and the step's events. Steps 6–55 read 175
-// allocs each (180 under -race, whose sync.Pool drops some puts); a
+// allocs each; under -race they read ~180, because the race detector
+// makes the fleet's own sync.Pools drop some puts (the kinetic
+// workspaces sit on a channel free list, which keeps every one). A
 // search per vertex and a fresh cells slice per registration read 1,042.
 func TestStepAllocCeiling(t *testing.T) {
 	const ceiling = 200
@@ -105,6 +108,51 @@ func TestStepAllocCeiling(t *testing.T) {
 	t.Logf("%.1f allocs per step", n)
 	if n > ceiling {
 		t.Fatalf("%.1f allocs per step, ceiling %d", n, ceiling)
+	}
+}
+
+// TestLoadedVehicleFootprint pins the heap cost of a vehicle in a
+// loaded fleet: benchFleet's 1,000 vehicles (a request on every 5th),
+// each quoted once and the fleet then stepped, less the same city with
+// no vehicles, per vehicle, live after GCs. While each kinetic tree kept
+// its own enumeration workspace, which the quote sized, this read
+// 1,390 B; with one pooled workspace per running walk it reads ~685 B
+// (the city itself is ~344 KB).
+func TestLoadedVehicleFootprint(t *testing.T) {
+	const nv, ceiling = 1000, 768
+	live := func() int64 {
+		// Two collections: what the fleet's sync.Pools hold survives
+		// the first one.
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := live()
+	city := benchFleet(t, 0, 1)
+	cityBytes := live() - base
+	runtime.KeepAlive(city)
+
+	base = live()
+	fl := benchFleet(t, nv, 1)
+	// Budgets every vehicle can meet, so each one runs a full quote walk.
+	req := kinetic.Request{ID: 1 << 40, S: 100, D: 2000, Riders: 1, SD: 1, ServiceLimit: 1e9, WaitBudget: 1e9}
+	var cands []kinetic.PackedCandidate
+	var pts []kinetic.Point
+	fl.Vehicles(func(v *fleet.Vehicle) {
+		cands, pts = v.QuotePacked(req, cands[:0], pts[:0], nil)
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := fl.Step(100); err != nil {
+			t.Fatalf("step: %v", err)
+		}
+	}
+	per := (live() - base - cityBytes) / nv
+	runtime.KeepAlive(fl)
+	t.Logf("%d B per loaded vehicle (city %d B)", per, cityBytes)
+	if per > ceiling {
+		t.Fatalf("%d B per loaded vehicle, ceiling %d", per, ceiling)
 	}
 }
 

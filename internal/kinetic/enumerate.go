@@ -3,6 +3,7 @@ package kinetic
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"ptrider/internal/roadnet"
 	"ptrider/internal/skyline"
@@ -17,11 +18,19 @@ const budgetEps = 1e-6
 // are carried as permutation words of 4-bit point indices.
 const maxEnumPoints = 16
 
-// dfsScratch is the tree-owned workspace of the enumeration, reused by
-// every rebuild and quote (both run under the vehicle's lock, and a
-// quote refreshes the tree before it loads its own point set, so one
-// workspace per tree suffices).
-type dfsScratch struct {
+// workspace holds everything one walk writes: the point and request
+// sets being ordered, their lazy distance matrix, the partial schedule
+// and, during a quote, the uncommitted request and the candidate
+// skyline. A tree owns none. Each walk — rebuild, quotePacked and the
+// Branches and TrieRoot views — takes one with acquireWorkspace on
+// entry and hands it back with release on exit, so a fleet holds as
+// many workspaces as it has walks in progress, not one per vehicle.
+type workspace struct {
+	// What load copies from the tree: the walk reads nothing else of it.
+	metric   Metric
+	capacity int
+	odo      float64
+
 	// The point and request sets being ordered: the committed ones,
 	// plus the quoted request's pair during a quote.
 	pts    []Point
@@ -36,87 +45,126 @@ type dfsScratch struct {
 	pickDist []float64                  // per request: dist_tr at its in-sequence pickup
 	picked   []bool                     // per request: pickup placed in current prefix
 	distTr   [maxEnumPoints + 1]float64 // dist_tr after each placed stop; [0] is the root's 0
+
+	// Quote state. The skyline holds candidate schedules as permutation
+	// words, so inserting (and evicting) one never allocates; callers
+	// materialise []Point sequences for survivors only.
+	quoted reqState
+	sky    skyline.Skyline[uint64]
+}
+
+// freeWorkspaces is the bounded free list of idle workspaces. A walk is
+// CPU work that holds its workspace from start to end without waiting
+// on I/O, so about GOMAXPROCS walks are in progress at once. The list
+// holds twice that, leaving room for walks descheduled midway or held
+// up on a distance-memo lock, so a steady load allocates none; a
+// release that finds the list full drops its workspace. A channel, not
+// a sync.Pool: under the race detector a pool drops puts at random,
+// which breaks the zero-allocation contracts there.
+var freeWorkspaces = make(chan *workspace, 2*runtime.GOMAXPROCS(0))
+
+// acquireWorkspace returns an idle workspace, or a fresh one when none
+// is parked.
+func acquireWorkspace() *workspace {
+	select {
+	case ws := <-freeWorkspaces:
+		return ws
+	default:
+		return new(workspace)
+	}
+}
+
+// release parks ws for the next walk, or drops it when the list is
+// full. It first clears every pointer the walk left behind — the metric
+// and the request pointers, past the current length too — so a parked
+// workspace keeps no vehicle's requests alive.
+func (ws *workspace) release() {
+	ws.metric = nil
+	clear(ws.reqs[:cap(ws.reqs)])
+	ws.reqs = ws.reqs[:0]
+	select {
+	case freeWorkspaces <- ws:
+	default:
+	}
 }
 
 // load fills the workspace with the tree's committed points and
 // requests — followed by quoted and its pickup/dropoff pair when
 // non-nil — and clears the distance matrix.
-func (sc *dfsScratch) load(t *Tree, quoted *reqState) {
-	sc.pts = append(sc.pts[:0], t.pts...)
-	sc.reqIdx = append(sc.reqIdx[:0], t.reqIdx...)
-	sc.reqs = append(sc.reqs[:0], t.reqs...)
+func (ws *workspace) load(t *Tree, quoted *reqState) {
+	ws.metric, ws.capacity, ws.odo = t.metric, t.capacity, t.odo
+	ws.pts = append(ws.pts[:0], t.pts...)
+	ws.reqIdx = append(ws.reqIdx[:0], t.reqIdx...)
+	ws.reqs = append(ws.reqs[:0], t.reqs...)
 	if quoted != nil {
-		ri := len(sc.reqs)
-		sc.reqs = append(sc.reqs, quoted)
-		sc.pts = append(sc.pts,
+		ri := len(ws.reqs)
+		ws.reqs = append(ws.reqs, quoted)
+		ws.pts = append(ws.pts,
 			Point{Loc: quoted.S, Kind: Pickup, Req: quoted.ID},
 			Point{Loc: quoted.D, Kind: Dropoff, Req: quoted.ID},
 		)
-		sc.reqIdx = append(sc.reqIdx, ri, ri)
+		ws.reqIdx = append(ws.reqIdx, ri, ri)
 	}
 
-	sc.n = len(sc.pts) + 1
-	sc.locs = append(sc.locs[:0], t.rootLoc)
-	for _, p := range sc.pts {
-		sc.locs = append(sc.locs, p.Loc)
+	ws.n = len(ws.pts) + 1
+	ws.locs = append(ws.locs[:0], t.rootLoc)
+	for _, p := range ws.pts {
+		ws.locs = append(ws.locs, p.Loc)
 	}
-	need := sc.n * sc.n
-	if cap(sc.exact) < need {
-		sc.exact = make([]float64, need)
+	need := ws.n * ws.n
+	if cap(ws.exact) < need {
+		ws.exact = make([]float64, need)
 	}
-	sc.exact = sc.exact[:need]
-	for i := range sc.exact {
-		sc.exact[i] = math.NaN()
+	ws.exact = ws.exact[:need]
+	for i := range ws.exact {
+		ws.exact[i] = math.NaN()
 	}
-	nReqs := len(sc.reqs)
-	if cap(sc.pickDist) < nReqs {
-		sc.pickDist = make([]float64, nReqs)
-		sc.picked = make([]bool, nReqs)
+	nReqs := len(ws.reqs)
+	if cap(ws.pickDist) < nReqs {
+		ws.pickDist = make([]float64, nReqs)
+		ws.picked = make([]bool, nReqs)
 	}
-	sc.pickDist = sc.pickDist[:nReqs]
-	sc.picked = sc.picked[:nReqs]
-	for i := range sc.picked {
-		sc.picked[i] = false
+	ws.pickDist = ws.pickDist[:nReqs]
+	ws.picked = ws.picked[:nReqs]
+	for i := range ws.picked {
+		ws.picked[i] = false
 	}
 }
 
-func (t *Tree) exactDist(i, j int) float64 {
-	sc := &t.sc
-	d := sc.exact[i*sc.n+j]
+func (ws *workspace) exactDist(i, j int) float64 {
+	d := ws.exact[i*ws.n+j]
 	if !math.IsNaN(d) {
 		return d
 	}
-	d = t.metric.Dist(sc.locs[i], sc.locs[j])
-	sc.exact[i*sc.n+j] = d
+	d = ws.metric.Dist(ws.locs[i], ws.locs[j])
+	ws.exact[i*ws.n+j] = d
 	return d
 }
 
-func (t *Tree) lbDist(i, j int) float64 {
-	sc := &t.sc
+func (ws *workspace) lbDist(i, j int) float64 {
 	// A previously computed exact value is its own best lower bound.
-	if d := sc.exact[i*sc.n+j]; !math.IsNaN(d) {
+	if d := ws.exact[i*ws.n+j]; !math.IsNaN(d) {
 		return d
 	}
-	return t.metric.LB(sc.locs[i], sc.locs[j])
+	return ws.metric.LB(ws.locs[i], ws.locs[j])
 }
 
 // stepBudget returns the odometer-relative distance budget for placing
 // point pi of the workspace next in the current partial schedule, or
 // ok=false when it cannot be placed at all.
-func (t *Tree) stepBudget(pi int) (budget float64, ok bool) {
-	sc := &t.sc
-	ri := sc.reqIdx[pi]
-	r := sc.reqs[ri]
-	if sc.pts[pi].Kind == Pickup {
-		return r.pickupDeadline - t.odo, true
+func (ws *workspace) stepBudget(pi int) (budget float64, ok bool) {
+	ri := ws.reqIdx[pi]
+	r := ws.reqs[ri]
+	if ws.pts[pi].Kind == Pickup {
+		return r.pickupDeadline - ws.odo, true
 	}
 	if r.onboard {
-		return r.dropoffDeadline - t.odo, true
+		return r.dropoffDeadline - ws.odo, true
 	}
-	if !sc.picked[ri] {
+	if !ws.picked[ri] {
 		return 0, false // dropoff cannot precede its pickup
 	}
-	return sc.pickDist[ri] + r.ServiceLimit, true
+	return ws.pickDist[ri] + r.ServiceLimit, true
 }
 
 // walk is the enumeration: it extends the current partial schedule —
@@ -126,29 +174,28 @@ func (t *Tree) stepBudget(pi int) (budget float64, ok bool) {
 // order, and hands each complete valid schedule to leaf with its total
 // distance. It allocates nothing. While leaf runs, the workspace's
 // distTr[1..] and pickDist describe the completed schedule.
-func (t *Tree) walk(used, cur, occ int, perm uint64, depth uint, leaf func(perm uint64, total float64)) {
-	sc := &t.sc
-	curDist := sc.distTr[depth]
-	full := 1<<len(sc.pts) - 1
-	for pi, p := range sc.pts {
+func (ws *workspace) walk(used, cur, occ int, perm uint64, depth uint, leaf func(perm uint64, total float64)) {
+	curDist := ws.distTr[depth]
+	full := 1<<len(ws.pts) - 1
+	for pi, p := range ws.pts {
 		bit := 1 << pi
 		if used&bit != 0 {
 			continue
 		}
-		ri := sc.reqIdx[pi]
-		r := sc.reqs[ri]
-		budget, ok := t.stepBudget(pi)
+		ri := ws.reqIdx[pi]
+		r := ws.reqs[ri]
+		budget, ok := ws.stepBudget(pi)
 		if !ok {
 			continue
 		}
-		if p.Kind == Pickup && occ+r.Riders > t.capacity {
+		if p.Kind == Pickup && occ+r.Riders > ws.capacity {
 			continue
 		}
 		// Lower-bound prune before the exact distance (paper §3.3).
-		if curDist+t.lbDist(cur, pi+1) > budget+budgetEps {
+		if curDist+ws.lbDist(cur, pi+1) > budget+budgetEps {
 			continue
 		}
-		nd := curDist + t.exactDist(cur, pi+1)
+		nd := curDist + ws.exactDist(cur, pi+1)
 		if nd > budget+budgetEps {
 			continue
 		}
@@ -156,31 +203,31 @@ func (t *Tree) walk(used, cur, occ int, perm uint64, depth uint, leaf func(perm 
 		nocc := occ
 		if p.Kind == Pickup {
 			nocc += r.Riders
-			sc.picked[ri] = true
-			sc.pickDist[ri] = nd
+			ws.picked[ri] = true
+			ws.pickDist[ri] = nd
 		} else {
 			nocc -= r.Riders
 		}
-		sc.distTr[depth+1] = nd
+		ws.distTr[depth+1] = nd
 		nperm := perm | uint64(pi)<<(4*depth)
 		if used|bit == full {
 			leaf(nperm, nd)
 		} else {
-			t.walk(used|bit, pi+1, nocc, nperm, depth+1, leaf)
+			ws.walk(used|bit, pi+1, nocc, nperm, depth+1, leaf)
 		}
 		if p.Kind == Pickup {
-			sc.picked[ri] = false
+			ws.picked[ri] = false
 		}
 	}
 }
 
 // rebuild re-enumerates every valid ordering of the pending points from
-// the current root, refreshing bestDist, the best schedule, the branch
-// count and maxLeg. The best schedule is the first strictly shortest
-// one in enumeration order. Each schedule is also handed to visit when
-// non-nil (the Branches and TrieRoot views); the workspace's distTr
-// then holds its dist_tr per stop.
-func (t *Tree) rebuild(visit func(perm uint64)) {
+// the current root in ws, refreshing bestDist, the best schedule, the
+// branch count and maxLeg. The best schedule is the first strictly
+// shortest one in enumeration order. Each schedule is also handed to
+// visit when non-nil (the Branches and TrieRoot views); ws.distTr then
+// holds its dist_tr per stop.
+func (t *Tree) rebuild(ws *workspace, visit func(perm uint64)) {
 	t.dirty = false
 	t.odoAtBuild = t.odo
 	t.maxLeg = 0
@@ -189,17 +236,17 @@ func (t *Tree) rebuild(visit func(perm uint64)) {
 		t.branches = 1
 		return
 	}
-	t.sc.load(t, nil)
+	ws.load(t, nil)
 	t.bestDist = math.Inf(1)
 	t.branches = 0
-	t.walk(0, 0, t.Onboard(), 0, 0, func(perm uint64, total float64) {
+	ws.walk(0, 0, t.Onboard(), 0, 0, func(perm uint64, total float64) {
 		if t.branches == 0 || total < t.bestDist {
 			t.bestDist, t.bestPerm = total, perm
 		}
 		t.branches++
 		// Only legs of schedules that complete count toward maxLeg.
 		for j := range t.pts {
-			if leg := t.sc.distTr[j+1] - t.sc.distTr[j]; leg > t.maxLeg {
+			if leg := ws.distTr[j+1] - ws.distTr[j]; leg > t.maxLeg {
 				t.maxLeg = leg
 			}
 		}
@@ -255,9 +302,8 @@ func (t *Tree) AppendPointLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 // returns the vehicle's non-dominated candidates over (pick-up distance,
 // detour delta). It returns nil when the vehicle cannot serve the
 // request at all (capacity, budgets, or the pending-point cap). The
-// tree itself is not modified: the enumeration runs in the tree's
-// reused workspace, and only the returned candidates' schedules are
-// freshly allocated (they outlive the call by design — skylines and
+// tree itself is not modified, and the returned candidates' schedules
+// are freshly allocated (they outlive the call by design — skylines and
 // request records retain them).
 func (t *Tree) Quote(req Request) []Candidate {
 	packed, pts := t.QuotePacked(req, nil, nil, nil)
@@ -305,15 +351,19 @@ func UnpackSeq(perm uint64, pts []Point) []Point {
 // QuotePacked is the allocation-free probe: candidates come back
 // permutation-encoded (appended to dst) together with the quoted point
 // set (appended to ptsBuf, which the permutations index). Both buffers
-// are caller-owned; nothing else escapes. The point set is only valid
-// for this quote — materialise surviving candidates with Unpack before
-// the next probe reuses the buffers. A seed that still matches
+// are caller-owned, and both are filled by copying out of the walk's
+// pooled workspace before it is released, so nothing returned aliases
+// memory another tree's walk will reuse. The point set describes this
+// quote only — materialise surviving candidates with Unpack before
+// reusing the buffers for the next probe. A seed that still matches
 // the tree state pre-fills the request-specific rows of the
 // enumeration's distance matrix: every dist(x, s) and dist(x, d) the
 // enumeration would compute lazily — one point search each through the
 // metric — is answered from the caller's multi-target pass instead.
 func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, seed *QuoteSeed) ([]PackedCandidate, []Point) {
-	entries := t.quotePacked(req, seed)
+	ws := acquireWorkspace()
+	defer ws.release()
+	entries := t.quotePacked(ws, req, seed)
 	if len(entries) == 0 {
 		return dst, ptsBuf
 	}
@@ -325,19 +375,21 @@ func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, s
 			Delta:      e.Price,
 		})
 	}
-	return dst, append(ptsBuf, t.sc.pts...)
+	return dst, append(ptsBuf, ws.pts...)
 }
 
-// quotePacked runs the seeded enumeration and returns the non-dominated
-// candidates as sorted skyline entries over (pick-up distance, detour
-// delta), permutation-encoded over the workspace's point set. The
-// entries alias the tree's skyline and are valid until the next quote
-// on this tree (callers hold the vehicle lock for the duration).
-func (t *Tree) quotePacked(req Request, seed *QuoteSeed) []skyline.Entry[uint64] {
+// quotePacked runs the seeded enumeration in ws and returns the
+// non-dominated candidates as sorted skyline entries over (pick-up
+// distance, detour delta), permutation-encoded over ws.pts. A stale
+// tree is rebuilt in ws first. The entries alias ws.sky: they are
+// valid until ws is released.
+func (t *Tree) quotePacked(ws *workspace, req Request, seed *QuoteSeed) []skyline.Entry[uint64] {
 	if req.Riders > t.capacity || len(t.pts)+2 > t.maxPoints {
 		return nil
 	}
-	t.ensureFresh()
+	if t.dirty {
+		t.rebuild(ws, nil)
+	}
 	if len(t.pts) > 0 && t.branches == 0 {
 		// No valid schedule even without the new request; the vehicle
 		// is in violation (should not happen) — refuse new work.
@@ -350,31 +402,30 @@ func (t *Tree) quotePacked(req Request, seed *QuoteSeed) []skyline.Entry[uint64]
 
 	// The quoted request rides along uncommitted: its pickup deadline is
 	// anchored only by Commit.
-	sc := &t.sc
-	t.quoted = reqState{Request: req, pickupDeadline: math.Inf(1)}
-	sc.load(t, &t.quoted)
+	ws.quoted = reqState{Request: req, pickupDeadline: math.Inf(1)}
+	ws.load(t, &ws.quoted)
 	if seed != nil && seed.matches(t) {
 		m := len(t.pts)
-		n := sc.n
+		n := ws.n
 		sIdx, dIdx := m+1, m+2
 		for i := 0; i <= m; i++ {
-			sc.exact[i*n+sIdx] = seed.SDist[i]
-			sc.exact[sIdx*n+i] = seed.SDist[i]
-			sc.exact[i*n+dIdx] = seed.DDist[i]
-			sc.exact[dIdx*n+i] = seed.DDist[i]
+			ws.exact[i*n+sIdx] = seed.SDist[i]
+			ws.exact[sIdx*n+i] = seed.SDist[i]
+			ws.exact[i*n+dIdx] = seed.DDist[i]
+			ws.exact[dIdx*n+i] = seed.DDist[i]
 		}
-		sc.exact[sIdx*n+dIdx] = req.SD
-		sc.exact[dIdx*n+sIdx] = req.SD
+		ws.exact[sIdx*n+dIdx] = req.SD
+		ws.exact[dIdx*n+sIdx] = req.SD
 	}
-	quotedIdx := len(sc.reqs) - 1
-	t.sky.Reset()
-	t.walk(0, 0, t.Onboard(), 0, 0, func(perm uint64, total float64) {
-		pickup, delta := sc.pickDist[quotedIdx], total-baseline
-		if !t.sky.IsDominated(pickup, delta) && !t.sky.ContainsPoint(pickup, delta) {
-			t.sky.Add(pickup, delta, perm)
+	quotedIdx := len(ws.reqs) - 1
+	ws.sky.Reset()
+	ws.walk(0, 0, t.Onboard(), 0, 0, func(perm uint64, total float64) {
+		pickup, delta := ws.pickDist[quotedIdx], total-baseline
+		if !ws.sky.IsDominated(pickup, delta) && !ws.sky.ContainsPoint(pickup, delta) {
+			ws.sky.Add(pickup, delta, perm)
 		}
 	})
-	return t.sky.Sorted()
+	return ws.sky.Sorted()
 }
 
 // Commit adds req to the vehicle with the planned schedule of cand (a

@@ -26,6 +26,11 @@
 // pair. The enumeration consults the exact distance only after a cheap
 // lower bound fails to prune the extension — the paper's improvement
 // (ii) over Noah, which computes all distances up front.
+//
+// A tree keeps its schedule, not the walk's workspace (point copies,
+// the lazy distance matrix, the quote skyline): each walk takes one
+// from a package-level bounded free list and returns it when done, so a
+// fleet of trees shares as many workspaces as it runs walks at once.
 package kinetic
 
 import (
@@ -33,7 +38,6 @@ import (
 	"slices"
 
 	"ptrider/internal/roadnet"
-	"ptrider/internal/skyline"
 )
 
 // RequestID identifies a ridesharing request across the system.
@@ -127,7 +131,11 @@ type Candidate struct {
 	Delta float64
 }
 
-// Tree is the kinetic tree of one vehicle. Not safe for concurrent use.
+// Tree is the kinetic tree of one vehicle: its root, its committed
+// requests and points, and what the last rebuild found over them. It
+// holds no enumeration workspace — each walk borrows a pooled one for
+// its duration — so trees may be walked from different goroutines at
+// once, but one tree is not safe for concurrent use.
 type Tree struct {
 	metric    Metric
 	capacity  int
@@ -150,14 +158,6 @@ type Tree struct {
 	maxLeg     float64
 	odoAtBuild float64
 	dirty      bool
-
-	sc dfsScratch // the enumeration's workspace
-
-	// Quote state. The per-vehicle skyline holds candidate schedules as
-	// permutation words, so inserting (and evicting) one never
-	// allocates; []Point sequences are materialised for survivors only.
-	quoted reqState
-	sky    skyline.Skyline[uint64]
 }
 
 // New returns an empty kinetic tree for a vehicle with the given
@@ -247,7 +247,9 @@ func (t *Tree) SetRoot(loc roadnet.VertexID, odo float64) {
 // ensureFresh re-enumerates if the root moved since the last build.
 func (t *Tree) ensureFresh() {
 	if t.dirty {
-		t.rebuild(nil)
+		ws := acquireWorkspace()
+		t.rebuild(ws, nil)
+		ws.release()
 	}
 }
 
@@ -312,9 +314,11 @@ func (t *Tree) BestBranch() []Point {
 // enumeration order. Intended for the demo's website view and for
 // tests; matching never materialises this.
 func (t *Tree) Branches() [][]Point {
+	ws := acquireWorkspace()
+	defer ws.release()
 	var out [][]Point
-	t.rebuild(func(perm uint64) {
-		out = append(out, UnpackSeq(perm, t.sc.pts))
+	t.rebuild(ws, func(perm uint64) {
+		out = append(out, UnpackSeq(perm, ws.pts))
 	})
 	return out
 }
@@ -327,23 +331,24 @@ func (t *Tree) TrieRoot() *Node {
 	if len(t.pts) == 0 {
 		return nil
 	}
-	sc := &t.sc
+	ws := acquireWorkspace()
+	defer ws.release()
 	root := &Node{Point: Point{Loc: t.rootLoc}, Occupancy: t.Onboard()}
-	t.rebuild(func(perm uint64) {
+	t.rebuild(ws, func(perm uint64) {
 		n := root
-		for j := range sc.pts {
+		for j := range ws.pts {
 			pi := (perm >> (4 * uint(j))) & 0xF
 			// Schedules arrive in depth-first order, so a shared prefix
 			// can only be the path to the newest child.
-			if k := len(n.Children); k > 0 && n.Children[k-1].Point == sc.pts[pi] {
+			if k := len(n.Children); k > 0 && n.Children[k-1].Point == ws.pts[pi] {
 				n = n.Children[k-1]
 				continue
 			}
-			riders := sc.reqs[sc.reqIdx[pi]].Riders
-			if sc.pts[pi].Kind == Dropoff {
+			riders := ws.reqs[ws.reqIdx[pi]].Riders
+			if ws.pts[pi].Kind == Dropoff {
 				riders = -riders
 			}
-			child := &Node{Point: sc.pts[pi], DistTr: sc.distTr[j+1], Occupancy: n.Occupancy + riders}
+			child := &Node{Point: ws.pts[pi], DistTr: ws.distTr[j+1], Occupancy: n.Occupancy + riders}
 			n.Children = append(n.Children, child)
 			n = child
 		}

@@ -1,9 +1,12 @@
 package kinetic_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"ptrider/internal/kinetic"
@@ -34,7 +37,7 @@ func warmTree(t *testing.T) (*kinetic.Tree, kinetic.Request) {
 }
 
 // TestRebuildAllocatesNothing: re-enumerating a warm tree after the
-// root moved touches only the tree's own workspace.
+// root moved reuses a parked workspace and allocates nothing.
 func TestRebuildAllocatesNothing(t *testing.T) {
 	tr, _ := warmTree(t)
 	odo := 0.0
@@ -247,4 +250,118 @@ func TestQuoteCommitAgreement(t *testing.T) {
 			}
 		}
 	})
+}
+
+// scriptDriver runs a seeded script of reads, quotes and commits on one
+// tree and logs each step's results. Floats print in their shortest
+// round-trip form, so equal logs are equal bit for bit.
+type scriptDriver struct {
+	tr     *kinetic.Tree
+	oracle *roadnet.Oracle
+	rng    *rand.Rand
+	nextID kinetic.RequestID
+	req    kinetic.Request // the last request quoted
+	cands  []kinetic.PackedCandidate
+	pts    []kinetic.Point
+}
+
+func (d *scriptDriver) step() string {
+	const nv = 25 // randomTrees' 5×5 lattice
+	tr := d.tr
+	switch d.rng.Intn(6) {
+	case 0:
+		v := roadnet.VertexID(d.rng.Intn(nv))
+		tr.SetRoot(v, tr.Odometer()+d.oracle.Dist(tr.Root(), v))
+		return fmt.Sprint("root ", v)
+	case 1:
+		return fmt.Sprint("best ", tr.BestDist())
+	case 2:
+		return fmt.Sprint("maxleg ", tr.MaxLeg())
+	case 3:
+		return fmt.Sprint("branch ", tr.BestBranch())
+	case 4:
+		s := roadnet.VertexID(d.rng.Intn(nv))
+		dst := (s + 1 + roadnet.VertexID(d.rng.Intn(nv-1))) % nv
+		sd := d.oracle.Dist(s, dst)
+		d.nextID++
+		d.req = kinetic.Request{ID: 100 + d.nextID, S: s, D: dst, Riders: 1, SD: sd, ServiceLimit: 2 * sd, WaitBudget: d.rng.Float64() * 300}
+		d.cands, d.pts = tr.QuotePacked(d.req, d.cands[:0], d.pts[:0], nil)
+		return fmt.Sprint("quote ", d.cands, d.pts)
+	default:
+		if len(d.cands) == 0 {
+			return "nothing to commit"
+		}
+		c := d.cands[d.rng.Intn(len(d.cands))].Unpack(d.pts)
+		d.cands = d.cands[:0]
+		return fmt.Sprint("commit ", tr.Commit(d.req, c), tr.NumRequests())
+	}
+}
+
+// TestWorkspaceSharedAcrossTrees: trees borrow their enumeration
+// workspaces from one free list, so a walk must see nothing of another
+// tree's walk, before or beside it. Every tree state randomTrees
+// reaches is restored twice; one copy runs a seeded script alone, the
+// other the same script while four goroutines interleave their trees'
+// scripts step by step. The logs must match. Each goroutine also checks
+// that what a tree's QuotePacked returned is unchanged after the quotes
+// on other trees that followed it.
+func TestWorkspaceSharedAcrossTrees(t *testing.T) {
+	const workers, steps = 4, 24
+	var alone, shared []*scriptDriver
+	randomTrees(t, 40, func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, _ *rand.Rand) {
+		seed := int64(len(alone))
+		for _, ds := range []*[]*scriptDriver{&alone, &shared} {
+			cp := kinetic.Restore(oracleMetric{o: oracle, lbFrac: 0.9}, tr.Capacity(), 8, tr.Root(), tr.Odometer(), tr.SnapshotReqs())
+			*ds = append(*ds, &scriptDriver{tr: cp, oracle: oracle, rng: rand.New(rand.NewSource(seed))})
+		}
+	})
+
+	want := make([][]string, len(alone))
+	quotes := 0
+	for i, d := range alone {
+		for s := 0; s < steps; s++ {
+			want[i] = append(want[i], d.step())
+			quotes += len(d.cands)
+		}
+	}
+	if quotes < 100 {
+		t.Fatalf("the scripts quoted only %d candidates; they no longer exercise QuotePacked", quotes)
+	}
+
+	got := make([][]string, len(shared))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var mine []int
+			for i := w; i < len(shared); i += workers {
+				mine = append(mine, i)
+			}
+			// What each tree's last step left in its quote buffers.
+			quoted := func(d *scriptDriver) string { return fmt.Sprint(d.cands, d.pts) }
+			kept := make(map[int]string, len(mine))
+			for _, i := range mine {
+				kept[i] = quoted(shared[i])
+			}
+			for s := 0; s < steps; s++ {
+				for _, i := range mine {
+					got[i] = append(got[i], shared[i].step())
+					kept[i] = quoted(shared[i])
+					for _, j := range mine {
+						if now := quoted(shared[j]); now != kept[j] {
+							t.Errorf("tree %d's quote changed from %v to %v after a step on tree %d", j, kept[j], now, i)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("tree %d: shared-workspace log\n%v\nalone\n%v", i, got[i], want[i])
+		}
+	}
 }

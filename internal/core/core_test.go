@@ -10,6 +10,7 @@ import (
 
 	"ptrider/internal/core"
 	"ptrider/internal/fleet"
+	"ptrider/internal/gen"
 	"ptrider/internal/geo"
 	"ptrider/internal/kinetic"
 	"ptrider/internal/roadnet"
@@ -41,6 +42,20 @@ func TestNewEngineRejectsOneWayNetwork(t *testing.T) {
 	_, err := core.NewEngine(b.MustBuild(), core.Config{GridCols: 2, GridRows: 2})
 	if err == nil || !strings.Contains(err.Error(), "core: road network must be symmetric") {
 		t.Fatalf("one-way ring: err = %v, want the symmetric-network error", err)
+	}
+}
+
+// TestNewEngineRejectsOversizedGrid passes a grid resolution past the
+// index's 65,536-cell limit through the engine config: NewEngine must
+// return the index's error instead of running out of memory.
+func TestNewEngineRejectsOversizedGrid(t *testing.T) {
+	g, err := gen.GenerateNetwork(gen.CityConfig{Width: 6, Height: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.NewEngine(g, core.Config{GridCols: 70_000, GridRows: 70_000})
+	if err == nil || !strings.Contains(err.Error(), "exceeds 65536 cells") {
+		t.Fatalf("70000x70000 grid: err = %v, want the cell-limit error", err)
 	}
 }
 

@@ -199,7 +199,7 @@ func (m *RingMatcher) Match(reqCtx context.Context, spec *ReqSpec, stats *MatchS
 	sc.visit.begin(n)
 	// Single-side has no destination ring: the lockstep below never
 	// advances, nothing is deferred and the final flush finds no work.
-	var dRing []gridindex.CellID
+	var dRing []uint16
 	if m.dual {
 		dRing = grid.Cell(dCell).Ring
 		sc.dseen.begin(n)
@@ -214,7 +214,8 @@ func (m *RingMatcher) Match(reqCtx context.Context, spec *ReqSpec, stats *MatchS
 	di := 0
 	ld := 0.0 // every vehicle not d-seen has all schedule locations ≥ ld from d
 
-	for _, cell := range grid.Cell(sCell).Ring {
+	for _, e := range grid.Cell(sCell).Ring {
+		cell := gridindex.CellID(e)
 		if done := reqCtx.Done(); done != nil {
 			select {
 			case <-done:
@@ -227,8 +228,8 @@ func (m *RingMatcher) Match(reqCtx context.Context, spec *ReqSpec, stats *MatchS
 			break
 		}
 		// Advance the d-ring in lockstep so ld grows with L.
-		for di < len(dRing) && grid.CellLB(dCell, dRing[di]) <= L {
-			sc.ids = ctx.lists.AppendNonEmpty(dRing[di], sc.ids[:0])
+		for di < len(dRing) && grid.CellLB(dCell, gridindex.CellID(dRing[di])) <= L {
+			sc.ids = ctx.lists.AppendNonEmpty(gridindex.CellID(dRing[di]), sc.ids[:0])
 			for _, id := range sc.ids {
 				sc.dseen.mark(id)
 			}
@@ -236,7 +237,7 @@ func (m *RingMatcher) Match(reqCtx context.Context, spec *ReqSpec, stats *MatchS
 			di++
 		}
 		if di < len(dRing) {
-			ld = grid.CellLB(dCell, dRing[di])
+			ld = grid.CellLB(dCell, gridindex.CellID(dRing[di]))
 		} else {
 			ld = math.Inf(1)
 		}

@@ -86,15 +86,16 @@ func benchFleet(b testing.TB, nv, workers int) *fleet.Fleet {
 
 // TestStepAllocCeiling pins the allocations of one step of a loaded
 // 1,000-vehicle fleet at the serial width: routes are planned once per
-// leg and registrations reuse the vehicle's buffers, so most of what is
-// left is the lists' own bookkeeping per placement, a path search's
-// result per replanned leg and the step's events. Steps 6–55 read 175
-// allocs each; under -race they read ~180, because the race detector
-// makes the fleet's own sync.Pools drop some puts (the kinetic
+// leg and registrations reuse the vehicle's buffers, so what is left is
+// a path search's result per replanned leg and the step's events. Steps
+// 6–55 read 24 allocs each; under -race they read ~30, because the race
+// detector makes the fleet's own sync.Pools drop some puts (the kinetic
 // workspaces sit on a channel free list, which keeps every one). A
-// search per vertex and a fresh cells slice per registration read 1,042.
+// search per vertex and a fresh cells slice per registration read
+// 1,042, and vehicle lists built on maps, whose growth was most of a
+// step's allocations, 175.
 func TestStepAllocCeiling(t *testing.T) {
-	const ceiling = 200
+	const ceiling = 40
 	fl := benchFleet(t, 1000, 1)
 	step := func() {
 		if _, err := fl.Step(100); err != nil {
@@ -116,10 +117,11 @@ func TestStepAllocCeiling(t *testing.T) {
 // each quoted once and the fleet then stepped, less the same city with
 // no vehicles, per vehicle, live after GCs. While each kinetic tree kept
 // its own enumeration workspace, which the quote sized, this read
-// 1,390 B; with one pooled workspace per running walk it reads ~685 B
-// (the city itself is ~344 KB).
+// 1,390 B; with one pooled workspace per running walk it read ~685 B,
+// and with map-free vehicle lists it reads ~526 B (the city itself is
+// ~321 KB).
 func TestLoadedVehicleFootprint(t *testing.T) {
-	const nv, ceiling = 1000, 768
+	const nv, ceiling = 1000, 576
 	live := func() int64 {
 		// Two collections: what the fleet's sync.Pools hold survives
 		// the first one.

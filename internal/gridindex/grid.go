@@ -9,18 +9,20 @@
 //	(iv)  an empty-vehicle list, and
 //	(v)   a non-empty-vehicle list
 //
-// plus the cell-pair lower-bound matrix. Each matrix entry is the exact
-// shortest distance between the closest pair of border vertices of the
-// two cells, a lower bound LB(u,v) for every vertex pair across them
-// that needs no shortest-path search. The paper's per-vertex border
-// distances (v.min) are not kept: no search here reads them.
+// plus the cell-pair lower-bound matrix. Each matrix entry is the
+// smaller of the two directed shortest distances between the closest
+// pair of border vertices of the two cells, a lower bound LB(u,v) for
+// every vertex pair across them, in either direction, that needs no
+// shortest-path search. The paper's per-vertex border distances (v.min)
+// are not kept: no search here reads them.
 //
-// The static part of the index (Grid) costs 8 B per cell pair (the
-// matrix) and 4 B per ring entry (every occupied cell in every occupied
-// cell's ring): 0.8 MB at 16×16 cells when all are occupied. It is
-// immutable after Build and safe for concurrent reads. The dynamic
-// vehicle lists (iv)–(v) live in VehicleLists, whose callers synchronise
-// externally.
+// The static part of the index (Grid) costs 8 B per unordered cell pair
+// (the lower triangle of the symmetric matrix) and 2 B per ring entry
+// (every occupied cell in every occupied cell's ring): 0.4 MB at 16×16
+// cells when all are occupied. A grid holds at most 65,536 cells, the
+// range of a ring entry. It is immutable after Build and safe for
+// concurrent reads. The dynamic vehicle lists (iv)–(v) live in
+// VehicleLists, whose callers synchronise externally.
 package gridindex
 
 import (
@@ -40,15 +42,20 @@ type CellID = int32
 // NoCell is the sentinel "no cell" value.
 const NoCell CellID = -1
 
+// MaxCells is the largest cols × rows Build accepts: ring entries are
+// 16-bit cell ids.
+const MaxCells = 1 << 16
+
 // Cell is the static per-cell data of the index.
 type Cell struct {
 	ID       CellID
 	Rect     geo.Rect
 	Vertices []roadnet.VertexID // vertices whose coordinates fall in Rect
 	Borders  []roadnet.VertexID // endpoints of cell-spanning edges
-	// Ring holds every non-empty cell, ascending by CellLB from this
-	// cell with ties to the lower id; Ring[0] is the cell itself.
-	Ring []CellID
+	// Ring holds the id of every non-empty cell, ascending by CellLB
+	// from this cell with ties to the lower id; Ring[0] is the cell
+	// itself. Readers convert each entry with CellID(e).
+	Ring []uint16
 }
 
 // Grid is the static road-network index. Build once, read from any
@@ -63,15 +70,18 @@ type Grid struct {
 	cellOf []CellID // per vertex
 	cells  []Cell
 
-	// pairs is the row-major numCells×numCells lower-bound matrix:
-	// the exact distance between the closest border pair of the two
-	// cells, +Inf when they are disconnected.
+	// pairs is the lower triangle, diagonal included, of the symmetric
+	// numCells×numCells lower-bound matrix, row by row: entry (i, j)
+	// with i ≥ j sits at i(i+1)/2 + j. It holds the smaller of the two
+	// directed distances between the closest border pair of the two
+	// cells, +Inf when neither reaches the other.
 	pairs []float64
 }
 
 // Config controls Build.
 type Config struct {
-	// Cols and Rows give the grid resolution. Both must be ≥ 1.
+	// Cols and Rows give the grid resolution. Both must be ≥ 1, and
+	// Cols × Rows at most MaxCells.
 	Cols, Rows int
 }
 
@@ -82,6 +92,9 @@ func Build(g *roadnet.Graph, cfg Config) (*Grid, error) {
 	}
 	if cfg.Cols < 1 || cfg.Rows < 1 {
 		return nil, fmt.Errorf("gridindex: invalid resolution %dx%d", cfg.Cols, cfg.Rows)
+	}
+	if cfg.Rows > MaxCells/cfg.Cols { // cfg.Cols*cfg.Rows > MaxCells, without overflow
+		return nil, fmt.Errorf("gridindex: resolution %dx%d exceeds %d cells", cfg.Cols, cfg.Rows, MaxCells)
 	}
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("gridindex: empty graph")
@@ -168,24 +181,27 @@ func (gr *Grid) findBorders() {
 	}
 }
 
-// computeBounds fills the cell-pair matrix with one multi-source
+// computeBounds fills the cell-pair triangle with one multi-source
 // Dijkstra per cell, seeded at the cell's border vertices, written into
-// one distance buffer reused across cells.
+// one distance buffer reused across cells. Each directed closest-border
+// distance lowers the entry of its unordered pair, so the entry ends as
+// the smaller of the two directions.
 func (gr *Grid) computeBounds() {
 	numCells := len(gr.cells)
-	gr.pairs = make([]float64, numCells*numCells)
+	gr.pairs = make([]float64, numCells*(numCells+1)/2)
 	for i := range gr.pairs {
 		gr.pairs[i] = math.Inf(1)
+	}
+	for ci := range gr.cells {
+		gr.pairs[pairIndex(ci, ci)] = 0
 	}
 
 	s := roadnet.NewSearcher(gr.g)
 	dist := make([]float64, gr.g.NumVertices())
 	for ci := range gr.cells {
-		row := gr.pairs[ci*numCells : (ci+1)*numCells]
-		row[ci] = 0
 		if len(gr.cells[ci].Borders) == 0 {
-			// A borderless cell's vertices cannot reach other cells;
-			// its pair bounds stay +Inf, the true distance.
+			// A borderless cell has no edge to or from another cell:
+			// its pair bounds stay +Inf, the true distance both ways.
 			continue
 		}
 		s.MultiSourceDists(gr.cells[ci].Borders, dist)
@@ -193,29 +209,37 @@ func (gr *Grid) computeBounds() {
 			if cj == ci {
 				continue
 			}
+			p := &gr.pairs[pairIndex(ci, cj)]
 			for _, y := range gr.cells[cj].Borders {
-				row[cj] = min(row[cj], dist[y])
+				*p = min(*p, dist[y])
 			}
 		}
 	}
 }
 
+// pairIndex is the position of the unordered pair {i, j} in the
+// lower-triangular matrix.
+func pairIndex(i, j int) int {
+	if i < j {
+		i, j = j, i
+	}
+	return i*(i+1)/2 + j
+}
+
 func (gr *Grid) buildRings() {
-	numCells := len(gr.cells)
-	occupied := make([]CellID, 0, numCells)
+	occupied := make([]uint16, 0, len(gr.cells))
 	for ci := range gr.cells {
 		if len(gr.cells[ci].Vertices) > 0 {
-			occupied = append(occupied, CellID(ci))
+			occupied = append(occupied, uint16(ci))
 		}
 	}
 	for ci := range gr.cells {
 		if len(gr.cells[ci].Vertices) == 0 {
 			continue
 		}
-		row := gr.pairs[ci*numCells : (ci+1)*numCells]
 		ring := slices.Clone(occupied)
-		slices.SortFunc(ring, func(a, b CellID) int {
-			if c := cmp.Compare(row[a], row[b]); c != 0 {
+		slices.SortFunc(ring, func(a, b uint16) int {
+			if c := cmp.Compare(gr.pairs[pairIndex(ci, int(a))], gr.pairs[pairIndex(ci, int(b))]); c != 0 {
 				return c
 			}
 			return cmp.Compare(a, b)
@@ -299,9 +323,10 @@ func rectDistSq(r geo.Rect, p geo.Point) float64 {
 }
 
 // CellLB returns the lower bound on the network distance between any
-// vertex of cell i and any vertex of cell j. It is zero when i == j.
+// vertex of cell i and any vertex of cell j, in either direction. It is
+// zero when i == j, and CellLB(i, j) == CellLB(j, i).
 func (gr *Grid) CellLB(i, j CellID) float64 {
-	return gr.pairs[int(i)*len(gr.cells)+int(j)]
+	return gr.pairs[pairIndex(int(i), int(j))]
 }
 
 // LB returns a lower bound on dist(u, v), combining the cell-pair bound

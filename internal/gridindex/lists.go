@@ -3,41 +3,21 @@ package gridindex
 import "sync"
 
 // VehicleID identifies a vehicle in the vehicle lists. It matches the
-// fleet's vehicle identifiers.
+// fleet's vehicle identifiers: dense and non-negative.
 type VehicleID = int32
 
-// idSet is a compact set of vehicle ids supporting O(1) add/remove and
-// allocation-free iteration over a slice. Removal swaps with the last
-// element, so iteration order is unspecified.
-type idSet struct {
-	items []VehicleID
-	pos   map[VehicleID]int
-}
+// Registration kinds of a vehicle.
+const (
+	unregistered uint8 = iota
+	registeredEmpty
+	registeredNonEmpty
+)
 
-func (s *idSet) add(id VehicleID) bool {
-	if s.pos == nil {
-		s.pos = make(map[VehicleID]int)
-	}
-	if _, ok := s.pos[id]; ok {
-		return false
-	}
-	s.pos[id] = len(s.items)
-	s.items = append(s.items, id)
-	return true
-}
-
-func (s *idSet) remove(id VehicleID) bool {
-	i, ok := s.pos[id]
-	if !ok {
-		return false
-	}
-	last := len(s.items) - 1
-	moved := s.items[last]
-	s.items[i] = moved
-	s.pos[moved] = i
-	s.items = s.items[:last]
-	delete(s.pos, id)
-	return true
+// listSlot is one registration of a vehicle: the cell whose list holds
+// it and its index in that list.
+type listSlot struct {
+	cell CellID
+	idx  int32
 }
 
 // VehicleLists is the dynamic layer of the grid index: per cell, the
@@ -46,6 +26,12 @@ func (s *idSet) remove(id VehicleID) bool {
 // (vehicles whose planned trip schedules pass through the cell), as in
 // paper §3.2.1 items (iv)–(v).
 //
+// Each list is a plain slice: a registration appends, and a removal
+// moves the list's last vehicle into the freed index. Per-vehicle state
+// lives in slices indexed by the vehicle id: the registration kind and,
+// per registration, the cell and the vehicle's index in that cell's
+// list, so no operation scans a list.
+//
 // VehicleLists is safe for concurrent use: registrations are serialised
 // by an internal read-write lock, and the read methods return snapshot
 // copies so callers never observe a list mid-mutation. Matchers on the
@@ -53,22 +39,29 @@ func (s *idSet) remove(id VehicleID) bool {
 // cell scans allocation-free.
 type VehicleLists struct {
 	mu       sync.RWMutex
-	empty    []idSet
-	nonEmpty []idSet
-	// cellsOf tracks, per vehicle, the cells the vehicle is currently
-	// registered in (one cell when empty, the schedule's cells when
-	// non-empty), so that re-registration does not scan the whole grid.
-	cellsOf map[VehicleID][]CellID
-	isEmpty map[VehicleID]bool
+	empty    [][]VehicleID
+	nonEmpty [][]VehicleID
+
+	// kind and slots are indexed by vehicle id: the registration kind
+	// and the registrations (one when empty, one per distinct schedule
+	// cell when non-empty, in placement order). A vehicle's slots
+	// buffer is reused across its placements.
+	kind  []uint8
+	slots [][]listSlot
+	count int // registered vehicles
+
+	// stamp[c] == epoch marks cell c as already taken by the running
+	// PlaceNonEmpty, which drops a repeated cell that way.
+	stamp []uint32
+	epoch uint32
 }
 
 // NewVehicleLists returns empty lists for a grid with numCells cells.
 func NewVehicleLists(numCells int) *VehicleLists {
 	return &VehicleLists{
-		empty:    make([]idSet, numCells),
-		nonEmpty: make([]idSet, numCells),
-		cellsOf:  make(map[VehicleID][]CellID),
-		isEmpty:  make(map[VehicleID]bool),
+		empty:    make([][]VehicleID, numCells),
+		nonEmpty: make([][]VehicleID, numCells),
+		stamp:    make([]uint32, numCells),
 	}
 }
 
@@ -78,9 +71,10 @@ func (vl *VehicleLists) PlaceEmpty(id VehicleID, c CellID) {
 	vl.mu.Lock()
 	defer vl.mu.Unlock()
 	vl.removeLocked(id)
-	vl.empty[c].add(id)
-	vl.cellsOf[id] = append(vl.cellsOf[id][:0], c)
-	vl.isEmpty[id] = true
+	vl.grow(id)
+	vl.slots[id] = append(vl.slots[id][:0], push(vl.empty, c, id))
+	vl.kind[id] = registeredEmpty
+	vl.count++
 }
 
 // PlaceNonEmpty registers vehicle id as a non-empty vehicle whose
@@ -90,14 +84,23 @@ func (vl *VehicleLists) PlaceNonEmpty(id VehicleID, cells []CellID) {
 	vl.mu.Lock()
 	defer vl.mu.Unlock()
 	vl.removeLocked(id)
-	reg := vl.cellsOf[id][:0]
-	for _, c := range cells {
-		if vl.nonEmpty[c].add(id) {
-			reg = append(reg, c)
-		}
+	vl.grow(id)
+	vl.epoch++
+	if vl.epoch == 0 { // wrapped: no stamp may alias the new epoch
+		clear(vl.stamp)
+		vl.epoch = 1
 	}
-	vl.cellsOf[id] = reg
-	vl.isEmpty[id] = false
+	slots := vl.slots[id][:0]
+	for _, c := range cells {
+		if vl.stamp[c] == vl.epoch {
+			continue
+		}
+		vl.stamp[c] = vl.epoch
+		slots = append(slots, push(vl.nonEmpty, c, id))
+	}
+	vl.slots[id] = slots
+	vl.kind[id] = registeredNonEmpty
+	vl.count++
 }
 
 // Remove deregisters vehicle id from every list. Removing an unknown
@@ -108,22 +111,54 @@ func (vl *VehicleLists) Remove(id VehicleID) {
 	vl.removeLocked(id)
 }
 
+// grow extends the per-vehicle slices to cover id.
+func (vl *VehicleLists) grow(id VehicleID) {
+	for int(id) >= len(vl.kind) {
+		vl.kind = append(vl.kind, unregistered)
+		vl.slots = append(vl.slots, nil)
+	}
+}
+
+// push appends id to cell c's list in lists and returns the
+// registration.
+func push(lists [][]VehicleID, c CellID, id VehicleID) listSlot {
+	lists[c] = append(lists[c], id)
+	return listSlot{cell: c, idx: int32(len(lists[c]) - 1)}
+}
+
 func (vl *VehicleLists) removeLocked(id VehicleID) {
-	cells, ok := vl.cellsOf[id]
+	k, ok := vl.kindLocked(id)
 	if !ok {
 		return
 	}
-	if vl.isEmpty[id] {
-		for _, c := range cells {
-			vl.empty[c].remove(id)
+	lists := vl.nonEmpty
+	if k == registeredEmpty {
+		lists = vl.empty
+	}
+	for _, s := range vl.slots[id] {
+		list := lists[s.cell]
+		last := len(list) - 1
+		if moved := list[last]; int(s.idx) != last {
+			list[s.idx] = moved
+			vl.reindex(moved, s.cell, s.idx)
 		}
-	} else {
-		for _, c := range cells {
-			vl.nonEmpty[c].remove(id)
+		lists[s.cell] = list[:last]
+	}
+	vl.slots[id] = vl.slots[id][:0]
+	vl.kind[id] = unregistered
+	vl.count--
+}
+
+// reindex records that vehicle id now sits at index idx of cell c's
+// list, scanning the vehicle's own registrations for the cell's.
+func (vl *VehicleLists) reindex(id VehicleID, c CellID, idx int32) {
+	slots := vl.slots[id]
+	for i := range slots {
+		if slots[i].cell == c {
+			slots[i].idx = idx
+			return
 		}
 	}
-	delete(vl.cellsOf, id)
-	delete(vl.isEmpty, id)
 }
 
 // Empty returns a snapshot copy of the empty-vehicle list of cell c.
@@ -142,7 +177,7 @@ func (vl *VehicleLists) NonEmpty(c CellID) []VehicleID {
 func (vl *VehicleLists) AppendEmpty(c CellID, buf []VehicleID) []VehicleID {
 	vl.mu.RLock()
 	defer vl.mu.RUnlock()
-	return append(buf, vl.empty[c].items...)
+	return append(buf, vl.empty[c]...)
 }
 
 // AppendNonEmpty appends the non-empty-vehicle list of cell c to buf
@@ -150,7 +185,7 @@ func (vl *VehicleLists) AppendEmpty(c CellID, buf []VehicleID) []VehicleID {
 func (vl *VehicleLists) AppendNonEmpty(c CellID, buf []VehicleID) []VehicleID {
 	vl.mu.RLock()
 	defer vl.mu.RUnlock()
-	return append(buf, vl.nonEmpty[c].items...)
+	return append(buf, vl.nonEmpty[c]...)
 }
 
 // FillSupply writes each cell's vehicle supply into counts under one
@@ -164,7 +199,7 @@ func (vl *VehicleLists) FillSupply(counts []int) {
 	defer vl.mu.RUnlock()
 	for c := range counts {
 		if c < len(vl.empty) {
-			counts[c] = len(vl.empty[c].items) + len(vl.nonEmpty[c].items)
+			counts[c] = len(vl.empty[c]) + len(vl.nonEmpty[c])
 		} else {
 			counts[c] = 0
 		}
@@ -176,11 +211,14 @@ func (vl *VehicleLists) FillSupply(counts []int) {
 func (vl *VehicleLists) Cells(id VehicleID) []CellID {
 	vl.mu.RLock()
 	defer vl.mu.RUnlock()
-	cells, ok := vl.cellsOf[id]
-	if !ok {
+	if _, ok := vl.kindLocked(id); !ok {
 		return nil
 	}
-	return append([]CellID(nil), cells...)
+	var cells []CellID
+	for _, s := range vl.slots[id] {
+		cells = append(cells, s.cell)
+	}
+	return cells
 }
 
 // IsEmptyVehicle reports whether id is registered as an empty vehicle.
@@ -188,13 +226,22 @@ func (vl *VehicleLists) Cells(id VehicleID) []CellID {
 func (vl *VehicleLists) IsEmptyVehicle(id VehicleID) (empty, registered bool) {
 	vl.mu.RLock()
 	defer vl.mu.RUnlock()
-	e, ok := vl.isEmpty[id]
-	return e, ok
+	k, ok := vl.kindLocked(id)
+	return k == registeredEmpty, ok
+}
+
+// kindLocked returns the registration kind of id and whether it is
+// registered.
+func (vl *VehicleLists) kindLocked(id VehicleID) (uint8, bool) {
+	if id < 0 || int(id) >= len(vl.kind) || vl.kind[id] == unregistered {
+		return unregistered, false
+	}
+	return vl.kind[id], true
 }
 
 // NumRegistered returns the number of registered vehicles.
 func (vl *VehicleLists) NumRegistered() int {
 	vl.mu.RLock()
 	defer vl.mu.RUnlock()
-	return len(vl.cellsOf)
+	return vl.count
 }

@@ -12,8 +12,8 @@ import (
 
 // TestQuickBoundsInvariant drives the LB invariants with testing/quick
 // over random vertex pairs and grid resolutions: for all (u, v),
-// LB(u,v) ≤ dist(u,v), and the cell-pair bound is symmetric within
-// float tolerance on undirected graphs.
+// LB(u,v) ≤ dist(u,v), and the cell-pair bound is symmetric bit for
+// bit.
 func TestQuickBoundsInvariant(t *testing.T) {
 	type world struct {
 		g      *roadnet.Graph
@@ -39,12 +39,9 @@ func TestQuickBoundsInvariant(t *testing.T) {
 		if w.grid.LB(u, v) > d+1e-9 {
 			return false
 		}
-		// Symmetry of the cell-pair bound on undirected graphs.
+		// One stored bound per cell pair: exactly symmetric.
 		ci, cj := w.grid.CellOf(u), w.grid.CellOf(v)
-		if diff := w.grid.CellLB(ci, cj) - w.grid.CellLB(cj, ci); diff > 1e-9 || diff < -1e-9 {
-			return false
-		}
-		return true
+		return w.grid.CellLB(ci, cj) == w.grid.CellLB(cj, ci)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -368,7 +368,7 @@ func (e *Engine) replayRecord(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := e.fleet.RestoreCommit(r.Choose.Vehicle, e.kineticRequest(rec), r.Choose.PlannedPickupOdo); err != nil {
+		if err := e.fleet.RestoreCommit(r.Choose.Vehicle, e.kineticRequest(rec.ID, rec.S, rec.D, rec.Riders, rec.SD, rec.Sigma, rec.WaitSeconds), r.Choose.PlannedPickupOdo); err != nil {
 			return err
 		}
 		return e.led.assign(r.Choose)

@@ -678,12 +678,7 @@ func (e *Engine) prepareRequest(s, d roadnet.VertexID, riders int, c Constraints
 	}
 	fare := e.fares.Resolve(riders, sd, cell)
 	spec = ReqSpec{
-		Kin: kinetic.Request{
-			ID: RequestID(e.nextID.Add(1)), S: s, D: d, Riders: riders,
-			SD:           sd,
-			ServiceLimit: (1 + sigma) * sd,
-			WaitBudget:   wait * e.sub.speed,
-		},
+		Kin:           e.kineticRequest(RequestID(e.nextID.Add(1)), s, d, riders, sd, sigma, wait),
 		Fare:          fare,
 		Ratio:         fare.Ratio,
 		MinPrice:      fare.MinPrice(sd),
@@ -825,7 +820,7 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 	if e.probeCommitHist != nil {
 		pc0 = time.Now()
 	}
-	res, err := e.fleet.Commit(opt.Vehicle, e.kineticRequest(rec), opt.Candidate, e.sub.cfg.CommitSlack)
+	res, err := e.fleet.Commit(opt.Vehicle, e.kineticRequest(rec.ID, rec.S, rec.D, rec.Riders, rec.SD, rec.Sigma, rec.WaitSeconds), opt.Candidate, e.sub.cfg.CommitSlack)
 	if e.probeCommitHist != nil {
 		// Failed commits are observed too: a stale-candidate rejection
 		// still spent the vehicle-lock time the histogram measures.
@@ -858,14 +853,18 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 	return commit, e.led.assign(&e.walChoScratch)
 }
 
-// kineticRequest rebuilds the matcher-level request of a ledger record
-// for a fleet commit — the live choice and its replay alike.
-func (e *Engine) kineticRequest(rec *RequestRecord) kinetic.Request {
+// kineticRequest builds the matcher-level request — for a quote, a
+// fleet commit and its replay alike — and is the one place its budgets
+// are made: ServiceLimit = (1+σ)·sd and WaitBudget = wait·speed, each
+// rounded down to the distance grid. Distances are multiples of
+// 1/roadnet.GridSteps m, so every deadline and step budget the kinetic
+// walk compares is then exact too, and the walk needs no tolerance.
+func (e *Engine) kineticRequest(id RequestID, s, d roadnet.VertexID, riders int, sd, sigma, wait float64) kinetic.Request {
+	floor := func(x float64) float64 { return math.Floor(x*roadnet.GridSteps) / roadnet.GridSteps }
 	return kinetic.Request{
-		ID: rec.ID, S: rec.S, D: rec.D, Riders: rec.Riders,
-		SD:           rec.SD,
-		ServiceLimit: (1 + rec.Sigma) * rec.SD,
-		WaitBudget:   rec.WaitSeconds * e.sub.speed,
+		ID: id, S: s, D: d, Riders: riders, SD: sd,
+		ServiceLimit: floor((1 + sigma) * sd),
+		WaitBudget:   floor(wait * e.sub.speed),
 	}
 }
 
@@ -1523,12 +1522,7 @@ func (e *Engine) MatchOnce(algo Algorithm, s, d roadnet.VertexID, riders int) ([
 	}
 	fare := e.fares.Resolve(riders, sd, cell)
 	spec := &ReqSpec{
-		Kin: kinetic.Request{
-			ID: -1, S: s, D: d, Riders: riders,
-			SD:           sd,
-			ServiceLimit: (1 + e.sub.cfg.Sigma) * sd,
-			WaitBudget:   e.sub.cfg.MaxWaitSeconds * e.sub.speed,
-		},
+		Kin:           e.kineticRequest(-1, s, d, riders, sd, e.sub.cfg.Sigma, e.sub.cfg.MaxWaitSeconds),
 		Fare:          fare,
 		Ratio:         fare.Ratio,
 		MinPrice:      fare.MinPrice(sd),

@@ -47,9 +47,13 @@ const (
 // least as much: see layout. Safe for concurrent use, and a read takes
 // no lock: see memoRow. Cache-missing exact computations draw a private
 // Searcher from a pool. Two goroutines racing on the same cold pair may
-// both compute it — both arrive at the same exact value, and the second
-// store finds the first; DistCalls then counts both, which matches its
-// meaning of "exact computations performed".
+// both compute it — both arrive at the same value, bit for bit, because
+// every path length is an exact multiple of 1/roadnet.GridSteps m, so
+// neither the search nor its direction (u→v or v→u) changes the sum;
+// the second store finds the first. DistCalls then counts both, which
+// matches its meaning of "exact computations performed". The same
+// exactness lets the row keep one value for {u, v} whichever side a
+// search started from.
 //
 // The memo may forget a pair (replacement, Reset); it never answers
 // with another pair's value.

@@ -9,11 +9,6 @@ import (
 	"ptrider/internal/skyline"
 )
 
-// budgetEps absorbs floating-point drift when comparing travelled
-// distances against budgets; distances are metres, so 1e-6 is far below
-// any physical significance.
-const budgetEps = 1e-6
-
 // maxEnumPoints is the most points one enumeration can order: schedules
 // are carried as permutation words of 4-bit point indices.
 const maxEnumPoints = 16
@@ -192,11 +187,11 @@ func (ws *workspace) walk(used, cur, occ int, perm uint64, depth uint, leaf func
 			continue
 		}
 		// Lower-bound prune before the exact distance (paper §3.3).
-		if curDist+ws.lbDist(cur, pi+1) > budget+budgetEps {
+		if curDist+ws.lbDist(cur, pi+1) > budget {
 			continue
 		}
 		nd := curDist + ws.exactDist(cur, pi+1)
-		if nd > budget+budgetEps {
+		if nd > budget {
 			continue
 		}
 
@@ -485,7 +480,7 @@ func (t *Tree) Pickup(id RequestID) error {
 	if t.rootLoc != r.S {
 		return fmt.Errorf("kinetic: pickup of request %d at vertex %d, vehicle is at %d", id, r.S, t.rootLoc)
 	}
-	if t.odo > r.pickupDeadline+budgetEps {
+	if t.odo > r.pickupDeadline {
 		return fmt.Errorf("kinetic: request %d picked up past its waiting deadline (odo %v > %v)", id, t.odo, r.pickupDeadline)
 	}
 	r.onboard = true
@@ -510,7 +505,7 @@ func (t *Tree) Dropoff(id RequestID) error {
 	if t.rootLoc != r.D {
 		return fmt.Errorf("kinetic: dropoff of request %d at vertex %d, vehicle is at %d", id, r.D, t.rootLoc)
 	}
-	if t.odo > r.dropoffDeadline+budgetEps {
+	if t.odo > r.dropoffDeadline {
 		return fmt.Errorf("kinetic: request %d dropped off past its service deadline (odo %v > %v)", id, t.odo, r.dropoffDeadline)
 	}
 	t.removeRequestAt(ri)

@@ -32,13 +32,20 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 		if g.Point(roadnet.VertexID(v)) != g2.Point(roadnet.VertexID(v)) {
 			t.Fatalf("vertex %d moved", v)
 		}
+		// Every weight keeps its bits: a built weight is on the grid
+		// already, so Build's rounding leaves the parsed one as it is.
+		out, out2 := g.Out(roadnet.VertexID(v)), g2.Out(roadnet.VertexID(v))
+		for i := range out {
+			if math.Float64bits(out[i].Weight) != math.Float64bits(out2[i].Weight) || out[i].To != out2[i].To {
+				t.Fatalf("vertex %d edge %d: %v became %v", v, i, out[i], out2[i])
+			}
+		}
 	}
-	// Distances agree.
 	s1, s2 := roadnet.NewSearcher(g), roadnet.NewSearcher(g2)
 	for trial := 0; trial < 50; trial++ {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		v := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		if math.Abs(s1.Dist(u, v)-s2.Dist(u, v)) > 1e-9 {
+		if s1.Dist(u, v) != s2.Dist(u, v) {
 			t.Fatalf("distance changed for (%d,%d)", u, v)
 		}
 	}
@@ -46,13 +53,15 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 
 func TestGraphCodecRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
-		"empty":        "",
-		"bad header":   "not-a-network\n",
-		"bad vertex":   "ptrider-network 1\nv x y\n",
-		"short vertex": "ptrider-network 1\nv 1\n",
-		"bad edge":     "ptrider-network 1\nv 0 0\nv 1 0\ne 0 x 1\n",
-		"edge range":   "ptrider-network 1\nv 0 0\ne 0 7 1\n",
-		"unknown rec":  "ptrider-network 1\nq 1 2\n",
+		"empty":         "",
+		"bad header":    "not-a-network\n",
+		"bad vertex":    "ptrider-network 1\nv x y\n",
+		"short vertex":  "ptrider-network 1\nv 1\n",
+		"bad edge":      "ptrider-network 1\nv 0 0\nv 1 0\ne 0 x 1\n",
+		"edge range":    "ptrider-network 1\nv 0 0\ne 0 7 1\n",
+		"unknown rec":   "ptrider-network 1\nq 1 2\n",
+		"tiny negative": "ptrider-network 1\nv 0 0\nv 1 0\ne 0 1 -1e-6\n",
+		"huge weight":   "ptrider-network 1\nv 0 0\nv 1 0\ne 0 1 1e308\n",
 	}
 	for name, input := range cases {
 		if _, err := roadnet.ReadGraph(bytes.NewReader([]byte(input))); err == nil {

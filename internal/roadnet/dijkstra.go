@@ -78,25 +78,12 @@ func (s *Searcher) Dist(u, v VertexID) float64 {
 		return 0
 	}
 	if s.g.metric {
-		return s.astar(u, v, Inf)
+		return s.astar(u, v)
 	}
-	return s.dijkstraTo(u, v, Inf)
+	return s.dijkstraTo(u, v)
 }
 
-// DistBounded returns the shortest-path distance from u to v when it
-// does not exceed maxDist, and Inf otherwise. The search space is pruned
-// at maxDist, making "is v within r of u" queries cheap.
-func (s *Searcher) DistBounded(u, v VertexID, maxDist float64) float64 {
-	if u == v {
-		return 0
-	}
-	if s.g.metric {
-		return s.astar(u, v, maxDist)
-	}
-	return s.dijkstraTo(u, v, maxDist)
-}
-
-func (s *Searcher) dijkstraTo(u, v VertexID, maxDist float64) float64 {
+func (s *Searcher) dijkstraTo(u, v VertexID) float64 {
 	s.begin()
 	s.relax(u, 0, NoVertex)
 	s.heap.Push(u, 0)
@@ -105,14 +92,11 @@ func (s *Searcher) dijkstraTo(u, v VertexID, maxDist float64) float64 {
 		if it.Dist > s.dist[it.Node] { // stale entry
 			continue
 		}
-		if it.Dist > maxDist {
-			return Inf
-		}
 		if it.Node == v {
 			return it.Dist
 		}
 		for _, e := range s.g.Out(it.Node) {
-			if nd := it.Dist + e.Weight; nd <= maxDist && s.relax(e.To, nd, it.Node) {
+			if nd := it.Dist + e.Weight; s.relax(e.To, nd, it.Node) {
 				s.heap.Push(e.To, nd)
 			}
 		}
@@ -122,8 +106,10 @@ func (s *Searcher) dijkstraTo(u, v VertexID, maxDist float64) float64 {
 
 // astar runs A* from u to v with the Euclidean heuristic. dist[] holds g
 // values; heap keys hold f = g + h. Admissible because the graph is
-// metric, so results are exact.
-func (s *Searcher) astar(u, v VertexID, maxDist float64) float64 {
+// metric, so results are exact. An entry is current when its key is
+// the one its vertex's g value would push again; the sum is the same
+// float operation on the same operands, so no tolerance is needed.
+func (s *Searcher) astar(u, v VertexID) float64 {
 	s.begin()
 	goal := s.g.points[v]
 	s.relax(u, 0, NoVertex)
@@ -131,18 +117,15 @@ func (s *Searcher) astar(u, v VertexID, maxDist float64) float64 {
 	for s.heap.Len() > 0 {
 		it := s.heap.Pop()
 		g := s.dist[it.Node]
-		if it.Dist > g+s.g.points[it.Node].Dist(goal)+1e-9 { // stale
+		if it.Dist > g+s.g.points[it.Node].Dist(goal) { // stale
 			continue
-		}
-		if it.Dist > maxDist {
-			return Inf
 		}
 		if it.Node == v {
 			return g
 		}
 		for _, e := range s.g.Out(it.Node) {
 			ng := g + e.Weight
-			if ng <= maxDist && s.relax(e.To, ng, it.Node) {
+			if s.relax(e.To, ng, it.Node) {
 				s.heap.Push(e.To, ng+s.g.points[e.To].Dist(goal))
 			}
 		}
@@ -224,16 +207,6 @@ func (s *Searcher) Extend(targets []VertexID, maxDist float64, out []float64) {
 // Begin — its work, in the unit the graph size is counted in.
 func (s *Searcher) Settled() int { return s.settled }
 
-// DistsTo computes shortest-path distances from u to every target,
-// filling out (which must have len(targets)); targets beyond maxDist or
-// unreachable get Inf. It is Begin(u) followed by one Extend: the
-// one-to-many query for a caller with a single target set; the matchers
-// keep the search open across their target sets instead.
-func (s *Searcher) DistsTo(u VertexID, targets []VertexID, maxDist float64, out []float64) {
-	s.Begin(u)
-	s.Extend(targets, maxDist, out)
-}
-
 // FillDists runs one Dijkstra from u and writes every vertex's
 // shortest-path distance into out (len must equal the vertex count);
 // vertices beyond maxDist — or unreachable — get +Inf. No product code
@@ -290,9 +263,9 @@ func (s *Searcher) fill(sources []VertexID, maxDist float64, out []float64) {
 func (s *Searcher) Path(u, v VertexID) ([]VertexID, float64) {
 	var d float64
 	if s.g.metric {
-		d = s.astar(u, v, Inf)
+		d = s.astar(u, v)
 	} else {
-		d = s.dijkstraTo(u, v, Inf)
+		d = s.dijkstraTo(u, v)
 	}
 	if math.IsInf(d, 1) {
 		return nil, Inf

@@ -2,8 +2,8 @@
 // (paper §2.1): a weighted graph G = (V, E, W) whose vertices are road
 // intersections embedded in the plane and whose edge weights are travel
 // costs in metres, together with the shortest-path machinery every other
-// module builds on — Dijkstra in several flavours (point-to-point and
-// bounded; whole-graph fills from one source or from many; a resumable
+// module builds on — Dijkstra in several flavours (point-to-point;
+// whole-graph fills from one source or from many; a resumable
 // target-set search), A* over the planar embedding, path extraction,
 // and a Floyd–Warshall oracle used to cross-check the searches in
 // tests.
@@ -11,6 +11,14 @@
 // Graphs are immutable once built (construct them with a Builder), which
 // makes concurrent reads safe without locking; PTRider answers matching
 // queries from many goroutines against one shared Graph.
+//
+// Distances are exact. Build rounds every edge weight up to a multiple
+// of 1/GridSteps m (2⁻¹⁰ m), so every path length below 2⁴³ m is an exact
+// float64 sum whatever the order of its terms: Dist(u, v) and
+// Dist(v, u), A*, the fills and the resumable search return the same
+// bits for the same pair, and callers compare distances with == and >
+// without a tolerance. Rounding up keeps every weight at or above the
+// caller's, so Euclidean lower bounds and A*'s heuristic stay sound.
 package roadnet
 
 import (
@@ -29,6 +37,15 @@ const NoVertex VertexID = -1
 
 // Inf is the distance reported for unreachable vertex pairs.
 var Inf = math.Inf(1)
+
+// GridSteps is the number of distance grid steps per metre: every edge
+// weight of a built Graph, and so every path length, is a multiple of
+// 1/GridSteps m.
+const GridSteps = 1 << 10
+
+// maxWeight bounds an edge weight: at 2⁴³ m a weight's grid steps no
+// longer fit the 53-bit mantissa exactly.
+const maxWeight = 1 << 43
 
 // HalfEdge is one directed adjacency record: the head vertex of the edge
 // and its weight.
@@ -69,11 +86,6 @@ func (g *Graph) Point(v VertexID) geo.Point { return g.points[v] }
 // the graph's internal storage and must not be modified.
 func (g *Graph) Out(v VertexID) []HalfEdge {
 	return g.edges[g.offsets[v]:g.offsets[v+1]]
-}
-
-// Degree returns the out-degree of v.
-func (g *Graph) Degree(v VertexID) int {
-	return int(g.offsets[v+1] - g.offsets[v])
 }
 
 // EdgeWeight returns the weight of the directed edge (u, v) and whether
@@ -165,8 +177,11 @@ func (b *Builder) AddUndirectedEdge(u, v VertexID, w float64) {
 }
 
 // Build validates the accumulated data and returns the immutable Graph.
-// It fails when an edge references an unknown vertex, has a negative,
-// NaN or infinite weight, or is a self-loop.
+// It fails when an edge references an unknown vertex, is a self-loop, or
+// has a negative or NaN weight or one of 2⁴³ m or more. Each valid
+// weight is then rounded up to a multiple of 1/GridSteps m; the check
+// comes first because rounding would turn a tiny negative weight into
+// −0 and a huge finite one into +Inf.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.points)
 	for i := range b.tails {
@@ -177,7 +192,7 @@ func (b *Builder) Build() (*Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("roadnet: edge %d is a self-loop at vertex %d", i, u)
 		}
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		if !(w >= 0 && w < maxWeight) {
 			return nil, fmt.Errorf("roadnet: edge %d (%d->%d) has invalid weight %v", i, u, v, w)
 		}
 	}
@@ -202,16 +217,16 @@ func (b *Builder) Build() (*Graph, error) {
 	next := append([]int32(nil), g.offsets[:n]...)
 	for i := range b.tails {
 		u := b.tails[i]
-		g.edges[next[u]] = HalfEdge{To: b.heads[i], Weight: b.weights[i]}
+		w := math.Ceil(b.weights[i]*GridSteps) / GridSteps // exact: w < 2⁴³
+		g.edges[next[u]] = HalfEdge{To: b.heads[i], Weight: w}
 		next[u]++
 	}
 
 	g.metric = b.embedded
-	if b.embedded {
-		for i := range b.tails {
-			if b.weights[i] < b.points[b.tails[i]].Dist(b.points[b.heads[i]])-1e-9 {
+	for u := 0; g.metric && u < n; u++ {
+		for _, e := range g.Out(VertexID(u)) {
+			if e.Weight < b.points[u].Dist(b.points[e.To])-1e-9 {
 				g.metric = false
-				break
 			}
 		}
 	}

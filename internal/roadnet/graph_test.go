@@ -27,8 +27,8 @@ func TestBuilderCSRAdjacency(t *testing.T) {
 	if g.NumVertices() != 4 || g.NumEdges() != 5 {
 		t.Fatalf("got %d vertices %d edges, want 4 and 5", g.NumVertices(), g.NumEdges())
 	}
-	if got := g.Degree(0); got != 3 {
-		t.Errorf("Degree(0) = %d, want 3", got)
+	if got := len(g.Out(0)); got != 3 {
+		t.Errorf("len(Out(0)) = %d, want 3", got)
 	}
 	want := map[roadnet.VertexID]float64{1: 1, 2: 2, 3: 5}
 	for _, e := range g.Out(0) {
@@ -40,8 +40,8 @@ func TestBuilderCSRAdjacency(t *testing.T) {
 	if len(want) != 0 {
 		t.Errorf("Out(0) missing edges to %v", want)
 	}
-	if g.Degree(3) != 0 {
-		t.Errorf("Degree(3) = %d, want 0", g.Degree(3))
+	if got := len(g.Out(3)); got != 0 {
+		t.Errorf("len(Out(3)) = %d, want 0", got)
 	}
 }
 
@@ -54,8 +54,13 @@ func TestBuilderRejectsInvalidEdges(t *testing.T) {
 		{"out of range tail", func(b *roadnet.Builder) { b.AddEdge(-1, 0, 1) }},
 		{"self loop", func(b *roadnet.Builder) { b.AddEdge(1, 1, 1) }},
 		{"negative weight", func(b *roadnet.Builder) { b.AddEdge(0, 1, -2) }},
+		// Rounded up to the grid, −1e-6 would be −0 and pass a sign check.
+		{"tiny negative weight", func(b *roadnet.Builder) { b.AddEdge(0, 1, -1e-6) }},
 		{"NaN weight", func(b *roadnet.Builder) { b.AddEdge(0, 1, math.NaN()) }},
 		{"infinite weight", func(b *roadnet.Builder) { b.AddEdge(0, 1, math.Inf(1)) }},
+		// Finite, but w·GridSteps overflows to +Inf.
+		{"huge finite weight", func(b *roadnet.Builder) { b.AddEdge(0, 1, math.MaxFloat64/2) }},
+		{"weight off the exact grid", func(b *roadnet.Builder) { b.AddEdge(0, 1, 1<<43) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,20 +184,6 @@ func TestAStarMatchesDijkstraOnMetricGraph(t *testing.T) {
 	}
 }
 
-func TestDistBounded(t *testing.T) {
-	g := testnet.Line(10, 5) // distances are multiples of 5
-	s := roadnet.NewSearcher(g)
-	if d := s.DistBounded(0, 4, 20); d != 20 {
-		t.Errorf("DistBounded(0,4,20) = %v, want 20", d)
-	}
-	if d := s.DistBounded(0, 5, 20); !math.IsInf(d, 1) {
-		t.Errorf("DistBounded(0,5,20) = %v, want +Inf", d)
-	}
-	if d := s.DistBounded(3, 3, 0); d != 0 {
-		t.Errorf("DistBounded(3,3,0) = %v, want 0", d)
-	}
-}
-
 func TestUnreachableIsInf(t *testing.T) {
 	b := roadnet.NewBuilder(4, 2)
 	for i := 0; i < 4; i++ {
@@ -224,10 +215,11 @@ func TestDistsToMatchesIndividualQueries(t *testing.T) {
 		targets[3] = u          // self target
 		targets[5] = targets[4] // duplicate target
 		out := make([]float64, len(targets))
-		s.DistsTo(u, targets, roadnet.Inf, out)
+		s.Begin(u)
+		s.Extend(targets, roadnet.Inf, out)
 		for i, v := range targets {
-			if want := oracle.Dist(u, v); math.Abs(out[i]-want) > 1e-9 {
-				t.Fatalf("DistsTo(%d)[%d→%d] = %v, oracle %v", u, i, v, out[i], want)
+			if want := oracle.Dist(u, v); out[i] != want {
+				t.Fatalf("Extend from %d: [%d→%d] = %v, oracle %v", u, i, v, out[i], want)
 			}
 		}
 	}
@@ -238,7 +230,8 @@ func TestDistsToBounded(t *testing.T) {
 	s := roadnet.NewSearcher(g)
 	targets := []roadnet.VertexID{1, 4, 9}
 	out := make([]float64, 3)
-	s.DistsTo(0, targets, 20, out)
+	s.Begin(0)
+	s.Extend(targets, 20, out)
 	if out[0] != 5 || out[1] != 20 {
 		t.Errorf("in-bound targets: got %v, want [5 20 ...]", out)
 	}

@@ -52,27 +52,3 @@ func TestQuickSearchersAgree(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickBoundedConsistency: DistBounded returns the true distance
-// exactly when it is within the bound, +Inf otherwise.
-func TestQuickBoundedConsistency(t *testing.T) {
-	g := testnet.Lattice(rand.New(rand.NewSource(62)), 6, 6, 100)
-	oracle := roadnet.NewOracle(g)
-	s := roadnet.NewSearcher(g)
-	n := g.NumVertices()
-	f := func(a, b uint16, frac float64) bool {
-		u := roadnet.VertexID(int(a) % n)
-		v := roadnet.VertexID(int(b) % n)
-		frac = math.Abs(math.Mod(frac, 2)) // bound between 0 and 2x dist
-		want := oracle.Dist(u, v)
-		bound := want * frac
-		got := s.DistBounded(u, v, bound)
-		if want <= bound {
-			return math.Abs(got-want) <= 1e-9
-		}
-		return math.IsInf(got, 1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
-		t.Error(err)
-	}
-}

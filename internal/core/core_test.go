@@ -302,7 +302,7 @@ func TestChooseLifecycle(t *testing.T) {
 		t.Fatal("dropoff odometer not after pickup")
 	}
 	inVehicle := r.DropoffOdo - r.PickupOdo
-	if inVehicle > (1+e.Config().Sigma)*r.SD+1e-6 {
+	if inVehicle > (1+e.Config().Sigma)*r.SD {
 		t.Fatalf("service constraint violated: %v > %v", inVehicle, (1+e.Config().Sigma)*r.SD)
 	}
 	st := e.Stats()

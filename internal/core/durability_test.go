@@ -8,13 +8,12 @@ package core_test
 // re-issued the way a real client would (submits retried under their
 // idempotency key, choices retried until already-chosen, ticks retried
 // unless the clock already advanced), and the final state must be
-// equivalent to an uncrashed reference run — lifecycle counts exact,
-// positions and prices to 1e-9, and identical future movement.
+// equivalent to an uncrashed reference run — lifecycle counts,
+// positions and prices exact, and identical future movement.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -24,8 +23,6 @@ import (
 	"ptrider/internal/testnet"
 	"ptrider/internal/wal"
 )
-
-const eps = 1e-9
 
 // walEngineConfig is the shared scripted-workload configuration: small
 // city, modest fleet, generous constraints so most submissions quote.
@@ -253,14 +250,14 @@ func (r *scriptRunner) declineStep(i int, id core.RequestID) {
 }
 
 // assertEquivalent compares a recovered engine against the uncrashed
-// reference: lifecycle counts exact, per-request outcomes exact,
-// vehicle positions to 1e-9 — and then three more ticks on both, whose
+// reference: lifecycle counts, per-request outcomes and vehicle
+// positions exact — and then three more ticks on both, whose
 // event streams must match exactly (the kinetic state is equivalent,
 // not just the summary).
 func assertEquivalent(t *testing.T, got, want *core.Engine, ids map[int]core.RequestID) {
 	t.Helper()
 	gs, ws := got.Stats(), want.Stats()
-	if math.Abs(gs.Clock-ws.Clock) > eps {
+	if gs.Clock != ws.Clock {
 		t.Fatalf("clock %v != %v", gs.Clock, ws.Clock)
 	}
 	if gs.Requests != ws.Requests || gs.Assigned != ws.Assigned ||
@@ -277,7 +274,7 @@ func assertEquivalent(t *testing.T, got, want *core.Engine, ids map[int]core.Req
 			gv[i].Onboard != wv[i].Onboard || gv[i].Pending != wv[i].Pending {
 			t.Fatalf("vehicle %d diverged: got %+v want %+v", wv[i].ID, gv[i], wv[i])
 		}
-		if math.Abs(gv[i].X-wv[i].X) > eps || math.Abs(gv[i].Y-wv[i].Y) > eps {
+		if gv[i].X != wv[i].X || gv[i].Y != wv[i].Y {
 			t.Fatalf("vehicle %d position (%v,%v) != (%v,%v)", wv[i].ID, gv[i].X, gv[i].Y, wv[i].X, wv[i].Y)
 		}
 	}
@@ -291,14 +288,14 @@ func assertEquivalent(t *testing.T, got, want *core.Engine, ids map[int]core.Req
 			gr.S != wr.S || gr.D != wr.D || len(gr.Options) != len(wr.Options) {
 			t.Fatalf("ref %d id %d diverged:\n got %+v\nwant %+v", ref, id, gr, wr)
 		}
-		if math.Abs(gr.Price-wr.Price) > eps || math.Abs(gr.PlannedPickupOdo-wr.PlannedPickupOdo) > eps {
+		if gr.Price != wr.Price || gr.PlannedPickupOdo != wr.PlannedPickupOdo {
 			t.Fatalf("ref %d id %d price/odo (%v,%v) != (%v,%v)",
 				ref, id, gr.Price, gr.PlannedPickupOdo, wr.Price, wr.PlannedPickupOdo)
 		}
 		for k := range gr.Options {
 			if gr.Options[k].Vehicle != wr.Options[k].Vehicle ||
-				math.Abs(gr.Options[k].Price-wr.Options[k].Price) > eps ||
-				math.Abs(gr.Options[k].PickupDist-wr.Options[k].PickupDist) > eps {
+				gr.Options[k].Price != wr.Options[k].Price ||
+				gr.Options[k].PickupDist != wr.Options[k].PickupDist {
 				t.Fatalf("ref %d option %d diverged: got %+v want %+v", ref, k, gr.Options[k], wr.Options[k])
 			}
 		}
@@ -317,7 +314,7 @@ func assertEquivalent(t *testing.T, got, want *core.Engine, ids map[int]core.Req
 		}
 		for k := range ge {
 			if ge[k].Kind != we[k].Kind || ge[k].Vehicle != we[k].Vehicle || ge[k].Request != we[k].Request ||
-				math.Abs(ge[k].Odo-we[k].Odo) > eps {
+				ge[k].Odo != we[k].Odo {
 				t.Fatalf("verify tick %d event %d: got %+v want %+v", round, k, ge[k], we[k])
 			}
 		}

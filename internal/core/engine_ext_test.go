@@ -58,8 +58,8 @@ func TestPerRequestConstraints(t *testing.T) {
 	if rec == nil || rec.Status != core.StatusCompleted {
 		t.Fatal("strict rider never completed")
 	}
-	if got := rec.DropoffOdo - rec.PickupOdo; got > rec.SD+1e-6 {
-		t.Fatalf("strict rider detoured: in-vehicle %v > direct %v", got, rec.SD)
+	if got := rec.DropoffOdo - rec.PickupOdo; got != rec.SD {
+		t.Fatalf("strict rider detoured: in-vehicle %v != direct %v", got, rec.SD)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPerRequestWaitOverride(t *testing.T) {
 		t.Fatal("never completed")
 	}
 	v, _ := e.GetRequest(first.ID)
-	maxOdo := planned + 1*e.Speed() + 1e-6
+	maxOdo := planned + 1*e.Speed()
 	if v.PickupOdo > maxOdo {
 		t.Fatalf("pickup odometer %v exceeds plan %v + 1s budget", v.PickupOdo, maxOdo)
 	}

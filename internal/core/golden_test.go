@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -11,24 +10,6 @@ import (
 	"ptrider/internal/roadnet"
 	"ptrider/internal/testnet"
 )
-
-// coordEq compares one option coordinate across two engines. Exact
-// computations are deterministic per engine, but two engines may
-// legitimately resolve the same vertex pair through different flows
-// first (a point A* search vs a multi-target Dijkstra pass — same
-// exact distance, opposite summation order), so coordinates built from
-// such collision pairs can differ by floating-point ulps. Structure —
-// option count, order, vehicles, schedules — must still match exactly;
-// only the float coordinates get a relative tolerance far below any
-// physical significance.
-func coordEq(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= scale*1e-9
-}
 
 func sameOptions(t *testing.T, step int, a, b []core.Option) {
 	t.Helper()
@@ -39,7 +20,7 @@ func sameOptions(t *testing.T, step int, a, b []core.Option) {
 		if a[i].Vehicle != b[i].Vehicle {
 			t.Fatalf("step %d option %d: vehicle %d vs %d", step, i, a[i].Vehicle, b[i].Vehicle)
 		}
-		if !coordEq(a[i].PickupDist, b[i].PickupDist) || !coordEq(a[i].Price, b[i].Price) {
+		if a[i].PickupDist != b[i].PickupDist || a[i].Price != b[i].Price {
 			t.Fatalf("step %d option %d: (%v, %v) vs (%v, %v)",
 				step, i, a[i].PickupDist, a[i].Price, b[i].PickupDist, b[i].Price)
 		}
@@ -149,8 +130,7 @@ func hotcellItems(e *core.Engine, seed int64, k int) []core.BatchItem {
 // share an origin cell (one wave, quoted in parallel) returns, per
 // item, the option set per-request Submit computes
 // over the same world — same vehicles, same planned schedules, same
-// option count and order, coordinates equal up to the ulp-level
-// tolerance coordEq documents. Covered for every algorithm at wave
+// option count and order, coordinates equal bit for bit. Covered for every algorithm at wave
 // widths 1 and 4 (the GOMAXPROCS the engines were built at; a match
 // itself has one probe path).
 func TestGoldenBatchVsPerRequest(t *testing.T) {
@@ -246,7 +226,7 @@ func TestGoldenBatchGreedyCommits(t *testing.T) {
 					t.Fatalf("item %d: batch status %v, sequential %v", i, recs[i].Status, fresh.Status)
 				}
 				if recs[i].Status == core.StatusAssigned {
-					if recs[i].Vehicle != fresh.Vehicle || !coordEq(recs[i].Price, fresh.Price) {
+					if recs[i].Vehicle != fresh.Vehicle || recs[i].Price != fresh.Price {
 						t.Fatalf("item %d: batch assigned (%d, %v), sequential (%d, %v)",
 							i, recs[i].Vehicle, recs[i].Price, fresh.Vehicle, fresh.Price)
 					}

@@ -39,7 +39,7 @@ func tickEngine(t *testing.T, workers int) *core.Engine {
 // sharded engine (widths 2, 4, 8) replay the identical workload in
 // lockstep, and every tick's merged event slice must be byte-identical
 // — same events, same canonical (vehicle id, odometer) order — while
-// vehicle positions stay within float tolerance and the lifecycle
+// vehicle positions are equal bit for bit and the lifecycle
 // counters match exactly. This is the determinism contract that makes
 // the shard width a pure performance knob.
 func TestGoldenSerialVsParallelTick(t *testing.T) {
@@ -103,7 +103,7 @@ func TestGoldenSerialVsParallelTick(t *testing.T) {
 					t.Fatalf("vehicle %d: serial at %d, parallel at %d",
 						va[i].ID, va[i].Location, vb[i].Location)
 				}
-				if !coordEq(va[i].X, vb[i].X) || !coordEq(va[i].Y, vb[i].Y) {
+				if va[i].X != vb[i].X || va[i].Y != vb[i].Y {
 					t.Fatalf("vehicle %d: serial (%v,%v), parallel (%v,%v)",
 						va[i].ID, va[i].X, va[i].Y, vb[i].X, vb[i].Y)
 				}

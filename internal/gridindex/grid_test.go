@@ -115,7 +115,7 @@ func TestLBNeverExceedsTrueDistance(t *testing.T) {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		v := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		d := s.Dist(u, v)
-		if lb := gr.LB(u, v); lb > d+1e-9 {
+		if lb := gr.LB(u, v); lb > d {
 			t.Fatalf("LB(%d,%d) = %v > dist %v", u, v, lb, d)
 		}
 	}
@@ -265,7 +265,7 @@ func TestLBSoundOnDirectedGraph(t *testing.T) {
 			for u := 0; u < g.NumVertices(); u++ {
 				for v := 0; v < g.NumVertices(); v++ {
 					uu, vv := roadnet.VertexID(u), roadnet.VertexID(v)
-					if lb, d := gr.LB(uu, vv), o.Dist(uu, vv); lb > d+1e-9 {
+					if lb, d := gr.LB(uu, vv), o.Dist(uu, vv); lb > d {
 						t.Fatalf("seed %d, %dx%d cells: LB(%d,%d) = %v > dist %v", seed, res, res, u, v, lb, d)
 					}
 				}
@@ -343,7 +343,7 @@ func TestSingleCellGridHasTrivialBounds(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		u := roadnet.VertexID(trial % g.NumVertices())
 		v := roadnet.VertexID((trial * 7) % g.NumVertices())
-		if lb := gr.LB(u, v); lb > s.Dist(u, v)+1e-9 {
+		if lb := gr.LB(u, v); lb > s.Dist(u, v) {
 			t.Fatalf("LB(%d,%d) = %v > dist", u, v, lb)
 		}
 	}

@@ -36,7 +36,7 @@ func TestQuickBoundsInvariant(t *testing.T) {
 		u := roadnet.VertexID(int(a) % n)
 		v := roadnet.VertexID(int(b) % n)
 		d := w.oracle.Dist(u, v)
-		if w.grid.LB(u, v) > d+1e-9 {
+		if w.grid.LB(u, v) > d {
 			return false
 		}
 		// One stored bound per cell pair: exactly symmetric.

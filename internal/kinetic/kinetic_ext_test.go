@@ -125,7 +125,7 @@ func TestMaxLegUpperIsSound(t *testing.T) {
 			loc = e.To
 			upper := tr.MaxLegUpper() // while dirty
 			fresh := tr.MaxLeg()      // forces rebuild
-			if fresh > upper+1e-9 {
+			if fresh > upper {
 				t.Fatalf("MaxLegUpper %v below true MaxLeg %v after movement", upper, fresh)
 			}
 		}

@@ -43,8 +43,6 @@ type bfVehicle struct {
 	reqs []*bfReq
 }
 
-const eps = 1e-6
-
 // validSequences enumerates every permutation of the pending points and
 // keeps the valid ones.
 func (b *bfVehicle) validSequences(extra ...*bfReq) [][]kinetic.Point {
@@ -103,13 +101,13 @@ func (b *bfVehicle) checkSeq(pts []kinetic.Point, reqOf map[int]*bfReq, perm []i
 			if occ > b.cap {
 				return nil
 			}
-			if dist > r.pickupDeadline-b.odo+eps {
+			if dist > r.pickupDeadline-b.odo {
 				return nil
 			}
 			picked[r.req.ID] = dist
 		} else {
 			if r.onboard {
-				if dist > r.dropoffDeadline-b.odo+eps {
+				if dist > r.dropoffDeadline-b.odo {
 					return nil
 				}
 			} else {
@@ -117,7 +115,7 @@ func (b *bfVehicle) checkSeq(pts []kinetic.Point, reqOf map[int]*bfReq, perm []i
 				if !ok {
 					return nil
 				}
-				if dist-pd > r.req.ServiceLimit+eps {
+				if dist-pd > r.req.ServiceLimit {
 					return nil
 				}
 			}
@@ -498,7 +496,7 @@ func TestRandomisedAgainstBruteForce(t *testing.T) {
 					}
 				}
 				if len(want) > 0 {
-					if bd := bf.bestDist(); math.Abs(tr.BestDist()-bd) > 1e-6 {
+					if bd := bf.bestDist(); tr.BestDist() != bd {
 						t.Fatalf("%s: BestDist %v, brute force %v", step, tr.BestDist(), bd)
 					}
 				}

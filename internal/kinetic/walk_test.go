@@ -2,7 +2,6 @@ package kinetic_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -243,9 +242,7 @@ func TestQuoteCommitAgreement(t *testing.T) {
 			if !found {
 				t.Fatalf("committed tree lacks the quoted schedule %v", c.Seq)
 			}
-			// A quoted total is (total − baseline) + baseline, so it can
-			// differ from the enumerated total in the last bits.
-			if bd := cp.BestDist(); bd < cheapest-eps || bd > c.TotalDist+eps || (c.TotalDist == cheapest && math.Abs(bd-cheapest) > eps) {
+			if bd := cp.BestDist(); bd < cheapest || bd > c.TotalDist || (c.TotalDist == cheapest && bd != cheapest) {
 				t.Fatalf("BestDist %v after committing total %v; cheapest quote %v", bd, c.TotalDist, cheapest)
 			}
 		}

@@ -160,7 +160,7 @@ func TestDistAgainstOracleRandomGraphs(t *testing.T) {
 			u := roadnet.VertexID(rng.Intn(g.NumVertices()))
 			v := roadnet.VertexID(rng.Intn(g.NumVertices()))
 			want := oracle.Dist(u, v)
-			if got := s.Dist(u, v); math.Abs(got-want) > 1e-9 {
+			if got := s.Dist(u, v); got != want {
 				t.Fatalf("seed %d: Dist(%d,%d) = %v, oracle %v", seed, u, v, got, want)
 			}
 		}
@@ -178,7 +178,7 @@ func TestAStarMatchesDijkstraOnMetricGraph(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		v := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		if got, want := s.Dist(u, v), oracle.Dist(u, v); math.Abs(got-want) > 1e-9 {
+		if got, want := s.Dist(u, v), oracle.Dist(u, v); got != want {
 			t.Fatalf("A* Dist(%d,%d) = %v, oracle %v", u, v, got, want)
 		}
 	}
@@ -249,7 +249,7 @@ func TestPathIsShortest(t *testing.T) {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		v := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		path, d := s.Path(u, v)
-		if math.Abs(d-oracle.Dist(u, v)) > 1e-9 {
+		if d != oracle.Dist(u, v) {
 			t.Fatalf("Path(%d,%d) dist %v, oracle %v", u, v, d, oracle.Dist(u, v))
 		}
 		var sum float64
@@ -260,7 +260,7 @@ func TestPathIsShortest(t *testing.T) {
 			}
 			sum += w
 		}
-		if math.Abs(sum-d) > 1e-9 {
+		if sum != d {
 			t.Fatalf("Path(%d,%d) edge sum %v != reported %v", u, v, sum, d)
 		}
 		if u == v && (len(path) != 1 || path[0] != u) {
@@ -285,7 +285,7 @@ func TestMultiSourceDists(t *testing.T) {
 			for _, src := range sources {
 				want = min(want, oracle.Dist(src, roadnet.VertexID(v)))
 			}
-			if math.Abs(out[v]-want) > 1e-9 {
+			if out[v] != want {
 				t.Fatalf("sources %v: dist[%d] = %v, oracle %v", sources, v, out[v], want)
 			}
 		}

@@ -371,3 +371,32 @@ func TestV1SlowRequestLog(t *testing.T) {
 		}
 	}
 }
+
+// TestV1ServerTiming pins the submit answer's Server-Timing header: on
+// a journaled engine it names the quote, register and wal_wait stages
+// the engine recorded on the request's span; a gateway records no
+// stage, so its answer carries no header.
+func TestV1ServerTiming(t *testing.T) {
+	submit := func(b v1Backend) *http.Response {
+		t.Helper()
+		resp, err := http.Post(b.ts.URL+"/v1/requests", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"city":%q,"s":3,"d":40,"riders":1}`, b.city)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: submit status %d", b.name, resp.StatusCode)
+		}
+		return resp
+	}
+	st := submit(obsSingle(t)).Header.Get("Server-Timing")
+	for _, stage := range []string{"quote;dur=", "register;dur=", "wal_wait;dur="} {
+		if !strings.Contains(st, stage) {
+			t.Errorf("engine Server-Timing %q misses %q", st, stage)
+		}
+	}
+	if st, ok := submit(remoteBackend(t)).Header["Server-Timing"]; ok {
+		t.Errorf("gateway sent Server-Timing %q", st)
+	}
+}

@@ -427,11 +427,15 @@ func (b *RequestBody) spec() (core.SubmitSpec, error) {
 // original record instead of quoting a second request. The request's
 // context rides along: a rider who hangs up abandons the quote, and the
 // context's telemetry span puts the backend's stage timings on the
-// slow-request log.
+// slow-request log and, when the backend recorded any, in the answer's
+// Server-Timing header.
 func (s *Server) submitOne(w http.ResponseWriter, r *http.Request, spec core.SubmitSpec) {
 	spec.IdemKey = r.Header.Get("Idempotency-Key")
 	spec.Ctx = r.Context()
 	rec, err := s.svc.SubmitRequest(spec)
+	if st := telemetry.SpanFrom(spec.Ctx).ServerTiming(); st != "" {
+		w.Header().Set("Server-Timing", st)
+	}
 	if err != nil {
 		writeErr(w, err)
 		return

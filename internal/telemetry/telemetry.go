@@ -423,6 +423,18 @@ func (s *Span) Breakdown() string {
 	return strings.Join(parts, " ")
 }
 
+// ServerTiming renders the stages as a Server-Timing header value,
+// "quote;dur=0.412, register;dur=0.031" in milliseconds. Empty string
+// when nothing was recorded.
+func (s *Span) ServerTiming() string {
+	stages := s.Stages()
+	parts := make([]string, len(stages))
+	for i, st := range stages {
+		parts[i] = fmt.Sprintf("%s;dur=%.3f", st.Name, st.Seconds*1e3)
+	}
+	return strings.Join(parts, ", ")
+}
+
 // ---------------------------------------------------------------------------
 // Gathering and exposition
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -224,6 +225,62 @@ func TestMemoDifferential(t *testing.T) {
 	}
 	if m.replacements.Load() != 0 || m.batchLookups.Load() == 0 || m.batchMisses.Load() == 0 {
 		t.Fatalf("counters: %d replacements, %d batch lookups, %d batch misses", m.replacements.Load(), m.batchLookups.Load(), m.batchMisses.Load())
+	}
+}
+
+// TestDistancesExactAcrossSearches holds the memo to the distance
+// grid's promise: a pair warmed from one side answers, from the other,
+// the bits a fresh search from that side computes. One memo is warmed
+// by anchored fills (DistBatch from u) and read as Dist(v, u); another
+// by point searches Dist(v, u) and read as Dist(u, v). On weights off
+// the grid the row kept whichever direction's sum came first.
+func TestDistancesExactAcrossSearches(t *testing.T) {
+	for _, c := range []struct {
+		side int
+		seed int64
+	}{{40, 1}, {40, 7}, {24, 1}, {24, 2}} {
+		t.Run(fmt.Sprintf("%dx%d/seed%d", c.side, c.side, c.seed), func(t *testing.T) {
+			g, err := gen.GenerateNetwork(gen.CityConfig{Width: c.side, Height: c.side, Seed: c.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			grid, err := gridindex.Build(g, gridindex.Config{Cols: 8, Rows: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			filled, pointed := newMemoMetric(grid), newMemoMetric(grid)
+			fresh := roadnet.NewSearcher(g)
+			rng := rand.New(rand.NewSource(c.seed))
+			n := g.NumVertices()
+			targets := make([]roadnet.VertexID, 50)
+			out := make([]float64, len(targets))
+			var sc memoBatchScratch
+			pairs, differ := 0, 0
+			for src := 0; src < 40; src++ {
+				u := roadnet.VertexID(rng.Intn(n))
+				for i := range targets {
+					targets[i] = roadnet.VertexID(rng.Intn(n))
+					pointed.Dist(targets[i], u)
+				}
+				var a anchor
+				filled.DistBatch(&a, u, targets, roadnet.Inf, out, &sc)
+				filled.release(&a)
+				for _, v := range targets {
+					pairs++
+					fromV, fromU := fresh.Dist(v, u), fresh.Dist(u, v)
+					if got, other := filled.Dist(v, u), pointed.Dist(u, v); got != fromV || other != fromU {
+						if differ == 0 {
+							t.Errorf("%d↔%d: filled from %d reads %v, search from %d %v; searched from %d reads %v, search from %d %v",
+								u, v, u, got, v, fromV, v, other, u, fromU)
+						}
+						differ++
+					}
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%d of %d pairs read other bits than a search from the reading side", differ, pairs)
+			}
+		})
 	}
 }
 

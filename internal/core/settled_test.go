@@ -59,19 +59,18 @@ func benchCity(t *testing.T) *core.Engine {
 // number of ring cells the match settles at most 2·|V| vertices; before
 // the anchors each fill started a fresh search and a set-up request on
 // this city settled 8.7·|V|. The counters the paper reports must not
-// notice: DistCalls over the script equals the value recorded at the
-// parent commit (be601f7) for the same script, and the options equal
-// those of the same match repeated against the memo it just warmed.
+// notice: DistCalls over the script equals the value recorded for the
+// same script, and the options equal those of the same match repeated
+// against the memo it just warmed.
 func TestColdMatchSettlesEachVertexOncePerSource(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 40×40 city")
 	}
 	e := benchCity(t)
 	n := e.Graph().NumVertices()
-	// DistCalls of this script, recorded by running it at the parent
-	// commit and re-pinned from a fresh run when edge weights moved to
-	// the 2⁻¹⁰ m distance grid.
-	parentDistCalls := map[core.Algorithm]int64{
+	// DistCalls of this script, recorded from a fresh run on the
+	// grid-rounded weights (roadnet.GridSteps).
+	pinnedDistCalls := map[core.Algorithm]int64{
 		core.AlgoNaive:      39439,
 		core.AlgoSingleSide: 9168,
 		core.AlgoDualSide:   8299,
@@ -103,8 +102,8 @@ func TestColdMatchSettlesEachVertexOncePerSource(t *testing.T) {
 				sameOptions(t, step, cold, warm)
 			}
 			t.Logf("dist calls %d, most vertices settled by one match %d of %d", distCalls, maxSettled, n)
-			if distCalls != parentDistCalls[algo] {
-				t.Fatalf("dist calls %d, parent commit made %d", distCalls, parentDistCalls[algo])
+			if distCalls != pinnedDistCalls[algo] {
+				t.Fatalf("dist calls %d, pinned %d", distCalls, pinnedDistCalls[algo])
 			}
 		})
 	}

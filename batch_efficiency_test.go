@@ -30,7 +30,7 @@ func buildBatchWorld(t *testing.T, maxPickupSeconds float64) *core.Engine {
 	var eng *core.Engine
 	testnet.AtProcs(1, func() {
 		eng, err = core.NewEngine(g, core.Config{
-			GridCols: 12, GridRows: 12, Capacity: 4,
+			Capacity:       4,
 			MaxWaitSeconds: 300, Sigma: 0.4, Seed: 31,
 			MaxPickupSeconds: maxPickupSeconds,
 			Algorithm:        core.AlgoDualSide,

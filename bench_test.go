@@ -44,7 +44,7 @@ func loadedWorld(b *testing.B) *benchWorld {
 			panic(err)
 		}
 		eng, err := core.NewEngine(g, core.Config{
-			GridCols: 16, GridRows: 16, Capacity: 4,
+			Capacity:       4,
 			MaxWaitSeconds: 300, Sigma: 0.4, Seed: 1,
 		})
 		if err != nil {
@@ -358,7 +358,7 @@ func BenchmarkFleetTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := core.NewEngine(g, core.Config{GridCols: 16, GridRows: 16, Capacity: 4, Seed: 11})
+	eng, err := core.NewEngine(g, core.Config{Capacity: 4, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func BenchmarkDayThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := core.NewEngine(g, core.Config{GridCols: 12, GridRows: 12, Capacity: 4, Seed: 16})
+		eng, err := core.NewEngine(g, core.Config{Capacity: 4, Seed: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func TestLedgerFootprint(t *testing.T) {
 func archiveEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := NewEngine(testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100), Config{
-		GridCols: 4, GridRows: 4, Capacity: 4, Seed: 5,
+		Capacity: 4, Seed: 5,
 		MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 	})
 	if err != nil {

@@ -55,7 +55,7 @@ func recordIDs(l *ledger) []RequestID {
 func TestSubmitAbandonedWhenContextDone(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(11)), 12, 12, 100)
 	cfg := Config{
-		GridCols: 6, GridRows: 6, Capacity: 4, Seed: 11, Algorithm: AlgoDualSide,
+		Capacity: 4, Seed: 11, Algorithm: AlgoDualSide,
 		MaxPickupSeconds: 1e6, Durability: wal.ModeSync, WALDir: t.TempDir(),
 	}
 	e, err := NewEngine(g, cfg)

@@ -24,7 +24,6 @@ func TestDualSideScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := core.NewEngine(g, core.Config{
-		GridCols: 16, GridRows: 16,
 		Capacity: 4, MaxWaitSeconds: 300, Sigma: 0.4, Seed: seed,
 	})
 	if err != nil {

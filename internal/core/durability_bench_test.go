@@ -24,7 +24,7 @@ func benchEngine(b *testing.B, mode wal.Mode, dir string) *core.Engine {
 	b.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(11)), 16, 16, 100)
 	e, err := core.NewEngine(g, core.Config{
-		GridCols: 8, GridRows: 8, Capacity: 4, Seed: 11,
+		Capacity: 4, Seed: 11,
 		MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 		Durability: mode, WALDir: dir,
 	})
@@ -102,7 +102,7 @@ func BenchmarkRecover10kTail(b *testing.B) {
 	dir := b.TempDir()
 	g := testnet.Lattice(rand.New(rand.NewSource(13)), 6, 6, 100)
 	cfg := core.Config{
-		GridCols: 2, GridRows: 2, Capacity: 4, Seed: 13,
+		Capacity: 4, Seed: 13,
 		MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 		Durability: wal.ModeSync, WALDir: dir,
 	}

@@ -28,7 +28,6 @@ import (
 // city, modest fleet, generous constraints so most submissions quote.
 func walEngineConfig(mode wal.Mode, dir string) core.Config {
 	return core.Config{
-		GridCols: 4, GridRows: 4,
 		Capacity: 4, Seed: 5,
 		MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 		Durability: mode, WALDir: dir,

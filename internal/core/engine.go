@@ -69,11 +69,10 @@ func (a *Algorithm) UnmarshalText(b []byte) (err error) {
 
 // Config carries the demo's global settings (paper §4.2: taxi capacity,
 // number of taxis, maximal waiting time, service constraint, price
-// calculator function, and the matching algorithm).
+// calculator function, and the matching algorithm). The grid index
+// (§3.2.1) is not a setting: it always has 16×16 cells over the road
+// network's bounding box, and surge pricing tracks those cells.
 type Config struct {
-	// GridCols/GridRows give the road-network grid index resolution.
-	GridCols, GridRows int
-
 	// Capacity is the per-vehicle rider capacity.
 	Capacity int
 	// MaxSchedulePoints caps pending stops per vehicle (0 = 8; at most
@@ -148,12 +147,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.GridCols == 0 {
-		out.GridCols = 16
-	}
-	if out.GridRows == 0 {
-		out.GridRows = 16
-	}
 	if out.Capacity == 0 {
 		out.Capacity = 4
 	}

@@ -170,11 +170,11 @@ func TestSubmitBatchQuoteOnly(t *testing.T) {
 // the same coordinates resolve to the same vertex on every backend:
 // random points inside and outside the bounding box, points exactly on
 // cell borders, vertices themselves and midpoints between vertices
-// (distance ties), over a coarse grid and one fine enough that most
-// cells hold no vertex.
+// (distance ties), over a lattice so small that most of the 16×16
+// grid's cells hold no vertex and one of 64×64 vertices, 16 a cell.
 func TestNearestVertexMatchesLinearScan(t *testing.T) {
-	for _, dims := range [][2]int{{7, 5}, {40, 40}} {
-		e := latticeEngine(t, 41, 14, 11, core.Config{GridCols: dims[0], GridRows: dims[1], Capacity: 4})
+	for _, dims := range [][2]int{{9, 7}, {64, 64}} {
+		e := latticeEngine(t, 41, dims[0], dims[1], core.Config{Capacity: 4})
 		g, grid := e.Graph(), e.Grid()
 		b := g.Bounds()
 		rng := rand.New(rand.NewSource(42))
@@ -182,7 +182,7 @@ func TestNearestVertexMatchesLinearScan(t *testing.T) {
 		check := func(kind string, p geo.Point) {
 			t.Helper()
 			if got, want := e.NearestVertex(p), g.NearestVertex(p); got != want {
-				t.Fatalf("grid %dx%d, %s point %v: engine snaps to %d (%.3f m), linear scan to %d (%.3f m)",
+				t.Fatalf("lattice %dx%d, %s point %v: engine snaps to %d (%.3f m), linear scan to %d (%.3f m)",
 					dims[0], dims[1], kind, p, got, g.Point(got).Dist(p), want, g.Point(want).Dist(p))
 			}
 		}

@@ -48,7 +48,6 @@ func batchPair(t *testing.T, algo core.Algorithm, workers int) (a, b *core.Engin
 		var err error
 		testnet.AtProcs(workers, func() {
 			e, err = core.NewEngine(g, core.Config{
-				GridCols: 6, GridRows: 6,
 				Capacity: 4, Sigma: 0.4, MaxWaitSeconds: 300,
 				Algorithm: algo,
 				Seed:      77,

@@ -22,7 +22,6 @@ func tickEngine(t *testing.T, workers int) *core.Engine {
 	var err error
 	testnet.AtProcs(workers, func() {
 		e, err = core.NewEngine(g, core.Config{
-			GridCols: 6, GridRows: 6,
 			Capacity: 4, Sigma: 0.4, MaxWaitSeconds: 300,
 			Seed: 77,
 		})

@@ -41,7 +41,7 @@ func BenchmarkSubmitSurge(b *testing.B) {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			cfg := core.Config{
-				GridCols: 8, GridRows: 8, Capacity: 4, Seed: 11,
+				Capacity: 4, Seed: 11,
 				MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 			}
 			v.cfg(&cfg)

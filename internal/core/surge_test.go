@@ -30,7 +30,6 @@ func hotTiers() []surge.Tier {
 // within a couple of ticks.
 func surgeConfig() core.Config {
 	return core.Config{
-		GridCols: 4, GridRows: 4,
 		Capacity: 4, MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 		SurgeEnabled: true, SurgeEpochSeconds: 10, SurgeAlpha: 1,
 		SurgeTiers: hotTiers(),

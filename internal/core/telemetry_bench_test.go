@@ -33,7 +33,7 @@ func BenchmarkSubmitTelemetry(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			reg := v.reg()
 			cfg := core.Config{
-				GridCols: 8, GridRows: 8, Capacity: 4, Seed: 11,
+				Capacity: 4, Seed: 11,
 				MaxWaitSeconds: 600, Sigma: 0.4, MaxPickupSeconds: 1e6,
 				Telemetry: reg,
 			}

@@ -21,7 +21,7 @@ func TestBatchObservesEachItemsOwnMatchTime(t *testing.T) {
 	var err error
 	testnet.AtProcs(1, func() {
 		e, err = NewEngine(g, Config{
-			GridCols: 8, GridRows: 8, Capacity: 4, Sigma: 0.4,
+			Capacity: 4, Sigma: 0.4,
 			Algorithm: AlgoDualSide, Seed: 5,
 		})
 	})

@@ -26,7 +26,7 @@ var (
 )
 
 func routerBenchCfg() core.Config {
-	return core.Config{GridCols: 12, GridRows: 12, Capacity: 4, Algorithm: core.AlgoDualSide, Seed: 31}
+	return core.Config{Capacity: 4, Algorithm: core.AlgoDualSide, Seed: 31}
 }
 
 func routerBenchSetup(b *testing.B) {

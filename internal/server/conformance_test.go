@@ -42,7 +42,7 @@ func singleBackend(t *testing.T) v1Backend {
 	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
 		Telemetry: telemetry.NewRegistry(),
 	})

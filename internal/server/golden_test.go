@@ -64,7 +64,6 @@ func goldenBackends(t *testing.T) []v1Backend {
 
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	cfg := goldenConfig(1)
-	cfg.GridCols, cfg.GridRows = 3, 3
 	eng, err := core.NewEngine(g, cfg)
 	if err != nil {
 		t.Fatalf("engine: %v", err)

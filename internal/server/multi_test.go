@@ -18,7 +18,7 @@ import (
 func newMultiServer(t *testing.T) (*httptest.Server, *multicity.Router) {
 	t.Helper()
 	router, err := multicity.BuildFromSpec("east:8x8:6,west:6x6:4",
-		core.Config{GridCols: 4, GridRows: 4, Capacity: 4, Algorithm: core.AlgoDualSide}, 5)
+		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide}, 5)
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}

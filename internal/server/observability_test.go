@@ -32,7 +32,7 @@ func obsSingle(t *testing.T) v1Backend {
 	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
 		Durability: wal.ModeAsync, WALDir: t.TempDir(),
 		Telemetry: telemetry.NewRegistry(),
@@ -322,7 +322,7 @@ func (s *syncBuf) String() string {
 func TestV1SlowRequestLog(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
 		Telemetry: telemetry.NewRegistry(),
 	})

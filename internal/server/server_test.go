@@ -20,7 +20,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.Engine) {
 	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
 	})
 	if err != nil {
@@ -262,7 +262,7 @@ func (s *spaces) Read(p []byte) (int, error) {
 // the limit instead of taking the whole body in.
 func TestOversizedBodyIs413(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
-	eng, err := core.NewEngine(g, core.Config{GridCols: 3, GridRows: 3, Capacity: 4, Seed: 1})
+	eng, err := core.NewEngine(g, core.Config{Capacity: 4, Seed: 1})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

@@ -21,7 +21,7 @@ import (
 func TestSSEDropOnSlowSubscriber(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
 	})
 	if err != nil {
@@ -72,7 +72,7 @@ func TestSSEDropOnSlowSubscriber(t *testing.T) {
 func TestServerTickPublishesEvents(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func surgeBackend(t *testing.T) (v1Backend, *core.Engine) {
 	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
 		SurgeEnabled: true, SurgeEpochSeconds: 10, SurgeAlpha: 1,
 		SurgeTiers: []surge.Tier{{MinRatio: 0.0001, Multiplier: 2}},
@@ -140,7 +140,7 @@ func TestV1SurgeEndpoint(t *testing.T) {
 	if resp := getJSON(t, b.ts.URL+"/v1/surge", &sv); resp.StatusCode != http.StatusOK {
 		t.Fatalf("surge status %d", resp.StatusCode)
 	}
-	if !sv.Enabled || sv.Epoch != 1 || sv.Cols != 3 || sv.Rows != 3 || sv.EpochSeconds != 10 {
+	if !sv.Enabled || sv.Epoch != 1 || sv.Cols != 16 || sv.Rows != 16 || sv.EpochSeconds != 10 {
 		t.Fatalf("surge view = %+v", sv)
 	}
 	hotCell := int(eng.Grid().CellOf(0))

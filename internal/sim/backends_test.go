@@ -28,7 +28,7 @@ func TestReplayIdenticalAcrossBackends(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	cfg := core.Config{
-		GridCols: 4, GridRows: 4, Capacity: 4, Algorithm: core.AlgoDualSide,
+		Capacity: 4, Algorithm: core.AlgoDualSide,
 		MaxWaitSeconds: 600, Sigma: 0.6, Seed: 21,
 	}
 	const vehicles = 15

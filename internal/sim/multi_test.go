@@ -13,7 +13,7 @@ import (
 func twinRouter(t *testing.T) *multicity.Router {
 	t.Helper()
 	r, err := multicity.BuildFromSpec("east:8x8:8,west:6x6:6",
-		core.Config{GridCols: 4, GridRows: 4, Capacity: 4, Algorithm: core.AlgoDualSide}, 17)
+		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide}, 17)
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestRunMultiServesTwoCitiesWithIsolatedStats(t *testing.T) {
 // rejection traffic, and the relay panel must reflect the outcomes.
 func TestRunMultiServesCrossViaRelay(t *testing.T) {
 	r, err := multicity.BuildFromSpecWithConfig("east:8x8:10,west:6x6:8",
-		core.Config{GridCols: 4, GridRows: 4, Capacity: 4, Algorithm: core.AlgoDualSide, CommitSlack: 0.3}, 17,
+		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide, CommitSlack: 0.3}, 17,
 		multicity.RouterConfig{EnableRelay: true})
 	if err != nil {
 		t.Fatalf("router: %v", err)

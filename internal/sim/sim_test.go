@@ -17,7 +17,6 @@ func smallWorld(t *testing.T, seed int64, vehicles, trips int) (*core.Engine, []
 		t.Fatalf("network: %v", err)
 	}
 	e, err := core.NewEngine(g, core.Config{
-		GridCols: 4, GridRows: 4,
 		Capacity: 4, Algorithm: core.AlgoDualSide,
 		MaxWaitSeconds: 600, Sigma: 0.6, Seed: seed,
 	})
@@ -253,7 +252,7 @@ func TestSharingHappensUnderLoad(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	e, err := core.NewEngine(g, core.Config{
-		GridCols: 3, GridRows: 3, Capacity: 4,
+		Capacity:       4,
 		MaxWaitSeconds: 1200, Sigma: 1.0, Algorithm: core.AlgoDualSide, Seed: 5,
 	})
 	if err != nil {

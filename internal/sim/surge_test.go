@@ -75,7 +75,7 @@ func TestPeakSurgeSimulation(t *testing.T) {
 			t.Fatalf("network: %v", err)
 		}
 		cfg := core.Config{
-			GridCols: 4, GridRows: 4, Capacity: 4,
+			Capacity:       4,
 			MaxWaitSeconds: 900, Sigma: 0.6, Algorithm: core.AlgoDualSide, Seed: 8,
 		}
 		if surgeOn {

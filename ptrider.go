@@ -242,7 +242,9 @@ func GenerateWorkload(n *Network, cfg WorkloadConfig) ([]Trip, error) {
 // time, service constraint, price function, and matching algorithm.
 // Parallelism is not a setting: each engine quotes a SubmitBatch wave
 // and shards Tick over GOMAXPROCS goroutines, read at construction, and
-// every width gives the same answers.
+// every width gives the same answers. Nor is the grid index: it always
+// has 16×16 cells over the road network's bounding box, and surge
+// pricing tracks those cells.
 type Config struct {
 	// NumTaxis places this many vehicles uniformly at random (0 = none;
 	// add more with AddVehicleAt/AddVehicles). In a multi-city system
@@ -265,8 +267,6 @@ type Config struct {
 	// PriceRatio overrides the paper's f_n = 0.3 + (n−1)·0.1 when
 	// non-nil; it maps rider count to the price ratio.
 	PriceRatio func(n int) float64
-	// GridCols and GridRows set the index resolution (0 = 16×16).
-	GridCols, GridRows int
 	// CommitSlack loosens Choose when the quoted schedule went stale
 	// between quote and choice (vehicle moved, other riders accepted):
 	// a fresh schedule within CommitSlack·dist(s,d) metres of the
@@ -296,7 +296,6 @@ func coreConfig(cfg Config) (core.Config, error) {
 		}
 	}
 	return core.Config{
-		GridCols: cfg.GridCols, GridRows: cfg.GridRows,
 		Capacity:          cfg.Capacity,
 		SpeedKmh:          cfg.SpeedKmh,
 		MaxWaitSeconds:    cfg.MaxWaitSeconds,

@@ -69,7 +69,7 @@ func TestNewRejectsOneWayNetwork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReadNetwork: %v", err)
 		}
-		_, err = ptrider.New(net, ptrider.Config{NumTaxis: 1, GridCols: 2, GridRows: 2})
+		_, err = ptrider.New(net, ptrider.Config{NumTaxis: 1})
 		return err
 	}
 	if err := build(valid); err != nil {

@@ -260,10 +260,6 @@ func (gr *Grid) Dims() (cols, rows int) { return gr.cols, gr.rows }
 // CellOf returns the cell containing vertex v.
 func (gr *Grid) CellOf(v roadnet.VertexID) CellID { return gr.cellOf[v] }
 
-// CellAt returns the cell containing the planar point p (clamped to the
-// grid bounds).
-func (gr *Grid) CellAt(p geo.Point) CellID { return gr.cellAt(p) }
-
 // Cell returns the static data of cell id. The result aliases internal
 // storage and must not be modified.
 func (gr *Grid) Cell(id CellID) *Cell { return &gr.cells[id] }

@@ -349,19 +349,6 @@ func TestSingleCellGridHasTrivialBounds(t *testing.T) {
 	}
 }
 
-func TestCellAtClampsOutOfBoundsPoints(t *testing.T) {
-	g, gr := buildLatticeGrid(t, 15, 5, 5, 2, 2)
-	b := g.Bounds()
-	far := geo.Point{X: b.Max.X + 1e6, Y: b.Max.Y + 1e6}
-	if c := gr.CellAt(far); c != gridindex.CellID(gr.NumCells()-1) {
-		t.Errorf("CellAt(far NE) = %d, want last cell", c)
-	}
-	near := geo.Point{X: b.Min.X - 1e6, Y: b.Min.Y - 1e6}
-	if c := gr.CellAt(near); c != 0 {
-		t.Errorf("CellAt(far SW) = %d, want cell 0", c)
-	}
-}
-
 func TestVehicleListsPlacement(t *testing.T) {
 	vl := gridindex.NewVehicleLists(4)
 	vl.PlaceEmpty(1, 0)

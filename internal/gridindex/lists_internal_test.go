@@ -2,9 +2,32 @@ package gridindex
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
+
+	"ptrider/internal/geo"
+	"ptrider/internal/testnet"
 )
+
+// TestCellAtClampsOutOfBoundsPoints: a point far outside the graph's
+// bounding box maps to the nearest corner cell.
+func TestCellAtClampsOutOfBoundsPoints(t *testing.T) {
+	g := testnet.Lattice(rand.New(rand.NewSource(15)), 5, 5, 100)
+	gr, err := Build(g, Config{Cols: 2, Rows: 2})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	b := g.Bounds()
+	far := geo.Point{X: b.Max.X + 1e6, Y: b.Max.Y + 1e6}
+	if c := gr.cellAt(far); c != CellID(gr.NumCells()-1) {
+		t.Errorf("cellAt(far NE) = %d, want last cell", c)
+	}
+	near := geo.Point{X: b.Min.X - 1e6, Y: b.Min.Y - 1e6}
+	if c := gr.cellAt(near); c != 0 {
+		t.Errorf("cellAt(far SW) = %d, want cell 0", c)
+	}
+}
 
 // TestPlaceNonEmptyEpochWrap drives the duplicate-cell stamp across its
 // wrap to zero: a stamp left from an old epoch equal to the restarted

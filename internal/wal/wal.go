@@ -72,6 +72,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -459,7 +460,11 @@ func (j *Journal) flushOnce() {
 		j.opts.FsyncHist.ObserveSince(t0)
 	}
 	if err != nil {
-		j.fail(b, fmt.Errorf("wal: flush: %w", err))
+		err = fmt.Errorf("wal: flush: %w", err)
+		// An async batch has no waiter, so the log is the only place
+		// this cause surfaces before the next append is refused.
+		slog.Error("wal: journal fail-stop", "dir", j.dir, "err", err)
+		j.fail(b, err)
 		return
 	}
 	j.batches.Add(1)

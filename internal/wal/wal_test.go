@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +16,39 @@ import (
 // ignore is a restore/replay callback for tests that read the
 // recovered records with Recover instead.
 func ignore([]byte) error { return nil }
+
+// recordHandler is a slog handler that keeps every record it is given.
+type recordHandler struct {
+	mu      sync.Mutex
+	records []slog.Record
+}
+
+func (h *recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.records = append(h.records, r.Clone())
+	return nil
+}
+
+func (h *recordHandler) taken() []slog.Record {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.records)
+}
+
+// captureLog routes the default slog logger into a recordHandler for
+// the rest of the test and restores the previous logger afterwards.
+func captureLog(t *testing.T) *recordHandler {
+	h := &recordHandler{}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(h))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	return h
+}
 
 func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 	t.Helper()
@@ -189,6 +225,7 @@ func TestRotateSnapshotPrune(t *testing.T) {
 }
 
 func TestTornWriteInjection(t *testing.T) {
+	logged := captureLog(t)
 	dir := t.TempDir()
 	inj := &Injector{}
 	t.Cleanup(ArmDir(dir, inj))
@@ -221,6 +258,9 @@ func TestTornWriteInjection(t *testing.T) {
 		t.Fatalf("Append after death = %v, want ErrCrashed", err)
 	}
 	_ = j.Close()
+	if recs := logged.taken(); len(recs) != 0 {
+		t.Fatalf("an injected torn write logged %d records, want none: %q", len(recs), recs[0].Message)
+	}
 
 	rec := recovered(t, dir)
 	got := recordStrings(rec)
@@ -362,10 +402,12 @@ func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 }
 
 // TestFlushFailureKillsJournal pins the fail-stop: a batch write that
-// fails kills the journal before its waiter is released, refuses
-// every later append, and leaves on disk exactly the records
-// acknowledged before the failure.
+// fails kills the journal before its waiter is released, logs one
+// error naming the directory and the cause, refuses every later
+// append, and leaves on disk exactly the records acknowledged before
+// the failure.
 func TestFlushFailureKillsJournal(t *testing.T) {
+	logged := captureLog(t)
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "acked-1", "acked-2")
@@ -398,6 +440,19 @@ func TestFlushFailureKillsJournal(t *testing.T) {
 		t.Fatalf("Append after a failed flush = %v, want ErrCrashed", err)
 	}
 	_ = j.Close()
+
+	recs := logged.taken()
+	if len(recs) != 1 {
+		t.Fatalf("logged %d records, want one fail-stop error", len(recs))
+	}
+	attrs := map[string]any{}
+	recs[0].Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value.Any(); return true })
+	if recs[0].Level != slog.LevelError || attrs["dir"] != dir {
+		t.Fatalf("fail-stop record = %v %q %v, want an error naming %s", recs[0].Level, recs[0].Message, attrs, dir)
+	}
+	if cause, _ := attrs["err"].(error); !errors.As(cause, &pe) {
+		t.Fatalf("fail-stop record err = %v, want the *os.PathError", attrs["err"])
+	}
 
 	rec := recovered(t, dir)
 	if got := strings.Join(recordStrings(rec), ","); got != "acked-1,acked-2" || rec.TruncatedBytes != 0 {

@@ -10,6 +10,7 @@ package ptrider_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -291,6 +292,107 @@ func BenchmarkSubmitBatch(b *testing.B) {
 			return nil
 		})
 	})
+}
+
+// metroBenchWorld is the metro-scale world: a 160×160 city (25,600
+// vertices, 16×16 grid cells like every engine's) with 5,000 roaming
+// taxis under the dual-side matcher, warmed by 300 seeded requests of
+// which every other one is accepted. retainedMB is the live heap the world holds once warm.
+type metroBenchWorld struct {
+	eng        *core.Engine
+	probes     [][2]roadnet.VertexID
+	retainedMB float64
+}
+
+var (
+	metroOnce  sync.Once
+	metroState *metroBenchWorld
+)
+
+func metroWorld(b *testing.B) *metroBenchWorld {
+	b.Helper()
+	metroOnce.Do(func() {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		g, err := gen.GenerateNetwork(gen.CityConfig{Width: 160, Height: 160, Seed: 1})
+		if err != nil {
+			panic(err)
+		}
+		eng, err := core.NewEngine(g, core.Config{Capacity: 4, Algorithm: core.AlgoDualSide, Seed: 1})
+		if err != nil {
+			panic(err)
+		}
+		eng.AddVehiclesUniform(5000)
+		rng := rand.New(rand.NewSource(2))
+		pair := func() (s, d roadnet.VertexID) {
+			for s == d {
+				s = roadnet.VertexID(rng.Intn(g.NumVertices()))
+				d = roadnet.VertexID(rng.Intn(g.NumVertices()))
+			}
+			return s, d
+		}
+		for i := 0; i < 300; i++ {
+			s, d := pair()
+			rec, err := eng.Submit(s, d, 1)
+			if err != nil {
+				panic(err)
+			}
+			if i%2 == 0 && len(rec.Options) > 0 {
+				err = eng.Choose(rec.ID, 0)
+			} else {
+				err = eng.Decline(rec.ID)
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+		probes := make([][2]roadnet.VertexID, 1024)
+		for i := range probes {
+			probes[i][0], probes[i][1] = pair()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		metroState = &metroBenchWorld{
+			eng:        eng,
+			probes:     probes,
+			retainedMB: (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20),
+		}
+	})
+	return metroState
+}
+
+// BenchmarkMetroQuote — quoting at metro scale: each op submits one
+// seeded request to the warmed 160×160, 5,000-taxi city and declines
+// it, so the fleet is the same for every op. Besides ms/op it reports
+// the host-independent work per quote — settled/op (vertices the
+// batch-fill searches settled; at most 2·|V| = 51,200), verified/op
+// (vehicles whose kinetic tree was consulted) and dist_calls/op — and
+// retained_MB, the live heap of the warmed world.
+func BenchmarkMetroQuote(b *testing.B) {
+	w := metroWorld(b)
+	st0 := w.eng.Stats()
+	calls0, settled0 := w.eng.DistCalls(), w.eng.Settled()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := w.probes[i%len(w.probes)]
+		rec, err := w.eng.Submit(p[0], p[1], 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.eng.Decline(rec.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := w.eng.Stats()
+	verified := st.AvgVerified*float64(st.Requests) - st0.AvgVerified*float64(st0.Requests)
+	n := float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/n, "ms/op")
+	b.ReportMetric(float64(w.eng.Settled()-settled0)/n, "settled/op")
+	b.ReportMetric(verified/n, "verified/op")
+	b.ReportMetric(float64(w.eng.DistCalls()-calls0)/n, "dist_calls/op")
+	b.ReportMetric(w.retainedMB, "retained_MB")
 }
 
 // BenchmarkGridBuild — E6: index construction across resolutions.

@@ -23,10 +23,8 @@ type Substrate struct {
 	speed float64 // m/s
 }
 
-// gridSide is the grid index's cells per side. From 8×8 to 64×64 cells
-// quote time and settled vertices stay within run-to-run noise at both
-// 40×40 and 160×160 vertices, while 64×64 costs 30 s and 100 MB to
-// build, so the resolution is fixed rather than configured.
+// gridSide is the grid index's cells per side, fixed: quote time does
+// not move with the resolution (ARCHITECTURE.md, Substrate).
 const gridSide = 16
 
 // newSubstrate builds the immutable layer from a road network and an

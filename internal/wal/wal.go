@@ -461,8 +461,7 @@ func (j *Journal) flushOnce() {
 	}
 	if err != nil {
 		err = fmt.Errorf("wal: flush: %w", err)
-		// An async batch has no waiter, so the log is the only place
-		// this cause surfaces before the next append is refused.
+		// An async append has no waiter to hand this cause to.
 		slog.Error("wal: journal fail-stop", "dir", j.dir, "err", err)
 		j.fail(b, err)
 		return

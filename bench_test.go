@@ -297,7 +297,8 @@ func BenchmarkSubmitBatch(b *testing.B) {
 // metroBenchWorld is the metro-scale world: a 160×160 city (25,600
 // vertices, 16×16 grid cells like every engine's) with 5,000 roaming
 // taxis under the dual-side matcher, warmed by 300 seeded requests of
-// which every other one is accepted. retainedMB is the live heap the world holds once warm.
+// which every other one is accepted. retainedMB is the live heap the
+// world holds once warm.
 type metroBenchWorld struct {
 	eng        *core.Engine
 	probes     [][2]roadnet.VertexID

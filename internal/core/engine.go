@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,9 +219,6 @@ type Engine struct {
 	requests  atomic.Int64 // quoted requests, for consistent Stats
 
 	tickMu sync.Mutex // serialises Tick's movement phase
-	// stepOverride replaces fleet.Step in Tick when non-nil (test seam;
-	// see SetStepOverride). Written before concurrency starts.
-	stepOverride func(budget float64) ([]fleet.Event, error)
 
 	rngMu  sync.Mutex
 	rng    *rand.Rand
@@ -1104,30 +1100,22 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 	}
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	step := e.fleet.Step
-	if e.stepOverride != nil {
-		step = e.stepOverride
-	}
 	t0 := time.Now()
-	events, err := step(dt * e.sub.speed)
+	events, err := e.fleet.Step(dt * e.sub.speed)
 	wallMs := float64(time.Since(t0)) / float64(time.Millisecond)
 	e.tickHist.Observe(wallMs / 1e3)
-	if e.stepOverride == nil {
-		// Record tick observability only for real fleet steps: an
-		// override bypasses the fleet entirely, so its shard stats would
-		// be stale. statsMu taken alone is fine (led.mu → statsMu is an
-		// order, not a requirement to hold both).
-		ss := e.fleet.StepStats()
-		skewMs := float64(ss.MaxShardNanos-ss.MinShardNanos) / float64(time.Millisecond)
-		e.statsMu.Lock()
-		e.tickWallMs.Observe(wallMs)
-		e.tickEvents.Observe(float64(len(events)))
-		e.lastTickWallMs = wallMs
-		if skewMs > e.maxShardSkewMs {
-			e.maxShardSkewMs = skewMs
-		}
-		e.statsMu.Unlock()
+	// statsMu taken alone is fine (led.mu → statsMu is an order, not a
+	// requirement to hold both).
+	ss := e.fleet.StepStats()
+	skewMs := float64(ss.MaxShardNanos-ss.MinShardNanos) / float64(time.Millisecond)
+	e.statsMu.Lock()
+	e.tickWallMs.Observe(wallMs)
+	e.tickEvents.Observe(float64(len(events)))
+	e.lastTickWallMs = wallMs
+	if skewMs > e.maxShardSkewMs {
+		e.maxShardSkewMs = skewMs
 	}
+	e.statsMu.Unlock()
 	if err == nil {
 		// The clock advances only after the fleet completed the whole
 		// movement step: a failed step must not leave the engine clock
@@ -1208,22 +1196,11 @@ func (e *Engine) advanceSurgeLocked(clock float64) (wal.Commit, error) {
 	}})
 }
 
-// SetStepOverride replaces the fleet movement step used by Tick.
-// A fleet step failure is not reachable through the public API on a
-// consistent engine, so tests that pin the failure semantics (clock
-// stays put, HTTP layer answers 500) inject one here. Passing nil
-// restores the real fleet step. Call before concurrent use; not part
-// of the supported surface.
-func (e *Engine) SetStepOverride(fn func(budget float64) ([]fleet.Event, error)) {
-	e.tickMu.Lock()
-	e.stepOverride = fn
-	e.tickMu.Unlock()
-}
-
 // SetVehicleStepFault injects a per-vehicle movement failure into the
-// real fleet step (unlike SetStepOverride, which replaces it wholesale).
-// Tests that pin the error-join semantics — one bad vehicle must not
-// freeze the rest of the fleet for the tick — fault specific ids here.
+// fleet step. A fleet step failure is not reachable through the public
+// API on a consistent engine, so tests that pin the failure semantics
+// (the clock holds, the errors join, healthy vehicles still move, the
+// HTTP layer answers 500) fault every vehicle or a chosen few here.
 // Passing nil clears the fault. Call before concurrent use; not part of
 // the supported surface.
 func (e *Engine) SetVehicleStepFault(fn func(fleet.VehicleID) error) {
@@ -1385,9 +1362,7 @@ type SurgePanel struct {
 // TickStats summarises Tick's sharded time advancement: how wide the
 // shard fan-out runs, how long ticks take, how many movement events they
 // merge, and the worst shard skew seen — the slowest-minus-fastest shard
-// gap that bounds parallel efficiency. Populated only for real fleet
-// steps (a test's SetStepOverride bypasses the fleet and records
-// nothing).
+// gap that bounds parallel efficiency.
 type TickStats struct {
 	// Workers is the shard width the engine derived from GOMAXPROCS at
 	// construction (each step additionally clamps to the population).
@@ -1550,12 +1525,4 @@ func (e *Engine) RandomVertex() roadnet.VertexID {
 	e.rngMu.Lock()
 	defer e.rngMu.Unlock()
 	return roadnet.VertexID(e.rng.Intn(e.sub.g.NumVertices()))
-}
-
-// SortOptionsByPrice returns the options of a record re-sorted by price
-// ascending (the smartphone interface's alternate ordering).
-func SortOptionsByPrice(opts []Option) []Option {
-	out := append([]Option(nil), opts...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Price < out[j].Price })
-	return out
 }

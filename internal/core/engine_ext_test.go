@@ -203,7 +203,8 @@ func TestNearestVertexMatchesLinearScan(t *testing.T) {
 		for v := 0; v < n; v++ {
 			p := g.Point(roadnet.VertexID(v))
 			check("vertex", p)
-			check("midpoint", p.Lerp(g.Point(roadnet.VertexID(rng.Intn(n))), 0.5))
+			q := g.Point(roadnet.VertexID(rng.Intn(n)))
+			check("midpoint", geo.Point{X: p.X + (q.X-p.X)*0.5, Y: p.Y + (q.Y-p.Y)*0.5})
 		}
 	}
 }

@@ -25,22 +25,6 @@ func TestMatchOnceValidation(t *testing.T) {
 	}
 }
 
-func TestSortOptionsByPrice(t *testing.T) {
-	opts := []core.Option{
-		{PickupDist: 1, Price: 30},
-		{PickupDist: 2, Price: 10},
-		{PickupDist: 3, Price: 20},
-	}
-	byPrice := core.SortOptionsByPrice(opts)
-	if byPrice[0].Price != 10 || byPrice[1].Price != 20 || byPrice[2].Price != 30 {
-		t.Fatalf("sorted = %+v", byPrice)
-	}
-	// The input is untouched.
-	if opts[0].Price != 30 {
-		t.Fatal("SortOptionsByPrice mutated its input")
-	}
-}
-
 func TestRequestStatusStrings(t *testing.T) {
 	cases := map[core.RequestStatus]string{
 		core.StatusQuoted:    "quoted",

@@ -345,11 +345,6 @@ func NewCityInfo(name string, vertices, vehicles int, region geo.Rect) CityInfo 
 	}
 }
 
-// Region returns the city's service region.
-func (c CityInfo) Region() geo.Rect {
-	return geo.Rect{Min: geo.Point{X: c.MinX, Y: c.MinY}, Max: geo.Point{X: c.MaxX, Y: c.MaxY}}
-}
-
 // CityReadiness is one city's readiness probe result — the per-city
 // row of the /v1/readyz detail body. For remote backends Err carries
 // the transport failure ("dial tcp ...") of an unreachable shard.

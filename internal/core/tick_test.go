@@ -27,7 +27,7 @@ func TestTickClockUnchangedOnStepFailure(t *testing.T) {
 	}
 
 	boom := errors.New("injected fleet failure")
-	e.SetStepOverride(func(float64) ([]fleet.Event, error) { return nil, boom })
+	e.SetVehicleStepFault(func(fleet.VehicleID) error { return boom })
 	if _, err := e.Tick(3); !errors.Is(err, boom) {
 		t.Fatalf("Tick error = %v, want injected failure", err)
 	}
@@ -36,8 +36,11 @@ func TestTickClockUnchangedOnStepFailure(t *testing.T) {
 	}
 
 	// Partial progress still surfaces its events, but the clock holds.
-	e.SetStepOverride(func(float64) ([]fleet.Event, error) {
-		return []fleet.Event{}, boom
+	e.SetVehicleStepFault(func(id fleet.VehicleID) error {
+		if id == 0 {
+			return boom
+		}
+		return nil
 	})
 	if _, err := e.Tick(2); !errors.Is(err, boom) {
 		t.Fatalf("Tick error = %v, want injected failure", err)
@@ -48,7 +51,7 @@ func TestTickClockUnchangedOnStepFailure(t *testing.T) {
 
 	// Recovery: with the real step restored the clock resumes from
 	// where the last successful step left it.
-	e.SetStepOverride(nil)
+	e.SetVehicleStepFault(nil)
 	if _, err := e.Tick(3); err != nil {
 		t.Fatalf("recovery tick: %v", err)
 	}

@@ -142,9 +142,9 @@ func TestLoadedVehicleFootprint(t *testing.T) {
 	req := kinetic.Request{ID: 1 << 40, S: 100, D: 2000, Riders: 1, SD: 1, ServiceLimit: 1e9, WaitBudget: 1e9}
 	var cands []kinetic.PackedCandidate
 	var pts []kinetic.Point
-	fl.Vehicles(func(v *fleet.Vehicle) {
+	for _, v := range fl.Snapshot() {
 		cands, pts = v.QuotePacked(req, cands[:0], pts[:0], nil)
-	})
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := fl.Step(100); err != nil {
 			t.Fatalf("step: %v", err)

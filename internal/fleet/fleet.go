@@ -169,30 +169,6 @@ type registration struct {
 	cell  gridindex.CellID
 }
 
-// Loc returns the vertex the vehicle is at or driving toward — the
-// position all matching is computed from.
-func (v *Vehicle) Loc() roadnet.VertexID {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.Tree.Root()
-}
-
-// Odometer returns the odometer reading at arrival at Loc.
-func (v *Vehicle) Odometer() float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.Tree.Odometer()
-}
-
-// RemainToRoot returns the metres left before the vehicle reaches Loc.
-// The engine adds it to every quoted pick-up distance when converting
-// to time, since matching measures from Loc.
-func (v *Vehicle) RemainToRoot() float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.remainToRoot
-}
-
 // Removed reports whether the vehicle has been taken out of service.
 func (v *Vehicle) Removed() bool {
 	v.mu.Lock()
@@ -436,15 +412,6 @@ func (f *Fleet) Snapshot() []*Vehicle {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return append([]*Vehicle(nil), f.vehicles...)
-}
-
-// Vehicles calls fn for every in-service vehicle, in id order.
-func (f *Fleet) Vehicles(fn func(*Vehicle)) {
-	for _, v := range f.Snapshot() {
-		if !v.Removed() {
-			fn(v)
-		}
-	}
 }
 
 // CheckInvariants verifies, under each vehicle's lock, that every
@@ -908,20 +875,6 @@ func (f *Fleet) SetStepFault(fn func(VehicleID) error) {
 	f.mu.Lock()
 	f.stepFault = fn
 	f.mu.Unlock()
-}
-
-// StepVehicle advances a single vehicle (exposed for tests and for the
-// simulator's failure injection).
-func (f *Fleet) StepVehicle(id VehicleID, budget float64) ([]Event, error) {
-	v, err := f.Vehicle(id)
-	if err != nil {
-		return nil, err
-	}
-	events, moved, err := f.stepVehicle(v, budget)
-	if moved {
-		f.placePending(v)
-	}
-	return events, err
 }
 
 // stepVehicle holds the vehicle's lock for the whole step so the

@@ -41,28 +41,6 @@ func TestZeroWeightEdgeSafety(t *testing.T) {
 	}
 }
 
-// TestStepVehicleSingle: StepVehicle moves only the addressed vehicle.
-func TestStepVehicleSingle(t *testing.T) {
-	w := newWorld(t, 40, 4)
-	a := w.fl.AddVehicle(0)
-	b := w.fl.AddVehicle(10)
-	if _, err := w.fl.StepVehicle(a.ID, 500); err != nil {
-		t.Fatalf("StepVehicle: %v", err)
-	}
-	if a.Odometer() == 0 {
-		t.Fatal("addressed vehicle did not move")
-	}
-	if b.Odometer() != 0 {
-		t.Fatal("other vehicle moved")
-	}
-	if _, err := w.fl.StepVehicle(99, 1); err == nil {
-		t.Fatal("unknown vehicle accepted")
-	}
-}
-
-// TestCommitQuoteCandidateFromOtherVehicleFails: committing a candidate
-// quoted against a different tree state must be rejected, not corrupt
-// the schedule.
 func TestCommitForeignCandidateFails(t *testing.T) {
 	w := newWorld(t, 41, 4)
 	a := w.fl.AddVehicle(0)
@@ -169,25 +147,21 @@ func TestRegistrationConsistencyUnderChurn(t *testing.T) {
 			t.Fatalf("step: %v", err)
 		}
 
-		w.fl.Vehicles(func(v *fleet.Vehicle) {
-			empty, registered := w.lists.IsEmptyVehicle(v.ID)
-			if !registered {
+		for _, v := range w.fl.Snapshot() {
+			cells, empty := w.listed(v.ID)
+			if len(cells) == 0 {
 				t.Fatalf("step %d: vehicle %d unregistered", step, v.ID)
 			}
 			if empty != v.Tree.Empty() {
 				t.Fatalf("step %d: vehicle %d empty=%v but tree empty=%v",
 					step, v.ID, empty, v.Tree.Empty())
 			}
-			cells := w.lists.Cells(v.ID)
-			if len(cells) == 0 {
-				t.Fatalf("step %d: vehicle %d has no cells", step, v.ID)
-			}
 			if v.Tree.Empty() {
-				if len(cells) != 1 || cells[0] != w.grid.CellOf(v.Loc()) {
+				if len(cells) != 1 || cells[0] != w.grid.CellOf(v.Tree.Root()) {
 					t.Fatalf("step %d: empty vehicle %d cells %v, loc cell %d",
-						step, v.ID, cells, w.grid.CellOf(v.Loc()))
+						step, v.ID, cells, w.grid.CellOf(v.Tree.Root()))
 				}
-				return
+				continue
 			}
 			// Non-empty: every stop location's cell must be registered.
 			reg := map[gridindex.CellID]bool{}
@@ -200,7 +174,7 @@ func TestRegistrationConsistencyUnderChurn(t *testing.T) {
 						step, v.ID, w.grid.CellOf(loc), cells)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -260,10 +234,10 @@ func TestStepListOrderAcrossWorkers(t *testing.T) {
 			}
 			for c := 0; c < w.grid.NumCells(); c++ {
 				cell := gridindex.CellID(c)
-				if a, b := serial.lists.Empty(cell), w.lists.Empty(cell); !slices.Equal(a, b) {
+				if a, b := serial.lists.AppendEmpty(cell, nil), w.lists.AppendEmpty(cell, nil); !slices.Equal(a, b) {
 					t.Fatalf("step %d workers %d cell %d: empty list %v, serial %v", step, w.workers, c, b, a)
 				}
-				if a, b := serial.lists.NonEmpty(cell), w.lists.NonEmpty(cell); !slices.Equal(a, b) {
+				if a, b := serial.lists.AppendNonEmpty(cell, nil), w.lists.AppendNonEmpty(cell, nil); !slices.Equal(a, b) {
 					t.Fatalf("step %d workers %d cell %d: non-empty list %v, serial %v", step, w.workers, c, b, a)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -39,6 +40,20 @@ func newWorld(t *testing.T, seed int64, capacity int) *world {
 	return &world{g: g, grid: grid, lists: lists, fl: fl, s: roadnet.NewSearcher(g)}
 }
 
+// listed reads vehicle id's registration back from the cell lists the
+// way a ring scan reads them: the cells whose empty or non-empty list
+// holds id, in cell order, and whether those are empty lists.
+func (w *world) listed(id fleet.VehicleID) (cells []gridindex.CellID, empty bool) {
+	for c := gridindex.CellID(0); int(c) < w.grid.NumCells(); c++ {
+		if slices.Contains(w.lists.AppendEmpty(c, nil), id) {
+			cells, empty = append(cells, c), true
+		} else if slices.Contains(w.lists.AppendNonEmpty(c, nil), id) {
+			cells = append(cells, c)
+		}
+	}
+	return cells, empty
+}
+
 func (w *world) request(t *testing.T, id kinetic.RequestID, s, d roadnet.VertexID, riders int, sigma, wait float64) kinetic.Request {
 	t.Helper()
 	sd := w.s.Dist(s, d)
@@ -64,12 +79,12 @@ func TestConfigValidation(t *testing.T) {
 func TestAddVehicleRegistersEmpty(t *testing.T) {
 	w := newWorld(t, 2, 4)
 	v := w.fl.AddVehicle(10)
-	if v.Loc() != 10 || v.Odometer() != 0 || v.RemainToRoot() != 0 {
-		t.Fatalf("fresh vehicle state: loc=%d odo=%v remain=%v", v.Loc(), v.Odometer(), v.RemainToRoot())
+	if st := w.fl.SnapshotState()[v.ID]; st.Loc != 10 || st.Odo != 0 || st.RemainToRoot != 0 {
+		t.Fatalf("fresh vehicle state: loc=%d odo=%v remain=%v", st.Loc, st.Odo, st.RemainToRoot)
 	}
 	cell := w.grid.CellOf(10)
 	found := false
-	for _, id := range w.lists.Empty(cell) {
+	for _, id := range w.lists.AppendEmpty(cell, nil) {
 		if id == v.ID {
 			found = true
 		}
@@ -91,16 +106,15 @@ func TestRandomWalkMovesAndKeepsRegistration(t *testing.T) {
 		}
 		// The empty vehicle must always be registered exactly in the
 		// cell of its current target vertex.
-		empty, reg := w.lists.IsEmptyVehicle(v.ID)
-		if !empty || !reg {
+		cells, empty := w.listed(v.ID)
+		if !empty {
 			t.Fatalf("step %d: vehicle not registered empty", i)
 		}
-		cells := w.lists.Cells(v.ID)
-		if len(cells) != 1 || cells[0] != w.grid.CellOf(v.Loc()) {
-			t.Fatalf("step %d: registered in %v, located in %d", i, cells, w.grid.CellOf(v.Loc()))
+		if len(cells) != 1 || cells[0] != w.grid.CellOf(v.Tree.Root()) {
+			t.Fatalf("step %d: registered in %v, located in %d", i, cells, w.grid.CellOf(v.Tree.Root()))
 		}
 	}
-	if v.Odometer() == 0 {
+	if v.Tree.Odometer() == 0 {
 		t.Fatal("random walk never moved the vehicle")
 	}
 }
@@ -116,17 +130,14 @@ func TestCommitDriveServeLifecycle(t *testing.T) {
 	if _, err := w.fl.Commit(v.ID, req, cands[0], 0); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	if e, _ := w.lists.IsEmptyVehicle(v.ID); e {
+	cells, empty := w.listed(v.ID)
+	if empty {
 		t.Fatal("committed vehicle still in empty lists")
 	}
 	// Stop cells must be registered.
-	regged := map[gridindex.CellID]bool{}
-	for _, c := range w.lists.Cells(v.ID) {
-		regged[c] = true
-	}
-	for _, loc := range []roadnet.VertexID{v.Loc(), 27, 45} {
-		if !regged[w.grid.CellOf(loc)] {
-			t.Fatalf("stop cell %d not registered (cells %v)", w.grid.CellOf(loc), w.lists.Cells(v.ID))
+	for _, loc := range []roadnet.VertexID{v.Tree.Root(), 27, 45} {
+		if !slices.Contains(cells, w.grid.CellOf(loc)) {
+			t.Fatalf("stop cell %d not registered (cells %v)", w.grid.CellOf(loc), cells)
 		}
 	}
 
@@ -154,7 +165,7 @@ func TestCommitDriveServeLifecycle(t *testing.T) {
 	if !v.Tree.Empty() {
 		t.Fatal("vehicle should be empty after dropoff")
 	}
-	if e, reg := w.lists.IsEmptyVehicle(v.ID); !e || !reg {
+	if cells, empty := w.listed(v.ID); !empty || len(cells) == 0 {
 		t.Fatal("vehicle should be back in the empty lists")
 	}
 }
@@ -253,7 +264,7 @@ func TestRemoveVehicle(t *testing.T) {
 	if w.fl.NumActive() != 0 {
 		t.Fatal("active count not decremented")
 	}
-	if _, reg := w.lists.IsEmptyVehicle(v.ID); reg {
+	if cells, _ := w.listed(v.ID); len(cells) > 0 {
 		t.Fatal("removed vehicle still registered")
 	}
 	if _, err := w.fl.RemoveVehicle(v.ID); err == nil {
@@ -276,7 +287,10 @@ func TestStepConsumesExactBudget(t *testing.T) {
 
 	// Odometer-at-root minus remainToRoot equals true distance driven;
 	// it must advance by exactly the budget while en route.
-	driven := func() float64 { return v.Odometer() - v.RemainToRoot() }
+	driven := func() float64 {
+		st := w.fl.SnapshotState()[v.ID]
+		return st.Odo - st.RemainToRoot
+	}
 	before := driven()
 	if _, err := w.fl.Step(75); err != nil {
 		t.Fatalf("step: %v", err)
@@ -329,11 +343,11 @@ func TestManyVehiclesManyRequestsInvariant(t *testing.T) {
 			}
 		}
 		// Capacity invariant across the fleet.
-		w.fl.Vehicles(func(v *fleet.Vehicle) {
+		for _, v := range w.fl.Snapshot() {
 			if v.Tree.Onboard() > 3 {
 				t.Fatalf("tick %d: vehicle %d over capacity: %d riders", tick, v.ID, v.Tree.Onboard())
 			}
-		})
+		}
 	}
 	if completed == 0 {
 		t.Fatal("no request completed in 400 ticks")
@@ -364,7 +378,9 @@ func TestStepAggregatesVehicleErrors(t *testing.T) {
 	})
 
 	odoBefore := make(map[fleet.VehicleID]float64)
-	w.fl.Vehicles(func(v *fleet.Vehicle) { odoBefore[v.ID] = v.Odometer() })
+	for _, v := range w.fl.Snapshot() {
+		odoBefore[v.ID] = v.Tree.Odometer()
+	}
 
 	_, err := w.fl.Step(300)
 	if err == nil {
@@ -379,8 +395,8 @@ func TestStepAggregatesVehicleErrors(t *testing.T) {
 		}
 	}
 
-	w.fl.Vehicles(func(v *fleet.Vehicle) {
-		moved := v.Odometer() > odoBefore[v.ID]
+	for _, v := range w.fl.Snapshot() {
+		moved := v.Tree.Odometer() > odoBefore[v.ID]
 		faulted := v.ID == 1 || v.ID == 2
 		if faulted && moved {
 			t.Fatalf("faulted vehicle %d advanced its odometer", v.ID)
@@ -388,7 +404,7 @@ func TestStepAggregatesVehicleErrors(t *testing.T) {
 		if !faulted && !moved {
 			t.Fatalf("healthy vehicle %d frozen by other vehicles' faults", v.ID)
 		}
-	})
+	}
 
 	// With the fault cleared the whole fleet steps cleanly again.
 	w.fl.SetStepFault(nil)

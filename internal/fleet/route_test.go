@@ -56,24 +56,27 @@ func TestRouteMatchesFreshPath(t *testing.T) {
 					t.Fatalf("step %d: commit on vehicle %d: %v", step, v.ID, err)
 				}
 				next++
-				if got, want := w.lists.Cells(v.ID), firstSeen(oneSearchPerLeg(w, v)); !slices.Equal(got, want) {
+				got, _ := w.listed(v.ID)
+				if want := distinct(oneSearchPerLeg(w, v)); !slices.Equal(got, want) {
 					t.Fatalf("step %d: vehicle %d listed in %v after a commit, one search per leg gives %v", step, v.ID, got, want)
 				}
 			}
 			for step := 0; step < 200; step++ {
 				commit(step)
-				w.fl.Vehicles(func(v *fleet.Vehicle) { cellBefore[v.ID] = w.grid.CellOf(v.Loc()) })
+				for _, v := range w.fl.Snapshot() {
+					cellBefore[v.ID] = w.grid.CellOf(v.Tree.Root())
+				}
 				if _, err := w.fl.Step(60); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				w.fl.Vehicles(func(v *fleet.Vehicle) {
+				for _, v := range w.fl.Snapshot() {
 					route := w.fl.PlannedRoute(v)
 					stop, ok := v.Tree.BestStop(0)
 					if !ok {
 						if route != nil {
 							t.Fatalf("step %d: vehicle %d has no stop but keeps route %v", step, v.ID, route)
 						}
-						return
+						continue
 					}
 					fresh, _ := w.s.Path(v.Tree.Root(), stop.Loc)
 					if !slices.Equal(route, fresh) {
@@ -83,13 +86,13 @@ func TestRouteMatchesFreshPath(t *testing.T) {
 					if got := w.fl.Registration(v); !slices.Equal(got, want) {
 						t.Fatalf("step %d: vehicle %d would register %v, one search per leg gives %v", step, v.ID, got, want)
 					}
-					if w.grid.CellOf(v.Loc()) == cellBefore[v.ID] {
-						return
+					if w.grid.CellOf(v.Tree.Root()) == cellBefore[v.ID] {
+						continue
 					}
-					if got := w.lists.Cells(v.ID); !slices.Equal(got, firstSeen(want)) {
-						t.Fatalf("step %d: vehicle %d listed in %v after a crossing, one search per leg gives %v", step, v.ID, got, firstSeen(want))
+					if got, _ := w.listed(v.ID); !slices.Equal(got, distinct(want)) {
+						t.Fatalf("step %d: vehicle %d listed in %v after a crossing, one search per leg gives %v", step, v.ID, got, distinct(want))
 					}
-				})
+				}
 			}
 		})
 	}
@@ -159,14 +162,8 @@ func oneSearchPerLeg(w *world, v *fleet.Vehicle) []gridindex.CellID {
 	}
 }
 
-// firstSeen keeps each cell once, in first-seen order, as the lists
-// register a vehicle's cells.
-func firstSeen(cells []gridindex.CellID) []gridindex.CellID {
-	var out []gridindex.CellID
-	for _, c := range cells {
-		if !slices.Contains(out, c) {
-			out = append(out, c)
-		}
-	}
-	return out
+// distinct returns each cell once, in cell order, as listed reads a
+// vehicle's cells back.
+func distinct(cells []gridindex.CellID) []gridindex.CellID {
+	return slices.Compact(slices.Sorted(slices.Values(cells)))
 }

@@ -6,7 +6,7 @@ import (
 
 	"ptrider/internal/gen"
 	"ptrider/internal/roadnet"
-	"ptrider/internal/trace"
+	"ptrider/internal/testnet"
 )
 
 func TestGenerateNetworkValidation(t *testing.T) {
@@ -26,7 +26,7 @@ func TestGenerateNetworkProperties(t *testing.T) {
 	if g.NumVertices() != 400 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
-	if !g.Embedded() || !g.Metric() {
+	if !g.Embedded() || !testnet.Metric(g) {
 		t.Fatal("network must be embedded and metric")
 	}
 	if !roadnet.Connected(g) {
@@ -126,17 +126,22 @@ func TestGenerateTripsValidAndSorted(t *testing.T) {
 func TestTripsFollowDiurnalProfile(t *testing.T) {
 	g, _ := gen.GenerateNetwork(gen.CityConfig{Width: 15, Height: 15, Seed: 3})
 	trips, _ := gen.GenerateTrips(g, gen.TripConfig{NumTrips: 30000, Seed: 3})
-	sum := trace.Summarise(trips, 86400)
-	// Rush hours (08, 18) must clearly out-draw the small hours (03).
-	if sum.ByHour[8] <= 2*sum.ByHour[3] {
-		t.Errorf("hour 8 (%d) not busier than 2x hour 3 (%d)", sum.ByHour[8], sum.ByHour[3])
+	var byHour [24]int
+	byRiders := map[int]int{}
+	for _, tr := range trips {
+		byHour[min(max(int(tr.Time/3600), 0), 23)]++
+		byRiders[tr.Riders]++
 	}
-	if sum.ByHour[18] <= 2*sum.ByHour[3] {
-		t.Errorf("hour 18 (%d) not busier than 2x hour 3 (%d)", sum.ByHour[18], sum.ByHour[3])
+	// Rush hours (08, 18) must clearly out-draw the small hours (03).
+	if byHour[8] <= 2*byHour[3] {
+		t.Errorf("hour 8 (%d) not busier than 2x hour 3 (%d)", byHour[8], byHour[3])
+	}
+	if byHour[18] <= 2*byHour[3] {
+		t.Errorf("hour 18 (%d) not busier than 2x hour 3 (%d)", byHour[18], byHour[3])
 	}
 	// Rider distribution: singles dominate, 4-rider groups rare.
-	if sum.ByRiders[1] < sum.ByRiders[2] || sum.ByRiders[2] < sum.ByRiders[4] {
-		t.Errorf("rider distribution implausible: %v", sum.ByRiders)
+	if byRiders[1] < byRiders[2] || byRiders[2] < byRiders[4] {
+		t.Errorf("rider distribution implausible: %v", byRiders)
 	}
 }
 

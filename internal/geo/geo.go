@@ -28,34 +28,11 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Add returns the translation of p by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the translation of p by −q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by k about the origin.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
-// Lerp returns the point a fraction t of the way from p to q.
-// t outside [0,1] extrapolates.
-func (p Point) Lerp(q Point, t float64) Point {
-	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
-}
-
 // Rect is an axis-aligned rectangle. Min is the lower-left corner and
 // Max the upper-right corner; a Rect is well-formed when Min.X ≤ Max.X
 // and Min.Y ≤ Max.Y. The zero Rect is the empty rectangle at the origin.
 type Rect struct {
 	Min, Max Point
-}
-
-// NewRect returns the smallest well-formed Rect containing both p and q.
-func NewRect(p, q Point) Rect {
-	return Rect{
-		Min: Point{math.Min(p.X, q.X), math.Min(p.Y, q.Y)},
-		Max: Point{math.Max(p.X, q.X), math.Max(p.Y, q.Y)},
-	}
 }
 
 // Width returns the horizontal extent of r.
@@ -90,27 +67,11 @@ func (r Rect) Expand(m float64) Rect {
 	}
 }
 
-// Union returns the smallest Rect containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
 // DistToPoint returns the Euclidean distance from p to the closest point
 // of r; zero when r contains p.
 func (r Rect) DistToPoint(p Point) float64 {
 	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
 	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
-// DistToRect returns the minimal Euclidean distance between any point of
-// r and any point of s; zero when they intersect.
-func (r Rect) DistToRect(s Rect) float64 {
-	dx := math.Max(0, math.Max(s.Min.X-r.Max.X, r.Min.X-s.Max.X))
-	dy := math.Max(0, math.Max(s.Min.Y-r.Max.Y, r.Min.Y-s.Max.Y))
 	return math.Hypot(dx, dy)
 }
 

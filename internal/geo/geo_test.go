@@ -22,29 +22,6 @@ func TestPointDist(t *testing.T) {
 	}
 }
 
-func TestPointArithmetic(t *testing.T) {
-	p := geo.Point{X: 1, Y: 2}
-	q := geo.Point{X: 3, Y: -1}
-	if got := p.Add(q); got != (geo.Point{X: 4, Y: 1}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(q); got != (geo.Point{X: -2, Y: 3}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); got != (geo.Point{X: 2, Y: 4}) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := p.Lerp(q, 0.5); got != (geo.Point{X: 2, Y: 0.5}) {
-		t.Errorf("Lerp = %v", got)
-	}
-	if got := p.Lerp(q, 0); got != p {
-		t.Errorf("Lerp(0) = %v, want %v", got, p)
-	}
-	if got := p.Lerp(q, 1); got != q {
-		t.Errorf("Lerp(1) = %v, want %v", got, q)
-	}
-}
-
 func TestDistSymmetryAndTriangle(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy float64) bool {
 		a := geo.Point{X: clamp(ax), Y: clamp(ay)}
@@ -68,10 +45,7 @@ func clamp(x float64) float64 {
 }
 
 func TestRectBasics(t *testing.T) {
-	r := geo.NewRect(geo.Point{X: 4, Y: 1}, geo.Point{X: 0, Y: 3})
-	if r.Min != (geo.Point{X: 0, Y: 1}) || r.Max != (geo.Point{X: 4, Y: 3}) {
-		t.Fatalf("NewRect normalised to %+v", r)
-	}
+	r := geo.Rect{Min: geo.Point{X: 0, Y: 1}, Max: geo.Point{X: 4, Y: 3}}
 	if r.Width() != 4 || r.Height() != 2 {
 		t.Errorf("Width/Height = %v/%v", r.Width(), r.Height())
 	}
@@ -87,9 +61,9 @@ func TestRectBasics(t *testing.T) {
 }
 
 func TestRectIntersectsAndUnion(t *testing.T) {
-	a := geo.NewRect(geo.Point{}, geo.Point{X: 2, Y: 2})
-	b := geo.NewRect(geo.Point{X: 1, Y: 1}, geo.Point{X: 3, Y: 3})
-	c := geo.NewRect(geo.Point{X: 5, Y: 5}, geo.Point{X: 6, Y: 6})
+	a := geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 2, Y: 2}}
+	b := geo.Rect{Min: geo.Point{X: 1, Y: 1}, Max: geo.Point{X: 3, Y: 3}}
+	c := geo.Rect{Min: geo.Point{X: 5, Y: 5}, Max: geo.Point{X: 6, Y: 6}}
 	if !a.Intersects(b) || !b.Intersects(a) {
 		t.Error("overlapping rects should intersect")
 	}
@@ -97,18 +71,14 @@ func TestRectIntersectsAndUnion(t *testing.T) {
 		t.Error("disjoint rects should not intersect")
 	}
 	// Touching edges count as intersecting.
-	d := geo.NewRect(geo.Point{X: 2, Y: 0}, geo.Point{X: 4, Y: 2})
+	d := geo.Rect{Min: geo.Point{X: 2, Y: 0}, Max: geo.Point{X: 4, Y: 2}}
 	if !a.Intersects(d) {
 		t.Error("edge-touching rects should intersect")
-	}
-	u := a.Union(c)
-	if u.Min != (geo.Point{}) || u.Max != (geo.Point{X: 6, Y: 6}) {
-		t.Errorf("Union = %+v", u)
 	}
 }
 
 func TestRectDistances(t *testing.T) {
-	r := geo.NewRect(geo.Point{}, geo.Point{X: 2, Y: 2})
+	r := geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 2, Y: 2}}
 	if d := r.DistToPoint(geo.Point{X: 1, Y: 1}); d != 0 {
 		t.Errorf("DistToPoint inside = %v", d)
 	}
@@ -118,17 +88,10 @@ func TestRectDistances(t *testing.T) {
 	if d := r.DistToPoint(geo.Point{X: 1, Y: -3}); d != 3 {
 		t.Errorf("DistToPoint edge = %v, want 3", d)
 	}
-	s := geo.NewRect(geo.Point{X: 5, Y: 6}, geo.Point{X: 7, Y: 8})
-	if d := r.DistToRect(s); d != 5 {
-		t.Errorf("DistToRect = %v, want 5", d)
-	}
-	if d := r.DistToRect(r); d != 0 {
-		t.Errorf("DistToRect self = %v, want 0", d)
-	}
 }
 
 func TestRectExpand(t *testing.T) {
-	r := geo.NewRect(geo.Point{}, geo.Point{X: 2, Y: 2}).Expand(1)
+	r := geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 2, Y: 2}}.Expand(1)
 	if r.Min != (geo.Point{X: -1, Y: -1}) || r.Max != (geo.Point{X: 3, Y: 3}) {
 		t.Errorf("Expand = %+v", r)
 	}
@@ -154,7 +117,7 @@ func TestDistToPointIsLowerBoundOfContainedPoints(t *testing.T) {
 	f := func(px, py, qx, qy float64) bool {
 		p := geo.Point{X: clamp(px), Y: clamp(py)}
 		q := geo.Point{X: clamp(qx), Y: clamp(qy)}
-		r := geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: 100, Y: 100})
+		r := geo.Rect{Min: geo.Point{X: -100, Y: -100}, Max: geo.Point{X: 100, Y: 100}}
 		if !r.Contains(q) {
 			return true
 		}

@@ -256,7 +256,7 @@ func TestLBSoundOnDirectedGraph(t *testing.T) {
 		if g.IsSymmetric() {
 			t.Fatal("directed lattice came out symmetric")
 		}
-		o := roadnet.NewOracle(g)
+		o := testnet.NewOracle(g)
 		for _, res := range []int{2, 3, 4} {
 			gr, err := gridindex.Build(g, gridindex.Config{Cols: res, Rows: res})
 			if err != nil {
@@ -345,131 +345,6 @@ func TestSingleCellGridHasTrivialBounds(t *testing.T) {
 		v := roadnet.VertexID((trial * 7) % g.NumVertices())
 		if lb := gr.LB(u, v); lb > s.Dist(u, v) {
 			t.Fatalf("LB(%d,%d) = %v > dist", u, v, lb)
-		}
-	}
-}
-
-func TestVehicleListsPlacement(t *testing.T) {
-	vl := gridindex.NewVehicleLists(4)
-	vl.PlaceEmpty(1, 0)
-	vl.PlaceEmpty(2, 0)
-	vl.PlaceNonEmpty(3, []gridindex.CellID{1, 2, 2, 3})
-	if got := vl.Empty(0); len(got) != 2 {
-		t.Fatalf("Empty(0) = %v", got)
-	}
-	for _, c := range []gridindex.CellID{1, 2, 3} {
-		if got := vl.NonEmpty(c); len(got) != 1 || got[0] != 3 {
-			t.Fatalf("NonEmpty(%d) = %v", c, got)
-		}
-	}
-	if cells := vl.Cells(3); len(cells) != 3 {
-		t.Fatalf("Cells(3) = %v, want 3 deduped cells", cells)
-	}
-	if e, reg := vl.IsEmptyVehicle(1); !e || !reg {
-		t.Error("vehicle 1 should be registered empty")
-	}
-	if e, reg := vl.IsEmptyVehicle(3); e || !reg {
-		t.Error("vehicle 3 should be registered non-empty")
-	}
-	if _, reg := vl.IsEmptyVehicle(99); reg {
-		t.Error("vehicle 99 should be unregistered")
-	}
-}
-
-func TestVehicleListsTransitions(t *testing.T) {
-	vl := gridindex.NewVehicleLists(4)
-	vl.PlaceEmpty(7, 1)
-	vl.PlaceNonEmpty(7, []gridindex.CellID{2, 3}) // empty → non-empty
-	if got := vl.Empty(1); len(got) != 0 {
-		t.Fatalf("vehicle left in empty list: %v", got)
-	}
-	if got := vl.NonEmpty(2); len(got) != 1 {
-		t.Fatalf("NonEmpty(2) = %v", got)
-	}
-	vl.PlaceEmpty(7, 0) // non-empty → empty
-	if len(vl.NonEmpty(2)) != 0 || len(vl.NonEmpty(3)) != 0 {
-		t.Fatal("vehicle left in non-empty lists")
-	}
-	if got := vl.Empty(0); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("Empty(0) = %v", got)
-	}
-	vl.Remove(7)
-	if vl.NumRegistered() != 0 {
-		t.Fatalf("NumRegistered = %d after Remove", vl.NumRegistered())
-	}
-	vl.Remove(7) // idempotent
-}
-
-func TestVehicleListsManyVehicles(t *testing.T) {
-	vl := gridindex.NewVehicleLists(10)
-	rng := rand.New(rand.NewSource(16))
-	// Mirror of expected state: vehicle → (empty?, cells).
-	type reg struct {
-		empty bool
-		cells []gridindex.CellID
-	}
-	mirror := make(map[gridindex.VehicleID]reg)
-	for op := 0; op < 5000; op++ {
-		id := gridindex.VehicleID(rng.Intn(50))
-		switch rng.Intn(3) {
-		case 0:
-			c := gridindex.CellID(rng.Intn(10))
-			vl.PlaceEmpty(id, c)
-			mirror[id] = reg{empty: true, cells: []gridindex.CellID{c}}
-		case 1:
-			n := 1 + rng.Intn(4)
-			cells := make([]gridindex.CellID, n)
-			seen := map[gridindex.CellID]bool{}
-			uniq := cells[:0]
-			for i := 0; i < n; i++ {
-				cells[i] = gridindex.CellID(rng.Intn(10))
-				if !seen[cells[i]] {
-					seen[cells[i]] = true
-					uniq = append(uniq, cells[i])
-				}
-			}
-			vl.PlaceNonEmpty(id, cells)
-			mirror[id] = reg{empty: false, cells: append([]gridindex.CellID(nil), uniq...)}
-		case 2:
-			vl.Remove(id)
-			delete(mirror, id)
-		}
-	}
-	if vl.NumRegistered() != len(mirror) {
-		t.Fatalf("NumRegistered = %d, want %d", vl.NumRegistered(), len(mirror))
-	}
-	// Rebuild per-cell sets from the mirror and compare.
-	for c := gridindex.CellID(0); c < 10; c++ {
-		wantEmpty := map[gridindex.VehicleID]bool{}
-		wantNon := map[gridindex.VehicleID]bool{}
-		for id, r := range mirror {
-			for _, rc := range r.cells {
-				if rc == c {
-					if r.empty {
-						wantEmpty[id] = true
-					} else {
-						wantNon[id] = true
-					}
-				}
-			}
-		}
-		gotEmpty := vl.Empty(c)
-		if len(gotEmpty) != len(wantEmpty) {
-			t.Fatalf("cell %d empty list len %d, want %d", c, len(gotEmpty), len(wantEmpty))
-		}
-		for _, id := range gotEmpty {
-			if !wantEmpty[id] {
-				t.Fatalf("cell %d empty list has unexpected %d", c, id)
-			}
-		}
-		gotNon := vl.NonEmpty(c)
-		if len(gotNon) != len(wantNon) {
-			t.Fatalf("cell %d non-empty list len %d, want %d", c, len(gotNon), len(wantNon))
-		}
-		for _, id := range gotNon {
-			if !wantNon[id] {
-				t.Fatalf("cell %d non-empty list has unexpected %d", c, id)
-			}
 		}
 	}
 }

@@ -33,10 +33,10 @@ type listSlot struct {
 // list, so no operation scans a list.
 //
 // VehicleLists is safe for concurrent use: registrations are serialised
-// by an internal read-write lock, and the read methods return snapshot
-// copies so callers never observe a list mid-mutation. Matchers on the
-// hot path use AppendEmpty/AppendNonEmpty with a reused buffer to keep
-// cell scans allocation-free.
+// by an internal read-write lock, and the read methods copy out under
+// it so callers never observe a list mid-mutation. Matchers pass
+// AppendEmpty/AppendNonEmpty a reused buffer to keep cell scans
+// allocation-free.
 type VehicleLists struct {
 	mu       sync.RWMutex
 	empty    [][]VehicleID
@@ -48,7 +48,6 @@ type VehicleLists struct {
 	// buffer is reused across its placements.
 	kind  []uint8
 	slots [][]listSlot
-	count int // registered vehicles
 
 	// stamp[c] == epoch marks cell c as already taken by the running
 	// PlaceNonEmpty, which drops a repeated cell that way.
@@ -74,7 +73,6 @@ func (vl *VehicleLists) PlaceEmpty(id VehicleID, c CellID) {
 	vl.grow(id)
 	vl.slots[id] = append(vl.slots[id][:0], push(vl.empty, c, id))
 	vl.kind[id] = registeredEmpty
-	vl.count++
 }
 
 // PlaceNonEmpty registers vehicle id as a non-empty vehicle whose
@@ -100,7 +98,6 @@ func (vl *VehicleLists) PlaceNonEmpty(id VehicleID, cells []CellID) {
 	}
 	vl.slots[id] = slots
 	vl.kind[id] = registeredNonEmpty
-	vl.count++
 }
 
 // Remove deregisters vehicle id from every list. Removing an unknown
@@ -146,7 +143,6 @@ func (vl *VehicleLists) removeLocked(id VehicleID) {
 	}
 	vl.slots[id] = vl.slots[id][:0]
 	vl.kind[id] = unregistered
-	vl.count--
 }
 
 // reindex records that vehicle id now sits at index idx of cell c's
@@ -159,17 +155,6 @@ func (vl *VehicleLists) reindex(id VehicleID, c CellID, idx int32) {
 			return
 		}
 	}
-}
-
-// Empty returns a snapshot copy of the empty-vehicle list of cell c.
-func (vl *VehicleLists) Empty(c CellID) []VehicleID {
-	return vl.AppendEmpty(c, nil)
-}
-
-// NonEmpty returns a snapshot copy of the non-empty-vehicle list of
-// cell c.
-func (vl *VehicleLists) NonEmpty(c CellID) []VehicleID {
-	return vl.AppendNonEmpty(c, nil)
 }
 
 // AppendEmpty appends the empty-vehicle list of cell c to buf and
@@ -206,30 +191,6 @@ func (vl *VehicleLists) FillSupply(counts []int) {
 	}
 }
 
-// Cells returns a snapshot copy of the cells vehicle id is currently
-// registered in. It returns nil for unknown ids.
-func (vl *VehicleLists) Cells(id VehicleID) []CellID {
-	vl.mu.RLock()
-	defer vl.mu.RUnlock()
-	if _, ok := vl.kindLocked(id); !ok {
-		return nil
-	}
-	var cells []CellID
-	for _, s := range vl.slots[id] {
-		cells = append(cells, s.cell)
-	}
-	return cells
-}
-
-// IsEmptyVehicle reports whether id is registered as an empty vehicle.
-// The second result reports whether the vehicle is registered at all.
-func (vl *VehicleLists) IsEmptyVehicle(id VehicleID) (empty, registered bool) {
-	vl.mu.RLock()
-	defer vl.mu.RUnlock()
-	k, ok := vl.kindLocked(id)
-	return k == registeredEmpty, ok
-}
-
 // kindLocked returns the registration kind of id and whether it is
 // registered.
 func (vl *VehicleLists) kindLocked(id VehicleID) (uint8, bool) {
@@ -237,11 +198,4 @@ func (vl *VehicleLists) kindLocked(id VehicleID) (uint8, bool) {
 		return unregistered, false
 	}
 	return vl.kind[id], true
-}
-
-// NumRegistered returns the number of registered vehicles.
-func (vl *VehicleLists) NumRegistered() int {
-	vl.mu.RLock()
-	defer vl.mu.RUnlock()
-	return vl.count
 }

@@ -43,11 +43,11 @@ func TestPlaceNonEmptyEpochWrap(t *testing.T) {
 		t.Fatalf("epoch = %d after the wrap, want 1", vl.epoch)
 	}
 	for id, want := range map[VehicleID][]CellID{1: {0}, 2: {2, 3}, 3: {1, 0}} {
-		if got := vl.Cells(id); !slices.Equal(got, want) {
-			t.Errorf("Cells(%d) = %v, want %v", id, got, want)
+		if got, _, _ := registration(vl, id); !slices.Equal(got, want) {
+			t.Errorf("cells of %d = %v, want %v", id, got, want)
 		}
 	}
-	if got := vl.NonEmpty(0); !slices.Equal(got, []VehicleID{1, 3}) {
-		t.Errorf("NonEmpty(0) = %v, want [1 3]", got)
+	if got := vl.AppendNonEmpty(0, nil); !slices.Equal(got, []VehicleID{1, 3}) {
+		t.Errorf("non-empty list of cell 0 = %v, want [1 3]", got)
 	}
 }

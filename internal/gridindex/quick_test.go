@@ -18,7 +18,7 @@ func TestQuickBoundsInvariant(t *testing.T) {
 	type world struct {
 		g      *roadnet.Graph
 		grid   *gridindex.Grid
-		oracle *roadnet.Oracle
+		oracle *testnet.Oracle
 	}
 	worlds := make([]world, 0, 3)
 	for i, res := range []int{2, 3, 5} {
@@ -27,7 +27,7 @@ func TestQuickBoundsInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		worlds = append(worlds, world{g: g, grid: grid, oracle: roadnet.NewOracle(g)})
+		worlds = append(worlds, world{g: g, grid: grid, oracle: testnet.NewOracle(g)})
 	}
 
 	f := func(wi uint8, a, b uint16) bool {

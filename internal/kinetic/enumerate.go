@@ -17,7 +17,7 @@ const maxEnumPoints = 16
 // sets being ordered, their lazy distance matrix, the partial schedule
 // and, during a quote, the uncommitted request and the candidate
 // skyline. A tree owns none. Each walk — rebuild, quotePacked and the
-// Branches and TrieRoot views — takes one with acquireWorkspace on
+// Branches view — takes one with acquireWorkspace on
 // entry and hands it back with release on exit, so a fleet holds as
 // many workspaces as it has walks in progress, not one per vehicle.
 type workspace struct {
@@ -220,8 +220,7 @@ func (ws *workspace) walk(used, cur, occ int, perm uint64, depth uint, leaf func
 // the current root in ws, refreshing bestDist, the best schedule, the
 // branch count and maxLeg. The best schedule is the first strictly
 // shortest one in enumeration order. Each schedule is also handed to
-// visit when non-nil (the Branches and TrieRoot views); ws.distTr then
-// holds its dist_tr per stop.
+// visit when non-nil (the Branches view).
 func (t *Tree) rebuild(ws *workspace, visit func(perm uint64)) {
 	t.dirty = false
 	t.odoAtBuild = t.odo

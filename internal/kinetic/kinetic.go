@@ -9,8 +9,8 @@
 // over the points, its distance, the schedule count and the longest
 // leg. The paper's trie, whose branches share common prefixes and whose
 // nodes carry the occupancy after serving them and dist_tr, the travel
-// distance from the vehicle's current location, is a view built from
-// that walk (TrieRoot).
+// distance from the vehicle's current location, is that walk's
+// recursion; it is never built, and Branches lists its schedules.
 //
 // Distances are metres; time is distance via the system's constant
 // speed, so waiting-time budgets arrive here already converted to
@@ -103,18 +103,6 @@ type reqState struct {
 	onboard          bool
 }
 
-// Node is a trie node of the kinetic tree as TrieRoot renders it.
-// Children are the feasible next stops. DistTr and Occupancy are the
-// paper's per-node augmentations (the third, minimal allowed detour, is
-// derivable from the deadlines and is checked during enumeration
-// instead of stored).
-type Node struct {
-	Point     Point
-	DistTr    float64
-	Occupancy int
-	Children  []*Node
-}
-
 // Candidate is one feasible way to serve a quoted request: the complete
 // planned schedule and its derived quantities.
 type Candidate struct {
@@ -183,9 +171,6 @@ func New(m Metric, capacity, maxPoints int, loc roadnet.VertexID, odo float64) *
 	}
 }
 
-// Capacity returns the vehicle capacity the tree enforces.
-func (t *Tree) Capacity() int { return t.capacity }
-
 // Root returns the vehicle location the tree is rooted at.
 func (t *Tree) Root() roadnet.VertexID { return t.rootLoc }
 
@@ -253,33 +238,21 @@ func (t *Tree) ensureFresh() {
 	}
 }
 
-// BestDist returns the total distance of the shortest valid schedule
-// (zero when the tree is empty). The vehicle drives this branch.
-func (t *Tree) BestDist() float64 {
-	t.ensureFresh()
-	return t.bestDist
-}
-
 // NumBranches returns the number of valid schedules.
 func (t *Tree) NumBranches() int {
 	t.ensureFresh()
 	return t.branches
 }
 
-// MaxLeg returns the longest single leg (consecutive-stop distance,
-// including root legs) across all valid schedules, and zero for an
-// empty tree. Dual-side search uses it to lower-bound the detour of
-// inserting a destination: any insertion gap spans at most MaxLeg.
-func (t *Tree) MaxLeg() float64 {
-	t.ensureFresh()
-	return t.maxLeg
-}
-
-// MaxLegUpper returns an upper bound on MaxLeg without rebuilding a
-// stale tree. Structural changes (commit, pickup, dropoff, cancel)
-// rebuild eagerly, so the only staleness is root movement, and any root
-// leg can have grown by at most the distance driven since the last
-// build: dist(newRoot, p) ≤ dist(oldRoot, p) + driven.
+// MaxLegUpper returns an upper bound on the longest single leg
+// (consecutive-stop distance, including root legs) across all valid
+// schedules, zero for an empty tree, without rebuilding a stale tree.
+// Dual-side search uses it to lower-bound the detour of inserting a
+// destination: any insertion gap spans at most that leg. Structural
+// changes (commit, pickup, dropoff, cancel) rebuild eagerly, so the
+// only staleness is root movement, and any root leg can have grown by
+// at most the distance driven since the last build:
+// dist(newRoot, p) ≤ dist(oldRoot, p) + driven.
 func (t *Tree) MaxLegUpper() float64 {
 	if len(t.pts) == 0 {
 		return 0
@@ -301,15 +274,6 @@ func (t *Tree) BestStop(j int) (Point, bool) {
 	return t.pts[(t.bestPerm>>(4*uint(j)))&0xF], true
 }
 
-// BestBranch returns the stop sequence of the shortest valid schedule,
-// or nil when the tree is empty.
-func (t *Tree) BestBranch() []Point {
-	if _, ok := t.BestStop(0); !ok {
-		return nil
-	}
-	return UnpackSeq(t.bestPerm, t.pts)
-}
-
 // Branches returns every valid schedule as a stop sequence, in
 // enumeration order. Intended for the demo's website view and for
 // tests; matching never materialises this.
@@ -321,39 +285,6 @@ func (t *Tree) Branches() [][]Point {
 		out = append(out, UnpackSeq(perm, ws.pts))
 	})
 	return out
-}
-
-// TrieRoot returns the valid schedules as the paper's trie (§3.2.2):
-// a synthetic root at the vehicle's location whose branches share
-// common prefixes. It is built per call for read-only traversal and is
-// nil for an empty tree.
-func (t *Tree) TrieRoot() *Node {
-	if len(t.pts) == 0 {
-		return nil
-	}
-	ws := acquireWorkspace()
-	defer ws.release()
-	root := &Node{Point: Point{Loc: t.rootLoc}, Occupancy: t.Onboard()}
-	t.rebuild(ws, func(perm uint64) {
-		n := root
-		for j := range ws.pts {
-			pi := (perm >> (4 * uint(j))) & 0xF
-			// Schedules arrive in depth-first order, so a shared prefix
-			// can only be the path to the newest child.
-			if k := len(n.Children); k > 0 && n.Children[k-1].Point == ws.pts[pi] {
-				n = n.Children[k-1]
-				continue
-			}
-			riders := ws.reqs[ws.reqIdx[pi]].Riders
-			if ws.pts[pi].Kind == Dropoff {
-				riders = -riders
-			}
-			child := &Node{Point: ws.pts[pi], DistTr: ws.distTr[j+1], Occupancy: n.Occupancy + riders}
-			n.Children = append(n.Children, child)
-			n = child
-		}
-	})
-	return root
 }
 
 // AppendLocations appends the root location plus every pending point

@@ -14,7 +14,7 @@ import (
 // epsilon handling of the budget comparisons.
 func TestBudgetBoundaryExact(t *testing.T) {
 	g := testnet.Line(20, 100) // unit edges of 100 m
-	m := oracleMetric{o: roadnet.NewOracle(g), lbFrac: 1}
+	m := oracleMetric{o: testnet.NewOracle(g), lbFrac: 1}
 	tr := kinetic.New(m, 4, 8, 0, 0)
 	// Pickup at vertex 5 (500 m), dropoff at 10; waiting budget 0: the
 	// vehicle must drive straight there.
@@ -38,58 +38,12 @@ func TestBudgetBoundaryExact(t *testing.T) {
 	}
 }
 
-// TestTriePrefixSharing: with two requests along one corridor the trie
-// must share the common prefix rather than duplicate whole branches.
-func TestTriePrefixSharing(t *testing.T) {
-	g := testnet.Line(30, 100)
-	m := oracleMetric{o: roadnet.NewOracle(g), lbFrac: 1}
-	tr := kinetic.New(m, 4, 8, 0, 0)
-	r1 := kinetic.Request{ID: 1, S: 2, D: 20, Riders: 1, SD: 1800, ServiceLimit: 3600, WaitBudget: 1e6}
-	if err := tr.Commit(r1, tr.Quote(r1)[0]); err != nil {
-		t.Fatalf("commit r1: %v", err)
-	}
-	r2 := kinetic.Request{ID: 2, S: 2, D: 25, Riders: 1, SD: 2300, ServiceLimit: 4600, WaitBudget: 1e6}
-	if err := tr.Commit(r2, tr.Quote(r2)[0]); err != nil {
-		t.Fatalf("commit r2: %v", err)
-	}
-
-	root := tr.TrieRoot()
-	if root == nil {
-		t.Fatal("no trie")
-	}
-	// Both requests pick up at vertex 2; the two pickup orderings exist
-	// as branches, but each first-level child is unique by (loc, kind,
-	// req) — duplicates would mean the prefix-merge is broken.
-	seen := map[string]bool{}
-	for _, c := range root.Children {
-		key := c.Point.Kind.String() + string(rune(c.Point.Loc)) + string(rune(c.Point.Req))
-		if seen[key] {
-			t.Fatalf("duplicate first-level child %+v", c.Point)
-		}
-		seen[key] = true
-	}
-	if tr.NumBranches() < 2 {
-		t.Fatalf("expected multiple orderings, got %d", tr.NumBranches())
-	}
-	// DistTr must be monotone along every branch.
-	var walk func(n *kinetic.Node, d float64)
-	walk = func(n *kinetic.Node, d float64) {
-		for _, c := range n.Children {
-			if c.DistTr < d-1e-9 {
-				t.Fatalf("DistTr not monotone: %v after %v", c.DistTr, d)
-			}
-			walk(c, c.DistTr)
-		}
-	}
-	walk(root, 0)
-}
-
 // TestMaxLegUpperIsSound: after arbitrary on-graph movement without
 // rebuild, MaxLegUpper must bound the freshly rebuilt MaxLeg.
 func TestMaxLegUpperIsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := testnet.Lattice(rng, 6, 6, 100)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	m := oracleMetric{o: oracle, lbFrac: 1}
 	s := roadnet.NewSearcher(g)
 
@@ -163,7 +117,7 @@ func TestQuoteDoesNotMutate(t *testing.T) {
 // only dropoffs and the service deadlines drive feasibility.
 func TestOnboardDropoffOnlyTree(t *testing.T) {
 	g := testnet.Line(20, 100)
-	m := oracleMetric{o: roadnet.NewOracle(g), lbFrac: 1}
+	m := oracleMetric{o: testnet.NewOracle(g), lbFrac: 1}
 	tr := kinetic.New(m, 4, 8, 5, 0)
 	r := kinetic.Request{ID: 1, S: 5, D: 15, Riders: 2, SD: 1000, ServiceLimit: 1200, WaitBudget: 0}
 	if err := tr.Commit(r, tr.Quote(r)[0]); err != nil {

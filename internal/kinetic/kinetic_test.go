@@ -17,7 +17,7 @@ import (
 // lbFrac·dist, exercising the lower-bound pruning path without changing
 // results.
 type oracleMetric struct {
-	o      *roadnet.Oracle
+	o      *testnet.Oracle
 	lbFrac float64
 }
 
@@ -166,7 +166,7 @@ func (b *bfVehicle) quote(req kinetic.Request) map[[2]float64]bool {
 		sky.Add(pickup, d-base, struct{}{})
 	}
 	out := map[[2]float64]bool{}
-	for _, e := range sky.Entries() {
+	for _, e := range sky.Sorted() {
 		out[[2]float64{e.Time, e.Price}] = true
 	}
 	return out
@@ -194,7 +194,7 @@ func sortedKeys(seqs [][]kinetic.Point) []string {
 func paperSetup(t *testing.T, lbFrac float64) (oracleMetric, func(k int) roadnet.VertexID) {
 	t.Helper()
 	g := testnet.PaperNetwork()
-	return oracleMetric{o: roadnet.NewOracle(g), lbFrac: lbFrac},
+	return oracleMetric{o: testnet.NewOracle(g), lbFrac: lbFrac},
 		func(k int) roadnet.VertexID { return roadnet.VertexID(k - 1) }
 }
 
@@ -350,7 +350,7 @@ func TestWaitingDeadlinePrunesBranches(t *testing.T) {
 
 func TestCapacityBlocksOverlap(t *testing.T) {
 	g := testnet.Line(10, 1) // vertices 0..9, unit edges
-	m := oracleMetric{o: roadnet.NewOracle(g), lbFrac: 1}
+	m := oracleMetric{o: testnet.NewOracle(g), lbFrac: 1}
 	tr := kinetic.New(m, 2, 8, 0, 0)
 	// Two 2-rider requests with generous budgets travelling 1→8 and 2→7:
 	// with capacity 2 they can never be onboard together.
@@ -473,7 +473,7 @@ func TestRandomisedAgainstBruteForce(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := testnet.Lattice(rng, 6, 6, 100)
-			oracle := roadnet.NewOracle(g)
+			oracle := testnet.NewOracle(g)
 			m := oracleMetric{o: oracle, lbFrac: 0.9}
 			s := roadnet.NewSearcher(g)
 
@@ -609,7 +609,7 @@ func TestRandomisedAgainstBruteForce(t *testing.T) {
 func TestLBFracInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := testnet.Lattice(rng, 5, 5, 100)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	for trial := 0; trial < 20; trial++ {
 		s := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		d := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -644,7 +644,7 @@ func TestLBFracInvariance(t *testing.T) {
 func TestQuoteCandidatesMutuallyNonDominated(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	g := testnet.Lattice(rng, 5, 5, 100)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	m := oracleMetric{o: oracle, lbFrac: 1}
 	tr := kinetic.New(m, 4, 8, 0, 0)
 	r1 := kinetic.Request{ID: 1, S: 5, D: 20, Riders: 1, SD: oracle.Dist(5, 20),

@@ -20,7 +20,7 @@ func warmTree(t *testing.T) (*kinetic.Tree, kinetic.Request) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	g := testnet.Lattice(rng, 6, 6, 100)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	tr := kinetic.New(oracleMetric{o: oracle, lbFrac: 0.9}, 4, 8, 0, 0)
 	mk := func(id int, s, d roadnet.VertexID) kinetic.Request {
 		sd := oracle.Dist(s, d)
@@ -76,11 +76,11 @@ func TestQuotePackedAllocatesNothing(t *testing.T) {
 // (which makes orderings tie exactly), checked after every commit and
 // again after each of the few stops the vehicle then serves, while
 // requests remain.
-func randomTrees(t *testing.T, n int, fn func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, rng *rand.Rand)) {
+func randomTrees(t *testing.T, n int, fn func(t *testing.T, tr *kinetic.Tree, oracle *testnet.Oracle, rng *rand.Rand)) {
 	for seed := int64(0); seed < int64(n); seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		g := testnet.Lattice(rng, 5, 5, 100)
-		oracle := roadnet.NewOracle(g)
+		oracle := testnet.NewOracle(g)
 		vertex := func() roadnet.VertexID { return roadnet.VertexID(rng.Intn(g.NumVertices())) }
 		tr := kinetic.New(oracleMetric{o: oracle, lbFrac: 0.9}, 4, 8, vertex(), 0)
 
@@ -137,10 +137,10 @@ func randomTrees(t *testing.T, n int, fn func(t *testing.T, tr *kinetic.Tree, or
 // enumeration against the full schedule set: the best schedule is the
 // first strictly shortest one in enumeration order (the tie-break every
 // loaded vehicle drives by), the branch count and longest leg are those
-// of the set, and the trie view spells the same schedules.
+// of the set.
 func TestStoredResultsMatchBranches(t *testing.T) {
 	ties := 0
-	randomTrees(t, 240, func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, _ *rand.Rand) {
+	randomTrees(t, 240, func(t *testing.T, tr *kinetic.Tree, oracle *testnet.Oracle, _ *rand.Rand) {
 		branches := tr.Branches()
 		if tr.NumBranches() != len(branches) || len(branches) == 0 {
 			t.Fatalf("NumBranches %d, Branches %d", tr.NumBranches(), len(branches))
@@ -178,27 +178,6 @@ func TestStoredResultsMatchBranches(t *testing.T) {
 		if tr.MaxLeg() != maxLeg {
 			t.Fatalf("MaxLeg %v, recomputed %v", tr.MaxLeg(), maxLeg)
 		}
-
-		var leaves [][]kinetic.Point
-		var walk func(n *kinetic.Node, prefix []kinetic.Point)
-		walk = func(n *kinetic.Node, prefix []kinetic.Point) {
-			if n.Occupancy < 0 || n.Occupancy > tr.Capacity() {
-				t.Fatalf("trie node %+v occupancy %d", n.Point, n.Occupancy)
-			}
-			if len(n.Children) == 0 {
-				leaves = append(leaves, append([]kinetic.Point(nil), prefix...))
-			}
-			for _, c := range n.Children {
-				if c.DistTr < n.DistTr {
-					t.Fatalf("DistTr not monotone: %v after %v", c.DistTr, n.DistTr)
-				}
-				walk(c, append(prefix, c.Point))
-			}
-		}
-		walk(tr.TrieRoot(), nil)
-		if !reflect.DeepEqual(leaves, branches) {
-			t.Fatalf("trie leaves %v, Branches %v", leaves, branches)
-		}
 	})
 	if ties < 20 {
 		t.Fatalf("only %d tree states had an exact tie for the shortest schedule; the generator no longer forces them", ties)
@@ -212,7 +191,7 @@ func TestStoredResultsMatchBranches(t *testing.T) {
 // (committing a dearer candidate anchors an earlier pickup deadline,
 // which a tight waiting budget lets rule the cheapest schedule out).
 func TestQuoteCommitAgreement(t *testing.T) {
-	randomTrees(t, 60, func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, rng *rand.Rand) {
+	randomTrees(t, 60, func(t *testing.T, tr *kinetic.Tree, oracle *testnet.Oracle, rng *rand.Rand) {
 		if tr.NumRequests() == 4 {
 			return
 		}
@@ -231,7 +210,7 @@ func TestQuoteCommitAgreement(t *testing.T) {
 			cheapest = min(cheapest, c.TotalDist)
 		}
 		for _, c := range cands {
-			cp := kinetic.Restore(oracleMetric{o: oracle, lbFrac: 0.9}, tr.Capacity(), 8, tr.Root(), tr.Odometer(), tr.SnapshotReqs())
+			cp := kinetic.Restore(oracleMetric{o: oracle, lbFrac: 0.9}, 4, 8, tr.Root(), tr.Odometer(), tr.SnapshotReqs())
 			if err := cp.Commit(req, c); err != nil {
 				t.Fatalf("commit of quoted candidate %+v: %v", c, err)
 			}
@@ -254,7 +233,7 @@ func TestQuoteCommitAgreement(t *testing.T) {
 // round-trip form, so equal logs are equal bit for bit.
 type scriptDriver struct {
 	tr     *kinetic.Tree
-	oracle *roadnet.Oracle
+	oracle *testnet.Oracle
 	rng    *rand.Rand
 	nextID kinetic.RequestID
 	req    kinetic.Request // the last request quoted
@@ -305,10 +284,10 @@ func (d *scriptDriver) step() string {
 func TestWorkspaceSharedAcrossTrees(t *testing.T) {
 	const workers, steps = 4, 24
 	var alone, shared []*scriptDriver
-	randomTrees(t, 40, func(t *testing.T, tr *kinetic.Tree, oracle *roadnet.Oracle, _ *rand.Rand) {
+	randomTrees(t, 40, func(t *testing.T, tr *kinetic.Tree, oracle *testnet.Oracle, _ *rand.Rand) {
 		seed := int64(len(alone))
 		for _, ds := range []*[]*scriptDriver{&alone, &shared} {
-			cp := kinetic.Restore(oracleMetric{o: oracle, lbFrac: 0.9}, tr.Capacity(), 8, tr.Root(), tr.Odometer(), tr.SnapshotReqs())
+			cp := kinetic.Restore(oracleMetric{o: oracle, lbFrac: 0.9}, 4, 8, tr.Root(), tr.Odometer(), tr.SnapshotReqs())
 			*ds = append(*ds, &scriptDriver{tr: cp, oracle: oracle, rng: rand.New(rand.NewSource(seed))})
 		}
 	})

@@ -75,9 +75,9 @@ func newBareEngine(b *testing.B) *core.Engine {
 
 func newSoloRouter(b *testing.B) *multicity.Router {
 	b.Helper()
-	router, err := multicity.New([]multicity.CitySpec{
+	router, err := multicity.NewWithConfig([]multicity.CitySpec{
 		{Name: "solo", Graph: routerBenchGraph, Config: routerBenchCfg(), Vehicles: 100},
-	})
+	}, multicity.RouterConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func BenchmarkRelaySubmit(b *testing.B) {
 // BenchmarkRouterTick measures the parallel per-city tick fan-out on a
 // two-city router.
 func BenchmarkRouterTick(b *testing.B) {
-	r, err := multicity.BuildFromSpec("east:16x16:200,west:16x16:200", core.Config{Capacity: 4}, 41)
+	r, err := multicity.BuildFromSpecWithConfig("east:16x16:200,west:16x16:200", core.Config{Capacity: 4}, 41, multicity.RouterConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

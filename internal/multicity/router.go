@@ -94,14 +94,9 @@ type Router struct {
 	engines []*core.Engine // engines[i] is city i's backend
 }
 
-// New builds a Router over the given cities with default router
-// settings (cross-city trips rejected). Regions default to each
-// graph's bounding box and must be pairwise disjoint.
-func New(specs []CitySpec) (*Router, error) {
-	return NewWithConfig(specs, RouterConfig{})
-}
-
-// NewWithConfig is New with router-level settings.
+// NewWithConfig builds a Router over the given cities with router-level
+// settings (the zero RouterConfig rejects cross-city trips). Regions
+// default to each graph's bounding box and must be pairwise disjoint.
 func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 	// Names and regions are checked before any engine is built: an
 	// engine opens (and may recover) its journal directory, which a

@@ -27,10 +27,10 @@ func twinRouter(t *testing.T, cfg core.Config, taxisA, taxisB int) *multicity.Ro
 	}
 	cfgA, cfgB := cfg, cfg
 	cfgA.Seed, cfgB.Seed = 1, 2
-	r, err := multicity.New([]multicity.CitySpec{
+	r, err := multicity.NewWithConfig([]multicity.CitySpec{
 		{Name: "alpha", Graph: ga, Config: cfgA, Vehicles: taxisA},
 		{Name: "beta", Graph: gb, Config: cfgB, Vehicles: taxisB},
-	})
+	}, multicity.RouterConfig{})
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
@@ -371,28 +371,28 @@ func TestRouterConstructionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := multicity.New(nil); err == nil {
+	if _, err := multicity.NewWithConfig(nil, multicity.RouterConfig{}); err == nil {
 		t.Error("empty city list accepted")
 	}
-	if _, err := multicity.New([]multicity.CitySpec{{Name: "", Graph: g}}); err == nil {
+	if _, err := multicity.NewWithConfig([]multicity.CitySpec{{Name: "", Graph: g}}, multicity.RouterConfig{}); err == nil {
 		t.Error("unnamed city accepted")
 	}
-	if _, err := multicity.New([]multicity.CitySpec{
+	if _, err := multicity.NewWithConfig([]multicity.CitySpec{
 		{Name: "a", Graph: g}, {Name: "a", Graph: g},
-	}); err == nil {
+	}, multicity.RouterConfig{}); err == nil {
 		t.Error("duplicate city name accepted")
 	}
 	// Two cities over the same graph occupy the same region.
-	if _, err := multicity.New([]multicity.CitySpec{
+	if _, err := multicity.NewWithConfig([]multicity.CitySpec{
 		{Name: "a", Graph: g}, {Name: "b", Graph: g},
-	}); err == nil {
+	}, multicity.RouterConfig{}); err == nil {
 		t.Error("overlapping regions accepted")
 	}
-	if _, err := multicity.New([]multicity.CitySpec{{Name: "a", Graph: nil}}); err == nil {
+	if _, err := multicity.NewWithConfig([]multicity.CitySpec{{Name: "a", Graph: nil}}, multicity.RouterConfig{}); err == nil {
 		t.Error("nil graph accepted")
 	}
 
-	r, err := multicity.New([]multicity.CitySpec{{Name: "a", Graph: g, Vehicles: 2}})
+	r, err := multicity.NewWithConfig([]multicity.CitySpec{{Name: "a", Graph: g, Vehicles: 2}}, multicity.RouterConfig{})
 	if err != nil {
 		t.Fatalf("single city: %v", err)
 	}
@@ -422,7 +422,7 @@ func TestRouterTickClassifiesAndIsolatesFailures(t *testing.T) {
 }
 
 func TestBuildFromSpec(t *testing.T) {
-	r, err := multicity.BuildFromSpec("east:6x6:4,west:5x5:3", core.Config{Capacity: 4}, 9)
+	r, err := multicity.BuildFromSpecWithConfig("east:6x6:4,west:5x5:3", core.Config{Capacity: 4}, 9, multicity.RouterConfig{})
 	if err != nil {
 		t.Fatalf("BuildFromSpec: %v", err)
 	}
@@ -434,11 +434,11 @@ func TestBuildFromSpec(t *testing.T) {
 	if east.NumVehicles() != 4 || west.NumVehicles() != 3 {
 		t.Fatalf("vehicles = %d / %d", east.NumVehicles(), west.NumVehicles())
 	}
-	if cities := r.Cities(); cities[0].Region().Intersects(cities[1].Region()) {
-		t.Fatalf("spec regions overlap: %+v %+v", cities[0].Region(), cities[1].Region())
+	if c := r.Cities(); c[0].MaxX >= c[1].MinX && c[1].MaxX >= c[0].MinX && c[0].MaxY >= c[1].MinY && c[1].MaxY >= c[0].MinY {
+		t.Fatalf("spec regions overlap: %+v %+v", c[0], c[1])
 	}
 	for _, bad := range []string{"", "east", "east:6:4", "east:axb:4", "east:6x6:x"} {
-		if _, err := multicity.BuildFromSpec(bad, core.Config{}, 1); err == nil {
+		if _, err := multicity.BuildFromSpecWithConfig(bad, core.Config{}, 1, multicity.RouterConfig{}); err == nil {
 			t.Errorf("bad spec %q accepted", bad)
 		}
 	}
@@ -456,9 +456,9 @@ func TestVertexAddressedSpecIgnoresRegion(t *testing.T) {
 	}
 	west := g.Bounds()
 	west.Max.X = west.Center().X
-	r, err := multicity.New([]multicity.CitySpec{
+	r, err := multicity.NewWithConfig([]multicity.CitySpec{
 		{Name: "solo", Graph: g, Region: west, Config: core.Config{Capacity: 4, Seed: 1}, Vehicles: 12},
-	})
+	}, multicity.RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

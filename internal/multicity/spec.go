@@ -14,8 +14,8 @@ import (
 // disjoint; a wide gap makes accidental cross-city snapping impossible.
 const specGapMeters = 5000
 
-// BuildFromSpec builds a Router over synthetic cities described by a
-// compact spec string:
+// BuildFromSpecWithConfig builds a Router over synthetic cities
+// described by a compact spec string:
 //
 //	name:WIDTHxHEIGHT:TAXIS[,name:WIDTHxHEIGHT:TAXIS...]
 //
@@ -23,13 +23,8 @@ const specGapMeters = 5000
 // standard synthetic generator and laid out left to right with a gap
 // between their service regions; every city uses base as its engine
 // configuration (per-city tuning is available through the CitySpec
-// API). seed+i drives city i's generation and placement.
-func BuildFromSpec(spec string, base core.Config, seed int64) (*Router, error) {
-	return BuildFromSpecWithConfig(spec, base, seed, RouterConfig{})
-}
-
-// BuildFromSpecWithConfig is BuildFromSpec with router-level settings
-// (relay scheduling, most notably).
+// API). seed+i drives city i's generation and placement; rc carries
+// the router-level settings (relay scheduling, most notably).
 func BuildFromSpecWithConfig(spec string, base core.Config, seed int64, rc RouterConfig) (*Router, error) {
 	parts := strings.Split(spec, ",")
 	specs := make([]CitySpec, 0, len(parts))

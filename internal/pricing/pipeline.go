@@ -50,11 +50,6 @@ type FareContext struct {
 	Epoch uint64
 }
 
-// Price returns the fare f·(detourDelta + tripDist) under the context.
-func (fc FareContext) Price(detourDelta, tripDist float64) float64 {
-	return fc.Ratio * (detourDelta + tripDist)
-}
-
 // MinPrice returns the zero-detour floor f·tripDist — the pruning
 // floor the matchers terminate on.
 func (fc FareContext) MinPrice(tripDist float64) float64 {

@@ -21,8 +21,8 @@ func (s stubSource) Multiplier(cell int32) (float64, uint64) {
 
 // TestBaseOnlyPipelineBitIdentical pins the golden-equivalence
 // contract: a pipeline with only the base stage must produce the exact
-// float64 values of the static model — same Ratio, same Price, same
-// MinPrice, bit for bit.
+// float64 values of the static model — same Ratio, same price (the
+// matchers' Ratio·(delta + sd)), same MinPrice, bit for bit.
 func TestBaseOnlyPipelineBitIdentical(t *testing.T) {
 	m := NewModel(nil)
 	p := NewPipeline(Base(m))
@@ -32,11 +32,11 @@ func TestBaseOnlyPipelineBitIdentical(t *testing.T) {
 			if fc.Ratio != m.Ratio(riders) {
 				t.Fatalf("riders=%d: ratio %v != model %v", riders, fc.Ratio, m.Ratio(riders))
 			}
-			if got, want := fc.MinPrice(sd), m.MinPrice(riders, sd); got != want {
+			if got, want := fc.MinPrice(sd), m.Price(riders, 0, sd); got != want {
 				t.Fatalf("riders=%d sd=%v: MinPrice %v != %v", riders, sd, got, want)
 			}
 			for _, delta := range []float64{0, 17.5, 912.0} {
-				if got, want := fc.Price(delta, sd), m.Price(riders, delta, sd); got != want {
+				if got, want := fc.Ratio*(delta+sd), m.Price(riders, delta, sd); got != want {
 					t.Fatalf("riders=%d sd=%v delta=%v: Price %v != %v", riders, sd, delta, got, want)
 				}
 			}
@@ -85,13 +85,13 @@ func TestPriceMonotoneInDetour(t *testing.T) {
 		fc := FareContext{BaseRatio: 0.4, Multiplier: mult, Ratio: 0.4 * mult}
 		prev := math.Inf(-1)
 		for delta := 0.0; delta <= 5000; delta += 250 {
-			pr := fc.Price(delta, 2000)
+			pr := fc.Ratio * (delta + 2000)
 			if pr <= prev {
 				t.Fatalf("mult=%v: price not increasing at delta=%v", mult, delta)
 			}
 			prev = pr
 		}
-		if fc.MinPrice(2000) != fc.Price(0, 2000) {
+		if fc.MinPrice(2000) != fc.Ratio*(0+2000) {
 			t.Fatalf("mult=%v: MinPrice != zero-detour price", mult)
 		}
 	}

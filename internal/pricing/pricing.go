@@ -42,14 +42,6 @@ func (m Model) Price(n int, detourDelta, tripDist float64) float64 {
 	return m.ratio(n) * (detourDelta + tripDist)
 }
 
-// MinPrice returns the lowest price any vehicle could offer for n
-// riders over trip distance dist(s,d): the zero-detour price
-// f_n × dist(s,d). Single- and dual-side search use it as the price
-// floor in their termination conditions.
-func (m Model) MinPrice(n int, tripDist float64) float64 {
-	return m.ratio(n) * tripDist
-}
-
 // Validate checks that the ratio is positive for rider counts 1..maxN;
 // a non-positive ratio would break the search pruning, which assumes
 // price grows with detour.

@@ -45,10 +45,11 @@ func TestCustomRatio(t *testing.T) {
 
 func TestMinPriceIsFloor(t *testing.T) {
 	m := pricing.NewModel(nil)
+	p := pricing.NewPipeline(pricing.Base(m))
 	f := func(delta, trip float64) bool {
 		delta = math.Abs(math.Mod(delta, 1e6))
 		trip = math.Abs(math.Mod(trip, 1e6))
-		return m.Price(2, delta, trip) >= m.MinPrice(2, trip)-1e-9
+		return m.Price(2, delta, trip) >= p.Resolve(2, trip, -1).MinPrice(trip)-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -110,13 +110,6 @@ func (t *Tracker) Multiplier(cell int32) (float64, uint64) {
 	return m, ep
 }
 
-// Epoch returns the current epoch number (0 before the first Advance).
-func (t *Tracker) Epoch() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.epoch
-}
-
 // multiplierFor maps a smoothed ratio through the tier table.
 func (t *Tracker) multiplierFor(ema float64) float64 {
 	for i := len(t.tiers) - 1; i >= 0; i-- {

@@ -87,8 +87,8 @@ func TestStateRoundTrip(t *testing.T) {
 
 	clone := New(3, Config{Alpha: 0.5})
 	clone.Restore(st)
-	if clone.Epoch() != tr.Epoch() {
-		t.Fatalf("epoch %d != %d", clone.Epoch(), tr.Epoch())
+	if clone.State().Epoch != tr.State().Epoch {
+		t.Fatalf("epoch %d != %d", clone.State().Epoch, tr.State().Epoch)
 	}
 	_, ema1, mult1 := tr.Cells()
 	_, ema2, mult2 := clone.Cells()
@@ -114,7 +114,7 @@ func TestRestoreEpochDerivesMultipliers(t *testing.T) {
 	tr := New(2, Config{})
 	tr.RecordDemand(0)
 	tr.RestoreEpoch(7, []float64{2.5, 0.5})
-	if ep := tr.Epoch(); ep != 7 {
+	if ep := tr.State().Epoch; ep != 7 {
 		t.Fatalf("epoch %d, want 7", ep)
 	}
 	if m, _ := tr.Multiplier(0); m != 1.5 {

@@ -169,7 +169,7 @@ type Scheduler struct {
 	led      *ledger
 
 	// commitOverride replaces the engine Choose of a leg commit when
-	// set (test seam, like core.Engine.SetStepOverride): a real
+	// set (test seam, like core.Engine.SetVehicleStepFault): a real
 	// mid-commit failure is not reachable deterministically through the
 	// public API.
 	commitOverride atomic.Pointer[CommitFunc]
@@ -546,7 +546,8 @@ func (s *Scheduler) releaseLocked(tr *trip) (err error) {
 }
 
 // PendingCompensations reports how many trips still await a deferred
-// leg release (0 in steady state; tests and operators poll it).
+// leg release (0 in steady state). No operator surface exposes it; the
+// crash-window tests poll it.
 func (s *Scheduler) PendingCompensations() int {
 	s.led.mu.Lock()
 	defer s.led.mu.Unlock()

@@ -73,11 +73,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Embedded reports whether the graph carries planar coordinates.
 func (g *Graph) Embedded() bool { return len(g.points) > 0 }
 
-// Metric reports whether every edge weight is at least the Euclidean
-// length of the edge, making Euclidean distance a valid network
-// lower bound. It is false for non-embedded graphs.
-func (g *Graph) Metric() bool { return g.metric }
-
 // Point returns the planar coordinates of v. It must only be called on
 // embedded graphs.
 func (g *Graph) Point(v VertexID) geo.Point { return g.points[v] }
@@ -268,4 +263,30 @@ func (g *Graph) hasEdge(u, v VertexID, w float64) bool {
 		}
 	}
 	return false
+}
+
+// Connected reports whether every vertex is reachable from vertex 0 —
+// the invariant PTRider's generator maintains so that every trip is
+// servable.
+func Connected(g *Graph) bool {
+	n := g.NumVertices()
+	if n == 0 {
+		return true
+	}
+	seen := make([]bool, n)
+	stack := []VertexID{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.Out(v) {
+			if !seen[e.To] {
+				seen[e.To] = true
+				count++
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return count == n
 }

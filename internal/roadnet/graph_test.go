@@ -97,7 +97,7 @@ func TestMetricDetection(t *testing.T) {
 	b.AddVertex(geo.Point{X: 0})
 	b.AddVertex(geo.Point{X: 100})
 	b.AddUndirectedEdge(0, 1, 100)
-	if g := b.MustBuild(); !g.Metric() {
+	if g := b.MustBuild(); !testnet.Metric(g) {
 		t.Error("graph with weight == Euclidean length should be metric")
 	}
 
@@ -105,7 +105,7 @@ func TestMetricDetection(t *testing.T) {
 	b.AddVertex(geo.Point{X: 0})
 	b.AddVertex(geo.Point{X: 100})
 	b.AddUndirectedEdge(0, 1, 50) // shorter than the Euclidean length
-	if g := b.MustBuild(); g.Metric() {
+	if g := b.MustBuild(); testnet.Metric(g) {
 		t.Error("graph with weight < Euclidean length must not be metric")
 	}
 
@@ -114,7 +114,7 @@ func TestMetricDetection(t *testing.T) {
 	b.AddPlainVertex()
 	b.AddUndirectedEdge(0, 1, 50)
 	g := b.MustBuild()
-	if g.Metric() || g.Embedded() {
+	if testnet.Metric(g) || g.Embedded() {
 		t.Error("plain graph must be neither metric nor embedded")
 	}
 	if lb := g.EuclidLB(0, 1); lb != 0 {
@@ -154,7 +154,7 @@ func TestDistAgainstOracleRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := testnet.RandomConnected(rng, 40, 2)
-		oracle := roadnet.NewOracle(g)
+		oracle := testnet.NewOracle(g)
 		s := roadnet.NewSearcher(g)
 		for trial := 0; trial < 50; trial++ {
 			u := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -170,10 +170,10 @@ func TestDistAgainstOracleRandomGraphs(t *testing.T) {
 func TestAStarMatchesDijkstraOnMetricGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testnet.Lattice(rng, 8, 8, 100)
-	if !g.Metric() {
+	if !testnet.Metric(g) {
 		t.Fatal("lattice should be metric")
 	}
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	s := roadnet.NewSearcher(g) // uses A* on metric graphs
 	for trial := 0; trial < 100; trial++ {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -204,7 +204,7 @@ func TestUnreachableIsInf(t *testing.T) {
 func TestDistsToMatchesIndividualQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testnet.RandomConnected(rng, 60, 2)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	s := roadnet.NewSearcher(g)
 	for trial := 0; trial < 20; trial++ {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -243,7 +243,7 @@ func TestDistsToBounded(t *testing.T) {
 func TestPathIsShortest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testnet.Lattice(rng, 6, 6, 100)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	s := roadnet.NewSearcher(g)
 	for trial := 0; trial < 50; trial++ {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -275,7 +275,7 @@ func TestPathIsShortest(t *testing.T) {
 func TestMultiSourceDists(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := testnet.RandomConnected(rng, 50, 2)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	s := roadnet.NewSearcher(g)
 	out := make([]float64, g.NumVertices())
 	for _, sources := range [][]roadnet.VertexID{{3, 19, 42}, {7}, {11, 11, 30}} {

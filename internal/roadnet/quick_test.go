@@ -14,7 +14,7 @@ import (
 // graph, positive weights), and satisfying the triangle inequality.
 func TestQuickMetricProperties(t *testing.T) {
 	g := testnet.RandomConnected(rand.New(rand.NewSource(60)), 50, 2)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	n := g.NumVertices()
 	f := func(a, b, c uint16) bool {
 		u := roadnet.VertexID(int(a) % n)
@@ -38,7 +38,7 @@ func TestQuickMetricProperties(t *testing.T) {
 // oracle on arbitrary pairs.
 func TestQuickSearchersAgree(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(61)), 7, 7, 100)
-	oracle := roadnet.NewOracle(g)
+	oracle := testnet.NewOracle(g)
 	s := roadnet.NewSearcher(g)
 	n := g.NumVertices()
 	f := func(a, b uint16) bool {

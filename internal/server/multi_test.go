@@ -17,8 +17,8 @@ import (
 // layer.
 func newMultiServer(t *testing.T) (*httptest.Server, *multicity.Router) {
 	t.Helper()
-	router, err := multicity.BuildFromSpec("east:8x8:6,west:6x6:4",
-		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide}, 5)
+	router, err := multicity.BuildFromSpecWithConfig("east:8x8:6,west:6x6:4",
+		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide}, 5, multicity.RouterConfig{})
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}

@@ -151,9 +151,6 @@ func NewServiceWithOptions(svc core.Service, opts Options) *Server {
 	return s
 }
 
-// New returns a Server over a single-city engine.
-func New(eng *core.Engine) *Server { return NewService(eng) }
-
 // Handler returns the HTTP handler: the route mux behind the
 // observability middleware (request correlation, route metrics,
 // slow-request logging).

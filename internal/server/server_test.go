@@ -27,7 +27,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.Engine) {
 		t.Fatalf("engine: %v", err)
 	}
 	eng.AddVehiclesUniform(10)
-	ts := httptest.NewServer(server.New(eng).Handler())
+	ts := httptest.NewServer(server.NewService(eng).Handler())
 	t.Cleanup(ts.Close)
 	return ts, eng
 }
@@ -221,8 +221,8 @@ func TestTickInternalFailureIs500(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/v1/ticks", map[string]any{"seconds": 2}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warmup tick status %d", resp.StatusCode)
 	}
-	eng.SetStepOverride(func(float64) ([]fleet.Event, error) {
-		return nil, fmt.Errorf("injected fleet failure")
+	eng.SetVehicleStepFault(func(fleet.VehicleID) error {
+		return fmt.Errorf("injected fleet failure")
 	})
 	resp, out := postJSON(t, ts.URL+"/v1/ticks", map[string]any{"seconds": 3})
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -231,7 +231,7 @@ func TestTickInternalFailureIs500(t *testing.T) {
 	if eng.Clock() != 2 {
 		t.Fatalf("failed step moved the clock to %v, want 2", eng.Clock())
 	}
-	eng.SetStepOverride(nil)
+	eng.SetVehicleStepFault(nil)
 	if resp, _ := postJSON(t, ts.URL+"/v1/ticks", map[string]any{"seconds": 1}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovery tick status %d", resp.StatusCode)
 	}
@@ -266,7 +266,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	h := server.New(eng).Handler()
+	h := server.NewService(eng).Handler()
 	for _, path := range []string{"/v1/requests", "/v1/ticks", "/v1/requests/1/choice", "/v1/params"} {
 		body := &spaces{n: 2 * server.MaxBodyBytes}
 		rec := httptest.NewRecorder()

@@ -55,7 +55,7 @@ func TestReplayIdenticalAcrossBackends(t *testing.T) {
 		return gw
 	}
 	backends := func(t *testing.T) []backend {
-		router, err := multicity.New([]multicity.CitySpec{{Name: "solo", Graph: g, Config: cfg, Vehicles: vehicles}})
+		router, err := multicity.NewWithConfig([]multicity.CitySpec{{Name: "solo", Graph: g, Config: cfg, Vehicles: vehicles}}, multicity.RouterConfig{})
 		if err != nil {
 			t.Fatalf("router: %v", err)
 		}

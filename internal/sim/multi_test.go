@@ -12,8 +12,8 @@ import (
 
 func twinRouter(t *testing.T) *multicity.Router {
 	t.Helper()
-	r, err := multicity.BuildFromSpec("east:8x8:8,west:6x6:6",
-		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide}, 17)
+	r, err := multicity.BuildFromSpecWithConfig("east:8x8:8,west:6x6:6",
+		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide}, 17, multicity.RouterConfig{})
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
@@ -23,7 +23,7 @@ func twinRouter(t *testing.T) *multicity.Router {
 // locate names the city whose service region contains p.
 func locate(svc core.Service, p geo.Point) (string, error) {
 	for _, c := range svc.Cities() {
-		if c.Region().Contains(p) {
+		if (geo.Rect{Min: geo.Point{X: c.MinX, Y: c.MinY}, Max: geo.Point{X: c.MaxX, Y: c.MaxY}}).Contains(p) {
 			return c.Name, nil
 		}
 	}

@@ -15,10 +15,6 @@
 // option of that vehicle is too.
 package skyline
 
-import (
-	"math"
-)
-
 // Dominates reports whether option (t1, p1) dominates option (t2, p2)
 // under the paper's Definition 4.
 func Dominates(t1, p1, t2, p2 float64) bool {
@@ -38,9 +34,6 @@ type Entry[T any] struct {
 type Skyline[T any] struct {
 	entries []Entry[T]
 }
-
-// Len returns the number of entries.
-func (s *Skyline[T]) Len() int { return len(s.entries) }
 
 // Reset empties the skyline, retaining storage.
 func (s *Skyline[T]) Reset() { s.entries = s.entries[:0] }
@@ -89,19 +82,11 @@ func (s *Skyline[T]) ContainsPoint(t, p float64) bool {
 	return false
 }
 
-// Entries returns the skyline sorted by time ascending (price
-// descending, up to ties). The slice is freshly allocated.
-func (s *Skyline[T]) Entries() []Entry[T] {
-	out := append([]Entry[T](nil), s.entries...)
-	sortEntries(out)
-	return out
-}
-
 // Sorted sorts the skyline's internal storage by time ascending (price
-// ascending at ties) and returns it without copying — the
-// allocation-free variant of Entries for hot paths that consume the
-// result before the next mutation. The returned slice aliases the
-// skyline; it is invalidated by any subsequent Insert/Add/Reset.
+// ascending at ties) and returns it without copying, for callers that
+// consume the result before the next mutation. The returned slice
+// aliases the skyline; it is invalidated by any subsequent
+// Insert/Add/Reset.
 func (s *Skyline[T]) Sorted() []Entry[T] {
 	sortEntries(s.entries)
 	return s.entries
@@ -121,30 +106,4 @@ func sortEntries[T any](out []Entry[T]) {
 		}
 		out[j+1] = e
 	}
-}
-
-// MinPrice returns the smallest price in the skyline, or +Inf when
-// empty.
-func (s *Skyline[T]) MinPrice() float64 {
-	best := math.Inf(1)
-	for i := range s.entries {
-		if s.entries[i].Price < best {
-			best = s.entries[i].Price
-		}
-	}
-	return best
-}
-
-// MinTimeAtPrice returns the earliest time among entries with price ≤ p,
-// or +Inf when none qualifies. The ring-termination tests of single- and
-// dual-side search use it: expansion can stop at radius L when an entry
-// with price ≤ the price floor exists at time ≤ L.
-func (s *Skyline[T]) MinTimeAtPrice(p float64) float64 {
-	best := math.Inf(1)
-	for i := range s.entries {
-		if s.entries[i].Price <= p && s.entries[i].Time < best {
-			best = s.entries[i].Time
-		}
-	}
-	return best
 }

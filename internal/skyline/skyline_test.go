@@ -1,7 +1,6 @@
 package skyline_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -36,8 +35,8 @@ func TestInsertRejectsDominated(t *testing.T) {
 	if s.Add(12, 6, "b") {
 		t.Fatal("dominated insert accepted")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.Sorted()) != 1 {
+		t.Fatalf("Len = %d", len(s.Sorted()))
 	}
 }
 
@@ -46,10 +45,10 @@ func TestInsertEvictsDominated(t *testing.T) {
 	s.Add(10, 5, "a")
 	s.Add(5, 10, "b")
 	s.Add(4, 4, "c") // dominates both
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if len(s.Sorted()) != 1 {
+		t.Fatalf("Len = %d, want 1", len(s.Sorted()))
 	}
-	if e := s.Entries()[0]; e.Payload != "c" {
+	if e := s.Sorted()[0]; e.Payload != "c" {
 		t.Fatalf("surviving payload %q", e.Payload)
 	}
 }
@@ -60,8 +59,8 @@ func TestTiesCoexist(t *testing.T) {
 	if !s.Add(3, 3, 2) {
 		t.Fatal("tie rejected; identical points do not dominate each other")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.Sorted()) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.Sorted()))
 	}
 	if !s.ContainsPoint(3, 3) {
 		t.Fatal("ContainsPoint missed an existing coordinate pair")
@@ -76,7 +75,7 @@ func TestEntriesSortedByTime(t *testing.T) {
 	s.Add(5, 1, 0)
 	s.Add(1, 5, 1)
 	s.Add(3, 3, 2)
-	es := s.Entries()
+	es := s.Sorted()
 	if len(es) != 3 {
 		t.Fatalf("Len = %d", len(es))
 	}
@@ -87,29 +86,6 @@ func TestEntriesSortedByTime(t *testing.T) {
 	}
 }
 
-func TestMinPriceAndMinTimeAtPrice(t *testing.T) {
-	var s skyline.Skyline[int]
-	if !math.IsInf(s.MinPrice(), 1) {
-		t.Error("MinPrice of empty skyline should be +Inf")
-	}
-	s.Add(5, 1, 0)
-	s.Add(1, 9, 1)
-	if got := s.MinPrice(); got != 1 {
-		t.Errorf("MinPrice = %v", got)
-	}
-	if got := s.MinTimeAtPrice(1); got != 5 {
-		t.Errorf("MinTimeAtPrice(1) = %v", got)
-	}
-	if got := s.MinTimeAtPrice(9); got != 1 {
-		t.Errorf("MinTimeAtPrice(9) = %v", got)
-	}
-	if got := s.MinTimeAtPrice(0.5); !math.IsInf(got, 1) {
-		t.Errorf("MinTimeAtPrice(0.5) = %v, want +Inf", got)
-	}
-}
-
-// TestAgainstBruteForce inserts random points and compares the skyline
-// with a quadratic reference implementation.
 func TestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -143,7 +119,7 @@ func TestAgainstBruteForce(t *testing.T) {
 			}
 		}
 		got := map[pt]bool{}
-		for _, e := range s.Entries() {
+		for _, e := range s.Sorted() {
 			got[pt{e.Time, e.Price}] = true
 		}
 		if len(got) != len(want) {
@@ -175,7 +151,7 @@ func TestReset(t *testing.T) {
 	var s skyline.Skyline[int]
 	s.Add(1, 1, 0)
 	s.Reset()
-	if s.Len() != 0 {
+	if len(s.Sorted()) != 0 {
 		t.Fatal("Reset did not empty the skyline")
 	}
 	if !s.Add(2, 2, 1) {

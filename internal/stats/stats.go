@@ -1,8 +1,7 @@
 // Package stats provides the online statistics behind PTRider's website
-// interface (paper §4.2): running means and variances, P²-estimated
-// quantiles without sample retention, and fixed-bin histograms, all
-// O(1) per observation so the statistics panel never perturbs the
-// matching measurements.
+// interface (paper §4.2): running means and P²-estimated quantiles
+// without sample retention, both O(1) per observation so the statistics
+// panel never perturbs the matching measurements.
 package stats
 
 import (
@@ -10,30 +9,17 @@ import (
 	"sort"
 )
 
-// Online accumulates count, mean, variance, min and max with Welford's
-// algorithm. The zero value is ready for use.
+// Online accumulates a count and a running mean. The zero value is
+// ready for use.
 type Online struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
+	n    int64
+	mean float64
 }
 
 // Observe adds x.
 func (o *Online) Observe(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.mean += (x - o.mean) / float64(o.n)
 }
 
 // Count returns the number of observations.
@@ -41,30 +27,6 @@ func (o *Online) Count() int64 { return o.n }
 
 // Mean returns the running mean (zero when empty).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the unbiased sample variance (zero with < 2 samples).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Min returns the smallest observation (+Inf when empty).
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return math.Inf(1)
-	}
-	return o.min
-}
-
-// Max returns the largest observation (-Inf when empty).
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return math.Inf(-1)
-	}
-	return o.max
-}
 
 // P2Quantile estimates a single quantile online with the P² algorithm
 // (Jain & Chlamtac 1985): five markers, O(1) memory and time per

@@ -14,9 +14,6 @@ func TestOnlineBasics(t *testing.T) {
 	if o.Count() != 0 || o.Mean() != 0 {
 		t.Fatal("zero value not empty")
 	}
-	if !math.IsInf(o.Min(), 1) || !math.IsInf(o.Max(), -1) {
-		t.Fatal("empty min/max should be ±Inf")
-	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		o.Observe(x)
 	}
@@ -25,13 +22,6 @@ func TestOnlineBasics(t *testing.T) {
 	}
 	if math.Abs(o.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v", o.Mean())
-	}
-	// Sample (unbiased) variance of that classic set is 32/7.
-	if math.Abs(o.Var()-32.0/7.0) > 1e-12 {
-		t.Fatalf("Var = %v", o.Var())
-	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", o.Min(), o.Max())
 	}
 }
 
@@ -48,13 +38,6 @@ func TestOnlineMatchesDirectComputation(t *testing.T) {
 	mean := sum / float64(len(xs))
 	if math.Abs(o.Mean()-mean) > 1e-9 {
 		t.Fatalf("Mean drifted: %v vs %v", o.Mean(), mean)
-	}
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	if math.Abs(o.Var()-ss/float64(len(xs)-1)) > 1e-6 {
-		t.Fatalf("Var drifted: %v vs %v", o.Var(), ss/float64(len(xs)-1))
 	}
 }
 

@@ -13,7 +13,7 @@
 //     stage timings unconditionally while benchmarks pin the disabled
 //     cost at zero (see BenchmarkSubmitTelemetry).
 //   - Observation never allocates and never takes a registry-wide
-//     lock. Counters and gauges are single atomics; latency histograms
+//     lock. Counters are single atomics; latency histograms
 //     shard their state and pick a shard from the observed value's
 //     float bits, so concurrent observers rarely contend.
 //   - Exposition is the slow path. Gather snapshots every instrument
@@ -62,7 +62,7 @@ type Registry struct {
 type series struct {
 	labels []Label
 	help   string
-	inst   any // *Counter, *Gauge, *LatencyHist, counterFunc, gaugeFunc
+	inst   any // *Counter, *LatencyHist, counterFunc, gaugeFunc
 }
 
 type counterFunc func() float64
@@ -133,14 +133,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	r.register(name, help, labels, func() any { return counterFunc(fn) })
 }
 
-// Gauge returns the settable gauge registered under name+labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, labels, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // GaugeFunc registers a gauge read from fn at gather time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
@@ -175,41 +167,12 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n (n must be ≥ 0 for the value to stay monotone).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable instantaneous value. A nil *Gauge is a no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // defBuckets are the latency histogram's cumulative upper bounds in
@@ -283,20 +246,6 @@ func (h *LatencyHist) ObserveSince(start time.Time) {
 		return
 	}
 	h.Observe(time.Since(start).Seconds())
-}
-
-// Count returns the total observation count (0 on nil).
-func (h *LatencyHist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		n += sh.n
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // snapshot merges the shards into one consistent view. Bucket counts
@@ -389,14 +338,6 @@ func (s *Span) Observe(stage string, seconds float64) {
 	s.mu.Lock()
 	s.stages = append(s.stages, Stage{Name: stage, Seconds: seconds})
 	s.mu.Unlock()
-}
-
-// ObserveSince appends one stage timing measured from start.
-func (s *Span) ObserveSince(stage string, start time.Time) {
-	if s == nil {
-		return
-	}
-	s.Observe(stage, time.Since(start).Seconds())
 }
 
 // Stages returns a copy of the recorded stages (nil on a nil span).
@@ -496,9 +437,6 @@ func (r *Registry) Gather() []Family {
 			case counterFunc:
 				fam.Type = "counter"
 				fam.Series = append(fam.Series, Series{Labels: s.labels, Value: inst()})
-			case *Gauge:
-				fam.Type = "gauge"
-				fam.Series = append(fam.Series, Series{Labels: s.labels, Value: inst.Value()})
 			case gaugeFunc:
 				fam.Type = "gauge"
 				fam.Series = append(fam.Series, Series{Labels: s.labels, Value: inst()})

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNilSafety: every constructor on a nil registry and every method
@@ -14,16 +13,12 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
-	g := r.Gauge("x", "")
 	h := r.LatencyHist("x_seconds", "")
 	r.CounterFunc("f_total", "", func() float64 { return 1 })
 	r.GaugeFunc("f", "", func() float64 { return 1 })
 	c.Inc()
-	c.Add(3)
-	g.Set(4)
 	h.Observe(0.5)
-	h.ObserveSince(time.Now())
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 {
 		t.Fatalf("nil instruments must read zero")
 	}
 	if fams := r.Gather(); fams != nil {
@@ -31,7 +26,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var sp *Span
 	sp.Observe("quote", 1)
-	sp.ObserveSince("quote", time.Now())
 	if sp.Stages() != nil || sp.Breakdown() != "" {
 		t.Fatalf("nil span must be empty")
 	}
@@ -41,14 +35,9 @@ func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests")
 	c.Inc()
-	c.Add(2)
+	c.v.Add(2)
 	if c.Value() != 3 {
 		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	g := r.Gauge("clock_seconds", "clock")
-	g.Set(12.5)
-	if g.Value() != 12.5 {
-		t.Fatalf("gauge = %v, want 12.5", g.Value())
 	}
 	// Registration is idempotent: same name+labels returns the same
 	// instrument.
@@ -67,6 +56,12 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if fam == nil || len(fam.Series) != 2 {
 		t.Fatalf("want 2 series in reqs_total, got %+v", fam)
+	}
+	r.GaugeFunc("clock_seconds", "clock", func() float64 { return 12.5 })
+	for _, f := range r.Gather() {
+		if f.Name == "clock_seconds" && (f.Type != "gauge" || f.Series[0].Value != 12.5) {
+			t.Fatalf("gauge family = %+v, want one gauge series at 12.5", f)
+		}
 	}
 }
 
@@ -95,8 +90,8 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i) / 1000)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	if n := h.snapshot().n; n != 1000 {
+		t.Fatalf("count = %d", n)
 	}
 	fams := r.Gather()
 	hv := fams[0].Series[0].Hist
@@ -146,8 +141,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
+	if n := h.snapshot().n; n != 8000 {
+		t.Fatalf("count = %d, want 8000", n)
 	}
 }
 
@@ -167,7 +162,7 @@ func TestSpan(t *testing.T) {
 
 func TestWriteTextExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("app_reqs_total", "total requests").Add(7)
+	r.Counter("app_reqs_total", "total requests").v.Add(7)
 	r.GaugeFunc("app_clock_seconds", "sim clock", func() float64 { return 42 })
 	h := r.LatencyHist("app_lat_seconds", "latency", Label{"stage", "quote"})
 	h.Observe(0.003)
@@ -205,9 +200,9 @@ func TestWriteTextExposition(t *testing.T) {
 
 func TestWithLabelAndMerge(t *testing.T) {
 	a := NewRegistry()
-	a.Counter("c_total", "help").Add(1)
+	a.Counter("c_total", "help").v.Add(1)
 	b := NewRegistry()
-	b.Counter("c_total", "help").Add(2)
+	b.Counter("c_total", "help").v.Add(2)
 	merged := Merge(WithLabel(a.Gather(), "city", "east"), WithLabel(b.Gather(), "city", "west"))
 	if len(merged) != 1 {
 		t.Fatalf("want 1 family, got %d", len(merged))

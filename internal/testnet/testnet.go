@@ -152,3 +152,64 @@ func PaperNetwork() *roadnet.Graph {
 	}
 	return b.MustBuild()
 }
+
+// Oracle is an all-pairs shortest-path table computed with
+// Floyd–Warshall: the reference every search and the kinetic tree's
+// distances are checked against. It is O(V³) to build and O(V²) space,
+// so it suits test-sized graphs only.
+type Oracle struct {
+	n    int
+	dist []float64 // row-major n×n
+}
+
+// NewOracle computes all-pairs shortest paths for g.
+func NewOracle(g *roadnet.Graph) *Oracle {
+	n := g.NumVertices()
+	o := &Oracle{n: n, dist: make([]float64, n*n)}
+	for i := range o.dist {
+		o.dist[i] = roadnet.Inf
+	}
+	for v := 0; v < n; v++ {
+		o.dist[v*n+v] = 0
+		for _, e := range g.Out(roadnet.VertexID(v)) {
+			if e.Weight < o.dist[v*n+int(e.To)] {
+				o.dist[v*n+int(e.To)] = e.Weight
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		rowK := o.dist[k*n : k*n+n]
+		for i := 0; i < n; i++ {
+			dik := o.dist[i*n+k]
+			if dik == roadnet.Inf {
+				continue
+			}
+			rowI := o.dist[i*n : i*n+n]
+			for j := 0; j < n; j++ {
+				if nd := dik + rowK[j]; nd < rowI[j] {
+					rowI[j] = nd
+				}
+			}
+		}
+	}
+	return o
+}
+
+// Dist returns the shortest-path distance from u to v.
+func (o *Oracle) Dist(u, v roadnet.VertexID) float64 { return o.dist[int(u)*o.n+int(v)] }
+
+// Metric reports whether g's Euclidean lower bound is in force, read
+// the way the grid index reads it: EuclidLB is the points' distance on
+// a metric embedded graph and zero on any other. A graph whose points
+// all coincide reads metric.
+func Metric(g *roadnet.Graph) bool {
+	if !g.Embedded() {
+		return false
+	}
+	for v := roadnet.VertexID(1); int(v) < g.NumVertices(); v++ {
+		if d := g.Point(0).Dist(g.Point(v)); d > 0 {
+			return g.EuclidLB(0, v) == d
+		}
+	}
+	return true
+}

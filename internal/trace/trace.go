@@ -126,42 +126,6 @@ func parseRow(row []string) (Trip, error) {
 	return Trip{ID: id, Time: tm, S: roadnet.VertexID(s), D: roadnet.VertexID(d), Riders: riders}, nil
 }
 
-// Summary aggregates a workload for display and sanity checks.
-type Summary struct {
-	Count     int
-	ByHour    [24]int
-	ByRiders  map[int]int
-	FirstTime float64
-	LastTime  float64
-}
-
-// Summarise computes a Summary. DaySeconds scales the hour bucketing
-// (0 = 86400).
-func Summarise(trips []Trip, daySeconds float64) Summary {
-	if daySeconds == 0 {
-		daySeconds = 86400
-	}
-	s := Summary{Count: len(trips), ByRiders: make(map[int]int)}
-	for i, t := range trips {
-		h := int(t.Time / daySeconds * 24)
-		if h < 0 {
-			h = 0
-		}
-		if h > 23 {
-			h = 23
-		}
-		s.ByHour[h]++
-		s.ByRiders[t.Riders]++
-		if i == 0 || t.Time < s.FirstTime {
-			s.FirstTime = t.Time
-		}
-		if t.Time > s.LastTime {
-			s.LastTime = t.Time
-		}
-	}
-	return s
-}
-
 // SortByTime sorts trips in place by submission time (stable on ID).
 func SortByTime(trips []Trip) {
 	sort.SliceStable(trips, func(a, b int) bool { return trips[a].Time < trips[b].Time })

@@ -79,28 +79,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSummarise(t *testing.T) {
-	trips := []trace.Trip{
-		{ID: 1, Time: 0, S: 0, D: 1, Riders: 1},
-		{ID: 2, Time: 3600 * 8.5, S: 0, D: 1, Riders: 2},
-		{ID: 3, Time: 3600 * 8.9, S: 0, D: 1, Riders: 1},
-		{ID: 4, Time: 86399, S: 0, D: 1, Riders: 1},
-	}
-	s := trace.Summarise(trips, 86400)
-	if s.Count != 4 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if s.ByHour[8] != 2 || s.ByHour[0] != 1 || s.ByHour[23] != 1 {
-		t.Fatalf("ByHour = %v", s.ByHour)
-	}
-	if s.ByRiders[1] != 3 || s.ByRiders[2] != 1 {
-		t.Fatalf("ByRiders = %v", s.ByRiders)
-	}
-	if s.FirstTime != 0 || s.LastTime != 86399 {
-		t.Fatalf("First/Last = %v/%v", s.FirstTime, s.LastTime)
-	}
-}
-
 func TestSortByTime(t *testing.T) {
 	trips := []trace.Trip{
 		{ID: 1, Time: 50, S: 0, D: 1, Riders: 1},

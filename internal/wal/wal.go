@@ -255,11 +255,14 @@ type Recovery struct {
 // snapshot (when there is one), replay receives every tail record in
 // append order, and the journal then appends to a fresh segment. A
 // callback's error aborts the open, wrapped with the snapshot's
-// segment or the record's ordinal.
+// segment or the record's ordinal. An open that restored a snapshot,
+// replayed records or repaired damage logs one "wal: recovered" line
+// saying what it found; a fresh directory logs nothing.
 func Open(dir string, opts Options, restore, replay func(payload []byte) error) (*Journal, error) {
 	if opts.Mode != ModeAsync && opts.Mode != ModeSync {
 		return nil, fmt.Errorf("wal: open with mode %v", opts.Mode)
 	}
+	start := time.Now()
 	rec, err := Recover(dir)
 	if err != nil {
 		return nil, err
@@ -300,6 +303,11 @@ func Open(dir string, opts Options, restore, replay func(payload []byte) error) 
 		},
 	}
 	j.lastSnap.Store(rec.SnapshotSeg)
+	if r := j.recovery; r.Recovered || r.TruncatedBytes > 0 || r.DroppedSegments > 0 || r.CorruptSnapshots > 0 {
+		slog.Info("wal: recovered", "dir", dir, "snapshot_seg", rec.SnapshotSeg, "records", r.Records,
+			"truncated_bytes", r.TruncatedBytes, "dropped_segments", r.DroppedSegments,
+			"corrupt_snapshots", r.CorruptSnapshots, "duration", time.Since(start))
+	}
 	arm(j)
 	go j.flusher()
 	return j, nil

@@ -460,6 +460,58 @@ func TestFlushFailureKillsJournal(t *testing.T) {
 	}
 }
 
+// TestOpenLogsRecovery: an Open that found state logs one info line
+// saying what it recovered and repaired; a fresh directory logs none.
+func TestOpenLogsRecovery(t *testing.T) {
+	logged := captureLog(t)
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
+	appendAll(t, j, "r1", "r2")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := logged.taken(); len(recs) != 0 {
+		t.Fatalf("a fresh directory's open logged %d records", len(recs))
+	}
+
+	line := func(i int) map[string]any {
+		t.Helper()
+		recs := logged.taken()
+		if len(recs) != i+1 {
+			t.Fatalf("%d records after open %d, want %d", len(recs), i+2, i+1)
+		}
+		r := recs[i]
+		attrs := map[string]any{}
+		r.Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value.Any(); return true })
+		if r.Level != slog.LevelInfo || r.Message != "wal: recovered" || attrs["dir"] != dir {
+			t.Fatalf("record %v %q %v, want the recovery line for %s", r.Level, r.Message, attrs, dir)
+		}
+		for _, k := range []string{"snapshot_seg", "records", "truncated_bytes", "dropped_segments", "corrupt_snapshots", "duration"} {
+			if _, ok := attrs[k]; !ok {
+				t.Fatalf("recovery line %v has no %s", attrs, k)
+			}
+		}
+		return attrs
+	}
+
+	j = mustOpen(t, dir, Options{Mode: ModeSync})
+	if a := line(0); a["records"] != int64(2) || a["truncated_bytes"] != int64(0) {
+		t.Fatalf("restart logged %v, want 2 records and no repair", a)
+	}
+	appendAll(t, j, "r3")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := TruncateTail(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	j = mustOpen(t, dir, Options{Mode: ModeSync})
+	defer j.Close()
+	if a := line(1); a["records"] != int64(2) || a["truncated_bytes"].(int64) <= 0 {
+		t.Fatalf("open after a torn tail logged %v, want 2 records and the truncated bytes", a)
+	}
+}
+
 // TestOpenReplaysIntoTheOwner: Open hands the snapshot and the tail to
 // the callbacks in order and names what a failing callback choked on.
 func TestOpenReplaysIntoTheOwner(t *testing.T) {

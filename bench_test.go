@@ -47,6 +47,7 @@ func loadedWorld(b *testing.B) *benchWorld {
 		eng, err := core.NewEngine(g, core.Config{
 			Capacity:       4,
 			MaxWaitSeconds: 300, Sigma: 0.4, Seed: 1,
+			Algorithm: core.AlgoDualSide,
 		})
 		if err != nil {
 			panic(err)
@@ -230,8 +231,8 @@ func batchWorld(b *testing.B) *batchBenchWorld {
 	return batchState
 }
 
-// BenchmarkSubmitBatch measures SubmitBatch on the loaded city
-// (dual-side is the engine default here via SetAlgorithm). Each op
+// BenchmarkSubmitBatch measures SubmitBatch on the loaded city under
+// its dual-side matcher. Each op
 // processes one 16-item quote-only batch against a cold distance memo,
 // so the exact-search counts are comparable across sub-benchmarks;
 // dist_calls/op and settled/op report them. "hotcell" puts every
@@ -242,9 +243,6 @@ func batchWorld(b *testing.B) *batchBenchWorld {
 // dist_calls/op.
 func BenchmarkSubmitBatch(b *testing.B) {
 	w := batchWorld(b)
-	if err := w.eng.SetAlgorithm(core.AlgoDualSide); err != nil {
-		b.Fatal(err)
-	}
 	// coldOp times op against a distance memo wiped before every
 	// iteration (harness set-up, not op cost) and reports what the op
 	// made the engine compute: dist_calls/op, the paper's exact-search

@@ -108,7 +108,8 @@ type Config struct {
 	// (nil = surge.DefaultTiers: >1.5 → 1.2×, >2.0 → 1.5×).
 	SurgeTiers []surge.Tier
 
-	// Algorithm selects the matcher; the default is dual-side.
+	// Algorithm selects the matcher. The zero value is AlgoNaive; the
+	// facade and the servers default to AlgoDualSide.
 	Algorithm Algorithm
 
 	// Seed drives vehicle placement and roaming.

@@ -407,7 +407,8 @@ func (f *Fleet) NumActive() int {
 }
 
 // Snapshot returns a copy of the vehicle slice in id order. Vehicles
-// themselves are shared; use their locked accessors.
+// themselves are shared; read them through View, ActiveLoc, ProbeState
+// or Schedules, which take the vehicle's lock.
 func (f *Fleet) Snapshot() []*Vehicle {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

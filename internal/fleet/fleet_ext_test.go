@@ -41,6 +41,9 @@ func TestZeroWeightEdgeSafety(t *testing.T) {
 	}
 }
 
+// TestCommitForeignCandidateFails: committing a candidate quoted
+// against a different tree state must be rejected, not corrupt the
+// schedule.
 func TestCommitForeignCandidateFails(t *testing.T) {
 	w := newWorld(t, 41, 4)
 	a := w.fl.AddVehicle(0)

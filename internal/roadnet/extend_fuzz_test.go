@@ -7,7 +7,6 @@ import (
 	"ptrider/internal/gen"
 	"ptrider/internal/geo"
 	"ptrider/internal/roadnet"
-	"ptrider/internal/testnet"
 )
 
 // fuzzInput reads a fuzz input one byte at a time; past the end every
@@ -77,7 +76,7 @@ func fuzzGraph(t *testing.T, in *fuzzInput) *roadnet.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind == 1 && !testnet.Metric(g) {
+	if kind == 1 && !g.Metric() {
 		t.Fatal("kind 1 must decode to a metric graph")
 	}
 	return g

@@ -97,7 +97,7 @@ func TestMetricDetection(t *testing.T) {
 	b.AddVertex(geo.Point{X: 0})
 	b.AddVertex(geo.Point{X: 100})
 	b.AddUndirectedEdge(0, 1, 100)
-	if g := b.MustBuild(); !testnet.Metric(g) {
+	if g := b.MustBuild(); !g.Metric() {
 		t.Error("graph with weight == Euclidean length should be metric")
 	}
 
@@ -105,7 +105,7 @@ func TestMetricDetection(t *testing.T) {
 	b.AddVertex(geo.Point{X: 0})
 	b.AddVertex(geo.Point{X: 100})
 	b.AddUndirectedEdge(0, 1, 50) // shorter than the Euclidean length
-	if g := b.MustBuild(); testnet.Metric(g) {
+	if g := b.MustBuild(); g.Metric() {
 		t.Error("graph with weight < Euclidean length must not be metric")
 	}
 
@@ -114,7 +114,7 @@ func TestMetricDetection(t *testing.T) {
 	b.AddPlainVertex()
 	b.AddUndirectedEdge(0, 1, 50)
 	g := b.MustBuild()
-	if testnet.Metric(g) || g.Embedded() {
+	if g.Metric() || g.Embedded() {
 		t.Error("plain graph must be neither metric nor embedded")
 	}
 	if lb := g.EuclidLB(0, 1); lb != 0 {
@@ -170,7 +170,7 @@ func TestDistAgainstOracleRandomGraphs(t *testing.T) {
 func TestAStarMatchesDijkstraOnMetricGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testnet.Lattice(rng, 8, 8, 100)
-	if !testnet.Metric(g) {
+	if !g.Metric() {
 		t.Fatal("lattice should be metric")
 	}
 	oracle := testnet.NewOracle(g)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNilSafety: every constructor on a nil registry and every method
@@ -18,6 +19,7 @@ func TestNilSafety(t *testing.T) {
 	r.GaugeFunc("f", "", func() float64 { return 1 })
 	c.Inc()
 	h.Observe(0.5)
+	h.ObserveSince(time.Now())
 	if c.Value() != 0 {
 		t.Fatalf("nil instruments must read zero")
 	}

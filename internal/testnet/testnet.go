@@ -197,19 +197,3 @@ func NewOracle(g *roadnet.Graph) *Oracle {
 
 // Dist returns the shortest-path distance from u to v.
 func (o *Oracle) Dist(u, v roadnet.VertexID) float64 { return o.dist[int(u)*o.n+int(v)] }
-
-// Metric reports whether g's Euclidean lower bound is in force, read
-// the way the grid index reads it: EuclidLB is the points' distance on
-// a metric embedded graph and zero on any other. A graph whose points
-// all coincide reads metric.
-func Metric(g *roadnet.Graph) bool {
-	if !g.Embedded() {
-		return false
-	}
-	for v := roadnet.VertexID(1); int(v) < g.NumVertices(); v++ {
-		if d := g.Point(0).Dist(g.Point(v)); d > 0 {
-			return g.EuclidLB(0, v) == d
-		}
-	}
-	return true
-}

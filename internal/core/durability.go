@@ -288,11 +288,15 @@ func (e *Engine) openDurability(cfg Config) error {
 			"WAL group-commit batch write wall time."),
 		FsyncHist: cfg.Telemetry.LatencyHist("ptrider_wal_fsync_duration_seconds",
 			"WAL fsync wall time."),
+		SnapshotHist: cfg.Telemetry.LatencyHist("ptrider_wal_snapshot_duration_seconds",
+			"WAL snapshot write wall time, fsync, rename and pruning included."),
 	}, e.applySnapshot, e.replayRecord)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	e.journal = j
+	cfg.Telemetry.GaugeFunc("ptrider_wal_snapshot_bytes", "Payload bytes of the last snapshot this process wrote (0 = none yet).",
+		func() float64 { return float64(j.Stats().LastSnapshotBytes) })
 	return nil
 }
 

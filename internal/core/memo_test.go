@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ptrider/internal/gen"
+	"ptrider/internal/geo"
 	"ptrider/internal/gridindex"
 	"ptrider/internal/roadnet"
 )
@@ -68,12 +69,12 @@ func checkMemo(t testing.TB, m *memoMetric) {
 			continue
 		}
 		occupied := 0
-		if tab.keys == nil {
-			if span := len(m.rows) - 1 - u; len(tab.vals) != span || tab.base != uint32(u)+2 {
-				t.Fatalf("row %d: dense table of %d words from key %d, want %d from %d", u, len(tab.vals), tab.base, span, u+2)
+		if tab.slots == nil {
+			if span := len(m.rows) - 1 - u; len(tab.words) != span || tab.base != uint32(u)+2 {
+				t.Fatalf("row %d: dense table of %d words from key %d, want %d from %d", u, len(tab.words), tab.base, span, u+2)
 			}
-			for j := range tab.vals {
-				if tab.vals[j].Load() != 0 {
+			for j := range tab.words {
+				if tab.words[j].Load() != 0 {
 					occupied++
 				}
 			}
@@ -82,18 +83,19 @@ func checkMemo(t testing.TB, m *memoMetric) {
 			}
 			dense++
 		} else {
-			size := len(tab.keys)
+			size := len(tab.slots)
 			if size < memoMinSlots {
 				t.Fatalf("row %d: table of %d slots", u, size)
 			}
-			for j := range tab.keys {
-				k := tab.keys[j].Load()
-				if k == 0 {
+			for j := range tab.slots {
+				w := tab.slots[j].Load()
+				if w == 0 {
 					continue
 				}
 				occupied++
-				if at, found := tab.find(k); !found || int(at) != j {
-					t.Fatalf("row %d: key %d in slot %d, its probe chain ends at %d (found %v)", u, k, j, at, found)
+				k := uint32(w >> 32)
+				if at, slot := tab.find(k); slot == 0 || int(at) != j {
+					t.Fatalf("row %d: key %d in slot %d, its probe chain ends at %d (word %#x)", u, k, j, at, slot)
 				}
 				if int(k-1) <= u {
 					t.Fatalf("row %d holds key for vertex %d, not above the row", u, k-1)
@@ -102,9 +104,6 @@ func checkMemo(t testing.TB, m *memoMetric) {
 			if occupied != int(r.n) || occupied > size-size/8 {
 				t.Fatalf("row %d: %d occupied of %d slots, n = %d", u, occupied, size, r.n)
 			}
-		}
-		if r.seq.Load()&1 != 0 {
-			t.Fatalf("row %d: sequence left odd", u)
 		}
 		entries += int64(occupied)
 		bytes += tab.bytes()
@@ -359,7 +358,7 @@ func TestMemoStress(t *testing.T) {
 }
 
 // TestMemoAtTheCap fills a memo far past a small cap: table bytes (so
-// entries, at 8 B or more each) never exceed the cap plus one minimum
+// entries, at 4 B or more each) never exceed the cap plus one minimum
 // table per row, full rows replace instead of growing, and a working
 // set that keeps coming back between bursts of other pairs keeps
 // hitting — replacement costs the pairs it overwrites, not everything
@@ -399,12 +398,100 @@ func TestMemoAtTheCap(t *testing.T) {
 	}
 }
 
+// TestMemoForgetsWhatHasNoCount holds the memo to "may forget, never
+// misreport" at the edges of its 32-bit counts, on a graph with one
+// 5,000 km edge {0, 1} (5.12·10⁹ grid steps, past the last count), one
+// zero-weight edge {0, 2} and an isolated vertex 3. The far pair is
+// never kept: Dist answers it exactly and counts a DistCall every
+// time, a batch fill reaching it goes past the memo every time, and LB
+// falls back to the grid bound. The disconnected pair keeps +Inf and
+// the zero-weight pair 0. Row 0 is dense on four vertices and hashed
+// with sixteen isolated ones after them.
+func TestMemoForgetsWhatHasNoCount(t *testing.T) {
+	const far = 5_000_000.0
+	for _, pad := range []int{0, 16} {
+		t.Run(fmt.Sprintf("pad%d", pad), func(t *testing.T) {
+			b := roadnet.NewBuilder(4+pad, 4)
+			b.AddVertex(geo.Point{X: 0, Y: 0})
+			b.AddVertex(geo.Point{X: far, Y: 0})
+			b.AddVertex(geo.Point{X: 0, Y: 1})
+			for i := 0; i < 1+pad; i++ {
+				b.AddVertex(geo.Point{X: far, Y: far})
+			}
+			b.AddUndirectedEdge(0, 1, far)
+			b.AddUndirectedEdge(0, 2, 0)
+			grid, err := gridindex.Build(b.MustBuild(), gridindex.Config{Cols: 2, Rows: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := newMemoMetric(grid)
+			calls := int64(0)
+			dist := func(u, v roadnet.VertexID, want float64, miss bool) {
+				t.Helper()
+				if miss {
+					calls++
+				}
+				if d := m.Dist(u, v); d != want || m.DistCalls() != calls {
+					t.Fatalf("Dist(%d, %d) = %v after %d DistCalls, want %v after %d", u, v, d, m.DistCalls(), want, calls)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				dist(0, 1, far, true)
+			}
+			if lb, want := m.LB(1, 0), grid.LB(1, 0); lb != want {
+				t.Fatalf("LB(1, 0) = %v, grid bound %v", lb, want)
+			}
+			dist(0, 3, math.Inf(1), true)
+			dist(3, 0, math.Inf(1), false)
+			dist(2, 0, 0, true)
+			dist(0, 2, 0, false)
+			for _, p := range []struct {
+				v    roadnet.VertexID
+				want float64
+			}{{2, 0}, {3, math.Inf(1)}} {
+				if d := m.LB(0, p.v); d != p.want {
+					t.Fatalf("LB(0, %d) = %v, cached %v", p.v, d, p.want)
+				}
+			}
+			var sc memoBatchScratch
+			out := make([]float64, 3)
+			for i := 0; i < 2; i++ {
+				var a anchor
+				calls++
+				m.DistBatch(&a, 0, []roadnet.VertexID{1, 2, 3}, roadnet.Inf, out, &sc)
+				m.release(&a)
+				if out[0] != far || out[1] != 0 || !math.IsInf(out[2], 1) || m.DistCalls() != calls {
+					t.Fatalf("fill %d from 0: %v after %d DistCalls, want [%v 0 +Inf] after %d", i, out, m.DistCalls(), far, calls)
+				}
+			}
+			checkMemo(t, m)
+			if e := m.entries.Load(); e != 2 {
+				t.Fatalf("memo holds %d pairs, want the zero and the +Inf", e)
+			}
+			if dense := m.rows[0].tab.Load().slots == nil; dense != (pad == 0) {
+				t.Fatalf("row 0 dense %v with %d vertices", dense, 4+pad)
+			}
+		})
+	}
+	// The counts' edges: the last finite count round-trips, the next is
+	// +Inf's code, and a value off the grid or below 0 has none.
+	last := float64(memoInf-1) / roadnet.GridSteps
+	if c, ok := memoEncode(last); !ok || memoDecode(c) != last {
+		t.Fatalf("last count: %v → %d, %v", last, c, ok)
+	}
+	for _, d := range []float64{float64(memoInf) / roadnet.GridSteps, far, 0.3, -1.0 / roadnet.GridSteps, math.NaN()} {
+		if c, ok := memoEncode(d); ok {
+			t.Fatalf("%v encoded as count %d", d, c)
+		}
+	}
+}
+
 // TestMemoBytesPerEntry holds the memo's footprint in-tree: 500k pairs
 // of the 40×40 city, spread over the rows as uniformly drawn pairs
-// are, cost at most 20 heap bytes each — rows, table headers, empty
+// are, cost at most 12 heap bytes each — rows, table headers, empty
 // slots and the allocator's size-class rounding included (measured
-// 18.8; doubling tables 20.3; the striped Go maps before them about
-// 26).
+// 11.2; 18.7 while a value was a float64 in a 12-byte slot; doubling
+// tables 20.3; the striped Go maps before them about 26).
 func TestMemoBytesPerEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills 500k pairs")
@@ -450,8 +537,8 @@ func TestMemoBytesPerEntry(t *testing.T) {
 	if entries < 490_000 || entries > 510_000 {
 		t.Fatalf("filled %d pairs, want about 500k", entries)
 	}
-	if perEntry > 20 {
-		t.Fatalf("%.2f heap bytes per cached pair, want at most 20", perEntry)
+	if perEntry > 12 {
+		t.Fatalf("%.2f heap bytes per cached pair, want at most 12", perEntry)
 	}
 	runtime.KeepAlive(&sc)
 	runtime.KeepAlive(targets)
@@ -459,11 +546,10 @@ func TestMemoBytesPerEntry(t *testing.T) {
 }
 
 // TestMemoEveryPairDense caches every pair of the 40×40 city through
-// DistBatch: each row ends dense, and the memo costs at most 8.75 heap
-// bytes a pair — the 8-byte word plus rows, table headers and the
-// allocator's size classes, which alone take the bare row arrays to
-// 8.45 B a word (measured 8.59 in all; hashed rows would need ~1.8 M
-// slots, about 17 B a pair).
+// DistBatch: each row ends dense, and the memo costs at most 4.6 heap
+// bytes a pair — the 4-byte word plus rows, table headers and the
+// allocator's size classes (measured 4.37 in all; 8.59 with 8-byte
+// words; hashed rows would need ~1.8 M slots, about 11 B a pair).
 func TestMemoEveryPairDense(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills 1.28 M pairs")
@@ -508,8 +594,8 @@ func TestMemoEveryPairDense(t *testing.T) {
 	if d := m.denseRows.Load(); d != int64(n-1) {
 		t.Fatalf("%d rows dense, want %d", d, n-1)
 	}
-	if perEntry > 8.75 {
-		t.Fatalf("%.2f heap bytes per cached pair, want at most 8.75", perEntry)
+	if perEntry > 4.6 {
+		t.Fatalf("%.2f heap bytes per cached pair, want at most 4.6", perEntry)
 	}
 	runtime.KeepAlive(&sc)
 	runtime.KeepAlive(targets)
@@ -517,17 +603,29 @@ func TestMemoEveryPairDense(t *testing.T) {
 }
 
 // fuzzMemoVertices is the vertex count of FuzzMemo's memo: row 0 can
-// hold 31 pairs, enough to grow twice and turn dense where the cap
-// allows; rows 19 and up start dense.
+// hold 31 pairs, enough to grow once and turn dense where the cap
+// allows; rows 15 and up start dense.
 const fuzzMemoVertices = 32
 
 // fuzzMemoDist is the value FuzzMemo stores for a pair: distinct per
-// pair, so an answer that belongs to another pair is caught.
-func fuzzMemoDist(u, v roadnet.VertexID) float64 {
+// pair, so an answer that belongs to another pair is caught. Some pairs
+// are disconnected (+Inf), which the memo keeps like any distance, and
+// some have no count, 2³² grid steps or more apart or off the grid,
+// which it never keeps: kept says which.
+func fuzzMemoDist(u, v roadnet.VertexID) (d float64, kept bool) {
 	if u > v {
 		u, v = v, u
 	}
-	return float64(u)*1000 + float64(v) + 0.5
+	d = float64(u)*1000 + float64(v) + 0.5
+	switch (u + v) % 11 {
+	case 3:
+		return math.Inf(1), true
+	case 6:
+		return d + 1<<22, false // 4,194,304 m is 2³² steps
+	case 9:
+		return d + 0.3, false
+	}
+	return d, true
 }
 
 // FuzzMemo drives store / lookup / reset scripts through a memo capped
@@ -536,6 +634,7 @@ func fuzzMemoDist(u, v roadnet.VertexID) float64 {
 // stored since the last reset; a store forgets at most the one pair it
 // replaces, and nothing at all while its row may still grow or turn
 // dense; only a row's first table may take the tables past the cap; a
+// value with no count is not kept, and its store changes nothing; a
 // lookup of the diagonal, which LB makes, misses; the structure's
 // invariants hold after every step. Three bytes an op:
 // kind, u, v.
@@ -583,13 +682,21 @@ func FuzzMemo(f *testing.F) {
 				// A full hashed row's next table is the cheaper of half as
 				// many slots again and a word for each pair of its span.
 				mayRefuse := false
-				if tab := r.tab.Load(); tab != nil && tab.keys != nil {
-					size := len(tab.keys)
+				if tab := r.tab.Load(); tab != nil && tab.slots != nil {
+					size := len(tab.slots)
 					next := min(memoSlotBytes*int64(size+size/2), memoDenseBytes*int64(fuzzMemoVertices-1-u))
 					mayRefuse = int(r.n) >= size-size/8 && m.bytes.Load()+next-tab.bytes() > m.maxBytes
 				}
 				before, bytes, tabled := found(), m.bytes.Load(), r.tab.Load() != nil
-				m.store(u, v, fuzzMemoDist(u, v))
+				d, kept := fuzzMemoDist(u, v)
+				m.store(u, v, d)
+				if !kept {
+					if _, ok := r.lookup(key); ok || found() != before || m.bytes.Load() != bytes {
+						t.Fatalf("store {%d, %d} of %v, which has no count: kept %v, %d → %d pairs, %d → %d B",
+							u, v, d, ok, before, found(), bytes, m.bytes.Load())
+					}
+					break
+				}
 				stored[pair{u, v}] = true
 				if after := found(); after < before {
 					t.Fatalf("store {%d, %d} forgot %d pairs", u, v, before-after)
@@ -603,8 +710,8 @@ func FuzzMemo(f *testing.F) {
 				}
 			default:
 				d, ok := r.lookup(key)
-				if ok && (d != fuzzMemoDist(u, v) || !stored[pair{u, v}]) {
-					t.Fatalf("lookup {%d, %d} = %v, stored %v, its value %v", u, v, d, stored[pair{u, v}], fuzzMemoDist(u, v))
+				if want, _ := fuzzMemoDist(u, v); ok && (d != want || !stored[pair{u, v}]) {
+					t.Fatalf("lookup {%d, %d} = %v, stored %v, its value %v", u, v, d, stored[pair{u, v}], want)
 				}
 			}
 			checkMemo(t, m)
@@ -651,8 +758,8 @@ func BenchmarkMemoLookup(b *testing.B) {
 			var a anchor
 			m.DistBatch(&a, roadnet.VertexID(u), targets, math.Inf(1), out[:len(targets)], &sc)
 			m.release(&a)
-			if tab := m.rows[u].tab.Load(); (tab.keys == nil) != layout.dense {
-				b.Fatalf("row %d dense %v, want %v", u, tab.keys == nil, layout.dense)
+			if tab := m.rows[u].tab.Load(); (tab.slots == nil) != layout.dense {
+				b.Fatalf("row %d dense %v, want %v", u, tab.slots == nil, layout.dense)
 			}
 		}
 		// 4096 probes per case, each a random row and a vertex above it.

@@ -24,15 +24,43 @@ import (
 // dense.
 const (
 	memoMinSlots = 8
-	memoMaxBytes = 24 << 20
+	memoMaxBytes = 16 << 20
 )
 
-// A hashed slot costs a uint32 key and a float64; a dense one only the
-// float64.
+// A hashed slot is one word, a uint32 key beside a uint32 count; a
+// dense one holds only the count.
 const (
-	memoSlotBytes  = 12
-	memoDenseBytes = 8
+	memoSlotBytes  = 8
+	memoDenseBytes = 4
 )
+
+// memoInf is the count that stands for +Inf, a proven disconnection.
+// Finite counts lie below it. MaxUint32 inverts to 0, a dense row's
+// empty word, so it is no count at all.
+const memoInf = math.MaxUint32 - 1
+
+// memoEncode is a distance as the memo keeps it: a count of
+// 1/roadnet.GridSteps m steps, or memoInf. A distance with no exact
+// count below memoInf, which is 2³²−2 steps or more (4,194 km) or off
+// the grid, has no code: the memo does not keep it.
+func memoEncode(d float64) (uint32, bool) {
+	if math.IsInf(d, 1) {
+		return memoInf, true
+	}
+	c := d * roadnet.GridSteps // exact: a power-of-two scale
+	if !(c >= 0 && c < memoInf) || c != math.Trunc(c) {
+		return 0, false
+	}
+	return uint32(c), true
+}
+
+// memoDecode is the distance a count stands for.
+func memoDecode(c uint32) float64 {
+	if c == memoInf {
+		return math.Inf(1)
+	}
+	return float64(c) / roadnet.GridSteps
+}
 
 // memoMetric is the kinetic.Metric shared by every kinetic tree and
 // matcher in one engine: exact distances from epoch-stamped Searchers
@@ -42,10 +70,11 @@ const (
 // The memo is one row per vertex: the pair {u, v}, u < v (road
 // distances here are symmetric), lives in row u, in one of two layouts.
 // A row starts hashed, an open-addressed, linearly probed table of
-// 12-byte slots that grows by half at 7/8 load, and turns dense, one
-// 8-byte word per pair of its span, when the grown table would cost at
-// least as much: see layout. Safe for concurrent use, and a read takes
-// no lock: see memoRow. Cache-missing exact computations draw a private
+// 8-byte slots that grows by half at 7/8 load, and turns dense, one
+// 4-byte word per pair of its span, when the grown table would cost at
+// least as much: see layout. Either layout keeps a distance as its
+// memoEncode count. Safe for concurrent use, and a read takes no lock:
+// see memoRow. Cache-missing exact computations draw a private
 // Searcher from a pool. Two goroutines racing on the same cold pair may
 // both compute it — both arrive at the same value, bit for bit, because
 // every path length is an exact multiple of 1/roadnet.GridSteps m, so
@@ -55,8 +84,8 @@ const (
 // exactness lets the row keep one value for {u, v} whichever side a
 // search started from.
 //
-// The memo may forget a pair (replacement, Reset); it never answers
-// with another pair's value.
+// The memo may forget a pair (replacement, Reset, a distance with no
+// count); it never answers with another pair's value.
 type memoMetric struct {
 	grid *gridindex.Grid
 
@@ -84,33 +113,27 @@ type memoMetric struct {
 // memoRow holds the cached pairs {u, v}, v > u, of one vertex u.
 //
 // Readers load tab and read it with atomic loads, nothing else.
-// Writers serialise on mu. A fresh pair is published into an empty
-// slot, hashed value first and key second, and a grown or dense table
-// by swapping tab, so a racing reader sees the pair or misses it. A
-// dense word changes only from empty to its pair's value, so a dense
-// read is one load. Only replacement, in a full hashed table, changes
-// an occupied slot: it makes seq odd, stores value and key, and makes
-// seq even again, and a hashed reader that found its key reads again
-// unless seq was even and the same on both sides of its loads. Slots
+// Writers serialise on mu. Every change a reader can see is one atomic
+// store: a pair into a hashed slot (key and count in one word, so a
+// fresh pair or a replacement is seen whole or not at all), a dense
+// word from empty to its pair's count, a grown or dense table by
+// swapping tab. So a racing reader sees the pair or misses it. Slots
 // are never emptied, so every probe chain stays intact.
 type memoRow struct {
 	tab atomic.Pointer[memoTable]
-	seq atomic.Uint32
 	n   uint32 // pairs tab holds; guarded by mu
 	mu  sync.Mutex
 }
 
-// memoTable is one row's table. Hashed, it is its slots as two
-// parallel arrays: probes walk the compact key array and touch vals
-// only on a hit. A key is v+1, 0 marking an empty slot; a value is the
-// float64's bits. Dense, keys is nil and vals has one word per pair of
-// the row: key k sits at vals[k-base] as the float64's bits inverted,
-// so 0 is empty (a distance is ≥ 0 or +Inf, its sign bit clear, so no
-// inverted distance is 0).
+// memoTable is one row's table. Hashed, slots has one word per slot:
+// the key, v+1, in the high half and the pair's count in the low, so 0
+// is an empty slot. Dense, slots is nil and words has one word per pair
+// of the row: key k sits at words[k-base] as the count inverted, so 0
+// is empty (no count is MaxUint32).
 type memoTable struct {
-	keys []atomic.Uint32
-	vals []atomic.Uint64
-	base uint32
+	slots []atomic.Uint64
+	words []atomic.Uint32
+	base  uint32
 }
 
 // layout prices a table for a row whose pairs {u, v} span v = u+1 …
@@ -126,40 +149,34 @@ func layout(span, slots int) (bytes int64, dense bool) {
 
 func newMemoTable(u roadnet.VertexID, span, slots int) *memoTable {
 	if _, dense := layout(span, slots); dense {
-		return &memoTable{vals: make([]atomic.Uint64, span), base: uint32(u) + 2}
+		return &memoTable{words: make([]atomic.Uint32, span), base: uint32(u) + 2}
 	}
-	return &memoTable{
-		keys: make([]atomic.Uint32, slots),
-		vals: make([]atomic.Uint64, slots),
-	}
+	return &memoTable{slots: make([]atomic.Uint64, slots)}
 }
 
 // bytes is what the table's slots cost.
 func (t *memoTable) bytes() int64 {
-	if t.keys == nil {
-		return memoDenseBytes * int64(len(t.vals))
+	if t.slots == nil {
+		return memoDenseBytes * int64(len(t.words))
 	}
-	return memoSlotBytes * int64(len(t.keys))
+	return memoSlotBytes * int64(len(t.slots))
 }
 
 // home is the slot a key's probe chain starts at: a Fibonacci hash, so
 // runs of neighbouring vertex ids spread out, scaled to the table's
 // size, which need not be a power of two.
 func (t *memoTable) home(key uint32) uint32 {
-	return uint32(uint64(key*0x9e3779b1) * uint64(len(t.keys)) >> 32)
+	return uint32(uint64(key*0x9e3779b1) * uint64(len(t.slots)) >> 32)
 }
 
 // find walks key's probe chain in a hashed table to the slot that
-// holds it, or else to the chain's first empty slot. Every hashed table
-// keeps an empty slot.
-func (t *memoTable) find(key uint32) (i uint32, found bool) {
-	n := uint32(len(t.keys))
+// holds it, or else to the chain's first empty slot, and returns the
+// slot's word: 0 when empty. Every hashed table keeps an empty slot.
+func (t *memoTable) find(key uint32) (i uint32, slot uint64) {
+	n := uint32(len(t.slots))
 	for i = t.home(key); ; {
-		switch t.keys[i].Load() {
-		case key:
-			return i, true
-		case 0:
-			return i, false
+		if slot = t.slots[i].Load(); slot == 0 || uint32(slot>>32) == key {
+			return i, slot
 		}
 		if i++; i == n {
 			i = 0
@@ -168,27 +185,26 @@ func (t *memoTable) find(key uint32) (i uint32, found bool) {
 }
 
 // put publishes a pair into slot i of a hashed table.
-func (t *memoTable) put(i, key uint32, val uint64) {
-	t.vals[i].Store(val)
-	t.keys[i].Store(key)
+func (t *memoTable) put(i, key, count uint32) {
+	t.slots[i].Store(uint64(key)<<32 | uint64(count))
 }
 
 // insert publishes a pair the table has room for, unless the table
 // holds its key already.
-func (t *memoTable) insert(key uint32, val uint64) bool {
-	if t.keys == nil {
-		w := &t.vals[key-t.base]
+func (t *memoTable) insert(key, count uint32) bool {
+	if t.slots == nil {
+		w := &t.words[key-t.base]
 		if w.Load() != 0 {
 			return false
 		}
-		w.Store(^val)
+		w.Store(^count)
 		return true
 	}
-	i, found := t.find(key)
-	if !found {
-		t.put(i, key, val)
+	i, slot := t.find(key)
+	if slot == 0 {
+		t.put(i, key, count)
 	}
-	return !found
+	return slot == 0
 }
 
 // rowKey names the row and key of the pair {u, v}.
@@ -201,39 +217,33 @@ func (m *memoMetric) rowKey(u, v roadnet.VertexID) (*memoRow, uint32) {
 
 // lookup is the memo's read path.
 func (r *memoRow) lookup(key uint32) (float64, bool) {
-	for {
-		t := r.tab.Load()
-		if t == nil {
-			return 0, false
-		}
-		if t.keys == nil {
-			// A key outside the row (LB(u, u) brings the diagonal's, u+1)
-			// wraps past the end: a miss.
-			if i := key - t.base; i < uint32(len(t.vals)) {
-				w := t.vals[i].Load()
-				return math.Float64frombits(^w), w != 0
-			}
-			return 0, false
-		}
-		seq := r.seq.Load()
-		i, found := t.find(key)
-		if !found {
-			return 0, false
-		}
-		val := t.vals[i].Load()
-		if seq&1 == 0 && r.seq.Load() == seq {
-			return math.Float64frombits(val), true
-		}
+	t := r.tab.Load()
+	if t == nil {
+		return 0, false
 	}
+	if t.slots == nil {
+		// A key outside the row (LB(u, u) brings the diagonal's, u+1)
+		// wraps past the end: a miss.
+		if i := key - t.base; i < uint32(len(t.words)) {
+			w := t.words[i].Load()
+			return memoDecode(^w), w != 0
+		}
+		return 0, false
+	}
+	_, slot := t.find(key)
+	return memoDecode(uint32(slot)), slot != 0
 }
 
-// store caches d for the pair {u, v}.
+// store caches d for the pair {u, v}, unless d has no count.
 func (m *memoMetric) store(u, v roadnet.VertexID, d float64) {
+	count, ok := memoEncode(d)
+	if !ok {
+		return
+	}
 	if u > v {
 		u, v = v, u
 	}
 	r, key, span := &m.rows[u], uint32(v)+1, len(m.rows)-1-int(u)
-	val := math.Float64bits(d)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.tab.Load()
@@ -241,9 +251,9 @@ func (m *memoMetric) store(u, v roadnet.VertexID, d float64) {
 		t = newMemoTable(u, span, memoMinSlots)
 		m.bytes.Add(t.bytes())
 		m.publish(r, t)
-	} else if size := len(t.keys); size > 0 && int(r.n) >= size-size/8 {
-		i, found := t.find(key)
-		if found {
+	} else if size := len(t.slots); size > 0 && int(r.n) >= size-size/8 {
+		i, slot := t.find(key)
+		if slot != 0 {
 			return // a racing goroutine computed the same pair first
 		}
 		next, _ := layout(span, size+size/2)
@@ -252,23 +262,21 @@ func (m *memoMetric) store(u, v roadnet.VertexID, d float64) {
 			// An empty home slot is left empty: filling it would take
 			// the row past 7/8, and this pair is the one forgotten.
 			if home := t.home(key); i != home {
-				r.seq.Add(1)
-				t.put(home, key, val)
-				r.seq.Add(1)
+				t.put(home, key, count)
 				m.replacements.Add(1)
 			}
 			return
 		}
 		grown := newMemoTable(u, span, size+size/2)
-		for j := range t.keys {
-			if k := t.keys[j].Load(); k != 0 {
-				grown.insert(k, t.vals[j].Load())
+		for j := range t.slots {
+			if w := t.slots[j].Load(); w != 0 {
+				grown.insert(uint32(w>>32), uint32(w))
 			}
 		}
 		m.publish(r, grown)
 		t = grown
 	}
-	if t.insert(key, val) {
+	if t.insert(key, count) {
 		r.n++
 		m.entries.Add(1)
 	}
@@ -277,7 +285,7 @@ func (m *memoMetric) store(u, v roadnet.VertexID, d float64) {
 // publish swaps in row r's next table. A dense table never grows, so
 // one published is a row newly dense.
 func (m *memoMetric) publish(r *memoRow, t *memoTable) {
-	if t.keys == nil {
+	if t.slots == nil {
 		m.denseRows.Add(1)
 	}
 	r.tab.Store(t)
@@ -444,7 +452,7 @@ func (m *memoMetric) Reset() {
 		if t := r.tab.Load(); t != nil {
 			m.entries.Add(-int64(r.n))
 			m.bytes.Add(-t.bytes())
-			if t.keys == nil {
+			if t.slots == nil {
 				m.denseRows.Add(-1)
 			}
 			r.tab.Store(nil)

@@ -13,6 +13,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -30,11 +33,18 @@ import (
 // every metric family the acceptance list names is registered.
 func obsSingle(t *testing.T) v1Backend {
 	t.Helper()
+	b, _ := obsEngine(t, t.TempDir())
+	return b
+}
+
+// obsEngine is obsSingle journaling into dir, with its engine.
+func obsEngine(t *testing.T, dir string) (v1Backend, *core.Engine) {
+	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
 		Capacity:  4,
 		Algorithm: core.AlgoDualSide, Seed: 1,
-		Durability: wal.ModeAsync, WALDir: t.TempDir(),
+		Durability: wal.ModeAsync, WALDir: dir,
 		Telemetry: telemetry.NewRegistry(),
 	})
 	if err != nil {
@@ -44,7 +54,7 @@ func obsSingle(t *testing.T) v1Backend {
 	t.Cleanup(func() { eng.Close() })
 	ts := httptest.NewServer(server.NewService(eng).Handler())
 	t.Cleanup(ts.Close)
-	return v1Backend{name: "single-city", ts: ts, city: core.DefaultCityName, numCities: 1}
+	return v1Backend{name: "single-city", ts: ts, city: core.DefaultCityName, numCities: 1}, eng
 }
 
 // obsMulti builds the telemetry- and WAL-enabled two-city backend.
@@ -172,6 +182,61 @@ func TestV1MetricsExposition(t *testing.T) {
 				t.Error("quote stage has no observations")
 			}
 		})
+	}
+}
+
+// TestV1MetricsSnapshotSeries forces an engine snapshot and reads the
+// journal's two snapshot series off /metrics: the payload's bytes,
+// which are the snapshot file's less its 16-byte header, and one
+// observation of the write's wall time. Before it both read 0.
+func TestV1MetricsSnapshotSeries(t *testing.T) {
+	dir := t.TempDir()
+	b, eng := obsEngine(t, dir)
+	sample := func(body, series string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("exposition has no %s sample", series)
+		return 0
+	}
+	body := scrape(t, b)
+	for _, want := range []string{
+		"# TYPE ptrider_wal_snapshot_bytes gauge",
+		"# TYPE ptrider_wal_snapshot_duration_seconds histogram",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition misses %q", want)
+		}
+	}
+	if n, c := sample(body, "ptrider_wal_snapshot_bytes"), sample(body, "ptrider_wal_snapshot_duration_seconds_count"); n != 0 || c != 0 {
+		t.Fatalf("before any snapshot: %v bytes, %v observations", n, c)
+	}
+
+	submitQuoted(t, b)
+	if err := eng.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot files %v (%v), want one", snaps, err)
+	}
+	fi, err := os.Stat(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = scrape(t, b)
+	if n, want := sample(body, "ptrider_wal_snapshot_bytes"), float64(fi.Size()-16); n != want {
+		t.Errorf("ptrider_wal_snapshot_bytes %v, the file holds a %v-byte payload", n, want)
+	}
+	if c := sample(body, "ptrider_wal_snapshot_duration_seconds_count"); c != 1 {
+		t.Errorf("ptrider_wal_snapshot_duration_seconds_count %v, want 1", c)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // Snapshot file format: 8-byte magic, then uint32 LE payload length,
@@ -21,12 +22,15 @@ import (
 // snapshot must not become visible); the journal then dies and
 // WriteSnapshot returns ErrCrashed.
 func (j *Journal) WriteSnapshot(seg uint64, payload []byte) error {
+	t0 := time.Now()
 	if err := j.writeSnapshot(seg, payload); err != nil {
 		return err
 	}
 	j.lastSnap.Store(seg)
+	j.snapBytes.Store(int64(len(payload)))
 	j.snapshots.Add(1)
 	pruneBefore(j.dir, seg)
+	j.opts.SnapshotHist.ObserveSince(t0)
 	return nil
 }
 

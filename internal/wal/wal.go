@@ -155,10 +155,12 @@ type Options struct {
 	// Mode must be ModeAsync or ModeSync.
 	Mode Mode
 	// AppendHist / FsyncHist, when non-nil, observe batch-write and
-	// fsync wall times (seconds). Nil histograms are no-ops, so the
-	// flusher records unconditionally.
-	AppendHist *telemetry.LatencyHist
-	FsyncHist  *telemetry.LatencyHist
+	// fsync wall times (seconds), and SnapshotHist the wall time of
+	// each WriteSnapshot that succeeded. Nil histograms are no-ops, so
+	// the journal records unconditionally.
+	AppendHist   *telemetry.LatencyHist
+	FsyncHist    *telemetry.LatencyHist
+	SnapshotHist *telemetry.LatencyHist
 }
 
 // batch is one group-commit unit: records accumulated since the last
@@ -233,6 +235,7 @@ type Journal struct {
 	// recovery Open ran, for the owners' stats panels.
 	snapshots atomic.Int64
 	lastSnap  atomic.Uint64
+	snapBytes atomic.Int64
 	recovery  Recovery
 }
 
@@ -675,9 +678,11 @@ type Stats struct {
 	// Segment is the live tail segment number.
 	Segment uint64 `json:"segment"`
 	// Snapshots counts snapshots written since Open; LastSnapshotSeg
-	// names the newest one on disk (0 = none).
-	Snapshots       int64  `json:"snapshots"`
-	LastSnapshotSeg uint64 `json:"last_snapshot_seg"`
+	// names the newest one on disk (0 = none), and LastSnapshotBytes
+	// is the payload size of the newest written since Open (0 = none).
+	Snapshots         int64  `json:"snapshots"`
+	LastSnapshotSeg   uint64 `json:"last_snapshot_seg"`
+	LastSnapshotBytes int64  `json:"last_snapshot_bytes"`
 	// Recovery is what Open recovered.
 	Recovery Recovery `json:"recovery"`
 }
@@ -692,9 +697,10 @@ func (j *Journal) Stats() Stats {
 		MaxBatch: j.maxN.Load(),
 		Segment:  j.Segment(),
 
-		Snapshots:       j.snapshots.Load(),
-		LastSnapshotSeg: j.lastSnap.Load(),
-		Recovery:        j.recovery,
+		Snapshots:         j.snapshots.Load(),
+		LastSnapshotSeg:   j.lastSnap.Load(),
+		LastSnapshotBytes: j.snapBytes.Load(),
+		Recovery:          j.recovery,
 	}
 	if s.Fsyncs > 0 {
 		s.AvgFsyncMicros = float64(j.fsyncNs.Load()) / float64(s.Fsyncs) / 1e3

@@ -418,90 +418,45 @@ func (c *ShardClient) CancelAssigned(id core.RequestID) error {
 
 // --- the rest of core.Service and multicity.CityBackend ---
 
-// SubmitRequestBatch runs a batch of vertex-addressed requests with the
-// engine's greedy semantics. A closure cannot cross the wire, so the
-// batch is cut at every item carrying a Choose callback: each maximal
-// run of callback-free items is one shard-side batch call (quoted
-// together, then declined, as the engine does with them), and each
-// callback item is quoted on its own and committed or declined by
-// index before anything after it is quoted — the order the engine's
-// waves guarantee. Each call runs under its first item's context.
+// SubmitRequestBatch implements core.Service with core.RunBatch. A
+// closure cannot cross the wire, so RunBatch serves each chooser item
+// through SubmitRequest and the verbs, and each run of items without
+// one is one /v1/requests batch call (see quoteRun).
 func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error) {
-	out := make([]*core.ServiceRecord, len(specs))
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for start := 0; start < len(specs); {
-		if specs[start].Choose != nil {
-			rec, err := c.submitChosen(specs[start])
-			if err != nil {
-				fail(fmt.Errorf("cluster: batch item %d: %w", start, err))
-			}
-			out[start] = rec
-			start++
-			continue
-		}
-		end := start
-		for end < len(specs) && specs[end].Choose == nil {
-			end++
-		}
-		in := server.BatchBody{Requests: make([]server.RequestBody, end-start)}
-		for k, spec := range specs[start:end] {
-			in.Requests[k] = server.NewRequestBody(spec)
-		}
-		// Not retried: without per-item idempotency keys a replayed
-		// batch would double-quote.
-		var reply struct {
-			Requests []*core.RequestView `json:"requests"`
-			Error    *core.ErrorPayload  `json:"error"`
-		}
-		ctx, hdr := specs[start].Context(), http.Header{}
-		setRequestID(ctx, hdr)
-		if err := c.call(ctx, http.MethodPost, "/v1/requests", hdr, in, &reply, false); err != nil {
-			fail(err)
-		} else if reply.Error != nil {
-			fail(reply.Error.Err())
-		}
-		for k, v := range reply.Requests {
-			if v != nil && start+k < end {
-				rec, err := c.record(v)
-				if err != nil {
-					fail(err)
-				}
-				out[start+k] = rec
-			}
-		}
-		start = end
-	}
-	return out, firstErr
+	return core.RunBatch(c, specs, c.quoteRun)
 }
 
-// submitChosen serves one batch item that carries a Choose callback:
-// quote, let the callback pick, commit or decline by index, and return
-// the refreshed record. A failed choice ends the item's lifecycle
-// declined rather than abandoning the quote, as in the engine. Batch
-// items carry no idempotency key.
-func (c *ShardClient) submitChosen(spec core.SubmitSpec) (*core.ServiceRecord, error) {
-	spec.IdemKey = ""
-	rec, err := c.SubmitRequest(spec)
-	if err != nil {
-		return nil, err
+// quoteRun quotes one chooser-free run as one shard-side batch, under
+// its first item's context. The shard numbers a failed item from the
+// run's start, which is the batch's start for every /v1 batch: those
+// carry no chooser. Not retried: without per-item idempotency keys a
+// replayed batch would double-quote.
+func (c *ShardClient) quoteRun(_ int, run []core.SubmitSpec) ([]*core.ServiceRecord, error) {
+	in := server.BatchBody{Requests: make([]server.RequestBody, len(run))}
+	for k, spec := range run {
+		in.Requests[k] = server.NewRequestBody(spec)
 	}
-	if pick := spec.Choose(rec.Options); pick >= 0 && pick < len(rec.Options) {
-		if cerr := c.Choose(rec.ID, pick); cerr != nil {
-			err = fmt.Errorf("choose: %w", cerr)
-			_ = c.Decline(rec.ID) // best effort, like the engine's own batch path
+	var reply struct {
+		Requests []*core.RequestView `json:"requests"`
+		Error    *core.ErrorPayload  `json:"error"`
+	}
+	ctx, hdr := run[0].Context(), http.Header{}
+	setRequestID(ctx, hdr)
+	err := c.call(ctx, http.MethodPost, "/v1/requests", hdr, in, &reply, false)
+	if err == nil && reply.Error != nil {
+		err = reply.Error.Err()
+	}
+	out := make([]*core.ServiceRecord, len(run))
+	for k, v := range reply.Requests {
+		if v != nil && k < len(run) {
+			rec, rerr := c.record(v)
+			if err == nil {
+				err = rerr
+			}
+			out[k] = rec
 		}
-	} else {
-		_ = c.Decline(rec.ID) // a just-quoted record; the refresh below shows what held
 	}
-	if fresh, rerr := c.GetRequest(rec.ID); rerr == nil {
-		rec = fresh
-	}
-	return rec, err
+	return out, err
 }
 
 // Advance moves the shard dt seconds forward through POST /v1/ticks and

@@ -74,7 +74,7 @@ func TestConcurrentClients(t *testing.T) {
 
 // TestConcurrentStress is the full-surface race stress: many goroutines
 // mixing Submit, Choose, Decline, Tick, Stats, VehicleViews,
-// VehicleSchedules, RemoveVehicle and SubmitBatch, with the engine
+// VehicleSchedules, RemoveVehicle and SubmitRequestBatch, with the engine
 // invariants checked both during and after the storm. Under -race this
 // exercises every lock in the layered engine: the lock-free substrate
 // reads, the shared distance memo, the per-vehicle probe/commit locks,
@@ -144,7 +144,7 @@ func TestConcurrentStress(t *testing.T) {
 						_, _ = e.RemoveVehicle(int32(rng.Intn(30)))
 					}
 				case 9:
-					_, _ = e.SubmitBatch([]core.BatchItem{
+					_, _ = e.SubmitRequestBatch([]core.SubmitSpec{
 						{S: roadnet.VertexID(rng.Intn(n)), D: roadnet.VertexID(rng.Intn(n)), Riders: 1,
 							Constraints: core.DefaultConstraints(),
 							Choose: func(opts []core.Option) int {
@@ -225,7 +225,7 @@ func TestBatchHotcellRaceStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 25; i++ {
-				items := hotcellItems(e, seed*1000+int64(i), 5)
+				items := hotcellSpecs(e, seed*1000+int64(i), 5)
 				for j := range items {
 					if rng.Intn(2) == 0 {
 						items[j].Choose = func(opts []core.Option) int {
@@ -238,7 +238,7 @@ func TestBatchHotcellRaceStress(t *testing.T) {
 				}
 				// Commit failures under concurrent ticks/removals are
 				// expected behaviour (reported via the error), not bugs.
-				_, _ = e.SubmitBatch(items)
+				_, _ = e.SubmitRequestBatch(items)
 				if i%8 == 0 {
 					if err := e.CheckInvariants(); err != nil {
 						errs <- err
@@ -412,7 +412,7 @@ func TestConcurrentSubmitDeterministicLedger(t *testing.T) {
 
 // TestConcurrentShardedTickStress is the race-stress suite for the
 // sharded time advancement: with parallel tick workers enabled,
-// concurrent Tick + SubmitBatch + Choose + RemoveVehicle goroutines
+// concurrent Tick + SubmitRequestBatch + Choose + RemoveVehicle goroutines
 // must neither race (run under -race) nor break the cross-layer
 // invariants. Removal mid-tick is the interesting interleaving: a
 // shard's stepVehicle can hit a vehicle that another goroutine just
@@ -450,7 +450,7 @@ func TestConcurrentShardedTickStress(t *testing.T) {
 			for i := 0; i < 60 && !stop.Load(); i++ {
 				switch rng.Intn(5) {
 				case 0, 1, 2:
-					items := make([]core.BatchItem, 1+rng.Intn(3))
+					items := make([]core.SubmitSpec, 1+rng.Intn(3))
 					for j := range items {
 						s := roadnet.VertexID(rng.Intn(n))
 						d := roadnet.VertexID(rng.Intn(n))
@@ -458,7 +458,7 @@ func TestConcurrentShardedTickStress(t *testing.T) {
 							d = roadnet.VertexID((int(d) + 1) % n)
 						}
 						pick := rng.Intn(2) == 0
-						items[j] = core.BatchItem{
+						items[j] = core.SubmitSpec{
 							S: s, D: d, Riders: 1 + rng.Intn(2),
 							Choose: func(opts []core.Option) int {
 								if pick && len(opts) > 0 {
@@ -470,7 +470,7 @@ func TestConcurrentShardedTickStress(t *testing.T) {
 					}
 					// Commit failures under concurrent ticks/removals are
 					// expected behaviour (reported via the error), not bugs.
-					_, _ = e.SubmitBatch(items)
+					_, _ = e.SubmitRequestBatch(items)
 				case 3:
 					s := roadnet.VertexID(rng.Intn(n))
 					d := roadnet.VertexID(rng.Intn(n))

@@ -116,9 +116,8 @@ func TestSubmitAbandonedWhenContextDone(t *testing.T) {
 }
 
 // TestBatchAbandonsWavesNotStarted cancels a batch's context from its
-// first item's chooser: that item commits and ends its wave, and the
-// items the next wave would have quoted fail ErrUnavailable, unquoted
-// and uncounted.
+// first item's chooser: that item commits, and the items of the run
+// after it fail ErrUnavailable, unquoted and uncounted.
 func TestBatchAbandonsWavesNotStarted(t *testing.T) {
 	e := archiveEngine(t)
 	e.AddVehiclesUniform(10)

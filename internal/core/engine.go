@@ -893,184 +893,98 @@ type BatchItem struct {
 	S, D        roadnet.VertexID
 	Riders      int
 	Constraints Constraints
-	// Choose picks an option index from the quoted skyline (or -1 to
-	// decline). Nil declines everything (quote-only batch).
-	Choose func(options []Option) int
-	// ctx and err are what SubmitRequestBatch resolved: the item's
-	// SubmitSpec.Ctx (nil is never done) and its addressing error.
-	ctx context.Context
-	err error
+	err         error // the addressing error SubmitRequestBatch resolved
 }
 
-// batchWaveTail bounds how many items past the first potential
-// committer one wave speculatively quotes (see SubmitBatch).
-const batchWaveTail = 7
-
-// batchPrep is one validated batch item awaiting its quote.
+// batchPrep is one validated batch item and, once matchWave ran, its
+// answer: its options, counters and its own Match wall time (not the
+// wave's mean — response-time quantiles are taken over these).
 type batchPrep struct {
 	idx         int // index into the caller's items
 	spec        ReqSpec
 	wait, sigma float64
+	options     []Option
+	stats       MatchStats
+	elapsedNs   float64
 }
 
-// SubmitBatch processes simultaneously issued requests with the paper's
-// greedy strategy (§2.5): commitments are applied one at a time in
-// batch order, each subsequent quote seeing the fleet state left by the
-// previous commitments. Between commitments, maximal runs of
-// consecutive items ("waves") are quoted in parallel through the
-// configured matcher — quoting never mutates fleet state. A successful
-// commitment ends the wave; the remaining items are re-quoted in a
-// fresh wave so greedy semantics are preserved exactly.
-//
-// It returns one record snapshot per item, in order; individual
-// failures are recorded as nil entries with the first error returned.
-// Before each wave, items whose context is done are abandoned (see
-// submit); a wave that has started runs to the end.
-// Unrelated traffic may interleave with a batch — the greedy order is a
-// property of the batch, not a global freeze.
+// SubmitBatch quotes simultaneously issued requests as one wave (see
+// matchWave) and declines them all; ids are taken and records
+// registered in batch order. It returns one record per item, in order,
+// with its quoted options, nil for a failed item, and the first
+// failure. SubmitRequestBatch hands RunBatch (§2.5) this wave as the
+// quote of each run of items without a chooser.
 func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
+	recs, err := e.quoteWave(0, items)
+	out := make([]*RequestRecord, len(recs))
+	for i, rec := range recs {
+		if rec != nil {
+			out[i] = &rec.RequestRecord
+		}
+	}
+	return out, err
+}
+
+// quoteWave is SubmitBatch answering Service records, with the items
+// numbered from first in its error, as the whole batch counts them.
+func (e *Engine) quoteWave(first int, items []BatchItem) ([]*ServiceRecord, error) {
 	if err := e.alive(); err != nil {
 		return nil, err
 	}
-	out := make([]*RequestRecord, len(items))
+	out := make([]*ServiceRecord, len(items))
 	var firstErr error
 	fail := func(i int, err error) {
 		if firstErr == nil {
-			firstErr = fmt.Errorf("core: batch item %d: %w", i, err)
+			firstErr = batchItemErr(first+i, err)
 		}
 	}
 
-	preps := make([]batchPrep, 0, len(items))
+	wave := make([]batchPrep, 0, len(items))
 	for i, it := range items {
-		if it.err != nil {
-			fail(i, it.err)
-			continue
+		p, err := batchPrep{idx: i}, it.err
+		if err == nil {
+			p.spec, p.wait, p.sigma, err = e.prepareRequest(it.S, it.D, it.Riders, it.Constraints)
 		}
-		spec, wait, sigma, err := e.prepareRequest(it.S, it.D, it.Riders, it.Constraints)
 		if err != nil {
 			fail(i, err)
 			continue
 		}
-		preps = append(preps, batchPrep{idx: i, spec: spec, wait: wait, sigma: sigma})
+		wave = append(wave, p)
 	}
 
-	for {
-		live := preps[:0]
-		for _, p := range preps {
-			if ctx := items[p.idx].ctx; ctx != nil && ctx.Err() != nil {
-				fail(p.idx, abandoned(ctx.Err()))
-				continue
-			}
-			live = append(live, p)
+	e.matchWave(wave)
+	for wi := range wave {
+		p := &wave[wi]
+		e.observeMatch(&p.stats, len(p.options), p.elapsedNs)
+		rec, err := e.registerRecord(&p.spec, p.wait, p.sigma, p.options, "", nil)
+		if err != nil {
+			fail(p.idx, err)
+			continue
 		}
-		if preps = live; len(preps) == 0 {
-			break
-		}
-		// A wave is a maximal run of items that cannot commit (nil
-		// Choose) — their quotes are never discarded — plus a bounded
-		// tail once choosers appear. The tail bounds the speculation: a
-		// commit discards at most batchWaveTail quotes (so commit-heavy
-		// batches cost O(k·tail), not O(k²)), while decline-heavy
-		// chooser batches still quote about batchWaveTail+1 items per
-		// wave in parallel.
-		end := 0
-		for end < len(preps) && items[preps[end].idx].Choose == nil {
-			end++
-		}
-		for tail := 0; end < len(preps) && tail <= batchWaveTail; tail++ {
-			end++
-		}
-		preps = preps[e.runWave(preps[:end], items, out, fail):]
+		out[p.idx], _ = Settle(e, e.serviceRecord(&rec), nil) // no chooser: declined, no error
 	}
 	return out, firstErr
 }
 
-// runWave quotes a maximal commit-free run of batch items (see
-// matchWave), then walks the wave in batch order applying choices.
-// The first successful commitment truncates the wave — its tail is
-// discarded and re-quoted by the caller against the post-commit fleet,
-// which is exactly the paper's greedy order. It returns the number of
-// items consumed.
-func (e *Engine) runWave(wave []batchPrep, items []BatchItem, out []*RequestRecord, fail func(int, error)) int {
-	quotes := e.matchWave(wave)
-
-	consumed := 0
-	for wi := range wave {
-		p := &wave[wi]
-		id := p.spec.Kin.ID
-		q := &quotes[wi]
-		e.observeMatch(&q.stats, len(q.options), q.elapsedNs)
-		snap, err := e.registerRecord(&p.spec, p.wait, p.sigma, q.options, "", nil)
-		if err != nil {
-			fail(p.idx, err)
-			consumed = wi + 1
-			break
-		}
-
-		committed := false
-		pick := -1
-		if ch := items[p.idx].Choose; ch != nil {
-			pick = ch(snap.Options)
-		}
-		if pick >= 0 && pick < len(snap.Options) {
-			if err := e.Choose(id, pick); err != nil {
-				// Don't abandon the record in the quoted state: a
-				// failed choice (e.g. the candidate went stale under a
-				// concurrent ticker) ends the item's lifecycle here.
-				fail(p.idx, fmt.Errorf("choose: %w", err))
-				_ = e.Decline(id)
-			} else {
-				committed = true
-			}
-		} else {
-			_ = e.Decline(id)
-		}
-		if fresh, err := e.GetRequest(id); err == nil {
-			// A finished record is archived without its schedules; hand
-			// back the quoted options, as Submit does.
-			fresh.Options = snap.Options
-			out[p.idx] = &fresh.RequestRecord
-		} else {
-			cp := snap
-			out[p.idx] = &cp
-		}
-		consumed = wi + 1
-		if committed {
-			break
-		}
-	}
-	return consumed
-}
-
-// waveQuote is one wave item's answer: its options, counters and its
-// own Match wall time (not the wave's mean — response-time quantiles
-// are taken over these).
-type waveQuote struct {
-	options   []Option
-	stats     MatchStats
-	elapsedNs float64
-}
-
-// matchWave quotes one wave: every item runs the configured matcher,
-// fanned out over the fleet's width (GOMAXPROCS at construction).
-// Items are mutually independent (each owns its skyline and counters,
-// and quoting never mutates fleet state), so the wave's option sets
-// match a serial pass exactly. Per-request DistCalls deltas are read
-// from the shared counter, so concurrently-running items bleed into
-// each other's counts — the same documented imprecision concurrent
-// Submits always had (see MatchStats); the engine-level DistCalls()
-// total stays exact. A started wave runs to the end — SubmitBatch
-// checks the items' contexts between waves — so its matches get none.
-func (e *Engine) matchWave(wave []batchPrep) []waveQuote {
-	quotes := make([]waveQuote, len(wave))
+// matchWave quotes one wave in place: every item runs the configured
+// matcher, fanned out over the fleet's width (GOMAXPROCS at
+// construction). Items are mutually independent (each owns its skyline
+// and counters, and quoting never mutates fleet state), so the wave's
+// option sets match a serial pass exactly. Per-request DistCalls
+// deltas are read from the shared counter, so concurrently-running
+// items bleed into each other's counts — the same documented
+// imprecision concurrent Submits always had (see MatchStats); the
+// engine-level DistCalls() total stays exact. A started wave runs to
+// the end — RunBatch checks the items' contexts before it hands the
+// wave over — so its matches get none.
+func (e *Engine) matchWave(wave []batchPrep) {
 	m := e.matchers[e.Algorithm()]
 	parallelFor(e.fleet.Workers(), len(wave), func(i int) {
-		q := &quotes[i]
+		p := &wave[i]
 		start := time.Now()
-		q.options = m.Match(context.Background(), &wave[i].spec, &q.stats)
-		q.elapsedNs = float64(time.Since(start).Nanoseconds())
+		p.options = m.Match(context.Background(), &p.spec, &p.stats)
+		p.elapsedNs = float64(time.Since(start).Nanoseconds())
 	})
-	return quotes
 }
 
 // Decline records that the rider took none of the options.

@@ -114,7 +114,7 @@ func TestSubmitBatchGreedy(t *testing.T) {
 	}
 	// Two simultaneous 2-rider groups: greedy gives the taxi to the
 	// first; the second finds the only vehicle full.
-	recs, err := e.SubmitBatch([]core.BatchItem{
+	recs, err := e.SubmitRequestBatch([]core.SubmitSpec{
 		{S: 9, D: 54, Riders: 2, Constraints: core.DefaultConstraints(), Choose: takeFirst},
 		{S: 10, D: 55, Riders: 2, Constraints: core.DefaultConstraints(), Choose: takeFirst},
 	})

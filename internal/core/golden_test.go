@@ -124,6 +124,17 @@ func hotcellItems(e *core.Engine, seed int64, k int) []core.BatchItem {
 	return items
 }
 
+// hotcellSpecs is hotcellItems as Service specs, for batches with
+// choosers.
+func hotcellSpecs(e *core.Engine, seed int64, k int) []core.SubmitSpec {
+	items := hotcellItems(e, seed, k)
+	specs := make([]core.SubmitSpec, len(items))
+	for i, it := range items {
+		specs[i] = core.SubmitSpec{S: it.S, D: it.D, Riders: it.Riders, Constraints: it.Constraints}
+	}
+	return specs
+}
+
 // TestGoldenBatchVsPerRequest pins the batch path's
 // no-behavioural-drift guarantee: a quote-only SubmitBatch whose items
 // share an origin cell (one wave, quoted in parallel) returns, per
@@ -185,8 +196,8 @@ func TestGoldenBatchVsPerRequest(t *testing.T) {
 	}
 }
 
-// TestGoldenBatchGreedyCommits pins the wave pipeline's greedy
-// semantics: a committing SubmitBatch must behave exactly like the
+// TestGoldenBatchGreedyCommits pins RunBatch's greedy semantics: a
+// batch of choosers through SubmitRequestBatch must behave exactly like the
 // sequential submit-then-choose loop — every commitment visible to all
 // later quotes, assignments landing on the same vehicles at the same
 // prices.
@@ -194,7 +205,7 @@ func TestGoldenBatchGreedyCommits(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.AlgoSingleSide, core.AlgoDualSide} {
 		t.Run(algo.String(), func(t *testing.T) {
 			a, b := batchPair(t, algo, 4)
-			items := hotcellItems(a, 47, 8)
+			items := hotcellSpecs(a, 47, 8)
 			for i := range items {
 				items[i].Choose = func(opts []core.Option) int {
 					if len(opts) == 0 {
@@ -203,7 +214,7 @@ func TestGoldenBatchGreedyCommits(t *testing.T) {
 					return 0
 				}
 			}
-			recs, err := a.SubmitBatch(items)
+			recs, err := a.SubmitRequestBatch(items)
 			if err != nil {
 				t.Fatalf("batch: %v", err)
 			}

@@ -59,7 +59,8 @@ type SubmitSpec struct {
 	Constraints Constraints
 	// Choose, when non-nil, picks an option index from the quoted
 	// skyline (or -1 to decline) right at submission — honoured by
-	// SubmitRequestBatch (workload drivers); SubmitRequest ignores it.
+	// SubmitRequestBatch (see RunBatch and Settle); SubmitRequest
+	// ignores it.
 	Choose func(options []Option) int
 	// IdemKey, when non-empty, makes the submission idempotent: a
 	// retry carrying the same key returns the original submission's
@@ -429,8 +430,8 @@ type Service interface {
 	// options (spec.Choose is ignored).
 	SubmitRequest(spec SubmitSpec) (*ServiceRecord, error)
 	// SubmitRequestBatch answers simultaneously issued requests with
-	// the greedy batch semantics of the backend; one record per spec,
-	// in order, nil entries for failed items with the first error
+	// the paper's greedy batch semantics (RunBatch); one record per
+	// spec, in order, nil entries for failed items with the first error
 	// returned. Spec.Choose callbacks commit or decline in-line.
 	SubmitRequestBatch(specs []SubmitSpec) ([]*ServiceRecord, error)
 	// Choose commits the rider's selected option. Choosing an
@@ -526,27 +527,17 @@ func (e *Engine) SubmitRequest(spec SubmitSpec) (*ServiceRecord, error) {
 	return e.serviceRecord(rec), nil
 }
 
-// SubmitRequestBatch implements Service over SubmitBatch: greedy in
-// batch order, each wave's quotes run in parallel, and an item whose
-// context is done before its wave starts is abandoned.
+// SubmitRequestBatch implements Service with RunBatch: each run of
+// items without a chooser is one SubmitBatch wave.
 func (e *Engine) SubmitRequestBatch(specs []SubmitSpec) ([]*ServiceRecord, error) {
-	items := make([]BatchItem, len(specs))
-	for i := range specs {
-		s, d, err := e.resolveSpec(&specs[i])
-		items[i] = BatchItem{
-			S: s, D: d, Riders: specs[i].Riders,
-			Constraints: specs[i].Constraints, Choose: specs[i].Choose,
-			ctx: specs[i].Ctx, err: err,
+	return RunBatch(e, specs, func(first int, run []SubmitSpec) ([]*ServiceRecord, error) {
+		items := make([]BatchItem, len(run))
+		for i := range run {
+			s, d, err := e.resolveSpec(&run[i])
+			items[i] = BatchItem{S: s, D: d, Riders: run[i].Riders, Constraints: run[i].Constraints, err: err}
 		}
-	}
-	recs, err := e.SubmitBatch(items)
-	out := make([]*ServiceRecord, len(specs))
-	for i, rec := range recs {
-		if rec != nil {
-			out[i] = e.serviceRecord(rec)
-		}
-	}
-	return out, err
+		return e.quoteWave(first, items)
+	})
 }
 
 // GetRequest implements Service.

@@ -195,7 +195,7 @@ func newTwinRouter(b *testing.B, enableRelay bool) *multicity.Router {
 // that never crosses a city border (acceptance target: "relay-enabled"
 // within 2% of "plain" — the relay path adds only nil checks to
 // same-city routing) and, for scale, what a full cross-city relay
-// quote costs ("cross": 2·MaxGateways engine quotes plus skyline
+// quote costs ("cross": two engine quotes per gateway, three gateways, plus skyline
 // composition per call).
 func BenchmarkRelaySubmit(b *testing.B) {
 	relayBenchSetup(b)

@@ -296,9 +296,9 @@ func (c *Coordinator) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, 
 // city and each city's sub-batch runs through its backend concurrently
 // — backends share no state — preserving the paper's greedy order over
 // that city's items exactly. Cross-city items then run in batch order,
-// each relay quote (and, via the item's Choose callback over the
-// synthesised joint options, commit) seeing the fleets its predecessors
-// left.
+// each relay quote settled (core.Settle: the item's chooser over the
+// synthesised joint options, or a decline) before the next, so each
+// sees the fleets its predecessors left.
 func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error) {
 	out := make([]*core.ServiceRecord, len(specs))
 	var firstErr error
@@ -353,39 +353,13 @@ func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 	for _, it := range cross {
 		rec, err := c.crossCity(it.oc, it.dc, it.s, it.d, &specs[it.idx])
 		if err == nil {
-			out[it.idx], err = c.settleCrossItem(rec, specs[it.idx].Choose)
+			out[it.idx], err = core.Settle(c, rec, specs[it.idx].Choose)
 		}
 		if err != nil {
 			fail(it.idx, err)
 		}
 	}
 	return out, firstErr
-}
-
-// settleCrossItem finishes one quoted cross-city batch item with the
-// engine's batch semantics: the item's chooser picks from the
-// synthesised joint options (nil declines), the trip is committed or
-// declined, and the refreshed record returned. A failed choice has
-// already aborted the trip, so the item's lifecycle ends here either
-// way.
-func (c *Coordinator) settleCrossItem(rec *core.ServiceRecord, choose func([]core.Option) int) (*core.ServiceRecord, error) {
-	trip, _ := relay.TripOf(rec.ID)
-	pick := -1
-	if choose != nil {
-		pick = choose(rec.Options)
-	}
-	var err error
-	if pick >= 0 && pick < len(rec.Options) {
-		if cerr := c.relay.Choose(trip, pick); cerr != nil {
-			err = fmt.Errorf("choose: %w", cerr)
-		}
-	} else {
-		_ = c.relay.Decline(trip) // a just-quoted trip declines; nothing to report
-	}
-	if refreshed, terr := c.relay.Trip(trip); terr == nil {
-		rec = refreshed
-	}
-	return rec, err
 }
 
 // Choose implements core.Service. For a relay trip (negative id) this

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"ptrider/internal/core"
@@ -18,6 +20,7 @@ import (
 	"ptrider/internal/multicity"
 	"ptrider/internal/relay"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/testnet"
 	"ptrider/internal/wal"
 )
 
@@ -124,10 +127,31 @@ func TestRelayCrashWindowCompensatedOnRestart(t *testing.T) {
 	}
 
 	// Full restart: relay recovery finds the open intent and
-	// compensates it.
+	// compensates it, logging the park and the compensation under the
+	// trip's request id.
+	logged := testnet.CaptureLog(t)
 	r2, err := durableTwinRouter(t, dir, nil)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
+	}
+	var relayLines []string
+	for _, r := range logged.Lines() {
+		if !strings.HasPrefix(r.Message, "relay: ") {
+			continue // the journals' own recovery lines
+		}
+		a := r.Attrs
+		if a["request"] != int64(rec.ID) {
+			t.Fatalf("%q keyed by request %v, want the trip's %d", r.Message, a["request"], rec.ID)
+		}
+		relayLines = append(relayLines, fmt.Sprintf("%s gateway=%v cause=%v leg1=%v leg2=%v",
+			r.Message, a["gateway"], a["cause"], a["leg1"], a["leg2"]))
+	}
+	gw := rec.Relay.Options[0].Gateway // the intent: option 0
+	if want := []string{
+		fmt.Sprintf("relay: trip parked gateway=%d cause=relay: commit window open at recovery leg1=<nil> leg2=<nil>", gw),
+		fmt.Sprintf("relay: parked trip compensated gateway=%d cause=<nil> leg1=cancelled leg2=declined", gw),
+	}; !slices.Equal(relayLines, want) {
+		t.Fatalf("relay log lines:\n  got  %q\n  want %q", relayLines, want)
 	}
 	engA, _ := r2.Engine("alpha")
 	if got := engA.Stats().Assigned; got != 0 {

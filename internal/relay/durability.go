@@ -26,6 +26,7 @@ package relay
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"ptrider/internal/core"
@@ -197,7 +198,7 @@ func (s *Scheduler) compensateOpenIntents() error {
 			return err
 		}
 		if tr.State == StateQuoted {
-			s.parkLocked(tr)
+			_ = s.parkLocked(tr, errors.New("relay: commit window open at recovery"))
 		}
 		if err := s.releaseLocked(tr); err != nil {
 			return err

@@ -49,21 +49,21 @@ func boundaryCandidates(g *roadnet.Graph, other geo.Rect, n int) []roadnet.Verte
 	return out
 }
 
-// buildGateways selects up to cfg.MaxGateways hand-off pairs between
-// two cities: each city contributes its cfg.BoundaryCandidates
+// buildGateways selects up to maxGateways hand-off pairs between two
+// cities: each city contributes its boundaryCandidateCount
 // boundary-nearest vertices, every cross pair is ranked by Euclidean
 // gap, and pairs are picked greedily with distinct endpoints — reusing
 // a vertex would offer the rider the same hand-off twice. Gateways are
 // oriented a→b (From in a, To in b); callers flip for the reverse
 // direction.
-func buildGateways(a, b CityRef, cfg Config) []Gateway {
+func buildGateways(a, b CityRef) []Gateway {
 	ga, errA := a.Engine.CityGraph("")
 	gb, errB := b.Engine.CityGraph("")
 	if errA != nil || errB != nil || ga.NumVertices() == 0 || gb.NumVertices() == 0 {
 		return nil
 	}
-	candA := boundaryCandidates(ga, b.Region, cfg.BoundaryCandidates)
-	candB := boundaryCandidates(gb, a.Region, cfg.BoundaryCandidates)
+	candA := boundaryCandidates(ga, b.Region, boundaryCandidateCount)
+	candB := boundaryCandidates(gb, a.Region, boundaryCandidateCount)
 
 	pairs := make([]Gateway, 0, len(candA)*len(candB))
 	for _, va := range candA {
@@ -74,11 +74,11 @@ func buildGateways(a, b CityRef, cfg Config) []Gateway {
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].GapMeters < pairs[j].GapMeters })
 
-	usedA := make(map[roadnet.VertexID]bool, cfg.MaxGateways)
-	usedB := make(map[roadnet.VertexID]bool, cfg.MaxGateways)
-	out := make([]Gateway, 0, cfg.MaxGateways)
+	usedA := make(map[roadnet.VertexID]bool, maxGateways)
+	usedB := make(map[roadnet.VertexID]bool, maxGateways)
+	out := make([]Gateway, 0, maxGateways)
 	for _, p := range pairs {
-		if len(out) == cfg.MaxGateways {
+		if len(out) == maxGateways {
 			break
 		}
 		if usedA[p.From] || usedB[p.To] {

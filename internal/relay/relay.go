@@ -38,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"maps"
 	"math"
 	"slices"
@@ -64,15 +65,17 @@ func (id TripID) RequestID() core.RequestID { return -core.RequestID(id) }
 // TripOf is RequestID's inverse; ok is false for a non-relay id.
 func TripOf(id core.RequestID) (trip TripID, ok bool) { return TripID(-id), id < 0 }
 
+// maxGateways bounds the hand-off gateway pairs quoted per city pair.
+// More gateways widen the joint skyline at the cost of 2 extra leg
+// quotes each.
+const maxGateways = 3
+
+// boundaryCandidateCount is how many boundary-nearest vertices per
+// city feed gateway selection.
+const boundaryCandidateCount = 24
+
 // Config parameterises a Scheduler. The zero value means defaults.
 type Config struct {
-	// MaxGateways bounds the hand-off gateway pairs quoted per city
-	// pair (0 = 3). More gateways widen the joint skyline at the cost
-	// of 2 extra leg quotes each.
-	MaxGateways int
-	// BoundaryCandidates is how many boundary-nearest vertices per city
-	// feed gateway selection (0 = 24).
-	BoundaryCandidates int
 	// TransferBufferSeconds is the hand-off margin chained between the
 	// legs' ETAs and added to leg 2's waiting-time and pick-up windows
 	// (0 = 120; pass a negative value for a literal zero buffer).
@@ -89,12 +92,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxGateways == 0 {
-		c.MaxGateways = 3
-	}
-	if c.BoundaryCandidates == 0 {
-		c.BoundaryCandidates = 24
-	}
 	if c.TransferBufferSeconds == 0 {
 		c.TransferBufferSeconds = 120
 	} else if c.TransferBufferSeconds < 0 {
@@ -192,7 +189,7 @@ func New(cities []CityRef, cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("relay: city %q has no engine", cities[i].Name)
 		}
 		for j := i + 1; j < len(cities); j++ {
-			gws := buildGateways(cities[i], cities[j], cfg)
+			gws := buildGateways(cities[i], cities[j])
 			if len(gws) == 0 {
 				return nil, fmt.Errorf("relay: no gateways between %q and %q", cities[i].Name, cities[j].Name)
 			}
@@ -434,27 +431,25 @@ func (s *Scheduler) Choose(id TripID, optionIndex int) error {
 	// — so the trip parks with its window open until the shard is back
 	// (or recovery re-runs the scan).
 	if err := s.commitLeg(1, engO, leg1ID, opt.Leg1Index); err != nil {
+		err = fmt.Errorf("relay: trip %d leg 1: %w", id, err)
 		if errors.Is(err, core.ErrUnavailable) {
-			s.parkLocked(tr)
-		} else {
-			s.abortLocked(tr)
+			return s.parkLocked(tr, err)
 		}
-		return fmt.Errorf("relay: trip %d leg 1: %w", id, err)
+		s.abortLocked(tr)
+		return err
 	}
 	// Phase 2: book leg 2 — compensate leg 1 on failure.
 	if err := s.commitLeg(2, engD, leg2ID, opt.Leg2Index); err != nil {
 		if errors.Is(err, core.ErrUnavailable) {
 			// Leg 2 may or may not have booked on the dead shard; leg 1
 			// definitely did. The drain releases both.
-			s.parkLocked(tr)
-			return fmt.Errorf("relay: trip %d leg 2: %w", id, err)
+			return s.parkLocked(tr, fmt.Errorf("relay: trip %d leg 2: %w", id, err))
 		}
 		if cerr := engO.CancelAssigned(leg1ID); cerr != nil {
 			if errors.Is(cerr, core.ErrUnavailable) {
 				// The origin engine vanished between commit and release;
 				// the drain (or recovery's intent scan) compensates it.
-				s.parkLocked(tr)
-				return fmt.Errorf("relay: trip %d leg 2: %w (leg-1 release deferred: %v)", id, err, cerr)
+				return s.parkLocked(tr, fmt.Errorf("relay: trip %d leg 2: %w (leg-1 release deferred: %v)", id, err, cerr))
 			}
 			// The rider was already picked up by a racing tick: leg 1
 			// then completes as an ordinary trip and still leaks no
@@ -490,27 +485,36 @@ func (s *Scheduler) abortLocked(tr *trip) {
 // unavailable engine: the unused gateways' quotes are declined, the
 // trip reads aborted, and its journaled intent stays open (recovery
 // must still see the window) while the drain retries the release of
-// the intent gateway's legs every Advance. Caller holds tr.mu.
-func (s *Scheduler) parkLocked(tr *trip) {
-	s.declineLegsLocked(tr, tr.Options[tr.Intent].Gateway)
-	_ = s.transition(nil, func(*entry) error { return s.led.park(tr) })
+// the intent gateway's legs every Advance. It logs the intent gateway
+// and the cause, keyed like every relay log line by the trip's request
+// id, and returns the cause. Caller holds tr.mu.
+func (s *Scheduler) parkLocked(tr *trip, cause error) error {
+	gw := tr.Options[tr.Intent].Gateway
+	s.declineLegsLocked(tr, gw)
+	if s.transition(nil, func(*entry) error { return s.led.park(tr) }) == nil {
+		slog.Warn("relay: trip parked", "request", int64(tr.ID.RequestID()), "gateway", gw, "cause", cause)
+	}
+	return cause
 }
 
 // releaseLocked compensates a parked trip — whatever the intent
 // gateway's legs still hold on their engines is released: an assigned
 // leg cancelled, a still-quoted one declined, an unknown one ignored
 // (its commit never reached that engine's journal) — and then closes
-// its window with the abort record. Idempotent; an unavailable engine
-// leaves the trip parked. The error is a non-transport cancellation
-// failure or the record's append failure: recovery surfaces it, the
-// drain tolerates it (a cancel refused because a racing tick picked
-// the rider up leaks nothing). Caller holds tr.mu.
+// its window with the abort record, logging what became of each leg
+// (cancelled, declined, absent, or the status it was left in).
+// Idempotent; an unavailable engine leaves the trip parked. The error
+// is a non-transport cancellation failure or the record's append
+// failure: recovery surfaces it, the drain tolerates it (a cancel
+// refused because a racing tick picked the rider up leaks nothing).
+// Caller holds tr.mu.
 func (s *Scheduler) releaseLocked(tr *trip) (err error) {
 	if !tr.parked() {
 		return nil // a concurrent drain released it first
 	}
 	opt := tr.Options[tr.Intent]
-	for _, leg := range []struct {
+	var outcome [2]string
+	for i, leg := range []struct {
 		eng LegEngine
 		id  core.RequestID
 	}{
@@ -522,24 +526,33 @@ func (s *Scheduler) releaseLocked(tr *trip) (err error) {
 			if errors.Is(rerr, core.ErrUnavailable) {
 				return nil
 			}
-			continue // commit never reached that engine's journal
+			outcome[i] = "absent" // commit never reached that engine's journal
+			continue
 		}
-		switch rec.Status {
+		switch outcome[i] = rec.Status.String(); rec.Status {
 		case core.StatusAssigned:
 			cerr := leg.eng.CancelAssigned(leg.id)
 			if errors.Is(cerr, core.ErrUnavailable) {
 				return nil
 			}
-			if cerr != nil && err == nil {
+			if cerr == nil {
+				outcome[i] = "cancelled"
+			} else if err == nil {
 				err = fmt.Errorf("relay: compensate trip %d leg %d: %w", tr.ID, leg.id, cerr)
 			}
 		case core.StatusQuoted:
 			_ = leg.eng.Decline(leg.id)
+			outcome[i] = "declined"
 		}
 	}
-	if jerr := s.transition(&relayRecord{Op: opAbort, ID: tr.ID}, func(e *entry) error {
+	jerr := s.transition(&relayRecord{Op: opAbort, ID: tr.ID}, func(e *entry) error {
 		return s.led.closeWindow(tr, e)
-	}); err == nil {
+	})
+	if jerr == nil {
+		slog.Info("relay: parked trip compensated", "request", int64(tr.ID.RequestID()),
+			"gateway", opt.Gateway, "leg1", outcome[0], "leg2", outcome[1])
+	}
+	if err == nil {
 		err = jerr
 	}
 	return err
@@ -698,7 +711,12 @@ func (s *Scheduler) advanceLocked(tr *trip) {
 				return
 			}
 		}
-		_ = s.transition(nil, func(*entry) error { return s.led.fail(tr) })
+		if s.transition(nil, func(*entry) error { return s.led.fail(tr) }) == nil {
+			// The legs as found: the declined one was orphaned, an
+			// assigned one was released above.
+			slog.Warn("relay: trip failed: a committed leg was orphaned", "request", int64(tr.ID.RequestID()),
+				"leg1", rec1.Status.String(), "leg2", rec2.Status.String())
+		}
 		return
 	}
 	next := tr.State

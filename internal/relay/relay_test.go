@@ -52,7 +52,7 @@ func twinCities(t testing.TB, taxisW, taxisE int, commitSlack float64) []relay.C
 
 func TestGatewaySelection(t *testing.T) {
 	cities := twinCities(t, 4, 4, 0)
-	s, err := relay.New(cities, relay.Config{MaxGateways: 3})
+	s, err := relay.New(cities, relay.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

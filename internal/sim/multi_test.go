@@ -8,6 +8,7 @@ import (
 	"ptrider/internal/geo"
 	"ptrider/internal/multicity"
 	"ptrider/internal/sim"
+	"ptrider/internal/testnet"
 )
 
 func twinRouter(t *testing.T) *multicity.Router {
@@ -155,8 +156,11 @@ func TestRunMultiServesTwoCitiesWithIsolatedStats(t *testing.T) {
 // TestRunMultiServesCrossViaRelay replays a cross-heavy workload
 // against a relay-enabled router: the cross fraction must be served
 // (classified relayed + accepted/declined/no-option), not counted as
-// rejection traffic, and the relay panel must reflect the outcomes.
+// rejection traffic, and the relay panel must reflect the outcomes. A
+// healthy relay day parks, compensates and fails nothing, so it logs
+// nothing.
 func TestRunMultiServesCrossViaRelay(t *testing.T) {
+	logged := testnet.CaptureLog(t)
 	r, err := multicity.BuildFromSpecWithConfig("east:8x8:10,west:6x6:8",
 		core.Config{Capacity: 4, Algorithm: core.AlgoDualSide, CommitSlack: 0.3}, 17,
 		multicity.RouterConfig{EnableRelay: true})
@@ -210,6 +214,9 @@ func TestRunMultiServesCrossViaRelay(t *testing.T) {
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if recs := logged.Lines(); len(recs) != 0 {
+		t.Fatalf("a healthy relay day logged %d lines, the first %q", len(recs), recs[0].Message)
 	}
 }
 

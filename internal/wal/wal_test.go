@@ -1,54 +1,21 @@
 package wal
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"ptrider/internal/testnet"
 )
 
 // ignore is a restore/replay callback for tests that read the
 // recovered records with Recover instead.
 func ignore([]byte) error { return nil }
-
-// recordHandler is a slog handler that keeps every record it is given.
-type recordHandler struct {
-	mu      sync.Mutex
-	records []slog.Record
-}
-
-func (h *recordHandler) Enabled(context.Context, slog.Level) bool { return true }
-func (h *recordHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
-func (h *recordHandler) WithGroup(string) slog.Handler            { return h }
-
-func (h *recordHandler) Handle(_ context.Context, r slog.Record) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.records = append(h.records, r.Clone())
-	return nil
-}
-
-func (h *recordHandler) taken() []slog.Record {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return slices.Clone(h.records)
-}
-
-// captureLog routes the default slog logger into a recordHandler for
-// the rest of the test and restores the previous logger afterwards.
-func captureLog(t *testing.T) *recordHandler {
-	h := &recordHandler{}
-	prev := slog.Default()
-	slog.SetDefault(slog.New(h))
-	t.Cleanup(func() { slog.SetDefault(prev) })
-	return h
-}
 
 func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 	t.Helper()
@@ -225,7 +192,7 @@ func TestRotateSnapshotPrune(t *testing.T) {
 }
 
 func TestTornWriteInjection(t *testing.T) {
-	logged := captureLog(t)
+	logged := testnet.CaptureLog(t)
 	dir := t.TempDir()
 	inj := &Injector{}
 	t.Cleanup(ArmDir(dir, inj))
@@ -258,7 +225,7 @@ func TestTornWriteInjection(t *testing.T) {
 		t.Fatalf("Append after death = %v, want ErrCrashed", err)
 	}
 	_ = j.Close()
-	if recs := logged.taken(); len(recs) != 0 {
+	if recs := logged.Lines(); len(recs) != 0 {
 		t.Fatalf("an injected torn write logged %d records, want none: %q", len(recs), recs[0].Message)
 	}
 
@@ -407,7 +374,7 @@ func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 // append, and leaves on disk exactly the records acknowledged before
 // the failure.
 func TestFlushFailureKillsJournal(t *testing.T) {
-	logged := captureLog(t)
+	logged := testnet.CaptureLog(t)
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "acked-1", "acked-2")
@@ -441,12 +408,11 @@ func TestFlushFailureKillsJournal(t *testing.T) {
 	}
 	_ = j.Close()
 
-	recs := logged.taken()
+	recs := logged.Lines()
 	if len(recs) != 1 {
 		t.Fatalf("logged %d records, want one fail-stop error", len(recs))
 	}
-	attrs := map[string]any{}
-	recs[0].Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value.Any(); return true })
+	attrs := recs[0].Attrs
 	if recs[0].Level != slog.LevelError || attrs["dir"] != dir {
 		t.Fatalf("fail-stop record = %v %q %v, want an error naming %s", recs[0].Level, recs[0].Message, attrs, dir)
 	}
@@ -463,26 +429,25 @@ func TestFlushFailureKillsJournal(t *testing.T) {
 // TestOpenLogsRecovery: an Open that found state logs one info line
 // saying what it recovered and repaired; a fresh directory logs none.
 func TestOpenLogsRecovery(t *testing.T) {
-	logged := captureLog(t)
+	logged := testnet.CaptureLog(t)
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "r1", "r2")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if recs := logged.taken(); len(recs) != 0 {
+	if recs := logged.Lines(); len(recs) != 0 {
 		t.Fatalf("a fresh directory's open logged %d records", len(recs))
 	}
 
 	line := func(i int) map[string]any {
 		t.Helper()
-		recs := logged.taken()
+		recs := logged.Lines()
 		if len(recs) != i+1 {
 			t.Fatalf("%d records after open %d, want %d", len(recs), i+2, i+1)
 		}
 		r := recs[i]
-		attrs := map[string]any{}
-		r.Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value.Any(); return true })
+		attrs := r.Attrs
 		if r.Level != slog.LevelInfo || r.Message != "wal: recovered" || attrs["dir"] != dir {
 			t.Fatalf("record %v %q %v, want the recovery line for %s", r.Level, r.Message, attrs, dir)
 		}

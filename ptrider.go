@@ -321,9 +321,6 @@ type MultiConfig struct {
 	// TransferBufferSeconds is the hand-off margin chained between the
 	// relay legs' ETAs (0 = 120; negative = a literal zero buffer).
 	TransferBufferSeconds float64
-	// MaxGateways bounds the hand-off gateway pairs quoted per city
-	// pair (0 = 3).
-	MaxGateways int
 }
 
 // The answer types are the Service's own: the shapes the /v1 API
@@ -441,10 +438,7 @@ func NewMulti(cities string, cfg MultiConfig) (*System, error) {
 	router, err := multicity.BuildFromSpecWithConfig(cities, base, cfg.Seed,
 		multicity.RouterConfig{
 			EnableRelay: cfg.EnableRelay,
-			Relay: relay.Config{
-				TransferBufferSeconds: cfg.TransferBufferSeconds,
-				MaxGateways:           cfg.MaxGateways,
-			},
+			Relay:       relay.Config{TransferBufferSeconds: cfg.TransferBufferSeconds},
 		})
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ptrider/internal/core"
 	"ptrider/internal/gen"
@@ -246,8 +247,8 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	// coldOp times op against a distance memo wiped before every
 	// iteration (harness set-up, not op cost) and reports what the op
 	// made the engine compute: dist_calls/op, the paper's exact-search
-	// count, and settled/op, the vertices its batch-fill searches
-	// settled — neither depends on the host.
+	// count, and settled/op, the vertices swept for its batch fills —
+	// neither depends on the host.
 	coldOp := func(b *testing.B, op func() error) {
 		b.Helper()
 		b.ReportAllocs()
@@ -296,11 +297,15 @@ func BenchmarkSubmitBatch(b *testing.B) {
 // vertices, 16×16 grid cells like every engine's) with 5,000 roaming
 // taxis under the dual-side matcher, warmed by 300 seeded requests of
 // which every other one is accepted. retainedMB is the live heap the
-// world holds once warm.
+// world holds once warm; contractMs and arcsPerVertex are one more
+// contraction of its graph, timed apart from the engine's own, and the
+// hierarchy's upward arcs per vertex.
 type metroBenchWorld struct {
-	eng        *core.Engine
-	probes     [][2]roadnet.VertexID
-	retainedMB float64
+	eng           *core.Engine
+	probes        [][2]roadnet.VertexID
+	retainedMB    float64
+	contractMs    float64
+	arcsPerVertex float64
 }
 
 var (
@@ -352,10 +357,17 @@ func metroWorld(b *testing.B) *metroBenchWorld {
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
+		start := time.Now()
+		ch, err := roadnet.Contract(g)
+		if err != nil {
+			panic(err)
+		}
 		metroState = &metroBenchWorld{
-			eng:        eng,
-			probes:     probes,
-			retainedMB: (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20),
+			eng:           eng,
+			probes:        probes,
+			retainedMB:    (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20),
+			contractMs:    float64(time.Since(start).Microseconds()) / 1e3,
+			arcsPerVertex: float64(ch.NumArcs()) / float64(g.NumVertices()),
 		}
 	})
 	return metroState
@@ -364,10 +376,11 @@ func metroWorld(b *testing.B) *metroBenchWorld {
 // BenchmarkMetroQuote — quoting at metro scale: each op submits one
 // seeded request to the warmed 160×160, 5,000-taxi city and declines
 // it, so the fleet is the same for every op. Besides ms/op it reports
-// the host-independent work per quote — settled/op (vertices the
-// batch-fill searches settled; at most 2·|V| = 51,200), verified/op
-// (vehicles whose kinetic tree was consulted) and dist_calls/op — and
-// retained_MB, the live heap of the warmed world.
+// the host-independent work per quote — settled/op (vertices swept for
+// the batch fills; |V| = 25,600 per anchor drawn, at most 2·|V|),
+// verified/op (vehicles whose kinetic tree was consulted) and
+// dist_calls/op — retained_MB, the live heap of the warmed world, and
+// the contraction hierarchy's contract_ms and arcs/vertex.
 func BenchmarkMetroQuote(b *testing.B) {
 	w := metroWorld(b)
 	st0 := w.eng.Stats()
@@ -392,6 +405,8 @@ func BenchmarkMetroQuote(b *testing.B) {
 	b.ReportMetric(verified/n, "verified/op")
 	b.ReportMetric(float64(w.eng.DistCalls()-calls0)/n, "dist_calls/op")
 	b.ReportMetric(w.retainedMB, "retained_MB")
+	b.ReportMetric(w.contractMs, "contract_ms")
+	b.ReportMetric(w.arcsPerVertex, "arcs/vertex")
 }
 
 // BenchmarkGridBuild — E6: index construction across resolutions.

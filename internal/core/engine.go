@@ -286,7 +286,7 @@ func NewEngine(g *roadnet.Graph, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	metric := newMemoMetric(sub.grid)
+	metric := newMemoMetric(sub.grid, sub.ch)
 	lists := gridindex.NewVehicleLists(sub.grid.NumCells())
 	fl, err := fleet.New(sub.grid, lists, metric, fleet.Config{
 		Capacity:          cfg.Capacity,
@@ -956,6 +956,7 @@ func (e *Engine) quoteWave(first int, items []BatchItem) ([]*ServiceRecord, erro
 	for wi := range wave {
 		p := &wave[wi]
 		e.observeMatch(&p.stats, len(p.options), p.elapsedNs)
+		e.quoteHist.Observe(p.elapsedNs / 1e9)
 		rec, err := e.registerRecord(&p.spec, p.wait, p.sigma, p.options, "", nil)
 		if err != nil {
 			fail(p.idx, err)
@@ -1430,9 +1431,9 @@ func (e *Engine) ResetDistCache() {
 // for the benchmark harness.
 func (e *Engine) DistCalls() int64 { return e.metric.DistCalls() }
 
-// Settled returns the cumulative number of vertices settled by the
-// matches' batch-fill searches (see MatchStats.Settled): the
-// host-independent measure of the work behind DistCalls' fills.
+// Settled returns the cumulative number of vertices swept for the
+// matches' batch fills (see MatchStats.Settled): the host-independent
+// measure of the work behind DistCalls' fills.
 func (e *Engine) Settled() int64 { return e.metric.Settled() }
 
 // RandomVertex returns a uniformly random vertex (generator helper).

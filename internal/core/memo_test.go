@@ -21,23 +21,36 @@ func newCityMemo(t testing.TB, w, h int) *memoMetric {
 	return newMemoMetric(cityGrid(t, w, h))
 }
 
-func cityGrid(t testing.TB, w, h int) *gridindex.Grid {
+// cityGrid builds a generated w×h city's grid index and contraction
+// hierarchy, what newMemoMetric reads.
+func cityGrid(t testing.TB, w, h int) (*gridindex.Grid, *roadnet.Hierarchy) {
 	t.Helper()
 	g, err := gen.GenerateNetwork(gen.CityConfig{Width: w, Height: h, RemoveFrac: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := gridindex.Build(g, gridindex.Config{Cols: 8, Rows: 8})
+	return memoSubstrate(t, g, 8)
+}
+
+// memoSubstrate contracts g and builds its grid index over the
+// hierarchy at cells×cells.
+func memoSubstrate(t testing.TB, g *roadnet.Graph, cells int) (*gridindex.Grid, *roadnet.Hierarchy) {
+	t.Helper()
+	ch, err := roadnet.Contract(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return grid
+	grid, err := gridindex.BuildOn(ch, gridindex.Config{Cols: cells, Rows: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid, ch
 }
 
 // exactTable is the reference every memo answer is held against:
 // exact[u][v] is a fresh one-shot search from u, which is also what the
-// memo's two fill paths (Searcher.Dist(u, v) and the anchored search
-// from u) compute.
+// memo's two fill paths (the hierarchy's Dist(u, v) and its sweep from
+// u) compute.
 func exactTable(g *roadnet.Graph) [][]float64 {
 	s := roadnet.NewSearcher(g)
 	n := g.NumVertices()
@@ -229,9 +242,10 @@ func TestMemoDifferential(t *testing.T) {
 
 // TestDistancesExactAcrossSearches holds the memo to the distance
 // grid's promise: a pair warmed from one side answers, from the other,
-// the bits a fresh search from that side computes. One memo is warmed
-// by anchored fills (DistBatch from u) and read as Dist(v, u); another
-// by point searches Dist(v, u) and read as Dist(u, v). On weights off
+// the bits a fresh A* search from that side computes. One memo is
+// warmed by the hierarchy's sweeps (DistBatch from u) and read as
+// Dist(v, u); another by its point queries Dist(v, u) and read as
+// Dist(u, v). On weights off
 // the grid the row kept whichever direction's sum came first.
 func TestDistancesExactAcrossSearches(t *testing.T) {
 	for _, c := range []struct {
@@ -243,11 +257,8 @@ func TestDistancesExactAcrossSearches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			grid, err := gridindex.Build(g, gridindex.Config{Cols: 8, Rows: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			filled, pointed := newMemoMetric(grid), newMemoMetric(grid)
+			grid, ch := memoSubstrate(t, g, 8)
+			filled, pointed := newMemoMetric(grid, ch), newMemoMetric(grid, ch)
 			fresh := roadnet.NewSearcher(g)
 			rng := rand.New(rand.NewSource(c.seed))
 			n := g.NumVertices()
@@ -420,11 +431,8 @@ func TestMemoForgetsWhatHasNoCount(t *testing.T) {
 			}
 			b.AddUndirectedEdge(0, 1, far)
 			b.AddUndirectedEdge(0, 2, 0)
-			grid, err := gridindex.Build(b.MustBuild(), gridindex.Config{Cols: 2, Rows: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := newMemoMetric(grid)
+			grid, ch := memoSubstrate(t, b.MustBuild(), 2)
+			m := newMemoMetric(grid, ch)
 			calls := int64(0)
 			dist := func(u, v roadnet.VertexID, want float64, miss bool) {
 				t.Helper()
@@ -496,7 +504,7 @@ func TestMemoBytesPerEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills 500k pairs")
 	}
-	grid := cityGrid(t, 40, 40)
+	grid, ch := cityGrid(t, 40, 40)
 	n := grid.Graph().NumVertices()
 	heap := func() uint64 {
 		runtime.GC()
@@ -504,8 +512,8 @@ func TestMemoBytesPerEntry(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	// The caller's buffers exist before the baseline; the memo, its
-	// rows and its pooled searcher are what is measured.
+	// The caller's buffers and the hierarchy exist before the baseline;
+	// the memo, its rows and its pooled query are what is measured.
 	sc := memoBatchScratch{
 		missLoc: make([]roadnet.VertexID, 0, n),
 		missIdx: make([]int32, 0, n),
@@ -515,7 +523,7 @@ func TestMemoBytesPerEntry(t *testing.T) {
 	out := make([]float64, n)
 	base := heap()
 
-	m := newMemoMetric(grid)
+	m := newMemoMetric(grid, ch)
 	rng := rand.New(rand.NewSource(11))
 	total := n * (n - 1) / 2
 	for u := 0; u < n; u++ {
@@ -554,7 +562,7 @@ func TestMemoEveryPairDense(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills 1.28 M pairs")
 	}
-	grid := cityGrid(t, 40, 40)
+	grid, ch := cityGrid(t, 40, 40)
 	n := grid.Graph().NumVertices()
 	heap := func() uint64 {
 		runtime.GC()
@@ -571,7 +579,7 @@ func TestMemoEveryPairDense(t *testing.T) {
 	out := make([]float64, n)
 	base := heap()
 
-	m := newMemoMetric(grid)
+	m := newMemoMetric(grid, ch)
 	for u := 0; u < n; u++ {
 		targets = targets[:0]
 		for v := u + 1; v < n; v++ {
@@ -639,7 +647,7 @@ func fuzzMemoDist(u, v roadnet.VertexID) (d float64, kept bool) {
 // invariants hold after every step. Three bytes an op:
 // kind, u, v.
 func FuzzMemo(f *testing.F) {
-	grid := cityGrid(f, 4, fuzzMemoVertices/4)
+	grid, _ := cityGrid(f, 4, fuzzMemoVertices/4)
 	if n := grid.Graph().NumVertices(); n != fuzzMemoVertices {
 		f.Fatalf("grid of %d vertices, want %d", n, fuzzMemoVertices)
 	}
@@ -733,7 +741,7 @@ func FuzzMemo(f *testing.F) {
 // with a fixed iteration count RunParallel hands out iterations a few
 // at a time and its shared counter is what gets measured.
 func BenchmarkMemoLookup(b *testing.B) {
-	grid := cityGrid(b, 40, 40)
+	grid, ch := cityGrid(b, 40, 40)
 	n := grid.Graph().NumVertices()
 	for _, layout := range []struct {
 		name  string
@@ -743,7 +751,7 @@ func BenchmarkMemoLookup(b *testing.B) {
 		{"hashed", false, func(gap int) bool { return gap%8 == 0 }},
 		{"dense", true, func(gap int) bool { return gap%3 != 0 }},
 	} {
-		m := newMemoMetric(grid)
+		m := newMemoMetric(grid, ch)
 		var sc memoBatchScratch
 		out := make([]float64, n)
 		var rows []roadnet.VertexID

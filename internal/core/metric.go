@@ -63,9 +63,10 @@ func memoDecode(c uint32) float64 {
 }
 
 // memoMetric is the kinetic.Metric shared by every kinetic tree and
-// matcher in one engine: exact distances from epoch-stamped Searchers
-// with memoisation (the same vertex pairs recur heavily during
-// insertion enumeration), lower bounds from the grid index.
+// matcher in one engine: exact distances from the road network's
+// contraction hierarchy with memoisation (the same vertex pairs recur
+// heavily during insertion enumeration), lower bounds from the grid
+// index.
 //
 // The memo is one row per vertex: the pair {u, v}, u < v (road
 // distances here are symmetric), lives in row u, in one of two layouts.
@@ -75,10 +76,11 @@ func memoDecode(c uint32) float64 {
 // least as much: see layout. Either layout keeps a distance as its
 // memoEncode count. Safe for concurrent use, and a read takes no lock:
 // see memoRow. Cache-missing exact computations draw a private
-// Searcher from a pool. Two goroutines racing on the same cold pair may
-// both compute it — both arrive at the same value, bit for bit, because
-// every path length is an exact multiple of 1/roadnet.GridSteps m, so
-// neither the search nor its direction (u→v or v→u) changes the sum;
+// hierarchy Query from a pool. Two goroutines racing on the same cold
+// pair may both compute it — both arrive at the same value, bit for
+// bit, because every path length is an exact multiple of
+// 1/roadnet.GridSteps m, so neither the query nor its direction (u→v or
+// v→u) changes the sum;
 // the second store finds the first. DistCalls then counts both, which
 // matches its meaning of "exact computations performed". The same
 // exactness lets the row keep one value for {u, v} whichever side a
@@ -89,8 +91,8 @@ func memoDecode(c uint32) float64 {
 type memoMetric struct {
 	grid *gridindex.Grid
 
-	searchers sync.Pool // *roadnet.Searcher
-	rows      []memoRow
+	queries sync.Pool // *roadnet.Query over the graph's hierarchy
+	rows    []memoRow
 	// maxBytes is memoMaxBytes outside tests. Once the tables cost that
 	// much no row grows or turns dense: a newcomer to a full hashed row
 	// replaces the entry at its home slot.
@@ -99,7 +101,7 @@ type memoMetric struct {
 	// distCalls counts cache-missing exact computations, the "number of
 	// shortest path distance computations" metric of paper §3.3.
 	distCalls atomic.Int64
-	// settled totals the vertices settled by released anchors: the work
+	// settled totals the vertices swept by released anchors: the work
 	// behind the batch fills among distCalls.
 	settled atomic.Int64
 
@@ -291,14 +293,15 @@ func (m *memoMetric) publish(r *memoRow, t *memoTable) {
 	r.tab.Store(t)
 }
 
-func newMemoMetric(grid *gridindex.Grid) *memoMetric {
-	g := grid.Graph()
+// newMemoMetric returns an empty memo over grid and h, the contraction
+// hierarchy of the grid's graph.
+func newMemoMetric(grid *gridindex.Grid, h *roadnet.Hierarchy) *memoMetric {
 	m := &memoMetric{
 		grid:     grid,
-		rows:     make([]memoRow, g.NumVertices()),
+		rows:     make([]memoRow, grid.Graph().NumVertices()),
 		maxBytes: memoMaxBytes,
 	}
-	m.searchers.New = func() any { return roadnet.NewSearcher(g) }
+	m.queries.New = func() any { return h.NewQuery() }
 	return m
 }
 
@@ -312,9 +315,9 @@ func (m *memoMetric) Dist(u, v roadnet.VertexID) float64 {
 		return d
 	}
 	m.distCalls.Add(1)
-	s := m.searchers.Get().(*roadnet.Searcher)
-	d := s.Dist(u, v)
-	m.searchers.Put(s)
+	q := m.queries.Get().(*roadnet.Query)
+	d := q.Dist(u, v)
+	m.queries.Put(q)
 	m.store(u, v, d)
 	return d
 }
@@ -378,39 +381,38 @@ func (m *memoMetric) batchStore(from roadnet.VertexID, maxDist float64, out []fl
 	}
 }
 
-// anchor is the resumable search one match keeps from one of its two
-// fixed sources, the request's s or d. It is empty until the first
-// memo-missing fill from that source draws a Searcher from the pool;
-// every later fill of the match resumes that search, so over all ring
-// cells of one request no vertex is settled twice per source.
-type anchor struct{ s *roadnet.Searcher }
+// anchor is the sweep one match keeps from one of its two fixed
+// sources, the request's s or d. It is empty until the first
+// memo-missing fill from that source draws a Query from the pool and
+// sweeps the whole graph from the source; every later fill of the match
+// reads that sweep, so a match sweeps at most once per source.
+type anchor struct{ q *roadnet.Query }
 
-// release returns the anchor's Searcher, if it drew one, to the pool
-// and reports how many vertices its search settled.
+// release returns the anchor's Query, if it drew one, to the pool and
+// reports how many vertices its sweep covered: every one.
 func (m *memoMetric) release(a *anchor) int {
-	if a.s == nil {
+	if a.q == nil {
 		return 0
 	}
-	settled := a.s.Settled()
-	m.settled.Add(int64(settled))
-	m.searchers.Put(a.s)
-	a.s = nil
-	return settled
+	swept := len(m.rows)
+	m.settled.Add(int64(swept))
+	m.queries.Put(a.q)
+	a.q = nil
+	return swept
 }
 
 // DistBatch fills out[i] = Dist(from, targets[i]) for every target
 // within maxDist: cached pairs are read in one lock-free pass, the
-// misses are resolved by extending the match's anchored search from
-// `from` (a must be the same anchor for the same source throughout one
-// match), and the freshly computed distances warm the memo. Misses
-// beyond maxDist come back +Inf whether or not the anchor has already
-// settled them, so what gets cached never depends on the match's
-// earlier fills.
+// misses are read from the match's sweep from `from` (a must be the
+// same anchor for the same source throughout one match), drawn on the
+// first miss, and the freshly read distances warm the memo. Misses
+// beyond maxDist come back +Inf although the sweep holds them, so what
+// gets cached never depends on the match's earlier fills.
 //
 // One memo-missing fill counts as one DistCall however many targets it
-// resolves and however little of the search was left to run: the
-// counter is the number of times a match had to go past the memo (the
-// paper's §3.3 unit); MatchStats.Settled is the work behind them.
+// resolves and whether or not it drew the sweep: the counter is the
+// number of times a match had to go past the memo (the paper's §3.3
+// unit); MatchStats.Settled is the work behind them.
 func (m *memoMetric) DistBatch(a *anchor, from roadnet.VertexID, targets []roadnet.VertexID, maxDist float64, out []float64, sc *memoBatchScratch) {
 	if len(targets) == 0 {
 		return
@@ -422,15 +424,15 @@ func (m *memoMetric) DistBatch(a *anchor, from roadnet.VertexID, targets []roadn
 	}
 	m.batchMisses.Add(int64(len(sc.missLoc)))
 	m.distCalls.Add(1)
-	if a.s == nil {
-		a.s = m.searchers.Get().(*roadnet.Searcher)
-		a.s.Begin(from)
+	if a.q == nil {
+		a.q = m.queries.Get().(*roadnet.Query)
+		a.q.Sweep(from)
 	}
 	if cap(sc.missOut) < len(sc.missLoc) {
 		sc.missOut = make([]float64, len(sc.missLoc))
 	}
 	sc.missOut = sc.missOut[:len(sc.missLoc)]
-	a.s.Extend(sc.missLoc, maxDist, sc.missOut)
+	a.q.DistsTo(sc.missLoc, maxDist, sc.missOut)
 	m.batchStore(from, maxDist, out, sc)
 }
 
@@ -438,8 +440,8 @@ func (m *memoMetric) DistBatch(a *anchor, from roadnet.VertexID, targets []roadn
 // computations (cache misses) since construction.
 func (m *memoMetric) DistCalls() int64 { return m.distCalls.Load() }
 
-// Settled returns the cumulative number of vertices settled by the
-// matches' anchored batch-fill searches since construction.
+// Settled returns the cumulative number of vertices swept for the
+// matches' batch fills since construction.
 func (m *memoMetric) Settled() int64 { return m.settled.Load() }
 
 // Reset drops every cached pair so subsequent DistCalls deltas measure

@@ -63,13 +63,13 @@ type MatchStats struct {
 	// for an exact computation: a point query (memoMetric.Dist) or a
 	// batch fill with at least one miss (memoMetric.DistBatch), which
 	// counts once however many targets it resolves. Fills are not
-	// searches of their own — they resume the match's two anchored
-	// searches — so the work behind them is Settled, not DistCalls.
+	// searches of their own — they read the match's two sweeps — so the
+	// work behind them is Settled, not DistCalls.
 	DistCalls int64
-	// Settled counts the vertices settled by this match's batch-fill
-	// searches (its two anchors, from s and from d): at most twice the
-	// graph's vertex count, since neither settles a vertex twice.
-	// Unlike DistCalls it is this match's own, exact under concurrency.
+	// Settled counts the vertices swept for this match's batch fills:
+	// |V| for each of its two anchors (from s and from d) whose first
+	// miss drew a sweep, so 0, |V| or 2·|V|. Unlike DistCalls it is this
+	// match's own, exact under concurrency.
 	Settled int
 	// Options is the size of the returned skyline.
 	Options int

@@ -107,8 +107,8 @@ type matchScratch struct {
 
 	sky skyline.Skyline[Option] // per-match result skyline
 
-	// The match's two resumable searches, from the request's s and d;
-	// every batch fill below extends one of them (see anchor).
+	// The match's two sweeps, from the request's s and d; every batch
+	// fill below reads one of them (see anchor).
 	sAnchor, dAnchor anchor
 
 	// Empty-scan staging: the lower-bound survivors of one cell,
@@ -132,9 +132,9 @@ func (ctx *matchContext) getScratch() *matchScratch {
 	return ctx.scratch.Get().(*matchScratch)
 }
 
-// putScratch ends the match: its anchored searches go back to the
-// memo's pool, their work is booked to stats, and the scratch returns
-// to the context's pool.
+// putScratch ends the match: its anchors' queries go back to the
+// memo's pool, their sweeps are booked to stats, and the scratch
+// returns to the context's pool.
 func (ctx *matchContext) putScratch(sc *matchScratch, stats *MatchStats) {
 	stats.Settled += ctx.metric.release(&sc.sAnchor) + ctx.metric.release(&sc.dAnchor)
 	sc.batch = sc.batch[:0]
@@ -147,7 +147,7 @@ func (ctx *matchContext) putScratch(sc *matchScratch, stats *MatchStats) {
 // locations are snapshotted, every request-specific distance the
 // probes will read — dist(x, s) and dist(x, d) for every schedule
 // point x — is answered through the memo's batch-fill API (the misses
-// of each side by extending the match's anchored search from s or d),
+// of each side from the match's sweep from s or d),
 // and the probes consume the results straight from their enumeration
 // matrices instead of issuing per-pair point searches. The batch is
 // reset.

@@ -54,13 +54,14 @@ func benchCity(t *testing.T) *core.Engine {
 }
 
 // TestColdMatchSettlesEachVertexOncePerSource pins the work of a match
-// against a cold distance memo. Every batch fill of one match extends
-// one of two resumable searches, from s and from d, so whatever the
-// number of ring cells the match settles at most 2·|V| vertices; before
-// the anchors each fill started a fresh search and a set-up request on
-// this city settled 8.7·|V|. The counters the paper reports must not
-// notice: DistCalls over the script equals the value recorded for the
-// same script, and the options equal those of the same match repeated
+// against a cold distance memo. Every batch fill of one match reads one
+// of two sweeps of the contraction hierarchy, from s and from d, each
+// drawn on its source's first miss, so whatever the number of ring
+// cells the match sweeps at most 2·|V| vertices; before the anchors
+// each fill started a fresh search and a set-up request on this city
+// settled 8.7·|V|. The counters the paper reports must not notice:
+// DistCalls over the script equals the value recorded for the same
+// script, and the options equal those of the same match repeated
 // against the memo it just warmed.
 func TestColdMatchSettlesEachVertexOncePerSource(t *testing.T) {
 	if testing.Short() {
@@ -90,7 +91,7 @@ func TestColdMatchSettlesEachVertexOncePerSource(t *testing.T) {
 				}
 				distCalls += ms.DistCalls
 				if ms.Settled > 2*n {
-					t.Fatalf("step %d: settled %d vertices, more than 2·|V| = %d", step, ms.Settled, 2*n)
+					t.Fatalf("step %d: swept %d vertices, more than 2·|V| = %d", step, ms.Settled, 2*n)
 				}
 				if ms.Settled > maxSettled {
 					maxSettled = ms.Settled
@@ -101,7 +102,7 @@ func TestColdMatchSettlesEachVertexOncePerSource(t *testing.T) {
 				}
 				sameOptions(t, step, cold, warm)
 			}
-			t.Logf("dist calls %d, most vertices settled by one match %d of %d", distCalls, maxSettled, n)
+			t.Logf("dist calls %d, most vertices swept by one match %d of %d", distCalls, maxSettled, n)
 			if distCalls != pinnedDistCalls[algo] {
 				t.Fatalf("dist calls %d, pinned %d", distCalls, pinnedDistCalls[algo])
 			}

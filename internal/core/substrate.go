@@ -9,14 +9,15 @@ import (
 )
 
 // Substrate is the read-only routing substrate of one engine: the road
-// network, the grid index's static layer (cell bounds and sorted cell
-// lists), the pricing model, and the derived constants. Everything
-// here is immutable after construction, so matchers, kinetic trees and
-// HTTP handlers share it lock-free across any number of goroutines; all
-// mutable state lives behind the fleet's per-vehicle locks and the
-// engine's coordination core.
+// network and its contraction hierarchy, the grid index's static layer
+// (cell bounds and sorted cell lists), the pricing model, and the
+// derived constants. Everything here is immutable after construction,
+// so matchers, kinetic trees and HTTP handlers share it lock-free
+// across any number of goroutines; all mutable state lives behind the
+// fleet's per-vehicle locks and the engine's coordination core.
 type Substrate struct {
 	g     *roadnet.Graph
+	ch    *roadnet.Hierarchy // every exact distance a match reads
 	grid  *gridindex.Grid
 	model pricing.Model
 	cfg   Config  // effective (defaulted) configuration
@@ -37,11 +38,18 @@ func newSubstrate(g *roadnet.Graph, cfg Config) (*Substrate, error) {
 		return nil, fmt.Errorf("core: sigma must be non-negative")
 	}
 	// The memo keys a vertex pair in either order and the batch fills
-	// answer dist(x, s) by searching from s; both need d(u,v) = d(v,u).
+	// answer dist(x, s) by sweeping from s; both need d(u,v) = d(v,u),
+	// and so does the hierarchy, which keeps each arc once for both
+	// directions. It is contracted once, here, for the memo and the
+	// grid's bounds.
 	if !g.IsSymmetric() {
 		return nil, fmt.Errorf("core: road network must be symmetric")
 	}
-	grid, err := gridindex.Build(g, gridindex.Config{Cols: gridSide, Rows: gridSide})
+	ch, err := roadnet.Contract(g)
+	if err != nil {
+		return nil, err
+	}
+	grid, err := gridindex.BuildOn(ch, gridindex.Config{Cols: gridSide, Rows: gridSide})
 	if err != nil {
 		return nil, err
 	}
@@ -51,6 +59,7 @@ func newSubstrate(g *roadnet.Graph, cfg Config) (*Substrate, error) {
 	}
 	return &Substrate{
 		g:     g,
+		ch:    ch,
 		grid:  grid,
 		model: model,
 		cfg:   cfg,

@@ -6,6 +6,7 @@ import (
 
 	"ptrider/internal/roadnet"
 	"ptrider/internal/stats"
+	"ptrider/internal/telemetry"
 	"ptrider/internal/testnet"
 )
 
@@ -73,4 +74,36 @@ func TestBatchObservesEachItemsOwnMatchTime(t *testing.T) {
 		t.Fatalf("all %d items of the wave report the same match time (%.0f ns): the wave's mean, not a sample", len(items), p95)
 	}
 	t.Logf("per-item match time: mean %.0f ns, p95 estimate %.0f ns", resp.Mean(), p95)
+}
+
+// TestBatchObservesQuoteStage: every item of a SubmitBatch wave lands
+// in the quote-stage histogram with its own match time, as a single
+// Submit does, beside the register stage each item already reached.
+func TestBatchObservesQuoteStage(t *testing.T) {
+	g := testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100)
+	reg := telemetry.NewRegistry()
+	e, err := NewEngine(g, Config{Algorithm: AlgoDualSide, Seed: 5, Telemetry: reg})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	e.AddVehiclesUniform(10)
+	items := make([]BatchItem, 5)
+	for i := range items {
+		items[i] = BatchItem{S: roadnet.VertexID(i), D: roadnet.VertexID(40 + i), Riders: 1, Constraints: DefaultConstraints()}
+	}
+	if _, err := e.SubmitBatch(items); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	counts := map[string]int64{}
+	for _, f := range reg.Gather() {
+		if f.Name != "ptrider_submit_stage_duration_seconds" {
+			continue
+		}
+		for _, s := range f.Series {
+			counts[s.Labels[0].Value] = s.Hist.Count
+		}
+	}
+	if counts["quote"] != 5 || counts["register"] != 5 {
+		t.Fatalf("stage counts %v, want quote 5 and register 5", counts)
+	}
 }

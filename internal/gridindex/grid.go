@@ -10,11 +10,12 @@
 //	(v)   a non-empty-vehicle list
 //
 // plus the cell-pair lower-bound matrix. Each matrix entry is the
-// smaller of the two directed shortest distances between the closest
-// pair of border vertices of the two cells, a lower bound LB(u,v) for
-// every vertex pair across them, in either direction, that needs no
-// shortest-path search. The paper's per-vertex border distances (v.min)
-// are not kept: no search here reads them.
+// shortest distance between the closest pair of border vertices of the
+// two cells (with every edge usable both ways, on a graph that is not
+// symmetric), a lower bound LB(u,v) for every vertex pair across them,
+// in either direction, that needs no shortest-path search. The paper's
+// per-vertex border distances (v.min) are not kept: no search here
+// reads them.
 //
 // The static part of the index (Grid) costs 8 B per unordered cell pair
 // (the lower triangle of the symmetric matrix) and 2 B per ring entry
@@ -72,9 +73,9 @@ type Grid struct {
 
 	// pairs is the lower triangle, diagonal included, of the symmetric
 	// numCells×numCells lower-bound matrix, row by row: entry (i, j)
-	// with i ≥ j sits at i(i+1)/2 + j. It holds the smaller of the two
-	// directed distances between the closest border pair of the two
-	// cells, +Inf when neither reaches the other.
+	// with i ≥ j sits at i(i+1)/2 + j. It holds the distance between
+	// the closest border pair of the two cells, +Inf when neither
+	// reaches the other.
 	pairs []float64
 }
 
@@ -85,21 +86,67 @@ type Config struct {
 	Cols, Rows int
 }
 
-// Build constructs the index for g, which must be embedded.
+// Build constructs the index for g, which must be embedded. The
+// cell-pair bounds come from sweeps of g's contraction hierarchy,
+// contracted here. A graph that is not symmetric is contracted with
+// every edge made two-way: its distances are at most g's in either
+// direction, so the bounds stay sound.
 func Build(g *roadnet.Graph, cfg Config) (*Grid, error) {
+	if err := check(g, cfg); err != nil {
+		return nil, err
+	}
+	h, err := roadnet.Contract(twoWay(g))
+	if err != nil {
+		return nil, err
+	}
+	return build(g, h, cfg), nil
+}
+
+// BuildOn is Build over the hierarchy h of a symmetric graph, for a
+// caller that queries h too and so contracts the graph once for both.
+func BuildOn(h *roadnet.Hierarchy, cfg Config) (*Grid, error) {
+	if err := check(h.Graph(), cfg); err != nil {
+		return nil, err
+	}
+	return build(h.Graph(), h, cfg), nil
+}
+
+func check(g *roadnet.Graph, cfg Config) error {
 	if !g.Embedded() {
-		return nil, fmt.Errorf("gridindex: graph is not embedded")
+		return fmt.Errorf("gridindex: graph is not embedded")
 	}
 	if cfg.Cols < 1 || cfg.Rows < 1 {
-		return nil, fmt.Errorf("gridindex: invalid resolution %dx%d", cfg.Cols, cfg.Rows)
+		return fmt.Errorf("gridindex: invalid resolution %dx%d", cfg.Cols, cfg.Rows)
 	}
 	if cfg.Rows > MaxCells/cfg.Cols { // cfg.Cols*cfg.Rows > MaxCells, without overflow
-		return nil, fmt.Errorf("gridindex: resolution %dx%d exceeds %d cells", cfg.Cols, cfg.Rows, MaxCells)
+		return fmt.Errorf("gridindex: resolution %dx%d exceeds %d cells", cfg.Cols, cfg.Rows, MaxCells)
 	}
 	if g.NumVertices() == 0 {
-		return nil, fmt.Errorf("gridindex: empty graph")
+		return fmt.Errorf("gridindex: empty graph")
 	}
+	return nil
+}
 
+// twoWay is g when it is symmetric, else g with every edge added in
+// both directions at its own weight.
+func twoWay(g *roadnet.Graph) *roadnet.Graph {
+	if g.IsSymmetric() {
+		return g
+	}
+	n := g.NumVertices()
+	b := roadnet.NewBuilder(n, 2*g.NumEdges())
+	for v := 0; v < n; v++ {
+		b.AddVertex(g.Point(roadnet.VertexID(v)))
+	}
+	for u := 0; u < n; u++ {
+		for _, e := range g.Out(roadnet.VertexID(u)) {
+			b.AddUndirectedEdge(roadnet.VertexID(u), e.To, e.Weight)
+		}
+	}
+	return b.MustBuild()
+}
+
+func build(g *roadnet.Graph, h *roadnet.Hierarchy, cfg Config) *Grid {
 	gr := &Grid{
 		g:      g,
 		cols:   cfg.Cols,
@@ -117,9 +164,9 @@ func Build(g *roadnet.Graph, cfg Config) (*Grid, error) {
 
 	gr.assignVertices()
 	gr.findBorders()
-	gr.computeBounds()
+	gr.computeBounds(h)
 	gr.buildRings()
-	return gr, nil
+	return gr
 }
 
 func (gr *Grid) assignVertices() {
@@ -181,37 +228,37 @@ func (gr *Grid) findBorders() {
 	}
 }
 
-// computeBounds fills the cell-pair triangle with one multi-source
-// Dijkstra per cell, seeded at the cell's border vertices, written into
-// one distance buffer reused across cells. Each directed closest-border
-// distance lowers the entry of its unordered pair, so the entry ends as
-// the smaller of the two directions.
-func (gr *Grid) computeBounds() {
+// computeBounds fills the cell-pair triangle with one sweep of h per
+// cell, from the cell's border vertices, each border's distance read
+// into one buffer reused across cells. On a symmetric graph each entry
+// is the distance between the closest border pair of its two cells.
+func (gr *Grid) computeBounds(h *roadnet.Hierarchy) {
 	numCells := len(gr.cells)
 	gr.pairs = make([]float64, numCells*(numCells+1)/2)
 	for i := range gr.pairs {
 		gr.pairs[i] = math.Inf(1)
 	}
+	widest := 0
 	for ci := range gr.cells {
 		gr.pairs[pairIndex(ci, ci)] = 0
+		widest = max(widest, len(gr.cells[ci].Borders))
 	}
 
-	s := roadnet.NewSearcher(gr.g)
-	dist := make([]float64, gr.g.NumVertices())
+	q := h.NewQuery()
+	dist := make([]float64, widest)
 	for ci := range gr.cells {
 		if len(gr.cells[ci].Borders) == 0 {
 			// A borderless cell has no edge to or from another cell:
 			// its pair bounds stay +Inf, the true distance both ways.
 			continue
 		}
-		s.MultiSourceDists(gr.cells[ci].Borders, dist)
-		for cj := range gr.cells {
-			if cj == ci {
-				continue
-			}
+		q.Sweep(gr.cells[ci].Borders...)
+		for cj := 0; cj < ci; cj++ {
+			borders := gr.cells[cj].Borders
+			q.DistsTo(borders, math.Inf(1), dist[:len(borders)])
 			p := &gr.pairs[pairIndex(ci, cj)]
-			for _, y := range gr.cells[cj].Borders {
-				*p = min(*p, dist[y])
+			for _, d := range dist[:len(borders)] {
+				*p = min(*p, d)
 			}
 		}
 	}

@@ -304,8 +304,8 @@ func TestRingsAscendInDirectedBound(t *testing.T) {
 				directed[cj] = math.Inf(1)
 			}
 			directed[ci] = 0
-			if len(cell.Borders) > 0 {
-				s.MultiSourceDists(cell.Borders, dist)
+			for _, x := range cell.Borders {
+				s.FillDists(x, roadnet.Inf, dist)
 				for cj := range directed {
 					if cj == ci {
 						continue

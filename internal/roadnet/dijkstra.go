@@ -6,10 +6,11 @@ import (
 	"ptrider/internal/heapx"
 )
 
-// Searcher runs shortest-path queries against one Graph. It owns
-// epoch-stamped distance/parent arrays so that repeated queries perform
-// no per-query allocation, which matters because request matching issues
-// thousands of distance queries per second.
+// Searcher runs Dijkstra and A* against one Graph: Path, the routes
+// vehicles drive, and Dist and FillDists, the references the
+// hierarchy's queries are held to (request matching asks a Hierarchy).
+// It owns epoch-stamped distance/parent arrays so that repeated queries
+// perform no per-query allocation.
 //
 // A Searcher is not safe for concurrent use; give each goroutine its
 // own (they share the immutable Graph).
@@ -20,28 +21,17 @@ type Searcher struct {
 	stamp  []uint32
 	epoch  uint32
 	heap   *heapx.DistHeap
-
-	// Resumable search (Begin/Extend): frontier is the distance of the
-	// last vertex settled, so a seen vertex at or below it carries its
-	// final distance; settled counts the vertices settled since Begin.
-	frontier float64
-	settled  int
-
-	// Scratch for target-set queries.
-	targetStamp []uint32
-	targetEpoch uint32
 }
 
 // NewSearcher returns a Searcher for g.
 func NewSearcher(g *Graph) *Searcher {
 	n := g.NumVertices()
 	return &Searcher{
-		g:           g,
-		dist:        make([]float64, n),
-		parent:      make([]VertexID, n),
-		stamp:       make([]uint32, n),
-		heap:        heapx.NewDistHeap(256),
-		targetStamp: make([]uint32, n),
+		g:      g,
+		dist:   make([]float64, n),
+		parent: make([]VertexID, n),
+		stamp:  make([]uint32, n),
+		heap:   heapx.NewDistHeap(256),
 	}
 }
 
@@ -133,105 +123,20 @@ func (s *Searcher) astar(u, v VertexID) float64 {
 	return Inf
 }
 
-// Begin starts a resumable Dijkstra from u. Extend then answers target
-// sets from it, each call resuming where the previous one stopped:
-// heap, stamps and the settled frontier survive between calls, so over
-// any number of Extend calls no vertex is settled twice. Any other
-// query on the Searcher ends the search.
-func (s *Searcher) Begin(u VertexID) {
-	s.begin()
-	s.relax(u, 0, NoVertex)
-	s.heap.Push(u, 0)
-	s.frontier = 0
-	s.settled = 0
-}
-
-// final reports whether v carries its final distance: nothing left in
-// the heap is below the frontier, so no seen vertex at or below it can
-// still improve.
-func (s *Searcher) final(v VertexID) bool { return s.seen(v) && s.dist[v] <= s.frontier }
-
-// Extend fills out (which must have len(targets)) with the distance
-// from Begin's source to every target, resuming the search until all
-// targets are settled or the nearest unsettled vertex lies beyond
-// maxDist. Targets beyond maxDist — or unreachable — get Inf, even
-// when an earlier, wider call settled them: a result never depends on
-// what was asked before. Nothing is pruned when pushed, because a later
-// call may ask for more than this one's maxDist; the loop merely stops
-// there.
-func (s *Searcher) Extend(targets []VertexID, maxDist float64, out []float64) {
-	if len(out) != len(targets) {
-		panic("roadnet: Extend out length mismatch")
-	}
-	s.targetEpoch++
-	if s.targetEpoch == 0 {
-		for i := range s.targetStamp {
-			s.targetStamp[i] = 0
-		}
-		s.targetEpoch = 1
-	}
-	remaining := 0
-	for _, t := range targets {
-		if !s.final(t) && s.targetStamp[t] != s.targetEpoch {
-			s.targetStamp[t] = s.targetEpoch
-			remaining++
-		}
-	}
-	for remaining > 0 && s.heap.Len() > 0 && s.heap.Peek().Dist <= maxDist {
-		it := s.heap.Pop()
-		if it.Dist > s.dist[it.Node] {
-			continue
-		}
-		s.frontier = it.Dist
-		s.settled++
-		if s.targetStamp[it.Node] == s.targetEpoch {
-			s.targetStamp[it.Node] = s.targetEpoch - 1 // settle once
-			remaining--
-		}
-		for _, e := range s.g.Out(it.Node) {
-			if nd := it.Dist + e.Weight; s.relax(e.To, nd, it.Node) {
-				s.heap.Push(e.To, nd)
-			}
-		}
-	}
-	for i, t := range targets {
-		if s.final(t) && s.dist[t] <= maxDist {
-			out[i] = s.dist[t]
-		} else {
-			out[i] = Inf
-		}
-	}
-}
-
-// Settled returns the number of vertices the search has settled since
-// Begin — its work, in the unit the graph size is counted in.
-func (s *Searcher) Settled() int { return s.settled }
-
 // FillDists runs one Dijkstra from u and writes every vertex's
 // shortest-path distance into out (len must equal the vertex count);
 // vertices beyond maxDist — or unreachable — get +Inf. No product code
 // calls it: it stays because bench/ladder.go times it (roadnet.fill_us,
-// the cost of one radius-bounded search) and because, pruning at push
-// time with no state to resume, it is the independent reference
-// FuzzSearcherExtend holds Extend to. Values equal Extend's bit for bit
-// for any target set (a vertex's settled distance does not depend on
-// which targets end the search).
+// the cost of one radius-bounded search) and because it is the
+// independent reference the hierarchy's sweeps are held to. Values
+// equal a sweep's bit for bit.
 func (s *Searcher) FillDists(u VertexID, maxDist float64, out []float64) {
-	s.fill([]VertexID{u}, maxDist, out)
-}
-
-// fill runs one Dijkstra seeded with every source at distance zero,
-// pruned at maxDist, and writes every vertex's distance into out.
-func (s *Searcher) fill(sources []VertexID, maxDist float64, out []float64) {
 	if len(out) != s.g.NumVertices() {
-		panic("roadnet: fill out length mismatch")
+		panic("roadnet: FillDists out length mismatch")
 	}
 	s.begin()
-	for _, src := range sources {
-		if s.relax(src, 0, NoVertex) {
-			s.heap.Push(src, 0)
-		}
-	}
+	s.relax(u, 0, NoVertex)
+	s.heap.Push(u, 0)
 	for s.heap.Len() > 0 {
 		it := s.heap.Pop()
 		if it.Dist > s.dist[it.Node] {
@@ -281,14 +186,4 @@ func (s *Searcher) Path(u, v VertexID) ([]VertexID, float64) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, d
-}
-
-// MultiSourceDists runs one Dijkstra seeded with every source at
-// distance zero and writes every vertex's distance to its nearest
-// source into out (len must equal the vertex count); unreachable
-// vertices get +Inf. The grid index fills one row of its cell-pair
-// bounds per call, seeded at a cell's border vertices, into one buffer
-// it reuses across cells.
-func (s *Searcher) MultiSourceDists(sources []VertexID, out []float64) {
-	s.fill(sources, Inf, out)
 }

@@ -11,10 +11,10 @@ import (
 
 // TestDistancesExactAcrossSearches holds the package's exactness
 // contract on generated cities: for random pairs, Dist(u, v) and
-// Dist(v, u) (A* on these metric graphs), FillDists,
-// MultiSourceDists and a resumable Begin/Extend over two target sets
-// all return the same bits. On weights off the grid, about 60 % of the
-// pairs differed between the two directions in their last bits.
+// Dist(v, u) (A* on these metric graphs), FillDists, and the
+// hierarchy's Dist both ways and its sweep from u, read at two target
+// sets, all return the same bits. On weights off the grid, about 60 %
+// of the pairs differed between the two directions in their last bits.
 func TestDistancesExactAcrossSearches(t *testing.T) {
 	for _, c := range []struct {
 		side int
@@ -25,12 +25,16 @@ func TestDistancesExactAcrossSearches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			h, err := roadnet.Contract(g)
+			if err != nil {
+				t.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(c.seed))
-			s := roadnet.NewSearcher(g)
+			s, q := roadnet.NewSearcher(g), h.NewQuery()
 			n := g.NumVertices()
-			fill, multi := make([]float64, n), make([]float64, n)
+			fill := make([]float64, n)
 			targets := make([]roadnet.VertexID, 50)
-			ext := make([]float64, len(targets))
+			swept := make([]float64, len(targets))
 			pairs, differ := 0, 0
 			for src := 0; src < 40; src++ {
 				u := roadnet.VertexID(rng.Intn(n))
@@ -38,18 +42,18 @@ func TestDistancesExactAcrossSearches(t *testing.T) {
 					targets[i] = roadnet.VertexID(rng.Intn(n))
 				}
 				s.FillDists(u, roadnet.Inf, fill)
-				s.MultiSourceDists([]roadnet.VertexID{u}, multi)
-				s.Begin(u)
+				q.Sweep(u)
 				half := len(targets) / 2
-				s.Extend(targets[:half], roadnet.Inf, ext[:half])
-				s.Extend(targets[half:], roadnet.Inf, ext[half:])
+				q.DistsTo(targets[:half], roadnet.Inf, swept[:half])
+				q.DistsTo(targets[half:], roadnet.Inf, swept[half:])
 				for i, v := range targets {
 					pairs++
 					fwd, rev := s.Dist(u, v), s.Dist(v, u)
-					if fwd != rev || fwd != fill[v] || fwd != multi[v] || fwd != ext[i] {
+					chFwd, chRev := q.Dist(u, v), q.Dist(v, u)
+					if fwd != rev || fwd != fill[v] || fwd != chFwd || fwd != chRev || fwd != swept[i] {
 						if differ == 0 {
-							t.Errorf("%d↔%d: Dist %v, reverse %v, FillDists %v, MultiSourceDists %v, Extend %v",
-								u, v, fwd, rev, fill[v], multi[v], ext[i])
+							t.Errorf("%d↔%d: Dist %v, reverse %v, FillDists %v, hierarchy Dist %v, reverse %v, sweep %v",
+								u, v, fwd, rev, fill[v], chFwd, chRev, swept[i])
 						}
 						differ++
 					}

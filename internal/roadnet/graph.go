@@ -2,11 +2,17 @@
 // (paper §2.1): a weighted graph G = (V, E, W) whose vertices are road
 // intersections embedded in the plane and whose edge weights are travel
 // costs in metres, together with the shortest-path machinery every other
-// module builds on — Dijkstra in several flavours (point-to-point;
-// whole-graph fills from one source or from many; a resumable
-// target-set search), A* over the planar embedding, path extraction,
-// and a Floyd–Warshall oracle used to cross-check the searches in
-// tests.
+// module builds on:
+//
+//   - a contraction hierarchy (Contract, Hierarchy), whose Query answers
+//     one pair by a bidirectional upward search and one source, or the
+//     nearest of many, to every vertex by one PHAST sweep — the
+//     distances request matching and the grid index's bounds read;
+//   - A* over the planar embedding with path extraction (Searcher.Path),
+//     the routes vehicles drive;
+//   - Dijkstra, point-to-point (Searcher.Dist off a metric embedding)
+//     and a radius-bounded fill from one source (Searcher.FillDists),
+//     kept as the references the hierarchy is tested against.
 //
 // Graphs are immutable once built (construct them with a Builder), which
 // makes concurrent reads safe without locking; PTRider answers matching
@@ -15,9 +21,10 @@
 // Distances are exact. Build rounds every edge weight up to a multiple
 // of 1/GridSteps m (2⁻¹⁰ m), so every path length below 2⁴³ m is an exact
 // float64 sum whatever the order of its terms: Dist(u, v) and
-// Dist(v, u), A*, the fills and the resumable search return the same
-// bits for the same pair, and callers compare distances with == and >
-// without a tolerance. Rounding up keeps every weight at or above the
+// Dist(v, u), A*, Dijkstra's fill and the hierarchy's queries, whose
+// shortcuts are sums of the same weights, return the same bits for the
+// same pair, and callers compare distances with == and > without a
+// tolerance. Rounding up keeps every weight at or above the
 // caller's, so Euclidean lower bounds and A*'s heuristic stay sound.
 package roadnet
 
@@ -242,9 +249,10 @@ func (b *Builder) MustBuild() *Graph {
 }
 
 // IsSymmetric reports whether for every directed edge (u, v, w) the
-// graph also contains (v, u, w). The engine's distance memo and batch
-// fills treat dist(u, v) and dist(v, u) as one number, so core.NewEngine
-// rejects a network that is not.
+// graph also contains (v, u, w). The engine's distance memo treats
+// dist(u, v) and dist(v, u) as one number and Contract stores each arc
+// once for both directions, so core.NewEngine rejects a network that is
+// not.
 func (g *Graph) IsSymmetric() bool {
 	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
 		for _, e := range g.Out(u) {

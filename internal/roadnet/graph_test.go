@@ -201,11 +201,18 @@ func TestUnreachableIsInf(t *testing.T) {
 	}
 }
 
+// TestDistsToMatchesIndividualQueries reads sweeps of the hierarchy
+// at target sets with the source itself and a duplicate among them, and
+// holds every value and the hierarchy's Dist to the oracle.
 func TestDistsToMatchesIndividualQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testnet.RandomConnected(rng, 60, 2)
 	oracle := testnet.NewOracle(g)
-	s := roadnet.NewSearcher(g)
+	h, err := roadnet.Contract(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := h.NewQuery()
 	for trial := 0; trial < 20; trial++ {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		targets := make([]roadnet.VertexID, 8)
@@ -215,23 +222,34 @@ func TestDistsToMatchesIndividualQueries(t *testing.T) {
 		targets[3] = u          // self target
 		targets[5] = targets[4] // duplicate target
 		out := make([]float64, len(targets))
-		s.Begin(u)
-		s.Extend(targets, roadnet.Inf, out)
+		q.Sweep(u)
+		q.DistsTo(targets, roadnet.Inf, out)
 		for i, v := range targets {
 			if want := oracle.Dist(u, v); out[i] != want {
-				t.Fatalf("Extend from %d: [%d→%d] = %v, oracle %v", u, i, v, out[i], want)
+				t.Fatalf("sweep from %d: [%d→%d] = %v, oracle %v", u, i, v, out[i], want)
+			}
+		}
+		for _, v := range targets {
+			if got, want := q.Dist(u, v), oracle.Dist(u, v); got != want {
+				t.Fatalf("Dist(%d, %d) = %v, oracle %v", u, v, got, want)
 			}
 		}
 	}
 }
 
+// TestDistsToBounded: a target beyond the bound reads +Inf, one on it
+// its distance.
 func TestDistsToBounded(t *testing.T) {
 	g := testnet.Line(10, 5)
-	s := roadnet.NewSearcher(g)
+	h, err := roadnet.Contract(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := h.NewQuery()
 	targets := []roadnet.VertexID{1, 4, 9}
 	out := make([]float64, 3)
-	s.Begin(0)
-	s.Extend(targets, 20, out)
+	q.Sweep(0)
+	q.DistsTo(targets, 20, out)
 	if out[0] != 5 || out[1] != 20 {
 		t.Errorf("in-bound targets: got %v, want [5 20 ...]", out)
 	}
@@ -269,17 +287,27 @@ func TestPathIsShortest(t *testing.T) {
 	}
 }
 
-// TestMultiSourceDists holds each fill to the Floyd–Warshall oracle's
-// distance to the nearest source, reusing one buffer across source sets
-// (one with a duplicate source) as the grid index does across cells.
+// TestMultiSourceDists holds each sweep from a set of sources to the
+// Floyd–Warshall oracle's distance to the nearest source, across source
+// sets (one with a duplicate source) on one Query, as the grid index
+// sweeps across cells.
 func TestMultiSourceDists(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := testnet.RandomConnected(rng, 50, 2)
 	oracle := testnet.NewOracle(g)
-	s := roadnet.NewSearcher(g)
+	h, err := roadnet.Contract(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := h.NewQuery()
+	all := make([]roadnet.VertexID, g.NumVertices())
+	for v := range all {
+		all[v] = roadnet.VertexID(v)
+	}
 	out := make([]float64, g.NumVertices())
 	for _, sources := range [][]roadnet.VertexID{{3, 19, 42}, {7}, {11, 11, 30}} {
-		s.MultiSourceDists(sources, out)
+		q.Sweep(sources...)
+		q.DistsTo(all, roadnet.Inf, out)
 		for v := range out {
 			want := math.Inf(1)
 			for _, src := range sources {

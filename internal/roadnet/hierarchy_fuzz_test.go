@@ -7,6 +7,7 @@ import (
 	"ptrider/internal/gen"
 	"ptrider/internal/geo"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/testnet"
 )
 
 // fuzzInput reads a fuzz input one byte at a time; past the end every
@@ -31,9 +32,9 @@ func (in *fuzzInput) more() bool { return in.i < len(in.b) }
 // hand-decoded graphs — plain, embedded with weights at or above the
 // Euclidean length (metric), embedded with arbitrary weights
 // (non-metric) — of 2–17 vertices plus a two-vertex island nothing
-// else reaches; edge bytes repeat endpoints (parallel edges), weight
-// byte 0 is a zero-weight edge, an odd weight byte a one-way edge.
-// Kind 3 is a generated 12×12 city.
+// else reaches; every edge is two-way, edge bytes repeat endpoints
+// (parallel edges, among them pairs of unequal weight) and weight byte 0
+// is a zero-weight edge. Kind 3 is a generated 12×12 city.
 func fuzzGraph(t *testing.T, in *fuzzInput) *roadnet.Graph {
 	kind := in.next() % 4
 	if kind == 3 {
@@ -66,11 +67,7 @@ func fuzzGraph(t *testing.T, in *fuzzInput) *roadnet.Graph {
 		if kind == 1 {
 			w += pts[u].Dist(pts[v])
 		}
-		if wb%2 == 1 {
-			b.AddEdge(roadnet.VertexID(u), roadnet.VertexID(v), w)
-		} else {
-			b.AddUndirectedEdge(roadnet.VertexID(u), roadnet.VertexID(v), w)
-		}
+		b.AddUndirectedEdge(roadnet.VertexID(u), roadnet.VertexID(v), w)
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -82,13 +79,15 @@ func fuzzGraph(t *testing.T, in *fuzzInput) *roadnet.Graph {
 	return g
 }
 
-// FuzzSearcherExtend holds the resumable search to its reference: after
-// one Begin, whatever the sequence of Extend calls — bounds rising and
-// falling, unbounded, duplicate targets, the source itself, targets an
-// earlier call settled — every distance reported equals FillDists'
-// from the same source bit for bit, and is +Inf exactly when that
-// distance exceeds the call's own bound; and the search never settles
-// a vertex twice.
+// FuzzSearcherExtend holds the contraction hierarchy to the
+// Floyd–Warshall oracle (the name, from the resumable search the
+// hierarchy replaced, keeps the checked-in corpus under testdata/). After
+// one Contract, any script of queries on one Query — Dist for a pair,
+// or a sweep from one to three sources (the same vertex twice among
+// them too) read at target sets under bounds rising and falling,
+// unbounded, and exactly on some vertex's distance — answers every
+// distance equal to the oracle's bit for bit, and +Inf exactly where
+// the nearest source's distance exceeds the read's bound.
 func FuzzSearcherExtend(f *testing.F) {
 	// One seed per graph kind; the checked-in corpus under testdata/ adds
 	// longer scripts.
@@ -101,49 +100,65 @@ func FuzzSearcherExtend(f *testing.F) {
 		in := &fuzzInput{b: data}
 		g := fuzzGraph(t, in)
 		n := g.NumVertices()
-		src := roadnet.VertexID(in.next() % n)
-
-		want := make([]float64, n)
-		roadnet.NewSearcher(g).FillDists(src, roadnet.Inf, want)
-		farthest := 0.0
-		for _, d := range want {
-			if !math.IsInf(d, 1) && d > farthest {
-				farthest = d
-			}
+		h, err := roadnet.Contract(g)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		s := roadnet.NewSearcher(g)
-		s.Begin(src)
-		var targets []roadnet.VertexID
+		o := testnet.NewOracle(g)
+		q := h.NewQuery()
+		want := make([]float64, n)
+		var sources, targets []roadnet.VertexID
 		var out []float64
 		for call := 0; in.more(); call++ {
-			// Bound byte: 0 unbounded; 1–199 a fraction (up to 1.5×) of the
-			// farthest reachable distance; 200+ exactly some vertex's
-			// distance, so a target sits on the bound itself.
-			maxDist := roadnet.Inf
-			if bb := in.next(); bb >= 200 {
-				maxDist = want[bb%n]
-			} else if bb > 0 {
-				maxDist = farthest * 1.5 * float64(bb-1) / 198
-			}
-			targets, out = targets[:0], out[:0]
-			for k := in.next() % 8; k > 0; k-- {
-				targets = append(targets, roadnet.VertexID(in.next()%n))
-				out = append(out, -1)
-			}
-			s.Extend(targets, maxDist, out)
-			for i, v := range targets {
-				exp := want[v]
-				if exp > maxDist {
-					exp = roadnet.Inf
+			op := in.next()
+			if op%2 == 0 {
+				u, v := roadnet.VertexID(in.next()%n), roadnet.VertexID(in.next()%n)
+				if got, exp := q.Dist(u, v), o.Dist(u, v); got != exp {
+					t.Fatalf("call %d: Dist(%d, %d) = %v, oracle %v", call, u, v, got, exp)
 				}
-				if out[i] != exp {
-					t.Fatalf("call %d (maxDist %v): dist(%d, %d) = %v, want %v (reference %v)",
-						call, maxDist, src, v, out[i], exp, want[v])
+				continue
+			}
+			sources = sources[:0]
+			for k := 1 + op/2%3; k > 0; k-- {
+				sources = append(sources, roadnet.VertexID(in.next()%n))
+			}
+			farthest := 0.0
+			for v := range want {
+				want[v] = roadnet.Inf
+				for _, s := range sources {
+					want[v] = min(want[v], o.Dist(s, roadnet.VertexID(v)))
+				}
+				if !math.IsInf(want[v], 1) {
+					farthest = max(farthest, want[v])
 				}
 			}
-			if s.Settled() > n {
-				t.Fatalf("call %d: settled %d vertices of %d", call, s.Settled(), n)
+			q.Sweep(sources...)
+			for reads := 1 + op/8%3; reads > 0; reads-- {
+				// Bound byte: 0 unbounded; 1–199 a fraction (up to 1.5×)
+				// of the farthest reachable distance; 200+ exactly some
+				// vertex's distance, so a target sits on the bound itself.
+				maxDist := roadnet.Inf
+				if bb := in.next(); bb >= 200 {
+					maxDist = want[bb%n]
+				} else if bb > 0 {
+					maxDist = farthest * 1.5 * float64(bb-1) / 198
+				}
+				targets, out = targets[:0], out[:0]
+				for k := in.next() % 8; k > 0; k-- {
+					targets = append(targets, roadnet.VertexID(in.next()%n))
+					out = append(out, -1)
+				}
+				q.DistsTo(targets, maxDist, out)
+				for i, v := range targets {
+					exp := want[v]
+					if exp > maxDist {
+						exp = roadnet.Inf
+					}
+					if out[i] != exp {
+						t.Fatalf("call %d (sources %v, maxDist %v): dist to %d = %v, want %v (oracle %v)",
+							call, sources, maxDist, v, out[i], exp, want[v])
+					}
+				}
 			}
 		}
 	})

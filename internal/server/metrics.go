@@ -10,6 +10,7 @@ package server
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"runtime/metrics"
 	"strings"
@@ -53,4 +54,52 @@ func registerRuntime(reg *telemetry.Registry) {
 	reg.GaugeFunc("ptrider_go_heap_live_bytes", "Heap bytes the last GC cycle marked live.", read("/gc/heap/live:bytes"))
 	reg.GaugeFunc("ptrider_go_goroutines", "Live goroutines.", read("/sched/goroutines:goroutines"))
 	reg.CounterFunc("ptrider_go_gc_cycles_total", "Completed GC cycles.", read("/gc/cycles/total:gc-cycles"))
+
+	// Two runtime histograms as their median and 99th percentile: four
+	// samples, where the runtime's bucket lists would add hundreds of
+	// series to every scrape.
+	for _, f := range []struct{ name, metric, help string }{
+		{"ptrider_go_gc_pause_seconds", "/sched/pauses/total/gc:seconds",
+			"Stop-the-world GC pause quantiles since the process started."},
+		{"ptrider_go_sched_latency_seconds", "/sched/latencies:seconds",
+			"Quantiles of the time goroutines spent runnable before running, since the process started."},
+	} {
+		for _, q := range []struct {
+			label string
+			q     float64
+		}{{"0.5", 0.5}, {"0.99", 0.99}} {
+			reg.GaugeFunc(f.name, f.help, func() float64 {
+				s := []metrics.Sample{{Name: f.metric}}
+				metrics.Read(s)
+				if s[0].Value.Kind() != metrics.KindFloat64Histogram {
+					return 0
+				}
+				return histQuantile(s[0].Value.Float64Histogram(), q.q)
+			}, telemetry.Label{Name: "quantile", Value: q.label})
+		}
+	}
+}
+
+// histQuantile is the upper bound of the bucket that holds the q-th
+// quantile of h's samples, or that bucket's lower bound when the upper
+// is +Inf; 0 when h is empty.
+func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var seen uint64
+	for i, c := range h.Counts {
+		if seen += c; seen >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return h.Buckets[len(h.Buckets)-1]
 }

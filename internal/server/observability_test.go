@@ -167,6 +167,37 @@ func TestV1MetricsExposition(t *testing.T) {
 					t.Errorf("%s: %d samples, want one per process", fam, n)
 				}
 			}
+			// The GC-pause and scheduler-latency families: a median and a
+			// 99th percentile each, once per process, in seconds.
+			for _, fam := range []string{"ptrider_go_gc_pause_seconds", "ptrider_go_sched_latency_seconds"} {
+				if !strings.Contains(body, "# TYPE "+fam+" gauge") {
+					t.Errorf("exposition misses the %s gauge family", fam)
+				}
+				if n := strings.Count(body, "\n"+fam+"{"); n != 2 {
+					t.Errorf("%s: %d samples, want two per process", fam, n)
+				}
+				var q50, q99 float64
+				for _, q := range []struct {
+					label string
+					v     *float64
+				}{{"0.5", &q50}, {"0.99", &q99}} {
+					line := "\n" + fam + `{quantile="` + q.label + `"} `
+					i := strings.Index(body, line)
+					if i < 0 {
+						t.Errorf("%s misses quantile %s", fam, q.label)
+						continue
+					}
+					v, _, _ := strings.Cut(body[i+len(line):], "\n")
+					f, err := strconv.ParseFloat(v, 64)
+					if err != nil || f < 0 || f > 60 {
+						t.Errorf("%s{quantile=%q} = %q, want seconds in [0, 60]", fam, q.label, v)
+					}
+					*q.v = f
+				}
+				if q50 > q99 {
+					t.Errorf("%s: median %v above the 99th percentile %v", fam, q50, q99)
+				}
+			}
 			if b.numCities > 1 {
 				for _, want := range []string{`city="east"`, `city="west"`,
 					"# TYPE ptrider_relay_leg_quote_duration_seconds histogram",

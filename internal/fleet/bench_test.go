@@ -118,10 +118,11 @@ func TestStepAllocCeiling(t *testing.T) {
 // no vehicles, per vehicle, live after GCs. While each kinetic tree kept
 // its own enumeration workspace, which the quote sized, this read
 // 1,390 B; with one pooled workspace per running walk it read ~685 B,
-// and with map-free vehicle lists it reads ~526 B (the city itself is
-// ~321 KB).
+// with map-free vehicle lists ~526 B, and registered in its root and
+// stop cells only, with no leg-cell cache, it reads ~415 B (~421 under
+// -race; the city itself is ~311 KB).
 func TestLoadedVehicleFootprint(t *testing.T) {
-	const nv, ceiling = 1000, 576
+	const nv, ceiling = 1000, 464
 	live := func() int64 {
 		// Two collections: what the fleet's sync.Pools hold survives
 		// the first one.

@@ -3,7 +3,6 @@ package fleet
 import (
 	"slices"
 
-	"ptrider/internal/gridindex"
 	"ptrider/internal/kinetic"
 	"ptrider/internal/roadnet"
 )
@@ -23,13 +22,4 @@ func (f *Fleet) PlannedRoute(v *Vehicle) []roadnet.VertexID {
 		return slices.Clone(f.routeLocked(v, next.Loc))
 	}
 	return slices.Clone(v.route)
-}
-
-// Registration returns a copy of the cells a non-empty vehicle's
-// registration would list if it were computed now.
-func (f *Fleet) Registration(v *Vehicle) []gridindex.CellID {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	f.registrationLocked(v)
-	return slices.Clone(v.cells)
 }

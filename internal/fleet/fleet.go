@@ -7,21 +7,21 @@
 //
 // The fleet also keeps the grid index's dynamic vehicle lists current:
 // empty vehicles are listed in the cell of their current location;
-// non-empty vehicles are listed in every cell their planned schedule
-// touches (their stop locations plus the driven branch's path cells).
-// Registering stop cells is what single-/dual-side search correctness
-// relies on — a vehicle undiscovered at ring radius L is guaranteed to
-// have every schedule point at distance ≥ L (see DESIGN.md §3.3); the
-// driven path's cells are registered additionally so vehicles are
-// discovered earlier. (The paper registers every kinetic-tree edge; the
+// non-empty vehicles in the cells of their location and of their
+// pending stops, and in no other cell. That is what single-/dual-side
+// search correctness relies on — a vehicle undiscovered at ring radius
+// L is guaranteed to have every schedule point at distance ≥ L (see
+// DESIGN.md §3.3). (The paper registers every kinetic-tree edge; the
 // stop-set registration is the subset that carries the correctness
-// argument.)
+// argument.) Registering runs no path search, and the surge tracker's
+// supply (gridindex.VehicleLists.FillSupply) counts a busy vehicle in
+// its own cell and its stops' cells, not along its route.
 //
 // Movement model: a vehicle is always driving toward (or standing at)
 // its tree root vertex, with RemainToRoot metres left on the current
-// edge, along the route it planned to its next stop with one search per
-// leg. Once an edge is entered it is always completed; plans change
-// only at vertices. The odometer stored in the kinetic tree is the
+// edge, along the route to its next stop, planned with one search the
+// first time it drives that leg. Once an edge is entered it is always
+// completed; plans change only at vertices. The odometer stored in the kinetic tree is the
 // reading at arrival at the root vertex, so every budget the tree
 // checks is consistent with the distance actually driven.
 //
@@ -37,10 +37,10 @@
 //     and mutated fully in parallel.
 //   - The vehicles slice and the active count sit behind a fleet-level
 //     RWMutex taken only on AddVehicle/RemoveVehicle and snapshots.
-//   - Shortest-path searchers for route and leg planning come from a
-//     pool (one per concurrent caller); the planned route and leg cells
-//     are the vehicle's own state under its mutex, so concurrent commits
-//     on distinct vehicles share no path lock or cache.
+//   - Shortest-path searchers for route planning come from a pool (one
+//     per concurrent caller); the planned route is the vehicle's own
+//     state under its mutex, so vehicles stepped in parallel share no
+//     path lock or cache.
 //   - Each vehicle owns its roaming RNG (guarded by the vehicle's own
 //     mutex), deterministically seeded from the fleet seed and the
 //     vehicle id — so a vehicle's roaming draws depend only on its own
@@ -72,7 +72,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,27 +142,16 @@ type Vehicle struct {
 	pending registration
 
 	// route is the path to the next stop, from the tree root to
-	// BestStop(0).Loc, and legs the cells of the later legs keyed by
-	// their stops: one search per leg, derived from the tree and never
-	// journaled, so a restored vehicle plans on first use. locs and
-	// cells are registrationLocked's buffers; cells holds a non-empty
-	// vehicle's registration.
+	// BestStop(0).Loc, planned when the vehicle drives: derived from the
+	// tree and never journaled, so a restored vehicle plans on first
+	// use. cells holds a non-empty vehicle's registration.
 	route []roadnet.VertexID
-	legs  []leg
-	locs  []roadnet.VertexID
 	cells []gridindex.CellID
-}
-
-// leg holds the cells along the shortest path between two consecutive
-// stops of the driven branch.
-type leg struct {
-	from, to roadnet.VertexID
-	cells    []gridindex.CellID
 }
 
 // registration is a vehicle's entry in the grid's vehicle lists: the
 // cell an empty vehicle stands in, or, for a non-empty one, the cells
-// its schedules touch, which are in Vehicle.cells.
+// of its location and pending stops, which are in Vehicle.cells.
 type registration struct {
 	empty bool
 	cell  gridindex.CellID
@@ -263,8 +251,8 @@ type Fleet struct {
 	stepStatsMu sync.Mutex
 	lastStep    StepStats
 
-	// searchers pools private shortest-path searchers for route and leg
-	// planning, so commits on distinct vehicles plan in parallel.
+	// searchers pools private shortest-path searchers for route
+	// planning, so vehicles stepped in parallel plan in parallel.
 	searchers   sync.Pool // *roadnet.Searcher
 	stepScratch sync.Pool // *stepScratch
 
@@ -580,36 +568,20 @@ func (f *Fleet) registerLocked(v *Vehicle) {
 	f.place(v, f.registrationLocked(v))
 }
 
-// registrationLocked computes the vehicle's list entry from its tree.
-// The caller holds v.mu.
+// registrationLocked computes the vehicle's list entry from its tree:
+// the cell an empty vehicle stands in, or the cells of a non-empty
+// one's root and pending stops (Tree.AppendLocations), left in v.cells.
+// It runs no path search. The caller holds v.mu.
 func (f *Fleet) registrationLocked(v *Vehicle) registration {
 	if v.Tree.Empty() {
 		v.route = nil
 		return registration{empty: true, cell: f.grid.CellOf(v.Tree.Root())}
 	}
-	cells := v.cells[:0]
-	v.locs = v.Tree.AppendLocations(v.locs[:0])
-	for _, loc := range v.locs {
-		cells = append(cells, f.grid.CellOf(loc))
+	var buf [17]roadnet.VertexID // the root and at most 16 points
+	v.cells = v.cells[:0]
+	for _, loc := range v.Tree.AppendLocations(buf[:0]) {
+		v.cells = append(v.cells, f.grid.CellOf(loc))
 	}
-	// Cells along the driven branch's legs, so ring search discovers the
-	// vehicle as early as the paper's all-edge registration would: leg 0
-	// is the rest of the route, the later legs come from v.legs.
-	prev := v.Tree.Root()
-	for j := 0; ; j++ {
-		p, ok := v.Tree.BestStop(j)
-		if !ok {
-			v.legs = v.legs[:max(j-1, 0)]
-			break
-		}
-		if j == 0 {
-			cells = f.appendPathCells(cells, f.routeLocked(v, p.Loc))
-		} else {
-			cells = append(cells, f.legCellsLocked(v, j-1, prev, p.Loc)...)
-		}
-		prev = p.Loc
-	}
-	v.cells = cells
 	return registration{}
 }
 
@@ -624,26 +596,6 @@ func (f *Fleet) routeLocked(v *Vehicle, target roadnet.VertexID) []roadnet.Verte
 	return v.route
 }
 
-// legCellsLocked returns the cells of later leg i, from → to, leaving
-// them in v.legs[i]. Slots from i on hold the legs this registration has
-// not claimed yet: the one keyed (from, to) is swapped into slot i, and
-// only a leg none holds is searched, into a spare slot's buffer. The
-// caller holds v.mu.
-func (f *Fleet) legCellsLocked(v *Vehicle, i int, from, to roadnet.VertexID) []gridindex.CellID {
-	k := i
-	for k < len(v.legs) && (v.legs[k].from != from || v.legs[k].to != to) {
-		k++
-	}
-	if k == len(v.legs) {
-		v.legs = slices.Grow(v.legs, 1)[:k+1] // a spare slot keeps its buffer
-		l := &v.legs[k]
-		l.from, l.to = from, to
-		l.cells = f.appendPathCells(l.cells[:0], f.path(from, to))
-	}
-	v.legs[i], v.legs[k] = v.legs[k], v.legs[i]
-	return v.legs[i].cells
-}
-
 // path returns the shortest path from u to v on a pooled searcher, nil
 // when v is unreachable.
 func (f *Fleet) path(u, v roadnet.VertexID) []roadnet.VertexID {
@@ -651,19 +603,6 @@ func (f *Fleet) path(u, v roadnet.VertexID) []roadnet.VertexID {
 	p, _ := s.Path(u, v)
 	f.searchers.Put(s)
 	return p
-}
-
-// appendPathCells appends the grid cells path passes through, one per
-// run of consecutive vertices in the same cell.
-func (f *Fleet) appendPathCells(dst []gridindex.CellID, path []roadnet.VertexID) []gridindex.CellID {
-	last := gridindex.NoCell
-	for _, x := range path {
-		if c := f.grid.CellOf(x); c != last {
-			dst = append(dst, c)
-			last = c
-		}
-	}
-	return dst
 }
 
 func (f *Fleet) place(v *Vehicle, r registration) {

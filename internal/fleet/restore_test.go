@@ -74,10 +74,11 @@ func TestRestoreIsConstantTime(t *testing.T) {
 // HeapAlloc growth per AddVehicle over 1,000 vehicles, live after a GC.
 // A math/rand source per vehicle cost ~5.4 KB alone, and a kinetic tree
 // that kept its own enumeration workspace 965 B in all; without it a
-// vehicle read 495 B, and with vehicle lists kept in id-indexed slices
-// instead of maps it reads 385 B (392 under -race).
+// vehicle read 495 B, with vehicle lists kept in id-indexed slices
+// instead of maps 385 B, and without the leg-cell and location buffers
+// it reads 337 B (344 under -race).
 func TestVehicleFootprint(t *testing.T) {
-	const nv, ceiling = 1000, 416
+	const nv, ceiling = 1000, 376
 	w := newWorld(t, 3, 4)
 	nvert := w.g.NumVertices()
 	var before, after runtime.MemStats

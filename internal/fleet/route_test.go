@@ -14,23 +14,17 @@ import (
 )
 
 // TestRouteMatchesFreshPath: the route a vehicle keeps is the path a
-// fresh search from where it stands plans, and its registration is the
-// one a fresh search per leg gives. Requests keep arriving on vehicles
-// already under way, so next stops change mid-route; the fleet runs at
-// the serial width and a parallel one. After every step, each scheduled
-// vehicle's planned route equals Path(root, BestStop(0).Loc), so its
-// next hop is that path's first, and the cells its registration would
-// list now are those of oneSearchPerLeg.
+// fresh search from where it stands plans, and the grid lists it in the
+// cells of its location and of its pending stops and in no other.
+// Requests keep arriving on vehicles already under way, so next stops
+// change mid-route; the fleet runs at the serial width and a parallel
+// one. After every step, each scheduled vehicle's planned route equals
+// Path(root, BestStop(0).Loc), so its next hop is that path's first.
 //
-// The grid's lists themselves are compared where they were just
-// written from the state the reference reads: after every commit, and
-// after a step in which the vehicle crossed into another cell (a step's
-// budget is below the lattice's shortest edge, so a vehicle enters at
-// most one edge per step and registers last on entering it). Between
-// registrations the tree may swap its driven branch for an equally long
-// one — float rounding breaks such ties differently from another root —
-// and the lists keep the old branch's cells until the next commit, stop
-// or crossing, as they always have.
+// The lists are compared after every commit and after every step, for
+// every vehicle: a registration changes only when the vehicle crosses
+// into another cell, serves a stop or takes a commit, and each of those
+// places it again, so the lists never lag the tree.
 func TestRouteMatchesFreshPath(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
@@ -38,7 +32,14 @@ func TestRouteMatchesFreshPath(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			n := w.g.NumVertices()
 			next := kinetic.RequestID(1000)
-			cellBefore := make([]gridindex.CellID, w.fl.NumVehicles())
+			checkListed := func(step int, v *fleet.Vehicle, when string) {
+				t.Helper()
+				got, empty := w.listed(v.ID)
+				want := stopCells(w, v)
+				if empty != v.Tree.Empty() || !slices.Equal(got, want) {
+					t.Fatalf("step %d: vehicle %d listed in %v (empty %v) after a %s, its root and stops are in %v", step, v.ID, got, empty, when, want)
+				}
+			}
 			// commit gives a random vehicle a random request, on any of
 			// its candidates, and checks the registration it placed.
 			commit := func(step int) {
@@ -56,20 +57,15 @@ func TestRouteMatchesFreshPath(t *testing.T) {
 					t.Fatalf("step %d: commit on vehicle %d: %v", step, v.ID, err)
 				}
 				next++
-				got, _ := w.listed(v.ID)
-				if want := distinct(oneSearchPerLeg(w, v)); !slices.Equal(got, want) {
-					t.Fatalf("step %d: vehicle %d listed in %v after a commit, one search per leg gives %v", step, v.ID, got, want)
-				}
+				checkListed(step, v, "commit")
 			}
 			for step := 0; step < 200; step++ {
 				commit(step)
-				for _, v := range w.fl.Snapshot() {
-					cellBefore[v.ID] = w.grid.CellOf(v.Tree.Root())
-				}
 				if _, err := w.fl.Step(60); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				for _, v := range w.fl.Snapshot() {
+					checkListed(step, v, "step")
 					route := w.fl.PlannedRoute(v)
 					stop, ok := v.Tree.BestStop(0)
 					if !ok {
@@ -81,16 +77,6 @@ func TestRouteMatchesFreshPath(t *testing.T) {
 					fresh, _ := w.s.Path(v.Tree.Root(), stop.Loc)
 					if !slices.Equal(route, fresh) {
 						t.Fatalf("step %d: vehicle %d drives %v, a fresh search plans %v", step, v.ID, route, fresh)
-					}
-					want := oneSearchPerLeg(w, v)
-					if got := w.fl.Registration(v); !slices.Equal(got, want) {
-						t.Fatalf("step %d: vehicle %d would register %v, one search per leg gives %v", step, v.ID, got, want)
-					}
-					if w.grid.CellOf(v.Tree.Root()) == cellBefore[v.ID] {
-						continue
-					}
-					if got, _ := w.listed(v.ID); !slices.Equal(got, distinct(want)) {
-						t.Fatalf("step %d: vehicle %d listed in %v after a crossing, one search per leg gives %v", step, v.ID, got, distinct(want))
 					}
 				}
 			}
@@ -135,35 +121,13 @@ func loadedWorld(t *testing.T, width int) *world {
 	return w
 }
 
-// oneSearchPerLeg is a non-empty vehicle's registration as a fresh
-// search per leg builds it: the cells of its tree locations, then, for
-// each leg of its driven branch (root → stop 0, stop 0 → stop 1, …),
-// the cells along a shortest path, one per run of vertices in a cell.
-func oneSearchPerLeg(w *world, v *fleet.Vehicle) []gridindex.CellID {
+// stopCells is the cells a vehicle is listed in, as listed reads them
+// back: its root's, and, when it is not empty, its pending stops'; each
+// once, in cell order.
+func stopCells(w *world, v *fleet.Vehicle) []gridindex.CellID {
 	var cells []gridindex.CellID
 	for _, loc := range v.Tree.AppendLocations(nil) {
 		cells = append(cells, w.grid.CellOf(loc))
 	}
-	prev := v.Tree.Root()
-	for j := 0; ; j++ {
-		p, ok := v.Tree.BestStop(j)
-		if !ok {
-			return cells
-		}
-		path, _ := w.s.Path(prev, p.Loc)
-		last := gridindex.NoCell
-		for _, x := range path {
-			if c := w.grid.CellOf(x); c != last {
-				cells = append(cells, c)
-				last = c
-			}
-		}
-		prev = p.Loc
-	}
-}
-
-// distinct returns each cell once, in cell order, as listed reads a
-// vehicle's cells back.
-func distinct(cells []gridindex.CellID) []gridindex.CellID {
 	return slices.Compact(slices.Sorted(slices.Values(cells)))
 }

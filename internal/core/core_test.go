@@ -129,16 +129,22 @@ func optionCoords(opts []core.Option) []string {
 // TestMatcherEquivalence is the central correctness property of the
 // reproduction: on randomised fleets, requests and schedules, all three
 // matching algorithms return identical option skylines. The 10×10
-// lattices leave most of the 16×16 grid's cells empty; the last seed
-// runs on a 32×32 lattice, four vertices a cell, so the ring walks
-// also cross cells that hold several vertices.
+// lattices leave most of the 16×16 grid's cells empty; seed 4 runs on
+// a 32×32 lattice, four vertices a cell, so the ring walks also cross
+// cells that hold several vertices. Seeds 5–7 load 150 taxis on a
+// 40×40 lattice with 300 requests, so busy taxis' stops lie rings away
+// from where they stand: a matcher that lists a busy taxi in its own
+// cell only misses some of them.
 func TestMatcherEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
+	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			side := 10
-			if seed == 4 {
+			side, taxis, loads, probes := 10, 30, 25, 30
+			switch {
+			case seed == 4:
 				side = 32
+			case seed >= 5:
+				side, taxis, loads, probes = 40, 150, 300, 200
 			}
 			e := latticeEngine(t, seed, side, side, core.Config{
 				Capacity: 3, MaxWaitSeconds: 400, Sigma: 0.6,
@@ -146,10 +152,10 @@ func TestMatcherEquivalence(t *testing.T) {
 			})
 			rng := rand.New(rand.NewSource(seed + 1000))
 			n := e.Graph().NumVertices()
-			e.AddVehiclesUniform(30)
+			e.AddVehiclesUniform(taxis)
 
 			// Load the fleet with random accepted requests and motion.
-			for i := 0; i < 25; i++ {
+			for i := 0; i < loads; i++ {
 				s := roadnet.VertexID(rng.Intn(n))
 				d := roadnet.VertexID(rng.Intn(n))
 				if s == d {
@@ -175,7 +181,7 @@ func TestMatcherEquivalence(t *testing.T) {
 			// counts deliberately exceed the capacity (3) sometimes:
 			// oversized groups must get an empty skyline from every
 			// matcher.
-			for probe := 0; probe < 30; probe++ {
+			for probe := 0; probe < probes; probe++ {
 				s := roadnet.VertexID(rng.Intn(n))
 				d := roadnet.VertexID(rng.Intn(n))
 				if s == d {

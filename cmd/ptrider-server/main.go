@@ -39,7 +39,7 @@
 // HTTP route latencies, submit-stage timings (quote, register, WAL
 // wait, probe/commit), tick shard wall times, WAL append/fsync
 // latencies, surge gauges — on by default, off with -metrics=false.
-// -slow-request-ms N logs one structured line (correlation id +
+// -slow-request-ms N logs one log/slog line (correlation id +
 // per-stage breakdown) for requests slower than N ms, and -pprof-addr
 // serves net/http/pprof on a separate listener.
 //

@@ -11,6 +11,11 @@
 // signature has no error result degrade instead: see Clock,
 // ServiceStats, Cities and MetricFamilies.
 //
+// A call under a context that carries a telemetry span (a gateway
+// submit's) adds its round trip to that span as wire plus the stages
+// the shard's Server-Timing header reports (see observeHop), so the
+// gateway's slow-request line and its own Server-Timing split the hop.
+//
 // Failure discipline:
 //
 //   - Transport failures — dial errors, per-call deadline expiry, a
@@ -222,7 +227,9 @@ func (c *ShardClient) once(ctx context.Context, method, path string, hdr http.He
 	if err != nil {
 		return unavailable("%s %s: read: %v", method, path, err)
 	}
-	c.rpcLat.ObserveSince(start)
+	rtt := time.Since(start)
+	c.rpcLat.Observe(rtt.Seconds())
+	observeHop(telemetry.SpanFrom(ctx), rtt, resp.Header.Get("Server-Timing"))
 	if resp.StatusCode != http.StatusOK {
 		var env wireEnvelope
 		if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
@@ -240,6 +247,24 @@ func (c *ShardClient) once(ctx context.Context, method, path string, hdr http.He
 		}
 	}
 	return nil
+}
+
+// observeHop adds one round trip to the caller's span: wire, the part
+// of it the shard's own stages do not account for, then each stage the
+// shard reported in its Server-Timing header, named shard_<stage>.
+func observeHop(sp *telemetry.Span, rtt time.Duration, serverTiming string) {
+	if sp == nil {
+		return
+	}
+	stages := telemetry.ParseServerTiming(serverTiming)
+	wire := rtt.Seconds()
+	for _, st := range stages {
+		wire -= st.Seconds
+	}
+	sp.Observe("wire", max(wire, 0))
+	for _, st := range stages {
+		sp.Observe("shard_"+st.Name, st.Seconds)
+	}
 }
 
 // call marshals in, performs the round trip, and — when idempotent —

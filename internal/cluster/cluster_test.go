@@ -6,17 +6,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,6 +25,7 @@ import (
 	"ptrider/internal/roadnet"
 	"ptrider/internal/server"
 	"ptrider/internal/telemetry"
+	"ptrider/internal/testnet"
 )
 
 // fastClient keeps test retries snappy.
@@ -327,10 +325,8 @@ func TestSubmitIdempotentAcrossLostResponse(t *testing.T) {
 // register stages. A batch under probe-2 reaches it the same way.
 func TestSubmitCarriesRequestIDToShard(t *testing.T) {
 	eng := newCityEngine(t, 6, 6, 0, 1, 5)
-	var buf syncBuffer
-	ts, _ := startShard(t, eng, ShardOptions{Server: server.Options{
-		SlowRequest: time.Nanosecond, Logger: log.New(&buf, "", 0),
-	}})
+	logs := testnet.CaptureLog(t)
+	ts, _ := startShard(t, eng, ShardOptions{Server: server.Options{SlowRequest: time.Nanosecond}})
 	gw, err := NewGateway([]string{"solo=" + ts.URL}, GatewayConfig{Client: fastClient()})
 	if err != nil {
 		t.Fatalf("gateway: %v", err)
@@ -358,19 +354,21 @@ func TestSubmitCarriesRequestIDToShard(t *testing.T) {
 		}
 
 		// The shard logs after its reply is written; poll briefly.
-		tag := `"request_id":"` + tc.id + `"`
-		var line string
-		for deadline := time.Now().Add(2 * time.Second); line == "" && time.Now().Before(deadline); {
-			for _, l := range strings.Split(buf.String(), "\n") {
-				if strings.Contains(l, tag) {
-					line = l
+		var line *testnet.LogLine
+		for deadline := time.Now().Add(2 * time.Second); line == nil && time.Now().Before(deadline); {
+			for _, l := range logs.Lines() {
+				if l.Attrs["request_id"] == tc.id {
+					line = &l
 				}
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		for _, want := range append([]string{tag, `"route":"/v1/requests"`}, tc.want...) {
-			if !strings.Contains(line, want) {
-				t.Fatalf("shard slow log %q misses %q (log: %s)", line, want, buf.String())
+		if line == nil || line.Attrs["route"] != "/v1/requests" {
+			t.Fatalf("no shard slow-request line for %s on /v1/requests (log: %+v)", tc.id, logs.Lines())
+		}
+		for _, want := range tc.want {
+			if st, _ := line.Attrs["stages"].(string); !strings.Contains(st, want) {
+				t.Fatalf("shard slow log stages %q miss %q", st, want)
 			}
 		}
 	}
@@ -412,25 +410,6 @@ func TestSubmitCancelledSendsNoRetry(t *testing.T) {
 	if n := retries.Value(); n != 0 {
 		t.Fatalf("%d retries counted for a caller who had gone", n)
 	}
-}
-
-// syncBuffer is a bytes.Buffer safe for a logger writing on server
-// goroutines while the test reads.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
 }
 
 // TestChooseAmbiguityResolvedByReadBack pins the client's commit

@@ -2,15 +2,14 @@
 // passes through one handler that assigns (or echoes) an X-Request-ID,
 // opens a telemetry span for the backend's stage timings, records
 // per-route latency histograms and status-code counters on the
-// server-owned registry, and emits one structured log line for
-// requests slower than the configured threshold — correlation id and
+// server-owned registry, and emits one log/slog line for requests
+// slower than the configured threshold — correlation id and
 // per-stage breakdown included, so a slow submit can be attributed to
 // quote, WAL wait or probe/commit without reproducing it.
 package server
 
 import (
-	"encoding/json"
-	"log"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -25,12 +24,10 @@ type Options struct {
 	// and the GET /metrics endpoint (backend families included — the
 	// endpoint is the only exposition surface).
 	DisableMetrics bool
-	// SlowRequest, when positive, logs one structured line for every
-	// request whose wall time meets or exceeds it, carrying the request
-	// id, route, status and the span's per-stage breakdown.
+	// SlowRequest, when positive, logs one slog line for every request
+	// whose wall time meets or exceeds it, carrying the request id,
+	// route, status and the span's per-stage breakdown.
 	SlowRequest time.Duration
-	// Logger receives the slow-request lines (nil → log.Default()).
-	Logger *log.Logger
 }
 
 // nextRequestID mints a process-unique correlation id for requests
@@ -110,36 +107,15 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				telemetry.Label{Name: "code", Value: strconv.Itoa(sr.statusCode())}).Inc()
 		}
 		if s.opts.SlowRequest > 0 && elapsed >= s.opts.SlowRequest {
-			s.logSlow(r, reqID, route, sr.statusCode(), elapsed, sp)
+			logSlow(r, reqID, route, sr.statusCode(), elapsed, sp)
 		}
 	})
 }
 
-// slowLogEntry is the slow-request log line's JSON shape.
-type slowLogEntry struct {
-	Msg        string  `json:"msg"`
-	RequestID  string  `json:"request_id"`
-	Method     string  `json:"method"`
-	Route      string  `json:"route"`
-	Status     int     `json:"status"`
-	DurationMS float64 `json:"duration_ms"`
-	Stages     string  `json:"stages,omitempty"`
-}
-
-func (s *Server) logSlow(r *http.Request, reqID, route string, status int, elapsed time.Duration, sp *telemetry.Span) {
-	entry := slowLogEntry{
-		Msg: "slow_request", RequestID: reqID,
-		Method: r.Method, Route: route, Status: status,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Stages:     sp.Breakdown(),
-	}
-	b, err := json.Marshal(entry)
-	if err != nil {
-		return
-	}
-	logger := s.opts.Logger
-	if logger == nil {
-		logger = log.Default()
-	}
-	logger.Println(string(b))
+// logSlow writes the slow-request line through log/slog: the request
+// id, method, route pattern, status, wall time in milliseconds and the
+// span's per-stage breakdown.
+func logSlow(r *http.Request, reqID, route string, status int, elapsed time.Duration, sp *telemetry.Span) {
+	slog.Warn("server: slow request", "request_id", reqID, "method", r.Method, "route", route,
+		"status", status, "duration_ms", float64(elapsed.Microseconds())/1e3, "stages", sp.Breakdown())
 }

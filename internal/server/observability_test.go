@@ -2,22 +2,22 @@
 // backends: the /metrics exposition shape (HTTP route histograms plus
 // the backend's submit-stage, tick-shard, WAL and surge families),
 // X-Request-ID echo and generation, the GET /v1/requests listing, and
-// the slow-request structured log line.
+// the slow-request slog line.
 package server_test
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -394,27 +394,10 @@ func TestV1RequestListing(t *testing.T) {
 	}
 }
 
-// syncBuf is a concurrency-safe log sink.
-type syncBuf struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuf) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuf) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
 // TestV1SlowRequestLog pins the slow-request line: with a threshold
-// every request beats, a submit logs one structured line carrying the
-// correlation id and the backend's per-stage breakdown.
+// every request beats, a submit logs one slog line carrying the
+// correlation id, method, route, status, wall time and the backend's
+// per-stage breakdown.
 func TestV1SlowRequestLog(t *testing.T) {
 	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
 	eng, err := core.NewEngine(g, core.Config{
@@ -426,11 +409,8 @@ func TestV1SlowRequestLog(t *testing.T) {
 		t.Fatalf("engine: %v", err)
 	}
 	eng.AddVehiclesUniform(10)
-	var buf syncBuf
-	srv := server.NewServiceWithOptions(eng, server.Options{
-		SlowRequest: time.Nanosecond,
-		Logger:      log.New(&buf, "", 0),
-	})
+	logs := testnet.CaptureLog(t)
+	srv := server.NewServiceWithOptions(eng, server.Options{SlowRequest: time.Nanosecond})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -447,31 +427,40 @@ func TestV1SlowRequestLog(t *testing.T) {
 	}
 
 	// The line lands after the response body; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	var line string
-	for time.Now().Before(deadline) {
-		if s := buf.String(); strings.Contains(s, "slow_probe") || strings.Contains(s, "slow-probe-1") {
-			line = s
-			break
+	var line *testnet.LogLine
+	for deadline := time.Now().Add(2 * time.Second); line == nil && time.Now().Before(deadline); {
+		for _, l := range logs.Lines() {
+			if l.Attrs["request_id"] == "slow-probe-1" {
+				line = &l
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for _, want := range []string{
-		`"msg":"slow_request"`,
-		`"request_id":"slow-probe-1"`,
-		`"route":"/v1/requests"`,
-		"quote=",
-	} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("slow log %q misses %q", line, want)
+	if line == nil {
+		t.Fatalf("no slow-request line for slow-probe-1 in %+v", logs.Lines())
+	}
+	if line.Message != "server: slow request" || line.Level != slog.LevelWarn {
+		t.Fatalf("slow log line %+v, want a warning \"server: slow request\"", *line)
+	}
+	for k, want := range map[string]any{"method": "POST", "route": "/v1/requests", "status": int64(200)} {
+		if line.Attrs[k] != want {
+			t.Fatalf("slow log %s = %v (%T), want %v", k, line.Attrs[k], line.Attrs[k], want)
 		}
+	}
+	if ms, ok := line.Attrs["duration_ms"].(float64); !ok || ms < 0 {
+		t.Fatalf("slow log duration_ms = %v", line.Attrs["duration_ms"])
+	}
+	if st, _ := line.Attrs["stages"].(string); !strings.Contains(st, "quote=") {
+		t.Fatalf("slow log stages %q misses quote=", st)
 	}
 }
 
 // TestV1ServerTiming pins the submit answer's Server-Timing header: on
 // a journaled engine it names the quote, register and wal_wait stages
-// the engine recorded on the request's span; a gateway records no
-// stage, so its answer carries no header.
+// the engine recorded on the request's span. A gateway's names the hop:
+// wire, the round trip to the shard less the shard's own stages, then
+// the stages the shard's header reported, as shard_quote and
+// shard_register (its shards keep no journal, so no shard_wal_wait).
 func TestV1ServerTiming(t *testing.T) {
 	submit := func(b v1Backend) *http.Response {
 		t.Helper()
@@ -492,7 +481,12 @@ func TestV1ServerTiming(t *testing.T) {
 			t.Errorf("engine Server-Timing %q misses %q", st, stage)
 		}
 	}
-	if st, ok := submit(remoteBackend(t)).Header["Server-Timing"]; ok {
-		t.Errorf("gateway sent Server-Timing %q", st)
+	st = submit(remoteBackend(t)).Header.Get("Server-Timing")
+	var names []string
+	for _, stage := range telemetry.ParseServerTiming(st) {
+		names = append(names, stage.Name)
+	}
+	if want := []string{"wire", "shard_quote", "shard_register"}; !slices.Equal(names, want) {
+		t.Errorf("gateway Server-Timing %q names %v, want %v", st, names, want)
 	}
 }

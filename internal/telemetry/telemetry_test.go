@@ -162,6 +162,39 @@ func TestSpan(t *testing.T) {
 	}
 }
 
+// TestServerTimingRoundTrip: ParseServerTiming reads back what
+// ServerTiming renders, to the header's microsecond, and renders again
+// to the same bytes; entries without a numeric dur are skipped.
+func TestServerTimingRoundTrip(t *testing.T) {
+	sp := NewSpan("req-1")
+	want := []Stage{{"quote", 0.000412}, {"register", 0.0000314}, {"wal_wait", 1.25}}
+	for _, st := range want {
+		sp.Observe(st.Name, st.Seconds)
+	}
+	h := sp.ServerTiming()
+	got := ParseServerTiming(h)
+	if len(got) != len(want) {
+		t.Fatalf("ParseServerTiming(%q) = %+v, want %d stages", h, got, len(want))
+	}
+	again := NewSpan("req-2")
+	for i, st := range got {
+		if st.Name != want[i].Name || math.Abs(st.Seconds-want[i].Seconds) > 0.5e-6 {
+			t.Fatalf("stage %d = %+v, want %+v within 0.5 µs", i, st, want[i])
+		}
+		again.Observe(st.Name, st.Seconds)
+	}
+	if h2 := again.ServerTiming(); h2 != h {
+		t.Fatalf("rendered again %q, want %q", h2, h)
+	}
+	if got := ParseServerTiming(""); got != nil {
+		t.Fatalf("empty header parsed to %+v", got)
+	}
+	got = ParseServerTiming(`cache;desc="hit", db;dur=x, app;dur=2.5;desc=app`)
+	if len(got) != 1 || got[0].Name != "app" || got[0].Seconds != 0.0025 {
+		t.Fatalf("mixed header parsed to %+v, want app 2.5 ms only", got)
+	}
+}
+
 func TestWriteTextExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_reqs_total", "total requests").v.Add(7)

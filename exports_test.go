@@ -45,6 +45,7 @@ var testOnlyAllowlist = map[string]string{
 	"ptrider/internal/multicity.Router.CheckInvariants": "a checker: router tests run it after scripted traffic",
 	"ptrider/internal/multicity.Router.Engine":          "router tests reach one city's engine through it; the coordinator's service surface hides the engines",
 	"ptrider/internal/pricing.Model.Price":              "the paper's §2.4 fare formula, the reference the engine's option prices are compared against",
+	"ptrider/internal/core.BatchItemError.Unwrap":       "errors.Is and errors.As reach a batch item's cause through it (ClassifyError's table, ShardClient.quoteRun)",
 }
 
 // TestNoTestOnlyExports fails for every exported function or method of

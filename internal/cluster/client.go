@@ -452,11 +452,11 @@ func (c *ShardClient) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 }
 
 // quoteRun quotes one chooser-free run as one shard-side batch, under
-// its first item's context. The shard numbers a failed item from the
-// run's start, which is the batch's start for every /v1 batch: those
-// carry no chooser. Not retried: without per-item idempotency keys a
-// replayed batch would double-quote.
-func (c *ShardClient) quoteRun(_ int, run []core.SubmitSpec) ([]*core.ServiceRecord, error) {
+// its first item's context, and reports a failed item by its index in
+// run, which the shard's batch error carries (RunBatch re-bases it).
+// Not retried: without per-item idempotency keys a replayed batch would
+// double-quote.
+func (c *ShardClient) quoteRun(run []core.SubmitSpec) ([]*core.ServiceRecord, int, error) {
 	in := server.BatchBody{Requests: make([]server.RequestBody, len(run))}
 	for k, spec := range run {
 		in.Requests[k] = server.NewRequestBody(spec)
@@ -467,21 +467,25 @@ func (c *ShardClient) quoteRun(_ int, run []core.SubmitSpec) ([]*core.ServiceRec
 	}
 	ctx, hdr := run[0].Context(), http.Header{}
 	setRequestID(ctx, hdr)
+	failed := -1
 	err := c.call(ctx, http.MethodPost, "/v1/requests", hdr, in, &reply, false)
 	if err == nil && reply.Error != nil {
 		err = reply.Error.Err()
+		if be := (*core.BatchItemError)(nil); errors.As(err, &be) {
+			failed, err = be.Index, be.Err
+		}
 	}
 	out := make([]*core.ServiceRecord, len(run))
 	for k, v := range reply.Requests {
 		if v != nil && k < len(run) {
 			rec, rerr := c.record(v)
 			if err == nil {
-				err = rerr
+				failed, err = k, rerr
 			}
 			out[k] = rec
 		}
 	}
-	return out, err
+	return out, failed, err
 }
 
 // Advance moves the shard dt seconds forward through POST /v1/ticks and

@@ -608,6 +608,32 @@ func TestGatewayBatch(t *testing.T) {
 	}
 }
 
+// TestGatewayBatchErrorNamesCallerItem: a chooser item splits a
+// gateway batch into runs, and a shard numbers a failed item from the
+// start of the run it was posted; the gateway's error still names the
+// item as the caller's batch counts it, as the engine behind the shard
+// does for the same specs.
+func TestGatewayBatchErrorNamesCallerItem(t *testing.T) {
+	gw, engA, _, _ := twinGateway(t, nil)
+	specs := func(city string) []core.SubmitSpec {
+		return []core.SubmitSpec{
+			{City: city, S: 2, D: 20, Riders: 1, Choose: func([]core.Option) int { return -1 }},
+			{City: city, S: 3, D: 21, Riders: 1},
+			{City: city, S: 5, D: 5, Riders: 1},
+		}
+	}
+	for name, svc := range map[string]core.Service{"alpha": gw, "": engA} {
+		recs, err := svc.SubmitRequestBatch(specs(name))
+		var be *core.BatchItemError
+		if !errors.As(err, &be) || be.Index != 2 || !strings.Contains(err.Error(), "batch item 2: ") {
+			t.Fatalf("city %q: batch error %v, want item 2", name, err)
+		}
+		if len(recs) != 3 || recs[0] == nil || recs[1] == nil || recs[2] != nil {
+			t.Fatalf("city %q: batch records %+v", name, recs)
+		}
+	}
+}
+
 func TestGatewayCrossCityRelay(t *testing.T) {
 	gw, engA, engB, _ := twinGateway(t, nil)
 	rng := rand.New(rand.NewSource(21))

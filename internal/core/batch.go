@@ -9,17 +9,20 @@ import "fmt"
 // chooser goes to quote as one call, which quotes and declines them
 // all: a quote that commits nothing cannot change what the next one
 // sees. quote answers one record per item of run (nil for a failed
-// one) and the first failure, naming its item as the batch counts it
-// from first, run[0]'s index. Each chooser item is quoted alone
-// through svc.SubmitRequest, with no idempotency key, and settled (see
-// Settle) before anything after it is quoted. An item whose context is
-// done when its turn comes is abandoned unquoted (ErrUnavailable).
+// one), the first failure, and the index in run of the item it hit, or
+// -1 when it hit the whole run (a dead engine, a lost connection).
+// Each chooser item is quoted alone through svc.SubmitRequest, with no
+// idempotency key, and settled (see Settle) before anything after it
+// is quoted. An item whose context is done when its turn comes is
+// abandoned unquoted (ErrUnavailable).
 //
 // It returns one record per spec, in order, nil for a failed item, and
-// the first failure, numbered "core: batch item i". Unrelated traffic
-// may interleave with a batch: the greedy order is a property of the
+// the first failure: a *BatchItemError numbering the item from the
+// batch's start, unless it hit a whole run. RunBatch is the one place
+// that numbers a backend's batch items. Unrelated traffic may
+// interleave with a batch: the greedy order is a property of the
 // batch, not a global freeze.
-func RunBatch(svc Service, specs []SubmitSpec, quote func(first int, run []SubmitSpec) ([]*ServiceRecord, error)) ([]*ServiceRecord, error) {
+func RunBatch(svc Service, specs []SubmitSpec, quote func(run []SubmitSpec) (recs []*ServiceRecord, failed int, err error)) ([]*ServiceRecord, error) {
 	out := make([]*ServiceRecord, len(specs))
 	var firstErr error
 	fail := func(err error) {
@@ -29,7 +32,7 @@ func RunBatch(svc Service, specs []SubmitSpec, quote func(first int, run []Submi
 	}
 	for i := 0; i < len(specs); {
 		if err := specs[i].Context().Err(); err != nil {
-			fail(batchItemErr(i, abandoned(err)))
+			fail(&BatchItemError{Index: i, Err: abandoned(err)})
 			i++
 			continue
 		}
@@ -41,7 +44,7 @@ func RunBatch(svc Service, specs []SubmitSpec, quote func(first int, run []Submi
 				rec, err = Settle(svc, rec, choose)
 			}
 			if out[i] = rec; err != nil {
-				fail(batchItemErr(i, err))
+				fail(&BatchItemError{Index: i, Err: err})
 			}
 			i++
 			continue
@@ -50,7 +53,10 @@ func RunBatch(svc Service, specs []SubmitSpec, quote func(first int, run []Submi
 		for end < len(specs) && specs[end].Choose == nil && specs[end].Context().Err() == nil {
 			end++
 		}
-		recs, err := quote(i, specs[i:end])
+		recs, failed, err := quote(specs[i:end])
+		if err != nil && failed >= 0 {
+			err = &BatchItemError{Index: i + failed, Err: err}
+		}
 		if err != nil {
 			fail(err)
 		}
@@ -86,7 +92,17 @@ func Settle(svc Service, rec *ServiceRecord, choose func([]Option) int) (*Servic
 	return fresh, err
 }
 
-// batchItemErr numbers a batch item's failure.
-func batchItemErr(i int, err error) error {
-	return fmt.Errorf("core: batch item %d: %w", i, err)
+// BatchItemError is a batch's failure and the index of the item it
+// hit, counted from the start of the caller's batch. A coordinator
+// that splits a batch by city maps a city's index back to the caller's.
+type BatchItemError struct {
+	Index int
+	Err   error
 }
+
+func (e *BatchItemError) Error() string { return batchItemPrefix(e.Index) + e.Err.Error() }
+
+func (e *BatchItemError) Unwrap() error { return e.Err }
+
+// batchItemPrefix is what a BatchItemError's message starts with.
+func batchItemPrefix(i int) string { return fmt.Sprintf("core: batch item %d: ", i) }

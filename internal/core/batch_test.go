@@ -17,11 +17,12 @@ import (
 // Verbs RunBatch never calls stay nil and would panic.
 type recordingService struct {
 	core.Service
-	log       []string
-	idemKeys  []string
-	recs      map[core.RequestID]core.ServiceRecord
-	submitErr error // fails every SubmitRequest
-	chooseErr error // fails every Choose
+	log        []string
+	idemKeys   []string
+	recs       map[core.RequestID]core.ServiceRecord
+	submitErr  error // fails every SubmitRequest
+	chooseErr  error // fails every Choose
+	quoteFails []roadnet.VertexID
 }
 
 func newRecordingService() *recordingService {
@@ -72,18 +73,28 @@ func (f *recordingService) GetRequest(id core.RequestID) (*core.ServiceRecord, e
 	return &rec, nil
 }
 
-// quote is the backend's quote-only wave: it logs the run's first
-// index and its items, and answers each item declined.
-func (f *recordingService) quote(first int, run []core.SubmitSpec) ([]*core.ServiceRecord, error) {
+// quote is the backend's quote-only wave: it logs the run's items and
+// answers each item declined, but for one whose S is in quoteFails,
+// which fails with boom.
+func (f *recordingService) quote(run []core.SubmitSpec) ([]*core.ServiceRecord, int, error) {
 	items := make([]string, len(run))
 	out := make([]*core.ServiceRecord, len(run))
+	failed, err := -1, error(nil)
 	for k, spec := range run {
 		items[k] = fmt.Sprint(spec.S)
+		if slices.Contains(f.quoteFails, spec.S) {
+			if err == nil {
+				failed, err = k, errBoom
+			}
+			continue
+		}
 		out[k] = &core.ServiceRecord{RequestRecord: core.RequestRecord{S: spec.S, Status: core.StatusDeclined}}
 	}
-	f.logf("quote first %d items %s", first, strings.Join(items, ","))
-	return out, nil
+	f.logf("quote items %s", strings.Join(items, ","))
+	return out, failed, err
 }
+
+var errBoom = errors.New("boom")
 
 // pick chooses option opt of every skyline (-1 declines).
 func pick(opt int) func([]core.Option) int {
@@ -121,12 +132,12 @@ func TestRunBatch(t *testing.T) {
 			t.Fatalf("batch: %v", err)
 		}
 		sameLog(t, f.log, []string{
-			"quote first 0 items 0,1",
+			"quote items 0,1",
 			"submit 2", "choose 2 option 1", "get 2",
-			"quote first 3 items 3",
+			"quote items 3",
 			"submit 4", "decline 4", "get 4",
 			"submit 5", "choose 5 option 0", "get 5",
-			"quote first 6 items 6",
+			"quote items 6",
 		})
 		if !slices.Equal(f.idemKeys, []string{"", "", ""}) {
 			t.Fatalf("chooser items submitted with idempotency keys %q", f.idemKeys)
@@ -147,23 +158,37 @@ func TestRunBatch(t *testing.T) {
 		boom := errors.New("boom")
 		specs := batchSpecs(context.Background(), nil, pick(0), nil, nil, pick(0))
 		calls := 0
-		quote := func(first int, run []core.SubmitSpec) ([]*core.ServiceRecord, error) {
+		quote := func(run []core.SubmitSpec) ([]*core.ServiceRecord, int, error) {
 			if calls++; calls == 2 {
 				f.submitErr = boom // the chooser after the second run fails
 			}
-			return f.quote(first, run)
+			return f.quote(run)
 		}
 		recs, err := core.RunBatch(f, specs, quote)
 		sameLog(t, f.log, []string{
-			"quote first 0 items 0",
+			"quote items 0",
 			"submit 1", "choose 1 option 0", "get 1",
-			"quote first 2 items 2,3",
+			"quote items 2,3",
 			"submit 4",
 		})
 		if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "core: batch item 4: ") {
 			t.Fatalf("error %v, want item 4's numbered from the batch start", err)
 		}
 		if recs[4] != nil || recs[3] == nil {
+			t.Fatalf("records %v", recs)
+		}
+
+		// A quote reports its failed item by its index in the run;
+		// RunBatch numbers it from the batch start.
+		f = newRecordingService()
+		f.quoteFails = []roadnet.VertexID{3}
+		recs, err = core.RunBatch(f, specs, f.quote)
+		var be *core.BatchItemError
+		if !errors.As(err, &be) || be.Index != 3 || !errors.Is(err, errBoom) ||
+			err.Error() != "core: batch item 3: boom" {
+			t.Fatalf("error %v, want item 3's numbered from the batch start", err)
+		}
+		if recs[3] != nil || recs[2] == nil {
 			t.Fatalf("records %v", recs)
 		}
 	})
@@ -191,7 +216,7 @@ func TestRunBatch(t *testing.T) {
 		if _, err := core.RunBatch(f, specs, f.quote); !errors.Is(err, core.ErrUnavailable) {
 			t.Fatalf("error %v, want item 1 abandoned", err)
 		}
-		sameLog(t, f.log, []string{"quote first 0 items 0", "quote first 2 items 2"})
+		sameLog(t, f.log, []string{"quote items 0", "quote items 2"})
 	})
 
 	t.Run("failed choose", func(t *testing.T) {
@@ -200,9 +225,9 @@ func TestRunBatch(t *testing.T) {
 		specs := batchSpecs(context.Background(), nil, pick(1), nil)
 		recs, err := core.RunBatch(f, specs, f.quote)
 		sameLog(t, f.log, []string{
-			"quote first 0 items 0",
+			"quote items 0",
 			"submit 1", "choose 1 option 1", "decline 1", "get 1",
-			"quote first 2 items 2",
+			"quote items 2",
 		})
 		if !errors.Is(err, f.chooseErr) || err.Error() != "core: batch item 1: choose: stale candidate" {
 			t.Fatalf("error %v", err)

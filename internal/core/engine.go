@@ -893,14 +893,13 @@ type BatchItem struct {
 	S, D        roadnet.VertexID
 	Riders      int
 	Constraints Constraints
-	err         error // the addressing error SubmitRequestBatch resolved
 }
 
 // batchPrep is one validated batch item and, once matchWave ran, its
 // answer: its options, counters and its own Match wall time (not the
 // wave's mean — response-time quantiles are taken over these).
 type batchPrep struct {
-	idx         int // index into the caller's items
+	idx         int // index into the run
 	spec        ReqSpec
 	wait, sigma float64
 	options     []Option
@@ -912,10 +911,13 @@ type batchPrep struct {
 // matchWave) and declines them all; ids are taken and records
 // registered in batch order. It returns one record per item, in order,
 // with its quoted options, nil for a failed item, and the first
-// failure. SubmitRequestBatch hands RunBatch (§2.5) this wave as the
-// quote of each run of items without a chooser.
+// failure, numbered as SubmitRequestBatch numbers it.
 func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
-	recs, err := e.quoteWave(0, items)
+	specs := make([]SubmitSpec, len(items))
+	for i, it := range items {
+		specs[i] = SubmitSpec{S: it.S, D: it.D, Riders: it.Riders, Constraints: it.Constraints}
+	}
+	recs, err := e.SubmitRequestBatch(specs)
 	out := make([]*RequestRecord, len(recs))
 	for i, rec := range recs {
 		if rec != nil {
@@ -925,25 +927,27 @@ func (e *Engine) SubmitBatch(items []BatchItem) ([]*RequestRecord, error) {
 	return out, err
 }
 
-// quoteWave is SubmitBatch answering Service records, with the items
-// numbered from first in its error, as the whole batch counts them.
-func (e *Engine) quoteWave(first int, items []BatchItem) ([]*ServiceRecord, error) {
+// quoteWave is RunBatch's quote for the engine: it quotes a run of
+// items without a chooser as one wave and declines them all, and
+// reports the first failure with the index in run of the item it hit.
+func (e *Engine) quoteWave(run []SubmitSpec) ([]*ServiceRecord, int, error) {
 	if err := e.alive(); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
-	out := make([]*ServiceRecord, len(items))
-	var firstErr error
+	out := make([]*ServiceRecord, len(run))
+	failed, firstErr := -1, error(nil)
 	fail := func(i int, err error) {
 		if firstErr == nil {
-			firstErr = batchItemErr(first+i, err)
+			failed, firstErr = i, err
 		}
 	}
 
-	wave := make([]batchPrep, 0, len(items))
-	for i, it := range items {
-		p, err := batchPrep{idx: i}, it.err
+	wave := make([]batchPrep, 0, len(run))
+	for i := range run {
+		p := batchPrep{idx: i}
+		s, d, err := e.resolveSpec(&run[i])
 		if err == nil {
-			p.spec, p.wait, p.sigma, err = e.prepareRequest(it.S, it.D, it.Riders, it.Constraints)
+			p.spec, p.wait, p.sigma, err = e.prepareRequest(s, d, run[i].Riders, run[i].Constraints)
 		}
 		if err != nil {
 			fail(i, err)
@@ -964,7 +968,7 @@ func (e *Engine) quoteWave(first int, items []BatchItem) ([]*ServiceRecord, erro
 		}
 		out[p.idx], _ = Settle(e, e.serviceRecord(&rec), nil) // no chooser: declined, no error
 	}
-	return out, firstErr
+	return out, failed, firstErr
 }
 
 // matchWave quotes one wave in place: every item runs the configured

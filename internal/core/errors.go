@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Typed service errors, matchable with errors.Is across every backend.
@@ -77,6 +78,9 @@ type ErrorPayload struct {
 	// Origin and Dest carry the city pair of a cross_city rejection.
 	Origin string `json:"origin,omitempty"`
 	Dest   string `json:"dest,omitempty"`
+	// Item is the index of the batch item a batch answer's error hit,
+	// counted from the start of the posted batch (see BatchItemError).
+	Item *int `json:"item,omitempty"`
 }
 
 // ClassifyError maps err onto (HTTP status, payload). An error matching
@@ -84,6 +88,10 @@ type ErrorPayload struct {
 // for 500 and "unprocessable" — a business-rule rejection — otherwise.
 func ClassifyError(err error, fallback int) (int, ErrorPayload) {
 	p := ErrorPayload{Message: err.Error()}
+	if be := (*BatchItemError)(nil); errors.As(err, &be) {
+		item := be.Index
+		p.Item = &item
+	}
 	for _, row := range errorTable {
 		if errors.Is(err, row.err) {
 			p.Code = row.code
@@ -101,8 +109,15 @@ func ClassifyError(err error, fallback int) (int, ErrorPayload) {
 }
 
 // Err is ClassifyError's inverse: the typed error a received payload
-// stands for. Codes outside the table stay opaque errors.
+// stands for. Codes outside the table stay opaque errors, and a payload
+// naming a batch item is a *BatchItemError around the rest.
 func (p ErrorPayload) Err() error {
+	if p.Item != nil {
+		inner := p
+		inner.Item = nil
+		inner.Message = strings.TrimPrefix(p.Message, batchItemPrefix(*p.Item))
+		return &BatchItemError{Index: *p.Item, Err: inner.Err()}
+	}
 	if p.Code == "cross_city" && (p.Origin != "" || p.Dest != "") {
 		return &CrossCityError{Origin: p.Origin, Dest: p.Dest}
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ptrider/internal/core"
@@ -56,5 +57,19 @@ func TestErrorTableRoundTrip(t *testing.T) {
 	}
 	if back := p.Err(); back == nil || errors.Is(back, core.ErrNotFound) || errors.Is(back, core.ErrInvalidArgument) {
 		t.Errorf("generic code decoded to a typed error: %v", back)
+	}
+
+	// A batch item's failure carries its index, and decodes to a
+	// BatchItemError around the same typed error, numbered once.
+	item := &core.BatchItemError{Index: 2, Err: fmt.Errorf("x: %w", core.ErrNotFound)}
+	status, p = core.ClassifyError(fmt.Errorf("multicity: east: %w", item), 422)
+	if status != 404 || p.Item == nil || *p.Item != 2 {
+		t.Errorf("batch item error classified as (%d, %+v), want 404 with item 2", status, p)
+	}
+	_, p = core.ClassifyError(item, 422)
+	var be *core.BatchItemError
+	if back := p.Err(); !errors.As(back, &be) || be.Index != 2 || !errors.Is(back, core.ErrNotFound) ||
+		!strings.HasPrefix(back.Error(), item.Error()) || strings.Count(back.Error(), "batch item") != 1 {
+		t.Errorf("batch item error decoded to %v, want %v", back, item)
 	}
 }

@@ -528,16 +528,9 @@ func (e *Engine) SubmitRequest(spec SubmitSpec) (*ServiceRecord, error) {
 }
 
 // SubmitRequestBatch implements Service with RunBatch: each run of
-// items without a chooser is one SubmitBatch wave.
+// items without a chooser is one wave (see quoteWave).
 func (e *Engine) SubmitRequestBatch(specs []SubmitSpec) ([]*ServiceRecord, error) {
-	return RunBatch(e, specs, func(first int, run []SubmitSpec) ([]*ServiceRecord, error) {
-		items := make([]BatchItem, len(run))
-		for i := range run {
-			s, d, err := e.resolveSpec(&run[i])
-			items[i] = BatchItem{S: s, D: d, Riders: run[i].Riders, Constraints: run[i].Constraints, err: err}
-		}
-		return e.quoteWave(first, items)
-	})
+	return RunBatch(e, specs, e.quoteWave)
 }
 
 // GetRequest implements Service.

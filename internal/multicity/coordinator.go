@@ -7,6 +7,7 @@
 package multicity
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -304,7 +305,7 @@ func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 	var firstErr error
 	fail := func(i int, err error) {
 		if firstErr == nil {
-			firstErr = fmt.Errorf("multicity: batch item %d: %w", i, err)
+			firstErr = &core.BatchItemError{Index: i, Err: err}
 		}
 	}
 
@@ -338,8 +339,13 @@ func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 		}
 	})
 	for ci := range recs {
-		if errs[ci] != nil && firstErr == nil {
-			firstErr = fmt.Errorf("multicity: %s: %w", c.cities[ci].Name, errs[ci])
+		if err := errs[ci]; err != nil && firstErr == nil {
+			// The backend numbered its item in the city's sub-batch;
+			// the caller's batch numbers it through perCityIdx.
+			if be := (*core.BatchItemError)(nil); errors.As(err, &be) && be.Index < len(perCityIdx[ci]) {
+				err = &core.BatchItemError{Index: perCityIdx[ci][be.Index], Err: be.Err}
+			}
+			firstErr = fmt.Errorf("multicity: %s: %w", c.cities[ci].Name, err)
 		}
 		for k, rec := range recs[ci] {
 			// The length guard is for a remote backend answering more

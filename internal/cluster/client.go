@@ -479,7 +479,7 @@ func (c *ShardClient) quoteRun(run []core.SubmitSpec) ([]*core.ServiceRecord, in
 	for k, v := range reply.Requests {
 		if v != nil && k < len(run) {
 			rec, rerr := c.record(v)
-			if err == nil {
+			if err == nil && rerr != nil {
 				failed, err = k, rerr
 			}
 			out[k] = rec

@@ -119,10 +119,10 @@ func TestStepAllocCeiling(t *testing.T) {
 // its own enumeration workspace, which the quote sized, this read
 // 1,390 B; with one pooled workspace per running walk it read ~685 B,
 // with map-free vehicle lists ~526 B, and registered in its root and
-// stop cells only, with no leg-cell cache, it reads ~415 B (~421 under
-// -race; the city itself is ~311 KB).
+// stop cells only, with no leg-cell cache or registration buffers, it
+// reads ~380 B (~385 under -race; the city itself is ~311 KB).
 func TestLoadedVehicleFootprint(t *testing.T) {
-	const nv, ceiling = 1000, 464
+	const nv, ceiling = 1000, 420
 	live := func() int64 {
 		// Two collections: what the fleet's sync.Pools hold survives
 		// the first one.

@@ -123,8 +123,9 @@ type Vehicle struct {
 	// remainToRoot is the distance left on the current edge before the
 	// vehicle reaches its tree root vertex; zero when standing there.
 	remainToRoot float64
-	// removed marks vehicles taken out of service; staged, that pending
-	// holds a registration to place.
+	// removed marks vehicles taken out of service; staged, that the
+	// vehicle's last step changed its cells, so Step registers it once
+	// every shard has finished unless a commit in between did first.
 	removed, staged bool
 
 	// roam drives this vehicle's empty roaming. It is seeded
@@ -136,25 +137,11 @@ type Vehicle struct {
 	// walk (see restore.go).
 	roam roamStream
 
-	// pending is the registration the vehicle's last step computed,
-	// which Step places once every shard has finished unless one made in
-	// between (a commit) superseded it.
-	pending registration
-
 	// route is the path to the next stop, from the tree root to
 	// BestStop(0).Loc, planned when the vehicle drives: derived from the
 	// tree and never journaled, so a restored vehicle plans on first
-	// use. cells holds a non-empty vehicle's registration.
+	// use.
 	route []roadnet.VertexID
-	cells []gridindex.CellID
-}
-
-// registration is a vehicle's entry in the grid's vehicle lists: the
-// cell an empty vehicle stands in, or, for a non-empty one, the cells
-// of its location and pending stops, which are in Vehicle.cells.
-type registration struct {
-	empty bool
-	cell  gridindex.CellID
 }
 
 // Removed reports whether the vehicle has been taken out of service.
@@ -559,30 +546,28 @@ func (f *Fleet) Cancel(id VehicleID, req kinetic.RequestID) error {
 }
 
 // registerLocked refreshes the vehicle's entry in the grid's vehicle
-// lists. The caller holds v.mu.
+// lists from its tree: an empty vehicle is listed in the cell it stands
+// in, a non-empty one in the cells of its root and its pending stops
+// (Tree.AppendLocations) and in no other. It runs no path search. The
+// caller holds v.mu.
 func (f *Fleet) registerLocked(v *Vehicle) {
+	v.staged = false
 	if v.removed {
 		return
 	}
-	v.staged = false
-	f.place(v, f.registrationLocked(v))
-}
-
-// registrationLocked computes the vehicle's list entry from its tree:
-// the cell an empty vehicle stands in, or the cells of a non-empty
-// one's root and pending stops (Tree.AppendLocations), left in v.cells.
-// It runs no path search. The caller holds v.mu.
-func (f *Fleet) registrationLocked(v *Vehicle) registration {
 	if v.Tree.Empty() {
 		v.route = nil
-		return registration{empty: true, cell: f.grid.CellOf(v.Tree.Root())}
+		f.lists.PlaceEmpty(v.ID, f.grid.CellOf(v.Tree.Root()))
+		return
 	}
-	var buf [17]roadnet.VertexID // the root and at most 16 points
-	v.cells = v.cells[:0]
-	for _, loc := range v.Tree.AppendLocations(buf[:0]) {
-		v.cells = append(v.cells, f.grid.CellOf(loc))
+	// The root and at most 16 points.
+	var locs [17]roadnet.VertexID
+	var buf [17]gridindex.CellID
+	cells := buf[:0]
+	for _, loc := range v.Tree.AppendLocations(locs[:0]) {
+		cells = append(cells, f.grid.CellOf(loc))
 	}
-	return registration{}
+	f.lists.PlaceNonEmpty(v.ID, cells)
 }
 
 // routeLocked returns the vehicle's route to target, nil if target is
@@ -605,27 +590,13 @@ func (f *Fleet) path(u, v roadnet.VertexID) []roadnet.VertexID {
 	return p
 }
 
-func (f *Fleet) place(v *Vehicle, r registration) {
-	if r.empty {
-		f.lists.PlaceEmpty(v.ID, r.cell)
-		return
-	}
-	f.lists.PlaceNonEmpty(v.ID, v.cells)
-}
-
-// stageLocked computes the vehicle's registration for its step's
-// caller to place. The caller holds v.mu.
-func (f *Fleet) stageLocked(v *Vehicle) {
-	v.pending, v.staged = f.registrationLocked(v), true
-}
-
-// placePending enters the registration v's last step left behind.
+// placePending registers v if its last step changed its cells and no
+// commit has registered it since.
 func (f *Fleet) placePending(v *Vehicle) {
 	v.mu.Lock()
-	if v.staged && !v.removed {
-		f.place(v, v.pending)
+	if v.staged {
+		f.registerLocked(v)
 	}
-	v.staged = false
 	v.mu.Unlock()
 }
 
@@ -660,8 +631,8 @@ type StepStats struct {
 // draws come from per-vehicle RNG streams, so no vehicle's trajectory
 // depends on stepping order.
 //
-// A vehicle whose cells changed has its registration computed in its
-// shard and placed after the shards finish, in vehicle id order: a
+// A vehicle whose cells changed is marked in its shard and registered
+// after the shards finish, in vehicle id order: a
 // cell's list order decides exact ties between co-located vehicles in
 // the matchers, so it must not depend on goroutine scheduling. Until
 // then a racing matcher finds the vehicle under its previous cells and
@@ -820,8 +791,7 @@ func (f *Fleet) SetStepFault(fn func(VehicleID) error) {
 // stepVehicle holds the vehicle's lock for the whole step so the
 // serve/drive loop sees a consistent tree; commits on this vehicle wait
 // until the step completes. A step that changed the vehicle's cells
-// leaves its new registration in v.pending and reports moved, for the
-// caller to place.
+// marks it staged and reports moved, for the caller to register.
 func (f *Fleet) stepVehicle(v *Vehicle, budget float64) (events []Event, moved bool, err error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -903,7 +873,7 @@ func (f *Fleet) serveHereLocked(v *Vehicle) (bool, []Event, error) {
 		served = true
 	}
 	if served {
-		f.stageLocked(v)
+		v.staged = true
 	}
 	return served, events, nil
 }
@@ -957,6 +927,6 @@ func (f *Fleet) enterEdgeLocked(v *Vehicle, head roadnet.VertexID, weight float6
 	}
 	v.remainToRoot = weight
 	if f.grid.CellOf(head) != fromCell {
-		f.stageLocked(v) // crossed a cell boundary: refresh lists
+		v.staged = true // crossed a cell boundary: refresh lists
 	}
 }

@@ -75,10 +75,10 @@ func TestRestoreIsConstantTime(t *testing.T) {
 // A math/rand source per vehicle cost ~5.4 KB alone, and a kinetic tree
 // that kept its own enumeration workspace 965 B in all; without it a
 // vehicle read 495 B, with vehicle lists kept in id-indexed slices
-// instead of maps 385 B, and without the leg-cell and location buffers
-// it reads 337 B (344 under -race).
+// instead of maps 385 B, and without the leg-cell cache and the
+// registration's buffers it reads 305 B (312 under -race).
 func TestVehicleFootprint(t *testing.T) {
-	const nv, ceiling = 1000, 376
+	const nv, ceiling = 1000, 338
 	w := newWorld(t, 3, 4)
 	nvert := w.g.NumVertices()
 	var before, after runtime.MemStats

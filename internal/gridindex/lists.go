@@ -23,8 +23,8 @@ type listSlot struct {
 // VehicleLists is the dynamic layer of the grid index: per cell, the
 // empty-vehicle list (vehicles with no assigned requests, listed in the
 // cell of their current location) and the non-empty-vehicle list
-// (vehicles whose planned trip schedules pass through the cell), as in
-// paper §3.2.1 items (iv)–(v).
+// (vehicles with requests, listed in the cells of their location and
+// of their pending stops), as in paper §3.2.1 items (iv)–(v).
 //
 // Each list is a plain slice: a registration appends, and a removal
 // moves the list's last vehicle into the freed index. Per-vehicle state
@@ -75,9 +75,9 @@ func (vl *VehicleLists) PlaceEmpty(id VehicleID, c CellID) {
 	vl.kind[id] = registeredEmpty
 }
 
-// PlaceNonEmpty registers vehicle id as a non-empty vehicle whose
-// schedule passes through cells, replacing any previous registration.
-// Duplicate cells are tolerated.
+// PlaceNonEmpty registers vehicle id as a non-empty vehicle in cells —
+// the fleet passes the cells of its location and its pending stops —
+// replacing any previous registration. Duplicate cells are tolerated.
 func (vl *VehicleLists) PlaceNonEmpty(id VehicleID, cells []CellID) {
 	vl.mu.Lock()
 	defer vl.mu.Unlock()
@@ -175,10 +175,11 @@ func (vl *VehicleLists) AppendNonEmpty(c CellID, buf []VehicleID) []VehicleID {
 
 // FillSupply writes each cell's vehicle supply into counts under one
 // read lock: the empty vehicles located in the cell plus the non-empty
-// vehicles whose schedules pass through it (a busy vehicle therefore
-// counts in every cell it serves — it is genuinely available for
-// pooling in each of them). len(counts) must be the grid's cell count;
-// extra entries are zeroed. This is the surge tracker's supply feed.
+// vehicles registered there — a busy vehicle counts in its own cell
+// and in each of its pending stops' cells (it is available for pooling
+// in each of them), not along its route. len(counts) must be the
+// grid's cell count; extra entries are zeroed. This is the surge
+// tracker's supply feed.
 func (vl *VehicleLists) FillSupply(counts []int) {
 	vl.mu.RLock()
 	defer vl.mu.RUnlock()

@@ -288,8 +288,8 @@ func (t *Tree) Branches() [][]Point {
 }
 
 // AppendLocations appends the root location plus every pending point
-// location, deduplicated — the location set whose pairwise paths define
-// the cells a non-empty vehicle registers in.
+// location, deduplicated — the locations whose grid cells a non-empty
+// vehicle is registered in, and in no other.
 func (t *Tree) AppendLocations(dst []roadnet.VertexID) []roadnet.VertexID {
 	start := len(dst)
 	dst = append(dst, t.rootLoc)

@@ -376,22 +376,15 @@ func (s *Span) ServerTiming() string {
 	return strings.Join(parts, ", ")
 }
 
-// ParseServerTiming inverts Span.ServerTiming: it reads a Server-Timing
-// header value back into stages, durations in seconds, in header
-// order. An entry without a numeric dur parameter is skipped.
+// ParseServerTiming inverts Span.ServerTiming: it reads a header value
+// of "name;dur=ms" entries back into stages, durations in seconds, in
+// header order. An entry of any other shape is skipped.
 func ParseServerTiming(h string) []Stage {
 	var stages []Stage
 	for entry := range strings.SplitSeq(h, ",") {
-		name, params, _ := strings.Cut(entry, ";")
-		for param := range strings.SplitSeq(params, ";") {
-			k, v, _ := strings.Cut(param, "=")
-			if strings.TrimSpace(k) != "dur" {
-				continue
-			}
-			if ms, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-				stages = append(stages, Stage{Name: strings.TrimSpace(name), Seconds: ms / 1e3})
-			}
-			break
+		name, dur, _ := strings.Cut(strings.TrimSpace(entry), ";dur=")
+		if ms, err := strconv.ParseFloat(dur, 64); err == nil {
+			stages = append(stages, Stage{Name: name, Seconds: ms / 1e3})
 		}
 	}
 	return stages

@@ -71,8 +71,7 @@ func TestColdMatchSettlesEachVertexOncePerSource(t *testing.T) {
 	n := e.Graph().NumVertices()
 	// DistCalls of this script, recorded from a fresh run on the
 	// grid-rounded weights (roadnet.GridSteps) with busy taxis listed
-	// in their root and stop cells only. While they were listed along
-	// their routes too, single-side read 9168 and dual-side 8299.
+	// in their root and stop cells only.
 	pinnedDistCalls := map[core.Algorithm]int64{
 		core.AlgoNaive:      39439,
 		core.AlgoSingleSide: 9476,

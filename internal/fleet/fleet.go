@@ -21,9 +21,10 @@
 // its tree root vertex, with RemainToRoot metres left on the current
 // edge, along the route to its next stop, planned with one search the
 // first time it drives that leg. Once an edge is entered it is always
-// completed; plans change only at vertices. The odometer stored in the kinetic tree is the
-// reading at arrival at the root vertex, so every budget the tree
-// checks is consistent with the distance actually driven.
+// completed; plans change only at vertices. The odometer stored in the
+// kinetic tree is the reading at arrival at the root vertex, so every
+// budget the tree checks is consistent with the distance actually
+// driven.
 //
 // # Locking discipline
 //
@@ -632,11 +633,11 @@ type StepStats struct {
 // depends on stepping order.
 //
 // A vehicle whose cells changed is marked in its shard and registered
-// after the shards finish, in vehicle id order: a
-// cell's list order decides exact ties between co-located vehicles in
-// the matchers, so it must not depend on goroutine scheduling. Until
-// then a racing matcher finds the vehicle under its previous cells and
-// still reads its live position from the vehicle itself.
+// after the shards finish, in vehicle id order: a cell's list order
+// decides exact ties between co-located vehicles in the matchers, so it
+// must not depend on goroutine scheduling. Until then a racing matcher
+// finds the vehicle under its previous cells and still reads its live
+// position from the vehicle itself.
 //
 // A failing vehicle no longer aborts the remaining fleet mid-step:
 // every other vehicle still moves, and the per-vehicle errors are

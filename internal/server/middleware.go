@@ -107,15 +107,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				telemetry.Label{Name: "code", Value: strconv.Itoa(sr.statusCode())}).Inc()
 		}
 		if s.opts.SlowRequest > 0 && elapsed >= s.opts.SlowRequest {
-			logSlow(r, reqID, route, sr.statusCode(), elapsed, sp)
+			slog.Warn("server: slow request", "request_id", reqID, "method", r.Method, "route", route,
+				"status", sr.statusCode(), "duration_ms", float64(elapsed.Microseconds())/1e3, "stages", sp.Breakdown())
 		}
 	})
-}
-
-// logSlow writes the slow-request line through log/slog: the request
-// id, method, route pattern, status, wall time in milliseconds and the
-// span's per-stage breakdown.
-func logSlow(r *http.Request, reqID, route string, status int, elapsed time.Duration, sp *telemetry.Span) {
-	slog.Warn("server: slow request", "request_id", reqID, "method", r.Method, "route", route,
-		"status", status, "duration_ms", float64(elapsed.Microseconds())/1e3, "stages", sp.Breakdown())
 }

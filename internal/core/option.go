@@ -121,7 +121,7 @@ func foldPacked(v *fleet.Vehicle, cands []kinetic.PackedCandidate, pts []kinetic
 		if cand.PickupDist > spec.MaxPickupDist {
 			continue
 		}
-		price := spec.Ratio * (cand.Delta + spec.Kin.SD)
+		price := optionPrice(spec, cand.Delta)
 		if sky.IsDominated(cand.PickupDist, price) || sky.ContainsPoint(cand.PickupDist, price) {
 			continue
 		}
@@ -132,6 +132,34 @@ func foldPacked(v *fleet.Vehicle, cands []kinetic.PackedCandidate, pts []kinetic
 			Candidate:  cand.Unpack(pts),
 		})
 	}
+}
+
+// optionPrice is the fare of an option whose detour delta is delta:
+// f_n·(delta + dist(s,d)) at the request's effective ratio. The fold,
+// the walk's bound and the empty-vehicle shortcut all price through it,
+// so their floats agree bit for bit.
+func optionPrice(spec *ReqSpec, delta float64) float64 {
+	return spec.Ratio * (delta + spec.Kin.SD)
+}
+
+// skyBound is a match's running skyline as the kinetic walk's bound: it
+// rejects what foldPacked would, past the pick-up cutoff or weakly
+// dominated (dominated, or tied with an entry) at the price of the
+// delta. Both tests only grow stricter as the fold adds entries, and
+// price is monotone in delta, so what it rejects for lower bounds the
+// fold rejects for every candidate above them.
+type skyBound struct {
+	spec *ReqSpec
+	sky  *skyline.Skyline[Option]
+}
+
+// Rejects implements kinetic.Bound.
+func (b *skyBound) Rejects(pickupLB, deltaLB float64) bool {
+	if pickupLB > b.spec.MaxPickupDist {
+		return true
+	}
+	price := optionPrice(b.spec, deltaLB)
+	return b.sky.IsDominated(pickupLB, price) || b.sky.ContainsPoint(pickupLB, price)
 }
 
 // skylineOptions extracts the final option list, sorted by pick-up
@@ -157,7 +185,7 @@ func skylineOptions(sky *skyline.Skyline[Option], stats *MatchStats) []Option {
 // dominance at exact ties and break matcher equivalence.
 func emptyVehicleOption(v *fleet.Vehicle, d float64, spec *ReqSpec) Option {
 	delta := d + spec.Kin.SD
-	price := spec.Ratio * (delta + spec.Kin.SD)
+	price := optionPrice(spec, delta)
 	return Option{
 		Vehicle:    v.ID,
 		PickupDist: d,

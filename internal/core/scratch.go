@@ -126,6 +126,10 @@ type matchScratch struct {
 	probeS      []float64
 	probeD      []float64
 	seed        kinetic.QuoteSeed
+
+	// The running skyline as the probes' bound, passed by pointer so
+	// handing it to a probe allocates nothing.
+	bound skyBound
 }
 
 func (ctx *matchContext) getScratch() *matchScratch {
@@ -139,6 +143,7 @@ func (ctx *matchContext) putScratch(sc *matchScratch, stats *MatchStats) {
 	stats.Settled += ctx.metric.release(&sc.sAnchor) + ctx.metric.release(&sc.dAnchor)
 	sc.batch = sc.batch[:0]
 	sc.pending = sc.pending[:0]
+	sc.bound = skyBound{}
 	ctx.scratch.Put(sc)
 }
 
@@ -149,8 +154,10 @@ func (ctx *matchContext) putScratch(sc *matchScratch, stats *MatchStats) {
 // point x — is answered through the memo's batch-fill API (the misses
 // of each side from the match's sweep from s or d),
 // and the probes consume the results straight from their enumeration
-// matrices instead of issuing per-pair point searches. The batch is
-// reset.
+// matrices instead of issuing per-pair point searches. Each probe's
+// walk is bounded by the skyline as the fold has left it so far, so it
+// skips the schedules the fold would reject (see skyBound). The batch
+// is reset.
 func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skyline.Skyline[Option], stats *MatchStats) {
 	if len(sc.batch) == 0 {
 		return
@@ -171,11 +178,12 @@ func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skylin
 	ctx.metric.DistBatch(&sc.sAnchor, spec.Kin.S, sc.probeLocs, math.Inf(1), probeS, &sc.memoSc)
 	ctx.metric.DistBatch(&sc.dAnchor, spec.Kin.D, sc.probeLocs, math.Inf(1), probeD, &sc.memoSc)
 	stats.ParallelWidth = 1
+	sc.bound = skyBound{spec: spec, sky: sky}
 	for i, v := range sc.batch {
 		a, b := sc.probeStarts[i], sc.probeStarts[i+1]
 		sc.seed = kinetic.QuoteSeed{Locs: sc.probeLocs[a:b], SDist: probeS[a:b], DDist: probeD[a:b]}
 		stats.Verified++
-		pcands, pts := v.QuotePacked(spec.Kin, sc.pcands[:0], sc.ptsBuf[:0], &sc.seed)
+		pcands, pts := v.QuotePacked(spec.Kin, sc.pcands[:0], sc.ptsBuf[:0], &sc.seed, &sc.bound)
 		foldPacked(v, pcands, pts, spec, sky, stats)
 		sc.pcands, sc.ptsBuf = pcands[:0], pts[:0] // retain grown buffers
 	}

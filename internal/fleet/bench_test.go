@@ -144,7 +144,7 @@ func TestLoadedVehicleFootprint(t *testing.T) {
 	var cands []kinetic.PackedCandidate
 	var pts []kinetic.Point
 	for _, v := range fl.Snapshot() {
-		cands, pts = v.QuotePacked(req, cands[:0], pts[:0], nil)
+		cands, pts = v.QuotePacked(req, cands[:0], pts[:0], nil, nil)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := fl.Step(100); err != nil {

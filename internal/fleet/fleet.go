@@ -187,14 +187,15 @@ func (v *Vehicle) AppendProbeLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 // QuotePacked is the allocation-free seeded probe: candidates come back
 // permutation-encoded with the quoted point set, both appended to
 // caller-owned buffers (see kinetic.Tree.QuotePacked). The matchers
-// materialise schedules only for candidates their skylines accept.
-func (v *Vehicle) QuotePacked(req kinetic.Request, dst []kinetic.PackedCandidate, ptsBuf []kinetic.Point, seed *kinetic.QuoteSeed) ([]kinetic.PackedCandidate, []kinetic.Point) {
+// materialise schedules only for candidates their skylines accept, and
+// pass that skyline as the bound that cuts the walk short of the rest.
+func (v *Vehicle) QuotePacked(req kinetic.Request, dst []kinetic.PackedCandidate, ptsBuf []kinetic.Point, seed *kinetic.QuoteSeed, bound kinetic.Bound) ([]kinetic.PackedCandidate, []kinetic.Point) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.removed {
 		return dst, ptsBuf
 	}
-	return v.Tree.QuotePacked(req, dst, ptsBuf, seed)
+	return v.Tree.QuotePacked(req, dst, ptsBuf, seed, bound)
 }
 
 // View reports the vehicle's location and load in one consistent read
@@ -488,7 +489,7 @@ func (f *Fleet) reprobe(v *Vehicle, req kinetic.Request, cand kinetic.Candidate,
 	// more candidates than that spills to the heap.
 	var candBuf [16]kinetic.PackedCandidate
 	var ptsBuf [16]kinetic.Point
-	cands, pts := v.Tree.QuotePacked(req, candBuf[:0], ptsBuf[:0], nil)
+	cands, pts := v.Tree.QuotePacked(req, candBuf[:0], ptsBuf[:0], nil, nil)
 	best := -1
 	for i, c := range cands {
 		if c.PickupDist > cand.PickupDist+allow || c.Delta > cand.Delta+allow {

@@ -43,9 +43,13 @@ type workspace struct {
 
 	// Quote state. The skyline holds candidate schedules as permutation
 	// words, so inserting (and evicting) one never allocates; callers
-	// materialise []Point sequences for survivors only.
-	quoted reqState
-	sky    skyline.Skyline[uint64]
+	// materialise []Point sequences for survivors only. bound is the
+	// caller's (nil: enumerate everything) and baseline the tree's
+	// best distance the detour deltas are measured from.
+	quoted   reqState
+	sky      skyline.Skyline[uint64]
+	bound    Bound
+	baseline float64
 }
 
 // freeWorkspaces is the bounded free list of idle workspaces. A walk is
@@ -70,11 +74,12 @@ func acquireWorkspace() *workspace {
 }
 
 // release parks ws for the next walk, or drops it when the list is
-// full. It first clears every pointer the walk left behind — the metric
-// and the request pointers, past the current length too — so a parked
-// workspace keeps no vehicle's requests alive.
+// full. It first clears every pointer the walk left behind — the
+// metric, the bound and the request pointers, past the current length
+// too — so a parked workspace keeps no vehicle's requests or caller's
+// skyline alive.
 func (ws *workspace) release() {
-	ws.metric = nil
+	ws.metric, ws.bound = nil, nil
 	clear(ws.reqs[:cap(ws.reqs)])
 	ws.reqs = ws.reqs[:0]
 	select {
@@ -167,8 +172,10 @@ func (ws *workspace) stepBudget(pi int) (budget float64, ok bool) {
 // (0 = root), occ riders aboard, carried as the permutation word perm
 // and the dist_tr stack — with every feasible unused point, in point
 // order, and hands each complete valid schedule to leaf with its total
-// distance. It allocates nothing. While leaf runs, the workspace's
-// distTr[1..] and pickDist describe the completed schedule.
+// distance. During a quote with a bound, an extension the bound rejects
+// (see boundRejects) is cut with its whole subtree. It allocates
+// nothing. While leaf runs, the workspace's distTr[1..] and pickDist
+// describe the completed schedule.
 func (ws *workspace) walk(used, cur, occ int, perm uint64, depth uint, leaf func(perm uint64, total float64)) {
 	curDist := ws.distTr[depth]
 	full := 1<<len(ws.pts) - 1
@@ -194,6 +201,9 @@ func (ws *workspace) walk(used, cur, occ int, perm uint64, depth uint, leaf func
 		if nd > budget {
 			continue
 		}
+		if ws.bound != nil && ws.boundRejects(used|bit, pi, nd) {
+			continue
+		}
 
 		nocc := occ
 		if p.Kind == Pickup {
@@ -214,6 +224,32 @@ func (ws *workspace) walk(used, cur, occ int, perm uint64, depth uint, leaf func
 			ws.picked[ri] = false
 		}
 	}
+}
+
+// boundRejects asks the quote's bound about every schedule that
+// completes the current prefix extended by point pi at dist_tr nd, where
+// placed is the extended prefix's point set. The quoted pair is the
+// last two points. The two bounds follow from the triangle inequality:
+// the pick-up lies at least dist(pi, s) past nd until it is placed, and
+// the schedule runs at least dist(s, d) past the pick-up, or dist(pi, d)
+// past nd, until the dropoff is placed. The seed makes those reads
+// exact, and distances on the 2⁻¹⁰ m grid add exactly, so a completed
+// schedule's pick-up distance and delta are never below them.
+func (ws *workspace) boundRejects(placed, pi int, nd float64) bool {
+	q, sPt := len(ws.reqs)-1, len(ws.pts)-2
+	var pl, tl float64
+	switch {
+	case pi == sPt:
+		pl, tl = nd, nd+ws.quoted.SD
+	case !ws.picked[q]:
+		pl = nd + ws.lbDist(pi+1, sPt+1)
+		tl = pl + ws.quoted.SD
+	case placed&(1<<(sPt+1)) == 0:
+		pl, tl = ws.pickDist[q], nd+ws.lbDist(pi+1, sPt+2)
+	default:
+		pl, tl = ws.pickDist[q], nd
+	}
+	return ws.bound.Rejects(pl, tl-ws.baseline)
 }
 
 // rebuild re-enumerates every valid ordering of the pending points from
@@ -300,7 +336,7 @@ func (t *Tree) AppendPointLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 // are freshly allocated (they outlive the call by design — skylines and
 // request records retain them).
 func (t *Tree) Quote(req Request) []Candidate {
-	packed, pts := t.QuotePacked(req, nil, nil, nil)
+	packed, pts := t.QuotePacked(req, nil, nil, nil, nil)
 	var out []Candidate
 	for _, c := range packed {
 		out = append(out, c.Unpack(pts))
@@ -342,6 +378,18 @@ func UnpackSeq(perm uint64, pts []Point) []Point {
 	return seq
 }
 
+// Bound is a caller's verdict on candidates it would discard: Rejects
+// reports whether it rejects every candidate whose pick-up distance is
+// at least pickupLB and whose detour delta is at least deltaLB. It must
+// be monotone — rejecting a pair means rejecting every pair above it in
+// both terms — since a quote asks it with lower bounds and cuts the
+// whole subtree of schedules behind a rejected prefix. A matcher's
+// running skyline is one: what it already dominates, it will dominate
+// after further inserts too.
+type Bound interface {
+	Rejects(pickupLB, deltaLB float64) bool
+}
+
 // QuotePacked is the allocation-free probe: candidates come back
 // permutation-encoded (appended to dst) together with the quoted point
 // set (appended to ptsBuf, which the permutations index). Both buffers
@@ -354,10 +402,18 @@ func UnpackSeq(perm uint64, pts []Point) []Point {
 // enumeration's distance matrix: every dist(x, s) and dist(x, d) the
 // enumeration would compute lazily — one point search each through the
 // metric — is answered from the caller's multi-target pass instead.
-func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, seed *QuoteSeed) ([]PackedCandidate, []Point) {
+//
+// A non-nil bound prunes the walk: a partial schedule is cut as soon as
+// the bound rejects lower bounds on the pick-up distance and delta of
+// every schedule that completes it, and the whole vehicle when it
+// rejects the root's. The candidates left out are ones the bound
+// rejects, and so are any that only they would have dominated, so a
+// caller that discards what its bound rejects sees the same result as
+// with a nil bound, which enumerates everything.
+func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, seed *QuoteSeed, bound Bound) ([]PackedCandidate, []Point) {
 	ws := acquireWorkspace()
 	defer ws.release()
-	entries := t.quotePacked(ws, req, seed)
+	entries := t.quotePacked(ws, req, seed, bound)
 	if len(entries) == 0 {
 		return dst, ptsBuf
 	}
@@ -372,12 +428,12 @@ func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, s
 	return dst, append(ptsBuf, ws.pts...)
 }
 
-// quotePacked runs the seeded enumeration in ws and returns the
-// non-dominated candidates as sorted skyline entries over (pick-up
+// quotePacked runs the seeded, bounded enumeration in ws and returns
+// the non-dominated candidates as sorted skyline entries over (pick-up
 // distance, detour delta), permutation-encoded over ws.pts. A stale
 // tree is rebuilt in ws first. The entries alias ws.sky: they are
 // valid until ws is released.
-func (t *Tree) quotePacked(ws *workspace, req Request, seed *QuoteSeed) []skyline.Entry[uint64] {
+func (t *Tree) quotePacked(ws *workspace, req Request, seed *QuoteSeed, bound Bound) []skyline.Entry[uint64] {
 	if req.Riders > t.capacity || len(t.pts)+2 > t.maxPoints {
 		return nil
 	}
@@ -413,6 +469,14 @@ func (t *Tree) quotePacked(ws *workspace, req Request, seed *QuoteSeed) []skylin
 	}
 	quotedIdx := len(ws.reqs) - 1
 	ws.sky.Reset()
+	if bound != nil {
+		// Every schedule reaches s from the root, then d from s.
+		pl := ws.lbDist(0, len(t.pts)+1)
+		if bound.Rejects(pl, pl+req.SD-baseline) {
+			return nil
+		}
+	}
+	ws.bound, ws.baseline = bound, baseline
 	ws.walk(0, 0, t.Onboard(), 0, 0, func(perm uint64, total float64) {
 		pickup, delta := ws.pickDist[quotedIdx], total-baseline
 		if !ws.sky.IsDominated(pickup, delta) && !ws.sky.ContainsPoint(pickup, delta) {

@@ -60,7 +60,7 @@ func TestQuotePackedAllocatesNothing(t *testing.T) {
 	var cands []kinetic.PackedCandidate
 	var pts []kinetic.Point
 	quote := func() {
-		cands, pts = tr.QuotePacked(req, cands[:0], pts[:0], nil)
+		cands, pts = tr.QuotePacked(req, cands[:0], pts[:0], nil, nil)
 		if len(cands) == 0 {
 			t.Fatal("no candidates")
 		}
@@ -261,7 +261,7 @@ func (d *scriptDriver) step() string {
 		sd := d.oracle.Dist(s, dst)
 		d.nextID++
 		d.req = kinetic.Request{ID: 100 + d.nextID, S: s, D: dst, Riders: 1, SD: sd, ServiceLimit: 2 * sd, WaitBudget: d.rng.Float64() * 300}
-		d.cands, d.pts = tr.QuotePacked(d.req, d.cands[:0], d.pts[:0], nil)
+		d.cands, d.pts = tr.QuotePacked(d.req, d.cands[:0], d.pts[:0], nil, nil)
 		return fmt.Sprint("quote ", d.cands, d.pts)
 	default:
 		if len(d.cands) == 0 {

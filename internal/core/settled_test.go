@@ -71,11 +71,12 @@ func TestColdMatchSettlesEachVertexOncePerSource(t *testing.T) {
 	n := e.Graph().NumVertices()
 	// DistCalls of this script, recorded from a fresh run on the
 	// grid-rounded weights (roadnet.GridSteps) with busy taxis listed
-	// in their root and stop cells only.
+	// in their root and stop cells only, and each probe's walk bounded
+	// by the match's running skyline.
 	pinnedDistCalls := map[core.Algorithm]int64{
-		core.AlgoNaive:      39439,
-		core.AlgoSingleSide: 9476,
-		core.AlgoDualSide:   8372,
+		core.AlgoNaive:      3293,
+		core.AlgoSingleSide: 4581,
+		core.AlgoDualSide:   3480,
 	}
 	for _, algo := range []core.Algorithm{core.AlgoNaive, core.AlgoSingleSide, core.AlgoDualSide} {
 		t.Run(algo.String(), func(t *testing.T) {

@@ -299,15 +299,19 @@ func (c *Coordinator) SubmitRequest(spec core.SubmitSpec) (*core.ServiceRecord, 
 // that city's items exactly. Cross-city items then run in batch order,
 // each relay quote settled (core.Settle: the item's chooser over the
 // synthesised joint options, or a decline) before the next, so each
-// sees the fleets its predecessors left.
+// sees the fleets its predecessors left. The error names the failed
+// item of least caller index, as one engine's batch would, whichever
+// stage failed it.
 func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.ServiceRecord, error) {
 	out := make([]*core.ServiceRecord, len(specs))
 	var firstErr error
-	fail := func(i int, err error) {
-		if firstErr == nil {
-			firstErr = &core.BatchItemError{Index: i, Err: err}
+	firstIdx := len(specs)
+	keep := func(i int, err error) {
+		if i < firstIdx {
+			firstIdx, firstErr = i, err
 		}
 	}
+	fail := func(i int, err error) { keep(i, &core.BatchItemError{Index: i, Err: err}) }
 
 	n := len(c.cities)
 	perCity := make([][]core.SubmitSpec, n)
@@ -339,13 +343,16 @@ func (c *Coordinator) SubmitRequestBatch(specs []core.SubmitSpec) ([]*core.Servi
 		}
 	})
 	for ci := range recs {
-		if err := errs[ci]; err != nil && firstErr == nil {
+		if err := errs[ci]; err != nil {
 			// The backend numbered its item in the city's sub-batch;
-			// the caller's batch numbers it through perCityIdx.
+			// the caller's batch numbers it through perCityIdx. An error
+			// that names no item ranks as the sub-batch's first.
+			idx := perCityIdx[ci][0]
 			if be := (*core.BatchItemError)(nil); errors.As(err, &be) && be.Index < len(perCityIdx[ci]) {
-				err = &core.BatchItemError{Index: perCityIdx[ci][be.Index], Err: be.Err}
+				idx = perCityIdx[ci][be.Index]
+				err = &core.BatchItemError{Index: idx, Err: be.Err}
 			}
-			firstErr = fmt.Errorf("multicity: %s: %w", c.cities[ci].Name, err)
+			keep(idx, fmt.Errorf("multicity: %s: %w", c.cities[ci].Name, err))
 		}
 		for k, rec := range recs[ci] {
 			// The length guard is for a remote backend answering more

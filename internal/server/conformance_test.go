@@ -395,11 +395,15 @@ func TestV1BatchSubmit(t *testing.T) {
 }
 
 // TestV1BatchErrorNamesCallerItem pins a batch error's item index as
-// the caller counts it on every backend. On two cities the batch is
-// [west ok, east ok, west s == d]: west's sub-batch holds the failing
-// item at index 1, and the answer must name item 2 in its message and
-// its "item" field — through the coordinator's per-city mapping, and on
-// the gateway through the shard's batch error too.
+// the caller counts it on every backend, in its message and its "item"
+// field. On two cities:
+//   - [west ok, east ok, west s == d]: west's sub-batch holds the
+//     failing item at index 1, and the answer names item 2 — through the
+//     coordinator's per-city mapping, and on the gateway through the
+//     shard's batch error too;
+//   - [west s == d, east s == d]: both cities' sub-batches fail, and the
+//     answer names item 0, the least failed one, as one engine would,
+//     not east's item 1 because east comes first in city order.
 func TestV1BatchErrorNamesCallerItem(t *testing.T) {
 	for _, b := range conformanceBackends(t) {
 		b := b
@@ -408,22 +412,31 @@ func TestV1BatchErrorNamesCallerItem(t *testing.T) {
 			if b.numCities > 1 {
 				other = "west"
 			}
-			resp, out := do(t, http.MethodPost, b.ts.URL+"/v1/requests", map[string]any{
-				"requests": []map[string]any{
+			for _, tc := range []struct {
+				items []map[string]any
+				want  int
+			}{
+				{[]map[string]any{
 					{"city": other, "s": 3, "d": 40, "riders": 1},
 					{"city": b.city, "s": 5, "d": 44, "riders": 1},
 					{"city": other, "s": 2, "d": 2, "riders": 1},
-				},
-			})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("batch status %d: %v", resp.StatusCode, out)
-			}
-			var env core.ErrorPayload
-			if err := json.Unmarshal(out["error"], &env); err != nil {
-				t.Fatalf("batch error %s: %v", out["error"], err)
-			}
-			if env.Item == nil || *env.Item != 2 || !strings.Contains(env.Message, "batch item 2: ") {
-				t.Fatalf("batch error %s, want item 2", out["error"])
+				}, 2},
+				{[]map[string]any{
+					{"city": other, "s": 2, "d": 2, "riders": 1},
+					{"city": b.city, "s": 4, "d": 4, "riders": 1},
+				}, 0},
+			} {
+				resp, out := do(t, http.MethodPost, b.ts.URL+"/v1/requests", map[string]any{"requests": tc.items})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("batch status %d: %v", resp.StatusCode, out)
+				}
+				var env core.ErrorPayload
+				if err := json.Unmarshal(out["error"], &env); err != nil {
+					t.Fatalf("batch error %s: %v", out["error"], err)
+				}
+				if env.Item == nil || *env.Item != tc.want || !strings.Contains(env.Message, fmt.Sprintf("batch item %d: ", tc.want)) {
+					t.Fatalf("batch error %s, want item %d", out["error"], tc.want)
+				}
 			}
 		})
 	}

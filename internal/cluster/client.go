@@ -13,8 +13,10 @@
 //
 // A call under a context that carries a telemetry span (a gateway
 // submit's) adds its round trip to that span as wire plus the stages
-// the shard's Server-Timing header reports (see observeHop), so the
-// gateway's slow-request line and its own Server-Timing split the hop.
+// the shard's Server-Timing header reports (see observeHop), and the
+// span's first round trip adds gateway_queue, the time the request
+// spent in the gateway before it, so the gateway's slow-request line
+// and its own Server-Timing split the hop.
 //
 // Failure discipline:
 //
@@ -218,6 +220,7 @@ func (c *ShardClient) once(ctx context.Context, method, path string, hdr http.He
 		req.Header.Set("Content-Type", "application/json")
 	}
 	start := time.Now()
+	telemetry.SpanFrom(ctx).ObserveFirst("gateway_queue", start)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return unavailable("%s %s: %v", method, path, err)

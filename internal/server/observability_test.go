@@ -458,9 +458,11 @@ func TestV1SlowRequestLog(t *testing.T) {
 // TestV1ServerTiming pins the submit answer's Server-Timing header: on
 // a journaled engine it names the quote, register and wal_wait stages
 // the engine recorded on the request's span. A gateway's names the hop:
-// wire, the round trip to the shard less the shard's own stages, then
-// the stages the shard's header reported, as shard_quote and
-// shard_register (its shards keep no journal, so no shard_wal_wait).
+// gateway_queue, the time from the request's arrival to its first round
+// trip, then wire, the round trip to the shard less the shard's own
+// stages, then the stages the shard's header reported, as shard_quote
+// and shard_register (its shards keep no journal, so no
+// shard_wal_wait).
 func TestV1ServerTiming(t *testing.T) {
 	submit := func(b v1Backend) *http.Response {
 		t.Helper()
@@ -486,7 +488,7 @@ func TestV1ServerTiming(t *testing.T) {
 	for _, stage := range telemetry.ParseServerTiming(st) {
 		names = append(names, stage.Name)
 	}
-	if want := []string{"wire", "shard_quote", "shard_register"}; !slices.Equal(names, want) {
+	if want := []string{"gateway_queue", "wire", "shard_quote", "shard_register"}; !slices.Equal(names, want) {
 		t.Errorf("gateway Server-Timing %q names %v, want %v", st, names, want)
 	}
 }

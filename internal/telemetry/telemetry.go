@@ -340,6 +340,23 @@ func (s *Span) Observe(stage string, seconds float64) {
 	s.mu.Unlock()
 }
 
+// ObserveFirst records stage as the time from the span's start to at,
+// unless the span already holds a stage of that name: a layer that runs
+// several times under one span times only up to its first run.
+func (s *Span) ObserveFirst(stage string, at time.Time) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, st := range s.stages {
+		if st.Name == stage {
+			return
+		}
+	}
+	s.stages = append(s.stages, Stage{Name: stage, Seconds: at.Sub(s.Start).Seconds()})
+}
+
 // Stages returns a copy of the recorded stages (nil on a nil span).
 func (s *Span) Stages() []Stage {
 	if s == nil {

@@ -162,6 +162,21 @@ func TestSpan(t *testing.T) {
 	}
 }
 
+// TestSpanObserveFirst: only the first mark of a stage is kept, timed
+// from the span's start; a nil span ignores it.
+func TestSpanObserveFirst(t *testing.T) {
+	sp := NewSpan("req-1")
+	sp.ObserveFirst("gateway_queue", sp.Start.Add(3*time.Millisecond))
+	sp.Observe("wire", 0.001)
+	sp.ObserveFirst("gateway_queue", sp.Start.Add(9*time.Millisecond))
+	st := sp.Stages()
+	if len(st) != 2 || st[0] != (Stage{"gateway_queue", 0.003}) || st[1].Name != "wire" {
+		t.Fatalf("stages = %+v, want gateway_queue 3 ms then wire", st)
+	}
+	var none *Span
+	none.ObserveFirst("gateway_queue", time.Now())
+}
+
 // TestServerTimingRoundTrip: ParseServerTiming reads back what
 // ServerTiming renders, to the header's microsecond, and renders again
 // to the same bytes; entries of another shape are skipped.

@@ -25,7 +25,12 @@
 // a quote is the same walk over the pending points plus the quoted
 // pair. The enumeration consults the exact distance only after a cheap
 // lower bound fails to prune the extension — the paper's improvement
-// (ii) over Noah, which computes all distances up front.
+// (ii) over Noah, which computes all distances up front. A quote may
+// also carry the caller's Bound (a matcher's running skyline): a
+// partial schedule is cut once lower bounds on the pick-up distance and
+// detour delta of every schedule completing it are ones the caller
+// would reject, so a vehicle's candidates that the match would discard
+// are mostly never enumerated.
 //
 // A tree keeps its schedule, not the walk's workspace (point copies,
 // the lazy distance matrix, the quote skyline): each walk takes one

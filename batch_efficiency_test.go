@@ -132,9 +132,8 @@ func testBatchDistCalls(t *testing.T, maxPickupSeconds float64) {
 			t.Fatalf("item %d: %d options batched vs %d per-request", i, len(a), len(b))
 		}
 		for j := range a {
-			if a[j].Vehicle != b[j].Vehicle || len(a[j].Candidate.Seq) != len(b[j].Candidate.Seq) {
-				t.Fatalf("item %d option %d: (%d, %d stops) vs (%d, %d stops)",
-					i, j, a[j].Vehicle, len(a[j].Candidate.Seq), b[j].Vehicle, len(b[j].Candidate.Seq))
+			if a[j] != b[j] {
+				t.Fatalf("item %d option %d: %+v vs %+v", i, j, a[j], b[j])
 			}
 		}
 	}

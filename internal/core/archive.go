@@ -1,9 +1,7 @@
 // archive.go holds the ledger's finished records — declined and
-// completed — once their rider can no longer choose. A quoted record
-// carries its skyline's planned schedules (Option.Candidate) for Choose
-// and the journal; a finished one never reads them again. So retiring a
-// record copies every field but the schedules into compact, pointer-free
-// form and drops the rest.
+// completed — once their rider can no longer choose. Retiring a record
+// copies every field into compact, pointer-free form: its options
+// become triples in an arena, and the record's own slice is dropped.
 //
 // Records sit in fixed-size pages indexed by id (ids come from one
 // counter starting at 1, so the pages fill densely). Their options sit
@@ -101,8 +99,7 @@ func (a *archive) slot(id RequestID) *archRec {
 	return nil
 }
 
-// get rebuilds request id's record, or returns nil. Its options carry
-// a zero Candidate.
+// get rebuilds request id's record, or returns nil.
 func (a *archive) get(id RequestID) *RequestRecord {
 	r := a.slot(id)
 	if r == nil {

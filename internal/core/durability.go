@@ -126,7 +126,6 @@ type chooseRec struct {
 	Vehicle          fleet.VehicleID
 	Price            float64
 	PlannedPickupOdo float64
-	Reprobed         bool
 }
 
 // tickRec is one time advance; replay re-runs the deterministic fleet

@@ -768,7 +768,7 @@ func (e *Engine) installLocked(rec *RequestRecord, idemKey string) {
 }
 
 // Choose commits the rider's selected option: a validate-then-commit
-// under the chosen vehicle's lock. The candidate quoted at Submit is
+// under the chosen vehicle's lock. The option's pick-up distance is
 // validated against the vehicle's current schedule state; if it has
 // gone stale and Config.CommitSlack allows, the request is re-probed
 // and an equivalent fresh candidate committed (see fleet.Commit).
@@ -810,7 +810,8 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 	if e.probeCommitHist != nil {
 		pc0 = time.Now()
 	}
-	res, err := e.fleet.Commit(opt.Vehicle, e.kineticRequest(rec.ID, rec.S, rec.D, rec.Riders, rec.SD, rec.Sigma, rec.WaitSeconds), opt.Candidate, e.sub.cfg.CommitSlack)
+	cand := kinetic.Candidate{PickupDist: opt.PickupDist, Delta: quotedDetour(opt.Price, ratio, rec.SD)}
+	res, err := e.fleet.Commit(opt.Vehicle, e.kineticRequest(rec.ID, rec.S, rec.D, rec.Riders, rec.SD, rec.Sigma, rec.WaitSeconds), cand, e.sub.cfg.CommitSlack)
 	if e.probeCommitHist != nil {
 		// Failed commits are observed too: a stale-candidate rejection
 		// still spent the vehicle-lock time the histogram measures.
@@ -821,8 +822,8 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 	}
 	price := opt.Price
 	if res.Reprobed {
-		// The committed schedule differs from the quoted one; reprice
-		// from the committed detour so the record stays truthful.
+		// The committed detour differs from the quoted one; reprice
+		// from it so the record stays truthful.
 		price = ratio * (res.Candidate.Delta + rec.SD)
 	}
 	// Journal the commit outcome after the vehicle accepted it. A crash
@@ -833,7 +834,6 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 	e.walChoScratch = chooseRec{
 		ID: id, OptionIndex: optionIndex, Vehicle: opt.Vehicle,
 		Price: price, PlannedPickupOdo: res.PlannedPickupOdo,
-		Reprobed: res.Reprobed,
 	}
 	e.walRecScratch = walRecord{Op: opChoose, Choose: &e.walChoScratch}
 	commit, err := e.appendLocked(&e.walRecScratch)

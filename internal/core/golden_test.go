@@ -24,16 +24,6 @@ func sameOptions(t *testing.T, step int, a, b []core.Option) {
 			t.Fatalf("step %d option %d: (%v, %v) vs (%v, %v)",
 				step, i, a[i].PickupDist, a[i].Price, b[i].PickupDist, b[i].Price)
 		}
-		if len(a[i].Candidate.Seq) != len(b[i].Candidate.Seq) {
-			t.Fatalf("step %d option %d: schedule lengths %d vs %d",
-				step, i, len(a[i].Candidate.Seq), len(b[i].Candidate.Seq))
-		}
-		for j := range a[i].Candidate.Seq {
-			if a[i].Candidate.Seq[j] != b[i].Candidate.Seq[j] {
-				t.Fatalf("step %d option %d stop %d: %+v vs %+v",
-					step, i, j, a[i].Candidate.Seq[j], b[i].Candidate.Seq[j])
-			}
-		}
 	}
 }
 

@@ -345,8 +345,7 @@ func (l *ledger) list(filter RequestFilter, limit int, visit func(*RequestRecord
 
 // capture fills the ledger half of a snapshot; restore rebuilds a fresh
 // ledger from one (byVeh, top and the surged count are derived from the
-// records). Finished records go out with a zero Candidate per option
-// and come back archived, whichever shape the snapshot has.
+// records). Finished records come back archived.
 func (l *ledger) capture(s *engSnap) {
 	s.Assigned, s.Declined, s.Completed, s.Shared = l.n.assigned, l.n.declined, l.n.completed, l.n.shared
 	s.Reqs = make([]RequestRecord, 0, len(l.reqs)+l.arch.n)

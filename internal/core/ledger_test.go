@@ -240,10 +240,11 @@ func TestLedgerListStopsAtLimit(t *testing.T) {
 
 // TestSubmitAllocationCeiling is the in-tree guard of the ladder's
 // core.submit_allocs_per_op: a warm-memo Submit + Decline with
-// durability off allocates what it did before the ledger moved (13 on
-// this fixture: the record, its copies, the skyline and the matcher's
-// per-request state). The race detector's sync.Pool drops items at
-// random, so the count only means something without it.
+// durability off allocates 7 times on this fixture — the record, its
+// copies, the skyline and the matcher's per-request state; 13 while
+// each accepted option carried its own stop sequence. The race
+// detector's sync.Pool drops items at random, so the count only means
+// something without it.
 func TestSubmitAllocationCeiling(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -267,7 +268,9 @@ func TestSubmitAllocationCeiling(t *testing.T) {
 		}
 	}
 	cycle() // warm the distance memo
-	if got := testing.AllocsPerRun(200, cycle); got > 13 {
-		t.Fatalf("Submit+Decline allocates %v per cycle, ceiling 13", got)
+	got := testing.AllocsPerRun(200, cycle)
+	t.Logf("Submit+Decline: %v allocs per cycle", got)
+	if got > 7 {
+		t.Fatalf("Submit+Decline allocates %v per cycle, ceiling 7", got)
 	}
 }

@@ -2,29 +2,30 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"ptrider/internal/fleet"
 	"ptrider/internal/gridindex"
 	"ptrider/internal/kinetic"
 	"ptrider/internal/pricing"
+	"ptrider/internal/roadnet"
 	"ptrider/internal/skyline"
 )
 
 // Option is one qualified result ⟨c, time, price⟩ of Definition 4. Time
 // is carried as a pick-up distance in metres (the paper's dist_pt); the
 // engine converts to seconds with the system speed at the API surface.
+// Choose commits the pick-up distance as the rider's deadline anchor;
+// the vehicle's kinetic tree keeps its own shortest schedule.
 type Option struct {
 	Vehicle fleet.VehicleID
 	// PickupDist is the planned pick-up distance from the vehicle's
 	// current location along the planned schedule.
 	PickupDist float64
-	// Price is the fare under the engine's price model.
+	// Price is the fare under the engine's price model. It also carries
+	// the quoted detour (see quotedDetour).
 	Price float64
-	// Candidate is the planned schedule realising this option; Choose
-	// commits it. It is zero on a declined or completed record's
-	// options: the ledger archives finished records without schedules.
-	Candidate kinetic.Candidate
 }
 
 // ReqSpec is the matcher-level view of a request, with all derived
@@ -109,14 +110,11 @@ func newMatchContext(sub *Substrate, fl *fleet.Fleet, lists *gridindex.VehicleLi
 
 func (ctx *matchContext) grid() *gridindex.Grid { return ctx.sub.grid }
 
-// foldPacked merges one vehicle's packed probe results into the global
-// skyline, applying the pick-up cutoff. The stop sequence is
-// materialised only for entries the skyline accepts — rejected
-// candidates (the vast majority on a loaded fleet) cost no allocation.
-// Coordinates already present are skipped so ties do not multiply
-// across vehicles; fold order (discovery order) therefore decides tie
-// winners.
-func foldPacked(v *fleet.Vehicle, cands []kinetic.PackedCandidate, pts []kinetic.Point, spec *ReqSpec, sky *skyline.Skyline[Option], stats *MatchStats) {
+// foldPacked merges one vehicle's probe results into the global
+// skyline, applying the pick-up cutoff. Coordinates already present are
+// skipped so ties do not multiply across vehicles; fold order
+// (discovery order) therefore decides tie winners.
+func foldPacked(v *fleet.Vehicle, cands []kinetic.Candidate, spec *ReqSpec, sky *skyline.Skyline[Option]) {
 	for _, cand := range cands {
 		if cand.PickupDist > spec.MaxPickupDist {
 			continue
@@ -125,12 +123,7 @@ func foldPacked(v *fleet.Vehicle, cands []kinetic.PackedCandidate, pts []kinetic
 		if sky.IsDominated(cand.PickupDist, price) || sky.ContainsPoint(cand.PickupDist, price) {
 			continue
 		}
-		sky.Add(cand.PickupDist, price, Option{
-			Vehicle:    v.ID,
-			PickupDist: cand.PickupDist,
-			Price:      price,
-			Candidate:  cand.Unpack(pts),
-		})
+		sky.Add(cand.PickupDist, price, Option{Vehicle: v.ID, PickupDist: cand.PickupDist, Price: price})
 	}
 }
 
@@ -140,6 +133,14 @@ func foldPacked(v *fleet.Vehicle, cands []kinetic.PackedCandidate, pts []kinetic
 // so their floats agree bit for bit.
 func optionPrice(spec *ReqSpec, delta float64) float64 {
 	return spec.Ratio * (delta + spec.Kin.SD)
+}
+
+// quotedDetour undoes optionPrice: the detour delta an option priced at
+// price under ratio was quoted with. delta + sd is a sum of distances,
+// so it lies on the 1/roadnet.GridSteps m grid, and price/ratio lies
+// within a few ulps of it; rounding to the grid recovers it exactly.
+func quotedDetour(price, ratio, sd float64) float64 {
+	return math.Round(price/ratio*roadnet.GridSteps)/roadnet.GridSteps - sd
 }
 
 // skyBound is a match's running skyline as the kinetic walk's bound: it
@@ -184,20 +185,5 @@ func skylineOptions(sky *skyline.Skyline[Option], stats *MatchStats) []Option {
 // NaiveMatcher computes by tree insertion; any drift would perturb
 // dominance at exact ties and break matcher equivalence.
 func emptyVehicleOption(v *fleet.Vehicle, d float64, spec *ReqSpec) Option {
-	delta := d + spec.Kin.SD
-	price := optionPrice(spec, delta)
-	return Option{
-		Vehicle:    v.ID,
-		PickupDist: d,
-		Price:      price,
-		Candidate: kinetic.Candidate{
-			Seq: []kinetic.Point{
-				{Loc: spec.Kin.S, Kind: kinetic.Pickup, Req: spec.Kin.ID},
-				{Loc: spec.Kin.D, Kind: kinetic.Dropoff, Req: spec.Kin.ID},
-			},
-			PickupDist: d,
-			TotalDist:  delta,
-			Delta:      delta,
-		},
-	}
+	return Option{Vehicle: v.ID, PickupDist: d, Price: optionPrice(spec, d+spec.Kin.SD)}
 }

@@ -100,10 +100,8 @@ type matchScratch struct {
 	batch   []*fleet.Vehicle      // vehicles awaiting a probe
 	pending []pendingVehicle      // dual-side deferred vehicles
 
-	// Packed-probe buffers: candidates stay permutation-encoded until
-	// the fold accepts them, so probing allocates nothing.
-	pcands []kinetic.PackedCandidate
-	ptsBuf []kinetic.Point
+	// Probe buffer: candidates land here, so probing allocates nothing.
+	cands []kinetic.Candidate
 
 	sky skyline.Skyline[Option] // per-match result skyline
 
@@ -183,9 +181,8 @@ func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skylin
 		a, b := sc.probeStarts[i], sc.probeStarts[i+1]
 		sc.seed = kinetic.QuoteSeed{Locs: sc.probeLocs[a:b], SDist: probeS[a:b], DDist: probeD[a:b]}
 		stats.Verified++
-		pcands, pts := v.QuotePacked(spec.Kin, sc.pcands[:0], sc.ptsBuf[:0], &sc.seed, &sc.bound)
-		foldPacked(v, pcands, pts, spec, sky, stats)
-		sc.pcands, sc.ptsBuf = pcands[:0], pts[:0] // retain grown buffers
+		sc.cands = v.QuotePacked(spec.Kin, sc.cands[:0], &sc.seed, &sc.bound)
+		foldPacked(v, sc.cands, spec, sky)
 	}
 	sc.batch = sc.batch[:0]
 }

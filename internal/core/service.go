@@ -184,9 +184,9 @@ func (r *ServiceRecord) View() RequestView {
 
 // Record is View's inverse: the record a view was rendered from, as far
 // as the view carries it, at the quoting city's speed (which the view
-// holds only folded into each row's pick-up seconds). The view does not
-// carry the option candidates, the committed vehicle and price of a
-// declined record, nor the record's wait, odometer, clock and fare
+// holds only folded into each row's pick-up seconds). Each option comes
+// back whole. The view does not carry the committed vehicle and price
+// of a declined record, nor the record's wait, odometer, clock and fare
 // provenance fields; those stay zero. An unknown status fails with
 // ErrInvalidArgument.
 func (v *RequestView) Record(speed float64) (*ServiceRecord, error) {

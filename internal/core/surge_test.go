@@ -66,8 +66,9 @@ func TestSurgeOffBitIdenticalToStaticModel(t *testing.T) {
 			t.Fatalf("req %d: surge provenance on a surge-off engine: %+v", rec.ID, rec)
 		}
 		for _, o := range rec.Options {
-			if want := m.Price(riders, o.Candidate.Delta, rec.SD); o.Price != want {
-				t.Fatalf("req %d vehicle %d: price %v != static %v", rec.ID, o.Vehicle, o.Price, want)
+			delta := core.QuotedDetour(o.Price, rec.FareRatio, rec.SD)
+			if want := m.Price(riders, delta, rec.SD); delta < 0 || o.Price != want {
+				t.Fatalf("req %d vehicle %d: price %v != static %v (detour %v)", rec.ID, o.Vehicle, o.Price, want, delta)
 			}
 		}
 	}
@@ -203,8 +204,9 @@ func TestSurgeRaisesQuotesInHotCells(t *testing.T) {
 		t.Fatalf("hot FareRatio %v, want %v", hot.FareRatio, want)
 	}
 	for _, o := range hot.Options {
-		if want := hot.FareRatio * (o.Candidate.Delta + hot.SD); o.Price != want {
-			t.Fatalf("hot option price %v, want %v", o.Price, want)
+		delta := core.QuotedDetour(o.Price, hot.FareRatio, hot.SD)
+		if want := hot.FareRatio * (delta + hot.SD); delta < 0 || o.Price != want {
+			t.Fatalf("hot option price %v, want %v (detour %v)", o.Price, want, delta)
 		}
 	}
 

@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"ptrider/internal/fleet"
-	"ptrider/internal/kinetic"
 	"ptrider/internal/roadnet"
 )
 
@@ -73,15 +72,6 @@ func encodeWALRecord(buf []byte, rec *walRecord) ([]byte, error) {
 			buf = appendU32(buf, uint32(o.Vehicle))
 			buf = appendF64(buf, o.PickupDist)
 			buf = appendF64(buf, o.Price)
-			buf = appendF64(buf, o.Candidate.PickupDist)
-			buf = appendF64(buf, o.Candidate.TotalDist)
-			buf = appendF64(buf, o.Candidate.Delta)
-			buf = appendU32(buf, uint32(len(o.Candidate.Seq)))
-			for _, p := range o.Candidate.Seq {
-				buf = appendU32(buf, uint32(p.Loc))
-				buf = append(buf, byte(p.Kind))
-				buf = appendU64(buf, uint64(p.Req))
-			}
 		}
 		return buf, nil
 
@@ -92,13 +82,7 @@ func encodeWALRecord(buf []byte, rec *walRecord) ([]byte, error) {
 		buf = appendU32(buf, uint32(c.OptionIndex))
 		buf = appendU32(buf, uint32(c.Vehicle))
 		buf = appendF64(buf, c.Price)
-		buf = appendF64(buf, c.PlannedPickupOdo)
-		if c.Reprobed {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		return buf, nil
+		return appendF64(buf, c.PlannedPickupOdo), nil
 
 	case opDecline:
 		buf = append(buf, tagDecline)
@@ -184,16 +168,6 @@ func (r *walReader) u64() uint64 {
 
 func (r *walReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// flag reads a bool byte; anything but 0 or 1 is malformed, since the
-// encoder writes only those two.
-func (r *walReader) flag() bool {
-	v := r.u8()
-	if v > 1 {
-		r.bad = true
-	}
-	return v == 1
-}
-
 func (r *walReader) str() string {
 	n := int(r.u32())
 	if r.bad || n < 0 || r.off+n > len(r.b) {
@@ -238,25 +212,13 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		s.SurgeCell = int32(r.u32())
 		s.SurgeEpoch = r.u64()
 		s.IdemKey = r.str()
-		if n := r.count(4 + 6*8 + 4); n > 0 {
+		if n := r.count(4 + 8 + 8); n > 0 {
 			s.Options = make([]Option, n)
 			for i := range s.Options {
 				o := &s.Options[i]
 				o.Vehicle = fleet.VehicleID(r.u32())
 				o.PickupDist = r.f64()
 				o.Price = r.f64()
-				o.Candidate.PickupDist = r.f64()
-				o.Candidate.TotalDist = r.f64()
-				o.Candidate.Delta = r.f64()
-				if m := r.count(4 + 1 + 8); m > 0 {
-					o.Candidate.Seq = make([]kinetic.Point, m)
-					for j := range o.Candidate.Seq {
-						p := &o.Candidate.Seq[j]
-						p.Loc = roadnet.VertexID(r.u32())
-						p.Kind = kinetic.PointKind(r.u8())
-						p.Req = kinetic.RequestID(r.u64())
-					}
-				}
 			}
 		}
 
@@ -268,7 +230,6 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		c.Vehicle = fleet.VehicleID(r.u32())
 		c.Price = r.f64()
 		c.PlannedPickupOdo = r.f64()
-		c.Reprobed = r.flag()
 
 	case tagDecline:
 		rec.Op, rec.ReqID = opDecline, RequestID(r.u64())

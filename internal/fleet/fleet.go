@@ -184,18 +184,17 @@ func (v *Vehicle) AppendProbeLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 	return v.Tree.AppendPointLocs(dst)
 }
 
-// QuotePacked is the allocation-free seeded probe: candidates come back
-// permutation-encoded with the quoted point set, both appended to
-// caller-owned buffers (see kinetic.Tree.QuotePacked). The matchers
-// materialise schedules only for candidates their skylines accept, and
-// pass that skyline as the bound that cuts the walk short of the rest.
-func (v *Vehicle) QuotePacked(req kinetic.Request, dst []kinetic.PackedCandidate, ptsBuf []kinetic.Point, seed *kinetic.QuoteSeed, bound kinetic.Bound) ([]kinetic.PackedCandidate, []kinetic.Point) {
+// QuotePacked is the allocation-free seeded probe: candidates are
+// appended to the caller-owned dst (see kinetic.Tree.QuotePacked). The
+// matchers pass their running skyline as the bound that cuts the walk
+// short of candidates the skyline would reject.
+func (v *Vehicle) QuotePacked(req kinetic.Request, dst []kinetic.Candidate, seed *kinetic.QuoteSeed, bound kinetic.Bound) []kinetic.Candidate {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.removed {
-		return dst, ptsBuf
+		return dst
 	}
-	return v.Tree.QuotePacked(req, dst, ptsBuf, seed, bound)
+	return v.Tree.QuotePacked(req, dst, seed, bound)
 }
 
 // View reports the vehicle's location and load in one consistent read
@@ -422,8 +421,8 @@ func (f *Fleet) CheckInvariants() error {
 
 // CommitResult reports how a rider choice was committed.
 type CommitResult struct {
-	// Candidate is the schedule actually committed. It equals the
-	// quoted candidate unless a re-probe replaced it.
+	// Candidate is the pick-up and detour actually committed. It equals
+	// the quoted candidate unless a re-probe replaced it.
 	Candidate kinetic.Candidate
 	// PlannedPickupOdo is the odometer reading promised for the pickup.
 	PlannedPickupOdo float64
@@ -432,7 +431,7 @@ type CommitResult struct {
 	Reprobed bool
 }
 
-// Commit assigns req to vehicle id with the planned schedule cand (from
+// Commit assigns req to vehicle id at the pick-up distance of cand (from
 // a quote against the same tree state) and refreshes the vehicle's grid
 // registration. It is the commit half of the probe/commit protocol:
 // under the vehicle's lock the candidate is validated against the
@@ -481,15 +480,14 @@ func (f *Fleet) Commit(id VehicleID, req kinetic.Request, cand kinetic.Candidate
 // held) and returns the fresh candidate of least detour, then least
 // pick-up distance, among those within the allowed slack of the stale
 // quote on both terms — the quoted terms must not silently degrade. ok
-// is false when none is. The candidates stay packed in stack buffers;
-// only the winner's schedule is materialised.
+// is false when none is. The candidates stay in a stack buffer, so a
+// re-probe allocates nothing.
 func (f *Fleet) reprobe(v *Vehicle, req kinetic.Request, cand kinetic.Candidate, slack float64) (fresh kinetic.Candidate, ok bool) {
 	allow := slack * req.SD
 	// 16 is the kinetic tree's cap on a quote's points; a skyline of
 	// more candidates than that spills to the heap.
-	var candBuf [16]kinetic.PackedCandidate
-	var ptsBuf [16]kinetic.Point
-	cands, pts := v.Tree.QuotePacked(req, candBuf[:0], ptsBuf[:0], nil, nil)
+	var candBuf [16]kinetic.Candidate
+	cands := v.Tree.QuotePacked(req, candBuf[:0], nil, nil)
 	best := -1
 	for i, c := range cands {
 		if c.PickupDist > cand.PickupDist+allow || c.Delta > cand.Delta+allow {
@@ -503,7 +501,7 @@ func (f *Fleet) reprobe(v *Vehicle, req kinetic.Request, cand kinetic.Candidate,
 	if best < 0 {
 		return kinetic.Candidate{}, false
 	}
-	return cands[best].Unpack(pts), true
+	return cands[best], true
 }
 
 // CommitStats reports the commit protocol's effectiveness counters:

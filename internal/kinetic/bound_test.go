@@ -14,11 +14,12 @@ import (
 )
 
 // foldEntry is what a fold keeps of an accepted candidate: the vehicle
-// (-1 for a pre-filled entry) and the schedule behind the option.
+// (-1 for a pre-filled entry), the schedule behind the option and its
+// detour.
 type foldEntry struct {
 	vehicle int
 	seq     string
-	total   float64
+	delta   float64
 }
 
 // skyFold is a matcher's fold over a test skyline: a candidate is
@@ -47,16 +48,17 @@ func (f *skyFold) Rejects(pickupLB, deltaLB float64) bool {
 	return false
 }
 
-// fold merges one vehicle's candidates in the order QuotePacked
-// returned them and reports how many it kept.
-func (f *skyFold) fold(vehicle int, cands []kinetic.PackedCandidate, pts []kinetic.Point) int {
+// fold merges one vehicle's candidates, with the stop sequence behind
+// each, in the order the quote returned them and reports how many it
+// kept.
+func (f *skyFold) fold(vehicle int, cands []kinetic.Candidate, seqs [][]kinetic.Point) int {
 	kept := 0
-	for _, c := range cands {
+	for i, c := range cands {
 		p := f.price(c.Delta)
 		if f.rejects(c.PickupDist, p) {
 			continue
 		}
-		f.sky.Add(c.PickupDist, p, foldEntry{vehicle, fmt.Sprint(kinetic.UnpackSeq(c.Perm, pts)), c.TotalDist})
+		f.sky.Add(c.PickupDist, p, foldEntry{vehicle, fmt.Sprint(seqs[i]), c.Delta})
 		kept++
 	}
 	return kept
@@ -132,7 +134,7 @@ func TestBoundedQuoteFoldsLikeUnbounded(t *testing.T) {
 		}
 		plain := &skyFold{ratio: bounded.ratio, sd: bounded.sd, maxPickup: bounded.maxPickup}
 		for _, tr := range trees {
-			cands, _ := tr.QuotePacked(req, nil, nil, nil, nil)
+			cands := tr.QuotePacked(req, nil, nil, nil)
 			for _, c := range cands {
 				if rng.Intn(3) != 0 {
 					continue
@@ -149,8 +151,8 @@ func TestBoundedQuoteFoldsLikeUnbounded(t *testing.T) {
 		cases++
 		for i, tr := range trees {
 			qs := seedFor(tr)
-			bc, bp := tr.QuotePacked(req, nil, nil, qs, bounded)
-			pc, pp := tr.QuotePacked(req, nil, nil, qs, nil)
+			bc, bp := tr.QuoteSeqs(req, qs, bounded)
+			pc, pp := tr.QuoteSeqs(req, qs, nil)
 			kept += bounded.fold(i, bc, bp)
 			plain.fold(i, pc, pp)
 			if got, want := bounded.sky.Sorted(), plain.sky.Sorted(); !reflect.DeepEqual(got, want) {

@@ -42,10 +42,10 @@ type workspace struct {
 	distTr   [maxEnumPoints + 1]float64 // dist_tr after each placed stop; [0] is the root's 0
 
 	// Quote state. The skyline holds candidate schedules as permutation
-	// words, so inserting (and evicting) one never allocates; callers
-	// materialise []Point sequences for survivors only. bound is the
-	// caller's (nil: enumerate everything) and baseline the tree's
-	// best distance the detour deltas are measured from.
+	// words, so inserting (and evicting) one never allocates; a quote
+	// hands back only their numbers. bound is the caller's (nil:
+	// enumerate everything) and baseline the tree's best distance the
+	// detour deltas are measured from.
 	quoted   reqState
 	sky      skyline.Skyline[uint64]
 	bound    Bound
@@ -332,45 +332,14 @@ func (t *Tree) AppendPointLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 // returns the vehicle's non-dominated candidates over (pick-up distance,
 // detour delta). It returns nil when the vehicle cannot serve the
 // request at all (capacity, budgets, or the pending-point cap). The
-// tree itself is not modified, and the returned candidates' schedules
-// are freshly allocated (they outlive the call by design — skylines and
-// request records retain them).
+// tree itself is not modified.
 func (t *Tree) Quote(req Request) []Candidate {
-	packed, pts := t.QuotePacked(req, nil, nil, nil, nil)
-	var out []Candidate
-	for _, c := range packed {
-		out = append(out, c.Unpack(pts))
-	}
-	return out
+	return t.QuotePacked(req, nil, nil, nil)
 }
 
-// PackedCandidate is a feasible schedule whose stop sequence is still
-// permutation-encoded (4-bit point indices over the quoted point set):
-// the allocation-free probe result. Callers that filter candidates —
-// the matchers' skylines reject most — materialise the survivors only,
-// with Unpack.
-type PackedCandidate struct {
-	Perm       uint64
-	PickupDist float64
-	TotalDist  float64
-	Delta      float64
-}
-
-// Unpack materialises c over the point set QuotePacked returned with
-// it. The schedule is freshly allocated and safe to retain.
-func (c PackedCandidate) Unpack(pts []Point) Candidate {
-	return Candidate{
-		Seq:        UnpackSeq(c.Perm, pts),
-		PickupDist: c.PickupDist,
-		TotalDist:  c.TotalDist,
-		Delta:      c.Delta,
-	}
-}
-
-// UnpackSeq materialises the stop sequence of a packed candidate over
-// the point set returned by QuotePacked. The result is freshly
-// allocated and safe to retain.
-func UnpackSeq(perm uint64, pts []Point) []Point {
+// unpackSeq materialises the stop sequence a permutation word encodes
+// over the point set it indexes.
+func unpackSeq(perm uint64, pts []Point) []Point {
 	seq := make([]Point, len(pts))
 	for j := range seq {
 		seq[j] = pts[(perm>>(4*uint(j)))&0xF]
@@ -390,18 +359,12 @@ type Bound interface {
 	Rejects(pickupLB, deltaLB float64) bool
 }
 
-// QuotePacked is the allocation-free probe: candidates come back
-// permutation-encoded (appended to dst) together with the quoted point
-// set (appended to ptsBuf, which the permutations index). Both buffers
-// are caller-owned, and both are filled by copying out of the walk's
-// pooled workspace before it is released, so nothing returned aliases
-// memory another tree's walk will reuse. The point set describes this
-// quote only — materialise surviving candidates with Unpack before
-// reusing the buffers for the next probe. A seed that still matches
-// the tree state pre-fills the request-specific rows of the
-// enumeration's distance matrix: every dist(x, s) and dist(x, d) the
-// enumeration would compute lazily — one point search each through the
-// metric — is answered from the caller's multi-target pass instead.
+// QuotePacked is the allocation-free probe: Quote's candidates,
+// appended to the caller-owned dst. A seed that still matches the tree
+// state pre-fills the request-specific rows of the enumeration's
+// distance matrix: every dist(x, s) and dist(x, d) the enumeration
+// would compute lazily — one point search each through the metric — is
+// answered from the caller's multi-target pass instead.
 //
 // A non-nil bound prunes the walk: a partial schedule is cut as soon as
 // the bound rejects lower bounds on the pick-up distance and delta of
@@ -410,22 +373,13 @@ type Bound interface {
 // rejects, and so are any that only they would have dominated, so a
 // caller that discards what its bound rejects sees the same result as
 // with a nil bound, which enumerates everything.
-func (t *Tree) QuotePacked(req Request, dst []PackedCandidate, ptsBuf []Point, seed *QuoteSeed, bound Bound) ([]PackedCandidate, []Point) {
+func (t *Tree) QuotePacked(req Request, dst []Candidate, seed *QuoteSeed, bound Bound) []Candidate {
 	ws := acquireWorkspace()
 	defer ws.release()
-	entries := t.quotePacked(ws, req, seed, bound)
-	if len(entries) == 0 {
-		return dst, ptsBuf
+	for _, e := range t.quotePacked(ws, req, seed, bound) {
+		dst = append(dst, Candidate{PickupDist: e.Time, Delta: e.Price})
 	}
-	for _, e := range entries {
-		dst = append(dst, PackedCandidate{
-			Perm:       e.Payload,
-			PickupDist: e.Time,
-			TotalDist:  e.Price + t.bestDist,
-			Delta:      e.Price,
-		})
-	}
-	return dst, append(ptsBuf, ws.pts...)
+	return dst
 }
 
 // quotePacked runs the seeded, bounded enumeration in ws and returns
@@ -486,10 +440,11 @@ func (t *Tree) quotePacked(ws *workspace, req Request, seed *QuoteSeed, bound Bo
 	return ws.sky.Sorted()
 }
 
-// Commit adds req to the vehicle with the planned schedule of cand (a
+// Commit adds req to the vehicle at the pick-up distance of cand (a
 // candidate previously returned by Quote with no intervening root
 // movement). The waiting-time constraint is anchored here: the pickup's
-// odometer deadline becomes odo + cand.PickupDist + req.WaitBudget.
+// odometer deadline becomes odo + cand.PickupDist + req.WaitBudget. The
+// tree keeps no quoted schedule; it drives its own shortest one.
 func (t *Tree) Commit(req Request, cand Candidate) error {
 	if err := t.add(&reqState{
 		Request:          req,

@@ -18,5 +18,19 @@ func (t *Tree) BestBranch() []Point {
 	if _, ok := t.BestStop(0); !ok {
 		return nil
 	}
-	return UnpackSeq(t.bestPerm, t.pts)
+	return unpackSeq(t.bestPerm, t.pts)
+}
+
+// QuoteSeqs quotes req as QuotePacked(req, nil, seed, bound) does and
+// returns the candidates with the stop sequence behind each.
+func (t *Tree) QuoteSeqs(req Request, seed *QuoteSeed, bound Bound) ([]Candidate, [][]Point) {
+	ws := acquireWorkspace()
+	defer ws.release()
+	var cands []Candidate
+	var seqs [][]Point
+	for _, e := range t.quotePacked(ws, req, seed, bound) {
+		cands = append(cands, Candidate{PickupDist: e.Time, Delta: e.Price})
+		seqs = append(seqs, unpackSeq(e.Payload, ws.pts))
+	}
+	return cands, seqs
 }

@@ -108,19 +108,16 @@ type reqState struct {
 	onboard          bool
 }
 
-// Candidate is one feasible way to serve a quoted request: the complete
-// planned schedule and its derived quantities.
+// Candidate is one feasible way to serve a quoted request, as the
+// numbers a quote offers: the planned pick-up distance and the detour.
+// It carries no schedule — Commit anchors the pick-up deadline from
+// PickupDist, and the tree then keeps its own shortest schedule.
 type Candidate struct {
-	// Seq is the full planned stop sequence including the quoted
-	// request's pickup and dropoff.
-	Seq []Point
 	// PickupDist is dist_tr of the quoted request's pickup: the planned
 	// pick-up distance (time × speed) offered to the rider.
 	PickupDist float64
-	// TotalDist is dist_tr of the whole schedule.
-	TotalDist float64
-	// Delta is TotalDist − (the best current schedule's total), the
-	// detour delta priced by the model.
+	// Delta is the schedule's total dist_tr less the best current
+	// schedule's, the detour delta priced by the model.
 	Delta float64
 }
 
@@ -287,7 +284,7 @@ func (t *Tree) Branches() [][]Point {
 	defer ws.release()
 	var out [][]Point
 	t.rebuild(ws, func(perm uint64) {
-		out = append(out, UnpackSeq(perm, ws.pts))
+		out = append(out, unpackSeq(perm, ws.pts))
 	})
 	return out
 }

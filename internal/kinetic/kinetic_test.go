@@ -216,16 +216,16 @@ func TestQuoteEmptyVehicle(t *testing.T) {
 	m, v := paperSetup(t, 0)
 	tr := kinetic.New(m, 4, 8, v(13), 0)
 	r2 := kinetic.Request{ID: 2, S: v(12), D: v(17), Riders: 2, SD: 7, ServiceLimit: 8.4, WaitBudget: 5}
-	cands := tr.Quote(r2)
+	cands, seqs := tr.QuoteSeqs(r2, nil, nil)
 	if len(cands) != 1 {
 		t.Fatalf("empty-vehicle quote returned %d candidates, want 1", len(cands))
 	}
-	c := cands[0]
-	if c.PickupDist != 8 || c.Delta != 15 || c.TotalDist != 15 {
+	c, seq := cands[0], seqs[0]
+	if c.PickupDist != 8 || c.Delta != 15 {
 		t.Fatalf("candidate = %+v, want pickup 8, delta 15", c)
 	}
-	if len(c.Seq) != 2 || c.Seq[0].Kind != kinetic.Pickup || c.Seq[1].Kind != kinetic.Dropoff {
-		t.Fatalf("candidate sequence = %+v", c.Seq)
+	if len(seq) != 2 || seq[0].Kind != kinetic.Pickup || seq[1].Kind != kinetic.Dropoff {
+		t.Fatalf("candidate sequence = %+v", seq)
 	}
 }
 
@@ -239,8 +239,8 @@ func TestPaperExampleC1(t *testing.T) {
 		tr := kinetic.New(m, 4, 8, v(1), 0)
 		r1 := kinetic.Request{ID: 1, S: v(2), D: v(16), Riders: 2, SD: 12, ServiceLimit: 14.4, WaitBudget: 5}
 		c1 := tr.Quote(r1)
-		if len(c1) != 1 || c1[0].PickupDist != 6 || c1[0].TotalDist != 18 {
-			t.Fatalf("lbFrac=%v: R1 quote = %+v, want pickup 6 total 18", lbFrac, c1)
+		if len(c1) != 1 || c1[0].PickupDist != 6 || c1[0].Delta != 18 {
+			t.Fatalf("lbFrac=%v: R1 quote = %+v, want pickup 6 delta 18", lbFrac, c1)
 		}
 		if err := tr.Commit(r1, c1[0]); err != nil {
 			t.Fatalf("commit R1: %v", err)
@@ -250,7 +250,7 @@ func TestPaperExampleC1(t *testing.T) {
 		}
 
 		r2 := kinetic.Request{ID: 2, S: v(12), D: v(17), Riders: 2, SD: 7, ServiceLimit: 8.4, WaitBudget: 5}
-		c2 := tr.Quote(r2)
+		c2, seqs := tr.QuoteSeqs(r2, nil, nil)
 		if len(c2) != 1 {
 			t.Fatalf("lbFrac=%v: R2 quote = %+v, want exactly one non-dominated candidate", lbFrac, c2)
 		}
@@ -258,9 +258,9 @@ func TestPaperExampleC1(t *testing.T) {
 			t.Fatalf("lbFrac=%v: R2 candidate = %+v, want pickup 14 delta 3", lbFrac, c2[0])
 		}
 		wantSeq := []roadnet.VertexID{v(2), v(12), v(16), v(17)}
-		for i, p := range c2[0].Seq {
+		for i, p := range seqs[0] {
 			if p.Loc != wantSeq[i] {
-				t.Fatalf("R2 planned schedule = %+v, want stops %v", c2[0].Seq, wantSeq)
+				t.Fatalf("R2 planned schedule = %+v, want stops %v", seqs[0], wantSeq)
 			}
 		}
 	}
@@ -356,10 +356,10 @@ func TestCapacityBlocksOverlap(t *testing.T) {
 	// with capacity 2 they can never be onboard together.
 	r1 := kinetic.Request{ID: 1, S: 1, D: 8, Riders: 2, SD: 7, ServiceLimit: 70, WaitBudget: 100}
 	tr.Commit(r1, tr.Quote(r1)[0])
-	cands := tr.Quote(kinetic.Request{ID: 2, S: 2, D: 7, Riders: 2, SD: 5, ServiceLimit: 50, WaitBudget: 100})
-	for _, c := range cands {
+	cands, seqs := tr.QuoteSeqs(kinetic.Request{ID: 2, S: 2, D: 7, Riders: 2, SD: 5, ServiceLimit: 50, WaitBudget: 100}, nil, nil)
+	for _, seq := range seqs {
 		picked := false
-		for _, p := range c.Seq {
+		for _, p := range seq {
 			if p.Req == 1 && p.Kind == kinetic.Pickup {
 				picked = true
 			}
@@ -367,7 +367,7 @@ func TestCapacityBlocksOverlap(t *testing.T) {
 				picked = false
 			}
 			if p.Req == 2 && p.Kind == kinetic.Pickup && picked {
-				t.Fatalf("capacity violated in candidate %+v", c.Seq)
+				t.Fatalf("capacity violated in candidate %+v", seq)
 			}
 		}
 	}

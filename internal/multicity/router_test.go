@@ -2,7 +2,10 @@ package multicity_test
 
 import (
 	"errors"
+	"fmt"
+	"log/slog"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"ptrider/internal/geo"
 	"ptrider/internal/multicity"
 	"ptrider/internal/roadnet"
+	"ptrider/internal/testnet"
 )
 
 // twinRouter builds a two-city router ("alpha" at the origin, "beta"
@@ -499,5 +503,58 @@ func TestVertexAddressedSpecIgnoresRegion(t *testing.T) {
 	// Coordinates outside the region are still nobody's.
 	if _, err := submit(r, g.Point(s), g.Point(d), 1); !errors.Is(err, core.ErrNoCity) {
 		t.Fatalf("coordinate outside the narrowed region: %v, want ErrNoCity", err)
+	}
+}
+
+// closeFailing is an engine backend whose Close fails.
+type closeFailing struct{ *core.Engine }
+
+func (closeFailing) Close() error { return errors.New("disk gone") }
+
+// TestCoordinatorLogsStateTransitions: a hot algorithm switch logs one
+// info line naming the city and the algorithm, a refused one logs
+// nothing, and Close logs one error line for each backend that fails to
+// close — only for those.
+func TestCoordinatorLogsStateTransitions(t *testing.T) {
+	cities := make([]multicity.City, 2)
+	for i, name := range []string{"alpha", "beta"} {
+		g, err := gen.GenerateNetwork(gen.CityConfig{Width: 6, Height: 6, OriginX: 20000 * float64(i), Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.NewEngine(g, core.Config{Capacity: 4, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cities[i] = multicity.City{Name: name, Region: g.Bounds(), Backend: e}
+	}
+	cities[0].Backend = closeFailing{cities[0].Backend.(*core.Engine)}
+	c, err := multicity.NewCoordinator(cities, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := testnet.CaptureLog(t)
+
+	if err := c.SetCityAlgorithm("beta", core.AlgoSingleSide); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetCityAlgorithm("gamma", core.AlgoSingleSide); err == nil {
+		t.Fatal("an unknown city's algorithm was set")
+	}
+	if err := c.Close(); err == nil || !strings.Contains(err.Error(), "disk gone") {
+		t.Fatalf("Close: %v, want alpha's failure", err)
+	}
+	lines := logs.Lines()
+	if len(lines) != 2 {
+		t.Fatalf("logged %d lines, want 2: %+v", len(lines), lines)
+	}
+	set, closed := lines[0], lines[1]
+	if set.Level != slog.LevelInfo || set.Message != "multicity: algorithm set" ||
+		set.Attrs["city"] != "beta" || set.Attrs["algorithm"] != core.AlgoSingleSide.String() {
+		t.Fatalf("algorithm line: %+v", set)
+	}
+	if closed.Level != slog.LevelError || closed.Message != "multicity: close failed" ||
+		closed.Attrs["city"] != "alpha" || fmt.Sprint(closed.Attrs["err"]) != "disk gone" {
+		t.Fatalf("close line: %+v", closed)
 	}
 }

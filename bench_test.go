@@ -358,10 +358,7 @@ func metroWorld(b *testing.B) *metroBenchWorld {
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		start := time.Now()
-		ch, err := roadnet.Contract(g)
-		if err != nil {
-			panic(err)
-		}
+		ch := roadnet.Contract(g)
 		metroState = &metroBenchWorld{
 			eng:           eng,
 			probes:        probes,

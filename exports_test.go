@@ -41,7 +41,7 @@ var testOnlyAllowlist = map[string]string{
 
 	"ptrider/internal/core.Engine.Settled":              "BenchmarkMetroQuote's exact settled/op counter reads it",
 	"ptrider/internal/roadnet.Hierarchy.NumArcs":        "BenchmarkMetroQuote reports the hierarchy's arcs/vertex from it",
-	"ptrider/internal/gridindex.Build":                  "the index from a graph alone, directed ones included: the engine builds on its hierarchy (BuildOn), bench/stream_test.go and the index's own tests on a graph",
+	"ptrider/internal/gridindex.Build":                  "the index from a graph alone: the engine builds on its hierarchy (BuildOn), bench/stream_test.go and the index's own tests on a graph",
 	"ptrider/internal/multicity.Router.CheckInvariants": "a checker: router tests run it after scripted traffic",
 	"ptrider/internal/multicity.Router.Engine":          "router tests reach one city's engine through it; the coordinator's service surface hides the engines",
 	"ptrider/internal/pricing.Model.Price":              "the paper's §2.4 fare formula, the reference the engine's option prices are compared against",

@@ -635,9 +635,20 @@ func TestGatewayBatchErrorNamesCallerItem(t *testing.T) {
 }
 
 func TestGatewayCrossCityRelay(t *testing.T) {
-	gw, engA, engB, _ := twinGateway(t, nil)
+	gw, engA, engB, _ := twinGateway(t, telemetry.NewRegistry())
 	rng := rand.New(rand.NewSource(21))
 	rec := quotedSpec(t, gw, "alpha", "beta", rng)
+	// The gateway times every leg it quotes, as the in-process router
+	// does: one observation per leg the relay panel counts.
+	var legHist *telemetry.HistView
+	for _, f := range gw.MetricFamilies() {
+		if f.Name == "ptrider_relay_leg_quote_duration_seconds" && len(f.Series) == 1 {
+			legHist = f.Series[0].Hist
+		}
+	}
+	if legs := gw.ServiceStats().Relay.LegQuotes; legHist == nil || legs == 0 || legHist.Count != legs {
+		t.Fatalf("leg quote histogram %+v, want a count equal to the relay panel's %d leg quotes", legHist, legs)
+	}
 
 	if rec.ID >= 0 {
 		t.Fatalf("relay trip id %d not in the negative namespace", rec.ID)

@@ -70,8 +70,7 @@ func RunBatch(svc Service, specs []SubmitSpec, quote func(run []SubmitSpec) (rec
 // it: choose picks an option index and the pick is committed; a nil
 // chooser, a pick out of range or a failed commit declines the record
 // instead, so nothing is left quoted. It returns the record re-read
-// after the decision, with the options it was quoted kept whatever the
-// re-read carries, and the failed commit's error.
+// after the decision and the failed commit's error.
 func Settle(svc Service, rec *ServiceRecord, choose func([]Option) int) (*ServiceRecord, error) {
 	pick := -1
 	if choose != nil {
@@ -88,7 +87,6 @@ func Settle(svc Service, rec *ServiceRecord, choose func([]Option) int) (*Servic
 	if gerr != nil {
 		return rec, err
 	}
-	fresh.Options = rec.Options
 	return fresh, err
 }
 

@@ -5,12 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"ptrider/internal/core"
 	"ptrider/internal/fleet"
-	"ptrider/internal/geo"
 	"ptrider/internal/kinetic"
 	"ptrider/internal/roadnet"
 	"ptrider/internal/testnet"
@@ -25,20 +23,6 @@ func latticeEngine(t *testing.T, seed int64, w, h int, cfg core.Config) *core.En
 		t.Fatalf("NewEngine: %v", err)
 	}
 	return e
-}
-
-func TestNewEngineRejectsOneWayNetwork(t *testing.T) {
-	b := roadnet.NewBuilder(3, 3)
-	b.AddVertex(geo.Point{X: 0, Y: 0})
-	b.AddVertex(geo.Point{X: 100, Y: 0})
-	b.AddVertex(geo.Point{X: 0, Y: 100})
-	b.AddEdge(0, 1, 100)
-	b.AddEdge(1, 2, 150)
-	b.AddEdge(2, 0, 100)
-	_, err := core.NewEngine(b.MustBuild(), core.Config{})
-	if err == nil || !strings.Contains(err.Error(), "core: road network must be symmetric") {
-		t.Fatalf("one-way ring: err = %v, want the symmetric-network error", err)
-	}
 }
 
 // TestPaperExampleEndToEnd reproduces §2.5's worked example through the

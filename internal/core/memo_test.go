@@ -36,10 +36,7 @@ func cityGrid(t testing.TB, w, h int) (*gridindex.Grid, *roadnet.Hierarchy) {
 // hierarchy at cells×cells.
 func memoSubstrate(t testing.TB, g *roadnet.Graph, cells int) (*gridindex.Grid, *roadnet.Hierarchy) {
 	t.Helper()
-	ch, err := roadnet.Contract(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := roadnet.Contract(g)
 	grid, err := gridindex.BuildOn(ch, gridindex.Config{Cols: cells, Rows: cells})
 	if err != nil {
 		t.Fatal(err)
@@ -429,8 +426,8 @@ func TestMemoForgetsWhatHasNoCount(t *testing.T) {
 			for i := 0; i < 1+pad; i++ {
 				b.AddVertex(geo.Point{X: far, Y: far})
 			}
-			b.AddUndirectedEdge(0, 1, far)
-			b.AddUndirectedEdge(0, 2, 0)
+			b.AddEdge(0, 1, far)
+			b.AddEdge(0, 2, 0)
 			grid, ch := memoSubstrate(t, b.MustBuild(), 2)
 			m := newMemoMetric(grid, ch)
 			calls := int64(0)

@@ -110,11 +110,11 @@ func newMatchContext(sub *Substrate, fl *fleet.Fleet, lists *gridindex.VehicleLi
 
 func (ctx *matchContext) grid() *gridindex.Grid { return ctx.sub.grid }
 
-// foldPacked merges one vehicle's probe results into the global
+// foldQuote merges one vehicle's probe results into the global
 // skyline, applying the pick-up cutoff. Coordinates already present are
 // skipped so ties do not multiply across vehicles; fold order
 // (discovery order) therefore decides tie winners.
-func foldPacked(v *fleet.Vehicle, cands []kinetic.Candidate, spec *ReqSpec, sky *skyline.Skyline[Option]) {
+func foldQuote(v *fleet.Vehicle, cands []kinetic.Candidate, spec *ReqSpec, sky *skyline.Skyline[Option]) {
 	for _, cand := range cands {
 		if cand.PickupDist > spec.MaxPickupDist {
 			continue
@@ -144,7 +144,7 @@ func quotedDetour(price, ratio, sd float64) float64 {
 }
 
 // skyBound is a match's running skyline as the kinetic walk's bound: it
-// rejects what foldPacked would, past the pick-up cutoff or weakly
+// rejects what foldQuote would, past the pick-up cutoff or weakly
 // dominated (dominated, or tied with an entry) at the price of the
 // delta. Both tests only grow stricter as the fold adds entries, and
 // price is monotone in delta, so what it rejects for lower bounds the

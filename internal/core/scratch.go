@@ -181,8 +181,8 @@ func (ctx *matchContext) flushBatch(sc *matchScratch, spec *ReqSpec, sky *skylin
 		a, b := sc.probeStarts[i], sc.probeStarts[i+1]
 		sc.seed = kinetic.QuoteSeed{Locs: sc.probeLocs[a:b], SDist: probeS[a:b], DDist: probeD[a:b]}
 		stats.Verified++
-		sc.cands = v.QuotePacked(spec.Kin, sc.cands[:0], &sc.seed, &sc.bound)
-		foldPacked(v, sc.cands, spec, sky)
+		sc.cands = v.AppendQuote(sc.cands[:0], spec.Kin, &sc.seed, &sc.bound)
+		foldQuote(v, sc.cands, spec, sky)
 	}
 	sc.batch = sc.batch[:0]
 }

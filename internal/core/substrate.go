@@ -38,17 +38,10 @@ func newSubstrate(g *roadnet.Graph, cfg Config) (*Substrate, error) {
 		return nil, fmt.Errorf("core: sigma must be non-negative")
 	}
 	// The memo keys a vertex pair in either order and the batch fills
-	// answer dist(x, s) by sweeping from s; both need d(u,v) = d(v,u),
-	// and so does the hierarchy, which keeps each arc once for both
-	// directions. It is contracted once, here, for the memo and the
-	// grid's bounds.
-	if !g.IsSymmetric() {
-		return nil, fmt.Errorf("core: road network must be symmetric")
-	}
-	ch, err := roadnet.Contract(g)
-	if err != nil {
-		return nil, err
-	}
+	// answer dist(x, s) by sweeping from s; both read d(u,v) = d(v,u),
+	// which holds on every Graph (roadnet). The hierarchy is contracted
+	// once, here, for the memo and the grid's bounds.
+	ch := roadnet.Contract(g)
 	grid, err := gridindex.BuildOn(ch, gridindex.Config{Cols: gridSide, Rows: gridSide})
 	if err != nil {
 		return nil, err

@@ -143,7 +143,7 @@ func TestLoadedVehicleFootprint(t *testing.T) {
 	req := kinetic.Request{ID: 1 << 40, S: 100, D: 2000, Riders: 1, SD: 1, ServiceLimit: 1e9, WaitBudget: 1e9}
 	var cands []kinetic.Candidate
 	for _, v := range fl.Snapshot() {
-		cands = v.QuotePacked(req, cands[:0], nil, nil)
+		cands = v.AppendQuote(cands[:0], req, nil, nil)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := fl.Step(100); err != nil {

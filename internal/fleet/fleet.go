@@ -184,17 +184,17 @@ func (v *Vehicle) AppendProbeLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 	return v.Tree.AppendPointLocs(dst)
 }
 
-// QuotePacked is the allocation-free seeded probe: candidates are
-// appended to the caller-owned dst (see kinetic.Tree.QuotePacked). The
+// AppendQuote is the allocation-free seeded probe: candidates are
+// appended to the caller-owned dst (see kinetic.Tree.AppendQuote). The
 // matchers pass their running skyline as the bound that cuts the walk
 // short of candidates the skyline would reject.
-func (v *Vehicle) QuotePacked(req kinetic.Request, dst []kinetic.Candidate, seed *kinetic.QuoteSeed, bound kinetic.Bound) []kinetic.Candidate {
+func (v *Vehicle) AppendQuote(dst []kinetic.Candidate, req kinetic.Request, seed *kinetic.QuoteSeed, bound kinetic.Bound) []kinetic.Candidate {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.removed {
 		return dst
 	}
-	return v.Tree.QuotePacked(req, dst, seed, bound)
+	return v.Tree.AppendQuote(dst, req, seed, bound)
 }
 
 // View reports the vehicle's location and load in one consistent read
@@ -487,7 +487,7 @@ func (f *Fleet) reprobe(v *Vehicle, req kinetic.Request, cand kinetic.Candidate,
 	// 16 is the kinetic tree's cap on a quote's points; a skyline of
 	// more candidates than that spills to the heap.
 	var candBuf [16]kinetic.Candidate
-	cands := v.Tree.QuotePacked(req, candBuf[:0], nil, nil)
+	cands := v.Tree.AppendQuote(candBuf[:0], req, nil, nil)
 	best := -1
 	for i, c := range cands {
 		if c.PickupDist > cand.PickupDist+allow || c.Delta > cand.Delta+allow {

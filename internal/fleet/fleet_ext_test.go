@@ -19,8 +19,8 @@ func TestZeroWeightEdgeSafety(t *testing.T) {
 	b.AddVertex(geoPoint(0, 0))
 	b.AddVertex(geoPoint(0, 0)) // coincident: zero-weight edge is metric
 	b.AddVertex(geoPoint(100, 0))
-	b.AddUndirectedEdge(0, 1, 0)
-	b.AddUndirectedEdge(1, 2, 100)
+	b.AddEdge(0, 1, 0)
+	b.AddEdge(1, 2, 100)
 	g := b.MustBuild()
 	grid, err := gridindex.Build(g, gridindex.Config{Cols: 1, Rows: 1})
 	if err != nil {

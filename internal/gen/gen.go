@@ -148,7 +148,7 @@ func GenerateNetwork(cfg CityConfig) (*roadnet.Graph, error) {
 		if e.arterial {
 			factor = 1.25 // fast avenue (still above max jitter stretch)
 		}
-		b.AddUndirectedEdge(e.u, e.v, euclid*factor)
+		b.AddEdge(e.u, e.v, euclid*factor)
 		kept++
 	}
 	g, err := b.Build()
@@ -234,9 +234,6 @@ type TripGen struct {
 
 // NewTripGen prepares a generator for g.
 func NewTripGen(g *roadnet.Graph, cfg TripConfig) (*TripGen, error) {
-	if !g.Embedded() {
-		return nil, fmt.Errorf("gen: network must be embedded")
-	}
 	if cfg.NumTrips < 0 {
 		return nil, fmt.Errorf("gen: negative NumTrips")
 	}

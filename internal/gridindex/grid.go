@@ -11,8 +11,7 @@
 //
 // plus the cell-pair lower-bound matrix. Each matrix entry is the
 // shortest distance between the closest pair of border vertices of the
-// two cells (with every edge usable both ways, on a graph that is not
-// symmetric), a lower bound LB(u,v) for every vertex pair across them,
+// two cells, a lower bound LB(u,v) for every vertex pair across them,
 // in either direction, that needs no shortest-path search. The paper's
 // per-vertex border distances (v.min) are not kept: no search here
 // reads them.
@@ -86,24 +85,17 @@ type Config struct {
 	Cols, Rows int
 }
 
-// Build constructs the index for g, which must be embedded. The
-// cell-pair bounds come from sweeps of g's contraction hierarchy,
-// contracted here. A graph that is not symmetric is contracted with
-// every edge made two-way: its distances are at most g's in either
-// direction, so the bounds stay sound.
+// Build constructs the index for g. The cell-pair bounds come from
+// sweeps of g's contraction hierarchy, contracted here.
 func Build(g *roadnet.Graph, cfg Config) (*Grid, error) {
 	if err := check(g, cfg); err != nil {
 		return nil, err
 	}
-	h, err := roadnet.Contract(twoWay(g))
-	if err != nil {
-		return nil, err
-	}
-	return build(g, h, cfg), nil
+	return build(g, roadnet.Contract(g), cfg), nil
 }
 
-// BuildOn is Build over the hierarchy h of a symmetric graph, for a
-// caller that queries h too and so contracts the graph once for both.
+// BuildOn is Build over the hierarchy h of the graph, for a caller that
+// queries h too and so contracts the graph once for both.
 func BuildOn(h *roadnet.Hierarchy, cfg Config) (*Grid, error) {
 	if err := check(h.Graph(), cfg); err != nil {
 		return nil, err
@@ -112,9 +104,6 @@ func BuildOn(h *roadnet.Hierarchy, cfg Config) (*Grid, error) {
 }
 
 func check(g *roadnet.Graph, cfg Config) error {
-	if !g.Embedded() {
-		return fmt.Errorf("gridindex: graph is not embedded")
-	}
 	if cfg.Cols < 1 || cfg.Rows < 1 {
 		return fmt.Errorf("gridindex: invalid resolution %dx%d", cfg.Cols, cfg.Rows)
 	}
@@ -125,25 +114,6 @@ func check(g *roadnet.Graph, cfg Config) error {
 		return fmt.Errorf("gridindex: empty graph")
 	}
 	return nil
-}
-
-// twoWay is g when it is symmetric, else g with every edge added in
-// both directions at its own weight.
-func twoWay(g *roadnet.Graph) *roadnet.Graph {
-	if g.IsSymmetric() {
-		return g
-	}
-	n := g.NumVertices()
-	b := roadnet.NewBuilder(n, 2*g.NumEdges())
-	for v := 0; v < n; v++ {
-		b.AddVertex(g.Point(roadnet.VertexID(v)))
-	}
-	for u := 0; u < n; u++ {
-		for _, e := range g.Out(roadnet.VertexID(u)) {
-			b.AddUndirectedEdge(roadnet.VertexID(u), e.To, e.Weight)
-		}
-	}
-	return b.MustBuild()
 }
 
 func build(g *roadnet.Graph, h *roadnet.Hierarchy, cfg Config) *Grid {
@@ -230,8 +200,8 @@ func (gr *Grid) findBorders() {
 
 // computeBounds fills the cell-pair triangle with one sweep of h per
 // cell, from the cell's border vertices, each border's distance read
-// into one buffer reused across cells. On a symmetric graph each entry
-// is the distance between the closest border pair of its two cells.
+// into one buffer reused across cells. Each entry is the distance
+// between the closest border pair of its two cells.
 func (gr *Grid) computeBounds(h *roadnet.Hierarchy) {
 	numCells := len(gr.cells)
 	gr.pairs = make([]float64, numCells*(numCells+1)/2)

@@ -134,7 +134,7 @@ func TestBoundedQuoteFoldsLikeUnbounded(t *testing.T) {
 		}
 		plain := &skyFold{ratio: bounded.ratio, sd: bounded.sd, maxPickup: bounded.maxPickup}
 		for _, tr := range trees {
-			cands := tr.QuotePacked(req, nil, nil, nil)
+			cands := tr.AppendQuote(nil, req, nil, nil)
 			for _, c := range cands {
 				if rng.Intn(3) != 0 {
 					continue

@@ -16,7 +16,7 @@ const maxEnumPoints = 16
 // workspace holds everything one walk writes: the point and request
 // sets being ordered, their lazy distance matrix, the partial schedule
 // and, during a quote, the uncommitted request and the candidate
-// skyline. A tree owns none. Each walk — rebuild, quotePacked and the
+// skyline. A tree owns none. Each walk — rebuild, quoteSkyline and the
 // Branches view — takes one with acquireWorkspace on
 // entry and hands it back with release on exit, so a fleet holds as
 // many workspaces as it has walks in progress, not one per vehicle.
@@ -334,7 +334,7 @@ func (t *Tree) AppendPointLocs(dst []roadnet.VertexID) []roadnet.VertexID {
 // request at all (capacity, budgets, or the pending-point cap). The
 // tree itself is not modified.
 func (t *Tree) Quote(req Request) []Candidate {
-	return t.QuotePacked(req, nil, nil, nil)
+	return t.AppendQuote(nil, req, nil, nil)
 }
 
 // unpackSeq materialises the stop sequence a permutation word encodes
@@ -359,7 +359,7 @@ type Bound interface {
 	Rejects(pickupLB, deltaLB float64) bool
 }
 
-// QuotePacked is the allocation-free probe: Quote's candidates,
+// AppendQuote is the allocation-free probe: Quote's candidates,
 // appended to the caller-owned dst. A seed that still matches the tree
 // state pre-fills the request-specific rows of the enumeration's
 // distance matrix: every dist(x, s) and dist(x, d) the enumeration
@@ -373,21 +373,21 @@ type Bound interface {
 // rejects, and so are any that only they would have dominated, so a
 // caller that discards what its bound rejects sees the same result as
 // with a nil bound, which enumerates everything.
-func (t *Tree) QuotePacked(req Request, dst []Candidate, seed *QuoteSeed, bound Bound) []Candidate {
+func (t *Tree) AppendQuote(dst []Candidate, req Request, seed *QuoteSeed, bound Bound) []Candidate {
 	ws := acquireWorkspace()
 	defer ws.release()
-	for _, e := range t.quotePacked(ws, req, seed, bound) {
+	for _, e := range t.quoteSkyline(ws, req, seed, bound) {
 		dst = append(dst, Candidate{PickupDist: e.Time, Delta: e.Price})
 	}
 	return dst
 }
 
-// quotePacked runs the seeded, bounded enumeration in ws and returns
+// quoteSkyline runs the seeded, bounded enumeration in ws and returns
 // the non-dominated candidates as sorted skyline entries over (pick-up
 // distance, detour delta), permutation-encoded over ws.pts. A stale
 // tree is rebuilt in ws first. The entries alias ws.sky: they are
 // valid until ws is released.
-func (t *Tree) quotePacked(ws *workspace, req Request, seed *QuoteSeed, bound Bound) []skyline.Entry[uint64] {
+func (t *Tree) quoteSkyline(ws *workspace, req Request, seed *QuoteSeed, bound Bound) []skyline.Entry[uint64] {
 	if req.Riders > t.capacity || len(t.pts)+2 > t.maxPoints {
 		return nil
 	}

@@ -21,14 +21,14 @@ func (t *Tree) BestBranch() []Point {
 	return unpackSeq(t.bestPerm, t.pts)
 }
 
-// QuoteSeqs quotes req as QuotePacked(req, nil, seed, bound) does and
+// QuoteSeqs quotes req as AppendQuote(nil, req, seed, bound) does and
 // returns the candidates with the stop sequence behind each.
 func (t *Tree) QuoteSeqs(req Request, seed *QuoteSeed, bound Bound) ([]Candidate, [][]Point) {
 	ws := acquireWorkspace()
 	defer ws.release()
 	var cands []Candidate
 	var seqs [][]Point
-	for _, e := range t.quotePacked(ws, req, seed, bound) {
+	for _, e := range t.quoteSkyline(ws, req, seed, bound) {
 		cands = append(cands, Candidate{PickupDist: e.Time, Delta: e.Price})
 		seqs = append(seqs, unpackSeq(e.Payload, ws.pts))
 	}

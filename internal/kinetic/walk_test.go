@@ -53,20 +53,20 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestQuotePackedAllocatesNothing: a probe into caller buffers on a
+// TestAppendQuoteAllocatesNothing: a probe into caller buffers on a
 // warm tree allocates nothing, candidates included.
-func TestQuotePackedAllocatesNothing(t *testing.T) {
+func TestAppendQuoteAllocatesNothing(t *testing.T) {
 	tr, req := warmTree(t)
 	var cands []kinetic.Candidate
 	quote := func() {
-		cands = tr.QuotePacked(req, cands[:0], nil, nil)
+		cands = tr.AppendQuote(cands[:0], req, nil, nil)
 		if len(cands) == 0 {
 			t.Fatal("no candidates")
 		}
 	}
 	quote()
 	if n := testing.AllocsPerRun(50, quote); n != 0 {
-		t.Fatalf("QuotePacked allocates %v per run, want 0", n)
+		t.Fatalf("AppendQuote allocates %v per run, want 0", n)
 	}
 }
 
@@ -261,7 +261,7 @@ func (d *scriptDriver) step() string {
 		sd := d.oracle.Dist(s, dst)
 		d.nextID++
 		d.req = kinetic.Request{ID: 100 + d.nextID, S: s, D: dst, Riders: 1, SD: sd, ServiceLimit: 2 * sd, WaitBudget: d.rng.Float64() * 300}
-		d.cands = tr.QuotePacked(d.req, d.cands[:0], nil, nil)
+		d.cands = tr.AppendQuote(d.cands[:0], d.req, nil, nil)
 		return fmt.Sprint("quote ", d.cands)
 	default:
 		if len(d.cands) == 0 {
@@ -279,7 +279,7 @@ func (d *scriptDriver) step() string {
 // reaches is restored twice; one copy runs a seeded script alone, the
 // other the same script while four goroutines interleave their trees'
 // scripts step by step. The logs must match. Each goroutine also checks
-// that what a tree's QuotePacked returned is unchanged after the quotes
+// that what a tree's AppendQuote returned is unchanged after the quotes
 // on other trees that followed it.
 func TestWorkspaceSharedAcrossTrees(t *testing.T) {
 	const workers, steps = 4, 24
@@ -301,7 +301,7 @@ func TestWorkspaceSharedAcrossTrees(t *testing.T) {
 		}
 	}
 	if quotes < 100 {
-		t.Fatalf("the scripts quoted only %d candidates; they no longer exercise QuotePacked", quotes)
+		t.Fatalf("the scripts quoted only %d candidates; they no longer exercise AppendQuote", quotes)
 	}
 
 	got := make([][]string, len(shared))

@@ -75,7 +75,8 @@ var _ core.Service = (*Coordinator)(nil)
 // relayCfg serves cross-city trips through a relay scheduler over the
 // same backends (needs at least two cities); nil rejects them with
 // *core.CrossCityError. reg, when non-nil, is gathered first by
-// MetricFamilies, and with relay on it gauges the trip ledger's size.
+// MetricFamilies, and with relay on it gauges the trip ledger's size
+// and times every leg quote (relayCfg's LegQuoteHist is replaced).
 func NewCoordinator(cities []City, relayCfg *relay.Config, reg *telemetry.Registry) (*Coordinator, error) {
 	if err := checkCities(cities); err != nil {
 		return nil, err
@@ -89,7 +90,11 @@ func NewCoordinator(cities []City, relayCfg *relay.Config, reg *telemetry.Regist
 		for i, city := range cities {
 			refs[i] = relay.CityRef{Name: city.Name, Engine: city.Backend, Region: city.Region}
 		}
-		sched, err := relay.New(refs, *relayCfg)
+		cfg := *relayCfg
+		// Nil registry hands out a nil histogram — telemetry off.
+		cfg.LegQuoteHist = reg.LatencyHist("ptrider_relay_leg_quote_duration_seconds",
+			"Per-leg quote wall time of cross-city relay trips.")
+		sched, err := relay.New(refs, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("multicity: %w", err)
 		}

@@ -147,10 +147,6 @@ func NewWithConfig(specs []CitySpec, rc RouterConfig) (*Router, error) {
 			relayCfg.Durability = rc.Durability
 			relayCfg.WALDir = filepath.Join(rc.WALDir, "relay")
 		}
-		// Nil registry hands out a nil histogram — telemetry off.
-		relayCfg.LegQuoteHist = rc.Telemetry.LatencyHist(
-			"ptrider_relay_leg_quote_duration_seconds",
-			"Per-leg quote wall time of cross-city relay trips.")
 	}
 	var err error
 	if r.Coordinator, err = NewCoordinator(cities, relayCfg, rc.Telemetry); err != nil {

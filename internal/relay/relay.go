@@ -87,7 +87,8 @@ type Config struct {
 	WALDir     string
 
 	// LegQuoteHist, when non-nil, observes each relay leg's quote wall
-	// time in seconds (nil = telemetry off, no cost).
+	// time in seconds (nil = telemetry off, no cost). A multicity
+	// coordinator sets it from its own registry.
 	LegQuoteHist *telemetry.LatencyHist
 }
 

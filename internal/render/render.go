@@ -43,9 +43,6 @@ func NewMap(g *roadnet.Graph, width, height int) (*Map, error) {
 	if width < 2 || height < 2 {
 		return nil, fmt.Errorf("render: map must be at least 2x2 characters")
 	}
-	if !g.Embedded() {
-		return nil, fmt.Errorf("render: network is not embedded")
-	}
 	m := &Map{
 		g:      g,
 		bounds: g.Bounds().Expand(1e-9),

@@ -25,10 +25,6 @@ func TestNewMapValidation(t *testing.T) {
 	if _, err := render.NewMap(g, 1, 10); err == nil {
 		t.Error("1-wide map accepted")
 	}
-	plain := testnet.RandomConnected(rand.New(rand.NewSource(1)), 5, 1)
-	if _, err := render.NewMap(plain, 10, 10); err == nil {
-		t.Error("non-embedded network accepted")
-	}
 }
 
 func TestMapShowsRoadsAndBorder(t *testing.T) {

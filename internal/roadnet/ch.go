@@ -1,10 +1,6 @@
 package roadnet
 
-import (
-	"errors"
-
-	"ptrider/internal/heapx"
-)
+import "ptrider/internal/heapx"
 
 // ch.go is the contraction hierarchy (Geisberger, Sanders, Schultes and
 // Delling, WEA 2008) and its two queries: a bidirectional upward search
@@ -16,16 +12,16 @@ import (
 // remaining neighbours whenever the path through it may be their only
 // shortest one. Every shortest path of the graph then has an equal one
 // that climbs in rank and then descends, over edges and shortcuts
-// that each join a vertex to a higher-ranked one: the upward arcs. On a
-// symmetric graph the downward arcs are the upward ones reversed, so
-// one upward CSR serves both searches.
+// that each join a vertex to a higher-ranked one: the upward arcs. Every
+// road is two-way at one weight, so the downward arcs are the upward
+// ones reversed, and one upward CSR serves both searches.
 
 // witnessSettleCap bounds a witness search: after this many settled
 // vertices Contract adds the shortcut without looking further. An
 // unneeded shortcut costs an arc, never a wrong distance.
 const witnessSettleCap = 500
 
-// Hierarchy is the contraction hierarchy of a symmetric Graph: the rank
+// Hierarchy is the contraction hierarchy of a Graph: the rank
 // of every vertex and, for each rank, the arcs from that vertex to its
 // higher-ranked neighbours in the contracted graph, stored once as a
 // CSR in rank order. An arc is its head's rank and its weight, in two
@@ -52,17 +48,14 @@ func (h *Hierarchy) up(r int32) ([]int32, []float64) {
 	return h.heads[lo:hi], h.weights[lo:hi]
 }
 
-// Contract builds the contraction hierarchy of g, which must be
-// symmetric. The order is deterministic: the vertex of least priority
-// goes next, ties to the lower id. A vertex's priority is twice its edge
-// difference (the shortcuts contracting it would add, less its
-// remaining edges) plus its contracted neighbours. It is kept lazily:
-// recomputed when the vertex reaches the front of the queue, and queued
-// again if it changed.
-func Contract(g *Graph) (*Hierarchy, error) {
-	if !g.IsSymmetric() {
-		return nil, errors.New("roadnet: contraction needs a symmetric graph")
-	}
+// Contract builds the contraction hierarchy of g. The order is
+// deterministic: the vertex of least priority goes next, ties to the
+// lower id. A vertex's priority is twice its edge difference (the
+// shortcuts contracting it would add, less its remaining edges) plus
+// its contracted neighbours. It is kept lazily: recomputed when the
+// vertex reaches the front of the queue, and queued again if it
+// changed.
+func Contract(g *Graph) *Hierarchy {
 	n := g.NumVertices()
 	c := newContractor(g)
 	// The queue holds each remaining vertex once. Its key, priority·2³²
@@ -103,7 +96,7 @@ func Contract(g *Graph) (*Hierarchy, error) {
 			h.weights = append(h.weights, e.Weight)
 		}
 	}
-	return h, nil
+	return h
 }
 
 // contractor is Contract's working graph: the remaining vertices, each

@@ -19,14 +19,8 @@ func TestContractDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := roadnet.Contract(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := roadnet.Contract(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1 := roadnet.Contract(g)
+	h2 := roadnet.Contract(g)
 	rank1, off1, heads1, w1 := h1.Arrays()
 	rank2, off2, heads2, w2 := h2.Arrays()
 	if !slices.Equal(rank1, rank2) || !slices.Equal(off1, off2) || !slices.Equal(heads1, heads2) || !slices.Equal(w1, w2) {
@@ -50,26 +44,11 @@ func TestContractDeterministic(t *testing.T) {
 	t.Logf("%d vertices, %d upward arcs (%.2f a vertex)", n, h1.NumArcs(), float64(h1.NumArcs())/float64(n))
 }
 
-func TestContractRefusesOneWayNetwork(t *testing.T) {
-	b := roadnet.NewBuilder(3, 3)
-	for i := 0; i < 3; i++ {
-		b.AddPlainVertex()
-	}
-	b.AddUndirectedEdge(0, 1, 1)
-	b.AddEdge(1, 2, 1)
-	if _, err := roadnet.Contract(b.MustBuild()); err == nil {
-		t.Fatal("contracted a graph with a one-way edge")
-	}
-}
-
 // TestHierarchyOnThePaperNetwork reads the paper's worked-example
 // distances from both hierarchy queries.
 func TestHierarchyOnThePaperNetwork(t *testing.T) {
 	g := testnet.PaperNetwork()
-	h, err := roadnet.Contract(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := roadnet.Contract(g)
 	q := h.NewQuery()
 	o := testnet.NewOracle(g)
 	out := make([]float64, g.NumVertices())

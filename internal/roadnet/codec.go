@@ -14,11 +14,13 @@ import (
 //
 //	ptrider-network 1
 //	v <x> <y>          one line per vertex, id = line order
-//	e <u> <v> <w>      one directed edge per line
+//	e <u> <v> <w>      one half-edge per line
 //
-// Undirected roads appear as two e-lines, exactly as in the Graph.
-// It exists so generated cities can be saved once and replayed across
-// experiment runs (and so external networks can be imported).
+// A road appears as two e-lines, one per direction, exactly as its
+// half-edges sit in the Graph, so a graph reads back bit for bit. It
+// exists so generated cities can be saved once and replayed across
+// experiment runs, so a gateway can fetch a shard's city, and so
+// external networks can be imported.
 
 const codecHeader = "ptrider-network 1"
 
@@ -30,10 +32,7 @@ func WriteGraph(w io.Writer, g *Graph) error {
 	}
 	n := g.NumVertices()
 	for v := 0; v < n; v++ {
-		p := geo.Point{}
-		if g.Embedded() {
-			p = g.Point(VertexID(v))
-		}
+		p := g.Point(VertexID(v))
 		if _, err := fmt.Fprintf(bw, "v %s %s\n",
 			strconv.FormatFloat(p.X, 'g', -1, 64),
 			strconv.FormatFloat(p.Y, 'g', -1, 64)); err != nil {
@@ -51,7 +50,10 @@ func WriteGraph(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadGraph parses a network written by WriteGraph.
+// ReadGraph parses a network written by WriteGraph. It is where a
+// network from outside the program comes in, so beyond Build's checks
+// it refuses one whose half-edges do not pair up: every (u, v, w) needs
+// its (v, u, w), at the weight as rounded to the distance grid.
 func ReadGraph(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -91,7 +93,7 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad edge", line)
 			}
-			b.AddEdge(VertexID(u), VertexID(v), w)
+			b.addHalfEdge(VertexID(u), VertexID(v), w)
 		default:
 			return nil, fmt.Errorf("roadnet: line %d: unknown record %q", line, fields[0])
 		}
@@ -99,5 +101,12 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return b.Build()
+	g, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	if !g.symmetric() {
+		return nil, fmt.Errorf("roadnet: network has a one-way road: a half-edge lacks its reverse at equal weight")
+	}
+	return g, nil
 }

@@ -25,10 +25,7 @@ func TestDistancesExactAcrossSearches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := roadnet.Contract(g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := roadnet.Contract(g)
 			rng := rand.New(rand.NewSource(c.seed))
 			s, q := roadnet.NewSearcher(g), h.NewQuery()
 			n := g.NumVertices()

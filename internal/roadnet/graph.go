@@ -14,6 +14,12 @@
 //     and a radius-bounded fill from one source (Searcher.FillDists),
 //     kept as the references the hierarchy is tested against.
 //
+// Every road is two-way at one weight and every intersection has
+// coordinates: a Builder offers nothing else, so no code downstream
+// re-checks either. A network from outside the program, a file or a
+// shard's graph body, comes in through ReadGraph, which refuses one
+// whose half-edges do not pair up.
+//
 // Graphs are immutable once built (construct them with a Builder), which
 // makes concurrent reads safe without locking; PTRider answers matching
 // queries from many goroutines against one shared Graph.
@@ -61,11 +67,12 @@ type HalfEdge struct {
 	Weight float64
 }
 
-// Graph is an immutable weighted directed graph in compressed sparse row
-// form. Undirected road segments are represented as two directed edges.
-// All read methods are safe for concurrent use.
+// Graph is an immutable weighted road network embedded in the plane,
+// in compressed sparse row form. Each two-way road is two half-edges,
+// one out of each end, at the same weight. All read methods are safe
+// for concurrent use.
 type Graph struct {
-	points  []geo.Point // vertex embedding; empty when not embedded
+	points  []geo.Point // vertex embedding
 	offsets []int32     // len NumVertices+1; adjacency of v is edges[offsets[v]:offsets[v+1]]
 	edges   []HalfEdge
 	metric  bool // true when every weight ≥ Euclidean length of its edge
@@ -74,14 +81,10 @@ type Graph struct {
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return len(g.offsets) - 1 }
 
-// NumEdges returns the number of directed edges.
+// NumEdges returns the number of half-edges, two per road.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Embedded reports whether the graph carries planar coordinates.
-func (g *Graph) Embedded() bool { return len(g.points) > 0 }
-
-// Point returns the planar coordinates of v. It must only be called on
-// embedded graphs.
+// Point returns the planar coordinates of v.
 func (g *Graph) Point(v VertexID) geo.Point { return g.points[v] }
 
 // Out returns the outgoing adjacency of v. The returned slice aliases
@@ -90,7 +93,7 @@ func (g *Graph) Out(v VertexID) []HalfEdge {
 	return g.edges[g.offsets[v]:g.offsets[v+1]]
 }
 
-// EdgeWeight returns the weight of the directed edge (u, v) and whether
+// EdgeWeight returns the weight of the half-edge (u, v) and whether
 // such an edge exists. With parallel edges the minimum weight is
 // returned.
 func (g *Graph) EdgeWeight(u, v VertexID) (float64, bool) {
@@ -104,7 +107,8 @@ func (g *Graph) EdgeWeight(u, v VertexID) (float64, bool) {
 }
 
 // EuclidLB returns a lower bound on dist(u, v): the Euclidean distance
-// for metric embedded graphs, zero otherwise.
+// when every weight is at least its road's Euclidean length, zero
+// otherwise.
 func (g *Graph) EuclidLB(u, v VertexID) float64 {
 	if !g.metric {
 		return 0
@@ -112,8 +116,7 @@ func (g *Graph) EuclidLB(u, v VertexID) float64 {
 	return g.points[u].Dist(g.points[v])
 }
 
-// Bounds returns the bounding rectangle of the embedding. It returns
-// the zero Rect for non-embedded graphs.
+// Bounds returns the bounding rectangle of the embedding.
 func (g *Graph) Bounds() geo.Rect { return geo.BoundingRect(g.points) }
 
 // NearestVertex returns the vertex closest (Euclidean) to p by scanning
@@ -129,63 +132,62 @@ func (g *Graph) NearestVertex(p geo.Point) VertexID {
 	return best
 }
 
-// Builder accumulates vertices and edges and produces an immutable
+// Builder accumulates vertices and roads and produces an immutable
 // Graph. The zero value is ready for use.
 type Builder struct {
-	points   []geo.Point
-	embedded bool
-	tails    []VertexID
-	heads    []VertexID
-	weights  []float64
+	points  []geo.Point
+	tails   []VertexID
+	heads   []VertexID
+	weights []float64
 }
 
 // NewBuilder returns a Builder with storage preallocated for the given
-// numbers of vertices and directed edges.
-func NewBuilder(vertices, edges int) *Builder {
+// numbers of vertices and half-edges (two per road).
+func NewBuilder(vertices, halfEdges int) *Builder {
 	return &Builder{
 		points:  make([]geo.Point, 0, vertices),
-		tails:   make([]VertexID, 0, edges),
-		heads:   make([]VertexID, 0, edges),
-		weights: make([]float64, 0, edges),
+		tails:   make([]VertexID, 0, halfEdges),
+		heads:   make([]VertexID, 0, halfEdges),
+		weights: make([]float64, 0, halfEdges),
 	}
 }
 
-// AddVertex adds an embedded vertex and returns its id. Mixing AddVertex
-// and AddPlainVertex in one builder is not allowed.
+// AddVertex adds a vertex at p and returns its id.
 func (b *Builder) AddVertex(p geo.Point) VertexID {
-	b.embedded = true
 	b.points = append(b.points, p)
 	return VertexID(len(b.points) - 1)
 }
 
-// AddPlainVertex adds a vertex without coordinates and returns its id.
-func (b *Builder) AddPlainVertex() VertexID {
-	b.points = append(b.points, geo.Point{})
-	return VertexID(len(b.points) - 1)
+// AddEdge adds a two-way road between u and v of weight w: the
+// half-edge (u, v), then (v, u).
+func (b *Builder) AddEdge(u, v VertexID, w float64) {
+	b.addHalfEdge(u, v, w)
+	b.addHalfEdge(v, u, w)
 }
 
-// AddEdge adds the directed edge (u, v) with weight w.
-func (b *Builder) AddEdge(u, v VertexID, w float64) {
+// addHalfEdge adds the half-edge (u, v) alone. Only ReadGraph calls it,
+// one file line at a time, and refuses the graph if the halves do not
+// pair up.
+func (b *Builder) addHalfEdge(u, v VertexID, w float64) {
 	b.tails = append(b.tails, u)
 	b.heads = append(b.heads, v)
 	b.weights = append(b.weights, w)
 }
 
-// AddUndirectedEdge adds directed edges (u, v) and (v, u), both with
-// weight w.
-func (b *Builder) AddUndirectedEdge(u, v VertexID, w float64) {
-	b.AddEdge(u, v, w)
-	b.AddEdge(v, u, w)
-}
-
 // Build validates the accumulated data and returns the immutable Graph.
-// It fails when an edge references an unknown vertex, is a self-loop, or
-// has a negative or NaN weight or one of 2⁴³ m or more. Each valid
-// weight is then rounded up to a multiple of 1/GridSteps m; the check
-// comes first because rounding would turn a tiny negative weight into
-// −0 and a huge finite one into +Inf.
+// It fails when a vertex has a NaN or infinite coordinate, or when an
+// edge references an unknown vertex, is a self-loop, or has a negative
+// or NaN weight or one of 2⁴³ m or more. Each valid weight is then
+// rounded up to a multiple of 1/GridSteps m; the check comes first
+// because rounding would turn a tiny negative weight into −0 and a huge
+// finite one into +Inf.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.points)
+	for v, p := range b.points {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("roadnet: vertex %d has non-finite coordinates %v", v, p)
+		}
+	}
 	for i := range b.tails {
 		u, v, w := b.tails[i], b.heads[i], b.weights[i]
 		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
@@ -200,13 +202,9 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	g := &Graph{
+		points:  append([]geo.Point(nil), b.points...),
 		offsets: make([]int32, n+1),
 		edges:   make([]HalfEdge, len(b.tails)),
-	}
-	if b.embedded {
-		g.points = append([]geo.Point(nil), b.points...)
-	} else {
-		g.points = make([]geo.Point, n) // keep len(points)==n for Bounds etc.
 	}
 
 	// Counting sort by tail vertex into CSR form.
@@ -224,16 +222,13 @@ func (b *Builder) Build() (*Graph, error) {
 		next[u]++
 	}
 
-	g.metric = b.embedded
+	g.metric = true
 	for u := 0; g.metric && u < n; u++ {
 		for _, e := range g.Out(VertexID(u)) {
 			if e.Weight < b.points[u].Dist(b.points[e.To])-1e-9 {
 				g.metric = false
 			}
 		}
-	}
-	if !b.embedded {
-		g.points = nil
 	}
 	return g, nil
 }
@@ -248,12 +243,11 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// IsSymmetric reports whether for every directed edge (u, v, w) the
-// graph also contains (v, u, w). The engine's distance memo treats
-// dist(u, v) and dist(v, u) as one number and Contract stores each arc
-// once for both directions, so core.NewEngine rejects a network that is
-// not.
-func (g *Graph) IsSymmetric() bool {
+// symmetric reports whether every half-edge (u, v, w) has its reverse
+// (v, u, w). The distance memo keys a pair in either order and the
+// hierarchy stores each arc once for both directions, so ReadGraph
+// refuses a network that is not; a Builder cannot make one.
+func (g *Graph) symmetric() bool {
 	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
 		for _, e := range g.Out(u) {
 			if !g.hasEdge(e.To, u, e.Weight) {

@@ -3,6 +3,7 @@ package roadnet_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptrider/internal/geo"
@@ -10,10 +11,12 @@ import (
 	"ptrider/internal/testnet"
 )
 
+// TestBuilderCSRAdjacency: each road is a half-edge out of either end,
+// and a vertex's half-edges keep the order their roads were added in.
 func TestBuilderCSRAdjacency(t *testing.T) {
-	b := roadnet.NewBuilder(4, 8)
+	b := roadnet.NewBuilder(4, 10)
 	for i := 0; i < 4; i++ {
-		b.AddPlainVertex()
+		b.AddVertex(geo.Point{})
 	}
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(0, 2, 2)
@@ -24,24 +27,18 @@ func TestBuilderCSRAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if g.NumVertices() != 4 || g.NumEdges() != 5 {
-		t.Fatalf("got %d vertices %d edges, want 4 and 5", g.NumVertices(), g.NumEdges())
+	if g.NumVertices() != 4 || g.NumEdges() != 10 {
+		t.Fatalf("got %d vertices %d half-edges, want 4 and 10", g.NumVertices(), g.NumEdges())
 	}
-	if got := len(g.Out(0)); got != 3 {
-		t.Errorf("len(Out(0)) = %d, want 3", got)
-	}
-	want := map[roadnet.VertexID]float64{1: 1, 2: 2, 3: 5}
-	for _, e := range g.Out(0) {
-		if want[e.To] != e.Weight {
-			t.Errorf("Out(0) contains %v, want weights %v", e, want)
+	for v, want := range [][]roadnet.HalfEdge{
+		{{To: 1, Weight: 1}, {To: 2, Weight: 2}, {To: 3, Weight: 5}},
+		{{To: 0, Weight: 1}, {To: 3, Weight: 4}},
+		{{To: 0, Weight: 2}, {To: 3, Weight: 3}},
+		{{To: 2, Weight: 3}, {To: 1, Weight: 4}, {To: 0, Weight: 5}},
+	} {
+		if got := g.Out(roadnet.VertexID(v)); !slices.Equal(got, want) {
+			t.Errorf("Out(%d) = %v, want %v", v, got, want)
 		}
-		delete(want, e.To)
-	}
-	if len(want) != 0 {
-		t.Errorf("Out(0) missing edges to %v", want)
-	}
-	if got := len(g.Out(3)); got != 0 {
-		t.Errorf("len(Out(3)) = %d, want 0", got)
 	}
 }
 
@@ -61,12 +58,14 @@ func TestBuilderRejectsInvalidEdges(t *testing.T) {
 		// Finite, but w·GridSteps overflows to +Inf.
 		{"huge finite weight", func(b *roadnet.Builder) { b.AddEdge(0, 1, math.MaxFloat64/2) }},
 		{"weight off the exact grid", func(b *roadnet.Builder) { b.AddEdge(0, 1, 1<<43) }},
+		{"NaN point", func(b *roadnet.Builder) { b.AddVertex(geo.Point{X: math.NaN()}) }},
+		{"infinite point", func(b *roadnet.Builder) { b.AddVertex(geo.Point{Y: math.Inf(-1)}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := roadnet.NewBuilder(2, 2)
-			b.AddPlainVertex()
-			b.AddPlainVertex()
+			b.AddVertex(geo.Point{})
+			b.AddVertex(geo.Point{})
 			tc.build(b)
 			if _, err := b.Build(); err == nil {
 				t.Fatal("Build accepted invalid edge")
@@ -76,19 +75,21 @@ func TestBuilderRejectsInvalidEdges(t *testing.T) {
 }
 
 func TestEdgeWeightParallelEdgesTakeMinimum(t *testing.T) {
-	b := roadnet.NewBuilder(2, 3)
-	b.AddPlainVertex()
-	b.AddPlainVertex()
+	b := roadnet.NewBuilder(3, 6)
+	for i := 0; i < 3; i++ {
+		b.AddVertex(geo.Point{})
+	}
 	b.AddEdge(0, 1, 7)
 	b.AddEdge(0, 1, 3)
-	b.AddEdge(0, 1, 5)
+	b.AddEdge(1, 0, 5)
 	g := b.MustBuild()
-	w, ok := g.EdgeWeight(0, 1)
-	if !ok || w != 3 {
-		t.Fatalf("EdgeWeight = (%v, %v), want (3, true)", w, ok)
+	for _, uv := range [][2]roadnet.VertexID{{0, 1}, {1, 0}} {
+		if w, ok := g.EdgeWeight(uv[0], uv[1]); !ok || w != 3 {
+			t.Fatalf("EdgeWeight(%d,%d) = (%v, %v), want (3, true)", uv[0], uv[1], w, ok)
+		}
 	}
-	if _, ok := g.EdgeWeight(1, 0); ok {
-		t.Fatal("EdgeWeight(1,0) reported an edge that does not exist")
+	if _, ok := g.EdgeWeight(0, 2); ok {
+		t.Fatal("EdgeWeight(0,2) reported an edge that does not exist")
 	}
 }
 
@@ -96,29 +97,37 @@ func TestMetricDetection(t *testing.T) {
 	b := roadnet.NewBuilder(2, 2)
 	b.AddVertex(geo.Point{X: 0})
 	b.AddVertex(geo.Point{X: 100})
-	b.AddUndirectedEdge(0, 1, 100)
+	b.AddEdge(0, 1, 100)
 	if g := b.MustBuild(); !g.Metric() {
 		t.Error("graph with weight == Euclidean length should be metric")
 	}
 
-	b = roadnet.NewBuilder(2, 2)
+	// A road shorter than its Euclidean length turns the bound off, and
+	// the searches fall back from A* to Dijkstra.
+	b = roadnet.NewBuilder(3, 6)
 	b.AddVertex(geo.Point{X: 0})
 	b.AddVertex(geo.Point{X: 100})
-	b.AddUndirectedEdge(0, 1, 50) // shorter than the Euclidean length
-	if g := b.MustBuild(); g.Metric() {
+	b.AddVertex(geo.Point{X: 0, Y: 100})
+	b.AddEdge(0, 1, 50)
+	b.AddEdge(1, 2, 200)
+	b.AddEdge(0, 2, 300)
+	g := b.MustBuild()
+	if g.Metric() {
 		t.Error("graph with weight < Euclidean length must not be metric")
+	}
+	if lb := g.EuclidLB(0, 2); lb != 0 {
+		t.Errorf("EuclidLB on a non-metric graph = %v, want 0", lb)
+	}
+	if p, d := roadnet.NewSearcher(g).Path(0, 2); d != 250 || !slices.Equal(p, []roadnet.VertexID{0, 1, 2}) {
+		t.Errorf("Path(0, 2) = (%v, %v), want ([0 1 2], 250)", p, d)
 	}
 
 	b = roadnet.NewBuilder(2, 2)
-	b.AddPlainVertex()
-	b.AddPlainVertex()
-	b.AddUndirectedEdge(0, 1, 50)
-	g := b.MustBuild()
-	if g.Metric() || g.Embedded() {
-		t.Error("plain graph must be neither metric nor embedded")
-	}
-	if lb := g.EuclidLB(0, 1); lb != 0 {
-		t.Errorf("EuclidLB on plain graph = %v, want 0", lb)
+	b.AddVertex(geo.Point{})
+	b.AddVertex(geo.Point{})
+	b.AddEdge(0, 1, 50)
+	if lb := b.MustBuild().EuclidLB(0, 1); lb != 0 {
+		t.Errorf("EuclidLB between vertices at one point = %v, want 0", lb)
 	}
 }
 
@@ -129,24 +138,11 @@ func TestConnected(t *testing.T) {
 	}
 	b := roadnet.NewBuilder(3, 2)
 	for i := 0; i < 3; i++ {
-		b.AddPlainVertex()
+		b.AddVertex(geo.Point{})
 	}
-	b.AddUndirectedEdge(0, 1, 1)
+	b.AddEdge(0, 1, 1)
 	if roadnet.Connected(b.MustBuild()) {
 		t.Error("graph with isolated vertex reported connected")
-	}
-}
-
-func TestIsSymmetric(t *testing.T) {
-	if g := testnet.RandomConnected(rand.New(rand.NewSource(2)), 30, 2); !g.IsSymmetric() {
-		t.Error("undirected test graph should be symmetric")
-	}
-	b := roadnet.NewBuilder(2, 1)
-	b.AddPlainVertex()
-	b.AddPlainVertex()
-	b.AddEdge(0, 1, 1)
-	if b.MustBuild().IsSymmetric() {
-		t.Error("one-way edge graph reported symmetric")
 	}
 }
 
@@ -187,10 +183,10 @@ func TestAStarMatchesDijkstraOnMetricGraph(t *testing.T) {
 func TestUnreachableIsInf(t *testing.T) {
 	b := roadnet.NewBuilder(4, 2)
 	for i := 0; i < 4; i++ {
-		b.AddPlainVertex()
+		b.AddVertex(geo.Point{})
 	}
-	b.AddUndirectedEdge(0, 1, 1)
-	b.AddUndirectedEdge(2, 3, 1)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(2, 3, 1)
 	g := b.MustBuild()
 	s := roadnet.NewSearcher(g)
 	if d := s.Dist(0, 3); !math.IsInf(d, 1) {
@@ -208,10 +204,7 @@ func TestDistsToMatchesIndividualQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testnet.RandomConnected(rng, 60, 2)
 	oracle := testnet.NewOracle(g)
-	h, err := roadnet.Contract(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := roadnet.Contract(g)
 	q := h.NewQuery()
 	for trial := 0; trial < 20; trial++ {
 		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -241,10 +234,7 @@ func TestDistsToMatchesIndividualQueries(t *testing.T) {
 // its distance.
 func TestDistsToBounded(t *testing.T) {
 	g := testnet.Line(10, 5)
-	h, err := roadnet.Contract(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := roadnet.Contract(g)
 	q := h.NewQuery()
 	targets := []roadnet.VertexID{1, 4, 9}
 	out := make([]float64, 3)
@@ -295,10 +285,7 @@ func TestMultiSourceDists(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := testnet.RandomConnected(rng, 50, 2)
 	oracle := testnet.NewOracle(g)
-	h, err := roadnet.Contract(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := roadnet.Contract(g)
 	q := h.NewQuery()
 	all := make([]roadnet.VertexID, g.NumVertices())
 	for v := range all {

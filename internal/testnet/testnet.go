@@ -30,10 +30,10 @@ func Lattice(rng *rand.Rand, w, h int, spacing float64) *roadnet.Graph {
 	for j := 0; j < h; j++ {
 		for i := 0; i < w; i++ {
 			if i+1 < w {
-				b.AddUndirectedEdge(id(i, j), id(i+1, j), latticeWeight(rng, spacing))
+				b.AddEdge(id(i, j), id(i+1, j), latticeWeight(rng, spacing))
 			}
 			if j+1 < h {
-				b.AddUndirectedEdge(id(i, j), id(i, j+1), latticeWeight(rng, spacing))
+				b.AddEdge(id(i, j), id(i, j+1), latticeWeight(rng, spacing))
 			}
 		}
 	}
@@ -58,19 +58,19 @@ func latticeWeight(rng *rand.Rand, spacing float64) float64 {
 	return spacing * (1.3 + 0.5*rng.Float64())
 }
 
-// RandomConnected builds a connected non-embedded undirected graph with
-// n vertices. A random spanning chain guarantees connectivity; extra
+// RandomConnected builds a connected graph with n vertices, all at the
+// origin, so the Euclidean bound is 0. A random spanning chain guarantees connectivity; extra
 // random edges are added until the graph has roughly extraPerVertex
 // additional undirected edges per vertex. Weights are uniform in
 // [1, 100).
 func RandomConnected(rng *rand.Rand, n, extraPerVertex int) *roadnet.Graph {
 	b := roadnet.NewBuilder(n, 2*(n+n*extraPerVertex))
 	for i := 0; i < n; i++ {
-		b.AddPlainVertex()
+		b.AddVertex(geo.Point{})
 	}
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		b.AddUndirectedEdge(roadnet.VertexID(perm[i-1]), roadnet.VertexID(perm[i]), 1+99*rng.Float64())
+		b.AddEdge(roadnet.VertexID(perm[i-1]), roadnet.VertexID(perm[i]), 1+99*rng.Float64())
 	}
 	for k := 0; k < n*extraPerVertex; k++ {
 		u := roadnet.VertexID(rng.Intn(n))
@@ -78,7 +78,7 @@ func RandomConnected(rng *rand.Rand, n, extraPerVertex int) *roadnet.Graph {
 		if u == v {
 			continue
 		}
-		b.AddUndirectedEdge(u, v, 1+99*rng.Float64())
+		b.AddEdge(u, v, 1+99*rng.Float64())
 	}
 	return b.MustBuild()
 }
@@ -91,7 +91,7 @@ func Line(n int, weight float64) *roadnet.Graph {
 		b.AddVertex(geo.Point{X: float64(i) * weight})
 	}
 	for i := 1; i < n; i++ {
-		b.AddUndirectedEdge(roadnet.VertexID(i-1), roadnet.VertexID(i), weight)
+		b.AddEdge(roadnet.VertexID(i-1), roadnet.VertexID(i), weight)
 	}
 	return b.MustBuild()
 }
@@ -134,13 +134,13 @@ func PaperNetwork() *roadnet.Graph {
 	//   R2's service constraint ✓;
 	//   dist(v13,v12)=8, so the empty vehicle c2 offers pick-up 8 and
 	//   price f2·(8+2·7) = 8.8 ✓.
-	b.AddUndirectedEdge(v(1), v(2), 6)
-	b.AddUndirectedEdge(v(2), v(12), 8)
-	b.AddUndirectedEdge(v(2), v(16), 12)
-	b.AddUndirectedEdge(v(12), v(16), 4)
-	b.AddUndirectedEdge(v(16), v(17), 3)
-	b.AddUndirectedEdge(v(12), v(17), 7)
-	b.AddUndirectedEdge(v(13), v(12), 8)
+	b.AddEdge(v(1), v(2), 6)
+	b.AddEdge(v(2), v(12), 8)
+	b.AddEdge(v(2), v(16), 12)
+	b.AddEdge(v(12), v(16), 4)
+	b.AddEdge(v(16), v(17), 3)
+	b.AddEdge(v(12), v(17), 7)
+	b.AddEdge(v(13), v(12), 8)
 	// Remaining vertices of Fig. 1(a), attached with weights large
 	// enough not to create shortcuts between the vertices above.
 	filler := [][2]int{
@@ -148,7 +148,7 @@ func PaperNetwork() *roadnet.Graph {
 		{10, 9}, {11, 10}, {14, 13}, {15, 14},
 	}
 	for _, f := range filler {
-		b.AddUndirectedEdge(v(f[0]), v(f[1]), 30)
+		b.AddEdge(v(f[0]), v(f[1]), 30)
 	}
 	return b.MustBuild()
 }

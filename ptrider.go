@@ -129,7 +129,7 @@ func NewNetwork(points []Point, edges []Edge) (*Network, error) {
 		b.AddVertex(geo.Point{X: p.X, Y: p.Y})
 	}
 	for _, e := range edges {
-		b.AddUndirectedEdge(e.U, e.V, e.Weight)
+		b.AddEdge(e.U, e.V, e.Weight)
 	}
 	g, err := b.Build()
 	if err != nil {

@@ -60,24 +60,21 @@ func TestReadNetworkRejectsDisconnected(t *testing.T) {
 
 // TestNewRejectsOneWayNetwork: the engine's distance memo and batch
 // fills treat d(u,v) and d(v,u) as one number, so a network file with a
-// one-way road must be refused, not silently misquoted.
+// one-way road must be refused where it is read, not silently
+// misquoted.
 func TestNewRejectsOneWayNetwork(t *testing.T) {
 	const valid = "ptrider-network 1\nv 0 0\nv 100 0\nv 0 100\n" +
 		"e 0 1 100\ne 1 0 100\ne 1 2 150\ne 2 1 150\ne 2 0 100\ne 0 2 100\n"
-	build := func(input string) error {
-		net, err := ptrider.ReadNetwork(strings.NewReader(input))
-		if err != nil {
-			t.Fatalf("ReadNetwork: %v", err)
-		}
-		_, err = ptrider.New(net, ptrider.Config{NumTaxis: 1})
-		return err
-	}
-	if err := build(valid); err != nil {
+	net, err := ptrider.ReadNetwork(strings.NewReader(valid))
+	if err != nil {
 		t.Fatalf("two-way network refused: %v", err)
 	}
+	if _, err := ptrider.New(net, ptrider.Config{NumTaxis: 1}); err != nil {
+		t.Fatalf("New on a two-way network: %v", err)
+	}
 	oneWay := strings.Replace(valid, "e 0 2 100\n", "", 1)
-	if err := build(oneWay); err == nil || !strings.Contains(err.Error(), "core: road network must be symmetric") {
-		t.Fatalf("network missing the reverse of 2→0: err = %v, want the symmetric-network error", err)
+	if _, err := ptrider.ReadNetwork(strings.NewReader(oneWay)); err == nil || !strings.Contains(err.Error(), "one-way road") {
+		t.Fatalf("network missing the reverse of 2→0: err = %v, want the one-way-road error", err)
 	}
 }
 

@@ -46,6 +46,8 @@ var testOnlyAllowlist = map[string]string{
 	"ptrider/internal/multicity.Router.Engine":          "router tests reach one city's engine through it; the coordinator's service surface hides the engines",
 	"ptrider/internal/pricing.Model.Price":              "the paper's §2.4 fare formula, the reference the engine's option prices are compared against",
 	"ptrider/internal/core.BatchItemError.Unwrap":       "errors.Is and errors.As reach a batch item's cause through it (ClassifyError's table, ShardClient.quoteRun)",
+	"ptrider/internal/core.Engine.Snapshot":             "a snapshot on demand, for crash and telemetry tests; product code snapshots on the tick cadence and in Close, both through wal.Journal.Snapshot",
+	"ptrider/internal/relay.Scheduler.Snapshot":         "a snapshot on demand, for the relay crash-window tests; product code snapshots the trip ledger in Close, through wal.Journal.Close",
 }
 
 // TestNoTestOnlyExports fails for every exported function or method of

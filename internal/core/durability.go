@@ -17,6 +17,12 @@
 // canonically. The digest cross-checks determinism;
 // a mismatch increments DurabilityStats.ReplayDivergence.
 //
+// What replay can recompute is not journaled: a surge epoch closes in
+// the tick record's critical section (advanceSurgeLocked), and
+// replaying the tick re-derives it from the same supply counts, demand
+// and clock. Tag 8 held an epoch record in older journals; replay
+// skips it (the tick before it already re-derived the epoch).
+//
 // All appends happen under the ledger's mutex, before the transition
 // they record, so journal order IS the ledger's linearisation order.
 // The fsync wait (Sync mode) happens after the mutex is released —
@@ -26,8 +32,10 @@
 // Recovery has no state logic of its own: replayRecord decodes a
 // record, makes the fleet-side restore call and runs the ledger
 // transition (ledger.go) the live path ran. The lifecycle around it —
-// recover, restore, replay, open; the crash points; snapshot write and
-// prune; fail-stop — is the journal's (package wal).
+// recover, restore, replay, open; the crash points; rotate, capture,
+// encode, write and prune a snapshot; close; fail-stop — is the
+// journal's (package wal): the engine hands it led.mu and
+// captureLocked.
 //
 // # Known non-durable edges (documented trade-offs)
 //
@@ -40,7 +48,11 @@
 //     acknowledged operations (never a middle), by design.
 //   - A Choose landing mid-Tick is linearised at its ledger append,
 //     which can differ from the instant the vehicle lock was taken;
-//     sequential drivers (and the crash harness) are exact.
+//     sequential callers (and the crash harness) are exact. A surge
+//     epoch the tick closes inherits this edge: it counts supply from
+//     the cell listings the step and any mid-tick commit left, so
+//     where replay orders that commit differently against the step,
+//     the re-derived epoch can count differently too.
 //   - The roaming stream changed once, from a math/rand source per
 //     vehicle to a counter-based draw; the journal and snapshot formats
 //     did not. A directory written by the old stream and closed
@@ -70,28 +82,16 @@ var ErrCrashed = wal.ErrCrashed
 // this many journaled records (checked at tick boundaries).
 const defaultSnapshotEvery = 4096
 
-// Operation tags of the journal records.
-const (
-	opSubmit  = "sub"
-	opChoose  = "cho"
-	opDecline = "dec"
-	opCancel  = "can"
-	opTick    = "tik"
-	opAddV    = "adv"
-	opRemV    = "rmv"
-	opSurge   = "srg"
-)
-
-// walRecord is the envelope of one journaled operation.
+// walRecord is one journaled operation: its tag (walcodec.go) and the
+// fields that kind carries.
 type walRecord struct {
-	Op      string          `json:"op"`
-	Submit  *submitRec      `json:"sub,omitempty"`
-	Choose  *chooseRec      `json:"cho,omitempty"`
-	ReqID   RequestID       `json:"id,omitempty"` // decline / cancel
-	Tick    *tickRec        `json:"tick,omitempty"`
-	AddV    *addvRec        `json:"addv,omitempty"`
-	Vehicle fleet.VehicleID `json:"veh,omitempty"` // remove-vehicle
-	Surge   *surgeRec       `json:"srg,omitempty"`
+	Op      byte
+	Submit  *submitRec
+	Choose  *chooseRec
+	ReqID   RequestID // decline / cancel
+	Tick    *tickRec
+	AddV    *addvRec
+	Vehicle fleet.VehicleID // remove-vehicle
 }
 
 // submitRec is a registered quote: everything newQuotedRecord writes
@@ -134,17 +134,6 @@ type tickRec struct {
 	Dt     float64
 	N      int
 	Digest uint64
-}
-
-// surgeRec is one surge epoch advance: the post-advance EMA vector
-// (multipliers re-derive from it), the new epoch number, and the
-// clock the next epoch is due at. Replay installs it verbatim instead
-// of re-deriving supply — the record is the linearisation point of
-// the epoch against concurrent submits.
-type surgeRec struct {
-	Epoch uint64
-	Next  float64
-	EMA   []float64
 }
 
 // addvRec is a vehicle placement: the drawn locations plus the number
@@ -296,6 +285,8 @@ func (e *Engine) openDurability(cfg Config) error {
 	e.journal = j
 	cfg.Telemetry.GaugeFunc("ptrider_wal_snapshot_bytes", "Payload bytes of the last snapshot this process wrote (0 = none yet).",
 		func() float64 { return float64(j.Stats().LastSnapshotBytes) })
+	cfg.Telemetry.GaugeFunc("ptrider_wal_flush_lag_seconds", "Lag of the last flushed journal batch: its first append to the end of its write, fsync included (0 = none yet).",
+		func() float64 { return j.Stats().FlushLag.Seconds() })
 	return nil
 }
 
@@ -306,11 +297,12 @@ func (e *Engine) Recovered() bool {
 	return e.journal != nil && e.journal.Stats().Recovery.Recovered
 }
 
-// captureLocked builds the snapshot payload. The caller holds tickMu
-// and led.mu, so no vehicle moves and no ledger mutation lands while
-// the state is read; led.mu → Vehicle.mu (inside SnapshotState) and
-// led.mu → rngMu are both fresh lock edges with no reverse path.
-func (e *Engine) captureLocked() *engSnap {
+// captureLocked builds the snapshot payload and restarts the snapshot
+// cadence. The caller holds tickMu and led.mu, so no vehicle moves and
+// no ledger mutation lands while the state is read; led.mu →
+// Vehicle.mu (inside SnapshotState) and led.mu → rngMu are both fresh
+// lock edges with no reverse path.
+func (e *Engine) captureLocked() any {
 	s := &engSnap{
 		Clock:    e.Clock(),
 		NextID:   e.nextID.Load(),
@@ -325,6 +317,7 @@ func (e *Engine) captureLocked() *engSnap {
 		st := e.tracker.State()
 		s.Surge = &surgeSnap{Next: e.surgeNext, Epoch: st.Epoch, EMA: st.EMA, Demand: st.Demand}
 	}
+	e.recSinceSnap = 0
 	return s
 }
 
@@ -354,19 +347,24 @@ func (e *Engine) applySnapshot(payload []byte) error {
 // Runs single-threaded during NewEngine, before the engine is shared,
 // so the ledger is used without its lock.
 func (e *Engine) replayRecord(payload []byte) error {
+	if len(payload) > 0 && payload[0] == tagRetiredSurge {
+		// An old journal's surge epoch: the tick record before it has
+		// already re-derived the same epoch.
+		return nil
+	}
 	r, err := decodeWALRecord(payload)
 	if err != nil {
 		return err
 	}
 	switch r.Op {
-	case opSubmit:
+	case tagSubmit:
 		e.installLocked(newQuotedRecord(r.Submit), r.Submit.IdemKey)
 		if int64(r.Submit.ID) > e.nextID.Load() {
 			e.nextID.Store(int64(r.Submit.ID))
 		}
 		e.requests.Add(1)
 
-	case opChoose:
+	case tagChoose:
 		rec, err := e.led.choosable(r.Choose.ID)
 		if err != nil {
 			return err
@@ -376,10 +374,10 @@ func (e *Engine) replayRecord(payload []byte) error {
 		}
 		return e.led.assign(r.Choose)
 
-	case opDecline:
+	case tagDecline:
 		return e.led.decline(r.ReqID)
 
-	case opCancel:
+	case tagCancel:
 		rec, err := e.led.in(r.ReqID, StatusAssigned)
 		if err != nil {
 			return err
@@ -389,7 +387,7 @@ func (e *Engine) replayRecord(payload []byte) error {
 		}
 		return e.led.release(r.ReqID)
 
-	case opTick:
+	case tagTick:
 		t := r.Tick
 		events, err := e.fleet.Step(t.Dt * e.sub.speed)
 		if err != nil {
@@ -399,35 +397,23 @@ func (e *Engine) replayRecord(payload []byte) error {
 			e.divergence.Add(1)
 		}
 		e.clockBits.Store(math.Float64bits(e.Clock() + t.Dt))
+		e.advanceSurgeLocked()
 		for _, ev := range events {
 			e.applyEventLocked(ev)
 		}
 
-	case opAddV:
+	case tagAddV:
 		e.rngSrc.Burn(r.AddV.Draws)
 		for _, loc := range r.AddV.Locs {
 			e.fleet.AddVehicle(loc)
 		}
 
-	case opSurge:
-		// An epoch advance journaled by a surge-enabled engine. A
-		// recovery under a surge-disabled config skips it — the fares
-		// already quoted are in the submit records; there is no tracker
-		// to restore.
-		if e.tracker != nil {
-			e.tracker.RestoreEpoch(r.Surge.Epoch, r.Surge.EMA)
-			e.surgeNext = r.Surge.Next
-		}
-
-	case opRemV:
+	case tagRemV:
 		orphans, err := e.fleet.RemoveVehicle(r.Vehicle)
 		if err != nil {
 			return err
 		}
 		e.led.orphan(r.Vehicle, orphans)
-
-	default:
-		return fmt.Errorf("unknown journal op %q", r.Op)
 	}
 	return nil
 }
@@ -435,40 +421,15 @@ func (e *Engine) replayRecord(payload []byte) error {
 // Snapshot durably snapshots the engine now: the journal rotates to a
 // fresh segment and the full state (covering everything before it) is
 // written beside it, after which older segments and snapshots are
-// pruned. Serialised against ticks.
+// pruned. Serialised against ticks; the journal rotates and the state
+// is captured under led.mu, so no record lands between the two.
 func (e *Engine) Snapshot() error {
 	if e.journal == nil {
 		return nil
 	}
-	if err := e.alive(); err != nil {
-		return err
-	}
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	return e.snapshotHoldingTick()
-}
-
-// snapshotHoldingTick is Snapshot's body for callers that already hold
-// tickMu (Tick's cadence check would self-deadlock on the public
-// method). Rotation and capture happen under led.mu — no record can
-// land between "state X" and "segment K starts after X" — but the
-// serialisation and file write run outside it.
-func (e *Engine) snapshotHoldingTick() error {
-	e.led.mu.Lock()
-	seg, err := e.journal.Rotate()
-	if err != nil {
-		e.led.mu.Unlock()
-		return err
-	}
-	snap := e.captureLocked()
-	e.recSinceSnap = 0
-	e.led.mu.Unlock()
-
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("core: snapshot encode: %w", err)
-	}
-	return e.journal.WriteSnapshot(seg, payload)
+	return e.journal.Snapshot(&e.led.mu, e.captureLocked)
 }
 
 // snapshotDueLocked reports whether the snapshot cadence has been
@@ -477,22 +438,17 @@ func (e *Engine) snapshotDueLocked() bool {
 	return e.journal != nil && e.snapEvery > 0 && e.recSinceSnap >= e.snapEvery
 }
 
-// Close flushes the journal tail, writes a final snapshot and closes
-// the journal — the graceful-shutdown path. A crashed engine closes
-// its file handles without snapshotting (the disk state is the crash
-// state, which is the point). Safe to call when durability is off.
+// Close writes a final snapshot and closes the journal — the
+// graceful-shutdown path. A crashed engine closes its file handles
+// without snapshotting (the disk state is the crash state, which is
+// the point). Safe to call when durability is off.
 func (e *Engine) Close() error {
 	if e.journal == nil {
 		return nil
 	}
-	var serr error
-	if e.journal.Err() == nil {
-		serr = e.Snapshot()
-	}
-	if cerr := e.journal.Close(); cerr != nil && serr == nil {
-		serr = cerr
-	}
-	return serr
+	e.tickMu.Lock()
+	defer e.tickMu.Unlock()
+	return e.journal.Close(&e.led.mu, e.captureLocked)
 }
 
 // DurabilityStats snapshots the durability panel.

@@ -41,9 +41,16 @@ func walEngineConfig(mode wal.Mode, dir string) core.Config {
 // journal belongs to inj.
 func walEngine(t testing.TB, mode wal.Mode, dir string, inj *wal.Injector, snapEvery int) *core.Engine {
 	t.Helper()
+	return walEngineWith(t, walEngineConfig(mode, dir), inj, snapEvery)
+}
+
+// walEngineWith is walEngine under any configuration; cfg.WALDir is
+// the journal directory.
+func walEngineWith(t testing.TB, cfg core.Config, inj *wal.Injector, snapEvery int) *core.Engine {
+	t.Helper()
 	g := testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100)
-	disarm := wal.ArmDir(dir, inj)
-	e, err := core.NewEngine(g, walEngineConfig(mode, dir))
+	disarm := wal.ArmDir(cfg.WALDir, inj)
+	e, err := core.NewEngine(g, cfg)
 	disarm()
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -60,7 +67,7 @@ func walEngine(t testing.TB, mode wal.Mode, dir string, inj *wal.Injector, snapE
 			// simulated process died at boot. Restart it: recovery either
 			// replays the journaled placement or (pre-append) finds an
 			// empty journal and reseeds identically from the seed.
-			return walEngine(t, mode, dir, nil, snapEvery)
+			return walEngineWith(t, cfg, nil, snapEvery)
 		}
 	}
 	return e
@@ -323,7 +330,13 @@ func assertEquivalent(t *testing.T, got, want *core.Engine, ids map[int]core.Req
 // referenceRun executes the script on a journal-free engine.
 func referenceRun(t *testing.T, steps []scriptStep) (*core.Engine, map[int]core.RequestID) {
 	t.Helper()
-	ref := &scriptRunner{t: t, e: walEngine(t, wal.ModeOff, "", nil, 0)}
+	return referenceRunWith(t, steps, walEngineConfig(wal.ModeOff, ""))
+}
+
+// referenceRunWith is referenceRun under cfg, whose journal is off.
+func referenceRunWith(t *testing.T, steps []scriptStep, cfg core.Config) (*core.Engine, map[int]core.RequestID) {
+	t.Helper()
+	ref := &scriptRunner{t: t, e: walEngineWith(t, cfg, nil, 0)}
 	ref.run(steps)
 	return ref.e, ref.ids
 }
@@ -356,6 +369,72 @@ func TestCrashRecoveryGoldenEquivalence(t *testing.T) {
 				run.run(steps)
 				want, ids := referenceRun(t, steps)
 				assertEquivalent(t, run.e, want, ids)
+			})
+		}
+	}
+}
+
+// walSurgeConfig is walEngineConfig with surge pricing on: 8-second
+// epochs, so the script's 24 simulated seconds close three of them,
+// half-weight smoothing, so every epoch's ratios carry the ones before
+// it, and tiers that surge any cell with demand.
+func walSurgeConfig(mode wal.Mode, dir string) core.Config {
+	cfg := walEngineConfig(mode, dir)
+	cfg.SurgeEnabled, cfg.SurgeEpochSeconds, cfg.SurgeAlpha, cfg.SurgeTiers = true, 8, 0.5, hotTiers()
+	return cfg
+}
+
+// assertSurgeEqual compares two engines' surge trackers bit for bit:
+// the epoch, every cell's EMA ratio and multiplier, and the panel.
+func assertSurgeEqual(t *testing.T, got, want *core.Engine) {
+	t.Helper()
+	gEpoch, gEMA, gMult := got.SurgeCells()
+	wEpoch, wEMA, wMult := want.SurgeCells()
+	if gEpoch != wEpoch {
+		t.Fatalf("surge epoch %d != %d", gEpoch, wEpoch)
+	}
+	for c := range wEMA {
+		if gEMA[c] != wEMA[c] || gMult[c] != wMult[c] {
+			t.Fatalf("surge cell %d: ema %v mult %v, want ema %v mult %v", c, gEMA[c], gMult[c], wEMA[c], wMult[c])
+		}
+	}
+	if gp, wp := got.SurgeStats(), want.SurgeStats(); gp != wp {
+		t.Fatalf("surge panel %+v != %+v", gp, wp)
+	}
+}
+
+// TestCrashRecoverySurgeEquivalence is the golden-equivalence sweep
+// with surge pricing on. The journal holds no surge epochs: replaying
+// each tick record re-derives the epoch it closed. So at every crash
+// ordinal the recovered engine's epoch, EMA ratios and multipliers
+// must equal the uncrashed reference's, before and after the
+// verification ticks.
+func TestCrashRecoverySurgeEquivalence(t *testing.T) {
+	g := testnet.Lattice(rand.New(rand.NewSource(5)), 8, 8, 100)
+	steps := buildScript(g.NumVertices())
+	ref, _ := referenceRunWith(t, steps, walSurgeConfig(wal.ModeOff, ""))
+	if st := ref.SurgeStats(); st.Epoch < 3 || st.ActiveCells == 0 {
+		t.Fatalf("the script closes too few surge epochs to test: %+v", st)
+	}
+
+	for _, point := range []wal.CrashPoint{wal.CrashPreAppend, wal.CrashPostAppend} {
+		for after := 0; after <= 45; after++ {
+			t.Run(fmt.Sprintf("%s/after=%d", point, after), func(t *testing.T) {
+				dir := t.TempDir()
+				inj := &wal.Injector{}
+				inj.Arm(point, after)
+				run := &scriptRunner{
+					t: t,
+					e: walEngineWith(t, walSurgeConfig(wal.ModeSync, dir), inj, 0),
+					recover: func() *core.Engine {
+						return walEngineWith(t, walSurgeConfig(wal.ModeSync, dir), nil, 0)
+					},
+				}
+				run.run(steps)
+				want, ids := referenceRunWith(t, steps, walSurgeConfig(wal.ModeOff, ""))
+				assertSurgeEqual(t, run.e, want)
+				assertEquivalent(t, run.e, want, ids)
+				assertSurgeEqual(t, run.e, want)
 			})
 		}
 	}

@@ -208,7 +208,7 @@ type Engine struct {
 	// FareContext here. fares is immutable after construction; tracker
 	// is nil when surge is disabled. surgeNext (the clock at which the
 	// next epoch advances) and surgeSupply (the Advance scratch) ride
-	// under led.mu: the epoch roll is journaled in the tick's critical
+	// under led.mu: the epoch rolls in the tick record's critical
 	// section.
 	fares       *pricing.Pipeline
 	tracker     *surge.Tracker
@@ -514,7 +514,7 @@ func (e *Engine) addVehicles(locs []roadnet.VertexID, n int) (ids []fleet.Vehicl
 			draws = e.rngSrc.Draws() - before
 			e.rngMu.Unlock()
 		}
-		commit, err := e.appendLocked(&walRecord{Op: opAddV, AddV: &addvRec{Locs: locs, Draws: draws}})
+		commit, err := e.appendLocked(&walRecord{Op: tagAddV, AddV: &addvRec{Locs: locs, Draws: draws}})
 		if err != nil {
 			return commit, err
 		}
@@ -727,7 +727,7 @@ func (e *Engine) registerRecord(spec *ReqSpec, wait, sigma float64, options []Op
 		}
 	}
 	e.walSubScratch = sub
-	e.walRecScratch = walRecord{Op: opSubmit, Submit: &e.walSubScratch}
+	e.walRecScratch = walRecord{Op: tagSubmit, Submit: &e.walSubScratch}
 	commit, err := e.appendLocked(&e.walRecScratch)
 	if err != nil {
 		e.led.mu.Unlock()
@@ -835,7 +835,7 @@ func (e *Engine) chooseLocked(id RequestID, optionIndex int) (wal.Commit, error)
 		ID: id, OptionIndex: optionIndex, Vehicle: opt.Vehicle,
 		Price: price, PlannedPickupOdo: res.PlannedPickupOdo,
 	}
-	e.walRecScratch = walRecord{Op: opChoose, Choose: &e.walChoScratch}
+	e.walRecScratch = walRecord{Op: tagChoose, Choose: &e.walChoScratch}
 	commit, err := e.appendLocked(&e.walRecScratch)
 	if err != nil {
 		return none, err
@@ -880,7 +880,7 @@ func (e *Engine) CancelAssigned(id RequestID) error {
 		if err := e.fleet.Cancel(rec.Vehicle, id); err != nil {
 			return wal.Commit{}, err
 		}
-		commit, err := e.appendLocked(&walRecord{Op: opCancel, ReqID: id})
+		commit, err := e.appendLocked(&walRecord{Op: tagCancel, ReqID: id})
 		if err != nil {
 			return commit, err
 		}
@@ -998,7 +998,7 @@ func (e *Engine) Decline(id RequestID) error {
 		if _, err := e.led.in(id, StatusQuoted); err != nil {
 			return wal.Commit{}, err
 		}
-		commit, err := e.appendLocked(&walRecord{Op: opDecline, ReqID: id})
+		commit, err := e.appendLocked(&walRecord{Op: tagDecline, ReqID: id})
 		if err != nil {
 			return commit, err
 		}
@@ -1048,14 +1048,14 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 		e.clockBits.Store(math.Float64bits(e.Clock() + dt))
 	}
 	e.led.mu.Lock()
-	var commit, surgeCommit wal.Commit
+	var commit wal.Commit
 	if e.journal != nil && err == nil {
 		// Journal the tick as (dt, event digest): replay re-runs the
 		// deterministic fleet step and cross-checks the digest. A failed
 		// step is not journaled — it is unreachable through the public
 		// API, and replaying it would re-advance a clock the live engine
 		// did not.
-		w := &walRecord{Op: opTick, Tick: &tickRec{Dt: dt, N: len(events), Digest: eventsDigest(events)}}
+		w := &walRecord{Op: tagTick, Tick: &tickRec{Dt: dt, N: len(events), Digest: eventsDigest(events)}}
 		var jerr error
 		commit, jerr = e.appendLocked(w)
 		if jerr != nil {
@@ -1063,19 +1063,8 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 			return nil, jerr
 		}
 	}
-	if err == nil && e.tracker != nil {
-		// Surge epochs advance here, in the same critical section as the
-		// tick's journal record: the journal order (tick, then epoch)
-		// is the linearisation replay restores, so every submit lands on
-		// the same side of the epoch boundary on both runs.
-		if clk := e.Clock(); clk >= e.surgeNext {
-			var jerr error
-			surgeCommit, jerr = e.advanceSurgeLocked(clk)
-			if jerr != nil {
-				e.led.mu.Unlock()
-				return nil, jerr
-			}
-		}
+	if err == nil {
+		e.advanceSurgeLocked()
 	}
 	for _, ev := range events {
 		e.applyEventLocked(ev)
@@ -1085,35 +1074,33 @@ func (e *Engine) Tick(dt float64) ([]fleet.Event, error) {
 	if werr := commit.Wait(); werr != nil {
 		return nil, werr
 	}
-	if werr := surgeCommit.Wait(); werr != nil {
-		return nil, werr
-	}
 	if needSnap {
-		if serr := e.snapshotHoldingTick(); serr != nil {
+		if serr := e.journal.Snapshot(&e.led.mu, e.captureLocked); serr != nil {
 			return events, serr
 		}
 	}
 	return events, err
 }
 
-// advanceSurgeLocked closes one surge epoch at tick time: the grid
-// index's per-cell vehicle counts are read in one lock, folded with
-// the demand accumulated since the last epoch, and the new multiplier
-// vector journaled (tag "srg") so a recovered engine restores the
-// identical epoch state instead of re-deriving it. Caller holds
-// led.mu; the returned commit is waited after unlock like every
-// other append.
-func (e *Engine) advanceSurgeLocked(clock float64) (wal.Commit, error) {
+// advanceSurgeLocked closes a surge epoch when one is due at the
+// engine clock: the grid index's per-cell vehicle counts are read in
+// one lock and folded with the demand accumulated since the last
+// epoch. It runs in the critical section of the tick's journal record,
+// live and on replay alike, so the epoch is not journaled: replaying
+// the tick re-derives it from the same supply, demand and clock, and
+// every submit lands on the same side of the epoch boundary on both
+// runs. Caller holds led.mu.
+func (e *Engine) advanceSurgeLocked() {
+	if e.tracker == nil {
+		return
+	}
+	clk := e.Clock()
+	if clk < e.surgeNext {
+		return
+	}
 	e.lists.FillSupply(e.surgeSupply)
 	e.tracker.Advance(e.surgeSupply)
-	e.surgeNext = clock + e.sub.cfg.SurgeEpochSeconds
-	if e.journal == nil {
-		return wal.Commit{}, nil
-	}
-	st := e.tracker.State()
-	return e.appendLocked(&walRecord{Op: opSurge, Surge: &surgeRec{
-		Epoch: st.Epoch, Next: e.surgeNext, EMA: st.EMA,
-	}})
+	e.surgeNext = clk + e.sub.cfg.SurgeEpochSeconds
 }
 
 // SetVehicleStepFault injects a per-vehicle movement failure into the
@@ -1205,7 +1192,7 @@ func (e *Engine) RemoveVehicle(id fleet.VehicleID) (orphaned []RequestID, err er
 		if err != nil {
 			return wal.Commit{}, err
 		}
-		commit, err := e.appendLocked(&walRecord{Op: opRemV, Vehicle: id})
+		commit, err := e.appendLocked(&walRecord{Op: tagRemV, Vehicle: id})
 		if err != nil {
 			return commit, err
 		}

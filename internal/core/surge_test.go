@@ -368,8 +368,8 @@ func TestSurgeWALRecovery(t *testing.T) {
 	}
 
 	// Path 1: journal replay — the first engine is abandoned without a
-	// final snapshot, so recovery replays every record including the
-	// opSurge epoch advance.
+	// final snapshot, so recovery replays every record, and the tick
+	// record re-derives the epoch it closed.
 	inj.Kill()
 	r1, err := core.NewEngine(g, cfg)
 	if err != nil {
@@ -396,11 +396,11 @@ func TestSurgeWALRecovery(t *testing.T) {
 	}
 }
 
-// TestSurgeDisabledRecoverySkipsSurgeRecords checks a journal written
+// TestSurgeDisabledRecoveryKeepsQuotedFares checks a journal written
 // by a surge-enabled engine still recovers under a surge-off config:
-// the opSurge records are skipped and the quoted fares stand as
-// journaled.
-func TestSurgeDisabledRecoverySkipsSurgeRecords(t *testing.T) {
+// the replayed ticks close no epoch (there is no tracker) and the
+// quoted fares stand as journaled.
+func TestSurgeDisabledRecoveryKeepsQuotedFares(t *testing.T) {
 	dir := t.TempDir()
 	cfg := surgeConfig()
 	cfg.Durability = wal.ModeSync

@@ -24,7 +24,8 @@ import (
 	"ptrider/internal/roadnet"
 )
 
-// Record tag bytes. Append-only: renumbering breaks journal replay.
+// Record tag bytes, the kind of a walRecord. Append-only: renumbering
+// breaks journal replay.
 const (
 	tagSubmit byte = iota + 1
 	tagChoose
@@ -33,7 +34,10 @@ const (
 	tagTick
 	tagAddV
 	tagRemV
-	tagSurge
+	// tagRetiredSurge was a surge epoch advance. Replay re-derives each
+	// epoch from the tick record before it, so the tag is never written
+	// or decoded, and an old journal's records of it are skipped.
+	tagRetiredSurge
 )
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
@@ -49,10 +53,10 @@ func appendStr(b []byte, s string) []byte {
 // encodeWALRecord appends rec's encoding to buf and returns the
 // extended slice (pass buf[:0] to reuse its capacity).
 func encodeWALRecord(buf []byte, rec *walRecord) ([]byte, error) {
+	buf = append(buf, rec.Op)
 	switch rec.Op {
-	case opSubmit:
+	case tagSubmit:
 		s := rec.Submit
-		buf = append(buf, tagSubmit)
 		buf = appendU64(buf, uint64(s.ID))
 		buf = appendU32(buf, uint32(s.S))
 		buf = appendU32(buf, uint32(s.D))
@@ -75,33 +79,25 @@ func encodeWALRecord(buf []byte, rec *walRecord) ([]byte, error) {
 		}
 		return buf, nil
 
-	case opChoose:
+	case tagChoose:
 		c := rec.Choose
-		buf = append(buf, tagChoose)
 		buf = appendU64(buf, uint64(c.ID))
 		buf = appendU32(buf, uint32(c.OptionIndex))
 		buf = appendU32(buf, uint32(c.Vehicle))
 		buf = appendF64(buf, c.Price)
 		return appendF64(buf, c.PlannedPickupOdo), nil
 
-	case opDecline:
-		buf = append(buf, tagDecline)
+	case tagDecline, tagCancel:
 		return appendU64(buf, uint64(rec.ReqID)), nil
 
-	case opCancel:
-		buf = append(buf, tagCancel)
-		return appendU64(buf, uint64(rec.ReqID)), nil
-
-	case opTick:
+	case tagTick:
 		t := rec.Tick
-		buf = append(buf, tagTick)
 		buf = appendF64(buf, t.Dt)
 		buf = appendU32(buf, uint32(t.N))
 		return appendU64(buf, t.Digest), nil
 
-	case opAddV:
+	case tagAddV:
 		a := rec.AddV
-		buf = append(buf, tagAddV)
 		buf = appendU64(buf, a.Draws)
 		buf = appendU32(buf, uint32(len(a.Locs)))
 		for _, l := range a.Locs {
@@ -109,22 +105,10 @@ func encodeWALRecord(buf []byte, rec *walRecord) ([]byte, error) {
 		}
 		return buf, nil
 
-	case opRemV:
-		buf = append(buf, tagRemV)
+	case tagRemV:
 		return appendU32(buf, uint32(rec.Vehicle)), nil
-
-	case opSurge:
-		g := rec.Surge
-		buf = append(buf, tagSurge)
-		buf = appendU64(buf, g.Epoch)
-		buf = appendF64(buf, g.Next)
-		buf = appendU32(buf, uint32(len(g.EMA)))
-		for _, v := range g.EMA {
-			buf = appendF64(buf, v)
-		}
-		return buf, nil
 	}
-	return nil, fmt.Errorf("core: encode of unknown op %q", rec.Op)
+	return nil, fmt.Errorf("core: encode of unknown journal tag %d", rec.Op)
 }
 
 // walReader is a bounds-checked cursor over a record payload. Reads
@@ -194,11 +178,11 @@ func (r *walReader) count(elemSize int) int {
 // decodeWALRecord parses one journal record payload.
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	r := walReader{b: payload}
-	var rec walRecord
-	switch tag := r.u8(); tag {
+	rec := walRecord{Op: r.u8()}
+	switch rec.Op {
 	case tagSubmit:
 		s := &submitRec{}
-		rec.Op, rec.Submit = opSubmit, s
+		rec.Submit = s
 		s.ID = RequestID(r.u64())
 		s.S = roadnet.VertexID(r.u32())
 		s.D = roadnet.VertexID(r.u32())
@@ -224,29 +208,26 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 
 	case tagChoose:
 		c := &chooseRec{}
-		rec.Op, rec.Choose = opChoose, c
+		rec.Choose = c
 		c.ID = RequestID(r.u64())
 		c.OptionIndex = int(int32(r.u32()))
 		c.Vehicle = fleet.VehicleID(r.u32())
 		c.Price = r.f64()
 		c.PlannedPickupOdo = r.f64()
 
-	case tagDecline:
-		rec.Op, rec.ReqID = opDecline, RequestID(r.u64())
-
-	case tagCancel:
-		rec.Op, rec.ReqID = opCancel, RequestID(r.u64())
+	case tagDecline, tagCancel:
+		rec.ReqID = RequestID(r.u64())
 
 	case tagTick:
 		t := &tickRec{}
-		rec.Op, rec.Tick = opTick, t
+		rec.Tick = t
 		t.Dt = r.f64()
 		t.N = int(r.u32())
 		t.Digest = r.u64()
 
 	case tagAddV:
 		a := &addvRec{}
-		rec.Op, rec.AddV = opAddV, a
+		rec.AddV = a
 		a.Draws = r.u64()
 		if n := r.count(4); n > 0 {
 			a.Locs = make([]roadnet.VertexID, n)
@@ -256,25 +237,13 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		}
 
 	case tagRemV:
-		rec.Op, rec.Vehicle = opRemV, fleet.VehicleID(r.u32())
-
-	case tagSurge:
-		g := &surgeRec{}
-		rec.Op, rec.Surge = opSurge, g
-		g.Epoch = r.u64()
-		g.Next = r.f64()
-		if n := r.count(8); n > 0 {
-			g.EMA = make([]float64, n)
-			for i := range g.EMA {
-				g.EMA[i] = r.f64()
-			}
-		}
+		rec.Vehicle = fleet.VehicleID(r.u32())
 
 	default:
-		return walRecord{}, fmt.Errorf("core: journal record with unknown tag %d", tag)
+		return walRecord{}, fmt.Errorf("core: journal record with unknown tag %d", rec.Op)
 	}
 	if r.bad || r.off != len(payload) {
-		return walRecord{}, fmt.Errorf("core: malformed %q journal record (%d bytes)", rec.Op, len(payload))
+		return walRecord{}, fmt.Errorf("core: malformed journal record, tag %d (%d bytes)", rec.Op, len(payload))
 	}
 	return rec, nil
 }

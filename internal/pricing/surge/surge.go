@@ -12,8 +12,11 @@
 //
 // Multipliers only change at epoch boundaries, which the engine
 // advances deterministically at tick time under its ledger lock — so a
-// quote reads one consistent (multiplier, epoch) pair, and the WAL can
-// journal each epoch's state for bit-identical recovery.
+// quote reads one consistent (multiplier, epoch) pair. Advance is a
+// pure function of the demand recorded, the supply counts and the
+// state before it, so the engine's journal replay re-derives every
+// epoch from the tick that closed it; only a snapshot stores the
+// tracker's State.
 package surge
 
 import "sync"
@@ -178,14 +181,6 @@ func (t *Tracker) Restore(st State) {
 		}
 		t.mult[c] = t.multiplierFor(t.ema[c])
 	}
-}
-
-// RestoreEpoch replays one journaled epoch advance: the EMA vector and
-// epoch number are installed, multipliers re-derived, and the demand
-// counters reset — exactly the post-Advance state the live tracker
-// had when the record was journaled.
-func (t *Tracker) RestoreEpoch(epoch uint64, ema []float64) {
-	t.Restore(State{Epoch: epoch, EMA: ema})
 }
 
 // Cells returns the epoch plus copies of the per-cell EMA ratios and

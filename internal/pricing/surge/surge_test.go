@@ -110,10 +110,13 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreEpochDerivesMultipliers: Restore installs an epoch's EMA
+// vector and re-derives the multipliers from it; a state without
+// demand resets the counters, as a live Advance leaves them.
 func TestRestoreEpochDerivesMultipliers(t *testing.T) {
 	tr := New(2, Config{})
 	tr.RecordDemand(0)
-	tr.RestoreEpoch(7, []float64{2.5, 0.5})
+	tr.Restore(State{Epoch: 7, EMA: []float64{2.5, 0.5}})
 	if ep := tr.State().Epoch; ep != 7 {
 		t.Fatalf("epoch %d, want 7", ep)
 	}

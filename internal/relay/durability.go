@@ -214,19 +214,7 @@ func (s *Scheduler) Snapshot() error {
 	if s.journal == nil {
 		return nil
 	}
-	s.led.mu.Lock()
-	seg, err := s.journal.Rotate()
-	if err != nil {
-		s.led.mu.Unlock()
-		return err
-	}
-	snap := s.led.capture()
-	s.led.mu.Unlock()
-	payload, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("relay: snapshot encode: %w", err)
-	}
-	return s.journal.WriteSnapshot(seg, payload)
+	return s.journal.Snapshot(&s.led.mu, s.led.capture)
 }
 
 // Close snapshots the trip ledger and closes the journal (no-op when
@@ -236,12 +224,5 @@ func (s *Scheduler) Close() error {
 	if s.journal == nil {
 		return nil
 	}
-	var serr error
-	if s.journal.Err() == nil {
-		serr = s.Snapshot()
-	}
-	if cerr := s.journal.Close(); cerr != nil && serr == nil {
-		serr = cerr
-	}
-	return serr
+	return s.journal.Close(&s.led.mu, s.led.capture)
 }

@@ -311,9 +311,10 @@ func (l *ledger) stats() Stats {
 	return st
 }
 
-// capture is the snapshot of the whole ledger; restore rebuilds a fresh
-// ledger from one (active and pending are derived from the trips).
-func (l *ledger) capture() relaySnap {
+// capture is the snapshot of the whole ledger, a relaySnap; restore
+// rebuilds a fresh ledger from one (active and pending are derived
+// from the trips). The caller holds mu.
+func (l *ledger) capture() any {
 	snap := relaySnap{
 		NextID: l.next.Load(), Quoted: l.n.Quoted, LegQuotes: l.n.LegQuotes,
 		Committed: l.n.Committed, Aborted: l.n.Aborted, Declined: l.n.Declined,

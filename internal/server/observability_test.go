@@ -223,20 +223,7 @@ func TestV1MetricsExposition(t *testing.T) {
 func TestV1MetricsSnapshotSeries(t *testing.T) {
 	dir := t.TempDir()
 	b, eng := obsEngine(t, dir)
-	sample := func(body, series string) float64 {
-		t.Helper()
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, series+" "); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Fatalf("%s: %v", line, err)
-				}
-				return f
-			}
-		}
-		t.Fatalf("exposition has no %s sample", series)
-		return 0
-	}
+	sample := func(body, series string) float64 { t.Helper(); return sampleOf(t, body, series) }
 	body := scrape(t, b)
 	for _, want := range []string{
 		"# TYPE ptrider_wal_snapshot_bytes gauge",
@@ -268,6 +255,54 @@ func TestV1MetricsSnapshotSeries(t *testing.T) {
 	}
 	if c := sample(body, "ptrider_wal_snapshot_duration_seconds_count"); c != 1 {
 		t.Errorf("ptrider_wal_snapshot_duration_seconds_count %v, want 1", c)
+	}
+}
+
+// sampleOf returns the value of an unlabelled series in an exposition
+// body, failing the test when it has none.
+func sampleOf(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s sample", series)
+	return 0
+}
+
+// TestV1MetricsFlushLag pins the journal's flush-lag gauge: exported
+// with durability on, it reads the last flushed batch's lag — above 0
+// once a submit's record has been written and fsynced, and no more
+// than the wall time since the engine was built — and with durability off
+// the family is absent.
+func TestV1MetricsFlushLag(t *testing.T) {
+	start := time.Now()
+	b, eng := obsEngine(t, t.TempDir())
+	submitQuoted(t, b)
+	// A snapshot syncs the journal first: the submit's batch is flushed.
+	if err := eng.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start).Seconds()
+	if lag := sampleOf(t, scrape(t, b), "ptrider_wal_flush_lag_seconds"); lag <= 0 || lag > elapsed {
+		t.Fatalf("flush lag %v s, want in (0, %v]", lag, elapsed)
+	}
+
+	g := testnet.Lattice(rand.New(rand.NewSource(1)), 8, 8, 100)
+	off, err := core.NewEngine(g, core.Config{Capacity: 4, Seed: 1, Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.NewService(off).Handler())
+	t.Cleanup(ts.Close)
+	body := scrape(t, v1Backend{name: "single-city", ts: ts, city: core.DefaultCityName, numCities: 1})
+	if strings.Contains(body, "ptrider_wal_flush_lag_seconds") {
+		t.Fatal("durability off, yet the exposition has ptrider_wal_flush_lag_seconds")
 	}
 }
 

@@ -95,23 +95,26 @@ func (u UtilityChoice) Choose(opts []core.Option, rng *rand.Rand) int {
 }
 
 // ContextChoice is an optional ChoiceModel extension for riders whose
-// decision depends on the request itself, not just the skyline: the
-// trip distance and rider count let a model judge prices against the
-// unsurged fare floor. Models implementing it get ChooseCtx called
-// instead of Choose.
+// decision depends on the request itself, not just the skyline: floor
+// is the request's unsurged fare floor, its base ratio f_n times
+// dist(s,d) (0 for a relay trip, which has no distance of its own), so
+// a model can judge prices against it. Models implementing it get
+// ChooseCtx called instead of Choose.
 type ContextChoice interface {
 	ChoiceModel
-	ChooseCtx(opts []core.Option, sd float64, riders int, rng *rand.Rand) int
+	ChooseCtx(opts []core.Option, floor float64, rng *rand.Rand) int
 }
 
 // PriceAware declines surged quotes with probability rising in the
 // premium over the base fare: the cheapest option's price is compared
-// against the unsurged floor f_n·dist(s,d), and acceptance follows a
-// logistic curve in that ratio — premium 1 (no surge) is almost always
-// accepted, premium ≥ Pivot is a coin flip, far beyond it a near-sure
-// decline. Accepted riders then pick the cheapest option. This is the
-// demand-elasticity half of the surge loop: hot cells price some
-// riders out, which sheds demand until the multiplier relaxes.
+// against the unsurged floor f_n·dist(s,d), f_n being the base ratio
+// the request was priced under (a custom Config.PriceRatio included),
+// and acceptance follows a logistic curve in that ratio — premium 1
+// (no surge) is almost always accepted, premium ≥ Pivot is a coin
+// flip, far beyond it a near-sure decline. Accepted riders then pick
+// the cheapest option. This is the demand-elasticity half of the surge
+// loop: hot cells price some riders out, which sheds demand until the
+// multiplier relaxes.
 type PriceAware struct {
 	// Pivot is the premium with 50% acceptance (0 = 2.0).
 	Pivot float64
@@ -126,12 +129,11 @@ func (p PriceAware) Choose(opts []core.Option, rng *rand.Rand) int {
 }
 
 // ChooseCtx implements ContextChoice.
-func (p PriceAware) ChooseCtx(opts []core.Option, sd float64, riders int, rng *rand.Rand) int {
+func (p PriceAware) ChooseCtx(opts []core.Option, floor float64, rng *rand.Rand) int {
 	best := Cheapest{}.Choose(opts, rng)
 	if best < 0 {
 		return -1
 	}
-	floor := pricing.DefaultRatio(riders) * sd
 	if floor <= 0 {
 		return best
 	}
@@ -154,9 +156,26 @@ func (p PriceAware) ChooseCtx(opts []core.Option, sd float64, riders int, rng *r
 // choose dispatches to ChooseCtx when the model wants request context.
 func choose(m ChoiceModel, rec *core.RequestRecord, rng *rand.Rand) int {
 	if cc, ok := m.(ContextChoice); ok {
-		return cc.ChooseCtx(rec.Options, rec.SD, rec.Riders, rng)
+		return cc.ChooseCtx(rec.Options, baseFloor(rec), rng)
 	}
 	return m.Choose(rec.Options, rng)
+}
+
+// baseFloor is a request's unsurged fare floor f_n·dist(s,d), f_n being
+// the record's own base ratio: its effective ratio over its surge
+// multiplier (1 unsurged). A record read back from a shard's /v1
+// answer carries no fare context; a shard prices under the paper's f_n
+// (it takes no custom ratio), so that is its floor. A relay record has
+// no distance, so its floor is 0.
+func baseFloor(rec *core.RequestRecord) float64 {
+	if rec.FareRatio == 0 {
+		return pricing.DefaultRatio(rec.Riders) * rec.SD
+	}
+	ratio := rec.FareRatio
+	if rec.SurgeMult > 0 {
+		ratio /= rec.SurgeMult
+	}
+	return ratio * rec.SD
 }
 
 // ParseChoiceModel maps a rider-model name — "earliest", "cheapest",

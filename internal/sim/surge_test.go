@@ -26,7 +26,7 @@ func TestPriceAwareChoice(t *testing.T) {
 	atFloor := []core.Option{{Price: floor * 1.1}, {Price: floor}}
 	accepted := 0
 	for i := 0; i < 500; i++ {
-		if pick := model.ChooseCtx(atFloor, sd, 1, rng); pick == 1 {
+		if pick := model.ChooseCtx(atFloor, floor, rng); pick == 1 {
 			accepted++
 		} else if pick == 0 {
 			t.Fatal("accepted a non-cheapest option")
@@ -40,7 +40,7 @@ func TestPriceAwareChoice(t *testing.T) {
 	steep := []core.Option{{Price: floor * 4}}
 	accepted = 0
 	for i := 0; i < 500; i++ {
-		if model.ChooseCtx(steep, sd, 1, rng) == 0 {
+		if model.ChooseCtx(steep, floor, rng) == 0 {
 			accepted++
 		}
 	}
@@ -50,7 +50,7 @@ func TestPriceAwareChoice(t *testing.T) {
 
 	// Interface plumbing: empty skylines decline, the plain Choose
 	// fallback behaves like Cheapest, and the model parses by name.
-	if model.ChooseCtx(nil, sd, 1, rng) != -1 {
+	if model.ChooseCtx(nil, floor, rng) != -1 {
 		t.Fatal("empty skyline not declined")
 	}
 	if model.Choose(atFloor, rng) != 1 {

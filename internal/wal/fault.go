@@ -23,7 +23,7 @@ const (
 	// but before the owner's in-memory ledger applies it: recovery must
 	// replay the record (if its batch reached disk) exactly once.
 	CrashPostAppend CrashPoint = "post-append-pre-apply"
-	// CrashMidSnapshot fires inside Journal.WriteSnapshot after a partial
+	// CrashMidSnapshot fires inside Journal.Snapshot after a partial
 	// payload is written to the temp file: recovery must fall back to
 	// the previous snapshot and the longer tail.
 	CrashMidSnapshot CrashPoint = "mid-snapshot"

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 )
 
@@ -14,14 +16,39 @@ import (
 // and renamed into place so a crash mid-write never clobbers an older
 // valid snapshot.
 
-// WriteSnapshot durably writes payload as the snapshot named seg —
+// Snapshot durably snapshots the journal's owner: under mu, the lock
+// the owner appends under, the journal rotates to a fresh segment and
+// capture returns the owner's state, so no record lands between the
+// two; the state is then JSON-encoded and written outside the lock as
+// the snapshot named by the new segment, and the segments and
+// snapshots it covers are pruned. A dead journal refuses with Err.
+func (j *Journal) Snapshot(mu sync.Locker, capture func() any) error {
+	if err := j.Err(); err != nil {
+		return err
+	}
+	mu.Lock()
+	seg, err := j.rotate()
+	if err != nil {
+		mu.Unlock()
+		return err
+	}
+	state := capture()
+	mu.Unlock()
+	payload, err := json.Marshal(state)
+	if err != nil {
+		return fmt.Errorf("wal: snapshot encode: %w", err)
+	}
+	return j.landSnapshot(seg, payload)
+}
+
+// landSnapshot durably writes payload as the snapshot named seg —
 // the owner's state with every record of segments < seg applied, so
-// seg is the number Rotate returned — and then prunes the segments and
+// seg is the number rotate returned — and then prunes the segments and
 // snapshots it covers. The mid-snapshot crash point fires after
 // roughly half the payload reaches the temp file (no rename: the
 // snapshot must not become visible); the journal then dies and
-// WriteSnapshot returns ErrCrashed.
-func (j *Journal) WriteSnapshot(seg uint64, payload []byte) error {
+// landSnapshot returns ErrCrashed.
+func (j *Journal) landSnapshot(seg uint64, payload []byte) error {
 	t0 := time.Now()
 	if err := j.writeSnapshot(seg, payload); err != nil {
 		return err

@@ -36,17 +36,21 @@
 // Appends are not internally ordered against each other: the caller
 // must serialise Append calls that need a defined journal order (the
 // engine appends under its ledger lock, which is also what makes the
-// journal order the ledger linearisation). Rotate assumes no
-// concurrent appends for the same reason.
+// journal order the ledger linearisation). A snapshot rotates the
+// segment under that same lock for the same reason.
 //
 // # Lifecycle
 //
 // A journal's owner (the city engine, the relay scheduler) keeps only
 // its record codec, its restore/replay/capture code and its locks; the
 // lifecycle is here. Open recovers the directory into the owner through
-// two callbacks and then opens it for appending; WriteSnapshot lands a
-// snapshot beside a rotated segment and prunes what it covers; Close
-// and Kill end it.
+// two callbacks and then opens it for appending. Snapshot takes the
+// owner's append lock and a capture function: under the lock it
+// rotates to a fresh segment and captures the owner's state, outside
+// it JSON-encodes and writes that state as the snapshot beside the new
+// segment and prunes what it covers. Close ends a graceful run with a
+// final snapshot, unless the journal died, and Kill ends a simulated
+// process.
 //
 // The journal is fail-stop: a failed batch write or fsync kills it like
 // an injected crash does. The batch's waiters get the error, every
@@ -59,7 +63,7 @@
 // The package doubles as its own fault-injection harness: ArmDir arms
 // an Injector on a directory, whose journals then form one simulated
 // process. Append fires the pre-append and post-append crash points
-// around every record, WriteSnapshot the mid-snapshot point, the
+// around every record, Snapshot the mid-snapshot point, the
 // flusher the torn-write fault, and relay recovery the mid-compensate
 // point through Crash. A fired fault (or Injector.Kill) kills every
 // journal of the process — later operations fail with ErrCrashed,
@@ -156,7 +160,7 @@ type Options struct {
 	Mode Mode
 	// AppendHist / FsyncHist, when non-nil, observe batch-write and
 	// fsync wall times (seconds), and SnapshotHist the wall time of
-	// each WriteSnapshot that succeeded. Nil histograms are no-ops, so
+	// each snapshot written. Nil histograms are no-ops, so
 	// the journal records unconditionally.
 	AppendHist   *telemetry.LatencyHist
 	FsyncHist    *telemetry.LatencyHist
@@ -166,10 +170,11 @@ type Options struct {
 // batch is one group-commit unit: records accumulated since the last
 // flush, plus the completion signal its Sync-mode appenders wait on.
 type batch struct {
-	buf  []byte
-	n    int
-	done chan struct{}
-	err  error
+	buf   []byte
+	n     int
+	first time.Time // when its first record was appended
+	done  chan struct{}
+	err   error
 }
 
 func newBatch() *batch { return &batch{done: make(chan struct{})} }
@@ -196,9 +201,9 @@ func (j *Journal) newBatchLocked() *batch {
 }
 
 // Journal is an append-only segmented record log with group commit.
-// Append may be called concurrently; Rotate, Sync and Close require
-// that no appends are in flight (the engine guarantees this by
-// appending only under its ledger lock).
+// Append may be called concurrently; rotate, Sync and Close require
+// that no appends are in flight (the owners guarantee this by
+// appending only under their ledger lock).
 type Journal struct {
 	dir  string
 	opts Options
@@ -230,8 +235,11 @@ type Journal struct {
 	fsyncs  atomic.Int64
 	fsyncNs atomic.Int64
 	maxN    atomic.Int64
+	// flushLag is the last flushed batch's lag: from its first Append to
+	// the end of its write, fsync included.
+	flushLag atomic.Int64
 
-	// Snapshot bookkeeping (WriteSnapshot) and the summary of the
+	// Snapshot bookkeeping (landSnapshot) and the summary of the
 	// recovery Open ran, for the owners' stats panels.
 	snapshots atomic.Int64
 	lastSnap  atomic.Uint64
@@ -401,6 +409,9 @@ func (j *Journal) Append(payload []byte) (Commit, error) {
 		return Commit{}, ErrClosed
 	}
 	b := j.cur
+	if b.n == 0 {
+		b.first = time.Now()
+	}
 	b.buf = append(b.buf, hdr[:]...)
 	b.buf = append(b.buf, payload...)
 	b.n++
@@ -477,6 +488,7 @@ func (j *Journal) flushOnce() {
 		j.fail(b, err)
 		return
 	}
+	j.flushLag.Store(int64(time.Since(b.first)))
 	j.batches.Add(1)
 	if n := int64(b.n); n > j.maxN.Load() {
 		j.maxN.Store(n) // single flusher: load/store does not race
@@ -569,11 +581,11 @@ func (j *Journal) Segment() uint64 {
 	return j.seg
 }
 
-// Rotate flushes the current segment and starts the next one, returning
-// its number. The caller must guarantee no concurrent appends (the
-// engine holds its ledger lock); a snapshot named with the returned
-// number captures the state with everything before it applied.
-func (j *Journal) Rotate() (uint64, error) {
+// rotate flushes the current segment and starts the next one, returning
+// its number. The caller must guarantee no concurrent appends (Snapshot
+// holds the owner's lock); a snapshot named with the returned number
+// captures the state with everything before it applied.
+func (j *Journal) rotate() (uint64, error) {
 	if err := j.Sync(); err != nil {
 		return 0, err
 	}
@@ -636,9 +648,24 @@ func (j *Journal) Err() error {
 	return nil
 }
 
-// Close flushes, fsyncs and closes the journal. A killed journal
+// Close ends the journal on a graceful shutdown: unless it died, a
+// final Snapshot of capture's state under mu first (a nil capture
+// skips it), then closeFiles. A dead journal keeps the crash state on
+// disk, which is the point.
+func (j *Journal) Close(mu sync.Locker, capture func() any) error {
+	var serr error
+	if capture != nil && j.Err() == nil {
+		serr = j.Snapshot(mu, capture)
+	}
+	if cerr := j.closeFiles(); cerr != nil && serr == nil {
+		serr = cerr
+	}
+	return serr
+}
+
+// closeFiles flushes, fsyncs and closes the journal. A killed journal
 // closes its file without flushing.
-func (j *Journal) Close() error {
+func (j *Journal) closeFiles() error {
 	serr := j.Sync()
 	if serr == ErrCrashed {
 		serr = nil // dead journals close silently; the crash already surfaced
@@ -675,6 +702,9 @@ type Stats struct {
 	MaxBatch int64 `json:"max_batch"`
 	// AvgFsyncMicros is the mean fsync latency.
 	AvgFsyncMicros float64 `json:"avg_fsync_micros"`
+	// FlushLag is the last flushed batch's lag: the time from its first
+	// Append to the end of its write, fsync included (0 = none yet).
+	FlushLag time.Duration `json:"flush_lag"`
 	// Segment is the live tail segment number.
 	Segment uint64 `json:"segment"`
 	// Snapshots counts snapshots written since Open; LastSnapshotSeg
@@ -695,6 +725,7 @@ func (j *Journal) Stats() Stats {
 		Batches:  j.batches.Load(),
 		Fsyncs:   j.fsyncs.Load(),
 		MaxBatch: j.maxN.Load(),
+		FlushLag: time.Duration(j.flushLag.Load()),
 		Segment:  j.Segment(),
 
 		Snapshots:         j.snapshots.Load(),

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ptrider/internal/testnet"
 )
@@ -60,7 +61,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "alpha", "beta", "gamma")
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
@@ -99,7 +100,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("reopened journal: segment %d (want %d), recovery %+v", st.Segment, rec.NextSeg, st.Recovery)
 	}
 	appendAll(t, j2, "delta")
-	if err := j2.Close(); err != nil {
+	if err := j2.Close(nil, nil); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	rec2 := recovered(t, dir)
@@ -129,7 +130,7 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	}
 	wg.Wait()
 	st := j.Stats()
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if st.Records != n {
@@ -158,21 +159,21 @@ func TestRotateSnapshotPrune(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "old-1", "old-2")
-	seg, err := j.Rotate()
+	seg, err := j.rotate()
 	if err != nil {
-		t.Fatalf("Rotate: %v", err)
+		t.Fatalf("rotate: %v", err)
 	}
 	if seg != 2 {
-		t.Fatalf("Rotate → %d, want 2", seg)
+		t.Fatalf("rotate → %d, want 2", seg)
 	}
-	if err := j.WriteSnapshot(seg, []byte("STATE-AFTER-OLD")); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := j.landSnapshot(seg, []byte("STATE-AFTER-OLD")); err != nil {
+		t.Fatalf("landSnapshot: %v", err)
 	}
 	if st := j.Stats(); st.Snapshots != 1 || st.LastSnapshotSeg != seg {
 		t.Fatalf("snapshot stats: %d snapshots, newest %d", st.Snapshots, st.LastSnapshotSeg)
 	}
 	appendAll(t, j, "new-1")
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
@@ -224,7 +225,7 @@ func TestTornWriteInjection(t *testing.T) {
 	if _, err := j.Append([]byte("after-death")); err != ErrCrashed {
 		t.Fatalf("Append after death = %v, want ErrCrashed", err)
 	}
-	_ = j.Close()
+	_ = j.Close(nil, nil)
 	if recs := logged.Lines(); len(recs) != 0 {
 		t.Fatalf("an injected torn write logged %d records, want none: %q", len(recs), recs[0].Message)
 	}
@@ -254,7 +255,7 @@ func TestTruncatedTailAndFlippedByte(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "keep-1", "keep-2", "victim")
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
@@ -284,26 +285,26 @@ func TestCorruptSnapshotFallsBackOlder(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "epoch-1")
-	seg2, err := j.Rotate()
+	seg2, err := j.rotate()
 	if err != nil {
-		t.Fatalf("Rotate: %v", err)
+		t.Fatalf("rotate: %v", err)
 	}
 	// writeSnapshot does not prune: the older snapshot and its tail
 	// stay, as a crash between a snapshot's rename and its prune
 	// leaves them.
 	if err := j.writeSnapshot(seg2, []byte("SNAP-2")); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+		t.Fatalf("writeSnapshot: %v", err)
 	}
 	appendAll(t, j, "epoch-2")
-	seg3, err := j.Rotate()
+	seg3, err := j.rotate()
 	if err != nil {
-		t.Fatalf("Rotate: %v", err)
+		t.Fatalf("rotate: %v", err)
 	}
 	if err := j.writeSnapshot(seg3, []byte("SNAP-3")); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+		t.Fatalf("writeSnapshot: %v", err)
 	}
 	appendAll(t, j, "epoch-3")
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
@@ -337,19 +338,19 @@ func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 	t.Cleanup(ArmDir(dir, inj))
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	rotate := func() uint64 {
-		seg, err := j.Rotate()
+		seg, err := j.rotate()
 		if err != nil {
-			t.Fatalf("Rotate: %v", err)
+			t.Fatalf("rotate: %v", err)
 		}
 		return seg
 	}
-	if err := j.WriteSnapshot(rotate(), []byte("SNAP-OLD")); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := j.landSnapshot(rotate(), []byte("SNAP-OLD")); err != nil {
+		t.Fatalf("landSnapshot: %v", err)
 	}
 	inj.Arm(CrashMidSnapshot, 0)
-	err := j.WriteSnapshot(rotate(), []byte("SNAP-NEW-NEVER-LANDS"))
+	err := j.landSnapshot(rotate(), []byte("SNAP-NEW-NEVER-LANDS"))
 	if err != ErrCrashed {
-		t.Fatalf("WriteSnapshot with armed crash = %v, want ErrCrashed", err)
+		t.Fatalf("landSnapshot with armed crash = %v, want ErrCrashed", err)
 	}
 	if !inj.Fired() || j.Err() == nil {
 		t.Fatalf("fired %v, dead %v: want the crash to kill the journal", inj.Fired(), j.Err() != nil)
@@ -357,7 +358,7 @@ func TestMidSnapshotCrashLeavesOldSnapshotAuthoritative(t *testing.T) {
 	if st := j.Stats(); st.Snapshots != 1 || st.LastSnapshotSeg != 2 {
 		t.Fatalf("snapshot stats: %d snapshots, newest %d", st.Snapshots, st.LastSnapshotSeg)
 	}
-	_ = j.Close()
+	_ = j.Close(nil, nil)
 	rec := recovered(t, dir)
 	if rec.SnapshotSeg != 2 || string(rec.Snapshot) != "SNAP-OLD" {
 		t.Fatalf("snapshot = seg %d %q, want seg 2 SNAP-OLD", rec.SnapshotSeg, rec.Snapshot)
@@ -406,7 +407,7 @@ func TestFlushFailureKillsJournal(t *testing.T) {
 	if _, err := j.Append([]byte("after-failure")); err != ErrCrashed {
 		t.Fatalf("Append after a failed flush = %v, want ErrCrashed", err)
 	}
-	_ = j.Close()
+	_ = j.Close(nil, nil)
 
 	recs := logged.Lines()
 	if len(recs) != 1 {
@@ -433,7 +434,7 @@ func TestOpenLogsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "r1", "r2")
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if recs := logged.Lines(); len(recs) != 0 {
@@ -464,14 +465,14 @@ func TestOpenLogsRecovery(t *testing.T) {
 		t.Fatalf("restart logged %v, want 2 records and no repair", a)
 	}
 	appendAll(t, j, "r3")
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := TruncateTail(dir, 1); err != nil {
 		t.Fatal(err)
 	}
 	j = mustOpen(t, dir, Options{Mode: ModeSync})
-	defer j.Close()
+	defer j.Close(nil, nil)
 	if a := line(1); a["records"] != int64(2) || a["truncated_bytes"].(int64) <= 0 {
 		t.Fatalf("open after a torn tail logged %v, want 2 records and the truncated bytes", a)
 	}
@@ -483,15 +484,15 @@ func TestOpenReplaysIntoTheOwner(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Mode: ModeSync})
 	appendAll(t, j, "r1")
-	seg, err := j.Rotate()
+	seg, err := j.rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WriteSnapshot(seg, []byte("S")); err != nil {
+	if err := j.landSnapshot(seg, []byte("S")); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, "r2", "r3")
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -507,7 +508,7 @@ func TestOpenReplaysIntoTheOwner(t *testing.T) {
 	if st := j2.Stats(); st.LastSnapshotSeg != seg || st.Snapshots != 0 || st.Recovery.Records != 2 {
 		t.Fatalf("reopened stats: %+v", st)
 	}
-	if err := j2.Close(); err != nil {
+	if err := j2.Close(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -559,10 +560,10 @@ func TestKillFailsPendingAndFutureAppends(t *testing.T) {
 	if err := j.Sync(); err != ErrCrashed {
 		t.Fatalf("Sync after Kill = %v, want ErrCrashed", err)
 	}
-	if _, err := j.Rotate(); err != ErrCrashed {
-		t.Fatalf("Rotate after Kill = %v, want ErrCrashed", err)
+	if _, err := j.rotate(); err != ErrCrashed {
+		t.Fatalf("rotate after Kill = %v, want ErrCrashed", err)
 	}
-	if err := j.Close(); err != nil {
+	if err := j.Close(nil, nil); err != nil {
 		t.Fatalf("Close after Kill: %v", err)
 	}
 	rec := recovered(t, dir)
@@ -589,7 +590,7 @@ func TestAsyncModeLosesOnlyUnflushedSuffix(t *testing.T) {
 		}
 	}
 	j.Kill()
-	_ = j.Close()
+	_ = j.Close(nil, nil)
 	rec := recovered(t, dir)
 	got := recordStrings(rec)
 	if len(got) < 10 || len(got) > 15 {
@@ -654,7 +655,7 @@ func TestArmDirSeam(t *testing.T) {
 		b = mustOpen(t, filepath.Join(root, "relay"), Options{Mode: ModeSync})
 		out = mustOpen(t, filepath.Join(base, "sibling"), Options{Mode: ModeSync})
 		for _, j := range []*Journal{a, b, out} {
-			t.Cleanup(func() { _ = j.Close() })
+			t.Cleanup(func() { _ = j.Close(nil, nil) })
 		}
 		return inj, a, b, out, root, disarm
 	}
@@ -702,7 +703,7 @@ func TestArmDirSeam(t *testing.T) {
 		inj, a, _, _, root, disarm := process(t)
 		disarm()
 		late := mustOpen(t, filepath.Join(root, "late"), Options{Mode: ModeSync})
-		defer late.Close()
+		defer late.Close(nil, nil)
 		inj.Arm(CrashPreAppend, 0)
 		appendAll(t, late, "unarmed")
 		if inj.Fired() {
@@ -712,4 +713,79 @@ func TestArmDirSeam(t *testing.T) {
 		dead(t, "a", a)
 		alive(t, late)
 	})
+}
+
+// TestFlushLag: a flushed batch's lag runs from its first Append to the
+// end of its write and fsync, so after an Append and a Sync it is above
+// 0 and at most the wall time the two took.
+func TestFlushLag(t *testing.T) {
+	for _, mode := range []Mode{ModeSync, ModeAsync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			j := mustOpen(t, t.TempDir(), Options{Mode: mode})
+			defer j.Close(nil, nil)
+			if lag := j.Stats().FlushLag; lag != 0 {
+				t.Fatalf("lag %v before any flush, want 0", lag)
+			}
+			start := time.Now()
+			if _, err := j.Append([]byte("rec")); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			elapsed := time.Since(start)
+			if lag := j.Stats().FlushLag; lag <= 0 || lag > elapsed {
+				t.Fatalf("lag %v after Append and Sync, want in (0, %v]", lag, elapsed)
+			}
+		})
+	}
+}
+
+// TestSnapshotLifecycle: Snapshot captures the owner's state under its
+// lock beside a fresh segment, so recovery restores it with no tail;
+// Close writes a final snapshot of a live journal, and a dead journal
+// closes without one.
+func TestSnapshotLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Mode: ModeSync})
+	var mu sync.Mutex
+	state := "s0"
+	capture := func() any {
+		if mu.TryLock() {
+			t.Error("capture ran without the owner's lock")
+			mu.Unlock()
+		}
+		return state
+	}
+	appendAll(t, j, "a")
+	if err := j.Snapshot(&mu, capture); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	appendAll(t, j, "b")
+	state = "s1"
+	if err := j.Close(&mu, capture); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rec := recovered(t, dir)
+	if string(rec.Snapshot) != `"s1"` || len(rec.Records) != 0 {
+		t.Fatalf("after Close: snapshot %q, records %v; want \"s1\" and no tail", rec.Snapshot, recordStrings(rec))
+	}
+
+	inj := &Injector{}
+	disarm := ArmDir(dir, inj)
+	j2 := mustOpen(t, dir, Options{Mode: ModeSync})
+	disarm()
+	appendAll(t, j2, "c")
+	inj.Kill()
+	state = "never"
+	if err := j2.Snapshot(&mu, capture); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Snapshot of a dead journal = %v, want ErrCrashed", err)
+	}
+	if err := j2.Close(&mu, capture); err != nil {
+		t.Fatalf("Close of a dead journal: %v", err)
+	}
+	rec = recovered(t, dir)
+	if string(rec.Snapshot) != `"s1"` || len(rec.Records) != 1 {
+		t.Fatalf("after a dead Close: snapshot %q, records %v; want \"s1\" and [c]", rec.Snapshot, recordStrings(rec))
+	}
 }

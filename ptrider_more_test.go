@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptrider"
+	"ptrider/internal/pricing"
 )
 
 func TestHourlyExposure(t *testing.T) {
@@ -131,4 +132,40 @@ func tripDist(t *testing.T, sys *ptrider.System, s, d ptrider.VertexID) float64 
 	}
 	o := req.Options[0]
 	return (o.Price - o.PickupMeters) / 2
+}
+
+// TestPriceAwareHonoursPriceRatio: the price-aware rider judges a quote
+// against the fare floor of the ratio the engine priced it under, not
+// the paper's default f_n. Doubling f_n doubles every price exactly, so
+// the skylines and the rider draws are the same under both ratios, and
+// so must be the accepted and declined counts.
+func TestPriceAwareHonoursPriceRatio(t *testing.T) {
+	net := testCity(t)
+	trips, err := ptrider.GenerateWorkload(net, ptrider.WorkloadConfig{
+		NumTrips: 120, DaySeconds: 3600, Seed: 14,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ratio func(n int) float64) ptrider.SimResult {
+		t.Helper()
+		sys, err := ptrider.New(net, ptrider.Config{NumTaxis: 12, Seed: 14, PriceRatio: ratio})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.RunWorkload(trips, ptrider.SimOptions{TickSeconds: 2, Seed: 14, Choice: "priceaware"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base := run(nil)
+	doubled := run(func(n int) float64 { return 2 * pricing.DefaultRatio(n) })
+	if base.Accepted == 0 || base.Declined == 0 {
+		t.Fatalf("workload too thin to compare: %+v", base)
+	}
+	if doubled.Accepted != base.Accepted || doubled.Declined != base.Declined {
+		t.Fatalf("doubled f_n: %d accepted, %d declined; default f_n: %d accepted, %d declined",
+			doubled.Accepted, doubled.Declined, base.Accepted, base.Declined)
+	}
 }
